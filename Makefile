@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint lint-json lint-allows race fmt fuzz bench-json bench-json-pr7 bench-json-pr8 bench-json-pr10 bench-smoke load-smoke
+.PHONY: all build test lint lint-json lint-allows race fmt fuzz bench-json bench-json-pr7 bench-json-pr8 bench-json-pr10 bench-smoke load-smoke benchmark benchmark-test
 
 all: build lint test
 
@@ -86,3 +86,17 @@ bench-smoke:
 # must shed nothing, fail nothing, and keep p99 interactive.
 load-smoke:
 	$(GO) run ./cmd/loadgen -mode smoke -qps 15 -duration 2s
+
+# The repo's one benchmark (BENCHMARK.json, benchmark/README.md): all six
+# workloads untraced then traced, results under benchmark/out/. ARGS
+# passes flags through, e.g.
+#   make benchmark ARGS='--workload fig8_q9 --seed 42 --seconds 12 --trace 0'
+#   make benchmark ARGS='-compare old.json new.json'
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+# benchmark/ is a module of its own, so `make test` does not run its
+# tests; this does (under 5 s: spec/JSON equality, -compare verdicts, a
+# -quick pass over every workload).
+benchmark-test:
+	cd benchmark && $(GO) test ./...

@@ -212,39 +212,46 @@ func TestExecuteInterruptibleDrainsStaleSignal(t *testing.T) {
 var scrubTime = regexp.MustCompile(`time=[^ )]+`)
 var scrubSummary = regexp.MustCompile(`rows in [^ ]+ \(`)
 
-// \explain analyze on the paper's Figure-4 query — the grouping-and-
-// summing rewriting of the running example — prints per-operator
-// observed counters. The counters are deterministic at parallelism 1,
-// so everything except wall time is checked against a golden file
-// (regenerate with CONQUER_UPDATE_GOLDEN=1).
+// \explain analyze prints per-operator observed counters. The counters
+// are deterministic at parallelism 1, so everything except wall time is
+// checked against golden files (regenerate with CONQUER_UPDATE_GOLDEN=1):
+// the paper's Figure-4 query — the grouping-and-summing rewriting of the
+// running example — and the rewriting of its order ⋈ customer join, whose
+// join line carries the kept/arriving column count (DESIGN.md §16).
 func TestShellExplainAnalyzeGolden(t *testing.T) {
-	d, err := openDatabase("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	sh := &shell{
-		d:   d,
-		eng: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1}),
-		out: &out,
-	}
-	const fig4 = `\explain analyze SELECT id, SUM(customer.prob) AS prob FROM customer WHERE balance > 10000 GROUP BY id`
-	if err := sh.execute(context.Background(), fig4); err != nil {
-		t.Fatal(err)
-	}
-	got := scrubSummary.ReplaceAllString(scrubTime.ReplaceAllString(out.String(), "time=?"), "rows in ? (")
-	golden := filepath.Join("testdata", "explain_analyze_fig4.golden")
-	if os.Getenv("CONQUER_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+	for _, tc := range []struct{ golden, sql string }{
+		{"explain_analyze_fig4.golden",
+			`SELECT id, SUM(customer.prob) AS prob FROM customer WHERE balance > 10000 GROUP BY id`},
+		{"explain_analyze_join.golden",
+			`SELECT o.id, SUM(o.prob * c.prob) AS prob FROM orders o, customer c WHERE o.cidfk = c.id AND c.balance > 10000 GROUP BY o.id`},
+	} {
+		d, err := openDatabase("")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("\\explain analyze output drifted from golden file.\ngot:\n%s\nwant:\n%s", got, want)
+		var out strings.Builder
+		sh := &shell{
+			d:   d,
+			eng: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1}),
+			out: &out,
+		}
+		if err := sh.execute(context.Background(), `\explain analyze `+tc.sql); err != nil {
+			t.Fatal(err)
+		}
+		got := scrubSummary.ReplaceAllString(scrubTime.ReplaceAllString(out.String(), "time=?"), "rows in ? (")
+		golden := filepath.Join("testdata", tc.golden)
+		if os.Getenv("CONQUER_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("\\explain analyze output drifted from %s.\ngot:\n%s\nwant:\n%s", tc.golden, got, want)
+		}
 	}
 }
 

@@ -145,6 +145,13 @@ func (cfg Config) expand(patterns []string) ([]string, error) {
 					name == "testdata" || name == "vendor") {
 					return filepath.SkipDir
 				}
+				// A directory with its own go.mod is another module; like
+				// the go tool, "..." does not descend into it.
+				if p != cfg.Root {
+					if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+						return filepath.SkipDir
+					}
+				}
 				if hasGoFiles(p) {
 					add(p)
 				}

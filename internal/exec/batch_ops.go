@@ -74,6 +74,11 @@ type valueSlab struct {
 }
 
 func (s *valueSlab) carve(width, batchCap int) []value.Value {
+	if width == 0 {
+		// A join nothing above reads from (COUNT(*)) emits zero-width
+		// rows; they must still be non-nil, nil means exhausted.
+		return []value.Value{}
+	}
 	if len(s.block) < width {
 		if s.rows == 0 {
 			s.rows = 16
@@ -288,8 +293,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 				continue
 			}
 			out := j.bp.carve(width, b.Cap())
-			n := copy(out, j.curLeft)
-			copy(out[n:], e.row)
+			j.emit(out, j.curLeft, e.row)
 			b.AppendOrd(out, j.bp.nextOrd())
 		}
 		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
@@ -343,8 +347,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 			inner := j.InnerTable.Row(j.cur[j.curIdx])
 			j.curIdx++
 			out := j.bp.carve(width, b.Cap())
-			n := copy(out, j.curOut)
-			copy(out[n:], inner)
+			j.emit(out, j.curOut, inner)
 			b.AppendOrd(out, j.bp.nextOrd())
 		}
 		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {

@@ -1,0 +1,274 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"conquer/internal/sqlparse"
+	"conquer/internal/storage"
+	"conquer/internal/value"
+)
+
+// taggedRow is one join output row with the ordinal tag the batch path
+// attached to it.
+type taggedRow struct {
+	row []value.Value
+	ord rowOrd
+}
+
+// drainTagged pulls op to exhaustion through NextBatch, keeping every
+// row's ordinal tag.
+func drainTagged(t *testing.T, op BatchOperator, batch int) []taggedRow {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	var out []taggedRow
+	b := NewBatch(batch)
+	for {
+		if err := op.NextBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			return out
+		}
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, taggedRow{b.Row(i), b.Ord(i)})
+		}
+	}
+}
+
+// drainParts drains the clones of a split pipeline one batch at a time in
+// round-robin order from a single goroutine, so which clone claims which
+// morsel is the same on every run.
+func drainParts(t *testing.T, parts []Operator, batch int) [][]taggedRow {
+	t.Helper()
+	out := make([][]taggedRow, len(parts))
+	for _, p := range parts {
+		SetBatchSize(p, batch)
+		if err := p.Open(); err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+	}
+	b := NewBatch(batch)
+	for live := len(parts); live > 0; {
+		live = 0
+		for i, p := range parts {
+			if err := NextBatchOf(p, b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() > 0 {
+				live++
+			}
+			for k := 0; k < b.Len(); k++ {
+				out[i] = append(out[i], taggedRow{b.Row(k), b.Ord(k)})
+			}
+		}
+	}
+	return out
+}
+
+func projectOnto(row []value.Value, cols []int) []value.Value {
+	out := make([]value.Value, len(cols))
+	for i, c := range cols {
+		out[i] = row[c]
+	}
+	return out
+}
+
+// requireProjection checks got == want projected onto cols, row by row
+// and tag by tag.
+func requireProjection(t *testing.T, label string, want, got []taggedRow, cols []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, identity join has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].row == nil {
+			t.Fatalf("%s: row %d is nil", label, i)
+		}
+		if !value.RowsIdentical(got[i].row, projectOnto(want[i].row, cols)) {
+			t.Fatalf("%s: row %d = %v, want %v of %v", label, i, got[i].row, cols, want[i].row)
+		}
+		if got[i].ord != want[i].ord {
+			t.Fatalf("%s: row %d tagged %+v, identity join tags %+v", label, i, got[i].ord, want[i].ord)
+		}
+	}
+}
+
+// randomOutputList draws a list over width columns: any length from zero
+// (nothing above the join reads a column) up to past the full width, in
+// any order, repeats allowed.
+func randomOutputList(rng *rand.Rand, width int) []int {
+	cols := make([]int, rng.Intn(width+3))
+	for i := range cols {
+		cols[i] = rng.Intn(width)
+	}
+	return cols
+}
+
+// A join with output list L equals the identity join followed by a
+// projection onto L — same rows, same order, same ordinal tags — for all
+// three joins, in row mode, in batch mode, and for the probe-shard clones
+// splitPipeline makes.
+func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
+	fact, dim := parTables(t, 700)
+	if err := dim.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	small := storage.NewTable(dim.Schema)
+	for i := 0; i < 3; i++ {
+		small.MustInsert(dim.Row(i)...)
+	}
+	joins := []struct {
+		name string
+		mk   func() (Operator, func([]int) error)
+	}{
+		{"HashJoin", func() (Operator, func([]int) error) {
+			j, err := NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
+				exprs(colRef("f", "k")), exprs(colRef("d", "k")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, j.Narrow
+		}},
+		{"IndexJoin", func() (Operator, func([]int) error) {
+			j, err := NewIndexJoin(NewScan(fact, "f"), dim, "d", colRef("f", "k"), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, j.Narrow
+		}},
+		{"CrossJoin", func() (Operator, func([]int) error) {
+			j := NewCrossJoin(NewScan(fact, "f"), NewScan(small, "d"))
+			return j, j.Narrow
+		}},
+	}
+	const batch = 64
+	rng := rand.New(rand.NewSource(12))
+	for _, jc := range joins {
+		identity, _ := jc.mk()
+		width := len(identity.Schema())
+		wantRows := mustCollect(t, identity)
+		var wantTagged []taggedRow
+		var wantParts [][]taggedRow
+		if bo, ok := identity.(BatchOperator); ok {
+			wantTagged = drainTagged(t, bo, batch)
+			id, _ := jc.mk()
+			parts, _, ok := splitPipeline(id, 3, 100)
+			if !ok {
+				t.Fatalf("%s: pipeline did not split", jc.name)
+			}
+			wantParts = drainParts(t, parts, batch)
+		}
+		for trial := 0; trial < 25; trial++ {
+			cols := randomOutputList(rng, width)
+			label := fmt.Sprintf("%s %v", jc.name, cols)
+			narrowed := func() Operator {
+				j, narrow := jc.mk()
+				if err := narrow(cols); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := len(j.Schema()); got != len(cols) {
+					t.Fatalf("%s: schema is %d wide", label, got)
+				}
+				for i, c := range cols {
+					if j.Schema()[i] != identity.Schema()[c] {
+						t.Fatalf("%s: schema column %d is %+v", label, i, j.Schema()[i])
+					}
+				}
+				return j
+			}
+			// Row mode: no tags to compare, rows and order only.
+			got := mustCollect(t, narrowed())
+			if len(got) != len(wantRows) {
+				t.Fatalf("%s row mode: %d rows, want %d", label, len(got), len(wantRows))
+			}
+			for i := range got {
+				if got[i] == nil || !value.RowsIdentical(got[i], projectOnto(wantRows[i], cols)) {
+					t.Fatalf("%s row mode: row %d = %v", label, i, got[i])
+				}
+			}
+			if wantTagged == nil {
+				continue // CrossJoin has no native batch path and does not split
+			}
+			requireProjection(t, label+" batch mode", wantTagged, drainTagged(t, narrowed().(BatchOperator), batch), cols)
+			parts, _, ok := splitPipeline(narrowed(), 3, 100)
+			if !ok {
+				t.Fatalf("%s: pipeline did not split", label)
+			}
+			for i, p := range drainParts(t, parts, batch) {
+				requireProjection(t, fmt.Sprintf("%s shard %d", label, i), wantParts[i], p, cols)
+			}
+		}
+	}
+}
+
+func exprs(es ...sqlparse.Expr) []sqlparse.Expr { return es }
+
+// Narrow rejects positions outside left‖right and a second narrowing;
+// nil keeps the identity, and EXPLAIN shows the width only when narrowed.
+func TestJoinNarrowValidation(t *testing.T) {
+	ord, cust := testTables(t)
+	mk := func() *CrossJoin { return NewCrossJoin(NewScan(ord, "o"), NewScan(cust, "c")) }
+	j := mk()
+	if err := j.Narrow(nil); err != nil || len(j.Schema()) != 10 || j.Describe() != "CrossJoin" {
+		t.Fatalf("Narrow(nil): err=%v width=%d describe=%q", err, len(j.Schema()), j.Describe())
+	}
+	if err := mk().Narrow([]int{10}); err == nil {
+		t.Error("position past the right input accepted")
+	}
+	if err := mk().Narrow([]int{-1}); err == nil {
+		t.Error("negative position accepted")
+	}
+	if err := j.Narrow([]int{2, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Describe(); got != "CrossJoin cols=2/10" {
+		t.Errorf("Describe = %q", got)
+	}
+	if got := j.Schema().Names(); len(got) != 2 || got[0] != "cidfk" || got[1] != "name" {
+		t.Errorf("narrowed schema = %v", got)
+	}
+	if err := j.Narrow([]int{0}); err == nil {
+		t.Error("second Narrow accepted")
+	}
+}
+
+// A join nothing above reads from emits zero-width rows; they must be
+// non-nil in every path, since a nil row means exhausted.
+func TestJoinZeroWidthRowsAreNotExhaustion(t *testing.T) {
+	ord, cust := testTables(t)
+	for _, batch := range []int{0, 2} {
+		j, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
+			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Narrow([]int{}); err != nil {
+			t.Fatal(err)
+		}
+		SetBatchSize(j, batch)
+		agg, err := NewHashAggregate(j, nil, nil, []AggSpec{{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetBatchSize(agg, batch)
+		rows := mustCollect(t, agg)
+		if len(rows) != 1 || rows[0][0].AsInt() != 6 {
+			t.Errorf("batch=%d: count over zero-width join = %v, want 6", batch, rows)
+		}
+		// Through the row→batch adapter too.
+		j2, _ := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
+			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
+		if err := j2.Narrow([]int{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(mustCollect(t, j2)); got != 6 {
+			t.Errorf("row path emitted %d zero-width rows, want 6", got)
+		}
+	}
+}

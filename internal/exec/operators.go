@@ -33,10 +33,17 @@ type Scan struct {
 // NewScan builds a scan of tb under the given alias.
 func NewScan(tb *storage.Table, alias string) *Scan {
 	s := &Scan{Table: tb, Alias: strings.ToLower(alias)}
-	for _, c := range tb.Schema.Columns {
-		s.schema = append(s.schema, ColInfo{Qualifier: s.Alias, Name: c.Name, Type: c.Type})
-	}
+	s.schema = tableSchema(tb, s.Alias)
 	return s
+}
+
+// tableSchema is the row layout of tb's stored rows under alias.
+func tableSchema(tb *storage.Table, alias string) RowSchema {
+	rs := make(RowSchema, len(tb.Schema.Columns))
+	for i, c := range tb.Schema.Columns {
+		rs[i] = ColInfo{Qualifier: alias, Name: c.Name, Type: c.Type}
+	}
+	return rs
 }
 
 func (s *Scan) Schema() RowSchema { return s.schema }
@@ -200,6 +207,71 @@ func (p *Project) Describe() string {
 	return "Project(" + strings.Join(names, ", ") + ")"
 }
 
+// joinOutput is the output side the three joins share: which columns of
+// the concatenation left‖right a joined row keeps. The constructors
+// install the identity (every column, in order); the planner narrows it
+// to the columns some operator above the join still reads (DESIGN.md
+// §16), so the one place a join copies values copies only those.
+type joinOutput struct {
+	schema RowSchema
+	cols   []int // positions in left‖right; nil = identity
+	nLeft  int   // width of the left input
+	nFull  int   // width of left‖right
+}
+
+func newJoinOutput(left, right RowSchema) joinOutput {
+	return joinOutput{schema: left.Concat(right), nLeft: len(left), nFull: len(left) + len(right)}
+}
+
+// Schema is the join's (possibly narrowed) output layout.
+func (o *joinOutput) Schema() RowSchema { return o.schema }
+
+// Narrow restricts the join's output to the listed positions of
+// left‖right, in list order; nil keeps the identity. Key expressions are
+// unaffected: they bind to the inputs, not the output.
+func (o *joinOutput) Narrow(cols []int) error {
+	if cols == nil {
+		return nil
+	}
+	if o.cols != nil {
+		return fmt.Errorf("exec: join output narrowed twice: %w", qerr.ErrInternal)
+	}
+	pruned := make(RowSchema, len(cols))
+	for i, c := range cols {
+		if c < 0 || c >= o.nFull {
+			return fmt.Errorf("exec: join output column %d out of range (width %d): %w", c, o.nFull, qerr.ErrInternal)
+		}
+		pruned[i] = o.schema[c]
+	}
+	o.schema, o.cols = pruned, cols
+	return nil
+}
+
+// emit writes the joined row of left and right into dst, which must be
+// len(Schema()) wide.
+func (o *joinOutput) emit(dst, left, right []value.Value) {
+	if o.cols == nil {
+		copy(dst[copy(dst, left):], right)
+		return
+	}
+	for i, c := range o.cols {
+		if c < o.nLeft {
+			dst[i] = left[c]
+		} else {
+			dst[i] = right[c-o.nLeft]
+		}
+	}
+}
+
+// describeCols is the EXPLAIN suffix of a narrowed join: kept/total
+// columns. Identity joins print nothing.
+func (o *joinOutput) describeCols() string {
+	if o.cols == nil {
+		return ""
+	}
+	return fmt.Sprintf(" cols=%d/%d", len(o.cols), o.nFull)
+}
+
 // HashJoin is an equi-join: it builds a hash table on the right input keyed
 // by the right key expressions, then probes with left rows. NULL join keys
 // match nothing, as in SQL.
@@ -218,7 +290,7 @@ type HashJoin struct {
 	govHolder
 	statsHolder
 	batchHolder
-	schema  RowSchema
+	joinOutput
 	lk, rk  []Evaluator
 	build   *joinBuild
 	shard   bool          // probe shard sharing a split-time build
@@ -246,7 +318,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
 	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
-	j.schema = left.Schema().Concat(right.Schema())
+	j.joinOutput = newJoinOutput(left.Schema(), right.Schema())
 	for _, k := range leftKeys {
 		ev, err := Compile(k, left.Schema())
 		if err != nil {
@@ -263,8 +335,6 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 	}
 	return j, nil
 }
-
-func (j *HashJoin) Schema() RowSchema { return j.schema }
 
 // Open builds (or, for a probe shard, waits for) the hash table over the
 // right input.
@@ -321,9 +391,8 @@ func (j *HashJoin) Next() ([]value.Value, error) {
 			if !keysEqual(e.keys, j.curKeys) {
 				continue
 			}
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curLeft...)
-			out = append(out, e.row...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curLeft, e.row)
 			j.stats.incOut()
 			return out, nil
 		}
@@ -373,7 +442,7 @@ func (j *HashJoin) Describe() string {
 	for i := range j.LeftKeys {
 		parts[i] = j.LeftKeys[i].SQL() + " = " + j.RightKeys[i].SQL()
 	}
-	s := "HashJoin(" + strings.Join(parts, " AND ") + ")"
+	s := "HashJoin(" + strings.Join(parts, " AND ") + ")" + j.describeCols()
 	if j.Parallelism > 1 {
 		s += fmt.Sprintf(" [parallel build n=%d]", j.Parallelism)
 	}
@@ -392,7 +461,7 @@ type IndexJoin struct {
 
 	govHolder
 	statsHolder
-	schema RowSchema
+	joinOutput
 	ok     Evaluator
 	index  *storage.HashIndex
 	cur    []int
@@ -417,14 +486,9 @@ func NewIndexJoin(outer Operator, inner *storage.Table, innerAlias string, outer
 		return nil, err
 	}
 	j.ok = ev
-	j.schema = outer.Schema()
-	for _, c := range inner.Schema.Columns {
-		j.schema = append(j.schema, ColInfo{Qualifier: j.InnerAlias, Name: c.Name, Type: c.Type})
-	}
+	j.joinOutput = newJoinOutput(outer.Schema(), tableSchema(inner, j.InnerAlias))
 	return j, nil
 }
-
-func (j *IndexJoin) Schema() RowSchema { return j.schema }
 
 // Open opens the outer input.
 func (j *IndexJoin) Open() error {
@@ -443,9 +507,8 @@ func (j *IndexJoin) Next() ([]value.Value, error) {
 		for j.curIdx < len(j.cur) {
 			inner := j.InnerTable.Row(j.cur[j.curIdx])
 			j.curIdx++
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curOut...)
-			out = append(out, inner...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curOut, inner)
 			j.stats.incOut()
 			return out, nil
 		}
@@ -469,7 +532,7 @@ func (j *IndexJoin) Close() error { j.stats.markDone(); return j.Outer.Close() }
 
 // Describe implements Operator.
 func (j *IndexJoin) Describe() string {
-	return fmt.Sprintf("IndexJoin(%s = %s.%s)", j.OuterKey.SQL(), j.InnerAlias, j.InnerCol)
+	return fmt.Sprintf("IndexJoin(%s = %s.%s)", j.OuterKey.SQL(), j.InnerAlias, j.InnerCol) + j.describeCols()
 }
 
 // CrossJoin produces the Cartesian product of its inputs; the planner only
@@ -480,7 +543,7 @@ type CrossJoin struct {
 	govHolder
 	statsHolder
 	batchHolder
-	schema    RowSchema
+	joinOutput
 	rightRows [][]value.Value
 	reserved  int64
 	curLeft   []value.Value
@@ -489,10 +552,8 @@ type CrossJoin struct {
 
 // NewCrossJoin pairs every left row with every right row.
 func NewCrossJoin(left, right Operator) *CrossJoin {
-	return &CrossJoin{Left: left, Right: right, schema: left.Schema().Concat(right.Schema())}
+	return &CrossJoin{Left: left, Right: right, joinOutput: newJoinOutput(left.Schema(), right.Schema())}
 }
-
-func (j *CrossJoin) Schema() RowSchema { return j.schema }
 
 // Open materializes the right input.
 func (j *CrossJoin) Open() error {
@@ -524,9 +585,8 @@ func (j *CrossJoin) Next() ([]value.Value, error) {
 			return nil, err
 		}
 		if j.curLeft != nil && j.curIdx < len(j.rightRows) {
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curLeft...)
-			out = append(out, j.rightRows[j.curIdx]...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curLeft, j.rightRows[j.curIdx])
 			j.curIdx++
 			j.stats.incOut()
 			return out, nil
@@ -552,7 +612,7 @@ func (j *CrossJoin) Close() error {
 }
 
 // Describe implements Operator.
-func (j *CrossJoin) Describe() string { return "CrossJoin" }
+func (j *CrossJoin) Describe() string { return "CrossJoin" + j.describeCols() }
 
 // AggFunc enumerates the supported aggregate functions.
 type AggFunc uint8
@@ -1090,12 +1150,14 @@ func (s *Sort) Open() error {
 		return err
 	}
 	keys := make([][]value.Value, len(rows))
+	nk := len(s.evs)
+	slab := make([]value.Value, len(rows)*nk) // every row's key vector, one allocation
 	var evalErr error
 	for i, row := range rows {
 		if err := s.gov.Poll(); err != nil {
 			return err
 		}
-		kv := make([]value.Value, len(s.evs))
+		kv := slab[i*nk : (i+1)*nk : (i+1)*nk]
 		for k, ev := range s.evs {
 			v, err := ev(row)
 			if err != nil {

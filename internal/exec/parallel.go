@@ -320,7 +320,7 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, b
 				Left:     c,
 				LeftKeys: op.LeftKeys, RightKeys: op.RightKeys,
 				Parallelism: op.Parallelism, MorselSize: op.MorselSize,
-				schema: op.schema, lk: op.lk, rk: op.rk,
+				joinOutput: op.joinOutput, lk: op.lk, rk: op.rk,
 				build: build, shard: true,
 			}
 			j.batch = op.batch
@@ -339,7 +339,7 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, b
 			j := &IndexJoin{
 				Outer: c, InnerTable: op.InnerTable, InnerAlias: op.InnerAlias,
 				OuterKey: op.OuterKey, InnerCol: op.InnerCol,
-				schema: op.schema, ok: op.ok, index: op.index,
+				joinOutput: op.joinOutput, ok: op.ok, index: op.index,
 			}
 			j.stats = op.stats
 			parts[i] = j

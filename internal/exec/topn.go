@@ -23,6 +23,7 @@ type TopN struct {
 	statsHolder
 	batchHolder
 	evs      []Evaluator
+	keyBuf   []value.Value // sort-key scratch of the row being offered
 	rows     [][]value.Value
 	reserved int64
 	pos      int
@@ -165,15 +166,21 @@ func (t *TopN) Open() error {
 // per-row reservations even in batch mode: they are bounded by N, not by
 // input size, so there is nothing to amortize.
 func (t *TopN) offer(h *topHeap, row []value.Value, seq *int) error {
-	kv := make([]value.Value, len(t.evs))
+	if t.keyBuf == nil {
+		t.keyBuf = make([]value.Value, len(t.evs))
+	}
 	for k, ev := range t.evs {
 		v, err := ev(row)
 		if err != nil {
 			return err
 		}
-		kv[k] = v
+		t.keyBuf[k] = v
 	}
-	it := keyed{row: row, keys: kv, seq: *seq}
+	// The keys sit in the scratch vector until the row is known to be
+	// kept, so key vectors are allocated per retained row, not per input
+	// row: a kept row takes the scratch with it, and the next scratch is
+	// a fresh vector after a push, the evicted row's after a replacement.
+	it := keyed{row: row, keys: t.keyBuf, seq: *seq}
 	(*seq)++
 	if h.Len() < t.N {
 		t.stats.addBuffered(1)
@@ -181,10 +188,12 @@ func (t *TopN) offer(h *topHeap, row []value.Value, seq *int) error {
 			return err
 		}
 		t.reserved++
+		t.keyBuf = nil
 		heap.Push(h, it)
 		return nil
 	}
 	if sortsBefore(t.Keys, it, h.items[0]) {
+		t.keyBuf = h.items[0].keys
 		h.items[0] = it
 		heap.Fix(h, 0)
 	}

@@ -158,3 +158,47 @@ func mustExpr(t *testing.T, src string) sqlparse.Expr {
 	t.Helper()
 	return expr(t, src+" = 0").(*sqlparse.BinaryExpr).L
 }
+
+// Sort and TopN do not allocate a key vector per input row: Sort slices
+// all of them out of one allocation, TopN allocates one per retained row.
+// Doubling the input must leave the allocation count about where it was
+// (slice growth while draining adds a few).
+func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
+	allocs := func(n int, mk func(child Operator) Operator) float64 {
+		fact, _ := parTables(t, n)
+		return testing.AllocsPerRun(3, func() {
+			op := mk(NewScan(fact, "f"))
+			SetBatchSize(op, DefaultBatchSize)
+			if rows := mustCollect(t, op); len(rows) == 0 {
+				t.Fatal("no rows")
+			}
+		})
+	}
+	keys := []SortKey{SortKeyPos(2, true), SortKeyPos(0, false)}
+	for _, tc := range []struct {
+		name string
+		mk   func(child Operator) Operator
+	}{
+		{"Sort", func(c Operator) Operator {
+			s, err := NewSort(c, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		// qty descending over ascending ids: every seventh row or so
+		// replaces the heap's worst, so replacements dominate.
+		{"TopN", func(c Operator) Operator {
+			s, err := NewTopN(c, []SortKey{SortKeyPos(3, true), SortKeyPos(0, true)}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		small, large := allocs(4000, tc.mk), allocs(8000, tc.mk)
+		if large > small+40 {
+			t.Errorf("%s: %v allocations for 4000 rows, %v for 8000: something is still per row", tc.name, small, large)
+		}
+	}
+}

@@ -92,14 +92,17 @@ func (p *planner) newScan(tb *storage.Table, alias string) *exec.Scan {
 // tableSource tracks one FROM entry through join planning.
 type tableSource struct {
 	ref     sqlparse.TableRef
+	alias   string // lower-cased ref.Alias
 	table   *storage.Table
 	filters []sqlparse.Expr // single-table conjuncts
 }
 
-// joinEdge is one equi-join conjunct between two FROM entries.
+// joinEdge is one equi-join conjunct `col = col` between two FROM
+// entries, named by their positions in the FROM list.
 type joinEdge struct {
-	leftAlias, rightAlias string
-	leftKey, rightKey     sqlparse.Expr
+	left, right       int
+	leftCol, rightCol int // key column positions within the two tables
+	leftKey, rightKey sqlparse.Expr
 }
 
 func (p *planner) plan() (exec.Operator, error) {
@@ -114,7 +117,8 @@ func (p *planner) plan() (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := p.buildJoinTree(sources, edges)
+	lv := p.liveColumns(sources, edges, residual)
+	root, err := p.buildJoinTree(sources, edges, &lv)
 	if err != nil {
 		return nil, err
 	}
@@ -153,19 +157,19 @@ func (p *planner) plan() (exec.Operator, error) {
 }
 
 func (p *planner) resolveFrom() ([]*tableSource, error) {
-	seen := make(map[string]bool)
-	var out []*tableSource
+	out := make([]*tableSource, 0, len(p.stmt.From))
 	for _, ref := range p.stmt.From {
 		alias := strings.ToLower(ref.Alias)
-		if seen[alias] {
-			return nil, fmt.Errorf("plan: duplicate table alias %q", alias)
+		for _, s := range out {
+			if s.alias == alias {
+				return nil, fmt.Errorf("plan: duplicate table alias %q", alias)
+			}
 		}
-		seen[alias] = true
 		tb, ok := p.db.Table(ref.Table)
 		if !ok {
 			return nil, fmt.Errorf("plan: unknown table %q", ref.Table)
 		}
-		out = append(out, &tableSource{ref: ref, table: tb})
+		out = append(out, &tableSource{ref: ref, alias: alias, table: tb})
 	}
 	return out, nil
 }
@@ -174,95 +178,88 @@ func (p *planner) resolveFrom() ([]*tableSource, error) {
 // to sources), equi-join edges, and residual predicates evaluated after all
 // joins.
 func (p *planner) classifyWhere(sources []*tableSource) ([]joinEdge, []sqlparse.Expr, error) {
-	byAlias := make(map[string]*tableSource, len(sources))
-	for _, s := range sources {
-		byAlias[strings.ToLower(s.ref.Alias)] = s
-	}
 	var edges []joinEdge
 	var residual []sqlparse.Expr
 	for _, conj := range sqlparse.Conjuncts(p.stmt.Where) {
-		aliases, err := referencedAliases(conj, sources)
+		first, n, err := referencedSources(conj, sources)
 		if err != nil {
 			return nil, nil, err
 		}
-		switch len(aliases) {
-		case 0:
-			// Constant predicate: evaluate once per row after joins.
-			residual = append(residual, conj)
+		switch n {
 		case 1:
-			byAlias[aliases[0]].filters = append(byAlias[aliases[0]].filters, conj)
+			sources[first].filters = append(sources[first].filters, conj)
 		case 2:
 			if e, ok := asEquiJoin(conj, sources); ok {
 				edges = append(edges, e)
-			} else {
-				residual = append(residual, conj)
+				continue
 			}
+			fallthrough
 		default:
+			// Constant predicates (evaluated once per row after the
+			// joins) and multi-table predicates that are no equi-join.
 			residual = append(residual, conj)
 		}
 	}
 	return edges, residual, nil
 }
 
-// referencedAliases returns the distinct FROM aliases a conjunct touches,
-// resolving unqualified columns to the unique table that has the column.
-func referencedAliases(e sqlparse.Expr, sources []*tableSource) ([]string, error) {
-	set := make(map[string]bool)
-	var resolveErr error
+// referencedSources counts the distinct FROM entries a conjunct touches
+// (exactly up to two; three stands for "more") and returns the first one
+// met, resolving unqualified columns to the unique table that has the
+// column.
+func referencedSources(e sqlparse.Expr, sources []*tableSource) (first, n int, err error) {
+	var seen [2]int
 	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
 		cr, ok := x.(*sqlparse.ColumnRef)
 		if !ok {
 			return true
 		}
-		alias, err := resolveAlias(cr, sources)
-		if err != nil && resolveErr == nil {
-			resolveErr = err
-		}
-		if alias != "" {
-			set[alias] = true
+		src, _, rerr := resolveColumn(cr, sources)
+		switch {
+		case rerr != nil:
+			if err == nil {
+				err = rerr
+			}
+		case n == 0 || (n == 1 && src != seen[0]):
+			seen[n] = src
+			n++
+		case n == 2 && src != seen[0] && src != seen[1]:
+			n = 3
 		}
 		return true
 	})
-	if resolveErr != nil {
-		return nil, resolveErr
-	}
-	out := make([]string, 0, len(set))
-	for _, s := range sources {
-		a := strings.ToLower(s.ref.Alias)
-		if set[a] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
+	return seen[0], n, err
 }
 
-// resolveAlias finds the FROM alias owning a column reference.
-func resolveAlias(cr *sqlparse.ColumnRef, sources []*tableSource) (string, error) {
+// resolveColumn finds the FROM entry owning a column reference and the
+// column's position in that entry's table.
+func resolveColumn(cr *sqlparse.ColumnRef, sources []*tableSource) (src, col int, err error) {
 	if cr.Qualifier != "" {
 		q := strings.ToLower(cr.Qualifier)
-		for _, s := range sources {
-			if strings.ToLower(s.ref.Alias) == q {
-				if !s.table.Schema.HasColumn(cr.Name) {
-					return "", fmt.Errorf("plan: table %s has no column %q", s.ref.Alias, cr.Name)
+		for i, s := range sources {
+			if s.alias == q {
+				c := s.table.Schema.ColumnIndex(cr.Name)
+				if c < 0 {
+					return -1, -1, fmt.Errorf("plan: table %s has no column %q", s.ref.Alias, cr.Name)
 				}
-				return q, nil
+				return i, c, nil
 			}
 		}
-		return "", fmt.Errorf("plan: unknown table alias %q", cr.Qualifier)
+		return -1, -1, fmt.Errorf("plan: unknown table alias %q", cr.Qualifier)
 	}
-	found := ""
-	for _, s := range sources {
-		if s.table.Schema.HasColumn(cr.Name) {
-			if found != "" {
-				return "", fmt.Errorf("plan: ambiguous column %q", cr.Name)
+	src = -1
+	for i, s := range sources {
+		if c := s.table.Schema.ColumnIndex(cr.Name); c >= 0 {
+			if src >= 0 {
+				return -1, -1, fmt.Errorf("plan: ambiguous column %q", cr.Name)
 			}
-			found = strings.ToLower(s.ref.Alias)
+			src, col = i, c
 		}
 	}
-	if found == "" {
-		return "", fmt.Errorf("plan: unknown column %q", cr.Name)
+	if src < 0 {
+		return -1, -1, fmt.Errorf("plan: unknown column %q", cr.Name)
 	}
-	return found, nil
+	return src, col, nil
 }
 
 // asEquiJoin recognizes `col = col` conjuncts joining two distinct tables.
@@ -276,152 +273,278 @@ func asEquiJoin(e sqlparse.Expr, sources []*tableSource) (joinEdge, bool) {
 	if !lok || !rok {
 		return joinEdge{}, false
 	}
-	la, err1 := resolveAlias(lc, sources)
-	ra, err2 := resolveAlias(rc, sources)
-	if err1 != nil || err2 != nil || la == ra {
+	ls, lcol, err1 := resolveColumn(lc, sources)
+	rs, rcol, err2 := resolveColumn(rc, sources)
+	if err1 != nil || err2 != nil || ls == rs {
 		return joinEdge{}, false
 	}
-	return joinEdge{leftAlias: la, rightAlias: ra, leftKey: be.L, rightKey: be.R}, true
+	return joinEdge{left: ls, right: rs, leftCol: lcol, rightCol: rcol, leftKey: be.L, rightKey: be.R}, true
+}
+
+// liveness tracks, while buildJoinTree composes the join tree, which
+// source columns an operator not yet planned still reads, so that every
+// join copies only those into its output rows (DESIGN.md §16). Columns
+// are numbered over the concatenation of the FROM entries' tables.
+// Everything lives in one backing array; the zero value tracks nothing
+// and keeps every column of every join.
+type liveness struct {
+	off []int // off[i] = number of FROM entry i's first column; off[len] = total
+	// refs counts, per column, the readers still to come: references from
+	// the select list, GROUP BY, HAVING and the residual predicates, plus
+	// one per join edge not yet turned into a join's keys.
+	refs  []int
+	root  []int // column number of each output column of the tree built so far
+	lists []int // unused tail of the backing array for the joins' output lists
+}
+
+// liveColumns counts the column references above the join tree. It
+// returns the zero liveness, and every join keeps the identity output,
+// for a single table (no join to narrow) and for SELECT * (every column
+// is output).
+//
+// A reference marks every source column it could name, the way
+// RowSchema.Resolve matches (name, and qualifier when given): an
+// ambiguous reference keeps all its candidates and an unknown one keeps
+// none, so the operator that compiles it reports exactly the error it
+// reports over unpruned rows. ORDER BY is absent because its keys bind to
+// the projection's output, never to join columns; single-table filters
+// run below the joins, on stored rows.
+func (p *planner) liveColumns(sources []*tableSource, edges []joinEdge, residual []sqlparse.Expr) liveness {
+	if len(sources) < 2 {
+		return liveness{}
+	}
+	for _, it := range p.stmt.Select {
+		if it.Star {
+			return liveness{}
+		}
+	}
+	n, total := len(sources), 0
+	for _, s := range sources {
+		total += len(s.table.Schema.Columns)
+	}
+	buf := make([]int, n+1+total*(n+1))
+	lv := liveness{off: buf[:n+1]}
+	buf = buf[n+1:]
+	lv.refs, buf = buf[:total:total], buf[total:]
+	lv.root, lv.lists = buf[:0:total], buf[total:]
+	for i, s := range sources {
+		lv.off[i+1] = lv.off[i] + len(s.table.Schema.Columns)
+	}
+	mark := func(x sqlparse.Expr) bool {
+		cr, ok := x.(*sqlparse.ColumnRef)
+		if !ok {
+			return true
+		}
+		q := strings.ToLower(cr.Qualifier)
+		for i, s := range sources {
+			if q != "" && s.alias != q {
+				continue
+			}
+			if c := s.table.Schema.ColumnIndex(cr.Name); c >= 0 {
+				lv.refs[lv.off[i]+c]++
+			}
+		}
+		return true
+	}
+	for _, it := range p.stmt.Select {
+		sqlparse.WalkExpr(it.Expr, mark)
+	}
+	for _, g := range p.stmt.GroupBy {
+		sqlparse.WalkExpr(g, mark)
+	}
+	sqlparse.WalkExpr(p.stmt.Having, mark)
+	for _, r := range residual {
+		sqlparse.WalkExpr(r, mark)
+	}
+	for _, e := range edges {
+		lv.refs[lv.off[e.left]+e.leftCol]++
+		lv.refs[lv.off[e.right]+e.rightCol]++
+	}
+	return lv
+}
+
+// start makes FROM entry src, scanned at full width, the tree so far.
+func (lv *liveness) start(src int) {
+	if lv.refs == nil {
+		return
+	}
+	for c := lv.off[src]; c < lv.off[src+1]; c++ {
+		lv.root = append(lv.root, c)
+	}
+}
+
+// release drops the reference edge e held on its two key columns: it is
+// about to become a join's keys, which bind to the join's inputs.
+func (lv *liveness) release(e joinEdge) {
+	if lv.refs == nil {
+		return
+	}
+	lv.refs[lv.off[e.left]+e.leftCol]--
+	lv.refs[lv.off[e.right]+e.rightCol]--
+}
+
+// join extends the tree by a join with FROM entry src and returns the
+// join's output list: the positions, in tree‖src, of the columns still
+// referenced. nil means all of them.
+func (lv *liveness) join(src int) []int {
+	if lv.refs == nil {
+		return nil
+	}
+	nLeft, nRight := len(lv.root), lv.off[src+1]-lv.off[src]
+	out, kept := lv.lists[:0], lv.root[:0]
+	for i, c := range lv.root {
+		if lv.refs[c] > 0 {
+			out, kept = append(out, i), append(kept, c)
+		}
+	}
+	for i := 0; i < nRight; i++ {
+		if c := lv.off[src] + i; lv.refs[c] > 0 {
+			out, kept = append(out, nLeft+i), append(kept, c)
+		}
+	}
+	lv.root, lv.lists = kept, lv.lists[len(out):]
+	if len(out) == nLeft+nRight {
+		return nil
+	}
+	return out[:len(out):len(out)]
+}
+
+// scan builds the leaf for one FROM entry: its scan under the pushed-down
+// single-table filters.
+func (p *planner) scan(s *tableSource) (exec.Operator, error) {
+	sc := p.newScan(s.table, s.ref.Alias)
+	if len(s.filters) == 0 {
+		return sc, nil
+	}
+	f, err := exec.NewFilter(sc, sqlparse.AndAll(s.filters))
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // buildJoinTree greedily composes the sources along equi-join edges,
 // starting from the source with the most filters (cheapest after
 // filtering, as a crude cardinality proxy) and preferring connected joins;
-// disconnected components fall back to cross joins.
-func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge) (exec.Operator, error) {
-	scan := func(s *tableSource) (exec.Operator, error) {
-		var op exec.Operator = p.newScan(s.table, s.ref.Alias)
-		if len(s.filters) > 0 {
-			f, err := exec.NewFilter(op, sqlparse.AndAll(s.filters))
-			if err != nil {
-				return nil, err
-			}
-			op = f
-		}
-		return op, nil
-	}
-
-	remaining := make(map[string]*tableSource, len(sources))
-	for _, s := range sources {
-		remaining[strings.ToLower(s.ref.Alias)] = s
-	}
-
+// disconnected components fall back to cross joins. Each join's output is
+// narrowed to the columns lv still counts as referenced.
+func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *liveness) (exec.Operator, error) {
 	// Pick the start: most filters wins; ties go to FROM order.
-	start := sources[0]
-	for _, s := range sources[1:] {
-		if len(s.filters) > len(start.filters) {
-			start = s
+	start := 0
+	for i, s := range sources {
+		if len(s.filters) > len(sources[start].filters) {
+			start = i
 		}
 	}
-	root, err := scan(start)
+	root, err := p.scan(sources[start])
 	if err != nil {
 		return nil, err
 	}
-	joined := map[string]bool{strings.ToLower(start.ref.Alias): true}
-	delete(remaining, strings.ToLower(start.ref.Alias))
+	joined := make([]bool, len(sources))
+	joined[start] = true
+	lv.start(start)
 	pending := append([]joinEdge(nil), edges...)
 
-	for len(remaining) > 0 {
+	for n := 1; n < len(sources); n++ {
 		// Gather every pending edge connecting the joined set to one new
 		// table; all its edges become the (multi-key) join condition.
-		next := ""
+		next := -1
 		for _, e := range pending {
 			switch {
-			case joined[e.leftAlias] && !joined[e.rightAlias]:
-				next = e.rightAlias
-			case joined[e.rightAlias] && !joined[e.leftAlias]:
-				next = e.leftAlias
+			case joined[e.left] && !joined[e.right]:
+				next = e.right
+			case joined[e.right] && !joined[e.left]:
+				next = e.left
 			}
-			if next != "" {
+			if next >= 0 {
 				break
 			}
 		}
-		if next == "" {
+		if next < 0 {
 			// Disconnected: cross join the next remaining table in FROM
 			// order.
-			for _, s := range sources {
-				a := strings.ToLower(s.ref.Alias)
-				if !joined[a] {
-					next = a
-					break
-				}
+			next = 0
+			for joined[next] {
+				next++
 			}
-			side, err := scan(remaining[next])
+			side, err := p.scan(sources[next])
 			if err != nil {
 				return nil, err
 			}
-			root = exec.NewCrossJoin(root, side)
+			cj := exec.NewCrossJoin(root, side)
+			if err := cj.Narrow(lv.join(next)); err != nil {
+				return nil, err
+			}
+			root = cj
 			joined[next] = true
-			delete(remaining, next)
 			continue
 		}
 
-		src := remaining[next]
 		var outerKeys, innerKeys []sqlparse.Expr
 		rest := pending[:0]
 		for _, e := range pending {
 			switch {
-			case joined[e.leftAlias] && e.rightAlias == next:
+			case joined[e.left] && e.right == next:
 				outerKeys = append(outerKeys, e.leftKey)
 				innerKeys = append(innerKeys, e.rightKey)
-			case joined[e.rightAlias] && e.leftAlias == next:
+			case joined[e.right] && e.left == next:
 				outerKeys = append(outerKeys, e.rightKey)
 				innerKeys = append(innerKeys, e.leftKey)
 			default:
 				rest = append(rest, e)
+				continue
 			}
+			lv.release(e)
 		}
 		pending = rest
 
-		root, err = p.join(root, src, outerKeys, innerKeys)
+		root, err = p.join(root, sources[next], outerKeys, innerKeys, lv.join(next))
 		if err != nil {
 			return nil, err
 		}
 		joined[next] = true
-		delete(remaining, next)
 	}
 
-	// Edges whose both sides joined via another path (cycles) become
-	// residual filters.
-	var leftover []sqlparse.Expr
-	for _, e := range pending {
-		leftover = append(leftover, &sqlparse.BinaryExpr{Op: sqlparse.OpEq, L: e.leftKey, R: e.rightKey})
-	}
-	if len(leftover) > 0 {
-		f, err := exec.NewFilter(root, sqlparse.AndAll(leftover))
-		if err != nil {
-			return nil, err
-		}
-		root = f
+	// Every edge was consumed by the step that joined its second table
+	// (a cycle's closing edge as one more key of that step's join), so
+	// none can be left over.
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("plan: internal error: %d join edges left unplanned", len(pending))
 	}
 	return root, nil
 }
 
-// join attaches src to the outer plan using the key lists; it prefers an
-// index join when enabled, the inner side has no pushed filter, a single
-// plain-column key, and a stored index.
-func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKeys []sqlparse.Expr) (exec.Operator, error) {
+// join attaches src to the outer plan using the key lists, keeping the
+// columns listed in cols (nil = all); it prefers an index join when
+// enabled, the inner side has no pushed filter, a single plain-column
+// key, and a stored index.
+func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKeys []sqlparse.Expr, cols []int) (exec.Operator, error) {
 	if p.opts.PreferIndexJoin && len(src.filters) == 0 && len(innerKeys) == 1 {
 		if cr, ok := innerKeys[0].(*sqlparse.ColumnRef); ok {
 			if _, hasIdx := src.table.Index(cr.Name); hasIdx {
-				return exec.NewIndexJoin(outer, src.table, src.ref.Alias, outerKeys[0], cr.Name)
+				j, err := exec.NewIndexJoin(outer, src.table, src.ref.Alias, outerKeys[0], cr.Name)
+				if err != nil {
+					return nil, err
+				}
+				if err := j.Narrow(cols); err != nil {
+					return nil, err
+				}
+				return j, nil
 			}
 		}
 	}
-	inner := p.newScan(src.table, src.ref.Alias)
-	var innerOp exec.Operator = inner
-	if len(src.filters) > 0 {
-		f, err := exec.NewFilter(innerOp, sqlparse.AndAll(src.filters))
-		if err != nil {
-			return nil, err
-		}
-		innerOp = f
+	inner, err := p.scan(src)
+	if err != nil {
+		return nil, err
 	}
-	j, err := exec.NewHashJoin(outer, innerOp, outerKeys, innerKeys)
+	j, err := exec.NewHashJoin(outer, inner, outerKeys, innerKeys)
 	if err != nil {
 		return nil, err
 	}
 	j.Parallelism = p.opts.Parallelism
+	if err := j.Narrow(cols); err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 

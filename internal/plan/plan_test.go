@@ -248,7 +248,8 @@ func TestPlanNoFrom(t *testing.T) {
 	}
 }
 
-// Cyclic join conditions: the redundant edge becomes a post-join filter,
+// Cyclic join conditions: the closing edge becomes a second key of the
+// last join,
 // and results still match the reference.
 func TestPlanCyclicJoins(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
