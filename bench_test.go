@@ -575,3 +575,53 @@ func BenchmarkEvaluatorComparison(b *testing.B) {
 		}
 	})
 }
+
+// ladderSeed is the uisgen seed of the benchmark's tiny TPC-H instance:
+// the first seed from 42*2000 on whose instance has exactly 432 candidate
+// databases (benchmark/ladder.go searches for it on every run).
+const ladderSeed = 84002
+
+// BenchmarkLadderPass is one pass of the benchmark's ladder_nonrewritable
+// workload — exact enumeration plus 2000 Monte-Carlo samples of six
+// statements over instances small enough to enumerate — so its heap
+// profile is one `go test -run xxx -bench LadderPass -memprofile` away.
+func BenchmarkLadderPass(b *testing.B) {
+	tiny, err := uisgen.Generate(uisgen.Config{
+		SF: 0.0002, IF: 2, Scale: 0.01, Seed: ladderSeed, Propagated: true, UniformProbs: true,
+		CleanTables: []string{"region", "nation", "supplier", "part"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n, err := tiny.CandidateCount(); err != nil || n.Int64() != 432 {
+		b.Fatalf("tiny instance has %v candidates (%v), want 432", n, err)
+	}
+	fig1, fig2 := testdb.Figure1(), testdb.Figure2()
+	cases := []struct {
+		d   *dirty.DB
+		sql string
+	}{
+		{tiny, "select l.l_id, o.o_orderkey from orders o, lineitem l where l.l_orderkey = o.o_orderkey"},
+		{tiny, "select o.o_orderkey from orders o, lineitem l where l.l_orderkey = o.o_orderkey and l.l_quantity > 10"},
+		{tiny, "select c.c_custkey from customer c, orders o where o.o_custkey = c.c_custkey and o.o_totalprice > 100000"},
+		{fig1, "select l.cardid from loyaltycard l, customer c where l.custfk = c.id and c.income > 100000"},
+		{fig2, "select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000"},
+		{fig2, "select id, balance from customer where balance > 10000"},
+	}
+	stmts := make([]*sqlparse.SelectStmt, len(cases))
+	for i, c := range cases {
+		stmts[i] = sqlparse.MustParse(c.sql)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range cases {
+			if _, err := coreExact(c.d, stmts[k]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := coreMonteCarlo(c.d, stmts[k], 2000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -6,6 +6,11 @@
 // exists purely to amortize per-row overheads, so "no slower than the
 // loop it replaced, within noise" is the invariant a shared CI runner
 // can actually hold; the full speedup claim lives in BENCH_PR10.json.
+// Allocation counts repeat to a fraction of a percent whatever the host
+// does, so on the default instance each of the four runs must also stay
+// within 2% above its recorded allocations per run. The default shard
+// count follows GOMAXPROCS and moves the counts by several percent, so
+// the command runs at two processors wherever it runs.
 //
 //	go run ./cmd/benchsmoke
 package main
@@ -14,10 +19,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"conquer/internal/bench"
 )
+
+// allocCeiling is how far above baselineAllocs a run may allocate.
+const allocCeiling = 1.02
+
+// baselineAllocs are the allocations of one run on the default instance
+// (sf 1, default scale and seed) at GOMAXPROCS 2.
+var baselineAllocs = map[string][2]int64{ // label -> row, batch
+	"Q9 original":  {396258, 4184},
+	"Q9 rewritten": {300278, 18335},
+}
 
 func main() {
 	sf := flag.Float64("sf", 1, "TPC-H scaling factor")
@@ -26,6 +42,7 @@ func main() {
 	reps := flag.Int("reps", 5, "repetitions (best run is compared)")
 	margin := flag.Float64("margin", 1.15, "allowed batch/row slowdown ratio before failing")
 	flag.Parse()
+	runtime.GOMAXPROCS(2) // see baselineAllocs
 
 	d, err := bench.GenerateWorkload(*sf, 3, *scale, *seed)
 	if err != nil {
@@ -42,6 +59,12 @@ func main() {
 	if len(row) != 1 || len(batch) != 1 {
 		fatal(fmt.Errorf("expected exactly Q9 from both runs, got %d and %d rows", len(row), len(batch)))
 	}
+	defaultInstance := true
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "sf" || f.Name == "scale" || f.Name == "seed" {
+			defaultInstance = false
+		}
+	})
 	ok := true
 	for _, c := range []struct {
 		label                  string
@@ -59,11 +82,22 @@ func main() {
 			fmt.Printf("FAIL: %s batch path is %.3fx the row path (margin %.2fx)\n", c.label, ratio, *margin)
 			ok = false
 		}
+		if !defaultInstance {
+			continue
+		}
+		base := baselineAllocs[c.label]
+		for i, got := range []int64{c.rowAllocs, c.batchAllocs} {
+			if limit := int64(float64(base[i]) * allocCeiling); got > limit {
+				fmt.Printf("FAIL: %s %s path allocates %d per run, ceiling %d (%d + 2%%)\n",
+					c.label, []string{"row", "batch"}[i], got, limit, base[i])
+				ok = false
+			}
+		}
 	}
 	if !ok {
 		os.Exit(1)
 	}
-	fmt.Println("bench-smoke ok: batch path within margin of the row path")
+	fmt.Println("bench-smoke ok: batch path within margin of the row path, allocations under their ceilings")
 }
 
 func fatal(err error) {

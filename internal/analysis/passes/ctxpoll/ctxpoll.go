@@ -25,6 +25,13 @@
 // that only walk the batch already in memory are bounded by its
 // capacity and need no poll. A NextBatch that neither polls nor pulls
 // is flagged too: it would emit batches invisible to cancellation.
+//
+// The candidate-world evaluators (DESIGN.md §17) keep one database and
+// one operator tree open across thousands of candidate databases, so
+// their loops live outside exec: in packages dirty and core, every loop
+// that steps a world — refills a row (SetRow), refills a world (Fill),
+// draws a candidate (Sample) or re-opens the prepared tree (Run) — must
+// check the context per iteration (a ticker's Poll or qerr.FromContext).
 package ctxpoll
 
 import (
@@ -38,7 +45,7 @@ import (
 // exec that never poll for cancellation.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "operator Open/Next loops and worker-function loops in package exec must poll cancellation (governor Poll or a polling helper)",
+	Doc:  "operator Open/Next loops and worker-function loops in package exec, and candidate-world loops in packages dirty and core, must poll cancellation",
 	Run:  run,
 }
 
@@ -66,8 +73,28 @@ var batchPullers = map[string]bool{
 	"NextBatchOf": true,
 }
 
+// worldSteppers are the callees that advance a candidate world; a loop in
+// dirty or core calling one without worldPollers runs for as many
+// candidates, or as many rows, as the database has.
+var worldSteppers = map[string]bool{
+	"SetRow": true,
+	"Fill":   true,
+	"Sample": true,
+	"Run":    true,
+}
+
+var worldPollers = map[string]bool{
+	"Poll":        true,
+	"FromContext": true,
+}
+
 func run(pass *analysis.Pass) (any, error) {
-	if pass.Pkg.Name() != "exec" {
+	switch pass.Pkg.Name() {
+	case "exec":
+	case "dirty", "core":
+		checkWorldLoops(pass)
+		return nil, nil
+	default:
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -89,6 +116,35 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// checkWorldLoops reports every loop in the package, function literals
+// included, that steps a candidate world without checking the context. An
+// outer loop that only contains a stepping inner loop is judged by the
+// same body, so one check anywhere inside vouches for both.
+func checkWorldLoops(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			var pos token.Pos
+			switch l := n.(type) {
+			case *ast.ForStmt:
+				body, pos = l.Body, l.For
+			case *ast.RangeStmt:
+				body, pos = l.Body, l.For
+			default:
+				return true
+			}
+			if callsAny(body, worldSteppers) && !callsAny(body, worldPollers) {
+				pass.Reportf(pos, "loop steps a candidate world without checking the context; call a ticker's Poll or qerr.FromContext per iteration")
+				return false
+			}
+			return true
+		})
+	}
 }
 
 // checkLoops reports every for/range loop in fd whose body (including

@@ -10,3 +10,7 @@ import (
 func TestCtxpoll(t *testing.T) {
 	analysistest.Run(t, "testdata", ctxpoll.Analyzer, "ctxpollfix")
 }
+
+func TestCtxpollCandidateWorldLoops(t *testing.T) {
+	analysistest.Run(t, "testdata", ctxpoll.Analyzer, "worldfix")
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"conquer/internal/dirty"
@@ -197,31 +196,16 @@ func EstimateAggregateCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.Selec
 // sampleAggregates draws n candidate databases and computes the aggregate
 // on each one's (set-semantics) answers.
 func sampleAggregates(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64, inner exec.Limits) ([]float64, error) {
-	rng := rand.New(rand.NewSource(seed))
 	var out []float64
-	for i := 0; i < n; i++ {
-		if err := qerr.FromContext(ctx); err != nil {
-			return nil, err
-		}
-		c, err := d.Sample(rng)
-		if err != nil {
-			return nil, err
-		}
-		world, err := d.MaterializeCtx(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.NewWithLimits(world, inner).QueryStmtCtx(ctx, stmt)
-		if err != nil {
-			return nil, err
-		}
-		rows := distinctRows(res.Rows)
+	acc := newAccumulator() // for its per-candidate set semantics; the weights go unused
+	_, _, err := overWorlds(ctx, d, stmt, inner, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
+		rows := acc.addWorld(res.Rows, 0)
 		if kind == AggregateCount {
 			out = append(out, float64(len(rows)))
-			continue
+			return nil
 		}
 		if col < 0 || col >= len(res.Columns) {
-			return nil, fmt.Errorf("core: aggregate column %d out of range", col)
+			return fmt.Errorf("core: aggregate column %d out of range", col)
 		}
 		var vals []float64
 		for _, row := range rows {
@@ -230,7 +214,7 @@ func sampleAggregates(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStm
 				continue
 			}
 			if !v.IsNumeric() {
-				return nil, fmt.Errorf("core: aggregate over non-numeric column %q", res.Columns[col])
+				return fmt.Errorf("core: aggregate over non-numeric column %q", res.Columns[col])
 			}
 			vals = append(vals, v.AsFloat())
 		}
@@ -243,7 +227,7 @@ func sampleAggregates(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStm
 			out = append(out, s)
 		case AggregateAvg, AggregateMin, AggregateMax:
 			if len(vals) == 0 {
-				continue // undefined on an empty answer set; skip the sample
+				return nil // undefined on an empty answer set; skip the sample
 			}
 			agg := vals[0]
 			switch kind {
@@ -268,8 +252,9 @@ func sampleAggregates(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStm
 			}
 			out = append(out, agg)
 		default:
-			return nil, fmt.Errorf("core: unknown aggregate kind %d", kind)
+			return fmt.Errorf("core: unknown aggregate kind %d", kind)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }

@@ -172,23 +172,43 @@ type answerAccumulator struct {
 	byHash map[uint64][]int
 	rows   [][]value.Value
 	probs  []float64
+	seenIn []int // the candidate that last produced each answer
+	worlds int   // candidates absorbed so far
+	// distinct is the current candidate's rows, first appearances only.
+	distinct [][]value.Value
 }
 
 func newAccumulator() *answerAccumulator {
 	return &answerAccumulator{byHash: make(map[uint64][]int)}
 }
 
-func (acc *answerAccumulator) add(row []value.Value, p float64) {
-	h := value.HashRow(row)
-	for _, i := range acc.byHash[h] {
-		if value.RowsIdentical(acc.rows[i], row) {
-			acc.probs[i] += p
-			return
+// addWorld absorbs one candidate database's result with weight p, under
+// set semantics: a candidate contributes an answer once, however many
+// derivations it has there. It returns the candidate's distinct rows in
+// order of first appearance, valid until the next call.
+func (acc *answerAccumulator) addWorld(rows [][]value.Value, p float64) [][]value.Value {
+	acc.worlds++
+	acc.distinct = acc.distinct[:0]
+rows:
+	for _, row := range rows {
+		h := value.HashRow(row)
+		for _, i := range acc.byHash[h] {
+			if value.RowsIdentical(acc.rows[i], row) {
+				if acc.seenIn[i] != acc.worlds {
+					acc.seenIn[i] = acc.worlds
+					acc.probs[i] += p
+					acc.distinct = append(acc.distinct, row)
+				}
+				continue rows
+			}
 		}
+		acc.byHash[h] = append(acc.byHash[h], len(acc.rows))
+		acc.rows = append(acc.rows, row)
+		acc.probs = append(acc.probs, p)
+		acc.seenIn = append(acc.seenIn, acc.worlds)
+		acc.distinct = append(acc.distinct, row)
 	}
-	acc.byHash[h] = append(acc.byHash[h], len(acc.rows))
-	acc.rows = append(acc.rows, row)
-	acc.probs = append(acc.probs, p)
+	return acc.distinct
 }
 
 func (acc *answerAccumulator) result(cols []string) *Result {
@@ -200,27 +220,85 @@ func (acc *answerAccumulator) result(cols []string) *Result {
 	return res
 }
 
-// distinctRows deduplicates a query result into set semantics (a candidate
-// database contributes an answer once, however many derivations it has).
-func distinctRows(rows [][]value.Value) [][]value.Value {
-	seen := make(map[uint64][][]value.Value)
-	var out [][]value.Value
-	for _, row := range rows {
-		h := value.HashRow(row)
-		dup := false
-		for _, prev := range seen[h] {
-			if value.RowsIdentical(prev, row) {
-				dup = true
-				break
+// drawFunc visits the candidate databases of one evaluation, in the
+// evaluator's order, stopping at the first error visit returns. The
+// Candidate it hands out is overwritten between visits.
+type drawFunc func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error
+
+// enumerate draws every candidate database, failing with a
+// qerr.ErrTooManyCandidates error when there are more than limit.
+func enumerate(ctx context.Context, limit int64) drawFunc {
+	return func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error {
+		var visitErr error
+		err := cs.Enumerate(ctx, limit, func(c *dirty.Candidate) bool {
+			visitErr = visit(c)
+			return visitErr == nil
+		})
+		if err != nil {
+			return err
+		}
+		return visitErr
+	}
+}
+
+// sample draws n independent candidate databases from seed.
+func sample(ctx context.Context, n int, seed int64) drawFunc {
+	return func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error {
+		rng := rand.New(rand.NewSource(seed))
+		cand := cs.NewCandidate()
+		for i := 0; i < n; i++ {
+			if err := qerr.FromContext(ctx); err != nil {
+				return err
+			}
+			cs.Sample(rng, cand)
+			if err := visit(cand); err != nil {
+				return err
 			}
 		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], row)
-		out = append(out, row)
+		return nil
 	}
-	return out
+}
+
+// overWorlds is the one candidate loop under every evaluator that
+// materializes candidate databases: it runs stmt on each candidate draw
+// visits and hands the result to answer. Everything that depends only on
+// the statement happens once, here — clustering the dirty relations, a
+// world over the FROM relations, the plan over that world (every
+// candidate has one row per cluster, so table sizes and with them the
+// plan cannot differ between candidates) and the metrics report. A
+// candidate costs refilling the world's dirty tables, re-opening the plan
+// under a fresh budget, and collecting (DESIGN.md §17).
+func overWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, inner exec.Limits, draw drawFunc,
+	answer func(c *dirty.Candidate, res *engine.Result) error) (cols []string, stats EvalStats, err error) {
+	start := time.Now()
+	cs, err := d.Candidates()
+	if err != nil {
+		return nil, stats, err
+	}
+	from := make([]string, len(stmt.From))
+	for i, tr := range stmt.From {
+		from[i] = tr.Table
+	}
+	world, err := d.NewWorld(from)
+	if err != nil {
+		return nil, stats, err
+	}
+	prep, err := engine.NewWithLimits(world.Store, inner).Prepare(stmt)
+	if err != nil {
+		return nil, stats, err
+	}
+	defer func() { stats.Queries, stats.BufferedPeak = prep.Report(ctx, err, time.Since(start)) }()
+	err = draw(cs, func(c *dirty.Candidate) error {
+		if err := world.Fill(ctx, c); err != nil {
+			return err
+		}
+		res, err := prep.Run(ctx)
+		if err != nil {
+			return err
+		}
+		return answer(c, res)
+	})
+	return prep.Columns(), stats, err
 }
 
 // Exact computes clean answers by full candidate enumeration (Dfn 5
@@ -239,34 +317,14 @@ func ExactCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim e
 	start := time.Now()
 	ctx, cancel := lim.WithContext(ctx)
 	defer cancel()
-	inner := lim.WithoutTimeout()
 	acc := newAccumulator()
-	var cols []string
-	var stats EvalStats
-	var evalErr error
-	err = d.EnumerateCandidatesCtx(ctx, lim.MaxCandidates, func(c *dirty.Candidate) bool {
-		world, err := d.MaterializeCtx(ctx, c)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		qres, err := engine.NewWithLimits(world, inner).QueryStmtCtx(ctx, stmt)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		stats.note(qres)
-		cols = qres.Columns
-		for _, row := range distinctRows(qres.Rows) {
-			acc.add(row, c.Prob)
-		}
-		return true
-	})
+	cols, stats, err := overWorlds(ctx, d, stmt, lim.WithoutTimeout(), enumerate(ctx, lim.MaxCandidates),
+		func(c *dirty.Candidate, res *engine.Result) error {
+			acc.addWorld(res.Rows, c.Prob)
+			return nil
+		})
 	if err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	out := acc.result(cols)
 	out.Method = MethodExact
@@ -299,33 +357,15 @@ func MonteCarloCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, 
 	}
 	ctx, cancel := lim.WithContext(ctx)
 	defer cancel()
-	inner := lim.WithoutTimeout()
-	rng := rand.New(rand.NewSource(seed))
 	acc := newAccumulator()
-	var cols []string
-	var stats EvalStats
 	w := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		if err := qerr.FromContext(ctx); err != nil {
-			return nil, err
-		}
-		c, err := d.Sample(rng)
-		if err != nil {
-			return nil, err
-		}
-		world, err := d.MaterializeCtx(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		qres, err := engine.NewWithLimits(world, inner).QueryStmtCtx(ctx, stmt)
-		if err != nil {
-			return nil, err
-		}
-		stats.note(qres)
-		cols = qres.Columns
-		for _, row := range distinctRows(qres.Rows) {
-			acc.add(row, w)
-		}
+	cols, stats, err := overWorlds(ctx, d, stmt, lim.WithoutTimeout(), sample(ctx, n, seed),
+		func(_ *dirty.Candidate, res *engine.Result) error {
+			acc.addWorld(res.Rows, w)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	out := acc.result(cols)
 	out.Method = MethodMonteCarlo

@@ -62,13 +62,14 @@ func (d *DB) CleanByBestTuple() (*storage.DB, error) {
 // which is the quantitative version of the paper's argument that
 // committing to a single cleaning discards almost all probability mass.
 func (d *DB) MostLikelyCandidate() (*Candidate, error) {
-	rels, err := d.relClusterList()
+	cs, err := d.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	cand := &Candidate{Chosen: make(map[string][]int, len(rels)), Prob: 1}
-	for _, rc := range rels {
-		chosen := make([]int, len(rc.clusters))
+	cand := cs.NewCandidate()
+	cand.Prob = 1
+	for _, rc := range cs {
+		chosen := cand.Chosen[rc.rel]
 		for ci, cluster := range rc.clusters {
 			best, bestP := -1, -1.0
 			for _, ri := range cluster.Rows {
@@ -83,7 +84,6 @@ func (d *DB) MostLikelyCandidate() (*Candidate, error) {
 			chosen[ci] = best
 			cand.Prob *= bestP
 		}
-		cand.Chosen[rc.rel] = chosen
 	}
 	return cand, nil
 }

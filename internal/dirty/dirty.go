@@ -20,6 +20,8 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"conquer/internal/qerr"
 	"conquer/internal/storage"
@@ -35,6 +37,18 @@ const ProbEpsilon = value.ProbEpsilon
 // (identifier + prob columns on their schemas).
 type DB struct {
 	Store *storage.DB
+
+	// countMu guards CandidateCount's memo: the count and the dirty
+	// relations' versions it was computed at.
+	countMu  sync.Mutex
+	count    *big.Int
+	countKey []tableVersion
+}
+
+// tableVersion is one dirty relation at one mutation count.
+type tableVersion struct {
+	table   *storage.Table
+	version int64
 }
 
 // New wraps store.
@@ -172,18 +186,26 @@ func (d *DB) Normalize() error {
 // CandidateCount returns the number of candidate databases: the product of
 // cluster sizes over every dirty relation (Dfn 3). The count is returned
 // as a big integer because it is exponential in the number of clusters.
+//
+// The number — nothing else — is remembered for the dirty relations'
+// current versions, so core.Eval's rung selection does not re-cluster an
+// unchanged database on every call.
 func (d *DB) CandidateCount() (*big.Int, error) {
-	n := big.NewInt(1)
+	var key []tableVersion
 	for _, rel := range d.DirtyRelations() {
-		clusters, err := d.Clusters(rel)
+		tb, _ := d.Store.Table(rel)
+		key = append(key, tableVersion{tb, tb.Version()})
+	}
+	d.countMu.Lock()
+	defer d.countMu.Unlock()
+	if d.count == nil || !slices.Equal(key, d.countKey) {
+		cs, err := d.Candidates()
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range clusters {
-			n.Mul(n, big.NewInt(int64(len(c.Rows))))
-		}
+		d.count, d.countKey = cs.Count(), key
 	}
-	return n, nil
+	return new(big.Int).Set(d.count), nil
 }
 
 // UncertaintyBits returns the Shannon entropy of the candidate-database
@@ -227,8 +249,7 @@ type Candidate struct {
 	Prob   float64
 }
 
-// relClusters caches per-relation cluster structure for enumeration and
-// sampling.
+// relClusters is one dirty relation's cluster structure.
 type relClusters struct {
 	rel      string
 	probIdx  int
@@ -236,8 +257,16 @@ type relClusters struct {
 	clusters []Cluster
 }
 
-func (d *DB) relClusterList() ([]relClusters, error) {
-	var out []relClusters
+// Candidates is the cluster structure of every dirty relation, in catalog
+// order: the one index candidate counting, enumeration and sampling all
+// draw from. Building it clusters every dirty relation, so an evaluation
+// builds it once (DESIGN.md §17); it describes the relations as they were
+// at that moment.
+type Candidates []relClusters
+
+// Candidates clusters every dirty relation.
+func (d *DB) Candidates() (Candidates, error) {
+	var out Candidates
 	for _, rel := range d.DirtyRelations() {
 		tb, _ := d.Store.Table(rel)
 		clusters, err := d.Clusters(rel)
@@ -254,6 +283,27 @@ func (d *DB) relClusterList() ([]relClusters, error) {
 	return out, nil
 }
 
+// Count is the number of candidate databases (Dfn 3).
+func (cs Candidates) Count() *big.Int {
+	n := big.NewInt(1)
+	for _, rc := range cs {
+		for _, c := range rc.clusters {
+			n.Mul(n, big.NewInt(int64(len(c.Rows))))
+		}
+	}
+	return n
+}
+
+// NewCandidate allocates a candidate shaped for cs, for Sample to
+// overwrite.
+func (cs Candidates) NewCandidate() *Candidate {
+	cand := &Candidate{Chosen: make(map[string][]int, len(cs))}
+	for _, rc := range cs {
+		cand.Chosen[rc.rel] = make([]int, len(rc.clusters))
+	}
+	return cand
+}
+
 // EnumerateLimit is the default cap on how many candidate databases
 // EnumerateCandidates will visit before giving up.
 const EnumerateLimit = 1 << 22
@@ -268,41 +318,41 @@ func (d *DB) EnumerateCandidates(limit int64, fn func(c *Candidate) bool) error 
 	return d.EnumerateCandidatesCtx(context.Background(), limit, fn)
 }
 
-// EnumerateCandidatesCtx is EnumerateCandidates under a context: the
-// enumeration polls ctx between visited candidates and aborts with a
-// qerr cancellation error when it fires. An over-limit count surfaces as
-// qerr.ErrTooManyCandidates so callers (core.Eval) can degrade to
-// sampling instead of failing.
+// EnumerateCandidatesCtx is EnumerateCandidates under a context; see
+// Candidates.Enumerate.
 func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
+	cs, err := d.Candidates()
+	if err != nil {
+		return err
+	}
+	return cs.Enumerate(ctx, limit, fn)
+}
+
+// Enumerate visits every candidate database in a fixed order — the first
+// cluster of the first relation varies slowest — handing fn one Candidate
+// it overwrites between calls. It polls ctx between visited candidates
+// and aborts with a qerr cancellation error when it fires. An over-limit
+// count surfaces as qerr.ErrTooManyCandidates so callers (core.Eval) can
+// degrade to sampling instead of failing.
+func (cs Candidates) Enumerate(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
 	if limit <= 0 {
 		limit = EnumerateLimit
 	}
-	count, err := d.CandidateCount()
-	if err != nil {
-		return err
-	}
-	if count.Cmp(big.NewInt(limit)) > 0 {
+	if count := cs.Count(); count.Cmp(big.NewInt(limit)) > 0 {
 		return fmt.Errorf("dirty: %v candidate databases exceed enumeration limit %d: %w",
 			count, limit, qerr.ErrTooManyCandidates)
-	}
-	rels, err := d.relClusterList()
-	if err != nil {
-		return err
 	}
 	// Flatten all clusters across relations into one list of choice points.
 	type choice struct {
 		relIdx, clusterIdx int
 	}
 	var choices []choice
-	for ri, rc := range rels {
+	for ri, rc := range cs {
 		for ci := range rc.clusters {
 			choices = append(choices, choice{relIdx: ri, clusterIdx: ci})
 		}
 	}
-	cand := &Candidate{Chosen: make(map[string][]int, len(rels))}
-	for _, rc := range rels {
-		cand.Chosen[rc.rel] = make([]int, len(rc.clusters))
-	}
+	cand := cs.NewCandidate()
 	var tick qerr.Ticker
 	var stopErr error
 	var rec func(i int, prob float64) bool
@@ -316,7 +366,7 @@ func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c 
 			return fn(cand)
 		}
 		ch := choices[i]
-		rc := rels[ch.relIdx]
+		rc := cs[ch.relIdx]
 		cluster := rc.clusters[ch.clusterIdx]
 		for _, rowIdx := range cluster.Rows {
 			p := rc.table.Row(rowIdx)[rc.probIdx].AsFloat()
@@ -334,13 +384,22 @@ func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c 
 // Sample draws one candidate database at random, choosing each cluster's
 // tuple independently according to its probability function.
 func (d *DB) Sample(rng *rand.Rand) (*Candidate, error) {
-	rels, err := d.relClusterList()
+	cs, err := d.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	cand := &Candidate{Chosen: make(map[string][]int, len(rels)), Prob: 1}
-	for _, rc := range rels {
-		chosen := make([]int, len(rc.clusters))
+	cand := cs.NewCandidate()
+	cs.Sample(rng, cand)
+	return cand, nil
+}
+
+// Sample overwrites cand, which NewCandidate shaped, with one candidate
+// drawn at random: one rng.Float64 per cluster, in relation and cluster
+// order.
+func (cs Candidates) Sample(rng *rand.Rand, cand *Candidate) {
+	cand.Prob = 1
+	for _, rc := range cs {
+		chosen := cand.Chosen[rc.rel]
 		for ci, cluster := range rc.clusters {
 			r := rng.Float64()
 			acc := 0.0
@@ -358,53 +417,91 @@ func (d *DB) Sample(rng *rand.Rand) (*Candidate, error) {
 			chosen[ci] = pick
 			cand.Prob *= pickProb
 		}
-		cand.Chosen[rc.rel] = chosen
 	}
-	return cand, nil
 }
 
-// Materialize builds a standalone database holding exactly the candidate's
-// chosen tuples for dirty relations and every tuple of clean relations.
-// Schemas are shared with the source (they are not mutated during query
-// answering).
+// World is a candidate database held open for many candidates
+// (DESIGN.md §17): the clean relations are the source's own tables,
+// shared by reference, and each dirty relation is one table whose rows
+// Fill replaces in place. Every candidate has one row per cluster, so the
+// tables never change size and a plan over Store stays valid from one
+// candidate to the next. Nothing in Store may be mutated except through
+// Fill.
+type World struct {
+	Store *storage.DB
+	fills []worldFill
+	tick  qerr.Ticker
+}
+
+// worldFill pairs a dirty relation with the table standing for it.
+type worldFill struct {
+	src, dst *storage.Table
+}
+
+// NewWorld builds the world over the named relations (repeats and names
+// the store does not know are skipped; the planner reports the latter). A
+// fault injector installed on the source store is propagated, so injected
+// insert failures fire during Fill and surface %w-wrapped to the caller.
+func (d *DB) NewWorld(tables []string) (*World, error) {
+	w := &World{Store: storage.NewDB()}
+	w.Store.SetInjector(d.Store.Injector())
+	for _, name := range tables {
+		src, ok := d.Store.Table(name)
+		if !ok {
+			continue
+		}
+		if _, dup := w.Store.Table(name); dup {
+			continue
+		}
+		if !src.Schema.IsDirty() {
+			if err := w.Store.Attach(src); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		dst, err := w.Store.CreateTable(src.Schema)
+		if err != nil {
+			return nil, err
+		}
+		w.fills = append(w.fills, worldFill{src: src, dst: dst})
+	}
+	return w, nil
+}
+
+// Fill makes the world hold candidate c: each dirty relation's chosen
+// tuples, in cluster order. It polls ctx between rows. After an error the
+// world holds a mixture of two candidates and must be discarded.
+func (w *World) Fill(ctx context.Context, c *Candidate) error {
+	for _, f := range w.fills {
+		for i, rowIdx := range c.Chosen[f.src.Schema.Name] {
+			if err := w.tick.Poll(ctx); err != nil {
+				return err
+			}
+			if err := f.dst.SetRow(i, f.src.Row(rowIdx)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Materialize builds a database holding exactly the candidate's chosen
+// tuples for dirty relations and every tuple of clean relations. Schemas
+// and the clean relations' tables are shared with the source, so the
+// result is for querying, not for mutation.
 func (d *DB) Materialize(c *Candidate) (*storage.DB, error) {
 	return d.MaterializeCtx(context.Background(), c)
 }
 
-// MaterializeCtx is Materialize under a context: construction polls ctx
-// between inserted rows. A fault injector installed on the source store
-// is propagated to the candidate database, so injected insert failures
-// fire during materialization and surface %w-wrapped to the caller.
+// MaterializeCtx is Materialize under a context: a one-candidate World
+// over every relation.
 func (d *DB) MaterializeCtx(ctx context.Context, c *Candidate) (*storage.DB, error) {
-	out := storage.NewDB()
-	out.SetInjector(d.Store.Injector())
-	var tick qerr.Ticker
-	for _, name := range d.Store.TableNames() {
-		src, _ := d.Store.Table(name)
-		dst, err := out.CreateTable(src.Schema)
-		if err != nil {
-			return nil, err
-		}
-		chosen, isDirty := c.Chosen[name]
-		if !isDirty {
-			for _, row := range src.Rows() {
-				if err := tick.Poll(ctx); err != nil {
-					return nil, err
-				}
-				if err := dst.Insert(row); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		for _, rowIdx := range chosen {
-			if err := tick.Poll(ctx); err != nil {
-				return nil, err
-			}
-			if err := dst.Insert(src.Row(rowIdx)); err != nil {
-				return nil, err
-			}
-		}
+	w, err := d.NewWorld(d.Store.TableNames())
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if err := w.Fill(ctx, c); err != nil {
+		return nil, err
+	}
+	return w.Store, nil
 }

@@ -254,7 +254,13 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 	defer qerr.Recover(&err)
 	popts := e.planOptions()
 	start := time.Now()
-	defer func() { e.report(ctx, stmt, popts, res, err, time.Since(start)) }()
+	defer func() {
+		var st Stats
+		if res != nil {
+			st = res.Stats
+		}
+		e.report(ctx, stmt, popts, 1, st, err, time.Since(start))
+	}()
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
 	if e.cache == nil {
@@ -316,87 +322,150 @@ func stmtTables(stmt *sqlparse.SelectStmt) []string {
 	return names
 }
 
-// preparedPlan is one plan-tier entry: an operator tree ready to be
-// re-opened. Operator trees are stateful while executing, so a prepared
-// plan serves one execution at a time — checkout claims it, release
-// returns it. A concurrent execution that finds the tree busy simply
-// plans afresh.
-type preparedPlan struct {
+// Prepared is a statement planned once and ready to be re-opened: the
+// plan tier's entries, and what the candidate-world evaluators (core)
+// run once per candidate over a world whose tables keep their sizes.
+// Operator trees are stateful while executing, so a Prepared serves one
+// execution at a time — checkout claims it, release returns it. A run
+// that fails never releases it: operators may be left half-consumed, so
+// the tree is not opened again.
+type Prepared struct {
+	e     *Engine
+	stmt  *sqlparse.SelectStmt
+	popts plan.Options
 	tree  exec.Operator
+	cols  []string
 	inUse atomic.Bool
+
+	// Accounting since the last Report; written only by the execution
+	// holding the checkout.
+	runs int64
+	sum  Stats // Rows, Batches, ShardRebalances add up; BufferedPeak, ShardSkew are maxima
 }
 
-func (p *preparedPlan) checkout() bool { return p.inUse.CompareAndSwap(false, true) }
-func (p *preparedPlan) release()       { p.inUse.Store(false) }
+func (p *Prepared) checkout() bool { return p.inUse.CompareAndSwap(false, true) }
+func (p *Prepared) release()       { p.inUse.Store(false) }
 
-// executeStmt plans and executes stmt. When c is non-nil the plan tier
-// is consulted under (key, vv): a valid, idle prepared tree skips
-// parse→plan entirely and is re-opened; otherwise the fresh tree is
-// cached for the next execution. A tree that errors mid-execution is
-// dropped — a failed run may leave operators half-consumed.
-func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, c *cache.Cache, key, vv string) (*Result, error) {
-	start := time.Now()
-	var op exec.Operator
-	var prep *preparedPlan
-	if c != nil {
-		if v, ok := c.GetPlan(key, vv); ok {
-			if p := v.(*preparedPlan); p.checkout() {
-				prep, op = p, p.tree
-			}
-		}
+// Prepare plans stmt against the engine's database and options.
+func (e *Engine) Prepare(stmt *sqlparse.SelectStmt) (*Prepared, error) {
+	return e.prepare(stmt, e.planOptions())
+}
+
+func (e *Engine) prepare(stmt *sqlparse.SelectStmt, popts plan.Options) (*Prepared, error) {
+	op, err := plan.Plan(e.db, stmt, popts)
+	if err != nil {
+		return nil, err
 	}
-	if op == nil {
-		var err error
-		op, err = plan.Plan(e.db, stmt, popts)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			prep = &preparedPlan{tree: op}
-			prep.checkout()
-			c.PutPlan(key, vv, prep)
-		}
-	}
-	planTime := time.Since(start)
 	if !e.opts.NoInstrument {
 		exec.Instrument(op)
 	}
-	gov := exec.NewGovernor(ctx, e.opts.Limits)
-	exec.Attach(op, gov)
-	execStart := time.Now()
+	return &Prepared{e: e, stmt: stmt, popts: popts, tree: op, cols: op.Schema().Names()}, nil
+}
+
+// Columns names the statement's output columns.
+func (p *Prepared) Columns() []string { return p.cols }
+
+// Run re-opens the tree and collects its rows under ctx and a fresh
+// governor — every run starts with the engine's whole Limits budget;
+// Limits.Timeout is the caller's to apply. It is a recovery boundary like
+// QueryStmtCtx. Results share Columns. Run fails with a qerr.ErrInternal
+// error while another Run is in flight or after one has failed.
+func (p *Prepared) Run(ctx context.Context) (res *Result, err error) {
+	defer qerr.Recover(&err)
+	if !p.checkout() {
+		return nil, fmt.Errorf("engine: prepared statement is executing or has failed: %w", qerr.ErrInternal)
+	}
+	if res, err = p.run(ctx); err == nil {
+		p.release()
+	}
+	return res, err
+}
+
+// run executes the checked-out tree once.
+func (p *Prepared) run(ctx context.Context) (*Result, error) {
+	gov := exec.NewGovernor(ctx, p.e.opts.Limits)
+	exec.Attach(p.tree, gov)
+	start := time.Now()
 	var rows [][]value.Value
 	var batches int64
 	var err error
-	bs := exec.ResolveBatchSize(popts.BatchSize)
+	bs := exec.ResolveBatchSize(p.popts.BatchSize)
 	if bs > 0 {
-		rows, batches, err = exec.CollectBatchesGoverned(op, gov, bs)
+		rows, batches, err = exec.CollectBatchesGoverned(p.tree, gov, bs)
 	} else {
-		rows, err = exec.CollectGoverned(op, gov)
+		rows, err = exec.CollectGoverned(p.tree, gov)
 	}
-	if prep != nil {
-		if err != nil {
-			c.DropPlan(key)
-		}
-		prep.release()
-	}
+	p.runs++
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Columns: op.Schema().Names(),
+		Columns: p.cols,
 		Rows:    rows,
 		Stats: Stats{
-			Parallelism:  popts.Parallelism,
-			PlanTime:     planTime,
-			ExecTime:     time.Since(execStart),
+			Parallelism:  p.popts.Parallelism,
+			ExecTime:     time.Since(start),
 			BufferedPeak: gov.BufferedPeak(),
 			Rows:         len(rows),
-			Shards:       max(popts.Shards, 1),
+			Shards:       max(p.popts.Shards, 1),
 			BatchSize:    bs,
 			Batches:      batches,
 		},
 	}
-	fillShardStats(&res.Stats, exec.CollectShardStats(op))
+	fillShardStats(&res.Stats, exec.CollectShardStats(p.tree))
+	p.sum.Rows += res.Stats.Rows
+	p.sum.Batches += batches
+	p.sum.ShardRebalances += res.Stats.ShardRebalances
+	p.sum.BufferedPeak = max(p.sum.BufferedPeak, res.Stats.BufferedPeak)
+	p.sum.ShardSkew = max(p.sum.ShardSkew, res.Stats.ShardSkew)
+	return res, nil
+}
+
+// Report feeds the process metrics and the query log with every run since
+// the previous Report in one step — elapsed and err describe the
+// evaluation those runs belonged to — and returns how many runs that was
+// and the largest buffered-row peak among them.
+func (p *Prepared) Report(ctx context.Context, err error, elapsed time.Duration) (runs int, bufferedPeak int64) {
+	runs, bufferedPeak = int(p.runs), p.sum.BufferedPeak
+	p.e.report(ctx, p.stmt, p.popts, p.runs, p.sum, err, elapsed)
+	p.runs, p.sum = 0, Stats{}
+	return runs, bufferedPeak
+}
+
+// executeStmt plans and executes stmt. When c is non-nil the plan tier
+// is consulted under (key, vv): a valid, idle Prepared skips parse→plan
+// entirely and is re-opened; otherwise the fresh one is cached for the
+// next execution. One that errors mid-execution is dropped.
+func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, c *cache.Cache, key, vv string) (*Result, error) {
+	start := time.Now()
+	var prep *Prepared
+	if c != nil {
+		if v, ok := c.GetPlan(key, vv); ok {
+			if p := v.(*Prepared); p.checkout() {
+				prep = p
+			}
+		}
+	}
+	if prep == nil {
+		var err error
+		if prep, err = e.prepare(stmt, popts); err != nil {
+			return nil, err
+		}
+		prep.checkout()
+		if c != nil {
+			c.PutPlan(key, vv, prep)
+		}
+	}
+	planTime := time.Since(start)
+	res, err := prep.run(ctx)
+	if err != nil {
+		if c != nil {
+			c.DropPlan(key)
+		}
+		return nil, err
+	}
+	prep.release()
+	res.Stats.PlanTime = planTime
 	return res, nil
 }
 
@@ -404,6 +473,9 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 // stats: worst skew wins, rebalances add, and the buffered maximum is
 // taken over each shard's total across scans.
 func fillShardStats(st *Stats, groups []exec.ShardGroupStat) {
+	if len(groups) == 0 {
+		return
+	}
 	perShard := make(map[int]int64)
 	for _, g := range groups {
 		if s := g.Skew(); s > st.ShardSkew {
@@ -422,41 +494,38 @@ func fillShardStats(st *Stats, groups []exec.ShardGroupStat) {
 }
 
 // report feeds the process-level metrics registry and, when configured,
-// the structured query log. It runs for every query, success or failure.
-// Serving metadata (tenant, admission-queue wait) travels in ctx via
-// metrics.ContextWithQueryInfo so the server shows up in the log without
-// the engine knowing about tenancy.
-func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, res *Result, err error, elapsed time.Duration) {
+// the structured query log with the outcome of queries executions of
+// stmt: one for a plain query, every candidate's for a Prepared an
+// evaluator ran many times (st then carries their sums and maxima). It
+// runs for every query, success or failure. Serving metadata (tenant,
+// admission-queue wait) travels in ctx via metrics.ContextWithQueryInfo
+// so the server shows up in the log without the engine knowing about
+// tenancy.
+func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, queries int64, st Stats, err error, elapsed time.Duration) {
 	reg := metrics.Default
-	reg.Counter("engine.queries").Inc()
+	reg.Counter("engine.queries").Add(queries)
 	reg.Timer("engine.exec").Observe(elapsed)
-	rows, cached := 0, false
-	var batches int64
 	if err != nil {
 		reg.Counter("engine.errors").Inc()
-	} else if res != nil {
-		rows = res.Stats.Rows
-		cached = res.Stats.Cached
-		batches = res.Stats.Batches
-		reg.Counter("engine.rows").Add(int64(rows))
-		reg.Gauge("engine.buffered_peak").SetMax(res.Stats.BufferedPeak)
-		if res.Stats.ShardSkew > 0 {
-			// Gauges are integral; skew travels in milli-units.
-			reg.Gauge("shard.skew").SetMax(int64(res.Stats.ShardSkew * 1000))
-		}
-		if res.Stats.ShardRebalances > 0 {
-			reg.Counter("shard.rebalances").Add(res.Stats.ShardRebalances)
-		}
+	}
+	reg.Counter("engine.rows").Add(int64(st.Rows))
+	reg.Gauge("engine.buffered_peak").SetMax(st.BufferedPeak)
+	if st.ShardSkew > 0 {
+		// Gauges are integral; skew travels in milli-units.
+		reg.Gauge("shard.skew").SetMax(int64(st.ShardSkew * 1000))
+	}
+	if st.ShardRebalances > 0 {
+		reg.Counter("shard.rebalances").Add(st.ShardRebalances)
 	}
 	rec := metrics.QueryRecord{
 		SQLHash:     metrics.HashQuery(stmt.SQL()),
 		Method:      "sql",
-		Rows:        rows,
+		Rows:        st.Rows,
 		Micros:      elapsed.Microseconds(),
 		Parallelism: popts.Parallelism,
 		Shards:      max(popts.Shards, 1),
-		Cached:      cached,
-		Batches:     batches,
+		Cached:      st.Cached,
+		Batches:     st.Batches,
 		Err:         qerr.LogReason(err),
 	}
 	if info, ok := metrics.QueryInfoFrom(ctx); ok {
@@ -495,35 +564,24 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	}
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
-	popts := e.planOptions()
-	op, err := plan.Plan(e.db, stmt, popts)
+	prep, err := e.prepare(stmt, e.planOptions())
 	if err != nil {
 		return "", err
 	}
-	exec.Instrument(op)
-	gov := exec.NewGovernor(ctx, e.opts.Limits)
-	exec.Attach(op, gov)
-	start := time.Now()
-	var rows [][]value.Value
-	if bs := exec.ResolveBatchSize(popts.BatchSize); bs > 0 {
-		rows, _, err = exec.CollectBatchesGoverned(op, gov, bs)
-	} else {
-		rows, err = exec.CollectGoverned(op, gov)
-	}
+	exec.Instrument(prep.tree) // even under Options.NoInstrument
+	res, err := prep.run(ctx)
 	if err != nil {
 		return "", err
 	}
 	summary := fmt.Sprintf("-- %d rows in %s (buffered peak %d)",
-		len(rows), time.Since(start).Round(time.Microsecond), gov.BufferedPeak())
+		len(res.Rows), res.Stats.ExecTime.Round(time.Microsecond), res.Stats.BufferedPeak)
 	// Shard summary only when sharding was on, so unsharded output (and
 	// the shell golden) is byte-stable.
-	var st Stats
-	fillShardStats(&st, exec.CollectShardStats(op))
-	if popts.Shards > 1 && st.ShardSkew > 0 {
+	if prep.popts.Shards > 1 && res.Stats.ShardSkew > 0 {
 		summary += fmt.Sprintf(" (shards %d skew %.2f rebalances %d)",
-			popts.Shards, st.ShardSkew, st.ShardRebalances)
+			prep.popts.Shards, res.Stats.ShardSkew, res.Stats.ShardRebalances)
 	}
-	return exec.ExplainAnalyze(op) + summary + "\n", nil
+	return exec.ExplainAnalyze(prep.tree) + summary + "\n", nil
 }
 
 // ColumnIndex returns the position of the named result column, or -1.

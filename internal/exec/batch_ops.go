@@ -52,7 +52,10 @@ type batchProbe struct {
 
 func (p *batchProbe) reset() {
 	p.probe, p.idx = nil, 0
-	p.slab.block = nil // learned slab size survives the reset
+	// Growth starts over with every Open: a tree re-opened many times over
+	// small inputs (one candidate world after another) must not climb to
+	// batch-sized blocks it carves a few rows from.
+	p.slab = valueSlab{}
 	p.curBase, p.lastBase, p.seq = 0, -1, 0
 }
 

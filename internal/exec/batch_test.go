@@ -217,3 +217,33 @@ func TestBatchCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// A closed tree holds its plan and nothing of its last run: the plan cache
+// parks prepared trees between executions, and a serial run happens on
+// the parked tree itself, so scratch batches, probe key vectors and the
+// unused tail of an output slab would otherwise stay pinned — with every
+// row and slab they reference — for as long as the plan is cached.
+func TestClosedTreeReleasesBatchScratch(t *testing.T) {
+	fact, dim := parTables(t, 3000)
+	j := buildJoin(t, fact, dim, 1, 0)
+	p, err := NewProject(j, []ProjectionCol{
+		{Expr: colRef("f", "id"), Col: ColInfo{Name: "id", Type: value.KindInt}},
+		{Expr: colRef("d", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetBatchSize(p, DefaultBatchSize)
+	for run := 0; run < 2; run++ { // a re-opened tree releases again
+		rows, _, err := CollectBatchesGoverned(p, nil, DefaultBatchSize)
+		if err != nil || len(rows) != 3000 {
+			t.Fatalf("run %d: %d rows, %v", run, len(rows), err)
+		}
+		if p.scratch != nil {
+			t.Errorf("run %d: Project keeps its child batch", run)
+		}
+		if j.bp.probe != nil || j.bp.slab.block != nil || j.probeKeys != nil || j.probeHash != nil || j.curLeft != nil {
+			t.Errorf("run %d: HashJoin keeps probe state: %+v", run, j.bp)
+		}
+	}
+}

@@ -177,7 +177,11 @@ func NewProject(child Operator, cols []ProjectionCol) (*Project, error) {
 
 func (p *Project) Schema() RowSchema { return p.schema }
 func (p *Project) Open() error       { p.stats.markOpen(); return p.Child.Open() }
-func (p *Project) Close() error      { p.stats.markDone(); return p.Child.Close() }
+
+// Close drops the child-side batch with the rows it references: a closed
+// tree — one parked in the plan cache, say — holds its plan and nothing of
+// its last run.
+func (p *Project) Close() error { p.stats.markDone(); p.scratch = nil; return p.Child.Close() }
 
 // Next computes the projection of the next child row.
 func (p *Project) Next() ([]value.Value, error) {
@@ -432,7 +436,11 @@ func (j *HashJoin) Close() error {
 		j.build.close(j.gov)
 		j.build = nil
 	}
-	j.cur, j.curKeys = nil, nil
+	j.cur, j.curKeys, j.curLeft = nil, nil, nil
+	// The probe batch, its key vectors and the unused tail of the last
+	// output slab go with the run (see Project.Close).
+	j.bp.reset()
+	j.probeHash, j.probeKeys = nil, nil
 	return j.Left.Close()
 }
 
@@ -528,7 +536,12 @@ func (j *IndexJoin) Next() ([]value.Value, error) {
 	}
 }
 
-func (j *IndexJoin) Close() error { j.stats.markDone(); return j.Outer.Close() }
+func (j *IndexJoin) Close() error {
+	j.stats.markDone()
+	j.cur, j.curOut = nil, nil
+	j.bp.reset() // see HashJoin.Close
+	return j.Outer.Close()
+}
 
 // Describe implements Operator.
 func (j *IndexJoin) Describe() string {
@@ -947,7 +960,7 @@ func (a *HashAggregate) emit(order []*aggState) error {
 // aggregation when Parallelism > 1 and the child pipeline splits.
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
-	if a.Parallelism > 1 || hasShardedLeaf(a.Child) {
+	if opensSplit(a.Child, a.Parallelism, a.MorselSize, a.stats) {
 		if parts, leaves, ok := splitPipeline(a.Child, max(a.Parallelism, 1), a.MorselSize); ok {
 			return a.openParallel(parts, leaves)
 		}

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -234,23 +235,68 @@ func (s *MorselScan) Describe() string {
 	return fmt.Sprintf("MorselScan(%s AS %s)", s.Table.Schema.Name, s.Alias)
 }
 
-// CanSplit reports whether splitPipeline can parallelize op: a pipeline
-// of filters, projections and join probes over base-table scans.
-func CanSplit(op Operator) bool {
+// opensSplit reports whether an operator configured for n workers should
+// open the pipeline op split (Gather, the join build and HashAggregate's
+// parallel arm all ask): it must have workers to split across or a
+// sharded leaf, and some base table it reads — the driving scan or the
+// build side of one of its probe joins — must hold more than one morsel
+// of rows. A pipeline whose every input fits one morsel opens serially
+// instead of setting up a worker pool, forked governors, morsel cursors
+// and shard views around a claim or two (DESIGN.md §17); s, the asking
+// operator's stats, records that for EXPLAIN ANALYZE.
+func opensSplit(op Operator, n, morselSize int, s *OpStats) bool {
+	leaf := drivingScan(op)
+	// A sharded leaf splits even at n == 1: per-shard claim accounting
+	// requires morsel execution.
+	if leaf == nil || (n <= 1 && leaf.Sharded == nil) {
+		return false
+	}
+	if largestInput(op) <= morselSizeOr(morselSize) {
+		s.markOneMorsel()
+		return false
+	}
+	return true
+}
+
+// largestInput returns the row count of the largest base table a
+// splittable pipeline reads, probe-join build sides included.
+func largestInput(op Operator) int {
 	switch op := op.(type) {
 	case *Scan:
-		return true
+		return op.Table.Len()
 	case *Filter:
-		return CanSplit(op.Child)
+		return largestInput(op.Child)
 	case *Project:
-		return CanSplit(op.Child)
+		return largestInput(op.Child)
 	case *HashJoin:
-		return CanSplit(op.Left)
+		return max(largestInput(op.Left), largestInput(op.Right))
 	case *IndexJoin:
-		return CanSplit(op.Outer)
+		return max(largestInput(op.Outer), op.InnerTable.Len())
 	}
-	return false
+	return math.MaxInt // not a pipeline operator: assume the worst
 }
+
+// drivingScan returns the base-table scan a splittable pipeline's morsels
+// come from, or nil when op does not split.
+func drivingScan(op Operator) *Scan {
+	switch op := op.(type) {
+	case *Scan:
+		return op
+	case *Filter:
+		return drivingScan(op.Child)
+	case *Project:
+		return drivingScan(op.Child)
+	case *HashJoin:
+		return drivingScan(op.Left)
+	case *IndexJoin:
+		return drivingScan(op.Outer)
+	}
+	return nil
+}
+
+// CanSplit reports whether splitPipeline can parallelize op: a pipeline
+// of filters, projections and join probes over base-table scans.
+func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 
 // splitPipeline clones op into at most n independent partial pipelines
 // over a fresh shared morsel cursor. Compiled evaluators are shared —
@@ -454,14 +500,13 @@ type gatherBatch struct {
 	ords   []rowOrd
 }
 
-// Open splits the child and runs the partial pipelines to completion.
-// A sharded leaf splits even at N == 1: per-shard claim accounting
-// requires morsel execution, and the reassembly makes the single-worker
-// result identical to the serial scan anyway.
+// Open splits the child and runs the partial pipelines to completion
+// when opensSplit says so; the reassembly makes a split result identical
+// to the serial scan at any worker count.
 func (g *Gather) Open() error {
 	g.stats.markOpen()
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
-	if g.N > 1 || hasShardedLeaf(g.Child) {
+	if opensSplit(g.Child, g.N, g.MorselSize, g.stats) {
 		if parts, leaves, ok := splitPipeline(g.Child, max(g.N, 1), g.MorselSize); ok {
 			g.serial = false
 			return g.openParallel(parts, leaves)
@@ -723,7 +768,7 @@ func (b *joinBuild) close(gov *Governor) {
 }
 
 func (b *joinBuild) build(gov *Governor) error {
-	if b.parallelism > 1 || hasShardedLeaf(b.right) {
+	if opensSplit(b.right, b.parallelism, b.morselSize, b.stats) {
 		if parts, leaves, ok := splitPipeline(b.right, max(b.parallelism, 1), b.morselSize); ok {
 			return b.buildParallel(gov, parts, leaves)
 		}

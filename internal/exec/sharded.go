@@ -240,26 +240,6 @@ func collectShardStats(op Operator, out *[]ShardGroupStat) {
 	}
 }
 
-// hasShardedLeaf reports whether op is a splittable pipeline whose leaf
-// scan carries a shard view — such pipelines split even at
-// parallelism 1, since per-shard claim accounting requires morsel
-// execution.
-func hasShardedLeaf(op Operator) bool {
-	switch op := op.(type) {
-	case *Scan:
-		return op.Sharded != nil
-	case *Filter:
-		return hasShardedLeaf(op.Child)
-	case *Project:
-		return hasShardedLeaf(op.Child)
-	case *HashJoin:
-		return hasShardedLeaf(op.Left)
-	case *IndexJoin:
-		return hasShardedLeaf(op.Outer)
-	}
-	return false
-}
-
 // splitShardedScan is splitPipeline's leaf case for a sharded scan: one
 // shared shardGroup, n MorselScans homed per the proportional
 // allotment.

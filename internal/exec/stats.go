@@ -28,6 +28,18 @@ type OpStats struct {
 	buffered atomic.Int64
 	start    atomic.Int64 // unix nanos of the first Open
 	end      atomic.Int64 // unix nanos of exhaustion/Close (max wins)
+	// oneMorsel records that the operator was configured to split its
+	// input across workers and opened it serially because every table it
+	// reads held at most one morsel (opensSplit).
+	oneMorsel atomic.Bool
+}
+
+// markOneMorsel records a serial open under the one-morsel rule.
+func (s *OpStats) markOneMorsel() {
+	if s == nil {
+		return
+	}
+	s.oneMorsel.Store(true)
 }
 
 // addIn counts rows the operator pulled from its children.
@@ -206,6 +218,9 @@ func explainAnalyze(b *strings.Builder, op Operator, depth int) {
 				}
 			}
 			fmt.Fprintf(b, " time=%s)", s.Elapsed().Round(time.Microsecond))
+			if s.oneMorsel.Load() {
+				b.WriteString(" [serial: one morsel]")
+			}
 		}
 	}
 	if g, ok := op.(*Gather); ok && len(g.workerMorsels) > 0 {

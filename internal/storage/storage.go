@@ -93,6 +93,37 @@ func (t *Table) Insert(row []value.Value) error {
 	return nil
 }
 
+// SetRow replaces row i, or appends when i == Len(), with a row that
+// already lives in a validated table over the same schema — a candidate
+// world refills its dirty tables with rows of the relation they stand
+// for (DESIGN.md §17). Arity is checked; column types are not checked
+// again. It consults the fault injector as an insert and keeps indexes
+// coherent.
+func (t *Table) SetRow(i int, row []value.Value) error {
+	if err := t.fail(OpInsert); err != nil {
+		return fmt.Errorf("storage: inserting into %s: %w", t.Schema.Name, err)
+	}
+	if len(row) != len(t.Schema.Columns) {
+		return fmt.Errorf("storage: %s expects %d columns, got %d", t.Schema.Name, len(t.Schema.Columns), len(row))
+	}
+	switch {
+	case i == len(t.rows):
+		t.rows = append(t.rows, row)
+	case i >= 0 && i < len(t.rows):
+		for col, idx := range t.indexes {
+			idx.remove(t.rows[i][t.Schema.ColumnIndex(col)], i)
+		}
+		t.rows[i] = row
+	default:
+		return fmt.Errorf("storage: %s has no row %d to replace", t.Schema.Name, i)
+	}
+	for col, idx := range t.indexes {
+		idx.add(row[t.Schema.ColumnIndex(col)], i)
+	}
+	t.bump()
+	return nil
+}
+
 // MustInsert inserts and panics on error; for tests and static fixtures
 // only — data-path code must use Insert and handle the error.
 func (t *Table) MustInsert(row ...value.Value) {
@@ -216,6 +247,18 @@ func (db *DB) CreateTable(s *schema.Relation) (*Table, error) {
 	t.inj = db.inj
 	db.tables[s.Name] = t
 	return t, nil
+}
+
+// Attach registers an existing table — its rows, indexes and injector —
+// under its schema's name, shared by reference with the database that
+// created it: a candidate world reads clean relations this way instead
+// of copying them. Whoever mutates the table mutates it for both.
+func (db *DB) Attach(t *Table) error {
+	if err := db.Catalog.Add(t.Schema); err != nil {
+		return err
+	}
+	db.tables[t.Schema.Name] = t
+	return nil
 }
 
 // MustCreateTable is CreateTable that panics on error; for tests and

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -338,5 +339,91 @@ func TestCloneCarriesVersion(t *testing.T) {
 	ct.MustInsert(value.Str("c3"), value.Str("Ann"), value.Float(1))
 	if ct.Version() != tb.Version()+1 || tb.Version() != 2 {
 		t.Fatalf("clone mutations must not touch the source: clone=%d source=%d", ct.Version(), tb.Version())
+	}
+}
+
+// SetRow replaces a row reference or appends one, keeps an index coherent,
+// bumps the version on success only, and consults the injector as an
+// insert.
+func TestSetRow(t *testing.T) {
+	src := NewTable(custSchema())
+	src.MustInsert(value.Str("c1"), value.Str("John"), value.Float(20000))
+	src.MustInsert(value.Str("c1"), value.Str("Jon"), value.Float(30000))
+	src.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(27000))
+
+	db := NewDB()
+	tb := db.MustCreateTable(custSchema())
+	if err := tb.CreateIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	v := tb.Version()
+	for i, from := range []int{0, 2} { // append
+		if err := tb.SetRow(i, src.Row(from)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.SetRow(0, src.Row(1)); err != nil { // replace
+		t.Fatal(err)
+	}
+	if tb.Len() != 2 || tb.Row(0)[1].AsString() != "Jon" || tb.Row(1)[1].AsString() != "Mary" {
+		t.Fatalf("rows after SetRow: %v", tb.Rows())
+	}
+	if &tb.Row(0)[0] != &src.Row(1)[0] {
+		t.Error("SetRow should share the row, not copy it")
+	}
+	if tb.Version() != v+3 {
+		t.Errorf("version moved by %d over 3 SetRows, want 3", tb.Version()-v)
+	}
+	idx, _ := tb.Index("name")
+	if len(idx.Lookup(value.Str("John"))) != 0 || len(idx.Lookup(value.Str("Jon"))) != 1 {
+		t.Error("index does not follow the replaced row")
+	}
+
+	v = tb.Version()
+	if err := tb.SetRow(3, src.Row(0)); err == nil {
+		t.Error("SetRow past the end should fail")
+	}
+	if err := tb.SetRow(0, src.Row(0)[:2]); err == nil {
+		t.Error("SetRow with the wrong arity should fail")
+	}
+	db.SetInjector(failInserts{})
+	v++ // SetInjector bumps every table
+	if err := tb.SetRow(0, src.Row(0)); err == nil || !strings.Contains(err.Error(), "inserting into customer") {
+		t.Errorf("SetRow under an insert fault: %v", err)
+	}
+	if tb.Version() != v || tb.Row(0)[1].AsString() != "Jon" {
+		t.Errorf("failed SetRows changed the table: version %d -> %d, row %v", v, tb.Version(), tb.Row(0))
+	}
+}
+
+type failInserts struct{}
+
+func (failInserts) Fail(_ string, op Op) error {
+	if op == OpInsert {
+		return errInjected
+	}
+	return nil
+}
+
+var errInjected = errors.New("injected")
+
+// Attach shares a table between two databases by reference.
+func TestAttachSharesTheTable(t *testing.T) {
+	db := NewDB()
+	tb := db.MustCreateTable(custSchema())
+	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(20000))
+	other := NewDB()
+	if err := other.Attach(tb); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := other.Table("CUSTOMER")
+	if !ok || got != tb {
+		t.Fatalf("attached table = %p, want %p", got, tb)
+	}
+	if names := other.TableNames(); len(names) != 1 || names[0] != "customer" {
+		t.Errorf("catalog after Attach: %v", names)
+	}
+	if err := other.Attach(tb); err == nil {
+		t.Error("attaching the same name twice should fail")
 	}
 }
