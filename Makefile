@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint lint-json lint-allows race fmt fuzz bench-json bench-json-pr7 bench-json-pr8 bench-json-pr10 bench-smoke load-smoke benchmark benchmark-test
+.PHONY: all build test lint lint-json lint-allows race fmt fuzz bench-json bench-json-pr7 bench-json-pr8 load-smoke benchmark benchmark-test
 
 all: build lint test
 
@@ -69,18 +69,6 @@ bench-json-pr7:
 # partitioning and gather overhead, not speedup.
 bench-json-pr8:
 	$(GO) run ./cmd/benchjson -pr8 -out BENCH_PR8.json
-
-# Batch-execution benchmark (DESIGN.md §15): every Figure 8 query pair
-# row-at-a-time vs at the default batch size (ns, allocs, rows/sec per
-# run), plus a rows-per-batch sweep on Q9 locating the plateau behind
-# exec.DefaultBatchSize. Results are byte-identical in every mode.
-bench-json-pr10:
-	$(GO) run ./cmd/benchjson -pr10 -out BENCH_PR10.json
-
-# CI bench-smoke gate: row-vs-batch on Fig 8 Q9 — batch-at-a-time
-# execution must not regress below the row path.
-bench-smoke:
-	$(GO) run ./cmd/benchsmoke
 
 # CI load-smoke gate: low-QPS traffic under the admission watermark
 # must shed nothing, fail nothing, and keep p99 interactive.

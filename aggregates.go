@@ -1,9 +1,11 @@
 package conquer
 
 import (
+	"context"
 	"fmt"
 
 	"conquer/internal/core"
+	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
 )
 
@@ -121,7 +123,7 @@ func (db *Database) EstimateAggregate(sql, kind, column string, n int, seed int6
 			return AggregateEstimate{}, fmt.Errorf("conquer: query selects no column %q", column)
 		}
 	}
-	est, err := core.EstimateAggregate(db.d, stmt, k, col, n, seed)
+	est, err := core.EstimateAggregateCtx(context.Background(), db.d, stmt, k, col, n, seed, exec.Limits{})
 	if err != nil {
 		return AggregateEstimate{}, err
 	}

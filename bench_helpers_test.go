@@ -1,9 +1,12 @@
 package conquer
 
 import (
+	"context"
+
 	"conquer/internal/core"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/plan"
 	"conquer/internal/sqlparse"
 )
@@ -15,13 +18,13 @@ func planOptionsIndexJoin() engine.Options {
 }
 
 func coreViaRewriting(d *dirty.DB, q *sqlparse.SelectStmt) (*core.Result, error) {
-	return core.ViaRewriting(d, q)
+	return core.ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 }
 
 func coreExact(d *dirty.DB, q *sqlparse.SelectStmt) (*core.Result, error) {
-	return core.Exact(d, q, 0)
+	return core.ExactCtx(context.Background(), d, q, exec.Limits{})
 }
 
 func coreMonteCarlo(d *dirty.DB, q *sqlparse.SelectStmt, n int) (*core.Result, error) {
-	return core.MonteCarlo(d, q, n, 1)
+	return core.MonteCarloCtx(context.Background(), d, q, n, 1, exec.Limits{})
 }

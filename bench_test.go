@@ -15,6 +15,7 @@
 package conquer
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -229,11 +230,9 @@ func BenchmarkFig8Sharding(b *testing.B) {
 }
 
 // BenchmarkBatchSize sweeps rows-per-batch on Figure 8 Query 9 (the
-// heaviest pair of the workload), original and rewritten, serially: row
-// mode (n=-1) as the baseline, then 64/256/1024/4096 rows per batch.
-// Results are byte-identical at every size; the plateau from 256 up is
-// what pins exec.DefaultBatchSize, and the allocs/op column shows the
-// slab amortization the batch path buys (see BENCH_PR10.json).
+// heaviest pair of the workload), original and rewritten, serially, at
+// 64/256/1024/4096 rows per batch. Results are byte-identical at every
+// size; the plateau from 256 up is what pins exec.DefaultBatchSize.
 func BenchmarkBatchSize(b *testing.B) {
 	d := workload(b, 1, 3)
 	var q9 bench.QueryPair
@@ -249,7 +248,7 @@ func BenchmarkBatchSize(b *testing.B) {
 		label string
 		q     *sqlparse.SelectStmt
 	}{{"original", q9.Original}, {"rewritten", q9.Rewritten}} {
-		for _, n := range []int{-1, 64, 256, exec.DefaultBatchSize, 4096} {
+		for _, n := range []int{64, 256, exec.DefaultBatchSize, 4096} {
 			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, BatchSize: n})
 			b.Run(fmt.Sprintf("%s/batch=%d", stmt.label, n), func(b *testing.B) {
 				b.ReportAllocs()
@@ -277,7 +276,7 @@ func BenchmarkFig7ProbCalcParallelism(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := probcalc.AnnotateTablePar(li, nil, nil, n); err != nil {
+				if err := probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1, n); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,16 +13,10 @@
 //
 //	go run ./cmd/benchjson -out BENCH_PR5.json
 //	go run ./cmd/benchjson -pr8 -out BENCH_PR8.json
-//	go run ./cmd/benchjson -pr10 -out BENCH_PR10.json
 //
 // The -pr8 mode instead reports the cluster-sharded execution layer:
 // the rewritten queries and the cache's cold/warm phases at shard
 // counts 1, 2 and 4, with the worst skew ratio the shard balancer saw.
-//
-// The -pr10 mode reports batch-at-a-time execution: every Figure 8
-// query pair row-at-a-time vs at the default batch size (ns, allocs
-// and result rows per second per run), plus a rows-per-batch sweep on
-// Q9 locating the plateau behind exec.DefaultBatchSize.
 //
 // Timings are best-of-reps wall clock, reported as ns per operation
 // alongside the host's core count — speedups are only meaningful
@@ -39,7 +33,6 @@ import (
 	"time"
 
 	"conquer/internal/bench"
-	"conquer/internal/exec"
 )
 
 type entry struct {
@@ -60,14 +53,6 @@ type entry struct {
 	// Skew is the worst shard-balance ratio (max shard rows over mean)
 	// observed across the row's queries; set on -pr8 total rows only.
 	Skew float64 `json:"skew,omitempty"`
-	// BatchSize is the rows-per-batch setting for -pr10 rows (-1 =
-	// row-at-a-time baseline); 0 on rows measured without the batch axis.
-	BatchSize int `json:"batch_size,omitempty"`
-	// AllocsPerOp is the heap allocations of one run; set on -pr10 rows.
-	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
-	// RowsPerSec is the result rows produced per second; set on -pr10
-	// rows (the acceptance metric alongside AllocsPerOp).
-	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
 }
 
 type report struct {
@@ -85,7 +70,6 @@ func main() {
 	seed := flag.Int64("seed", 20060403, "generator seed")
 	reps := flag.Int("reps", 3, "repetitions (best run is reported)")
 	pr8 := flag.Bool("pr8", false, "emit the PR 8 sharding report (rewritten queries and cache cold/warm at shard counts 1/2/4) instead of the PR 5 figures")
-	pr10 := flag.Bool("pr10", false, "emit the PR 10 batch-execution report (row-vs-batch on every query pair plus a batch-size sweep on Q9) instead of the PR 5 figures")
 	par := flag.Int("par", 0, "worker count for -pr8 rows (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -97,10 +81,6 @@ func main() {
 
 	if *pr8 {
 		runPR8(&rep, *out, *sf, *scale, *seed, *reps, *par)
-		return
-	}
-	if *pr10 {
-		runPR10(&rep, *out, *sf, *scale, *seed, *reps)
 		return
 	}
 
@@ -233,72 +213,6 @@ func runPR8(rep *report, out string, sf, scale float64, seed int64, reps, par in
 	}
 
 	writeReport(rep, out)
-}
-
-// runPR10 writes the PR 10 batch-execution report. Two sections, both
-// serial so the amortization is not confounded with parallel speedup:
-// every Figure 8 query pair executed row-at-a-time (batch_size -1) and
-// at the engine's default batch size, with allocations and result rows
-// per second alongside ns per op; then a batch-size sweep (64, 256,
-// 1024, 4096 rows per batch) on Q9 — the heaviest pair — original and
-// rewritten, pinning the plateau DefaultBatchSize sits on. Results are
-// byte-identical in every mode, so the deltas are pure per-row
-// overhead: virtual dispatch, governor polling, and row-by-row budget
-// reservations.
-func runPR10(rep *report, out string, sf, scale float64, seed int64, reps int) {
-	d, err := bench.GenerateWorkload(sf, 3, scale, seed)
-	if err != nil {
-		fatal(err)
-	}
-	for _, bs := range []int{-1, 0} {
-		rows, err := bench.Fig8Batch(d, reps, 1, bs)
-		if err != nil {
-			fatal(err)
-		}
-		reported := bs
-		if bs == 0 {
-			reported = exec.DefaultBatchSize
-		}
-		for _, r := range rows {
-			rep.Results = append(rep.Results, entry{
-				Name: fmt.Sprintf("fig8_batch/Q%d_original", r.Query), Workers: 1,
-				NsPerOp: r.Original.Nanoseconds(), BatchSize: reported,
-				AllocsPerOp: r.OrigAllocs, RowsPerSec: rowsPerSec(r.OrigRows, r.Original),
-			})
-			rep.Results = append(rep.Results, entry{
-				Name: fmt.Sprintf("fig8_batch/Q%d_rewritten", r.Query), Workers: 1,
-				NsPerOp: r.Rewritten.Nanoseconds(), BatchSize: reported,
-				AllocsPerOp: r.RewAllocs, RowsPerSec: rowsPerSec(r.CleanRows, r.Rewritten),
-			})
-		}
-	}
-	for _, bs := range []int{64, 256, 1024, 4096} {
-		rows, err := bench.Fig8Batch(d, reps, 1, bs, 9)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range rows {
-			rep.Results = append(rep.Results, entry{
-				Name: "batch_sweep/Q9_original", Workers: 1,
-				NsPerOp: r.Original.Nanoseconds(), BatchSize: bs,
-				AllocsPerOp: r.OrigAllocs, RowsPerSec: rowsPerSec(r.OrigRows, r.Original),
-			})
-			rep.Results = append(rep.Results, entry{
-				Name: "batch_sweep/Q9_rewritten", Workers: 1,
-				NsPerOp: r.Rewritten.Nanoseconds(), BatchSize: bs,
-				AllocsPerOp: r.RewAllocs, RowsPerSec: rowsPerSec(r.CleanRows, r.Rewritten),
-			})
-		}
-	}
-	writeReport(rep, out)
-}
-
-// rowsPerSec converts a result-row count and duration to a rate.
-func rowsPerSec(rows int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(rows) / d.Seconds()
 }
 
 // writeReport marshals rep to path.

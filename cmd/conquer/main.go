@@ -13,9 +13,9 @@
 //	-timeout      per-query wall-clock budget (e.g. 30s; 0 means none)
 //	-parallelism  worker count for parallel scans, joins and aggregation
 //	              (0 = one worker per CPU; 1 forces serial execution)
-//	-batch-size   rows per execution batch (0 = the built-in default,
-//	              negative = row-at-a-time execution); results are
-//	              identical at every setting
+//	-batch-size   rows per execution batch (0 = the built-in default);
+//	              results are identical at every size, a negative one is
+//	              a usage error
 //	-metrics-addr address for the debug HTTP endpoint (/debug/metrics,
 //	              expvar, pprof); empty disables it. Bind localhost only —
 //	              the endpoint is unauthenticated (DESIGN.md §10).
@@ -78,11 +78,16 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
 	shards := flag.Int("shards", 0, "cluster shards for partitioned scans (0 = one per CPU, 1 = unsharded)")
-	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default, negative = row-at-a-time)")
+	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
 	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per executed query")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for cached query results (0 = caching off)")
 	flag.Parse()
+	if *batchSize < 0 {
+		fmt.Fprintf(os.Stderr, "conquer: -batch-size %d: a batch holds a positive number of rows (0 = default)\n", *batchSize)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	d, err := openDatabase(*dir)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -378,5 +379,32 @@ func TestShellEvalCachedMarker(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "(cached)") {
 		t.Errorf("repeated eval should print (cached):\n%s", out.String())
+	}
+}
+
+// A negative -batch-size used to select the row-at-a-time engine; there is
+// one engine now, so it is a usage error at start-up — a message on
+// standard error and exit status 2 — not a silent fallback to the default.
+// The test re-executes its own binary so that main can call os.Exit.
+func TestNegativeBatchSizeIsUsageError(t *testing.T) {
+	if os.Getenv("CONQUER_TEST_RUN_MAIN") == "1" {
+		os.Args = []string{"conquer", "-batch-size", "-1", "-c", "select id from customer"}
+		main()
+		return
+	}
+	cmd := osexec.Command(os.Args[0], "-test.run=^TestNegativeBatchSizeIsUsageError$")
+	cmd.Env = append(os.Environ(), "CONQUER_TEST_RUN_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-batch-size -1") || !strings.Contains(stderr.String(), "Usage") {
+		t.Errorf("stderr should name the flag and print usage:\n%s", stderr.String())
+	}
+	if strings.Contains(stdout.String(), "rows") {
+		t.Errorf("the statement ran:\n%s", stdout.String())
 	}
 }

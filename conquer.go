@@ -32,6 +32,7 @@
 package conquer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -43,6 +44,7 @@ import (
 	"conquer/internal/core"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/matching"
 	"conquer/internal/probcalc"
 	"conquer/internal/rewrite"
@@ -414,7 +416,7 @@ func (db *Database) CleanAnswers(sql string) (*CleanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.ViaRewriting(db.d, stmt)
+	res, err := core.ViaRewritingCtx(context.Background(), db.d, stmt, exec.Limits{})
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +431,7 @@ func (db *Database) CleanAnswersExact(sql string, limit int64) (*CleanResult, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Exact(db.d, stmt, limit)
+	res, err := core.ExactCtx(context.Background(), db.d, stmt, exec.Limits{MaxCandidates: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +445,7 @@ func (db *Database) CleanAnswersMonteCarlo(sql string, n int, seed int64) (*Clea
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.MonteCarlo(db.d, stmt, n, seed)
+	res, err := core.MonteCarloCtx(context.Background(), db.d, stmt, n, seed, exec.Limits{})
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +540,7 @@ func (db *Database) AssignProbabilities(table string, attrCols []string) error {
 	if sh == 0 {
 		sh = runtime.GOMAXPROCS(0)
 	}
-	return probcalc.AnnotateTableSharded(tb, attrCols, nil, sh, par)
+	return probcalc.AnnotateTableCtx(context.Background(), tb, attrCols, nil, sh, par)
 }
 
 // Propagate performs identifier propagation along every declared foreign

@@ -6,25 +6,25 @@
 // without polling can outlive the caller's context by the full size of
 // its input, turning Ctrl-C and query timeouts into dead letters. The
 // analyzer enforces the invariant mechanically: inside package exec,
-// every for/range loop in an operator's Open or Next method must
-// contain a Poll call (directly or in a callee loop such as
-// drainBuffered). The morsel-driven parallel layer (DESIGN.md §9) moves
-// row loops into worker goroutines, so the same rule applies to every
-// function literal spawned with a go statement or handed to runWorkers
-// — otherwise a worker could spin past a cancellation the coordinator
-// already observed. Loops that are genuinely bounded — fixed-width
-// schema iteration, per-column work — carry a "//lint:allow ctxpoll"
+// every for/range loop in an operator's Open method must contain a Poll
+// call (directly or in a callee loop such as drainBatches). The
+// morsel-driven parallel layer (DESIGN.md §9) moves row loops into
+// worker goroutines, so the same rule applies to every function literal
+// spawned with a go statement or handed to runWorkers — otherwise a
+// worker could spin past a cancellation the coordinator already
+// observed. Loops that are genuinely bounded — fixed-width schema
+// iteration, per-column work — carry a "//lint:allow ctxpoll"
 // annotation with a reason.
 //
 // Batch-at-a-time execution (DESIGN.md §15) amortizes polling to one
 // check per batch, so NextBatch methods get their own cadence rule:
-// every batch-puller loop — one that advances child data through Next,
-// NextBatch or NextBatchOf — must poll per iteration (an unpolled
-// puller can skip empty or filtered-out child batches for as long as
-// the child produces, unbounded by the batch in hand), while loops
-// that only walk the batch already in memory are bounded by its
-// capacity and need no poll. A NextBatch that neither polls nor pulls
-// is flagged too: it would emit batches invisible to cancellation.
+// every batch-puller loop — one that advances child data through
+// NextBatch — must poll per iteration (an unpolled puller can skip empty
+// or filtered-out child batches for as long as the child produces,
+// unbounded by the batch in hand), while loops that only walk the batch
+// already in memory are bounded by its capacity and need no poll. A
+// NextBatch that neither polls nor pulls is flagged too: it would emit
+// batches invisible to cancellation.
 //
 // The candidate-world evaluators (DESIGN.md §17) keep one database and
 // one operator tree open across thousands of candidate databases, so
@@ -41,11 +41,11 @@ import (
 	"conquer/internal/analysis"
 )
 
-// Analyzer flags Open/Next loops and worker-function loops in package
-// exec that never poll for cancellation.
+// Analyzer flags Open loops, NextBatch puller loops and worker-function
+// loops in package exec that never poll for cancellation.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "operator Open/Next loops and worker-function loops in package exec, and candidate-world loops in packages dirty and core, must poll cancellation",
+	Doc:  "operator Open/NextBatch loops and worker-function loops in package exec, and candidate-world loops in packages dirty and core, must poll cancellation",
 	Run:  run,
 }
 
@@ -58,9 +58,7 @@ var pollers = map[string]bool{
 	"Poll":                   true,
 	"PollBatch":              true,
 	"PollLeaf":               true,
-	"drainBuffered":          true,
 	"drainBatches":           true,
-	"CollectGoverned":        true,
 	"CollectBatchesGoverned": true,
 }
 
@@ -68,9 +66,7 @@ var pollers = map[string]bool{
 // pipeline; a loop calling one without polling can outlive cancellation
 // by the child's whole input.
 var batchPullers = map[string]bool{
-	"Next":        true,
-	"NextBatch":   true,
-	"NextBatchOf": true,
+	"NextBatch": true,
 }
 
 // worldSteppers are the callees that advance a candidate world; a loop in
@@ -106,7 +102,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fd.Recv != nil && (fd.Name.Name == "Open" || fd.Name.Name == "Next") {
+			if fd.Recv != nil && fd.Name.Name == "Open" {
 				checkLoops(pass, fd)
 			}
 			if fd.Recv != nil && fd.Name.Name == "NextBatch" {

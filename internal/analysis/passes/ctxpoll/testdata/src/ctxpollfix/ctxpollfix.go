@@ -13,26 +13,8 @@ func (g *governor) PollLeaf() error  { return nil }
 // Row is a placeholder row type.
 type Row []int
 
-// BadScan spins through its input without ever polling — the violation
-// ctxpoll exists for.
-type BadScan struct {
-	rows []Row
-	pos  int
-}
-
-// Next returns the next matching row.
-func (s *BadScan) Next() (Row, error) {
-	for s.pos < len(s.rows) { // want `does not poll cancellation`
-		r := s.rows[s.pos]
-		s.pos++
-		if len(r) > 0 {
-			return r, nil
-		}
-	}
-	return nil, nil
-}
-
-// BadBuild drains its input into memory inside Open, also unpolled.
+// BadBuild drains its input into memory inside Open without ever polling —
+// the violation ctxpoll exists for.
 type BadBuild struct {
 	input []Row
 	built [][]int
@@ -46,26 +28,22 @@ func (b *BadBuild) Open() error {
 	return nil
 }
 
-// GoodFilter polls its governor at the top of the row loop.
-type GoodFilter struct {
-	gov  *governor
-	rows []Row
-	pos  int
+// GoodBuild polls its governor at the top of the row loop.
+type GoodBuild struct {
+	gov   *governor
+	input []Row
+	built [][]int
 }
 
-// Next polls before each row.
-func (f *GoodFilter) Next() (Row, error) {
-	for f.pos < len(f.rows) {
-		if err := f.gov.Poll(); err != nil {
-			return nil, err
+// Open polls before each row.
+func (b *GoodBuild) Open() error {
+	for _, r := range b.input {
+		if err := b.gov.Poll(); err != nil {
+			return err
 		}
-		r := f.rows[f.pos]
-		f.pos++
-		if len(r) > 1 {
-			return r, nil
-		}
+		b.built = append(b.built, r)
 	}
-	return nil, nil
+	return nil
 }
 
 // GoodAnnotated shows the sanctioned escape hatch for loops bounded by
@@ -84,7 +62,7 @@ func (g *GoodAnnotated) Open() error {
 	return nil
 }
 
-// helper loops outside Open/Next are not the analyzer's business.
+// helper loops outside Open/NextBatch are not the analyzer's business.
 func (g *GoodAnnotated) describe() int {
 	n := 0
 	for range g.widths {
@@ -149,35 +127,21 @@ func (b *Batch) Full() bool   { return len(b.rows) >= 4 }
 func (b *Batch) Reset()       { b.rows = b.rows[:0] }
 func (b *Batch) Append(r Row) { b.rows = append(b.rows, r) }
 
-// NextBatchOf stands in for the real batch dispatch helper; the
-// adapter loop of a plain function is not the analyzer's business (the
-// pulled child polls for itself).
-func NextBatchOf(next func() (Row, error), b *Batch) error {
-	b.Reset()
-	for !b.Full() {
-		r, err := next()
-		if err != nil {
-			return err
-		}
-		if r == nil {
-			return nil
-		}
-		b.Append(r)
-	}
-	return nil
+// child stands in for an operator below the one under test.
+type child interface {
+	NextBatch(b *Batch) error
 }
 
-// BadBatchFilter pulls child batches in a loop without polling — the
-// batch-mode violation ctxpoll exists for: empty or filtered-out child
+// BadBatchFilter pulls child batches in a loop without polling: empty or filtered-out child
 // batches keep the loop spinning unbounded by the batch in hand.
 type BadBatchFilter struct {
-	child func() (Row, error)
+	child child
 }
 
 // NextBatch skips empty child batches, never polling.
 func (f *BadBatchFilter) NextBatch(b *Batch) error {
 	for { // want `batch-puller loop in BadBatchFilter.NextBatch does not poll cancellation`
-		if err := NextBatchOf(f.child, b); err != nil {
+		if err := f.child.NextBatch(b); err != nil {
 			return err
 		}
 		if b.Len() != 1 {
@@ -190,7 +154,7 @@ func (f *BadBatchFilter) NextBatch(b *Batch) error {
 // batching exists for.
 type GoodBatchFilter struct {
 	gov   *governor
-	child func() (Row, error)
+	child child
 }
 
 // NextBatch polls at the top of the puller loop.
@@ -199,7 +163,7 @@ func (f *GoodBatchFilter) NextBatch(b *Batch) error {
 		if err := f.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(f.child, b); err != nil {
+		if err := f.child.NextBatch(b); err != nil {
 			return err
 		}
 		if b.Len() != 1 {
@@ -234,7 +198,7 @@ func (s *GoodBatchScan) NextBatch(b *Batch) error {
 // it needs neither a poll nor an annotation.
 type GoodBatchProject struct {
 	gov   *governor
-	child func() (Row, error)
+	child child
 }
 
 // NextBatch projects one pulled batch.
@@ -242,7 +206,7 @@ func (p *GoodBatchProject) NextBatch(b *Batch) error {
 	if err := p.gov.PollBatch(); err != nil {
 		return err
 	}
-	if err := NextBatchOf(p.child, b); err != nil {
+	if err := p.child.NextBatch(b); err != nil {
 		return err
 	}
 	for i := 0; i < b.Len(); i++ {

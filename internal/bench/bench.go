@@ -10,8 +10,8 @@
 package bench
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -132,7 +132,7 @@ func Fig7Par(sf, scale float64, ifs []int, seed int64, parallelism int) ([]Fig7R
 		row.Propagation = time.Since(start)
 
 		start = time.Now()
-		if err := probcalc.AnnotateTablePar(li, nil, nil, parallelism); err != nil {
+		if err := probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1, parallelism); err != nil {
 			return nil, err
 		}
 		row.ProbCalc = time.Since(start)
@@ -234,99 +234,6 @@ func Fig8ParInstr(d *dirty.DB, reps, parallelism int, instrument bool) ([]Fig8Ro
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// Fig8BatchRow extends Fig8Row with the heap allocations of one run of
-// each query — the per-row overhead axis batch-at-a-time execution is
-// meant to amortize alongside wall clock.
-type Fig8BatchRow struct {
-	Fig8Row
-	OrigAllocs int64
-	RewAllocs  int64
-}
-
-// Fig8Batch runs the Figure 8 query pairs at an explicit batch size
-// (exec.ResolveBatchSize semantics: 0 resolves to the engine default,
-// negative forces row-at-a-time) and parallelism, reporting best-of-reps
-// times plus allocations per run. It is the harness behind
-// BENCH_PR10.json's row-vs-batch comparison and batch-size sweep. A
-// non-empty only list restricts the run to those query numbers.
-func Fig8Batch(d *dirty.DB, reps, parallelism, batchSize int, only ...int) ([]Fig8BatchRow, error) {
-	pairs, err := PreparePairs()
-	if err != nil {
-		return nil, err
-	}
-	keep := func(q int) bool {
-		if len(only) == 0 {
-			return true
-		}
-		for _, n := range only {
-			if n == q {
-				return true
-			}
-		}
-		return false
-	}
-	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: parallelism, BatchSize: batchSize})
-	var out []Fig8BatchRow
-	for _, p := range pairs {
-		if !keep(p.Number) {
-			continue
-		}
-		row := Fig8BatchRow{Fig8Row: Fig8Row{Query: p.Number}}
-		dur, err := timeBest(reps, func() error {
-			res, err := eng.QueryStmt(p.Original)
-			if err == nil {
-				row.OrigRows = len(res.Rows)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("Q%d original: %w", p.Number, err)
-		}
-		row.Original = dur
-		if row.OrigAllocs, err = allocsPerRun(func() error {
-			_, err := eng.QueryStmt(p.Original)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("Q%d original allocs: %w", p.Number, err)
-		}
-		dur, err = timeBest(reps, func() error {
-			res, err := eng.QueryStmt(p.Rewritten)
-			if err == nil {
-				row.CleanRows = len(res.Rows)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("Q%d rewritten: %w", p.Number, err)
-		}
-		row.Rewritten = dur
-		if row.RewAllocs, err = allocsPerRun(func() error {
-			_, err := eng.QueryStmt(p.Rewritten)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("Q%d rewritten allocs: %w", p.Number, err)
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// allocsPerRun counts the heap allocations of one invocation of f,
-// after a warm-up run so one-time setup (plan assembly, table stats)
-// does not land in the measurement.
-func allocsPerRun(f func() error) (int64, error) {
-	if err := f(); err != nil {
-		return 0, err
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := f(); err != nil {
-		return 0, err
-	}
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs - before.Mallocs), nil
 }
 
 // FormatFig8 renders Figure 8 with the per-query overhead ratio the paper

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"conquer/internal/core"
+	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
 	"conquer/internal/uisgen"
 )
@@ -54,11 +56,11 @@ func Verify(seed int64, tol float64) ([]VerifyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact, err := core.Exact(d, stmt, 0)
+		exact, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
 		if err != nil {
 			return nil, fmt.Errorf("exact for %q: %w", qs, err)
 		}
-		rw, err := core.ViaRewriting(d, stmt)
+		rw, err := core.ViaRewritingCtx(context.Background(), d, stmt, exec.Limits{})
 		if err != nil {
 			return nil, fmt.Errorf("rewriting for %q: %w", qs, err)
 		}

@@ -26,7 +26,7 @@ import (
 // are exact regardless of the correlations between answers, so both can
 // be computed directly from any clean-answer Result — no extra candidate
 // enumeration. Non-linear aggregates (AVG, MIN, MAX) do not decompose
-// this way; EstimateAggregate computes them by Monte-Carlo sampling.
+// this way; EstimateAggregateCtx computes them by Monte-Carlo sampling.
 
 // ExpectedCount returns the expected number of clean answers.
 func ExpectedCount(r *Result) float64 {
@@ -122,7 +122,7 @@ func ExpectedGroupBy(r *Result, groupCols []int, sumCol int) ([]GroupExpectation
 	return out, nil
 }
 
-// AggregateKind selects the aggregate EstimateAggregate computes.
+// AggregateKind selects the aggregate EstimateAggregateCtx computes.
 type AggregateKind uint8
 
 // Supported Monte-Carlo aggregates.
@@ -148,17 +148,13 @@ type AggregateEstimate struct {
 	Samples int
 }
 
-// EstimateAggregate estimates E[agg(col over q's answers)] by sampling n
-// candidate databases. col is ignored for AggregateCount (pass -1). This
-// covers the non-linear aggregates the closed-form expectations above
-// cannot, at Monte-Carlo accuracy.
-func EstimateAggregate(d *dirty.DB, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) (AggregateEstimate, error) {
-	return EstimateAggregateCtx(context.Background(), d, stmt, kind, col, n, seed, exec.Limits{})
-}
-
-// EstimateAggregateCtx is EstimateAggregate under a context and execution
-// budget: lim.Timeout is applied once here, lim.MaxSamples (when
-// positive) caps n, and the sampling loop polls ctx between candidates.
+// EstimateAggregateCtx estimates E[agg(col over q's answers)] by sampling
+// n candidate databases. col is ignored for AggregateCount (pass -1).
+// This covers the non-linear aggregates the closed-form expectations
+// above cannot, at Monte-Carlo accuracy. It runs under a context and
+// execution budget: lim.Timeout is applied once here, lim.MaxSamples
+// (when positive) caps n, and the sampling loop polls ctx between
+// candidates.
 func EstimateAggregateCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64, lim exec.Limits) (est AggregateEstimate, err error) {
 	defer qerr.Recover(&err)
 	if n <= 0 {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
 	"conquer/internal/value"
@@ -16,7 +18,7 @@ import (
 func TestExpectedCountMatchesEnumeration(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestExpectedSum(t *testing.T) {
 	// Sum of quantities of orders joined to >10K customers.
 	q := sqlparse.MustParse(
 		"select o.id, c.id, o.quantity from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestExpectedGroupBy(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse(
 		"select o.id, c.id, o.quantity from orders o, customer c where o.cidfk = c.id")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse(
 		"select o.id, c.id, o.quantity from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, err := EstimateAggregate(d, q, AggregateCount, -1, 20000, 9)
+	est, err := EstimateAggregateCtx(context.Background(), d, q, AggregateCount, -1, 20000, 9, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 		t.Errorf("samples = %d", est.Samples)
 	}
 
-	est, err = EstimateAggregate(d, q, AggregateSum, 2, 20000, 10)
+	est, err = EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 2, 20000, 10, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 	//   John=20K (p.7): Mary in (p.2) -> min 20K; out (p.8) -> 20K => 20K, p=.7
 	//   John=30K (p.3): Mary in (.2) -> 27K (p .06); out -> 30K (p .24)
 	// E[MIN] = .7*20000 + .06*27000 + .24*30000 = 14000+1620+7200 = 22820.
-	est, err := EstimateAggregate(d, q, AggregateMin, 1, 30000, 11)
+	est, err := EstimateAggregateCtx(context.Background(), d, q, AggregateMin, 1, 30000, 11, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 
 	// AVG and MAX run without error and stay within the value range.
 	for _, kind := range []AggregateKind{AggregateAvg, AggregateMax} {
-		est, err := EstimateAggregate(d, q, kind, 1, 2000, 12)
+		est, err := EstimateAggregateCtx(context.Background(), d, q, kind, 1, 2000, 12, exec.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,16 +208,16 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 func TestEstimateAggregateErrors(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id, name from customer")
-	if _, err := EstimateAggregate(d, q, AggregateSum, 1, 10, 1); err == nil {
+	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 1, 10, 1, exec.Limits{}); err == nil {
 		t.Error("non-numeric sum should fail")
 	}
-	if _, err := EstimateAggregate(d, q, AggregateSum, 99, 10, 1); err == nil {
+	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 99, 10, 1, exec.Limits{}); err == nil {
 		t.Error("out-of-range column should fail")
 	}
-	if _, err := EstimateAggregate(d, q, AggregateCount, -1, 0, 1); err == nil {
+	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateCount, -1, 0, 1, exec.Limits{}); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := EstimateAggregate(d, q, AggregateKind(99), 0, 10, 1); err == nil {
+	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateKind(99), 0, 10, 1, exec.Limits{}); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }

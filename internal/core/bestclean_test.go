@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
 	"conquer/internal/value"
@@ -49,7 +51,7 @@ func TestIntroductionBestTupleCleaningLosesAnswers(t *testing.T) {
 	}
 
 	// Clean answers keep the information: card 111 at probability 0.6.
-	clean, err := Exact(d, q, 0)
+	clean, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,13 @@
 //
 // Three evaluators are provided:
 //
-//   - Exact: enumerates every candidate database (Dfn 3), runs the query
+//   - ExactCtx: enumerates every candidate database (Dfn 3), runs the query
 //     on each, and sums probabilities. Exponential — usable only on small
 //     databases, it serves as ground truth for the other two.
-//   - ViaRewriting: applies RewriteClean (§3) and executes the rewritten
+//   - ViaRewritingCtx: applies RewriteClean (§3) and executes the rewritten
 //     query once on the dirty database. Exact for rewritable queries
 //     (Thm 1) and the paper's actual proposal.
-//   - MonteCarlo: samples candidate databases independently and estimates
+//   - MonteCarloCtx: samples candidate databases independently and estimates
 //     each answer's probability as its sample frequency. A baseline, and
 //     the escape hatch for queries outside the rewritable class.
 package core
@@ -301,17 +301,12 @@ func overWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, inn
 	return prep.Columns(), stats, err
 }
 
-// Exact computes clean answers by full candidate enumeration (Dfn 5
-// verbatim). limit caps the number of candidates (0 for the package
-// default); databases beyond it need ViaRewriting or MonteCarlo.
-func Exact(d *dirty.DB, stmt *sqlparse.SelectStmt, limit int64) (*Result, error) {
-	return ExactCtx(context.Background(), d, stmt, exec.Limits{MaxCandidates: limit})
-}
-
-// ExactCtx is Exact under a context and execution budget. lim.Timeout is
-// applied once here; each per-candidate query runs under the remaining
-// limits. lim.MaxCandidates caps the enumeration (0 for the package
-// default); exceeding it returns a qerr.ErrTooManyCandidates error.
+// ExactCtx computes clean answers by full candidate enumeration (Dfn 5
+// verbatim) under a context and execution budget. lim.Timeout is applied
+// once here; each per-candidate query runs under the remaining limits.
+// lim.MaxCandidates caps the enumeration (0 for the package default);
+// exceeding it returns a qerr.ErrTooManyCandidates error, and databases
+// beyond it need ViaRewritingCtx or MonteCarloCtx.
 func ExactCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (res *Result, err error) {
 	defer qerr.Recover(&err)
 	start := time.Now()
@@ -333,18 +328,14 @@ func ExactCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim e
 	return out, nil
 }
 
-// MonteCarlo estimates clean answers from n independently sampled
-// candidate databases. The estimate of each answer's probability is its
-// sample frequency; each answer carries its Wald standard error and the
-// Result carries the worst-case bound 1/(2*sqrt(n)).
-func MonteCarlo(d *dirty.DB, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
-	return MonteCarloCtx(context.Background(), d, stmt, n, seed, exec.Limits{})
-}
-
-// MonteCarloCtx is MonteCarlo under a context and execution budget.
-// lim.Timeout is applied once here; lim.MaxSamples (when positive) caps n
-// with a qerr.ErrBudgetExceeded error so callers can renegotiate the
-// sample count rather than silently degrading accuracy.
+// MonteCarloCtx estimates clean answers from n independently sampled
+// candidate databases, under a context and execution budget. The estimate
+// of each answer's probability is its sample frequency; each answer
+// carries its Wald standard error and the Result carries the worst-case
+// bound 1/(2*sqrt(n)). lim.Timeout is applied once here; lim.MaxSamples
+// (when positive) caps n with a qerr.ErrBudgetExceeded error so callers
+// can renegotiate the sample count rather than silently degrading
+// accuracy.
 func MonteCarloCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, n int, seed int64, lim exec.Limits) (res *Result, err error) {
 	defer qerr.Recover(&err)
 	start := time.Now()
@@ -393,15 +384,11 @@ func MonteCarloCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, 
 	return out, nil
 }
 
-// ViaRewriting computes clean answers with the paper's rewriting: it
-// applies RewriteClean and runs the rewritten query once on the dirty
-// database. It fails with rewrite.NotRewritableError when the query is
-// outside the rewritable class.
-func ViaRewriting(d *dirty.DB, stmt *sqlparse.SelectStmt) (*Result, error) {
-	return ViaRewritingCtx(context.Background(), d, stmt, exec.Limits{})
-}
-
-// ViaRewritingCtx is ViaRewriting under a context and execution budget.
+// ViaRewritingCtx computes clean answers with the paper's rewriting,
+// under a context and execution budget: it applies RewriteClean and runs
+// the rewritten query once on the dirty database. It fails with
+// rewrite.NotRewritableError when the query is outside the rewritable
+// class.
 func ViaRewritingCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (res *Result, err error) {
 	defer qerr.Recover(&err)
 	rw, err := rewrite.RewriteClean(d.Store.Catalog, stmt)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"conquer/internal/dirty"
+	"conquer/internal/exec"
 	"conquer/internal/rewrite"
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
@@ -27,7 +29,7 @@ func TestPaperFigure1(t *testing.T) {
 	d := testdb.Figure1()
 	q := sqlparse.MustParse(
 		"select l.cardid from loyaltycard l, customer c where l.custfk = c.id and c.income > 100000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestPaperFigure1(t *testing.T) {
 	// rewritable formulation selects the identifiers too.
 	q2 := sqlparse.MustParse(
 		"select l.id, l.cardid from loyaltycard l, customer c where l.custfk = c.id and c.income > 100000")
-	rw, err := ViaRewriting(d, q2)
+	rw, err := ViaRewritingCtx(context.Background(), d, q2, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestPaperFigure1(t *testing.T) {
 func TestPaperExample4(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +74,11 @@ func TestPaperExample4(t *testing.T) {
 func TestPaperExample5(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	exact, err := Exact(d, q, 0)
+	exact, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := ViaRewriting(d, q)
+	rw, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +94,8 @@ func TestPaperExample6(t *testing.T) {
 	q := sqlparse.MustParse(
 		"select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
 	for name, eval := range map[string]func() (*Result, error){
-		"exact":     func() (*Result, error) { return Exact(d, q, 0) },
-		"rewriting": func() (*Result, error) { return ViaRewriting(d, q) },
+		"exact":     func() (*Result, error) { return ExactCtx(context.Background(), d, q, exec.Limits{}) },
+		"rewriting": func() (*Result, error) { return ViaRewritingCtx(context.Background(), d, q, exec.Limits{}) },
 	} {
 		res, err := eval()
 		if err != nil {
@@ -123,7 +125,7 @@ func TestPaperExample7(t *testing.T) {
 		"select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000")
 
 	// Exact semantics: c1 = 0.3, c2 absent.
-	exact, err := Exact(d, q, 0)
+	exact, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestPaperExample7(t *testing.T) {
 	}
 
 	// The rewriting refuses the query.
-	if _, err := ViaRewriting(d, q); err == nil {
+	if _, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{}); err == nil {
 		t.Fatal("ViaRewriting must reject q3")
 	}
 
@@ -159,11 +161,11 @@ func TestMonteCarloConvergesOnExample6(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse(
 		"select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
-	mc, err := MonteCarlo(d, q, 20000, 7)
+	mc, err := MonteCarloCtx(context.Background(), d, q, 20000, 7, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Exact(d, q, 0)
+	exact, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +180,10 @@ func TestMonteCarloConvergesOnExample6(t *testing.T) {
 func TestMonteCarloErrors(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer")
-	if _, err := MonteCarlo(d, q, 0, 1); err == nil {
+	if _, err := MonteCarloCtx(context.Background(), d, q, 0, 1, exec.Limits{}); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := MonteCarlo(d, sqlparse.MustParse("select ghost from customer"), 2, 1); err == nil {
+	if _, err := MonteCarloCtx(context.Background(), d, sqlparse.MustParse("select ghost from customer"), 2, 1, exec.Limits{}); err == nil {
 		t.Error("bad query should fail")
 	}
 }
@@ -262,11 +264,11 @@ func TestTheorem1Property(t *testing.T) {
 		}
 		for _, qs := range queries {
 			q := sqlparse.MustParse(qs)
-			exact, err := Exact(d, q, 0)
+			exact, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 			if err != nil {
 				t.Fatalf("trial %d %q exact: %v", trial, qs, err)
 			}
-			rw, err := ViaRewriting(d, q)
+			rw, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 			if err != nil {
 				t.Fatalf("trial %d %q rewrite: %v", trial, qs, err)
 			}
@@ -284,7 +286,7 @@ func TestAnswerProbabilityBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randomDirtyDB(rng, 3, 3, 3)
 	q := sqlparse.MustParse("select b.id from child b, parent a where b.afk = a.id")
-	res, err := ViaRewriting(d, q)
+	res, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestAnswerProbabilityBounds(t *testing.T) {
 func TestConsistentAnswersSpecialCase(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	res, err := Exact(d, q, 0)
+	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,14 +337,14 @@ func TestResultHelpers(t *testing.T) {
 func TestExactRespectsLimit(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer")
-	if _, err := Exact(d, q, 4); err == nil {
+	if _, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 4}); err == nil {
 		t.Error("limit below candidate count should fail")
 	}
 }
 
 func TestExactPropagatesQueryErrors(t *testing.T) {
 	d := testdb.Figure2()
-	if _, err := Exact(d, sqlparse.MustParse("select ghost from customer"), 0); err == nil {
+	if _, err := ExactCtx(context.Background(), d, sqlparse.MustParse("select ghost from customer"), exec.Limits{}); err == nil {
 		t.Error("bad query should fail")
 	}
 }
@@ -360,7 +362,7 @@ func TestRunRewrittenValidation(t *testing.T) {
 // groups of an unfiltered root-only projection recovers 1 per cluster.
 func TestProbabilityMassPerCluster(t *testing.T) {
 	d := testdb.Figure2()
-	res, err := ViaRewriting(d, sqlparse.MustParse("select id from customer"))
+	res, err := ViaRewritingCtx(context.Background(), d, sqlparse.MustParse("select id from customer"), exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +375,8 @@ func TestProbabilityMassPerCluster(t *testing.T) {
 
 func TestNotRewritableErrorMessage(t *testing.T) {
 	d := testdb.Figure2()
-	_, err := ViaRewriting(d, sqlparse.MustParse(
-		"select c.id from orders o, customer c where o.cidfk = c.id"))
+	_, err := ViaRewritingCtx(context.Background(), d, sqlparse.MustParse(
+		"select c.id from orders o, customer c where o.cidfk = c.id"), exec.Limits{})
 	if err == nil || !strings.Contains(err.Error(), "condition 4") {
 		t.Errorf("error should explain condition 4: %v", err)
 	}
@@ -382,8 +384,8 @@ func TestNotRewritableErrorMessage(t *testing.T) {
 
 func TestResultTopKAndAtLeast(t *testing.T) {
 	d := testdb.Figure2()
-	res, err := ViaRewriting(d, sqlparse.MustParse(
-		"select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000"))
+	res, err := ViaRewritingCtx(context.Background(), d, sqlparse.MustParse(
+		"select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000"), exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +422,11 @@ func TestSelectionMonotonicityProperty(t *testing.T) {
 			"select b.id from child b, parent a where b.afk = a.id and a.score > 2")
 		strict := sqlparse.MustParse(
 			"select b.id from child b, parent a where b.afk = a.id and a.score > 2 and b.qty < 6")
-		lr, err := ViaRewriting(d, loose)
+		lr, err := ViaRewritingCtx(context.Background(), d, loose, exec.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := ViaRewriting(d, strict)
+		sr, err := ViaRewritingCtx(context.Background(), d, strict, exec.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,11 +442,11 @@ func TestSelectionMonotonicityProperty(t *testing.T) {
 // The expected count of the stricter query is likewise bounded.
 func TestExpectedCountMonotonicity(t *testing.T) {
 	d := testdb.Figure2()
-	loose, err := Exact(d, sqlparse.MustParse("select id from customer where balance > 10000"), 0)
+	loose, err := ExactCtx(context.Background(), d, sqlparse.MustParse("select id from customer where balance > 10000"), exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Exact(d, sqlparse.MustParse("select id from customer where balance > 25000"), 0)
+	strict, err := ExactCtx(context.Background(), d, sqlparse.MustParse("select id from customer where balance > 25000"), exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"conquer/internal/dirty"
+	"conquer/internal/exec"
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
 	"conquer/internal/storage"
@@ -88,11 +90,11 @@ func TestTheorem1DeepTrees(t *testing.T) {
 		}
 		for _, qs := range queries {
 			q := sqlparse.MustParse(qs)
-			exact, err := Exact(d, q, 0)
+			exact, err := ExactCtx(context.Background(), d, q, exec.Limits{})
 			if err != nil {
 				t.Fatalf("trial %d exact %q: %v", trial, qs, err)
 			}
-			rw, err := ViaRewriting(d, q)
+			rw, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 			if err != nil {
 				t.Fatalf("trial %d rewrite %q: %v", trial, qs, err)
 			}
@@ -112,16 +114,16 @@ func TestAugmentedRewritingDeepTrees(t *testing.T) {
 	// Projects only the leaf: grand's identifier (the root) is missing.
 	q := sqlparse.MustParse(
 		"select p.id from grand g, child c, parent p where g.cfk = c.id and c.pfk = p.id and g.attr < 5")
-	if _, err := ViaRewriting(d, q); err == nil {
+	if _, err := ViaRewritingCtx(context.Background(), d, q, exec.Limits{}); err == nil {
 		t.Fatal("plain rewriting must reject the query")
 	}
 	augQ := sqlparse.MustParse(
 		"select g.id, p.id from grand g, child c, parent p where g.cfk = c.id and c.pfk = p.id and g.attr < 5")
-	exact, err := Exact(d, augQ, 0)
+	exact, err := ExactCtx(context.Background(), d, augQ, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := ViaRewriting(d, augQ)
+	rw, err := ViaRewritingCtx(context.Background(), d, augQ, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,9 @@ type Options struct {
 	// only scheduling. Shard views are cached per table and rebuilt when
 	// the table version moves.
 	Shards int
-	// BatchSize tunes batch-at-a-time execution: 0 resolves to
-	// exec.DefaultBatchSize, positive values set the rows per batch, and
-	// negative values force row-at-a-time execution (the baseline the
-	// bench suite compares against). Results are identical either way;
-	// batching only amortizes per-row overheads (DESIGN.md §15).
+	// BatchSize is the rows per execution batch; zero or negative
+	// resolves to exec.DefaultBatchSize. Results are identical at every
+	// size (DESIGN.md §15).
 	BatchSize int
 	// NoInstrument disables per-operator instrumentation. Instrumentation
 	// is on by default — the counters are plain atomic adds and the bench
@@ -195,11 +193,10 @@ type Stats struct {
 	// Zero when no sharded pipeline buffered rows; zeroed on cached
 	// results.
 	ShardBufferedMax int64
-	// BatchSize is the resolved rows-per-batch the query ran with (0
-	// means row-at-a-time execution).
+	// BatchSize is the resolved rows-per-batch the query ran with.
 	BatchSize int
-	// Batches counts the output batches the root produced (0 in row
-	// mode or on cached results).
+	// Batches counts the output batches the root produced (0 on cached
+	// results).
 	Batches int64
 }
 
@@ -386,15 +383,8 @@ func (p *Prepared) run(ctx context.Context) (*Result, error) {
 	gov := exec.NewGovernor(ctx, p.e.opts.Limits)
 	exec.Attach(p.tree, gov)
 	start := time.Now()
-	var rows [][]value.Value
-	var batches int64
-	var err error
 	bs := exec.ResolveBatchSize(p.popts.BatchSize)
-	if bs > 0 {
-		rows, batches, err = exec.CollectBatchesGoverned(p.tree, gov, bs)
-	} else {
-		rows, err = exec.CollectGoverned(p.tree, gov)
-	}
+	rows, batches, err := exec.CollectBatchesGoverned(p.tree, gov, bs)
 	p.runs++
 	if err != nil {
 		return nil, err

@@ -1,18 +1,9 @@
 // Batch-at-a-time execution (DESIGN.md §15). A Batch is a reusable slab
-// of row references plus an optional selection vector; operators that
-// implement BatchOperator fill one batch per call instead of producing
-// one row per call, amortizing the virtual-dispatch, governor-poll and
-// buffered-row-reservation overheads of the Volcano loop across
-// DefaultBatchSize rows. Operators without a native batch path compose
-// through NextBatchOf's row→batch adapter, so every plan executes in
-// either mode.
-//
-// Contract: NextBatch(b) resets and refills b; an empty batch means the
-// operator is exhausted. Row slices handed out through a batch follow
-// the Operator contract — they are never mutated afterwards — but the
-// Batch itself (its rows/sel backing arrays) is owned by the caller and
-// reused across calls, so consumers that buffer rows must copy the row
-// *references* out before the next call, never retain the Batch.
+// of row references plus an optional selection vector; an operator fills
+// one batch per NextBatch call, amortizing the virtual-dispatch,
+// governor-poll and buffered-row-reservation overheads of a pull loop
+// across DefaultBatchSize rows. The Operator comment in rowschema.go has
+// the contract.
 package exec
 
 import "conquer/internal/value"
@@ -21,9 +12,20 @@ import "conquer/internal/value"
 // DefaultMorselSize so a parallel scan's batches align with its morsels
 // (a batch never spans a morsel boundary — order reconstruction in
 // Gather depends on that); the batch-size sweep in BENCH_PR10.json
-// confirms the plateau is flat from 256 up, so matching the morsel grid
-// costs nothing.
+// found the plateau flat from 256 up, so matching the morsel grid costs
+// nothing.
 const DefaultBatchSize = 1024
+
+// ResolveBatchSize canonicalizes a configured batch size: zero or
+// negative means DefaultBatchSize, positive passes through.
+// engine.Options.BatchSize and plan.Options.BatchSize share this
+// convention.
+func ResolveBatchSize(n int) int {
+	if n <= 0 {
+		return DefaultBatchSize
+	}
+	return n
+}
 
 // Batch is one unit of batch-at-a-time dataflow: up to Cap() row
 // references, each optionally tagged with its rowOrd provenance, plus a
@@ -153,72 +155,30 @@ func (b *Batch) Truncate(n int) {
 	}
 }
 
-// BatchOperator is the batch-at-a-time face of an Operator: NextBatch
-// refills b with the next run of rows; an empty batch reports
-// exhaustion. Operators implement it alongside Next — drivers pick one
-// mode per query and never mix pulls on the same operator.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *Batch) error
-}
-
-// NextBatchOf pulls the next batch from op: natively when op implements
-// BatchOperator, otherwise through a row→batch adapter that fills b one
-// Next at a time (the child polls its own governor per row, so adapted
-// operators keep their cancellation latency).
-func NextBatchOf(op Operator, b *Batch) error {
-	if bo, ok := op.(BatchOperator); ok {
-		return bo.NextBatch(b)
-	}
-	b.Reset()
-	for !b.Full() {
-		row, err := op.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		b.Append(row)
-	}
-	return nil
-}
-
 // batchSized is implemented by operators whose internal drains and
 // scratch batches honor a configured batch size.
 type batchSized interface {
 	setBatchSize(int)
 }
 
-// batchHolder carries an operator's batch-execution setting: a positive
-// value switches the operator's internal drains (materializing Opens,
-// the join build, Gather's worker loops) to batch-at-a-time with that
-// many rows per batch; zero or negative keeps the row-at-a-time loops.
-// The zero value is row mode so operators constructed directly in tests
-// behave exactly as before — the planner installs the resolved size via
-// SetBatchSize, and the engine defaults it to DefaultBatchSize.
+// batchHolder carries the rows per batch of an operator's internal
+// drains (materializing Opens, the join build, Gather's worker loops).
+// The zero value means DefaultBatchSize, so an operator constructed
+// directly in a test runs the way the engine runs it; the planner
+// installs the resolved size via SetBatchSize.
 type batchHolder struct {
 	batch int
 }
 
 func (h *batchHolder) setBatchSize(n int) { h.batch = n }
 
-// rowMode reports that internal drains should use the row-at-a-time
-// loops.
-func (h *batchHolder) rowMode() bool { return h.batch <= 0 }
-
 // batchCap resolves the effective rows-per-batch for internal drains.
-func (h *batchHolder) batchCap() int {
-	if h.batch > 0 {
-		return h.batch
-	}
-	return DefaultBatchSize
-}
+func (h *batchHolder) batchCap() int { return ResolveBatchSize(h.batch) }
 
-// SetBatchSize installs the batch-execution setting on every operator of
-// the tree (> 0 = batch mode at n rows per batch, <= 0 = row mode). The
-// planner calls it after assembling the tree with the engine-resolved
-// size; splitPipeline propagates the setting into worker clones.
+// SetBatchSize installs n rows per batch on every operator of the tree
+// (n <= 0 means DefaultBatchSize). The planner calls it after assembling
+// the tree with the engine-resolved size; splitPipeline propagates the
+// setting into worker clones.
 func SetBatchSize(op Operator, n int) {
 	if bs, ok := op.(batchSized); ok {
 		bs.setBatchSize(n)
@@ -228,11 +188,11 @@ func SetBatchSize(op Operator, n int) {
 	}
 }
 
-// drainBatches is drainBuffered's batch-mode twin: it materializes op's
-// rows batch-at-a-time, polling g and reserving buffered budget once per
-// batch instead of once per row. Like drainBuffered, a failed
-// reservation still counts into the returned total so the caller's Close
-// releases exactly what was charged.
+// drainBatches materializes op's rows while polling g and reserving
+// buffered budget once per batch; s (the draining operator's stats,
+// nil-safe) counts the rows pulled and buffered. A failed reservation
+// still counts into the returned total so the caller's Close releases
+// exactly what was charged.
 func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]value.Value, reserved int64, err error) {
 	if err := op.Open(); err != nil {
 		return nil, 0, err
@@ -243,7 +203,7 @@ func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]valu
 		if err := g.PollBatch(); err != nil {
 			return nil, reserved, err
 		}
-		if err := NextBatchOf(op, b); err != nil {
+		if err := op.NextBatch(b); err != nil {
 			return nil, reserved, err
 		}
 		n := int64(b.Len())
@@ -262,10 +222,10 @@ func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]valu
 	}
 }
 
-// CollectBatchesGoverned drains op batch-at-a-time while polling g once
-// per batch and charging the output budget per batch; it returns the
-// rows and how many batches the root produced. It is CollectGoverned's
-// batch-mode twin — the engine picks one per Options.BatchSize.
+// CollectBatchesGoverned drains op while polling g once per batch and
+// charging the output budget per batch; it returns the rows and how many
+// batches the root produced. size is the root batch's row capacity
+// (<= 0 means DefaultBatchSize).
 func CollectBatchesGoverned(op Operator, g *Governor, size int) ([][]value.Value, int64, error) {
 	if err := op.Open(); err != nil {
 		return nil, 0, err
@@ -278,7 +238,7 @@ func CollectBatchesGoverned(op Operator, g *Governor, size int) ([][]value.Value
 		if err := g.PollBatch(); err != nil {
 			return nil, batches, err
 		}
-		if err := NextBatchOf(op, b); err != nil {
+		if err := op.NextBatch(b); err != nil {
 			return nil, batches, err
 		}
 		n := b.Len()

@@ -1,6 +1,6 @@
-// Native NextBatch implementations (DESIGN.md §15). Each method refills
-// the caller's Batch with one run of rows, polling the governor once per
-// batch instead of once per row. Two invariants hold throughout:
+// The operators' NextBatch methods (DESIGN.md §15). Each refills the
+// caller's Batch with one run of rows, polling the governor once per
+// batch. Two invariants hold throughout:
 //
 //   - A batch never spans a morsel: MorselScan returns at morsel
 //     boundaries and every pipeline operator emits a non-empty output
@@ -21,26 +21,10 @@ import (
 	"conquer/internal/value"
 )
 
-// ResolveBatchSize canonicalizes a configured batch size: 0 means
-// batching is on at DefaultBatchSize, negative forces row-at-a-time
-// (returned as 0, the exec-level row-mode setting), positive passes
-// through. engine.Options.BatchSize and plan.Options.BatchSize share
-// this convention.
-func ResolveBatchSize(n int) int {
-	switch {
-	case n == 0:
-		return DefaultBatchSize
-	case n < 0:
-		return 0
-	}
-	return n
-}
-
-// batchProbe is the shared probe-side state of the join batch paths: the
-// probe input batch with a cursor, a forward-only output slab, and the
-// run-length ordinal generator that tags join fanout (base carried over
-// from the probe row, sequence counting emissions per base — the same
-// numbering the row path's consumers derive from leafTracker).
+// batchProbe is the probe-side state the joins share: the probe input
+// batch with a cursor, a forward-only output slab, and the run-length
+// ordinal generator that tags join fanout (base carried over from the
+// probe row, sequence counting emissions per base).
 type batchProbe struct {
 	probe    *Batch
 	idx      int
@@ -79,7 +63,7 @@ type valueSlab struct {
 func (s *valueSlab) carve(width, batchCap int) []value.Value {
 	if width == 0 {
 		// A join nothing above reads from (COUNT(*)) emits zero-width
-		// rows; they must still be non-nil, nil means exhausted.
+		// rows; they are still rows, so not nil.
 		return []value.Value{}
 	}
 	if len(s.block) < width {
@@ -114,9 +98,9 @@ func (p *batchProbe) nextOrd() rowOrd {
 
 // NextBatch fills b from the table cursor. The serial scan counts one
 // batch at Open (the whole table), so refills do not bump the counter.
-// Leaf fill loops keep the ticker-amortized per-row poll: a batch is the
-// unit of *work* amortization, but cancellation latency must stay within
-// pollInterval rows, not a whole batch.
+// Leaf fill loops poll the ticker per row: a batch is the unit of *work*
+// amortization, but cancellation latency must stay within pollInterval
+// rows, not a whole batch.
 func (s *Scan) NextBatch(b *Batch) error {
 	b.Reset()
 	for !b.Full() && s.pos < s.Table.Len() {
@@ -180,7 +164,7 @@ func (f *Filter) NextBatch(b *Batch) error {
 		if err := f.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(f.Child, b); err != nil {
+		if err := f.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := b.Len()
@@ -209,7 +193,7 @@ func (p *Project) NextBatch(b *Batch) error {
 	if p.scratch == nil || p.scratch.Cap() < b.Cap() {
 		p.scratch = NewBatch(b.Cap())
 	}
-	if err := NextBatchOf(p.Child, p.scratch); err != nil {
+	if err := p.Child.NextBatch(p.scratch); err != nil {
 		return err
 	}
 	b.Reset()
@@ -308,7 +292,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 			if j.bp.probe == nil {
 				j.bp.probe = NewBatch(b.Cap())
 			}
-			if err := NextBatchOf(j.Left, j.bp.probe); err != nil {
+			if err := j.Left.NextBatch(j.bp.probe); err != nil {
 				return err
 			}
 			pn := j.bp.probe.Len()
@@ -362,7 +346,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 			if j.bp.probe == nil {
 				j.bp.probe = NewBatch(b.Cap())
 			}
-			if err := NextBatchOf(j.Outer, j.bp.probe); err != nil {
+			if err := j.Outer.NextBatch(j.bp.probe); err != nil {
 				return err
 			}
 			pn := j.bp.probe.Len()
@@ -384,6 +368,53 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 	}
 }
 
+// NextBatch pairs successive rows of the left batch with every buffered
+// right row, carving joined rows into the output slab. CrossJoin never
+// splits (drivingScan), so nothing reads ordinal tags off its output.
+func (j *CrossJoin) NextBatch(b *Batch) error {
+	b.Reset()
+	width := len(j.schema)
+	for {
+		if err := j.gov.PollBatch(); err != nil {
+			return err
+		}
+		if j.curLeft != nil {
+			for j.curIdx < len(j.rightRows) {
+				if b.Full() {
+					j.stats.addOut(int64(b.Len()))
+					j.stats.incBatch()
+					return nil
+				}
+				out := j.bp.carve(width, b.Cap())
+				j.emit(out, j.curLeft, j.rightRows[j.curIdx])
+				j.curIdx++
+				b.Append(out)
+			}
+		}
+		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
+			if b.Len() > 0 {
+				j.stats.addOut(int64(b.Len()))
+				j.stats.incBatch()
+				return nil
+			}
+			if j.bp.probe == nil {
+				j.bp.probe = NewBatch(b.Cap())
+			}
+			if err := j.Left.NextBatch(j.bp.probe); err != nil {
+				return err
+			}
+			pn := j.bp.probe.Len()
+			if pn == 0 {
+				return nil
+			}
+			j.stats.addIn(int64(pn))
+			j.bp.idx = 0
+		}
+		j.curLeft, j.curIdx = j.bp.probe.Row(j.bp.idx), 0
+		j.bp.idx++
+	}
+}
+
 // NextBatch deduplicates whole child batches through the selection
 // vector, reserving buffered budget once per batch for the fresh rows
 // the seen-table retains.
@@ -392,7 +423,7 @@ func (d *Distinct) NextBatch(b *Batch) error {
 		if err := d.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(d.Child, b); err != nil {
+		if err := d.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := b.Len()
@@ -417,7 +448,7 @@ func (d *Distinct) NextBatch(b *Batch) error {
 		}
 		if fresh > 0 {
 			// One lump reservation per batch; a failed reservation still
-			// charges (drainBuffered convention).
+			// charges (drainBatches convention).
 			d.stats.addBuffered(fresh)
 			d.reserved += fresh
 			if err := d.gov.ReserveBuffered(fresh); err != nil {
@@ -438,7 +469,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 		b.Reset()
 		return nil
 	}
-	if err := NextBatchOf(l.Child, b); err != nil {
+	if err := l.Child.NextBatch(b); err != nil {
 		return err
 	}
 	n := b.Len()
@@ -502,7 +533,7 @@ func (g *Gather) NextBatch(b *Batch) error {
 		return err
 	}
 	if g.serial {
-		if err := NextBatchOf(g.Child, b); err != nil {
+		if err := g.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := int64(b.Len())

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"conquer/internal/qerr"
-	"conquer/internal/value"
 )
 
 // Limits is the execution budget of one query (or of one clean-answer
@@ -116,7 +115,9 @@ func (g *Governor) Context() context.Context {
 
 // Poll is the per-row cancellation check: amortized over the poll
 // interval, it returns a qerr taxonomy error once the context
-// terminates. Operators call it at the top of every Next-style loop.
+// terminates. Loops that walk materialized rows one at a time (sort-key
+// evaluation, group emission, the merges after a worker barrier) call it
+// per iteration.
 func (g *Governor) Poll() error {
 	if g == nil || g.ctx == nil {
 		return nil
@@ -124,11 +125,11 @@ func (g *Governor) Poll() error {
 	return g.tick.Poll(g.ctx)
 }
 
-// PollLeaf is the per-row cancellation check of batch-mode leaf fill
-// loops. It advances the shared ticker twice per call: a batch leaf is
-// the only per-row poller of its pipeline, while a row-mode pipeline
-// polls at least twice per row (driver loop + leaf), so a single
-// advance would double the worst-case cancellation latency in rows.
+// PollLeaf is the per-row cancellation check of the leaf fill loops
+// (Scan, MorselScan): the only per-row poll of a pipeline. It advances
+// the ticker twice per call, so a leaf checks the context every 128
+// scanned rows (half of qerr's poll interval). Where a cancellation or
+// an injected context fault lands in a scan depends on that cadence.
 func (g *Governor) PollLeaf() error {
 	if err := g.Poll(); err != nil {
 		return err
@@ -139,8 +140,7 @@ func (g *Governor) PollLeaf() error {
 // PollBatch is the per-batch cancellation check: unlike Poll it checks
 // the context on every call. A batch already amortizes hundreds of rows,
 // so routing batch loops through the ticker would stretch cancellation
-// latency to pollInterval batches; one direct check per batch is both
-// cheaper than row-mode polling and tighter-latency than the ticker.
+// latency to pollInterval batches.
 func (g *Governor) PollBatch() error {
 	if g == nil || g.ctx == nil {
 		return nil
@@ -196,21 +196,8 @@ func (g *Governor) BufferedPeak() int64 {
 	return g.shared.peak.Load()
 }
 
-// CountOutput charges one result row against the output budget.
-func (g *Governor) CountOutput() error {
-	if g == nil || g.shared == nil {
-		return nil
-	}
-	output := g.shared.output.Add(1)
-	if g.limits.MaxOutputRows > 0 && output > g.limits.MaxOutputRows {
-		return fmt.Errorf("exec: output rows exceed budget %d: %w",
-			g.limits.MaxOutputRows, qerr.ErrBudgetExceeded)
-	}
-	return nil
-}
-
 // CountOutputN charges n result rows against the output budget in one
-// atomic add — the per-batch twin of CountOutput.
+// atomic add, once per root batch.
 func (g *Governor) CountOutputN(n int64) error {
 	if g == nil || g.shared == nil {
 		return nil
@@ -307,37 +294,6 @@ type govHolder struct {
 
 func (h *govHolder) setGovernor(g *Governor) { h.gov = g }
 
-// drainBuffered materializes op's rows while polling g and charging each
-// row against the buffered budget; s (the draining operator's stats,
-// nil-safe) counts the rows pulled and buffered. It always returns how
-// many rows were reserved (even on error) so the caller can release them
-// on Close.
-func drainBuffered(op Operator, g *Governor, s *OpStats) (rows [][]value.Value, reserved int64, err error) {
-	if err := op.Open(); err != nil {
-		return nil, 0, err
-	}
-	defer op.Close()
-	for {
-		if err := g.Poll(); err != nil {
-			return nil, reserved, err
-		}
-		row, err := op.Next()
-		if err != nil {
-			return nil, reserved, err
-		}
-		if row == nil {
-			return rows, reserved, nil
-		}
-		s.addIn(1)
-		s.addBuffered(1)
-		if err := g.ReserveBuffered(1); err != nil {
-			return nil, reserved + 1, err
-		}
-		reserved++
-		rows = append(rows, row)
-	}
-}
-
 // Attach installs g on every operator of the tree rooted at op. Plans
 // are built ungoverned; the engine attaches the governor of the current
 // query just before execution.
@@ -347,31 +303,5 @@ func Attach(op Operator, g *Governor) {
 	}
 	for _, c := range children(op) {
 		Attach(c, g)
-	}
-}
-
-// CollectGoverned drains op like Collect while polling g and charging
-// each produced row against the output budget.
-func CollectGoverned(op Operator, g *Governor) ([][]value.Value, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows [][]value.Value
-	for {
-		if err := g.Poll(); err != nil {
-			return nil, err
-		}
-		row, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return rows, nil
-		}
-		if err := g.CountOutput(); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
 	}
 }

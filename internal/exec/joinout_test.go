@@ -10,8 +10,8 @@ import (
 	"conquer/internal/value"
 )
 
-// taggedRow is one join output row with the ordinal tag the batch path
-// attached to it.
+// taggedRow is one join output row with the ordinal tag its batch
+// carried for it.
 type taggedRow struct {
 	row []value.Value
 	ord rowOrd
@@ -19,7 +19,7 @@ type taggedRow struct {
 
 // drainTagged pulls op to exhaustion through NextBatch, keeping every
 // row's ordinal tag.
-func drainTagged(t *testing.T, op BatchOperator, batch int) []taggedRow {
+func drainTagged(t *testing.T, op Operator, batch int) []taggedRow {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func drainParts(t *testing.T, parts []Operator, batch int) [][]taggedRow {
 	for live := len(parts); live > 0; {
 		live = 0
 		for i, p := range parts {
-			if err := NextBatchOf(p, b); err != nil {
+			if err := p.NextBatch(b); err != nil {
 				t.Fatal(err)
 			}
 			if b.Len() > 0 {
@@ -110,10 +110,26 @@ func randomOutputList(rng *rand.Rand, width int) []int {
 	return cols
 }
 
+// nestedLoop is the reference the identity joins are held to: every pair
+// (l, r) with keep(l, r), left-major, each side in table order.
+func nestedLoop(left, right *storage.Table, keep func(l, r []value.Value) bool) [][]value.Value {
+	var out [][]value.Value
+	for _, l := range left.Rows() {
+		for _, r := range right.Rows() {
+			if keep(l, r) {
+				out = append(out, append(append([]value.Value{}, l...), r...))
+			}
+		}
+	}
+	return out
+}
+
 // A join with output list L equals the identity join followed by a
 // projection onto L — same rows, same order, same ordinal tags — for all
-// three joins, in row mode, in batch mode, and for the probe-shard clones
-// splitPipeline makes.
+// three joins, at the default batch size, at one that cuts the fan-out of
+// a probe row, and for the probe-shard clones splitPipeline makes
+// (CrossJoin does not split). The identity join itself is held to the
+// nested loop over its inputs.
 func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 	fact, dim := parTables(t, 700)
 	if err := dim.CreateIndex("k"); err != nil {
@@ -123,11 +139,13 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		small.MustInsert(dim.Row(i)...)
 	}
+	sameKey := func(l, r []value.Value) bool { return value.Equal(l[1], r[0]) }
 	joins := []struct {
 		name string
+		ref  [][]value.Value
 		mk   func() (Operator, func([]int) error)
 	}{
-		{"HashJoin", func() (Operator, func([]int) error) {
+		{"HashJoin", nestedLoop(fact, dim, sameKey), func() (Operator, func([]int) error) {
 			j, err := NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
 				exprs(colRef("f", "k")), exprs(colRef("d", "k")))
 			if err != nil {
@@ -135,14 +153,14 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 			}
 			return j, j.Narrow
 		}},
-		{"IndexJoin", func() (Operator, func([]int) error) {
+		{"IndexJoin", nestedLoop(fact, dim, sameKey), func() (Operator, func([]int) error) {
 			j, err := NewIndexJoin(NewScan(fact, "f"), dim, "d", colRef("f", "k"), "k")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return j, j.Narrow
 		}},
-		{"CrossJoin", func() (Operator, func([]int) error) {
+		{"CrossJoin", nestedLoop(fact, small, func(l, r []value.Value) bool { return true }), func() (Operator, func([]int) error) {
 			j := NewCrossJoin(NewScan(fact, "f"), NewScan(small, "d"))
 			return j, j.Narrow
 		}},
@@ -153,11 +171,10 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 		identity, _ := jc.mk()
 		width := len(identity.Schema())
 		wantRows := mustCollect(t, identity)
-		var wantTagged []taggedRow
+		requireSameRows(t, jc.ref, wantRows)
+		wantTagged := drainTagged(t, identity, batch)
 		var wantParts [][]taggedRow
-		if bo, ok := identity.(BatchOperator); ok {
-			wantTagged = drainTagged(t, bo, batch)
-			id, _ := jc.mk()
+		if id, _ := jc.mk(); CanSplit(id) {
 			parts, _, ok := splitPipeline(id, 3, 100)
 			if !ok {
 				t.Fatalf("%s: pipeline did not split", jc.name)
@@ -182,20 +199,20 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 				}
 				return j
 			}
-			// Row mode: no tags to compare, rows and order only.
+			// Through Collect at the default batch size: rows and order only.
 			got := mustCollect(t, narrowed())
 			if len(got) != len(wantRows) {
-				t.Fatalf("%s row mode: %d rows, want %d", label, len(got), len(wantRows))
+				t.Fatalf("%s: %d rows, want %d", label, len(got), len(wantRows))
 			}
 			for i := range got {
 				if got[i] == nil || !value.RowsIdentical(got[i], projectOnto(wantRows[i], cols)) {
-					t.Fatalf("%s row mode: row %d = %v", label, i, got[i])
+					t.Fatalf("%s: row %d = %v", label, i, got[i])
 				}
 			}
-			if wantTagged == nil {
-				continue // CrossJoin has no native batch path and does not split
+			requireProjection(t, fmt.Sprintf("%s batch=%d", label, batch), wantTagged, drainTagged(t, narrowed(), batch), cols)
+			if wantParts == nil {
+				continue // CrossJoin does not split
 			}
-			requireProjection(t, label+" batch mode", wantTagged, drainTagged(t, narrowed().(BatchOperator), batch), cols)
 			parts, _, ok := splitPipeline(narrowed(), 3, 100)
 			if !ok {
 				t.Fatalf("%s: pipeline did not split", label)
@@ -238,9 +255,10 @@ func TestJoinNarrowValidation(t *testing.T) {
 	}
 }
 
-// A join nothing above reads from emits zero-width rows; they must be
-// non-nil in every path, since a nil row means exhausted.
-func TestJoinZeroWidthRowsAreNotExhaustion(t *testing.T) {
+// A join nothing above reads from emits zero-width rows; each is still a
+// row: COUNT(*) counts it and the root collects it, at the default batch
+// size and at one that cuts the six rows into three batches.
+func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 	ord, cust := testTables(t)
 	for _, batch := range []int{0, 2} {
 		j, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
@@ -261,14 +279,16 @@ func TestJoinZeroWidthRowsAreNotExhaustion(t *testing.T) {
 		if len(rows) != 1 || rows[0][0].AsInt() != 6 {
 			t.Errorf("batch=%d: count over zero-width join = %v, want 6", batch, rows)
 		}
-		// Through the row→batch adapter too.
+		// Collected at the root too, not only counted by an aggregate.
 		j2, _ := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
 			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
 		if err := j2.Narrow([]int{}); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(mustCollect(t, j2)); got != 6 {
-			t.Errorf("row path emitted %d zero-width rows, want 6", got)
+		SetBatchSize(j2, batch)
+		rows, _, err = CollectBatchesGoverned(j2, nil, batch)
+		if err != nil || len(rows) != 6 {
+			t.Errorf("batch=%d: root collected %d zero-width rows (%v), want 6", batch, len(rows), err)
 		}
 	}
 }

@@ -118,19 +118,15 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[
 	return map[string]Operator{"gather": g, "join-build": j, "aggregate": a}
 }
 
-// runGoverned executes op instrumented and governed, in batch or row mode.
-func runGoverned(t *testing.T, op Operator, batch bool) (rows [][]value.Value, peak int64) {
+// runGoverned executes op instrumented and governed at batch rows per
+// batch (0 = DefaultBatchSize).
+func runGoverned(t *testing.T, op Operator, batch int) (rows [][]value.Value, peak int64) {
 	t.Helper()
 	Instrument(op)
 	gov := NewGovernor(context.Background(), Limits{})
 	Attach(op, gov)
-	var err error
-	if batch {
-		SetBatchSize(op, DefaultBatchSize)
-		rows, _, err = CollectBatchesGoverned(op, gov, DefaultBatchSize)
-	} else {
-		rows, err = CollectGoverned(op, gov)
-	}
+	SetBatchSize(op, batch)
+	rows, _, err := CollectBatchesGoverned(op, gov, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +141,7 @@ func runGoverned(t *testing.T, op Operator, batch bool) (rows [][]value.Value, p
 // path.
 func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 	const rows = 200 // well under DefaultMorselSize
-	for _, batch := range []bool{false, true} {
+	for _, batch := range []int{0, 2} {
 		for name := range oneMorselPlans(t, dirtyFact(t, rows), 1, 1, 0) {
 			tb, spy := spiedFact(t, rows)
 			base := oneMorselPlans(t, tb, 1, 1, 0)[name]
@@ -155,7 +151,7 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 				t.Fatalf("%s: empty baseline", name)
 			}
 			for _, shards := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s batch=%v shards=%d", name, batch, shards)
+				label := fmt.Sprintf("%s batch=%d shards=%d", name, batch, shards)
 
 				spy.ids = make(map[uint64]bool)
 				op := oneMorselPlans(t, tb, shards, 8, 0)[name]
@@ -225,10 +221,10 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 		j.Parallelism = n
 		return NewGather(j, n)
 	}
-	want, _ := runGoverned(t, build(1, 1), true)
+	want, _ := runGoverned(t, build(1, 1), 0)
 	spy.ids = make(map[uint64]bool)
 	g := build(4, 4)
-	got, _ := runGoverned(t, g, true)
+	got, _ := runGoverned(t, g, 0)
 	requireSameRows(t, want, got)
 	if spy.onlyCaller() {
 		t.Error("a 200-row sharded driving table over a 3000-row build side should run on workers")
@@ -243,7 +239,7 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 func TestOneMorselRuleFollowsTableSize(t *testing.T) {
 	tb, spy := spiedFact(t, 50)
 	g := oneMorselPlans(t, tb, 1, 4, 64)["gather"].(*Gather)
-	first, _ := runGoverned(t, g, true)
+	first, _ := runGoverned(t, g, 0)
 	if !spy.onlyCaller() {
 		t.Fatal("50 rows under morsel size 64 should open serially")
 	}
@@ -253,7 +249,7 @@ func TestOneMorselRuleFollowsTableSize(t *testing.T) {
 		}
 	}
 	spy.ids = make(map[uint64]bool)
-	second, _ := runGoverned(t, g, true)
+	second, _ := runGoverned(t, g, 0)
 	if spy.onlyCaller() {
 		t.Error("150 rows under morsel size 64 should run on workers")
 	}

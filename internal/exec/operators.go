@@ -56,23 +56,6 @@ func (s *Scan) Open() error {
 	return nil
 }
 
-// Next returns the next stored row.
-func (s *Scan) Next() ([]value.Value, error) {
-	if err := s.gov.Poll(); err != nil {
-		return nil, err
-	}
-	if s.pos >= s.Table.Len() {
-		return nil, nil
-	}
-	if err := s.Table.ScanFault(); err != nil {
-		return nil, fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
-	}
-	row := s.Table.Row(s.pos)
-	s.pos++
-	s.stats.incOut()
-	return row, nil
-}
-
 func (s *Scan) Close() error { s.stats.markDone(); return nil }
 
 // Describe implements Operator.
@@ -107,28 +90,6 @@ func (f *Filter) Schema() RowSchema { return f.Child.Schema() }
 func (f *Filter) Open() error       { f.stats.markOpen(); return f.Child.Open() }
 func (f *Filter) Close() error      { f.stats.markDone(); return f.Child.Close() }
 
-// Next returns the next child row passing the predicate.
-func (f *Filter) Next() ([]value.Value, error) {
-	for {
-		if err := f.gov.Poll(); err != nil {
-			return nil, err
-		}
-		row, err := f.Child.Next()
-		if err != nil || row == nil {
-			return row, err
-		}
-		f.stats.addIn(1)
-		ok, err := f.test(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			f.stats.incOut()
-			return row, nil
-		}
-	}
-}
-
 // Describe implements Operator.
 func (f *Filter) Describe() string { return "Filter(" + f.Pred.SQL() + ")" }
 
@@ -141,8 +102,8 @@ type Project struct {
 	schema RowSchema
 	evals  []Evaluator
 	// passthrough[i] is the child column position when output i is a
-	// plain column reference (-1 otherwise); the batch path copies those
-	// values directly instead of calling the evaluator.
+	// plain column reference (-1 otherwise); NextBatch copies those values
+	// directly instead of calling the evaluator.
 	passthrough []int
 	scratch     *Batch // child-side batch, reused across NextBatch calls
 }
@@ -182,25 +143,6 @@ func (p *Project) Open() error       { p.stats.markOpen(); return p.Child.Open()
 // tree — one parked in the plan cache, say — holds its plan and nothing of
 // its last run.
 func (p *Project) Close() error { p.stats.markDone(); p.scratch = nil; return p.Child.Close() }
-
-// Next computes the projection of the next child row.
-func (p *Project) Next() ([]value.Value, error) {
-	row, err := p.Child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	p.stats.addIn(1)
-	out := make([]value.Value, len(p.evals))
-	for i, ev := range p.evals { //lint:allow ctxpoll -- bounded by the projection width, not data size
-		v, err := ev(row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	p.stats.incOut()
-	return out, nil
-}
 
 // Describe implements Operator.
 func (p *Project) Describe() string {
@@ -298,14 +240,13 @@ type HashJoin struct {
 	lk, rk  []Evaluator
 	build   *joinBuild
 	shard   bool          // probe shard sharing a split-time build
-	keyBuf  []value.Value // probe key scratch, reused per left row
 	cur     []buildEntry  // hash bucket pending for current left row
-	curKeys []value.Value // probe keys of the pending bucket (aliases keyBuf)
+	curKeys []value.Value // probe keys of the pending bucket
 	curLeft []value.Value
 	curIdx  int
 
-	// Batch-path probe state: the pending probe batch with its
-	// pre-computed key hashes (probeKeys[i] == nil marks a NULL key).
+	// The pending probe batch with its pre-computed key hashes
+	// (probeKeys[i] == nil marks a NULL key).
 	bp        batchProbe
 	probeHash []uint64
 	probeKeys [][]value.Value
@@ -348,21 +289,17 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	if !j.shard {
-		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.MorselSize, j.batch, j.stats)
+		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.MorselSize, j.batchCap(), j.stats)
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe shard reopened after close: %w", qerr.ErrInternal)
 	}
 	j.cur, j.curKeys, j.curLeft, j.curIdx = nil, nil, nil, 0
 	j.bp.reset()
-	if j.keyBuf == nil {
-		j.keyBuf = make([]value.Value, len(j.lk))
-	}
 	return j.build.run(j.gov)
 }
 
-// evalKeysInto evaluates the key expressions into buf (reused across
-// rows on the probe hot path); null reports a NULL key, which never
-// joins.
+// evalKeysInto evaluates the key expressions into buf (carved from a
+// slab, one per batch); null reports a NULL key, which never joins.
 func evalKeysInto(evs []Evaluator, row, buf []value.Value) (keys []value.Value, null bool, err error) {
 	for i, ev := range evs {
 		v, err := ev(row)
@@ -375,50 +312,6 @@ func evalKeysInto(evs []Evaluator, row, buf []value.Value) (keys []value.Value, 
 		buf[i] = v
 	}
 	return buf, false, nil
-}
-
-func evalKeys(evs []Evaluator, row []value.Value) ([]value.Value, bool, error) {
-	return evalKeysInto(evs, row, make([]value.Value, len(evs)))
-}
-
-// Next produces the next joined row. The pending bucket is filtered
-// lazily against curKeys, so a probe allocates nothing beyond the output
-// rows themselves.
-func (j *HashJoin) Next() ([]value.Value, error) {
-	for {
-		if err := j.gov.Poll(); err != nil {
-			return nil, err
-		}
-		for j.curIdx < len(j.cur) {
-			e := j.cur[j.curIdx]
-			j.curIdx++
-			if !keysEqual(e.keys, j.curKeys) {
-				continue
-			}
-			out := make([]value.Value, len(j.schema))
-			j.emit(out, j.curLeft, e.row)
-			j.stats.incOut()
-			return out, nil
-		}
-		left, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if left == nil {
-			return nil, nil
-		}
-		j.stats.addIn(1)
-		keys, null, err := evalKeysInto(j.lk, left, j.keyBuf)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue
-		}
-		// keys aliases keyBuf, which stays untouched until this bucket is
-		// exhausted and the next left row is probed.
-		j.cur, j.curKeys, j.curLeft, j.curIdx = j.build.lookup(value.HashRow(keys)), keys, left, 0
-	}
 }
 
 func keysEqual(a, b []value.Value) bool {
@@ -475,7 +368,7 @@ type IndexJoin struct {
 	cur    []int
 	curOut []value.Value
 	curIdx int
-	bp     batchProbe // batch-path probe state
+	bp     batchProbe
 }
 
 // NewIndexJoin builds the join; it fails if the inner table lacks an index
@@ -506,36 +399,6 @@ func (j *IndexJoin) Open() error {
 	return j.Outer.Open()
 }
 
-// Next probes the index with successive outer rows.
-func (j *IndexJoin) Next() ([]value.Value, error) {
-	for {
-		if err := j.gov.Poll(); err != nil {
-			return nil, err
-		}
-		for j.curIdx < len(j.cur) {
-			inner := j.InnerTable.Row(j.cur[j.curIdx])
-			j.curIdx++
-			out := make([]value.Value, len(j.schema))
-			j.emit(out, j.curOut, inner)
-			j.stats.incOut()
-			return out, nil
-		}
-		outer, err := j.Outer.Next()
-		if err != nil {
-			return nil, err
-		}
-		if outer == nil {
-			return nil, nil
-		}
-		j.stats.addIn(1)
-		k, err := j.ok(outer)
-		if err != nil {
-			return nil, err
-		}
-		j.cur, j.curOut, j.curIdx = j.index.Lookup(k), outer, 0
-	}
-}
-
 func (j *IndexJoin) Close() error {
 	j.stats.markDone()
 	j.cur, j.curOut = nil, nil
@@ -561,6 +424,7 @@ type CrossJoin struct {
 	reserved  int64
 	curLeft   []value.Value
 	curIdx    int
+	bp        batchProbe
 }
 
 // NewCrossJoin pairs every left row with every right row.
@@ -574,51 +438,21 @@ func (j *CrossJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	var rows [][]value.Value
-	var reserved int64
-	var err error
-	if j.rowMode() {
-		rows, reserved, err = drainBuffered(j.Right, j.gov, j.stats)
-	} else {
-		rows, reserved, err = drainBatches(j.Right, j.gov, j.stats, j.batchCap())
-	}
+	rows, reserved, err := drainBatches(j.Right, j.gov, j.stats, j.batchCap())
 	j.reserved = reserved
 	if err != nil {
 		return err
 	}
 	j.rightRows = rows
 	j.curLeft, j.curIdx = nil, 0
+	j.bp.reset()
 	return nil
-}
-
-// Next emits the product pairs.
-func (j *CrossJoin) Next() ([]value.Value, error) {
-	for {
-		if err := j.gov.Poll(); err != nil {
-			return nil, err
-		}
-		if j.curLeft != nil && j.curIdx < len(j.rightRows) {
-			out := make([]value.Value, len(j.schema))
-			j.emit(out, j.curLeft, j.rightRows[j.curIdx])
-			j.curIdx++
-			j.stats.incOut()
-			return out, nil
-		}
-		left, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if left == nil {
-			return nil, nil
-		}
-		j.stats.addIn(1)
-		j.curLeft, j.curIdx = left, 0
-	}
 }
 
 func (j *CrossJoin) Close() error {
 	j.stats.markDone()
-	j.rightRows = nil
+	j.rightRows, j.curLeft = nil, nil
+	j.bp.reset() // see HashJoin.Close
 	j.gov.ReleaseBuffered(j.reserved)
 	j.reserved = 0
 	return j.Left.Close()
@@ -817,8 +651,7 @@ func (a *HashAggregate) newState(acc *aggAcc, gv []value.Value, ord rowOrd) *agg
 
 // accumulate folds one child row into acc. New groups are only counted
 // as pending here; the caller charges them against the buffered budget
-// with flushReserve — once per row in row mode, once per batch in batch
-// mode.
+// with flushReserve, once per batch.
 func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) error {
 	gv := acc.scratch
 	for i, ev := range a.groupEvs {
@@ -887,7 +720,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 // flushReserve charges the groups accumulate created since the last
 // flush against gov's buffered budget (gov is the caller's governor — a
 // worker fork during parallel aggregation). A failed reservation still
-// charges (drainBuffered convention): pending moves into reserved before
+// charges (drainBatches convention): pending moves into reserved before
 // the error returns, so Close releases exactly what was reserved.
 func (a *HashAggregate) flushReserve(acc *aggAcc, gov *Governor) error {
 	n := acc.pending
@@ -978,39 +811,16 @@ func (a *HashAggregate) Open() error {
 	return a.emit(acc.order)
 }
 
-// drainSerial folds the whole child input into acc: row-at-a-time with a
-// reservation flush per row, or batch-at-a-time with one poll and one
-// flush per batch.
+// drainSerial folds the whole child input into acc, with one poll and one
+// reservation flush per batch.
 func (a *HashAggregate) drainSerial(acc *aggAcc) error {
 	var ord int64
-	if a.rowMode() {
-		for {
-			if err := a.gov.Poll(); err != nil {
-				return err
-			}
-			row, err := a.Child.Next()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return nil
-			}
-			a.stats.addIn(1)
-			if err := a.accumulate(acc, row, rowOrd{base: ord}); err != nil {
-				return err
-			}
-			if err := a.flushReserve(acc, a.gov); err != nil {
-				return err
-			}
-			ord++
-		}
-	}
 	bb := NewBatch(a.batchCap())
 	for {
 		if err := a.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(a.Child, bb); err != nil {
+		if err := a.Child.NextBatch(bb); err != nil {
 			return err
 		}
 		n := bb.Len()
@@ -1059,17 +869,6 @@ func finishAgg(f AggFunc, st *aggState, i int) value.Value {
 		return st.max[i]
 	}
 	return value.Null()
-}
-
-// Next returns the next group row.
-func (a *HashAggregate) Next() ([]value.Value, error) {
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	row := a.out[a.pos]
-	a.pos++
-	a.stats.incOut()
-	return row, nil
 }
 
 func (a *HashAggregate) Close() error {
@@ -1150,14 +949,7 @@ func (s *Sort) Schema() RowSchema { return s.Child.Schema() }
 // Open drains and sorts the child.
 func (s *Sort) Open() error {
 	s.stats.markOpen()
-	var rows [][]value.Value
-	var reserved int64
-	var err error
-	if s.rowMode() {
-		rows, reserved, err = drainBuffered(s.Child, s.gov, s.stats)
-	} else {
-		rows, reserved, err = drainBatches(s.Child, s.gov, s.stats, s.batchCap())
-	}
+	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats, s.batchCap())
 	s.reserved = reserved
 	if err != nil {
 		return err
@@ -1210,17 +1002,6 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// Next returns rows in sorted order.
-func (s *Sort) Next() ([]value.Value, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	s.stats.incOut()
-	return row, nil
-}
-
 func (s *Sort) Close() error {
 	s.stats.markDone()
 	s.rows = nil
@@ -1267,39 +1048,6 @@ func (d *Distinct) Open() error {
 	return d.Child.Open()
 }
 
-// Next returns the next previously unseen row.
-func (d *Distinct) Next() ([]value.Value, error) {
-	for {
-		if err := d.gov.Poll(); err != nil {
-			return nil, err
-		}
-		row, err := d.Child.Next()
-		if err != nil || row == nil {
-			return row, err
-		}
-		d.stats.addIn(1)
-		h := value.HashRow(row)
-		dup := false
-		for _, prev := range d.seen[h] {
-			if value.RowsIdentical(prev, row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		d.stats.addBuffered(1)
-		if err := d.gov.ReserveBuffered(1); err != nil {
-			return nil, err
-		}
-		d.reserved++
-		d.seen[h] = append(d.seen[h], row)
-		d.stats.incOut()
-		return row, nil
-	}
-}
-
 func (d *Distinct) Close() error {
 	d.stats.markDone()
 	d.seen = nil
@@ -1327,21 +1075,6 @@ func (l *Limit) Schema() RowSchema { return l.Child.Schema() }
 
 // Open resets the counter.
 func (l *Limit) Open() error { l.stats.markOpen(); l.emitted = 0; return l.Child.Open() }
-
-// Next stops after N rows.
-func (l *Limit) Next() ([]value.Value, error) {
-	if l.emitted >= l.N {
-		return nil, nil
-	}
-	row, err := l.Child.Next()
-	if err != nil || row == nil {
-		return row, err
-	}
-	l.stats.addIn(1)
-	l.emitted++
-	l.stats.incOut()
-	return row, nil
-}
 
 func (l *Limit) Close() error { l.stats.markDone(); return l.Child.Close() }
 

@@ -108,16 +108,14 @@ func (o rowOrd) less(p rowOrd) bool {
 }
 
 // leafTracker is implemented by the leaf of a partial pipeline; it
-// reports which morsel (and which base-table ordinal) produced the row
-// most recently returned by the pipeline, letting consumers restore
-// global order and derive stable per-row ordinals, and how many morsels
+// reports which morsel produced the batch most recently returned by the
+// pipeline, letting Gather restore global order, and how many morsels
 // this leaf has claimed in total (the per-worker share EXPLAIN ANALYZE
 // reports). shardInfo exposes the shared shard group (nil when the leaf
 // scans an unsharded table) and the worker's home shard, so consumers
 // can attribute buffered-row reservations per shard.
 type leafTracker interface {
 	currentMorsel() int
-	currentOrdinal() int64
 	claimedMorsels() int
 	shardInfo() (*shardGroup, int)
 }
@@ -187,46 +185,10 @@ func (s *MorselScan) claim() (m, lo, hi int, ok bool) {
 	return s.group.morselBase[nsrc] + m, lo, hi, true
 }
 
-// Next returns the next row of the current morsel, claiming a new morsel
-// when it runs dry.
-func (s *MorselScan) Next() ([]value.Value, error) {
-	for {
-		if err := s.gov.Poll(); err != nil {
-			return nil, err
-		}
-		if s.pos < s.end {
-			if err := s.Table.ScanFault(); err != nil {
-				return nil, fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
-			}
-			row := s.Table.Row(s.pos)
-			s.pos++
-			s.stats.incOut()
-			return row, nil
-		}
-		m, lo, hi, ok := s.claim()
-		if !ok {
-			return nil, nil
-		}
-		s.claims++
-		s.stats.incBatch()
-		s.morsel, s.pos, s.end = m, lo, hi
-	}
-}
-
 func (s *MorselScan) Close() error { s.stats.markDone(); return nil }
 
 func (s *MorselScan) currentMorsel() int  { return s.morsel }
 func (s *MorselScan) claimedMorsels() int { return s.claims }
-
-// currentOrdinal returns the base-table ordinal of the most recently
-// returned row: the scan position itself when unsharded, the shard's
-// ordinal map otherwise.
-func (s *MorselScan) currentOrdinal() int64 {
-	if s.ords != nil {
-		return s.ords[s.pos-1]
-	}
-	return int64(s.pos - 1)
-}
 
 func (s *MorselScan) shardInfo() (*shardGroup, int) { return s.group, s.home }
 
@@ -356,7 +318,7 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, b
 		if !ok {
 			return nil, nil, false
 		}
-		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), morselSize, op.batch, op.stats)
+		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), morselSize, op.batchCap(), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			// Right stays nil on shards: the shared build owns the right
@@ -526,70 +488,35 @@ func (g *Gather) openParallel(parts []Operator, leaves []leafTracker) error {
 		if err := part.Open(); err != nil {
 			return err
 		}
+		// A pipeline batch never spans a morsel, so the whole batch belongs
+		// to the leaf's current morsel.
 		var out []gatherBatch
 		cur := -1
-		if !g.rowMode() {
-			// Batch mode: a pipeline batch never spans a morsel, so the
-			// whole batch belongs to the leaf's current morsel, and the
-			// pipeline's own ordinal tags replace the consumer-side
-			// run-length derivation.
-			bb := NewBatch(g.batchCap())
-			for {
-				if err := gov.PollBatch(); err != nil {
-					return err
-				}
-				if err := NextBatchOf(part, bb); err != nil {
-					return err
-				}
-				n := bb.Len()
-				if n == 0 {
-					break
-				}
-				g.stats.addIn(int64(n))
-				if m := leaf.currentMorsel(); m != cur {
-					out = append(out, gatherBatch{morsel: m})
-					cur = m
-					g.stats.incBatch()
-				}
-				b := &out[len(out)-1]
-				for i := 0; i < n; i++ {
-					if g.sharded {
-						b.ords = append(b.ords, bb.Ord(i))
-					}
-					b.rows = append(b.rows, bb.Row(i))
-				}
-			}
-			perWorker[w] = out
-			return nil
-		}
-		lastBase, seq := int64(-1), int64(0)
+		bb := NewBatch(g.batchCap())
 		for {
-			if err := gov.Poll(); err != nil {
+			if err := gov.PollBatch(); err != nil {
 				return err
 			}
-			row, err := part.Next()
-			if err != nil {
+			if err := part.NextBatch(bb); err != nil {
 				return err
 			}
-			if row == nil {
+			n := bb.Len()
+			if n == 0 {
 				break
 			}
-			g.stats.addIn(1)
+			g.stats.addIn(int64(n))
 			if m := leaf.currentMorsel(); m != cur {
 				out = append(out, gatherBatch{morsel: m})
 				cur = m
 				g.stats.incBatch()
 			}
 			b := &out[len(out)-1]
-			if g.sharded {
-				if base := leaf.currentOrdinal(); base == lastBase {
-					seq++
-				} else {
-					lastBase, seq = base, 0
+			for i := 0; i < n; i++ {
+				if g.sharded {
+					b.ords = append(b.ords, bb.Ord(i))
 				}
-				b.ords = append(b.ords, rowOrd{base: lastBase, seq: seq})
+				b.rows = append(b.rows, bb.Row(i))
 			}
-			b.rows = append(b.rows, row)
 		}
 		perWorker[w] = out
 		return nil
@@ -651,26 +578,6 @@ func (g *Gather) mergeSharded(batches []gatherBatch, total int) error {
 	return nil
 }
 
-// Next emits the reassembled rows (or streams from the child in serial
-// fallback mode).
-func (g *Gather) Next() ([]value.Value, error) {
-	if g.serial {
-		row, err := g.Child.Next()
-		if row != nil {
-			g.stats.addIn(1)
-			g.stats.incOut()
-		}
-		return row, err
-	}
-	if g.pos >= len(g.rows) {
-		return nil, nil
-	}
-	row := g.rows[g.pos]
-	g.pos++
-	g.stats.incOut()
-	return row, nil
-}
-
 func (g *Gather) Close() error {
 	g.stats.markDone()
 	g.rows = nil
@@ -712,7 +619,7 @@ type joinBuild struct {
 	rk          []Evaluator
 	parallelism int
 	morselSize  int
-	batch       int      // rows per build batch (<= 0 builds row-at-a-time)
+	batch       int      // rows per build batch
 	stats       *OpStats // owning HashJoin's stats: right rows count as its input
 
 	once     onceErr
@@ -777,7 +684,7 @@ func (b *joinBuild) build(gov *Governor) error {
 }
 
 // chargeBuild reserves n build rows against the buffered budget; a
-// failed reservation still charges (drainBuffered convention).
+// failed reservation still charges (drainBatches convention).
 func (b *joinBuild) chargeBuild(gov *Governor, n int64) error {
 	if n == 0 {
 		return nil
@@ -787,7 +694,10 @@ func (b *joinBuild) chargeBuild(gov *Governor, n int64) error {
 	return gov.ReserveBuffered(n)
 }
 
-// buildSerial is the classic single-threaded build into one partition.
+// buildSerial is the classic single-threaded build into one partition: it
+// drains the right input with one poll and one lump reservation per batch.
+// Rows inserted before a mid-batch evaluation error were never reserved, so
+// the refcounted release stays balanced without a compensating charge.
 func (b *joinBuild) buildSerial(gov *Governor) error {
 	if err := b.right.Open(); err != nil {
 		return err
@@ -795,43 +705,6 @@ func (b *joinBuild) buildSerial(gov *Governor) error {
 	defer b.right.Close()
 	table := make(map[uint64][]buildEntry)
 	b.parts, b.mask = []map[uint64][]buildEntry{table}, 0
-	if b.batch > 0 {
-		return b.fillSerialBatch(gov, table)
-	}
-	for {
-		if err := gov.Poll(); err != nil {
-			return err
-		}
-		row, err := b.right.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		b.stats.addIn(1)
-		keys, null, err := evalKeys(b.rk, row)
-		if err != nil {
-			return err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		b.reserved.Add(1) // a failed reservation still charges (drainBuffered convention)
-		b.stats.addBuffered(1)
-		if err := gov.ReserveBuffered(1); err != nil {
-			return err
-		}
-		h := value.HashRow(keys)
-		table[h] = append(table[h], buildEntry{keys: keys, row: row})
-	}
-}
-
-// fillSerialBatch drains the right input batch-at-a-time with one poll
-// and one lump reservation per batch. Rows inserted before a mid-batch
-// evaluation error were never reserved, so the refcounted release stays
-// balanced without a compensating charge.
-func (b *joinBuild) fillSerialBatch(gov *Governor, table map[uint64][]buildEntry) error {
 	bb := NewBatch(b.batch)
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
@@ -839,7 +712,7 @@ func (b *joinBuild) fillSerialBatch(gov *Governor, table map[uint64][]buildEntry
 		if err := gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(b.right, bb); err != nil {
+		if err := b.right.NextBatch(bb); err != nil {
 			return err
 		}
 		n := bb.Len()
@@ -888,85 +761,40 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []leaf
 		}
 		local := make([][]taggedEntry, p)
 		var workerReserved int64
-		if b.batch > 0 {
-			// Batch mode: the pipeline's ordinal tags replace the
-			// consumer-side run-length derivation, and reservations
-			// charge once per batch.
-			bb := NewBatch(b.batch)
-			var keySlab valueSlab // retained keys carve per-slab, not per-row
-			nk := len(b.rk)
-			for {
-				if err := g.PollBatch(); err != nil {
-					return err
-				}
-				if err := NextBatchOf(part, bb); err != nil {
-					return err
-				}
-				n := bb.Len()
-				if n == 0 {
-					break
-				}
-				b.stats.addIn(int64(n))
-				var add int64
-				for k := 0; k < n; k++ {
-					row := bb.Row(k)
-					keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, b.batch))
-					if err != nil {
-						return err
-					}
-					if null {
-						continue // NULL keys never join
-					}
-					add++
-					h := value.HashRow(keys)
-					pi := h & mask
-					local[pi] = append(local[pi], taggedEntry{ord: bb.Ord(k), e: buildEntry{keys: keys, row: row}})
-				}
-				workerReserved += add
-				if err := b.chargeBuild(g, add); err != nil {
-					return err
-				}
-			}
-			if grp, home := leaf.shardInfo(); grp != nil {
-				grp.buffered[home].Add(workerReserved)
-			}
-			locals[i] = local
-			return nil
-		}
-		lastBase, seq := int64(-1), int64(0)
+		bb := NewBatch(b.batch)
+		var keySlab valueSlab // retained keys carve per-slab, not per-row
+		nk := len(b.rk)
 		for {
-			if err := g.Poll(); err != nil {
+			if err := g.PollBatch(); err != nil {
 				return err
 			}
-			row, err := part.Next()
-			if err != nil {
+			if err := part.NextBatch(bb); err != nil {
 				return err
 			}
-			if row == nil {
+			n := bb.Len()
+			if n == 0 {
 				break
 			}
-			b.stats.addIn(1)
-			if base := leaf.currentOrdinal(); base == lastBase {
-				seq++
-			} else {
-				lastBase, seq = base, 0
+			b.stats.addIn(int64(n))
+			var add int64
+			for k := 0; k < n; k++ {
+				row := bb.Row(k)
+				keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, b.batch))
+				if err != nil {
+					return err
+				}
+				if null {
+					continue // NULL keys never join
+				}
+				add++
+				h := value.HashRow(keys)
+				pi := h & mask
+				local[pi] = append(local[pi], taggedEntry{ord: bb.Ord(k), e: buildEntry{keys: keys, row: row}})
 			}
-			keys, null, err := evalKeys(b.rk, row)
-			if err != nil {
+			workerReserved += add
+			if err := b.chargeBuild(g, add); err != nil {
 				return err
 			}
-			if null {
-				continue // NULL keys never join
-			}
-			b.reserved.Add(1) // a failed reservation still charges (drainBuffered convention)
-			b.stats.addBuffered(1)
-			workerReserved++
-			if err := g.ReserveBuffered(1); err != nil {
-				return err
-			}
-			h := value.HashRow(keys)
-			pi := h & mask
-			local[pi] = append(local[pi], taggedEntry{ord: rowOrd{base: lastBase, seq: seq}, e: buildEntry{keys: keys, row: row}})
 		}
 		if grp, home := leaf.shardInfo(); grp != nil {
 			grp.buffered[home].Add(workerReserved)
@@ -1027,48 +855,16 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []leafTracker) err
 		}
 		acc := a.newAcc()
 		accs[w] = acc // pre-published so error paths can release acc.reserved
-		if !a.rowMode() {
-			// Batch mode: the pipeline's ordinal tags replace the
-			// consumer-side run-length derivation, and reservations
-			// flush once per batch.
-			bb := NewBatch(a.batchCap())
-			for {
-				if err := gov.PollBatch(); err != nil {
-					return err
-				}
-				if err := NextBatchOf(part, bb); err != nil {
-					return err
-				}
-				n := bb.Len()
-				if n == 0 {
-					// Shard attribution happens only on clean completion;
-					// a failed query's per-shard stats are never reported.
-					if grp, home := leaf.shardInfo(); grp != nil {
-						grp.buffered[home].Add(acc.reserved)
-					}
-					return nil
-				}
-				a.stats.addIn(int64(n))
-				for i := 0; i < n; i++ {
-					if err := a.accumulate(acc, bb.Row(i), bb.Ord(i)); err != nil {
-						return err
-					}
-				}
-				if err := a.flushReserve(acc, gov); err != nil {
-					return err
-				}
-			}
-		}
-		lastBase, seq := int64(-1), int64(0)
+		bb := NewBatch(a.batchCap())
 		for {
-			if err := gov.Poll(); err != nil {
+			if err := gov.PollBatch(); err != nil {
 				return err
 			}
-			row, err := part.Next()
-			if err != nil {
+			if err := part.NextBatch(bb); err != nil {
 				return err
 			}
-			if row == nil {
+			n := bb.Len()
+			if n == 0 {
 				// Shard attribution happens only on clean completion;
 				// a failed query's per-shard stats are never reported.
 				if grp, home := leaf.shardInfo(); grp != nil {
@@ -1076,14 +872,11 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []leafTracker) err
 				}
 				return nil
 			}
-			a.stats.addIn(1)
-			if base := leaf.currentOrdinal(); base == lastBase {
-				seq++
-			} else {
-				lastBase, seq = base, 0
-			}
-			if err := a.accumulate(acc, row, rowOrd{base: lastBase, seq: seq}); err != nil {
-				return err
+			a.stats.addIn(int64(n))
+			for i := 0; i < n; i++ {
+				if err := a.accumulate(acc, bb.Row(i), bb.Ord(i)); err != nil {
+					return err
+				}
 			}
 			if err := a.flushReserve(acc, gov); err != nil {
 				return err

@@ -223,29 +223,34 @@ func TestGatherWorkerError(t *testing.T) {
 	}
 }
 
-// TestGatherCancellation proves cancellation under Gather returns
-// qerr.ErrCanceled and leaks no worker goroutines.
+// TestGatherCancellation proves cancellation observed at a batch boundary
+// under Gather returns qerr.ErrCanceled and leaks no worker goroutines, at
+// the default batch size and at one that puts several batches in a morsel's
+// worth of rows.
 func TestGatherCancellation(t *testing.T) {
 	fact, dim := parTables(t, 5000)
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // workers observe cancellation on their first poll
-	g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
-	g.MorselSize = 64
-	gov := NewGovernor(ctx, Limits{})
-	Attach(g, gov)
-	_, err := CollectGoverned(g, gov)
-	if !errors.Is(err, qerr.ErrCanceled) {
-		t.Fatalf("want qerr.ErrCanceled, got %v", err)
-	}
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= before {
-			break
+	for _, size := range []int{0, 16} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // workers observe cancellation on their first PollBatch
+		g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
+		g.MorselSize = 64
+		gov := NewGovernor(ctx, Limits{})
+		Attach(g, gov)
+		SetBatchSize(g, size)
+		_, _, err := CollectBatchesGoverned(g, gov, size)
+		if !errors.Is(err, qerr.ErrCanceled) {
+			t.Fatalf("batch=%d: want qerr.ErrCanceled, got %v", size, err)
 		}
-		if i >= 100 {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+		for i := 0; ; i++ {
+			if runtime.NumGoroutine() <= before {
+				break
+			}
+			if i >= 100 {
+				t.Fatalf("batch=%d: goroutines leaked: before=%d after=%d", size, before, runtime.NumGoroutine())
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

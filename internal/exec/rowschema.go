@@ -70,44 +70,38 @@ func (rs RowSchema) Names() []string {
 	return out
 }
 
-// Operator is a pull-based physical operator. Usage:
+// Operator is a pull-based physical operator that moves rows a batch at
+// a time (DESIGN.md §15). Usage:
 //
 //	if err := op.Open(); err != nil { ... }
 //	defer op.Close()
+//	b := NewBatch(0)
 //	for {
-//		row, err := op.Next()
-//		if err != nil { ... }
-//		if row == nil { break } // exhausted
+//		if err := op.NextBatch(b); err != nil { ... }
+//		if b.Len() == 0 { break } // exhausted
+//		for i := 0; i < b.Len(); i++ { ... b.Row(i) ... }
 //	}
 //
-// Returned rows may be reused or retained by the caller; operators always
-// hand out rows they will not mutate afterwards.
+// NextBatch resets and refills b; an empty batch means the operator is
+// exhausted. Row slices handed out through a batch may be retained by the
+// caller — operators never mutate a row they have handed out — but the
+// Batch itself (its rows/sel backing arrays) is owned by the caller and
+// reused across calls, so consumers that buffer rows copy the row
+// *references* out before the next call and never retain the Batch.
 type Operator interface {
 	Schema() RowSchema
 	Open() error
-	Next() ([]value.Value, error)
+	NextBatch(b *Batch) error
 	Close() error
 	// Describe returns a one-line description for EXPLAIN output.
 	Describe() string
 }
 
-// Collect drains op into a slice of rows, handling Open/Close.
+// Collect drains op into a slice of rows, handling Open/Close: the
+// ungoverned root-level "give me the rows" helper.
 func Collect(op Operator) ([][]value.Value, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows [][]value.Value
-	for {
-		row, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
+	rows, _, err := CollectBatchesGoverned(op, nil, 0)
+	return rows, err
 }
 
 // Explain renders the operator tree, one operator per line, children

@@ -178,7 +178,7 @@ func TestShardedStatsSurface(t *testing.T) {
 	Instrument(g)
 	gov := NewGovernor(context.Background(), Limits{})
 	Attach(g, gov)
-	if _, err := CollectGoverned(g, gov); err != nil {
+	if _, _, err := CollectBatchesGoverned(g, gov, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats := CollectShardStats(g)
@@ -242,7 +242,7 @@ func TestShardedGatherCancellation(t *testing.T) {
 	g.MorselSize = 64
 	gov := NewGovernor(ctx, Limits{})
 	Attach(g, gov)
-	if _, err := CollectGoverned(g, gov); !errors.Is(err, qerr.ErrCanceled) {
+	if _, _, err := CollectBatchesGoverned(g, gov, 0); !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want qerr.ErrCanceled, got %v", err)
 	}
 	for i := 0; ; i++ {

@@ -50,16 +50,7 @@ func (s *OpStats) addIn(n int64) {
 	s.in.Add(n)
 }
 
-// incOut counts one emitted row.
-func (s *OpStats) incOut() {
-	if s == nil {
-		return
-	}
-	s.out.Add(1)
-}
-
-// addOut counts n emitted rows in one atomic add (the batch paths call
-// it once per output batch).
+// addOut counts n emitted rows in one atomic add, once per output batch.
 func (s *OpStats) addOut(n int64) {
 	if s == nil || n == 0 {
 		return

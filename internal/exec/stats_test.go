@@ -10,7 +10,7 @@ import (
 func TestOpStatsNilSafe(t *testing.T) {
 	var s *OpStats
 	s.addIn(3)
-	s.incOut()
+	s.addOut(1)
 	s.incBatch()
 	s.addBuffered(2)
 	s.markOpen()

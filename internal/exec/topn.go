@@ -114,41 +114,22 @@ func (t *TopN) Open() error {
 	defer t.Child.Close()
 	h := &topHeap{keys: t.Keys}
 	seq := 0
-	if t.rowMode() {
-		for {
-			if err := t.gov.Poll(); err != nil {
-				return err
-			}
-			row, err := t.Child.Next()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				break
-			}
-			t.stats.addIn(1)
-			if err := t.offer(h, row, &seq); err != nil {
-				return err
-			}
+	bb := NewBatch(t.batchCap())
+	for {
+		if err := t.gov.PollBatch(); err != nil {
+			return err
 		}
-	} else {
-		bb := NewBatch(t.batchCap())
-		for {
-			if err := t.gov.PollBatch(); err != nil {
+		if err := t.Child.NextBatch(bb); err != nil {
+			return err
+		}
+		n := bb.Len()
+		if n == 0 {
+			break
+		}
+		t.stats.addIn(int64(n))
+		for i := 0; i < n; i++ {
+			if err := t.offer(h, bb.Row(i), &seq); err != nil {
 				return err
-			}
-			if err := NextBatchOf(t.Child, bb); err != nil {
-				return err
-			}
-			n := bb.Len()
-			if n == 0 {
-				break
-			}
-			t.stats.addIn(int64(n))
-			for i := 0; i < n; i++ {
-				if err := t.offer(h, bb.Row(i), &seq); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -162,9 +143,9 @@ func (t *TopN) Open() error {
 	return nil
 }
 
-// offer folds one child row into the bounded heap. Heap insertions keep
-// per-row reservations even in batch mode: they are bounded by N, not by
-// input size, so there is nothing to amortize.
+// offer folds one child row into the bounded heap. Heap insertions reserve
+// per row, not per batch: they are bounded by N, not by input size, so
+// there is nothing to amortize.
 func (t *TopN) offer(h *topHeap, row []value.Value, seq *int) error {
 	if t.keyBuf == nil {
 		t.keyBuf = make([]value.Value, len(t.evs))
@@ -198,17 +179,6 @@ func (t *TopN) offer(h *topHeap, row []value.Value, seq *int) error {
 		heap.Fix(h, 0)
 	}
 	return nil
-}
-
-// Next returns the kept rows in sorted order.
-func (t *TopN) Next() ([]value.Value, error) {
-	if t.pos >= len(t.rows) {
-		return nil, nil
-	}
-	row := t.rows[t.pos]
-	t.pos++
-	t.stats.incOut()
-	return row, nil
 }
 
 func (t *TopN) Close() error {

@@ -39,7 +39,7 @@ func TestMaterializeInsertFaultPropagates(t *testing.T) {
 	d.Store.SetInjector(sched)
 
 	stmt := mustParse(t, "select name from customer where balance > 10000")
-	_, err := core.Exact(d, stmt, 0)
+	_, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Exact error = %v, want errors.Is(err, errBoom)", err)
 	}
@@ -53,7 +53,7 @@ func TestMaterializeInsertFaultPropagates(t *testing.T) {
 		t.Errorf("source rows = %d after fault, want %d", got, wantRows)
 	}
 	d.Store.SetInjector(nil)
-	res, err := core.Exact(d, stmt, 0)
+	res, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
 	if err != nil {
 		t.Fatalf("Exact after clearing injector: %v", err)
 	}

@@ -262,8 +262,8 @@ type QueryRecord struct {
 	// rather than executed. Rows and Micros are still recorded for
 	// cached answers, so latency percentiles include hits.
 	Cached bool `json:"cached,omitempty"`
-	// Batches counts the output batches the plan root produced under
-	// batch-at-a-time execution (0 in row mode or for cached answers).
+	// Batches counts the output batches the plan root produced (0 for
+	// cached answers).
 	Batches int64 `json:"batches,omitempty"`
 	// Err is the one-word failure reason ("" on success): a qerr keyword
 	// such as "budget", or "error" for failures outside the taxonomy.

@@ -60,11 +60,12 @@ func livenessDB(t testing.TB) *storage.DB {
 	return db
 }
 
-// planModes is the execution-mode matrix the liveness tests cover: batch
-// and row mode × parallelism 1 and 4 × shards 1 and 2.
+// planModes is the execution-mode matrix the liveness tests cover: the
+// default batch size and one that cuts batches unevenly × parallelism 1
+// and 4 × shards 1 and 2.
 func planModes() []Options {
 	var out []Options
-	for _, batch := range []int{0, -1} {
+	for _, batch := range []int{0, 7} {
 		for _, par := range []int{1, 4} {
 			for _, shards := range []int{1, 2} {
 				o := Options{BatchSize: batch, Parallelism: par, Shards: shards}
@@ -83,8 +84,8 @@ func modeLabel(o Options) string {
 	return fmt.Sprintf("batch=%d par=%d shards=%d index=%v", o.BatchSize, o.Parallelism, o.Shards, o.PreferIndexJoin)
 }
 
-// runPlan plans and executes qs the way the engine does: governed, batch
-// or row mode by opts.BatchSize.
+// runPlan plans and executes qs the way the engine does: governed, at
+// opts.BatchSize rows per batch.
 func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operator, [][]value.Value) {
 	t.Helper()
 	op, err := Plan(db, sqlparse.MustParse(qs), opts)
@@ -93,12 +94,7 @@ func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operat
 	}
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
 	exec.Attach(op, gov)
-	var rows [][]value.Value
-	if bs := exec.ResolveBatchSize(opts.BatchSize); bs > 0 {
-		rows, _, err = exec.CollectBatchesGoverned(op, gov, bs)
-	} else {
-		rows, err = exec.CollectGoverned(op, gov)
-	}
+	rows, _, err := exec.CollectBatchesGoverned(op, gov, exec.ResolveBatchSize(opts.BatchSize))
 	if err != nil {
 		t.Fatalf("%s: exec %q: %v", modeLabel(opts), qs, err)
 	}
@@ -106,14 +102,14 @@ func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operat
 }
 
 // unprunedOracle answers `select <items> from <rest>` the way the planner
-// did before column liveness: it runs `select * from <rest>` serially in
-// row mode — SELECT * keeps every join's identity output — and evaluates
+// did before column liveness: it runs `select * from <rest>` serially —
+// SELECT * keeps every join's identity output — and evaluates
 // the select items over the full-width rows by hand. items == nil only
 // counts. index picks index joins where the tested plan would, so both
 // walk the same tree.
 func unprunedOracle(t *testing.T, db *storage.DB, items []string, rest string, index bool) [][]value.Value {
 	t.Helper()
-	op, wide := runPlan(t, db, "select * from "+rest, Options{BatchSize: -1, Parallelism: 1, PreferIndexJoin: index})
+	op, wide := runPlan(t, db, "select * from "+rest, Options{Parallelism: 1, PreferIndexJoin: index})
 	if strings.Contains(exec.Explain(op), "cols=") {
 		t.Fatalf("oracle plan is pruned:\n%s", exec.Explain(op))
 	}

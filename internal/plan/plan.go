@@ -38,9 +38,8 @@ type Options struct {
 	// partitions until the table version moves. nil disables sharding
 	// regardless of Shards.
 	Sharder func(*storage.Table) exec.ShardView
-	// BatchSize selects batch-at-a-time execution for the planned tree:
-	// 0 resolves to exec.DefaultBatchSize, positive values set the rows
-	// per batch, and negative values force row-at-a-time execution (see
+	// BatchSize is the rows per execution batch of the planned tree; zero
+	// or negative resolves to exec.DefaultBatchSize (see
 	// exec.ResolveBatchSize).
 	BatchSize int
 }

@@ -13,17 +13,19 @@ import (
 // — the complete offline probability-annotation pass of Figure 7's
 // pipeline. A nil distance uses InformationLoss everywhere.
 func AnnotateAll(db *storage.DB, d Distance) error {
-	return AnnotateAllCtx(context.Background(), db, d)
+	return AnnotateAllParCtx(context.Background(), db, d, 1)
 }
 
-// AnnotateAllCtx is AnnotateAll under a context; see AnnotateTableCtx.
-func AnnotateAllCtx(ctx context.Context, db *storage.DB, d Distance) error {
+// AnnotateAllParCtx is AnnotateAll under a context with per-cluster
+// parallelism inside each table; tables themselves are annotated one at
+// a time. See AnnotateTableCtx.
+func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallelism int) error {
 	for _, name := range db.TableNames() {
 		tb, _ := db.Table(name)
 		if !tb.Schema.IsDirty() {
 			continue
 		}
-		if err := AnnotateTableCtx(ctx, tb, nil, d); err != nil {
+		if err := AnnotateTableCtx(ctx, tb, nil, d, 1, parallelism); err != nil {
 			return fmt.Errorf("annotating %s: %w", name, err)
 		}
 	}
@@ -38,22 +40,21 @@ func AnnotateAllCtx(ctx context.Context, db *storage.DB, d Distance) error {
 // columns). A nil distance uses InformationLoss. Non-string attribute
 // values are treated as categories via their textual form.
 func AnnotateTable(tb *storage.Table, attrCols []string, d Distance) error {
-	return AnnotateTableCtx(context.Background(), tb, attrCols, d)
+	return AnnotateTableCtx(context.Background(), tb, attrCols, d, 1, 1)
 }
 
 // AnnotateTableCtx is AnnotateTable under a context: both the
 // dataset-building pass and the probability assignment (where DCF merging
 // makes the cost quadratic in cluster size) poll ctx, so annotation of a
-// large relation can be canceled or run under a deadline.
-func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance) error {
-	return annotateTable(ctx, tb, attrCols, d, 1, 1)
-}
-
-// annotateTable is the shared implementation behind AnnotateTableCtx,
-// AnnotateTableParCtx and AnnotateTableShardedCtx; parallelism <= 1
-// keeps the assignment serial, shards > 1 partitions the cluster
-// worklist with the executor's shard placement.
-func annotateTable(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, shards, parallelism int) error {
+// large relation can be canceled or run under a deadline. The assignment
+// fans out as AssignProbabilitiesCtx describes (shards and parallelism of
+// 1 keep it serial); the dataset build and the probability-column
+// writeback stay serial: the former is a single linear scan, the latter
+// must not race UpdateColumn's index maintenance. One global dataset
+// backs every shard — the Figure-5 arithmetic normalizes against the
+// table's total tuple count — so probabilities are bit-identical to the
+// serial pass at every shard and worker count.
+func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, shards, parallelism int) error {
 	rel := tb.Schema
 	idIdx := rel.IdentifierIndex()
 	probIdx := rel.ProbIndex()
@@ -99,7 +100,7 @@ func annotateTable(ctx context.Context, tb *storage.Table, attrCols []string, d 
 		clusterIDs[i] = row[idIdx].String()
 	}
 
-	assignments, err := AssignProbabilitiesShardedCtx(ctx, ds, clusterIDs, d, shards, parallelism)
+	assignments, err := AssignProbabilitiesCtx(ctx, ds, clusterIDs, d, shards, parallelism)
 	if err != nil {
 		return err
 	}

@@ -63,12 +63,6 @@ func groupClusters(clusterIDs []string) (order []string, rowsOf map[string][]int
 	return order, rowsOf
 }
 
-// AssignProbabilitiesPar is AssignProbabilities with per-cluster
-// parallelism; see AssignProbabilitiesParCtx.
-func AssignProbabilitiesPar(ds *Dataset, clusterIDs []string, d Distance, parallelism int) ([]Assignment, error) {
-	return AssignProbabilitiesParCtx(context.Background(), ds, clusterIDs, d, parallelism)
-}
-
 // claimBatch sizes a worker pool's per-claim cluster batch: enough
 // clusters per atomic claim that claim traffic stops dominating small
 // clusters (many tables have thousands of 2-3 row clusters), small
@@ -155,13 +149,23 @@ func (ds *Dataset) runClusterPool(ctx context.Context, order []string, rowsOf ma
 	return first
 }
 
-// AssignProbabilitiesParCtx runs the Figure-5 procedure with a worker
-// pool claiming batches of clusters at a time. Results are bit-identical
-// to the serial pass: DCF construction and information-loss distances
-// never cross cluster boundaries (Dfn 2 makes clusters independent
-// worlds), so each cluster's arithmetic is the same instruction stream
-// regardless of which worker runs it.
-func AssignProbabilitiesParCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance, parallelism int) ([]Assignment, error) {
+// AssignProbabilitiesCtx is AssignProbabilities under a context, with a
+// worker pool claiming batches of clusters at a time: the per-tuple
+// distance loop — quadratic in cluster size through the DCF merging
+// behind Representative — polls ctx and aborts with a qerr cancellation
+// error when it fires. Results are bit-identical to the serial pass
+// (shards and parallelism of 1): DCF construction and information-loss
+// distances never cross cluster boundaries (Dfn 2 makes clusters
+// independent worlds), so each cluster's arithmetic is the same
+// instruction stream regardless of which worker runs it.
+//
+// shards > 1 partitions the cluster worklist with the executor's shard
+// placement (storage.ShardOf over the cluster id) and runs one worker
+// pool per shard concurrently, workers allotted proportionally to each
+// shard's cluster count; the partition changes only scheduling. ONE
+// global dataset must back all shards — assignCluster normalizes against
+// the total tuple count.
+func AssignProbabilitiesCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance, shards, parallelism int) ([]Assignment, error) {
 	if len(clusterIDs) != ds.Len() {
 		return nil, fmt.Errorf("probcalc: %d cluster ids for %d tuples", len(clusterIDs), ds.Len())
 	}
@@ -170,31 +174,13 @@ func AssignProbabilitiesParCtx(ctx context.Context, ds *Dataset, clusterIDs []st
 	}
 	order, rowsOf := groupClusters(clusterIDs)
 	out := make([]Assignment, ds.Len())
-	if err := ds.runClusterPool(ctx, order, rowsOf, d, ds.Len(), out, parallelism); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AssignProbabilitiesShardedCtx partitions the cluster worklist with the
-// executor's shard placement (storage.ShardOf over the cluster id) and
-// runs one worker pool per shard concurrently, workers allotted
-// proportionally to each shard's cluster count. Because every cluster's
-// arithmetic is independent (Dfn 2 again), the partition changes only
-// scheduling: results stay bit-identical to the serial pass at every
-// shard count. ONE global dataset must back all shards — assignCluster
-// normalizes against the total tuple count.
-func AssignProbabilitiesShardedCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance, shards, parallelism int) ([]Assignment, error) {
+	total := ds.Len()
 	if shards <= 1 {
-		return AssignProbabilitiesParCtx(ctx, ds, clusterIDs, d, parallelism)
+		if err := ds.runClusterPool(ctx, order, rowsOf, d, total, out, parallelism); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	if len(clusterIDs) != ds.Len() {
-		return nil, fmt.Errorf("probcalc: %d cluster ids for %d tuples", len(clusterIDs), ds.Len())
-	}
-	if d == nil {
-		d = InformationLoss
-	}
-	order, rowsOf := groupClusters(clusterIDs)
 	parts := make([][]string, shards)
 	for _, cid := range order {
 		s := storage.ShardOf(cid, shards)
@@ -203,8 +189,6 @@ func AssignProbabilitiesShardedCtx(ctx context.Context, ds *Dataset, clusterIDs 
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	out := make([]Assignment, ds.Len())
-	total := ds.Len()
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make(chan error, shards)
@@ -244,54 +228,4 @@ func AssignProbabilitiesShardedCtx(ctx context.Context, ds *Dataset, clusterIDs 
 		return nil, first
 	}
 	return out, nil
-}
-
-// AnnotateAllPar is AnnotateAll with per-cluster parallelism inside each
-// table; tables themselves are annotated one at a time.
-func AnnotateAllPar(db *storage.DB, d Distance, parallelism int) error {
-	return AnnotateAllParCtx(context.Background(), db, d, parallelism)
-}
-
-// AnnotateAllParCtx is AnnotateAllCtx with per-cluster parallelism.
-func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallelism int) error {
-	for _, name := range db.TableNames() {
-		tb, _ := db.Table(name)
-		if !tb.Schema.IsDirty() {
-			continue
-		}
-		if err := AnnotateTableParCtx(ctx, tb, nil, d, parallelism); err != nil {
-			return fmt.Errorf("annotating %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// AnnotateTablePar is AnnotateTable with per-cluster parallelism; see
-// AnnotateTableParCtx.
-func AnnotateTablePar(tb *storage.Table, attrCols []string, d Distance, parallelism int) error {
-	return AnnotateTableParCtx(context.Background(), tb, attrCols, d, parallelism)
-}
-
-// AnnotateTableParCtx is AnnotateTableCtx with the probability
-// assignment fanned out across parallelism workers claiming batches of
-// clusters. The dataset build and the probability-column writeback stay
-// serial: the former is a single linear scan, the latter must not race
-// UpdateColumn's index maintenance.
-func AnnotateTableParCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, parallelism int) error {
-	return annotateTable(ctx, tb, attrCols, d, 1, parallelism)
-}
-
-// AnnotateTableSharded is AnnotateTableShardedCtx without a context.
-func AnnotateTableSharded(tb *storage.Table, attrCols []string, d Distance, shards, parallelism int) error {
-	return AnnotateTableShardedCtx(context.Background(), tb, attrCols, d, shards, parallelism)
-}
-
-// AnnotateTableShardedCtx is AnnotateTableParCtx with the per-cluster
-// worklist partitioned by the executor's shard placement
-// (storage.ShardOf over the cluster id) and one worker pool per shard.
-// One global dataset still backs every shard — the Figure-5 arithmetic
-// normalizes against the table's total tuple count — so probabilities
-// are bit-identical to the serial pass at every shard count.
-func AnnotateTableShardedCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, shards, parallelism int) error {
-	return annotateTable(ctx, tb, attrCols, d, shards, parallelism)
 }

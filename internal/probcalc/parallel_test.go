@@ -51,7 +51,7 @@ func TestAssignProbabilitiesParMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 8} {
-		got, err := AssignProbabilitiesPar(ds, ids, nil, par)
+		got, err := AssignProbabilitiesCtx(context.Background(), ds, ids, nil, 1, par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -71,7 +71,7 @@ func TestAssignProbabilitiesParCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AssignProbabilitiesParCtx(ctx, ds, ids, nil, 4)
+	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 1, 4)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want qerr.ErrCanceled, got %v", err)
 	}
@@ -91,7 +91,7 @@ func TestAssignProbabilitiesParCanceled(t *testing.T) {
 func TestAssignProbabilitiesParRecoversPanic(t *testing.T) {
 	ds, ids := parDataset(t, 200)
 	boom := func(tuple, rep DCF, total int) float64 { panic("distance exploded") }
-	_, err := AssignProbabilitiesPar(ds, ids, boom, 4)
+	_, err := AssignProbabilitiesCtx(context.Background(), ds, ids, boom, 1, 4)
 	if err == nil {
 		t.Fatal("want error from panicking distance, got nil")
 	}
@@ -102,7 +102,7 @@ func TestAssignProbabilitiesParRecoversPanic(t *testing.T) {
 
 func TestAssignProbabilitiesParValidates(t *testing.T) {
 	ds, ids := parDataset(t, 100)
-	if _, err := AssignProbabilitiesPar(ds, ids[:50], nil, 4); err == nil {
+	if _, err := AssignProbabilitiesCtx(context.Background(), ds, ids[:50], nil, 1, 4); err == nil {
 		t.Fatal("want arity error, got nil")
 	}
 }
@@ -140,7 +140,7 @@ func TestAnnotateTableParMatchesSerial(t *testing.T) {
 	if err := AnnotateTable(serial, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := AnnotateTablePar(parallel, nil, nil, 4); err != nil {
+	if err := AnnotateTableCtx(context.Background(), parallel, nil, nil, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 	probIdx := serial.Schema.ProbIndex()
@@ -164,7 +164,7 @@ func TestAssignProbabilitiesShardedMatchesSerial(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
 		for _, par := range []int{1, 4, 8} {
-			got, err := AssignProbabilitiesShardedCtx(context.Background(), ds, ids, nil, shards, par)
+			got, err := AssignProbabilitiesCtx(context.Background(), ds, ids, nil, shards, par)
 			if err != nil {
 				t.Fatalf("shards=%d par=%d: %v", shards, par, err)
 			}
@@ -183,7 +183,7 @@ func TestAssignProbabilitiesShardedCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AssignProbabilitiesShardedCtx(ctx, ds, ids, nil, 4, 4)
+	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 4, 4)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want qerr.ErrCanceled, got %v", err)
 	}
@@ -203,7 +203,7 @@ func TestAnnotateTableShardedMatchesSerial(t *testing.T) {
 	if err := AnnotateTable(serial, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := AnnotateTableSharded(sharded, nil, nil, 4, 4); err != nil {
+	if err := AnnotateTableCtx(context.Background(), sharded, nil, nil, 4, 4); err != nil {
 		t.Fatal(err)
 	}
 	probIdx := serial.Schema.ProbIndex()

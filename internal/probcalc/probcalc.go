@@ -167,15 +167,7 @@ type Assignment struct {
 // clusters whose members are all identical (total distance 0) fall back to
 // the uniform distribution.
 func AssignProbabilities(ds *Dataset, clusterIDs []string, d Distance) ([]Assignment, error) {
-	return AssignProbabilitiesCtx(context.Background(), ds, clusterIDs, d)
-}
-
-// AssignProbabilitiesCtx is AssignProbabilities under a context: the
-// per-tuple distance loop — quadratic in cluster size through the DCF
-// merging behind Representative — polls ctx and aborts with a qerr
-// cancellation error when it fires.
-func AssignProbabilitiesCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance) ([]Assignment, error) {
-	return AssignProbabilitiesParCtx(ctx, ds, clusterIDs, d, 1)
+	return AssignProbabilitiesCtx(context.Background(), ds, clusterIDs, d, 1, 1)
 }
 
 // RankCluster returns the assignments of one cluster sorted from most to

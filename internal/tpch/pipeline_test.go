@@ -1,10 +1,12 @@
 package tpch_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"conquer/internal/core"
+	"conquer/internal/exec"
 	"conquer/internal/probcalc"
 	"conquer/internal/sqlparse"
 	"conquer/internal/tpch"
@@ -46,7 +48,7 @@ func TestFullOfflinePipeline(t *testing.T) {
 	// Stage 3 — the thirteen queries answer cleanly.
 	nonEmpty := 0
 	for _, q := range tpch.All() {
-		res, err := core.ViaRewriting(d, sqlparse.MustParse(q.SQL))
+		res, err := core.ViaRewritingCtx(context.Background(), d, sqlparse.MustParse(q.SQL), exec.Limits{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q.Number, err)
 		}

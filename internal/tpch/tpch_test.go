@@ -1,10 +1,12 @@
 package tpch_test
 
 import (
+	"context"
 	"testing"
 
 	"conquer/internal/core"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
 	"conquer/internal/tpch"
@@ -98,7 +100,7 @@ func TestQueriesExecuteOnGeneratedData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d original: %v", q.Number, err)
 		}
-		res, err := core.ViaRewriting(d, stmt)
+		res, err := core.ViaRewritingCtx(context.Background(), d, stmt, exec.Limits{})
 		if err != nil {
 			t.Fatalf("Q%d rewritten: %v", q.Number, err)
 		}
@@ -147,11 +149,11 @@ func TestRewritingMatchesExactOnTinyInstance(t *testing.T) {
 	// Use Q4 shape (2 relations) but over the tiny instance.
 	q := sqlparse.MustParse(
 		"select l.l_id, o.o_orderkey from orders o, lineitem l where l.l_orderkey = o.o_orderkey")
-	exact, err := core.Exact(d, q, 0)
+	exact, err := core.ExactCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := core.ViaRewriting(d, q)
+	rw, err := core.ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func runStats(t *testing.T, d *dirty.DB, label string, stmt *sqlparse.SelectStmt
 	exec.Instrument(op)
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
 	exec.Attach(op, gov)
-	if _, err := exec.CollectGoverned(op, gov); err != nil {
+	if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 		t.Fatalf("%s: execute: %v", label, err)
 	}
 	if err := exec.CheckConservation(op); err != nil {
@@ -126,7 +126,7 @@ func TestExplainAnalyzeShowsWorkerMorsels(t *testing.T) {
 	exec.Instrument(op)
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
 	exec.Attach(op, gov)
-	if _, err := exec.CollectGoverned(op, gov); err != nil {
+	if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := exec.ExplainAnalyze(op)
@@ -174,7 +174,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		gov := exec.NewGovernor(context.Background(), exec.Limits{})
 		exec.Attach(op, gov)
 		start := time.Now()
-		if _, err := exec.CollectGoverned(op, gov); err != nil {
+		if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

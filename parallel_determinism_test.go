@@ -19,6 +19,7 @@ import (
 	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/qerr"
+	"conquer/internal/sqlparse"
 	"conquer/internal/value"
 )
 
@@ -147,14 +148,15 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchExecutionDeterministic extends the determinism suite along
-// the batch axis: batch-at-a-time execution is a pure amortization of
-// per-row overheads, so all thirteen evaluation query pairs at every
-// point of the shards {1,2,4} × parallelism {1,2,8} grid with batching
-// on must match the serial, unsharded, *row-at-a-time* baseline
-// (BatchSize < 0) row for row — byte-identical except floats within
-// ProbEpsilon (DESIGN.md §15).
-func TestBatchExecutionDeterministic(t *testing.T) {
+// TestExecutionMatchesRowPathGolden holds the executor to the frozen
+// answers of the row-at-a-time path it replaced (golden_test.go): all
+// thirteen evaluation query pairs at every point of the shards {1,2,4} ×
+// parallelism {1,2,8} grid must reproduce the golden digests — row count,
+// order and every non-float cell exactly, float columns within
+// ProbEpsilon per row — and serial runs at 1 and 7 rows per batch, sizes
+// that put a batch boundary inside every morsel, fan-out and group, must
+// match the default size cell for cell (DESIGN.md §15).
+func TestExecutionMatchesRowPathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
 	}
@@ -163,38 +165,51 @@ func TestBatchExecutionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowSerial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1, BatchSize: -1})
-	type baseline struct{ orig, rew *engine.Result }
-	want := map[int]baseline{}
-	for _, p := range pairs {
-		orig, err := rowSerial.QueryStmt(p.Original)
-		if err != nil {
-			t.Fatalf("Q%d original row-mode serial: %v", p.Number, err)
-		}
-		rew, err := rowSerial.QueryStmt(p.Rewritten)
-		if err != nil {
-			t.Fatalf("Q%d rewritten row-mode serial: %v", p.Number, err)
-		}
-		want[p.Number] = baseline{orig: orig, rew: rew}
+	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1})
+	golden := loadGolden(t)
+	if len(golden.Statements) != 2*len(pairs) {
+		t.Fatalf("golden has %d statements, want %d", len(golden.Statements), 2*len(pairs))
+	}
+	type form struct {
+		name string
+		stmt *sqlparse.SelectStmt
+	}
+	forms := func(p bench.QueryPair) []form {
+		return []form{{"original", p.Original}, {"rewritten", p.Rewritten}}
 	}
 	for _, sh := range []int{1, 2, 4} {
 		for _, n := range []int{1, 2, 8} {
 			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
 			for _, p := range pairs {
-				got, err := eng.QueryStmt(p.Original)
+				for _, f := range forms(p) {
+					label := fmt.Sprintf("Q%d %s shards=%d n=%d", p.Number, f.name, sh, n)
+					got, err := eng.QueryStmt(f.stmt)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Stats.BatchSize != exec.DefaultBatchSize {
+						t.Fatalf("%s: batch size %d, want default %d", label, got.Stats.BatchSize, exec.DefaultBatchSize)
+					}
+					checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
+				}
+			}
+		}
+	}
+	for _, bs := range []int{1, 7} {
+		small := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1, BatchSize: bs})
+		for _, p := range pairs {
+			for _, f := range forms(p) {
+				label := fmt.Sprintf("Q%d %s batch=%d", p.Number, f.name, bs)
+				want, err := serial.QueryStmt(f.stmt)
 				if err != nil {
-					t.Fatalf("Q%d original batched shards=%d n=%d: %v", p.Number, sh, n, err)
+					t.Fatalf("%s: default batch: %v", label, err)
 				}
-				if got.Stats.BatchSize != exec.DefaultBatchSize {
-					t.Fatalf("Q%d: batch size %d, want default %d", p.Number, got.Stats.BatchSize, exec.DefaultBatchSize)
-				}
-				sameResult(t, fmt.Sprintf("Q%d original batched shards=%d n=%d", p.Number, sh, n), want[p.Number].orig, got)
-
-				got, err = eng.QueryStmt(p.Rewritten)
+				got, err := small.QueryStmt(f.stmt)
 				if err != nil {
-					t.Fatalf("Q%d rewritten batched shards=%d n=%d: %v", p.Number, sh, n, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				sameResult(t, fmt.Sprintf("Q%d rewritten batched shards=%d n=%d", p.Number, sh, n), want[p.Number].rew, got)
+				sameResult(t, label, want, got)
+				checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
 			}
 		}
 	}
