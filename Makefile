@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint lint-json lint-allows race fmt fuzz bench-json bench-json-pr7 bench-json-pr8 load-smoke benchmark benchmark-test
+.PHONY: all build test lint lint-json lint-allows race fmt fuzz experiments-smoke load-smoke benchmark benchmark-test
 
 all: build lint test
 
@@ -44,31 +44,12 @@ lint-allows:
 fmt:
 	gofmt -w .
 
-# Serial-vs-parallel timings for Figures 7 and 8 as machine-readable
-# JSON (ns per op at worker counts 1/2/4, plus the host's core count;
-# Figure 8 rows come in metrics=on/off pairs bounding the observability
-# overhead), plus query-cache rows for each rewritten query —
-# cache=cold/warm/invalidated — pinning the hit speedup and the cost of
-# a version-vector invalidation.
-bench-json: bench-json-pr7
-	$(GO) run ./cmd/benchjson -out BENCH_PR5.json
-
-# Serving-layer load benchmark (DESIGN.md §13): an in-process conquerd
-# over generated dirty TPC-H data, an uncontended baseline phase, then
-# a 4×-capacity closed-loop overload. BENCH_PR7.json records latency
-# percentiles and shed rate for both phases plus the acceptance checks
-# (overload sheds with 429, every shed carries Retry-After, admitted
-# p99 within 3× of baseline).
-bench-json-pr7:
-	$(GO) run ./cmd/loadgen -mode bench -duration 4s -out BENCH_PR7.json
-
-# Cluster-sharded execution benchmark (DESIGN.md §14): the rewritten
-# queries and cache cold/warm phases at shard counts 1/2/4, with the
-# worst skew ratio the shard balancer saw. BENCH_PR8.json carries the
-# host's core count — on a single CPU the multi-shard rows measure
-# partitioning and gather overhead, not speedup.
-bench-json-pr8:
-	$(GO) run ./cmd/benchjson -pr8 -out BENCH_PR8.json
+# cmd/experiments is the only regenerator of the paper's figures and
+# tables (EXPERIMENTS.md) and has no test of its own: run every one of
+# them at a tiny scale, so that a figure that stops running fails the
+# build. The numbers it prints mean nothing at this scale.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -scale 0.0003 -reps 3 all
 
 # CI load-smoke gate: low-QPS traffic under the admission watermark
 # must shed nothing, fail nothing, and keep p99 interactive.

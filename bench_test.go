@@ -1,17 +1,23 @@
-// Benchmarks regenerating the paper's evaluation artifacts: one benchmark
-// family per figure (Figures 7-10) and per table (Tables 1-4). They
-// measure the same quantities the paper's figures plot — offline
-// annotation cost, original-vs-rewritten query times, sensitivity to the
-// inconsistency factor, and scalability over database size — on
-// UIS-generated dirty TPC-H data (entity counts scaled down from the
-// paper's 1GB instance; see internal/bench.DefaultScale).
+// The testing.B benchmarks that something names. Paper figures and tables
+// are regenerated, with medians and quartiles, by cmd/experiments
+// (internal/bench) and gated by benchmark/ (BENCHMARK.json); a benchmark
+// stays here only because a recipe, a CI step or a design decision needs
+// `go test -bench` on exactly it:
 //
-// Run everything with:
+//   - Fig8Original / Fig8Rewritten / LadderPass: the profile recipes of
+//     docs/profiles/ and EXPERIMENTS.md (-cpuprofile / -memprofile on one
+//     pair, or on one pass of the benchmark's ladder_nonrewritable).
+//   - BatchSize: the sweep that pins exec.DefaultBatchSize.
+//   - Fig8Parallelism / Fig8Sharding / Fig7ProbCalcParallelism: CI's
+//     "Bench smoke" runs one iteration of each, so a parallel or sharded
+//     plan that fails outright fails the build.
+//   - AblationIndexJoin / AblationTopN / AblationDistance /
+//     EvaluatorComparison: the only source of the numbers under
+//     "Extensions beyond the paper" in EXPERIMENTS.md.
 //
-//	go test -bench=. -benchmem
+// Run one with, e.g.:
 //
-// and individual figures with -bench=Fig8 etc. The cmd/experiments binary
-// prints the same series as formatted tables instead.
+//	go test -run xxx -bench 'Fig8Original/Q9' -benchmem .
 package conquer
 
 import (
@@ -37,21 +43,18 @@ const (
 	benchSeed  = 20060403 // ICDE 2006
 )
 
-// workloadCache shares generated instances across benchmark families so
-// repeated -bench runs do not regenerate the same data.
-var workloadCache sync.Map // key string -> *dirty.DB
+// fig8Instance is the Figure 8 instance (sf = 1, if = 3), generated once
+// for all the benchmark families of a -bench run.
+var fig8Instance = sync.OnceValues(func() (*dirty.DB, error) {
+	return bench.GenerateWorkload(1, 3, benchScale, benchSeed)
+})
 
-func workload(b *testing.B, sf float64, ifv int) *dirty.DB {
+func workload(b *testing.B) *dirty.DB {
 	b.Helper()
-	key := fmt.Sprintf("sf=%v,if=%d", sf, ifv)
-	if d, ok := workloadCache.Load(key); ok {
-		return d.(*dirty.DB)
-	}
-	d, err := bench.GenerateWorkload(sf, ifv, benchScale, benchSeed)
+	d, err := fig8Instance()
 	if err != nil {
 		b.Fatal(err)
 	}
-	workloadCache.Store(key, d)
 	return d
 }
 
@@ -64,78 +67,17 @@ func queryPairs(b *testing.B) []bench.QueryPair {
 	return pairs
 }
 
-// ---------------------------------------------------------------------------
-// Figure 7 — offline annotation cost on lineitem (if = 1, 5, 25)
-// ---------------------------------------------------------------------------
-
-// BenchmarkFig7Propagation times identifier propagation of lineitem's
-// foreign keys per inconsistency factor.
-func BenchmarkFig7Propagation(b *testing.B) {
-	for _, ifv := range []int{1, 5, 25} {
-		b.Run(fmt.Sprintf("if=%d", ifv), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d, err := uisgen.Generate(uisgen.Config{
-					SF: 1, IF: ifv, Scale: benchScale, Seed: benchSeed,
-					Propagated: false, UniformProbs: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				li, _ := d.Store.Table("lineitem")
-				b.StartTimer()
-				for _, fk := range li.Schema.ForeignKeys {
-					if _, err := d.Propagate("lineitem", fk.Column, fk.RefTable, fk.RefColumn); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+// queryPair is the evaluation pair numbered n; a missing one must fail
+// the benchmark, not time a nil statement.
+func queryPair(b *testing.B, n int) bench.QueryPair {
+	b.Helper()
+	for _, p := range queryPairs(b) {
+		if p.Number == n {
+			return p
+		}
 	}
-}
-
-// BenchmarkFig7ProbCalc times the §4 probability computation on lineitem
-// per inconsistency factor.
-func BenchmarkFig7ProbCalc(b *testing.B) {
-	for _, ifv := range []int{1, 5, 25} {
-		b.Run(fmt.Sprintf("if=%d", ifv), func(b *testing.B) {
-			d, err := uisgen.Generate(uisgen.Config{
-				SF: 1, IF: ifv, Scale: benchScale, Seed: benchSeed,
-				Propagated: true, UniformProbs: false,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			li, _ := d.Store.Table("lineitem")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := probcalc.AnnotateTable(li, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7LinearScan is the figure's baseline: one full scan of
-// lineitem.
-func BenchmarkFig7LinearScan(b *testing.B) {
-	for _, ifv := range []int{1, 5, 25} {
-		b.Run(fmt.Sprintf("if=%d", ifv), func(b *testing.B) {
-			d := workload(b, 1, ifv)
-			li, _ := d.Store.Table("lineitem")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for _, r := range li.Rows() {
-					n += len(r)
-				}
-				if n == 0 {
-					b.Fatal("empty lineitem")
-				}
-			}
-		})
-	}
+	b.Fatalf("query %d missing from bench.PreparePairs()", n)
+	return bench.QueryPair{}
 }
 
 // ---------------------------------------------------------------------------
@@ -144,7 +86,7 @@ func BenchmarkFig7LinearScan(b *testing.B) {
 
 // BenchmarkFig8Original times each evaluation query as written.
 func BenchmarkFig8Original(b *testing.B) {
-	d := workload(b, 1, 3)
+	d := workload(b)
 	eng := engine.New(d.Store)
 	for _, p := range queryPairs(b) {
 		b.Run(fmt.Sprintf("Q%d", p.Number), func(b *testing.B) {
@@ -161,7 +103,7 @@ func BenchmarkFig8Original(b *testing.B) {
 // same instance; the per-query ratio to BenchmarkFig8Original is the
 // paper's Figure 8.
 func BenchmarkFig8Rewritten(b *testing.B) {
-	d := workload(b, 1, 3)
+	d := workload(b)
 	eng := engine.New(d.Store)
 	for _, p := range queryPairs(b) {
 		b.Run(fmt.Sprintf("Q%d", p.Number), func(b *testing.B) {
@@ -180,16 +122,8 @@ func BenchmarkFig8Rewritten(b *testing.B) {
 // aggregation under the benchmark harness. On a single-CPU host the
 // parallel runs measure coordination overhead rather than speedup.
 func BenchmarkFig8Parallelism(b *testing.B) {
-	d := workload(b, 1, 3)
-	var q3 *sqlparse.SelectStmt
-	for _, p := range queryPairs(b) {
-		if p.Number == 3 {
-			q3 = p.Rewritten
-		}
-	}
-	if q3 == nil {
-		b.Fatal("query 3 missing from bench.PreparePairs()")
-	}
+	d := workload(b)
+	q3 := queryPair(b, 3).Rewritten
 	for _, n := range []int{1, 2, 4} {
 		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -207,16 +141,8 @@ func BenchmarkFig8Parallelism(b *testing.B) {
 // every shard count, so the deltas are pure partitioning, balancing and
 // gather cost.
 func BenchmarkFig8Sharding(b *testing.B) {
-	d := workload(b, 1, 3)
-	var q3 *sqlparse.SelectStmt
-	for _, p := range queryPairs(b) {
-		if p.Number == 3 {
-			q3 = p.Rewritten
-		}
-	}
-	if q3 == nil {
-		b.Fatal("query 3 missing from bench.PreparePairs()")
-	}
+	d := workload(b)
+	q3 := queryPair(b, 3).Rewritten
 	for _, sh := range []int{1, 2, 4} {
 		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 4, Shards: sh})
 		b.Run(fmt.Sprintf("shards=%d", sh), func(b *testing.B) {
@@ -234,16 +160,8 @@ func BenchmarkFig8Sharding(b *testing.B) {
 // 64/256/1024/4096 rows per batch. Results are byte-identical at every
 // size; the plateau from 256 up is what pins exec.DefaultBatchSize.
 func BenchmarkBatchSize(b *testing.B) {
-	d := workload(b, 1, 3)
-	var q9 bench.QueryPair
-	for _, p := range queryPairs(b) {
-		if p.Number == 9 {
-			q9 = p
-		}
-	}
-	if q9.Original == nil {
-		b.Fatal("query 9 missing from bench.PreparePairs()")
-	}
+	d := workload(b)
+	q9 := queryPair(b, 9)
 	for _, stmt := range []struct {
 		label string
 		q     *sqlparse.SelectStmt
@@ -285,165 +203,6 @@ func BenchmarkFig7ProbCalcParallelism(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9 — Query 3 vs tuples per cluster, with and without ORDER BY
-// ---------------------------------------------------------------------------
-
-// BenchmarkFig9 times the four Figure-9 series (original / rewritten,
-// with / without ORDER BY) at if = 1..5.
-func BenchmarkFig9(b *testing.B) {
-	pairs := queryPairs(b)
-	var q3 bench.QueryPair
-	for _, p := range pairs {
-		if p.Number == 3 {
-			q3 = p
-		}
-	}
-	if q3.Original == nil {
-		// Guard against a silent zero value: without Q3 the Clone below
-		// would benchmark nil statements (or panic) instead of Figure 9.
-		b.Fatal("query 3 missing from bench.PreparePairs()")
-	}
-	q3NoSort := q3.Original.Clone()
-	q3NoSort.OrderBy = nil
-	q3RwNoSort := q3.Rewritten.Clone()
-	q3RwNoSort.OrderBy = nil
-
-	variants := []struct {
-		name string
-		stmt *sqlparse.SelectStmt
-	}{
-		{"original", q3.Original},
-		{"rewritten", q3.Rewritten},
-		{"original_no_orderby", q3NoSort},
-		{"rewritten_no_orderby", q3RwNoSort},
-	}
-	for _, ifv := range []int{1, 2, 3, 4, 5} {
-		d := workload(b, 1, ifv)
-		eng := engine.New(d.Store)
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("if=%d/%s", ifv, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryStmt(v.stmt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10 — rewritten queries vs database size (if = 3)
-// ---------------------------------------------------------------------------
-
-// BenchmarkFig10 times every Figure-10 query's rewriting at the paper's
-// four database sizes (0.1, 0.5, 1 and 2 GB mapped onto scaling factors).
-func BenchmarkFig10(b *testing.B) {
-	pairs := queryPairs(b)
-	rw := map[int]*sqlparse.SelectStmt{}
-	for _, p := range pairs {
-		rw[p.Number] = p.Rewritten
-	}
-	for _, sf := range []float64{0.1, 0.5, 1, 2} {
-		d := workload(b, sf, 3)
-		eng := engine.New(d.Store)
-		for _, qn := range bench.Fig10Queries {
-			b.Run(fmt.Sprintf("sf=%g/Q%d", sf, qn), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryStmt(rw[qn]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Tables 1-3 — the §4 probability computation pipeline
-// ---------------------------------------------------------------------------
-
-// BenchmarkTable1NormalizedMatrix times building the tuple distributions
-// of Table 1.
-func BenchmarkTable1NormalizedMatrix(b *testing.B) {
-	attrs, tuples, _ := testdb.Figure6Tuples()
-	for i := 0; i < b.N; i++ {
-		ds := probcalc.NewDataset(attrs)
-		for _, t := range tuples {
-			if err := ds.Add(t); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for k := 0; k < ds.Len(); k++ {
-			if len(ds.TupleDistribution(k)) == 0 {
-				b.Fatal("empty distribution")
-			}
-		}
-	}
-}
-
-// BenchmarkTable2Representatives times DCF construction.
-func BenchmarkTable2Representatives(b *testing.B) {
-	attrs, tuples, ids := testdb.Figure6Tuples()
-	ds := probcalc.NewDataset(attrs)
-	for _, t := range tuples {
-		if err := ds.Add(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rowsOf := map[string][]int{}
-	for i, id := range ids {
-		rowsOf[id] = append(rowsOf[id], i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, rows := range rowsOf {
-			if _, err := ds.Representative(rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkTable3AssignProbabilities times the full Figure-5 procedure on
-// the §4 example relation.
-func BenchmarkTable3AssignProbabilities(b *testing.B) {
-	attrs, tuples, ids := testdb.Figure6Tuples()
-	ds := probcalc.NewDataset(attrs)
-	for _, t := range tuples {
-		if err := ds.Add(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := probcalc.AssignProbabilities(ds, ids, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table 4 — the Cora qualitative evaluation
-// ---------------------------------------------------------------------------
-
-// BenchmarkTable4CoraRanking times probability assignment and ranking on
-// the 56-tuple Schapire cluster.
-func BenchmarkTable4CoraRanking(b *testing.B) {
-	ds, ids, _, _ := cora.SchapireCluster(benchSeed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		as, err := probcalc.AssignProbabilities(ds, ids, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if probcalc.RankCluster(as, "schapire")[0].Prob <= 0 {
-			b.Fatal("ranking failed")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Ablations beyond the paper's figures
 // ---------------------------------------------------------------------------
 
@@ -454,7 +213,7 @@ func BenchmarkTable4CoraRanking(b *testing.B) {
 // disqualify index joins in the planner, so a filtered query would
 // silently measure the same plan twice).
 func BenchmarkAblationIndexJoin(b *testing.B) {
-	d := workload(b, 1, 3)
+	d := workload(b)
 	li, _ := d.Store.Table("lineitem")
 	if err := li.CreateIndex("l_orderkey"); err != nil {
 		b.Fatal(err)
@@ -496,7 +255,7 @@ func BenchmarkAblationIndexJoin(b *testing.B) {
 // LIMIT k) — the sort cost Figure 9 shows dominating as duplication
 // grows.
 func BenchmarkAblationTopN(b *testing.B) {
-	d := workload(b, 1, 3)
+	d := workload(b)
 	li, _ := d.Store.Table("lineitem")
 	keys := []exec.SortKey{exec.SortKeyPos(li.Schema.ColumnIndex("l_extendedprice"), true)}
 	b.Run("sort_then_limit", func(b *testing.B) {

@@ -10,16 +10,21 @@
 //
 //	-scale   entity-count multiplier vs. the TPC-H spec (default 0.001)
 //	-seed    generator seed (default 1)
-//	-reps    repetitions per timing, best-of (default 3)
+//	-reps    repetitions per timing (default 7)
 //
-// Absolute times are not comparable to the paper's 2006 DB2 testbed; the
-// shapes (ratios, trends over if and sf) are the reproduction targets.
+// The first line printed names the host and the settings, so a table
+// pasted into EXPERIMENTS.md carries where it was measured. Every timing
+// is the median of its repetitions with the quartiles. Absolute times are
+// not comparable to the paper's 2006 DB2 testbed; the shapes (ratios,
+// trends over if and sf) are the reproduction targets.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 
 	"conquer/internal/bench"
 )
@@ -27,7 +32,7 @@ import (
 func main() {
 	scale := flag.Float64("scale", bench.DefaultScale, "entity-count multiplier vs. the TPC-H spec")
 	seed := flag.Int64("seed", 1, "generator seed")
-	reps := flag.Int("reps", 3, "repetitions per timing (best-of)")
+	reps := flag.Int("reps", 7, "repetitions per timing (median and quartiles are reported)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -35,10 +40,13 @@ func main() {
 		os.Exit(2)
 	}
 	which := flag.Arg(0)
+	fmt.Printf("host: %d cores, GOMAXPROCS %d, %s %s/%s, commit %s; scale %g, seed %d, reps %d\n\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), runtime.GOOS, runtime.GOARCH,
+		commit(), *scale, *seed, *reps)
 	run := func(name string) error {
 		switch name {
 		case "fig7":
-			rows, err := bench.Fig7(1, *scale, []int{1, 5, 25}, *seed)
+			rows, err := bench.Fig7(1, *scale, []int{1, 5, 25}, *seed, *reps)
 			if err != nil {
 				return err
 			}
@@ -98,6 +106,25 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// commit is the revision the binary was built from, as the Go toolchain
+// stamped it ("+dirty" with uncommitted changes). Plain `go run` does not
+// stamp, and prints "unknown": use `go run -buildvcs=true` or `go build`
+// for a table that goes into EXPERIMENTS.md.
+func commit() string {
+	rev, dirty := "unknown", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "vcs.revision" {
+				rev = s.Value[:min(len(s.Value), 7)]
+			}
+			if s.Key == "vcs.modified" && s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	return rev + dirty
 }
 
 func printTable(s string, err error) error {

@@ -12,21 +12,16 @@
 //	              an in-process server over a UIS-generated dirty TPC-H
 //	              instance is started, so the tool is self-contained
 //	-key          API key (default dev-key, conquerd's default tenant)
-//	-mode         bench | run | smoke (default bench)
-//	-out          output JSON path for bench mode (default BENCH_PR7.json)
+//	-mode         run | smoke (default run)
 //	-qps          open-loop request rate for run/smoke (0 = closed loop)
 //	-concurrency  worker count for run mode
-//	-duration     per-phase wall time (default 4s)
+//	-duration     wall time of the run (default 4s)
 //	-sf, -if, -scale, -seed   workload shape for the in-process server
 //	-max-concurrent, -max-queue  in-process server capacity (defaults 2, 2)
 //
 // Modes:
 //
-//	bench   two phases — an uncontended baseline (1 closed-loop worker)
-//	        and a 4× overload (4×capacity closed-loop workers) — then
-//	        writes both results plus the acceptance checks (shed with
-//	        429+Retry-After, admitted p99 within 3× of baseline) to -out.
-//	run     a single phase at -qps/-concurrency; prints the result JSON.
+//	run     one run at -qps/-concurrency; prints the result JSON.
 //	smoke   low-QPS run asserting zero shed and a sane p99; non-zero exit
 //	        on violation (the CI load-smoke gate).
 package main
@@ -50,11 +45,10 @@ import (
 func main() {
 	addr := flag.String("addr", "", "server base URL (empty = start an in-process server)")
 	key := flag.String("key", "dev-key", "API key")
-	mode := flag.String("mode", "bench", "bench | run | smoke")
-	out := flag.String("out", "BENCH_PR7.json", "output path for bench mode")
+	mode := flag.String("mode", "run", "run | smoke")
 	qps := flag.Float64("qps", 0, "open-loop request rate (0 = closed loop)")
 	concurrency := flag.Int("concurrency", 4, "worker count for run mode")
-	duration := flag.Duration("duration", 4*time.Second, "per-phase wall time")
+	duration := flag.Duration("duration", 4*time.Second, "wall time of the run")
 	sf := flag.Float64("sf", 1, "TPC-H scale factor for the in-process workload")
 	ifv := flag.Int("if", 2, "inconsistency factor for the in-process workload")
 	scale := flag.Float64("scale", bench.DefaultScale, "entity-count multiplier for the in-process workload")
@@ -63,14 +57,14 @@ func main() {
 	maxQueue := flag.Int("max-queue", 2, "in-process server admission queue bound")
 	flag.Parse()
 
-	if err := run(*addr, *key, *mode, *out, *qps, *concurrency, *duration,
+	if err := run(*addr, *key, *mode, *qps, *concurrency, *duration,
 		*sf, *ifv, *scale, *seed, *maxConcurrent, *maxQueue); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, key, mode, out string, qps float64, concurrency int, duration time.Duration,
+func run(addr, key, mode string, qps float64, concurrency int, duration time.Duration,
 	sf float64, ifv int, scale float64, seed int64, maxConcurrent, maxQueue int) error {
 	queries, err := queryPool()
 	if err != nil {
@@ -101,8 +95,6 @@ func run(addr, key, mode, out string, qps float64, concurrency int, duration tim
 		return printJSON(os.Stdout, res)
 	case "smoke":
 		return smoke(base, qps)
-	case "bench":
-		return benchRun(base, maxConcurrent, out)
 	}
 	return fmt.Errorf("unknown -mode %q", mode)
 }
@@ -183,75 +175,6 @@ func smoke(base load.Options, qps float64) error {
 		return fmt.Errorf("smoke p99 %dus over bound %v", res.P99Micros, p99Bound)
 	}
 	fmt.Fprintln(os.Stderr, "loadgen: smoke ok")
-	return nil
-}
-
-// benchReport is the BENCH_PR7.json document.
-type benchReport struct {
-	// Config echoes the run shape.
-	Config struct {
-		Queries       int     `json:"queries"`
-		MaxConcurrent int     `json:"max_concurrent"`
-		Overload      int     `json:"overload_concurrency"`
-		DurationSecs  float64 `json:"phase_duration_s"`
-	} `json:"config"`
-	Baseline *load.Result `json:"baseline"`
-	Overload *load.Result `json:"overload"`
-	// P99Ratio is overload admitted p99 over baseline p99 — the
-	// acceptance bound is 3.
-	P99Ratio   float64 `json:"p99_ratio"`
-	Acceptance struct {
-		ShedWith429          bool `json:"shed_with_429"`
-		RetryAfterOnAllSheds bool `json:"retry_after_on_all_sheds"`
-		AdmittedP99Within3x  bool `json:"admitted_p99_within_3x"`
-	} `json:"acceptance"`
-}
-
-// benchRun measures the uncontended baseline, then a 4×-capacity
-// closed-loop overload, and writes the acceptance-checked report.
-func benchRun(base load.Options, maxConcurrent int, out string) error {
-	fmt.Fprintln(os.Stderr, "loadgen: baseline phase (1 closed-loop worker)")
-	baseline := base
-	baseline.Concurrency = 1
-	baseRes, err := load.Run(context.Background(), baseline)
-	if err != nil {
-		return err
-	}
-
-	overloadWorkers := 4 * maxConcurrent
-	fmt.Fprintf(os.Stderr, "loadgen: overload phase (%d closed-loop workers against %d slots)\n",
-		overloadWorkers, maxConcurrent)
-	overload := base
-	overload.Concurrency = overloadWorkers
-	overRes, err := load.Run(context.Background(), overload)
-	if err != nil {
-		return err
-	}
-
-	var rep benchReport
-	rep.Config.Queries = len(base.Queries)
-	rep.Config.MaxConcurrent = maxConcurrent
-	rep.Config.Overload = overloadWorkers
-	rep.Config.DurationSecs = base.Duration.Seconds()
-	rep.Baseline = baseRes
-	rep.Overload = overRes
-	if baseRes.P99Micros > 0 {
-		rep.P99Ratio = float64(overRes.P99Micros) / float64(baseRes.P99Micros)
-	}
-	rep.Acceptance.ShedWith429 = overRes.Shed > 0
-	rep.Acceptance.RetryAfterOnAllSheds = overRes.RetryAfterSeen == overRes.Shed
-	rep.Acceptance.AdmittedP99Within3x = rep.P99Ratio > 0 && rep.P99Ratio <= 3
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := printJSON(f, &rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: baseline p99=%dus overload p99=%dus ratio=%.2f shed=%d/%d -> %s\n",
-		baseRes.P99Micros, overRes.P99Micros, rep.P99Ratio, overRes.Shed, overRes.Sent, out)
 	return nil
 }
 

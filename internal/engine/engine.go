@@ -46,11 +46,6 @@ type Options struct {
 	// resolves to exec.DefaultBatchSize. Results are identical at every
 	// size (DESIGN.md §15).
 	BatchSize int
-	// NoInstrument disables per-operator instrumentation. Instrumentation
-	// is on by default — the counters are plain atomic adds and the bench
-	// suite guards the overhead — but benchmarks comparing instrumented
-	// vs. bare execution switch it off here.
-	NoInstrument bool
 	// QueryLog, when non-nil, receives one structured JSON record per
 	// executed query (success or failure).
 	QueryLog *metrics.QueryLog
@@ -353,9 +348,7 @@ func (e *Engine) prepare(stmt *sqlparse.SelectStmt, popts plan.Options) (*Prepar
 	if err != nil {
 		return nil, err
 	}
-	if !e.opts.NoInstrument {
-		exec.Instrument(op)
-	}
+	exec.Instrument(op)
 	return &Prepared{e: e, stmt: stmt, popts: popts, tree: op, cols: op.Schema().Names()}, nil
 }
 
@@ -558,7 +551,6 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	if err != nil {
 		return "", err
 	}
-	exec.Instrument(prep.tree) // even under Options.NoInstrument
 	res, err := prep.run(ctx)
 	if err != nil {
 		return "", err

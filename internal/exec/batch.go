@@ -11,9 +11,9 @@ import "conquer/internal/value"
 // DefaultBatchSize is the number of rows per execution batch. It equals
 // DefaultMorselSize so a parallel scan's batches align with its morsels
 // (a batch never spans a morsel boundary — order reconstruction in
-// Gather depends on that); the batch-size sweep in BENCH_PR10.json
-// found the plateau flat from 256 up, so matching the morsel grid costs
-// nothing.
+// Gather depends on that); the batch-size sweep (BenchmarkBatchSize,
+// recorded in EXPERIMENTS.md) found the plateau flat from 256 up, so
+// matching the morsel grid costs nothing.
 const DefaultBatchSize = 1024
 
 // ResolveBatchSize canonicalizes a configured batch size: zero or

@@ -34,14 +34,9 @@ type Options struct {
 	QPS float64
 	// Duration bounds the run (default 5s).
 	Duration time.Duration
-	// MaxRequests stops the run early after this many requests (0 =
-	// duration-bound only).
-	MaxRequests int
-	// Client overrides the HTTP client (default http.DefaultClient).
-	Client *http.Client
 }
 
-// Result aggregates one load run, JSON-shaped for BENCH_PR7.json.
+// Result aggregates one load run; cmd/loadgen prints it as JSON.
 type Result struct {
 	Sent   int `json:"sent"`
 	OK     int `json:"ok"`
@@ -86,10 +81,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = 5 * time.Second
 	}
-	hc := opts.Client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 
 	runCtx, cancel := context.WithTimeout(ctx, opts.Duration)
 	defer cancel()
@@ -121,15 +112,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		}()
 	}
 
-	var budget chan struct{}
-	if opts.MaxRequests > 0 {
-		budget = make(chan struct{}, opts.MaxRequests)
-		for i := 0; i < opts.MaxRequests; i++ {
-			budget <- struct{}{}
-		}
-		close(budget)
-	}
-
 	tallies := make([]tally, opts.Concurrency)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -142,11 +124,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				if runCtx.Err() != nil {
 					return
 				}
-				if budget != nil {
-					if _, ok := <-budget; !ok {
-						return
-					}
-				}
 				if tokens != nil {
 					select {
 					case <-tokens:
@@ -154,7 +131,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						return
 					}
 				}
-				oneRequest(runCtx, hc, opts, opts.Queries[i%len(opts.Queries)], tl)
+				oneRequest(runCtx, opts, opts.Queries[i%len(opts.Queries)], tl)
 			}
 		}(w)
 	}
@@ -202,7 +179,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // oneRequest issues a single /v1/query call and records its outcome.
 // Cancellation mid-request (the run deadline) is not counted at all —
 // it is the harness giving up, not the server failing.
-func oneRequest(ctx context.Context, hc *http.Client, opts Options, sql string, tl *tally) {
+func oneRequest(ctx context.Context, opts Options, sql string, tl *tally) {
 	body, err := json.Marshal(map[string]string{"sql": sql})
 	if err != nil {
 		tl.transport++
@@ -216,7 +193,7 @@ func oneRequest(ctx context.Context, hc *http.Client, opts Options, sql string, 
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Api-Key", opts.APIKey)
 	start := time.Now()
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
 			tl.sent++
