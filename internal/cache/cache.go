@@ -205,12 +205,11 @@ func VersionVector(db *storage.DB, names []string) (string, bool) {
 	return b.String(), true
 }
 
-// SizeOfValues approximates the retained bytes of one row: the Value
-// struct (kind + scalar + string header) plus string payloads.
+// SizeOfValues approximates the retained bytes of one row: the slice
+// header, value.Size per element, plus string payloads.
 func SizeOfValues(row []value.Value) int64 {
-	n := int64(24) // slice header
+	n := 24 + int64(len(row))*value.Size
 	for _, v := range row {
-		n += 40 // value.Value: kind, int64, float64, bool, string header
 		if v.Kind() == value.KindString {
 			n += int64(len(v.AsString()))
 		}

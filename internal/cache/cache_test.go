@@ -284,8 +284,10 @@ func TestSizeOfRows(t *testing.T) {
 		{value.Int(2), value.Str("x")},
 	}
 	n := SizeOfRows([]string{"a", "b"}, rows)
-	if n <= 0 {
-		t.Fatalf("size = %d", n)
+	// 64 for the result, 1+16 per column name, and per row the slice header
+	// and the 32 bytes a value.Value occupies, plus the string bytes.
+	if want := int64(64 + 2*17 + 2*(24+2*32) + 5 + 1); n != want {
+		t.Fatalf("size = %d, want %d (value.Size = %d)", n, want, value.Size)
 	}
 	// More payload means a bigger estimate.
 	bigger := SizeOfRows([]string{"a", "b"}, append(rows, []value.Value{value.Int(3), value.Str("yyyyyyyy")}))

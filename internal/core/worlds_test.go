@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
@@ -258,11 +259,21 @@ func generatedCases(n int) []diffCase {
 	return out
 }
 
+// execPoisonRecycled is internal/exec's test hook poisonRecycled (see the
+// root package's recycle_poison_test.go for why it is reached by name).
+//
+//go:linkname execPoisonRecycled conquer/internal/exec.poisonRecycled
+var execPoisonRecycled bool
+
 // TestEvaluatorsMatchStepByStepOracle is the differential test of the
 // shared candidate loop: ExactCtx and MonteCarloCtx against the old loop
 // over the public API, at the default worker and shard counts (with
 // GOMAXPROCS raised so that they exceed one) and at one worker, one shard.
 func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
+	// Recycled row storage is poisoned under the evaluators and not under
+	// the oracle, so a row kept past its batch cannot go wrong the same way
+	// on both sides: the evaluator answers with the sentinel string.
+	defer func() { execPoisonRecycled = false }()
 	cases := append(fixedCases(t), generatedCases(100)...)
 	ctx := context.Background()
 	for _, procs := range []int{4, 1} {
@@ -274,10 +285,12 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 				t.Fatalf("%s: %q: %v", c.name, c.sql, err)
 			}
 			label := fmt.Sprintf("procs=%d %s %q", procs, c.name, c.sql)
+			execPoisonRecycled = false
 			want, err := oracleExact(ctx, c.d, stmt, exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", label, err)
 			}
+			execPoisonRecycled = true
 			got, err := ExactCtx(ctx, c.d, stmt, exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s: exact: %v", label, err)
@@ -292,10 +305,12 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 
 			const samples = 60
 			seed := int64(len(c.sql))
+			execPoisonRecycled = false
 			want, err = oracleMonteCarlo(ctx, c.d, stmt, samples, seed, exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s: mc oracle: %v", label, err)
 			}
+			execPoisonRecycled = true
 			got, err = MonteCarloCtx(ctx, c.d, stmt, samples, seed, exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s: mc: %v", label, err)

@@ -40,6 +40,10 @@ type Batch struct {
 	hasOrds  bool
 	sel      []int // selection vector; nil = all rows selected
 	selBuf   []int // retained backing array for sel, reused across Shrinks
+	// transient is the consumer's promise, fixed at construction, that it
+	// reads the rows of one fill only until its next NextBatch on this
+	// batch; a producer may then reuse the storage those rows sit in.
+	transient bool
 }
 
 // NewBatch creates a batch of the given capacity (<= 0 uses
@@ -53,6 +57,18 @@ func NewBatch(capacity int) *Batch {
 		capacity = DefaultBatchSize
 	}
 	return &Batch{capacity: capacity}
+}
+
+// NewTransientBatch is NewBatch for a consumer that copies what it needs
+// out of the rows before it asks for the next batch and keeps no reference
+// to them: the operator filling the batch overwrites the previous fill's
+// rows instead of allocating fresh ones (the row-lifetime rule of
+// DESIGN.md §15). Anything that keeps a row past its next NextBatch on the
+// batch must use NewBatch.
+func NewTransientBatch(capacity int) *Batch {
+	b := NewBatch(capacity)
+	b.transient = true
+	return b
 }
 
 // Cap returns the batch's row capacity.

@@ -6,9 +6,10 @@
 //     boundaries and every pipeline operator emits a non-empty output
 //     batch before pulling the next child batch, so Gather's worker loop
 //     can attribute a whole batch to leafTracker.currentMorsel().
-//   - Output rows are carved forward-only from fresh slabs, never
-//     overwritten, honoring the Operator contract that handed-out rows
-//     are not mutated afterwards.
+//   - Output rows live as long as the batch that carries them says: rows
+//     put into a plain batch are carved forward-only from fresh slabs and
+//     never overwritten; rows put into a transient batch (NewTransientBatch)
+//     are overwritten by the next fill of that batch, and by nothing else.
 //
 // Fault injection (storage.Table.ScanFault) stays per row inside the
 // fill loops: fault schedules count instrumented calls, so amortizing
@@ -18,13 +19,15 @@ package exec
 import (
 	"fmt"
 
+	"conquer/internal/qerr"
 	"conquer/internal/value"
 )
 
 // batchProbe is the probe-side state the joins share: the probe input
-// batch with a cursor, a forward-only output slab, and the run-length
-// ordinal generator that tags join fanout (base carried over from the
-// probe row, sequence counting emissions per base).
+// batch with a cursor, the output slab, and the run-length ordinal
+// generator that tags join fanout (base carried over from the probe row,
+// sequence counting emissions per base). The probe batch is transient:
+// emit copies the probe row's values out before the next one is pulled.
 type batchProbe struct {
 	probe    *Batch
 	idx      int
@@ -47,17 +50,50 @@ func (p *batchProbe) carve(width, batchCap int) []value.Value {
 	return p.slab.carve(width, batchCap)
 }
 
-// valueSlab is a forward-only arena of value slices: carve returns a
-// fresh width-sized slice, reallocating the backing block when it runs
-// dry. Blocks grow geometrically from 16 rows up to one output batch:
+// begin starts one output batch. The rows of a transient batch's previous
+// fill are dead by its consumer's promise, so their block is carved again.
+func (p *batchProbe) begin(b *Batch) {
+	b.Reset()
+	if b.transient {
+		p.slab.rewind()
+	}
+}
+
+// valueSlab is an arena of value slices: carve returns a fresh
+// width-sized slice, reallocating the backing block when it runs dry.
+// Blocks grow geometrically from 16 rows up to one output batch:
 // operators that emit a handful of rows must not hand the GC a
 // width×batchCap pointer slab apiece (stacked selective joins spend
 // more time in the collector than in the probe loop), while sustained
-// outputs still converge to one allocation per batch. Carved slices are
-// never recycled, so handed-out rows and keys stay immutable.
+// outputs still converge to one allocation per batch. Carved slices stay
+// immutable until rewind, which only the filler of a transient batch
+// calls; a slab nobody rewinds (join build keys) is forward-only.
 type valueSlab struct {
 	block []value.Value
+	base  []value.Value // the newest block whole: what rewind returns to
 	rows  int
+}
+
+// rewind makes the newest block carvable from its start again. A batch
+// that outgrew its block got a larger one from carve, and that one is
+// the newest from then on, so a sustained output settles on one block.
+func (s *valueSlab) rewind() {
+	recycle(s.base)
+	s.block = s.base
+}
+
+// poisonRecycled is a test hook, set from _test.go files only: storage
+// about to be handed out a second time is first overwritten with a
+// sentinel, so that a consumer which kept a row of a batch it declared
+// transient reads the sentinel instead of a plausible later row.
+var poisonRecycled bool
+
+func recycle(block []value.Value) {
+	if poisonRecycled {
+		for i := range block {
+			block[i] = value.Str("\x00recycled")
+		}
+	}
 }
 
 func (s *valueSlab) carve(width, batchCap int) []value.Value {
@@ -79,7 +115,8 @@ func (s *valueSlab) carve(width, batchCap int) []value.Value {
 		if n < width {
 			n = width
 		}
-		s.block = make([]value.Value, n)
+		s.base = make([]value.Value, n)
+		s.block = s.base
 	}
 	row := s.block[:width:width]
 	s.block = s.block[width:]
@@ -183,7 +220,8 @@ func (f *Filter) NextBatch(b *Batch) error {
 	}
 }
 
-// NextBatch projects one child batch into one fresh output slab.
+// NextBatch projects one child batch into one output slab: a fresh one,
+// or the previous one again when b is transient and it is large enough.
 // Passthrough columns (plain column references) copy the child value
 // directly, skipping the evaluator; ordinal tags propagate unchanged.
 func (p *Project) NextBatch(b *Batch) error {
@@ -191,7 +229,7 @@ func (p *Project) NextBatch(b *Batch) error {
 		return err
 	}
 	if p.scratch == nil || p.scratch.Cap() < b.Cap() {
-		p.scratch = NewBatch(b.Cap())
+		p.scratch = NewTransientBatch(b.Cap())
 	}
 	if err := p.Child.NextBatch(p.scratch); err != nil {
 		return err
@@ -203,7 +241,12 @@ func (p *Project) NextBatch(b *Batch) error {
 	}
 	p.stats.addIn(int64(n))
 	width := len(p.evals)
-	slab := make([]value.Value, n*width)
+	if b.transient && len(p.out) >= n*width {
+		recycle(p.out)
+	} else {
+		p.out = make([]value.Value, n*width)
+	}
+	slab := p.out
 	for i := 0; i < n; i++ {
 		row := p.scratch.Row(i)
 		out := slab[i*width : (i+1)*width : (i+1)*width]
@@ -262,7 +305,7 @@ func (j *HashJoin) prehash(n int) error {
 // tight loop, carving joined rows into the output slab. The output batch
 // never merges rows of two probe batches, preserving morsel alignment.
 func (j *HashJoin) NextBatch(b *Batch) error {
-	b.Reset()
+	j.bp.begin(b)
 	width := len(j.schema)
 	for {
 		if err := j.gov.PollBatch(); err != nil {
@@ -290,7 +333,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 				return nil
 			}
 			if j.bp.probe == nil {
-				j.bp.probe = NewBatch(b.Cap())
+				j.bp.probe = NewTransientBatch(b.Cap())
 			}
 			if err := j.Left.NextBatch(j.bp.probe); err != nil {
 				return err
@@ -319,7 +362,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 // NextBatch probes the stored index with successive rows of the probe
 // batch, carving joined rows into the output slab.
 func (j *IndexJoin) NextBatch(b *Batch) error {
-	b.Reset()
+	j.bp.begin(b)
 	width := len(j.schema)
 	for {
 		if err := j.gov.PollBatch(); err != nil {
@@ -344,7 +387,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 				return nil
 			}
 			if j.bp.probe == nil {
-				j.bp.probe = NewBatch(b.Cap())
+				j.bp.probe = NewTransientBatch(b.Cap())
 			}
 			if err := j.Outer.NextBatch(j.bp.probe); err != nil {
 				return err
@@ -372,7 +415,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 // right row, carving joined rows into the output slab. CrossJoin never
 // splits (drivingScan), so nothing reads ordinal tags off its output.
 func (j *CrossJoin) NextBatch(b *Batch) error {
-	b.Reset()
+	j.bp.begin(b)
 	width := len(j.schema)
 	for {
 		if err := j.gov.PollBatch(); err != nil {
@@ -398,7 +441,7 @@ func (j *CrossJoin) NextBatch(b *Batch) error {
 				return nil
 			}
 			if j.bp.probe == nil {
-				j.bp.probe = NewBatch(b.Cap())
+				j.bp.probe = NewTransientBatch(b.Cap())
 			}
 			if err := j.Left.NextBatch(j.bp.probe); err != nil {
 				return err
@@ -419,6 +462,11 @@ func (j *CrossJoin) NextBatch(b *Batch) error {
 // vector, reserving buffered budget once per batch for the fresh rows
 // the seen-table retains.
 func (d *Distinct) NextBatch(b *Batch) error {
+	if b.transient {
+		// Distinct forwards b to its child and keeps the surviving rows in
+		// seen: the next fill of a transient b would overwrite them.
+		return fmt.Errorf("exec: Distinct handed a transient batch: %w", qerr.ErrInternal)
+	}
 	for {
 		if err := d.gov.PollBatch(); err != nil {
 			return err

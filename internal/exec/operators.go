@@ -105,7 +105,8 @@ type Project struct {
 	// plain column reference (-1 otherwise); NextBatch copies those values
 	// directly instead of calling the evaluator.
 	passthrough []int
-	scratch     *Batch // child-side batch, reused across NextBatch calls
+	scratch     *Batch        // child-side batch, reused across NextBatch calls
+	out         []value.Value // the last output slab, refilled when the consumer's batch is transient
 }
 
 // ProjectionCol pairs an output column descriptor with its source
@@ -139,10 +140,14 @@ func NewProject(child Operator, cols []ProjectionCol) (*Project, error) {
 func (p *Project) Schema() RowSchema { return p.schema }
 func (p *Project) Open() error       { p.stats.markOpen(); return p.Child.Open() }
 
-// Close drops the child-side batch with the rows it references: a closed
-// tree — one parked in the plan cache, say — holds its plan and nothing of
-// its last run.
-func (p *Project) Close() error { p.stats.markDone(); p.scratch = nil; return p.Child.Close() }
+// Close drops the child-side batch with the rows it references, and the
+// output slab: a closed tree — one parked in the plan cache, say — holds
+// its plan and nothing of its last run.
+func (p *Project) Close() error {
+	p.stats.markDone()
+	p.scratch, p.out = nil, nil
+	return p.Child.Close()
+}
 
 // Describe implements Operator.
 func (p *Project) Describe() string {
@@ -815,7 +820,7 @@ func (a *HashAggregate) Open() error {
 // reservation flush per batch.
 func (a *HashAggregate) drainSerial(acc *aggAcc) error {
 	var ord int64
-	bb := NewBatch(a.batchCap())
+	bb := NewTransientBatch(a.batchCap()) // accumulate copies the values it keeps
 	for {
 		if err := a.gov.PollBatch(); err != nil {
 			return err

@@ -855,7 +855,7 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []leafTracker) err
 		}
 		acc := a.newAcc()
 		accs[w] = acc // pre-published so error paths can release acc.reserved
-		bb := NewBatch(a.batchCap())
+		bb := NewTransientBatch(a.batchCap())
 		for {
 			if err := gov.PollBatch(); err != nil {
 				return err

@@ -83,11 +83,15 @@ func (rs RowSchema) Names() []string {
 //	}
 //
 // NextBatch resets and refills b; an empty batch means the operator is
-// exhausted. Row slices handed out through a batch may be retained by the
-// caller — operators never mutate a row they have handed out — but the
+// exhausted. Row slices handed out through a plain batch (NewBatch) may be
+// retained by the caller — operators never mutate such a row — but the
 // Batch itself (its rows/sel backing arrays) is owned by the caller and
 // reused across calls, so consumers that buffer rows copy the row
-// *references* out before the next call and never retain the Batch.
+// *references* out before the next call and never retain the Batch. A
+// consumer that copies the *values* it needs instead pulls through a
+// NewTransientBatch, whose rows die at its next NextBatch on that batch.
+// An operator that passes b on to its child passes that lifetime on with
+// it, so it may keep row references only if it refuses a transient b.
 type Operator interface {
 	Schema() RowSchema
 	Open() error

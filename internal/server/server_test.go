@@ -366,10 +366,13 @@ func TestDrainGraceful(t *testing.T) {
 // with qerr.ErrShutdown and surfaces as 503 (not 499 — the client did
 // nothing wrong).
 func TestDrainCancelsInflight(t *testing.T) {
-	store := bigStore(t, 2000)
-	store.SetInjector(slowInjector{perRow: 200 * time.Microsecond}) // ~400ms per scan
+	store := bigStore(t, 8000)
+	store.SetInjector(slowInjector{perRow: 200 * time.Microsecond}) // >= 1.6s per scan
 	cfg := oneTenant(metrics.NewRegistry())
-	cfg.DrainTimeout = 100 * time.Millisecond
+	// The scan sees the cancellation within 128 rows, i.e. 128 sleeps: on a
+	// loaded host one such sleep takes a millisecond or more, so a 100 ms
+	// window to unwind in was sometimes too short.
+	cfg.DrainTimeout = 400 * time.Millisecond
 	srv, err := New(store, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types a Value can take.
@@ -66,29 +67,44 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Value is a dynamically typed SQL value. The zero Value is NULL.
+// Value is a dynamically typed SQL value. The zero Value is NULL. It is
+// 32 bytes: the kind, one 8-byte payload — the int, the float's IEEE-754
+// bits, or 0/1 for the bool — and the string header. Only one of n and s
+// is ever live.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
+
+// Size is the size of a Value in bytes: what a []Value holds per element
+// (a string's bytes come on top). The cache charges it.
+const Size = int64(unsafe.Sizeof(Value{}))
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// The payload read back as each numeric kind; callers have checked kind.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) bool() bool     { return v.n != 0 }
 
 // Kind reports the runtime type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -101,7 +117,7 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic("value: AsInt on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
 	}
-	return v.i
+	return v.int()
 }
 
 // AsFloat returns the numeric payload widened to float64. It panics unless
@@ -109,9 +125,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	case KindFloat:
-		return v.f
+		return v.float()
 	}
 	panic("value: AsFloat on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
 }
@@ -129,7 +145,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic("value: AsBool on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
 	}
-	return v.b
+	return v.bool()
 }
 
 // IsNumeric reports whether v is an int or a float.
@@ -142,13 +158,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.bool() {
 			return "true"
 		}
 		return "false"
@@ -209,10 +225,10 @@ func Compare(a, b Value) int {
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
+			switch ai, bi := a.int(), b.int(); {
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			default:
 				return 0
@@ -240,9 +256,9 @@ func Compare(a, b Value) int {
 		return strings.Compare(a.s, b.s)
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.n == b.n:
 			return 0
-		case !a.b:
+		case !a.bool():
 			return -1
 		default:
 			return 1
@@ -284,7 +300,7 @@ func arith(a, b Value, intOp func(int64, int64) (int64, error), floatOp func(flo
 		return Null(), errNonNumeric
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		r, err := intOp(a.i, b.i)
+		r, err := intOp(a.int(), b.int())
 		if err != nil {
 			return Null(), err
 		}
@@ -333,9 +349,9 @@ func Neg(a Value) (Value, error) {
 	case KindNull:
 		return Null(), nil
 	case KindInt:
-		return Int(-a.i), nil
+		return Int(-a.int()), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.float()), nil
 	}
 	return Null(), errNonNumeric
 }
@@ -361,19 +377,20 @@ func Hash(v Value) uint64 {
 	case KindNull:
 		return hashNull
 	case KindInt:
-		return mix64(uint64(v.i) ^ hashInt)
+		return mix64(v.n ^ hashInt)
 	case KindFloat:
+		f := v.float()
 		//lint:allow floatcmp -- exact integrality test: hash equality must mirror exact Compare equality
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			// Normalize integral floats to the int encoding so that
 			// numeric equality implies hash equality.
-			return mix64(uint64(int64(v.f)) ^ hashInt)
+			return mix64(uint64(int64(f)) ^ hashInt)
 		}
-		return mix64(math.Float64bits(v.f) ^ hashFloat)
+		return mix64(v.n ^ hashFloat)
 	case KindString:
 		return maphash.String(hashSeed, v.s)
 	case KindBool:
-		if v.b {
+		if v.bool() {
 			return hashTrue
 		}
 		return hashFalse

@@ -109,6 +109,7 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
 	}
+	poisonRecycledRows(t)
 	d := determinismWorkload(t)
 	pairs, err := bench.PreparePairs()
 	if err != nil {
@@ -160,6 +161,7 @@ func TestExecutionMatchesRowPathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
 	}
+	poisonRecycledRows(t)
 	d := determinismWorkload(t)
 	pairs, err := bench.PreparePairs()
 	if err != nil {
