@@ -5,17 +5,11 @@ import (
 
 	"conquer/internal/core"
 	"conquer/internal/dirty"
-	"conquer/internal/engine"
 	"conquer/internal/exec"
-	"conquer/internal/plan"
 	"conquer/internal/sqlparse"
 )
 
 // Thin adapters keeping bench_test.go readable.
-
-func planOptionsIndexJoin() engine.Options {
-	return engine.Options{Plan: plan.Options{PreferIndexJoin: true}}
-}
 
 func coreViaRewriting(d *dirty.DB, q *sqlparse.SelectStmt) (*core.Result, error) {
 	return core.ViaRewritingCtx(context.Background(), d, q, exec.Limits{})

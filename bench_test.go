@@ -11,9 +11,9 @@
 //   - Fig8Parallelism / Fig8Sharding / Fig7ProbCalcParallelism: CI's
 //     "Bench smoke" runs one iteration of each, so a parallel or sharded
 //     plan that fails outright fails the build.
-//   - AblationIndexJoin / AblationTopN / AblationDistance /
-//     EvaluatorComparison: the only source of the numbers under
-//     "Extensions beyond the paper" in EXPERIMENTS.md.
+//   - AblationTopN / AblationDistance / EvaluatorComparison: the only
+//     source of the numbers under "Extensions beyond the paper" in
+//     EXPERIMENTS.md.
 //
 // Run one with, e.g.:
 //
@@ -23,7 +23,6 @@ package conquer
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -205,50 +204,6 @@ func BenchmarkFig7ProbCalcParallelism(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations beyond the paper's figures
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblationIndexJoin compares the default hash join against the
-// index-nested-loop join over a stored index on the identifier — the
-// "indices on the identifier" physical choice §5.3 mentions. The query is
-// an unfiltered identifier join (pushed selections on the inner relation
-// disqualify index joins in the planner, so a filtered query would
-// silently measure the same plan twice).
-func BenchmarkAblationIndexJoin(b *testing.B) {
-	d := workload(b)
-	li, _ := d.Store.Table("lineitem")
-	if err := li.CreateIndex("l_orderkey"); err != nil {
-		b.Fatal(err)
-	}
-	q := sqlparse.MustParse(
-		"select o.o_orderkey, l.l_id, sum(o.prob * l.prob) as p from orders o, lineitem l where l.l_orderkey = o.o_orderkey group by o.o_orderkey, l.l_id")
-	// Confirm the two configurations actually plan different joins.
-	hashPlan, err := engine.New(d.Store).Explain(q.SQL())
-	if err != nil {
-		b.Fatal(err)
-	}
-	idxPlan, err := engine.NewWithOptions(d.Store, planOptionsIndexJoin()).Explain(q.SQL())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !strings.Contains(hashPlan, "HashJoin") || !strings.Contains(idxPlan, "IndexJoin") {
-		b.Fatalf("ablation plans degenerate:\nhash:\n%s\nindex:\n%s", hashPlan, idxPlan)
-	}
-	b.Run("hash_join", func(b *testing.B) {
-		eng := engine.New(d.Store)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryStmt(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("index_join", func(b *testing.B) {
-		eng := engine.NewWithOptions(d.Store, planOptionsIndexJoin())
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryStmt(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationTopN compares the full-sort-then-limit plan against
 // the fused bounded-heap TopN for "top answers" queries (ORDER BY ...

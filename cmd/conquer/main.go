@@ -24,6 +24,11 @@
 //	              64MiB as 67108864); 0 disables caching. Cached answers
 //	              are invalidated automatically when tables mutate.
 //
+// -parallelism, -shards, -batch-size and -query-log configure the engine
+// behind plain SQL and \explain. clean and eval run on engines the
+// evaluators build themselves — one worker and shard per CPU, the default
+// batch size, no log — under -timeout (and, for eval, -cache-bytes) only.
+//
 // Inside the shell:
 //
 //	select ...                    run SQL directly on the dirty data
@@ -76,11 +81,11 @@ func main() {
 	dir := flag.String("dir", "", "directory of TPC-H CSVs from datagen (default: the paper's Figure-2 example)")
 	oneShot := flag.String("c", "", "execute one statement and exit")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
-	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "cluster shards for partitioned scans (0 = one per CPU, 1 = unsharded)")
-	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default)")
+	par := flag.Int("parallelism", 0, "workers for parallel execution of plain SQL (0 = one per CPU, 1 = serial); clean/eval always run at one per CPU")
+	shards := flag.Int("shards", 0, "cluster shards for partitioned scans of plain SQL (0 = one per CPU, 1 = unsharded); clean/eval always run at one per CPU")
+	batchSize := flag.Int("batch-size", 0, "rows per execution batch of plain SQL (0 = default); clean/eval always run at the default")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
-	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per executed query")
+	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per plain SQL query (clean/eval are not logged)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for cached query results (0 = caching off)")
 	flag.Parse()
 	if *batchSize < 0 {

@@ -44,7 +44,6 @@ import (
 	"conquer/internal/core"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/matching"
 	"conquer/internal/probcalc"
 	"conquer/internal/rewrite"
@@ -59,16 +58,28 @@ type Database struct {
 	d     *dirty.DB
 	eng   *engine.Engine
 	cache *cache.Cache
-	// parallelism and shards are remembered here so EnableCache can
-	// reapply them when it rebuilds the engine.
+	// parallelism and shards are remembered here so every engine built
+	// later (EnableCache, QueryCtx) runs under them too.
 	parallelism int
 	shards      int
 }
 
 // New creates an empty database.
 func New() *Database {
-	store := storage.NewDB()
-	return &Database{d: dirty.New(store), eng: engine.New(store)}
+	db := &Database{d: dirty.New(storage.NewDB())}
+	db.eng = db.newEngine(Limits{})
+	return db
+}
+
+// newEngine builds an engine over the store under the database's cache,
+// parallelism and shard settings and the given budget.
+func (db *Database) newEngine(lim Limits) *engine.Engine {
+	return engine.NewWithOptions(db.d.Store, engine.Options{
+		Limits:      lim.internal(),
+		Cache:       db.cache,
+		Parallelism: db.parallelism,
+		Shards:      db.shards,
+	})
 }
 
 // EnableCache attaches a versioned multi-tier query cache (DESIGN.md
@@ -82,11 +93,7 @@ func (db *Database) EnableCache(maxBytes int64) *Database {
 	} else {
 		db.cache = cache.New(cache.Options{MaxBytes: maxBytes})
 	}
-	db.eng = engine.NewWithOptions(db.d.Store, engine.Options{
-		Cache:       db.cache,
-		Parallelism: db.parallelism,
-		Shards:      db.shards,
-	})
+	db.eng = db.newEngine(Limits{})
 	return db
 }
 
@@ -242,17 +249,6 @@ func (db *Database) SaveCSV(table, path string) error {
 	return tb.SaveCSVFile(path)
 }
 
-// CreateIndex builds a hash index on the named column (used by the
-// index-nested-loop join when the engine is configured for it, and by
-// identifier lookups).
-func (db *Database) CreateIndex(table, column string) error {
-	tb, ok := db.d.Store.Table(table)
-	if !ok {
-		return fmt.Errorf("conquer: unknown table %q", table)
-	}
-	return tb.CreateIndex(column)
-}
-
 func toValue(v any) (value.Value, error) {
 	switch v := v.(type) {
 	case nil:
@@ -297,7 +293,10 @@ type Rows struct {
 // Query runs ordinary SQL directly on the stored (dirty) data — the
 // baseline the paper compares its rewritten queries against.
 func (db *Database) Query(sql string) (*Rows, error) {
-	res, err := db.eng.Query(sql)
+	return toRows(db.eng.Query(sql))
+}
+
+func toRows(res *engine.Result, err error) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -412,44 +411,20 @@ func convertResult(res *core.Result) *CleanResult {
 // the paper's query rewriting (§3). It fails with an explanation when the
 // query is outside the rewritable class (Dfn 7).
 func (db *Database) CleanAnswers(sql string) (*CleanResult, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.ViaRewritingCtx(context.Background(), db.d, stmt, exec.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
+	return db.CleanAnswersCtx(context.Background(), sql, Limits{})
 }
 
 // CleanAnswersExact computes clean answers by candidate-database
 // enumeration (Dfn 5 verbatim). Exponential; limit caps the candidate
 // count (0 for the default of about four million).
 func (db *Database) CleanAnswersExact(sql string, limit int64) (*CleanResult, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.ExactCtx(context.Background(), db.d, stmt, exec.Limits{MaxCandidates: limit})
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
+	return db.CleanAnswersExactCtx(context.Background(), sql, Limits{MaxCandidates: limit})
 }
 
 // CleanAnswersMonteCarlo estimates clean answers from n sampled candidate
 // databases; usable for queries outside the rewritable class.
 func (db *Database) CleanAnswersMonteCarlo(sql string, n int, seed int64) (*CleanResult, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.MonteCarloCtx(context.Background(), db.d, stmt, n, seed, exec.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
+	return db.CleanAnswersMonteCarloCtx(context.Background(), sql, n, seed, Limits{})
 }
 
 // CleanAnswersAugmented is CleanAnswers that repairs condition-4
@@ -593,15 +568,7 @@ func (r *CleanResult) AtLeast(p float64) *CleanResult {
 // ConsistentAnswers filters a clean-answer result down to the certain
 // answers (probability 1) — the consistent answers of Arenas et al., which
 // the paper generalizes.
-func ConsistentAnswers(r *CleanResult) *CleanResult {
-	out := &CleanResult{Columns: r.Columns}
-	for _, a := range r.Answers {
-		if a.Prob >= 1-1e-9 {
-			out.Answers = append(out.Answers, a)
-		}
-	}
-	return out
-}
+func ConsistentAnswers(r *CleanResult) *CleanResult { return r.AtLeast(1 - 1e-9) }
 
 // String renders the result as an aligned table, probabilities last.
 func (r *CleanResult) String() string {

@@ -334,9 +334,6 @@ func TestPublicAPIErrors(t *testing.T) {
 	if err := db.AssignProbabilities("ghost", nil); err == nil {
 		t.Error("unknown table assign should fail")
 	}
-	if err := db.CreateIndex("ghost", "a"); err == nil {
-		t.Error("unknown table index should fail")
-	}
 }
 
 func TestCleanResultString(t *testing.T) {
@@ -355,13 +352,6 @@ func TestColumnsParser(t *testing.T) {
 	cols := Columns("a INT", "b", "c FLOAT")
 	if cols[0].Type != "INT" || cols[1].Type != "STRING" || cols[2].Name != "c" {
 		t.Errorf("Columns = %+v", cols)
-	}
-}
-
-func TestCreateIndexPublic(t *testing.T) {
-	db := paperDB(t)
-	if err := db.CreateIndex("customer", "id"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"conquer/internal/core"
-	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
@@ -160,20 +159,7 @@ func (db *Database) CleanAnswersMonteCarloCtx(ctx context.Context, sql string, n
 // cancellation and timeout support. With EnableCache on, repeated
 // queries over unmutated tables are served from the result cache.
 func (db *Database) QueryCtx(ctx context.Context, sql string, lim Limits) (*Rows, error) {
-	eng := engine.NewWithOptions(db.d.Store, engine.Options{Limits: lim.internal(), Cache: db.cache})
-	res, err := eng.QueryCtx(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Columns: res.Columns}
-	for _, r := range res.Rows {
-		row := make([]any, len(r))
-		for i, v := range r {
-			row[i] = fromValue(v)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return toRows(db.newEngine(lim).QueryCtx(ctx, sql))
 }
 
 // IsResourceError reports whether err is a degradable resource failure

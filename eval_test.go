@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,6 +279,24 @@ func TestExactOverLimitTyped(t *testing.T) {
 	}
 	if ErrorReason(err) != "candidates" {
 		t.Errorf("reason = %q, want candidates", ErrorReason(err))
+	}
+}
+
+// QueryCtx builds its engine per call (the budget is the engine's); that
+// engine runs under the facade's worker and shard settings like Query's.
+func TestQueryCtxEngineHonoursParallelismAndShards(t *testing.T) {
+	db := paperDB(t).SetParallelism(3).SetShards(5)
+	const q = "select custid from customer"
+	want, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.newEngine(Limits{MaxOutputRows: 2}).Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !strings.Contains(got, "Gather[n=3][shards=5]") {
+		t.Errorf("QueryCtx's engine plans\n%s\nQuery's plans\n%s", got, want)
 	}
 }
 

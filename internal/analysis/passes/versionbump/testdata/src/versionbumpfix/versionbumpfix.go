@@ -52,8 +52,8 @@ func (t *Table) UpdateBranchy(i int, row []string, audit bool) error {
 	return nil // want `UpdateBranchy mutates the receiver but this success path returns without calling bump`
 }
 
-// CreateIndex has an early success return BEFORE any mutation, like the
-// real duplicate-index fast path: no obligation yet, so no finding.
+// CreateIndex has an early success return BEFORE any mutation: no
+// obligation yet, so no finding.
 func (t *Table) CreateIndex(name string) error {
 	if _, ok := t.indexes[name]; ok {
 		return nil // compliant: nothing mutated yet

@@ -15,7 +15,8 @@
 // naive "bump appears somewhere" check: a mutation raises an
 // obligation, bump() (or a deferred bump()) discharges it, and paths
 // are joined with OR. Early `return nil` before any mutation is legal
-// (no obligation was raised — CreateIndex's duplicate-index fast path),
+// (no obligation was raised — the fixture's CreateIndex, which returns
+// early when the index exists),
 // and error returns are exempt (a failed mutation must NOT advance the
 // version, or the cache would discard entries for data that never
 // changed). A success path is a return whose final error result is nil

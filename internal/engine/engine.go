@@ -27,9 +27,6 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Plan tunes physical planning (Plan.Parallelism is overwritten from
-	// Parallelism below at query time).
-	Plan plan.Options
 	// Limits is the per-query execution budget.
 	Limits exec.Limits
 	// Parallelism is the worker count for morsel-driven parallel
@@ -107,12 +104,10 @@ func (e *Engine) Cache() *cache.Cache { return e.cache }
 
 // planOptions resolves the effective planner options for one query.
 func (e *Engine) planOptions() plan.Options {
-	opts := e.opts.Plan
-	opts.Parallelism = e.opts.Parallelism
+	opts := plan.Options{Parallelism: e.opts.Parallelism, Shards: e.opts.Shards, BatchSize: e.opts.BatchSize}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	opts.Shards = e.opts.Shards
 	if opts.Shards == 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -122,7 +117,6 @@ func (e *Engine) planOptions() plan.Options {
 			return e.shardedView(tb, n)
 		}
 	}
-	opts.BatchSize = e.opts.BatchSize
 	return opts
 }
 
@@ -301,8 +295,8 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 // (0 and DefaultBatchSize are the same plan) because a prepared tree
 // carries its batch size baked in by SetBatchSize.
 func resultKey(stmt *sqlparse.SelectStmt, popts plan.Options) string {
-	return fmt.Sprintf("%s|par=%d;idx=%t;sh=%d;bs=%d", stmt.SQL(), popts.Parallelism,
-		popts.PreferIndexJoin, popts.Shards, exec.ResolveBatchSize(popts.BatchSize))
+	return fmt.Sprintf("%s|par=%d;sh=%d;bs=%d", stmt.SQL(), popts.Parallelism,
+		popts.Shards, exec.ResolveBatchSize(popts.BatchSize))
 }
 
 // stmtTables lists the tables the statement references.

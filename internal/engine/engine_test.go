@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"conquer/internal/plan"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
 	"conquer/internal/value"
@@ -259,55 +258,6 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := e.Explain("bad sql"); err == nil {
 		t.Error("Explain of bad SQL should fail")
-	}
-}
-
-func TestIndexJoinOption(t *testing.T) {
-	db := figure2DB(t)
-	cust, _ := db.Table("customer")
-	if err := cust.CreateIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	e := NewWithOptions(db, Options{Plan: plan.Options{PreferIndexJoin: true}})
-	out, err := e.Explain("select o.id, c.id from orders o, customer c where o.cidfk = c.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "IndexJoin") {
-		t.Errorf("expected IndexJoin in plan:\n%s", out)
-	}
-	res, err := e.Query("select o.id, c.id from orders o, customer c where o.cidfk = c.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Errorf("index join rows = %d, want 6", len(res.Rows))
-	}
-}
-
-func TestPlannerEquivalence(t *testing.T) {
-	// Same results with and without index joins.
-	db := figure2DB(t)
-	cust, _ := db.Table("customer")
-	if err := cust.CreateIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	q := "select o.id, c.id, sum(o.prob * c.prob) as p from orders o, customer c where o.cidfk = c.id and c.balance > 10000 group by o.id, c.id order by p desc, o.id, c.id"
-	hash, err := New(db).Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := NewWithOptions(db, Options{Plan: plan.Options{PreferIndexJoin: true}}).Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hash.Rows) != len(idx.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(hash.Rows), len(idx.Rows))
-	}
-	for i := range hash.Rows {
-		if !value.RowsIdentical(hash.Rows[i], idx.Rows[i]) {
-			t.Errorf("row %d differs: %v vs %v", i, hash.Rows[i], idx.Rows[i])
-		}
 	}
 }
 

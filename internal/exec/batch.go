@@ -191,16 +191,18 @@ func (h *batchHolder) setBatchSize(n int) { h.batch = n }
 // batchCap resolves the effective rows-per-batch for internal drains.
 func (h *batchHolder) batchCap() int { return ResolveBatchSize(h.batch) }
 
-// SetBatchSize installs n rows per batch on every operator of the tree
-// (n <= 0 means DefaultBatchSize). The planner calls it after assembling
+// SetBatchSize installs size rows per batch on every operator of the tree
+// (size <= 0 means DefaultBatchSize). The planner calls it after assembling
 // the tree with the engine-resolved size; splitPipeline propagates the
 // setting into worker clones.
-func SetBatchSize(op Operator, n int) {
+func SetBatchSize(op Operator, size int) {
 	if bs, ok := op.(batchSized); ok {
-		bs.setBatchSize(n)
+		bs.setBatchSize(size)
 	}
 	for _, c := range children(op) {
-		SetBatchSize(c, n)
+		if c != nil {
+			SetBatchSize(c, size)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 	"conquer/internal/value"
 )
 
-// batchProbe is the probe-side state the joins share: the probe input
+// batchProbe is the probe-side state of a join: the probe input
 // batch with a cursor, the output slab, and the run-length ordinal
 // generator that tags join fanout (base carried over from the probe row,
 // sequence counting emissions per base). The probe batch is transient:
@@ -356,105 +356,6 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 		}
 		j.cur, j.curKeys, j.curLeft, j.curIdx = j.build.lookup(j.probeHash[i]), keys, j.bp.probe.Row(i), 0
 		j.bp.curBase = j.bp.probe.Ord(i).base
-	}
-}
-
-// NextBatch probes the stored index with successive rows of the probe
-// batch, carving joined rows into the output slab.
-func (j *IndexJoin) NextBatch(b *Batch) error {
-	j.bp.begin(b)
-	width := len(j.schema)
-	for {
-		if err := j.gov.PollBatch(); err != nil {
-			return err
-		}
-		for j.curIdx < len(j.cur) {
-			if b.Full() {
-				j.stats.addOut(int64(b.Len()))
-				j.stats.incBatch()
-				return nil
-			}
-			inner := j.InnerTable.Row(j.cur[j.curIdx])
-			j.curIdx++
-			out := j.bp.carve(width, b.Cap())
-			j.emit(out, j.curOut, inner)
-			b.AppendOrd(out, j.bp.nextOrd())
-		}
-		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
-			if b.Len() > 0 {
-				j.stats.addOut(int64(b.Len()))
-				j.stats.incBatch()
-				return nil
-			}
-			if j.bp.probe == nil {
-				j.bp.probe = NewTransientBatch(b.Cap())
-			}
-			if err := j.Outer.NextBatch(j.bp.probe); err != nil {
-				return err
-			}
-			pn := j.bp.probe.Len()
-			if pn == 0 {
-				return nil
-			}
-			j.stats.addIn(int64(pn))
-			j.bp.idx = 0
-		}
-		i := j.bp.idx
-		j.bp.idx++
-		outer := j.bp.probe.Row(i)
-		k, err := j.ok(outer)
-		if err != nil {
-			return err
-		}
-		j.cur, j.curOut, j.curIdx = j.index.Lookup(k), outer, 0
-		j.bp.curBase = j.bp.probe.Ord(i).base
-	}
-}
-
-// NextBatch pairs successive rows of the left batch with every buffered
-// right row, carving joined rows into the output slab. CrossJoin never
-// splits (drivingScan), so nothing reads ordinal tags off its output.
-func (j *CrossJoin) NextBatch(b *Batch) error {
-	j.bp.begin(b)
-	width := len(j.schema)
-	for {
-		if err := j.gov.PollBatch(); err != nil {
-			return err
-		}
-		if j.curLeft != nil {
-			for j.curIdx < len(j.rightRows) {
-				if b.Full() {
-					j.stats.addOut(int64(b.Len()))
-					j.stats.incBatch()
-					return nil
-				}
-				out := j.bp.carve(width, b.Cap())
-				j.emit(out, j.curLeft, j.rightRows[j.curIdx])
-				j.curIdx++
-				b.Append(out)
-			}
-		}
-		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
-			if b.Len() > 0 {
-				j.stats.addOut(int64(b.Len()))
-				j.stats.incBatch()
-				return nil
-			}
-			if j.bp.probe == nil {
-				j.bp.probe = NewTransientBatch(b.Cap())
-			}
-			if err := j.Left.NextBatch(j.bp.probe); err != nil {
-				return err
-			}
-			pn := j.bp.probe.Len()
-			if pn == 0 {
-				return nil
-			}
-			j.stats.addIn(int64(pn))
-			j.bp.idx = 0
-		}
-		j.curLeft, j.curIdx = j.bp.probe.Row(j.bp.idx), 0
-		j.bp.idx++
 	}
 }
 

@@ -154,7 +154,23 @@ func TestFilterBatchRunsDry(t *testing.T) {
 	}
 }
 
-// TestCrossJoinPreservesProbabilities proves CrossJoin's NextBatch carries
+// SetBatchSize reaches every level of the tree with the size it was
+// given: results are the same at any size, so only this notices an inner
+// operator left at another one.
+func TestSetBatchSizeReachesEveryOperator(t *testing.T) {
+	fact, dim := parTables(t, 50)
+	inner := crossJoin(t, NewScan(dim, "d1"), NewScan(dim, "d2"))
+	outer := mustOp[*HashJoin](t)(NewHashJoin(NewScan(fact, "f"), inner, exprs(colRef("f", "k")), exprs(colRef("d1", "k"))))
+	srt := mustOp[*Sort](t)(NewSort(NewGather(outer, 2), []SortKey{SortKeyPos(0, false)}))
+	SetBatchSize(NewLimit(srt, 5), 7)
+	for _, op := range []interface{ batchCap() int }{srt, srt.Child.(*Gather), outer, inner} {
+		if got := op.batchCap(); got != 7 {
+			t.Errorf("%T runs at %d rows per batch, want 7", op, got)
+		}
+	}
+}
+
+// TestCrossJoinPreservesProbabilities proves the keyless join carries
 // the Figure 2 probability columns through intact, at a batch size that
 // cuts the product mid-row and at the default. The expectation is the
 // nested loop over the two tables.
@@ -167,7 +183,7 @@ func TestCrossJoinPreservesProbabilities(t *testing.T) {
 		t.Fatalf("baseline rows = %d", len(want))
 	}
 	for _, size := range []int{4, 0} {
-		f, err := NewFilter(NewCrossJoin(NewScan(ord, "o"), NewScan(cust, "c")), expr(t, "o.cidfk = c.id"))
+		f, err := NewFilter(crossJoin(t, NewScan(ord, "o"), NewScan(cust, "c")), expr(t, "o.cidfk = c.id"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,6 +302,8 @@ func Attach(op Operator, g *Governor) {
 		gd.setGovernor(g)
 	}
 	for _, c := range children(op) {
-		Attach(c, g)
+		if c != nil {
+			Attach(c, g)
+		}
 	}
 }

@@ -125,16 +125,12 @@ func nestedLoop(left, right *storage.Table, keep func(l, r []value.Value) bool) 
 }
 
 // A join with output list L equals the identity join followed by a
-// projection onto L — same rows, same order, same ordinal tags — for all
-// three joins, at the default batch size, at one that cuts the fan-out of
-// a probe row, and for the probe-shard clones splitPipeline makes
-// (CrossJoin does not split). The identity join itself is held to the
-// nested loop over its inputs.
+// projection onto L — same rows, same order, same ordinal tags — keyed
+// and keyless, at the default batch size, at one that cuts the fan-out of
+// a probe row, and for the probe-shard clones splitPipeline makes. The
+// identity join itself is held to the nested loop over its inputs.
 func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 	fact, dim := parTables(t, 700)
-	if err := dim.CreateIndex("k"); err != nil {
-		t.Fatal(err)
-	}
 	small := storage.NewTable(dim.Schema)
 	for i := 0; i < 3; i++ {
 		small.MustInsert(dim.Row(i)...)
@@ -153,15 +149,8 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 			}
 			return j, j.Narrow
 		}},
-		{"IndexJoin", nestedLoop(fact, dim, sameKey), func() (Operator, func([]int) error) {
-			j, err := NewIndexJoin(NewScan(fact, "f"), dim, "d", colRef("f", "k"), "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return j, j.Narrow
-		}},
 		{"CrossJoin", nestedLoop(fact, small, func(l, r []value.Value) bool { return true }), func() (Operator, func([]int) error) {
-			j := NewCrossJoin(NewScan(fact, "f"), NewScan(small, "d"))
+			j := crossJoin(t, NewScan(fact, "f"), NewScan(small, "d"))
 			return j, j.Narrow
 		}},
 	}
@@ -173,14 +162,12 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 		wantRows := mustCollect(t, identity)
 		requireSameRows(t, jc.ref, wantRows)
 		wantTagged := drainTagged(t, identity, batch)
-		var wantParts [][]taggedRow
-		if id, _ := jc.mk(); CanSplit(id) {
-			parts, _, ok := splitPipeline(id, 3, 100)
-			if !ok {
-				t.Fatalf("%s: pipeline did not split", jc.name)
-			}
-			wantParts = drainParts(t, parts, batch)
+		id, _ := jc.mk()
+		parts, _, ok := splitPipeline(id, 3, 100)
+		if !ok {
+			t.Fatalf("%s: pipeline did not split", jc.name)
 		}
+		wantParts := drainParts(t, parts, batch)
 		for trial := 0; trial < 25; trial++ {
 			cols := randomOutputList(rng, width)
 			label := fmt.Sprintf("%s %v", jc.name, cols)
@@ -210,9 +197,6 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 				}
 			}
 			requireProjection(t, fmt.Sprintf("%s batch=%d", label, batch), wantTagged, drainTagged(t, narrowed(), batch), cols)
-			if wantParts == nil {
-				continue // CrossJoin does not split
-			}
 			parts, _, ok := splitPipeline(narrowed(), 3, 100)
 			if !ok {
 				t.Fatalf("%s: pipeline did not split", label)
@@ -230,7 +214,7 @@ func exprs(es ...sqlparse.Expr) []sqlparse.Expr { return es }
 // nil keeps the identity, and EXPLAIN shows the width only when narrowed.
 func TestJoinNarrowValidation(t *testing.T) {
 	ord, cust := testTables(t)
-	mk := func() *CrossJoin { return NewCrossJoin(NewScan(ord, "o"), NewScan(cust, "c")) }
+	mk := func() *HashJoin { return crossJoin(t, NewScan(ord, "o"), NewScan(cust, "c")) }
 	j := mk()
 	if err := j.Narrow(nil); err != nil || len(j.Schema()) != 10 || j.Describe() != "CrossJoin" {
 		t.Fatalf("Narrow(nil): err=%v width=%d describe=%q", err, len(j.Schema()), j.Describe())

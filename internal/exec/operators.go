@@ -158,9 +158,9 @@ func (p *Project) Describe() string {
 	return "Project(" + strings.Join(names, ", ") + ")"
 }
 
-// joinOutput is the output side the three joins share: which columns of
-// the concatenation left‖right a joined row keeps. The constructors
-// install the identity (every column, in order); the planner narrows it
+// joinOutput is the output side of a join: which columns of the
+// concatenation left‖right a joined row keeps. The constructor
+// installs the identity (every column, in order); the planner narrows it
 // to the columns some operator above the join still reads (DESIGN.md
 // §16), so the one place a join copies values copies only those.
 type joinOutput struct {
@@ -223,9 +223,11 @@ func (o *joinOutput) describeCols() string {
 	return fmt.Sprintf(" cols=%d/%d", len(o.cols), o.nFull)
 }
 
-// HashJoin is an equi-join: it builds a hash table on the right input keyed
-// by the right key expressions, then probes with left rows. NULL join keys
-// match nothing, as in SQL.
+// HashJoin is the executor's join: it builds a hash table on the right
+// input keyed by the right key expressions, then probes with left rows.
+// NULL join keys match nothing, as in SQL. With no keys every row hashes
+// to the one bucket and every pair matches: the Cartesian product the
+// planner asks for when the FROM list's join graph is disconnected.
 //
 // With Parallelism > 1 the build runs as a partitioned parallel build
 // (see joinBuild); splitPipeline additionally shards the probe side, the
@@ -262,10 +264,11 @@ type buildEntry struct {
 	row  []value.Value
 }
 
-// NewHashJoin compiles the key expressions against the respective inputs.
+// NewHashJoin compiles the key expressions against the respective inputs;
+// two empty lists make a cross join.
 func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*HashJoin, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
+	if len(leftKeys) != len(rightKeys) {
+		return nil, fmt.Errorf("exec: hash join needs key lists of one length, got %d and %d", len(leftKeys), len(rightKeys))
 	}
 	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
 	j.joinOutput = newJoinOutput(left.Schema(), right.Schema())
@@ -342,129 +345,23 @@ func (j *HashJoin) Close() error {
 	return j.Left.Close()
 }
 
-// Describe implements Operator.
+// Describe implements Operator. A keyless join prints under the name SQL
+// gives it.
 func (j *HashJoin) Describe() string {
 	parts := make([]string, len(j.LeftKeys))
 	for i := range j.LeftKeys {
 		parts[i] = j.LeftKeys[i].SQL() + " = " + j.RightKeys[i].SQL()
 	}
-	s := "HashJoin(" + strings.Join(parts, " AND ") + ")" + j.describeCols()
+	s := "HashJoin(" + strings.Join(parts, " AND ") + ")"
+	if len(parts) == 0 {
+		s = "CrossJoin"
+	}
+	s += j.describeCols()
 	if j.Parallelism > 1 {
 		s += fmt.Sprintf(" [parallel build n=%d]", j.Parallelism)
 	}
 	return s
 }
-
-// IndexJoin is an index nested-loop equi-join: for each outer row it probes
-// a stored hash index on the inner table's join column. The inner side must
-// be a base table with an index on the named column.
-type IndexJoin struct {
-	Outer      Operator
-	InnerTable *storage.Table
-	InnerAlias string
-	OuterKey   sqlparse.Expr
-	InnerCol   string
-
-	govHolder
-	statsHolder
-	joinOutput
-	ok     Evaluator
-	index  *storage.HashIndex
-	cur    []int
-	curOut []value.Value
-	curIdx int
-	bp     batchProbe
-}
-
-// NewIndexJoin builds the join; it fails if the inner table lacks an index
-// on innerCol.
-func NewIndexJoin(outer Operator, inner *storage.Table, innerAlias string, outerKey sqlparse.Expr, innerCol string) (*IndexJoin, error) {
-	idx, ok := inner.Index(innerCol)
-	if !ok {
-		return nil, fmt.Errorf("exec: table %s has no index on %q", inner.Schema.Name, innerCol)
-	}
-	j := &IndexJoin{
-		Outer: outer, InnerTable: inner, InnerAlias: strings.ToLower(innerAlias),
-		OuterKey: outerKey, InnerCol: strings.ToLower(innerCol), index: idx,
-	}
-	ev, err := Compile(outerKey, outer.Schema())
-	if err != nil {
-		return nil, err
-	}
-	j.ok = ev
-	j.joinOutput = newJoinOutput(outer.Schema(), tableSchema(inner, j.InnerAlias))
-	return j, nil
-}
-
-// Open opens the outer input.
-func (j *IndexJoin) Open() error {
-	j.stats.markOpen()
-	j.cur, j.curOut, j.curIdx = nil, nil, 0
-	j.bp.reset()
-	return j.Outer.Open()
-}
-
-func (j *IndexJoin) Close() error {
-	j.stats.markDone()
-	j.cur, j.curOut = nil, nil
-	j.bp.reset() // see HashJoin.Close
-	return j.Outer.Close()
-}
-
-// Describe implements Operator.
-func (j *IndexJoin) Describe() string {
-	return fmt.Sprintf("IndexJoin(%s = %s.%s)", j.OuterKey.SQL(), j.InnerAlias, j.InnerCol) + j.describeCols()
-}
-
-// CrossJoin produces the Cartesian product of its inputs; the planner only
-// emits it for disconnected join graphs.
-type CrossJoin struct {
-	Left, Right Operator
-
-	govHolder
-	statsHolder
-	batchHolder
-	joinOutput
-	rightRows [][]value.Value
-	reserved  int64
-	curLeft   []value.Value
-	curIdx    int
-	bp        batchProbe
-}
-
-// NewCrossJoin pairs every left row with every right row.
-func NewCrossJoin(left, right Operator) *CrossJoin {
-	return &CrossJoin{Left: left, Right: right, joinOutput: newJoinOutput(left.Schema(), right.Schema())}
-}
-
-// Open materializes the right input.
-func (j *CrossJoin) Open() error {
-	j.stats.markOpen()
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	rows, reserved, err := drainBatches(j.Right, j.gov, j.stats, j.batchCap())
-	j.reserved = reserved
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
-	j.curLeft, j.curIdx = nil, 0
-	j.bp.reset()
-	return nil
-}
-
-func (j *CrossJoin) Close() error {
-	j.stats.markDone()
-	j.rightRows, j.curLeft = nil, nil
-	j.bp.reset() // see HashJoin.Close
-	j.gov.ReleaseBuffered(j.reserved)
-	j.reserved = 0
-	return j.Left.Close()
-}
-
-// Describe implements Operator.
-func (j *CrossJoin) Describe() string { return "CrossJoin" + j.describeCols() }
 
 // AggFunc enumerates the supported aggregate functions.
 type AggFunc uint8

@@ -232,8 +232,6 @@ func largestInput(op Operator) int {
 		return largestInput(op.Child)
 	case *HashJoin:
 		return max(largestInput(op.Left), largestInput(op.Right))
-	case *IndexJoin:
-		return max(largestInput(op.Outer), op.InnerTable.Len())
 	}
 	return math.MaxInt // not a pipeline operator: assume the worst
 }
@@ -250,8 +248,6 @@ func drivingScan(op Operator) *Scan {
 		return drivingScan(op.Child)
 	case *HashJoin:
 		return drivingScan(op.Left)
-	case *IndexJoin:
-		return drivingScan(op.Outer)
 	}
 	return nil
 }
@@ -332,23 +328,6 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, b
 				build: build, shard: true,
 			}
 			j.batch = op.batch
-			j.stats = op.stats
-			parts[i] = j
-		}
-		return parts, leaves, true
-
-	case *IndexJoin:
-		children, leaves, ok := splitPipeline(op.Outer, n, morselSize)
-		if !ok {
-			return nil, nil, false
-		}
-		parts := make([]Operator, len(children))
-		for i, c := range children {
-			j := &IndexJoin{
-				Outer: c, InnerTable: op.InnerTable, InnerAlias: op.InnerAlias,
-				OuterKey: op.OuterKey, InnerCol: op.InnerCol,
-				joinOutput: op.joinOutput, ok: op.ok, index: op.index,
-			}
 			j.stats = op.stats
 			parts[i] = j
 		}

@@ -272,6 +272,73 @@ func TestParallelBuildBudget(t *testing.T) {
 	}
 }
 
+// A join on no keys is the same operator as a join on some: split under
+// a Gather, over sharded leaves and a parallel build, it gives the serial
+// nested loop row for row; what it reserves is its right side, one row of
+// budget too few fails it, and either way Close gives everything back.
+func TestKeylessJoinUnderGather(t *testing.T) {
+	fact, dim := parTables(t, 400)
+	want := nestedLoop(fact, dim, func(l, r []value.Value) bool { return true })
+	for _, shards := range []int{1, 3} {
+		for _, batch := range []int{1, 7} {
+			for _, budget := range []int64{0, int64(dim.Len()) - 1} {
+				left, right := NewScan(fact, "f"), NewScan(dim, "d")
+				if shards > 1 {
+					left.Sharded = storage.NewShardedTable(fact, shards)
+					right.Sharded = storage.NewShardedTable(dim, shards)
+				}
+				j := crossJoin(t, left, right)
+				j.Parallelism, j.MorselSize = 4, 8
+				g := NewGather(j, 4)
+				g.MorselSize = 64
+				Instrument(g)
+				SetBatchSize(g, batch)
+				gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
+				Attach(g, gov)
+				label := fmt.Sprintf("shards=%d batch=%d budget=%d", shards, batch, budget)
+				rows, _, err := CollectBatchesGoverned(g, gov, batch)
+				if budget > 0 {
+					if !errors.Is(err, qerr.ErrBudgetExceeded) {
+						t.Fatalf("%s: err = %v, want qerr.ErrBudgetExceeded", label, err)
+					}
+				} else {
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireSameRows(t, want, rows)
+					if err := CheckConservation(g); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+					if peak := gov.BufferedPeak(); peak != int64(dim.Len()) {
+						t.Errorf("%s: buffered peak = %d, want the right side's %d rows", label, peak, dim.Len())
+					}
+				}
+				if err := g.Close(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := gov.Buffered(); got != 0 {
+					t.Errorf("%s: %d rows still reserved after Close", label, got)
+				}
+			}
+		}
+	}
+}
+
+// Attach runs once per query and, on the ladder, once per candidate
+// world: walking the tree must not allocate.
+func TestAttachDoesNotAllocate(t *testing.T) {
+	fact, dim := parTables(t, 10)
+	var root Operator = NewScan(fact, "f")
+	for i := 0; i < 3; i++ {
+		d := fmt.Sprintf("d%d", i)
+		root = mustOp[*HashJoin](t)(NewHashJoin(root, NewScan(dim, d), exprs(colRef("f", "k")), exprs(colRef(d, "k"))))
+	}
+	gov := NewGovernor(context.Background(), Limits{})
+	if n := testing.AllocsPerRun(100, func() { Attach(root, gov) }); n != 0 {
+		t.Errorf("Attach over a three-join tree: %v allocations per run, want 0", n)
+	}
+}
+
 func TestGatherExplain(t *testing.T) {
 	fact, _ := parTables(t, 100)
 	g := NewGather(scanFilterProject(t, fact), 8)

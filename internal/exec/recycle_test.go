@@ -47,12 +47,13 @@ func recycleTables(t testing.TB) (l, r, d *storage.Table) {
 	for i := 0; i < 12; i++ {
 		d.MustInsert(value.Int(int64(i%6)), value.Str(fmt.Sprintf("label%02d", i)))
 	}
-	for tb, col := range map[*storage.Table]string{r: "k", d: "id"} {
-		if err := tb.CreateIndex(col); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return l, r, d
+}
+
+// crossJoin is the join on no keys: every left row with every right row.
+func crossJoin(t testing.TB, left, right Operator) *HashJoin {
+	t.Helper()
+	return mustOp[*HashJoin](t)(NewHashJoin(left, right, nil, nil))
 }
 
 func mustOp[T Operator](t testing.TB) func(T, error) T {
@@ -66,7 +67,7 @@ func mustOp[T Operator](t testing.TB) func(T, error) T {
 }
 
 // TestRowLifetime puts each producer that reuses its output storage — the
-// three joins at a fan-out above the batch size, and Project — directly
+// join, keyed and keyless, at a fan-out above the batch size, and Project — directly
 // under each consumer: the ones that keep row references (and so must pull
 // through a plain batch), the ones that copy (and pull through a transient
 // one), and the ones that forward their own consumer's batch. Every
@@ -89,8 +90,7 @@ func TestRowLifetime(t *testing.T) {
 		make func() Operator
 	}{
 		{"HashJoin", hash},
-		{"IndexJoin", func() Operator { return mustOp[*IndexJoin](t)(NewIndexJoin(NewScan(l, "l"), r, "r", lk, "k")) }},
-		{"CrossJoin", func() Operator { return NewCrossJoin(NewScan(l, "l"), NewScan(r, "r")) }},
+		{"CrossJoin", func() Operator { return crossJoin(t, NewScan(l, "l"), NewScan(r, "r")) }},
 		{"Project", func() Operator {
 			return mustOp[*Project](t)(NewProject(hash(), []ProjectionCol{
 				{Expr: colRef("r", "name"), Col: ColInfo{Qualifier: "r", Name: "name", Type: value.KindString}},
@@ -134,13 +134,12 @@ func TestRowLifetime(t *testing.T) {
 		}},
 		{"join build", func(c Operator) Operator { return build(c, 1) }},
 		{"parallel join build", func(c Operator) Operator { return build(c, 3) }},
-		{"cross join right", func(c Operator) Operator { return NewCrossJoin(NewScan(d, "d"), c) }},
+		{"cross join right", func(c Operator) Operator { return crossJoin(t, NewScan(d, "d"), c) }},
 		// Copiers.
 		{"HashJoin probe", func(c Operator) Operator {
 			return mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id"))))
 		}},
-		{"IndexJoin outer", func(c Operator) Operator { return mustOp[*IndexJoin](t)(NewIndexJoin(c, d, "d", lid, "id")) }},
-		{"CrossJoin left", func(c Operator) Operator { return NewCrossJoin(c, NewScan(d, "d")) }},
+		{"CrossJoin left", func(c Operator) Operator { return crossJoin(t, c, NewScan(d, "d")) }},
 		{"Project", func(c Operator) Operator {
 			return mustOp[*Project](t)(NewProject(c, []ProjectionCol{
 				{Expr: colRef("r", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},

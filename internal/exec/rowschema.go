@@ -123,38 +123,36 @@ func explain(b *strings.Builder, op Operator, depth int) {
 	b.WriteString(op.Describe())
 	b.WriteByte('\n')
 	for _, c := range children(op) {
-		explain(b, c, depth+1)
+		if c != nil {
+			explain(b, c, depth+1)
+		}
 	}
 }
 
-func children(op Operator) []Operator {
+// children returns op's inputs, left to right, nil where there is none
+// (a probe shard's right input belongs to the shared build). Every tree
+// walk of a run (Attach, Instrument, the stats readers) calls it once per
+// node, and an array comes back on the stack.
+func children(op Operator) (kids [2]Operator) {
 	switch op := op.(type) {
 	case *Gather:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *Filter:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *Project:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *HashJoin:
-		if op.Right == nil { // probe shard: the shared build owns the right input
-			return []Operator{op.Left}
-		}
-		return []Operator{op.Left, op.Right}
-	case *IndexJoin:
-		return []Operator{op.Outer}
-	case *CrossJoin:
-		return []Operator{op.Left, op.Right}
+		kids[0], kids[1] = op.Left, op.Right
 	case *HashAggregate:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *Sort:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *TopN:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *Distinct:
-		return []Operator{op.Child}
+		kids[0] = op.Child
 	case *Limit:
-		return []Operator{op.Child}
-	default:
-		return nil
+		kids[0] = op.Child
 	}
+	return kids
 }

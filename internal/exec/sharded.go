@@ -236,7 +236,9 @@ func collectShardStats(op Operator, out *[]ShardGroupStat) {
 		*out = append(*out, sc.lastGroup.stat(sc.Table.Schema.Name))
 	}
 	for _, c := range children(op) {
-		collectShardStats(c, out)
+		if c != nil {
+			collectShardStats(c, out)
+		}
 	}
 }
 

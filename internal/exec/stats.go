@@ -171,7 +171,9 @@ func Instrument(op Operator) {
 		in.setStats(&OpStats{})
 	}
 	for _, c := range children(op) {
-		Instrument(c)
+		if c != nil {
+			Instrument(c)
+		}
 	}
 }
 
@@ -226,7 +228,9 @@ func explainAnalyze(b *strings.Builder, op Operator, depth int) {
 	}
 	b.WriteByte('\n')
 	for _, c := range children(op) {
-		explainAnalyze(b, c, depth+1)
+		if c != nil {
+			explainAnalyze(b, c, depth+1)
+		}
 	}
 }
 
@@ -272,7 +276,9 @@ func statsTree(op Operator, depth int, out *[]StatLine) {
 	}
 	*out = append(*out, line)
 	for _, c := range children(op) {
-		statsTree(c, depth+1, out)
+		if c != nil {
+			statsTree(c, depth+1, out)
+		}
 	}
 }
 
@@ -281,12 +287,15 @@ func statsTree(op Operator, depth int, out *[]StatLine) {
 // children's rows-out — each row a child emitted was counted exactly
 // once by the parent that pulled it. Subtrees without stats are skipped.
 func CheckConservation(op Operator) error {
+	kids := children(op)
 	in, ok := op.(instrumented)
 	if ok && in.opStats() != nil {
-		kids := children(op)
 		var sum int64
-		counted := len(kids) > 0
+		counted := kids[0] != nil
 		for _, c := range kids {
+			if c == nil {
+				continue
+			}
 			ci, ok := c.(instrumented)
 			if !ok || ci.opStats() == nil {
 				counted = false
@@ -299,7 +308,10 @@ func CheckConservation(op Operator) error {
 				op.Describe(), in.opStats().RowsIn(), sum)
 		}
 	}
-	for _, c := range children(op) {
+	for _, c := range kids {
+		if c == nil {
+			continue
+		}
 		if err := CheckConservation(c); err != nil {
 			return err
 		}

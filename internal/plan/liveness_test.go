@@ -81,7 +81,7 @@ func planModes() []Options {
 }
 
 func modeLabel(o Options) string {
-	return fmt.Sprintf("batch=%d par=%d shards=%d index=%v", o.BatchSize, o.Parallelism, o.Shards, o.PreferIndexJoin)
+	return fmt.Sprintf("batch=%d par=%d shards=%d", o.BatchSize, o.Parallelism, o.Shards)
 }
 
 // runPlan plans and executes qs the way the engine does: governed, at
@@ -105,11 +105,10 @@ func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operat
 // did before column liveness: it runs `select * from <rest>` serially —
 // SELECT * keeps every join's identity output — and evaluates
 // the select items over the full-width rows by hand. items == nil only
-// counts. index picks index joins where the tested plan would, so both
-// walk the same tree.
-func unprunedOracle(t *testing.T, db *storage.DB, items []string, rest string, index bool) [][]value.Value {
+// counts.
+func unprunedOracle(t *testing.T, db *storage.DB, items []string, rest string) [][]value.Value {
 	t.Helper()
-	op, wide := runPlan(t, db, "select * from "+rest, Options{Parallelism: 1, PreferIndexJoin: index})
+	op, wide := runPlan(t, db, "select * from "+rest, Options{Parallelism: 1})
 	if strings.Contains(exec.Explain(op), "cols=") {
 		t.Fatalf("oracle plan is pruned:\n%s", exec.Explain(op))
 	}
@@ -202,7 +201,7 @@ func TestPrunedPlansMatchUnprunedInEveryMode(t *testing.T) {
 			[]string{"CrossJoin cols=0/9"}},
 	}
 	for _, tc := range cases {
-		want := unprunedOracle(t, db, tc.items, tc.rest, false)
+		want := unprunedOracle(t, db, tc.items, tc.rest)
 		if len(want) == 0 {
 			t.Fatalf("%s: empty result proves nothing", tc.name)
 		}
@@ -226,35 +225,6 @@ func TestPrunedPlansMatchUnprunedInEveryMode(t *testing.T) {
 					t.Errorf("%s: joins\n  %s\nwant\n  %s", label, strings.Join(got, "\n  "), strings.Join(tc.joins, "\n  "))
 				}
 			}
-		}
-	}
-}
-
-// PreferIndexJoin plans prune the same way: the index join's output list
-// is the hash join's, and results agree in every mode.
-func TestIndexJoinPlansPruneTheSameWay(t *testing.T) {
-	db := livenessDB(t)
-	for _, name := range []string{"orders", "lineitem"} {
-		tb, _ := db.Table(name)
-		if err := tb.CreateIndex("okey"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	items := []string{"c.name", "l.price"}
-	rest := "customer c, orders o, lineitem l where c.ckey = o.ckey and o.okey = l.okey and c.ckey < 40"
-	want := unprunedOracle(t, db, items, rest, true)
-	qs := "select " + strings.Join(items, ", ") + " from " + rest
-	for _, opts := range planModes() {
-		opts.PreferIndexJoin = true
-		op, got := runPlan(t, db, qs, opts)
-		requireRows(t, modeLabel(opts), want, got)
-		lines := joinLines(op)
-		if len(lines) != 2 || !strings.HasPrefix(lines[0], "IndexJoin(o.okey = l.okey) cols=2/7") {
-			t.Fatalf("%s: joins %q", modeLabel(opts), lines)
-		}
-		_, count := runPlan(t, db, "select count(*) from "+rest, opts)
-		if count[0][0].AsInt() != int64(len(want)) {
-			t.Fatalf("%s: count over index join = %v, want %d", modeLabel(opts), count, len(want))
 		}
 	}
 }
@@ -369,22 +339,15 @@ func randomPrunedQuery(rng *rand.Rand) (items []string, rest string) {
 }
 
 // Random pruned plans equal the unpruned plan of the same FROM/WHERE
-// projected by hand, row for row, with hash and index joins.
+// projected by hand, row for row.
 func TestPrunedPlansMatchUnprunedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1206))
 	modes := planModes()
 	for trial := 0; trial < 300; trial++ {
 		db := randomDB(rng)
-		for _, name := range db.TableNames() {
-			tb, _ := db.Table(name)
-			if err := tb.CreateIndex("k"); err != nil {
-				t.Fatal(err)
-			}
-		}
 		items, rest := randomPrunedQuery(rng)
 		opts := modes[rng.Intn(len(modes))]
-		opts.PreferIndexJoin = rng.Intn(2) == 0
-		want := unprunedOracle(t, db, items, rest, opts.PreferIndexJoin)
+		want := unprunedOracle(t, db, items, rest)
 		qs := "select " + strings.Join(items, ", ") + " from " + rest
 		_, got := runPlan(t, db, qs, opts)
 		requireRows(t, fmt.Sprintf("trial %d %s %q", trial, modeLabel(opts), qs), want, got)

@@ -86,11 +86,6 @@ func joinsTopDown(t *testing.T, label string, stmt *sqlparse.SelectStmt, op exec
 			check(o)
 			above = colRefs(above, o.LeftKeys...)
 			above = colRefs(above, o.RightKeys...)
-		case *exec.IndexJoin:
-			check(o)
-			above = colRefs(above, o.OuterKey)
-		case *exec.CrossJoin:
-			check(o)
 		}
 	}
 	return joins
@@ -104,9 +99,8 @@ func widths(joins []exec.Operator) []int {
 	return out
 }
 
-// On all thirteen TPC-H pairs, original and rewritten, with hash and with
-// index joins, every join's schema holds only columns something above it
-// reads. Q9's five joins are 7 columns wide in the original (of 28, 36,
+// On all thirteen TPC-H pairs, original and rewritten, every join's
+// schema holds only columns something above it reads. Q9's five joins are 7 columns wide in the original (of 28, 36,
 // 43, 52 and 57 joined so far) and 9 to 13 in the rewriting, which adds
 // one prob factor per table.
 func TestTPCHJoinsCarryOnlyLiveColumns(t *testing.T) {
@@ -119,9 +113,8 @@ func TestTPCHJoinsCarryOnlyLiveColumns(t *testing.T) {
 			for _, opts := range []plan.Options{
 				{Parallelism: 1},
 				{Parallelism: 4},
-				{Parallelism: 1, PreferIndexJoin: true},
 			} {
-				label := fmt.Sprintf("Q%d %s par=%d index=%v", p.Number, q.kind, opts.Parallelism, opts.PreferIndexJoin)
+				label := fmt.Sprintf("Q%d %s par=%d", p.Number, q.kind, opts.Parallelism)
 				op, err := plan.Plan(d.Store, q.stmt, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -167,10 +160,6 @@ func preorder(op exec.Operator, out []exec.Operator) []exec.Operator {
 		return preorder(o.Child, out)
 	case *exec.HashJoin:
 		return preorder(o.Right, preorder(o.Left, out))
-	case *exec.CrossJoin:
-		return preorder(o.Right, preorder(o.Left, out))
-	case *exec.IndexJoin:
-		return preorder(o.Outer, out)
 	}
 	return out
 }
@@ -180,11 +169,8 @@ func preorder(op exec.Operator, out []exec.Operator) []exec.Operator {
 func scanWidth(op exec.Operator) int {
 	n := 0
 	for _, o := range preorder(op, nil) {
-		switch o := o.(type) {
-		case *exec.Scan:
-			n += len(o.Schema())
-		case *exec.IndexJoin:
-			n += len(o.InnerTable.Schema.Columns)
+		if sc, ok := o.(*exec.Scan); ok {
+			n += len(sc.Schema())
 		}
 	}
 	return n
@@ -229,8 +215,7 @@ func TestQ9JoinedValuesStayNarrow(t *testing.T) {
 				if lines[i].Op != o.Describe() {
 					t.Fatalf("operator %d is %q, StatsTree says %q", i, o.Describe(), lines[i].Op)
 				}
-				switch o.(type) {
-				case *exec.HashJoin, *exec.IndexJoin, *exec.CrossJoin:
+				if _, ok := o.(*exec.HashJoin); ok {
 					narrow += lines[i].Out * int64(len(o.Schema()))
 					full += lines[i].Out * int64(scanWidth(o))
 				}

@@ -17,10 +17,6 @@ import (
 
 // Options tunes physical planning.
 type Options struct {
-	// PreferIndexJoin makes the planner use an index nested-loop join when
-	// the inner relation has a stored index on the join column; otherwise a
-	// hash join is built on the fly.
-	PreferIndexJoin bool
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution: hash-join builds and aggregations run partitioned in
 	// parallel, and splittable plan roots are wrapped in an exec.Gather
@@ -460,23 +456,12 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *li
 			}
 		}
 		if next < 0 {
-			// Disconnected: cross join the next remaining table in FROM
-			// order.
+			// Disconnected: the next remaining table in FROM order, which
+			// no pending edge reaches, so the key lists below stay empty.
 			next = 0
 			for joined[next] {
 				next++
 			}
-			side, err := p.scan(sources[next])
-			if err != nil {
-				return nil, err
-			}
-			cj := exec.NewCrossJoin(root, side)
-			if err := cj.Narrow(lv.join(next)); err != nil {
-				return nil, err
-			}
-			root = cj
-			joined[next] = true
-			continue
 		}
 
 		var outerKeys, innerKeys []sqlparse.Expr
@@ -513,25 +498,9 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *li
 	return root, nil
 }
 
-// join attaches src to the outer plan using the key lists, keeping the
-// columns listed in cols (nil = all); it prefers an index join when
-// enabled, the inner side has no pushed filter, a single plain-column
-// key, and a stored index.
+// join attaches src to the outer plan using the key lists (empty for a
+// cross join), keeping the columns listed in cols (nil = all).
 func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKeys []sqlparse.Expr, cols []int) (exec.Operator, error) {
-	if p.opts.PreferIndexJoin && len(src.filters) == 0 && len(innerKeys) == 1 {
-		if cr, ok := innerKeys[0].(*sqlparse.ColumnRef); ok {
-			if _, hasIdx := src.table.Index(cr.Name); hasIdx {
-				j, err := exec.NewIndexJoin(outer, src.table, src.ref.Alias, outerKeys[0], cr.Name)
-				if err != nil {
-					return nil, err
-				}
-				if err := j.Narrow(cols); err != nil {
-					return nil, err
-				}
-				return j, nil
-			}
-		}
-	}
 	inner, err := p.scan(src)
 	if err != nil {
 		return nil, err

@@ -206,40 +206,6 @@ func TestPlannerMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// Index joins also agree with the reference.
-func TestPlannerIndexJoinMatchesReferenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 100; trial++ {
-		db := randomDB(rng)
-		for _, name := range db.TableNames() {
-			tb, _ := db.Table(name)
-			if err := tb.CreateIndex("k"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		qs := randomQuery(rng)
-		stmt, err := sqlparse.Parse(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := Plan(db, stmt, Options{PreferIndexJoin: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refEvaluate(t, db, stmt)
-		sortRows(got)
-		sortRows(want)
-		if !rowsEqual(got, want) {
-			t.Fatalf("trial %d: %q: index plan %d rows vs reference %d",
-				trial, qs, len(got), len(want))
-		}
-	}
-}
-
 func TestPlanNoFrom(t *testing.T) {
 	db := storage.NewDB()
 	stmt := &sqlparse.SelectStmt{Limit: -1, Select: []sqlparse.SelectItem{{Star: true}}}

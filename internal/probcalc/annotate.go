@@ -50,7 +50,8 @@ func AnnotateTable(tb *storage.Table, attrCols []string, d Distance) error {
 // fans out as AssignProbabilitiesCtx describes (shards and parallelism of
 // 1 keep it serial); the dataset build and the probability-column
 // writeback stay serial: the former is a single linear scan, the latter
-// must not race UpdateColumn's index maintenance. One global dataset
+// one store per row through UpdateColumn, which (like the rest of
+// storage.Table) is not written for concurrent callers. One global dataset
 // backs every shard — the Figure-5 arithmetic normalizes against the
 // table's total tuple count — so probabilities are bit-identical to the
 // serial pass at every shard and worker count.

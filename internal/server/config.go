@@ -36,7 +36,9 @@ type Config struct {
 	// before canceling it with qerr.ErrShutdown (default 10s).
 	DrainTimeout time.Duration `json:"-"`
 	// Parallelism is the per-query morsel parallelism handed to each
-	// tenant engine (0 = GOMAXPROCS, 1 = serial).
+	// tenant engine (0 = GOMAXPROCS, 1 = serial). Like Shards and a
+	// tenant's CacheBytes it reaches POST /v1/query only: /v1/clean runs
+	// on engines core.Eval builds itself (DESIGN.md §13).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards is the per-query cluster-shard count handed to each tenant
 	// engine (0 = GOMAXPROCS, 1 = unsharded). Sharding never changes

@@ -1,5 +1,5 @@
 // Package storage provides the in-memory row store backing the engine:
-// tables of typed rows, secondary hash indexes, and CSV import/export.
+// tables of typed rows and CSV import/export.
 //
 // The store is deliberately simple — append-only tables of []value.Value
 // rows — because the paper's workload is read-mostly analytical querying;
@@ -25,35 +25,34 @@ type Table struct {
 	Schema *schema.Relation
 	rows   [][]value.Value
 
-	indexes map[string]*HashIndex // column name -> index
-	inj     Injector              // fault-injection seam; nil in production
+	inj Injector // fault-injection seam; nil in production
 
-	// version counts mutations to this table — inserts, column updates,
-	// re-sorts and index creation (index presence changes planning). It
-	// is monotonic and atomic so cache layers can snapshot a version
-	// vector concurrently with query execution; invalidation is then a
-	// plain compare, with no epochs or TTLs (DESIGN.md §11).
+	// version counts mutations to this table — inserts, column updates
+	// and re-sorts. It is monotonic and atomic so cache layers can
+	// snapshot a version vector concurrently with query execution;
+	// invalidation is then a plain compare, with no epochs or TTLs
+	// (DESIGN.md §11).
 	version atomic.Int64
 }
 
 // NewTable creates an empty table over the given schema.
 func NewTable(s *schema.Relation) *Table {
-	return &Table{Schema: s, indexes: make(map[string]*HashIndex)}
+	return &Table{Schema: s}
 }
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 
 // Version returns the table's mutation counter. Two reads returning the
-// same value bracket a span with no inserts, updates, sorts or index
-// changes, so any result computed in between is still valid.
+// same value bracket a span with no inserts, updates or sorts, so any
+// result computed in between is still valid.
 func (t *Table) Version() int64 { return t.version.Load() }
 
 // bump records one mutation. Called after every successful state change.
 func (t *Table) bump() { t.version.Add(1) }
 
 // Row returns row i. The returned slice must not be mutated except through
-// UpdateColumn, which keeps indexes coherent.
+// UpdateColumn, which bumps the version.
 func (t *Table) Row(i int) []value.Value { return t.rows[i] }
 
 // Rows returns the underlying row slice for read-only iteration.
@@ -84,11 +83,7 @@ func (t *Table) Insert(row []value.Value) error {
 		return fmt.Errorf("storage: %s.%s expects %v, got %v (%v)",
 			t.Schema.Name, t.Schema.Columns[i].Name, want, v.Kind(), v)
 	}
-	rowID := len(t.rows)
 	t.rows = append(t.rows, row)
-	for col, idx := range t.indexes {
-		idx.add(row[t.Schema.ColumnIndex(col)], rowID)
-	}
 	t.bump()
 	return nil
 }
@@ -97,8 +92,7 @@ func (t *Table) Insert(row []value.Value) error {
 // already lives in a validated table over the same schema — a candidate
 // world refills its dirty tables with rows of the relation they stand
 // for (DESIGN.md §17). Arity is checked; column types are not checked
-// again. It consults the fault injector as an insert and keeps indexes
-// coherent.
+// again. It consults the fault injector as an insert.
 func (t *Table) SetRow(i int, row []value.Value) error {
 	if err := t.fail(OpInsert); err != nil {
 		return fmt.Errorf("storage: inserting into %s: %w", t.Schema.Name, err)
@@ -110,15 +104,9 @@ func (t *Table) SetRow(i int, row []value.Value) error {
 	case i == len(t.rows):
 		t.rows = append(t.rows, row)
 	case i >= 0 && i < len(t.rows):
-		for col, idx := range t.indexes {
-			idx.remove(t.rows[i][t.Schema.ColumnIndex(col)], i)
-		}
 		t.rows[i] = row
 	default:
 		return fmt.Errorf("storage: %s has no row %d to replace", t.Schema.Name, i)
-	}
-	for col, idx := range t.indexes {
-		idx.add(row[t.Schema.ColumnIndex(col)], i)
 	}
 	t.bump()
 	return nil
@@ -132,92 +120,15 @@ func (t *Table) MustInsert(row ...value.Value) {
 	}
 }
 
-// UpdateColumn overwrites column col of row i with v, keeping any index on
-// that column coherent.
+// UpdateColumn overwrites column col of row i with v.
 func (t *Table) UpdateColumn(i int, col string, v value.Value) error {
 	ci := t.Schema.ColumnIndex(col)
 	if ci < 0 {
 		return fmt.Errorf("storage: %s has no column %q", t.Schema.Name, col)
 	}
-	old := t.rows[i][ci]
 	t.rows[i][ci] = v
-	if idx, ok := t.indexes[strings.ToLower(col)]; ok {
-		idx.remove(old, i)
-		idx.add(v, i)
-	}
 	t.bump()
 	return nil
-}
-
-// CreateIndex builds a hash index on the named column. Creating an index
-// that already exists is a no-op.
-func (t *Table) CreateIndex(col string) error {
-	col = strings.ToLower(col)
-	ci := t.Schema.ColumnIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("storage: %s has no column %q to index", t.Schema.Name, col)
-	}
-	if _, ok := t.indexes[col]; ok {
-		return nil
-	}
-	idx := newHashIndex()
-	for i, row := range t.rows {
-		idx.add(row[ci], i)
-	}
-	t.indexes[col] = idx
-	t.bump() // index presence changes planning, so cached plans must refresh
-	return nil
-}
-
-// Index returns the hash index on col, if one exists.
-func (t *Table) Index(col string) (*HashIndex, bool) {
-	idx, ok := t.indexes[strings.ToLower(col)]
-	return idx, ok
-}
-
-// HashIndex maps a column value to the IDs of rows holding that value.
-type HashIndex struct {
-	buckets map[uint64][]entry
-}
-
-type entry struct {
-	key   value.Value
-	rowID int
-}
-
-func newHashIndex() *HashIndex {
-	return &HashIndex{buckets: make(map[uint64][]entry)}
-}
-
-func (ix *HashIndex) add(v value.Value, rowID int) {
-	h := value.Hash(v)
-	ix.buckets[h] = append(ix.buckets[h], entry{key: v, rowID: rowID})
-}
-
-func (ix *HashIndex) remove(v value.Value, rowID int) {
-	h := value.Hash(v)
-	b := ix.buckets[h]
-	for i, e := range b {
-		if e.rowID == rowID && value.Identical(e.key, v) {
-			ix.buckets[h] = append(b[:i], b[i+1:]...)
-			return
-		}
-	}
-}
-
-// Lookup returns the row IDs whose indexed column equals v under predicate
-// semantics (NULL matches nothing).
-func (ix *HashIndex) Lookup(v value.Value) []int {
-	if v.IsNull() {
-		return nil
-	}
-	var out []int
-	for _, e := range ix.buckets[value.Hash(v)] {
-		if value.Equal(e.key, v) {
-			out = append(out, e.rowID)
-		}
-	}
-	return out
 }
 
 // DB is a named collection of tables.
@@ -249,7 +160,7 @@ func (db *DB) CreateTable(s *schema.Relation) (*Table, error) {
 	return t, nil
 }
 
-// Attach registers an existing table — its rows, indexes and injector —
+// Attach registers an existing table — its rows and injector —
 // under its schema's name, shared by reference with the database that
 // created it: a candidate world reads clean relations this way instead
 // of copying them. Whoever mutates the table mutates it for both.
@@ -289,7 +200,7 @@ func (db *DB) TotalRows() int {
 	return n
 }
 
-// Clone deep-copies the database: schemas, rows and indexes.
+// Clone deep-copies the database: schemas and rows.
 func (db *DB) Clone() (*DB, error) {
 	out := NewDB()
 	for _, name := range db.Catalog.Names() {
@@ -304,11 +215,6 @@ func (db *DB) Clone() (*DB, error) {
 		dst.rows = make([][]value.Value, len(src.rows))
 		for i, r := range src.rows {
 			dst.rows[i] = append([]value.Value(nil), r...)
-		}
-		for col := range src.indexes {
-			if err := dst.CreateIndex(col); err != nil {
-				return nil, fmt.Errorf("storage: cloning index %s.%s: %w", name, col, err)
-			}
 		}
 		// A clone carries its source's mutation count: it is the same
 		// logical state, not a fresh table.
@@ -417,7 +323,7 @@ func (t *Table) LoadCSVFile(path string) error {
 }
 
 // SortRows sorts the table rows in place by the given column positions
-// (ascending, NULLs first). Indexes are rebuilt. Sorting is used by the
+// (ascending, NULLs first). Sorting is used by the
 // generators to produce deterministic output files.
 func (t *Table) SortRows(cols ...int) {
 	sort.SliceStable(t.rows, func(i, j int) bool {
@@ -428,13 +334,5 @@ func (t *Table) SortRows(cols ...int) {
 		}
 		return false
 	})
-	for col := range t.indexes {
-		idx := newHashIndex()
-		ci := t.Schema.ColumnIndex(col)
-		for i, row := range t.rows {
-			idx.add(row[ci], i)
-		}
-		t.indexes[col] = idx
-	}
 	t.bump()
 }

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"conquer/internal/schema"
 	"conquer/internal/value"
@@ -64,59 +63,6 @@ func TestMustInsertPanics(t *testing.T) {
 	NewTable(custSchema()).MustInsert(value.Int(1))
 }
 
-func TestHashIndex(t *testing.T) {
-	tb := NewTable(custSchema())
-	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Fatal(err)
-	}
-	// Insert after index creation keeps it coherent.
-	tb.MustInsert(value.Str("c1"), value.Str("Johnny"), value.Float(2))
-	tb.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(3))
-
-	idx, ok := tb.Index("CUSTID")
-	if !ok {
-		t.Fatal("index missing")
-	}
-	got := idx.Lookup(value.Str("c1"))
-	if len(got) != 2 {
-		t.Fatalf("Lookup(c1) = %v", got)
-	}
-	if len(idx.Lookup(value.Str("zz"))) != 0 {
-		t.Error("Lookup miss should be empty")
-	}
-	if idx.Lookup(value.Null()) != nil {
-		t.Error("NULL lookup must match nothing")
-	}
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Error("re-creating an index should be a no-op")
-	}
-	if err := tb.CreateIndex("ghost"); err == nil {
-		t.Error("indexing a missing column should fail")
-	}
-}
-
-func TestUpdateColumnKeepsIndexCoherent(t *testing.T) {
-	tb := NewTable(custSchema())
-	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.UpdateColumn(0, "custid", value.Str("c9")); err != nil {
-		t.Fatal(err)
-	}
-	idx, _ := tb.Index("custid")
-	if len(idx.Lookup(value.Str("c1"))) != 0 {
-		t.Error("old key should be gone from index")
-	}
-	if len(idx.Lookup(value.Str("c9"))) != 1 {
-		t.Error("new key should be present in index")
-	}
-	if err := tb.UpdateColumn(0, "ghost", value.Str("x")); err == nil {
-		t.Error("updating a missing column should fail")
-	}
-}
-
 func TestDBCreateAndLookup(t *testing.T) {
 	db := NewDB()
 	tb := db.MustCreateTable(custSchema())
@@ -143,9 +89,6 @@ func TestDBClone(t *testing.T) {
 	db := NewDB()
 	tb := db.MustCreateTable(custSchema())
 	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Fatal(err)
-	}
 	cp, err := db.Clone()
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +99,6 @@ func TestDBClone(t *testing.T) {
 	}
 	if tb.Row(0)[1].AsString() != "John" {
 		t.Error("Clone must not share row storage")
-	}
-	if _, ok := ct.Index("custid"); !ok {
-		t.Error("Clone should carry indexes")
 	}
 }
 
@@ -230,53 +170,9 @@ func TestSortRows(t *testing.T) {
 	tb.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(3))
 	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
 	tb.MustInsert(value.Str("c1"), value.Str("Johnny"), value.Float(2))
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Fatal(err)
-	}
 	tb.SortRows(0, 2)
 	if tb.Row(0)[1].AsString() != "John" || tb.Row(2)[0].AsString() != "c2" {
 		t.Error("SortRows order wrong")
-	}
-	// Index rebuilt: rowIDs must point at post-sort positions.
-	idx, _ := tb.Index("custid")
-	for _, rid := range idx.Lookup(value.Str("c2")) {
-		if tb.Row(rid)[0].AsString() != "c2" {
-			t.Error("index stale after SortRows")
-		}
-	}
-}
-
-// Property: every inserted row is retrievable via an index on its key.
-func TestIndexLookupProperty(t *testing.T) {
-	f := func(keys []uint8) bool {
-		s := schema.MustRelation("t",
-			schema.Column{Name: "k", Type: value.KindInt},
-			schema.Column{Name: "pos", Type: value.KindInt},
-		)
-		tb := NewTable(s)
-		if err := tb.CreateIndex("k"); err != nil {
-			return false
-		}
-		for i, k := range keys {
-			tb.MustInsert(value.Int(int64(k)), value.Int(int64(i)))
-		}
-		idx, _ := tb.Index("k")
-		for i, k := range keys {
-			found := false
-			for _, rid := range idx.Lookup(value.Int(int64(k))) {
-				if tb.Row(rid)[1].AsInt() == int64(i) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -296,13 +192,6 @@ func TestTableVersionCountsMutations(t *testing.T) {
 	}
 	if tb.Version() != v+1 {
 		t.Fatalf("UpdateColumn should bump version: %d -> %d", v, tb.Version())
-	}
-	v = tb.Version()
-	if err := tb.CreateIndex("custid"); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Version() != v+1 {
-		t.Fatalf("CreateIndex should bump version: %d -> %d", v, tb.Version())
 	}
 	v = tb.Version()
 	tb.SortRows(2)
@@ -342,8 +231,7 @@ func TestCloneCarriesVersion(t *testing.T) {
 	}
 }
 
-// SetRow replaces a row reference or appends one, keeps an index coherent,
-// bumps the version on success only, and consults the injector as an
+// SetRow replaces a row reference or appends one, bumps the version on success only, and consults the injector as an
 // insert.
 func TestSetRow(t *testing.T) {
 	src := NewTable(custSchema())
@@ -353,9 +241,6 @@ func TestSetRow(t *testing.T) {
 
 	db := NewDB()
 	tb := db.MustCreateTable(custSchema())
-	if err := tb.CreateIndex("name"); err != nil {
-		t.Fatal(err)
-	}
 	v := tb.Version()
 	for i, from := range []int{0, 2} { // append
 		if err := tb.SetRow(i, src.Row(from)); err != nil {
@@ -373,10 +258,6 @@ func TestSetRow(t *testing.T) {
 	}
 	if tb.Version() != v+3 {
 		t.Errorf("version moved by %d over 3 SetRows, want 3", tb.Version()-v)
-	}
-	idx, _ := tb.Index("name")
-	if len(idx.Lookup(value.Str("John"))) != 0 || len(idx.Lookup(value.Str("Jon"))) != 1 {
-		t.Error("index does not follow the replaced row")
 	}
 
 	v = tb.Version()
