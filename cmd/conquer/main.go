@@ -20,9 +20,10 @@
 //	              expvar, pprof); empty disables it. Bind localhost only —
 //	              the endpoint is unauthenticated (DESIGN.md §10).
 //	-query-log    file receiving one JSON line per executed query
-//	-cache-bytes  byte budget for the query cache's result tier (e.g.
-//	              64MiB as 67108864); 0 disables caching. Cached answers
-//	              are invalidated automatically when tables mutate.
+//	-cache-bytes  size of the one query cache the shell builds and hands
+//	              to the engine and to eval: the byte budget of its result
+//	              tier (e.g. 64MiB as 67108864); 0 builds none. Cached
+//	              answers are invalidated automatically when tables mutate.
 //
 // -parallelism, -shards, -batch-size and -query-log configure the engine
 // behind plain SQL and \explain. clean and eval run on engines the
@@ -118,7 +119,7 @@ func main() {
 			}
 		}()
 	}
-	limits := exec.Limits{Timeout: *timeout, MaxCacheBytes: *cacheBytes}
+	limits := exec.Limits{Timeout: *timeout}
 	// One cache shared by plain SQL and the eval ladder, so \cache shows
 	// the whole picture and both paths benefit from version invalidation.
 	var qc *cachepkg.Cache

@@ -56,23 +56,20 @@ import (
 // Database is a queryable collection of (possibly dirty) relations.
 type Database struct {
 	d     *dirty.DB
-	eng   *engine.Engine
 	cache *cache.Cache
-	// parallelism and shards are remembered here so every engine built
-	// later (EnableCache, QueryCtx) runs under them too.
+	// parallelism and shards are the settings every engine runs under.
 	parallelism int
 	shards      int
 }
 
 // New creates an empty database.
 func New() *Database {
-	db := &Database{d: dirty.New(storage.NewDB())}
-	db.eng = db.newEngine(Limits{})
-	return db
+	return &Database{d: dirty.New(storage.NewDB())}
 }
 
 // newEngine builds an engine over the store under the database's cache,
-// parallelism and shard settings and the given budget.
+// parallelism and shard settings and the given budget. An engine holds
+// no state, so every query builds its own.
 func (db *Database) newEngine(lim Limits) *engine.Engine {
 	return engine.NewWithOptions(db.d.Store, engine.Options{
 		Limits:      lim.internal(),
@@ -93,7 +90,6 @@ func (db *Database) EnableCache(maxBytes int64) *Database {
 	} else {
 		db.cache = cache.New(cache.Options{MaxBytes: maxBytes})
 	}
-	db.eng = db.newEngine(Limits{})
 	return db
 }
 
@@ -102,7 +98,6 @@ func (db *Database) EnableCache(maxBytes int64) *Database {
 // chaining.
 func (db *Database) SetParallelism(n int) *Database {
 	db.parallelism = n
-	db.eng.SetParallelism(n)
 	return db
 }
 
@@ -114,7 +109,6 @@ func (db *Database) SetParallelism(n int) *Database {
 // serial row order. It returns db for chaining.
 func (db *Database) SetShards(n int) *Database {
 	db.shards = n
-	db.eng.SetShards(n)
 	return db
 }
 
@@ -293,7 +287,7 @@ type Rows struct {
 // Query runs ordinary SQL directly on the stored (dirty) data — the
 // baseline the paper compares its rewritten queries against.
 func (db *Database) Query(sql string) (*Rows, error) {
-	return toRows(db.eng.Query(sql))
+	return db.QueryCtx(context.Background(), sql, Limits{})
 }
 
 func toRows(res *engine.Result, err error) (*Rows, error) {
@@ -312,7 +306,9 @@ func toRows(res *engine.Result, err error) (*Rows, error) {
 }
 
 // Explain returns the physical plan for sql.
-func (db *Database) Explain(sql string) (string, error) { return db.eng.Explain(sql) }
+func (db *Database) Explain(sql string) (string, error) {
+	return db.newEngine(Limits{}).Explain(sql)
+}
 
 // CleanAnswer is one answer tuple with its probability of being an answer
 // on the clean database.

@@ -108,8 +108,8 @@ func (t *Table) reindex() {
 	t.indexes = map[string][]int{}
 }
 
-// Rebuild mirrors storage.ShardedTable.Shards(): the writes live in an
-// unexported helper and the exported caller bumps afterwards. The
+// Rebuild is the delegating shape: the writes live in an unexported
+// helper and the exported caller bumps afterwards. The
 // one-level interprocedural reach must raise the obligation at the
 // reindex() call and see it discharged.
 func (t *Table) Rebuild() {

@@ -108,9 +108,9 @@ func hasBumpMethod(pass *analysis.Pass, t types.Type) bool {
 // mutatesReceiver reports whether block-level node n writes receiver
 // state: a direct mutation (see directMutation), or a statement call to
 // an unexported same-package helper method that itself mutates its
-// receiver — one level of interprocedural reach, enough to cover
-// mutators like storage.ShardedTable.Shards() that delegate the actual
-// writes to an unexported rebuild().
+// receiver — one level of interprocedural reach, enough to cover a
+// mutator that delegates the actual writes to an unexported helper (the
+// fixture's Rebuild and its reindex()).
 func mutatesReceiver(pass *analysis.Pass, n ast.Node, recv *types.Var) bool {
 	if directMutation(pass, n, recv) {
 		return true

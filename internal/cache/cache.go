@@ -12,7 +12,7 @@
 //	             prepared plan, validated against a version vector.
 //	result tier  normalized SQL + options + version vector -> the
 //	             materialized result, LRU-evicted under a byte budget
-//	             (exec.CacheBudget, sized by exec.Limits.MaxCacheBytes).
+//	             (Options.MaxBytes).
 //
 // Invalidation is a version-vector compare: storage tables carry a
 // monotonic mutation counter (storage.Table.Version), a query snapshots
@@ -42,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/storage"
 	"conquer/internal/value"
@@ -59,8 +58,10 @@ const DefaultMaxParses = 1024
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes is the result tier's byte budget (exec.Limits.MaxCacheBytes);
-	// <= 0 disables result caching (parse and plan tiers still work).
+	// MaxBytes is the result tier's byte budget: the total bytes of
+	// materialized results the cache may retain, LRU eviction reclaiming
+	// them once it is full. <= 0 disables result caching (parse and plan
+	// tiers still work).
 	MaxBytes int64
 	// MaxPlans caps plan-tier entries (DefaultMaxPlans when 0).
 	MaxPlans int
@@ -75,8 +76,6 @@ type Options struct {
 // one database: keys do not name the database, so sharing a cache
 // between engines over different stores would alias their entries.
 type Cache struct {
-	budget *exec.CacheBudget
-
 	mu        sync.Mutex
 	results   map[string]*list.Element // key -> LRU element (resultEntry)
 	resLRU    *list.List               // front = most recent
@@ -87,6 +86,9 @@ type Cache struct {
 	maxPlans  int
 	maxParses int
 	flights   map[string]*flight
+	// The result tier's byte budget: bytes held now, their high-water
+	// mark, and the capacity.
+	bytes, peakBytes, maxBytes int64
 
 	stats counters
 	met   metricSet
@@ -148,7 +150,7 @@ func New(opts Options) *Cache {
 		reg = metrics.Default
 	}
 	return &Cache{
-		budget:    exec.NewCacheBudget(opts.MaxBytes),
+		maxBytes:  opts.MaxBytes,
 		results:   make(map[string]*list.Element),
 		resLRU:    list.New(),
 		plans:     make(map[string]*list.Element),
@@ -370,7 +372,7 @@ func (c *Cache) putResultLocked(key, vv string, val any, bytes int64) {
 	if el, ok := c.results[key]; ok {
 		c.removeResultLocked(el) // replace whatever vintage was there
 	}
-	for c.budget.Reserve(bytes) != nil {
+	for c.bytes+bytes > c.maxBytes {
 		last := c.resLRU.Back()
 		if last == nil {
 			return // larger than the whole budget: don't cache
@@ -379,8 +381,10 @@ func (c *Cache) putResultLocked(key, vv string, val any, bytes int64) {
 		c.stats.evictions.Add(1)
 		c.met.evictions.Inc()
 	}
+	c.bytes += bytes
+	c.peakBytes = max(c.peakBytes, c.bytes)
 	c.results[key] = c.resLRU.PushFront(&resultEntry{key: key, vv: vv, val: val, bytes: bytes})
-	c.met.bytes.Set(c.budget.Bytes())
+	c.met.bytes.Set(c.bytes)
 	c.met.entries.Set(int64(len(c.results)))
 }
 
@@ -389,8 +393,8 @@ func (c *Cache) removeResultLocked(el *list.Element) {
 	e := el.Value.(*resultEntry)
 	c.resLRU.Remove(el)
 	delete(c.results, e.key)
-	c.budget.Release(e.bytes)
-	c.met.bytes.Set(c.budget.Bytes())
+	c.bytes -= e.bytes
+	c.met.bytes.Set(c.bytes)
 	c.met.entries.Set(int64(len(c.results)))
 }
 
@@ -440,9 +444,9 @@ func (c *Cache) Stats() Stats {
 		Invalidations: c.stats.invalidations.Load(),
 		Coalesced:     c.stats.coalesced.Load(),
 		Executions:    c.stats.executions.Load(),
-		Bytes:         c.budget.Bytes(),
-		MaxBytes:      c.budget.Max(),
-		PeakBytes:     c.budget.Peak(),
+		Bytes:         c.bytes,
+		MaxBytes:      c.maxBytes,
+		PeakBytes:     c.peakBytes,
 		Entries:       len(c.results),
 		Plans:         len(c.plans),
 		Parses:        len(c.parses),

@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"time"
@@ -164,21 +165,20 @@ func evalLadder(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, opt
 	}
 
 	// Rung 2: rewriting, when the query is in the rewritable class.
-	a, err := rewrite.Analyze(d.Store.Catalog, stmt)
-	if err != nil {
-		return nil, err
-	}
-	if a.Rewritable {
-		res, err := ViaRewritingCtx(ctx, d, stmt, inner)
-		if err == nil {
-			return done(res), nil
-		}
-		if !qerr.IsResource(err) {
-			return nil, err
-		}
-		chain = append(chain, Degradation{Method: MethodRewrite, Reason: qerr.Reason(err)})
-	} else {
+	// ViaRewritingCtx analyses the statement once and reports a query
+	// outside the class itself; its recover boundary keeps a panic in the
+	// rewriting from escaping the cache's flight (Eval).
+	res, err = ViaRewritingCtx(ctx, d, stmt, inner)
+	var notRewritable *rewrite.NotRewritableError
+	switch {
+	case err == nil:
+		return done(res), nil
+	case errors.As(err, &notRewritable):
 		chain = append(chain, Degradation{Method: MethodRewrite, Reason: "not-rewritable"})
+	case qerr.IsResource(err):
+		chain = append(chain, Degradation{Method: MethodRewrite, Reason: qerr.Reason(err)})
+	default:
+		return nil, err
 	}
 
 	// Rung 3: Monte-Carlo.

@@ -97,8 +97,9 @@ func TestParallelismIsPartOfTheCacheKey(t *testing.T) {
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	e.SetParallelism(2)
-	res, err := e.Query(q)
+	// A second engine over the same store and cache, two workers.
+	e2 := NewWithOptions(e.DB(), Options{Cache: c, Parallelism: 2})
+	res, err := e2.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +35,8 @@ type Options struct {
 	// Shards is the cluster-shard count for partitioned scans; 0 defaults
 	// to runtime.GOMAXPROCS(0), 1 forces unsharded scans. Results are
 	// byte-identical at every shard count (DESIGN.md §14), so this tunes
-	// only scheduling. Shard views are cached per table and rebuilt when
-	// the table version moves.
+	// only scheduling. The views are the tables' own (storage.Table.Sharded),
+	// shared by every engine over the store.
 	Shards int
 	// BatchSize is the rows per execution batch; zero or negative
 	// resolves to exec.DefaultBatchSize. Results are identical at every
@@ -47,24 +46,18 @@ type Options struct {
 	// executed query (success or failure).
 	QueryLog *metrics.QueryLog
 	// Cache, when non-nil, is the multi-tier query cache queries run
-	// through (DESIGN.md §11). When nil and Limits.MaxCacheBytes > 0,
-	// NewWithOptions creates a private cache of that size. A cache must
-	// only ever serve engines over the same database — its keys do not
-	// name the store.
+	// through (DESIGN.md §11); nil runs every query uncached. A cache
+	// must only ever serve engines over the same database — its keys do
+	// not name the store.
 	Cache *cache.Cache
 }
 
-// Engine executes SQL over one database.
+// Engine executes SQL over one database. It holds no state of its own —
+// a store, its options and the cache they name — so building one per
+// call costs nothing and any number may run over one store at once.
 type Engine struct {
-	db    *storage.DB
-	opts  Options
-	cache *cache.Cache
-
-	// shardViews caches one ShardedTable per base table so repeated
-	// queries reuse partitions; ShardedTable itself revalidates against
-	// the table version on every Shards() call.
-	mu         sync.Mutex
-	shardViews map[*storage.Table]*storage.ShardedTable
+	db   *storage.DB
+	opts Options
 }
 
 // New creates an engine over db with default options (parallelism
@@ -73,11 +66,7 @@ func New(db *storage.DB) *Engine { return &Engine{db: db} }
 
 // NewWithOptions creates an engine with explicit options.
 func NewWithOptions(db *storage.DB, opts Options) *Engine {
-	c := opts.Cache
-	if c == nil && opts.Limits.MaxCacheBytes > 0 {
-		c = cache.New(cache.Options{MaxBytes: opts.Limits.MaxCacheBytes})
-	}
-	return &Engine{db: db, opts: opts, cache: c}
+	return &Engine{db: db, opts: opts}
 }
 
 // NewWithLimits creates an engine whose queries run under the given
@@ -86,21 +75,9 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 	return &Engine{db: db, opts: Options{Limits: limits}}
 }
 
-// SetLimits replaces the engine's execution budget for subsequent
-// queries.
-func (e *Engine) SetLimits(limits exec.Limits) { e.opts.Limits = limits }
-
-// SetParallelism sets the worker count for subsequent queries (0 tracks
-// GOMAXPROCS, 1 forces serial execution).
-func (e *Engine) SetParallelism(n int) { e.opts.Parallelism = n }
-
-// SetShards sets the cluster-shard count for subsequent queries (0
-// tracks GOMAXPROCS, 1 forces unsharded scans).
-func (e *Engine) SetShards(n int) { e.opts.Shards = n }
-
 // Cache returns the engine's query cache (nil when caching is off); the
 // REPL's \cache command reads stats and clears entries through it.
-func (e *Engine) Cache() *cache.Cache { return e.cache }
+func (e *Engine) Cache() *cache.Cache { return e.opts.Cache }
 
 // planOptions resolves the effective planner options for one query.
 func (e *Engine) planOptions() plan.Options {
@@ -114,26 +91,10 @@ func (e *Engine) planOptions() plan.Options {
 	if opts.Shards > 1 {
 		n := opts.Shards
 		opts.Sharder = func(tb *storage.Table) exec.ShardView {
-			return e.shardedView(tb, n)
+			return tb.Sharded(n)
 		}
 	}
 	return opts
-}
-
-// shardedView returns the cached shard view for tb, rebuilding when the
-// configured shard count changed since it was cached.
-func (e *Engine) shardedView(tb *storage.Table, n int) *storage.ShardedTable {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.shardViews == nil {
-		e.shardViews = make(map[*storage.Table]*storage.ShardedTable)
-	}
-	if v, ok := e.shardViews[tb]; ok && v.NumShards() == n {
-		return v
-	}
-	v := storage.NewShardedTable(tb, n)
-	e.shardViews[tb] = v
-	return v
 }
 
 // DB returns the underlying database.
@@ -200,15 +161,15 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // raw query texts without re-parsing; cached statements are shared and
 // never mutated downstream.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	if e.cache != nil {
-		if v, _, ok := e.cache.GetParse(sql); ok {
+	if e.opts.Cache != nil {
+		if v, _, ok := e.opts.Cache.GetParse(sql); ok {
 			return e.QueryStmtCtx(ctx, v.(*sqlparse.SelectStmt))
 		}
 		stmt, err := sqlparse.Parse(sql)
 		if err != nil {
 			return nil, err
 		}
-		e.cache.PutParse(sql, stmt, stmt.SQL())
+		e.opts.Cache.PutParse(sql, stmt, stmt.SQL())
 		return e.QueryStmtCtx(ctx, stmt)
 	}
 	stmt, err := sqlparse.Parse(sql)
@@ -249,7 +210,7 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 	}()
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
-	if e.cache == nil {
+	if e.opts.Cache == nil {
 		return e.executeStmt(ctx, stmt, popts, nil, "", "")
 	}
 	key := resultKey(stmt, popts)
@@ -259,8 +220,8 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 		// the ordinary error.
 		return e.executeStmt(ctx, stmt, popts, nil, "", "")
 	}
-	v, shared, err := e.cache.Do(ctx, key, vv, func() (any, int64, error) {
-		r, err := e.executeStmt(ctx, stmt, popts, e.cache, key, vv)
+	v, shared, err := e.opts.Cache.Do(ctx, key, vv, func() (any, int64, error) {
+		r, err := e.executeStmt(ctx, stmt, popts, e.opts.Cache, key, vv)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -316,3 +316,25 @@ func TestQueryAggregateReordering(t *testing.T) {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
+
+// An engine holds no shard views of its own: whatever engine asks, the
+// planner is handed the table's view for the engine's shard count.
+func TestEnginesPlanOverTheTablesShardViews(t *testing.T) {
+	db := figure2DB(t)
+	cust, _ := db.Table("customer")
+	a := NewWithOptions(db, Options{Shards: 4})
+	b := NewWithOptions(db, Options{Shards: 4, Parallelism: 1})
+	va, vb := a.planOptions().Sharder(cust), b.planOptions().Sharder(cust)
+	if va != vb || va != cust.Sharded(4) {
+		t.Fatal("two engines over one store must plan over the same shard view")
+	}
+	if &va.Shards()[0] != &vb.Shards()[0] {
+		t.Fatal("the two engines see different partitions")
+	}
+	if other := NewWithOptions(db, Options{Shards: 2}).planOptions().Sharder(cust); other == va || other.NumShards() != 2 {
+		t.Fatal("a different shard count is a different view")
+	}
+	if NewWithOptions(db, Options{Shards: 1}).planOptions().Sharder != nil {
+		t.Fatal("one shard plans unsharded scans")
+	}
+}

@@ -28,12 +28,6 @@ type Limits struct {
 	MaxCandidates int64
 	// MaxSamples caps Monte-Carlo sample counts.
 	MaxSamples int
-	// MaxCacheBytes sizes the query cache's result tier: the total bytes
-	// of materialized results the cache may retain (0 disables result
-	// caching). It is enforced by a CacheBudget — the cache-lifetime
-	// sibling of the governor's per-query row reservations — with LRU
-	// eviction reclaiming bytes once the budget is full.
-	MaxCacheBytes int64
 }
 
 // WithContext derives a context carrying the Timeout (a no-op without
@@ -208,77 +202,6 @@ func (g *Governor) CountOutputN(n int64) error {
 			g.limits.MaxOutputRows, qerr.ErrBudgetExceeded)
 	}
 	return nil
-}
-
-// CacheBudget is the byte budget of a query-result cache, enforced with
-// the same reservation discipline as the governor's row budgets: admit
-// by Reserve, reclaim by Release, and fail admission — not the query —
-// with qerr.ErrBudgetExceeded once the budget is exhausted. Unlike a
-// Governor, whose counters live for one query, a CacheBudget lives as
-// long as the cache itself; it is safe for concurrent use.
-type CacheBudget struct {
-	max   int64
-	bytes atomic.Int64
-	peak  atomic.Int64
-}
-
-// NewCacheBudget creates a budget of max bytes (max <= 0 admits nothing,
-// matching Limits.MaxCacheBytes semantics where 0 disables caching).
-func NewCacheBudget(max int64) *CacheBudget { return &CacheBudget{max: max} }
-
-// Reserve charges n bytes against the budget, failing with
-// qerr.ErrBudgetExceeded — and rolling the charge back — when the
-// reservation would overflow it. Callers evict and retry.
-func (b *CacheBudget) Reserve(n int64) error {
-	if b == nil {
-		return nil
-	}
-	total := b.bytes.Add(n)
-	if total > b.max {
-		b.bytes.Add(-n)
-		return fmt.Errorf("exec: %d cached bytes exceed budget %d: %w",
-			total, b.max, qerr.ErrBudgetExceeded)
-	}
-	for {
-		peak := b.peak.Load()
-		if total <= peak || b.peak.CompareAndSwap(peak, total) {
-			return nil
-		}
-	}
-}
-
-// Release returns n previously reserved bytes to the budget.
-func (b *CacheBudget) Release(n int64) {
-	if b == nil {
-		return
-	}
-	if b.bytes.Add(-n) < 0 {
-		b.bytes.Store(0)
-	}
-}
-
-// Bytes returns the bytes currently reserved.
-func (b *CacheBudget) Bytes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.bytes.Load()
-}
-
-// Peak returns the reservation high-water mark.
-func (b *CacheBudget) Peak() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.peak.Load()
-}
-
-// Max returns the budget's capacity in bytes.
-func (b *CacheBudget) Max() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.max
 }
 
 // governed is implemented by operators that accept a governor.

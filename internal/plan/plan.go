@@ -29,8 +29,8 @@ type Options struct {
 	// block-partition, and execution claims morsels per shard with
 	// skew-aware rebalancing. Values <= 1 plan unsharded scans.
 	Shards int
-	// Sharder maps a base table to its shard view. The engine installs a
-	// cached storage.ShardedTable lookup here so repeated queries reuse
+	// Sharder maps a base table to its shard view. The engine installs
+	// storage.Table.Sharded here, so every query over a table reuses its
 	// partitions until the table version moves. nil disables sharding
 	// regardless of Shards.
 	Sharder func(*storage.Table) exec.ShardView

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"conquer/internal/cache"
 	"conquer/internal/core"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
@@ -141,8 +142,9 @@ func New(store *storage.DB, cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 			}
 		}
+		var qcache *cache.Cache
 		if tc.CacheBytes > 0 {
-			lim.MaxCacheBytes = tc.CacheBytes
+			qcache = cache.New(cache.Options{MaxBytes: tc.CacheBytes})
 		}
 		tstore := store
 		if len(tc.Faults) > 0 {
@@ -167,6 +169,7 @@ func New(store *storage.DB, cfg Config) (*Server, error) {
 				Parallelism: cfg.Parallelism,
 				Shards:      cfg.Shards,
 				QueryLog:    cfg.QueryLog,
+				Cache:       qcache,
 			}),
 			ddb: dirty.New(tstore),
 		}

@@ -584,6 +584,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A tenant's cache_bytes builds that tenant's own cache: a tenants file
+// naming it loads, the second identical /v1/query is served from the
+// cache, and a tenant without it never is.
+func TestTenantCacheBytes(t *testing.T) {
+	tenants, err := LoadTenants(strings.NewReader(`{"tenants": [
+		{"name": "acme", "key": "ak", "preset": "standard", "cache_bytes": 1048576},
+		{"name": "beta", "key": "bk", "preset": "standard"}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(bigStore(t, 500), Config{Tenants: tenants, Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(key string) bool {
+		rec := doJSON(t, srv, "POST", "/v1/query", key, queryRequest{SQL: "select sum(val) from big"})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Stats.Cached
+	}
+	if cached("ak") {
+		t.Fatal("the first execution cannot be a cache hit")
+	}
+	if !cached("ak") {
+		t.Fatal("a tenant with cache_bytes should serve the repeat from its cache")
+	}
+	if cached("bk") || cached("bk") {
+		t.Fatal("a tenant without cache_bytes has no cache, and must not see another tenant's")
+	}
+}
+
 func TestLoadTenants(t *testing.T) {
 	doc := `{"tenants": [
 		{"name": "acme", "key": "ak", "preset": "small", "max_concurrent": 2},

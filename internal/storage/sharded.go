@@ -3,7 +3,6 @@ package storage
 import (
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"conquer/internal/value"
 )
@@ -44,9 +43,9 @@ func ShardOf(key string, n int) int {
 //
 // The view is lazily (re)built: Shards() compares the base table's
 // mutation counter against the version the partitions were built from
-// and rebuilds when the base has moved. The view carries its own
-// version counter, bumped on every rebuild, so cache layers observing
-// the view see the same monotonic contract as a plain Table.
+// and rebuilds when the base has moved. Table.Sharded hands out the one
+// view a table keeps per shard count, so every engine over the table
+// shares its partitions.
 type ShardedTable struct {
 	base *Table
 	n    int
@@ -54,8 +53,6 @@ type ShardedTable struct {
 	mu          sync.Mutex
 	shards      []*Shard
 	baseVersion int64
-
-	version atomic.Int64
 }
 
 // NewShardedTable creates an N-way sharded view of base. n < 1 is
@@ -73,13 +70,6 @@ func (st *ShardedTable) Base() *Table { return st.base }
 // NumShards returns the shard count N.
 func (st *ShardedTable) NumShards() int { return st.n }
 
-// Version returns the view's mutation counter (bumped on every
-// partition rebuild).
-func (st *ShardedTable) Version() int64 { return st.version.Load() }
-
-// bump records one mutation of the view.
-func (st *ShardedTable) bump() { st.version.Add(1) }
-
 // Shards returns the current partitions, rebuilding them first if the
 // base table has been mutated since they were last built. The rebuild
 // cannot fail — partitioning is a pure function of the rows — so the
@@ -90,42 +80,47 @@ func (st *ShardedTable) Shards() []*Shard {
 	defer st.mu.Unlock()
 	if st.shards == nil || st.baseVersion != st.base.Version() {
 		st.rebuild()
-		st.bump()
 	}
 	return st.shards
 }
 
 // rebuild recomputes the partitions from the base table's current rows.
-// Callers must hold st.mu and bump() the view afterwards.
+// Callers must hold st.mu. The partitions live as long as the table, so
+// they are sized exactly: one pass assigns every row its shard and counts,
+// one fills, and a view retains a row header and an ordinal per row with
+// no slack.
 func (st *ShardedTable) rebuild() {
-	idIdx := st.base.Schema.IdentifierIndex()
-	total := st.base.Len()
-	parts := make([][][]value.Value, st.n)
-	ords := make([][]int64, st.n)
-	if idIdx >= 0 {
-		for i := 0; i < total; i++ {
-			row := st.base.Row(i)
+	rows := st.base.rows
+	assign := make([]int32, len(rows)) // row ordinal -> shard
+	counts := make([]int, st.n)
+	if idIdx := st.base.Schema.IdentifierIndex(); idIdx >= 0 {
+		for i, row := range rows {
 			s := ShardOf(row[idIdx].String(), st.n)
-			parts[s] = append(parts[s], row)
-			ords[s] = append(ords[s], int64(i))
+			assign[i] = int32(s)
+			counts[s]++
 		}
 	} else {
 		// Clean tables carry no cluster structure; block-partition so
 		// each shard scans a contiguous ordinal range.
-		for s := 0; s < st.n; s++ {
-			lo, hi := s*total/st.n, (s+1)*total/st.n
+		for s := range counts {
+			lo, hi := s*len(rows)/st.n, (s+1)*len(rows)/st.n
 			for i := lo; i < hi; i++ {
-				parts[s] = append(parts[s], st.base.Row(i))
-				ords[s] = append(ords[s], int64(i))
+				assign[i] = int32(s)
 			}
+			counts[s] = hi - lo
 		}
 	}
 	shards := make([]*Shard, st.n)
-	for s := 0; s < st.n; s++ {
+	for s, c := range counts {
 		tb := NewTable(st.base.Schema)
 		tb.inj = st.base.inj
-		tb.rows = parts[s]
-		shards[s] = &Shard{Table: tb, Ords: ords[s]}
+		tb.rows = make([][]value.Value, 0, c)
+		shards[s] = &Shard{Table: tb, Ords: make([]int64, 0, c)}
+	}
+	for i, s := range assign {
+		sh := shards[s]
+		sh.Table.rows = append(sh.Table.rows, rows[i])
+		sh.Ords = append(sh.Ords, int64(i))
 	}
 	st.shards = shards
 	st.baseVersion = st.base.Version()
