@@ -59,7 +59,9 @@ type Limits struct {
 	MaxBufferedRows int64
 	// MaxOutputRows caps the rows a single query may return.
 	MaxOutputRows int64
-	// MaxCandidates caps exact candidate-database enumeration.
+	// MaxCandidates caps exact candidate-database enumeration: the
+	// candidates of the relations the statement names, the only ones that
+	// can change its answer.
 	MaxCandidates int64
 	// MaxSamples caps Monte-Carlo sample counts.
 	MaxSamples int

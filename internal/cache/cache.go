@@ -37,7 +37,8 @@ package cache
 import (
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,7 @@ type Cache struct {
 	parseLRU  *list.List
 	maxPlans  int
 	maxParses int
-	flights   map[string]*flight
+	flights   map[flightKey]*flight
 	// The result tier's byte budget: bytes held now, their high-water
 	// mark, and the capacity.
 	bytes, peakBytes, maxBytes int64
@@ -159,7 +160,7 @@ func New(opts Options) *Cache {
 		parseLRU:  list.New(),
 		maxPlans:  opts.MaxPlans,
 		maxParses: opts.MaxParses,
-		flights:   make(map[string]*flight),
+		flights:   make(map[flightKey]*flight),
 		met: metricSet{
 			parseHits:     reg.Counter("cache.parse.hits"),
 			parseMisses:   reg.Counter("cache.parse.misses"),
@@ -181,30 +182,33 @@ func New(opts Options) *Cache {
 // the cache's invalidation key: "name=version" pairs over the sorted,
 // deduplicated lowercase names. It reports ok=false when a table does
 // not exist — the caller then bypasses the cache so the ordinary
-// resolution error surfaces from planning.
+// resolution error surfaces from planning. Every cached read computes
+// one, so it costs one allocation: the string.
 func VersionVector(db *storage.DB, names []string) (string, bool) {
-	uniq := make([]string, 0, len(names))
-	seen := make(map[string]bool, len(names))
+	var few [8]*storage.Table // a FROM list; longer ones spill to the heap
+	tables := few[:0]
 	for _, n := range names {
-		n = strings.ToLower(n)
-		if !seen[n] {
-			seen[n] = true
-			uniq = append(uniq, n)
-		}
-	}
-	sort.Strings(uniq)
-	var b strings.Builder
-	for i, n := range uniq {
 		t, ok := db.Table(n)
 		if !ok {
 			return "", false
 		}
-		if i > 0 {
-			b.WriteByte(';')
+		if !slices.Contains(tables, t) {
+			tables = append(tables, t)
 		}
-		fmt.Fprintf(&b, "%s=%d", n, t.Version())
 	}
-	return b.String(), true
+	slices.SortFunc(tables, func(a, b *storage.Table) int {
+		return strings.Compare(a.Schema.Name, b.Schema.Name)
+	})
+	buf := make([]byte, 0, 128)
+	for i, t := range tables {
+		if i > 0 {
+			buf = append(buf, ';')
+		}
+		buf = append(buf, t.Schema.Name...)
+		buf = append(buf, '=')
+		buf = strconv.AppendInt(buf, t.Version(), 10)
+	}
+	return string(buf), true
 }
 
 // SizeOfValues approximates the retained bytes of one row: the slice

@@ -16,8 +16,9 @@ type flight struct {
 
 // flightKey couples the cache key with the version vector: queries over
 // different database versions must not coalesce, or a follower could be
-// handed a result computed over data it has already seen mutated.
-func flightKey(key, vv string) string { return key + "\x00" + vv }
+// handed a result computed over data it has already seen mutated. A pair,
+// not a concatenation: every lookup makes one, hit or miss.
+type flightKey struct{ key, vv string }
 
 // Do returns the result cached under (key, vv) or computes it exactly
 // once: the first caller to miss becomes the leader and runs fn; callers
@@ -38,7 +39,7 @@ func flightKey(key, vv string) string { return key + "\x00" + vv }
 // cached reports whether the returned value came from the cache or from
 // another flight's execution (false only for the leader itself).
 func (c *Cache) Do(ctx context.Context, key, vv string, fn func() (val any, bytes int64, err error)) (val any, cached bool, err error) {
-	fk := flightKey(key, vv)
+	fk := flightKey{key, vv}
 	for {
 		c.mu.Lock()
 		if v, ok := c.lookupLocked(key, vv); ok {

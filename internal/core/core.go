@@ -262,22 +262,22 @@ func sample(ctx context.Context, n int, seed int64) drawFunc {
 // overWorlds is the one candidate loop under every evaluator that
 // materializes candidate databases: it runs stmt on each candidate draw
 // visits and hands the result to answer. Everything that depends only on
-// the statement happens once, here — clustering the dirty relations, a
-// world over the FROM relations, the plan over that world (every
-// candidate has one row per cluster, so table sizes and with them the
-// plan cannot differ between candidates) and the metrics report. A
-// candidate costs refilling the world's dirty tables, re-opening the plan
-// under a fresh budget, and collecting (DESIGN.md §17).
+// the statement happens once, here — clustering the FROM relations (the
+// candidates are theirs alone: a relation the statement does not name
+// cannot change its answer, and clusters choose independently, so its
+// choices sum out of every probability, DESIGN.md §11), a world over
+// them, the plan over that world (every candidate has one row per
+// cluster, so table sizes and with them the plan cannot differ between
+// candidates) and the metrics report. A candidate costs refilling the
+// world's dirty tables, re-opening the plan under a fresh budget, and
+// collecting (DESIGN.md §17).
 func overWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, inner exec.Limits, draw drawFunc,
 	answer func(c *dirty.Candidate, res *engine.Result) error) (cols []string, stats EvalStats, err error) {
 	start := time.Now()
-	cs, err := d.Candidates()
+	from := stmt.Tables()
+	cs, err := d.CandidatesOf(from)
 	if err != nil {
 		return nil, stats, err
-	}
-	from := make([]string, len(stmt.From))
-	for i, tr := range stmt.From {
-		from[i] = tr.Table
 	}
 	world, err := d.NewWorld(from)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"conquer/internal/dirty"
 	"conquer/internal/exec"
+	"conquer/internal/qerr"
 	"conquer/internal/rewrite"
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
@@ -336,9 +338,14 @@ func TestResultHelpers(t *testing.T) {
 
 func TestExactRespectsLimit(t *testing.T) {
 	d := testdb.Figure2()
+	// The limit bounds the candidates of the relations the statement
+	// names: customer has 4, the whole database 8.
 	q := sqlparse.MustParse("select id from customer")
-	if _, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 4}); err == nil {
-		t.Error("limit below candidate count should fail")
+	if _, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 3}); !errors.Is(err, qerr.ErrTooManyCandidates) {
+		t.Errorf("limit below customer's candidate count: %v, want ErrTooManyCandidates", err)
+	}
+	if res, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 4}); err != nil || res.Stats.Queries != 4 {
+		t.Errorf("limit at customer's candidate count: %v, %v", res, err)
 	}
 }
 

@@ -43,24 +43,27 @@ type EvalOptions struct {
 	// returns its error verbatim. For ground-truth comparisons in tests.
 	ForceExact bool
 	// Cache, when non-nil, memoizes whole-ladder results. Clean answers
-	// are deterministic for a fixed database state and a fixed seed, so a
-	// Result — whichever rung produced it — is cacheable keyed by the
-	// canonical statement, these options, and a version vector over every
-	// table in the store (evaluation reads dirty metadata beyond the
-	// tables the query names, so the vector is taken over all of them).
-	// Concurrent identical evaluations coalesce onto one ladder run.
+	// are deterministic for a fixed state of the relations the statement
+	// names and a fixed seed, so a Result — whichever rung produced it —
+	// is cacheable keyed by the canonical statement, these options, and a
+	// version vector over the FROM relations: every rung reads those and
+	// nothing else (DESIGN.md §11), so a mutation anywhere else leaves the
+	// entry valid. Concurrent identical evaluations coalesce onto one
+	// ladder run.
 	Cache *cache.Cache
 }
 
-// exactThreshold caps the candidate count Eval will attempt exactly when
-// the caller sets no MaxCandidates budget. It is deliberately far below
+// exactThreshold caps the candidate count — of the FROM relations, like
+// MaxCandidates — Eval will attempt exactly when the caller sets no
+// MaxCandidates budget. It is deliberately far below
 // dirty.EnumerateLimit: Eval optimizes for answering within budget, not
 // for exhausting what enumeration can survive.
 const exactThreshold = 1 << 12
 
 // Eval computes clean answers with automatic method selection:
 //
-//  1. Exact, when the candidate count fits the budget — ground truth.
+//  1. Exact, when the FROM relations' candidate count fits the budget —
+//     ground truth.
 //  2. ViaRewriting, when the query is in the rewritable class (§3) —
 //     still exact (Thm 1), one query over the dirty database.
 //  3. MonteCarlo, otherwise — an estimate, flagged by Result.StdErr.
@@ -80,7 +83,7 @@ func Eval(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, opts Eval
 		return evalLadder(ctx, d, stmt, opts, start)
 	}
 	key := evalKey(stmt, opts)
-	vv, ok := cache.VersionVector(d.Store, d.Store.TableNames())
+	vv, ok := cache.VersionVector(d.Store, stmt.Tables())
 	if !ok {
 		return evalLadder(ctx, d, stmt, opts, start)
 	}
@@ -142,7 +145,7 @@ func evalLadder(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, opt
 	}
 
 	// Rung 1: Exact, when the candidate count is known to fit.
-	count, err := d.CandidateCount()
+	count, err := d.CandidateCountOf(stmt.Tables())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"conquer/internal/cache"
+	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
@@ -59,28 +60,97 @@ func TestEvalCacheKeyedByOptions(t *testing.T) {
 	}
 }
 
-func TestEvalCacheInvalidatedByAnyTableMutation(t *testing.T) {
-	d := testdb.Figure2()
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
-	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	opts := EvalOptions{Cache: c}
+// A clean answer is a function of the relations its statement names
+// (DESIGN.md §11), so that is what its cache entry is valid for, whichever
+// rung produced it: inserts into another relation — a tuple joining an
+// existing cluster, which changes the database's candidate count, and a new
+// cluster, which lengthens a whole-database sample by one draw — leave the
+// entry a hit that equals a fresh uncached evaluation answer for answer,
+// and an insert into a FROM relation makes it a miss.
+func TestEvalCacheScopedToFromRelations(t *testing.T) {
+	few := exec.Limits{MaxCandidates: 2} // customer alone has 4 candidates
+	for _, c := range []struct {
+		sql  string
+		opts EvalOptions
+		want Method
+	}{
+		{"select id from customer where balance > 10000", EvalOptions{}, MethodExact},
+		{"select id from customer where balance > 10000", EvalOptions{Limits: few}, MethodRewrite},
+		{"select name from customer where balance > 10000", EvalOptions{Limits: few, Samples: 300, Seed: 11}, MethodMonteCarlo},
+	} {
+		d := testdb.Figure2()
+		cc := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+		q := sqlparse.MustParse(c.sql)
+		cached := c.opts
+		cached.Cache = cc
+		cold, err := Eval(context.Background(), d, q, cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Method != c.want || cold.Cached {
+			t.Fatalf("%s: first evaluation: method %v cached %v, want %v computed", c.sql, cold.Method, cold.Cached, c.want)
+		}
 
-	if _, err := Eval(context.Background(), d, q, opts); err != nil {
+		orders, _ := d.Store.Table("orders")
+		orders.MustInsert(value.Str("o2"), value.Str("14"), value.Str("c2"), value.Int(7), value.Float(0))
+		orders.MustInsert(value.Str("o9"), value.Str("99"), value.Str("c1"), value.Int(1), value.Float(1))
+		if n, _ := d.CandidateCount(); n.Int64() != 12 {
+			t.Fatalf("the inserts should take the database from 8 candidates to 12, not %v", n)
+		}
+		warm, err := Eval(context.Background(), d, q, cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Eval(context.Background(), d, q, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Cached || fresh.Cached {
+			t.Fatalf("%s (%v): after inserts into orders cached = %v (uncached options: %v), want a hit", c.sql, c.want, warm.Cached, fresh.Cached)
+		}
+		if warm.Method != fresh.Method || !reflect.DeepEqual(warm.Answers, fresh.Answers) {
+			t.Fatalf("%s (%v): the hit differs from a fresh evaluation:\n hit %+v\nfresh %+v", c.sql, c.want, warm.Answers, fresh.Answers)
+		}
+		if s := cc.Stats(); s.Invalidations != 0 || s.Executions != 1 {
+			t.Fatalf("%s (%v): %d invalidations, %d executions after inserts into orders; want 0 and 1", c.sql, c.want, s.Invalidations, s.Executions)
+		}
+
+		customer, _ := d.Store.Table("customer")
+		customer.MustInsert(value.Str("c3"), value.Str("m5"), value.Str("Ann"), value.Float(50000), value.Float(1))
+		after, err := Eval(context.Background(), d, q, cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Cached || after.Len() != cold.Len()+1 {
+			t.Fatalf("%s (%v): after an insert into customer cached = %v with %d answers, want a recomputation with %d",
+				c.sql, c.want, after.Cached, after.Len(), cold.Len()+1)
+		}
+		if s := cc.Stats(); s.Invalidations != 1 {
+			t.Fatalf("%s (%v): %d invalidations after an insert into customer, want 1", c.sql, c.want, s.Invalidations)
+		}
+	}
+}
+
+// A cached clean answer costs a lookup: the statement printed once into
+// the key, the key, the version vector over the FROM relations, the
+// context and the Result handed back — 10 allocations for this two-relation
+// join, 31 when the statement was printed node by node and the vector
+// covered, and formatted, every table of the store.
+func TestEvalHitAllocationFloor(t *testing.T) {
+	d := testdb.Figure2()
+	opts := EvalOptions{Cache: cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})}
+	q := sqlparse.MustParse("select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000")
+	ctx := context.Background()
+	if _, err := Eval(ctx, d, q, opts); err != nil {
 		t.Fatal(err)
 	}
-	// The vector covers every store table, so mutating a table the query
-	// does not even name still forces recomputation — dirty evaluation
-	// may read metadata beyond the query's FROM list.
-	tb, ok := d.Store.Table("orders")
-	if !ok {
-		t.Fatal("figure 2 store should have orders")
-	}
-	tb.MustInsert(value.Str("o9"), value.Str("99"), value.Str("c1"), value.Int(1), value.Float(1))
-	r, err := Eval(context.Background(), d, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cached {
-		t.Fatal("mutation anywhere in the store must invalidate eval results")
+	n := testing.AllocsPerRun(50, func() {
+		if res, err := Eval(ctx, d, q, opts); err != nil || !res.Cached {
+			t.Fatalf("not a hit: %v, %v", res, err)
+		}
+	})
+	t.Logf("a cached clean answer allocates %.0f times", n)
+	if n > 11 {
+		t.Errorf("a cached clean answer allocates %.0f times, ceiling 11", n)
 	}
 }

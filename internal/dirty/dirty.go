@@ -38,17 +38,18 @@ const ProbEpsilon = value.ProbEpsilon
 type DB struct {
 	Store *storage.DB
 
-	// countMu guards CandidateCount's memo: the count and the dirty
-	// relations' versions it was computed at.
-	countMu  sync.Mutex
-	count    *big.Int
-	countKey []tableVersion
+	// factorMu guards factors, CandidateCountOf's memo: per dirty
+	// relation, the product of its cluster sizes and the table version
+	// that product was computed at.
+	factorMu sync.Mutex
+	factors  map[*storage.Table]relFactor
 }
 
-// tableVersion is one dirty relation at one mutation count.
-type tableVersion struct {
-	table   *storage.Table
+// relFactor is one dirty relation's factor of the candidate count at one
+// mutation count.
+type relFactor struct {
 	version int64
+	count   *big.Int
 }
 
 // New wraps store.
@@ -186,26 +187,76 @@ func (d *DB) Normalize() error {
 // CandidateCount returns the number of candidate databases: the product of
 // cluster sizes over every dirty relation (Dfn 3). The count is returned
 // as a big integer because it is exponential in the number of clusters.
-//
-// The number — nothing else — is remembered for the dirty relations'
-// current versions, so core.Eval's rung selection does not re-cluster an
-// unchanged database on every call.
 func (d *DB) CandidateCount() (*big.Int, error) {
-	var key []tableVersion
-	for _, rel := range d.DirtyRelations() {
-		tb, _ := d.Store.Table(rel)
-		key = append(key, tableVersion{tb, tb.Version()})
-	}
-	d.countMu.Lock()
-	defer d.countMu.Unlock()
-	if d.count == nil || !slices.Equal(key, d.countKey) {
-		cs, err := d.Candidates()
+	return d.CandidateCountOf(d.Store.TableNames())
+}
+
+// CandidateCountOf returns the number of candidate databases of the named
+// relations alone: the product of their cluster sizes, which is how many
+// distinct worlds a query over exactly those relations can see (clusters
+// choose independently, Dfn 4, so the rest of the database only
+// multiplies every one of them by the same marginal 1). See dirtyTables
+// for which names count.
+//
+// Each relation's factor — the number, nothing else — is remembered at its
+// table's version, so core.Eval's rung selection does not re-cluster an
+// unchanged relation on every call and an insert re-clusters only the
+// relation it went into.
+func (d *DB) CandidateCountOf(rels []string) (*big.Int, error) {
+	n := big.NewInt(1)
+	for _, tb := range d.dirtyTables(rels) {
+		f, err := d.factor(tb)
 		if err != nil {
 			return nil, err
 		}
-		d.count, d.countKey = cs.Count(), key
+		n.Mul(n, f)
 	}
-	return new(big.Int).Set(d.count), nil
+	return n, nil
+}
+
+// factor is tb's factor of the candidate count, from the memo when tb has
+// not changed since it was computed. Errors are not remembered. The
+// returned integer is the memo's own: read it, do not write it.
+func (d *DB) factor(tb *storage.Table) (*big.Int, error) {
+	version := tb.Version()
+	d.factorMu.Lock()
+	defer d.factorMu.Unlock()
+	if f, ok := d.factors[tb]; ok && f.version == version {
+		return f.count, nil
+	}
+	clusters, err := d.Clusters(tb.Schema.Name)
+	if err != nil {
+		return nil, err
+	}
+	count := clusterProduct(clusters)
+	if d.factors == nil {
+		d.factors = make(map[*storage.Table]relFactor)
+	}
+	d.factors[tb] = relFactor{version: version, count: count}
+	return count, nil
+}
+
+// clusterProduct multiplies the cluster sizes.
+func clusterProduct(clusters []Cluster) *big.Int {
+	n := big.NewInt(1)
+	for _, c := range clusters {
+		n.Mul(n, big.NewInt(int64(len(c.Rows))))
+	}
+	return n
+}
+
+// dirtyTables resolves rels to the dirty tables among them, each once, in
+// the order first named. Clean relations and names the store does not know
+// are skipped (the planner reports the latter), so a FROM list can be
+// passed as it stands.
+func (d *DB) dirtyTables(rels []string) []*storage.Table {
+	var out []*storage.Table
+	for _, rel := range rels {
+		if tb, ok := d.Store.Table(rel); ok && tb.Schema.IsDirty() && !slices.Contains(out, tb) {
+			out = append(out, tb)
+		}
+	}
+	return out
 }
 
 // UncertaintyBits returns the Shannon entropy of the candidate-database
@@ -257,24 +308,29 @@ type relClusters struct {
 	clusters []Cluster
 }
 
-// Candidates is the cluster structure of every dirty relation, in catalog
-// order: the one index candidate counting, enumeration and sampling all
-// draw from. Building it clusters every dirty relation, so an evaluation
-// builds it once (DESIGN.md §17); it describes the relations as they were
-// at that moment.
+// Candidates is the cluster structure of a list of dirty relations: the
+// one index candidate counting, enumeration and sampling all draw from.
+// Building it clusters every relation in it, so an evaluation builds it
+// once, over the relations its statement names (DESIGN.md §17); it
+// describes the relations as they were at that moment.
 type Candidates []relClusters
 
-// Candidates clusters every dirty relation.
+// Candidates clusters every dirty relation, in catalog order.
 func (d *DB) Candidates() (Candidates, error) {
+	return d.CandidatesOf(d.Store.TableNames())
+}
+
+// CandidatesOf clusters the dirty relations among the named ones, in the
+// order first named (see dirtyTables for what is skipped).
+func (d *DB) CandidatesOf(rels []string) (Candidates, error) {
 	var out Candidates
-	for _, rel := range d.DirtyRelations() {
-		tb, _ := d.Store.Table(rel)
-		clusters, err := d.Clusters(rel)
+	for _, tb := range d.dirtyTables(rels) {
+		clusters, err := d.Clusters(tb.Schema.Name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, relClusters{
-			rel:      rel,
+			rel:      tb.Schema.Name,
 			probIdx:  tb.Schema.ProbIndex(),
 			table:    tb,
 			clusters: clusters,
@@ -283,13 +339,11 @@ func (d *DB) Candidates() (Candidates, error) {
 	return out, nil
 }
 
-// Count is the number of candidate databases (Dfn 3).
+// Count is the number of candidate databases (Dfn 3) of cs's relations.
 func (cs Candidates) Count() *big.Int {
 	n := big.NewInt(1)
 	for _, rc := range cs {
-		for _, c := range rc.clusters {
-			n.Mul(n, big.NewInt(int64(len(c.Rows))))
-		}
+		n.Mul(n, clusterProduct(rc.clusters))
 	}
 	return n
 }

@@ -16,9 +16,10 @@ import (
 	"conquer/internal/value"
 )
 
-// The candidate count is remembered per version vector of the dirty
-// relations: repeat calls agree and hand out independent integers, any
-// mutation of a dirty relation recounts, and concurrent callers are safe.
+// Each dirty relation's factor of the candidate count is remembered at its
+// table's version: repeat calls agree and hand out independent integers,
+// any mutation of a dirty relation recounts, and concurrent callers are
+// safe.
 func TestCandidateCountMemo(t *testing.T) {
 	d := figure2DB(t, true)
 	first, err := d.CandidateCount()
@@ -76,6 +77,60 @@ func TestCandidateCountMemo(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// The index and the count over a list of relations cover the dirty
+// relations among them, each once, in the order first named; an insert
+// re-clusters the relation it went into and no other.
+func TestCandidatesOfNamedRelations(t *testing.T) {
+	d := figure2DB(t, true)
+	nS := schema.MustRelation("nation", schema.Column{Name: "name", Type: value.KindString})
+	d.Store.MustCreateTable(nS).MustInsert(value.Str("CANADA"))
+	for _, c := range []struct {
+		rels []string
+		want int64
+		idx  string // the index's relations, in order
+	}{
+		{nil, 1, ""},
+		{[]string{"nation", "ghost"}, 1, ""},
+		{[]string{"customer"}, 4, "customer"},
+		{[]string{"orders", "nation"}, 2, "orders"},
+		{[]string{"orders", "CUSTOMER", "orders", "customer"}, 8, "orders,customer"},
+		{d.Store.TableNames(), 8, "customer,orders"},
+	} {
+		n, err := d.CandidateCountOf(c.rels)
+		if err != nil || n.Int64() != c.want {
+			t.Errorf("CandidateCountOf(%v) = %v, %v; want %d", c.rels, n, err, c.want)
+		}
+		cs, err := d.CandidatesOf(c.rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, rc := range cs {
+			names = append(names, rc.rel)
+		}
+		if got := strings.Join(names, ","); got != c.idx || cs.Count().Int64() != c.want {
+			t.Errorf("CandidatesOf(%v) indexes %q with %v candidates; want %q with %d", c.rels, got, cs.Count(), c.idx, c.want)
+		}
+		if cand := cs.NewCandidate(); len(cand.Chosen) != len(cs) {
+			t.Errorf("a candidate of %v chooses in %d relations, want %d", c.rels, len(cand.Chosen), len(cs))
+		}
+	}
+
+	cust, _ := d.Store.Table("customer")
+	ord, _ := d.Store.Table("orders")
+	before := d.factors[ord]
+	cust.MustInsert(value.Str("c2"), value.Str("m5"), value.Str("Mario"), value.Float(1), value.Float(0))
+	if n, _ := d.CandidateCount(); n.Int64() != 12 {
+		t.Fatalf("after adding a third c2 tuple = %v, want 12", n)
+	}
+	if after := d.factors[ord]; after.count != before.count || after.version != ord.Version() {
+		t.Errorf("an insert into customer recounted orders: %+v, was %+v", after, before)
+	}
+	if f := d.factors[cust]; f.version != cust.Version() || f.count.Int64() != 6 {
+		t.Errorf("customer's factor after the insert = %+v, want 6 at version %d", f, cust.Version())
+	}
 }
 
 // The over-limit error keeps its text, and the count in it comes from the

@@ -10,6 +10,7 @@ import (
 
 	"conquer/internal/cache"
 	"conquer/internal/metrics"
+	"conquer/internal/sqlparse"
 	"conquer/internal/value"
 )
 
@@ -230,5 +231,38 @@ func TestUncachedEngineUnchanged(t *testing.T) {
 	}
 	if res.Stats.Cached {
 		t.Fatal("uncached engine must never report Cached")
+	}
+}
+
+// A result-tier hit costs a lookup, not a walk of the statement: from SQL
+// text the parse tier hands back the statement with its printed form, so
+// the hit allocates the key built on it, the version vector, the table
+// list, the context and the Result it returns; from a statement it prints
+// the statement once more: 6 and 7. Both were 52 when the key was printed
+// node by node, report printed it again for a log nobody attached and the
+// vector was a map, a sort and an Fprintf per table.
+func TestResultHitAllocationFloor(t *testing.T) {
+	// Explicit counts: AllocsPerRun measures at GOMAXPROCS 1, and a
+	// default that follows it would change the key under the test.
+	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1, Shards: 1})
+	const q = "select o.orderid, c.name from orders o, customer c where o.cidfk = c.id and c.balance > 10000 and o.quantity < 5"
+	ctx := context.Background()
+	if _, err := e.QueryCtx(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	hit := func(run func() (*Result, error)) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if res, err := run(); err != nil || !res.Stats.Cached {
+				t.Fatalf("not a hit: %v, %v", res, err)
+			}
+		})
+	}
+	fromText := hit(func() (*Result, error) { return e.QueryCtx(ctx, q) })
+	stmt, _, _ := c.GetParse(q)
+	fromStmt := hit(func() (*Result, error) { return e.QueryStmtCtx(ctx, stmt.(*sqlparse.SelectStmt)) })
+	t.Logf("a hit allocates %.0f times from SQL text, %.0f from a statement", fromText, fromStmt)
+	if fromText > 7 || fromStmt > 8 {
+		t.Errorf("a hit allocates %.0f times from SQL text and %.0f from a statement, ceilings 7 and 8", fromText, fromStmt)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -158,19 +159,21 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // QueryCtx parses, plans and executes sql under ctx and the engine's
 // limits. Cancellation, timeout and budget overruns surface as qerr
 // taxonomy errors. With a cache attached, the parse tier serves repeated
-// raw query texts without re-parsing; cached statements are shared and
-// never mutated downstream.
+// raw query texts without re-parsing or re-printing: it holds the
+// statement and its normal form, the text the result key is built on.
+// Cached statements are shared and never mutated downstream.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	if e.opts.Cache != nil {
-		if v, _, ok := e.opts.Cache.GetParse(sql); ok {
-			return e.QueryStmtCtx(ctx, v.(*sqlparse.SelectStmt))
+	if c := e.opts.Cache; c != nil {
+		if v, norm, ok := c.GetParse(sql); ok {
+			return e.queryStmt(ctx, v.(*sqlparse.SelectStmt), norm)
 		}
 		stmt, err := sqlparse.Parse(sql)
 		if err != nil {
 			return nil, err
 		}
-		e.opts.Cache.PutParse(sql, stmt, stmt.SQL())
-		return e.QueryStmtCtx(ctx, stmt)
+		norm := stmt.SQL()
+		c.PutParse(sql, stmt, norm)
+		return e.queryStmt(ctx, stmt, norm)
 	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -197,7 +200,13 @@ func (e *Engine) QueryStmt(stmt *sqlparse.SelectStmt) (*Result, error) {
 // so concurrent identical queries over the same versions share one
 // execution. Clean answers are deterministic for a fixed database state,
 // which is what makes serving the memoized result sound.
-func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (res *Result, err error) {
+func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
+	return e.queryStmt(ctx, stmt, "")
+}
+
+// queryStmt is QueryStmtCtx for a caller that may already hold norm,
+// stmt.SQL(); "" has it printed here when a cache key needs it.
+func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm string) (res *Result, err error) {
 	defer qerr.Recover(&err)
 	popts := e.planOptions()
 	start := time.Now()
@@ -213,8 +222,11 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 	if e.opts.Cache == nil {
 		return e.executeStmt(ctx, stmt, popts, nil, "", "")
 	}
-	key := resultKey(stmt, popts)
-	vv, ok := cache.VersionVector(e.db, stmtTables(stmt))
+	if norm == "" {
+		norm = stmt.SQL()
+	}
+	key := resultKey(norm, popts)
+	vv, ok := cache.VersionVector(e.db, stmt.Tables())
 	if !ok {
 		// An unresolvable table: bypass the cache so planning reports
 		// the ordinary error.
@@ -254,19 +266,20 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 // aggregation re-associates float sums — results are only guaranteed
 // byte-identical at one worker count. The batch size travels resolved
 // (0 and DefaultBatchSize are the same plan) because a prepared tree
-// carries its batch size baked in by SetBatchSize.
-func resultKey(stmt *sqlparse.SelectStmt, popts plan.Options) string {
-	return fmt.Sprintf("%s|par=%d;sh=%d;bs=%d", stmt.SQL(), popts.Parallelism,
-		popts.Shards, exec.ResolveBatchSize(popts.BatchSize))
-}
-
-// stmtTables lists the tables the statement references.
-func stmtTables(stmt *sqlparse.SelectStmt) []string {
-	names := make([]string, len(stmt.From))
-	for i, tr := range stmt.From {
-		names[i] = tr.Table
-	}
-	return names
+// carries its batch size baked in by SetBatchSize. norm is the
+// statement's SQL().
+func resultKey(norm string, popts plan.Options) string {
+	var b strings.Builder
+	b.Grow(len(norm) + len("|par=;sh=;bs=") + 3*20)
+	var num [20]byte
+	b.WriteString(norm)
+	b.WriteString("|par=")
+	b.Write(strconv.AppendInt(num[:0], int64(popts.Parallelism), 10))
+	b.WriteString(";sh=")
+	b.Write(strconv.AppendInt(num[:0], int64(popts.Shards), 10))
+	b.WriteString(";bs=")
+	b.Write(strconv.AppendInt(num[:0], int64(exec.ResolveBatchSize(popts.BatchSize)), 10))
+	return b.String()
 }
 
 // Prepared is a statement planned once and ready to be re-opened: the
@@ -454,6 +467,9 @@ func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts pl
 	}
 	if st.ShardRebalances > 0 {
 		reg.Counter("shard.rebalances").Add(st.ShardRebalances)
+	}
+	if e.opts.QueryLog == nil {
+		return // no record to write: do not print and hash the statement for one
 	}
 	rec := metrics.QueryRecord{
 		SQLHash:     metrics.HashQuery(stmt.SQL()),

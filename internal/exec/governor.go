@@ -24,7 +24,8 @@ type Limits struct {
 	// MaxOutputRows caps the rows a query may return.
 	MaxOutputRows int64
 	// MaxCandidates caps candidate-database enumeration for the exact
-	// evaluator (0 falls back to dirty.EnumerateLimit).
+	// evaluator, counted over the relations the statement names (0 falls
+	// back to dirty.EnumerateLimit).
 	MaxCandidates int64
 	// MaxSamples caps Monte-Carlo sample counts.
 	MaxSamples int

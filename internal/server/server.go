@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -402,7 +403,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cost.observe(observedCost(res.Stats), time.Since(start))
-	writeJSON(w, QueryResponse{
+	s.writeJSON(w, QueryResponse{
 		Columns: res.Columns,
 		Rows:    rowsToAny(res.Rows),
 		Stats: QueryStats{
@@ -488,7 +489,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	for i, a := range res.Answers {
 		answers[i] = CleanAnswer{Values: valuesToAny(a.Values), Prob: a.Prob, StdErr: a.StdErr}
 	}
-	writeJSON(w, CleanResponse{
+	s.writeJSON(w, CleanResponse{
 		Columns:  res.Columns,
 		Answers:  answers,
 		Method:   res.Method.String(),
@@ -533,7 +534,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		names = append(names, tn.name)
 	}
 	sort.Strings(names)
-	writeJSON(w, statsResponse{
+	s.writeJSON(w, statsResponse{
 		Admitted:  s.admitted.Load(),
 		Shed:      s.shed.Load(),
 		InFlight:  s.inflight.Load(),
@@ -544,10 +545,17 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// writeJSON renders a 200 with a JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON renders a 200 with a JSON body. A value JSON cannot carry — a
+// result row holding ±Inf or NaN — is answered with the typed 500 instead
+// of a 200 with no body: Encode marshals the whole value before its first
+// write, so nothing has been sent when it refuses one. Any other error is
+// a write to a client that has gone, with nobody left to tell.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(v)
+	var unsupported *json.UnsupportedValueError
+	if err := json.NewEncoder(w).Encode(v); errors.As(err, &unsupported) {
+		s.writeError(w, fmt.Errorf("server: result not representable in JSON: %v: %w", err, qerr.ErrInternal))
+	}
 }
 
 // valueToAny converts an engine value into its JSON-encodable native

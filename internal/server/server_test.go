@@ -670,3 +670,35 @@ func TestRetryAfterBounds(t *testing.T) {
 		t.Errorf("clamped retryAfter = %v, want 5s", d)
 	}
 }
+
+// JSON has no ±Inf and no NaN, and float division produces both: a result
+// holding one must be answered with the typed 500 — an ErrorBody saying
+// "internal", not retryable — on both endpoints, not with a 200 and an
+// empty body (json.Encoder's error used to be dropped). The next request
+// is served as usual.
+func TestUnencodableResultIsATyped500(t *testing.T) {
+	srv, err := New(bigStore(t, 10), oneTenant(metrics.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/query", "/v1/clean"} {
+		for _, sql := range []string{
+			"select id, val / 0.0 from big where id = 1",  // +Inf
+			"select id, -val / 0.0 from big where id = 2", // -Inf
+			"select id, val / 0.0 from big where id = 0",  // NaN
+		} {
+			rec := doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: sql})
+			if rec.Code != http.StatusInternalServerError || Retryable(rec.Code) || rec.Header().Get("Retry-After") != "" {
+				t.Errorf("%s %q: status %d (Retry-After %q), want a plain 500: %s", path, sql, rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+				continue
+			}
+			if b := decodeError(t, rec); b.Reason != "internal" || b.Status != http.StatusInternalServerError || b.Error == "" {
+				t.Errorf("%s %q: body %+v, want reason internal, status 500 and a message", path, sql, b)
+			}
+		}
+		rec := doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: "select id, val / 2.0 from big where id = 1"})
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "0.5") {
+			t.Errorf("%s: a finite result after the failures: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+}

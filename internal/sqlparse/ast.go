@@ -15,6 +15,7 @@
 package sqlparse
 
 import (
+	"strconv"
 	"strings"
 
 	"conquer/internal/value"
@@ -30,6 +31,16 @@ type SelectStmt struct {
 	Having   Expr // nil when absent
 	OrderBy  []OrderItem
 	Limit    int // -1 when absent
+}
+
+// Tables lists the relations the FROM clause names, in order, a relation
+// named twice listed twice: everything a statement can read.
+func (s *SelectStmt) Tables() []string {
+	names := make([]string, len(s.From))
+	for i, tr := range s.From {
+		names[i] = tr.Table
+	}
+	return names
 }
 
 // SelectItem is one projection in the select list.
@@ -200,178 +211,282 @@ func (*BetweenExpr) exprNode() {}
 func (*LikeExpr) exprNode()    {}
 func (*IsNullExpr) exprNode()  {}
 
-// SQL renders the column reference.
-func (e *ColumnRef) SQL() string {
-	if e.Qualifier != "" {
-		return e.Qualifier + "." + e.Name
-	}
-	return e.Name
+// sqlWriter is the single writer every SQL() goes through. A rendering
+// runs twice over the tree: once counting bytes, once writing into a
+// builder grown to exactly that count, so SQL() costs one allocation —
+// the text — whatever the size of the tree. The text is a cache key on
+// every cached read (engine.resultKey, core.evalKey).
+type sqlWriter struct {
+	b        strings.Builder
+	n        int
+	counting bool
 }
 
-// SQL renders the literal; strings are single-quoted with ” escaping.
-func (e *Literal) SQL() string {
-	if e.Val.Kind() == value.KindString {
-		return "'" + strings.ReplaceAll(e.Val.AsString(), "'", "''") + "'"
-	}
-	return e.Val.String()
+// grow ends the counting pass: the builder is sized for what was counted
+// and the next pass writes. Callers make both passes with static calls
+// (no func value), which keeps the writer itself on the stack.
+func (w *sqlWriter) grow() {
+	w.counting = false
+	w.b.Grow(w.n)
 }
+
+func (w *sqlWriter) str(s string) {
+	if w.counting {
+		w.n += len(s)
+		return
+	}
+	w.b.WriteString(s)
+}
+
+// quoted writes s single-quoted, an embedded quote doubled.
+func (w *sqlWriter) quoted(s string) {
+	w.str("'")
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		w.str(s[:i])
+		w.str("''")
+		s = s[i+1:]
+	}
+	w.str(s)
+	w.str("'")
+}
+
+// literal writes a constant the way value.Value.String spells it, numbers
+// formatted into a stack buffer.
+func (w *sqlWriter) literal(v value.Value) {
+	var buf [32]byte
+	switch v.Kind() {
+	case value.KindString:
+		w.quoted(v.AsString())
+	case value.KindInt:
+		w.str(string(strconv.AppendInt(buf[:0], v.AsInt(), 10)))
+	case value.KindFloat:
+		w.str(string(strconv.AppendFloat(buf[:0], v.AsFloat(), 'g', -1, 64)))
+	default:
+		w.str(v.String())
+	}
+}
+
+// list writes es separated by ", ".
+func (w *sqlWriter) list(es []Expr) {
+	for i, e := range es {
+		if i > 0 {
+			w.str(", ")
+		}
+		w.expr(e)
+	}
+}
+
+// operand writes a binary expression's child, parenthesized when it is a
+// binary expression of lower precedence (or of equal precedence on the
+// right) so the output re-parses to the same tree. Non-binary children
+// bind tighter than every binary operator, except constructs like
+// IN/BETWEEN under arithmetic, which cannot appear there type-wise; they
+// stay bare.
+func (w *sqlWriter) operand(parent *BinaryExpr, child Expr, right bool) {
+	if cb, ok := child.(*BinaryExpr); ok {
+		cp, p := cb.Op.precedence(), parent.Op.precedence()
+		if cp < p || (cp == p && right) {
+			w.str("(")
+			w.expr(child)
+			w.str(")")
+			return
+		}
+	}
+	w.expr(child)
+}
+
+func (w *sqlWriter) not(not bool) {
+	if not {
+		w.str(" NOT")
+	}
+}
+
+// expr writes one expression as parseable SQL text.
+func (w *sqlWriter) expr(e Expr) {
+	switch e := e.(type) {
+	case *ColumnRef:
+		if e.Qualifier != "" {
+			w.str(e.Qualifier)
+			w.str(".")
+		}
+		w.str(e.Name)
+	case *Literal:
+		w.literal(e.Val)
+	case *BinaryExpr:
+		w.operand(e, e.L, false)
+		w.str(" ")
+		w.str(e.Op.String())
+		w.str(" ")
+		w.operand(e, e.R, true)
+	case *NotExpr:
+		w.str("NOT (")
+		w.expr(e.X)
+		w.str(")")
+	case *NegExpr:
+		if _, ok := e.X.(*BinaryExpr); ok {
+			w.str("-(")
+			w.expr(e.X)
+			w.str(")")
+		} else {
+			w.str("-")
+			w.expr(e.X)
+		}
+	case *FuncCall:
+		w.str(e.Name)
+		if e.Star {
+			w.str("(*)")
+		} else {
+			w.str("(")
+			w.list(e.Args)
+			w.str(")")
+		}
+	case *InExpr:
+		w.expr(e.X)
+		w.not(e.Not)
+		w.str(" IN (")
+		w.list(e.List)
+		w.str(")")
+	case *BetweenExpr:
+		w.expr(e.X)
+		w.not(e.Not)
+		w.str(" BETWEEN ")
+		w.expr(e.Lo)
+		w.str(" AND ")
+		w.expr(e.Hi)
+	case *LikeExpr:
+		w.expr(e.X)
+		w.not(e.Not)
+		w.str(" LIKE ")
+		w.quoted(e.Pattern)
+	case *IsNullExpr:
+		w.expr(e.X)
+		if e.Not {
+			w.str(" IS NOT NULL")
+		} else {
+			w.str(" IS NULL")
+		}
+	default:
+		w.str("?") // unreachable: the switch covers every Expr node
+	}
+}
+
+// exprSQL is every node's SQL().
+func exprSQL(e Expr) string {
+	w := sqlWriter{counting: true}
+	w.expr(e)
+	w.grow()
+	w.expr(e)
+	return w.b.String()
+}
+
+// SQL renders the column reference. An unqualified one is its own text.
+func (e *ColumnRef) SQL() string {
+	if e.Qualifier == "" {
+		return e.Name
+	}
+	return exprSQL(e)
+}
+
+// SQL renders the literal; strings are single-quoted, an embedded quote
+// doubled.
+func (e *Literal) SQL() string { return exprSQL(e) }
 
 // SQL renders the binary expression, parenthesizing children of lower
 // precedence so the output re-parses to the same tree.
-func (e *BinaryExpr) SQL() string {
-	l := e.wrap(e.L, false)
-	r := e.wrap(e.R, true)
-	return l + " " + e.Op.String() + " " + r
-}
-
-func (e *BinaryExpr) wrap(child Expr, right bool) string {
-	s := child.SQL()
-	cb, ok := child.(*BinaryExpr)
-	if !ok {
-		// Non-binary children bind tighter than every binary operator,
-		// except constructs like IN/BETWEEN under arithmetic, which cannot
-		// appear there type-wise; leave them bare.
-		return s
-	}
-	cp, p := cb.Op.precedence(), e.Op.precedence()
-	if cp < p || (cp == p && right) {
-		return "(" + s + ")"
-	}
-	return s
-}
+func (e *BinaryExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders NOT x.
-func (e *NotExpr) SQL() string { return "NOT (" + e.X.SQL() + ")" }
+func (e *NotExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders -x.
-func (e *NegExpr) SQL() string {
-	if _, ok := e.X.(*BinaryExpr); ok {
-		return "-(" + e.X.SQL() + ")"
-	}
-	return "-" + e.X.SQL()
-}
+func (e *NegExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the call.
-func (e *FuncCall) SQL() string {
-	if e.Star {
-		return e.Name + "(*)"
-	}
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.SQL()
-	}
-	return e.Name + "(" + strings.Join(args, ", ") + ")"
-}
+func (e *FuncCall) SQL() string { return exprSQL(e) }
 
 // SQL renders the IN list.
-func (e *InExpr) SQL() string {
-	items := make([]string, len(e.List))
-	for i, it := range e.List {
-		items[i] = it.SQL()
-	}
-	not := ""
-	if e.Not {
-		not = " NOT"
-	}
-	return e.X.SQL() + not + " IN (" + strings.Join(items, ", ") + ")"
-}
+func (e *InExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the BETWEEN range.
-func (e *BetweenExpr) SQL() string {
-	not := ""
-	if e.Not {
-		not = " NOT"
-	}
-	return e.X.SQL() + not + " BETWEEN " + e.Lo.SQL() + " AND " + e.Hi.SQL()
-}
+func (e *BetweenExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the LIKE predicate.
-func (e *LikeExpr) SQL() string {
-	not := ""
-	if e.Not {
-		not = " NOT"
-	}
-	return e.X.SQL() + not + " LIKE '" + strings.ReplaceAll(e.Pattern, "'", "''") + "'"
-}
+func (e *LikeExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the IS NULL test.
-func (e *IsNullExpr) SQL() string {
-	if e.Not {
-		return e.X.SQL() + " IS NOT NULL"
-	}
-	return e.X.SQL() + " IS NULL"
-}
+func (e *IsNullExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the whole statement as parseable SQL.
 func (s *SelectStmt) SQL() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+	w := sqlWriter{counting: true}
+	s.write(&w)
+	w.grow()
+	s.write(&w)
+	return w.b.String()
+}
+
+func (s *SelectStmt) write(w *sqlWriter) {
+	w.str("SELECT ")
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		w.str("DISTINCT ")
 	}
 	for i, it := range s.Select {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
 		if it.Star {
-			b.WriteByte('*')
+			w.str("*")
 			continue
 		}
-		b.WriteString(it.Expr.SQL())
+		w.expr(it.Expr)
 		if it.Alias != "" {
-			b.WriteString(" AS ")
-			b.WriteString(it.Alias)
+			w.str(" AS ")
+			w.str(it.Alias)
 		}
 	}
-	b.WriteString(" FROM ")
+	w.str(" FROM ")
 	for i, tr := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
-		b.WriteString(tr.Table)
+		w.str(tr.Table)
 		if tr.Alias != "" && tr.Alias != tr.Table {
-			b.WriteByte(' ')
-			b.WriteString(tr.Alias)
+			w.str(" ")
+			w.str(tr.Alias)
 		}
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		b.WriteString(s.Where.SQL())
+		w.str(" WHERE ")
+		w.expr(s.Where)
 	}
 	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.SQL())
-		}
+		w.str(" GROUP BY ")
+		w.list(s.GroupBy)
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		b.WriteString(s.Having.SQL())
+		w.str(" HAVING ")
+		w.expr(s.Having)
 	}
 	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
+		w.str(" ORDER BY ")
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				b.WriteString(", ")
+				w.str(", ")
 			}
-			b.WriteString(o.Expr.SQL())
+			w.expr(o.Expr)
 			if o.Desc {
-				b.WriteString(" DESC")
+				w.str(" DESC")
 			}
 		}
 	}
 	if s.Limit >= 0 {
-		b.WriteString(" LIMIT ")
-		b.WriteString(intToString(s.Limit))
+		w.str(" LIMIT ")
+		w.literal(value.Int(int64(s.Limit)))
 	}
-	return b.String()
-}
-
-func intToString(n int) string {
-	return value.Int(int64(n)).String()
 }
 
 // Clone returns a deep copy of the statement; the rewriting layer mutates

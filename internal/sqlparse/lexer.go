@@ -24,12 +24,21 @@ type token struct {
 }
 
 // keywords recognized by the lexer (upper-case).
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"IN": true, "BETWEEN": true, "LIKE": true, "IS": true, "NULL": true,
-	"TRUE": true, "FALSE": true,
+var keywords = [...]string{
+	"SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
+	"ASC", "DESC", "LIMIT", "AS", "AND", "OR", "NOT", "IN", "BETWEEN",
+	"LIKE", "IS", "NULL", "TRUE", "FALSE",
+}
+
+// keyword returns the keyword word spells in any letter case — the list's
+// own string, so recognizing one allocates nothing.
+func keyword(word string) (string, bool) {
+	for _, kw := range keywords {
+		if len(kw) == len(word) && strings.EqualFold(kw, word) {
+			return kw, true
+		}
+	}
+	return "", false
 }
 
 // lexer turns SQL text into tokens. It supports -- line comments,
@@ -42,7 +51,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// One token per three bytes is a little over what SQL text averages,
+	// so the slice is allocated once.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+1)}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -109,11 +120,10 @@ func (l *lexer) lexIdent(start int) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		l.emit(tokKeyword, upper, start)
+	if kw, ok := keyword(word); ok {
+		l.emit(tokKeyword, kw, start)
 	} else {
-		l.emit(tokIdent, strings.ToLower(word), start)
+		l.emit(tokIdent, strings.ToLower(word), start) // word itself when already lower-case
 	}
 }
 
@@ -140,23 +150,28 @@ func (l *lexer) lexNumber(start int) error {
 	return nil
 }
 
+// lexString emits the literal's text: a slice of the source unless it
+// holds a doubled quote to undo.
 func (l *lexer) lexString(start int) error {
 	l.pos++ // opening quote
-	var b strings.Builder
+	body, doubled := l.pos, false
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			l.emit(tokString, b.String(), start)
-			return nil
+			continue
 		}
-		b.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			doubled = true
+			l.pos += 2
+			continue
+		}
+		text := l.src[body:l.pos]
+		if doubled {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
 		l.pos++
+		l.emit(tokString, text, start)
+		return nil
 	}
 	return fmt.Errorf("sqlparse: unterminated string starting at offset %d", start)
 }
@@ -180,7 +195,7 @@ func (l *lexer) lexSymbol(start int) error {
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.':
 		l.pos++
-		l.emit(tokSymbol, string(c), start)
+		l.emit(tokSymbol, l.src[start:l.pos], start)
 		return nil
 	}
 	return fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, start)
