@@ -193,7 +193,7 @@ func BenchmarkFig7ProbCalcParallelism(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1, n); err != nil {
+				if err := probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,9 +206,9 @@ func BenchmarkFig7ProbCalcParallelism(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationTopN compares the full-sort-then-limit plan against
-// the fused bounded-heap TopN for "top answers" queries (ORDER BY ...
-// LIMIT k) — the sort cost Figure 9 shows dominating as duplication
-// grows.
+// a Sort with a Limit, the bounded-heap TopN, for "top answers" queries
+// (ORDER BY ... LIMIT k) — the sort cost Figure 9 shows dominating as
+// duplication grows.
 func BenchmarkAblationTopN(b *testing.B) {
 	d := workload(b)
 	li, _ := d.Store.Table("lineitem")
@@ -227,10 +227,11 @@ func BenchmarkAblationTopN(b *testing.B) {
 	})
 	b.Run("fused_topn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			top, err := exec.NewTopN(exec.NewScan(li, "l"), keys, 10)
+			top, err := exec.NewSort(exec.NewScan(li, "l"), keys)
 			if err != nil {
 				b.Fatal(err)
 			}
+			top.Limit = 10
 			rows, err := exec.Collect(top)
 			if err != nil || len(rows) != 10 {
 				b.Fatalf("rows=%d err=%v", len(rows), err)

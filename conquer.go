@@ -496,22 +496,19 @@ func (db *Database) MatchTuples(table string, attrCols []string, prefix string, 
 // AssignProbabilities computes tuple probabilities for a dirty table from
 // its clustering using the paper's §4 information-loss method and writes
 // them into the probability column. The per-cluster work runs on the
-// database's parallelism and shard settings (SetParallelism, SetShards);
-// the probabilities are bit-identical to a serial pass at every setting,
-// because the Figure-5 arithmetic never crosses a cluster boundary.
+// database's parallelism (SetParallelism); the probabilities are
+// bit-identical to a serial pass at every setting, because the Figure-5
+// arithmetic never crosses a cluster boundary.
 func (db *Database) AssignProbabilities(table string, attrCols []string) error {
 	tb, ok := db.d.Store.Table(table)
 	if !ok {
 		return fmt.Errorf("conquer: unknown table %q", table)
 	}
-	par, sh := db.parallelism, db.shards
+	par := db.parallelism
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if sh == 0 {
-		sh = runtime.GOMAXPROCS(0)
-	}
-	return probcalc.AnnotateTableCtx(context.Background(), tb, attrCols, nil, sh, par)
+	return probcalc.AnnotateTableCtx(context.Background(), tb, attrCols, nil, par)
 }
 
 // Propagate performs identifier propagation along every declared foreign

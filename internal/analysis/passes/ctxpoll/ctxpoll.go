@@ -17,10 +17,11 @@
 // annotation with a reason.
 //
 // Batch-at-a-time execution (DESIGN.md §15) amortizes polling to one
-// check per batch, so NextBatch methods get their own cadence rule:
-// every batch-puller loop — one that advances child data through
-// NextBatch — must poll per iteration (an unpolled puller can skip empty
-// or filtered-out child batches for as long as the child produces,
+// check per batch, so batch pulling gets its own cadence rule, in every
+// function of the package, function literals included: every
+// batch-puller loop — one that advances child data through NextBatch —
+// must poll per iteration (an unpolled puller can skip empty or
+// filtered-out child batches for as long as the child produces,
 // unbounded by the batch in hand), while loops that only walk the batch
 // already in memory are bounded by its capacity and need no poll. A
 // NextBatch that neither polls nor pulls is flagged too: it would emit
@@ -41,11 +42,11 @@ import (
 	"conquer/internal/analysis"
 )
 
-// Analyzer flags Open loops, NextBatch puller loops and worker-function
-// loops in package exec that never poll for cancellation.
+// Analyzer flags Open loops, batch-puller loops and worker-function loops
+// in package exec that never poll for cancellation.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc:  "operator Open/NextBatch loops and worker-function loops in package exec, and candidate-world loops in packages dirty and core, must poll cancellation",
+	Doc:  "operator Open loops, batch-puller loops and worker-function loops in package exec, and candidate-world loops in packages dirty and core, must poll cancellation",
 	Run:  run,
 }
 
@@ -105,9 +106,11 @@ func run(pass *analysis.Pass) (any, error) {
 			if fd.Recv != nil && fd.Name.Name == "Open" {
 				checkLoops(pass, fd)
 			}
-			if fd.Recv != nil && fd.Name.Name == "NextBatch" {
-				checkBatchLoops(pass, fd)
+			if fd.Recv != nil && fd.Name.Name == "NextBatch" && !polls(fd.Body) && !pulls(fd.Body) {
+				// One poll per batch is the amortization contract.
+				pass.Reportf(fd.Pos(), "%s.NextBatch neither polls cancellation nor pulls a child; call the governor's PollBatch once per batch", recvType(fd))
 			}
+			checkPullerLoops(pass, fd)
 			checkWorkerFuncs(pass, fd)
 		}
 	}
@@ -170,23 +173,15 @@ func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// checkBatchLoops enforces the batch cadence on a NextBatch method:
-// the method must reach a poll or a child pull somewhere (one poll per
-// batch is the amortization contract), and every batch-puller loop must
-// poll per iteration. Loops that neither poll nor pull only walk the
-// batch already in hand — bounded by its capacity, not the data size —
-// and pass without annotation.
-func checkBatchLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if !polls(fd.Body) && !pulls(fd.Body) {
-		pass.Reportf(fd.Pos(), "%s.NextBatch neither polls cancellation nor pulls a child; call the governor's PollBatch once per batch", recvType(fd))
-		return
-	}
+// checkPullerLoops enforces the batch cadence on fd, function literals
+// included: every batch-puller loop must poll per iteration. Loops that
+// neither poll nor pull only walk the batch already in hand — bounded by
+// its capacity, not the data size — and pass without annotation.
+func checkPullerLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
 		var pos token.Pos
 		switch l := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.ForStmt:
 			body, pos = l.Body, l.For
 		case *ast.RangeStmt:
@@ -195,7 +190,7 @@ func checkBatchLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		if pulls(body) && !polls(body) {
-			pass.Reportf(pos, "batch-puller loop in %s.NextBatch does not poll cancellation; call the governor's PollBatch once per iteration", recvType(fd))
+			pass.Reportf(pos, "batch-puller loop in %s does not poll cancellation; call the governor's PollBatch once per iteration", funcName(fd))
 		}
 		// A polling (or already-reported) outer loop vouches for its
 		// inner loops, exactly as in checkLoops.

@@ -62,7 +62,8 @@ func (g *GoodAnnotated) Open() error {
 	return nil
 }
 
-// helper loops outside Open/NextBatch are not the analyzer's business.
+// helper loops outside Open that pull no batch are not the analyzer's
+// business.
 func (g *GoodAnnotated) describe() int {
 	n := 0
 	for range g.widths {
@@ -169,6 +170,33 @@ func (f *GoodBatchFilter) NextBatch(b *Batch) error {
 		if b.Len() != 1 {
 			return nil
 		}
+	}
+}
+
+// badDrain is the drain an Open and its parallel workers share: a helper,
+// neither Open nor NextBatch, whose puller loop is held to the batch
+// cadence all the same.
+func badDrain(c child, b *Batch) error {
+	for { // want `batch-puller loop in badDrain does not poll cancellation`
+		if err := c.NextBatch(b); err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			return nil
+		}
+	}
+}
+
+// drainer hands out a puller as a function literal, which the rule
+// reaches too.
+func (f *GoodBatchFilter) drainer(b *Batch) func() error {
+	return func() error {
+		for b.Len() != 0 { // want `batch-puller loop in GoodBatchFilter.drainer does not poll cancellation`
+			if err := f.child.NextBatch(b); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 

@@ -125,7 +125,7 @@ func Fig7(sf, scale float64, ifs []int, seed int64, reps int) ([]Fig7Row, error)
 					return nil
 				},
 				func() error {
-					return probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1, 1)
+					return probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1)
 				},
 				func() error {
 					rows, err := exec.Collect(exec.NewScan(li, "l"))

@@ -48,9 +48,9 @@ import (
 	"conquer/internal/value"
 )
 
-// DefaultMaxPlans caps the plan tier when Options does not; prepared
-// plans are small (an operator tree), so a few hundred cover any
-// realistic working set of distinct query shapes.
+// DefaultMaxPlans caps the plan tier; prepared plans are small (an
+// operator tree), so a few hundred cover any realistic working set of
+// distinct query shapes.
 const DefaultMaxPlans = 256
 
 // DefaultMaxParses caps the parse tier; entries are a statement AST
@@ -64,10 +64,6 @@ type Options struct {
 	// them once it is full. <= 0 disables result caching (parse and plan
 	// tiers still work).
 	MaxBytes int64
-	// MaxPlans caps plan-tier entries (DefaultMaxPlans when 0).
-	MaxPlans int
-	// MaxParses caps parse-tier entries (DefaultMaxParses when 0).
-	MaxParses int
 	// Registry receives the cache's hit/miss/eviction/coalesced counters
 	// (metrics.Default when nil).
 	Registry *metrics.Registry
@@ -77,16 +73,14 @@ type Options struct {
 // one database: keys do not name the database, so sharing a cache
 // between engines over different stores would alias their entries.
 type Cache struct {
-	mu        sync.Mutex
-	results   map[string]*list.Element // key -> LRU element (resultEntry)
-	resLRU    *list.List               // front = most recent
-	plans     map[string]*list.Element // key -> LRU element (planEntry)
-	planLRU   *list.List
-	parses    map[string]*list.Element // raw SQL -> LRU element (parseEntry)
-	parseLRU  *list.List
-	maxPlans  int
-	maxParses int
-	flights   map[flightKey]*flight
+	mu       sync.Mutex
+	results  map[string]*list.Element // key -> LRU element (resultEntry)
+	resLRU   *list.List               // front = most recent
+	plans    map[string]*list.Element // key -> LRU element (planEntry)
+	planLRU  *list.List
+	parses   map[string]*list.Element // raw SQL -> LRU element (parseEntry)
+	parseLRU *list.List
+	flights  map[flightKey]*flight
 	// The result tier's byte budget: bytes held now, their high-water
 	// mark, and the capacity.
 	bytes, peakBytes, maxBytes int64
@@ -140,27 +134,19 @@ type metricSet struct {
 
 // New creates a cache under opts.
 func New(opts Options) *Cache {
-	if opts.MaxPlans <= 0 {
-		opts.MaxPlans = DefaultMaxPlans
-	}
-	if opts.MaxParses <= 0 {
-		opts.MaxParses = DefaultMaxParses
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = metrics.Default
 	}
 	return &Cache{
-		maxBytes:  opts.MaxBytes,
-		results:   make(map[string]*list.Element),
-		resLRU:    list.New(),
-		plans:     make(map[string]*list.Element),
-		planLRU:   list.New(),
-		parses:    make(map[string]*list.Element),
-		parseLRU:  list.New(),
-		maxPlans:  opts.MaxPlans,
-		maxParses: opts.MaxParses,
-		flights:   make(map[flightKey]*flight),
+		maxBytes: opts.MaxBytes,
+		results:  make(map[string]*list.Element),
+		resLRU:   list.New(),
+		plans:    make(map[string]*list.Element),
+		planLRU:  list.New(),
+		parses:   make(map[string]*list.Element),
+		parseLRU: list.New(),
+		flights:  make(map[flightKey]*flight),
 		met: metricSet{
 			parseHits:     reg.Counter("cache.parse.hits"),
 			parseMisses:   reg.Counter("cache.parse.misses"),
@@ -266,7 +252,7 @@ func (c *Cache) PutParse(raw string, val any, norm string) {
 		return
 	}
 	c.parses[raw] = c.parseLRU.PushFront(&parseEntry{raw: raw, val: val, norm: norm})
-	for len(c.parses) > c.maxParses {
+	for len(c.parses) > DefaultMaxParses {
 		last := c.parseLRU.Back()
 		c.parseLRU.Remove(last)
 		delete(c.parses, last.Value.(*parseEntry).raw)
@@ -312,7 +298,7 @@ func (c *Cache) PutPlan(key, vv string, val any) {
 		return
 	}
 	c.plans[key] = c.planLRU.PushFront(&planEntry{key: key, vv: vv, val: val})
-	for len(c.plans) > c.maxPlans {
+	for len(c.plans) > DefaultMaxPlans {
 		last := c.planLRU.Back()
 		c.planLRU.Remove(last)
 		delete(c.plans, last.Value.(*planEntry).key)

@@ -74,7 +74,7 @@ func TestResultTierByteBudgetLRUEviction(t *testing.T) {
 }
 
 func TestPlanTierVersionValidationAndCap(t *testing.T) {
-	c := New(Options{MaxPlans: 2, Registry: metrics.NewRegistry()})
+	c := New(Options{Registry: metrics.NewRegistry()})
 	c.PutPlan("p1", "t=0", "plan1")
 	if v, ok := c.GetPlan("p1", "t=0"); !ok || v.(string) != "plan1" {
 		t.Fatalf("plan hit = %v %v", v, ok)
@@ -83,33 +83,39 @@ func TestPlanTierVersionValidationAndCap(t *testing.T) {
 		t.Fatal("stale plan must miss")
 	}
 	c.PutPlan("p1", "t=0", "plan1")
-	c.PutPlan("p2", "t=0", "plan2")
-	c.PutPlan("p3", "t=0", "plan3") // cap 2: p1 is LRU, evicted
-	if _, ok := c.GetPlan("p1", "t=0"); ok {
-		t.Fatal("plan tier should cap at MaxPlans")
+	for i := 2; i <= DefaultMaxPlans+1; i++ { // one past the cap: p1 is LRU, evicted
+		c.PutPlan(fmt.Sprintf("p%d", i), "t=0", "plan")
 	}
-	if _, ok := c.GetPlan("p3", "t=0"); !ok {
+	if _, ok := c.GetPlan("p1", "t=0"); ok {
+		t.Fatal("plan tier should cap at DefaultMaxPlans")
+	}
+	if _, ok := c.GetPlan("p2", "t=0"); !ok {
+		t.Fatal("the plans within the cap should be present")
+	}
+	newest := fmt.Sprintf("p%d", DefaultMaxPlans+1)
+	if _, ok := c.GetPlan(newest, "t=0"); !ok {
 		t.Fatal("newest plan should be present")
 	}
-	c.DropPlan("p3")
-	if _, ok := c.GetPlan("p3", "t=0"); ok {
+	c.DropPlan(newest)
+	if _, ok := c.GetPlan(newest, "t=0"); ok {
 		t.Fatal("DropPlan should remove the entry")
 	}
 }
 
 func TestParseTier(t *testing.T) {
-	c := New(Options{MaxParses: 2, Registry: metrics.NewRegistry()})
+	c := New(Options{Registry: metrics.NewRegistry()})
 	c.PutParse("select  1", "stmt", "SELECT 1")
 	if v, norm, ok := c.GetParse("select  1"); !ok || v.(string) != "stmt" || norm != "SELECT 1" {
 		t.Fatalf("parse hit = %v %q %v", v, norm, ok)
 	}
-	c.PutParse("q2", "s2", "n2")
-	c.PutParse("q3", "s3", "n3")
+	for i := 2; i <= DefaultMaxParses+1; i++ { // one past the cap: q1 is LRU, evicted
+		c.PutParse(fmt.Sprintf("q%d", i), "s", "n")
+	}
 	if _, _, ok := c.GetParse("q2"); !ok {
 		t.Fatal("q2 should survive (q1 was LRU)")
 	}
 	if _, _, ok := c.GetParse("select  1"); ok {
-		t.Fatal("parse tier should cap at MaxParses")
+		t.Fatal("parse tier should cap at DefaultMaxParses")
 	}
 }
 

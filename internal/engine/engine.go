@@ -502,14 +502,9 @@ func (e *Engine) Explain(sql string) (string, error) {
 	return exec.Explain(op), nil
 }
 
-// ExplainAnalyze executes sql under the engine's limits and returns the
-// plan annotated with observed per-operator counters plus a summary
-// line.
-func (e *Engine) ExplainAnalyze(sql string) (string, error) {
-	return e.ExplainAnalyzeCtx(context.Background(), sql)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under a caller context.
+// ExplainAnalyzeCtx executes sql under the engine's limits and ctx and
+// returns the plan annotated with observed per-operator counters plus a
+// summary line.
 func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string, err error) {
 	defer qerr.Recover(&err)
 	stmt, err := sqlparse.Parse(sql)

@@ -56,6 +56,26 @@ func TestMaxBufferedRowsBudget(t *testing.T) {
 	}
 }
 
+// ORDER BY … LIMIT k is a Sort with a limit, which buffers the k rows it
+// keeps, not its input: under a budget of 10 buffered rows, the top 5 of
+// 100 succeeds where the full sort of the same 100 rows does not.
+func TestOrderByLimitBuffersTheLimit(t *testing.T) {
+	db := storage.NewDB()
+	intTable(t, db, "t1", 100)
+	e := NewWithLimits(db, exec.Limits{MaxBufferedRows: 10})
+	res, err := e.QueryCtx(context.Background(), "select a from t1 order by a desc limit 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 || res.Rows[0][0].AsInt() != 99 || res.Rows[4][0].AsInt() != 95 {
+		t.Fatalf("rows = %v, want 99 down to 95", res.Rows)
+	}
+	_, err = e.QueryCtx(context.Background(), "select a from t1 order by a desc")
+	if !errors.Is(err, qerr.ErrBudgetExceeded) {
+		t.Fatalf("without the limit: error = %v, want errors.Is(err, qerr.ErrBudgetExceeded)", err)
+	}
+}
+
 func TestMaxOutputRowsBudget(t *testing.T) {
 	db := storage.NewDB()
 	intTable(t, db, "t1", 100)

@@ -5,7 +5,7 @@
 //   - A batch never spans a morsel: MorselScan returns at morsel
 //     boundaries and every pipeline operator emits a non-empty output
 //     batch before pulling the next child batch, so Gather's worker loop
-//     can attribute a whole batch to leafTracker.currentMorsel().
+//     can attribute a whole batch to its leaf MorselScan's current morsel.
 //   - Output rows live as long as the batch that carries them says: rows
 //     put into a plain batch are carved forward-only from fresh slabs and
 //     never overwritten; rows put into a transient batch (NewTransientBatch)
@@ -437,7 +437,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 }
 
 // emitMaterialized fills b from a materialized row slice, advancing
-// *pos; the shared emission path of Sort/TopN/HashAggregate/Gather.
+// *pos; the shared emission path of Sort/HashAggregate/Gather.
 func emitMaterialized(b *Batch, rows [][]value.Value, pos *int, s *OpStats) {
 	b.Reset()
 	for !b.Full() && *pos < len(rows) {
@@ -453,15 +453,6 @@ func (s *Sort) NextBatch(b *Batch) error {
 		return err
 	}
 	emitMaterialized(b, s.rows, &s.pos, s.stats)
-	return nil
-}
-
-// NextBatch emits the kept rows batch-at-a-time.
-func (t *TopN) NextBatch(b *Batch) error {
-	if err := t.gov.PollBatch(); err != nil {
-		return err
-	}
-	emitMaterialized(b, t.rows, &t.pos, t.stats)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -705,7 +706,7 @@ func (a *HashAggregate) Open() error {
 	}
 	defer a.Child.Close()
 	acc := a.newAcc()
-	err := a.drainSerial(acc)
+	err := a.fill(acc, a.Child, a.gov)
 	a.reserved = acc.reserved
 	if err != nil {
 		return err
@@ -713,16 +714,17 @@ func (a *HashAggregate) Open() error {
 	return a.emit(acc.order)
 }
 
-// drainSerial folds the whole child input into acc, with one poll and one
-// reservation flush per batch.
-func (a *HashAggregate) drainSerial(acc *aggAcc) error {
-	var ord int64
+// fill folds op's whole input into acc under gov, with one poll and one
+// reservation flush per batch: the serial pass over the child and each
+// parallel worker over its part. Group order is acc's first appearance;
+// only the parallel merge reads the row ordinals.
+func (a *HashAggregate) fill(acc *aggAcc, op Operator, gov *Governor) error {
 	bb := NewTransientBatch(a.batchCap()) // accumulate copies the values it keeps
 	for {
-		if err := a.gov.PollBatch(); err != nil {
+		if err := gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := a.Child.NextBatch(bb); err != nil {
+		if err := op.NextBatch(bb); err != nil {
 			return err
 		}
 		n := bb.Len()
@@ -731,12 +733,11 @@ func (a *HashAggregate) drainSerial(acc *aggAcc) error {
 		}
 		a.stats.addIn(int64(n))
 		for i := 0; i < n; i++ {
-			if err := a.accumulate(acc, bb.Row(i), rowOrd{base: ord}); err != nil {
+			if err := a.accumulate(acc, bb.Row(i), bb.Ord(i)); err != nil {
 				return err
 			}
-			ord++
 		}
-		if err := a.flushReserve(acc, a.gov); err != nil {
+		if err := a.flushReserve(acc, gov); err != nil {
 			return err
 		}
 	}
@@ -809,17 +810,115 @@ func SortKeyPos(pos int, desc bool) SortKey { return SortKey{Pos: pos, Desc: des
 
 // Sort materializes the child and orders rows by the keys (NULLs first on
 // ascending keys). The sort is stable.
+//
+// A positive Limit keeps only the first Limit rows of that order: Open
+// folds the input through a bounded heap, so ORDER BY … LIMIT k buffers k
+// rows instead of its whole input (the paper's Figure 9 shows ORDER BY
+// dominating cost as duplication grows; the "top answers" form of a clean
+// query does not pay the full sort). Zero or negative sorts every row.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
+	Limit int
 
 	govHolder
 	statsHolder
 	batchHolder
 	evs      []Evaluator
+	keyBuf   []value.Value // bounded heap: sort keys of the row being offered
 	rows     [][]value.Value
 	reserved int64
 	pos      int
+}
+
+// compare orders two evaluated key vectors under the sort keys: negative
+// when a sorts first, zero on a tie.
+func (s *Sort) compare(a, b []value.Value) int {
+	for k, key := range s.Keys {
+		if c := value.Compare(a[k], b[k]); c != 0 {
+			if key.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// sortRow is a row the bounded heap keeps, with its evaluated sort keys
+// and arrival order.
+type sortRow struct {
+	row, keys []value.Value
+	seq       int
+}
+
+// before orders two kept rows by the sort keys, then by arrival, which
+// makes the bounded heap as stable as the full sort.
+func (s *Sort) before(a, b sortRow) bool {
+	if c := s.compare(a.keys, b.keys); c != 0 {
+		return c < 0
+	}
+	return a.seq < b.seq
+}
+
+// evalKeys evaluates row's sort keys into dst.
+func (s *Sort) evalKeys(row, dst []value.Value) error {
+	for k, ev := range s.evs {
+		v, err := ev(row)
+		if err != nil {
+			return err
+		}
+		dst[k] = v
+	}
+	return nil
+}
+
+// topHeap is a max-heap under the sort order: the root is the worst kept
+// row, evicted when a better one arrives.
+type topHeap struct {
+	s     *Sort
+	items []sortRow
+}
+
+func (h *topHeap) Len() int           { return len(h.items) }
+func (h *topHeap) Less(i, j int) bool { return h.s.before(h.items[j], h.items[i]) }
+func (h *topHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *topHeap) Push(x any)         { h.items = append(h.items, x.(sortRow)) }
+func (h *topHeap) Pop() any {
+	it := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return it
+}
+
+// offer folds one child row into the bounded heap. A kept row reserves
+// buffered budget on its own: kept rows are bounded by Limit, not by the
+// input, so there is nothing to amortize. A failed reservation still
+// charges (drainBatches convention).
+func (s *Sort) offer(h *topHeap, row []value.Value, seq int) error {
+	if s.keyBuf == nil {
+		s.keyBuf = make([]value.Value, len(s.evs))
+	}
+	if err := s.evalKeys(row, s.keyBuf); err != nil {
+		return err
+	}
+	// The keys sit in the scratch vector until the row is known to be
+	// kept, so key vectors are allocated per kept row, not per input row:
+	// a kept row takes the scratch with it, and the next scratch is a
+	// fresh vector after a push, the evicted row's after a replacement.
+	it := sortRow{row: row, keys: s.keyBuf, seq: seq}
+	if h.Len() < s.Limit {
+		s.stats.addBuffered(1)
+		s.reserved++
+		s.keyBuf = nil
+		heap.Push(h, it)
+		return s.gov.ReserveBuffered(1)
+	}
+	if s.before(it, h.items[0]) {
+		s.keyBuf = h.items[0].keys
+		h.items[0] = it
+		heap.Fix(h, 0)
+	}
+	return nil
 }
 
 // NewSort compiles the sort keys against the child schema.
@@ -848,9 +947,50 @@ func NewSort(child Operator, keys []SortKey) (*Sort, error) {
 
 func (s *Sort) Schema() RowSchema { return s.Child.Schema() }
 
-// Open drains and sorts the child.
+// Open drains the child and orders its rows: every row, or with a Limit
+// the best Limit rows, kept in a bounded heap while the child drains.
 func (s *Sort) Open() error {
 	s.stats.markOpen()
+	s.pos = 0
+	if s.Limit > 0 {
+		if err := s.Child.Open(); err != nil {
+			return err
+		}
+		defer s.Child.Close()
+		h := &topHeap{s: s}
+		bb := NewBatch(s.batchCap())
+		seq := 0
+		for {
+			if err := s.gov.PollBatch(); err != nil {
+				return err
+			}
+			if err := s.Child.NextBatch(bb); err != nil {
+				return err
+			}
+			n := bb.Len()
+			if n == 0 {
+				break
+			}
+			s.stats.addIn(int64(n))
+			for i := 0; i < n; i++ {
+				if err := s.offer(h, bb.Row(i), seq); err != nil {
+					return err
+				}
+				seq++
+			}
+		}
+		items := h.items
+		sort.Slice(items, func(i, j int) bool { return s.before(items[i], items[j]) })
+		s.rows = make([][]value.Value, len(items))
+		for i, it := range items { //lint:allow ctxpoll -- bounded by the Limit, not data size
+			s.rows[i] = it.row
+		}
+		return nil
+	}
+	// The full sort orders int indices, not sortRows: sorting the 56-byte,
+	// pointer-holding sortRows cost the Q9 pair's ~300k-row sort 7 MB a
+	// pass and fig8_q9 a third more set-up time (EXPERIMENTS.md, "One loop
+	// per job (PR 21)").
 	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats, s.batchCap())
 	s.reserved = reserved
 	if err != nil {
@@ -859,48 +999,24 @@ func (s *Sort) Open() error {
 	keys := make([][]value.Value, len(rows))
 	nk := len(s.evs)
 	slab := make([]value.Value, len(rows)*nk) // every row's key vector, one allocation
-	var evalErr error
 	for i, row := range rows {
 		if err := s.gov.Poll(); err != nil {
 			return err
 		}
-		kv := slab[i*nk : (i+1)*nk : (i+1)*nk]
-		for k, ev := range s.evs {
-			v, err := ev(row)
-			if err != nil {
-				evalErr = err
-				break
-			}
-			kv[k] = v
+		keys[i] = slab[i*nk : (i+1)*nk : (i+1)*nk]
+		if err := s.evalKeys(row, keys[i]); err != nil {
+			return err
 		}
-		keys[i] = kv
-	}
-	if evalErr != nil {
-		return evalErr
 	}
 	idx := make([]int, len(rows))
 	for i := range idx { //lint:allow ctxpoll -- straight slice initialization between polled phases
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		a, b := keys[idx[x]], keys[idx[y]]
-		for k := range s.Keys {
-			c := value.Compare(a[k], b[k])
-			if c == 0 {
-				continue
-			}
-			if s.Keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	sort.SliceStable(idx, func(x, y int) bool { return s.compare(keys[idx[x]], keys[idx[y]]) < 0 })
 	s.rows = make([][]value.Value, len(rows))
 	for i, j := range idx { //lint:allow ctxpoll -- straight pointer copy between polled phases
 		s.rows[i] = rows[j]
 	}
-	s.pos = 0
 	return nil
 }
 
@@ -912,7 +1028,7 @@ func (s *Sort) Close() error {
 	return nil
 }
 
-// Describe implements Operator.
+// Describe implements Operator. A sort with a limit prints as TopN.
 func (s *Sort) Describe() string {
 	parts := make([]string, len(s.Keys))
 	for i, k := range s.Keys {
@@ -924,6 +1040,9 @@ func (s *Sort) Describe() string {
 		if k.Desc {
 			parts[i] += " DESC"
 		}
+	}
+	if s.Limit > 0 {
+		return fmt.Sprintf("TopN(%d; %s)", s.Limit, strings.Join(parts, ", "))
 	}
 	return "Sort(" + strings.Join(parts, ", ") + ")"
 }

@@ -107,21 +107,14 @@ func (o rowOrd) less(p rowOrd) bool {
 	return o.base < p.base || (o.base == p.base && o.seq < p.seq)
 }
 
-// leafTracker is implemented by the leaf of a partial pipeline; it
-// reports which morsel produced the batch most recently returned by the
-// pipeline, letting Gather restore global order, and how many morsels
-// this leaf has claimed in total (the per-worker share EXPLAIN ANALYZE
-// reports). shardInfo exposes the shared shard group (nil when the leaf
-// scans an unsharded table) and the worker's home shard, so consumers
-// can attribute buffered-row reservations per shard.
-type leafTracker interface {
-	currentMorsel() int
-	claimedMorsels() int
-	shardInfo() (*shardGroup, int)
-}
-
 // MorselScan is the leaf of a partial pipeline: a Scan over whichever
-// morsels of the shared cursor this worker wins.
+// morsels of the shared cursor this worker wins. Its consumers read it
+// after the pipeline returns a batch: morsel is the morsel that produced
+// the batch (Gather restores global order from it), claims how many
+// morsels this leaf has claimed (the per-worker share EXPLAIN ANALYZE
+// reports), and group and home the shard group (nil when unsharded) and
+// the worker's home shard, to which buffered-row reservations are
+// attributed.
 type MorselScan struct {
 	Table *storage.Table
 	Alias string
@@ -186,11 +179,6 @@ func (s *MorselScan) claim() (m, lo, hi int, ok bool) {
 }
 
 func (s *MorselScan) Close() error { s.stats.markDone(); return nil }
-
-func (s *MorselScan) currentMorsel() int  { return s.morsel }
-func (s *MorselScan) claimedMorsels() int { return s.claims }
-
-func (s *MorselScan) shardInfo() (*shardGroup, int) { return s.group, s.home }
 
 // Describe implements Operator.
 func (s *MorselScan) Describe() string {
@@ -264,7 +252,7 @@ func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 // EXPLAIN ANALYZE renders. The returned leaves report morsel provenance
 // for each part. Fewer than n parts come back when the base table has
 // fewer morsels than workers.
-func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, bool) {
+func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, bool) {
 	switch op := op.(type) {
 	case *Scan:
 		if op.Sharded != nil {
@@ -275,7 +263,7 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []leafTracker, b
 			n = m
 		}
 		parts := make([]Operator, n)
-		leaves := make([]leafTracker, n)
+		leaves := make([]*MorselScan, n)
 		for i := range parts {
 			ms := &MorselScan{Table: op.Table, Alias: op.Alias, schema: op.schema, cursor: cur}
 			ms.stats = op.stats
@@ -457,9 +445,8 @@ func (g *Gather) Open() error {
 	return g.Child.Open()
 }
 
-func (g *Gather) openParallel(parts []Operator, leaves []leafTracker) error {
-	grp, _ := leaves[0].shardInfo()
-	g.sharded = grp != nil
+func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
+	g.sharded = leaves[0].group != nil
 	perWorker := make([][]gatherBatch, len(parts))
 	err := runWorkers(g.gov, len(parts), func(w int, gov *Governor) error {
 		part, leaf := parts[w], leaves[w]
@@ -484,7 +471,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []leafTracker) error {
 				break
 			}
 			g.stats.addIn(int64(n))
-			if m := leaf.currentMorsel(); m != cur {
+			if m := leaf.morsel; m != cur {
 				out = append(out, gatherBatch{morsel: m})
 				cur = m
 				g.stats.incBatch()
@@ -502,7 +489,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []leafTracker) error {
 	})
 	g.workerMorsels = make([]int64, len(leaves))
 	for w, leaf := range leaves {
-		g.workerMorsels[w] = int64(leaf.claimedMorsels())
+		g.workerMorsels[w] = int64(leaf.claims)
 	}
 	if cerr := closeAll(parts); err == nil {
 		err = cerr
@@ -653,37 +640,32 @@ func (b *joinBuild) close(gov *Governor) {
 	b.reserved.Store(0)
 }
 
+// build drains the right input into the table: serially straight into one
+// partition, or with partitioned parallel workers when the input splits.
 func (b *joinBuild) build(gov *Governor) error {
 	if opensSplit(b.right, b.parallelism, b.morselSize, b.stats) {
 		if parts, leaves, ok := splitPipeline(b.right, max(b.parallelism, 1), b.morselSize); ok {
 			return b.buildParallel(gov, parts, leaves)
 		}
 	}
-	return b.buildSerial(gov)
-}
-
-// chargeBuild reserves n build rows against the buffered budget; a
-// failed reservation still charges (drainBatches convention).
-func (b *joinBuild) chargeBuild(gov *Governor, n int64) error {
-	if n == 0 {
-		return nil
-	}
-	b.reserved.Add(n)
-	b.stats.addBuffered(n)
-	return gov.ReserveBuffered(n)
-}
-
-// buildSerial is the classic single-threaded build into one partition: it
-// drains the right input with one poll and one lump reservation per batch.
-// Rows inserted before a mid-batch evaluation error were never reserved, so
-// the refcounted release stays balanced without a compensating charge.
-func (b *joinBuild) buildSerial(gov *Governor) error {
 	if err := b.right.Open(); err != nil {
 		return err
 	}
 	defer b.right.Close()
 	table := make(map[uint64][]buildEntry)
 	b.parts, b.mask = []map[uint64][]buildEntry{table}, 0
+	return b.drain(b.right, gov, func(h uint64, e buildEntry, _ rowOrd) {
+		table[h] = append(table[h], e)
+	})
+}
+
+// drain pulls op's rows under gov and hands add every row whose build keys
+// are not NULL, with the keys' hash and the row's ordinal: the serial
+// build over the right input and each parallel worker over its part. It
+// polls and reserves once per batch. Rows added before a mid-batch
+// evaluation error were never reserved, so the refcounted release stays
+// balanced without a compensating charge.
+func (b *joinBuild) drain(op Operator, gov *Governor, add func(h uint64, e buildEntry, ord rowOrd)) error {
 	bb := NewBatch(b.batch)
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
@@ -691,7 +673,7 @@ func (b *joinBuild) buildSerial(gov *Governor) error {
 		if err := gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := b.right.NextBatch(bb); err != nil {
+		if err := op.NextBatch(bb); err != nil {
 			return err
 		}
 		n := bb.Len()
@@ -699,7 +681,7 @@ func (b *joinBuild) buildSerial(gov *Governor) error {
 			return nil
 		}
 		b.stats.addIn(int64(n))
-		var add int64
+		var kept int64
 		for i := 0; i < n; i++ {
 			row := bb.Row(i)
 			keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, b.batch))
@@ -709,12 +691,16 @@ func (b *joinBuild) buildSerial(gov *Governor) error {
 			if null {
 				continue // NULL keys never join
 			}
-			add++
-			h := value.HashRow(keys)
-			table[h] = append(table[h], buildEntry{keys: keys, row: row})
+			kept++
+			add(value.HashRow(keys), buildEntry{keys: keys, row: row}, bb.Ord(i))
 		}
-		if err := b.chargeBuild(gov, add); err != nil {
-			return err
+		if kept > 0 {
+			// A failed reservation still charges (drainBatches convention).
+			b.reserved.Add(kept)
+			b.stats.addBuffered(kept)
+			if err := gov.ReserveBuffered(kept); err != nil {
+				return err
+			}
 		}
 	}
 }
@@ -724,7 +710,7 @@ func (b *joinBuild) buildSerial(gov *Governor) error {
 // (no shared state), then one worker per partition merges the vectors —
 // sorted by right-input ordinal, so every bucket ends up in exactly the
 // serial insertion order — without any locks.
-func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []leafTracker) error {
+func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*MorselScan) error {
 	w := len(parts)
 	p := 1
 	for p < w {
@@ -733,50 +719,21 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []leaf
 	mask := uint64(p - 1)
 	locals := make([][][]taggedEntry, w)
 	err := runWorkers(gov, w, func(i int, g *Governor) error {
-		part, leaf := parts[i], leaves[i]
-		Attach(part, g)
-		if err := part.Open(); err != nil {
+		Attach(parts[i], g)
+		if err := parts[i].Open(); err != nil {
 			return err
 		}
 		local := make([][]taggedEntry, p)
-		var workerReserved int64
-		bb := NewBatch(b.batch)
-		var keySlab valueSlab // retained keys carve per-slab, not per-row
-		nk := len(b.rk)
-		for {
-			if err := g.PollBatch(); err != nil {
-				return err
-			}
-			if err := part.NextBatch(bb); err != nil {
-				return err
-			}
-			n := bb.Len()
-			if n == 0 {
-				break
-			}
-			b.stats.addIn(int64(n))
-			var add int64
-			for k := 0; k < n; k++ {
-				row := bb.Row(k)
-				keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, b.batch))
-				if err != nil {
-					return err
-				}
-				if null {
-					continue // NULL keys never join
-				}
-				add++
-				h := value.HashRow(keys)
-				pi := h & mask
-				local[pi] = append(local[pi], taggedEntry{ord: bb.Ord(k), e: buildEntry{keys: keys, row: row}})
-			}
-			workerReserved += add
-			if err := b.chargeBuild(g, add); err != nil {
-				return err
-			}
+		var kept int64
+		err := b.drain(parts[i], g, func(h uint64, e buildEntry, ord rowOrd) {
+			local[h&mask] = append(local[h&mask], taggedEntry{ord: ord, e: e})
+			kept++
+		})
+		if err != nil {
+			return err
 		}
-		if grp, home := leaf.shardInfo(); grp != nil {
-			grp.buffered[home].Add(workerReserved)
+		if leaf := leaves[i]; leaf.group != nil {
+			leaf.group.buffered[leaf.home].Add(kept)
 		}
 		locals[i] = local
 		return nil
@@ -824,43 +781,24 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []leaf
 // group order matches the serial pass exactly; float SUM/AVG values may
 // differ in the last bits because partial sums re-associate the
 // addition.
-func (a *HashAggregate) openParallel(parts []Operator, leaves []leafTracker) error {
+func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) error {
 	accs := make([]*aggAcc, len(parts))
 	err := runWorkers(a.gov, len(parts), func(w int, gov *Governor) error {
-		part, leaf := parts[w], leaves[w]
-		Attach(part, gov)
-		if err := part.Open(); err != nil {
+		Attach(parts[w], gov)
+		if err := parts[w].Open(); err != nil {
 			return err
 		}
 		acc := a.newAcc()
 		accs[w] = acc // pre-published so error paths can release acc.reserved
-		bb := NewTransientBatch(a.batchCap())
-		for {
-			if err := gov.PollBatch(); err != nil {
-				return err
-			}
-			if err := part.NextBatch(bb); err != nil {
-				return err
-			}
-			n := bb.Len()
-			if n == 0 {
-				// Shard attribution happens only on clean completion;
-				// a failed query's per-shard stats are never reported.
-				if grp, home := leaf.shardInfo(); grp != nil {
-					grp.buffered[home].Add(acc.reserved)
-				}
-				return nil
-			}
-			a.stats.addIn(int64(n))
-			for i := 0; i < n; i++ {
-				if err := a.accumulate(acc, bb.Row(i), bb.Ord(i)); err != nil {
-					return err
-				}
-			}
-			if err := a.flushReserve(acc, gov); err != nil {
-				return err
-			}
+		if err := a.fill(acc, parts[w], gov); err != nil {
+			return err
 		}
+		// Shard attribution happens only on clean completion; a failed
+		// query's per-shard stats are never reported.
+		if leaf := leaves[w]; leaf.group != nil {
+			leaf.group.buffered[leaf.home].Add(acc.reserved)
+		}
+		return nil
 	})
 	for _, acc := range accs {
 		if acc != nil {

@@ -125,7 +125,7 @@ func TestRowLifetime(t *testing.T) {
 		// Retainers.
 		{"collector", func(c Operator) Operator { return c }},
 		{"Sort", func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(c, byNameDesc(c))) }},
-		{"TopN", func(c Operator) Operator { return mustOp[*TopN](t)(NewTopN(c, byNameDesc(c), 11)) }},
+		{"TopN", func(c Operator) Operator { return mustOp[*Sort](t)(newTopN(c, byNameDesc(c), 11)) }},
 		{"Distinct", func(c Operator) Operator { return NewDistinct(c) }},
 		{"parallel Gather", func(c Operator) Operator {
 			g := NewGather(c, 3)

@@ -147,8 +147,6 @@ func children(op Operator) (kids [2]Operator) {
 		kids[0] = op.Child
 	case *Sort:
 		kids[0] = op.Child
-	case *TopN:
-		kids[0] = op.Child
 	case *Distinct:
 		kids[0] = op.Child
 	case *Limit:

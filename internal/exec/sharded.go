@@ -245,7 +245,7 @@ func collectShardStats(op Operator, out *[]ShardGroupStat) {
 // splitShardedScan is splitPipeline's leaf case for a sharded scan: one
 // shared shardGroup, n MorselScans homed per the proportional
 // allotment.
-func splitShardedScan(op *Scan, n, morselSize int) ([]Operator, []leafTracker, bool) {
+func splitShardedScan(op *Scan, n, morselSize int) ([]Operator, []*MorselScan, bool) {
 	grp := newShardGroup(op.Sharded, morselSizeOr(morselSize))
 	op.lastGroup = grp
 	if m := grp.totalMorsels(); m > 0 && m < n {
@@ -256,7 +256,7 @@ func splitShardedScan(op *Scan, n, morselSize int) ([]Operator, []leafTracker, b
 	}
 	homes := grp.homes(n)
 	parts := make([]Operator, n)
-	leaves := make([]leafTracker, n)
+	leaves := make([]*MorselScan, n)
 	for i := range parts {
 		sh := grp.shards[homes[i]]
 		ms := &MorselScan{

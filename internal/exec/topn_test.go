@@ -12,7 +12,7 @@ import (
 
 func TestTopNBasic(t *testing.T) {
 	_, cust := testTables(t)
-	top, err := NewTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(3, true)}, 2)
+	top, err := newTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(3, true)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTopNBasic(t *testing.T) {
 
 func TestTopNLargerThanInput(t *testing.T) {
 	_, cust := testTables(t)
-	top, err := NewTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(0, false)}, 99)
+	top, err := newTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(0, false)}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,20 +46,37 @@ func TestTopNLargerThanInput(t *testing.T) {
 	}
 }
 
+// newTopN is a Sort with a limit: what the planner builds for ORDER BY
+// ... LIMIT n.
+func newTopN(child Operator, keys []SortKey, n int) (*Sort, error) {
+	s, err := NewSort(child, keys)
+	if err != nil {
+		return nil, err
+	}
+	s.Limit = n
+	return s, nil
+}
+
 func TestTopNErrors(t *testing.T) {
 	_, cust := testTables(t)
-	if _, err := NewTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(0, false)}, 0); err == nil {
-		t.Error("n=0 should fail")
+	// A limit of zero is no limit (the planner keeps LIMIT 0 as a Limit
+	// above the Sort): every row comes back, sorted.
+	all, err := newTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(0, false)}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(99, false)}, 1); err == nil {
+	if rows := mustCollect(t, all); len(rows) != 4 || all.Describe() != "Sort(#1)" {
+		t.Errorf("limit 0: %d rows from %s, want a Sort of all 4", len(rows), all.Describe())
+	}
+	if _, err := newTopN(NewScan(cust, "c"), []SortKey{SortKeyPos(99, false)}, 1); err == nil {
 		t.Error("bad position should fail")
 	}
-	if _, err := NewTopN(NewScan(cust, "c"), []SortKey{SortKeyExpr(expr(t, "c.ghost"), false)}, 1); err == nil {
+	if _, err := newTopN(NewScan(cust, "c"), []SortKey{SortKeyExpr(expr(t, "c.ghost"), false)}, 1); err == nil {
 		t.Error("bad expression should fail")
 	}
 }
 
-// Property: TopN(keys, n) produces exactly the first n rows of a full
+// Property: a Sort with Limit n produces exactly the first n rows of a full
 // stable Sort over the same keys, on random data with duplicate keys and
 // NULLs.
 func TestTopNMatchesSortLimitProperty(t *testing.T) {
@@ -94,7 +111,7 @@ func TestTopNMatchesSortLimitProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := NewTopN(NewScan(tb, "t"), keys, n)
+		top, err := newTopN(NewScan(tb, "t"), keys, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +130,8 @@ func TestTopNMatchesSortLimitProperty(t *testing.T) {
 	}
 }
 
-// TopN is stable: ties preserve input order, exactly like Sort.
+// The bounded heap is stable: ties preserve input order, exactly like the
+// full sort.
 func TestTopNStability(t *testing.T) {
 	s := schema.MustRelation("t",
 		schema.Column{Name: "k", Type: value.KindInt},
@@ -123,7 +141,7 @@ func TestTopNStability(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tb.MustInsert(value.Int(1), value.Int(int64(i))) // all tie on k
 	}
-	top, err := NewTopN(NewScan(tb, "t"), []SortKey{SortKeyPos(0, false)}, 4)
+	top, err := newTopN(NewScan(tb, "t"), []SortKey{SortKeyPos(0, false)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +158,7 @@ func TestTopNStability(t *testing.T) {
 
 func TestTopNExprKeys(t *testing.T) {
 	_, cust := testTables(t)
-	top, err := NewTopN(NewScan(cust, "c"),
+	top, err := newTopN(NewScan(cust, "c"),
 		[]SortKey{SortKeyExpr(mustExpr(t, "c.balance * -1"), false)}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +177,9 @@ func mustExpr(t *testing.T, src string) sqlparse.Expr {
 	return expr(t, src+" = 0").(*sqlparse.BinaryExpr).L
 }
 
-// Sort and TopN do not allocate a key vector per input row: Sort slices
-// all of them out of one allocation, TopN allocates one per retained row.
+// Sort does not allocate a key vector per input row: the full sort slices
+// all of them out of one allocation, the bounded heap allocates one per
+// retained row.
 // Doubling the input must leave the allocation count about where it was
 // (slice growth while draining adds a few).
 func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
@@ -189,7 +208,7 @@ func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
 		// qty descending over ascending ids: every seventh row or so
 		// replaces the heap's worst, so replacements dominate.
 		{"TopN", func(c Operator) Operator {
-			s, err := NewTopN(c, []SortKey{SortKeyPos(3, true), SortKeyPos(0, true)}, 5)
+			s, err := newTopN(c, []SortKey{SortKeyPos(3, true), SortKeyPos(0, true)}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -234,8 +234,8 @@ func TestPlanErrorPaths(t *testing.T) {
 	}
 }
 
-// ORDER BY + LIMIT fuses into a bounded TopN operator, and the fused plan
-// matches the unfused Sort+Limit results.
+// ORDER BY + LIMIT fuses into one Sort with a Limit (a bounded heap,
+// printed TopN), and the fused plan matches the unfused Sort+Limit results.
 func TestTopNFusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	db := randomDB(rng)
@@ -272,7 +272,7 @@ func TestTopNFusion(t *testing.T) {
 			t.Errorf("row %d: %v vs %v", i, fused[i], all[i])
 		}
 	}
-	// LIMIT 0 keeps the plain Limit operator (TopN needs n > 0).
+	// LIMIT 0 keeps the plain Limit operator (a Sort's Limit of 0 is none).
 	zero := sqlparse.MustParse("select k from ta order by k limit 0")
 	op0, err := Plan(db, zero, Options{})
 	if err != nil {

@@ -148,8 +148,6 @@ func preorder(op exec.Operator, out []exec.Operator) []exec.Operator {
 		return preorder(o.Child, out)
 	case *exec.Sort:
 		return preorder(o.Child, out)
-	case *exec.TopN:
-		return preorder(o.Child, out)
 	case *exec.Gather:
 		return preorder(o.Child, out)
 	case *exec.Project:

@@ -46,23 +46,6 @@ func Plan(db *storage.DB, stmt *sqlparse.SelectStmt, opts Options) (exec.Operato
 	return p.plan()
 }
 
-// ExplainAnalyze plans stmt, executes it with per-operator
-// instrumentation, and returns the annotated plan: each line carries the
-// observed rows in/out, batches, buffered reservations and wall time
-// (see exec.ExplainAnalyze). The query runs to completion ungoverned;
-// callers needing budgets should instrument through the engine instead.
-func ExplainAnalyze(db *storage.DB, stmt *sqlparse.SelectStmt, opts Options) (string, error) {
-	op, err := Plan(db, stmt, opts)
-	if err != nil {
-		return "", err
-	}
-	exec.Instrument(op)
-	if _, err := exec.Collect(op); err != nil {
-		return "", err
-	}
-	return exec.ExplainAnalyze(op), nil
-}
-
 type planner struct {
 	db   *storage.DB
 	stmt *sqlparse.SelectStmt
@@ -886,9 +869,9 @@ func sameArg(a, b sqlparse.Expr) bool {
 // name an output column (or select alias) directly, or repeat a select
 // expression textually. Expressions over non-projected columns are not
 // supported after projection, mirroring many real engines. When a
-// positive LIMIT accompanies the ORDER BY, the two fuse into a bounded
-// top-N heap (limitFused reports that the caller's Limit is already
-// applied).
+// positive LIMIT accompanies the ORDER BY, it becomes the Sort's Limit —
+// a bounded top-N heap (limitFused reports that the caller's Limit is
+// already applied).
 func (p *planner) buildSort(root exec.Operator, outNames []string) (op exec.Operator, limitFused bool, err error) {
 	if len(p.stmt.OrderBy) == 0 {
 		return root, false, nil
@@ -928,16 +911,10 @@ func (p *planner) buildSort(root exec.Operator, outNames []string) (op exec.Oper
 			keys[i] = exec.SortKeyExpr(o.Expr, o.Desc)
 		}
 	}
-	if p.stmt.Limit > 0 {
-		topn, err := exec.NewTopN(root, keys, p.stmt.Limit)
-		if err != nil {
-			return nil, false, err
-		}
-		return topn, true, nil
-	}
 	srt, err := exec.NewSort(root, keys)
 	if err != nil {
 		return nil, false, err
 	}
-	return srt, false, nil
+	srt.Limit = p.stmt.Limit
+	return srt, srt.Limit > 0, nil
 }

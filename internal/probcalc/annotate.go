@@ -25,7 +25,7 @@ func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallel
 		if !tb.Schema.IsDirty() {
 			continue
 		}
-		if err := AnnotateTableCtx(ctx, tb, nil, d, 1, parallelism); err != nil {
+		if err := AnnotateTableCtx(ctx, tb, nil, d, parallelism); err != nil {
 			return fmt.Errorf("annotating %s: %w", name, err)
 		}
 	}
@@ -40,22 +40,20 @@ func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallel
 // columns). A nil distance uses InformationLoss. Non-string attribute
 // values are treated as categories via their textual form.
 func AnnotateTable(tb *storage.Table, attrCols []string, d Distance) error {
-	return AnnotateTableCtx(context.Background(), tb, attrCols, d, 1, 1)
+	return AnnotateTableCtx(context.Background(), tb, attrCols, d, 1)
 }
 
 // AnnotateTableCtx is AnnotateTable under a context: both the
 // dataset-building pass and the probability assignment (where DCF merging
 // makes the cost quadratic in cluster size) poll ctx, so annotation of a
 // large relation can be canceled or run under a deadline. The assignment
-// fans out as AssignProbabilitiesCtx describes (shards and parallelism of
-// 1 keep it serial); the dataset build and the probability-column
+// fans out as AssignProbabilitiesCtx describes (parallelism 1 keeps it
+// serial), and its probabilities are bit-identical to the serial pass at
+// every worker count; the dataset build and the probability-column
 // writeback stay serial: the former is a single linear scan, the latter
 // one store per row through UpdateColumn, which (like the rest of
-// storage.Table) is not written for concurrent callers. One global dataset
-// backs every shard — the Figure-5 arithmetic normalizes against the
-// table's total tuple count — so probabilities are bit-identical to the
-// serial pass at every shard and worker count.
-func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, shards, parallelism int) error {
+// storage.Table) is not written for concurrent callers.
+func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, parallelism int) error {
 	rel := tb.Schema
 	idIdx := rel.IdentifierIndex()
 	probIdx := rel.ProbIndex()
@@ -101,7 +99,7 @@ func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string,
 		clusterIDs[i] = row[idIdx].String()
 	}
 
-	assignments, err := AssignProbabilitiesCtx(ctx, ds, clusterIDs, d, shards, parallelism)
+	assignments, err := AssignProbabilitiesCtx(ctx, ds, clusterIDs, d, parallelism)
 	if err != nil {
 		return err
 	}

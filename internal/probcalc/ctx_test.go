@@ -34,7 +34,7 @@ func TestAnnotateTableCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := AnnotateTableCtx(ctx, tb, nil, nil, 1, 1)
+	err := AnnotateTableCtx(ctx, tb, nil, nil, 1)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("AnnotateTableCtx error = %v, want errors.Is(err, qerr.ErrCanceled)", err)
 	}
@@ -56,7 +56,7 @@ func TestAssignProbabilitiesCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 1, 1)
+	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 1)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("AssignProbabilitiesCtx error = %v, want errors.Is(err, qerr.ErrCanceled)", err)
 	}

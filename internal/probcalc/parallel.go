@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"conquer/internal/qerr"
-	"conquer/internal/storage"
 )
 
 // assignCluster runs the Figure-5 procedure for one cluster, writing the
@@ -16,7 +15,7 @@ import (
 // touch the same out element — which is what makes per-cluster
 // parallelism safe (and bit-deterministic) under Dfn 2: no arithmetic
 // ever crosses a cluster boundary.
-func (ds *Dataset) assignCluster(ctx context.Context, tick *qerr.Ticker, cid string, rows []int, d Distance, total int, out []Assignment) error {
+func (ds *Dataset) assignCluster(ctx context.Context, tick *qerr.Ticker, cid string, rows []int, d Distance, out []Assignment) error {
 	rep, err := ds.Representative(rows)
 	if err != nil {
 		return err
@@ -31,7 +30,7 @@ func (ds *Dataset) assignCluster(ctx context.Context, tick *qerr.Ticker, cid str
 		if err := tick.Poll(ctx); err != nil {
 			return err
 		}
-		dist[k] = d(ds.SingletonDCF(i), rep, total)
+		dist[k] = d(ds.SingletonDCF(i), rep, ds.Len())
 		s += dist[k]
 	}
 	k := float64(len(rows))
@@ -86,14 +85,14 @@ func claimBatch(clusters, workers int) int {
 // writing assignments into out. workers <= 1 runs serially. The first
 // worker error (or a cancellation) drains the pool; panics cross the
 // goroutine boundary only through qerr.Recover.
-func (ds *Dataset) runClusterPool(ctx context.Context, order []string, rowsOf map[string][]int, d Distance, total int, out []Assignment, workers int) error {
+func (ds *Dataset) runClusterPool(ctx context.Context, order []string, rowsOf map[string][]int, d Distance, out []Assignment, workers int) error {
 	if workers > len(order) {
 		workers = len(order)
 	}
 	if workers <= 1 {
 		var tick qerr.Ticker
 		for _, cid := range order {
-			if err := ds.assignCluster(ctx, &tick, cid, rowsOf[cid], d, total, out); err != nil {
+			if err := ds.assignCluster(ctx, &tick, cid, rowsOf[cid], d, out); err != nil {
 				return err
 			}
 		}
@@ -123,7 +122,7 @@ func (ds *Dataset) runClusterPool(ctx context.Context, order []string, rowsOf ma
 						if err = tick.Poll(wctx); err != nil {
 							return
 						}
-						if err = ds.assignCluster(wctx, &tick, cid, rowsOf[cid], d, total, out); err != nil {
+						if err = ds.assignCluster(wctx, &tick, cid, rowsOf[cid], d, out); err != nil {
 							return
 						}
 					}
@@ -150,22 +149,15 @@ func (ds *Dataset) runClusterPool(ctx context.Context, order []string, rowsOf ma
 }
 
 // AssignProbabilitiesCtx is AssignProbabilities under a context, with a
-// worker pool claiming batches of clusters at a time: the per-tuple
-// distance loop — quadratic in cluster size through the DCF merging
-// behind Representative — polls ctx and aborts with a qerr cancellation
-// error when it fires. Results are bit-identical to the serial pass
-// (shards and parallelism of 1): DCF construction and information-loss
+// pool of parallelism workers claiming batches of clusters at a time: the
+// per-tuple distance loop — quadratic in cluster size through the DCF
+// merging behind Representative — polls ctx and aborts with a qerr
+// cancellation error when it fires. Results are bit-identical to the
+// serial pass (parallelism 1): DCF construction and information-loss
 // distances never cross cluster boundaries (Dfn 2 makes clusters
 // independent worlds), so each cluster's arithmetic is the same
 // instruction stream regardless of which worker runs it.
-//
-// shards > 1 partitions the cluster worklist with the executor's shard
-// placement (storage.ShardOf over the cluster id) and runs one worker
-// pool per shard concurrently, workers allotted proportionally to each
-// shard's cluster count; the partition changes only scheduling. ONE
-// global dataset must back all shards — assignCluster normalizes against
-// the total tuple count.
-func AssignProbabilitiesCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance, shards, parallelism int) ([]Assignment, error) {
+func AssignProbabilitiesCtx(ctx context.Context, ds *Dataset, clusterIDs []string, d Distance, parallelism int) ([]Assignment, error) {
 	if len(clusterIDs) != ds.Len() {
 		return nil, fmt.Errorf("probcalc: %d cluster ids for %d tuples", len(clusterIDs), ds.Len())
 	}
@@ -174,58 +166,8 @@ func AssignProbabilitiesCtx(ctx context.Context, ds *Dataset, clusterIDs []strin
 	}
 	order, rowsOf := groupClusters(clusterIDs)
 	out := make([]Assignment, ds.Len())
-	total := ds.Len()
-	if shards <= 1 {
-		if err := ds.runClusterPool(ctx, order, rowsOf, d, total, out, parallelism); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	parts := make([][]string, shards)
-	for _, cid := range order {
-		s := storage.ShardOf(cid, shards)
-		parts[s] = append(parts[s], cid)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make(chan error, shards)
-	pools := 0
-	for s := 0; s < shards; s++ {
-		part := parts[s]
-		if len(part) == 0 {
-			continue
-		}
-		// Proportional allotment, at least one worker per non-empty
-		// shard; the total can exceed parallelism by at most shards-1.
-		workers := parallelism * len(part) / len(order)
-		if workers < 1 {
-			workers = 1
-		}
-		pools++
-		go func() {
-			err := ds.runClusterPool(wctx, part, rowsOf, d, total, out, workers)
-			if err != nil {
-				cancel()
-			}
-			errs <- err
-		}()
-	}
-	var first error
-	for p := 0; p < pools; p++ {
-		err := <-errs
-		switch {
-		case err == nil:
-		case first == nil:
-			first = err
-		case errors.Is(first, qerr.ErrCanceled) && !errors.Is(err, qerr.ErrCanceled):
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
+	if err := ds.runClusterPool(ctx, order, rowsOf, d, out, parallelism); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -50,8 +50,8 @@ func TestAssignProbabilitiesParMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4, 8} {
-		got, err := AssignProbabilitiesCtx(context.Background(), ds, ids, nil, 1, par)
+	for _, par := range []int{1, 2, 4, 8} {
+		got, err := AssignProbabilitiesCtx(context.Background(), ds, ids, nil, par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -71,7 +71,7 @@ func TestAssignProbabilitiesParCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 1, 4)
+	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 4)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want qerr.ErrCanceled, got %v", err)
 	}
@@ -91,7 +91,7 @@ func TestAssignProbabilitiesParCanceled(t *testing.T) {
 func TestAssignProbabilitiesParRecoversPanic(t *testing.T) {
 	ds, ids := parDataset(t, 200)
 	boom := func(tuple, rep DCF, total int) float64 { panic("distance exploded") }
-	_, err := AssignProbabilitiesCtx(context.Background(), ds, ids, boom, 1, 4)
+	_, err := AssignProbabilitiesCtx(context.Background(), ds, ids, boom, 4)
 	if err == nil {
 		t.Fatal("want error from panicking distance, got nil")
 	}
@@ -102,7 +102,7 @@ func TestAssignProbabilitiesParRecoversPanic(t *testing.T) {
 
 func TestAssignProbabilitiesParValidates(t *testing.T) {
 	ds, ids := parDataset(t, 100)
-	if _, err := AssignProbabilitiesCtx(context.Background(), ds, ids[:50], nil, 1, 4); err == nil {
+	if _, err := AssignProbabilitiesCtx(context.Background(), ds, ids[:50], nil, 4); err == nil {
 		t.Fatal("want arity error, got nil")
 	}
 }
@@ -136,81 +136,22 @@ func parTable(t testing.TB, n int) *storage.Table {
 }
 
 func TestAnnotateTableParMatchesSerial(t *testing.T) {
-	serial, parallel := parTable(t, 400), parTable(t, 400)
+	serial := parTable(t, 400)
 	if err := AnnotateTable(serial, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := AnnotateTableCtx(context.Background(), parallel, nil, nil, 1, 4); err != nil {
-		t.Fatal(err)
-	}
 	probIdx := serial.Schema.ProbIndex()
-	for i := 0; i < serial.Len(); i++ {
-		w, g := serial.Row(i)[probIdx], parallel.Row(i)[probIdx]
-		// Bit-identical, not epsilon: same per-cluster instruction stream.
-		if w.AsFloat() != g.AsFloat() {
-			t.Fatalf("row %d: serial prob %v, parallel prob %v", i, w, g)
+	for _, par := range []int{1, 2, 4, 8} {
+		parallel := parTable(t, 400)
+		if err := AnnotateTableCtx(context.Background(), parallel, nil, nil, par); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// The sharded pass partitions the cluster worklist the way the executor
-// partitions rows; like the plain parallel pass it must stay
-// bit-identical to serial at every (shards, parallelism) combination.
-func TestAssignProbabilitiesShardedMatchesSerial(t *testing.T) {
-	ds, ids := parDataset(t, 600)
-	want, err := AssignProbabilities(ds, ids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, par := range []int{1, 4, 8} {
-			got, err := AssignProbabilitiesCtx(context.Background(), ds, ids, nil, shards, par)
-			if err != nil {
-				t.Fatalf("shards=%d par=%d: %v", shards, par, err)
+		for i := 0; i < serial.Len(); i++ {
+			w, g := serial.Row(i)[probIdx], parallel.Row(i)[probIdx]
+			// Bit-identical, not epsilon: same per-cluster instruction stream.
+			if w.AsFloat() != g.AsFloat() {
+				t.Fatalf("par=%d row %d: serial prob %v, parallel prob %v", par, i, w, g)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d par=%d: assignment %d differs:\nwant %+v\ngot  %+v",
-						shards, par, i, want[i], got[i])
-				}
-			}
-		}
-	}
-}
-
-func TestAssignProbabilitiesShardedCanceled(t *testing.T) {
-	ds, ids := parDataset(t, 600)
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := AssignProbabilitiesCtx(ctx, ds, ids, nil, 4, 4)
-	if !errors.Is(err, qerr.ErrCanceled) {
-		t.Fatalf("want qerr.ErrCanceled, got %v", err)
-	}
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if i >= 100 {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestAnnotateTableShardedMatchesSerial(t *testing.T) {
-	serial, sharded := parTable(t, 400), parTable(t, 400)
-	if err := AnnotateTable(serial, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := AnnotateTableCtx(context.Background(), sharded, nil, nil, 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	probIdx := serial.Schema.ProbIndex()
-	for i := 0; i < serial.Len(); i++ {
-		w, g := serial.Row(i)[probIdx], sharded.Row(i)[probIdx]
-		if w.AsFloat() != g.AsFloat() {
-			t.Fatalf("row %d: serial prob %v, sharded prob %v", i, w, g)
 		}
 	}
 }

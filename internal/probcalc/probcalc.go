@@ -167,7 +167,7 @@ type Assignment struct {
 // clusters whose members are all identical (total distance 0) fall back to
 // the uniform distribution.
 func AssignProbabilities(ds *Dataset, clusterIDs []string, d Distance) ([]Assignment, error) {
-	return AssignProbabilitiesCtx(context.Background(), ds, clusterIDs, d, 1, 1)
+	return AssignProbabilitiesCtx(context.Background(), ds, clusterIDs, d, 1)
 }
 
 // RankCluster returns the assignments of one cluster sorted from most to

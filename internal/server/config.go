@@ -36,9 +36,9 @@ type Config struct {
 	// before canceling it with qerr.ErrShutdown (default 10s).
 	DrainTimeout time.Duration `json:"-"`
 	// Parallelism is the per-query morsel parallelism handed to each
-	// tenant engine (0 = GOMAXPROCS, 1 = serial). Like Shards and a
-	// tenant's CacheBytes it reaches POST /v1/query only: /v1/clean runs
-	// on engines core.Eval builds itself (DESIGN.md §13).
+	// tenant engine (0 = GOMAXPROCS, 1 = serial). Like Shards it reaches
+	// POST /v1/query only: /v1/clean runs on engines core.Eval builds
+	// itself (DESIGN.md §13). A tenant's CacheBytes reaches both.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards is the per-query cluster-shard count handed to each tenant
 	// engine (0 = GOMAXPROCS, 1 = unsharded). Sharding never changes
@@ -71,7 +71,8 @@ type TenantConfig struct {
 	// MaxConcurrent caps this tenant's simultaneously executing queries
 	// (0 = no per-tenant cap beyond the global slots).
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
-	// CacheBytes sizes this tenant's private query cache (0 = off).
+	// CacheBytes sizes this tenant's private query cache (0 = off): it
+	// serves repeats of both POST /v1/query and POST /v1/clean.
 	CacheBytes int64 `json:"cache_bytes,omitempty"`
 	// Faults arms deterministic storage faults for this tenant only: the
 	// tenant is served from a private clone of the database with an

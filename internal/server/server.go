@@ -260,9 +260,6 @@ func (s *Server) Drain() error {
 	}
 }
 
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // authenticate resolves the request's API key ("Authorization: Bearer
 // <key>" or "X-Api-Key: <key>") to its tenant.
 func (s *Server) authenticate(r *http.Request) (*tenant, error) {
@@ -460,6 +457,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		Limits:  tn.limits,
 		Samples: req.Samples,
 		Seed:    req.Seed,
+		Cache:   tn.eng.Cache(),
 	})
 	elapsed := time.Since(start)
 	// core.Eval runs its SQL through internal engines with no query log
@@ -479,6 +477,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.Method = res.Method.String()
 	rec.Rows = len(res.Answers)
+	rec.Cached = res.Cached
 	s.qlog.Record(rec)
 	s.cost.observe(res.Stats.BufferedPeak, elapsed)
 	degraded := make([]string, len(res.Degraded))
@@ -500,6 +499,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 			Rows:         len(res.Answers),
 			ExecMicros:   elapsed.Microseconds(),
 			QueuedMicros: tk.queued.Microseconds(),
+			Cached:       res.Cached,
 		},
 	})
 }

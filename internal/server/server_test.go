@@ -585,8 +585,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // A tenant's cache_bytes builds that tenant's own cache: a tenants file
-// naming it loads, the second identical /v1/query is served from the
-// cache, and a tenant without it never is.
+// naming it loads, the second identical /v1/query or /v1/clean is served
+// from the cache — and says so in the response and the query log — and a
+// tenant without it never is.
 func TestTenantCacheBytes(t *testing.T) {
 	tenants, err := LoadTenants(strings.NewReader(`{"tenants": [
 		{"name": "acme", "key": "ak", "preset": "standard", "cache_bytes": 1048576},
@@ -595,29 +596,36 @@ func TestTenantCacheBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(bigStore(t, 500), Config{Tenants: tenants, Registry: metrics.NewRegistry()})
+	var logBuf strings.Builder
+	srv, err := New(bigStore(t, 500), Config{Tenants: tenants, Registry: metrics.NewRegistry(), QueryLog: metrics.NewQueryLog(&logBuf)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := func(key string) bool {
-		rec := doJSON(t, srv, "POST", "/v1/query", key, queryRequest{SQL: "select sum(val) from big"})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	for _, path := range []string{"/v1/query", "/v1/clean"} {
+		cached := func(key string) bool {
+			logBuf.Reset()
+			rec := doJSON(t, srv, "POST", path, key, queryRequest{SQL: "select id, val from big where id < 5"})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status = %d: %s", path, rec.Code, rec.Body.String())
+			}
+			var resp struct{ Stats QueryStats }
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if logged := strings.Contains(logBuf.String(), `"cached":true`); logged != resp.Stats.Cached {
+				t.Errorf("%s: response cached=%t, query log %s", path, resp.Stats.Cached, logBuf.String())
+			}
+			return resp.Stats.Cached
 		}
-		var resp QueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
+		if cached("ak") {
+			t.Fatalf("%s: the first execution cannot be a cache hit", path)
 		}
-		return resp.Stats.Cached
-	}
-	if cached("ak") {
-		t.Fatal("the first execution cannot be a cache hit")
-	}
-	if !cached("ak") {
-		t.Fatal("a tenant with cache_bytes should serve the repeat from its cache")
-	}
-	if cached("bk") || cached("bk") {
-		t.Fatal("a tenant without cache_bytes has no cache, and must not see another tenant's")
+		if !cached("ak") {
+			t.Fatalf("%s: a tenant with cache_bytes should serve the repeat from its cache", path)
+		}
+		if cached("bk") || cached("bk") {
+			t.Fatalf("%s: a tenant without cache_bytes has no cache, and must not see another tenant's", path)
+		}
 	}
 }
 

@@ -18,14 +18,13 @@ type Shard struct {
 	Ords  []int64
 }
 
-// ShardOf returns the shard index for a cluster identifier. The hash is
+// shardOf returns the shard index for a cluster identifier. The hash is
 // FNV-1a over the identifier's textual form, so the same cluster always
 // lands on the same shard — the property that makes cluster-partitioned
 // execution semantically free under Dfn 2 (a tuple's clean-answer
 // probability depends only on its own cluster, and a cluster is never
-// split across shards). Exported so probcalc can partition its
-// per-cluster annotation worklist with the identical placement.
-func ShardOf(key string, n int) int {
+// split across shards).
+func shardOf(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -36,7 +35,7 @@ func ShardOf(key string, n int) int {
 
 // ShardedTable is an N-way partitioned view of a base Table. Dirty
 // tables (those with an identifier column) are hash-partitioned by
-// cluster id via ShardOf; clean tables are block-partitioned into N
+// cluster id via shardOf; clean tables are block-partitioned into N
 // contiguous ranges. Each shard is backed by an ordinary Table sharing
 // the base's row slices and fault injector, so per-shard scans go
 // through the same seams as unsharded ones.
@@ -95,7 +94,7 @@ func (st *ShardedTable) rebuild() {
 	counts := make([]int, st.n)
 	if idIdx := st.base.Schema.IdentifierIndex(); idIdx >= 0 {
 		for i, row := range rows {
-			s := ShardOf(row[idIdx].String(), st.n)
+			s := shardOf(row[idIdx].String(), st.n)
 			assign[i] = int32(s)
 			counts[s]++
 		}
