@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint lint-json lint-allows race fmt fuzz experiments-smoke load-smoke benchmark benchmark-test
+.PHONY: all build test lint lint-json lint-allows race fmt fuzz experiments-smoke examples-smoke load-smoke benchmark benchmark-test
 
 all: build lint test
 
@@ -50,6 +50,11 @@ fmt:
 # build. The numbers it prints mean nothing at this scale.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -scale 0.0003 -reps 3 all
+
+# The programs under examples/ have no tests of their own: run every one,
+# so that an example that stops working fails the build (~1 s together).
+examples-smoke:
+	@set -e; for e in examples/*/; do echo "== $${e%/}"; $(GO) run ./$${e%/}; done
 
 # CI load-smoke gate: low-QPS traffic under the admission watermark
 # must shed nothing, fail nothing, and keep p99 interactive.

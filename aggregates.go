@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"conquer/internal/core"
-	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
 )
 
@@ -123,7 +122,7 @@ func (db *Database) EstimateAggregate(sql, kind, column string, n int, seed int6
 			return AggregateEstimate{}, fmt.Errorf("conquer: query selects no column %q", column)
 		}
 	}
-	est, err := core.EstimateAggregateCtx(context.Background(), db.d, stmt, k, col, n, seed, exec.Limits{})
+	est, err := db.evaluator(Limits{}).EstimateAggregate(context.Background(), stmt, k, col, n, seed)
 	if err != nil {
 		return AggregateEstimate{}, err
 	}

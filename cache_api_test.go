@@ -149,3 +149,19 @@ func TestCleanAnswersHitBesideAnInserterElsewhere(t *testing.T) {
 		t.Errorf("%d invalidations and %d executions beside %d inserts into orders; want 0 and %d", s.Invalidations, s.Executions, inserts, len(queries))
 	}
 }
+
+// CleanAnswersAugmented is Eval with method "rewrite" on the augmented
+// statement, so EnableCache serves its repeats too.
+func TestEnableCacheMemoizesCleanAnswersAugmented(t *testing.T) {
+	db := paperDB(t).EnableCache(1 << 20)
+	const q = "select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000"
+	cold, augmented, err := db.CleanAnswersAugmented(q)
+	if err != nil || !augmented || cold.Cached {
+		t.Fatalf("first call: augmented %v, cached %v, error %v; want an augmented computation", augmented, cold != nil && cold.Cached, err)
+	}
+	warm, augmented, err := db.CleanAnswersAugmented(q)
+	if err != nil || !augmented || !warm.Cached || !reflect.DeepEqual(warm.Answers, cold.Answers) {
+		t.Fatalf("repeat: augmented %v, cached %v, answers %+v, error %v; want a hit equal to %+v",
+			augmented, warm != nil && warm.Cached, warm, err, cold.Answers)
+	}
+}

@@ -19,16 +19,15 @@
 //	-metrics-addr address for the debug HTTP endpoint (/debug/metrics,
 //	              expvar, pprof); empty disables it. Bind localhost only —
 //	              the endpoint is unauthenticated (DESIGN.md §10).
-//	-query-log    file receiving one JSON line per executed query
+//	-query-log    file receiving one JSON line per executed query and per
+//	              clean or eval
 //	-cache-bytes  size of the one query cache the shell builds and hands
-//	              to the engine and to eval: the byte budget of its result
-//	              tier (e.g. 64MiB as 67108864); 0 builds none. Cached
-//	              answers are invalidated automatically when tables mutate.
+//	              to the engine: the byte budget of its result tier (e.g.
+//	              64MiB as 67108864); 0 builds none. Cached answers are
+//	              invalidated automatically when tables mutate.
 //
-// -parallelism, -shards, -batch-size and -query-log configure the engine
-// behind plain SQL and \explain. clean and eval run on engines the
-// evaluators build themselves — one worker and shard per CPU, the default
-// batch size, no log — under -timeout (and, for eval, -cache-bytes) only.
+// Every flag configures the one engine the shell holds, which runs plain
+// SQL, \explain, and every query clean and eval run.
 //
 // Inside the shell:
 //
@@ -82,11 +81,11 @@ func main() {
 	dir := flag.String("dir", "", "directory of TPC-H CSVs from datagen (default: the paper's Figure-2 example)")
 	oneShot := flag.String("c", "", "execute one statement and exit")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
-	par := flag.Int("parallelism", 0, "workers for parallel execution of plain SQL (0 = one per CPU, 1 = serial); clean/eval always run at one per CPU")
-	shards := flag.Int("shards", 0, "cluster shards for partitioned scans of plain SQL (0 = one per CPU, 1 = unsharded); clean/eval always run at one per CPU")
-	batchSize := flag.Int("batch-size", 0, "rows per execution batch of plain SQL (0 = default); clean/eval always run at the default")
+	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
+	shards := flag.Int("shards", 0, "cluster shards for partitioned scans (0 = one per CPU, 1 = unsharded)")
+	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
-	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per plain SQL query (clean/eval are not logged)")
+	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per query and per clean or eval")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for cached query results (0 = caching off)")
 	flag.Parse()
 	if *batchSize < 0 {
@@ -119,15 +118,14 @@ func main() {
 			}
 		}()
 	}
-	limits := exec.Limits{Timeout: *timeout}
-	// One cache shared by plain SQL and the eval ladder, so \cache shows
-	// the whole picture and both paths benefit from version invalidation.
+	// One cache shared by plain SQL and clean answers, so \cache shows the
+	// whole picture and both paths benefit from version invalidation.
 	var qc *cachepkg.Cache
 	if *cacheBytes > 0 {
 		qc = cachepkg.New(cachepkg.Options{MaxBytes: *cacheBytes})
 	}
-	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: limits, Parallelism: *par, Shards: *shards, BatchSize: *batchSize, QueryLog: qlog, Cache: qc})
-	sh := &shell{d: d, eng: eng, limits: limits, cache: qc, out: os.Stdout}
+	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: exec.Limits{Timeout: *timeout}, Parallelism: *par, Shards: *shards, BatchSize: *batchSize, QueryLog: qlog, Cache: qc})
+	sh := &shell{d: d, eng: eng, out: os.Stdout}
 
 	if *oneShot != "" {
 		if err := sh.execute(context.Background(), *oneShot); err != nil {
@@ -246,11 +244,19 @@ func openDatabase(dir string) (*dirty.DB, error) {
 }
 
 type shell struct {
-	d      *dirty.DB
-	eng    *engine.Engine
-	limits exec.Limits
-	cache  *cachepkg.Cache // nil when -cache-bytes is 0
-	out    io.Writer
+	d   *dirty.DB
+	eng *engine.Engine // plain SQL and every clean answer's queries run here
+	out io.Writer
+}
+
+// eval evaluates the clean answers of the statement text under method
+// (core.MethodNone for the ladder) on the shell's engine.
+func (sh *shell) eval(ctx context.Context, sql string, method core.Method) (*core.Result, error) {
+	stmt, err := sqlparse.Parse(strings.TrimSpace(sql))
+	if err != nil {
+		return nil, err
+	}
+	return core.Evaluator{DB: sh.d, Engine: sh.eng}.Eval(ctx, stmt, core.EvalOptions{Method: method})
 }
 
 func (sh *shell) execute(ctx context.Context, line string) error {
@@ -278,18 +284,20 @@ func (sh *shell) execute(ctx context.Context, line string) error {
 		fmt.Fprintf(sh.out, "candidate databases: %s (%.1f bits of uncertainty)\n", count, bits)
 		return nil
 	case line == `\cache`:
-		if sh.cache == nil {
+		qc := sh.eng.Options().Cache
+		if qc == nil {
 			fmt.Fprintln(sh.out, "cache is off (start with -cache-bytes to enable it)")
 			return nil
 		}
-		fmt.Fprint(sh.out, sh.cache.Stats().String())
+		fmt.Fprint(sh.out, qc.Stats().String())
 		return nil
 	case line == `\cache clear`:
-		if sh.cache == nil {
+		qc := sh.eng.Options().Cache
+		if qc == nil {
 			fmt.Fprintln(sh.out, "cache is off (start with -cache-bytes to enable it)")
 			return nil
 		}
-		sh.cache.Clear()
+		qc.Clear()
 		fmt.Fprintln(sh.out, "cache cleared")
 		return nil
 	case strings.HasPrefix(line, `\rewrite `):
@@ -318,11 +326,7 @@ func (sh *shell) execute(ctx context.Context, line string) error {
 		fmt.Fprint(sh.out, plan)
 		return nil
 	case strings.HasPrefix(strings.ToLower(line), "eval "):
-		stmt, err := sqlparse.Parse(strings.TrimSpace(line[len("eval "):]))
-		if err != nil {
-			return err
-		}
-		res, err := core.Eval(ctx, sh.d, stmt, core.EvalOptions{Limits: sh.limits, Cache: sh.cache})
+		res, err := sh.eval(ctx, line[len("eval "):], core.MethodNone)
 		if err != nil {
 			return err
 		}
@@ -341,11 +345,7 @@ func (sh *shell) execute(ctx context.Context, line string) error {
 		fmt.Fprintln(sh.out)
 		return nil
 	case strings.HasPrefix(strings.ToLower(line), "clean "):
-		stmt, err := sqlparse.Parse(strings.TrimSpace(line[len("clean "):]))
-		if err != nil {
-			return err
-		}
-		res, err := core.ViaRewritingCtx(ctx, sh.d, stmt, sh.limits)
+		res, err := sh.eval(ctx, line[len("clean "):], core.MethodRewrite)
 		if err != nil {
 			return err
 		}

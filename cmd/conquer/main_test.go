@@ -269,6 +269,29 @@ func TestShellEval(t *testing.T) {
 	}
 }
 
+// -query-log covers clean answers too: eval and clean run on the shell's
+// engine, and each appends one line naming the rung that answered.
+func TestShellQueryLogsCleanAndEval(t *testing.T) {
+	d, err := openDatabase("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log, out strings.Builder
+	sh := &shell{d: d, eng: engine.NewWithOptions(d.Store, engine.Options{QueryLog: metrics.NewQueryLog(&log)}), out: &out}
+	for _, c := range []struct{ line, method string }{
+		{"eval select id from customer where balance > 10000", `"method":"exact"`},
+		{"clean select id from customer where balance > 10000", `"method":"rewrite"`},
+	} {
+		log.Reset()
+		if err := sh.execute(context.Background(), c.line); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, c.method) {
+			t.Errorf("%s: query log %q, want one line with %s", c.line, got, c.method)
+		}
+	}
+}
+
 // The debug mux serves the metrics registry, expvar, and pprof.
 func TestMetricsMux(t *testing.T) {
 	srv := httptest.NewServer(metricsMux())
@@ -319,7 +342,7 @@ func newCachedTestShell(t *testing.T) (*shell, *strings.Builder) {
 	qc := cachepkg.New(cachepkg.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
 	var out strings.Builder
 	eng := engine.NewWithOptions(d.Store, engine.Options{Cache: qc, Parallelism: 1})
-	return &shell{d: d, eng: eng, cache: qc, out: &out}, &out
+	return &shell{d: d, eng: eng, out: &out}, &out
 }
 
 func TestShellCacheOffMessage(t *testing.T) {

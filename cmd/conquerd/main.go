@@ -74,7 +74,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "admission queue bound (0 = 4x max-concurrent)")
 	memWatermark := flag.Int64("memory-watermark-rows", 0, "shed when projected buffered rows cross this (0 = off)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight queries on shutdown")
-	par := flag.Int("parallelism", 0, "per-query workers of /v1/query (0 = one per CPU, 1 = serial); /v1/clean always runs at one per CPU")
+	par := flag.Int("parallelism", 0, "per-query workers of /v1/query and /v1/clean (0 = one per CPU, 1 = serial)")
 	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per request")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
 	var faults faultFlags

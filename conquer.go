@@ -5,16 +5,19 @@
 // A Database holds relations whose tuples may be duplicated: a tuple
 // matcher has grouped potential duplicates into clusters (sharing a
 // cluster identifier), and each tuple carries the probability of being the
-// one that belongs in the clean database. Queries over such data can be
-// answered three ways:
+// one that belongs in the clean database. Eval answers queries over such
+// data three ways, by EvalOptions.Method:
 //
-//   - CleanAnswers rewrites a select-project-join query with the paper's
+//   - "rewrite" rewrites a select-project-join query with the paper's
 //     RewriteClean transformation and executes it once — exact
 //     probabilities, no candidate-database materialization (§3).
-//   - CleanAnswersExact enumerates every candidate database (Dfn 3-5);
-//     exponential, for small data and verification.
-//   - CleanAnswersMonteCarlo samples candidate databases; an approximation
-//     usable outside the rewritable query class.
+//     CleanAnswers is the shorthand for it.
+//   - "exact" enumerates every candidate database (Dfn 3-5); exponential,
+//     for small data and verification.
+//   - "monte-carlo" samples candidate databases; an approximation usable
+//     outside the rewritable query class.
+//
+// By default Eval picks the strongest of the three the budget admits.
 //
 // The probability annotations can be supplied by the caller, or computed
 // from the clustering alone with AssignProbabilities, the paper's §4
@@ -404,23 +407,11 @@ func convertResult(res *core.Result) *CleanResult {
 }
 
 // CleanAnswers computes the clean answers of a rewritable SPJ query via
-// the paper's query rewriting (§3). It fails with an explanation when the
-// query is outside the rewritable class (Dfn 7).
+// the paper's query rewriting (§3): Eval with Method "rewrite". It fails
+// with an explanation when the query is outside the rewritable class
+// (Dfn 7).
 func (db *Database) CleanAnswers(sql string) (*CleanResult, error) {
-	return db.CleanAnswersCtx(context.Background(), sql, Limits{})
-}
-
-// CleanAnswersExact computes clean answers by candidate-database
-// enumeration (Dfn 5 verbatim). Exponential; limit caps the candidate
-// count (0 for the default of about four million).
-func (db *Database) CleanAnswersExact(sql string, limit int64) (*CleanResult, error) {
-	return db.CleanAnswersExactCtx(context.Background(), sql, Limits{MaxCandidates: limit})
-}
-
-// CleanAnswersMonteCarlo estimates clean answers from n sampled candidate
-// databases; usable for queries outside the rewritable class.
-func (db *Database) CleanAnswersMonteCarlo(sql string, n int, seed int64) (*CleanResult, error) {
-	return db.CleanAnswersMonteCarloCtx(context.Background(), sql, n, seed, Limits{})
+	return db.Eval(context.Background(), sql, EvalOptions{Method: "rewrite"})
 }
 
 // CleanAnswersAugmented is CleanAnswers that repairs condition-4
@@ -434,15 +425,15 @@ func (db *Database) CleanAnswersAugmented(sql string) (res *CleanResult, augment
 	if err != nil {
 		return nil, false, err
 	}
-	rw, augmented, err := rewrite.AugmentAndRewrite(db.d.Store.Catalog, stmt)
+	aug, augmented, err := rewrite.Augment(db.d.Store.Catalog, stmt)
 	if err != nil {
 		return nil, false, err
 	}
-	r, err := core.RunRewritten(db.d, rw)
+	res, err = db.eval(context.Background(), aug, Limits{}, core.EvalOptions{Method: core.MethodRewrite})
 	if err != nil {
 		return nil, false, err
 	}
-	return convertResult(r), augmented, nil
+	return res, augmented, nil
 }
 
 // RewriteSQL returns the RewriteClean output for sql as SQL text, without

@@ -1,6 +1,7 @@
 package conquer
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -71,11 +72,11 @@ func TestPublicAPIJoinCleanAnswers(t *testing.T) {
 func TestPublicAPIExactAndMonteCarlo(t *testing.T) {
 	db := paperDB(t)
 	q := "select id from customer where balance > 10000"
-	exact, err := db.CleanAnswersExact(q, 0)
+	exact, err := db.Eval(context.Background(), q, EvalOptions{Method: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := db.CleanAnswersMonteCarlo(q, 20000, 3)
+	mc, err := db.Eval(context.Background(), q, EvalOptions{Method: "monte-carlo", Samples: 20000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPublicAPICleanAnswersAugmented(t *testing.T) {
 		t.Errorf("P(o2, c1) = %v, want 0.15", got)
 	}
 	// Exact enumeration of the augmented query agrees.
-	exact, err := db.CleanAnswersExact("select o.id, c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000", 0)
+	exact, err := db.Eval(context.Background(), "select o.id, c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000", EvalOptions{Method: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +320,10 @@ func TestPublicAPIErrors(t *testing.T) {
 	if _, err := db.CleanAnswers("not sql"); err == nil {
 		t.Error("bad SQL should fail")
 	}
-	if _, err := db.CleanAnswersExact("not sql", 0); err == nil {
+	if _, err := db.Eval(context.Background(), "not sql", EvalOptions{Method: "exact"}); err == nil {
 		t.Error("bad SQL exact should fail")
 	}
-	if _, err := db.CleanAnswersMonteCarlo("not sql", 10, 1); err == nil {
+	if _, err := db.Eval(context.Background(), "not sql", EvalOptions{Method: "monte-carlo", Samples: 10, Seed: 1}); err == nil {
 		t.Error("bad SQL MC should fail")
 	}
 	if _, err := db.RewriteSQL("not sql"); err == nil {

@@ -1,13 +1,13 @@
 package conquer
 
-// Resource governance and graceful degradation (DESIGN.md §8): every
-// clean-answer entry point has a context-aware variant that honors
-// cancellation, deadlines and execution budgets, and Eval picks the
-// strongest evaluation method the budget admits, degrading
-// Exact → rewriting → Monte-Carlo instead of failing.
+// Resource governance and graceful degradation (DESIGN.md §8): Eval
+// honors cancellation, deadlines and execution budgets, runs the method
+// the caller names, or picks the strongest one the budget admits,
+// degrading Exact → rewriting → Monte-Carlo instead of failing.
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"conquer/internal/core"
@@ -81,80 +81,64 @@ func (l Limits) internal() exec.Limits {
 type EvalOptions struct {
 	// Limits is the execution budget; see Limits.
 	Limits Limits
-	// Samples is the Monte-Carlo sample count used when Eval degrades to
-	// sampling (a package default when zero).
+	// Samples is the Monte-Carlo sample count (a package default when
+	// zero). The ladder clips it to Limits.MaxSamples; "monte-carlo"
+	// fails above it instead.
 	Samples int
 	// Seed seeds Monte-Carlo sampling for reproducible estimates.
 	Seed int64
+	// Method picks the evaluator: "exact" enumerates candidate databases
+	// (Dfn 3-5; exponential, Limits.MaxCandidates caps it), "rewrite" runs
+	// the paper's rewriting (§3; rewritable queries only), "monte-carlo"
+	// samples candidate databases. Each runs alone and returns its own
+	// error. "", the default, runs the degradation ladder over the three.
+	Method string
 }
 
-// Eval computes clean answers with automatic method selection: Exact
-// when the candidate count fits the budget, the paper's rewriting when
-// the query is rewritable, Monte-Carlo sampling otherwise — degrading
-// one rung whenever a resource budget rules the stronger method out.
-// The result reports which method ran (CleanResult.Method) and, for
-// Monte-Carlo, the sample count and standard-error bound. Cancellation
-// and deadline abort the whole ladder with ErrCanceled / ErrDeadline.
+// Eval computes clean answers with the method opts.Method names or, by
+// default, with automatic method selection: Exact when the candidate
+// count fits the budget, the paper's rewriting when the query is
+// rewritable, Monte-Carlo sampling otherwise — degrading one rung
+// whenever a resource budget rules the stronger method out. The result
+// reports which method ran (CleanResult.Method) and, for Monte-Carlo, the
+// sample count and standard-error bound. Cancellation and deadline abort
+// the whole evaluation with ErrCanceled / ErrDeadline. It runs on the
+// database's engine settings and cache (SetParallelism, SetShards,
+// EnableCache).
 func (db *Database) Eval(ctx context.Context, sql string, opts EvalOptions) (res *CleanResult, err error) {
 	defer qerr.Recover(&err)
+	m, ok := methods[opts.Method]
+	if !ok {
+		return nil, fmt.Errorf("conquer: unknown method %q: want \"exact\", \"rewrite\", \"monte-carlo\" or \"\" for the ladder", opts.Method)
+	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.Eval(ctx, db.d, stmt, core.EvalOptions{
-		Limits:  opts.Limits.internal(),
-		Samples: opts.Samples,
-		Seed:    opts.Seed,
-		Cache:   db.cache,
-	})
+	return db.eval(ctx, stmt, opts.Limits, core.EvalOptions{Method: m, Samples: opts.Samples, Seed: opts.Seed})
+}
+
+// methods maps EvalOptions.Method onto the evaluator's methods.
+var methods = map[string]core.Method{
+	"":            core.MethodNone,
+	"exact":       core.MethodExact,
+	"rewrite":     core.MethodRewrite,
+	"monte-carlo": core.MethodMonteCarlo,
+}
+
+// eval evaluates stmt on an engine under lim and the database's settings.
+func (db *Database) eval(ctx context.Context, stmt *sqlparse.SelectStmt, lim Limits, opts core.EvalOptions) (*CleanResult, error) {
+	r, err := db.evaluator(lim).Eval(ctx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
 	return convertResult(r), nil
 }
 
-// CleanAnswersCtx is CleanAnswers under a context and execution budget.
-func (db *Database) CleanAnswersCtx(ctx context.Context, sql string, lim Limits) (res *CleanResult, err error) {
-	defer qerr.Recover(&err)
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.ViaRewritingCtx(ctx, db.d, stmt, lim.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(r), nil
-}
-
-// CleanAnswersExactCtx is CleanAnswersExact under a context and
-// execution budget; lim.MaxCandidates caps the enumeration.
-func (db *Database) CleanAnswersExactCtx(ctx context.Context, sql string, lim Limits) (res *CleanResult, err error) {
-	defer qerr.Recover(&err)
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.ExactCtx(ctx, db.d, stmt, lim.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(r), nil
-}
-
-// CleanAnswersMonteCarloCtx is CleanAnswersMonteCarlo under a context
-// and execution budget.
-func (db *Database) CleanAnswersMonteCarloCtx(ctx context.Context, sql string, n int, seed int64, lim Limits) (res *CleanResult, err error) {
-	defer qerr.Recover(&err)
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.MonteCarloCtx(ctx, db.d, stmt, n, seed, lim.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(r), nil
+// evaluator is the clean-answer evaluator over the database on an engine
+// under lim and the database's cache, parallelism and shard settings.
+func (db *Database) evaluator(lim Limits) core.Evaluator {
+	return core.Evaluator{DB: db.d, Engine: db.newEngine(lim)}
 }
 
 // QueryCtx is Query under a context: plain SQL over the stored data with

@@ -168,7 +168,8 @@ func TestEvalNoDegradationWhenExactAnswers(t *testing.T) {
 func TestMonteCarloPerAnswerStdErr(t *testing.T) {
 	db := paperDB(t)
 	const n = 400
-	res, err := db.CleanAnswersMonteCarlo("select name from customer where balance > 10000", n, 7)
+	res, err := db.Eval(context.Background(), "select name from customer where balance > 10000",
+		EvalOptions{Method: "monte-carlo", Samples: n, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestFacadeSurfacesMaterializeFault(t *testing.T) {
 	db := paperDB(t)
 	boom := errors.New("disk on fire")
 	db.d.Store.SetInjector(faultinject.FailNth("customer", storage.OpInsert, 2, boom))
-	_, err := db.CleanAnswersExactCtx(context.Background(), "select id from customer", Limits{})
+	_, err := db.Eval(context.Background(), "select id from customer", EvalOptions{Method: "exact"})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want errors.Is(err, boom)", err)
 	}
@@ -269,8 +270,8 @@ func TestFacadeSurfacesMaterializeFault(t *testing.T) {
 // ErrTooManyCandidates rather than matching the message.
 func TestExactOverLimitTyped(t *testing.T) {
 	db := paperDB(t)
-	_, err := db.CleanAnswersExactCtx(context.Background(), "select id from customer",
-		Limits{MaxCandidates: 1})
+	_, err := db.Eval(context.Background(), "select id from customer",
+		EvalOptions{Method: "exact", Limits: Limits{MaxCandidates: 1}})
 	if !errors.Is(err, ErrTooManyCandidates) {
 		t.Fatalf("error = %v, want errors.Is(err, ErrTooManyCandidates)", err)
 	}
@@ -306,5 +307,15 @@ func TestQueryCtxOutputBudget(t *testing.T) {
 	_, err := db.QueryCtx(context.Background(), "select custid from customer", Limits{MaxOutputRows: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("error = %v, want errors.Is(err, ErrBudgetExceeded)", err)
+	}
+}
+
+// Method names one evaluator or, empty, the ladder; any other value is an
+// error that lists the accepted ones.
+func TestEvalRejectsUnknownMethod(t *testing.T) {
+	db := paperDB(t)
+	res, err := db.Eval(context.Background(), "select id from customer", EvalOptions{Method: "enumerate"})
+	if res != nil || err == nil || !strings.Contains(err.Error(), `"exact", "rewrite", "monte-carlo" or ""`) {
+		t.Fatalf("result %v, error %v; want an error naming the accepted methods", res, err)
 	}
 }

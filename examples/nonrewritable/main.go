@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 	}
 
 	// Escape hatch 1 — exact enumeration (8 candidates here).
-	exact, err := db.CleanAnswersExact(q3, 0)
+	exact, err := db.Eval(context.Background(), q3, conquer.EvalOptions{Method: "exact"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 	fmt.Println("computed with one SQL query.")
 
 	// Escape hatch 3 — Monte Carlo, for when enumeration is infeasible.
-	mc, err := db.CleanAnswersMonteCarlo(q3, 20000, 1)
+	mc, err := db.Eval(context.Background(), q3, conquer.EvalOptions{Method: "monte-carlo", Samples: 20000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -63,16 +64,16 @@ func main() {
 	origTime := time.Since(start)
 	fmt.Printf("\nOriginal query:  %6d rows in %v\n", len(orig.Rows), origTime.Round(time.Microsecond))
 
-	rw, err := rewrite.RewriteClean(d.Store.Catalog, stmt)
-	if err != nil {
-		log.Fatal(err)
-	}
 	start = time.Now()
-	clean, err := core.RunRewritten(d, rw)
+	clean, err := core.Evaluator{DB: d, Engine: eng}.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodRewrite})
 	if err != nil {
 		log.Fatal(err)
 	}
 	rwTime := time.Since(start)
+	rw, err := rewrite.RewriteClean(d.Store.Catalog, stmt)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Rewritten query: %6d clean answers in %v (%.2fx the original)\n",
 		clean.Len(), rwTime.Round(time.Microsecond), float64(rwTime)/float64(origTime))
 

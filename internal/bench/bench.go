@@ -181,14 +181,15 @@ func timePair(reps int, original, rewritten func() error) (Fig8Side, error) {
 // repository uses. Stmt is what the paper timed on DB2: the engine runs
 // the parsed original and the already-built rewriting. Text is what a
 // caller pays and what BENCHMARK.json's overhead_ratio times:
-// engine.QueryCtx on the SQL text against sqlparse.Parse + core.Eval,
-// whose ladder rewrites, plans and packages answers on every call. The
+// engine.QueryCtx on the SQL text against sqlparse.Parse + Evaluator.Eval
+// on the same engine, whose ladder rewrites, plans and packages answers on
+// every call. The
 // gap between the two ratios is the clean path's cost outside the
 // operators.
 type Fig8Row struct {
 	Query      int
 	Stmt, Text Fig8Side
-	// Method is the ladder rung core.Eval answered Text's clean side
+	// Method is the ladder rung Evaluator.Eval answered Text's clean side
 	// with; anything but the rewriting means it timed something else.
 	Method    core.Method
 	OrigRows  int
@@ -196,13 +197,15 @@ type Fig8Row struct {
 }
 
 // Fig8 regenerates Figure 8 (sf = 1, if = 3 in the paper) on an engine at
-// the shipped defaults.
+// the shipped defaults, which runs the originals and, through an
+// evaluator, the clean answers.
 func Fig8(d *dirty.DB, reps int) ([]Fig8Row, error) {
 	pairs, err := PreparePairs()
 	if err != nil {
 		return nil, err
 	}
 	eng := engine.New(d.Store)
+	ev := core.Evaluator{DB: d, Engine: eng}
 	ctx := context.Background()
 	var out []Fig8Row
 	for _, p := range pairs {
@@ -223,7 +226,7 @@ func Fig8(d *dirty.DB, reps int) ([]Fig8Row, error) {
 				if err != nil {
 					return err
 				}
-				res, err := core.Eval(ctx, d, parsed, core.EvalOptions{})
+				res, err := ev.Eval(ctx, parsed, core.EvalOptions{})
 				if err == nil {
 					row.Method = res.Method
 				}
@@ -267,7 +270,7 @@ func FormatFig8(rows []Fig8Row) string {
 		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %9d  %10d\n",
 			r.Query, r.Stmt.Original, r.Stmt.Rewritten, r.Stmt.Ratio, r.OrigRows, r.CleanRows)
 	}
-	fmt.Fprintf(&b, "\nfrom SQL text: engine.QueryCtx against sqlparse.Parse + core.Eval (what BENCHMARK.json's overhead_ratio times)\n")
+	fmt.Fprintf(&b, "\nfrom SQL text: engine.QueryCtx against sqlparse.Parse + Evaluator.Eval (what BENCHMARK.json's overhead_ratio times)\n")
 	fmt.Fprintf(&b, "%-5s  %-24s  %-24s  %-18s  %s\n", "query", "original", "clean", "ratio", "rung")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %s\n",

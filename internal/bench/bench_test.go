@@ -76,7 +76,7 @@ func TestFig8Harness(t *testing.T) {
 		// The from-text clean side is only the paper's ratio if the
 		// ladder answered it by rewriting.
 		if r.Method != core.MethodRewrite {
-			t.Errorf("Q%d: core.Eval answered by %s, want the rewriting", r.Query, r.Method)
+			t.Errorf("Q%d: the evaluator answered by %s, want the rewriting", r.Query, r.Method)
 		}
 		if r.CleanRows > r.OrigRows {
 			t.Errorf("Q%d: more clean answers (%d) than original rows (%d)",

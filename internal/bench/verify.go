@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"conquer/internal/core"
-	"conquer/internal/exec"
+	"conquer/internal/engine"
 	"conquer/internal/sqlparse"
 	"conquer/internal/uisgen"
 )
@@ -50,17 +50,18 @@ func Verify(seed int64, tol float64) ([]VerifyResult, error) {
 		"select l.l_id, o.o_orderkey, c.c_custkey from customer c, orders o, lineitem l where o.o_custkey = c.c_custkey and l.l_orderkey = o.o_orderkey and l.l_quantity > 10",
 		"select ps.ps_id, s.s_name from partsupp ps, supplier s where ps.ps_suppkey = s.s_suppkey",
 	}
+	ev := core.Evaluator{DB: d, Engine: engine.New(d.Store)}
 	var out []VerifyResult
 	for _, qs := range queries {
 		stmt, err := sqlparse.Parse(qs)
 		if err != nil {
 			return nil, err
 		}
-		exact, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
+		exact, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodExact})
 		if err != nil {
 			return nil, fmt.Errorf("exact for %q: %w", qs, err)
 		}
-		rw, err := core.ViaRewritingCtx(context.Background(), d, stmt, exec.Limits{})
+		rw, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodRewrite})
 		if err != nil {
 			return nil, fmt.Errorf("rewriting for %q: %w", qs, err)
 		}

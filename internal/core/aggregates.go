@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
-	"conquer/internal/value"
 )
 
 // The paper leaves queries with grouping and aggregation as future work
@@ -26,7 +23,8 @@ import (
 // are exact regardless of the correlations between answers, so both can
 // be computed directly from any clean-answer Result — no extra candidate
 // enumeration. Non-linear aggregates (AVG, MIN, MAX) do not decompose
-// this way; EstimateAggregateCtx computes them by Monte-Carlo sampling.
+// this way; Evaluator.EstimateAggregate computes them by Monte-Carlo
+// sampling.
 
 // ExpectedCount returns the expected number of clean answers.
 func ExpectedCount(r *Result) float64 {
@@ -57,72 +55,7 @@ func ExpectedSum(r *Result, col int) (float64, error) {
 	return total, nil
 }
 
-// GroupExpectation is one group's expected aggregates.
-type GroupExpectation struct {
-	Group  []value.Value
-	ECount float64
-	ESum   float64 // zero when no sum column was requested
-}
-
-// ExpectedGroupBy partitions the clean answers by the given result
-// columns and returns each group's expected count and (when sumCol >= 0)
-// expected sum. Groups are sorted by key.
-func ExpectedGroupBy(r *Result, groupCols []int, sumCol int) ([]GroupExpectation, error) {
-	for _, c := range groupCols {
-		if c < 0 || c >= len(r.Columns) {
-			return nil, fmt.Errorf("core: group column %d out of range", c)
-		}
-	}
-	if sumCol >= len(r.Columns) {
-		return nil, fmt.Errorf("core: sum column %d out of range", sumCol)
-	}
-	type slot struct {
-		key    []value.Value
-		ecount float64
-		esum   float64
-	}
-	byHash := map[uint64][]*slot{}
-	var order []*slot
-	for _, a := range r.Answers {
-		key := make([]value.Value, len(groupCols))
-		for i, c := range groupCols {
-			key[i] = a.Values[c]
-		}
-		h := value.HashRow(key)
-		var s *slot
-		for _, cand := range byHash[h] {
-			if value.RowsIdentical(cand.key, key) {
-				s = cand
-				break
-			}
-		}
-		if s == nil {
-			s = &slot{key: key}
-			byHash[h] = append(byHash[h], s)
-			order = append(order, s)
-		}
-		s.ecount += a.Prob
-		if sumCol >= 0 {
-			v := a.Values[sumCol]
-			if !v.IsNull() {
-				if !v.IsNumeric() {
-					return nil, fmt.Errorf("core: ExpectedGroupBy sum over non-numeric column %q", r.Columns[sumCol])
-				}
-				s.esum += a.Prob * v.AsFloat()
-			}
-		}
-	}
-	out := make([]GroupExpectation, len(order))
-	for i, s := range order {
-		out[i] = GroupExpectation{Group: s.key, ECount: s.ecount, ESum: s.esum}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return value.CompareRows(out[i].Group, out[j].Group) < 0
-	})
-	return out, nil
-}
-
-// AggregateKind selects the aggregate EstimateAggregateCtx computes.
+// AggregateKind selects the aggregate EstimateAggregate computes.
 type AggregateKind uint8
 
 // Supported Monte-Carlo aggregates.
@@ -148,25 +81,28 @@ type AggregateEstimate struct {
 	Samples int
 }
 
-// EstimateAggregateCtx estimates E[agg(col over q's answers)] by sampling
+// EstimateAggregate estimates E[agg(col over q's answers)] by sampling
 // n candidate databases. col is ignored for AggregateCount (pass -1).
 // This covers the non-linear aggregates the closed-form expectations
-// above cannot, at Monte-Carlo accuracy. It runs under a context and
-// execution budget: lim.Timeout is applied once here, lim.MaxSamples
-// (when positive) caps n, and the sampling loop polls ctx between
-// candidates.
-func EstimateAggregateCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64, lim exec.Limits) (est AggregateEstimate, err error) {
+// above cannot, at Monte-Carlo accuracy. It runs under the engine's
+// budget like Eval: the Timeout is applied once here, MaxSamples (when
+// positive) caps n, and the sampling loop polls ctx between candidates.
+func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) (est AggregateEstimate, err error) {
 	defer qerr.Recover(&err)
+	if err := ev.check(EvalOptions{}); err != nil {
+		return AggregateEstimate{}, err
+	}
 	if n <= 0 {
 		return AggregateEstimate{}, fmt.Errorf("core: EstimateAggregate needs a positive sample count")
 	}
+	lim := ev.Engine.Options().Limits
 	if lim.MaxSamples > 0 && n > lim.MaxSamples {
 		return AggregateEstimate{}, fmt.Errorf("core: %d aggregate samples exceed budget %d: %w",
 			n, lim.MaxSamples, qerr.ErrBudgetExceeded)
 	}
 	ctx, cancel := lim.WithContext(ctx)
 	defer cancel()
-	samples, err := sampleAggregates(ctx, d, stmt, kind, col, n, seed, lim.WithoutTimeout())
+	samples, err := ev.sampleAggregates(ctx, stmt, kind, col, n, seed)
 	if err != nil {
 		return AggregateEstimate{}, err
 	}
@@ -191,10 +127,10 @@ func EstimateAggregateCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.Selec
 
 // sampleAggregates draws n candidate databases and computes the aggregate
 // on each one's (set-semantics) answers.
-func sampleAggregates(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64, inner exec.Limits) ([]float64, error) {
+func (ev Evaluator) sampleAggregates(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) ([]float64, error) {
 	var out []float64
 	acc := newAccumulator() // for its per-candidate set semantics; the weights go unused
-	_, _, err := overWorlds(ctx, d, stmt, inner, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
+	_, _, err := ev.overWorlds(ctx, stmt, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
 		rows := acc.addWorld(res.Rows, 0)
 		if kind == AggregateCount {
 			out = append(out, float64(len(rows)))

@@ -90,54 +90,6 @@ func TestExpectedSumSkipsNull(t *testing.T) {
 	}
 }
 
-func TestExpectedGroupBy(t *testing.T) {
-	d := testdb.Figure2()
-	q := sqlparse.MustParse(
-		"select o.id, c.id, o.quantity from orders o, customer c where o.cidfk = c.id")
-	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := ExpectedGroupBy(res, []int{0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	// o1: one answer p=1, qty 3. o2: answers (c1,2) p=.5 and (c2,5) p=.5.
-	byID := map[string]GroupExpectation{}
-	for _, g := range groups {
-		byID[g.Group[0].AsString()] = g
-	}
-	if g := byID["o1"]; math.Abs(g.ECount-1) > 1e-9 || math.Abs(g.ESum-3) > 1e-9 {
-		t.Errorf("o1: %+v", g)
-	}
-	if g := byID["o2"]; math.Abs(g.ECount-1) > 1e-9 || math.Abs(g.ESum-3.5) > 1e-9 {
-		t.Errorf("o2: %+v", g)
-	}
-	// Without a sum column.
-	groups, err = ExpectedGroupBy(res, []int{0}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range groups {
-		if g.ESum != 0 {
-			t.Error("ESum should be zero without a sum column")
-		}
-	}
-	// Errors.
-	if _, err := ExpectedGroupBy(res, []int{99}, -1); err == nil {
-		t.Error("bad group column should fail")
-	}
-	if _, err := ExpectedGroupBy(res, []int{0}, 99); err == nil {
-		t.Error("bad sum column should fail")
-	}
-	if _, err := ExpectedGroupBy(res, []int{2}, 0); err == nil {
-		t.Error("non-numeric sum column should fail")
-	}
-}
-
 // Monte-Carlo estimates of the linear aggregates converge to the
 // closed-form expectations.
 func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
@@ -154,7 +106,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, err := EstimateAggregateCtx(context.Background(), d, q, AggregateCount, -1, 20000, 9, exec.Limits{})
+	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, -1, 20000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +117,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 		t.Errorf("samples = %d", est.Samples)
 	}
 
-	est, err = EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 2, 20000, 10, exec.Limits{})
+	est, err = evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 2, 20000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +134,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 	//   John=20K (p.7): Mary in (p.2) -> min 20K; out (p.8) -> 20K => 20K, p=.7
 	//   John=30K (p.3): Mary in (.2) -> 27K (p .06); out -> 30K (p .24)
 	// E[MIN] = .7*20000 + .06*27000 + .24*30000 = 14000+1620+7200 = 22820.
-	est, err := EstimateAggregateCtx(context.Background(), d, q, AggregateMin, 1, 30000, 11, exec.Limits{})
+	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateMin, 1, 30000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +147,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 
 	// AVG and MAX run without error and stay within the value range.
 	for _, kind := range []AggregateKind{AggregateAvg, AggregateMax} {
-		est, err := EstimateAggregateCtx(context.Background(), d, q, kind, 1, 2000, 12, exec.Limits{})
+		est, err := evaluator(d).EstimateAggregate(context.Background(), q, kind, 1, 2000, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,16 +160,16 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 func TestEstimateAggregateErrors(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id, name from customer")
-	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 1, 10, 1, exec.Limits{}); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 1, 10, 1); err == nil {
 		t.Error("non-numeric sum should fail")
 	}
-	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateSum, 99, 10, 1, exec.Limits{}); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 99, 10, 1); err == nil {
 		t.Error("out-of-range column should fail")
 	}
-	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateCount, -1, 0, 1, exec.Limits{}); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, -1, 0, 1); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := EstimateAggregateCtx(context.Background(), d, q, AggregateKind(99), 0, 10, 1, exec.Limits{}); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateKind(99), 0, 10, 1); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }

@@ -3,17 +3,20 @@
 // with probability equal to the total probability of the candidate
 // databases on which q yields t.
 //
-// Three evaluators are provided:
+// An Evaluator is a dirty database and the engine its queries run on.
+// Evaluator.Eval answers with one of three methods, or with the
+// degradation ladder over them (eval.go):
 //
-//   - ExactCtx: enumerates every candidate database (Dfn 3), runs the query
-//     on each, and sums probabilities. Exponential — usable only on small
-//     databases, it serves as ground truth for the other two.
-//   - ViaRewritingCtx: applies RewriteClean (§3) and executes the rewritten
+//   - MethodExact enumerates every candidate database (Dfn 3), runs the
+//     query on each, and sums probabilities. Exponential — usable only on
+//     small databases, it serves as ground truth for the other two.
+//   - MethodRewrite applies RewriteClean (§3) and executes the rewritten
 //     query once on the dirty database. Exact for rewritable queries
 //     (Thm 1) and the paper's actual proposal.
-//   - MonteCarloCtx: samples candidate databases independently and estimates
-//     each answer's probability as its sample frequency. A baseline, and
-//     the escape hatch for queries outside the rewritable class.
+//   - MethodMonteCarlo samples candidate databases independently and
+//     estimates each answer's probability as its sample frequency. A
+//     baseline, and the escape hatch for queries outside the rewritable
+//     class.
 package core
 
 import (
@@ -26,7 +29,6 @@ import (
 
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/qerr"
 	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
@@ -48,7 +50,9 @@ type Answer struct {
 type Method int
 
 // Evaluation methods, in degradation-ladder order (Eval falls from
-// Exact through Rewrite to MonteCarlo as budgets tighten).
+// Exact through Rewrite to MonteCarlo as budgets tighten). As
+// EvalOptions.Method, MethodNone — the zero value — asks for the ladder
+// and any other forces that one method.
 const (
 	MethodNone Method = iota
 	MethodExact
@@ -92,7 +96,7 @@ type Result struct {
 	// Elapsed is the wall time of the whole evaluation (the full ladder,
 	// for Eval). For a cached result it is the cache-lookup latency.
 	Elapsed time.Duration
-	// Cached reports that the result was served from EvalOptions.Cache
+	// Cached reports that the result was served from the engine's cache
 	// rather than recomputed; Method, Samples and StdErr describe the
 	// original computation.
 	Cached bool
@@ -259,31 +263,32 @@ func sample(ctx context.Context, n int, seed int64) drawFunc {
 	}
 }
 
-// overWorlds is the one candidate loop under every evaluator that
-// materializes candidate databases: it runs stmt on each candidate draw
-// visits and hands the result to answer. Everything that depends only on
-// the statement happens once, here — clustering the FROM relations (the
+// overWorlds is the one candidate loop under every rung that materializes
+// candidate databases: it runs stmt on each candidate draw visits and
+// hands the result to answer. Everything that depends only on the
+// statement happens once, here — clustering the FROM relations (the
 // candidates are theirs alone: a relation the statement does not name
 // cannot change its answer, and clusters choose independently, so its
 // choices sum out of every probability, DESIGN.md §11), a world over
-// them, the plan over that world (every candidate has one row per
-// cluster, so table sizes and with them the plan cannot differ between
-// candidates) and the metrics report. A candidate costs refilling the
-// world's dirty tables, re-opening the plan under a fresh budget, and
-// collecting (DESIGN.md §17).
-func overWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, inner exec.Limits, draw drawFunc,
+// them, the plan over that world on an engine with the evaluator's
+// settings (every candidate has one row per cluster, so table sizes and
+// with them the plan cannot differ between candidates) and the metrics
+// report. A candidate costs refilling the world's dirty tables,
+// re-opening the plan under a fresh budget, and collecting (DESIGN.md
+// §17).
+func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, draw drawFunc,
 	answer func(c *dirty.Candidate, res *engine.Result) error) (cols []string, stats EvalStats, err error) {
 	start := time.Now()
 	from := stmt.Tables()
-	cs, err := d.CandidatesOf(from)
+	cs, err := ev.DB.CandidatesOf(from)
 	if err != nil {
 		return nil, stats, err
 	}
-	world, err := d.NewWorld(from)
+	world, err := ev.DB.NewWorld(from)
 	if err != nil {
 		return nil, stats, err
 	}
-	prep, err := engine.NewWithLimits(world.Store, inner).Prepare(stmt)
+	prep, err := engine.NewWithOptions(world.Store, ev.rungs()).Prepare(stmt)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -301,19 +306,13 @@ func overWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, inn
 	return prep.Columns(), stats, err
 }
 
-// ExactCtx computes clean answers by full candidate enumeration (Dfn 5
-// verbatim) under a context and execution budget. lim.Timeout is applied
-// once here; each per-candidate query runs under the remaining limits.
-// lim.MaxCandidates caps the enumeration (0 for the package default);
-// exceeding it returns a qerr.ErrTooManyCandidates error, and databases
-// beyond it need ViaRewritingCtx or MonteCarloCtx.
-func ExactCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (res *Result, err error) {
-	defer qerr.Recover(&err)
-	start := time.Now()
-	ctx, cancel := lim.WithContext(ctx)
-	defer cancel()
+// exact computes clean answers by full candidate enumeration (Dfn 5
+// verbatim). The engine's MaxCandidates caps the enumeration (0 for the
+// package default); exceeding it returns a qerr.ErrTooManyCandidates
+// error, and databases beyond it need the rewriting or Monte-Carlo.
+func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
 	acc := newAccumulator()
-	cols, stats, err := overWorlds(ctx, d, stmt, lim.WithoutTimeout(), enumerate(ctx, lim.MaxCandidates),
+	cols, stats, err := ev.overWorlds(ctx, stmt, enumerate(ctx, ev.rungs().Limits.MaxCandidates),
 		func(c *dirty.Candidate, res *engine.Result) error {
 			acc.addWorld(res.Rows, c.Prob)
 			return nil
@@ -324,33 +323,23 @@ func ExactCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim e
 	out := acc.result(cols)
 	out.Method = MethodExact
 	out.Stats = stats
-	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// MonteCarloCtx estimates clean answers from n independently sampled
-// candidate databases, under a context and execution budget. The estimate
-// of each answer's probability is its sample frequency; each answer
-// carries its Wald standard error and the Result carries the worst-case
-// bound 1/(2*sqrt(n)). lim.Timeout is applied once here; lim.MaxSamples
-// (when positive) caps n with a qerr.ErrBudgetExceeded error so callers
-// can renegotiate the sample count rather than silently degrading
+// monteCarlo estimates clean answers from n independently sampled
+// candidate databases. The estimate of each answer's probability is its
+// sample frequency; each answer carries its Wald standard error and the
+// Result carries the worst-case bound 1/(2*sqrt(n)). The engine's
+// MaxSamples (when positive) caps n with a qerr.ErrBudgetExceeded error so
+// callers can renegotiate the sample count rather than silently degrading
 // accuracy.
-func MonteCarloCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, n int, seed int64, lim exec.Limits) (res *Result, err error) {
-	defer qerr.Recover(&err)
-	start := time.Now()
-	if n <= 0 {
-		return nil, fmt.Errorf("core: MonteCarlo needs a positive sample count")
+func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
+	if budget := ev.rungs().Limits.MaxSamples; budget > 0 && n > budget {
+		return nil, fmt.Errorf("core: %d Monte-Carlo samples exceed budget %d: %w", n, budget, qerr.ErrBudgetExceeded)
 	}
-	if lim.MaxSamples > 0 && n > lim.MaxSamples {
-		return nil, fmt.Errorf("core: %d Monte-Carlo samples exceed budget %d: %w",
-			n, lim.MaxSamples, qerr.ErrBudgetExceeded)
-	}
-	ctx, cancel := lim.WithContext(ctx)
-	defer cancel()
 	acc := newAccumulator()
 	w := 1 / float64(n)
-	cols, stats, err := overWorlds(ctx, d, stmt, lim.WithoutTimeout(), sample(ctx, n, seed),
+	cols, stats, err := ev.overWorlds(ctx, stmt, sample(ctx, n, seed),
 		func(_ *dirty.Candidate, res *engine.Result) error {
 			acc.addWorld(res.Rows, w)
 			return nil
@@ -380,33 +369,26 @@ func MonteCarloCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, 
 		out.Answers[i].StdErr = se
 	}
 	out.Stats = stats
-	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// ViaRewritingCtx computes clean answers with the paper's rewriting,
-// under a context and execution budget: it applies RewriteClean and runs
-// the rewritten query once on the dirty database. It fails with
-// rewrite.NotRewritableError when the query is outside the rewritable
-// class.
-func ViaRewritingCtx(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (res *Result, err error) {
-	defer qerr.Recover(&err)
-	rw, err := rewrite.RewriteClean(d.Store.Catalog, stmt)
+// rewriting computes clean answers with the paper's rewriting: it applies
+// RewriteClean and runs the rewritten query once on the dirty database. It
+// fails with rewrite.NotRewritableError when the query is outside the
+// rewritable class.
+func (ev Evaluator) rewriting(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
+	rw, err := rewrite.RewriteClean(ev.DB.Store.Catalog, stmt)
 	if err != nil {
 		return nil, err
 	}
-	return runRewrittenCtx(ctx, d, rw, lim)
+	return ev.runRewritten(ctx, rw)
 }
 
-// RunRewritten executes an already rewritten query (whose last output
-// column is the clean-answer probability) and packages the result.
-func RunRewritten(d *dirty.DB, rw *sqlparse.SelectStmt) (*Result, error) {
-	return runRewrittenCtx(context.Background(), d, rw, exec.Limits{})
-}
-
-func runRewrittenCtx(ctx context.Context, d *dirty.DB, rw *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
-	start := time.Now()
-	res, err := engine.NewWithLimits(d.Store, lim).QueryStmtCtx(ctx, rw)
+// runRewritten executes an already rewritten query, whose last output
+// column is the clean-answer probability, and packages its rows as
+// answers.
+func (ev Evaluator) runRewritten(ctx context.Context, rw *sqlparse.SelectStmt) (*Result, error) {
+	res, err := engine.NewWithOptions(ev.DB.Store, ev.rungs()).QueryStmtCtx(ctx, rw)
 	if err != nil {
 		return nil, err
 	}
@@ -425,50 +407,5 @@ func runRewrittenCtx(ctx context.Context, d *dirty.DB, rw *sqlparse.SelectStmt, 
 	out.sortAnswers()
 	out.Method = MethodRewrite
 	out.Stats.note(res)
-	out.Elapsed = time.Since(start)
 	return out, nil
-}
-
-// TopK returns the k most probable answers (ties broken by answer tuple
-// order) — the paper's primary use case: "help a user understand which
-// query answers are most likely to be present in the clean database".
-func (r *Result) TopK(k int) []Answer {
-	sorted := append([]Answer(nil), r.Answers...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if !value.ProbEq(sorted[i].Prob, sorted[j].Prob) {
-			return sorted[i].Prob > sorted[j].Prob
-		}
-		return value.CompareRows(sorted[i].Values, sorted[j].Values) < 0
-	})
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return sorted[:k]
-}
-
-// AtLeast filters the result down to answers with probability >= p.
-func (r *Result) AtLeast(p float64) *Result {
-	out := &Result{Columns: r.Columns}
-	for _, a := range r.Answers {
-		if a.Prob >= p {
-			out.Answers = append(out.Answers, a)
-		}
-	}
-	return out
-}
-
-// ConsistentAnswers returns the answers with probability 1 (within tol):
-// the consistent answers of Arenas et al., which the paper shows to be the
-// special case of clean answers with complete certainty (§2.2).
-func ConsistentAnswers(r *Result, tol float64) *Result {
-	out := &Result{Columns: r.Columns}
-	for _, a := range r.Answers {
-		if a.Prob >= 1-tol {
-			out.Answers = append(out.Answers, a)
-		}
-	}
-	return out
 }

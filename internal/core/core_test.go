@@ -146,7 +146,7 @@ func TestPaperExample7(t *testing.T) {
 	// The naive rewriting produces the wrong 0.45 — reproducing the
 	// paper's double-counting demonstration.
 	naive := rewrite.NaiveRewrite(d.Store.Catalog, q)
-	res, err := RunRewritten(d, naive)
+	res, err := evaluator(d).runRewritten(context.Background(), naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,8 @@ func TestAnswerProbabilityBounds(t *testing.T) {
 	}
 }
 
-// Consistent answers (Arenas et al.) = clean answers with probability 1.
+// Consistent answers (Arenas et al.) = clean answers with probability 1:
+// on Figure 2, the certain answers of Dfn-5 enumeration are exactly c1.
 func TestConsistentAnswersSpecialCase(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
@@ -311,9 +312,14 @@ func TestConsistentAnswersSpecialCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := ConsistentAnswers(res, 1e-9)
-	if cons.Len() != 1 || cons.Find(value.Str("c1")) != 1.0 {
-		t.Errorf("consistent answers = %+v, want exactly c1", cons.Answers)
+	var certain []Answer
+	for _, a := range res.Answers {
+		if a.Prob >= 1-1e-9 {
+			certain = append(certain, a)
+		}
+	}
+	if len(certain) != 1 || !value.RowsIdentical(certain[0].Values, []value.Value{value.Str("c1")}) || !approx(certain[0].Prob, 1) {
+		t.Errorf("consistent answers = %+v, want exactly c1", certain)
 	}
 }
 
@@ -360,7 +366,7 @@ func TestRunRewrittenValidation(t *testing.T) {
 	d := testdb.Figure2()
 	// Last column not numeric.
 	bad := sqlparse.MustParse("select id, name from customer")
-	if _, err := RunRewritten(d, bad); err == nil {
+	if _, err := evaluator(d).runRewritten(context.Background(), bad); err == nil {
 		t.Error("non-numeric trailing column should fail")
 	}
 }
@@ -386,35 +392,6 @@ func TestNotRewritableErrorMessage(t *testing.T) {
 		"select c.id from orders o, customer c where o.cidfk = c.id"), exec.Limits{})
 	if err == nil || !strings.Contains(err.Error(), "condition 4") {
 		t.Errorf("error should explain condition 4: %v", err)
-	}
-}
-
-func TestResultTopKAndAtLeast(t *testing.T) {
-	d := testdb.Figure2()
-	res, err := ViaRewritingCtx(context.Background(), d, sqlparse.MustParse(
-		"select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000"), exec.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := res.TopK(1)
-	if len(top) != 1 || !approx(top[0].Prob, 1.0) {
-		t.Errorf("TopK(1) = %+v", top)
-	}
-	if len(res.TopK(0)) != 0 || len(res.TopK(-2)) != 0 {
-		t.Error("TopK degenerate bounds")
-	}
-	all := res.TopK(10)
-	for i := 1; i < len(all); i++ {
-		if all[i].Prob > all[i-1].Prob {
-			t.Error("TopK not descending")
-		}
-	}
-	if got := res.AtLeast(0.4); got.Len() != 2 {
-		t.Errorf("AtLeast(0.4) = %+v", got.Answers)
-	}
-	// TopK must not disturb the canonical result ordering.
-	if !value.RowsIdentical(res.Answers[0].Values, []value.Value{value.Str("o1"), value.Str("c1")}) {
-		t.Error("TopK mutated result order")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"conquer/internal/cache"
+	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
@@ -133,24 +134,30 @@ func TestEvalCacheScopedToFromRelations(t *testing.T) {
 
 // A cached clean answer costs a lookup: the statement printed once into
 // the key, the key, the version vector over the FROM relations, the
-// context and the Result handed back — 10 allocations for this two-relation
-// join, 31 when the statement was printed node by node and the vector
+// context and the Result handed back — 7 allocations for this two-relation
+// join on a kept evaluator, 10 when fmt formatted the key (boxing the
+// budget), 31 when the statement was printed node by node and the vector
 // covered, and formatted, every table of the store.
 func TestEvalHitAllocationFloor(t *testing.T) {
 	d := testdb.Figure2()
-	opts := EvalOptions{Cache: cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})}
+	// Parallelism and shards are pinned: AllocsPerRun runs at GOMAXPROCS 1,
+	// and the key carries the resolved settings.
+	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{
+		Parallelism: 2, Shards: 2,
+		Cache: cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()}),
+	})}
 	q := sqlparse.MustParse("select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000")
 	ctx := context.Background()
-	if _, err := Eval(ctx, d, q, opts); err != nil {
+	if _, err := ev.Eval(ctx, q, EvalOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(50, func() {
-		if res, err := Eval(ctx, d, q, opts); err != nil || !res.Cached {
+		if res, err := ev.Eval(ctx, q, EvalOptions{}); err != nil || !res.Cached {
 			t.Fatalf("not a hit: %v, %v", res, err)
 		}
 	})
 	t.Logf("a cached clean answer allocates %.0f times", n)
-	if n > 11 {
-		t.Errorf("a cached clean answer allocates %.0f times, ceiling 11", n)
+	if n > 8 {
+		t.Errorf("a cached clean answer allocates %.0f times, ceiling 8", n)
 	}
 }

@@ -28,7 +28,7 @@ import (
 // whatever the statement names; ExactCtx enumerates the FROM relations'
 // alone. That the two agree (within value.ProbEpsilon: the sums run in
 // different orders) on every statement below is the marginalization claim
-// core.Eval's cache scope and rung selection rest on (DESIGN.md §11): the
+// Evaluator.Eval's cache scope and rung selection rest on (DESIGN.md §11): the
 // clusters of a relation the statement does not read sum out. The
 // Monte-Carlo oracle draws from the FROM relations' index, as
 // MonteCarloCtx does, and overWorlds must reproduce it bit for bit.
@@ -394,7 +394,7 @@ func TestEstimateAggregateMatchesStepByStepOracle(t *testing.T) {
 		}
 		sums = append(sums, s)
 	}
-	got, err := sampleAggregates(context.Background(), d, stmt, AggregateSum, 1, n, seed, exec.Limits{})
+	got, err := evaluator(d).sampleAggregates(context.Background(), stmt, AggregateSum, 1, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

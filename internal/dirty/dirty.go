@@ -199,7 +199,7 @@ func (d *DB) CandidateCount() (*big.Int, error) {
 // for which names count.
 //
 // Each relation's factor — the number, nothing else — is remembered at its
-// table's version, so core.Eval's rung selection does not re-cluster an
+// table's version, so the clean-answer ladder's rung selection does not re-cluster an
 // unchanged relation on every call and an insert re-clusters only the
 // relation it went into.
 func (d *DB) CandidateCountOf(rels []string) (*big.Int, error) {
@@ -386,7 +386,7 @@ func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c 
 // cluster of the first relation varies slowest — handing fn one Candidate
 // it overwrites between calls. It polls ctx between visited candidates
 // and aborts with a qerr cancellation error when it fires. An over-limit
-// count surfaces as qerr.ErrTooManyCandidates so callers (core.Eval) can
+// count surfaces as qerr.ErrTooManyCandidates so callers (the clean-answer ladder) can
 // degrade to sampling instead of failing.
 func (cs Candidates) Enumerate(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
 	if limit <= 0 {

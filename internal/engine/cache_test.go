@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"conquer/internal/cache"
+	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
 	"conquer/internal/value"
@@ -222,8 +224,8 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 
 func TestUncachedEngineUnchanged(t *testing.T) {
 	e := NewWithOptions(figure2DB(t), Options{Parallelism: 1})
-	if e.Cache() != nil {
-		t.Fatal("no cache requested, none should exist")
+	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != runtime.GOMAXPROCS(0) || o.BatchSize != exec.DefaultBatchSize {
+		t.Fatalf("options %+v: want no cache, the parallelism asked for and the defaults resolved", o)
 	}
 	res, err := e.Query("select id from customer")
 	if err != nil {

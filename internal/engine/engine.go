@@ -3,7 +3,9 @@
 // results. Both the paper's original queries and their RewriteClean
 // rewritings run through this same path, so measured overheads reflect only
 // the extra grouping/aggregation work the rewriting introduces — the
-// quantity the paper's evaluation reports.
+// quantity the paper's evaluation reports. That holds for clean answers
+// too: a core.Evaluator runs every query of an evaluation, whichever rung,
+// under the options of the engine it is given.
 package engine
 
 import (
@@ -76,19 +78,26 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 	return &Engine{db: db, opts: Options{Limits: limits}}
 }
 
-// Cache returns the engine's query cache (nil when caching is off); the
-// REPL's \cache command reads stats and clears entries through it.
-func (e *Engine) Cache() *cache.Cache { return e.opts.Cache }
+// Options returns the options the engine's queries run under, with
+// Parallelism, Shards and BatchSize resolved to the values its plans use.
+// A clean-answer evaluator over the engine (core.Evaluator) runs every
+// query of its evaluation under them.
+func (e *Engine) Options() Options {
+	o := e.opts
+	if o.Parallelism == 0 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if o.Shards == 0 {
+		o.Shards = runtime.GOMAXPROCS(0)
+	}
+	o.BatchSize = exec.ResolveBatchSize(o.BatchSize)
+	return o
+}
 
 // planOptions resolves the effective planner options for one query.
 func (e *Engine) planOptions() plan.Options {
-	opts := plan.Options{Parallelism: e.opts.Parallelism, Shards: e.opts.Shards, BatchSize: e.opts.BatchSize}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.Shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
+	o := e.Options()
+	opts := plan.Options{Parallelism: o.Parallelism, Shards: o.Shards, BatchSize: o.BatchSize}
 	if opts.Shards > 1 {
 		n := opts.Shards
 		opts.Sharder = func(tb *storage.Table) exec.ShardView {

@@ -13,8 +13,8 @@ import (
 // evaluation spanning many queries). The zero value imposes no limits.
 type Limits struct {
 	// Timeout is the wall-clock budget; entry points (engine.QueryCtx,
-	// the core evaluators, core.Eval) apply it to their context once, at
-	// the outermost call.
+	// core.Evaluator.Eval) apply it to their context once, at the
+	// outermost call.
 	Timeout time.Duration
 	// MaxBufferedRows caps the rows held concurrently in stateful
 	// operator memory: hash-join build tables, aggregate groups, sort

@@ -8,7 +8,6 @@ import (
 
 	"conquer/internal/core"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/faultinject"
 	"conquer/internal/qerr"
 	"conquer/internal/schema"
@@ -39,7 +38,8 @@ func TestMaterializeInsertFaultPropagates(t *testing.T) {
 	d.Store.SetInjector(sched)
 
 	stmt := mustParse(t, "select name from customer where balance > 10000")
-	_, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
+	ev := core.Evaluator{DB: d, Engine: engine.New(d.Store)}
+	_, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodExact})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Exact error = %v, want errors.Is(err, errBoom)", err)
 	}
@@ -53,7 +53,7 @@ func TestMaterializeInsertFaultPropagates(t *testing.T) {
 		t.Errorf("source rows = %d after fault, want %d", got, wantRows)
 	}
 	d.Store.SetInjector(nil)
-	res, err := core.ExactCtx(context.Background(), d, stmt, exec.Limits{})
+	res, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodExact})
 	if err != nil {
 		t.Fatalf("Exact after clearing injector: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestMonteCarloMaterializeFault(t *testing.T) {
 	d := testdb.Figure1()
 	d.Store.SetInjector(faultinject.FailNth("customer", storage.OpInsert, 5, errBoom))
 	stmt := mustParse(t, "select name from customer")
-	_, err := core.MonteCarloCtx(context.Background(), d, stmt, 20, 1, exec.Limits{})
+	_, err := core.Evaluator{DB: d, Engine: engine.New(d.Store)}.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodMonteCarlo, Samples: 20, Seed: 1})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("MonteCarloCtx error = %v, want errors.Is(err, errBoom)", err)
 	}

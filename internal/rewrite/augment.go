@@ -7,32 +7,33 @@ import (
 	"conquer/internal/sqlparse"
 )
 
-// AugmentAndRewrite extends RewriteClean to queries that satisfy every
+// Augment extends the rewritable class to queries that satisfy every
 // condition of Dfn 7 *except* condition 4 (the root identifier is not
-// projected): it adds the root relation's identifier to the SELECT clause
-// and rewrites the augmented query. The paper motivates exactly this
-// repair — "including the identifier in the select clause is not an
-// onerous restriction" — because the rewriting exists to help a user
-// understand the *entities* behind each answer.
+// projected): it returns the query with the root relation's identifier
+// added to the SELECT clause, ready for RewriteClean. The paper motivates
+// exactly this repair — "including the identifier in the select clause is
+// not an onerous restriction" — because the rewriting exists to help a
+// user understand the *entities* behind each answer. A rewritable query
+// comes back as it is; stmt is never mutated.
 //
 // The returned augmented flag reports whether the identifier was added
 // (the clean answers are then those of the finer, augmented query; note
 // that summing their probabilities over the added column does NOT yield
 // the original query's clean answers — that is precisely the
 // double-counting of Example 7).
-func AugmentAndRewrite(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (rw *sqlparse.SelectStmt, augmented bool, err error) {
+func Augment(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (aug *sqlparse.SelectStmt, augmented bool, err error) {
 	a, err := Analyze(cat, stmt)
 	if err != nil {
 		return nil, false, err
 	}
 	if a.Rewritable {
-		return rewrite(cat, stmt), false, nil
+		return stmt, false, nil
 	}
 	if !onlyCondition4(a.Reasons) || a.Root == "" {
 		return nil, false, &NotRewritableError{Reasons: a.Reasons}
 	}
-	// Prepend the root identifier and retry.
-	aug := stmt.Clone()
+	// Prepend the root identifier and check the result.
+	aug = stmt.Clone()
 	rootRel, err := rootRelation(cat, aug, a.Root)
 	if err != nil {
 		return nil, false, err
@@ -48,7 +49,7 @@ func AugmentAndRewrite(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (rw *sqlp
 	if !a2.Rewritable {
 		return nil, false, &NotRewritableError{Reasons: a2.Reasons}
 	}
-	return rewrite(cat, aug), true, nil
+	return aug, true, nil
 }
 
 // onlyCondition4 reports whether every violation cites condition 4.

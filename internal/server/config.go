@@ -36,9 +36,8 @@ type Config struct {
 	// before canceling it with qerr.ErrShutdown (default 10s).
 	DrainTimeout time.Duration `json:"-"`
 	// Parallelism is the per-query morsel parallelism handed to each
-	// tenant engine (0 = GOMAXPROCS, 1 = serial). Like Shards it reaches
-	// POST /v1/query only: /v1/clean runs on engines core.Eval builds
-	// itself (DESIGN.md §13). A tenant's CacheBytes reaches both.
+	// tenant engine (0 = GOMAXPROCS, 1 = serial), which serves both
+	// POST /v1/query and POST /v1/clean.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shards is the per-query cluster-shard count handed to each tenant
 	// engine (0 = GOMAXPROCS, 1 = unsharded). Sharding never changes
@@ -46,9 +45,9 @@ type Config struct {
 	// admission watermark consumes.
 	Shards int `json:"shards,omitempty"`
 	// QueryLog, when non-nil, receives one JSON line per request —
-	// executed queries (written by the engine, tagged with tenant and
-	// queue wait via the query context) and shed requests (written by
-	// the server with Shed=true).
+	// executed queries and clean evaluations (written by the engine and
+	// the evaluator, tagged with tenant and queue wait via the query
+	// context) and shed requests (written by the server with Shed=true).
 	QueryLog *metrics.QueryLog `json:"-"`
 	// Registry receives the server counters (server.admitted,
 	// server.shed, server.inflight, server.queue_peak); nil defaults to

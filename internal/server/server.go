@@ -45,10 +45,9 @@ func defaultConcurrency() int { return runtime.GOMAXPROCS(0) }
 // (and, when faults are armed, its own clone of the database).
 type tenant struct {
 	name    string
-	limits  exec.Limits
 	slots   chan struct{} // per-tenant concurrency cap; nil = uncapped
 	eng     *engine.Engine
-	ddb     *dirty.DB
+	ev      core.Evaluator // clean answers, on eng
 	faulted bool
 }
 
@@ -161,18 +160,18 @@ func New(store *storage.DB, cfg Config) (*Server, error) {
 			clone.SetInjector(faultinject.New(rules...))
 			tstore = clone
 		}
+		eng := engine.NewWithOptions(tstore, engine.Options{
+			Limits:      lim,
+			Parallelism: cfg.Parallelism,
+			Shards:      cfg.Shards,
+			QueryLog:    cfg.QueryLog,
+			Cache:       qcache,
+		})
 		tn := &tenant{
 			name:    tc.Name,
-			limits:  lim,
 			faulted: len(tc.Faults) > 0,
-			eng: engine.NewWithOptions(tstore, engine.Options{
-				Limits:      lim,
-				Parallelism: cfg.Parallelism,
-				Shards:      cfg.Shards,
-				QueryLog:    cfg.QueryLog,
-				Cache:       qcache,
-			}),
-			ddb: dirty.New(tstore),
+			eng:     eng,
+			ev:      core.Evaluator{DB: dirty.New(tstore), Engine: eng},
 		}
 		if tc.MaxConcurrent > 0 {
 			tn.slots = make(chan struct{}, tc.MaxConcurrent)
@@ -350,7 +349,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, func()) {
 }
 
 // logRefusal writes the query-log line for a request refused at
-// admission; executed queries are logged by the engine itself.
+// admission; executed queries and clean evaluations are logged by the
+// engine and the evaluator themselves.
 func (s *Server) logRefusal(tn *tenant, sql, reason string) {
 	s.qlog.Record(metrics.QueryRecord{
 		SQLHash: metrics.HashQuery(sql),
@@ -415,7 +415,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClean evaluates a clean-answer query through the degradation
-// ladder under the tenant's limits.
+// ladder on the tenant's engine: its limits, settings, cache and query
+// log.
 func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	tn, err := s.authenticate(r)
 	if err != nil {
@@ -453,32 +454,12 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		QueuedMicros: tk.queued.Microseconds(),
 	})
 	start := time.Now()
-	res, err := core.Eval(qctx, tn.ddb, stmt, core.EvalOptions{
-		Limits:  tn.limits,
-		Samples: req.Samples,
-		Seed:    req.Seed,
-		Cache:   tn.eng.Cache(),
-	})
+	res, err := tn.ev.Eval(qctx, stmt, core.EvalOptions{Samples: req.Samples, Seed: req.Seed})
 	elapsed := time.Since(start)
-	// core.Eval runs its SQL through internal engines with no query log
-	// attached, so the server writes the clean evaluation's log line.
-	rec := metrics.QueryRecord{
-		SQLHash:      metrics.HashQuery(req.SQL),
-		Micros:       elapsed.Microseconds(),
-		Tenant:       tn.name,
-		QueuedMicros: tk.queued.Microseconds(),
-	}
 	if err != nil {
-		rec.Method = "eval"
-		rec.Err = reasonFor(err)
-		s.qlog.Record(rec)
 		s.writeError(w, err)
 		return
 	}
-	rec.Method = res.Method.String()
-	rec.Rows = len(res.Answers)
-	rec.Cached = res.Cached
-	s.qlog.Record(rec)
 	s.cost.observe(res.Stats.BufferedPeak, elapsed)
 	degraded := make([]string, len(res.Degraded))
 	for i, d := range res.Degraded {

@@ -506,41 +506,57 @@ func TestObservedCostSeeding(t *testing.T) {
 }
 
 // Sanity-check /v1/clean end to end over the paper's Figure 2 database,
-// including the query-log line the server writes for it.
+// including its query-log line: one per request, written by the evaluator
+// on the tenant's engine — so with the rung that answered (the rewriting,
+// under a one-candidate budget), the server's parallelism and shards, and
+// the statement hash /v1/query logs for the same text.
 func TestCleanEndpoint(t *testing.T) {
 	var logBuf strings.Builder
-	qlog := metrics.NewQueryLog(&logBuf)
 	cfg := Config{
-		Tenants:  []TenantConfig{{Name: "acme", Key: "acme-key", Preset: "standard"}},
-		Registry: metrics.NewRegistry(),
-		QueryLog: qlog,
+		Tenants:     []TenantConfig{{Name: "acme", Key: "acme-key", Limits: &exec.Limits{MaxCandidates: 1}}},
+		Registry:    metrics.NewRegistry(),
+		QueryLog:    metrics.NewQueryLog(&logBuf),
+		Parallelism: 3,
+		Shards:      5,
 	}
 	srv, err := New(figure2Store(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, srv, "POST", "/v1/clean", "acme-key", queryRequest{SQL: "select id from customer where balance > 10000"})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	const sql = "select id from customer where balance > 10000"
+	// post sends sql to path and returns the response and its one log line.
+	post := func(path string) (*httptest.ResponseRecorder, metrics.QueryRecord) {
+		t.Helper()
+		logBuf.Reset()
+		rec := doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: sql})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", path, rec.Code, rec.Body.String())
+		}
+		lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+		var r metrics.QueryRecord
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &r) != nil {
+			t.Fatalf("%s: query log %q, want one JSON line", path, logBuf.String())
+		}
+		return rec, r
 	}
+	rec, clean := post("/v1/clean")
 	var resp CleanResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("response not JSON: %v", err)
 	}
-	if len(resp.Answers) == 0 {
-		t.Fatal("no clean answers")
+	if len(resp.Answers) != 2 || resp.Method != "rewrite" {
+		t.Fatalf("%d answers by %q, want 2 by the rewriting", len(resp.Answers), resp.Method)
 	}
 	for _, a := range resp.Answers {
 		if a.Prob <= 0 || a.Prob > 1 {
 			t.Errorf("answer probability out of range: %+v", a)
 		}
 	}
-	if resp.Method == "" {
-		t.Error("response missing method")
+	if clean.Method != "rewrite" || clean.Rows != 2 || clean.Parallelism != 3 || clean.Shards != 5 || clean.Tenant != "acme" {
+		t.Errorf("clean query log line %+v: want method rewrite, 2 rows, par 3, 5 shards, tenant acme", clean)
 	}
-	line := strings.TrimSpace(logBuf.String())
-	if !strings.Contains(line, `"tenant":"acme"`) {
-		t.Errorf("clean query log line missing tenant: %s", line)
+	if _, plain := post("/v1/query"); plain.SQLHash != clean.SQLHash {
+		t.Errorf("the same text hashes to %s on /v1/query and %s on /v1/clean", plain.SQLHash, clean.SQLHash)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"conquer/internal/core"
-	"conquer/internal/exec"
+	"conquer/internal/engine"
 	"conquer/internal/probcalc"
 	"conquer/internal/sqlparse"
 	"conquer/internal/tpch"
@@ -48,7 +48,7 @@ func TestFullOfflinePipeline(t *testing.T) {
 	// Stage 3 — the thirteen queries answer cleanly.
 	nonEmpty := 0
 	for _, q := range tpch.All() {
-		res, err := core.ViaRewritingCtx(context.Background(), d, sqlparse.MustParse(q.SQL), exec.Limits{})
+		res, err := core.Evaluator{DB: d, Engine: engine.New(d.Store)}.Eval(context.Background(), sqlparse.MustParse(q.SQL), core.EvalOptions{Method: core.MethodRewrite})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q.Number, err)
 		}

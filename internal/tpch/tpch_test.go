@@ -6,7 +6,6 @@ import (
 
 	"conquer/internal/core"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
 	"conquer/internal/tpch"
@@ -93,6 +92,7 @@ func TestQueriesExecuteOnGeneratedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.New(d.Store)
+	ev := core.Evaluator{DB: d, Engine: eng}
 	nonEmpty := 0
 	for _, q := range tpch.All() {
 		stmt := sqlparse.MustParse(q.SQL)
@@ -100,7 +100,7 @@ func TestQueriesExecuteOnGeneratedData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d original: %v", q.Number, err)
 		}
-		res, err := core.ViaRewritingCtx(context.Background(), d, stmt, exec.Limits{})
+		res, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodRewrite})
 		if err != nil {
 			t.Fatalf("Q%d rewritten: %v", q.Number, err)
 		}
@@ -149,11 +149,12 @@ func TestRewritingMatchesExactOnTinyInstance(t *testing.T) {
 	// Use Q4 shape (2 relations) but over the tiny instance.
 	q := sqlparse.MustParse(
 		"select l.l_id, o.o_orderkey from orders o, lineitem l where l.l_orderkey = o.o_orderkey")
-	exact, err := core.ExactCtx(context.Background(), d, q, exec.Limits{})
+	ev := core.Evaluator{DB: d, Engine: engine.New(d.Store)}
+	exact, err := ev.Eval(context.Background(), q, core.EvalOptions{Method: core.MethodExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := core.ViaRewritingCtx(context.Background(), d, q, exec.Limits{})
+	rw, err := ev.Eval(context.Background(), q, core.EvalOptions{Method: core.MethodRewrite})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"conquer/internal/bench"
-	"conquer/internal/core"
 	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/storage"
@@ -70,9 +69,8 @@ func TestCleanAnswersShareShardViews(t *testing.T) {
 	n := defaultShards(t)
 	d := determinismWorkload(t)
 	q3 := pairNumber(t, 3)
-	ctx := context.Background()
 
-	first, err := core.ViaRewritingCtx(ctx, d, q3.Original, exec.Limits{})
+	first, err := coreViaRewriting(d, q3.Original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestCleanAnswersShareShardViews(t *testing.T) {
 			}
 		}
 	}
-	second, err := core.ViaRewritingCtx(ctx, d, q3.Original, exec.Limits{})
+	second, err := coreViaRewriting(d, q3.Original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestCleanAnswersShareShardViews(t *testing.T) {
 	if err := orders.Insert(append([]value.Value(nil), orders.Row(0)...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.ViaRewritingCtx(ctx, d, q3.Original, exec.Limits{}); err != nil {
+	if _, err := coreViaRewriting(d, q3.Original); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt := partitions(t, d.Store, n)
@@ -117,7 +115,7 @@ func TestCleanAnswersShareShardViews(t *testing.T) {
 		t.Fatal("an insert into orders rebuilt another table's partitions")
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := core.ViaRewritingCtx(ctx, d, q3.Original, exec.Limits{}); err != nil {
+		if _, err := coreViaRewriting(d, q3.Original); err != nil {
 			t.Fatal(err)
 		}
 		same("after the insert", rebuilt)
@@ -143,8 +141,8 @@ func mallocsPerRun(t *testing.T, runs int, f func() error) float64 {
 }
 
 // TestCleanAnswerAllocatesLikeAKeptEngine bounds what a clean answer
-// pays outside the operators: core.ViaRewritingCtx — rewrite, a fresh
-// engine, the rewritten statement, the answer set — against the same
+// pays outside the operators: an evaluator's rewriting rung — rewrite, the
+// rung's engine, the rewritten statement, the answer set — against the same
 // rewritten statement on an engine that is kept. It was 3.9x while each
 // fresh engine partitioned every table again.
 func TestCleanAnswerAllocatesLikeAKeptEngine(t *testing.T) {
@@ -164,7 +162,7 @@ func TestCleanAnswerAllocatesLikeAKeptEngine(t *testing.T) {
 		return err
 	})
 	clean := mallocsPerRun(t, 5, func() error {
-		_, err := core.ViaRewritingCtx(ctx, d, q3.Original, exec.Limits{})
+		_, err := coreViaRewriting(d, q3.Original)
 		return err
 	})
 	t.Logf("Q3: %.0f allocs per clean answer, %.0f per rewritten statement on a kept engine (%.2fx)",
@@ -216,7 +214,7 @@ func TestEnginesShareViewsBesideAnInserter(t *testing.T) {
 				eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Shards: 2 + r%2})
 				res, err := eng.Query("select count(*) from orders o where o.o_totalprice >= 0")
 				if err == nil && i%readers == r {
-					_, err = core.ViaRewritingCtx(context.Background(), d, q3.Original, exec.Limits{})
+					_, err = coreViaRewriting(d, q3.Original)
 				}
 				store.RUnlock()
 				queries.Add(1)
