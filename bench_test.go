@@ -4,9 +4,10 @@
 // stays here only because a recipe, a CI step or a design decision needs
 // `go test -bench` on exactly it:
 //
-//   - Fig8Original / Fig8Rewritten / LadderPass: the profile recipes of
-//     docs/profiles/ and EXPERIMENTS.md (-cpuprofile / -memprofile on one
-//     pair, or on one pass of the benchmark's ladder_nonrewritable).
+//   - Fig8Original / Fig8Rewritten / LadderPass / OfflinePass: the profile
+//     recipes of docs/profiles/ and EXPERIMENTS.md (-cpuprofile /
+//     -memprofile on one pair, or on one pass of the benchmark's
+//     ladder_nonrewritable or offline_prep).
 //   - BatchSize: the sweep that pins exec.DefaultBatchSize.
 //   - Fig8Parallelism / Fig8Sharding / Fig7ProbCalcParallelism: CI's
 //     "Bench smoke" runs one iteration of each, so a parallel or sharded
@@ -23,6 +24,7 @@ package conquer
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -286,6 +288,62 @@ func BenchmarkEvaluatorComparison(b *testing.B) {
 			if _, err := coreMonteCarlo(d, q, 1000); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkOfflinePass is one pass of the benchmark's offline_prep
+// workload — clone the unannotated instance (uisgen sf=1, if=5, scale
+// 0.004, seed 42), annotate every dirty relation at GOMAXPROCS workers,
+// propagate identifiers, validate Dfn 2 — with each phase a sub-benchmark,
+// so a -memprofile splits the pass's allocations by phase.
+func BenchmarkOfflinePass(b *testing.B) {
+	d, err := uisgen.Generate(uisgen.Config{SF: 1, IF: 5, Scale: 0.004, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Each phase starts from the state the pass before it leaves.
+	clone := func(b *testing.B) *dirty.DB {
+		c, err := d.Store.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return dirty.New(c)
+	}
+	annotate := func(b *testing.B, db *dirty.DB) {
+		if err := probcalc.AnnotateAllParCtx(context.Background(), db.Store, nil, runtime.GOMAXPROCS(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	propagate := func(b *testing.B, db *dirty.DB) {
+		if _, err := db.PropagateAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	phase := func(name string, prep func(*testing.B) *dirty.DB, run func(*testing.B, *dirty.DB)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db := prep(b)
+				b.StartTimer()
+				run(b, db)
+			}
+		})
+	}
+	b.Run("clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			clone(b)
+		}
+	})
+	phase("annotate", clone, annotate)
+	annotated := func(b *testing.B) *dirty.DB { db := clone(b); annotate(b, db); return db }
+	phase("propagate", annotated, propagate)
+	propagated := func(b *testing.B) *dirty.DB { db := annotated(b); propagate(b, db); return db }
+	phase("validate", propagated, func(b *testing.B, db *dirty.DB) {
+		if err := db.Validate(); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

@@ -6,8 +6,9 @@
 // while ranging over a sparse map made every distance — and everything
 // built on it, per-tuple probabilities included — vary run to run,
 // because float addition is not associative and Go deliberately
-// randomizes map order. The fix (collect keys, sort, then fold) is the
-// shape this analyzer enforces.
+// randomizes map order. The first fix collected the keys, sorted them and
+// then folded — the shape this analyzer enforces; infotheory.Sparse has
+// since become a vector sorted by ID, which folds in order with no map.
 //
 // Two sinks are flagged inside a `range` over a map:
 //
@@ -20,7 +21,7 @@
 //   - append to an ordered output: s = append(s, ...) with a
 //     loop-carried, iteration-derived slice — unless the slice is
 //     passed to a sort (sort.* or slices.Sort*) after the loop, which
-//     is exactly the sanctioned sortedKeys pattern.
+//     is exactly the sanctioned sorted-keys pattern.
 //
 // Per-key map writes (m[k] = ... with the range key in the index) are
 // exempt: each iteration touches its own key, so the result is
@@ -40,7 +41,7 @@ import (
 // Analyzer flags order-sensitive computation inside range-over-map.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "flag float accumulation and ordered-output appends ranging over a map: map order is randomized, so results lose bit-determinism (sort keys first, as infotheory.sortedKeys does)",
+	Doc:  "flag float accumulation and ordered-output appends ranging over a map: map order is randomized, so results lose bit-determinism (fold a sorted vector, as infotheory.Sparse is, or sort the keys first)",
 	Run:  run,
 }
 
@@ -160,9 +161,9 @@ func checkAssign(pass *analysis.Pass, g *flow.Graph, defs *flow.Defs, taint *flo
 				continue // appends nothing iteration-derived
 			}
 			if sortedAfter(pass, fnBody, rs, obj) {
-				continue // the sortedKeys pattern: collected, then sorted
+				continue // the sorted-keys pattern: collected, then sorted
 			}
-			pass.Reportf(as.Pos(), "append to %s in map-iteration order flows to ordered output; collect and sort (see infotheory.sortedKeys) or annotate with lint:allow maporder", obj.Name())
+			pass.Reportf(as.Pos(), "append to %s in map-iteration order flows to ordered output; collect and sort, or keep a sorted vector (see infotheory.Sparse), or annotate with lint:allow maporder", obj.Name())
 			continue
 		}
 

@@ -227,7 +227,7 @@ func checkAccum(pass *analysis.Pass, taint *flow.Taint, defs *flow.Defs, mapRang
 			continue
 		}
 		if taint.TaintedAt(as, as.Rhs[i]) {
-			pass.Reportf(as.Pos(), "probability values folded in map-iteration order; the sum's low bits change run to run — iterate sorted keys (see infotheory.sortedKeys)")
+			pass.Reportf(as.Pos(), "probability values folded in map-iteration order; the sum's low bits change run to run — fold a sorted vector (see infotheory.Sparse) or sorted keys")
 		}
 	}
 }

@@ -44,10 +44,10 @@ func Table1() (string, error) {
 		p := ds.TupleDistribution(i)
 		fmt.Fprintf(&b, "t%-3d", i+1)
 		for v := range header {
-			if p[v] == 0 { //lint:allow floatcmp,probtaint -- sparse-map miss is exactly 0, not a computed probability
+			if p.At(v) == 0 { //lint:allow floatcmp,probtaint -- absent entry is exactly 0, not a computed probability
 				fmt.Fprintf(&b, "  %-10s", "0")
 			} else {
-				fmt.Fprintf(&b, "  %-10.2f", p[v])
+				fmt.Fprintf(&b, "  %-10.2f", p.At(v))
 			}
 		}
 		fmt.Fprintf(&b, "  %s\n", ids[i])
@@ -62,14 +62,7 @@ func Table2() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	order := []string{}
-	rowsOf := map[string][]int{}
-	for i, id := range ids {
-		if _, ok := rowsOf[id]; !ok {
-			order = append(order, id)
-		}
-		rowsOf[id] = append(rowsOf[id], i)
-	}
+	clusters := probcalc.GroupClusters(ids)
 	var b strings.Builder
 	b.WriteString("Table 2 — the cluster representatives (DCFs) for customer\n")
 	fmt.Fprintf(&b, "%-6s  %3s", "", "|c|")
@@ -78,17 +71,17 @@ func Table2() (string, error) {
 		fmt.Fprintf(&b, "  %-10.10s", raw)
 	}
 	b.WriteByte('\n')
-	for k, cid := range order {
-		rep, err := ds.Representative(rowsOf[cid])
+	for c := 0; c < clusters.Len(); c++ {
+		rep, err := ds.Representative(clusters.Rows(c))
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "rep%-3d  %3d", k+1, rep.Count)
+		fmt.Fprintf(&b, "rep%-3d  %3d", c+1, rep.Count)
 		for v := 0; v < ds.VocabSize(); v++ {
-			if rep.P[v] == 0 { //lint:allow floatcmp -- sparse-map miss is exactly 0, not a computed probability
+			if rep.P.At(v) == 0 { //lint:allow floatcmp -- absent entry is exactly 0, not a computed probability
 				fmt.Fprintf(&b, "  %-10s", "0")
 			} else {
-				fmt.Fprintf(&b, "  %-10.3f", rep.P[v])
+				fmt.Fprintf(&b, "  %-10.3f", rep.P.At(v))
 			}
 		}
 		b.WriteByte('\n')

@@ -86,27 +86,48 @@ func (d *DB) Clusters(rel string) ([]Cluster, error) {
 	if idIdx < 0 {
 		return nil, fmt.Errorf("dirty: relation %q has no identifier column: %w", rel, qerr.ErrBadModel)
 	}
-	pos := make(map[uint64][]int) // hash -> cluster positions in out
+	// One pass numbers each row's cluster through a hash index — heads[h]
+	// is the latest cluster whose identifier hashes to h, next[c] the one
+	// before c with the same hash, -1 ending the chain — and counts the
+	// clusters' rows; a second carves every Rows from one array.
+	heads := make(map[uint64]int)
+	var next, count []int
 	var out []Cluster
-	for i := 0; i < tb.Len(); i++ {
+	of := make([]int, tb.Len())
+	for i := range of {
 		id := tb.Row(i)[idIdx]
 		if id.IsNull() {
 			return nil, fmt.Errorf("dirty: %s row %d has NULL identifier: %w", rel, i, qerr.ErrBadModel)
 		}
 		h := value.Hash(id)
-		found := -1
-		for _, ci := range pos[h] {
-			if value.Equal(out[ci].ID, id) {
-				found = ci
-				break
-			}
+		head, ok := heads[h]
+		if !ok {
+			head = -1
 		}
-		if found < 0 {
-			found = len(out)
+		c := head
+		for c >= 0 && !value.Equal(out[c].ID, id) {
+			c = next[c]
+		}
+		if c < 0 {
+			c = len(out)
 			out = append(out, Cluster{ID: id})
-			pos[h] = append(pos[h], found)
+			next = append(next, head)
+			count = append(count, 0)
+			heads[h] = c
 		}
-		out[found].Rows = append(out[found].Rows, i)
+		count[c]++
+		of[i] = c
+	}
+	rows := make([]int, len(of))
+	start := 0
+	for c := range out {
+		// Capacity ends where the cluster does, so a caller's append
+		// copies instead of overwriting the next cluster's rows.
+		out[c].Rows = rows[start : start : start+count[c]]
+		start += count[c]
+	}
+	for i, c := range of {
+		out[c].Rows = append(out[c].Rows, i)
 	}
 	return out, nil
 }

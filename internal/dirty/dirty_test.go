@@ -3,6 +3,7 @@ package dirty
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"conquer/internal/schema"
@@ -93,6 +94,64 @@ func TestClusters(t *testing.T) {
 	}
 	if _, err := d.Clusters("ghost"); err == nil {
 		t.Error("unknown relation")
+	}
+}
+
+// Clusters must group as the first-match scan of the definition does —
+// clusters in order of first appearance, a row joining the first cluster
+// whose identifier is Equal to its own (so Int(2) and Float(2) are one
+// cluster), rows in table order — and carve Rows so that appending to one
+// cluster's rows never writes into the next cluster's.
+func TestClustersMatchFirstMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ids := []value.Value{value.Int(2), value.Float(2), value.Float(-0.0), value.Int(0),
+		value.Float(2.5), value.Str("2"), value.Str("a"), value.Bool(true), value.Int(7)}
+	for trial := 0; trial < 50; trial++ {
+		store := storage.NewDB()
+		s := schema.MustRelation("t", schema.Column{Name: "a", Type: value.KindInt})
+		if err := s.SetDirty("id", "prob"); err != nil {
+			t.Fatal(err)
+		}
+		tb := store.MustCreateTable(s)
+		n := 1 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			// SetRow skips the column type check, so one identifier column
+			// can mix kinds here.
+			row := []value.Value{value.Int(int64(i)), ids[rng.Intn(len(ids))], value.Float(1)}
+			if err := tb.SetRow(tb.Len(), row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []Cluster
+		for i := 0; i < tb.Len(); i++ {
+			id := tb.Row(i)[1]
+			c := 0
+			for c < len(want) && !value.Equal(want[c].ID, id) {
+				c++
+			}
+			if c == len(want) {
+				want = append(want, Cluster{ID: id})
+			}
+			want[c].Rows = append(want[c].Rows, i)
+		}
+		got, err := New(store).Clusters("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d clusters, want %d", trial, len(got), len(want))
+		}
+		for c := range want {
+			if !value.Identical(got[c].ID, want[c].ID) || !slices.Equal(got[c].Rows, want[c].Rows) {
+				t.Fatalf("trial %d: cluster %d = %v %v, want %v %v", trial, c, got[c].ID, got[c].Rows, want[c].ID, want[c].Rows)
+			}
+		}
+		for c := 0; c+1 < len(got); c++ {
+			_ = append(got[c].Rows, -1)
+			if !slices.Equal(got[c+1].Rows, want[c+1].Rows) {
+				t.Fatalf("trial %d: appending to cluster %d's rows changed cluster %d's to %v", trial, c, c+1, got[c+1].Rows)
+			}
+		}
 	}
 }
 
@@ -417,6 +476,26 @@ func TestPropagate(t *testing.T) {
 	changed, err = d.Propagate("orders", "cidfk", "customer", "custid")
 	if err != nil || changed != 0 {
 		t.Errorf("second propagate changed %d (%v)", changed, err)
+	}
+}
+
+// An original key held by two referenced rows resolves to the first, in
+// row order.
+func TestPropagateDuplicateKeyResolvesToFirstRow(t *testing.T) {
+	d := figure2DB(t, false)
+	cust, _ := d.Store.Table("customer")
+	if err := cust.UpdateColumn(3, "custid", value.Str("m3")); err != nil { // c2's rows both hold m3
+		t.Fatal(err)
+	}
+	if err := cust.UpdateColumn(2, "id", value.Str("c9")); err != nil { // the first of them is c9
+		t.Fatal(err)
+	}
+	if _, err := d.Propagate("orders", "cidfk", "customer", "custid"); err != nil {
+		t.Fatal(err)
+	}
+	ord, _ := d.Store.Table("orders")
+	if got := ord.Row(2)[2].AsString(); got != "c9" {
+		t.Errorf("m3 propagated to %s, want c9 (the first row holding m3)", got)
 	}
 }
 

@@ -37,28 +37,35 @@ func (d *DB) Propagate(rel, fkCol, refTable, refKeyCol string) (int, error) {
 		return 0, fmt.Errorf("dirty: referenced relation %q has no identifier column", refTable)
 	}
 
-	// Map original key -> cluster identifier. Original keys are unique per
-	// tuple (they predate matching), so a plain map suffices.
-	toID := make(map[uint64][]struct {
-		key, id value.Value
-	}, ref.Len())
-	for i := 0; i < ref.Len(); i++ {
-		row := ref.Row(i)
-		k := row[keyIdx]
+	// Index ref's rows by original key: heads[h] is the first row whose key
+	// hashes to h, next[i] the row after i with the same hash, -1 ending
+	// the chain. Pushing rows from the last makes every chain run in row
+	// order, so a key held twice resolves to its first row.
+	heads := make(map[uint64]int, ref.Len())
+	next := make([]int, ref.Len())
+	for i := ref.Len() - 1; i >= 0; i-- {
+		k := ref.Row(i)[keyIdx]
 		if k.IsNull() {
 			continue
 		}
 		h := value.Hash(k)
-		toID[h] = append(toID[h], struct{ key, id value.Value }{k, row[idIdx]})
+		head, ok := heads[h]
+		if !ok {
+			head = -1
+		}
+		next[i] = head
+		heads[h] = i
 	}
 	lookup := func(k value.Value) (value.Value, bool) {
 		if k.IsNull() {
 			return value.Null(), false
 		}
-		for _, e := range toID[value.Hash(k)] {
-			if value.Equal(e.key, k) {
-				return e.id, true
+		i, ok := heads[value.Hash(k)]
+		for ok && i >= 0 {
+			if row := ref.Row(i); value.Equal(row[keyIdx], k) {
+				return row[idIdx], true
 			}
+			i = next[i]
 		}
 		return value.Null(), false
 	}

@@ -1,9 +1,10 @@
 // Package infotheory provides the information-theoretic quantities behind
-// the paper's tuple-probability computation (§4.1.3): entropy, mutual
-// information, Kullback-Leibler and Jensen-Shannon divergences, and the
-// information-loss distance δI incurred when two distributional summaries
-// are merged — the distance measure of the LIMBO clustering framework that
-// the paper adopts.
+// the paper's tuple-probability computation (§4.1.3): the weighted
+// Jensen-Shannon divergence of two distributional summaries and the
+// information-loss distance δI incurred when they are merged — the
+// distance measure of the LIMBO clustering framework that the paper
+// adopts. The dense definitions they are checked against (entropy, mutual
+// information, KL) live in the package's tests.
 //
 // All logarithms are base 2; quantities are in bits.
 package infotheory
@@ -13,166 +14,85 @@ import (
 	"sort"
 )
 
-// Entropy returns H(p) = -Σ p_i log2 p_i for a (not necessarily
-// normalized) distribution; zero entries contribute nothing.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, x := range p {
-		if x > 0 {
-			h -= x * math.Log2(x)
-		}
-	}
-	return h
+// Entry is one nonzero coordinate of a Sparse distribution.
+type Entry struct {
+	ID int
+	P  float64
 }
 
-// KL returns the Kullback-Leibler divergence D(p || q) = Σ p_i log2
-// (p_i/q_i). It is +Inf when q lacks mass somewhere p has it.
-func KL(p, q []float64) float64 {
-	d := 0.0
-	for i, pi := range p {
-		if pi <= 0 {
-			continue
-		}
-		if i >= len(q) || q[i] <= 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log2(pi/q[i])
+// Sparse is a sparse probability distribution: its nonzero entries,
+// sorted by ID with no ID twice. Absent IDs are zero, so the footprint is
+// the support, however large the ID space.
+type Sparse []Entry
+
+// At returns the probability of id: 0 when id is absent.
+func (s Sparse) At(id int) float64 {
+	i := sort.Search(len(s), func(i int) bool { return s[i].ID >= id })
+	if i < len(s) && s[i].ID == id {
+		return s[i].P
 	}
-	return d
+	return 0
 }
 
-// JS returns the weighted Jensen-Shannon divergence
+// JSSparse returns the weighted Jensen-Shannon divergence
 //
 //	JS_{w1,w2}(p, q) = w1·D(p || m) + w2·D(q || m),  m = w1·p + w2·q
 //
-// with w1 + w2 = 1. It is symmetric in (p,w1),(q,w2), finite, and zero iff
-// p = q on their common support.
-func JS(w1, w2 float64, p, q []float64) float64 {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	m := make([]float64, n)
-	for i := range m {
-		var pi, qi float64
-		if i < len(p) {
-			pi = p[i]
-		}
-		if i < len(q) {
-			qi = q[i]
-		}
-		m[i] = w1*pi + w2*qi
-	}
-	d := 0.0
-	for i := 0; i < n; i++ {
-		if i < len(p) && p[i] > 0 {
-			d += w1 * p[i] * math.Log2(p[i]/m[i])
-		}
-		if i < len(q) && q[i] > 0 {
-			d += w2 * q[i] * math.Log2(q[i]/m[i])
-		}
-	}
-	return d
-}
-
-// MutualInformation returns I(X;Y) for a joint distribution given as
-// joint[i][j] = p(x_i, y_j). The joint need not be normalized; it is
-// normalized internally.
-func MutualInformation(joint [][]float64) float64 {
-	total := 0.0
-	for _, row := range joint {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	rows := make([]float64, len(joint))
-	var cols []float64
-	for i, row := range joint {
-		for j, v := range row {
-			rows[i] += v / total
-			for len(cols) <= j {
-				cols = append(cols, 0)
-			}
-			cols[j] += v / total
-		}
-	}
-	mi := 0.0
-	for i, row := range joint {
-		for j, v := range row {
-			p := v / total
-			if p > 0 && rows[i] > 0 && cols[j] > 0 {
-				mi += p * math.Log2(p/(rows[i]*cols[j]))
-			}
-		}
-	}
-	return mi
-}
-
-// Sparse is a sparse probability distribution: value id -> probability.
-// Absent entries are zero.
-type Sparse = map[int]float64
-
-// JSSparse is JS over sparse distributions; entries absent from both
-// contribute nothing, so the cost is O(|p|·log|p| + |q|·log|q|) regardless
-// of the vocabulary size. Terms are summed in sorted key order: float
-// addition is not associative, and Go randomizes map iteration, so
-// accumulating in map order would make the result vary run to run —
-// sorted order keeps every distance (and everything built on it)
-// bit-reproducible, serial or parallel.
+// with w1 + w2 = 1, over sparse distributions: entries absent from both
+// contribute nothing, so the cost is O(|p| + |q|) regardless of the ID
+// space. It makes two merge passes into one sum, p's terms then q's, each
+// in ID order: float addition is not associative, so a fixed term order is
+// what keeps every distance (and everything built on it) bit-reproducible,
+// serial or parallel.
 func JSSparse(w1, w2 float64, p, q Sparse) float64 {
-	d := 0.0
-	for _, k := range sortedKeys(p) {
-		pk := p[k]
-		if pk <= 0 {
+	d, j := 0.0, 0
+	for _, e := range p {
+		if e.P <= 0 {
 			continue
 		}
-		m := w1*pk + w2*q[k]
-		d += w1 * pk * math.Log2(pk/m)
+		var qk float64
+		j, qk = seek(q, j, e.ID)
+		m := w1*e.P + w2*qk
+		d += w1 * e.P * math.Log2(e.P/m)
 	}
-	for _, k := range sortedKeys(q) {
-		qk := q[k]
-		if qk <= 0 {
+	j = 0
+	for _, e := range q {
+		if e.P <= 0 {
 			continue
 		}
-		m := w1*p[k] + w2*qk
-		d += w2 * qk * math.Log2(qk/m)
+		var pk float64
+		j, pk = seek(p, j, e.ID)
+		m := w1*pk + w2*e.P
+		d += w2 * e.P * math.Log2(e.P/m)
 	}
 	return d
 }
 
-func sortedKeys(s Sparse) []int {
-	keys := make([]int, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
+// seek advances j past s's entries below id, for a caller visiting ids in
+// increasing order, and returns it with s's probability at id.
+func seek(s Sparse, j, id int) (int, float64) {
+	for j < len(s) && s[j].ID < id {
+		j++
 	}
-	sort.Ints(keys)
-	return keys
+	if j < len(s) && s[j].ID == id {
+		return j, s[j].P
+	}
+	return j, 0
 }
 
-// MergeDistanceSparse is MergeDistance over sparse distributions.
+// MergeDistanceSparse returns the information loss δI(s1, s2) = I(C;V) −
+// I(C';V) incurred by merging two distributional summaries, where s1 and
+// s2 carry n1 and n2 tuples out of total tuples overall, and p1, p2 are
+// their conditional value distributions p(V|s). Expanding the definition
+// gives
+//
+//	δI = (n1+n2)/total · JS_{n1/(n1+n2), n2/(n1+n2)}(p1, p2)
+//
+// which is how it is computed (no full joint needed).
 func MergeDistanceSparse(p1, p2 Sparse, n1, n2, total float64) float64 {
 	if n1 <= 0 || n2 <= 0 || total <= 0 {
 		return 0
 	}
 	w := n1 + n2
 	return w / total * JSSparse(n1/w, n2/w, p1, p2)
-}
-
-// MergeDistance returns the information loss δI(s1, s2) = I(C;V) − I(C';V)
-// incurred by merging two distributional summaries, where s1 and s2 carry
-// n1 and n2 tuples out of total tuples overall, and p1, p2 are their
-// conditional value distributions p(V|s). Expanding the definition gives
-//
-//	δI = (n1+n2)/total · JS_{n1/(n1+n2), n2/(n1+n2)}(p1, p2)
-//
-// which is how it is computed (no full joint needed).
-func MergeDistance(p1, p2 []float64, n1, n2, total float64) float64 {
-	if n1 <= 0 || n2 <= 0 || total <= 0 {
-		return 0
-	}
-	w := n1 + n2
-	return w / total * JS(n1/w, n2/w, p1, p2)
 }

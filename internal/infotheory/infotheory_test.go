@@ -3,9 +3,118 @@ package infotheory
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// The dense definitions are the oracle chain the sparse form is checked
+// against: TestMergeDistanceMatchesDefinition pins MergeDistance to
+// I(C;V) − I(C';V) through MutualInformation, and TestSparseMatchesDense
+// pins the sparse form to the dense one.
+
+// Entropy returns H(p) = -Σ p_i log2 p_i for a (not necessarily
+// normalized) distribution; zero entries contribute nothing.
+func Entropy(p []float64) float64 {
+	h := 0.0
+	for _, x := range p {
+		if x > 0 {
+			h -= x * math.Log2(x)
+		}
+	}
+	return h
+}
+
+// KL returns the Kullback-Leibler divergence D(p || q) = Σ p_i log2
+// (p_i/q_i). It is +Inf when q lacks mass somewhere p has it.
+func KL(p, q []float64) float64 {
+	d := 0.0
+	for i, pi := range p {
+		if pi <= 0 {
+			continue
+		}
+		if i >= len(q) || q[i] <= 0 {
+			return math.Inf(1)
+		}
+		d += pi * math.Log2(pi/q[i])
+	}
+	return d
+}
+
+// JS is the dense JSSparse: symmetric in (p,w1),(q,w2), finite, and zero
+// iff p = q on their common support.
+func JS(w1, w2 float64, p, q []float64) float64 {
+	n := len(p)
+	if len(q) > n {
+		n = len(q)
+	}
+	m := make([]float64, n)
+	for i := range m {
+		var pi, qi float64
+		if i < len(p) {
+			pi = p[i]
+		}
+		if i < len(q) {
+			qi = q[i]
+		}
+		m[i] = w1*pi + w2*qi
+	}
+	d := 0.0
+	for i := 0; i < n; i++ {
+		if i < len(p) && p[i] > 0 {
+			d += w1 * p[i] * math.Log2(p[i]/m[i])
+		}
+		if i < len(q) && q[i] > 0 {
+			d += w2 * q[i] * math.Log2(q[i]/m[i])
+		}
+	}
+	return d
+}
+
+// MutualInformation returns I(X;Y) for a joint distribution given as
+// joint[i][j] = p(x_i, y_j). The joint need not be normalized; it is
+// normalized internally.
+func MutualInformation(joint [][]float64) float64 {
+	total := 0.0
+	for _, row := range joint {
+		for _, v := range row {
+			total += v
+		}
+	}
+	if total <= 0 {
+		return 0
+	}
+	rows := make([]float64, len(joint))
+	var cols []float64
+	for i, row := range joint {
+		for j, v := range row {
+			rows[i] += v / total
+			for len(cols) <= j {
+				cols = append(cols, 0)
+			}
+			cols[j] += v / total
+		}
+	}
+	mi := 0.0
+	for i, row := range joint {
+		for j, v := range row {
+			p := v / total
+			if p > 0 && rows[i] > 0 && cols[j] > 0 {
+				mi += p * math.Log2(p/(rows[i]*cols[j]))
+			}
+		}
+	}
+	return mi
+}
+
+// MergeDistance is the dense MergeDistanceSparse.
+func MergeDistance(p1, p2 []float64, n1, n2, total float64) float64 {
+	if n1 <= 0 || n2 <= 0 || total <= 0 {
+		return 0
+	}
+	w := n1 + n2
+	return w / total * JS(n1/w, n2/w, p1, p2)
+}
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
@@ -179,7 +288,19 @@ func TestMergeDistanceProperties(t *testing.T) {
 	}
 }
 
-// The sparse JS and merge-distance must agree exactly with their dense
+// sparseOf keeps the positive entries of a dense distribution, IDs in
+// order.
+func sparseOf(p []float64) Sparse {
+	var s Sparse
+	for i, v := range p {
+		if v > 0 {
+			s = append(s, Entry{ID: i, P: v})
+		}
+	}
+	return s
+}
+
+// The sparse JS and merge-distance must agree with their dense
 // counterparts on matching distributions.
 func TestSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -196,17 +317,7 @@ func TestSparseMatchesDense(t *testing.T) {
 				q[i] = 0
 			}
 		}
-		ps, qs := Sparse{}, Sparse{}
-		for i, v := range p {
-			if v > 0 {
-				ps[i] = v
-			}
-		}
-		for i, v := range q {
-			if v > 0 {
-				qs[i] = v
-			}
-		}
+		ps, qs := sparseOf(p), sparseOf(q)
 		w1 := rng.Float64()
 		dense := JS(w1, 1-w1, p, q)
 		sparse := JSSparse(w1, 1-w1, ps, qs)
@@ -223,14 +334,77 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// jsSortedMap is JSSparse as it was over map[int]float64 distributions:
+// p's terms then q's, each in sorted key order, folded into one sum.
+func jsSortedMap(w1, w2 float64, p, q map[int]float64) float64 {
+	sorted := func(m map[int]float64) []int {
+		keys := make([]int, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		return keys
+	}
+	d := 0.0
+	for _, k := range sorted(p) {
+		m := w1*p[k] + w2*q[k]
+		d += w1 * p[k] * math.Log2(p[k]/m)
+	}
+	for _, k := range sorted(q) {
+		m := w1*p[k] + w2*q[k]
+		d += w2 * q[k] * math.Log2(q[k]/m)
+	}
+	return d
+}
+
+// JSSparse's two merge passes fold the same terms in the same order as
+// the map form did, so its result is bit-identical to it — not merely
+// within epsilon — on supports that overlap in part, in whole or not at
+// all.
+func TestJSSparseBitIdenticalToSortedMapFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		ps, qs := Sparse{}, Sparse{}
+		pm, qm := map[int]float64{}, map[int]float64{}
+		for id := 0; id < 40; id++ {
+			if rng.Intn(3) == 0 {
+				v := rng.Float64()
+				ps, pm[id] = append(ps, Entry{ID: id, P: v}), v
+			}
+			if rng.Intn(3) == 0 {
+				v := rng.Float64()
+				qs, qm[id] = append(qs, Entry{ID: id, P: v}), v
+			}
+		}
+		w1 := rng.Float64()
+		got, want := JSSparse(w1, 1-w1, ps, qs), jsSortedMap(w1, 1-w1, pm, qm)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: JSSparse %v, sorted map fold %v", trial, got, want)
+		}
+	}
+}
+
+func TestSparseAt(t *testing.T) {
+	s := Sparse{{ID: 1, P: 0.25}, {ID: 4, P: 0.5}, {ID: 9, P: 0.25}}
+	for id, want := range map[int]float64{0: 0, 1: 0.25, 2: 0, 4: 0.5, 9: 0.25, 10: 0} {
+		if got := s.At(id); got != want {
+			t.Errorf("At(%d) = %v, want %v", id, got, want)
+		}
+	}
+	if got := Sparse(nil).At(3); got != 0 {
+		t.Errorf("empty At = %v", got)
+	}
+}
+
 func TestSparseDegenerate(t *testing.T) {
 	if got := JSSparse(0.5, 0.5, Sparse{}, Sparse{}); got != 0 {
 		t.Errorf("JS of empty distributions = %v", got)
 	}
-	if got := MergeDistanceSparse(Sparse{0: 1}, Sparse{0: 1}, 0, 1, 2); got != 0 {
+	one := Sparse{{ID: 0, P: 1}}
+	if got := MergeDistanceSparse(one, one, 0, 1, 2); got != 0 {
 		t.Error("degenerate cardinality should be 0")
 	}
-	if got := MergeDistanceSparse(Sparse{0: 1}, Sparse{0: 1}, 1, 1, 2); !approx(got, 0, 1e-12) {
+	if got := MergeDistanceSparse(one, one, 1, 1, 2); !approx(got, 0, 1e-12) {
 		t.Errorf("identical sparse distributions should merge for free, got %v", got)
 	}
 }

@@ -38,7 +38,8 @@ func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallel
 // column; attrCols selects the categorical attributes used to build the
 // summaries (nil means every column except the identifier and probability
 // columns). A nil distance uses InformationLoss. Non-string attribute
-// values are treated as categories via their textual form.
+// values are treated as categories by the class of their printed form,
+// without printing; so are cluster identifiers.
 func AnnotateTable(tb *storage.Table, attrCols []string, d Distance) error {
 	return AnnotateTableCtx(context.Background(), tb, attrCols, d, 1)
 }
@@ -82,24 +83,22 @@ func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string,
 		attrs[i] = rel.Columns[ci].Name
 	}
 	ds := NewDataset(attrs)
-	clusterIDs := make([]string, tb.Len())
-	vals := make([]string, len(cols))
+	ds.ids = make([]int, 0, tb.Len()*len(cols))
+	clusterIDs := make([]value.Value, tb.Len())
 	var tick qerr.Ticker
-	for i := 0; i < tb.Len(); i++ {
+	for i := range clusterIDs {
 		if err := tick.Poll(ctx); err != nil {
 			return err
 		}
 		row := tb.Row(i)
-		for k, ci := range cols {
-			vals[k] = row[ci].String()
+		for a, ci := range cols {
+			ds.add(a, category(row[ci]))
 		}
-		if err := ds.Add(vals); err != nil {
-			return err
-		}
-		clusterIDs[i] = row[idIdx].String()
+		ds.n++
+		clusterIDs[i] = category(row[idIdx])
 	}
 
-	assignments, err := AssignProbabilitiesCtx(ctx, ds, clusterIDs, d, parallelism)
+	assignments, err := ds.assign(ctx, GroupClusters(clusterIDs), d, parallelism)
 	if err != nil {
 		return err
 	}

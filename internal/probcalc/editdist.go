@@ -86,40 +86,22 @@ func AssignProbabilitiesEdit(ds *Dataset, clusterIDs []string, d TupleDistance) 
 	if d == nil {
 		d = AvgEditDistance
 	}
-	order := []string{}
-	rowsOf := map[string][]int{}
-	for i, id := range clusterIDs {
-		if _, ok := rowsOf[id]; !ok {
-			order = append(order, id)
-		}
-		rowsOf[id] = append(rowsOf[id], i)
-	}
+	cs := GroupClusters(clusterIDs)
 	out := make([]Assignment, ds.Len())
-	for _, cid := range order {
-		rows := rowsOf[cid]
-		if len(rows) == 1 {
-			out[rows[0]] = Assignment{Row: rows[0], Cluster: cid, Similarity: 1, Prob: 1}
-			continue
-		}
-		rep := ds.MostFrequentValues(rows)
-		s := 0.0
-		dist := make([]float64, len(rows))
-		for k, i := range rows {
-			dist[k] = d(ds.Tuple(i), rep)
-			s += dist[k]
-		}
-		k := float64(len(rows))
-		for idx, i := range rows {
-			a := Assignment{Row: i, Cluster: cid, Distance: dist[idx]}
-			if s <= 0 {
-				a.Similarity = 1
-				a.Prob = 1 / k
-			} else {
-				a.Similarity = 1 - dist[idx]/s
-				a.Prob = a.Similarity / (k - 1)
+	var dist []float64
+	for c := 0; c < cs.Len(); c++ {
+		rows := cs.Rows(c)
+		dist = dist[:0]
+		if len(rows) > 1 {
+			rep := ds.MostFrequentValues(rows)
+			for _, i := range rows {
+				dist = append(dist, d(ds.Tuple(i), rep))
 			}
-			out[i] = a
 		}
+		figure5(rows, dist, out)
+	}
+	for i := range out {
+		out[i].Cluster = clusterIDs[i]
 	}
 	return out, nil
 }

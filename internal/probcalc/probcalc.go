@@ -19,26 +19,50 @@ package probcalc
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"conquer/internal/infotheory"
+	"conquer/internal/value"
 )
 
 // Dataset is a set of categorical tuples over named attributes, with a
-// value vocabulary shared across tuples. Identical strings under different
-// attributes are distinct values (§4.1.1), which the vocabulary realizes
-// by keying on (attribute index, raw string).
+// value vocabulary shared across tuples. Identical values under different
+// attributes are distinct (§4.1.1), which the vocabulary realizes by
+// keying on (attribute index, category).
 type Dataset struct {
-	Attrs  []string
-	tuples [][]int // value ids per attribute
-	vocab  map[vkey]int
-	names  []vkey // id -> key
+	Attrs []string
+	n     int   // tuples
+	ids   []int // value ids, len(Attrs) per tuple
+	vocab map[vkey]int
+	names []vkey // id -> key
 }
 
 type vkey struct {
 	attr int
-	raw  string
+	v    value.Value // a category
 }
+
+// category is v's vocabulary key: the class of the values that print as v
+// does, read without printing. A typed column holds only NULL and its
+// declared kind (storage.Table.Insert checks it), and within one kind every
+// value prints distinctly (-0 as "-0") except NaN, so the class is v itself
+// with two exceptions: NULL, which prints as the string "NULL" and keys as
+// it, and NaN, every one of which keys as one NaN.
+func category(v value.Value) value.Value {
+	switch {
+	case v.IsNull():
+		return nullCategory
+	case v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()):
+		return nanCategory
+	}
+	return v
+}
+
+var (
+	nullCategory = value.Str("NULL")
+	nanCategory  = value.Float(math.NaN())
+)
 
 // NewDataset creates a dataset over the given attribute names.
 func NewDataset(attrs []string) *Dataset {
@@ -53,23 +77,28 @@ func (ds *Dataset) Add(values []string) error {
 	if len(values) != len(ds.Attrs) {
 		return fmt.Errorf("probcalc: tuple has %d values, want %d", len(values), len(ds.Attrs))
 	}
-	row := make([]int, len(values))
 	for a, raw := range values {
-		k := vkey{attr: a, raw: raw}
-		id, ok := ds.vocab[k]
-		if !ok {
-			id = len(ds.names)
-			ds.vocab[k] = id
-			ds.names = append(ds.names, k)
-		}
-		row[a] = id
+		ds.add(a, value.Str(raw))
 	}
-	ds.tuples = append(ds.tuples, row)
+	ds.n++
 	return nil
 }
 
+// add appends attribute attr's value, the category v, to the tuple being
+// added.
+func (ds *Dataset) add(attr int, v value.Value) {
+	k := vkey{attr: attr, v: v}
+	id, ok := ds.vocab[k]
+	if !ok {
+		id = len(ds.names)
+		ds.vocab[k] = id
+		ds.names = append(ds.names, k)
+	}
+	ds.ids = append(ds.ids, id)
+}
+
 // Len returns the number of tuples.
-func (ds *Dataset) Len() int { return len(ds.tuples) }
+func (ds *Dataset) Len() int { return ds.n }
 
 // VocabSize returns |V|, the number of distinct (attribute, value) pairs.
 func (ds *Dataset) VocabSize() int { return len(ds.names) }
@@ -77,20 +106,35 @@ func (ds *Dataset) VocabSize() int { return len(ds.names) }
 // ValueName returns the raw string and attribute of vocabulary entry id.
 func (ds *Dataset) ValueName(id int) (attr int, raw string) {
 	k := ds.names[id]
-	return k.attr, k.raw
+	return k.attr, k.v.String()
+}
+
+// tuple returns tuple i's value ids, one per attribute.
+func (ds *Dataset) tuple(i int) []int {
+	m := len(ds.Attrs)
+	return ds.ids[i*m : (i+1)*m]
 }
 
 // TupleDistribution returns p(V | t) for tuple i: 1/m at each of the
-// tuple's m attribute values (§4.1.1). The distribution is sparse — keyed
-// by vocabulary id, absent entries are zero — so the footprint is O(m)
-// however large the vocabulary grows.
+// tuple's m attribute values (§4.1.1). The distribution is sparse, so the
+// footprint is O(m) however large the vocabulary grows.
 func (ds *Dataset) TupleDistribution(i int) infotheory.Sparse {
-	m := float64(len(ds.Attrs))
-	p := make(infotheory.Sparse, len(ds.tuples[i]))
-	for _, id := range ds.tuples[i] {
-		p[id] += 1 / m // += so repeated values across attrs accumulate
+	return ds.appendTuple(nil, i)
+}
+
+// appendTuple appends TupleDistribution(i) to dst. Each attribute keys its
+// own values, so a tuple's m ids are distinct; sorting them is all that
+// makes the entries a Sparse.
+func (ds *Dataset) appendTuple(dst infotheory.Sparse, i int) infotheory.Sparse {
+	w := 1 / float64(len(ds.Attrs))
+	start := len(dst)
+	for _, id := range ds.tuple(i) {
+		dst = append(dst, infotheory.Entry{ID: id, P: w})
+		for k := len(dst) - 1; k > start && dst[k].ID < dst[k-1].ID; k-- {
+			dst[k], dst[k-1] = dst[k-1], dst[k]
+		}
 	}
-	return p
+	return dst
 }
 
 // DCF is a Distributional Cluster Feature (§4.1.2): the cluster's
@@ -108,17 +152,39 @@ func (ds *Dataset) SingletonDCF(i int) DCF {
 // Merge combines two summaries: cardinalities add, distributions average
 // weighted by cardinality.
 func Merge(a, b DCF) DCF {
+	return merge(make(infotheory.Sparse, 0, len(a.P)+len(b.P)), a, b)
+}
+
+// merge is Merge appending the distribution to dst, which must not share
+// storage with a.P or b.P. An entry in both is wa·a + wb·b, summed in the
+// map form's order: wa·a is rounded before the add, as its first += rounded
+// it, and the explicit float64 conversion stops a compiler from fusing that
+// product into a multiply-add (Go spec, "Floating-point operators").
+func merge(dst infotheory.Sparse, a, b DCF) DCF {
 	n := a.Count + b.Count
 	wa := float64(a.Count) / float64(n)
 	wb := float64(b.Count) / float64(n)
-	p := make(infotheory.Sparse, len(a.P)+len(b.P))
-	for k, v := range a.P {
-		p[k] += wa * v
+	p, q := a.P, b.P
+	for len(p) > 0 && len(q) > 0 {
+		switch {
+		case p[0].ID < q[0].ID:
+			dst = append(dst, infotheory.Entry{ID: p[0].ID, P: wa * p[0].P})
+			p = p[1:]
+		case p[0].ID > q[0].ID:
+			dst = append(dst, infotheory.Entry{ID: q[0].ID, P: wb * q[0].P})
+			q = q[1:]
+		default:
+			dst = append(dst, infotheory.Entry{ID: p[0].ID, P: float64(wa*p[0].P) + wb*q[0].P})
+			p, q = p[1:], q[1:]
+		}
 	}
-	for k, v := range b.P {
-		p[k] += wb * v
+	for _, e := range p {
+		dst = append(dst, infotheory.Entry{ID: e.ID, P: wa * e.P})
 	}
-	return DCF{Count: n, P: p}
+	for _, e := range q {
+		dst = append(dst, infotheory.Entry{ID: e.ID, P: wb * e.P})
+	}
+	return DCF{Count: n, P: dst}
 }
 
 // Representative builds the cluster representative (the DCF of the whole
@@ -131,16 +197,47 @@ func (ds *Dataset) Representative(rows []int) (DCF, error) {
 	if len(rows) == 0 {
 		return DCF{}, fmt.Errorf("probcalc: empty cluster")
 	}
-	rep := ds.SingletonDCF(rows[0])
-	for _, i := range rows[1:] {
-		rep = Merge(rep, ds.SingletonDCF(i))
+	return ds.representative(new(scratch), rows), nil
+}
+
+// scratch is one worker's buffers, reused from cluster to cluster: the
+// representatives a merge reads and writes, which swap after every merge,
+// one tuple's distribution, and a cluster's distances.
+type scratch struct {
+	rep, next, single infotheory.Sparse
+	dist              []float64
+}
+
+// newScratch sizes the buffers for clusters of up to k tuples, whose
+// representatives hold at most k·m values, so that no merge grows them.
+func (ds *Dataset) newScratch(k int) scratch {
+	m := len(ds.Attrs)
+	width := min(k*m, ds.VocabSize())
+	return scratch{
+		rep:    make(infotheory.Sparse, 0, width),
+		next:   make(infotheory.Sparse, 0, width),
+		single: make(infotheory.Sparse, 0, m),
+		dist:   make([]float64, 0, k),
 	}
-	return rep, nil
+}
+
+// representative is Representative in sc's buffers: the result is valid
+// until sc's next use.
+func (ds *Dataset) representative(sc *scratch, rows []int) DCF {
+	sc.rep = ds.appendTuple(sc.rep[:0], rows[0])
+	rep := DCF{Count: 1, P: sc.rep}
+	for _, i := range rows[1:] {
+		sc.single = ds.appendTuple(sc.single[:0], i)
+		rep = merge(sc.next[:0], rep, DCF{Count: 1, P: sc.single})
+		sc.rep, sc.next = rep.P, sc.rep
+	}
+	return rep
 }
 
 // Distance measures how far a tuple (as a singleton summary) is from its
 // cluster representative. total is the dataset size |T|, used to weight
-// the information loss.
+// the information loss. tuple and rep are valid only during the call: the
+// Figure-5 pass reuses their storage for the next tuple and cluster.
 type Distance func(tuple, rep DCF, total int) float64
 
 // InformationLoss is the paper's distance (§4.1.3): the loss of mutual
@@ -193,7 +290,7 @@ func (ds *Dataset) MostFrequentValues(rows []int) []string {
 		counts := map[string]int{}
 		var first []string
 		for _, i := range rows {
-			_, raw := ds.ValueName(ds.tuples[i][a])
+			_, raw := ds.ValueName(ds.tuple(i)[a])
 			if counts[raw] == 0 {
 				first = append(first, raw)
 			}
@@ -213,7 +310,7 @@ func (ds *Dataset) MostFrequentValues(rows []int) []string {
 // Tuple returns the raw values of tuple i.
 func (ds *Dataset) Tuple(i int) []string {
 	out := make([]string, len(ds.Attrs))
-	for a, id := range ds.tuples[i] {
+	for a, id := range ds.tuple(i) {
 		_, out[a] = ds.ValueName(id)
 	}
 	return out

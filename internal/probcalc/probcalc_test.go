@@ -47,11 +47,11 @@ func TestPaperTable1(t *testing.T) {
 	}
 	p := ds.TupleDistribution(0)
 	nonzero := 0
-	for _, x := range p {
-		if x != 0 {
+	for _, e := range p {
+		if e.P != 0 {
 			nonzero++
-			if !approx(x, 0.25, 1e-12) {
-				t.Errorf("p(v|t1) = %v, want 0.25", x)
+			if !approx(e.P, 0.25, 1e-12) {
+				t.Errorf("p(v|t1) = %v, want 0.25", e.P)
 			}
 		}
 	}
@@ -60,8 +60,8 @@ func TestPaperTable1(t *testing.T) {
 	}
 	// Row sums to 1.
 	sum := 0.0
-	for _, x := range p {
-		sum += x
+	for _, e := range p {
+		sum += e.P
 	}
 	if !approx(sum, 1, 1e-12) {
 		t.Errorf("row sum = %v", sum)
@@ -95,16 +95,16 @@ func TestPaperTable2(t *testing.T) {
 		return -1
 	}
 	// Attribute order: name, mktsegment, nation, address.
-	if got := rep1.P[find(2, "USA")]; !approx(got, 0.25, 1e-12) {
+	if got := rep1.P.At(find(2, "USA")); !approx(got, 0.25, 1e-12) {
 		t.Errorf("rep1[USA] = %v, want 0.25", got)
 	}
-	if got := rep1.P[find(0, "Mary")]; !approx(got, 2.0/3*0.25, 1e-12) {
+	if got := rep1.P.At(find(0, "Mary")); !approx(got, 2.0/3*0.25, 1e-12) {
 		t.Errorf("rep1[Mary] = %v, want %v", got, 2.0/3*0.25)
 	}
-	if got := rep1.P[find(1, "banking")]; !approx(got, 2.0/3*0.25, 1e-12) {
+	if got := rep1.P.At(find(1, "banking")); !approx(got, 2.0/3*0.25, 1e-12) {
 		t.Errorf("rep1[banking] = %v", got)
 	}
-	if got := rep1.P[find(0, "Marion")]; !approx(got, 1.0/3*0.25, 1e-12) {
+	if got := rep1.P.At(find(0, "Marion")); !approx(got, 1.0/3*0.25, 1e-12) {
 		t.Errorf("rep1[Marion] = %v", got)
 	}
 
@@ -112,10 +112,10 @@ func TestPaperTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep2.P[find(1, "building")]; !approx(got, 0.25, 1e-12) {
+	if got := rep2.P.At(find(1, "building")); !approx(got, 0.25, 1e-12) {
 		t.Errorf("rep2[building] = %v, want 0.25", got)
 	}
-	if got := rep2.P[find(3, "Arrow")]; !approx(got, 0.25, 1e-12) {
+	if got := rep2.P.At(find(3, "Arrow")); !approx(got, 0.25, 1e-12) {
 		t.Errorf("rep2[Arrow] = %v, want 0.25", got)
 	}
 
@@ -130,8 +130,8 @@ func TestPaperTable2(t *testing.T) {
 	// Representative distributions sum to 1.
 	for i, rep := range []DCF{rep1, rep2, rep3} {
 		sum := 0.0
-		for _, x := range rep.P {
-			sum += x
+		for _, e := range rep.P {
+			sum += e.P
 		}
 		if !approx(sum, 1, 1e-9) {
 			t.Errorf("rep%d sums to %v", i+1, sum)
@@ -219,19 +219,27 @@ func TestAddArityError(t *testing.T) {
 }
 
 func TestMergeCardinalityWeights(t *testing.T) {
-	a := DCF{Count: 3, P: infotheory.Sparse{0: 1}}
-	b := DCF{Count: 1, P: infotheory.Sparse{1: 1}}
+	a := DCF{Count: 3, P: infotheory.Sparse{{ID: 0, P: 1}}}
+	b := DCF{Count: 1, P: infotheory.Sparse{{ID: 1, P: 1}}}
 	m := Merge(a, b)
 	if m.Count != 4 {
 		t.Errorf("count = %d", m.Count)
 	}
-	if !approx(m.P[0], 0.75, 1e-12) || !approx(m.P[1], 0.25, 1e-12) {
+	if !approx(m.P.At(0), 0.75, 1e-12) || !approx(m.P.At(1), 0.25, 1e-12) {
 		t.Errorf("merged P = %v", m.P)
 	}
-	// Disjoint supports merge into the union.
-	c := Merge(DCF{Count: 1, P: infotheory.Sparse{0: 1}}, DCF{Count: 1, P: infotheory.Sparse{1: 1}})
-	if len(c.P) != 2 || !approx(c.P[0], 0.5, 1e-12) {
-		t.Errorf("disjoint merge = %v", c.P)
+	// Disjoint supports merge into the union, in ID order; a shared ID
+	// merges into one entry.
+	c := Merge(DCF{Count: 1, P: infotheory.Sparse{{ID: 3, P: 0.5}, {ID: 7, P: 0.5}}},
+		DCF{Count: 1, P: infotheory.Sparse{{ID: 1, P: 0.5}, {ID: 7, P: 0.5}}})
+	want := infotheory.Sparse{{ID: 1, P: 0.25}, {ID: 3, P: 0.25}, {ID: 7, P: 0.5}}
+	if len(c.P) != len(want) {
+		t.Fatalf("merge = %v, want %v", c.P, want)
+	}
+	for i := range want {
+		if c.P[i].ID != want[i].ID || !approx(c.P[i].P, want[i].P, 1e-12) {
+			t.Errorf("merge = %v, want %v", c.P, want)
+		}
 	}
 }
 
