@@ -16,11 +16,14 @@
 //   - MethodMonteCarlo samples candidate databases independently and
 //     estimates each answer's probability as its sample frequency. A
 //     baseline, and the escape hatch for queries outside the rewritable
-//     class.
+//     class. An SPJ statement runs one lineage query on the dirty
+//     database and checks each answer's DNF over the sampled cluster
+//     choices (lineage.go); any other runs on every sampled candidate.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -119,8 +122,9 @@ func (d Degradation) String() string { return d.Method.String() + "(" + d.Reason
 // EvalStats aggregates engine-level accounting across the SQL queries an
 // evaluation executed (DESIGN.md §10).
 type EvalStats struct {
-	// Queries is how many SQL queries ran: one per materialized candidate
-	// database for exact and Monte-Carlo, one for rewriting.
+	// Queries is how many SQL queries ran: one per candidate database for
+	// exact enumeration and for Monte-Carlo outside SPJ, one for the
+	// rewriting and for Monte-Carlo from lineage.
 	Queries int
 	// BufferedPeak is the largest buffered-row high-water mark any of
 	// those queries reached.
@@ -133,6 +137,12 @@ func (s *EvalStats) note(qres *engine.Result) {
 	if qres.Stats.BufferedPeak > s.BufferedPeak {
 		s.BufferedPeak = qres.Stats.BufferedPeak
 	}
+}
+
+// add counts o's queries into s.
+func (s *EvalStats) add(o EvalStats) {
+	s.Queries += o.Queries
+	s.BufferedPeak = max(s.BufferedPeak, o.BufferedPeak)
 }
 
 // Find returns the probability of the answer tuple equal to vals, or 0.
@@ -332,11 +342,30 @@ func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resu
 // Result carries the worst-case bound 1/(2*sqrt(n)). The engine's
 // MaxSamples (when positive) caps n with a qerr.ErrBudgetExceeded error so
 // callers can renegotiate the sample count rather than silently degrading
-// accuracy.
+// accuracy. An SPJ statement runs one lineage query and checks each
+// answer's DNF per sample (sampleLineage); any other statement, or one
+// whose lineage buildLineage gives up on, runs on every sampled world
+// (sampleWorlds).
+// Both draw the same candidates and give the same estimate, bit for bit.
 func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
 	if budget := ev.rungs().Limits.MaxSamples; budget > 0 && n > budget {
 		return nil, fmt.Errorf("core: %d Monte-Carlo samples exceed budget %d: %w", n, budget, qerr.ErrBudgetExceeded)
 	}
+	out, spent, err := ev.sampleLineage(ctx, stmt, n, seed)
+	if errors.Is(err, errNoLineage) {
+		if out, err = ev.sampleWorlds(ctx, stmt, n, seed); err == nil {
+			out.Stats.add(spent) // the retry costs the failed lineage query too
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return estimated(out, n), nil
+}
+
+// sampleWorlds estimates stmt's clean answers from n candidates drawn from
+// seed, running stmt on each.
+func (ev Evaluator) sampleWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
 	acc := newAccumulator()
 	w := 1 / float64(n)
 	cols, stats, err := ev.overWorlds(ctx, stmt, sample(ctx, n, seed),
@@ -348,6 +377,13 @@ func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n
 		return nil, err
 	}
 	out := acc.result(cols)
+	out.Stats = stats
+	return out, nil
+}
+
+// estimated marks out as the estimate from n samples: the method, the
+// sample count and the standard errors.
+func estimated(out *Result, n int) *Result {
 	out.Method = MethodMonteCarlo
 	out.Samples = n
 	// The worst-case bound on any answer's standard error (p̂ = 1/2
@@ -368,8 +404,7 @@ func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n
 		}
 		out.Answers[i].StdErr = se
 	}
-	out.Stats = stats
-	return out, nil
+	return out
 }
 
 // rewriting computes clean answers with the paper's rewriting: it applies

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"conquer/internal/dirty"
+	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/faultinject"
 	"conquer/internal/qerr"
@@ -19,22 +20,44 @@ import (
 
 var errBoom = errors.New("boom")
 
-// evaluators are the two candidate-loop entry points under one signature,
+// evaluators are the candidate-loop entry points under one signature,
 // next to the step-by-step oracle of each and how closely the two agree
 // (the exact oracle enumerates in catalog order, ExactCtx in FROM order).
+// The statements below are SPJ, so MonteCarloCtx runs their lineage query
+// and samples it, and retries on the worlds where that query runs out of
+// budget; "monte-carlo worlds" is the per-world loop alone.
 var evaluators = []struct {
 	name        string
 	run, oracle func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error)
 	tol         float64
+	lineage     bool // runs a lineage query first, and no world unless it fails
 }{
-	{"exact", ExactCtx, oracleExact, value.ProbEpsilon},
+	{"exact", ExactCtx, oracleExact, value.ProbEpsilon, false},
 	{"monte-carlo",
 		func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
 			return MonteCarloCtx(ctx, d, stmt, 40, 3, lim)
-		},
+		}, oracleMonteCarlo40, 0, true},
+	{"monte-carlo worlds",
 		func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
-			return oracleMonteCarlo(ctx, d, stmt, 40, 3, lim)
-		}, 0},
+			return monteCarloOverWorlds(ctx, d, stmt, 40, 3, lim)
+		}, oracleMonteCarlo40, 0, false},
+}
+
+func oracleMonteCarlo40(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
+	return oracleMonteCarlo(ctx, d, stmt, 40, 3, lim)
+}
+
+// monteCarloOverWorlds is MonteCarloCtx on the per-world loop, whatever
+// the statement.
+func monteCarloOverWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, n int, seed int64, lim exec.Limits) (res *Result, err error) {
+	defer qerr.Recover(&err)
+	ctx, cancel := lim.WithContext(ctx)
+	defer cancel()
+	res, err = Evaluator{DB: d, Engine: engine.NewWithLimits(d.Store, lim)}.sampleWorlds(ctx, stmt, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return estimated(res, n), nil
 }
 
 // waitForGoroutines fails the test unless the goroutine count returns to
@@ -51,20 +74,27 @@ func waitForGoroutines(t *testing.T, before int) {
 
 // Storage faults in the middle of an evaluation — an insert fault while a
 // later candidate refills the world, a scan fault while a later candidate
-// executes — surface %w-wrapped, with the reason the step-by-step path
-// reports, and with no partial answer.
+// executes, a scan fault inside the lineage query — surface %w-wrapped,
+// with the reason the step-by-step path reports, and with no partial
+// answer. A lineage query that fails on a budget fault retries on the
+// worlds, and the fault, still armed, fails them.
 func TestCandidateLoopSurfacesFaults(t *testing.T) {
 	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
 	for _, ev := range evaluators {
 		for _, f := range []struct {
-			name  string
-			table string
-			op    storage.Op
-			n     int // customer refills 2 rows and orders scans 2 per candidate: both land in candidate 3
+			name   string
+			table  string
+			op     storage.Op
+			n      int  // customer refills 2 rows and orders scans 2 per candidate: both land in candidate 3
+			worlds bool // lands in a world, where the lineage query (orders' 3 rows once) does not reach
 		}{
-			{"insert mid-refill", "customer", storage.OpInsert, 6},
-			{"scan mid-candidate", "orders", storage.OpScan, 6},
+			{"insert mid-refill", "customer", storage.OpInsert, 6, true},
+			{"scan mid-candidate", "orders", storage.OpScan, 6, true},
+			{"scan mid-lineage", "orders", storage.OpScan, 2, false},
 		} {
+			if f.worlds && ev.lineage {
+				continue
+			}
 			for _, cause := range []error{errBoom, qerr.ErrBudgetExceeded} {
 				d := testdb.Figure2()
 				d.Store.SetInjector(faultinject.FailNth(f.table, f.op, f.n, cause))
@@ -85,7 +115,8 @@ func TestCandidateLoopSurfacesFaults(t *testing.T) {
 
 // Cancellation in the middle of the enumeration or the sampling loop ends
 // the evaluation with ErrCanceled, the evaluation's own Timeout with
-// ErrDeadline, and neither leaves a goroutine behind.
+// ErrDeadline, and neither leaves a goroutine behind. The lineage query
+// scans 7 rows, so there the cancellation lands on its last.
 func TestCandidateLoopCancellation(t *testing.T) {
 	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id")
 	for _, ev := range evaluators {
@@ -139,8 +170,11 @@ func TestCandidateLoopBudgetsArePerCandidate(t *testing.T) {
 					t.Fatalf("%s %+v: %v (step by step: %v)", ev.name, c.lim, err, oerr)
 				}
 				sameResult(t, ev.name, ores, res, ev.tol)
-				if res.Stats.Queries != ores.Stats.Queries {
-					t.Errorf("%s: ran on %d worlds, step by step on %d", ev.name, res.Stats.Queries, ores.Stats.Queries)
+				if !ev.lineage {
+					samePlanRuns(t, ev.name, ores, res)
+				} else if res.Stats.Queries != ores.Stats.Queries+1 {
+					// The lineage joins 3 orders to 6 customers: over budget.
+					t.Errorf("%s: %d queries; want the failed lineage query and %d worlds", ev.name, res.Stats.Queries, ores.Stats.Queries)
 				}
 				continue
 			}

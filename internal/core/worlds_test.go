@@ -13,6 +13,7 @@ import (
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
 	"conquer/internal/exec"
+	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
 	"conquer/internal/uisgen"
@@ -31,7 +32,8 @@ import (
 // Evaluator.Eval's cache scope and rung selection rest on (DESIGN.md §11): the
 // clusters of a relation the statement does not read sum out. The
 // Monte-Carlo oracle draws from the FROM relations' index, as
-// MonteCarloCtx does, and overWorlds must reproduce it bit for bit.
+// MonteCarloCtx does, and MonteCarloCtx must reproduce it bit for bit,
+// whether it checks lineage DNFs or runs on the worlds.
 
 // distinctRows deduplicates a query result into set semantics (a candidate
 // database contributes an answer once, however many derivations it has),
@@ -147,7 +149,8 @@ func oracleMonteCarlo(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStm
 
 // sameResult demands the same answers in the same order; at tol 0 identity,
 // not closeness: probabilities and standard errors equal as float64 bit
-// patterns. How many worlds each side visited is the caller's to check.
+// patterns. How many queries each side ran, and their buffered peaks, are
+// the caller's to check (samePlanRuns).
 func sameResult(t *testing.T, label string, want, got *Result, tol float64) {
 	t.Helper()
 	same := func(a, b float64) bool {
@@ -164,9 +167,6 @@ func sameResult(t *testing.T, label string, want, got *Result, tol float64) {
 		t.Errorf("%s: method/samples/stderr = %v/%d/%v, want %v/%d/%v", label,
 			got.Method, got.Samples, got.StdErr, want.Method, want.Samples, want.StdErr)
 	}
-	if got.Stats.BufferedPeak != want.Stats.BufferedPeak {
-		t.Errorf("%s: buffered peak %d, want %d", label, got.Stats.BufferedPeak, want.Stats.BufferedPeak)
-	}
 	if len(got.Answers) != len(want.Answers) {
 		t.Fatalf("%s: %d answers, want %d\n got: %v\nwant: %v", label, len(got.Answers), len(want.Answers), got.Answers, want.Answers)
 	}
@@ -176,6 +176,17 @@ func sameResult(t *testing.T, label string, want, got *Result, tol float64) {
 			t.Errorf("%s: answer %d = %v p=%v se=%v, want %v p=%v se=%v", label, i,
 				g.Values, g.Prob, g.StdErr, w.Values, w.Prob, w.StdErr)
 		}
+	}
+}
+
+// samePlanRuns demands that got ran as many plans as want, buffering as
+// many rows at the peak: the evaluator ran the statement on the worlds the
+// step-by-step path did.
+func samePlanRuns(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.Stats.Queries != want.Stats.Queries || got.Stats.BufferedPeak != want.Stats.BufferedPeak {
+		t.Errorf("%s: %d queries, buffered peak %d; step by step %d and %d", label,
+			got.Stats.Queries, got.Stats.BufferedPeak, want.Stats.Queries, want.Stats.BufferedPeak)
 	}
 }
 
@@ -290,9 +301,10 @@ func generatedCases(n int) []diffCase {
 var execPoisonRecycled bool
 
 // TestEvaluatorsMatchStepByStepOracle is the differential test of the
-// shared candidate loop: ExactCtx and MonteCarloCtx against the old loop
-// over the public API, at the default worker and shard counts (with
-// GOMAXPROCS raised so that they exceed one) and at one worker, one shard.
+// shared candidate loop and of Monte-Carlo from lineage: ExactCtx and
+// MonteCarloCtx against the old loop over the public API, at the default
+// worker and shard counts (with GOMAXPROCS raised so that they exceed one)
+// and at one worker, one shard.
 func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 	// Recycled row storage is poisoned under the evaluators and not under
 	// the oracle, so a row kept past its batch cannot go wrong the same way
@@ -302,7 +314,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, procs := range []int{4, 1} {
 		prev := runtime.GOMAXPROCS(procs) // engine defaults: Parallelism = Shards = GOMAXPROCS
-		empty, partial, narrowed := 0, 0, 0
+		empty, partial, narrowed, lineages := 0, 0, 0, 0
 		for _, c := range cases {
 			stmt, err := sqlparse.Parse(c.sql)
 			if err != nil {
@@ -320,6 +332,9 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 				t.Fatalf("%s: exact: %v", label, err)
 			}
 			sameResult(t, label+" exact", want, got, value.ProbEpsilon)
+			if got.Stats.BufferedPeak != want.Stats.BufferedPeak {
+				t.Errorf("%s: exact buffered peak %d, want %d", label, got.Stats.BufferedPeak, want.Stats.BufferedPeak)
+			}
 			// The oracle ran the statement on every candidate of the
 			// database, ExactCtx on the FROM relations' candidates.
 			whole, _ := c.d.CandidateCount()
@@ -352,15 +367,25 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 				t.Fatalf("%s: mc: %v", label, err)
 			}
 			sameResult(t, label+" mc", want, got, 0)
-			if got.Stats.Queries != samples || want.Stats.Queries != samples {
-				t.Errorf("%s: mc ran on %d worlds and the oracle on %d; want %d", label, got.Stats.Queries, want.Stats.Queries, samples)
+			// An SPJ statement runs its lineage query alone; any other
+			// runs on every sampled world, as the oracle does.
+			if want.Stats.Queries != samples {
+				t.Errorf("%s: the mc oracle ran on %d worlds, want %d", label, want.Stats.Queries, samples)
+			}
+			if _, err := rewrite.Lineage(c.d.Store.Catalog, stmt); err == nil {
+				lineages++
+				if got.Stats.Queries != 1 {
+					t.Errorf("%s: mc from lineage ran %d queries, want 1", label, got.Stats.Queries)
+				}
+			} else {
+				samePlanRuns(t, label+" mc", want, got)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
 		// The corpus must exercise what it claims to.
-		if empty < 3 || partial < 20 || narrowed < 40 {
-			t.Errorf("procs=%d: corpus has %d statements with no answer, %d with uncertain answers and %d that name fewer relations than are dirty; want >= 3, >= 20 and >= 40",
-				procs, empty, partial, narrowed)
+		if empty < 3 || partial < 20 || narrowed < 40 || lineages < 30 || len(cases)-lineages < 30 {
+			t.Errorf("procs=%d: corpus has %d statements with no answer, %d with uncertain answers, %d that name fewer relations than are dirty and %d SPJ of %d; want >= 3, >= 20, >= 40 and 30 SPJ and not",
+				procs, empty, partial, narrowed, lineages, len(cases))
 		}
 	}
 }
@@ -409,12 +434,12 @@ func TestEstimateAggregateMatchesStepByStepOracle(t *testing.T) {
 }
 
 // allocsPerSample is the marginal cost, in heap allocations, of one more
-// Monte-Carlo sample of stmt over d.
+// Monte-Carlo sample of stmt over d, run on the worlds.
 func allocsPerSample(t *testing.T, d *dirty.DB, stmt *sqlparse.SelectStmt) float64 {
 	t.Helper()
 	run := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := MonteCarloCtx(context.Background(), d, stmt, n, 1, exec.Limits{}); err != nil {
+			if _, err := monteCarloOverWorlds(context.Background(), d, stmt, n, 1, exec.Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -422,7 +447,7 @@ func allocsPerSample(t *testing.T, d *dirty.DB, stmt *sqlparse.SelectStmt) float
 	return (run(1200) - run(200)) / 1000
 }
 
-// A Monte-Carlo sample pays for refilling the world, one governor, the
+// A Monte-Carlo sample on the worlds pays for refilling the world, one governor, the
 // operators' per-open state and its result rows — not for clustering,
 // materializing, planning or a worker pool (DESIGN.md §17: 369 allocations
 // per candidate before, the figures below after). The ceilings leave a

@@ -369,6 +369,17 @@ func (cs Candidates) Count() *big.Int {
 	return n
 }
 
+// Clusters returns the clusters of relation rel, as Chosen[rel] indexes
+// them, or nil when rel is not one of cs's relations.
+func (cs Candidates) Clusters(rel string) []Cluster {
+	for _, rc := range cs {
+		if rc.rel == rel {
+			return rc.clusters
+		}
+	}
+	return nil
+}
+
 // NewCandidate allocates a candidate shaped for cs, for Sample to
 // overwrite.
 func (cs Candidates) NewCandidate() *Candidate {
@@ -478,16 +489,19 @@ func (cs Candidates) Sample(rng *rand.Rand, cand *Candidate) {
 		for ci, cluster := range rc.clusters {
 			r := rng.Float64()
 			acc := 0.0
-			pick := cluster.Rows[len(cluster.Rows)-1] // guard against rounding
-			var pickProb float64
+			// A draw at or past the cluster's sum (1 - ProbEpsilon passes
+			// Validate) takes the last tuple that can be chosen.
+			pick, pickProb := cluster.Rows[len(cluster.Rows)-1], 0.0
 			for _, rowIdx := range cluster.Rows {
 				p := rc.table.Row(rowIdx)[rc.probIdx].AsFloat()
+				if p <= 0 {
+					continue // never chosen; acc, and with it every other draw, is unchanged
+				}
 				acc += p
+				pick, pickProb = rowIdx, p
 				if r < acc {
-					pick, pickProb = rowIdx, p
 					break
 				}
-				pickProb = p
 			}
 			chosen[ci] = pick
 			cand.Prob *= pickProb

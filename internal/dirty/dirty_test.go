@@ -414,6 +414,56 @@ func TestSampleRoundingFallback(t *testing.T) {
 	}
 }
 
+// topSource is a rand.Source whose every Float64 is the largest float64
+// below 1: Float64 divides Int63 by 2^63, and 2^63 - 1024 is the largest
+// Int63 that does not round the quotient up to 1.
+type topSource struct{}
+
+func (topSource) Int63() int64 { return 1<<63 - 1024 }
+func (topSource) Seed(int64)   {}
+
+// A cluster may sum to 1 - ProbEpsilon and pass Validate, and a draw past
+// its sum takes the last tuple that can be chosen: never a probability-0
+// one, which Validate promises is never chosen. Draws within the sum pick
+// as before.
+func TestSampleRoundingGuardSkipsProbabilityZero(t *testing.T) {
+	store := storage.NewDB()
+	s := schema.MustRelation("t",
+		schema.Column{Name: "id", Type: value.KindString},
+		schema.Column{Name: "a", Type: value.KindInt},
+		schema.Column{Name: "prob", Type: value.KindFloat},
+	)
+	if err := s.SetDirty("id", "prob"); err != nil {
+		t.Fatal(err)
+	}
+	tb := store.MustCreateTable(s)
+	tb.MustInsert(value.Str("k"), value.Int(1), value.Float(0.5))
+	tb.MustInsert(value.Str("k"), value.Int(2), value.Float(0.5-ProbEpsilon/2)) // sum 1 - ProbEpsilon/2
+	tb.MustInsert(value.Str("k"), value.Int(3), value.Float(0))
+	d := New(store)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := d.Sample(rand.New(topSource{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.5 - ProbEpsilon/2
+	if got := c.Chosen["t"][0]; got != 1 || math.Float64bits(c.Prob) != math.Float64bits(want) {
+		t.Errorf("a draw past the cluster's sum chose row %d with probability %v; want row 1, %v", got, c.Prob, want)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		c, err := d.Sample(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Chosen["t"][0]; got == 2 {
+			t.Fatalf("sample %d chose the probability-0 row", i)
+		}
+	}
+}
+
 // Candidate.Prob is Dfn 4's product of the chosen tuples' probabilities —
 // checked against an independent recomputation from Chosen for both
 // enumerated and sampled candidates.

@@ -309,7 +309,7 @@ type Prepared struct {
 	// Accounting since the last Report; written only by the execution
 	// holding the checkout.
 	runs int64
-	sum  Stats // Rows, Batches, ShardRebalances add up; BufferedPeak, ShardSkew are maxima
+	sum  Stats // Rows, Batches, ShardRebalances add up; BufferedPeak (failed runs' too), ShardSkew are maxima
 }
 
 func (p *Prepared) checkout() bool { return p.inUse.CompareAndSwap(false, true) }
@@ -356,6 +356,7 @@ func (p *Prepared) run(ctx context.Context) (*Result, error) {
 	bs := exec.ResolveBatchSize(p.popts.BatchSize)
 	rows, batches, err := exec.CollectBatchesGoverned(p.tree, gov, bs)
 	p.runs++
+	p.sum.BufferedPeak = max(p.sum.BufferedPeak, gov.BufferedPeak())
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +377,6 @@ func (p *Prepared) run(ctx context.Context) (*Result, error) {
 	p.sum.Rows += res.Stats.Rows
 	p.sum.Batches += batches
 	p.sum.ShardRebalances += res.Stats.ShardRebalances
-	p.sum.BufferedPeak = max(p.sum.BufferedPeak, res.Stats.BufferedPeak)
 	p.sum.ShardSkew = max(p.sum.ShardSkew, res.Stats.ShardSkew)
 	return res, nil
 }

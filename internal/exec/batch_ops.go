@@ -257,7 +257,7 @@ func (p *Project) NextBatch(b *Batch) error {
 			}
 			v, err := ev(row)
 			if err != nil {
-				return err
+				return &EvalError{err}
 			}
 			out[c] = v
 		}

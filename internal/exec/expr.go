@@ -12,6 +12,14 @@ import (
 // Evaluator computes a scalar value from an input row.
 type Evaluator func(row []value.Value) (value.Value, error)
 
+// EvalError marks an error an expression raised on one row — a division
+// by zero, a comparison of incomparable kinds — apart from the failures of
+// storage, budgets and cancellation around it. Its message is the cause's.
+type EvalError struct{ Err error }
+
+func (e *EvalError) Error() string { return e.Err.Error() }
+func (e *EvalError) Unwrap() error { return e.Err }
+
 // Compile translates a scalar expression into an Evaluator bound to the
 // given row schema. Aggregate calls are rejected — the aggregation operator
 // handles them separately.
@@ -387,13 +395,13 @@ func CompilePredicate(e sqlparse.Expr, rs RowSchema) (func(row []value.Value) (b
 	return func(row []value.Value) (bool, error) {
 		v, err := ev(row)
 		if err != nil {
-			return false, err
+			return false, &EvalError{err}
 		}
 		if v.IsNull() {
 			return false, nil
 		}
 		if v.Kind() != value.KindBool {
-			return false, fmt.Errorf("exec: predicate evaluated to %v", v.Kind())
+			return false, &EvalError{fmt.Errorf("exec: predicate evaluated to %v", v.Kind())}
 		}
 		return v.AsBool(), nil
 	}, nil

@@ -313,7 +313,7 @@ func evalKeysInto(evs []Evaluator, row, buf []value.Value) (keys []value.Value, 
 	for i, ev := range evs {
 		v, err := ev(row)
 		if err != nil {
-			return nil, false, err
+			return nil, false, &EvalError{err}
 		}
 		if v.IsNull() {
 			return nil, true, nil
@@ -560,7 +560,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 	for i, ev := range a.groupEvs {
 		v, err := ev(row)
 		if err != nil {
-			return err
+			return &EvalError{err}
 		}
 		gv[i] = v
 	}
@@ -591,7 +591,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 		}
 		v, err := a.argEvs[i](row)
 		if err != nil {
-			return err
+			return &EvalError{err}
 		}
 		if v.IsNull() {
 			continue // aggregates skip NULLs
@@ -600,7 +600,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 		switch spec.Func {
 		case AggSum, AggAvg:
 			if !v.IsNumeric() {
-				return fmt.Errorf("exec: %v over non-numeric value", spec.Func)
+				return &EvalError{fmt.Errorf("exec: %v over non-numeric value", spec.Func)}
 			}
 			if v.Kind() != value.KindInt {
 				st.sumIsInt[i] = false
@@ -866,7 +866,7 @@ func (s *Sort) evalKeys(row, dst []value.Value) error {
 	for k, ev := range s.evs {
 		v, err := ev(row)
 		if err != nil {
-			return err
+			return &EvalError{err}
 		}
 		dst[k] = v
 	}

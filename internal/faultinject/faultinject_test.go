@@ -150,15 +150,21 @@ func TestObservationalRule(t *testing.T) {
 	}
 }
 
-// Monte-Carlo sampling hits the same materialization path; an injected
-// fault must surface through MonteCarloCtx as well.
+// Monte-Carlo sampling of a statement outside SPJ hits the same
+// materialization path; an injected fault must surface through it as
+// well. An SPJ statement samples its lineage and materializes nothing.
 func TestMonteCarloMaterializeFault(t *testing.T) {
 	d := testdb.Figure1()
 	d.Store.SetInjector(faultinject.FailNth("customer", storage.OpInsert, 5, errBoom))
-	stmt := mustParse(t, "select name from customer")
-	_, err := core.Evaluator{DB: d, Engine: engine.New(d.Store)}.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodMonteCarlo, Samples: 20, Seed: 1})
+	ev := core.Evaluator{DB: d, Engine: engine.New(d.Store)}
+	opts := core.EvalOptions{Method: core.MethodMonteCarlo, Samples: 20, Seed: 1}
+	_, err := ev.Eval(context.Background(), mustParse(t, "select name, count(*) from customer group by name"), opts)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("MonteCarloCtx error = %v, want errors.Is(err, errBoom)", err)
+	}
+	res, err := ev.Eval(context.Background(), mustParse(t, "select name from customer"), opts)
+	if err != nil || res.Stats.Queries != 1 {
+		t.Fatalf("SPJ statement: %+v, error %v; want one query and no world", res, err)
 	}
 }
 

@@ -87,55 +87,20 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 	}
 
 	// Resolve FROM entries; condition 3: each relation at most once.
-	rels := make(map[string]*schema.Relation) // alias -> schema
-	var aliases []string
+	sc, err := newScope(cat, stmt.From, make(map[string]*schema.Relation))
+	if err != nil {
+		return nil, err
+	}
 	seenTable := make(map[string]bool)
-	for _, tr := range stmt.From {
-		alias := strings.ToLower(tr.Alias)
-		rel, ok := cat.Relation(tr.Table)
-		if !ok {
-			return nil, fmt.Errorf("rewrite: unknown relation %q", tr.Table)
-		}
-		if _, dup := rels[alias]; dup {
-			return nil, fmt.Errorf("rewrite: duplicate alias %q", alias)
-		}
+	for _, alias := range sc.aliases {
+		rel := sc.rels[alias]
 		if seenTable[rel.Name] {
 			fail("relation %s appears more than once (self joins violate condition 3 of Dfn 7)", rel.Name)
 		}
 		seenTable[rel.Name] = true
-		rels[alias] = rel
-		aliases = append(aliases, alias)
 		if !rel.IsDirty() {
 			fail("relation %s has no identifier/probability columns; mark it dirty first", rel.Name)
 		}
-	}
-
-	resolve := func(cr *sqlparse.ColumnRef) (string, *schema.Relation, error) {
-		if cr.Qualifier != "" {
-			q := strings.ToLower(cr.Qualifier)
-			rel, ok := rels[q]
-			if !ok {
-				return "", nil, fmt.Errorf("rewrite: unknown alias %q", cr.Qualifier)
-			}
-			if !rel.HasColumn(cr.Name) {
-				return "", nil, fmt.Errorf("rewrite: %s has no column %q", rel.Name, cr.Name)
-			}
-			return q, rel, nil
-		}
-		found := ""
-		var foundRel *schema.Relation
-		for _, alias := range aliases {
-			if rels[alias].HasColumn(cr.Name) {
-				if found != "" {
-					return "", nil, fmt.Errorf("rewrite: ambiguous column %q", cr.Name)
-				}
-				found, foundRel = alias, rels[alias]
-			}
-		}
-		if found == "" {
-			return "", nil, fmt.Errorf("rewrite: unknown column %q", cr.Name)
-		}
-		return found, foundRel, nil
 	}
 
 	// Validate every column reference in the statement.
@@ -155,7 +120,7 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 		var resolveErr error
 		sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
 			if cr, ok := x.(*sqlparse.ColumnRef); ok {
-				if _, _, err := resolve(cr); err != nil && resolveErr == nil {
+				if _, _, err := sc.resolve(cr); err != nil && resolveErr == nil {
 					resolveErr = err
 				}
 			}
@@ -173,7 +138,7 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 
 	// Classify WHERE conjuncts.
 	for _, conj := range sqlparse.Conjuncts(stmt.Where) {
-		touched, err := touchedAliases(conj, resolve)
+		touched, err := sc.touchedAliases(conj)
 		if err != nil {
 			return nil, err
 		}
@@ -195,11 +160,11 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 			fail("join predicate %s must equate two columns", conj.SQL())
 			continue
 		}
-		la, lrel, err := resolve(lc)
+		la, lrel, err := sc.resolve(lc)
 		if err != nil {
 			return nil, err
 		}
-		ra, rrel, err := resolve(rc)
+		ra, rrel, err := sc.resolve(rc)
 		if err != nil {
 			return nil, err
 		}
@@ -220,14 +185,14 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 
 	// Conditions 2 and 4 need the contracted join graph: identifier-to-
 	// identifier joins merge their endpoints into one node.
-	root, treeErr := rootedTree(aliases, a.Edges)
+	root, treeErr := rootedTree(sc.aliases, a.Edges)
 	if treeErr != "" {
 		fail("%s", treeErr)
 	} else {
 		// Condition 4: the identifier of some relation in the root node
 		// must appear in the select clause.
 		a.Root = root
-		if !identifierSelected(stmt, root, aliases, a.Edges, rels) {
+		if !identifierSelected(stmt, root, sc.aliases, a.Edges, sc.rels) {
 			fail("the identifier of root relation %s is not in the select clause (condition 4 of Dfn 7)", root)
 		}
 	}
@@ -252,8 +217,62 @@ func isSelectAlias(stmt *sqlparse.SelectStmt, e sqlparse.Expr) bool {
 	return false
 }
 
+// scope resolves the column references of one FROM list.
+type scope struct {
+	rels    map[string]*schema.Relation // alias -> schema
+	aliases []string                    // in FROM order
+}
+
+// newScope resolves FROM entries against the catalog. The caller makes
+// rels, so that the map can stay on its stack.
+func newScope(cat *schema.Catalog, from []sqlparse.TableRef, rels map[string]*schema.Relation) (scope, error) {
+	var aliases []string
+	for _, tr := range from {
+		alias := strings.ToLower(tr.Alias)
+		rel, ok := cat.Relation(tr.Table)
+		if !ok {
+			return scope{}, fmt.Errorf("rewrite: unknown relation %q", tr.Table)
+		}
+		if _, dup := rels[alias]; dup {
+			return scope{}, fmt.Errorf("rewrite: duplicate alias %q", alias)
+		}
+		rels[alias] = rel
+		aliases = append(aliases, alias)
+	}
+	return scope{rels: rels, aliases: aliases}, nil
+}
+
+// resolve names the alias, and its relation, a column reference reads.
+func (sc *scope) resolve(cr *sqlparse.ColumnRef) (string, *schema.Relation, error) {
+	if cr.Qualifier != "" {
+		q := strings.ToLower(cr.Qualifier)
+		rel, ok := sc.rels[q]
+		if !ok {
+			return "", nil, fmt.Errorf("rewrite: unknown alias %q", cr.Qualifier)
+		}
+		if !rel.HasColumn(cr.Name) {
+			return "", nil, fmt.Errorf("rewrite: %s has no column %q", rel.Name, cr.Name)
+		}
+		return q, rel, nil
+	}
+	found := ""
+	var foundRel *schema.Relation
+	for _, alias := range sc.aliases {
+		if sc.rels[alias].HasColumn(cr.Name) {
+			if found != "" {
+				return "", nil, fmt.Errorf("rewrite: ambiguous column %q", cr.Name)
+			}
+			found, foundRel = alias, sc.rels[alias]
+		}
+	}
+	if found == "" {
+		return "", nil, fmt.Errorf("rewrite: unknown column %q", cr.Name)
+	}
+	return found, foundRel, nil
+}
+
 // touchedAliases lists the FROM aliases a conjunct references.
-func touchedAliases(e sqlparse.Expr, resolve func(*sqlparse.ColumnRef) (string, *schema.Relation, error)) ([]string, error) {
+func (sc *scope) touchedAliases(e sqlparse.Expr) ([]string, error) {
 	seen := make(map[string]bool)
 	var order []string
 	var walkErr error
@@ -262,7 +281,7 @@ func touchedAliases(e sqlparse.Expr, resolve func(*sqlparse.ColumnRef) (string, 
 		if !ok {
 			return true
 		}
-		alias, _, err := resolve(cr)
+		alias, _, err := sc.resolve(cr)
 		if err != nil {
 			if walkErr == nil {
 				walkErr = err
