@@ -354,7 +354,7 @@ func BenchmarkOfflinePass(b *testing.B) {
 const ladderSeed = 84002
 
 // BenchmarkLadderPass is one pass of the benchmark's ladder_nonrewritable
-// workload — exact enumeration plus 2000 Monte-Carlo samples of six
+// workload — exact answers plus 2000 Monte-Carlo samples of six
 // statements over instances small enough to enumerate — so its heap
 // profile is one `go test -run xxx -bench LadderPass -memprofile` away.
 func BenchmarkLadderPass(b *testing.B) {

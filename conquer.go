@@ -12,8 +12,11 @@
 //     RewriteClean transformation and executes it once — exact
 //     probabilities, no candidate-database materialization (§3).
 //     CleanAnswers is the shorthand for it.
-//   - "exact" enumerates every candidate database (Dfn 3-5); exponential,
-//     for small data and verification.
+//   - "exact" enumerates every candidate database (Dfn 3-5) of the
+//     relations the query names; exponential, for small data and
+//     verification. A select-project-join query runs once, listing each
+//     answer's derivations, and every candidate is checked against them;
+//     any other query runs on every candidate.
 //   - "monte-carlo" samples candidate databases; an approximation usable
 //     outside the rewritable query class.
 //

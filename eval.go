@@ -88,8 +88,10 @@ type EvalOptions struct {
 	// Seed seeds Monte-Carlo sampling for reproducible estimates.
 	Seed int64
 	// Method picks the evaluator: "exact" enumerates candidate databases
-	// (Dfn 3-5; exponential, Limits.MaxCandidates caps it), "rewrite" runs
-	// the paper's rewriting (§3; rewritable queries only), "monte-carlo"
+	// (Dfn 3-5; exponential, Limits.MaxCandidates caps it) and checks each
+	// against one query's derivations of every answer, or, outside
+	// select-project-join, runs the query on each; "rewrite" runs the
+	// paper's rewriting (§3; rewritable queries only); "monte-carlo"
 	// samples candidate databases. Each runs alone and returns its own
 	// error. "", the default, runs the degradation ladder over the three.
 	Method string

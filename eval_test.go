@@ -124,9 +124,9 @@ func TestEvalRecordsDegradationChainUnderFault(t *testing.T) {
 		OnFire: func() { db.d.Store.SetInjector(nil) },
 	})
 	db.d.Store.SetInjector(sched)
-	// "select name" violates condition 4 (identifier not projected), so
-	// the rewriting rung is skipped too.
-	res, err := db.Eval(context.Background(), "select name from customer where balance > 10000",
+	// A grouped statement has no lineage, so exact enumerates, and it is
+	// outside the rewritable class, so the rewriting rung is skipped too.
+	res, err := db.Eval(context.Background(), "select name, count(*) from customer where balance > 10000 group by name",
 		EvalOptions{Samples: 200, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -249,18 +249,21 @@ func TestEvalDeadline(t *testing.T) {
 }
 
 // A fault injected into candidate materialization surfaces
-// errors.Is-matchable through the public facade.
+// errors.Is-matchable through the public facade. The statement is
+// grouped, so exact materializes its candidates (an SPJ one it answers
+// from one lineage query).
 func TestFacadeSurfacesMaterializeFault(t *testing.T) {
 	db := paperDB(t)
 	boom := errors.New("disk on fire")
 	db.d.Store.SetInjector(faultinject.FailNth("customer", storage.OpInsert, 2, boom))
-	_, err := db.Eval(context.Background(), "select id from customer", EvalOptions{Method: "exact"})
+	const grouped = "select id, count(*) from customer group by id"
+	_, err := db.Eval(context.Background(), grouped, EvalOptions{Method: "exact"})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want errors.Is(err, boom)", err)
 	}
 	// The same fault aborts Eval's exact rung; as a hard storage error
 	// (not a resource budget) it must NOT be degraded away.
-	_, err = db.Eval(context.Background(), "select id from customer", EvalOptions{})
+	_, err = db.Eval(context.Background(), grouped, EvalOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Eval error = %v, want errors.Is(err, boom)", err)
 	}

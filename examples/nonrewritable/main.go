@@ -5,7 +5,9 @@
 // rewriting double-counts candidate databases. This example reproduces
 // the failure, then shows the three ways out:
 //
-//  1. exact candidate enumeration (ground truth, exponential),
+//  1. exact candidate enumeration (ground truth, exponential): one query
+//     lists each answer's derivations, and every candidate is checked
+//     against them,
 //  2. augmented rewriting — adding the join-graph root's identifier to
 //     the SELECT clause, which the paper calls "not an onerous
 //     restriction", and
@@ -56,7 +58,8 @@ func main() {
 		fmt.Println("  reason:", r)
 	}
 
-	// Escape hatch 1 — exact enumeration (8 candidates here).
+	// Escape hatch 1 — exact enumeration (8 candidates here, each checked
+	// against one query's derivations of every answer).
 	exact, err := db.Eval(context.Background(), q3, conquer.EvalOptions{Method: "exact"})
 	if err != nil {
 		log.Fatal(err)

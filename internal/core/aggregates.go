@@ -129,8 +129,12 @@ func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.Select
 // on each one's (set-semantics) answers.
 func (ev Evaluator) sampleAggregates(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) ([]float64, error) {
 	var out []float64
+	cs, err := ev.DB.CandidatesOf(stmt.Tables())
+	if err != nil {
+		return nil, err
+	}
 	acc := newAccumulator() // for its per-candidate set semantics; the weights go unused
-	_, _, err := ev.overWorlds(ctx, stmt, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
+	_, _, err = ev.overWorlds(ctx, stmt, cs, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
 		rows := acc.addWorld(res.Rows, 0)
 		if kind == AggregateCount {
 			out = append(out, float64(len(rows)))

@@ -7,18 +7,22 @@
 // Evaluator.Eval answers with one of three methods, or with the
 // degradation ladder over them (eval.go):
 //
-//   - MethodExact enumerates every candidate database (Dfn 3), runs the
-//     query on each, and sums probabilities. Exponential — usable only on
-//     small databases, it serves as ground truth for the other two.
+//   - MethodExact enumerates every candidate database (Dfn 3) of the
+//     statement's FROM relations and sums the probabilities of those that
+//     yield each answer. An SPJ statement runs one lineage query on the
+//     dirty database and checks each answer's DNF over the cluster choices
+//     on every candidate (lineage.go); any other runs the query on each.
+//     Exponential — usable only on small databases, it serves as ground
+//     truth for the other two.
 //   - MethodRewrite applies RewriteClean (§3) and executes the rewritten
 //     query once on the dirty database. Exact for rewritable queries
 //     (Thm 1) and the paper's actual proposal.
 //   - MethodMonteCarlo samples candidate databases independently and
 //     estimates each answer's probability as its sample frequency. A
 //     baseline, and the escape hatch for queries outside the rewritable
-//     class. An SPJ statement runs one lineage query on the dirty
-//     database and checks each answer's DNF over the sampled cluster
-//     choices (lineage.go); any other runs on every sampled candidate.
+//     class. An SPJ statement runs the lineage query and checks each
+//     answer's DNF on every sampled candidate; any other runs the query on
+//     each.
 package core
 
 import (
@@ -122,9 +126,10 @@ func (d Degradation) String() string { return d.Method.String() + "(" + d.Reason
 // EvalStats aggregates engine-level accounting across the SQL queries an
 // evaluation executed (DESIGN.md §10).
 type EvalStats struct {
-	// Queries is how many SQL queries ran: one per candidate database for
-	// exact enumeration and for Monte-Carlo outside SPJ, one for the
-	// rewriting and for Monte-Carlo from lineage.
+	// Queries is how many SQL queries ran: one for the rewriting and for
+	// exact and Monte-Carlo over an SPJ statement (its lineage query), one
+	// per candidate database for exact and Monte-Carlo over any other —
+	// plus one when a lineage query failed and the candidates answered.
 	Queries int
 	// BufferedPeak is the largest buffered-row high-water mark any of
 	// those queries reached.
@@ -274,27 +279,22 @@ func sample(ctx context.Context, n int, seed int64) drawFunc {
 }
 
 // overWorlds is the one candidate loop under every rung that materializes
-// candidate databases: it runs stmt on each candidate draw visits and
-// hands the result to answer. Everything that depends only on the
-// statement happens once, here — clustering the FROM relations (the
-// candidates are theirs alone: a relation the statement does not name
-// cannot change its answer, and clusters choose independently, so its
-// choices sum out of every probability, DESIGN.md §11), a world over
-// them, the plan over that world on an engine with the evaluator's
-// settings (every candidate has one row per cluster, so table sizes and
-// with them the plan cannot differ between candidates) and the metrics
-// report. A candidate costs refilling the world's dirty tables,
-// re-opening the plan under a fresh budget, and collecting (DESIGN.md
-// §17).
-func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, draw drawFunc,
+// candidate databases: it runs stmt on each candidate of cs, the FROM
+// relations' cluster index, that draw visits and hands the result to
+// answer. (The candidates are the FROM relations' alone: a relation the
+// statement does not name cannot change its answer, and clusters choose
+// independently, so its choices sum out of every probability, DESIGN.md
+// §11.) Everything that depends only on the statement happens once, here —
+// a world over those relations, the plan over that world on an engine with
+// the evaluator's settings (every candidate has one row per cluster, so
+// table sizes and with them the plan cannot differ between candidates) and
+// the metrics report. A candidate costs refilling the world's dirty
+// tables, re-opening the plan under a fresh budget, and collecting
+// (DESIGN.md §17).
+func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, draw drawFunc,
 	answer func(c *dirty.Candidate, res *engine.Result) error) (cols []string, stats EvalStats, err error) {
 	start := time.Now()
-	from := stmt.Tables()
-	cs, err := ev.DB.CandidatesOf(from)
-	if err != nil {
-		return nil, stats, err
-	}
-	world, err := ev.DB.NewWorld(from)
+	world, err := ev.DB.NewWorld(stmt.Tables())
 	if err != nil {
 		return nil, stats, err
 	}
@@ -316,13 +316,47 @@ func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, d
 	return prep.Columns(), stats, err
 }
 
-// exact computes clean answers by full candidate enumeration (Dfn 5
-// verbatim). The engine's MaxCandidates caps the enumeration (0 for the
-// package default); exceeding it returns a qerr.ErrTooManyCandidates
-// error, and databases beyond it need the rewriting or Monte-Carlo.
+// exact computes clean answers by Dfn 5 over the candidates of the FROM
+// relations, enumerating every one. The engine's MaxCandidates caps their
+// count (0 for the package default): above it exact fails with a
+// qerr.ErrTooManyCandidates error before any query runs, and databases
+// beyond it need the rewriting or Monte-Carlo. An SPJ statement runs one
+// lineage query and checks each answer's DNF on every candidate
+// (fromLineage); any other statement, or one whose lineage buildLineage
+// gives up on, runs on every candidate (enumerateWorlds). Both give the
+// same probabilities, bit for bit. The lineage may hold the rows of
+// min(lineageWorlds, candidates) worlds: past one world per candidate,
+// running the plan on each would scan fewer rows than the lineage query
+// outputs.
 func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
+	limit := ev.rungs().Limits.MaxCandidates
+	cs, err := ev.DB.CandidatesOf(stmt.Tables())
+	if err != nil {
+		return nil, err
+	}
+	if err := cs.CheckLimit(limit); err != nil {
+		return nil, err
+	}
+	worlds := min(lineageWorlds, cs.Count().Int64()) // CheckLimit bounds the count
+	out, spent, err := ev.fromLineage(ctx, stmt, cs, worlds, enumerate(ctx, limit),
+		func(c *dirty.Candidate) float64 { return c.Prob })
+	if errors.Is(err, errNoLineage) {
+		if out, err = ev.enumerateWorlds(ctx, stmt, cs, limit); err == nil {
+			out.Stats.add(spent) // the retry costs the failed lineage query too
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	out.Method = MethodExact
+	return out, nil
+}
+
+// enumerateWorlds computes stmt's clean answers by running it on every
+// candidate of cs, at most limit of them (Dfn 5 verbatim).
+func (ev Evaluator) enumerateWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, limit int64) (*Result, error) {
 	acc := newAccumulator()
-	cols, stats, err := ev.overWorlds(ctx, stmt, enumerate(ctx, ev.rungs().Limits.MaxCandidates),
+	cols, stats, err := ev.overWorlds(ctx, stmt, cs, enumerate(ctx, limit),
 		func(c *dirty.Candidate, res *engine.Result) error {
 			acc.addWorld(res.Rows, c.Prob)
 			return nil
@@ -331,7 +365,6 @@ func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resu
 		return nil, err
 	}
 	out := acc.result(cols)
-	out.Method = MethodExact
 	out.Stats = stats
 	return out, nil
 }
@@ -343,7 +376,7 @@ func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resu
 // MaxSamples (when positive) caps n with a qerr.ErrBudgetExceeded error so
 // callers can renegotiate the sample count rather than silently degrading
 // accuracy. An SPJ statement runs one lineage query and checks each
-// answer's DNF per sample (sampleLineage); any other statement, or one
+// answer's DNF per sample (fromLineage); any other statement, or one
 // whose lineage buildLineage gives up on, runs on every sampled world
 // (sampleWorlds).
 // Both draw the same candidates and give the same estimate, bit for bit.
@@ -351,9 +384,15 @@ func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n
 	if budget := ev.rungs().Limits.MaxSamples; budget > 0 && n > budget {
 		return nil, fmt.Errorf("core: %d Monte-Carlo samples exceed budget %d: %w", n, budget, qerr.ErrBudgetExceeded)
 	}
-	out, spent, err := ev.sampleLineage(ctx, stmt, n, seed)
+	cs, err := ev.DB.CandidatesOf(stmt.Tables())
+	if err != nil {
+		return nil, err
+	}
+	w := 1 / float64(n)
+	out, spent, err := ev.fromLineage(ctx, stmt, cs, lineageWorlds, sample(ctx, n, seed),
+		func(*dirty.Candidate) float64 { return w })
 	if errors.Is(err, errNoLineage) {
-		if out, err = ev.sampleWorlds(ctx, stmt, n, seed); err == nil {
+		if out, err = ev.sampleWorlds(ctx, stmt, cs, n, seed); err == nil {
 			out.Stats.add(spent) // the retry costs the failed lineage query too
 		}
 	}
@@ -363,12 +402,12 @@ func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n
 	return estimated(out, n), nil
 }
 
-// sampleWorlds estimates stmt's clean answers from n candidates drawn from
-// seed, running stmt on each.
-func (ev Evaluator) sampleWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
+// sampleWorlds estimates stmt's clean answers from n candidates of cs
+// drawn from seed, running stmt on each.
+func (ev Evaluator) sampleWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, n int, seed int64) (*Result, error) {
 	acc := newAccumulator()
 	w := 1 / float64(n)
-	cols, stats, err := ev.overWorlds(ctx, stmt, sample(ctx, n, seed),
+	cols, stats, err := ev.overWorlds(ctx, stmt, cs, sample(ctx, n, seed),
 		func(_ *dirty.Candidate, res *engine.Result) error {
 			acc.addWorld(res.Rows, w)
 			return nil

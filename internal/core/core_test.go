@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"conquer/internal/dirty"
 	"conquer/internal/exec"
+	"conquer/internal/faultinject"
 	"conquer/internal/qerr"
 	"conquer/internal/rewrite"
 	"conquer/internal/schema"
@@ -342,16 +344,28 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
+// The limit bounds the candidates of the relations the statement names —
+// customer has 4, the whole database 8 — whether exact answers from the
+// lineage or on the candidates, and the refusal comes before any query:
+// with every scan failing, it is still the refusal, in enumeration's words.
 func TestExactRespectsLimit(t *testing.T) {
-	d := testdb.Figure2()
-	// The limit bounds the candidates of the relations the statement
-	// names: customer has 4, the whole database 8.
-	q := sqlparse.MustParse("select id from customer")
-	if _, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 3}); !errors.Is(err, qerr.ErrTooManyCandidates) {
-		t.Errorf("limit below customer's candidate count: %v, want ErrTooManyCandidates", err)
-	}
-	if res, err := ExactCtx(context.Background(), d, q, exec.Limits{MaxCandidates: 4}); err != nil || res.Stats.Queries != 4 {
-		t.Errorf("limit at customer's candidate count: %v, %v", res, err)
+	ctx := context.Background()
+	for _, sql := range []string{"select id from customer", "select id, count(*) from customer group by id"} {
+		d := testdb.Figure2()
+		q := sqlparse.MustParse(sql)
+		d.Store.SetInjector(faultinject.FailNth("", storage.OpScan, 1, errBoom))
+		want := fmt.Sprintf("dirty: 4 candidate databases exceed enumeration limit 3: %v", qerr.ErrTooManyCandidates)
+		if _, err := ExactCtx(ctx, d, q, exec.Limits{MaxCandidates: 3}); !errors.Is(err, qerr.ErrTooManyCandidates) || err.Error() != want {
+			t.Errorf("%s: limit below customer's candidate count: %v, want %q", sql, err, want)
+		}
+		d.Store.SetInjector(nil)
+		worlds := 4
+		if _, err := rewrite.Lineage(d.Store.Catalog, q); err == nil {
+			worlds = 1 // the lineage query
+		}
+		if res, err := ExactCtx(ctx, d, q, exec.Limits{MaxCandidates: 4}); err != nil || res.Stats.Queries != worlds {
+			t.Errorf("%s: limit at customer's candidate count: %v, %v; want %d queries", sql, res, err, worlds)
+		}
 	}
 }
 

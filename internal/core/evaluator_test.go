@@ -93,8 +93,12 @@ func TestEvaluatorRunsRungsAtItsEngineSettings(t *testing.T) {
 		t.Fatal("an insert must leave the view to be rebuilt by its next reader")
 	}
 
+	cs, err := d.CandidatesOf(stmt.Tables())
+	if err != nil {
+		t.Fatal(err)
+	}
 	candidates := 0
-	_, stats, err := ev.overWorlds(ctx, stmt, sample(ctx, 4, 1), func(_ *dirty.Candidate, res *engine.Result) error {
+	_, stats, err := ev.overWorlds(ctx, stmt, cs, sample(ctx, 4, 1), func(_ *dirty.Candidate, res *engine.Result) error {
 		candidates++
 		if st := res.Stats; st.Parallelism != 3 || st.Shards != 5 || st.BatchSize != 7 {
 			return fmt.Errorf("a candidate ran at parallelism %d, %d shards, batch size %d", st.Parallelism, st.Shards, st.BatchSize)

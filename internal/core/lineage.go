@@ -17,18 +17,18 @@ import (
 	"conquer/internal/value"
 )
 
-// Monte-Carlo from lineage (DESIGN.md §17). An SPJ statement's answer is
+// Clean answers from lineage (DESIGN.md §17). An SPJ statement's answer is
 // in Q(candidate) exactly when some combination of the candidate's tuples
 // derives it, so its clean-answer event is a monotone DNF over the
 // independent cluster choices (Dfn 3–5): one conjunct per row of the
 // lineage query (rewrite.Lineage), one literal per dirty alias of it. One
-// query on the dirty database builds every DNF, and a sample is then a
-// draw of the cluster choices and a check of each DNF against them — the
-// draws of the per-world loop, in its order, so the estimates are its
-// own bit for bit.
+// query on the dirty database builds every DNF, and a candidate — each one
+// for exact, a draw for Monte-Carlo — is then a check of each DNF against
+// its cluster choices: the candidates of the per-world loop, in its order,
+// so the probabilities are its own bit for bit.
 
 // errNoLineage reports that a statement's lineage could not be built; the
-// per-world loop computes the same estimate instead.
+// per-world loop computes the same answers instead.
 var errNoLineage = errors.New("core: no lineage")
 
 // lineage is an SPJ statement's answers, each with its DNF over the
@@ -96,9 +96,9 @@ func (l *lineage) conjunctHolds(lits []int32) bool {
 
 // buildLineage runs stmt's lineage query on the dirty database and groups
 // its rows into one DNF per answer over cs's clusters. It fails with
-// errNoLineage, and the per-world loop computes the same estimate instead,
+// errNoLineage, and the per-world loop computes the same answers instead,
 // for a statement outside SPJ and for a lineage query that
-//   - runs out of budget: the engine's, or lineageWorlds worlds' rows;
+//   - runs out of budget: the engine's, or worlds worlds' rows;
 //   - fails evaluating an expression on a combination of tuples no
 //     candidate holds (two tuples of one cluster, a probability-0 tuple);
 //   - derives one answer with values that differ bit for bit (0.0 and
@@ -106,14 +106,14 @@ func (l *lineage) conjunctHolds(lits []int32) bool {
 //
 // Any other failure, of storage or of ctx, is the evaluation's. stats
 // counts the lineage query whether it failed or not.
-func (ev Evaluator) buildLineage(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates) (*lineage, EvalStats, error) {
+func (ev Evaluator) buildLineage(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64) (*lineage, EvalStats, error) {
 	var stats EvalStats
 	lq, err := rewrite.Lineage(ev.DB.Store.Catalog, stmt)
 	if err != nil {
 		return nil, stats, errNoLineage
 	}
 	opts := ev.rungs()
-	if budget := lineageWorlds * max(worldRows(ev.DB, stmt, cs), 1); opts.Limits.MaxOutputRows <= 0 || budget < opts.Limits.MaxOutputRows {
+	if budget := worlds * max(worldRows(ev.DB, stmt, cs), 1); opts.Limits.MaxOutputRows <= 0 || budget < opts.Limits.MaxOutputRows {
 		opts.Limits.MaxOutputRows = budget
 	}
 	prep, err := engine.NewWithOptions(ev.DB.Store, opts).Prepare(lq.Stmt)
@@ -279,11 +279,12 @@ func (l *lineage) answer(byHash map[uint64][]int32, vals []value.Value) (int32, 
 	return i, true
 }
 
-// lineageWorlds caps a lineage at the rows of that many worlds. A sample
-// checks every conjunct of the lineage, so past about this multiple of a
-// world the check costs more than running the plan on one (DESIGN.md
-// §17); the cap also bounds the memory the lineage holds to that multiple
-// of one world's.
+// lineageWorlds caps a lineage at the rows of that many worlds (exact's at
+// fewer when it has fewer candidates, Evaluator.exact). A sample checks
+// every conjunct of the lineage, so past about this multiple of a world
+// the check costs more than running the plan on one (DESIGN.md §17); the
+// cap also bounds the memory the lineage holds to that multiple of one
+// world's.
 const lineageWorlds = 32
 
 // worldRows is how many rows one run of stmt's plan on a candidate scans:
@@ -304,26 +305,30 @@ func worldRows(d *dirty.DB, stmt *sqlparse.SelectStmt, cs dirty.Candidates) int6
 	return rows
 }
 
-// sampleLineage estimates stmt's clean answers from n candidates drawn
-// from seed, checking each answer's DNF on every draw. It fails with
-// errNoLineage where buildLineage does, reporting what the failed lineage
-// query cost in spent.
-func (ev Evaluator) sampleLineage(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (out *Result, spent EvalStats, err error) {
-	cs, err := ev.DB.CandidatesOf(stmt.Tables())
+// fromLineage computes stmt's clean answers over cs from its lineage,
+// holding at most worlds worlds' rows: on each candidate draw visits, it
+// adds weight(c) to every answer whose DNF holds there, as the per-world
+// loop adds it to every answer of Q(c). The candidates, the weights and the
+// order of the sums are that loop's, so the probabilities are its own bit
+// for bit, and an answer is listed when it holds on a visited candidate,
+// with probability 0 if only probability-0 candidates hold it. It fails
+// with errNoLineage where buildLineage does, reporting what the failed
+// lineage query cost in spent.
+func (ev Evaluator) fromLineage(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64,
+	draw drawFunc, weight func(c *dirty.Candidate) float64) (out *Result, spent EvalStats, err error) {
+	l, spent, err := ev.buildLineage(ctx, stmt, cs, worlds)
 	if err != nil {
 		return nil, spent, err
 	}
-	l, spent, err := ev.buildLineage(ctx, stmt, cs)
-	if err != nil {
-		return nil, spent, err
-	}
-	w := 1 / float64(n)
 	probs := make([]float64, len(l.answers))
-	err = sample(ctx, n, seed)(cs, func(c *dirty.Candidate) error {
+	seen := make([]bool, len(l.answers))
+	err = draw(cs, func(c *dirty.Candidate) error {
 		l.at(c)
+		w := weight(c)
 		for i := range probs {
 			if l.holds(i) {
 				probs[i] += w
+				seen[i] = true
 			}
 		}
 		return nil
@@ -333,7 +338,7 @@ func (ev Evaluator) sampleLineage(ctx context.Context, stmt *sqlparse.SelectStmt
 	}
 	out = &Result{Columns: l.cols, Stats: spent}
 	for i, p := range probs {
-		if p > 0 {
+		if seen[i] {
 			out.Answers = append(out.Answers, Answer{Values: l.answers[i], Prob: p})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -67,11 +68,54 @@ func nullsAndZeros(t testing.TB) *dirty.DB {
 	return d
 }
 
+// shortMass is a dirty relation r(id, v, prob) three of whose four
+// clusters sum to 1 - ProbEpsilon (and a hair), as Validate allows, beside a clean
+// relation t(v, name). A candidate's probability is the product of the
+// masses of its chosen rows, so no cluster weighs 1.
+func shortMass(t testing.TB) *dirty.DB {
+	t.Helper()
+	store := storage.NewDB()
+	rel := schema.MustRelation("r",
+		schema.Column{Name: "id", Type: value.KindString},
+		schema.Column{Name: "v", Type: value.KindInt},
+		schema.Column{Name: "prob", Type: value.KindFloat})
+	if err := rel.SetDirty("id", "prob"); err != nil {
+		t.Fatal(err)
+	}
+	r := store.MustCreateTable(rel)
+	const eps = value.ProbEpsilon * (1 - 1e-8) // inside Validate's tolerance, however the sum rounds
+	for _, row := range []struct {
+		id string
+		v  int64
+		p  float64
+	}{
+		{"c1", 1, 0.5}, {"c1", 2, 0.5 - eps},
+		{"c2", 2, 0.25}, {"c2", 3, 0.75 - eps},
+		{"c3", 3, 1 - eps},
+		{"c4", 1, 0.6}, {"c4", 4, 0.4},
+	} {
+		r.MustInsert(value.Str(row.id), value.Int(row.v), value.Float(row.p))
+	}
+	tag := store.MustCreateTable(schema.MustRelation("t",
+		schema.Column{Name: "v", Type: value.KindInt},
+		schema.Column{Name: "name", Type: value.KindString}))
+	tag.MustInsert(value.Int(2), value.Str("two"))
+	tag.MustInsert(value.Int(3), value.Str("three"))
+	d := dirty.New(store)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // lineageCases are the differential corpus plus statements over
-// nullsAndZeros: a join through a NULL foreign key, a selection a
-// probability-0 tuple alone passes, a self-join and clean relations.
+// nullsAndZeros — a join through a NULL foreign key, a selection a
+// probability-0 tuple alone passes, a self-join and clean relations — and
+// over shortMass, every one of which names r: clusters of a relation the
+// statement does not name weigh their mass in the oracle's whole-database
+// enumeration and 1 in exact's, which enumerates the FROM relations alone.
 func lineageCases(t testing.TB) []diffCase {
-	nz := nullsAndZeros(t)
+	nz, short := nullsAndZeros(t), shortMass(t)
 	return append(append(fixedCases(t), generatedCases(100)...),
 		diffCase{name: "nz.join", d: nz, sql: "select b.id, a.score from child b, parent a where b.afk = a.id"},
 		diffCase{name: "nz.zero", d: nz, sql: "select id from parent where score > 8"},
@@ -79,6 +123,11 @@ func lineageCases(t testing.TB) []diffCase {
 		diffCase{name: "nz.self", d: nz, sql: "select x.id from parent x, parent y where x.id = y.id and x.score < y.score"},
 		diffCase{name: "nz.clean", d: nz, sql: "select distinct name from tag where score > 1"},
 		diffCase{name: "nz.tagged", d: nz, sql: "select t.name, a.id from tag t, parent a where t.score = a.score"},
+		diffCase{name: "short.v", d: short, sql: "select v from r", worlds: 8},
+		diffCase{name: "short.distinct", d: short, sql: "select distinct v from r where v > 1", worlds: 8},
+		diffCase{name: "short.self", d: short, sql: "select x.id, y.id from r x, r y where x.v = y.v and x.id < y.id", worlds: 8},
+		diffCase{name: "short.tagged", d: short, sql: "select t.name, r.id from r, t where r.v = t.v", worlds: 8},
+		diffCase{name: "short.group", d: short, sql: "select v, count(*) from r group by v", worlds: 8},
 	)
 }
 
@@ -100,12 +149,12 @@ func TestLineageHoldsExactlyWhereTheAnswerIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _, err := ev.buildLineage(ctx, stmt, cs)
+		l, _, err := ev.buildLineage(ctx, stmt, cs, lineageWorlds)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		candidates := 0
-		_, _, err = ev.overWorlds(ctx, stmt, enumerate(ctx, 0), func(cand *dirty.Candidate, res *engine.Result) error {
+		_, _, err = ev.overWorlds(ctx, stmt, cs, enumerate(ctx, 0), func(cand *dirty.Candidate, res *engine.Result) error {
 			candidates++
 			l.at(cand)
 			rows := distinctRows(res.Rows)
@@ -210,27 +259,62 @@ func (f *failOnce) Fail(table string, op storage.Op) error {
 
 // A storage fault inside the lineage query is the evaluation's, though a
 // retry on the worlds would get past it; a budget fault there is retried,
-// and the worlds answer as if it had not happened.
+// and the worlds — Monte-Carlo's samples, exact's candidates — answer as
+// if it had not happened, one query each after the failed lineage query.
 func TestLineageQueryFaults(t *testing.T) {
 	ctx := context.Background()
-	const n, seed = 40, 3
 	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id")
-	want, err := MonteCarloCtx(ctx, testdb.Figure2(), stmt, n, seed, exec.Limits{})
+	for _, ev := range evaluators[:2] { // exact and monte-carlo: the ones with a lineage
+		want, err := ev.run(ctx, testdb.Figure2(), stmt, exec.Limits{})
+		worlds, oerr := ev.oracle(ctx, testdb.Figure2(), stmt, exec.Limits{})
+		if err != nil || oerr != nil || want.Stats.Queries != 1 {
+			t.Fatalf("%s: %+v, error %v (step by step: %v); want 1 query", ev.name, want, err, oerr)
+		}
+		d := testdb.Figure2()
+		d.Store.SetInjector(&failOnce{table: "orders", n: 2, err: errBoom})
+		if res, err := ev.run(ctx, d, stmt, exec.Limits{}); res != nil || !errors.Is(err, errBoom) {
+			t.Errorf("%s, scan fault: result %v, error %v; want no result and errors.Is(err, errBoom)", ev.name, res, err)
+		}
+		d = testdb.Figure2()
+		d.Store.SetInjector(&failOnce{table: "orders", n: 2, err: qerr.ErrBudgetExceeded})
+		got, err := ev.run(ctx, d, stmt, exec.Limits{})
+		if err != nil || got.Stats.Queries != worlds.Stats.Queries+1 {
+			t.Fatalf("%s, budget fault: %+v, error %v; want %d queries", ev.name, got, err, worlds.Stats.Queries+1)
+		}
+		sameResult(t, ev.name+", budget fault", want, got, ev.tol)
+	}
+}
+
+// Cancelling exact from lineage in its enumeration — at the first
+// candidate, right after the lineage query's last poll — ends the
+// evaluation with the cancellation reason, no result and no goroutine left
+// behind.
+func TestExactFromLineageCancellation(t *testing.T) {
+	d := testdb.Figure2()
+	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})}
+	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id")
+	cs, err := d.CandidatesOf(stmt.Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := testdb.Figure2()
-	d.Store.SetInjector(&failOnce{table: "orders", n: 2, err: errBoom})
-	if res, err := MonteCarloCtx(ctx, d, stmt, n, seed, exec.Limits{}); res != nil || !errors.Is(err, errBoom) {
-		t.Errorf("scan fault: result %v, error %v; want no result and errors.Is(err, errBoom)", res, err)
+	query := &pollCounter{Context: context.Background()}
+	if _, _, err := ev.buildLineage(query, stmt, cs, cs.Count().Int64()); err != nil {
+		t.Fatal(err)
 	}
-	d = testdb.Figure2()
-	d.Store.SetInjector(&failOnce{table: "orders", n: 2, err: qerr.ErrBudgetExceeded})
-	got, err := MonteCarloCtx(ctx, d, stmt, n, seed, exec.Limits{})
-	if err != nil || got.Stats.Queries != n+1 {
-		t.Fatalf("budget fault: %+v, error %v; want %d queries", got, err, n+1)
+	whole := &pollCounter{Context: context.Background()}
+	if res, err := ev.exact(whole, stmt); err != nil || res.Stats.Queries != 1 {
+		t.Fatalf("%+v, %v", res, err)
 	}
-	sameResult(t, "budget fault", want, got, 0)
+	if whole.calls <= query.calls {
+		t.Fatalf("%d polls, %d of them the lineage query's; want the enumeration to poll", whole.calls, query.calls)
+	}
+	before := runtime.NumGoroutine()
+	mid := &pollCounter{Context: context.Background(), at: query.calls + 1}
+	res, err := ev.exact(mid, stmt)
+	if res != nil || !errors.Is(err, qerr.ErrCanceled) || qerr.Reason(err) != "canceled" {
+		t.Errorf("cancelled in the enumeration: result %v, error %v; want the cancellation reason", res, err)
+	}
+	waitForGoroutines(t, before)
 }
 
 // oneCluster is a dirty relation r(id, v, prob) of one cluster whose
@@ -258,10 +342,13 @@ func oneCluster(t testing.TB, vs ...value.Value) *dirty.DB {
 
 // The per-world loop answers where the lineage would not pay: a self-join
 // over a cluster of 16 tuples has 256 lineage rows, above the 32 worlds of
-// 2 rows each a lineage may hold, and an answer derived as both 0.0 and
-// -0.0 prints as the first sampled world has it. Either way the result is
-// the oracle's, values bit for bit, and the failed lineage query counts.
-func TestMonteCarloFallsBackWhereTheLineageDoesNotPay(t *testing.T) {
+// 2 rows each a Monte-Carlo lineage may hold; one over 4 tuples has 16,
+// which fit those 32 worlds but not exact's 4, one per candidate; and an
+// answer derived as both 0.0 and -0.0 prints as the first sampled or
+// enumerated world has it. Either way the result is the oracle's, values
+// bit for bit, and the failed lineage query counts: Monte-Carlo runs n
+// worlds after it, exact every candidate.
+func TestFallsBackWhereTheLineageDoesNotPay(t *testing.T) {
 	ctx := context.Background()
 	const n, seed = 40, 5
 	var ints []value.Value
@@ -269,26 +356,45 @@ func TestMonteCarloFallsBackWhereTheLineageDoesNotPay(t *testing.T) {
 		ints = append(ints, value.Int(int64(i)))
 	}
 	for _, c := range []struct {
-		name string
-		d    *dirty.DB
-		sql  string
+		name      string
+		d         *dirty.DB
+		sql       string
+		mc, exact int // queries run
 	}{
-		{"large self-join", oneCluster(t, ints...), "select x.v from r x, r y where x.id = y.id"},
-		{"signed zeros", oneCluster(t, value.Float(0), value.Float(math.Copysign(0, -1))), "select v from r"},
+		{"large self-join", oneCluster(t, ints...), "select x.v from r x, r y where x.id = y.id", n + 1, 16 + 1},
+		{"small self-join", oneCluster(t, ints[:4]...), "select x.v from r x, r y where x.id = y.id", 1, 4 + 1},
+		{"signed zeros", oneCluster(t, value.Float(0), value.Float(math.Copysign(0, -1))), "select v from r", n + 1, 2 + 1},
 	} {
 		stmt := sqlparse.MustParse(c.sql)
-		want, err := oracleMonteCarlo(ctx, c.d, stmt, n, seed, exec.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MonteCarloCtx(ctx, c.d, stmt, n, seed, exec.Limits{})
-		if err != nil || got.Stats.Queries != n+1 {
-			t.Fatalf("%s: %+v, error %v; want %d queries", c.name, got, err, n+1)
-		}
-		sameResult(t, c.name, want, got, 0)
-		for i := range got.Answers {
-			if !slices.Equal(got.Answers[i].Values, want.Answers[i].Values) {
-				t.Errorf("%s: answer %d is %#v, step by step %#v", c.name, i, got.Answers[i].Values, want.Answers[i].Values)
+		for _, ev := range []struct {
+			name        string
+			run, oracle func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error)
+			tol         float64
+			queries     int
+		}{
+			{"monte-carlo",
+				func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
+					return MonteCarloCtx(ctx, d, stmt, n, seed, lim)
+				},
+				func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
+					return oracleMonteCarlo(ctx, d, stmt, n, seed, lim)
+				}, 0, c.mc},
+			{"exact", ExactCtx, oracleExact, value.ProbEpsilon, c.exact},
+		} {
+			label := c.name + ", " + ev.name
+			want, err := ev.oracle(ctx, c.d, stmt, exec.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.run(ctx, c.d, stmt, exec.Limits{})
+			if err != nil || got.Stats.Queries != ev.queries {
+				t.Fatalf("%s: %+v, error %v; want %d queries", label, got, err, ev.queries)
+			}
+			sameResult(t, label, want, got, ev.tol)
+			for i := range got.Answers {
+				if !slices.Equal(got.Answers[i].Values, want.Answers[i].Values) {
+					t.Errorf("%s: answer %d is %#v, step by step %#v", label, i, got.Answers[i].Values, want.Answers[i].Values)
+				}
 			}
 		}
 	}
@@ -342,7 +448,7 @@ func TestLineageCheckAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := evaluator(d).buildLineage(ctx, stmt, cs)
+	l, _, err := evaluator(d).buildLineage(ctx, stmt, cs, lineageWorlds)
 	if err != nil {
 		t.Fatal(err)
 	}

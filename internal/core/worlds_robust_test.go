@@ -23,24 +23,24 @@ var errBoom = errors.New("boom")
 // evaluators are the candidate-loop entry points under one signature,
 // next to the step-by-step oracle of each and how closely the two agree
 // (the exact oracle enumerates in catalog order, ExactCtx in FROM order).
-// The statements below are SPJ, so MonteCarloCtx runs their lineage query
-// and samples it, and retries on the worlds where that query runs out of
-// budget; "monte-carlo worlds" is the per-world loop alone.
+// On an SPJ statement ExactCtx and MonteCarloCtx run its lineage query,
+// and retry on the worlds where that query runs out of budget; on a
+// grouped one they run on the worlds. "monte-carlo worlds" is the
+// per-world loop alone.
 var evaluators = []struct {
 	name        string
 	run, oracle func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error)
 	tol         float64
-	lineage     bool // runs a lineage query first, and no world unless it fails
 }{
-	{"exact", ExactCtx, oracleExact, value.ProbEpsilon, false},
+	{"exact", ExactCtx, oracleExact, value.ProbEpsilon},
 	{"monte-carlo",
 		func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
 			return MonteCarloCtx(ctx, d, stmt, 40, 3, lim)
-		}, oracleMonteCarlo40, 0, true},
+		}, oracleMonteCarlo40, 0},
 	{"monte-carlo worlds",
 		func(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
 			return monteCarloOverWorlds(ctx, d, stmt, 40, 3, lim)
-		}, oracleMonteCarlo40, 0, false},
+		}, oracleMonteCarlo40, 0},
 }
 
 func oracleMonteCarlo40(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
@@ -53,7 +53,11 @@ func monteCarloOverWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.Selec
 	defer qerr.Recover(&err)
 	ctx, cancel := lim.WithContext(ctx)
 	defer cancel()
-	res, err = Evaluator{DB: d, Engine: engine.NewWithLimits(d.Store, lim)}.sampleWorlds(ctx, stmt, n, seed)
+	cs, err := d.CandidatesOf(stmt.Tables())
+	if err != nil {
+		return nil, err
+	}
+	res, err = Evaluator{DB: d, Engine: engine.NewWithLimits(d.Store, lim)}.sampleWorlds(ctx, stmt, cs, n, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -76,25 +80,25 @@ func waitForGoroutines(t *testing.T, before int) {
 // later candidate refills the world, a scan fault while a later candidate
 // executes, a scan fault inside the lineage query — surface %w-wrapped,
 // with the reason the step-by-step path reports, and with no partial
-// answer. A lineage query that fails on a budget fault retries on the
-// worlds, and the fault, still armed, fails them.
+// answer. The world faults hit a grouped statement, which has no lineage.
+// A lineage query that fails on a budget fault retries on the worlds, and
+// the fault, still armed, fails them.
 func TestCandidateLoopSurfacesFaults(t *testing.T) {
-	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
+	grouped := sqlparse.MustParse("select c.id, count(*) from orders o, customer c where o.cidfk = c.id and c.balance > 10000 group by c.id")
+	spj := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
 	for _, ev := range evaluators {
 		for _, f := range []struct {
-			name   string
-			table  string
-			op     storage.Op
-			n      int  // customer refills 2 rows and orders scans 2 per candidate: both land in candidate 3
-			worlds bool // lands in a world, where the lineage query (orders' 3 rows once) does not reach
+			name  string
+			stmt  *sqlparse.SelectStmt
+			table string
+			op    storage.Op
+			n     int // customer refills 2 rows and orders scans 2 per candidate: both land in candidate 3
 		}{
-			{"insert mid-refill", "customer", storage.OpInsert, 6, true},
-			{"scan mid-candidate", "orders", storage.OpScan, 6, true},
-			{"scan mid-lineage", "orders", storage.OpScan, 2, false},
+			{"insert mid-refill", grouped, "customer", storage.OpInsert, 6},
+			{"scan mid-candidate", grouped, "orders", storage.OpScan, 6},
+			{"scan mid-lineage", spj, "orders", storage.OpScan, 2},
 		} {
-			if f.worlds && ev.lineage {
-				continue
-			}
+			stmt := f.stmt
 			for _, cause := range []error{errBoom, qerr.ErrBudgetExceeded} {
 				d := testdb.Figure2()
 				d.Store.SetInjector(faultinject.FailNth(f.table, f.op, f.n, cause))
@@ -113,10 +117,10 @@ func TestCandidateLoopSurfacesFaults(t *testing.T) {
 	}
 }
 
-// Cancellation in the middle of the enumeration or the sampling loop ends
-// the evaluation with ErrCanceled, the evaluation's own Timeout with
-// ErrDeadline, and neither leaves a goroutine behind. The lineage query
-// scans 7 rows, so there the cancellation lands on its last.
+// Cancellation in the middle of the lineage query or the per-world
+// sampling loop ends the evaluation with ErrCanceled, the evaluation's own
+// Timeout with ErrDeadline, and neither leaves a goroutine behind. The
+// lineage query scans 7 rows, so there the cancellation lands on its last.
 func TestCandidateLoopCancellation(t *testing.T) {
 	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id")
 	for _, ev := range evaluators {
@@ -151,17 +155,18 @@ func TestCandidateLoopCancellation(t *testing.T) {
 // as it does step by step.
 func TestCandidateLoopBudgetsArePerCandidate(t *testing.T) {
 	d := testdb.Figure2()
-	// Every candidate joins 2 orders to 2 customers: 2 build rows buffered,
-	// 2 rows out; 8 candidates produce 16.
-	stmt := sqlparse.MustParse("select o.orderid, c.custid from orders o, customer c where o.cidfk = c.id")
+	// Every candidate joins 2 orders to 2 customers into 2 groups: 2 build
+	// rows and 2 groups buffered, 2 rows out; 8 candidates produce 16.
+	// Grouped, the statement has no lineage and runs on the candidates.
+	stmt := sqlparse.MustParse("select o.orderid, c.custid, count(*) from orders o, customer c where o.cidfk = c.id group by o.orderid, c.custid")
 	for _, ev := range evaluators {
 		for _, c := range []struct {
 			lim  exec.Limits
 			fits bool
 		}{
-			{exec.Limits{MaxOutputRows: 2, MaxBufferedRows: 2}, true},
+			{exec.Limits{MaxOutputRows: 2, MaxBufferedRows: 4}, true},
 			{exec.Limits{MaxOutputRows: 1}, false},
-			{exec.Limits{MaxBufferedRows: 1}, false},
+			{exec.Limits{MaxBufferedRows: 3}, false},
 		} {
 			res, err := ev.run(context.Background(), d, stmt, c.lim)
 			ores, oerr := ev.oracle(context.Background(), d, stmt, c.lim)
@@ -170,12 +175,7 @@ func TestCandidateLoopBudgetsArePerCandidate(t *testing.T) {
 					t.Fatalf("%s %+v: %v (step by step: %v)", ev.name, c.lim, err, oerr)
 				}
 				sameResult(t, ev.name, ores, res, ev.tol)
-				if !ev.lineage {
-					samePlanRuns(t, ev.name, ores, res)
-				} else if res.Stats.Queries != ores.Stats.Queries+1 {
-					// The lineage joins 3 orders to 6 customers: over budget.
-					t.Errorf("%s: %d queries; want the failed lineage query and %d worlds", ev.name, res.Stats.Queries, ores.Stats.Queries)
-				}
+				samePlanRuns(t, ev.name, ores, res)
 				continue
 			}
 			if res != nil || !errors.Is(err, qerr.ErrBudgetExceeded) || !errors.Is(oerr, qerr.ErrBudgetExceeded) {

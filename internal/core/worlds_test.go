@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,10 +28,12 @@ import (
 //
 // The exact oracle enumerates the candidates of the *whole* database,
 // whatever the statement names; ExactCtx enumerates the FROM relations'
-// alone. That the two agree (within value.ProbEpsilon: the sums run in
-// different orders) on every statement below is the marginalization claim
-// Evaluator.Eval's cache scope and rung selection rest on (DESIGN.md §11): the
-// clusters of a relation the statement does not read sum out. The
+// alone, checking an SPJ statement's lineage DNFs on each candidate or
+// running the statement on it. That the two agree (within
+// value.ProbEpsilon: the sums run in different orders) on every statement
+// below is the marginalization claim Evaluator.Eval's cache scope and rung
+// selection rest on (DESIGN.md §11): the clusters of a relation the
+// statement does not read sum out. The
 // Monte-Carlo oracle draws from the FROM relations' index, as
 // MonteCarloCtx does, and MonteCarloCtx must reproduce it bit for bit,
 // whether it checks lineage DNFs or runs on the worlds.
@@ -191,7 +194,8 @@ func samePlanRuns(t *testing.T, label string, want, got *Result) {
 }
 
 // diffCase is one statement over one database of the differential corpus.
-// worlds, when set, pins how many candidates exact enumeration visits.
+// worlds, when set, pins the candidate count of the FROM relations: how
+// many candidates exact visits when it enumerates.
 type diffCase struct {
 	name   string
 	d      *dirty.DB
@@ -301,20 +305,21 @@ func generatedCases(n int) []diffCase {
 var execPoisonRecycled bool
 
 // TestEvaluatorsMatchStepByStepOracle is the differential test of the
-// shared candidate loop and of Monte-Carlo from lineage: ExactCtx and
+// shared candidate loop and of clean answers from lineage: ExactCtx and
 // MonteCarloCtx against the old loop over the public API, at the default
 // worker and shard counts (with GOMAXPROCS raised so that they exceed one)
-// and at one worker, one shard.
+// and at one worker, one shard. Exact answers are the same bits at both.
 func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 	// Recycled row storage is poisoned under the evaluators and not under
 	// the oracle, so a row kept past its batch cannot go wrong the same way
 	// on both sides: the evaluator answers with the sentinel string.
 	defer func() { execPoisonRecycled = false }()
-	cases := append(fixedCases(t), generatedCases(100)...)
+	cases := lineageCases(t)
 	ctx := context.Background()
+	exactAt := map[string]*Result{} // at the first GOMAXPROCS, by case
 	for _, procs := range []int{4, 1} {
 		prev := runtime.GOMAXPROCS(procs) // engine defaults: Parallelism = Shards = GOMAXPROCS
-		empty, partial, narrowed, lineages := 0, 0, 0, 0
+		empty, partial, narrowed, lineages, exactLineages := 0, 0, 0, 0, 0
 		for _, c := range cases {
 			stmt, err := sqlparse.Parse(c.sql)
 			if err != nil {
@@ -332,17 +337,59 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 				t.Fatalf("%s: exact: %v", label, err)
 			}
 			sameResult(t, label+" exact", want, got, value.ProbEpsilon)
-			if got.Stats.BufferedPeak != want.Stats.BufferedPeak {
-				t.Errorf("%s: exact buffered peak %d, want %d", label, got.Stats.BufferedPeak, want.Stats.BufferedPeak)
+			if first, ok := exactAt[c.name]; ok {
+				sameResult(t, label+" exact against GOMAXPROCS 4", first, got, 0)
+			} else {
+				exactAt[c.name] = got
 			}
+			// Whether it checks lineage DNFs or runs on the worlds, ExactCtx
+			// answers as the per-world loop over the FROM relations'
+			// candidates does, bit for bit.
+			cs, err := c.d.CandidatesOf(stmt.Tables())
+			if err != nil {
+				t.Fatal(err)
+			}
+			worlds, err := evaluator(c.d).enumerateWorlds(ctx, stmt, cs, 0)
+			if err != nil {
+				t.Fatalf("%s: per-world loop: %v", label, err)
+			}
+			worlds.Method = MethodExact
+			sameResult(t, label+" exact against the per-world loop", worlds, got, 0)
 			// The oracle ran the statement on every candidate of the
-			// database, ExactCtx on the FROM relations' candidates.
+			// database. ExactCtx runs an SPJ statement's lineage query
+			// alone where its rows fit as many worlds as the FROM
+			// relations have candidates, and otherwise, or for any other
+			// statement, the per-world loop after it.
 			whole, _ := c.d.CandidateCount()
 			scoped, _ := c.d.CandidateCountOf(stmt.Tables())
-			if int64(want.Stats.Queries) != whole.Int64() || int64(got.Stats.Queries) != scoped.Int64() ||
-				(c.worlds != 0 && got.Stats.Queries != c.worlds) {
-				t.Errorf("%s: exact ran on %d worlds and the oracle on %d; want %v (pinned %d) and %v",
-					label, got.Stats.Queries, want.Stats.Queries, scoped, c.worlds, whole)
+			spj := false
+			if _, err := rewrite.Lineage(c.d.Store.Catalog, stmt); err == nil {
+				spj, lineages = true, lineages+1
+				_, lq, err := evaluator(c.d).buildLineage(ctx, stmt, cs, min(lineageWorlds, scoped.Int64()))
+				switch {
+				case err == nil:
+					exactLineages++
+					if got.Stats != lq {
+						t.Errorf("%s: exact stats %+v, want its lineage query's %+v", label, got.Stats, lq)
+					}
+				case errors.Is(err, errNoLineage):
+					if int64(got.Stats.Queries) != scoped.Int64()+1 {
+						t.Errorf("%s: exact ran %d queries after a lineage over its cap; want %v + 1", label, got.Stats.Queries, scoped)
+					}
+				default:
+					t.Fatalf("%s: lineage: %v", label, err)
+				}
+			} else {
+				if got.Stats.BufferedPeak != want.Stats.BufferedPeak {
+					t.Errorf("%s: exact buffered peak %d, want %d", label, got.Stats.BufferedPeak, want.Stats.BufferedPeak)
+				}
+				if int64(got.Stats.Queries) != scoped.Int64() {
+					t.Errorf("%s: exact ran on %d worlds; want %v", label, got.Stats.Queries, scoped)
+				}
+			}
+			if int64(want.Stats.Queries) != whole.Int64() || (c.worlds != 0 && scoped.Int64() != int64(c.worlds)) {
+				t.Errorf("%s: the oracle ran on %d worlds of %v, the FROM relations have %v (pinned %d)",
+					label, want.Stats.Queries, whole, scoped, c.worlds)
 			}
 			if whole.Cmp(scoped) > 0 {
 				narrowed++
@@ -372,8 +419,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 			if want.Stats.Queries != samples {
 				t.Errorf("%s: the mc oracle ran on %d worlds, want %d", label, want.Stats.Queries, samples)
 			}
-			if _, err := rewrite.Lineage(c.d.Store.Catalog, stmt); err == nil {
-				lineages++
+			if spj {
 				if got.Stats.Queries != 1 {
 					t.Errorf("%s: mc from lineage ran %d queries, want 1", label, got.Stats.Queries)
 				}
@@ -382,10 +428,11 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+		t.Logf("procs=%d: %d SPJ statements of %d, exact answered %d of them from lineage", procs, lineages, len(cases), exactLineages)
 		// The corpus must exercise what it claims to.
-		if empty < 3 || partial < 20 || narrowed < 40 || lineages < 30 || len(cases)-lineages < 30 {
-			t.Errorf("procs=%d: corpus has %d statements with no answer, %d with uncertain answers, %d that name fewer relations than are dirty and %d SPJ of %d; want >= 3, >= 20, >= 40 and 30 SPJ and not",
-				procs, empty, partial, narrowed, lineages, len(cases))
+		if empty < 3 || partial < 20 || narrowed < 40 || lineages < 30 || len(cases)-lineages < 30 || exactLineages < 30 {
+			t.Errorf("procs=%d: corpus has %d statements with no answer, %d with uncertain answers, %d that name fewer relations than are dirty and %d SPJ of %d, %d of them answered by exact from lineage; want >= 3, >= 20, >= 40, 30 SPJ and not, and 30",
+				procs, empty, partial, narrowed, lineages, len(cases), exactLineages)
 		}
 	}
 }

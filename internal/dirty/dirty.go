@@ -259,9 +259,9 @@ func (d *DB) factor(tb *storage.Table) (*big.Int, error) {
 
 // clusterProduct multiplies the cluster sizes.
 func clusterProduct(clusters []Cluster) *big.Int {
-	n := big.NewInt(1)
+	n, size := big.NewInt(1), new(big.Int)
 	for _, c := range clusters {
-		n.Mul(n, big.NewInt(int64(len(c.Rows))))
+		n.Mul(n, size.SetInt64(int64(len(c.Rows))))
 	}
 	return n
 }
@@ -414,19 +414,29 @@ func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c 
 	return cs.Enumerate(ctx, limit, fn)
 }
 
-// Enumerate visits every candidate database in a fixed order — the first
-// cluster of the first relation varies slowest — handing fn one Candidate
-// it overwrites between calls. It polls ctx between visited candidates
-// and aborts with a qerr cancellation error when it fires. An over-limit
-// count surfaces as qerr.ErrTooManyCandidates so callers (the clean-answer ladder) can
-// degrade to sampling instead of failing.
-func (cs Candidates) Enumerate(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
+// CheckLimit fails with a qerr.ErrTooManyCandidates error when cs has more
+// candidate databases than limit (pass 0 for EnumerateLimit): the refusal
+// Enumerate makes before it visits any.
+func (cs Candidates) CheckLimit(limit int64) error {
 	if limit <= 0 {
 		limit = EnumerateLimit
 	}
 	if count := cs.Count(); count.Cmp(big.NewInt(limit)) > 0 {
 		return fmt.Errorf("dirty: %v candidate databases exceed enumeration limit %d: %w",
 			count, limit, qerr.ErrTooManyCandidates)
+	}
+	return nil
+}
+
+// Enumerate visits every candidate database in a fixed order — the first
+// cluster of the first relation varies slowest — handing fn one Candidate
+// it overwrites between calls. It polls ctx between visited candidates
+// and aborts with a qerr cancellation error when it fires. An over-limit
+// count surfaces as qerr.ErrTooManyCandidates (CheckLimit) so callers (the
+// clean-answer ladder) can degrade to sampling instead of failing.
+func (cs Candidates) Enumerate(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
+	if err := cs.CheckLimit(limit); err != nil {
+		return err
 	}
 	// Flatten all clusters across relations into one list of choice points.
 	type choice struct {

@@ -30,14 +30,15 @@ func mustParse(t *testing.T, sql string) *sqlparse.SelectStmt {
 
 // A fault injected into candidate-database materialization must surface
 // errors.Is-matchable through the exact evaluator, and must not disturb
-// the source database.
+// the source database. The statement is grouped, so exact materializes
+// its candidates (an SPJ one it answers from one lineage query).
 func TestMaterializeInsertFaultPropagates(t *testing.T) {
 	d := testdb.Figure2()
 	wantRows := d.Store.TotalRows()
 	sched := faultinject.FailNth("customer", storage.OpInsert, 2, errBoom)
 	d.Store.SetInjector(sched)
 
-	stmt := mustParse(t, "select name from customer where balance > 10000")
+	stmt := mustParse(t, "select name, count(*) from customer where balance > 10000 group by name")
 	ev := core.Evaluator{DB: d, Engine: engine.New(d.Store)}
 	_, err := ev.Eval(context.Background(), stmt, core.EvalOptions{Method: core.MethodExact})
 	if !errors.Is(err, errBoom) {

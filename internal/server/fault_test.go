@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/storage"
 	"conquer/internal/testdb"
@@ -27,10 +28,14 @@ func faultedConfig() Config {
 		Tenants: []TenantConfig{
 			{Name: "healthy", Key: "healthy-key", Preset: "standard"},
 			// Insert faults make candidate materialization fail with a
-			// budget error: the exact rung (which materializes candidate
-			// databases) degrades, while rewriting (pure scans over the
-			// dirty store) still answers.
-			{Name: "flaky-clean", Key: "flaky-clean-key", Preset: "standard",
+			// budget error: the exact rung degrades, while rewriting (pure
+			// scans over the dirty store) still answers. The exact rung
+			// answers an SPJ statement from one lineage query over the
+			// dirty store and materializes nothing, unless that query runs
+			// out of budget: 2 output rows are fewer than the lineage of
+			// the statement below (3) and as many as its answers.
+			{Name: "flaky-clean", Key: "flaky-clean-key",
+				Limits:        &exec.Limits{MaxOutputRows: 2},
 				MaxConcurrent: 1,
 				Faults:        []FaultRule{{Op: "insert", Error: "budget"}}},
 			// Scan faults on customer break plain queries outright — the
