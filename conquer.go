@@ -339,10 +339,11 @@ type CleanResult struct {
 	Method string
 	// Samples is the Monte-Carlo sample count (0 for exact methods).
 	Samples int
-	// Degraded lists the rungs Eval skipped or abandoned before Method
-	// answered, as "method(reason)" strings — e.g. "exact(budget)",
-	// "rewrite(not-rewritable)". Empty when the first rung succeeded or a
-	// fixed-method entry point was called.
+	// Degraded lists the rungs Eval abandoned before Method answered, in
+	// ladder order, as "method(reason)" strings — e.g.
+	// "rewrite(not-rewritable)", "exact(candidates)". Empty when the
+	// rewriting, the first rung, answered or a fixed-method entry point was
+	// called.
 	Degraded []string
 	// Elapsed is the wall time the evaluation took (the cache-lookup
 	// latency when Cached).

@@ -2,8 +2,8 @@ package conquer
 
 // Resource governance and graceful degradation (DESIGN.md §8): Eval
 // honors cancellation, deadlines and execution budgets, runs the method
-// the caller names, or picks the strongest one the budget admits,
-// degrading Exact → rewriting → Monte-Carlo instead of failing.
+// the caller names, or asks the rewriting first and degrades rewriting →
+// Exact → Monte-Carlo instead of failing.
 
 import (
 	"context"
@@ -82,31 +82,33 @@ type EvalOptions struct {
 	// Limits is the execution budget; see Limits.
 	Limits Limits
 	// Samples is the Monte-Carlo sample count (a package default when
-	// zero). The ladder clips it to Limits.MaxSamples; "monte-carlo"
-	// fails above it instead.
+	// zero; negative is an error). The ladder clips it to
+	// Limits.MaxSamples; "monte-carlo" fails above it instead.
 	Samples int
 	// Seed seeds Monte-Carlo sampling for reproducible estimates.
 	Seed int64
-	// Method picks the evaluator: "exact" enumerates candidate databases
-	// (Dfn 3-5; exponential, Limits.MaxCandidates caps it) and checks each
-	// against one query's derivations of every answer, or, outside
-	// select-project-join, runs the query on each; "rewrite" runs the
-	// paper's rewriting (§3; rewritable queries only); "monte-carlo"
+	// Method picks the evaluator: "rewrite" runs the paper's rewriting
+	// (§3; rewritable queries only); "exact" enumerates candidate
+	// databases (Dfn 3-5; exponential, Limits.MaxCandidates caps it) and
+	// checks each against one query's derivations of every answer, or,
+	// outside select-project-join, runs the query on each; "monte-carlo"
 	// samples candidate databases. Each runs alone and returns its own
-	// error. "", the default, runs the degradation ladder over the three.
+	// error. "", the default, runs the degradation ladder over the three,
+	// in that order.
 	Method string
 }
 
 // Eval computes clean answers with the method opts.Method names or, by
-// default, with automatic method selection: Exact when the candidate
-// count fits the budget, the paper's rewriting when the query is
-// rewritable, Monte-Carlo sampling otherwise — degrading one rung
-// whenever a resource budget rules the stronger method out. The result
-// reports which method ran (CleanResult.Method) and, for Monte-Carlo, the
-// sample count and standard-error bound. Cancellation and deadline abort
-// the whole evaluation with ErrCanceled / ErrDeadline. It runs on the
-// database's engine settings and cache (SetParallelism, SetShards,
-// EnableCache).
+// default, with automatic method selection: the paper's rewriting when the
+// query is rewritable (one query, exact by Thm 1), Exact when the
+// candidates fit the budget (Limits.MaxCandidates, or a package default
+// without one), Monte-Carlo sampling otherwise — degrading one rung
+// whenever the query is outside the rewritable class or a resource budget
+// rules the stronger method out. The result reports which method ran
+// (CleanResult.Method) and, for Monte-Carlo, the sample count and
+// standard-error bound. Cancellation and deadline abort the whole
+// evaluation with ErrCanceled / ErrDeadline. It runs on the database's
+// engine settings and cache (SetParallelism, SetShards, EnableCache).
 func (db *Database) Eval(ctx context.Context, sql string, opts EvalOptions) (res *CleanResult, err error) {
 	defer qerr.Recover(&err)
 	m, ok := methods[opts.Method]

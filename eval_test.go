@@ -13,29 +13,30 @@ import (
 	"conquer/internal/storage"
 )
 
-// Eval on a small database picks the exact evaluator and reports it.
+// Eval on a small database answers a query outside the rewritable class
+// with the exact evaluator and reports it.
 func TestEvalPicksExactWhenSmall(t *testing.T) {
 	db := paperDB(t)
-	res, err := db.Eval(context.Background(), "select id from customer where balance > 10000", EvalOptions{})
+	res, err := db.Eval(context.Background(), "select name from customer where balance > 10000", EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Method != "exact" {
-		t.Errorf("method = %q, want exact", res.Method)
+	if res.Method != "exact" || len(res.Degraded) != 1 || res.Degraded[0] != "rewrite(not-rewritable)" {
+		t.Errorf("method = %q after %v, want exact after rewrite(not-rewritable)", res.Method, res.Degraded)
 	}
 	if res.StdErr != 0 || res.Samples != 0 {
 		t.Errorf("exact result carries estimate metadata: samples=%d stderr=%v", res.Samples, res.StdErr)
 	}
-	if got := res.Find("c1"); !approx(got, 1.0) {
-		t.Errorf("P(c1) = %v", got)
+	if got := res.Find("John"); !approx(got, 1.0) {
+		t.Errorf("P(John) = %v", got)
 	}
-	if got := res.Find("c2"); !approx(got, 0.2) {
-		t.Errorf("P(c2) = %v", got)
+	if got := res.Find("Mary"); !approx(got, 0.2) {
+		t.Errorf("P(Mary) = %v", got)
 	}
 }
 
-// When the candidate budget rules out exact enumeration, Eval degrades to
-// the paper's rewriting for rewritable queries — still exact answers.
+// Eval answers a rewritable query with the paper's rewriting whatever the
+// candidate budget — exact answers from one query.
 func TestEvalDegradesToRewriting(t *testing.T) {
 	db := paperDB(t)
 	// 2 customer clusters x 2 + 1 order cluster x 2 -> 8 candidates;
@@ -110,9 +111,9 @@ func TestEvalMonteCarloReproducible(t *testing.T) {
 }
 
 // Under fault injection the result records the full degradation chain:
-// a budget fault fails the exact rung mid-enumeration, the query is
-// outside the rewritable class, and Monte-Carlo answers — with every
-// abandoned rung and its reason on CleanResult.Degraded.
+// the query is outside the rewritable class, a budget fault fails the
+// exact rung mid-enumeration, and Monte-Carlo answers — with every
+// abandoned rung and its reason on CleanResult.Degraded, in ladder order.
 func TestEvalRecordsDegradationChainUnderFault(t *testing.T) {
 	db := paperDB(t)
 	// The first scan during exact enumeration fails as a budget overrun;
@@ -124,8 +125,8 @@ func TestEvalRecordsDegradationChainUnderFault(t *testing.T) {
 		OnFire: func() { db.d.Store.SetInjector(nil) },
 	})
 	db.d.Store.SetInjector(sched)
-	// A grouped statement has no lineage, so exact enumerates, and it is
-	// outside the rewritable class, so the rewriting rung is skipped too.
+	// A grouped statement is outside the rewritable class, so the rewriting
+	// rung is skipped, and has no lineage, so exact enumerates.
 	res, err := db.Eval(context.Background(), "select name, count(*) from customer where balance > 10000 group by name",
 		EvalOptions{Samples: 200, Seed: 11})
 	if err != nil {
@@ -134,7 +135,7 @@ func TestEvalRecordsDegradationChainUnderFault(t *testing.T) {
 	if res.Method != "monte-carlo" {
 		t.Errorf("method = %q, want monte-carlo", res.Method)
 	}
-	want := []string{"exact(budget)", "rewrite(not-rewritable)"}
+	want := []string{"rewrite(not-rewritable)", "exact(budget)"}
 	if len(res.Degraded) != len(want) {
 		t.Fatalf("Degraded = %v, want %v", res.Degraded, want)
 	}
@@ -148,7 +149,7 @@ func TestEvalRecordsDegradationChainUnderFault(t *testing.T) {
 	}
 }
 
-// A first-rung success records no degradation.
+// A first-rung success — the rewriting's — records no degradation.
 func TestEvalNoDegradationWhenExactAnswers(t *testing.T) {
 	db := paperDB(t)
 	res, err := db.Eval(context.Background(), "select id from customer", EvalOptions{})

@@ -5,8 +5,11 @@
 //
 // An Evaluator is a dirty database and the engine its queries run on.
 // Evaluator.Eval answers with one of three methods, or with the
-// degradation ladder over them (eval.go):
+// degradation ladder over them, in the order below (eval.go):
 //
+//   - MethodRewrite applies RewriteClean (§3) and executes the rewritten
+//     query once on the dirty database. Exact for rewritable queries
+//     (Thm 1) and the paper's actual proposal.
 //   - MethodExact enumerates every candidate database (Dfn 3) of the
 //     statement's FROM relations and sums the probabilities of those that
 //     yield each answer. An SPJ statement runs one lineage query on the
@@ -14,9 +17,6 @@
 //     on every candidate (lineage.go); any other runs the query on each.
 //     Exponential — usable only on small databases, it serves as ground
 //     truth for the other two.
-//   - MethodRewrite applies RewriteClean (§3) and executes the rewritten
-//     query once on the dirty database. Exact for rewritable queries
-//     (Thm 1) and the paper's actual proposal.
 //   - MethodMonteCarlo samples candidate databases independently and
 //     estimates each answer's probability as its sample frequency. A
 //     baseline, and the escape hatch for queries outside the rewritable
@@ -56,10 +56,10 @@ type Answer struct {
 // Method identifies which evaluator produced a Result.
 type Method int
 
-// Evaluation methods, in degradation-ladder order (Eval falls from
-// Exact through Rewrite to MonteCarlo as budgets tighten). As
-// EvalOptions.Method, MethodNone — the zero value — asks for the ladder
-// and any other forces that one method.
+// Evaluation methods. The ladder asks Rewrite first and falls through
+// Exact to MonteCarlo (Evaluator.Eval). As EvalOptions.Method, MethodNone —
+// the zero value — asks for the ladder and any other forces that one
+// method.
 const (
 	MethodNone Method = iota
 	MethodExact
@@ -97,8 +97,8 @@ type Result struct {
 	// Wald error.
 	StdErr float64
 	// Degraded is the degradation chain: one entry per ladder rung Eval
-	// skipped or abandoned before Method succeeded (empty when the first
-	// viable rung answered).
+	// abandoned before Method succeeded (empty when the rewriting, the
+	// first rung, answered).
 	Degraded []Degradation
 	// Elapsed is the wall time of the whole evaluation (the full ladder,
 	// for Eval). For a cached result it is the cache-lookup latency.
@@ -316,35 +316,54 @@ func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, c
 	return prep.Columns(), stats, err
 }
 
-// exact computes clean answers by Dfn 5 over the candidates of the FROM
-// relations, enumerating every one. The engine's MaxCandidates caps their
-// count (0 for the package default): above it exact fails with a
-// qerr.ErrTooManyCandidates error before any query runs, and databases
-// beyond it need the rewriting or Monte-Carlo. An SPJ statement runs one
-// lineage query and checks each answer's DNF on every candidate
-// (fromLineage); any other statement, or one whose lineage buildLineage
-// gives up on, runs on every candidate (enumerateWorlds). Both give the
-// same probabilities, bit for bit. The lineage may hold the rows of
-// min(lineageWorlds, candidates) worlds: past one world per candidate,
-// running the plan on each would scan fewer rows than the lineage query
-// outputs.
-func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
-	limit := ev.rungs().Limits.MaxCandidates
-	cs, err := ev.DB.CandidatesOf(stmt.Tables())
+// overCandidates computes stmt's clean answers over the candidates of cs
+// that draw visits, adding weight(c) to the probability of every answer
+// candidate c yields. An SPJ statement runs one lineage query holding at
+// most worlds worlds' rows and checks each answer's DNF on every candidate
+// (fromLineage); any other statement, one whose lineage buildLineage gives
+// up on, and every statement when worlds is 0, runs on every candidate
+// (overWorlds), after the failed lineage query if there was one. Both give
+// the same probabilities, bit for bit.
+func (ev Evaluator) overCandidates(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64,
+	draw drawFunc, weight func(c *dirty.Candidate) float64) (*Result, error) {
+	var spent EvalStats
+	if worlds > 0 {
+		out, stats, err := ev.fromLineage(ctx, stmt, cs, worlds, draw, weight)
+		if !errors.Is(err, errNoLineage) {
+			return out, err
+		}
+		spent = stats
+	}
+	acc := newAccumulator()
+	cols, stats, err := ev.overWorlds(ctx, stmt, cs, draw, func(c *dirty.Candidate, res *engine.Result) error {
+		acc.addWorld(res.Rows, weight(c))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	out := acc.result(cols)
+	out.Stats = stats
+	out.Stats.add(spent) // the retry costs the failed lineage query too
+	return out, nil
+}
+
+// probOf weighs a candidate by its probability, as exact does.
+func probOf(c *dirty.Candidate) float64 { return c.Prob }
+
+// exact computes clean answers by Dfn 5 over cs, the candidates of the
+// FROM relations, enumerating every one. Above limit candidates (0 for
+// dirty.EnumerateLimit) it fails with a qerr.ErrTooManyCandidates error
+// before any query runs, and databases beyond it need the rewriting or
+// Monte-Carlo. The lineage may hold the rows of min(lineageWorlds,
+// candidates) worlds: past one world per candidate, running the plan on
+// each would scan fewer rows than the lineage query outputs.
+func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, limit int64) (*Result, error) {
 	if err := cs.CheckLimit(limit); err != nil {
 		return nil, err
 	}
 	worlds := min(lineageWorlds, cs.Count().Int64()) // CheckLimit bounds the count
-	out, spent, err := ev.fromLineage(ctx, stmt, cs, worlds, enumerate(ctx, limit),
-		func(c *dirty.Candidate) float64 { return c.Prob })
-	if errors.Is(err, errNoLineage) {
-		if out, err = ev.enumerateWorlds(ctx, stmt, cs, limit); err == nil {
-			out.Stats.add(spent) // the retry costs the failed lineage query too
-		}
-	}
+	out, err := ev.overCandidates(ctx, stmt, cs, worlds, enumerate(ctx, limit), probOf)
 	if err != nil {
 		return nil, err
 	}
@@ -352,72 +371,24 @@ func (ev Evaluator) exact(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resu
 	return out, nil
 }
 
-// enumerateWorlds computes stmt's clean answers by running it on every
-// candidate of cs, at most limit of them (Dfn 5 verbatim).
-func (ev Evaluator) enumerateWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, limit int64) (*Result, error) {
-	acc := newAccumulator()
-	cols, stats, err := ev.overWorlds(ctx, stmt, cs, enumerate(ctx, limit),
-		func(c *dirty.Candidate, res *engine.Result) error {
-			acc.addWorld(res.Rows, c.Prob)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := acc.result(cols)
-	out.Stats = stats
-	return out, nil
-}
-
-// monteCarlo estimates clean answers from n independently sampled
-// candidate databases. The estimate of each answer's probability is its
-// sample frequency; each answer carries its Wald standard error and the
-// Result carries the worst-case bound 1/(2*sqrt(n)). The engine's
+// monteCarlo estimates clean answers from n candidates of cs sampled
+// independently from seed. The estimate of each answer's probability is
+// its sample frequency; each answer carries its Wald standard error and
+// the Result carries the worst-case bound 1/(2*sqrt(n)). The engine's
 // MaxSamples (when positive) caps n with a qerr.ErrBudgetExceeded error so
 // callers can renegotiate the sample count rather than silently degrading
-// accuracy. An SPJ statement runs one lineage query and checks each
-// answer's DNF per sample (fromLineage); any other statement, or one
-// whose lineage buildLineage gives up on, runs on every sampled world
-// (sampleWorlds).
-// Both draw the same candidates and give the same estimate, bit for bit.
-func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, n int, seed int64) (*Result, error) {
+// accuracy.
+func (ev Evaluator) monteCarlo(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, n int, seed int64) (*Result, error) {
 	if budget := ev.rungs().Limits.MaxSamples; budget > 0 && n > budget {
 		return nil, fmt.Errorf("core: %d Monte-Carlo samples exceed budget %d: %w", n, budget, qerr.ErrBudgetExceeded)
 	}
-	cs, err := ev.DB.CandidatesOf(stmt.Tables())
-	if err != nil {
-		return nil, err
-	}
 	w := 1 / float64(n)
-	out, spent, err := ev.fromLineage(ctx, stmt, cs, lineageWorlds, sample(ctx, n, seed),
+	out, err := ev.overCandidates(ctx, stmt, cs, lineageWorlds, sample(ctx, n, seed),
 		func(*dirty.Candidate) float64 { return w })
-	if errors.Is(err, errNoLineage) {
-		if out, err = ev.sampleWorlds(ctx, stmt, cs, n, seed); err == nil {
-			out.Stats.add(spent) // the retry costs the failed lineage query too
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
 	return estimated(out, n), nil
-}
-
-// sampleWorlds estimates stmt's clean answers from n candidates of cs
-// drawn from seed, running stmt on each.
-func (ev Evaluator) sampleWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, n int, seed int64) (*Result, error) {
-	acc := newAccumulator()
-	w := 1 / float64(n)
-	cols, stats, err := ev.overWorlds(ctx, stmt, cs, sample(ctx, n, seed),
-		func(_ *dirty.Candidate, res *engine.Result) error {
-			acc.addWorld(res.Rows, w)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := acc.result(cols)
-	out.Stats = stats
-	return out, nil
 }
 
 // estimated marks out as the estimate from n samples: the method, the

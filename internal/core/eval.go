@@ -1,19 +1,18 @@
 package core
 
 // Eval is the graceful-degradation front door over the three methods.
-// Callers that do not want to pick a method ask Eval, which chooses the
-// strongest method the budget admits and falls one rung down the ladder —
-// Exact → Rewrite → MonteCarlo — when a resource budget (and only a
-// resource budget: cancellation and deadline abort the whole ladder) rules
-// a rung out. The Result reports which method ran and, for Monte-Carlo,
-// the sample count and standard-error bound, so callers can tell an exact
-// answer from an estimate.
+// Callers that do not want to pick a method ask Eval, which asks the
+// paper's rewriting first and falls one rung down the ladder — Rewrite →
+// Exact → MonteCarlo — when the query is outside the rewritable class or a
+// resource budget (and only a resource budget: cancellation and deadline
+// abort the whole ladder) rules a rung out. The Result reports which method
+// ran and, for Monte-Carlo, the sample count and standard-error bound, so
+// callers can tell an exact answer from an estimate.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"strconv"
 	"strings"
 	"time"
@@ -51,9 +50,9 @@ type EvalOptions struct {
 	// Method forces one rung, which then returns its error verbatim;
 	// MethodNone, the zero value, runs the ladder.
 	Method Method
-	// Samples is the Monte-Carlo sample count (DefaultSamples when zero).
-	// The ladder clips it to the engine's MaxSamples; a forced
-	// MethodMonteCarlo fails above that instead.
+	// Samples is the Monte-Carlo sample count (DefaultSamples when zero; a
+	// negative count is refused). The ladder clips it to the engine's
+	// MaxSamples; a forced MethodMonteCarlo fails above that instead.
 	Samples int
 	// Seed seeds Monte-Carlo sampling, making degraded runs reproducible.
 	Seed int64
@@ -65,26 +64,27 @@ type EvalOptions struct {
 	Cache  *cache.Cache
 }
 
-// exactThreshold caps the candidate count — of the FROM relations, like
-// MaxCandidates — Eval will attempt exactly when the caller sets no
-// MaxCandidates budget. It is deliberately far below
-// dirty.EnumerateLimit: Eval optimizes for answering within budget, not
-// for exhausting what enumeration can survive.
+// exactThreshold is the exact rung's budget in the ladder when the caller
+// sets no MaxCandidates: the most candidates of the FROM relations it
+// enumerates. It is deliberately far below dirty.EnumerateLimit: Eval
+// optimizes for answering within budget, not for exhausting what
+// enumeration can survive.
 const exactThreshold = 1 << 12
 
 // Eval computes clean answers with the method opts.Method forces or, when
 // it forces none, with automatic method selection:
 //
-//  1. Exact, when the FROM relations' candidate count fits the budget —
-//     ground truth.
-//  2. Rewrite, when the query is in the rewritable class (§3) — still
-//     exact (Thm 1), one query over the dirty database.
+//  1. Rewrite, when the query is in the rewritable class (§3) — exact
+//     (Thm 1), one query over the dirty database.
+//  2. Exact, when the FROM relations' candidates fit the budget
+//     (MaxCandidates, or exactThreshold without one) — ground truth.
 //  3. MonteCarlo, otherwise — an estimate, flagged by Result.StdErr.
 //
 // A rung failing with a resource error (qerr.IsResource) falls through to
-// the next; cancellation, deadline and model errors abort immediately.
-// Result.Degraded records every rung that was skipped or abandoned along
-// the way, with its one-word reason.
+// the next, as does a query the rewriting refuses; cancellation, deadline
+// and model errors abort immediately. Result.Degraded records every rung
+// that was abandoned along the way, with its one-word reason: exact's over
+// budget is "candidates".
 //
 // With a cache on the engine, a Result — whichever rung produced it — is
 // cached keyed by the canonical statement, the options and engine settings
@@ -144,6 +144,8 @@ func (ev Evaluator) check(opts EvalOptions) error {
 		return fmt.Errorf("core: an Evaluator's budget and cache are its engine's options, not EvalOptions.Limits and Cache")
 	case opts.Method < MethodNone || opts.Method > MethodMonteCarlo:
 		return fmt.Errorf("core: unknown evaluation method %d", opts.Method)
+	case opts.Samples < 0:
+		return fmt.Errorf("core: negative Monte-Carlo sample count %d", opts.Samples)
 	}
 	return nil
 }
@@ -218,10 +220,11 @@ func logEval(ctx context.Context, o engine.Options, stmt *sqlparse.SelectStmt, r
 	o.QueryLog.Record(rec)
 }
 
-// ladder is Eval's uncached body: the forced rung or the degradation
-// ladder itself. ctx already carries the entry-point timeout; start
-// anchors Result.Elapsed. It is a recover boundary, so that a panic in a
-// rung cannot escape the cache's flight (Eval).
+// ladder is Eval's uncached body: the degradation ladder itself, or the
+// forced rung alone, returning its error verbatim. ctx already carries the
+// entry-point timeout; start anchors Result.Elapsed. It is a recover
+// boundary, so that a panic in a rung cannot escape the cache's flight
+// (Eval).
 func (ev Evaluator) ladder(ctx context.Context, stmt *sqlparse.SelectStmt, opts EvalOptions, start time.Time) (res *Result, err error) {
 	defer qerr.Recover(&err)
 	var chain []Degradation
@@ -232,73 +235,71 @@ func (ev Evaluator) ladder(ctx context.Context, stmt *sqlparse.SelectStmt, opts 
 	}
 	lim := ev.rungs().Limits
 	n := opts.Samples
-	if n <= 0 {
+	if n == 0 {
 		n = DefaultSamples
 	}
 
-	switch opts.Method {
-	case MethodExact:
-		res, err = ev.exact(ctx, stmt)
-	case MethodRewrite:
+	// Rung 1: the rewriting, forced or when the query is in the rewritable
+	// class — one query. The rung analyses the statement once and reports a
+	// query outside the class itself.
+	if opts.Method == MethodRewrite || opts.Method == MethodNone {
 		res, err = ev.rewriting(ctx, stmt)
-	case MethodMonteCarlo:
-		res, err = ev.monteCarlo(ctx, stmt, n, opts.Seed)
-	}
-	if opts.Method != MethodNone {
-		if err != nil {
+		switch {
+		case err == nil:
+			return done(res), nil
+		case opts.Method == MethodRewrite:
+			return nil, err
+		case isNotRewritable(err):
+			chain = append(chain, Degradation{Method: MethodRewrite, Reason: "not-rewritable"})
+		case qerr.IsResource(err):
+			chain = append(chain, Degradation{Method: MethodRewrite, Reason: qerr.Reason(err)})
+		default:
 			return nil, err
 		}
-		return done(res), nil
 	}
 
-	// Rung 1: Exact, when the candidate count is known to fit.
-	count, err := ev.DB.CandidateCountOf(stmt.Tables())
+	// The lower rungs draw from one index of the FROM relations' clusters.
+	cs, err := ev.DB.CandidatesOf(stmt.Tables())
 	if err != nil {
 		return nil, err
 	}
-	budget := lim.MaxCandidates
-	if budget <= 0 {
-		budget = exactThreshold
-	}
-	if count.Cmp(big.NewInt(budget)) <= 0 {
-		res, err := ev.exact(ctx, stmt)
-		if err == nil {
-			return done(res), nil
+
+	// Rung 2: exact, forced or when the candidates fit the budget:
+	// MaxCandidates, or exactThreshold without one.
+	if opts.Method == MethodExact || opts.Method == MethodNone {
+		limit := lim.MaxCandidates
+		if limit <= 0 && opts.Method == MethodNone {
+			limit = exactThreshold
 		}
-		if !qerr.IsResource(err) {
+		res, err = ev.exact(ctx, stmt, cs, limit)
+		switch {
+		case err == nil:
+			return done(res), nil
+		case opts.Method == MethodExact || !qerr.IsResource(err):
 			return nil, err
 		}
-		// Budget ran out mid-enumeration; fall through.
 		chain = append(chain, Degradation{Method: MethodExact, Reason: qerr.Reason(err)})
-	} else {
-		chain = append(chain, Degradation{Method: MethodExact, Reason: "candidates"})
 	}
 
-	// Rung 2: rewriting, when the query is in the rewritable class. The
-	// rung analyses the statement once and reports a query outside the
-	// class itself.
-	res, err = ev.rewriting(ctx, stmt)
-	var notRewritable *rewrite.NotRewritableError
-	switch {
-	case err == nil:
-		return done(res), nil
-	case errors.As(err, &notRewritable):
-		chain = append(chain, Degradation{Method: MethodRewrite, Reason: "not-rewritable"})
-	case qerr.IsResource(err):
-		chain = append(chain, Degradation{Method: MethodRewrite, Reason: qerr.Reason(err)})
-	default:
-		return nil, err
-	}
-
-	// Rung 3: Monte-Carlo.
-	if lim.MaxSamples > 0 && n > lim.MaxSamples {
+	// Rung 3: Monte-Carlo. The ladder clips the sample count to the budget.
+	if opts.Method == MethodNone && lim.MaxSamples > 0 && n > lim.MaxSamples {
 		n = lim.MaxSamples
 	}
-	res, err = ev.monteCarlo(ctx, stmt, n, opts.Seed)
+	res, err = ev.monteCarlo(ctx, stmt, cs, n, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: all evaluation methods failed, last (monte-carlo): %w", err)
+		if opts.Method == MethodNone {
+			err = fmt.Errorf("core: all evaluation methods failed, last (monte-carlo): %w", err)
+		}
+		return nil, err
 	}
 	return done(res), nil
+}
+
+// isNotRewritable reports whether err refuses a query outside the
+// rewritable class. Its target escapes, so it is asked only on failure.
+func isNotRewritable(err error) bool {
+	var nr *rewrite.NotRewritableError
+	return errors.As(err, &nr)
 }
 
 // Eval is Evaluator.Eval over d on an engine built from opts.Limits and

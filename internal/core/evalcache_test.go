@@ -70,13 +70,16 @@ func TestEvalCacheKeyedByOptions(t *testing.T) {
 // and an insert into a FROM relation makes it a miss.
 func TestEvalCacheScopedToFromRelations(t *testing.T) {
 	few := exec.Limits{MaxCandidates: 2} // customer alone has 4 candidates
+	// The statement that does not project the identifier is outside the
+	// rewritable class, so exact answers it within budget and Monte-Carlo
+	// beyond; the rewriting answers the one that does.
 	for _, c := range []struct {
 		sql  string
 		opts EvalOptions
 		want Method
 	}{
-		{"select id from customer where balance > 10000", EvalOptions{}, MethodExact},
-		{"select id from customer where balance > 10000", EvalOptions{Limits: few}, MethodRewrite},
+		{"select name from customer where balance > 10000", EvalOptions{}, MethodExact},
+		{"select id from customer where balance > 10000", EvalOptions{}, MethodRewrite},
 		{"select name from customer where balance > 10000", EvalOptions{Limits: few, Samples: 300, Seed: 11}, MethodMonteCarlo},
 	} {
 		d := testdb.Figure2()

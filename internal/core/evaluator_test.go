@@ -112,7 +112,8 @@ func TestEvaluatorRunsRungsAtItsEngineSettings(t *testing.T) {
 
 // An evaluator refuses what it cannot run as asked: a budget or cache in
 // EvalOptions (its engine's options are both), an engine over another
-// store, an unknown method. A forced method returns its error verbatim.
+// store, an unknown method, a negative sample count. A forced method
+// returns its error verbatim.
 func TestEvaluatorRejectsWhatItCannotRun(t *testing.T) {
 	d := testdb.Figure2()
 	ev := evaluator(d)
@@ -129,6 +130,8 @@ func TestEvaluatorRejectsWhatItCannotRun(t *testing.T) {
 		"no engine":     {Evaluator{DB: d}, EvalOptions{}, "needs a database and an engine"},
 		"method":        {ev, EvalOptions{Method: MethodMonteCarlo + 1}, "unknown evaluation method"},
 		"negative meth": {ev, EvalOptions{Method: -1}, "unknown evaluation method"},
+		"negative n":    {ev, EvalOptions{Method: MethodMonteCarlo, Samples: -5}, "negative Monte-Carlo sample count"},
+		"negative n ld": {ev, EvalOptions{Samples: -5}, "negative Monte-Carlo sample count"},
 	} {
 		res, err := c.ev.Eval(ctx, stmt, c.opts)
 		if res != nil || err == nil || !strings.Contains(err.Error(), c.want) {

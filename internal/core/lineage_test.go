@@ -302,7 +302,7 @@ func TestExactFromLineageCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := &pollCounter{Context: context.Background()}
-	if res, err := ev.exact(whole, stmt); err != nil || res.Stats.Queries != 1 {
+	if res, err := ev.exact(whole, stmt, cs, 0); err != nil || res.Stats.Queries != 1 {
 		t.Fatalf("%+v, %v", res, err)
 	}
 	if whole.calls <= query.calls {
@@ -310,7 +310,7 @@ func TestExactFromLineageCancellation(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	mid := &pollCounter{Context: context.Background(), at: query.calls + 1}
-	res, err := ev.exact(mid, stmt)
+	res, err := ev.exact(mid, stmt, cs, 0)
 	if res != nil || !errors.Is(err, qerr.ErrCanceled) || qerr.Reason(err) != "canceled" {
 		t.Errorf("cancelled in the enumeration: result %v, error %v; want the cancellation reason", res, err)
 	}
@@ -424,15 +424,19 @@ func TestMonteCarloFromLineageCancellation(t *testing.T) {
 	d := testdb.Figure2()
 	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})}
 	stmt := sqlparse.MustParse("select c.id from orders o, customer c where o.cidfk = c.id")
+	cs, err := d.CandidatesOf(stmt.Tables())
+	if err != nil {
+		t.Fatal(err)
+	}
 	whole := &pollCounter{Context: context.Background()}
-	if res, err := ev.monteCarlo(whole, stmt, n, 1); err != nil || res.Stats.Queries != 1 {
+	if res, err := ev.monteCarlo(whole, stmt, cs, n, 1); err != nil || res.Stats.Queries != 1 {
 		t.Fatalf("%+v, %v", res, err)
 	}
 	if whole.calls < n {
 		t.Fatalf("%d polls over %d samples; want one per sample", whole.calls, n)
 	}
 	mid := &pollCounter{Context: context.Background(), at: whole.calls - n/2}
-	res, err := ev.monteCarlo(mid, stmt, n, 1)
+	res, err := ev.monteCarlo(mid, stmt, cs, n, 1)
 	if res != nil || !errors.Is(err, qerr.ErrCanceled) || qerr.Reason(err) != "canceled" {
 		t.Errorf("cancelled mid-sampling: result %v, error %v; want the cancellation reason", res, err)
 	}

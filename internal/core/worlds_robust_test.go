@@ -57,7 +57,9 @@ func monteCarloOverWorlds(ctx context.Context, d *dirty.DB, stmt *sqlparse.Selec
 	if err != nil {
 		return nil, err
 	}
-	res, err = Evaluator{DB: d, Engine: engine.NewWithLimits(d.Store, lim)}.sampleWorlds(ctx, stmt, cs, n, seed)
+	w := 1 / float64(n)
+	res, err = Evaluator{DB: d, Engine: engine.NewWithLimits(d.Store, lim)}.overCandidates(ctx, stmt, cs, 0, sample(ctx, n, seed),
+		func(*dirty.Candidate) float64 { return w })
 	if err != nil {
 		return nil, err
 	}
@@ -185,8 +187,8 @@ func TestCandidateLoopBudgetsArePerCandidate(t *testing.T) {
 	}
 }
 
-// Nothing of one evaluation is kept for the next: the database holds the
-// candidate count alone, and a mutation between two calls is seen.
+// Nothing of one evaluation is kept for the next: the database holds no
+// state of its own, and a mutation between two calls is seen.
 func TestCandidateLoopSeesMutations(t *testing.T) {
 	d := testdb.Figure2()
 	stmt := sqlparse.MustParse("select id from customer where balance > 25000")

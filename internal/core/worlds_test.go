@@ -349,7 +349,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			worlds, err := evaluator(c.d).enumerateWorlds(ctx, stmt, cs, 0)
+			worlds, err := evaluator(c.d).overCandidates(ctx, stmt, cs, 0, enumerate(ctx, 0), probOf)
 			if err != nil {
 				t.Fatalf("%s: per-world loop: %v", label, err)
 			}
@@ -361,7 +361,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 			// relations have candidates, and otherwise, or for any other
 			// statement, the per-world loop after it.
 			whole, _ := c.d.CandidateCount()
-			scoped, _ := c.d.CandidateCountOf(stmt.Tables())
+			scoped := cs.Count()
 			spj := false
 			if _, err := rewrite.Lineage(c.d.Store.Catalog, stmt); err == nil {
 				spj, lineages = true, lineages+1

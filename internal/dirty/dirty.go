@@ -21,7 +21,6 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"conquer/internal/qerr"
 	"conquer/internal/storage"
@@ -34,22 +33,10 @@ import (
 const ProbEpsilon = value.ProbEpsilon
 
 // DB wraps a storage database whose relations may carry dirty metadata
-// (identifier + prob columns on their schemas).
+// (identifier + prob columns on their schemas). It holds nothing else:
+// every clustering is computed from the tables when asked for.
 type DB struct {
 	Store *storage.DB
-
-	// factorMu guards factors, CandidateCountOf's memo: per dirty
-	// relation, the product of its cluster sizes and the table version
-	// that product was computed at.
-	factorMu sync.Mutex
-	factors  map[*storage.Table]relFactor
-}
-
-// relFactor is one dirty relation's factor of the candidate count at one
-// mutation count.
-type relFactor struct {
-	version int64
-	count   *big.Int
 }
 
 // New wraps store.
@@ -209,52 +196,11 @@ func (d *DB) Normalize() error {
 // cluster sizes over every dirty relation (Dfn 3). The count is returned
 // as a big integer because it is exponential in the number of clusters.
 func (d *DB) CandidateCount() (*big.Int, error) {
-	return d.CandidateCountOf(d.Store.TableNames())
-}
-
-// CandidateCountOf returns the number of candidate databases of the named
-// relations alone: the product of their cluster sizes, which is how many
-// distinct worlds a query over exactly those relations can see (clusters
-// choose independently, Dfn 4, so the rest of the database only
-// multiplies every one of them by the same marginal 1). See dirtyTables
-// for which names count.
-//
-// Each relation's factor — the number, nothing else — is remembered at its
-// table's version, so the clean-answer ladder's rung selection does not re-cluster an
-// unchanged relation on every call and an insert re-clusters only the
-// relation it went into.
-func (d *DB) CandidateCountOf(rels []string) (*big.Int, error) {
-	n := big.NewInt(1)
-	for _, tb := range d.dirtyTables(rels) {
-		f, err := d.factor(tb)
-		if err != nil {
-			return nil, err
-		}
-		n.Mul(n, f)
-	}
-	return n, nil
-}
-
-// factor is tb's factor of the candidate count, from the memo when tb has
-// not changed since it was computed. Errors are not remembered. The
-// returned integer is the memo's own: read it, do not write it.
-func (d *DB) factor(tb *storage.Table) (*big.Int, error) {
-	version := tb.Version()
-	d.factorMu.Lock()
-	defer d.factorMu.Unlock()
-	if f, ok := d.factors[tb]; ok && f.version == version {
-		return f.count, nil
-	}
-	clusters, err := d.Clusters(tb.Schema.Name)
+	cs, err := d.Candidates()
 	if err != nil {
 		return nil, err
 	}
-	count := clusterProduct(clusters)
-	if d.factors == nil {
-		d.factors = make(map[*storage.Table]relFactor)
-	}
-	d.factors[tb] = relFactor{version: version, count: count}
-	return count, nil
+	return cs.Count(), nil
 }
 
 // clusterProduct multiplies the cluster sizes.
@@ -342,7 +288,10 @@ func (d *DB) Candidates() (Candidates, error) {
 }
 
 // CandidatesOf clusters the dirty relations among the named ones, in the
-// order first named (see dirtyTables for what is skipped).
+// order first named (see dirtyTables for what is skipped). Like Clusters
+// it refuses a NULL identifier, and it refuses a probability that is NULL
+// or not a number, which no candidate's probability could be computed
+// from: both with a qerr.ErrBadModel error.
 func (d *DB) CandidatesOf(rels []string) (Candidates, error) {
 	var out Candidates
 	for _, tb := range d.dirtyTables(rels) {
@@ -350,14 +299,31 @@ func (d *DB) CandidatesOf(rels []string) (Candidates, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, relClusters{
+		rc := relClusters{
 			rel:      tb.Schema.Name,
 			probIdx:  tb.Schema.ProbIndex(),
 			table:    tb,
 			clusters: clusters,
-		})
+		}
+		if err := rc.checkProbs(); err != nil {
+			return nil, err
+		}
+		out = append(out, rc)
 	}
 	return out, nil
+}
+
+// checkProbs fails on the first clustered row whose probability is not a
+// number. It allocates nothing unless it fails.
+func (rc relClusters) checkProbs() error {
+	for _, c := range rc.clusters {
+		for _, ri := range c.Rows {
+			if pv := rc.table.Row(ri)[rc.probIdx]; !pv.IsNumeric() {
+				return fmt.Errorf("dirty: %s row %d has invalid probability %v: %w", rc.rel, ri, pv, qerr.ErrBadModel)
+			}
+		}
+	}
+	return nil
 }
 
 // Count is the number of candidate databases (Dfn 3) of cs's relations.

@@ -3,7 +3,6 @@ package dirty
 import (
 	"context"
 	"errors"
-	"math/big"
 	"math/rand"
 	"strings"
 	"sync"
@@ -16,19 +15,13 @@ import (
 	"conquer/internal/value"
 )
 
-// Each dirty relation's factor of the candidate count is remembered at its
-// table's version: repeat calls agree and hand out independent integers,
-// any mutation of a dirty relation recounts, and concurrent callers are
-// safe.
-func TestCandidateCountMemo(t *testing.T) {
+// The candidate count follows the database: any mutation of a dirty
+// relation, or a relation becoming dirty, changes it, a bad model is an
+// error, and concurrent callers beside a writer are safe.
+func TestCandidateCountFollowsMutations(t *testing.T) {
 	d := figure2DB(t, true)
-	first, err := d.CandidateCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Mul(first, big.NewInt(1000)) // a caller scribbling on its copy
-	if n, _ := d.CandidateCount(); n.Int64() != 8 {
-		t.Fatalf("second call = %v, want 8", n)
+	if n, err := d.CandidateCount(); err != nil || n.Int64() != 8 {
+		t.Fatalf("count = %v, %v; want 8", n, err)
 	}
 	cust, _ := d.Store.Table("customer")
 	cust.MustInsert(value.Str("c2"), value.Str("m5"), value.Str("Mario"), value.Float(1), value.Float(0))
@@ -52,7 +45,6 @@ func TestCandidateCountMemo(t *testing.T) {
 	if n, _ := d.CandidateCount(); n.Int64() != 24 {
 		t.Fatalf("after nation became dirty = %v, want 24", n)
 	}
-	// Errors are not remembered.
 	nt.MustInsert(value.Null(), value.Float(1))
 	if _, err := d.CandidateCount(); !errors.Is(err, qerr.ErrBadModel) {
 		t.Fatalf("NULL identifier: %v, want ErrBadModel", err)
@@ -79,9 +71,8 @@ func TestCandidateCountMemo(t *testing.T) {
 	wg.Wait()
 }
 
-// The index and the count over a list of relations cover the dirty
-// relations among them, each once, in the order first named; an insert
-// re-clusters the relation it went into and no other.
+// The index and its count over a list of relations cover the dirty
+// relations among them, each once, in the order first named.
 func TestCandidatesOfNamedRelations(t *testing.T) {
 	d := figure2DB(t, true)
 	nS := schema.MustRelation("nation", schema.Column{Name: "name", Type: value.KindString})
@@ -98,10 +89,6 @@ func TestCandidatesOfNamedRelations(t *testing.T) {
 		{[]string{"orders", "CUSTOMER", "orders", "customer"}, 8, "orders,customer"},
 		{d.Store.TableNames(), 8, "customer,orders"},
 	} {
-		n, err := d.CandidateCountOf(c.rels)
-		if err != nil || n.Int64() != c.want {
-			t.Errorf("CandidateCountOf(%v) = %v, %v; want %d", c.rels, n, err, c.want)
-		}
 		cs, err := d.CandidatesOf(c.rels)
 		if err != nil {
 			t.Fatal(err)
@@ -119,17 +106,45 @@ func TestCandidatesOfNamedRelations(t *testing.T) {
 	}
 
 	cust, _ := d.Store.Table("customer")
-	ord, _ := d.Store.Table("orders")
-	before := d.factors[ord]
 	cust.MustInsert(value.Str("c2"), value.Str("m5"), value.Str("Mario"), value.Float(1), value.Float(0))
-	if n, _ := d.CandidateCount(); n.Int64() != 12 {
-		t.Fatalf("after adding a third c2 tuple = %v, want 12", n)
+	for rels, want := range map[string]int64{"customer": 6, "orders": 2} {
+		if cs, err := d.CandidatesOf([]string{rels}); err != nil || cs.Count().Int64() != want {
+			t.Errorf("after adding a third c2 tuple, %s has %v candidates (error %v); want %d", rels, cs.Count(), err, want)
+		}
 	}
-	if after := d.factors[ord]; after.count != before.count || after.version != ord.Version() {
-		t.Errorf("an insert into customer recounted orders: %+v, was %+v", after, before)
+}
+
+// The index refuses a probability no candidate's probability could be
+// computed from, NULL or not a number, as a bad model, before enumeration
+// or sampling would panic reading it; the check allocates nothing.
+func TestCandidatesOfRefusesInvalidProbability(t *testing.T) {
+	for _, bad := range []value.Value{value.Null(), value.Str("0.5")} {
+		d := figure2DB(t, true)
+		cust, _ := d.Store.Table("customer")
+		if err := cust.UpdateColumn(2, "prob", bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.CandidatesOf([]string{"orders"}); err != nil {
+			t.Errorf("probability %v in customer fails an index of orders alone: %v", bad, err)
+		}
+		_, err := d.CandidatesOf([]string{"orders", "customer"})
+		if !errors.Is(err, qerr.ErrBadModel) || !strings.Contains(err.Error(), "customer row 2 has invalid probability") {
+			t.Errorf("probability %v: error %v; want ErrBadModel naming customer row 2", bad, err)
+		}
 	}
-	if f := d.factors[cust]; f.version != cust.Version() || f.count.Int64() != 6 {
-		t.Errorf("customer's factor after the insert = %+v, want 6 at version %d", f, cust.Version())
+	d := figure2DB(t, true)
+	cs, err := d.CandidatesOf([]string{"customer", "orders"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, rc := range cs {
+			if err := rc.checkProbs(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("checking a valid model allocates %v times; want 0", allocs)
 	}
 }
 

@@ -8,10 +8,10 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
-	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/storage"
 	"conquer/internal/testdb"
@@ -28,14 +28,10 @@ func faultedConfig() Config {
 		Tenants: []TenantConfig{
 			{Name: "healthy", Key: "healthy-key", Preset: "standard"},
 			// Insert faults make candidate materialization fail with a
-			// budget error: the exact rung degrades, while rewriting (pure
-			// scans over the dirty store) still answers. The exact rung
-			// answers an SPJ statement from one lineage query over the
-			// dirty store and materializes nothing, unless that query runs
-			// out of budget: 2 output rows are fewer than the lineage of
-			// the statement below (3) and as many as its answers.
-			{Name: "flaky-clean", Key: "flaky-clean-key",
-				Limits:        &exec.Limits{MaxOutputRows: 2},
+			// budget error: a rung that runs on the candidates degrades,
+			// while one that answers from a query over the dirty store
+			// (the rewriting, a lineage) still answers.
+			{Name: "flaky-clean", Key: "flaky-clean-key", Preset: "standard",
 				MaxConcurrent: 1,
 				Faults:        []FaultRule{{Op: "insert", Error: "budget"}}},
 			// Scan faults on customer break plain queries outright — the
@@ -50,16 +46,19 @@ func faultedConfig() Config {
 	}
 }
 
-// The faulted tenant's clean-answer ladder degrades — exact fails on the
-// injected budget fault, rewriting answers — and the response records
-// the degradation instead of failing.
+// The faulted tenant's clean-answer ladder degrades — the self-join is
+// outside the rewritable class, exact fails on the injected budget fault,
+// Monte-Carlo answers — and the response records the degradation instead
+// of failing. Exact runs on the candidates because the lineage, 9 pairs of
+// orders, outgrows the 2 worlds of its 2 candidates; Monte-Carlo's holds 32
+// worlds, so it answers from the lineage and materializes nothing.
 func TestFaultedTenantDegradesLadder(t *testing.T) {
 	srv, err := New(figure2Store(t), faultedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := doJSON(t, srv, "POST", "/v1/clean", "flaky-clean-key",
-		queryRequest{SQL: "select id from customer where balance > 10000"})
+		queryRequest{SQL: "select a.orderid, b.orderid from orders a, orders b"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (degraded, not failed): %s", rec.Code, rec.Body.String())
 	}
@@ -67,17 +66,11 @@ func TestFaultedTenantDegradesLadder(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Method != "rewrite" {
-		t.Errorf("method = %q, want rewrite", resp.Method)
+	if resp.Method != "monte-carlo" {
+		t.Errorf("method = %q, want monte-carlo", resp.Method)
 	}
-	found := false
-	for _, d := range resp.Degraded {
-		if d == "exact(budget)" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("degradation chain %v missing exact(budget)", resp.Degraded)
+	if want := []string{"rewrite(not-rewritable)", "exact(budget)"}; !slices.Equal(resp.Degraded, want) {
+		t.Errorf("degradation chain %v, want %v", resp.Degraded, want)
 	}
 	if len(resp.Answers) == 0 {
 		t.Error("degraded evaluation returned no answers")

@@ -279,7 +279,8 @@ func (s *Server) authenticate(r *http.Request) (*tenant, error) {
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// Samples and Seed apply to /v1/clean only: Monte-Carlo sample count
-	// (tenant default when 0) and RNG seed for reproducible estimates.
+	// (tenant default when 0, a 400 when negative) and RNG seed for
+	// reproducible estimates.
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 }

@@ -508,8 +508,8 @@ func TestObservedCostSeeding(t *testing.T) {
 // Sanity-check /v1/clean end to end over the paper's Figure 2 database,
 // including its query-log line: one per request, written by the evaluator
 // on the tenant's engine — so with the rung that answered (the rewriting,
-// under a one-candidate budget), the server's parallelism and shards, and
-// the statement hash /v1/query logs for the same text.
+// the ladder's first), the server's parallelism and shards, and the
+// statement hash /v1/query logs for the same text.
 func TestCleanEndpoint(t *testing.T) {
 	var logBuf strings.Builder
 	cfg := Config{
@@ -557,6 +557,11 @@ func TestCleanEndpoint(t *testing.T) {
 	}
 	if _, plain := post("/v1/query"); plain.SQLHash != clean.SQLHash {
 		t.Errorf("the same text hashes to %s on /v1/query and %s on /v1/clean", plain.SQLHash, clean.SQLHash)
+	}
+	// A negative sample count is the client's error, not a silent default.
+	rec = doJSON(t, srv, "POST", "/v1/clean", "acme-key", queryRequest{SQL: sql, Samples: -5})
+	if b := decodeError(t, rec); rec.Code != http.StatusBadRequest || b.Reason != "invalid" {
+		t.Errorf("samples -5: status %d, reason %q; want 400 invalid", rec.Code, b.Reason)
 	}
 }
 
