@@ -162,19 +162,31 @@ func FormatFig7(rows []Fig7Row) string {
 // ---------------------------------------------------------------------------
 
 // Fig8Side is one pair under one definition of "the rewritten query's
-// time": both forms in milliseconds and the second over the first.
+// time": both forms in milliseconds and the second over the first, and
+// the heap allocations of one run of each form, which repeat where the
+// times do not.
 type Fig8Side struct {
-	Original, Rewritten, Ratio Spread
+	Original, Rewritten, Ratio      Spread
+	OriginalAllocs, RewrittenAllocs float64
 }
 
+// AllocRatio is the rewritten form's allocations over the original's.
+func (s Fig8Side) AllocRatio() float64 { return s.RewrittenAllocs / s.OriginalAllocs }
+
 // timePair samples a pair's two forms back to back, alternating which
-// goes first.
+// goes first, then counts each form's allocations over as many runs
+// again, apart from the timed ones.
 func timePair(reps int, original, rewritten func() error) (Fig8Side, error) {
 	ms, err := sample(reps, original, rewritten)
 	if err != nil {
 		return Fig8Side{}, err
 	}
-	return Fig8Side{Original: spreadOf(ms[0]), Rewritten: spreadOf(ms[1]), Ratio: ratioOf(ms[1], ms[0])}, nil
+	side := Fig8Side{Original: spreadOf(ms[0]), Rewritten: spreadOf(ms[1]), Ratio: ratioOf(ms[1], ms[0])}
+	if side.OriginalAllocs, err = allocsPerRun(reps, original); err != nil {
+		return Fig8Side{}, err
+	}
+	side.RewrittenAllocs, err = allocsPerRun(reps, rewritten)
+	return side, err
 }
 
 // Fig8Row is one bar pair of Figure 8, timed under both definitions this
@@ -264,17 +276,17 @@ func FormatFig8(rows []Fig8Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8 — original vs rewritten query time (sf=1, if=3), ms, median [q1–q3]\n")
 	fmt.Fprintf(&b, "\nstatement only: QueryStmt on the parsed original and on its pre-built rewriting (what the paper timed)\n")
-	fmt.Fprintf(&b, "%-5s  %-24s  %-24s  %-18s  %9s  %10s\n",
-		"query", "original", "rewritten", "ratio", "orig-rows", "clean-rows")
+	fmt.Fprintf(&b, "%-5s  %-24s  %-24s  %-18s  %-24s  %9s  %10s\n",
+		"query", "original", "rewritten", "ratio", "allocs orig / rw (ratio)", "orig-rows", "clean-rows")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %9d  %10d\n",
-			r.Query, r.Stmt.Original, r.Stmt.Rewritten, r.Stmt.Ratio, r.OrigRows, r.CleanRows)
+		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %-24s  %9d  %10d\n",
+			r.Query, r.Stmt.Original, r.Stmt.Rewritten, r.Stmt.Ratio, allocsCell(r.Stmt), r.OrigRows, r.CleanRows)
 	}
 	fmt.Fprintf(&b, "\nfrom SQL text: engine.QueryCtx against sqlparse.Parse + Evaluator.Eval (what BENCHMARK.json's overhead_ratio times)\n")
-	fmt.Fprintf(&b, "%-5s  %-24s  %-24s  %-18s  %s\n", "query", "original", "clean", "ratio", "rung")
+	fmt.Fprintf(&b, "%-5s  %-24s  %-24s  %-18s  %-24s  %s\n", "query", "original", "clean", "ratio", "allocs orig / clean", "rung")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %s\n",
-			r.Query, r.Text.Original, r.Text.Rewritten, r.Text.Ratio, r.Method)
+		fmt.Fprintf(&b, "Q%-4d  %-24s  %-24s  %-18s  %-24s  %s\n",
+			r.Query, r.Text.Original, r.Text.Rewritten, r.Text.Ratio, allocsCell(r.Text), r.Method)
 	}
 	shortStmt, q9Stmt := Fig8Geomean(rows, stmt)
 	shortText, q9Text := Fig8Geomean(rows, text)
@@ -282,6 +294,11 @@ func FormatFig8(rows []Fig8Row) string {
 	fmt.Fprintf(&b, "%-38s  %14.2f  %14.2f\n", "12 short pairs (fig8_short)", shortStmt, shortText)
 	fmt.Fprintf(&b, "%-38s  %14.2f  %14.2f\n", "Q9 (fig8_q9)", q9Stmt, q9Text)
 	return b.String()
+}
+
+// allocsCell renders a side's allocation counts and their ratio.
+func allocsCell(s Fig8Side) string {
+	return fmt.Sprintf("%.0f / %.0f (%.2fx)", s.OriginalAllocs, s.RewrittenAllocs, s.AllocRatio())
 }
 
 // ---------------------------------------------------------------------------

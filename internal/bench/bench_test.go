@@ -72,6 +72,9 @@ func TestFig8Harness(t *testing.T) {
 			if !side.Original.ordered() || !side.Rewritten.ordered() || !side.Ratio.ordered() {
 				t.Errorf("Q%d: timings or ratio not q1 <= median <= q3: %+v", r.Query, side)
 			}
+			if side.OriginalAllocs <= 0 || side.RewrittenAllocs <= 0 {
+				t.Errorf("Q%d: allocations not counted: %+v", r.Query, side)
+			}
 		}
 		// The from-text clean side is only the paper's ratio if the
 		// ladder answered it by rewriting.
@@ -92,7 +95,7 @@ func TestFig8Harness(t *testing.T) {
 		}
 	}
 	out := FormatFig8(rows)
-	for _, want := range []string{"Q9", "statement only", "from SQL text", "fig8_short", "fig8_q9"} {
+	for _, want := range []string{"Q9", "statement only", "from SQL text", "allocs orig / rw (ratio)", "fig8_short", "fig8_q9"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("format lacks %q:\n%s", want, out)
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -61,6 +62,22 @@ func sample(reps int, fs ...func() error) ([][]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// allocsPerRun returns the heap allocations of one call of f, averaged
+// over reps calls (at least one). It reads the runtime's counters, which
+// stops the world, so callers keep it out of any timed region.
+func allocsPerRun(reps int, f func() error) (float64, error) {
+	reps = max(reps, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if err := f(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(reps), nil
 }
 
 // Spread is the median and quartiles of one series: milliseconds for a

@@ -311,14 +311,14 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 		if err := j.gov.PollBatch(); err != nil {
 			return err
 		}
-		for j.curIdx < len(j.cur) {
+		for j.next != 0 {
 			if b.Full() {
 				j.stats.addOut(int64(b.Len()))
 				j.stats.incBatch()
 				return nil
 			}
-			e := j.cur[j.curIdx]
-			j.curIdx++
+			e := &j.build.entries[j.next-1]
+			j.next = e.next
 			if !keysEqual(e.keys, j.curKeys) {
 				continue
 			}
@@ -354,7 +354,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 		if keys == nil {
 			continue // NULL join keys never join
 		}
-		j.cur, j.curKeys, j.curLeft, j.curIdx = j.build.lookup(j.probeHash[i]), keys, j.bp.probe.Row(i), 0
+		j.next, j.curKeys, j.curLeft = j.build.lookup(j.probeHash[i]), keys, j.bp.probe.Row(i)
 		j.bp.curBase = j.bp.probe.Ord(i).base
 	}
 }

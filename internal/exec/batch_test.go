@@ -231,4 +231,28 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 			t.Errorf("run %d: HashJoin keeps probe state: %+v", run, j.bp)
 		}
 	}
+	// The build goes with the run: a closed join references none, and the
+	// one it ran holds neither its entry vector nor its bucket heads.
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	build := j.build
+	if len(build.entries) != dim.Len() {
+		t.Fatalf("the build holds %d entries, want %d", len(build.entries), dim.Len())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j.build != nil || build.entries != nil || build.heads != nil {
+		t.Error("a closed HashJoin keeps its build's entry vector")
+	}
+	// A closed aggregate holds neither its output rows nor the block they
+	// are carved from.
+	agg := buildAgg(t, fact, 1, 0)
+	if rows, _, err := CollectBatchesGoverned(agg, nil, DefaultBatchSize); err != nil || len(rows) != dim.Len() {
+		t.Fatalf("aggregate: %d groups, %v", len(rows), err)
+	}
+	if agg.out != nil {
+		t.Error("a closed HashAggregate keeps its output block")
+	}
 }

@@ -248,10 +248,9 @@ type HashJoin struct {
 	lk, rk  []Evaluator
 	build   *joinBuild
 	shard   bool          // probe shard sharing a split-time build
-	cur     []buildEntry  // hash bucket pending for current left row
+	next    int32         // link to the next build entry of the pending bucket, 0 at its end
 	curKeys []value.Value // probe keys of the pending bucket
 	curLeft []value.Value
-	curIdx  int
 
 	// The pending probe batch with its pre-computed key hashes
 	// (probeKeys[i] == nil marks a NULL key).
@@ -260,9 +259,15 @@ type HashJoin struct {
 	probeKeys [][]value.Value
 }
 
+// buildEntry is one row of joinBuild's entry vector: the row, its keys and
+// their hash, and next, the link to the next entry of its bucket. A link
+// is an index into the vector plus one, so that the zero value — of the
+// field and of a missing map key — ends a chain.
 type buildEntry struct {
 	keys []value.Value
 	row  []value.Value
+	hash uint64
+	next int32
 }
 
 // NewHashJoin compiles the key expressions against the respective inputs;
@@ -302,7 +307,7 @@ func (j *HashJoin) Open() error {
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe shard reopened after close: %w", qerr.ErrInternal)
 	}
-	j.cur, j.curKeys, j.curLeft, j.curIdx = nil, nil, nil, 0
+	j.next, j.curKeys, j.curLeft = 0, nil, nil
 	j.bp.reset()
 	return j.build.run(j.gov)
 }
@@ -338,7 +343,7 @@ func (j *HashJoin) Close() error {
 		j.build.close(j.gov)
 		j.build = nil
 	}
-	j.cur, j.curKeys, j.curLeft = nil, nil, nil
+	j.next, j.curKeys, j.curLeft = 0, nil, nil
 	// The probe batch, its key vectors and the unused tail of the last
 	// output slab go with the run (see Project.Close).
 	j.bp.reset()
@@ -428,7 +433,8 @@ type HashAggregate struct {
 
 type aggState struct {
 	groupVals []value.Value
-	ord       rowOrd // first-appearance ordinal, orders the parallel merge
+	ord       rowOrd    // first-appearance ordinal, orders the parallel merge
+	next      *aggState // the next group of the accumulator's hash bucket
 	count     []int64
 	sum       []float64
 	sumIsInt  []bool
@@ -472,9 +478,11 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 func (a *HashAggregate) Schema() RowSchema { return a.schema }
 
 // aggAcc is the accumulation state of one aggregation pass: the serial
-// pass uses one, each parallel worker builds its own.
+// pass uses one, each parallel worker builds its own. A hash bucket is a
+// chain of states through aggState.next, carved from the arena like the
+// states themselves, so a group costs no slice of its own.
 type aggAcc struct {
-	groups  map[uint64][]*aggState
+	groups  map[uint64]*aggState
 	order   []*aggState // first-appearance order
 	scratch []value.Value
 	arena   aggArena
@@ -486,7 +494,7 @@ type aggAcc struct {
 
 func (a *HashAggregate) newAcc() *aggAcc {
 	return &aggAcc{
-		groups:  make(map[uint64][]*aggState),
+		groups:  make(map[uint64]*aggState),
 		scratch: make([]value.Value, len(a.groupEvs)),
 	}
 }
@@ -565,12 +573,10 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 		gv[i] = v
 	}
 	h := value.HashRow(gv)
-	var st *aggState
-	for _, cand := range acc.groups[h] {
-		if value.RowsIdentical(cand.groupVals, gv) {
-			st = cand
-			break
-		}
+	head := acc.groups[h]
+	st := head
+	for st != nil && !value.RowsIdentical(st.groupVals, gv) {
+		st = st.next
 	}
 	if st != nil && ord.less(st.ord) {
 		// A sharded worker walks shards out of base-ordinal order, so a
@@ -581,7 +587,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 	if st == nil {
 		acc.pending++
 		st = a.newState(acc, gv, ord)
-		acc.groups[h] = append(acc.groups[h], st)
+		st.next, acc.groups[h] = head, st
 		acc.order = append(acc.order, st)
 	}
 	for i, spec := range a.Aggs {
@@ -665,7 +671,7 @@ func combine(dst, src *aggState, aggs []AggSpec) {
 	}
 }
 
-// emit finishes the states into output rows.
+// emit finishes the states into output rows, all carved from one block.
 func (a *HashAggregate) emit(order []*aggState) error {
 	// Global aggregate over an empty input still yields one row.
 	if len(a.groupEvs) == 0 && len(order) == 0 {
@@ -676,17 +682,19 @@ func (a *HashAggregate) emit(order []*aggState) error {
 			max: make([]value.Value, n), seen: make([]bool, n),
 		})
 	}
-	a.out = a.out[:0]
-	for _, st := range order {
+	width := len(a.schema)
+	block := make([]value.Value, len(order)*width)
+	a.out = make([][]value.Value, len(order))
+	for r, st := range order {
 		if err := a.gov.Poll(); err != nil {
 			return err
 		}
-		row := make([]value.Value, 0, len(a.schema))
-		row = append(row, st.groupVals...)
+		row := block[r*width : (r+1)*width : (r+1)*width]
+		n := copy(row, st.groupVals)
 		for i, spec := range a.Aggs {
-			row = append(row, finishAgg(spec.Func, st, i))
+			row[n+i] = finishAgg(spec.Func, st, i)
 		}
-		a.out = append(a.out, row)
+		a.out[r] = row
 	}
 	a.pos = 0
 	return nil

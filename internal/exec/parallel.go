@@ -579,7 +579,10 @@ type taggedEntry struct {
 // joinBuild is a hash-join build shared by one or more probe shards: the
 // first Open runs it (serially, or with partitioned parallel workers),
 // later opens reuse the result, and the table is released when the last
-// shard closes.
+// shard closes. The table is one vector of entries, each bucket a chain
+// through it in right-input order, and per partition a map from hash to
+// the link of its bucket's first entry: a key costs a map slot, not a
+// slice of its own.
 type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
@@ -591,7 +594,8 @@ type joinBuild struct {
 	once     onceErr
 	refs     atomic.Int32
 	reserved atomic.Int64
-	parts    []map[uint64][]buildEntry
+	entries  []buildEntry
+	heads    []map[uint64]int32
 	mask     uint64
 }
 
@@ -625,9 +629,22 @@ func (b *joinBuild) run(gov *Governor) error {
 	return b.once.err
 }
 
-// lookup returns the bucket for hash h.
-func (b *joinBuild) lookup(h uint64) []buildEntry {
-	return b.parts[h&b.mask][h]
+// lookup returns the link to the first entry of hash h's bucket.
+func (b *joinBuild) lookup(h uint64) int32 {
+	return b.heads[h&b.mask][h]
+}
+
+// link chains entries[lo:hi] into buckets by hash, each bucket in vector
+// order, and returns the bucket heads: walked backwards, every entry
+// becomes its bucket's first and points at the one it displaced. The map
+// is sized for one key per entry, so it never grows.
+func link(entries []buildEntry, lo, hi int) map[uint64]int32 {
+	heads := make(map[uint64]int32, hi-lo)
+	for i := hi - 1; i >= lo; i-- {
+		e := &entries[i]
+		e.next, heads[e.hash] = heads[e.hash], int32(i+1)
+	}
+	return heads
 }
 
 // close releases the build when the last referencing shard closes.
@@ -635,7 +652,7 @@ func (b *joinBuild) close(gov *Governor) {
 	if b.refs.Add(-1) != 0 {
 		return
 	}
-	b.parts = nil
+	b.entries, b.heads = nil, nil
 	gov.ReleaseBuffered(b.reserved.Load())
 	b.reserved.Store(0)
 }
@@ -652,20 +669,24 @@ func (b *joinBuild) build(gov *Governor) error {
 		return err
 	}
 	defer b.right.Close()
-	table := make(map[uint64][]buildEntry)
-	b.parts, b.mask = []map[uint64][]buildEntry{table}, 0
-	return b.drain(b.right, gov, func(h uint64, e buildEntry, _ rowOrd) {
-		table[h] = append(table[h], e)
+	err := b.drain(b.right, gov, func(e buildEntry, _ rowOrd) {
+		b.entries = append(b.entries, e)
 	})
+	if err != nil {
+		return err
+	}
+	// Unpolled: a map store per row the polled drain has just reserved.
+	b.heads, b.mask = []map[uint64]int32{link(b.entries, 0, len(b.entries))}, 0
+	return nil
 }
 
 // drain pulls op's rows under gov and hands add every row whose build keys
-// are not NULL, with the keys' hash and the row's ordinal: the serial
-// build over the right input and each parallel worker over its part. It
-// polls and reserves once per batch. Rows added before a mid-batch
-// evaluation error were never reserved, so the refcounted release stays
-// balanced without a compensating charge.
-func (b *joinBuild) drain(op Operator, gov *Governor, add func(h uint64, e buildEntry, ord rowOrd)) error {
+// are not NULL, as an entry carrying the keys' hash, with the row's
+// ordinal: the serial build over the right input and each parallel worker
+// over its part. It polls and reserves once per batch. Rows added before a
+// mid-batch evaluation error were never reserved, so the refcounted
+// release stays balanced without a compensating charge.
+func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord rowOrd)) error {
 	bb := NewBatch(b.batch)
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
@@ -692,7 +713,7 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(h uint64, e build
 				continue // NULL keys never join
 			}
 			kept++
-			add(value.HashRow(keys), buildEntry{keys: keys, row: row}, bb.Ord(i))
+			add(buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, bb.Ord(i))
 		}
 		if kept > 0 {
 			// A failed reservation still charges (drainBatches convention).
@@ -707,9 +728,10 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(h uint64, e build
 
 // buildParallel drains the split right input with worker goroutines.
 // Each worker routes its entries into per-worker per-partition vectors
-// (no shared state), then one worker per partition merges the vectors —
-// sorted by right-input ordinal, so every bucket ends up in exactly the
-// serial insertion order — without any locks.
+// (no shared state), then one worker per partition sorts its partition's
+// entries by right-input ordinal into its own range of the entry vector
+// and links them there — so every bucket chains in exactly the serial
+// insertion order — without any locks.
 func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*MorselScan) error {
 	w := len(parts)
 	p := 1
@@ -725,8 +747,8 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*Mor
 		}
 		local := make([][]taggedEntry, p)
 		var kept int64
-		err := b.drain(parts[i], g, func(h uint64, e buildEntry, ord rowOrd) {
-			local[h&mask] = append(local[h&mask], taggedEntry{ord: ord, e: e})
+		err := b.drain(parts[i], g, func(e buildEntry, ord rowOrd) {
+			local[e.hash&mask] = append(local[e.hash&mask], taggedEntry{ord: ord, e: e})
 			kept++
 		})
 		if err != nil {
@@ -744,30 +766,41 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*Mor
 	if err != nil {
 		return err
 	}
-	tables := make([]map[uint64][]buildEntry, p)
+	// Partition pi owns [off[pi], off[pi+1]) of the entry vector and of the
+	// sort scratch.
+	off := make([]int, p+1)
+	for _, local := range locals {
+		for pi, es := range local {
+			off[pi+1] += len(es)
+		}
+	}
+	for pi := 0; pi < p; pi++ {
+		off[pi+1] += off[pi]
+	}
+	entries, sorted := make([]buildEntry, off[p]), make([]taggedEntry, off[p])
+	heads := make([]map[uint64]int32, p)
 	mergeErr := runWorkers(gov, min(w, p), func(i int, g *Governor) error {
 		for pi := i; pi < p; pi += w {
-			var entries []taggedEntry
+			lo, hi := off[pi], off[pi+1]
+			run := sorted[lo:lo:hi]
 			for _, local := range locals {
-				entries = append(entries, local[pi]...)
+				run = append(run, local[pi]...)
 			}
-			sort.Slice(entries, func(x, y int) bool { return entries[x].ord.less(entries[y].ord) })
-			table := make(map[uint64][]buildEntry, len(entries))
-			for _, te := range entries {
+			sort.Slice(run, func(x, y int) bool { return run[x].ord.less(run[y].ord) })
+			for k, te := range run {
 				if err := g.Poll(); err != nil {
 					return err
 				}
-				h := value.HashRow(te.e.keys)
-				table[h] = append(table[h], te.e)
+				entries[lo+k] = te.e
 			}
-			tables[pi] = table
+			heads[pi] = link(entries, lo, hi)
 		}
 		return nil
 	})
 	if mergeErr != nil {
 		return mergeErr
 	}
-	b.parts, b.mask = tables, mask
+	b.entries, b.heads, b.mask = entries, heads, mask
 	return nil
 }
 
@@ -811,7 +844,12 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) err
 	if err != nil {
 		return err
 	}
-	merged := a.newAcc()
+	// Sized for no group shared between workers, so neither ever grows.
+	total := 0
+	for _, acc := range accs {
+		total += len(acc.order)
+	}
+	groups, order := make(map[uint64]*aggState, total), make([]*aggState, 0, total)
 	var surplus int64
 	for _, acc := range accs {
 		for _, st := range acc.order {
@@ -819,24 +857,24 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) err
 				return err
 			}
 			h := value.HashRow(st.groupVals)
-			var dst *aggState
-			for _, cand := range merged.groups[h] {
-				if value.RowsIdentical(cand.groupVals, st.groupVals) {
-					dst = cand
-					break
-				}
+			head := groups[h]
+			dst := head
+			for dst != nil && !value.RowsIdentical(dst.groupVals, st.groupVals) {
+				dst = dst.next
 			}
 			if dst == nil {
-				merged.groups[h] = append(merged.groups[h], st)
-				merged.order = append(merged.order, st)
+				// st leaves its worker's chain for the merged one: the merge
+				// walks each worker's order, never its chains.
+				st.next, groups[h] = head, st
+				order = append(order, st)
 				continue
 			}
 			combine(dst, st, a.Aggs)
 			surplus++
 		}
 	}
-	sort.Slice(merged.order, func(i, j int) bool { return merged.order[i].ord.less(merged.order[j].ord) })
+	sort.Slice(order, func(i, j int) bool { return order[i].ord.less(order[j].ord) })
 	a.gov.ReleaseBuffered(surplus)
 	a.reserved -= surplus
-	return a.emit(merged.order)
+	return a.emit(order)
 }
