@@ -231,12 +231,21 @@ rows:
 }
 
 func (acc *answerAccumulator) result(cols []string) *Result {
-	res := &Result{Columns: cols}
+	res := &Result{Columns: cols, Answers: answers(len(acc.rows))}
 	for i, row := range acc.rows {
 		res.Answers = append(res.Answers, Answer{Values: row, Prob: acc.probs[i]})
 	}
 	res.sortAnswers()
 	return res
+}
+
+// answers is the vector for n answers, sized once; nil when there are
+// none, as a Result with no answers has always had.
+func answers(n int) []Answer {
+	if n == 0 {
+		return nil
+	}
+	return make([]Answer, 0, n)
 }
 
 // drawFunc visits the candidate databases of one evaluation, in the
@@ -441,7 +450,7 @@ func (ev Evaluator) runRewritten(ctx context.Context, rw *sqlparse.SelectStmt) (
 		return nil, fmt.Errorf("core: rewritten query returned no columns")
 	}
 	last := len(res.Columns) - 1
-	out := &Result{Columns: res.Columns[:last]}
+	out := &Result{Columns: res.Columns[:last], Answers: answers(len(res.Rows))}
 	for _, row := range res.Rows {
 		pv := row[last]
 		if pv.IsNull() || !pv.IsNumeric() {

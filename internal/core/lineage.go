@@ -336,7 +336,13 @@ func (ev Evaluator) fromLineage(ctx context.Context, stmt *sqlparse.SelectStmt, 
 	if err != nil {
 		return nil, spent, err
 	}
-	out = &Result{Columns: l.cols, Stats: spent}
+	held := 0
+	for _, ok := range seen {
+		if ok {
+			held++
+		}
+	}
+	out = &Result{Columns: l.cols, Answers: answers(held), Stats: spent}
 	for i, p := range probs {
 		if seen[i] {
 			out.Answers = append(out.Answers, Answer{Values: l.answers[i], Prob: p})

@@ -206,69 +206,176 @@ func SetBatchSize(op Operator, size int) {
 	}
 }
 
+// rowRun is a run of consecutive rows collected under one tag — for a
+// parallel Gather's worker, the morsel that produced them — with their
+// ordinals when the collector keeps them.
+type rowRun struct {
+	tag  int
+	rows [][]value.Value
+	ords []rowOrd
+}
+
+// rowRuns collects the row headers (and, where asked, the ordinals) of
+// batch after batch into blocks that double in size, the first as large as
+// the first batch; each run lies in one block. Blocks cost one to two times
+// the headers they hold, where an append chain growing by 1.25x costs five.
+// free and freeOrds are the unused tail of the newest block; the last run,
+// while it lies in that block, ends where free begins and grows into it.
+type rowRuns struct {
+	runs     []rowRun
+	free     [][]value.Value
+	freeOrds []rowOrd
+	block    int  // rows in the newest block
+	open     bool // the last run lies in the newest block and may grow
+}
+
+// add copies the headers of b's rows, all of them tagged tag, onto the last
+// run while it has tag and its block has room, into a new run otherwise.
+func (o *rowRuns) add(tag int, b *Batch, ords bool) {
+	for i, n := 0, b.Len(); i < n; {
+		if len(o.free) == 0 {
+			o.block = max(2*o.block, n-i)
+			o.free = make([][]value.Value, o.block)
+			if ords {
+				o.freeOrds = make([]rowOrd, o.block)
+			}
+			o.open = false
+		}
+		if !o.open || o.runs[len(o.runs)-1].tag != tag {
+			o.runs = append(o.runs, rowRun{tag: tag, rows: o.free[:0]})
+			if ords {
+				o.runs[len(o.runs)-1].ords = o.freeOrds[:0]
+			}
+			o.open = true
+		}
+		r := &o.runs[len(o.runs)-1]
+		k := min(n-i, len(o.free))
+		for j := i; j < i+k; j++ {
+			r.rows = append(r.rows, b.Row(j))
+			if ords {
+				r.ords = append(r.ords, b.Ord(j))
+			}
+		}
+		o.free = o.free[k:]
+		if ords {
+			o.freeOrds = o.freeOrds[k:]
+		}
+		i += k
+	}
+}
+
+// concatRuns returns the rows of runs, in run order, in one vector of
+// exactly their number, polling g once per run: the only run's own block
+// when there is one (the first block is as large as the first batch), a
+// copy otherwise. No rows are nil.
+func concatRuns(runs []rowRun, g *Governor) ([][]value.Value, error) {
+	total := 0
+	for _, r := range runs {
+		total += len(r.rows)
+	}
+	switch {
+	case total == 0:
+		return nil, nil
+	case len(runs) == 1:
+		return runs[0].rows, nil
+	}
+	rows := make([][]value.Value, total)
+	at := 0
+	for _, r := range runs {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
+		at += copy(rows[at:], r.rows)
+	}
+	return rows, nil
+}
+
+// materialized is implemented by the operators that hold their whole
+// output once open (Sort, HashAggregate, a parallel Gather). handOver
+// gives the consumer the rows not yet emitted, with the operator's stats
+// to count them out on, and ok false when the operator streams after all
+// (a serial Gather). The vector is the consumer's from then on: its
+// producer never writes it again, and its next Open builds a fresh one
+// (DESIGN.md §15, "Hand-over").
+type materialized interface {
+	handOver() (rows [][]value.Value, s *OpStats, ok bool)
+}
+
+// drainRows opens op, pulls all its rows under g and closes it: the one
+// drain under Sort and at the root. each is called once per batch-sized run
+// of rows, after a poll, with the run's length: per batch of a streaming
+// op, per size rows of a vector a materialized op hands over whole. The
+// runs, and with them every reservation, counter and failure point, are the
+// same either way; what differs is that a handed-over vector is not copied
+// and a streamed one is copied once, through rowRuns. size is the batch's
+// row capacity (<= 0 means DefaultBatchSize). An empty result is nil.
+func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([][]value.Value, error) {
+	if err := op.Open(); err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	size = ResolveBatchSize(size)
+	if m, ok := op.(materialized); ok {
+		if rows, s, ok := m.handOver(); ok {
+			for lo := 0; lo < len(rows); lo += size {
+				if err := g.PollBatch(); err != nil {
+					return nil, err
+				}
+				n := int64(min(size, len(rows)-lo))
+				s.addOut(n)
+				if err := each(n); err != nil {
+					return nil, err
+				}
+			}
+			if len(rows) == 0 {
+				return nil, nil
+			}
+			return rows, nil
+		}
+	}
+	b := NewBatch(size)
+	var out rowRuns
+	for {
+		if err := g.PollBatch(); err != nil {
+			return nil, err
+		}
+		if err := op.NextBatch(b); err != nil {
+			return nil, err
+		}
+		n := b.Len()
+		if n == 0 {
+			return concatRuns(out.runs, g)
+		}
+		if err := each(int64(n)); err != nil {
+			return nil, err
+		}
+		out.add(0, b, false)
+	}
+}
+
 // drainBatches materializes op's rows while polling g and reserving
 // buffered budget once per batch; s (the draining operator's stats,
 // nil-safe) counts the rows pulled and buffered. A failed reservation
 // still counts into the returned total so the caller's Close releases
 // exactly what was charged.
 func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]value.Value, reserved int64, err error) {
-	if err := op.Open(); err != nil {
-		return nil, 0, err
-	}
-	defer op.Close()
-	b := NewBatch(size)
-	for {
-		if err := g.PollBatch(); err != nil {
-			return nil, reserved, err
-		}
-		if err := op.NextBatch(b); err != nil {
-			return nil, reserved, err
-		}
-		n := int64(b.Len())
-		if n == 0 {
-			return rows, reserved, nil
-		}
+	rows, err = drainRows(op, g, size, func(n int64) error {
 		s.addIn(n)
 		s.addBuffered(n)
 		reserved += n
-		if err := g.ReserveBuffered(n); err != nil {
-			return nil, reserved, err
-		}
-		for i := 0; i < int(n); i++ {
-			rows = append(rows, b.Row(i))
-		}
-	}
+		return g.ReserveBuffered(n)
+	})
+	return rows, reserved, err
 }
 
 // CollectBatchesGoverned drains op while polling g once per batch and
 // charging the output budget per batch; it returns the rows and how many
 // batches the root produced. size is the root batch's row capacity
 // (<= 0 means DefaultBatchSize).
-func CollectBatchesGoverned(op Operator, g *Governor, size int) ([][]value.Value, int64, error) {
-	if err := op.Open(); err != nil {
-		return nil, 0, err
-	}
-	defer op.Close()
-	b := NewBatch(size)
-	var rows [][]value.Value
-	var batches int64
-	for {
-		if err := g.PollBatch(); err != nil {
-			return nil, batches, err
-		}
-		if err := op.NextBatch(b); err != nil {
-			return nil, batches, err
-		}
-		n := b.Len()
-		if n == 0 {
-			return rows, batches, nil
-		}
+func CollectBatchesGoverned(op Operator, g *Governor, size int) (rows [][]value.Value, batches int64, err error) {
+	rows, err = drainRows(op, g, size, func(n int64) error {
 		batches++
-		if err := g.CountOutputN(int64(n)); err != nil {
-			return nil, batches, err
-		}
-		for i := 0; i < n; i++ {
-			rows = append(rows, b.Row(i))
-		}
-	}
+		return g.CountOutputN(n)
+	})
+	return rows, batches, err
 }

@@ -274,8 +274,11 @@ func (p *Project) NextBatch(b *Batch) error {
 
 // prehash evaluates and hashes the probe keys of the whole pending probe
 // batch in one pass; probeKeys[i] == nil marks a NULL key (never joins).
-// The key slab stays live until the next probe batch replaces it, which
-// only happens after every bucket of the current batch is drained.
+// The keys are refilled into the join's one key slab, whose previous
+// contents die here: the next probe batch is pulled only after every
+// bucket of the current one is drained, and nothing keeps a probe key.
+// The slab is never nil, so a keyless join's empty key vectors are not
+// nil either, and its rows all join.
 func (j *HashJoin) prehash(n int) error {
 	if cap(j.probeHash) < n {
 		j.probeHash = make([]uint64, n)
@@ -284,7 +287,12 @@ func (j *HashJoin) prehash(n int) error {
 	j.probeHash = j.probeHash[:n]
 	j.probeKeys = j.probeKeys[:n]
 	nk := len(j.lk)
-	slab := make([]value.Value, n*nk)
+	if j.keySlab == nil || len(j.keySlab) < n*nk {
+		j.keySlab = make([]value.Value, n*nk)
+	} else {
+		recycle(j.keySlab)
+	}
+	slab := j.keySlab
 	for i := 0; i < n; i++ {
 		buf := slab[i*nk : (i+1)*nk : (i+1)*nk]
 		keys, null, err := evalKeysInto(j.lk, j.bp.probe.Row(i), buf)
@@ -447,6 +455,14 @@ func emitMaterialized(b *Batch, rows [][]value.Value, pos *int, s *OpStats) {
 	s.addOut(int64(b.Len()))
 }
 
+// handOverRows gives up rows[*pos:] to a consumer that takes the vector
+// whole; the shared hand-over of Sort/HashAggregate/Gather.
+func handOverRows(rows *[][]value.Value, pos *int) [][]value.Value {
+	out := (*rows)[*pos:]
+	*rows, *pos = nil, 0
+	return out
+}
+
 // NextBatch emits the sorted rows batch-at-a-time.
 func (s *Sort) NextBatch(b *Batch) error {
 	if err := s.gov.PollBatch(); err != nil {
@@ -456,6 +472,10 @@ func (s *Sort) NextBatch(b *Batch) error {
 	return nil
 }
 
+func (s *Sort) handOver() ([][]value.Value, *OpStats, bool) {
+	return handOverRows(&s.rows, &s.pos), s.stats, true
+}
+
 // NextBatch emits the finished group rows batch-at-a-time.
 func (a *HashAggregate) NextBatch(b *Batch) error {
 	if err := a.gov.PollBatch(); err != nil {
@@ -463,6 +483,10 @@ func (a *HashAggregate) NextBatch(b *Batch) error {
 	}
 	emitMaterialized(b, a.out, &a.pos, a.stats)
 	return nil
+}
+
+func (a *HashAggregate) handOver() ([][]value.Value, *OpStats, bool) {
+	return handOverRows(&a.out, &a.pos), a.stats, true
 }
 
 // NextBatch passes batches through in serial mode and emits the
@@ -483,4 +507,11 @@ func (g *Gather) NextBatch(b *Batch) error {
 	}
 	emitMaterialized(b, g.rows, &g.pos, g.stats)
 	return nil
+}
+
+func (g *Gather) handOver() ([][]value.Value, *OpStats, bool) {
+	if g.serial {
+		return nil, nil, false
+	}
+	return handOverRows(&g.rows, &g.pos), g.stats, true
 }

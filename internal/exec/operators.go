@@ -3,6 +3,7 @@ package exec
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -253,10 +254,11 @@ type HashJoin struct {
 	curLeft []value.Value
 
 	// The pending probe batch with its pre-computed key hashes
-	// (probeKeys[i] == nil marks a NULL key).
+	// (probeKeys[i] == nil marks a NULL key) and the slab the keys sit in.
 	bp        batchProbe
 	probeHash []uint64
 	probeKeys [][]value.Value
+	keySlab   []value.Value
 }
 
 // buildEntry is one row of joinBuild's entry vector: the row, its keys and
@@ -347,7 +349,7 @@ func (j *HashJoin) Close() error {
 	// The probe batch, its key vectors and the unused tail of the last
 	// output slab go with the run (see Project.Close).
 	j.bp.reset()
-	j.probeHash, j.probeKeys = nil, nil
+	j.probeHash, j.probeKeys, j.keySlab = nil, nil, nil
 	return j.Left.Close()
 }
 
@@ -998,21 +1000,22 @@ func (s *Sort) Open() error {
 	// The full sort orders int indices, not sortRows: sorting the 56-byte,
 	// pointer-holding sortRows cost the Q9 pair's ~300k-row sort 7 MB a
 	// pass and fig8_q9 a third more set-up time (EXPERIMENTS.md, "One loop
-	// per job (PR 21)").
+	// per job (PR 21)"). It compares keys where they sit in one slab, and
+	// permutes the vector the drain returned — the child's own, when the
+	// child hands one over — in place.
 	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats, s.batchCap())
 	s.reserved = reserved
 	if err != nil {
 		return err
 	}
-	keys := make([][]value.Value, len(rows))
 	nk := len(s.evs)
-	slab := make([]value.Value, len(rows)*nk) // every row's key vector, one allocation
+	slab := make([]value.Value, len(rows)*nk) // row i's keys at [i*nk, (i+1)*nk)
+	keys := func(i int) []value.Value { return slab[i*nk : (i+1)*nk] }
 	for i, row := range rows {
 		if err := s.gov.Poll(); err != nil {
 			return err
 		}
-		keys[i] = slab[i*nk : (i+1)*nk : (i+1)*nk]
-		if err := s.evalKeys(row, keys[i]); err != nil {
+		if err := s.evalKeys(row, keys(i)); err != nil {
 			return err
 		}
 	}
@@ -1020,12 +1023,31 @@ func (s *Sort) Open() error {
 	for i := range idx { //lint:allow ctxpoll -- straight slice initialization between polled phases
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(x, y int) bool { return s.compare(keys[idx[x]], keys[idx[y]]) < 0 })
-	s.rows = make([][]value.Value, len(rows))
-	for i, j := range idx { //lint:allow ctxpoll -- straight pointer copy between polled phases
-		s.rows[i] = rows[j]
-	}
+	slices.SortStableFunc(idx, func(x, y int) int { return s.compare(keys(x), keys(y)) })
+	permute(rows, idx)
+	s.rows = rows
 	return nil
+}
+
+// permute reorders rows in place so that rows[i] becomes the old
+// rows[idx[i]], one cycle of the permutation at a time. It consumes idx,
+// marking each slot it has filled -1.
+func permute(rows [][]value.Value, idx []int) {
+	for start := range idx {
+		if idx[start] < 0 {
+			continue
+		}
+		first, i := rows[start], start
+		for {
+			j := idx[i]
+			idx[i] = -1
+			if j == start {
+				rows[i] = first
+				break
+			}
+			rows[i], i = rows[j], j
+		}
+	}
 }
 
 func (s *Sort) Close() error {

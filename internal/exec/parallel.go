@@ -21,10 +21,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -419,16 +421,6 @@ func NewGather(child Operator, n int) *Gather {
 
 func (g *Gather) Schema() RowSchema { return g.Child.Schema() }
 
-// gatherBatch is one run of rows a worker produced from a single morsel.
-// In sharded mode each row additionally carries its rowOrd, since
-// morsels of different shards interleave in base-ordinal space and only
-// a per-row merge can restore serial order.
-type gatherBatch struct {
-	morsel int
-	rows   [][]value.Value
-	ords   []rowOrd
-}
-
 // Open splits the child and runs the partial pipelines to completion
 // when opensSplit says so; the reassembly makes a split result identical
 // to the serial scan at any worker count.
@@ -447,7 +439,7 @@ func (g *Gather) Open() error {
 
 func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	g.sharded = leaves[0].group != nil
-	perWorker := make([][]gatherBatch, len(parts))
+	outs := make([]rowRuns, len(parts))
 	err := runWorkers(g.gov, len(parts), func(w int, gov *Governor) error {
 		part, leaf := parts[w], leaves[w]
 		Attach(part, gov)
@@ -456,7 +448,6 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 		}
 		// A pipeline batch never spans a morsel, so the whole batch belongs
 		// to the leaf's current morsel.
-		var out []gatherBatch
 		cur := -1
 		bb := NewBatch(g.batchCap())
 		for {
@@ -468,24 +459,15 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 			}
 			n := bb.Len()
 			if n == 0 {
-				break
+				return nil
 			}
 			g.stats.addIn(int64(n))
 			if m := leaf.morsel; m != cur {
-				out = append(out, gatherBatch{morsel: m})
 				cur = m
 				g.stats.incBatch()
 			}
-			b := &out[len(out)-1]
-			for i := 0; i < n; i++ {
-				if g.sharded {
-					b.ords = append(b.ords, bb.Ord(i))
-				}
-				b.rows = append(b.rows, bb.Row(i))
-			}
+			outs[w].add(cur, bb, g.sharded)
 		}
-		perWorker[w] = out
-		return nil
 	})
 	g.workerMorsels = make([]int64, len(leaves))
 	for w, leaf := range leaves {
@@ -497,49 +479,68 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	if err != nil {
 		return err
 	}
-	var batches []gatherBatch
-	for _, bs := range perWorker {
-		batches = append(batches, bs...)
-	}
-	sort.Slice(batches, func(i, j int) bool { return batches[i].morsel < batches[j].morsel })
-	total := 0
-	for _, b := range batches {
-		total += len(b.rows)
+	var runs []rowRun
+	for _, o := range outs {
+		runs = append(runs, o.runs...)
 	}
 	if g.sharded {
-		return g.mergeSharded(batches, total)
+		return g.merge(runs)
 	}
-	g.rows = make([][]value.Value, 0, total)
-	for _, b := range batches {
-		if err := g.gov.Poll(); err != nil {
-			return err
-		}
-		g.rows = append(g.rows, b.rows...)
-	}
-	return nil
+	// A morsel is one worker's, and that worker's runs of it are in order:
+	// a stable sort by morsel puts every row in serial order.
+	slices.SortStableFunc(runs, func(a, b rowRun) int { return cmp.Compare(a.tag, b.tag) })
+	g.rows, err = concatRuns(runs, g.gov)
+	return err
 }
 
-// mergeSharded reassembles rows across shard-interleaved batches by
-// their base-table ordinals: rows sort by (leaf ordinal, fanout
-// sequence), which is exactly the serial emission order.
-func (g *Gather) mergeSharded(batches []gatherBatch, total int) error {
-	rows := make([][]value.Value, 0, total)
-	ords := make([]rowOrd, 0, total)
-	for _, b := range batches {
+// merge fills g.rows from shard-interleaved runs, each in rowOrd order,
+// by a k-way merge on rowOrd — (leaf ordinal, fanout sequence), exactly
+// the serial emission order — into one vector of exactly their size,
+// through a binary heap of run indices keyed by each run's first row.
+func (g *Gather) merge(runs []rowRun) error {
+	total := 0
+	for _, r := range runs {
+		total += len(r.rows)
+	}
+	g.rows = make([][]value.Value, total)
+	less := func(a, b int) bool { return runs[a].ords[0].less(runs[b].ords[0]) }
+	h := make([]int, 0, len(runs))
+	for i, r := range runs {
+		if len(r.rows) > 0 {
+			h = append(h, i)
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for at := range g.rows {
 		if err := g.gov.Poll(); err != nil {
 			return err
 		}
-		rows = append(rows, b.rows...)
-		ords = append(ords, b.ords...)
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool { return ords[idx[x]].less(ords[idx[y]]) })
-	g.rows = make([][]value.Value, len(rows))
-	for i, j := range idx {
-		g.rows[i] = rows[j]
+		r := &runs[h[0]]
+		g.rows[at] = r.rows[0]
+		r.rows, r.ords = r.rows[1:], r.ords[1:]
+		if len(r.rows) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
 	}
 	return nil
 }

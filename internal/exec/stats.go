@@ -18,6 +18,12 @@ import (
 	"time"
 )
 
+// now is the clock the wall-clock window reads, only on an instrumented
+// tree: once as an operator (or a worker's clone of it) opens and once as
+// it closes, however many rows pass. A variable so that a test can count
+// the reads.
+var now = time.Now
+
 // OpStats holds one operator's execution counters. All fields are
 // atomic: probe shards, morsel scans and build workers update the same
 // block concurrently. A nil *OpStats discards updates.
@@ -83,7 +89,7 @@ func (s *OpStats) markOpen() {
 	if s == nil {
 		return
 	}
-	s.start.CompareAndSwap(0, time.Now().UnixNano())
+	s.start.CompareAndSwap(0, now().UnixNano())
 }
 
 // markDone advances the wall-clock end; the last clone to finish wins.
@@ -91,10 +97,10 @@ func (s *OpStats) markDone() {
 	if s == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	t := now().UnixNano()
 	for {
 		cur := s.end.Load()
-		if now <= cur || s.end.CompareAndSwap(cur, now) {
+		if t <= cur || s.end.CompareAndSwap(cur, t) {
 			return
 		}
 	}
