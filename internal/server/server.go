@@ -10,8 +10,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -30,7 +30,6 @@ import (
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
 	"conquer/internal/storage"
-	"conquer/internal/value"
 )
 
 // maxBodyBytes bounds request bodies; a query text has no business being
@@ -296,6 +295,11 @@ type QueryStats struct {
 	Cached       bool  `json:"cached,omitempty"`
 }
 
+// QueryResponse, CleanAnswer and CleanResponse are the wire schema of the
+// two result endpoints, for clients to decode into. The server does not
+// encode them: writeQuery and writeClean (encode.go) write the same bytes
+// straight from the engine's values.
+
 // QueryResponse is the body of a successful POST /v1/query.
 type QueryResponse struct {
 	Columns []string   `json:"columns"`
@@ -327,9 +331,14 @@ type CleanResponse struct {
 // error (mapped to 400) on malformed input.
 func decodeRequest(r *http.Request) (queryRequest, error) {
 	var req queryRequest
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("server: invalid request body: %w", err)
+	}
+	// Decode stops after one value; anything but space after it is a
+	// malformed body, not a second request to ignore.
+	if _, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("server: invalid request body: trailing data after the JSON object")
 	}
 	if strings.TrimSpace(req.SQL) == "" {
 		return req, fmt.Errorf("server: request body needs a non-empty \"sql\" field")
@@ -401,17 +410,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cost.observe(observedCost(res.Stats), time.Since(start))
-	s.writeJSON(w, QueryResponse{
-		Columns: res.Columns,
-		Rows:    rowsToAny(res.Rows),
-		Stats: QueryStats{
-			Rows:         res.Stats.Rows,
-			ExecMicros:   res.Stats.ExecTime.Microseconds(),
-			QueuedMicros: tk.queued.Microseconds(),
-			Parallelism:  res.Stats.Parallelism,
-			Shards:       res.Stats.Shards,
-			Cached:       res.Stats.Cached,
-		},
+	s.writeQuery(w, res.Columns, res.Rows, QueryStats{
+		Rows:         res.Stats.Rows,
+		ExecMicros:   res.Stats.ExecTime.Microseconds(),
+		QueuedMicros: tk.queued.Microseconds(),
+		Parallelism:  res.Stats.Parallelism,
+		Shards:       res.Stats.Shards,
+		Cached:       res.Stats.Cached,
 	})
 }
 
@@ -462,27 +467,11 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cost.observe(res.Stats.BufferedPeak, elapsed)
-	degraded := make([]string, len(res.Degraded))
-	for i, d := range res.Degraded {
-		degraded[i] = d.String()
-	}
-	answers := make([]CleanAnswer, len(res.Answers))
-	for i, a := range res.Answers {
-		answers[i] = CleanAnswer{Values: valuesToAny(a.Values), Prob: a.Prob, StdErr: a.StdErr}
-	}
-	s.writeJSON(w, CleanResponse{
-		Columns:  res.Columns,
-		Answers:  answers,
-		Method:   res.Method.String(),
-		Degraded: degraded,
-		Samples:  res.Samples,
-		StdErr:   res.StdErr,
-		Stats: QueryStats{
-			Rows:         len(res.Answers),
-			ExecMicros:   elapsed.Microseconds(),
-			QueuedMicros: tk.queued.Microseconds(),
-			Cached:       res.Cached,
-		},
+	s.writeClean(w, res, QueryStats{
+		Rows:         len(res.Answers),
+		ExecMicros:   elapsed.Microseconds(),
+		QueuedMicros: tk.queued.Microseconds(),
+		Cached:       res.Cached,
 	})
 }
 
@@ -527,52 +516,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// writeJSON renders a 200 with a JSON body. A value JSON cannot carry — a
-// result row holding ±Inf or NaN — is answered with the typed 500 instead
-// of a 200 with no body: Encode marshals the whole value before its first
-// write, so nothing has been sent when it refuses one. Any other error is
-// a write to a client that has gone, with nobody left to tell.
+// writeJSON renders a 200 with a JSON body. Only GET /v1/stats uses it:
+// result data goes through writeQuery and writeClean. An error is a write
+// to a client that has gone, with nobody left to tell.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	var unsupported *json.UnsupportedValueError
-	if err := json.NewEncoder(w).Encode(v); errors.As(err, &unsupported) {
-		s.writeError(w, fmt.Errorf("server: result not representable in JSON: %v: %w", err, qerr.ErrInternal))
-	}
-}
-
-// valueToAny converts an engine value into its JSON-encodable native
-// form. This is the single serialization point for result data: the
-// byte-identity guarantee (server response == direct engine execution)
-// holds because both sides of the comparison pass through it.
-func valueToAny(v value.Value) any {
-	switch v.Kind() {
-	case value.KindInt:
-		return v.AsInt()
-	case value.KindFloat:
-		return v.AsFloat()
-	case value.KindString:
-		return v.AsString()
-	case value.KindBool:
-		return v.AsBool()
-	default:
-		return nil
-	}
-}
-
-// valuesToAny converts one row.
-func valuesToAny(vs []value.Value) []any {
-	out := make([]any, len(vs))
-	for i, v := range vs {
-		out[i] = valueToAny(v)
-	}
-	return out
-}
-
-// rowsToAny converts a result's rows.
-func rowsToAny(rows [][]value.Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		out[i] = valuesToAny(r)
-	}
-	return out
+	_ = json.NewEncoder(w).Encode(v)
 }

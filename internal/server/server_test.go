@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"conquer/internal/core"
 	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/metrics"
@@ -138,21 +141,34 @@ func TestBadRequests(t *testing.T) {
 		raw  string
 	}{
 		{"malformed JSON", "{not json"},
+		{"trailing data", `{"sql":"select id from big"} {"sql":"select val from big"} garbage`},
+		{"trailing value", `{"sql":"select id from big"} {"sql":"select val from big"}`},
+		{"trailing brace", `{"sql":"select id from big"}}`},
 		{"empty sql", `{"sql": ""}`},
 		{"parse error", `{"sql": "selec id from big"}`},
 		{"unknown table", `{"sql": "select id from nope"}`},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest("POST", "/v1/query", strings.NewReader(tc.raw))
-		req.Header.Set("X-Api-Key", "acme-key")
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400: %s", tc.name, rec.Code, rec.Body.String())
+		for _, path := range []string{"/v1/query", "/v1/clean"} {
+			req := httptest.NewRequest("POST", path, strings.NewReader(tc.raw))
+			req.Header.Set("X-Api-Key", "acme-key")
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400: %s", path, tc.name, rec.Code, rec.Body.String())
+			}
+			if b := decodeError(t, rec); b.Reason != "invalid" {
+				t.Errorf("%s %s: reason = %q, want invalid", path, tc.name, b.Reason)
+			}
 		}
-		if b := decodeError(t, rec); b.Reason != "invalid" {
-			t.Errorf("%s: reason = %q, want invalid", tc.name, b.Reason)
-		}
+	}
+	// Space after the object is not trailing data.
+	req := httptest.NewRequest("POST", "/v1/query", strings.NewReader("\n {\"sql\":\"select id from big\"} \r\n\t "))
+	req.Header.Set("X-Api-Key", "acme-key")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("a body with surrounding space: status = %d, want 200: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -703,10 +719,12 @@ func TestRetryAfterBounds(t *testing.T) {
 // JSON has no ±Inf and no NaN, and float division produces both: a result
 // holding one must be answered with the typed 500 — an ErrorBody saying
 // "internal", not retryable — on both endpoints, not with a 200 and an
-// empty body (json.Encoder's error used to be dropped). The next request
-// is served as usual.
+// empty body (json.Encoder's error used to be dropped), and not with a
+// well-formed 200 that leaves the row out when it is not the first: the
+// writer checks every float before its first byte. The next request is
+// served as usual.
 func TestUnencodableResultIsATyped500(t *testing.T) {
-	srv, err := New(bigStore(t, 10), oneTenant(metrics.NewRegistry()))
+	srv, err := New(bigStore(t, 2000), oneTenant(metrics.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,6 +733,12 @@ func TestUnencodableResultIsATyped500(t *testing.T) {
 			"select id, val / 0.0 from big where id = 1",  // +Inf
 			"select id, -val / 0.0 from big where id = 2", // -Inf
 			"select id, val / 0.0 from big where id = 0",  // NaN
+			// 2,000 rows (several chunks of the writer) in id order, the only
+			// non-finite value in the last; val is 59 there.
+			"select id, val / (id - 1999.0) from big order by id",           // +Inf
+			"select id, -val / (id - 1999.0) from big order by id",          // -Inf
+			"select id, (val - 59.0) / (id - 1999.0) from big order by id",  // NaN
+			"select id, 1.0, val / (id - 1999.0) from big order by id desc", // +Inf, first
 		} {
 			rec := doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: sql})
 			if rec.Code != http.StatusInternalServerError || Retryable(rec.Code) || rec.Header().Get("Retry-After") != "" {
@@ -728,6 +752,44 @@ func TestUnencodableResultIsATyped500(t *testing.T) {
 		rec := doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: "select id, val / 2.0 from big where id = 1"})
 		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "0.5") {
 			t.Errorf("%s: a finite result after the failures: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		// Without the last row the same statement is finite.
+		rec = doJSON(t, srv, "POST", path, "acme-key", queryRequest{SQL: "select id, val / (id - 1999.0) from big where id < 1999 order by id"})
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"rows":1999,`) {
+			t.Errorf("%s: the rows before the last alone: status %d: %.200s", path, rec.Code, rec.Body.String())
+		}
+	}
+
+	// The same at the writer, where the last row, the last answer's
+	// probability or standard error, or the response's standard error is
+	// the only float JSON cannot carry.
+	rows := make([][]value.Value, 2000)
+	answers := make([]core.Answer, len(rows))
+	for i := range rows {
+		rows[i] = []value.Value{value.Int(int64(i)), value.Float(float64(i) / 3)}
+		answers[i] = core.Answer{Values: rows[i], Prob: 0.5, StdErr: 0.01}
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		last := slices.Clone(rows)
+		last[len(last)-1] = []value.Value{value.Int(1999), value.Float(bad)}
+		rec := httptest.NewRecorder()
+		srv.writeQuery(rec, []string{"id", "v"}, last, QueryStats{Rows: len(last)})
+		if b := decodeError(t, rec); rec.Code != http.StatusInternalServerError || b.Reason != "internal" {
+			t.Errorf("query, last row holding %v: status %d: %s", bad, rec.Code, rec.Body.String())
+		}
+		for _, set := range []func(*core.Result){
+			func(r *core.Result) { r.Answers[len(r.Answers)-1].Values = last[len(last)-1] },
+			func(r *core.Result) { r.Answers[len(r.Answers)-1].Prob = bad },
+			func(r *core.Result) { r.Answers[len(r.Answers)-1].StdErr = bad },
+			func(r *core.Result) { r.StdErr = bad },
+		} {
+			res := &core.Result{Columns: []string{"id", "v"}, Answers: slices.Clone(answers), Method: core.MethodMonteCarlo}
+			set(res)
+			rec := httptest.NewRecorder()
+			srv.writeClean(rec, res, QueryStats{Rows: len(res.Answers)})
+			if b := decodeError(t, rec); rec.Code != http.StatusInternalServerError || b.Reason != "internal" {
+				t.Errorf("clean holding %v: status %d: %s", bad, rec.Code, rec.Body.String())
+			}
 		}
 	}
 }
