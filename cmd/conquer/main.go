@@ -59,7 +59,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 
 	cachepkg "conquer/internal/cache"
@@ -71,7 +70,6 @@ import (
 	"conquer/internal/qerr"
 	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
-	"conquer/internal/storage"
 	"conquer/internal/testdb"
 	"conquer/internal/tpch"
 	"conquer/internal/uisgen"
@@ -227,18 +225,9 @@ func openDatabase(dir string) (*dirty.DB, error) {
 	if dir == "" {
 		return testdb.Figure2(), nil
 	}
-	store := storage.NewDB()
-	cat := tpch.Catalog()
-	for _, name := range tpch.Tables {
-		rel, _ := cat.Relation(name)
-		tb, err := store.CreateTable(rel)
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(dir, name+".csv")
-		if err := tb.LoadCSVFile(path); err != nil {
-			return nil, fmt.Errorf("loading %s: %w", path, err)
-		}
+	store, err := tpch.LoadCSV(dir)
+	if err != nil {
+		return nil, err
 	}
 	return dirty.New(store), nil
 }

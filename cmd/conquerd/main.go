@@ -44,7 +44,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -188,20 +187,7 @@ func openStore(dir string) (*storage.DB, error) {
 	if dir == "" {
 		return testdb.Figure2().Store, nil
 	}
-	store := storage.NewDB()
-	cat := tpch.Catalog()
-	for _, name := range tpch.Tables {
-		rel, _ := cat.Relation(name)
-		tb, err := store.CreateTable(rel)
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(dir, name+".csv")
-		if err := tb.LoadCSVFile(path); err != nil {
-			return nil, fmt.Errorf("loading %s: %w", path, err)
-		}
-	}
-	return store, nil
+	return tpch.LoadCSV(dir)
 }
 
 // applyFaultFlags parses each -fault flag

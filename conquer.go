@@ -542,15 +542,18 @@ func (r *CleanResult) TopK(k int) []CleanAnswer {
 	return sorted[:k]
 }
 
-// AtLeast filters the result to answers with probability >= p.
+// AtLeast filters the result to answers with probability >= p. Only the
+// answers change: the method, sample count, error bound and degradation
+// chain stay, so a filtered estimate still reads as one.
 func (r *CleanResult) AtLeast(p float64) *CleanResult {
-	out := &CleanResult{Columns: r.Columns}
+	out := *r
+	out.Answers = nil
 	for _, a := range r.Answers {
 		if a.Prob >= p {
 			out.Answers = append(out.Answers, a)
 		}
 	}
-	return out
+	return &out
 }
 
 // ConsistentAnswers filters a clean-answer result down to the certain

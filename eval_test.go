@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,42 @@ func TestEvalDegradesToMonteCarlo(t *testing.T) {
 	// standard errors.
 	if got := res.Find("Mary"); got < 0.2-4*res.StdErr || got > 0.2+4*res.StdErr {
 		t.Errorf("P(Mary) = %v, want within 4 stderr of 0.2", got)
+	}
+}
+
+// Filtering an estimate keeps it an estimate: AtLeast and
+// ConsistentAnswers replace the answers and nothing else, so a forced
+// Monte-Carlo result and one the ladder degraded to keep their method,
+// sample count, error bound and degradation chain.
+func TestFilteredEstimateKeepsItsMetadata(t *testing.T) {
+	db := paperDB(t)
+	const q = "select name from customer where balance > 10000"
+	for _, opts := range []EvalOptions{
+		{Method: "monte-carlo", Samples: 400, Seed: 7},
+		{Limits: Limits{MaxCandidates: 1}, Samples: 400, Seed: 7},
+	} {
+		res, err := db.Eval(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Method != "monte-carlo" || res.StdErr <= 0 || (opts.Method == "" && len(res.Degraded) == 0) {
+			t.Fatalf("fixture: method %q, stderr %v, degraded %v", res.Method, res.StdErr, res.Degraded)
+		}
+		for name, cut := range map[string]*CleanResult{
+			"AtLeast(0.5)":      res.AtLeast(0.5),
+			"ConsistentAnswers": ConsistentAnswers(res),
+		} {
+			got, want := *cut, *res
+			got.Answers, want.Answers = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (method %q): got method %q, samples %d, stderr %v, degraded %v; want %q, %d, %v, %v",
+					name, opts.Method, cut.Method, cut.Samples, cut.StdErr, cut.Degraded,
+					res.Method, res.Samples, res.StdErr, res.Degraded)
+			}
+			if len(cut.Answers) != 1 || cut.Answers[0].Values[0] != "John" {
+				t.Errorf("%s (method %q): answers %+v, want John alone", name, opts.Method, cut.Answers)
+			}
+		}
 	}
 }
 

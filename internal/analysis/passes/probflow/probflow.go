@@ -42,8 +42,8 @@ var sanctioners = map[string]bool{
 	"NormalizeProbabilities":  true,
 	"AssignProbabilities":     true,
 	"AssignProbabilitiesEdit": true,
-	"AnnotateTable":           true,
-	"AnnotateAll":             true,
+	"AnnotateTableCtx":        true,
+	"AnnotateAllParCtx":       true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

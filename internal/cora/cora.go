@@ -18,7 +18,6 @@ package cora
 
 import (
 	"math/rand"
-	"strconv"
 
 	"conquer/internal/probcalc"
 )
@@ -108,56 +107,4 @@ func mustAdd(ds *probcalc.Dataset, t []string) {
 	if err := ds.Add(t); err != nil {
 		panic(err) //lint:allow nopanic -- arity is fixed at len(Attrs) by construction
 	}
-}
-
-// Publication is a template for multi-cluster generation.
-type Publication struct {
-	Canonical []string
-	Variants  [6][]string
-}
-
-// Corpus generates a multi-cluster citation dataset: nPubs publications,
-// each a cluster of size within [minSize, maxSize], mixing canonical
-// copies with field variants. It returns the dataset and per-tuple cluster
-// ids ("pub0", "pub1", ...).
-func Corpus(nPubs, minSize, maxSize int, seed int64) (*probcalc.Dataset, []string) {
-	rng := rand.New(rand.NewSource(seed))
-	ds := probcalc.NewDataset(Attrs)
-	var ids []string
-	titles := []string{
-		"the strength of weak learnability",
-		"a theory for record linkage",
-		"efficient clustering of high dimensional data sets",
-		"learnable string similarity measures",
-		"real world data is dirty",
-		"consistent query answers in inconsistent databases",
-		"the management of probabilistic data",
-		"interactive deduplication using active learning",
-	}
-	venues := []string{"machine learning", "jasa", "kdd", "vldb", "pods", "tkde", "sigmod", "edbt"}
-	for p := 0; p < nPubs; p++ {
-		canon := []string{
-			"author " + string(rune('a'+p%26)),
-			titles[p%len(titles)],
-			venues[p%len(venues)],
-			"5(2)",
-			"199" + string(rune('0'+p%10)),
-			"100-120",
-		}
-		size := minSize
-		if maxSize > minSize {
-			size += rng.Intn(maxSize - minSize + 1)
-		}
-		id := "pub" + strconv.Itoa(p)
-		for i := 0; i < size; i++ {
-			t := append([]string(nil), canon...)
-			if i > 0 && rng.Float64() < 0.5 {
-				f := rng.Intn(len(fieldVariants))
-				t[f] = fieldVariants[f][rng.Intn(len(fieldVariants[f]))]
-			}
-			mustAdd(ds, t)
-			ids = append(ids, id)
-		}
-	}
-	return ds, ids
 }

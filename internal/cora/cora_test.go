@@ -85,36 +85,3 @@ func TestSchapireDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestCorpus(t *testing.T) {
-	ds, ids := Corpus(5, 3, 8, 11)
-	if ds.Len() != len(ids) {
-		t.Fatal("id count mismatch")
-	}
-	counts := map[string]int{}
-	for _, id := range ids {
-		counts[id]++
-	}
-	if len(counts) != 5 {
-		t.Fatalf("clusters = %d, want 5", len(counts))
-	}
-	for id, n := range counts {
-		if n < 3 || n > 8 {
-			t.Errorf("cluster %s size %d outside [3,8]", id, n)
-		}
-	}
-	// Probabilities computable and valid across clusters.
-	as, err := probcalc.AssignProbabilities(ds, ids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := map[string]float64{}
-	for _, a := range as {
-		sums[a.Cluster] += a.Prob
-	}
-	for id, s := range sums {
-		if math.Abs(s-1) > 1e-9 {
-			t.Errorf("cluster %s sums to %v", id, s)
-		}
-	}
-}

@@ -541,17 +541,6 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	return exec.ExplainAnalyze(prep.tree) + summary + "\n", nil
 }
 
-// ColumnIndex returns the position of the named result column, or -1.
-func (r *Result) ColumnIndex(name string) int {
-	name = strings.ToLower(name)
-	for i, c := range r.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // String renders the result as an aligned text table (for CLIs and
 // examples).
 func (r *Result) String() string {

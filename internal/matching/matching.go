@@ -112,14 +112,14 @@ func Cluster(tuples [][]string, cfg Config) []int {
 	return out
 }
 
-// extractTuples pulls the textual attribute tuples (and their attribute
-// names) of a dirty table; attrCols nil means every column except the
-// identifier and probability columns.
-func extractTuples(tb *storage.Table, attrCols []string) (attrs []string, tuples [][]string, err error) {
+// extractTuples pulls the textual attribute tuples of a dirty table;
+// attrCols nil means every column except the identifier and probability
+// columns.
+func extractTuples(tb *storage.Table, attrCols []string) ([][]string, error) {
 	rel := tb.Schema
 	idIdx := rel.IdentifierIndex()
 	if idIdx < 0 {
-		return nil, nil, fmt.Errorf("matching: relation %s has no identifier column", rel.Name)
+		return nil, fmt.Errorf("matching: relation %s has no identifier column", rel.Name)
 	}
 	var cols []int
 	if attrCols == nil {
@@ -132,16 +132,12 @@ func extractTuples(tb *storage.Table, attrCols []string) (attrs []string, tuples
 		for _, name := range attrCols {
 			ci := rel.ColumnIndex(name)
 			if ci < 0 {
-				return nil, nil, fmt.Errorf("matching: relation %s has no column %q", rel.Name, name)
+				return nil, fmt.Errorf("matching: relation %s has no column %q", rel.Name, name)
 			}
 			cols = append(cols, ci)
 		}
 	}
-	attrs = make([]string, len(cols))
-	for i, ci := range cols {
-		attrs[i] = rel.Columns[ci].Name
-	}
-	tuples = make([][]string, tb.Len())
+	tuples := make([][]string, tb.Len())
 	for i := 0; i < tb.Len(); i++ {
 		row := tb.Row(i)
 		t := make([]string, len(cols))
@@ -150,7 +146,7 @@ func extractTuples(tb *storage.Table, attrCols []string) (attrs []string, tuples
 		}
 		tuples[i] = t
 	}
-	return attrs, tuples, nil
+	return tuples, nil
 }
 
 // writeIdentifiers stores prefix+cluster identifiers and returns the
@@ -174,58 +170,9 @@ func writeIdentifiers(tb *storage.Table, prefix string, clusters []int) (int, er
 // writes cluster identifiers of the form prefix+N into the identifier
 // column. It returns the number of clusters found.
 func MatchTable(tb *storage.Table, attrCols []string, prefix string, cfg Config) (int, error) {
-	_, tuples, err := extractTuples(tb, attrCols)
+	tuples, err := extractTuples(tb, attrCols)
 	if err != nil {
 		return 0, err
 	}
 	return writeIdentifiers(tb, prefix, Cluster(tuples, cfg))
-}
-
-// matchTableWith runs an arbitrary per-block clustering function over a
-// table: tuples are blocked with blockKey (nil for DefaultBlockKey), the
-// function clusters each block independently, and the per-block cluster
-// ids are made globally unique before being written to the identifier
-// column.
-func matchTableWith(tb *storage.Table, attrCols []string, prefix string,
-	blockKey func([]string) string,
-	clusterFn func(tuples [][]string, attrs []string) ([]int, error),
-) (int, error) {
-	attrs, tuples, err := extractTuples(tb, attrCols)
-	if err != nil {
-		return 0, err
-	}
-	if blockKey == nil {
-		blockKey = DefaultBlockKey
-	}
-	blocks := map[string][]int{}
-	var blockOrder []string
-	for i, t := range tuples {
-		k := blockKey(t)
-		if _, ok := blocks[k]; !ok {
-			blockOrder = append(blockOrder, k)
-		}
-		blocks[k] = append(blocks[k], i)
-	}
-	clusters := make([]int, len(tuples))
-	next := 0
-	for _, k := range blockOrder {
-		members := blocks[k]
-		sub := make([][]string, len(members))
-		for j, i := range members {
-			sub[j] = tuples[i]
-		}
-		local, err := clusterFn(sub, attrs)
-		if err != nil {
-			return 0, fmt.Errorf("matching: clustering block %q: %w", k, err)
-		}
-		localMax := -1
-		for j, i := range members {
-			clusters[i] = next + local[j]
-			if local[j] > localMax {
-				localMax = local[j]
-			}
-		}
-		next += localMax + 1
-	}
-	return writeIdentifiers(tb, prefix, clusters)
 }

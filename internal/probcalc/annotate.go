@@ -9,16 +9,11 @@ import (
 	"conquer/internal/value"
 )
 
-// AnnotateAll runs AnnotateTable over every dirty relation of a database
-// — the complete offline probability-annotation pass of Figure 7's
-// pipeline. A nil distance uses InformationLoss everywhere.
-func AnnotateAll(db *storage.DB, d Distance) error {
-	return AnnotateAllParCtx(context.Background(), db, d, 1)
-}
-
-// AnnotateAllParCtx is AnnotateAll under a context with per-cluster
-// parallelism inside each table; tables themselves are annotated one at
-// a time. See AnnotateTableCtx.
+// AnnotateAllParCtx runs AnnotateTableCtx over every dirty relation of a
+// database — the complete offline probability-annotation pass of Figure
+// 7's pipeline — under a context, with per-cluster parallelism inside
+// each table; tables themselves are annotated one at a time. A nil
+// distance uses InformationLoss everywhere.
 func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallelism int) error {
 	for _, name := range db.TableNames() {
 		tb, _ := db.Table(name)
@@ -32,28 +27,25 @@ func AnnotateAllParCtx(ctx context.Context, db *storage.DB, d Distance, parallel
 	return nil
 }
 
-// AnnotateTable computes tuple probabilities for a dirty table and writes
-// them into its probability column — the "probability calculation" phase
-// the paper times in Figure 7. Clusters come from the table's identifier
-// column; attrCols selects the categorical attributes used to build the
-// summaries (nil means every column except the identifier and probability
-// columns). A nil distance uses InformationLoss. Non-string attribute
-// values are treated as categories by the class of their printed form,
-// without printing; so are cluster identifiers.
-func AnnotateTable(tb *storage.Table, attrCols []string, d Distance) error {
-	return AnnotateTableCtx(context.Background(), tb, attrCols, d, 1)
-}
-
-// AnnotateTableCtx is AnnotateTable under a context: both the
-// dataset-building pass and the probability assignment (where DCF merging
-// makes the cost quadratic in cluster size) poll ctx, so annotation of a
-// large relation can be canceled or run under a deadline. The assignment
-// fans out as AssignProbabilitiesCtx describes (parallelism 1 keeps it
-// serial), and its probabilities are bit-identical to the serial pass at
-// every worker count; the dataset build and the probability-column
-// writeback stay serial: the former is a single linear scan, the latter
-// one store per row through UpdateColumn, which (like the rest of
-// storage.Table) is not written for concurrent callers.
+// AnnotateTableCtx computes tuple probabilities for a dirty table and
+// writes them into its probability column — the "probability calculation"
+// phase the paper times in Figure 7. Clusters come from the table's
+// identifier column; attrCols selects the categorical attributes used to
+// build the summaries (nil means every column except the identifier and
+// probability columns). A nil distance uses InformationLoss. Non-string
+// attribute values are treated as categories by the class of their
+// printed form, without printing; so are cluster identifiers.
+//
+// Both the dataset-building pass and the probability assignment (where
+// DCF merging makes the cost quadratic in cluster size) poll ctx, so
+// annotation of a large relation can be canceled or run under a deadline.
+// The assignment fans out as AssignProbabilitiesCtx describes
+// (parallelism 1 keeps it serial), and its probabilities are
+// bit-identical to the serial pass at every worker count; the dataset
+// build and the probability-column writeback stay serial: the former is a
+// single linear scan, the latter one store per row through UpdateColumn,
+// which (like the rest of storage.Table) is not written for concurrent
+// callers.
 func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string, d Distance, parallelism int) error {
 	rel := tb.Schema
 	idIdx := rel.IdentifierIndex()

@@ -34,7 +34,7 @@ func randomCell(rng *rand.Rand, k value.Kind) value.Value {
 	}
 }
 
-// AnnotateTable reads each cell by its category instead of printing it;
+// AnnotateTableCtx reads each cell by its category instead of printing it;
 // that must be invisible: on typed tables of every column kind, with an
 // identifier of every kind, its probabilities must equal, bit for bit,
 // AssignProbabilities over a dataset built from the printed cells and
@@ -102,7 +102,7 @@ func TestAnnotateTableAllocationFloor(t *testing.T) {
 	for _, n := range []int{1000, 4000} {
 		tb := parTable(t, n)
 		allocs := testing.AllocsPerRun(3, func() {
-			if err := AnnotateTable(tb, nil, nil); err != nil {
+			if err := AnnotateTableCtx(context.Background(), tb, nil, nil, 1); err != nil {
 				t.Fatal(err)
 			}
 		})

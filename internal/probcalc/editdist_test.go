@@ -1,6 +1,7 @@
 package probcalc
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -140,7 +141,7 @@ func TestAnnotateTable(t *testing.T) {
 		tb.MustInsert(value.Str(tp[0]), value.Str(tp[1]), value.Str(tp[2]), value.Str(tp[3]),
 			value.Str(ids[i]), value.Null())
 	}
-	if err := AnnotateTable(tb, nil, nil); err != nil {
+	if err := AnnotateTableCtx(context.Background(), tb, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Probabilities are populated, per-cluster sums are 1, and t2 wins c1.
@@ -160,16 +161,16 @@ func TestAnnotateTable(t *testing.T) {
 	}
 
 	// Explicit attribute subset.
-	if err := AnnotateTable(tb, []string{"name", "nation"}, nil); err != nil {
+	if err := AnnotateTableCtx(context.Background(), tb, []string{"name", "nation"}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Errors.
-	if err := AnnotateTable(tb, []string{"ghost"}, nil); err == nil {
+	if err := AnnotateTableCtx(context.Background(), tb, []string{"ghost"}, nil, 1); err == nil {
 		t.Error("unknown attribute should fail")
 	}
 	cleanS := schema.MustRelation("clean", schema.Column{Name: "a", Type: value.KindString})
 	clean := storage.NewTable(cleanS)
-	if err := AnnotateTable(clean, nil, nil); err == nil {
+	if err := AnnotateTableCtx(context.Background(), clean, nil, nil, 1); err == nil {
 		t.Error("clean relation should fail")
 	}
 }

@@ -137,7 +137,7 @@ func parTable(t testing.TB, n int) *storage.Table {
 
 func TestAnnotateTableParMatchesSerial(t *testing.T) {
 	serial := parTable(t, 400)
-	if err := AnnotateTable(serial, nil, nil); err != nil {
+	if err := AnnotateTableCtx(context.Background(), serial, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	probIdx := serial.Schema.ProbIndex()

@@ -144,11 +144,6 @@ type DCF struct {
 	P     infotheory.Sparse
 }
 
-// SingletonDCF summarizes tuple i of the dataset.
-func (ds *Dataset) SingletonDCF(i int) DCF {
-	return DCF{Count: 1, P: ds.TupleDistribution(i)}
-}
-
 // Merge combines two summaries: cardinalities add, distributions average
 // weighted by cardinality.
 func Merge(a, b DCF) DCF {

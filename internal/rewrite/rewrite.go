@@ -459,15 +459,6 @@ func RewriteClean(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*sqlparse.Sel
 	return rewrite(cat, stmt), nil
 }
 
-// MustRewritable panics unless stmt is rewritable; for static fixtures.
-func MustRewritable(cat *schema.Catalog, stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
-	out, err := RewriteClean(cat, stmt)
-	if err != nil {
-		panic(err) //lint:allow nopanic -- fixture constructor, documented to panic
-	}
-	return out
-}
-
 // NotRewritableError reports why a query falls outside the rewritable
 // class of Dfn 7.
 type NotRewritableError struct {

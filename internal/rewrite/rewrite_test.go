@@ -238,16 +238,6 @@ func TestRewriteCleanRejectsExample7(t *testing.T) {
 	}
 }
 
-func TestMustRewritablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRewritable should panic on q3")
-		}
-	}()
-	MustRewritable(fig2Catalog(), sqlparse.MustParse(
-		"select c.id from orders o, customer c where o.cidfk = c.id"))
-}
-
 func TestNaiveRewriteBuildsWithoutCheck(t *testing.T) {
 	// Example 7's (incorrect) naive rewriting still constructs.
 	rw := NaiveRewrite(fig2Catalog(), sqlparse.MustParse(

@@ -153,17 +153,6 @@ func (r *Relation) AddForeignKey(column, refTable, refColumn string) error {
 	return nil
 }
 
-// ForeignKeyOn returns the foreign key declared on the given column, if any.
-func (r *Relation) ForeignKeyOn(column string) (ForeignKey, bool) {
-	column = strings.ToLower(column)
-	for _, fk := range r.ForeignKeys {
-		if fk.Column == column {
-			return fk, true
-		}
-	}
-	return ForeignKey{}, false
-}
-
 // Clone returns a deep copy of the relation schema.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{

@@ -110,12 +110,9 @@ func TestForeignKeys(t *testing.T) {
 	if err := r.AddForeignKey("custfk", "Customer", "custid"); err != nil {
 		t.Fatal(err)
 	}
-	fk, ok := r.ForeignKeyOn("CUSTFK")
-	if !ok || fk.RefTable != "customer" {
-		t.Errorf("ForeignKeyOn = %v, %v", fk, ok)
-	}
-	if _, ok := r.ForeignKeyOn("orderid"); ok {
-		t.Error("no fk on orderid")
+	want := ForeignKey{Column: "custfk", RefTable: "customer", RefColumn: "custid"}
+	if len(r.ForeignKeys) != 1 || r.ForeignKeys[0] != want {
+		t.Errorf("ForeignKeys = %v, want [%v]", r.ForeignKeys, want)
 	}
 	if err := r.AddForeignKey("missing", "customer", "custid"); err == nil {
 		t.Error("fk on missing column should fail")

@@ -371,6 +371,51 @@ func (s *Server) logRefusal(tn *tenant, sql, reason string) {
 	})
 }
 
+// admitted is a request past the prologue of the result endpoints: ctx is
+// its context tagged with the tenant and its queue wait, and finish gives
+// back what the prologue took.
+type admitted struct {
+	ctx    context.Context
+	tk     *ticket
+	cancel func()
+}
+
+// finish releases the execution slots, cancels the request context and
+// retires the handler, in that order.
+func (a admitted) finish() {
+	a.tk.release()
+	a.cancel()
+	a.tk.s.exit()
+}
+
+// admitRequest is the prologue POST /v1/query and /v1/clean share, run
+// after the body is decoded: it enters the server, derives the request
+// context, admits the request on tn's slots and adds metrics.QueryInfo to
+// the context. A refusal (draining, shed, or the context ending while
+// queued) is written and logged against sql, and ok is false; otherwise
+// the caller defers adm.finish.
+func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, tn *tenant, sql string) (adm admitted, ok bool) {
+	if !s.enter() {
+		_, reason := s.writeError(w, ErrDraining)
+		s.logRefusal(tn, sql, reason)
+		return admitted{}, false
+	}
+	ctx, cancel := s.requestContext(r)
+	tk, err := s.admit(ctx, tn)
+	if err != nil {
+		_, reason := s.writeError(w, err)
+		s.logRefusal(tn, sql, reason)
+		cancel()
+		s.exit()
+		return admitted{}, false
+	}
+	ctx = metrics.ContextWithQueryInfo(ctx, metrics.QueryInfo{
+		Tenant:       tn.name,
+		QueuedMicros: tk.queued.Microseconds(),
+	})
+	return admitted{ctx: ctx, tk: tk, cancel: cancel}, true
+}
+
 // handleQuery runs a plain SQL query under the tenant's limits.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tn, err := s.authenticate(r)
@@ -383,28 +428,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if !s.enter() {
-		_, reason := s.writeError(w, ErrDraining)
-		s.logRefusal(tn, req.SQL, reason)
+	adm, ok := s.admitRequest(w, r, tn, req.SQL)
+	if !ok {
 		return
 	}
-	defer s.exit()
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-
-	tk, err := s.admit(ctx, tn)
-	if err != nil {
-		_, reason := s.writeError(w, err)
-		s.logRefusal(tn, req.SQL, reason)
-		return
-	}
-	defer tk.release()
-	qctx := metrics.ContextWithQueryInfo(ctx, metrics.QueryInfo{
-		Tenant:       tn.name,
-		QueuedMicros: tk.queued.Microseconds(),
-	})
+	defer adm.finish()
 	start := time.Now()
-	res, err := tn.eng.QueryCtx(qctx, req.SQL)
+	res, err := tn.eng.QueryCtx(adm.ctx, req.SQL)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -413,7 +443,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeQuery(w, res.Columns, res.Rows, QueryStats{
 		Rows:         res.Stats.Rows,
 		ExecMicros:   res.Stats.ExecTime.Microseconds(),
-		QueuedMicros: tk.queued.Microseconds(),
+		QueuedMicros: adm.tk.queued.Microseconds(),
 		Parallelism:  res.Stats.Parallelism,
 		Shards:       res.Stats.Shards,
 		Cached:       res.Stats.Cached,
@@ -439,28 +469,13 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if !s.enter() {
-		_, reason := s.writeError(w, ErrDraining)
-		s.logRefusal(tn, req.SQL, reason)
+	adm, ok := s.admitRequest(w, r, tn, req.SQL)
+	if !ok {
 		return
 	}
-	defer s.exit()
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-
-	tk, err := s.admit(ctx, tn)
-	if err != nil {
-		_, reason := s.writeError(w, err)
-		s.logRefusal(tn, req.SQL, reason)
-		return
-	}
-	defer tk.release()
-	qctx := metrics.ContextWithQueryInfo(ctx, metrics.QueryInfo{
-		Tenant:       tn.name,
-		QueuedMicros: tk.queued.Microseconds(),
-	})
+	defer adm.finish()
 	start := time.Now()
-	res, err := tn.ev.Eval(qctx, stmt, core.EvalOptions{Samples: req.Samples, Seed: req.Seed})
+	res, err := tn.ev.Eval(adm.ctx, stmt, core.EvalOptions{Samples: req.Samples, Seed: req.Seed})
 	elapsed := time.Since(start)
 	if err != nil {
 		s.writeError(w, err)
@@ -470,7 +485,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	s.writeClean(w, res, QueryStats{
 		Rows:         len(res.Answers),
 		ExecMicros:   elapsed.Microseconds(),
-		QueuedMicros: tk.queued.Microseconds(),
+		QueuedMicros: adm.tk.queued.Microseconds(),
 		Cached:       res.Cached,
 	})
 }

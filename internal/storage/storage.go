@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -341,19 +340,4 @@ func (t *Table) LoadCSVFile(path string) error {
 	}
 	defer f.Close()
 	return t.ReadCSV(f)
-}
-
-// SortRows sorts the table rows in place by the given column positions
-// (ascending, NULLs first). Sorting is used by the
-// generators to produce deterministic output files.
-func (t *Table) SortRows(cols ...int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		for _, c := range cols {
-			if cmp := value.Compare(t.rows[i][c], t.rows[j][c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	t.bump()
 }

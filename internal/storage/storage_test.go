@@ -165,17 +165,6 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortRows(t *testing.T) {
-	tb := NewTable(custSchema())
-	tb.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(3))
-	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
-	tb.MustInsert(value.Str("c1"), value.Str("Johnny"), value.Float(2))
-	tb.SortRows(0, 2)
-	if tb.Row(0)[1].AsString() != "John" || tb.Row(2)[0].AsString() != "c2" {
-		t.Error("SortRows order wrong")
-	}
-}
-
 func TestTableVersionCountsMutations(t *testing.T) {
 	tb := NewTable(custSchema())
 	if tb.Version() != 0 {
@@ -192,11 +181,6 @@ func TestTableVersionCountsMutations(t *testing.T) {
 	}
 	if tb.Version() != v+1 {
 		t.Fatalf("UpdateColumn should bump version: %d -> %d", v, tb.Version())
-	}
-	v = tb.Version()
-	tb.SortRows(2)
-	if tb.Version() != v+1 {
-		t.Fatalf("SortRows should bump version: %d -> %d", v, tb.Version())
 	}
 	// Failed mutations leave the version alone.
 	v = tb.Version()

@@ -38,7 +38,7 @@ func TestFullOfflinePipeline(t *testing.T) {
 	}
 
 	// Stage 2 — §4 probability computation on every dirty relation.
-	if err := probcalc.AnnotateAll(d.Store, nil); err != nil {
+	if err := probcalc.AnnotateAllParCtx(context.Background(), d.Store, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {

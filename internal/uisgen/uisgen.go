@@ -53,7 +53,7 @@ type Config struct {
 	Propagated bool
 	// UniformProbs fills each cluster's probability column with the
 	// uniform distribution 1/|cluster|. When false the prob columns are
-	// left NULL for probcalc.AnnotateTable to fill — the Figure-7
+	// left NULL for probcalc.AnnotateTableCtx to fill — the Figure-7
 	// pipeline.
 	UniformProbs bool
 	// Only restricts generation to the named tables (and implicitly their
