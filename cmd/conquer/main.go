@@ -80,7 +80,7 @@ func main() {
 	oneShot := flag.String("c", "", "execute one statement and exit")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "cluster shards for partitioned scans (0 = one per CPU, 1 = unsharded)")
+	shards := flag.Int("shards", 0, "cluster shards for parallel scans (0 = one per CPU, 1 = unsharded; always 1 at -parallelism 1)")
 	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
 	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per query and per clean or eval")

@@ -63,9 +63,8 @@ import (
 type Database struct {
 	d     *dirty.DB
 	cache *cache.Cache
-	// parallelism and shards are the settings every engine runs under.
+	// parallelism is the worker count every engine runs under.
 	parallelism int
-	shards      int
 }
 
 // New creates an empty database.
@@ -74,14 +73,13 @@ func New() *Database {
 }
 
 // newEngine builds an engine over the store under the database's cache,
-// parallelism and shard settings and the given budget. An engine holds
+// its parallelism and the given budget. An engine holds
 // no state, so every query builds its own.
 func (db *Database) newEngine(lim Limits) *engine.Engine {
 	return engine.NewWithOptions(db.d.Store, engine.Options{
 		Limits:      lim.internal(),
 		Cache:       db.cache,
 		Parallelism: db.parallelism,
-		Shards:      db.shards,
 	})
 }
 
@@ -104,17 +102,6 @@ func (db *Database) EnableCache(maxBytes int64) *Database {
 // chaining.
 func (db *Database) SetParallelism(n int) *Database {
 	db.parallelism = n
-	return db
-}
-
-// SetShards sets the engine's cluster-shard count for subsequent
-// queries (0 tracks GOMAXPROCS, 1 forces unsharded scans). Sharding is
-// a pure scheduling knob — results are byte-identical at every shard
-// count, because hash-partitioning rows by cluster identifier never
-// splits a duplicate cluster (Dfn 2) and scatter/gather reassembles the
-// serial row order. It returns db for chaining.
-func (db *Database) SetShards(n int) *Database {
-	db.shards = n
 	return db
 }
 

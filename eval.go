@@ -108,7 +108,7 @@ type EvalOptions struct {
 // (CleanResult.Method) and, for Monte-Carlo, the sample count and
 // standard-error bound. Cancellation and deadline abort the whole
 // evaluation with ErrCanceled / ErrDeadline. It runs on the database's
-// engine settings and cache (SetParallelism, SetShards, EnableCache).
+// engine settings and cache (SetParallelism, EnableCache).
 func (db *Database) Eval(ctx context.Context, sql string, opts EvalOptions) (res *CleanResult, err error) {
 	defer qerr.Recover(&err)
 	m, ok := methods[opts.Method]

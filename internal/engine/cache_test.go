@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -224,8 +223,8 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 
 func TestUncachedEngineUnchanged(t *testing.T) {
 	e := NewWithOptions(figure2DB(t), Options{Parallelism: 1})
-	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != runtime.GOMAXPROCS(0) || o.BatchSize != exec.DefaultBatchSize {
-		t.Fatalf("options %+v: want no cache, the parallelism asked for and the defaults resolved", o)
+	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != 1 || o.BatchSize != exec.DefaultBatchSize {
+		t.Fatalf("options %+v: want no cache, the parallelism asked for, one shard and the default batch size", o)
 	}
 	res, err := e.Query("select id from customer")
 	if err != nil {

@@ -32,14 +32,15 @@ type Options struct {
 	// Limits is the per-query execution budget.
 	Limits exec.Limits
 	// Parallelism is the worker count for morsel-driven parallel
-	// execution; 0 defaults to runtime.GOMAXPROCS(0), 1 forces serial
-	// execution.
+	// execution; 0 defaults to runtime.GOMAXPROCS(0), and 1 (or less)
+	// runs every query serially, whatever Shards says.
 	Parallelism int
-	// Shards is the cluster-shard count for partitioned scans; 0 defaults
-	// to runtime.GOMAXPROCS(0), 1 forces unsharded scans. Results are
-	// byte-identical at every shard count (DESIGN.md §14), so this tunes
-	// only scheduling. The views are the tables' own (storage.Table.Sharded),
-	// shared by every engine over the store.
+	// Shards is the cluster-shard count parallel scans claim morsels
+	// from; 0 defaults to runtime.GOMAXPROCS(0), and it resolves to 1
+	// (unsharded scans) when Parallelism resolves to 1 or less. Results
+	// are byte-identical at every shard count (DESIGN.md §14), so this
+	// tunes only scheduling. The views are the tables' own
+	// (storage.Table.Sharded), shared by every engine over the store.
 	Shards int
 	// BatchSize is the rows per execution batch; zero or negative
 	// resolves to exec.DefaultBatchSize. Results are identical at every
@@ -79,7 +80,8 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 }
 
 // Options returns the options the engine's queries run under, with
-// Parallelism, Shards and BatchSize resolved to the values its plans use.
+// Parallelism, Shards and BatchSize resolved to the values its plans use:
+// a serial engine runs one shard.
 // A clean-answer evaluator over the engine (core.Evaluator) runs every
 // query of its evaluation under them.
 func (e *Engine) Options() Options {
@@ -87,7 +89,10 @@ func (e *Engine) Options() Options {
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.Shards == 0 {
+	switch {
+	case o.Parallelism <= 1:
+		o.Shards = 1
+	case o.Shards == 0:
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	o.BatchSize = exec.ResolveBatchSize(o.BatchSize)
@@ -144,15 +149,10 @@ type Stats struct {
 	// query's sharded scans (1.0 = perfectly balanced, 0 = no sharded
 	// scan ran). Zeroed on cached results.
 	ShardSkew float64
-	// ShardRebalances counts the morsel claims workers stole off their
-	// home shard across all sharded scans. Zeroed on cached results.
+	// ShardRebalances counts the morsel claims workers stole off the
+	// shard they were draining, across all sharded scans. Zeroed on
+	// cached results.
 	ShardRebalances int64
-	// ShardBufferedMax is the largest per-shard buffered-row reservation
-	// total — the admission controller's per-shard cost seed (a sharded
-	// build buffers at most this much per shard, not the global sum).
-	// Zero when no sharded pipeline buffered rows; zeroed on cached
-	// results.
-	ShardBufferedMax int64
 	// BatchSize is the resolved rows-per-batch the query ran with.
 	BatchSize int
 	// Batches counts the output batches the root produced (0 on cached
@@ -264,7 +264,6 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	out.Stats.BufferedPeak = 0
 	out.Stats.ShardSkew = 0
 	out.Stats.ShardRebalances = 0
-	out.Stats.ShardBufferedMax = 0
 	out.Stats.Batches = 0
 	return &out, nil
 }
@@ -430,26 +429,11 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 }
 
 // fillShardStats folds the per-scan shard breakdowns into the query
-// stats: worst skew wins, rebalances add, and the buffered maximum is
-// taken over each shard's total across scans.
+// stats: worst skew wins and rebalances add.
 func fillShardStats(st *Stats, groups []exec.ShardGroupStat) {
-	if len(groups) == 0 {
-		return
-	}
-	perShard := make(map[int]int64)
 	for _, g := range groups {
-		if s := g.Skew(); s > st.ShardSkew {
-			st.ShardSkew = s
-		}
+		st.ShardSkew = max(st.ShardSkew, g.Skew())
 		st.ShardRebalances += g.Rebalances
-		for _, sh := range g.Shards {
-			perShard[sh.Shard] += sh.Buffered
-		}
-	}
-	for _, b := range perShard {
-		if b > st.ShardBufferedMax {
-			st.ShardBufferedMax = b
-		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"conquer/internal/exec"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
 	"conquer/internal/value"
@@ -319,8 +321,8 @@ func TestQueryAggregateReordering(t *testing.T) {
 func TestEnginesPlanOverTheTablesShardViews(t *testing.T) {
 	db := figure2DB(t)
 	cust, _ := db.Table("customer")
-	a := NewWithOptions(db, Options{Shards: 4})
-	b := NewWithOptions(db, Options{Shards: 4, Parallelism: 1})
+	a := NewWithOptions(db, Options{Shards: 4, Parallelism: 2})
+	b := NewWithOptions(db, Options{Shards: 4, Parallelism: 3})
 	va, vb := a.planOptions().Sharder(cust), b.planOptions().Sharder(cust)
 	if va != vb || va != cust.Sharded(4) {
 		t.Fatal("two engines over one store must plan over the same shard view")
@@ -328,10 +330,45 @@ func TestEnginesPlanOverTheTablesShardViews(t *testing.T) {
 	if &va.Shards()[0] != &vb.Shards()[0] {
 		t.Fatal("the two engines see different partitions")
 	}
-	if other := NewWithOptions(db, Options{Shards: 2}).planOptions().Sharder(cust); other == va || other.NumShards() != 2 {
+	if other := NewWithOptions(db, Options{Shards: 2, Parallelism: 2}).planOptions().Sharder(cust); other == va || other.NumShards() != 2 {
 		t.Fatal("a different shard count is a different view")
 	}
-	if NewWithOptions(db, Options{Shards: 1}).planOptions().Sharder != nil {
+	if NewWithOptions(db, Options{Shards: 1, Parallelism: 2}).planOptions().Sharder != nil {
 		t.Fatal("one shard plans unsharded scans")
+	}
+}
+
+// Parallelism 1 is serial at every shard count: the engine resolves its
+// shards to 1, so over a table of several morsels a scan, a grouped
+// aggregate and a join plan no Gather and no shard view, and run without
+// per-shard claims.
+func TestParallelismOneIsSerialAtEveryShardCount(t *testing.T) {
+	db := storage.NewDB()
+	intTable(t, db, "t1", 3*exec.DefaultMorselSize)
+	for _, q := range []string{
+		"select a from t1 where a > 10",
+		"select a, count(*) from t1 group by a",
+		"select x.a from t1 x, t1 y where x.a = y.a",
+	} {
+		for _, shards := range []int{0, 1, 2, 4} {
+			e := NewWithOptions(db, Options{Parallelism: 1, Shards: shards})
+			if got := e.Options().Shards; got != 1 {
+				t.Errorf("shards %d: resolved to %d, want 1", shards, got)
+			}
+			plan, err := e.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(plan, "Gather") || strings.Contains(plan, "shards=") {
+				t.Errorf("shards %d: %s plans\n%s\nwant no Gather and no shards=", shards, q, plan)
+			}
+			out, err := e.ExplainAnalyzeCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(out, "shards=[") {
+				t.Errorf("shards %d: %s ran split:\n%s", shards, q, out)
+			}
+		}
 	}
 }

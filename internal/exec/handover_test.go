@@ -58,8 +58,8 @@ func sortOverGather(t testing.TB, probe, build *storage.Table, par, shards int) 
 // of copying it. So doubling the output rows of a Sort over a Gather over a
 // fan-out join adds, per extra row, what the row itself costs — its joined
 // value, its sort key and its sort index — plus its header in the vector
-// and its header (and, where shards interleave, its 16-byte ordinal) in the
-// blocks, which cost one to two times what they hold: measured, about two
+// and its header (and, when a Gather's workers collect it, its 16-byte
+// ordinal, which the merge orders by) in the blocks, which cost one to two times what they hold: measured, about two
 // headers in all; asserted, at most four, since the larger run's blocks can
 // sit at twice their content where the smaller run's sat at once. Beyond
 // the join's output blocks it adds a logarithmic number of allocations.
@@ -106,7 +106,7 @@ func TestResultIsBufferedOnce(t *testing.T) {
 			// header in the result; its header and ordinal in the blocks.
 			own := int64(2*valueBytes + 8)
 			header, blocked := int64(24), int64(24)
-			if shards > 1 {
+			if par > 1 {
 				blocked += 16
 			}
 			perRow := float64(large.bytes-small.bytes) / float64(extra)

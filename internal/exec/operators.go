@@ -19,8 +19,8 @@ type Scan struct {
 	Table *storage.Table
 	Alias string
 	// Sharded, when non-nil, is a cluster-partitioned view of Table;
-	// splitPipeline then runs the scan per shard with skew-aware morsel
-	// stealing (see sharded.go). Serial execution ignores it.
+	// splitPipeline then runs the scan per shard with morsel stealing
+	// (see sharded.go). Serial execution ignores it.
 	Sharded ShardView
 
 	govHolder
@@ -707,8 +707,8 @@ func (a *HashAggregate) emit(order []*aggState) error {
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
 	if opensSplit(a.Child, a.Parallelism, a.MorselSize, a.stats) {
-		if parts, leaves, ok := splitPipeline(a.Child, max(a.Parallelism, 1), a.MorselSize); ok {
-			return a.openParallel(parts, leaves)
+		if parts, _, ok := splitPipeline(a.Child, a.Parallelism, a.MorselSize); ok {
+			return a.openParallel(parts)
 		}
 	}
 	if err := a.Child.Open(); err != nil {

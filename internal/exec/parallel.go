@@ -1,13 +1,13 @@
 // Morsel-driven parallel execution (see DESIGN.md §9).
 //
-// Base-table scans are split into fixed-size morsels handed out by an
-// atomic cursor; a pipeline over such a scan (filters, projections, the
-// probe side of hash and index joins) splits into N independent partial
-// pipelines that workers drive to completion. Three operators consume
-// partial pipelines:
+// Base-table scans are split into fixed-size morsels handed out by
+// atomic per-shard cursors (sharded.go); a pipeline over such a scan
+// (filters, projections, the probe side of hash joins) splits into N
+// independent partial pipelines that workers drive to completion. Three
+// operators consume partial pipelines:
 //
 //   - Gather runs N partial pipelines to completion and re-emits their
-//     rows in morsel order, so a parallel scan→filter→project plan
+//     rows in base-table row order, so a parallel scan→filter→project plan
 //     produces exactly the serial row order.
 //   - HashJoin builds its hash table with partitioned parallel workers
 //     (per-worker, per-partition vectors merged without locks) and can
@@ -21,12 +21,10 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -49,9 +47,8 @@ func morselSizeOr(n int) int {
 	return DefaultMorselSize
 }
 
-// morselCursor hands out disjoint row ranges ("morsels") of one base
-// table to competing workers. Claim order is global scan order, which
-// the order-preserving consumers rely on.
+// morselCursor hands out disjoint row ranges ("morsels") of one shard
+// table to competing workers, in the shard's scan order.
 type morselCursor struct {
 	next  atomic.Int64
 	size  int
@@ -97,9 +94,8 @@ func (c *morselCursor) remaining() int {
 // base-table ordinal of the leaf row that produced the output, plus an
 // emission sequence within that leaf row (join fanout emits several
 // rows per leaf row). Sorting by rowOrd reconstructs the serial
-// execution order exactly, whether the leaf rows arrived from one
-// cursor in ordinal order (unsharded) or interleaved across cluster
-// shards.
+// execution order exactly, however the leaf rows' morsels were
+// interleaved across workers and cluster shards.
 type rowOrd struct {
 	base int64
 	seq  int64
@@ -110,13 +106,11 @@ func (o rowOrd) less(p rowOrd) bool {
 }
 
 // MorselScan is the leaf of a partial pipeline: a Scan over whichever
-// morsels of the shared cursor this worker wins. Its consumers read it
-// after the pipeline returns a batch: morsel is the morsel that produced
-// the batch (Gather restores global order from it), claims how many
+// morsels of the shared shard group this worker wins. Its consumers read
+// it after the pipeline returns a batch: morsel is the morsel that
+// produced the batch (Gather keeps a run per morsel), and claims how many
 // morsels this leaf has claimed (the per-worker share EXPLAIN ANALYZE
-// reports), and group and home the shard group (nil when unsharded) and
-// the worker's home shard, to which buffered-row reservations are
-// attributed.
+// reports).
 type MorselScan struct {
 	Table *storage.Table
 	Alias string
@@ -124,15 +118,14 @@ type MorselScan struct {
 	govHolder
 	statsHolder
 	schema RowSchema
-	cursor *morselCursor
 	morsel int
 	claims int
 	pos    int
 	end    int
 
-	// Sharded mode: the shared shard group, this worker's home shard,
-	// the shard currently being drained, and the current shard table's
-	// base-table ordinals (nil when unsharded).
+	// The shared shard group, the shard this worker starts on, the shard
+	// it is draining, and that shard's base-table ordinals (nil when the
+	// shard is the whole table).
 	group *shardGroup
 	home  int
 	src   int
@@ -146,23 +139,17 @@ func (s *MorselScan) Schema() RowSchema { return s.schema }
 func (s *MorselScan) Open() error {
 	s.stats.markOpen()
 	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
-	if s.group != nil {
-		s.src = s.home
-		sh := s.group.shards[s.home]
-		s.Table, s.ords = sh.Table, sh.Ords
-	}
+	s.src = s.home
+	sh := s.group.shards[s.home]
+	s.Table, s.ords = sh.Table, sh.Ords
 	return nil
 }
 
-// claim acquires the next morsel: from the shared cursor when
-// unsharded, or from the shard group — home shard first, then stealing
-// from the most-loaded shard — when sharded. Steals after the first
-// claim count as rebalances (a worker whose initial allotment drained
-// moved onto an oversized shard's range).
+// claim acquires the next morsel from the shard group: the current shard
+// first, then stealing from the most-loaded shard. Steals after the first
+// claim count as rebalances (a worker whose shard drained moved onto
+// another shard's range).
 func (s *MorselScan) claim() (m, lo, hi int, ok bool) {
-	if s.group == nil {
-		return s.cursor.claim()
-	}
 	nsrc, m, lo, hi, stole, ok := s.group.claim(s.src)
 	if !ok {
 		return 0, 0, 0, false
@@ -189,18 +176,15 @@ func (s *MorselScan) Describe() string {
 
 // opensSplit reports whether an operator configured for n workers should
 // open the pipeline op split (Gather, the join build and HashAggregate's
-// parallel arm all ask): it must have workers to split across or a
-// sharded leaf, and some base table it reads — the driving scan or the
-// build side of one of its probe joins — must hold more than one morsel
-// of rows. A pipeline whose every input fits one morsel opens serially
+// parallel arm all ask): it must have more than one worker to split
+// across, and some base table it reads — the driving scan or the build
+// side of one of its probe joins — must hold more than one morsel of
+// rows. A pipeline whose every input fits one morsel opens serially
 // instead of setting up a worker pool, forked governors, morsel cursors
 // and shard views around a claim or two (DESIGN.md §17); s, the asking
 // operator's stats, records that for EXPLAIN ANALYZE.
 func opensSplit(op Operator, n, morselSize int, s *OpStats) bool {
-	leaf := drivingScan(op)
-	// A sharded leaf splits even at n == 1: per-shard claim accounting
-	// requires morsel execution.
-	if leaf == nil || (n <= 1 && leaf.Sharded == nil) {
+	if n <= 1 || drivingScan(op) == nil {
 		return false
 	}
 	if largestInput(op) <= morselSizeOr(morselSize) {
@@ -247,7 +231,7 @@ func drivingScan(op Operator) *Scan {
 func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 
 // splitPipeline clones op into at most n independent partial pipelines
-// over a fresh shared morsel cursor. Compiled evaluators are shared —
+// over a fresh shared shard group. Compiled evaluators are shared —
 // they are pure functions of the row — while all iteration state is
 // per-part. Each clone also shares its template's OpStats pointer, so
 // the counters of all workers aggregate onto the template tree that
@@ -257,21 +241,7 @@ func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, bool) {
 	switch op := op.(type) {
 	case *Scan:
-		if op.Sharded != nil {
-			return splitShardedScan(op, n, morselSize)
-		}
-		cur := newMorselCursor(op.Table.Len(), morselSizeOr(morselSize))
-		if m := cur.morsels(); m > 0 && m < n {
-			n = m
-		}
-		parts := make([]Operator, n)
-		leaves := make([]*MorselScan, n)
-		for i := range parts {
-			ms := &MorselScan{Table: op.Table, Alias: op.Alias, schema: op.schema, cursor: cur}
-			ms.stats = op.stats
-			parts[i], leaves[i] = ms, ms
-		}
-		return parts, leaves, true
+		return splitScan(op, n, morselSize)
 
 	case *Filter:
 		children, leaves, ok := splitPipeline(op.Child, n, morselSize)
@@ -383,8 +353,8 @@ func closeAll(parts []Operator) error {
 // ---------------------------------------------------------------------------
 
 // Gather is the exchange operator: it runs N partial pipelines to
-// completion on worker goroutines and re-emits their rows in morsel
-// order, so its output order (and content) matches the serial plan
+// completion on worker goroutines and re-emits their rows in base-table
+// row order, so its output order (and content) matches the serial plan
 // row-for-row. When the child cannot split (or N <= 1) it degenerates
 // to a transparent pass-through.
 //
@@ -405,10 +375,9 @@ type Gather struct {
 	govHolder
 	statsHolder
 	batchHolder
-	serial  bool
-	sharded bool
-	rows    [][]value.Value
-	pos     int
+	serial bool
+	rows   [][]value.Value
+	pos    int
 	// workerMorsels[w] is how many morsels worker w claimed during the
 	// last parallel Open; EXPLAIN ANALYZE reports it per worker.
 	workerMorsels []int64
@@ -428,7 +397,7 @@ func (g *Gather) Open() error {
 	g.stats.markOpen()
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
 	if opensSplit(g.Child, g.N, g.MorselSize, g.stats) {
-		if parts, leaves, ok := splitPipeline(g.Child, max(g.N, 1), g.MorselSize); ok {
+		if parts, leaves, ok := splitPipeline(g.Child, g.N, g.MorselSize); ok {
 			g.serial = false
 			return g.openParallel(parts, leaves)
 		}
@@ -438,7 +407,6 @@ func (g *Gather) Open() error {
 }
 
 func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
-	g.sharded = leaves[0].group != nil
 	outs := make([]rowRuns, len(parts))
 	err := runWorkers(g.gov, len(parts), func(w int, gov *Governor) error {
 		part, leaf := parts[w], leaves[w]
@@ -466,7 +434,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 				cur = m
 				g.stats.incBatch()
 			}
-			outs[w].add(cur, bb, g.sharded)
+			outs[w].add(cur, bb, true)
 		}
 	})
 	g.workerMorsels = make([]int64, len(leaves))
@@ -483,20 +451,14 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	for _, o := range outs {
 		runs = append(runs, o.runs...)
 	}
-	if g.sharded {
-		return g.merge(runs)
-	}
-	// A morsel is one worker's, and that worker's runs of it are in order:
-	// a stable sort by morsel puts every row in serial order.
-	slices.SortStableFunc(runs, func(a, b rowRun) int { return cmp.Compare(a.tag, b.tag) })
-	g.rows, err = concatRuns(runs, g.gov)
-	return err
+	return g.merge(runs)
 }
 
-// merge fills g.rows from shard-interleaved runs, each in rowOrd order,
-// by a k-way merge on rowOrd — (leaf ordinal, fanout sequence), exactly
-// the serial emission order — into one vector of exactly their size,
-// through a binary heap of run indices keyed by each run's first row.
+// merge fills g.rows from the workers' runs, one per morsel and each in
+// rowOrd order, by a k-way merge on rowOrd — (leaf ordinal, fanout
+// sequence), exactly the serial emission order — into one vector of
+// exactly their size, through a binary heap of run indices keyed by each
+// run's first row.
 func (g *Gather) merge(runs []rowRun) error {
 	total := 0
 	for _, r := range runs {
@@ -662,8 +624,8 @@ func (b *joinBuild) close(gov *Governor) {
 // partition, or with partitioned parallel workers when the input splits.
 func (b *joinBuild) build(gov *Governor) error {
 	if opensSplit(b.right, b.parallelism, b.morselSize, b.stats) {
-		if parts, leaves, ok := splitPipeline(b.right, max(b.parallelism, 1), b.morselSize); ok {
-			return b.buildParallel(gov, parts, leaves)
+		if parts, _, ok := splitPipeline(b.right, b.parallelism, b.morselSize); ok {
+			return b.buildParallel(gov, parts)
 		}
 	}
 	if err := b.right.Open(); err != nil {
@@ -733,7 +695,7 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 // entries by right-input ordinal into its own range of the entry vector
 // and links them there — so every bucket chains in exactly the serial
 // insertion order — without any locks.
-func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*MorselScan) error {
+func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 	w := len(parts)
 	p := 1
 	for p < w {
@@ -747,16 +709,11 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*Mor
 			return err
 		}
 		local := make([][]taggedEntry, p)
-		var kept int64
 		err := b.drain(parts[i], g, func(e buildEntry, ord rowOrd) {
 			local[e.hash&mask] = append(local[e.hash&mask], taggedEntry{ord: ord, e: e})
-			kept++
 		})
 		if err != nil {
 			return err
-		}
-		if leaf := leaves[i]; leaf.group != nil {
-			leaf.group.buffered[leaf.home].Add(kept)
 		}
 		locals[i] = local
 		return nil
@@ -815,7 +772,7 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator, leaves []*Mor
 // group order matches the serial pass exactly; float SUM/AVG values may
 // differ in the last bits because partial sums re-associate the
 // addition.
-func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) error {
+func (a *HashAggregate) openParallel(parts []Operator) error {
 	accs := make([]*aggAcc, len(parts))
 	err := runWorkers(a.gov, len(parts), func(w int, gov *Governor) error {
 		Attach(parts[w], gov)
@@ -824,15 +781,7 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) err
 		}
 		acc := a.newAcc()
 		accs[w] = acc // pre-published so error paths can release acc.reserved
-		if err := a.fill(acc, parts[w], gov); err != nil {
-			return err
-		}
-		// Shard attribution happens only on clean completion; a failed
-		// query's per-shard stats are never reported.
-		if leaf := leaves[w]; leaf.group != nil {
-			leaf.group.buffered[leaf.home].Add(acc.reserved)
-		}
-		return nil
+		return a.fill(acc, parts[w], gov)
 	})
 	for _, acc := range accs {
 		if acc != nil {

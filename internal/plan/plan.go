@@ -26,8 +26,9 @@ type Options struct {
 	// and Sharder is set, every scan leaf carries a shard view: dirty
 	// tables hash-partition rows by cluster id (semantically free under
 	// Dfn 2 — a cluster never splits across shards), clean tables
-	// block-partition, and execution claims morsels per shard with
-	// skew-aware rebalancing. Values <= 1 plan unsharded scans.
+	// block-partition, and parallel execution claims morsels per shard,
+	// stealing from the fullest shard when its own runs dry. Serial
+	// execution ignores the views. Values <= 1 plan unsharded scans.
 	Shards int
 	// Sharder maps a base table to its shard view. The engine installs
 	// storage.Table.Sharded here, so every query over a table reuses its
@@ -112,11 +113,9 @@ func (p *planner) plan() (exec.Operator, error) {
 	}
 	// Parallelize a splittable pipeline root (scan→filter→project plans;
 	// aggregate plans instead parallelize inside HashAggregate) with a
-	// Gather exchange below DISTINCT/ORDER BY/LIMIT. Sharded plans need
-	// the exchange even at parallelism 1: per-shard claim accounting
-	// requires morsel execution.
-	if (p.opts.Parallelism > 1 || p.sharded()) && exec.CanSplit(root) {
-		g := exec.NewGather(root, max(p.opts.Parallelism, 1))
+	// Gather exchange below DISTINCT/ORDER BY/LIMIT.
+	if p.opts.Parallelism > 1 && exec.CanSplit(root) {
+		g := exec.NewGather(root, p.opts.Parallelism)
 		g.Shards = p.opts.Shards
 		root = g
 	}

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"conquer/internal/engine"
 	"conquer/internal/qerr"
 )
 
@@ -69,21 +68,6 @@ func (c *costModel) observe(rows int64, lat time.Duration) {
 // cold server admits freely and tightens as evidence arrives.
 func (c *costModel) projectedRows(n int64) int64 {
 	return c.avgRows.Load() * n
-}
-
-// observedCost seeds the cost model from one completed query: the
-// per-shard buffered maximum when a sharded pipeline reported one — a
-// sharded build drains shard by shard, so the global sum overstates the
-// footprint the next admitted query adds — otherwise the governor's
-// global buffered peak. Queries whose buffering happens above the
-// sharded leaves (sorts, DISTINCT) report no per-shard attribution and
-// keep seeding the model with the global peak, so the watermark keeps
-// shedding at the same point it did unsharded.
-func observedCost(st engine.Stats) int64 {
-	if m := st.ShardBufferedMax; m > 0 && m < st.BufferedPeak {
-		return m
-	}
-	return st.BufferedPeak
 }
 
 // ticket is an admitted request's claim on execution capacity: release

@@ -39,11 +39,6 @@ type Config struct {
 	// tenant engine (0 = GOMAXPROCS, 1 = serial), which serves both
 	// POST /v1/query and POST /v1/clean.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards is the per-query cluster-shard count handed to each tenant
-	// engine (0 = GOMAXPROCS, 1 = unsharded). Sharding never changes
-	// results — only scheduling and the per-shard cost accounting the
-	// admission watermark consumes.
-	Shards int `json:"shards,omitempty"`
 	// QueryLog, when non-nil, receives one JSON line per request —
 	// executed queries and clean evaluations (written by the engine and
 	// the evaluator, tagged with tenant and queue wait via the query

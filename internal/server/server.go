@@ -162,7 +162,6 @@ func New(store *storage.DB, cfg Config) (*Server, error) {
 		eng := engine.NewWithOptions(tstore, engine.Options{
 			Limits:      lim,
 			Parallelism: cfg.Parallelism,
-			Shards:      cfg.Shards,
 			QueryLog:    cfg.QueryLog,
 			Cache:       qcache,
 		})
@@ -439,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.cost.observe(observedCost(res.Stats), time.Since(start))
+	s.cost.observe(res.Stats.BufferedPeak, time.Since(start))
 	s.writeQuery(w, res.Columns, res.Rows, QueryStats{
 		Rows:         res.Stats.Rows,
 		ExecMicros:   res.Stats.ExecTime.Microseconds(),

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -458,74 +459,36 @@ func TestMemoryWatermarkSheds(t *testing.T) {
 	}
 }
 
-// The watermark regression under sharding (satellite of the sharded
-// execution work): with cluster-sharded engines the cost model is seeded
-// by observedCost — the per-shard buffered maximum when one was
-// attributed, the global peak otherwise. A sort-heavy workload buffers
-// above the sharded leaves, so the seed stays the global ~200-row peak
-// and the second concurrent query must shed at exactly the same
-// 300-row watermark as the unsharded test above.
-func TestMemoryWatermarkShedsSharded(t *testing.T) {
-	store := bigStore(t, 200)
-	cfg := Config{
-		Tenants:             []TenantConfig{{Name: "acme", Key: "acme-key", Preset: "standard"}},
-		MaxConcurrent:       2,
-		MaxQueue:            50,
-		MemoryWatermarkRows: 300,
-		Shards:              2,
-		Registry:            metrics.NewRegistry(),
-	}
-	srv, err := New(store, cfg)
+// The cost model sees what a query really buffered: a self-join holds its
+// whole build side until the last probe closes, however many shards and
+// workers drained it, so the first observation seeds avgRows with the
+// build side's row count at the default shard count.
+func TestAdmissionSeesTheRealBufferedPeak(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // default shards: 4
+	const rows = 8 * exec.DefaultMorselSize
+	cfg := oneTenant(metrics.NewRegistry())
+	cfg.Parallelism = 4
+	srv, err := New(bigStore(t, rows), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := doJSON(t, srv, "POST", "/v1/query", "acme-key", queryRequest{SQL: "select id, val from big order by val"}); rec.Code != http.StatusOK {
-		t.Fatalf("seed query: status = %d: %s", rec.Code, rec.Body.String())
+	if shards := srv.tenants["acme-key"].eng.Options().Shards; shards != 4 {
+		t.Fatalf("tenant engine runs %d shards, want 4", shards)
 	}
-
-	store.SetInjector(slowInjector{perRow: 500 * time.Microsecond})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		doJSON(t, srv, "POST", "/v1/query", "acme-key", queryRequest{SQL: "select id, val from big order by val"})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	rec := doJSON(t, srv, "POST", "/v1/query", "acme-key", queryRequest{SQL: "select id, val from big order by val"})
-	wg.Wait()
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("second concurrent sharded query: status = %d, want 429: %s", rec.Code, rec.Body.String())
+	rec := doJSON(t, srv, "POST", "/v1/query", "acme-key", queryRequest{SQL: "select a.id from big a, big b where a.id = b.id"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("join: status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if b := decodeError(t, rec); !strings.Contains(b.Error, "watermark") {
-		t.Errorf("shed body should name the watermark: %q", b.Error)
-	}
-}
-
-// observedCost prefers the per-shard buffered maximum only when a
-// sharded pipeline actually attributed one below the global peak.
-func TestObservedCostSeeding(t *testing.T) {
-	cases := []struct {
-		name string
-		st   engine.Stats
-		want int64
-	}{
-		{"unsharded", engine.Stats{BufferedPeak: 500}, 500},
-		{"sharded build", engine.Stats{BufferedPeak: 500, ShardBufferedMax: 130}, 130},
-		{"no attribution", engine.Stats{BufferedPeak: 500, ShardBufferedMax: 0}, 500},
-		{"attribution above peak", engine.Stats{BufferedPeak: 200, ShardBufferedMax: 400}, 200},
-	}
-	for _, c := range cases {
-		if got := observedCost(c.st); got != c.want {
-			t.Errorf("%s: observedCost = %d, want %d", c.name, got, c.want)
-		}
+	if got := srv.cost.avgRows.Load(); got != rows {
+		t.Errorf("cost model avgRows = %d, want the build side's %d rows", got, rows)
 	}
 }
 
 // Sanity-check /v1/clean end to end over the paper's Figure 2 database,
 // including its query-log line: one per request, written by the evaluator
 // on the tenant's engine — so with the rung that answered (the rewriting,
-// the ladder's first), the server's parallelism and shards, and the
-// statement hash /v1/query logs for the same text.
+// the ladder's first), the server's parallelism, the engine's resolved
+// shard count, and the statement hash /v1/query logs for the same text.
 func TestCleanEndpoint(t *testing.T) {
 	var logBuf strings.Builder
 	cfg := Config{
@@ -533,7 +496,6 @@ func TestCleanEndpoint(t *testing.T) {
 		Registry:    metrics.NewRegistry(),
 		QueryLog:    metrics.NewQueryLog(&logBuf),
 		Parallelism: 3,
-		Shards:      5,
 	}
 	srv, err := New(figure2Store(t), cfg)
 	if err != nil {
@@ -568,8 +530,9 @@ func TestCleanEndpoint(t *testing.T) {
 			t.Errorf("answer probability out of range: %+v", a)
 		}
 	}
-	if clean.Method != "rewrite" || clean.Rows != 2 || clean.Parallelism != 3 || clean.Shards != 5 || clean.Tenant != "acme" {
-		t.Errorf("clean query log line %+v: want method rewrite, 2 rows, par 3, 5 shards, tenant acme", clean)
+	shards := srv.tenants["acme-key"].eng.Options().Shards
+	if clean.Method != "rewrite" || clean.Rows != 2 || clean.Parallelism != 3 || clean.Shards != shards || clean.Tenant != "acme" {
+		t.Errorf("clean query log line %+v: want method rewrite, 2 rows, par 3, the engine's %d shards, tenant acme", clean, shards)
 	}
 	if _, plain := post("/v1/query"); plain.SQLHash != clean.SQLHash {
 		t.Errorf("the same text hashes to %s on /v1/query and %s on /v1/clean", plain.SQLHash, clean.SQLHash)
