@@ -47,11 +47,11 @@ type Batch struct {
 }
 
 // NewBatch creates a batch of the given capacity (<= 0 uses
-// DefaultBatchSize). The rows array grows on demand via append rather
-// than being preallocated: a query whose operators see a handful of
-// rows must not pay a capacity-sized pointer array per drain site, and
-// for full batches the growth cost is one-time — Reset retains the
-// backing array across refills.
+// DefaultBatchSize). It allocates no vector: each producer reserves, right
+// after Reset, room for the rows it is about to write, so a query whose
+// operators see a handful of rows pays a handful of slots per batch, not a
+// capacity-sized vector, and a full batch pays its vector once — Reset
+// keeps the backing arrays for the next fill.
 func NewBatch(capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = DefaultBatchSize
@@ -81,6 +81,21 @@ func (b *Batch) Reset() {
 	b.ords = b.ords[:0]
 	b.hasOrds = false
 	b.sel = nil
+}
+
+// reserve readies a just-Reset batch for the n rows its producer is about
+// to write, capped at the capacity: the row vector, and the ordinal vector
+// when ords, hold them without growing. A vector is only ever replaced by
+// a larger one. Only a join whose fan-out passes its probe batch appends
+// past what it reserved.
+func (b *Batch) reserve(n int, ords bool) {
+	n = min(n, b.capacity)
+	if cap(b.rows) < n {
+		b.rows = make([][]value.Value, 0, n)
+	}
+	if ords && cap(b.ords) < n {
+		b.ords = make([]rowOrd, 0, n)
+	}
 }
 
 // Len returns the number of selected rows.
@@ -135,11 +150,13 @@ func (b *Batch) Ord(i int) rowOrd {
 // vector is safe).
 func (b *Batch) Shrink(keep func(row []value.Value) (bool, error)) error {
 	n := b.Len()
-	if b.selBuf == nil {
+	if b.selBuf == nil || cap(b.selBuf) < n {
 		// sel must come out non-nil even when nothing survives: a nil
-		// vector means "all rows selected". Sized to the rows actually
-		// present, not the capacity — Reset retains it for reuse.
-		b.selBuf = make([]int, 0, n)
+		// vector means "all rows selected". Sized like the row vector, from
+		// what its producer reserved, not the capacity — Reset retains it
+		// for reuse. A live sel has at most cap(selBuf) rows, so this never
+		// replaces the vector a repeated Shrink compacts.
+		b.selBuf = make([]int, 0, cap(b.rows))
 	}
 	out := b.selBuf[:0]
 	for i := 0; i < n; i++ {

@@ -39,15 +39,29 @@ type batchProbe struct {
 
 func (p *batchProbe) reset() {
 	p.probe, p.idx = nil, 0
-	// Growth starts over with every Open: a tree re-opened many times over
-	// small inputs (one candidate world after another) must not climb to
-	// batch-sized blocks it carves a few rows from.
+	// Blocks start over with every Open: a tree re-opened many times over
+	// small inputs (one candidate world after another) must not keep a
+	// batch-sized block it carves a few rows from.
 	p.slab = valueSlab{}
 	p.curBase, p.lastBase, p.seq = 0, -1, 0
 }
 
-func (p *batchProbe) carve(width, batchCap int) []value.Value {
-	return p.slab.carve(width, batchCap)
+// carve returns the next width-wide output row of b's fill, from a block
+// bounded by the probe batch's length. When the slab runs dry in the
+// middle of the fill, the new block takes over the rows b already holds —
+// nothing has seen them yet — so a fill lies in one block: the block a
+// transient batch's next fill rewinds to holds all of the last one.
+func (p *batchProbe) carve(width int, b *Batch) []value.Value {
+	bound := p.probe.Len()
+	if len(p.slab.block) < width && b.Len() > 0 {
+		p.slab.refill(width, bound, b.Cap())
+		for i, row := range b.rows {
+			moved := p.slab.carve(width, bound, b.Cap())
+			copy(moved, row)
+			b.rows[i] = moved
+		}
+	}
+	return p.slab.carve(width, bound, b.Cap())
 }
 
 // begin starts one output batch. The rows of a transient batch's previous
@@ -60,18 +74,21 @@ func (p *batchProbe) begin(b *Batch) {
 }
 
 // valueSlab is an arena of value slices: carve returns a fresh
-// width-sized slice, reallocating the backing block when it runs dry.
-// Blocks grow geometrically from 16 rows up to one output batch:
-// operators that emit a handful of rows must not hand the GC a
-// width×batchCap pointer slab apiece (stacked selective joins spend
-// more time in the collector than in the probe loop), while sustained
-// outputs still converge to one allocation per batch. Carved slices stay
-// immutable until rewind, which only the filler of a transient batch
+// width-sized slice, allocating a new block when the newest runs dry. A
+// block holds the rows the carver's current batch bounds — the probe
+// batch's length for a join's output, the input batch's length for the
+// build's keys — or twice the previous block when that is more, up to one
+// full batch: an operator that emits a handful of rows hands the GC a
+// handful of slots, not a width×batchCap pointer slab (stacked selective
+// joins spend more time in the collector than in the probe loop), a
+// sustained output settles on one block per batch, and a fan-out past the
+// bound doubles instead of carving block after small block. Carved slices
+// stay immutable until rewind, which only the filler of a transient batch
 // calls; a slab nobody rewinds (join build keys) is forward-only.
 type valueSlab struct {
 	block []value.Value
 	base  []value.Value // the newest block whole: what rewind returns to
-	rows  int
+	rows  int           // rows of the newest block
 }
 
 // rewind makes the newest block carvable from its start again. A batch
@@ -96,31 +113,28 @@ func recycle(block []value.Value) {
 	}
 }
 
-func (s *valueSlab) carve(width, batchCap int) []value.Value {
+// carve returns the next width-sized slice; bound is the rows the current
+// batch is known to need and batchCap the most one batch holds.
+func (s *valueSlab) carve(width, bound, batchCap int) []value.Value {
 	if width == 0 {
 		// A join nothing above reads from (COUNT(*)) emits zero-width
 		// rows; they are still rows, so not nil.
 		return []value.Value{}
 	}
 	if len(s.block) < width {
-		if s.rows == 0 {
-			s.rows = 16
-		} else if s.rows < batchCap {
-			s.rows *= 2
-			if s.rows > batchCap {
-				s.rows = batchCap
-			}
-		}
-		n := width * s.rows
-		if n < width {
-			n = width
-		}
-		s.base = make([]value.Value, n)
-		s.block = s.base
+		s.refill(width, bound, batchCap)
 	}
 	row := s.block[:width:width]
 	s.block = s.block[width:]
 	return row
+}
+
+// refill starts a new block of bound rows, or of twice the last block's
+// when that is more, at most batchCap.
+func (s *valueSlab) refill(width, bound, batchCap int) {
+	s.rows = min(max(bound, 2*s.rows), batchCap)
+	s.base = make([]value.Value, width*s.rows)
+	s.block = s.base
 }
 
 // nextOrd tags one emitted row with (curBase, run-length sequence).
@@ -140,6 +154,7 @@ func (p *batchProbe) nextOrd() rowOrd {
 // rows, not a whole batch.
 func (s *Scan) NextBatch(b *Batch) error {
 	b.Reset()
+	b.reserve(s.Table.Len()-s.pos, false)
 	for !b.Full() && s.pos < s.Table.Len() {
 		if err := s.gov.PollLeaf(); err != nil {
 			return err
@@ -165,6 +180,7 @@ func (s *MorselScan) NextBatch(b *Batch) error {
 			return err
 		}
 		if s.pos < s.end {
+			b.reserve(s.end-s.pos, true)
 			for !b.Full() && s.pos < s.end {
 				// Per-row ticker poll, same rationale as Scan.NextBatch.
 				if err := s.gov.PollLeaf(); err != nil {
@@ -240,6 +256,7 @@ func (p *Project) NextBatch(b *Batch) error {
 		return nil
 	}
 	p.stats.addIn(int64(n))
+	b.reserve(n, p.scratch.hasOrds)
 	width := len(p.evals)
 	if b.transient && len(p.out) >= n*width {
 		recycle(p.out)
@@ -327,10 +344,10 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 			}
 			e := &j.build.entries[j.next-1]
 			j.next = e.next
-			if !keysEqual(e.keys, j.curKeys) {
-				continue
+			if e.hash != j.curHash || !keysEqual(e.keys, j.curKeys) {
+				continue // the bucket's other keys, of this hash or another
 			}
-			out := j.bp.carve(width, b.Cap())
+			out := j.bp.carve(width, b)
 			j.emit(out, j.curLeft, e.row)
 			b.AppendOrd(out, j.bp.nextOrd())
 		}
@@ -351,6 +368,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 				return nil
 			}
 			j.stats.addIn(int64(pn))
+			b.reserve(pn, true)
 			j.bp.idx = 0
 			if err := j.prehash(pn); err != nil {
 				return err
@@ -362,7 +380,8 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 		if keys == nil {
 			continue // NULL join keys never join
 		}
-		j.next, j.curKeys, j.curLeft = j.build.lookup(j.probeHash[i]), keys, j.bp.probe.Row(i)
+		j.curHash = j.probeHash[i]
+		j.next, j.curKeys, j.curLeft = j.build.lookup(j.curHash), keys, j.bp.probe.Row(i)
 		j.bp.curBase = j.bp.probe.Ord(i).base
 	}
 }
@@ -448,6 +467,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 // *pos; the shared emission path of Sort/HashAggregate/Gather.
 func emitMaterialized(b *Batch, rows [][]value.Value, pos *int, s *OpStats) {
 	b.Reset()
+	b.reserve(len(rows)-*pos, false)
 	for !b.Full() && *pos < len(rows) {
 		b.Append(rows[*pos])
 		*pos++

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"conquer/internal/schema"
@@ -244,15 +245,40 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if j.build != nil || build.entries != nil || build.heads != nil {
-		t.Error("a closed HashJoin keeps its build's entry vector")
+		t.Error("a closed HashJoin keeps its build's entry vector or head vector")
+	}
+	// So does a partitioned parallel build's.
+	pj := buildJoin(t, fact, dim, 4, 16)
+	if err := pj.Open(); err != nil {
+		t.Fatal(err)
+	}
+	build = pj.build
+	if err := pj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pj.build != nil || build.entries != nil || build.heads != nil {
+		t.Error("a closed parallel HashJoin keeps its build's entry vector or head vector")
 	}
 	// A closed aggregate holds neither its output rows nor the block they
-	// are carved from.
-	agg := buildAgg(t, fact, 1, 0)
-	if rows, _, err := CollectBatchesGoverned(agg, nil, DefaultBatchSize); err != nil || len(rows) != dim.Len() {
-		t.Fatalf("aggregate: %d groups, %v", len(rows), err)
-	}
-	if agg.out != nil {
-		t.Error("a closed HashAggregate keeps its output block")
+	// are carved from, nor — serial or parallel — any accumulator, head
+	// vector or group state: no field of it reaches an aggState.
+	for _, par := range []int{1, 4} {
+		agg := buildAgg(t, fact, par, 256)
+		if rows, _, err := CollectBatchesGoverned(agg, nil, DefaultBatchSize); err != nil || len(rows) != dim.Len() {
+			t.Fatalf("aggregate: %d groups, %v", len(rows), err)
+		}
+		if agg.out != nil {
+			t.Error("a closed HashAggregate keeps its output block")
+		}
+		v := reflect.ValueOf(agg).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch f.Type() {
+			case reflect.TypeOf(&aggAcc{}), reflect.TypeOf([]*aggAcc{}), reflect.TypeOf(&aggState{}), reflect.TypeOf([]*aggState{}):
+				if !f.IsNil() {
+					t.Errorf("a closed HashAggregate at parallelism %d keeps %s", par, v.Type().Field(i).Name)
+				}
+			}
+		}
 	}
 }

@@ -14,14 +14,15 @@ import (
 var raceEnabled = false
 
 // The join build and the aggregate allocate per block, not per key: the
-// build's entries sit in one vector with each bucket chained through it,
-// the groups chain through the states their arena carves, and the grouped
-// rows are carved from one block. Doubling the distinct keys from 4,000 to
-// 8,000 must add fewer than one allocation per 50 keys, serially and with
-// the parallel arms running. What it does add is blocks: a Go map that
-// grows to 8,000 keys allocates about 33 times more than one of 4,000, and
-// each worker's arena takes one more block. A slice per key added about
-// 4,000 for the join and 8,000 to 12,000 for the groups.
+// build's entries sit in one vector with each bucket chained through it
+// from one head vector, the groups chain through the states their arena
+// carves, and the grouped rows are carved from one block. Doubling the
+// distinct keys from 4,000 to 8,000 must add fewer than one allocation per
+// 50 keys, serially and with the parallel arms running. What it does add
+// is blocks: each arena, head vector and worker partition takes one more
+// (+5 to +11; while the heads were Go maps, a map's growth made it +22 to
+// +58). A slice per key added about 4,000 for the join and 8,000 to 12,000
+// for the groups.
 func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the program's under -race")
@@ -155,5 +156,146 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// collidingKeys returns n distinct integer keys whose value.HashRow agree
+// in their low 16 bits, found by search: every head vector of the tables
+// below is shorter than 1<<16 slots, so under any of their masks the keys
+// share one bucket, though their full hashes differ.
+func collidingKeys(t *testing.T, n int) []int64 {
+	t.Helper()
+	byLow := make(map[uint64][]int64)
+	for i := int64(0); i < 1<<22; i++ {
+		low := value.HashRow([]value.Value{value.Int(i)}) & 0xFFFF
+		byLow[low] = append(byLow[low], i)
+		if keys := byLow[low]; len(keys) == n {
+			return keys
+		}
+	}
+	t.Fatalf("no %d keys share their low hash bits", n)
+	return nil
+}
+
+// Both hash tables keep one power-of-two vector of bucket heads, so one
+// bucket holds keys of different hashes. Twelve keys that share one bucket
+// under every mask the tables use — a thirteenth, also in it, appears on
+// the probe side only — must still stay apart: a join build, serial and
+// partitioned over 4 workers, matches no probe key to another key's rows
+// and emits each bucket's rows in build-input order (the nested loop's
+// rows in its order); a GROUP BY, serial and parallel, keeps twelve groups,
+// counted and summed apart, in first-appearance order. The twelve groups
+// outgrow an accumulator's first head vector, so the aggregate relinks its
+// chains once on the way.
+func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
+	keys := collidingKeys(t, 13)
+	kv := func(i int) value.Value { return value.Int(keys[i]) }
+	mk := func(name string, cols ...string) *storage.Table {
+		sc := make([]schema.Column, len(cols))
+		for i, c := range cols {
+			sc[i] = schema.Column{Name: c, Type: value.KindInt}
+		}
+		return storage.NewTable(schema.MustRelation(name, sc...))
+	}
+	// Build rows cycle through the twelve keys four times in a shuffled
+	// order; probe rows cycle through all thirteen, about twice.
+	build, probe := mk("build", "k", "seq"), mk("probe", "k", "id")
+	for r := 0; r < 48; r++ {
+		build.MustInsert(kv((r*5)%12), value.Int(int64(r)))
+	}
+	for r := 0; r < 25; r++ {
+		probe.MustInsert(kv((r*7)%13), value.Int(int64(r)))
+	}
+	want := nestedLoop(probe, build, func(l, r []value.Value) bool { return value.Equal(l[0], r[0]) })
+	if len(want) != 12*4*2-4 {
+		t.Fatalf("nested loop: %d rows", len(want))
+	}
+	for _, par := range []int{1, 4} {
+		if par > 1 {
+			if parts, _, ok := splitPipeline(NewScan(build, "b"), par, 3); !ok || len(parts) != par {
+				t.Fatalf("the build splits into %d parts, want %d", len(parts), par)
+			}
+		}
+		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"),
+			exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
+		j.Parallelism, j.MorselSize = par, 3
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		slot := value.HashRow([]value.Value{kv(0)}) & j.build.mask
+		for i := range keys {
+			if h := value.HashRow([]value.Value{kv(i)}); h&j.build.mask != slot {
+				t.Fatalf("join build, parallelism %d: key %d is not in key 0's bucket", par, i)
+			}
+		}
+		var got [][]value.Value
+		b := NewBatch(DefaultBatchSize)
+		for {
+			if err := j.NextBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				break
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, b.Row(i))
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("join build/parallelism %d", par), func(t *testing.T) { requireSameRows(t, want, got) })
+	}
+
+	// The groups in first appearance, with their row counts and sums.
+	type group struct{ k, n, sum int64 }
+	var wantGroups []group
+	at := map[int64]int{}
+	for r, row := range build.Rows() {
+		k := row[0].AsInt()
+		i, ok := at[k]
+		if !ok {
+			i, at[k] = len(wantGroups), len(wantGroups)
+			wantGroups = append(wantGroups, group{k: k})
+		}
+		wantGroups[i].n++
+		wantGroups[i].sum += int64(r)
+	}
+	for _, par := range []int{1, 4} {
+		a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(build, "b"),
+			exprs(colRef("b", "k")), []ColInfo{{Name: "k", Type: value.KindInt}},
+			[]AggSpec{
+				{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
+				{Func: AggSum, Arg: colRef("b", "seq"), Col: ColInfo{Name: "s", Type: value.KindInt}},
+			}))
+		a.Parallelism, a.MorselSize = par, 3
+		rows := mustCollect(t, a)
+		if len(rows) != len(wantGroups) {
+			t.Fatalf("GROUP BY, parallelism %d: %d groups, want %d", par, len(rows), len(wantGroups))
+		}
+		for i, g := range wantGroups {
+			want := []value.Value{value.Int(g.k), value.Int(g.n), value.Int(g.sum)}
+			if !value.RowsIdentical(rows[i], want) {
+				t.Errorf("GROUP BY, parallelism %d: group %d = %v, want %v", par, i, rows[i], want)
+			}
+		}
+	}
+	// The accumulator the serial pass fills holds all twelve groups in one
+	// chain of a head vector it has doubled.
+	a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(build, "b"),
+		exprs(colRef("b", "k")), []ColInfo{{Name: "k", Type: value.KindInt}}, nil))
+	acc := a.newAcc()
+	if err := a.fill(acc, NewScan(build, "b"), nil); err != nil {
+		t.Fatal(err)
+	}
+	used := 0
+	for _, st := range acc.heads {
+		if st != nil {
+			used++
+		}
+	}
+	if len(acc.heads) <= aggFirstHeads || used != 1 || len(acc.order) != 12 {
+		t.Errorf("the accumulator has %d head slots, %d of them used, and %d groups; want more than %d, 1 and 12",
+			len(acc.heads), used, len(acc.order), aggFirstHeads)
 	}
 }

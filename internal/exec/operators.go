@@ -250,6 +250,7 @@ type HashJoin struct {
 	build   *joinBuild
 	shard   bool          // probe shard sharing a split-time build
 	next    int32         // link to the next build entry of the pending bucket, 0 at its end
+	curHash uint64        // hash of the pending probe keys
 	curKeys []value.Value // probe keys of the pending bucket
 	curLeft []value.Value
 
@@ -264,7 +265,7 @@ type HashJoin struct {
 // buildEntry is one row of joinBuild's entry vector: the row, its keys and
 // their hash, and next, the link to the next entry of its bucket. A link
 // is an index into the vector plus one, so that the zero value — of the
-// field and of a missing map key — ends a chain.
+// field and of an empty head slot — ends a chain.
 type buildEntry struct {
 	keys []value.Value
 	row  []value.Value
@@ -435,8 +436,9 @@ type HashAggregate struct {
 
 type aggState struct {
 	groupVals []value.Value
+	hash      uint64    // value.HashRow(groupVals)
 	ord       rowOrd    // first-appearance ordinal, orders the parallel merge
-	next      *aggState // the next group of the accumulator's hash bucket
+	next      *aggState // the next group of its hash bucket
 	count     []int64
 	sum       []float64
 	sumIsInt  []bool
@@ -480,11 +482,15 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 func (a *HashAggregate) Schema() RowSchema { return a.schema }
 
 // aggAcc is the accumulation state of one aggregation pass: the serial
-// pass uses one, each parallel worker builds its own. A hash bucket is a
-// chain of states through aggState.next, carved from the arena like the
-// states themselves, so a group costs no slice of its own.
+// pass uses one, each parallel worker builds its own. Its hash table is a
+// power-of-two vector of bucket heads; a bucket is a chain of states
+// through aggState.next, carved from the arena like the states themselves,
+// so a group costs no slice and no map slot of its own. A bucket holds the
+// groups whose hashes agree in the bits the vector's length keeps, so a
+// lookup compares the stored hash before the group values. The vector
+// doubles, relinking every group, when a group would outnumber its slots.
 type aggAcc struct {
-	groups  map[uint64]*aggState
+	heads   []*aggState
 	order   []*aggState // first-appearance order
 	scratch []value.Value
 	arena   aggArena
@@ -494,11 +500,45 @@ type aggAcc struct {
 	reserved int64
 }
 
+// aggFirstHeads is the length of an accumulator's first head vector.
+const aggFirstHeads = 8
+
 func (a *HashAggregate) newAcc() *aggAcc {
 	return &aggAcc{
-		groups:  make(map[uint64]*aggState),
+		heads:   make([]*aggState, aggFirstHeads),
+		order:   make([]*aggState, 0, aggFirstHeads),
 		scratch: make([]value.Value, len(a.groupEvs)),
 	}
+}
+
+// findGroup returns the state of group values gv, whose hash is h, in
+// heads, or nil when the group is new.
+func findGroup(heads []*aggState, h uint64, gv []value.Value) *aggState {
+	st := heads[h&uint64(len(heads)-1)]
+	for st != nil && (st.hash != h || !value.RowsIdentical(st.groupVals, gv)) {
+		st = st.next
+	}
+	return st
+}
+
+// chainGroup makes st the first state of its bucket in heads.
+func chainGroup(heads []*aggState, st *aggState) {
+	slot := st.hash & uint64(len(heads)-1)
+	st.next, heads[slot] = heads[slot], st
+}
+
+// add links the new group st into acc, doubling the head vector first when
+// the groups already fill it; the order vector grows alongside.
+func (acc *aggAcc) add(st *aggState) {
+	if len(acc.order) == len(acc.heads) {
+		acc.heads = make([]*aggState, 2*len(acc.heads))
+		for _, old := range acc.order {
+			chainGroup(acc.heads, old)
+		}
+		acc.order = slices.Grow(acc.order, len(acc.heads)-len(acc.order))
+	}
+	chainGroup(acc.heads, st)
+	acc.order = append(acc.order, st)
 }
 
 // aggArena carves aggState structs and their fixed-width slices from
@@ -575,11 +615,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 		gv[i] = v
 	}
 	h := value.HashRow(gv)
-	head := acc.groups[h]
-	st := head
-	for st != nil && !value.RowsIdentical(st.groupVals, gv) {
-		st = st.next
-	}
+	st := findGroup(acc.heads, h, gv)
 	if st != nil && ord.less(st.ord) {
 		// A sharded worker walks shards out of base-ordinal order, so a
 		// later row can carry an earlier ordinal; the group keeps the
@@ -589,8 +625,8 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 	if st == nil {
 		acc.pending++
 		st = a.newState(acc, gv, ord)
-		st.next, acc.groups[h] = head, st
-		acc.order = append(acc.order, st)
+		st.hash = h
+		acc.add(st)
 	}
 	for i, spec := range a.Aggs {
 		if a.argEvs[i] == nil { // COUNT(*)

@@ -542,10 +542,12 @@ type taggedEntry struct {
 // joinBuild is a hash-join build shared by one or more probe shards: the
 // first Open runs it (serially, or with partitioned parallel workers),
 // later opens reuse the result, and the table is released when the last
-// shard closes. The table is one vector of entries, each bucket a chain
-// through it in right-input order, and per partition a map from hash to
-// the link of its bucket's first entry: a key costs a map slot, not a
-// slice of its own.
+// shard closes. The table is one vector of entries and one power-of-two
+// vector of bucket heads, each the link of its bucket's first entry; a
+// bucket is the chain through the entries whose hashes agree in the bits
+// mask keeps, in right-input order. So a key costs a head slot, not a map
+// slot or a slice of its own, and a bucket can hold other hashes than the
+// probe's: the probe compares the stored hash before the keys.
 type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
@@ -558,8 +560,8 @@ type joinBuild struct {
 	refs     atomic.Int32
 	reserved atomic.Int64
 	entries  []buildEntry
-	heads    []map[uint64]int32
-	mask     uint64
+	heads    []int32
+	mask     uint64 // len(heads) - 1
 }
 
 // onceErr is a sync.Once that remembers the error of its single run.
@@ -594,20 +596,31 @@ func (b *joinBuild) run(gov *Governor) error {
 
 // lookup returns the link to the first entry of hash h's bucket.
 func (b *joinBuild) lookup(h uint64) int32 {
-	return b.heads[h&b.mask][h]
+	return b.heads[h&b.mask]
 }
 
-// link chains entries[lo:hi] into buckets by hash, each bucket in vector
-// order, and returns the bucket heads: walked backwards, every entry
-// becomes its bucket's first and points at the one it displaced. The map
-// is sized for one key per entry, so it never grows.
-func link(entries []buildEntry, lo, hi int) map[uint64]int32 {
-	heads := make(map[uint64]int32, hi-lo)
+// headSlots is the length of a head vector for n entries spread over p
+// partitions: the least power of two at least both, so a head vector is at
+// most half empty and the low bits of a slot name its partition.
+func headSlots(n, p int) int {
+	s := 1
+	for s < n || s < p {
+		s <<= 1
+	}
+	return s
+}
+
+// link chains entries[lo:hi] into heads by the bits of their hashes mask
+// keeps, each bucket in vector order: walked backwards, every entry becomes
+// its bucket's first and points at the one it displaced. It writes only the
+// slots of the hashes it links, so links over disjoint partitions of the
+// hash space write disjoint slots.
+func link(entries []buildEntry, lo, hi int, heads []int32, mask uint64) {
 	for i := hi - 1; i >= lo; i-- {
 		e := &entries[i]
-		e.next, heads[e.hash] = heads[e.hash], int32(i+1)
+		slot := e.hash & mask
+		e.next, heads[slot] = heads[slot], int32(i+1)
 	}
-	return heads
 }
 
 // close releases the build when the last referencing shard closes.
@@ -638,8 +651,10 @@ func (b *joinBuild) build(gov *Governor) error {
 	if err != nil {
 		return err
 	}
-	// Unpolled: a map store per row the polled drain has just reserved.
-	b.heads, b.mask = []map[uint64]int32{link(b.entries, 0, len(b.entries))}, 0
+	// Unpolled: a head store per row the polled drain has just reserved.
+	n := headSlots(len(b.entries), 1)
+	b.heads, b.mask = make([]int32, n), uint64(n-1)
+	link(b.entries, 0, len(b.entries), b.heads, b.mask)
 	return nil
 }
 
@@ -668,7 +683,7 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 		var kept int64
 		for i := 0; i < n; i++ {
 			row := bb.Row(i)
-			keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, b.batch))
+			keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, n, b.batch))
 			if err != nil {
 				return err
 			}
@@ -693,8 +708,9 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 // Each worker routes its entries into per-worker per-partition vectors
 // (no shared state), then one worker per partition sorts its partition's
 // entries by right-input ordinal into its own range of the entry vector
-// and links them there — so every bucket chains in exactly the serial
-// insertion order — without any locks.
+// and links them into the head slots whose low bits name the partition —
+// so every bucket chains in exactly the serial insertion order — without
+// any locks.
 func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 	w := len(parts)
 	p := 1
@@ -736,7 +752,8 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 		off[pi+1] += off[pi]
 	}
 	entries, sorted := make([]buildEntry, off[p]), make([]taggedEntry, off[p])
-	heads := make([]map[uint64]int32, p)
+	n := headSlots(off[p], p)
+	heads, headMask := make([]int32, n), uint64(n-1)
 	mergeErr := runWorkers(gov, min(w, p), func(i int, g *Governor) error {
 		for pi := i; pi < p; pi += w {
 			lo, hi := off[pi], off[pi+1]
@@ -751,14 +768,14 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 				}
 				entries[lo+k] = te.e
 			}
-			heads[pi] = link(entries, lo, hi)
+			link(entries, lo, hi, heads, headMask)
 		}
 		return nil
 	})
 	if mergeErr != nil {
 		return mergeErr
 	}
-	b.entries, b.heads, b.mask = entries, heads, mask
+	b.entries, b.heads, b.mask = entries, heads, headMask
 	return nil
 }
 
@@ -799,23 +816,18 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 	for _, acc := range accs {
 		total += len(acc.order)
 	}
-	groups, order := make(map[uint64]*aggState, total), make([]*aggState, 0, total)
+	heads, order := make([]*aggState, headSlots(total, 1)), make([]*aggState, 0, total)
 	var surplus int64
 	for _, acc := range accs {
 		for _, st := range acc.order {
 			if err := a.gov.Poll(); err != nil {
 				return err
 			}
-			h := value.HashRow(st.groupVals)
-			head := groups[h]
-			dst := head
-			for dst != nil && !value.RowsIdentical(dst.groupVals, st.groupVals) {
-				dst = dst.next
-			}
+			dst := findGroup(heads, st.hash, st.groupVals)
 			if dst == nil {
 				// st leaves its worker's chain for the merged one: the merge
 				// walks each worker's order, never its chains.
-				st.next, groups[h] = head, st
+				chainGroup(heads, st)
 				order = append(order, st)
 				continue
 			}

@@ -214,16 +214,3 @@ func (c *Catalog) Relation(name string) (*Relation, bool) {
 
 // Names returns the relation names in registration order.
 func (c *Catalog) Names() []string { return append([]string(nil), c.order...) }
-
-// Validate checks foreign keys: each must reference a catalog relation.
-func (c *Catalog) Validate() error {
-	for _, name := range c.order {
-		r := c.relations[name]
-		for _, fk := range r.ForeignKeys {
-			if _, ok := c.relations[fk.RefTable]; !ok {
-				return fmt.Errorf("schema: %s.%s references unknown relation %q", r.Name, fk.Column, fk.RefTable)
-			}
-		}
-	}
-	return nil
-}

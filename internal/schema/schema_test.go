@@ -175,21 +175,4 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "customer" || names[1] != "orders" {
 		t.Errorf("Names() = %v", names)
 	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestCatalogValidateDanglingFK(t *testing.T) {
-	c := NewCatalog()
-	ord := MustRelation("orders", Column{Name: "custfk", Type: value.KindString})
-	if err := ord.AddForeignKey("custfk", "ghost", "custid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add(ord); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error("dangling foreign key should fail validation")
-	}
 }
