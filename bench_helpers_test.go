@@ -6,7 +6,9 @@ import (
 	"conquer/internal/core"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
 	"conquer/internal/sqlparse"
+	"conquer/internal/value"
 )
 
 // Thin adapters keeping bench_test.go readable: one method, forced, on an
@@ -26,4 +28,13 @@ func coreExact(d *dirty.DB, q *sqlparse.SelectStmt) (*core.Result, error) {
 
 func coreMonteCarlo(d *dirty.DB, q *sqlparse.SelectStmt, n int) (*core.Result, error) {
 	return evalMethod(d, q, core.EvalOptions{Method: core.MethodMonteCarlo, Samples: n, Seed: 1})
+}
+
+// collectTree runs an operator tree to completion under a fresh governor
+// with no limits.
+func collectTree(op exec.Operator) ([][]value.Value, error) {
+	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	exec.Attach(op, gov)
+	rows, _, err := exec.CollectBatchesGoverned(op, gov, 0)
+	return rows, err
 }

@@ -221,7 +221,7 @@ func BenchmarkAblationTopN(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows, err := exec.Collect(exec.NewLimit(srt, 10))
+			rows, err := collectTree(exec.NewLimit(srt, 10))
 			if err != nil || len(rows) != 10 {
 				b.Fatalf("rows=%d err=%v", len(rows), err)
 			}
@@ -234,7 +234,7 @@ func BenchmarkAblationTopN(b *testing.B) {
 				b.Fatal(err)
 			}
 			top.Limit = 10
-			rows, err := exec.Collect(top)
+			rows, err := collectTree(top)
 			if err != nil || len(rows) != 10 {
 				b.Fatalf("rows=%d err=%v", len(rows), err)
 			}

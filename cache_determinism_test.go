@@ -105,11 +105,11 @@ func TestCacheMutationForcesMiss(t *testing.T) {
 	c := cache.New(cache.Options{MaxBytes: 256 << 20, Registry: metrics.NewRegistry()})
 	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Cache: c})
 	const q = "select c_mktsegment, count(*) from customer group by c_mktsegment order by c_mktsegment"
-	r1, err := eng.Query(q)
+	r1, err := eng.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.Query(q)
+	r2, err := eng.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCacheMutationForcesMiss(t *testing.T) {
 	}
 	row := append([][]value.Value{}, tb.Rows()...)[0]
 	tb.MustInsert(row...)
-	r3, err := eng.Query(q)
+	r3, err := eng.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

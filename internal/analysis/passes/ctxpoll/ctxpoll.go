@@ -10,7 +10,7 @@
 // call (directly or in a callee loop such as drainBatches). The
 // morsel-driven parallel layer (DESIGN.md §9) moves row loops into
 // worker goroutines, so the same rule applies to every function literal
-// spawned with a go statement or handed to runWorkers — otherwise a
+// spawned with a go statement or handed to qerr.Pool — otherwise a
 // worker could spin past a cancellation the coordinator already
 // observed. Loops that are genuinely bounded — fixed-width schema
 // iteration, per-column work — carry a "//lint:allow ctxpoll"
@@ -200,7 +200,7 @@ func checkPullerLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // checkWorkerFuncs reports unpolled loops inside worker function
 // literals: literals launched with a go statement or passed to
-// runWorkers anywhere in fd.
+// qerr.Pool anywhere in fd.
 func checkWorkerFuncs(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -209,7 +209,7 @@ func checkWorkerFuncs(pass *analysis.Pass, fd *ast.FuncDecl) {
 				checkWorkerLoops(pass, fd, lit)
 			}
 		case *ast.CallExpr:
-			if isRunWorkers(n.Fun) {
+			if isPool(n.Fun) {
 				for _, arg := range n.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
 						checkWorkerLoops(pass, fd, lit)
@@ -221,10 +221,15 @@ func checkWorkerFuncs(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// isRunWorkers matches a direct call to the exec worker-pool helper.
-func isRunWorkers(fun ast.Expr) bool {
-	id, ok := fun.(*ast.Ident)
-	return ok && id.Name == "runWorkers"
+// isPool matches a call of the worker pool the executor runs on,
+// qerr.Pool.
+func isPool(fun ast.Expr) bool {
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Pool" {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "qerr"
 }
 
 // checkWorkerLoops is checkLoops for a worker function literal.

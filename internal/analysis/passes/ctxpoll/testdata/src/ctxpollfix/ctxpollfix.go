@@ -72,15 +72,23 @@ func (g *GoodAnnotated) describe() int {
 	return n
 }
 
-// runWorkers stands in for the real exec worker-pool helper.
-func runWorkers(n int, fn func(w int, gov *governor) error) error {
+// pool stands in for package qerr, whose Pool runs the exec worker pools;
+// the analyzer matches the call qerr.Pool by its spelling.
+type pool struct{}
+
+func (pool) Pool(ctx any, n int, fn func(ctx any, w int) error) error {
 	for w := 0; w < n; w++ { //lint:allow ctxpoll -- bounded by worker count
-		if err := fn(w, &governor{}); err != nil {
+		if err := fn(ctx, w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+var qerr pool
+
+// fork stands in for Governor.Fork.
+func fork(any) *governor { return &governor{} }
 
 // BadGoWorker launches a goroutine whose row loop never polls — under
 // the parallel layer such a worker outlives cancellation by its whole
@@ -96,10 +104,10 @@ func BadGoWorker(rows []Row) {
 	<-done
 }
 
-// BadPoolWorker hands runWorkers a loop that never polls its forked
+// BadPoolWorker hands qerr.Pool a loop that never polls its forked
 // governor.
 func BadPoolWorker(rows []Row) error {
-	return runWorkers(2, func(w int, gov *governor) error {
+	return qerr.Pool(nil, 2, func(ctx any, w int) error {
 		for _, r := range rows { // want `worker function spawned by BadPoolWorker does not poll`
 			_ = r
 		}
@@ -109,7 +117,8 @@ func BadPoolWorker(rows []Row) error {
 
 // GoodPoolWorker polls the forked governor at the top of its row loop.
 func GoodPoolWorker(rows []Row) error {
-	return runWorkers(2, func(w int, gov *governor) error {
+	return qerr.Pool(nil, 2, func(ctx any, w int) error {
+		gov := fork(ctx)
 		for _, r := range rows {
 			if err := gov.Poll(); err != nil {
 				return err
@@ -269,7 +278,8 @@ type goodGather struct {
 // Open runs the partial pipelines.
 func (g *goodGather) Open() error {
 	batches := make([][]Row, 2)
-	err := runWorkers(2, func(w int, gov *governor) error {
+	err := qerr.Pool(nil, 2, func(ctx any, w int) error {
+		gov := fork(ctx)
 		for {
 			if err := gov.Poll(); err != nil {
 				return err

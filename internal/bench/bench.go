@@ -128,7 +128,10 @@ func Fig7(sf, scale float64, ifs []int, seed int64, reps int) ([]Fig7Row, error)
 					return probcalc.AnnotateTableCtx(context.Background(), li, nil, nil, 1)
 				},
 				func() error {
-					rows, err := exec.Collect(exec.NewScan(li, "l"))
+					scan := exec.NewScan(li, "l")
+					gov := exec.NewGovernor(context.Background(), exec.Limits{})
+					exec.Attach(scan, gov)
+					rows, _, err := exec.CollectBatchesGoverned(scan, gov, 0)
 					row.ScanRows = len(rows)
 					return err
 				})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"strings"
@@ -155,8 +156,9 @@ func fig9GroupedRows(t *testing.T, ifv int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec.Instrument(op)
-	if _, err := exec.Collect(op); err != nil {
+	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	exec.Attach(op, gov)
+	if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range exec.StatsTree(op) {

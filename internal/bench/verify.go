@@ -91,10 +91,15 @@ func Verify(seed int64, tol float64) ([]VerifyResult, error) {
 // a fresh engine, and each candidate's distinct answers weighted by its
 // probability.
 func stepByStep(d *dirty.DB, stmt *sqlparse.SelectStmt) ([]core.Answer, error) {
+	cs, err := d.Candidates()
+	if err != nil {
+		return nil, err
+	}
 	var out []core.Answer
 	var runErr error
-	err := d.EnumerateCandidates(0, func(c *dirty.Candidate) bool {
-		world, err := d.Materialize(c)
+	ctx := context.Background()
+	err = cs.Enumerate(ctx, 0, func(c *dirty.Candidate) bool {
+		world, err := d.MaterializeCtx(ctx, c)
 		if err == nil {
 			var res *engine.Result
 			if res, err = engine.New(world).QueryStmt(stmt); err == nil {

@@ -28,8 +28,12 @@ func TestExpectedCountMatchesEnumeration(t *testing.T) {
 	// every candidate; c2 only in those that pick Mary (probability 0.2),
 	// so the expectation is 1.2.
 	want := 0.0
-	err = d.EnumerateCandidates(0, func(c *dirty.Candidate) bool {
-		world, merr := d.Materialize(c)
+	cs, err := d.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cs.Enumerate(context.Background(), 0, func(c *dirty.Candidate) bool {
+		world, merr := d.MaterializeCtx(context.Background(), c)
 		if merr != nil {
 			t.Fatal(merr)
 		}

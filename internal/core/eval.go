@@ -164,9 +164,12 @@ func (ev Evaluator) rungs() engine.Options {
 // evalKey fingerprints the statement and everything that changes the
 // answer or the path to it into the cache key of one evaluation: the
 // method, the sampling options, the budget, and the resolved parallelism,
-// shard count and batch size — the engine settings its result key carries,
-// because parallel partial aggregation re-associates the rewriting's SUM,
-// so answers are byte-identical only at one worker count (DESIGN.md §11).
+// shard count and batch size — the engine settings its result key carries.
+// Answers and their order are identical at every setting, but a
+// probability the rewriting's float SUM computes may differ in its last
+// bits from run to run, even at one worker count, because parallel
+// partial aggregation re-associates the sum in the order workers win
+// morsels (DESIGN.md §11, ROADMAP item 1).
 func evalKey(stmt *sqlparse.SelectStmt, opts EvalOptions, o engine.Options) string {
 	norm := stmt.SQL()
 	var b strings.Builder

@@ -110,8 +110,12 @@ func (acc *oracleAcc) into(res *Result) *Result {
 
 func oracleExact(ctx context.Context, d *dirty.DB, stmt *sqlparse.SelectStmt, lim exec.Limits) (*Result, error) {
 	acc, res := &oracleAcc{byHash: map[uint64][]int{}}, &Result{Method: MethodExact}
+	cs, err := d.Candidates()
+	if err != nil {
+		return nil, err
+	}
 	var werr error
-	err := d.EnumerateCandidatesCtx(ctx, lim.MaxCandidates, func(c *dirty.Candidate) bool {
+	err = cs.Enumerate(ctx, lim.MaxCandidates, func(c *dirty.Candidate) bool {
 		werr = oracleWorld(ctx, d, stmt, c, lim, acc, res, c.Prob)
 		return werr == nil
 	})
@@ -452,7 +456,7 @@ func TestEstimateAggregateMatchesStepByStepOracle(t *testing.T) {
 	c := cs.NewCandidate()
 	for i := 0; i < n; i++ {
 		cs.Sample(rng, c)
-		world, err := d.Materialize(c)
+		world, err := d.MaterializeCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

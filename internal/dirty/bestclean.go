@@ -54,36 +54,3 @@ func (d *DB) CleanByBestTuple() (*storage.DB, error) {
 	}
 	return out, nil
 }
-
-// MostLikelyCandidate returns the globally most probable candidate
-// database. Because clusters are independent, it coincides with choosing
-// each cluster's best tuple; the probability of that one candidate is the
-// product of the winners' probabilities — usually vanishingly small,
-// which is the quantitative version of the paper's argument that
-// committing to a single cleaning discards almost all probability mass.
-func (d *DB) MostLikelyCandidate() (*Candidate, error) {
-	cs, err := d.Candidates()
-	if err != nil {
-		return nil, err
-	}
-	cand := cs.NewCandidate()
-	cand.Prob = 1
-	for _, rc := range cs {
-		chosen := cand.Chosen[rc.rel]
-		for ci, cluster := range rc.clusters {
-			best, bestP := -1, -1.0
-			for _, ri := range cluster.Rows {
-				pv := rc.table.Row(ri)[rc.probIdx]
-				if pv.IsNull() || !pv.IsNumeric() {
-					return nil, fmt.Errorf("dirty: %s row %d has no probability", rc.rel, ri)
-				}
-				if p := pv.AsFloat(); p > bestP {
-					best, bestP = ri, p
-				}
-			}
-			chosen[ci] = best
-			cand.Prob *= bestP
-		}
-	}
-	return cand, nil
-}

@@ -357,28 +357,8 @@ func (cs Candidates) NewCandidate() *Candidate {
 }
 
 // EnumerateLimit is the default cap on how many candidate databases
-// EnumerateCandidates will visit before giving up.
+// Enumerate will visit before giving up.
 const EnumerateLimit = 1 << 22
-
-// EnumerateCandidates visits every candidate database (Dfn 3), calling fn
-// with each candidate and its probability. fn returning false stops the
-// enumeration early. It fails upfront when the candidate count exceeds
-// limit (pass 0 for EnumerateLimit); exact enumeration is meant for
-// verification on small databases, with the rewriting or Monte-Carlo
-// evaluators covering the rest.
-func (d *DB) EnumerateCandidates(limit int64, fn func(c *Candidate) bool) error {
-	return d.EnumerateCandidatesCtx(context.Background(), limit, fn)
-}
-
-// EnumerateCandidatesCtx is EnumerateCandidates under a context; see
-// Candidates.Enumerate.
-func (d *DB) EnumerateCandidatesCtx(ctx context.Context, limit int64, fn func(c *Candidate) bool) error {
-	cs, err := d.Candidates()
-	if err != nil {
-		return err
-	}
-	return cs.Enumerate(ctx, limit, fn)
-}
 
 // CheckLimit fails with a qerr.ErrTooManyCandidates error when cs has more
 // candidate databases than limit (pass 0 for EnumerateLimit): the refusal
@@ -550,16 +530,11 @@ func (w *World) Fill(ctx context.Context, c *Candidate) error {
 	return nil
 }
 
-// Materialize builds a database holding exactly the candidate's chosen
-// tuples for dirty relations and every tuple of clean relations. Schemas
-// and the clean relations' tables are shared with the source, so the
-// result is for querying, not for mutation.
-func (d *DB) Materialize(c *Candidate) (*storage.DB, error) {
-	return d.MaterializeCtx(context.Background(), c)
-}
-
-// MaterializeCtx is Materialize under a context: a one-candidate World
-// over every relation.
+// MaterializeCtx builds a database holding exactly the candidate's chosen
+// tuples for dirty relations and every tuple of clean relations, polling
+// ctx: a one-candidate World over every relation. Schemas and the clean
+// relations' tables are shared with the source, so the result is for
+// querying, not for mutation.
 func (d *DB) MaterializeCtx(ctx context.Context, c *Candidate) (*storage.DB, error) {
 	w, err := d.NewWorld(d.Store.TableNames())
 	if err != nil {

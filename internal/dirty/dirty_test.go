@@ -1,6 +1,7 @@
 package dirty
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -249,11 +250,21 @@ func TestCandidateCount(t *testing.T) {
 }
 
 // Paper Example 3: the eight candidate probabilities.
+// enumerate visits every candidate database of d: Candidates, then
+// Candidates.Enumerate without a deadline.
+func enumerate(d *DB, limit int64, fn func(c *Candidate) bool) error {
+	cs, err := d.Candidates()
+	if err != nil {
+		return err
+	}
+	return cs.Enumerate(context.Background(), limit, fn)
+}
+
 func TestEnumerateCandidatesProbabilities(t *testing.T) {
 	d := figure2DB(t, true)
 	var probs []float64
 	total := 0.0
-	err := d.EnumerateCandidates(0, func(c *Candidate) bool {
+	err := enumerate(d, 0, func(c *Candidate) bool {
 		probs = append(probs, c.Prob)
 		total += c.Prob
 		// Every candidate picks exactly one row per cluster.
@@ -287,7 +298,7 @@ func TestEnumerateCandidatesProbabilities(t *testing.T) {
 func TestEnumerateEarlyStop(t *testing.T) {
 	d := figure2DB(t, true)
 	count := 0
-	err := d.EnumerateCandidates(0, func(c *Candidate) bool {
+	err := enumerate(d, 0, func(c *Candidate) bool {
 		count++
 		return count < 3
 	})
@@ -301,7 +312,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 
 func TestEnumerateLimitExceeded(t *testing.T) {
 	d := figure2DB(t, true)
-	if err := d.EnumerateCandidates(4, func(*Candidate) bool { return true }); err == nil {
+	if err := enumerate(d, 4, func(*Candidate) bool { return true }); err == nil {
 		t.Error("limit 4 < 8 candidates should fail")
 	}
 }
@@ -309,8 +320,8 @@ func TestEnumerateLimitExceeded(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	d := figure2DB(t, true)
 	var first *storage.DB
-	err := d.EnumerateCandidates(0, func(c *Candidate) bool {
-		m, err := d.Materialize(c)
+	err := enumerate(d, 0, func(c *Candidate) bool {
+		m, err := d.MaterializeCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,8 +353,8 @@ func TestMaterializeKeepsCleanRelations(t *testing.T) {
 	n := d.Store.MustCreateTable(nS)
 	n.MustInsert(value.Str("CANADA"))
 	n.MustInsert(value.Str("USA"))
-	err := d.EnumerateCandidates(0, func(c *Candidate) bool {
-		m, err := d.Materialize(c)
+	err := enumerate(d, 0, func(c *Candidate) bool {
+		m, err := d.MaterializeCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +492,7 @@ func TestCandidateProbIsProductOfChosen(t *testing.T) {
 		return prod
 	}
 	seen := 0
-	err := d.EnumerateCandidates(0, func(c *Candidate) bool {
+	err := enumerate(d, 0, func(c *Candidate) bool {
 		seen++
 		if want := recompute(c); math.Abs(c.Prob-want) > 1e-12 {
 			t.Errorf("enumerated candidate %v: Prob = %v, want %v", c.Chosen, c.Prob, want)
@@ -647,25 +658,41 @@ func TestCleanByBestTupleRequiresProbabilities(t *testing.T) {
 	}
 }
 
+// The most likely candidate database is the best-tuple cleaning: clusters
+// are independent, so no candidate is more probable than the one holding
+// each cluster's best tuple, whose probability is the product of theirs.
 func TestMostLikelyCandidate(t *testing.T) {
 	d := figure2DB(t, true)
-	c, err := d.MostLikelyCandidate()
+	clean, err := d.CleanByBestTuple()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mass := 1.0
+	for _, name := range clean.TableNames() {
+		tb, _ := clean.Table(name)
+		if !tb.Schema.IsDirty() {
+			continue
+		}
+		for _, row := range tb.Rows() {
+			mass *= row[tb.Schema.ProbIndex()].AsFloat()
+		}
+	}
 	// Winners' probabilities: orders 1 * 0.5, customer 0.7 * 0.8 = 0.28.
 	want := 1 * 0.5 * 0.7 * 0.8
-	if math.Abs(c.Prob-want) > 1e-9 {
-		t.Errorf("P(best candidate) = %v, want %v", c.Prob, want)
+	if math.Abs(mass-want) > 1e-9 {
+		t.Errorf("P(best candidate) = %v, want %v", mass, want)
 	}
-	// Chosen rows match the per-cluster winners.
-	if c.Chosen["customer"][0] != 0 || c.Chosen["customer"][1] != 3 {
-		t.Errorf("customer winners: %v", c.Chosen["customer"])
+	best := 0.0
+	if err := enumerate(d, 0, func(c *Candidate) bool { best = math.Max(best, c.Prob); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(best-mass) > 1e-9 {
+		t.Errorf("the most probable candidate has P = %v, the best-tuple cleaning %v", best, mass)
 	}
 	// Even the most likely single candidate covers under a third of the
 	// probability mass — the paper's argument against committing to one.
-	if c.Prob >= 0.5 {
-		t.Errorf("best candidate mass %v unexpectedly dominant", c.Prob)
+	if mass >= 0.5 {
+		t.Errorf("best candidate mass %v unexpectedly dominant", mass)
 	}
 }
 

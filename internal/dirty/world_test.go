@@ -152,7 +152,7 @@ func TestCandidatesOfRefusesInvalidProbability(t *testing.T) {
 // index the enumeration builds.
 func TestEnumerateLimitMessage(t *testing.T) {
 	d := figure2DB(t, true)
-	err := d.EnumerateCandidates(4, func(*Candidate) bool { return true })
+	err := enumerate(d, 4, func(*Candidate) bool { return true })
 	if !errors.Is(err, qerr.ErrTooManyCandidates) ||
 		!strings.Contains(err.Error(), "dirty: 8 candidate databases exceed enumeration limit 4") {
 		t.Fatalf("error = %v", err)
@@ -224,7 +224,7 @@ func TestWorldFillsInPlace(t *testing.T) {
 		t.Error("a clean relation should keep its shard view inside a world")
 	}
 	seen := map[string]bool{}
-	err = d.EnumerateCandidates(0, func(c *Candidate) bool {
+	err = enumerate(d, 0, func(c *Candidate) bool {
 		v := cust.Version()
 		if err := w.Fill(context.Background(), c); err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestWorldFillsInPlace(t *testing.T) {
 // wrapped.
 func TestWorldFillFailures(t *testing.T) {
 	d := figure2DB(t, true)
-	c, err := d.MostLikelyCandidate()
+	c, err := d.Sample(rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

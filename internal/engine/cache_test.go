@@ -25,14 +25,14 @@ func newCachedEngine(t testing.TB, log *metrics.QueryLog) (*Engine, *cache.Cache
 func TestCachedQueryReturnsIdenticalRows(t *testing.T) {
 	e, c := newCachedEngine(t, nil)
 	const q = "select id, sum(prob) from customer where balance > 10000 group by id"
-	cold, err := e.Query(q)
+	cold, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Cached {
 		t.Fatal("first execution must not be a cache hit")
 	}
-	warm, err := e.Query(q)
+	warm, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCachedQueryReturnsIdenticalRows(t *testing.T) {
 func TestMutationInvalidatesCachedResult(t *testing.T) {
 	e, _ := newCachedEngine(t, nil)
 	const q = "select count(*) from customer"
-	r1, err := e.Query(q)
+	r1, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMutationInvalidatesCachedResult(t *testing.T) {
 	// stale and the next query must re-execute against fresh data.
 	tb, _ := e.db.Table("customer")
 	tb.MustInsert(value.Str("c3"), value.Str("m5"), value.Str("Ann"), value.Float(100), value.Float(1))
-	r2, err := e.Query(q)
+	r2, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestMutationInvalidatesCachedResult(t *testing.T) {
 
 func TestVariantSpellingsShareOneCacheEntry(t *testing.T) {
 	e, c := newCachedEngine(t, nil)
-	if _, err := e.Query("select id from customer where balance > 10000"); err != nil {
+	if _, err := e.QueryCtx(context.Background(), "select id from customer where balance > 10000"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("SELECT  ID   FROM Customer  WHERE Balance > 10000")
+	res, err := e.QueryCtx(context.Background(), "SELECT  ID   FROM Customer  WHERE Balance > 10000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestVariantSpellingsShareOneCacheEntry(t *testing.T) {
 func TestParallelismIsPartOfTheCacheKey(t *testing.T) {
 	e, c := newCachedEngine(t, nil)
 	const q = "select sum(balance) from customer"
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	// A second engine over the same store and cache, two workers.
 	e2 := NewWithOptions(e.DB(), Options{Cache: c, Parallelism: 2})
-	res, err := e2.Query(q)
+	res, err := e2.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func TestQueryLogRecordsCachedFlag(t *testing.T) {
 	log := metrics.NewQueryLog(&buf)
 	e, _ := newCachedEngine(t, log)
 	const q = "select id from customer"
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -187,11 +187,11 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	c := cache.New(cache.Options{MaxBytes: 1, Registry: metrics.NewRegistry()})
 	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1})
 	const q = "select count(*) from customer"
-	r1, err := e.Query(q)
+	r1, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Query(q)
+	r2, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	// changes planning, so plans refresh on any version bump.
 	tb, _ := e.db.Table("customer")
 	tb.MustInsert(value.Str("c9"), value.Str("m9"), value.Str("Zoe"), value.Float(1), value.Float(1))
-	r3, err := e.Query(q)
+	r3, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestUncachedEngineUnchanged(t *testing.T) {
 	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != 1 || o.BatchSize != exec.DefaultBatchSize {
 		t.Fatalf("options %+v: want no cache, the parallelism asked for, one shard and the default batch size", o)
 	}
-	res, err := e.Query("select id from customer")
+	res, err := e.QueryCtx(context.Background(), "select id from customer")
 	if err != nil {
 		t.Fatal(err)
 	}

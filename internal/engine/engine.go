@@ -37,10 +37,13 @@ type Options struct {
 	Parallelism int
 	// Shards is the cluster-shard count parallel scans claim morsels
 	// from; 0 defaults to runtime.GOMAXPROCS(0), and it resolves to 1
-	// (unsharded scans) when Parallelism resolves to 1 or less. Results
-	// are byte-identical at every shard count (DESIGN.md §14), so this
-	// tunes only scheduling. The views are the tables' own
-	// (storage.Table.Sharded), shared by every engine over the store.
+	// (unsharded scans) when Parallelism resolves to 1 or less. Rows and
+	// their order are identical at every shard count (DESIGN.md §14), so
+	// this tunes only scheduling; a float SUM or AVG may differ in its
+	// last bits from run to run, at any fixed setting, because which
+	// morsels a worker wins decides how partial sums associate (ROADMAP
+	// item 1). The views are the tables' own (storage.Table.Sharded),
+	// shared by every engine over the store.
 	Shards int
 	// BatchSize is the rows per execution batch; zero or negative
 	// resolves to exec.DefaultBatchSize. Results are identical at every
@@ -160,11 +163,6 @@ type Stats struct {
 	Batches int64
 }
 
-// Query parses, plans and executes sql without cancellation.
-func (e *Engine) Query(sql string) (*Result, error) {
-	return e.QueryCtx(context.Background(), sql)
-}
-
 // QueryCtx parses, plans and executes sql under ctx and the engine's
 // limits. Cancellation, timeout and budget overruns surface as qerr
 // taxonomy errors. With a cache attached, the parse tier serves repeated
@@ -270,9 +268,12 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 
 // resultKey is the cache key shared by the plan and result tiers: the
 // canonical statement text plus every planner option that changes the
-// physical plan. Parallelism is part of the key because parallel partial
-// aggregation re-associates float sums — results are only guaranteed
-// byte-identical at one worker count. The batch size travels resolved
+// physical plan. Rows and their order are identical at every setting;
+// a float SUM or AVG may differ in its last bits from run to run, even at
+// one worker count, because parallel partial aggregation re-associates
+// the sums in the order workers win morsels (ROADMAP item 1), so the key
+// buys no bit identity — parallelism and shard count stay in it until
+// that item decides. The batch size travels resolved
 // (0 and DefaultBatchSize are the same plan) because a prepared tree
 // carries its batch size baked in by SetBatchSize. norm is the
 // statement's SQL().

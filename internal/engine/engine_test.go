@@ -47,7 +47,7 @@ func figure2DB(t testing.TB) *storage.DB {
 
 func TestQuerySelection(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select id from customer where balance > 10000")
+	res, err := e.QueryCtx(context.Background(), "select id from customer where balance > 10000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestQuerySelection(t *testing.T) {
 
 func TestQueryJoin(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
+	res, err := e.QueryCtx(context.Background(), "select o.id, c.id from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestQueryJoin(t *testing.T) {
 // The naive rewriting of paper Example 5: grouping and summing.
 func TestQueryGroupBySum(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select id, sum(prob) from customer where balance > 10000 group by id")
+	res, err := e.QueryCtx(context.Background(), "select id, sum(prob) from customer where balance > 10000 group by id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQueryGroupBySum(t *testing.T) {
 // Paper Example 6: two-table rewriting with product of probabilities.
 func TestQueryJoinGroupBySumProduct(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select o.id, c.id, sum(o.prob * c.prob) from orders o, customer c where o.cidfk = c.id and c.balance > 10000 group by o.id, c.id")
+	res, err := e.QueryCtx(context.Background(), "select o.id, c.id, sum(o.prob * c.prob) from orders o, customer c where o.cidfk = c.id and c.balance > 10000 group by o.id, c.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func approx(a, b float64) bool {
 
 func TestQueryOrderByAliasAndExpr(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select custid, balance * 2 as dbl from customer order by dbl desc, custid")
+	res, err := e.QueryCtx(context.Background(), "select custid, balance * 2 as dbl from customer order by dbl desc, custid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestQueryOrderByAliasAndExpr(t *testing.T) {
 		t.Errorf("order by alias desc: first = %v", res.Rows[0])
 	}
 	// ORDER BY repeating the select expression text.
-	res2, err := e.Query("select custid, balance * 2 from customer order by balance * 2 desc")
+	res2, err := e.QueryCtx(context.Background(), "select custid, balance * 2 from customer order by balance * 2 desc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestQueryOrderByAliasAndExpr(t *testing.T) {
 
 func TestQueryOrderByColumn(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select custid from customer order by custid desc limit 2")
+	res, err := e.QueryCtx(context.Background(), "select custid from customer order by custid desc limit 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestQueryOrderByColumn(t *testing.T) {
 
 func TestQueryDistinct(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select distinct name from customer")
+	res, err := e.QueryCtx(context.Background(), "select distinct name from customer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQueryDistinct(t *testing.T) {
 
 func TestQueryStar(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select * from customer")
+	res, err := e.QueryCtx(context.Background(), "select * from customer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestQueryStar(t *testing.T) {
 
 func TestQueryCrossJoinFallback(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select o.id, c.id from orders o, customer c")
+	res, err := e.QueryCtx(context.Background(), "select o.id, c.id from orders o, customer c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestQueryCrossJoinFallback(t *testing.T) {
 func TestQueryResidualPredicate(t *testing.T) {
 	e := New(figure2DB(t))
 	// Non-equi multi-table predicate must be applied after the cross join.
-	res, err := e.Query("select o.id, c.id from orders o, customer c where o.quantity > c.balance / 10000")
+	res, err := e.QueryCtx(context.Background(), "select o.id, c.id from orders o, customer c where o.quantity > c.balance / 10000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,14 @@ func TestQueryResidualPredicate(t *testing.T) {
 
 func TestQueryConstantPredicate(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select id from customer where 1 = 2")
+	res, err := e.QueryCtx(context.Background(), "select id from customer where 1 = 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 0 {
 		t.Error("constant-false predicate should yield nothing")
 	}
-	res, err = e.Query("select id from customer where 1 = 1")
+	res, err = e.QueryCtx(context.Background(), "select id from customer where 1 = 1")
 	if err != nil || len(res.Rows) != 4 {
 		t.Error("constant-true predicate should pass everything")
 	}
@@ -221,7 +221,7 @@ func TestQueryErrors(t *testing.T) {
 		"select prob from customer where name = 1", // type mismatch at eval
 	}
 	for _, q := range bad {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.QueryCtx(context.Background(), q); err == nil {
 			t.Errorf("Query(%q) should fail", q)
 		}
 	}
@@ -229,11 +229,11 @@ func TestQueryErrors(t *testing.T) {
 
 func TestQueryAmbiguousUnqualified(t *testing.T) {
 	e := New(figure2DB(t))
-	if _, err := e.Query("select id from orders o, customer c where o.cidfk = c.id"); err == nil {
+	if _, err := e.QueryCtx(context.Background(), "select id from orders o, customer c where o.cidfk = c.id"); err == nil {
 		t.Error("unqualified ambiguous column should fail")
 	}
 	// Unambiguous unqualified columns resolve across tables.
-	res, err := e.Query("select orderid, balance from orders o, customer c where o.cidfk = c.id")
+	res, err := e.QueryCtx(context.Background(), "select orderid, balance from orders o, customer c where o.cidfk = c.id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestExplain(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select custid, balance from customer order by custid")
+	res, err := e.QueryCtx(context.Background(), "select custid, balance from customer order by custid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestQueryAggregatesWithoutGroupBy(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select count(*), sum(prob), min(balance), max(balance), avg(balance) from customer")
+	res, err := e.QueryCtx(context.Background(), "select count(*), sum(prob), min(balance), max(balance), avg(balance) from customer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestQueryAggregatesWithoutGroupBy(t *testing.T) {
 
 func TestQueryAliasInGroupOutput(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select id as cluster, sum(prob) as p from customer group by id order by cluster")
+	res, err := e.QueryCtx(context.Background(), "select id as cluster, sum(prob) as p from customer group by id order by cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestQueryAliasInGroupOutput(t *testing.T) {
 // Select order differing from group order must still project correctly.
 func TestQueryAggregateReordering(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select sum(prob) as p, id from customer group by id order by id")
+	res, err := e.QueryCtx(context.Background(), "select sum(prob) as p, id from customer group by id order by id")
 	if err != nil {
 		t.Fatal(err)
 	}

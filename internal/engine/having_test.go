@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"conquer/internal/sqlparse"
@@ -9,21 +10,21 @@ import (
 
 func TestHavingOnSelectedAggregate(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select id, sum(prob) as p from customer group by id having sum(prob) > 0.9 order by id")
+	res, err := e.QueryCtx(context.Background(), "select id, sum(prob) as p from customer group by id having sum(prob) > 0.9 order by id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 { // both clusters sum to 1
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	res, err = e.Query("select id, max(balance) as hi from customer group by id having max(balance) > 20000")
+	res, err = e.QueryCtx(context.Background(), "select id, max(balance) as hi from customer group by id having max(balance) > 20000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("max filter rows = %d", len(res.Rows))
 	}
-	res, err = e.Query("select id from customer group by id having max(balance) > 28000")
+	res, err = e.QueryCtx(context.Background(), "select id from customer group by id having max(balance) > 28000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestHavingOnSelectedAggregate(t *testing.T) {
 
 func TestHavingOnGroupKeyAndCount(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query("select name, count(*) as n from customer group by name having count(*) >= 1 and name <> 'Marion' order by name")
+	res, err := e.QueryCtx(context.Background(), "select name, count(*) as n from customer group by name having count(*) >= 1 and name <> 'Marion' order by name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,21 +54,21 @@ func TestHavingOnGroupKeyAndCount(t *testing.T) {
 func TestHavingComplexPredicates(t *testing.T) {
 	e := New(figure2DB(t))
 	// BETWEEN, IN and arithmetic over aggregates.
-	res, err := e.Query("select id from customer group by id having sum(balance) between 30000 and 60000")
+	res, err := e.QueryCtx(context.Background(), "select id from customer group by id having sum(balance) between 30000 and 60000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 { // c1: 50000, c2: 32000
 		t.Fatalf("between rows = %v", res.Rows)
 	}
-	res, err = e.Query("select id from customer group by id having count(*) in (2)")
+	res, err = e.QueryCtx(context.Background(), "select id from customer group by id having count(*) in (2)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("in rows = %v", res.Rows)
 	}
-	res, err = e.Query("select id from customer group by id having sum(balance) / count(*) > 20000")
+	res, err = e.QueryCtx(context.Background(), "select id from customer group by id having sum(balance) / count(*) > 20000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +76,14 @@ func TestHavingComplexPredicates(t *testing.T) {
 		t.Fatalf("arith rows = %v", res.Rows)
 	}
 	// NOT and IS NULL.
-	res, err = e.Query("select id from customer group by id having not (sum(balance) > 40000)")
+	res, err = e.QueryCtx(context.Background(), "select id from customer group by id having not (sum(balance) > 40000)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "c2" {
 		t.Fatalf("not rows = %v", res.Rows)
 	}
-	res, err = e.Query("select id from customer group by id having sum(balance) is not null")
+	res, err = e.QueryCtx(context.Background(), "select id from customer group by id having sum(balance) is not null")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestHavingReusesSelectedAggregate(t *testing.T) {
 	e := New(figure2DB(t))
 	// sum(prob) appears in both SELECT and HAVING: one aggregate, no
 	// hidden column, and the value is consistent.
-	res, err := e.Query("select id, sum(prob) as p from customer group by id having sum(prob) >= 0.5 order by id")
+	res, err := e.QueryCtx(context.Background(), "select id, sum(prob) as p from customer group by id having sum(prob) >= 0.5 order by id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestHavingReusesSelectedAggregate(t *testing.T) {
 
 func TestHavingWithJoinAndOrderBy(t *testing.T) {
 	e := New(figure2DB(t))
-	res, err := e.Query(`select o.id, sum(o.prob * c.prob) as p
+	res, err := e.QueryCtx(context.Background(), `select o.id, sum(o.prob * c.prob) as p
 		from orders o, customer c
 		where o.cidfk = c.id
 		group by o.id
@@ -135,7 +136,7 @@ func TestHavingErrors(t *testing.T) {
 		"select id from customer group by id having avg(*) > 1",    // * on non-count
 	}
 	for _, q := range bad {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.QueryCtx(context.Background(), q); err == nil {
 			t.Errorf("Query(%q) should fail", q)
 		}
 	}
@@ -144,7 +145,7 @@ func TestHavingErrors(t *testing.T) {
 func TestHavingSQLRoundTrip(t *testing.T) {
 	q := "select id, sum(prob) as p from customer group by id having sum(prob) > 0.5 order by id"
 	e := New(figure2DB(t))
-	res1, err := e.Query(q)
+	res1, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

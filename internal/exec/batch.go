@@ -371,8 +371,8 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 }
 
 // drainBatches materializes op's rows while polling g and reserving
-// buffered budget once per batch; s (the draining operator's stats,
-// nil-safe) counts the rows pulled and buffered. A failed reservation
+// buffered budget once per batch; s, the draining operator's stats,
+// counts the rows pulled and buffered. A failed reservation
 // still counts into the returned total so the caller's Close releases
 // exactly what was charged.
 func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]value.Value, reserved int64, err error) {

@@ -218,8 +218,9 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gov := govern(p)
 	for run := 0; run < 2; run++ { // a re-opened tree releases again
-		rows, _, err := CollectBatchesGoverned(p, nil, DefaultBatchSize)
+		rows, _, err := CollectBatchesGoverned(p, gov, DefaultBatchSize)
 		if err != nil || len(rows) != 3000 {
 			t.Fatalf("run %d: %d rows, %v", run, len(rows), err)
 		}
@@ -249,6 +250,7 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	}
 	// So does a partitioned parallel build's.
 	pj := buildJoin(t, fact, dim, 4, 16)
+	govern(pj)
 	if err := pj.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	// vector or group state: no field of it reaches an aggState.
 	for _, par := range []int{1, 4} {
 		agg := buildAgg(t, fact, par, 256)
-		if rows, _, err := CollectBatchesGoverned(agg, nil, DefaultBatchSize); err != nil || len(rows) != dim.Len() {
+		if rows, _, err := CollectBatchesGoverned(agg, govern(agg), DefaultBatchSize); err != nil || len(rows) != dim.Len() {
 			t.Fatalf("aggregate: %d groups, %v", len(rows), err)
 		}
 		if agg.out != nil {

@@ -151,7 +151,7 @@ func TestSortKeyPosBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(srt)
+	rows, err := collect(srt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSortReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		rows, err := Collect(srt)
+		rows, err := collect(srt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func expr(t testing.TB, src string) sqlparse.Expr {
 func TestScan(t *testing.T) {
 	ord, _ := testTables(t)
 	sc := NewScan(ord, "O")
-	rows, err := Collect(sc)
+	rows, err := collect(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestScan(t *testing.T) {
 		t.Error("alias should be lowercased in schema")
 	}
 	// Re-open rescans.
-	rows2, err := Collect(sc)
+	rows2, err := collect(sc)
 	if err != nil || len(rows2) != 3 {
 		t.Error("rescan after Open should work")
 	}
@@ -98,7 +98,7 @@ func TestFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(f)
+	rows, err := collect(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(p)
+	rows, err := collect(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(j)
+	rows, err := collect(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(j)
+	rows, err := collect(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestHashJoinKeyMismatch(t *testing.T) {
 func TestCrossJoin(t *testing.T) {
 	ord, cust := testTables(t)
 	j := crossJoin(t, NewScan(ord, "o"), NewScan(cust, "c"))
-	rows, err := Collect(j)
+	rows, err := collect(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestHashAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(agg)
+	rows, err := collect(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestHashAggregateGlobalAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(agg)
+	rows, err := collect(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestHashAggregateNullHandlingAndIntSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(agg)
+	rows, err := collect(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSortAscDescStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(srt)
+	rows, err := collect(srt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSortNullsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(srt)
+	rows, err := collect(srt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestDistinct(t *testing.T) {
 	tb.MustInsert(value.Null())
 	tb.MustInsert(value.Int(2))
 	d := NewDistinct(NewScan(tb, "t"))
-	rows, err := Collect(d)
+	rows, err := collect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestDistinct(t *testing.T) {
 func TestLimit(t *testing.T) {
 	_, cust := testTables(t)
 	l := NewLimit(NewScan(cust, "c"), 2)
-	rows, err := Collect(l)
+	rows, err := collect(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestLimit(t *testing.T) {
 		t.Fatalf("limit rows = %d", len(rows))
 	}
 	l0 := NewLimit(NewScan(cust, "c"), 0)
-	rows, err = Collect(l0)
+	rows, err = collect(l0)
 	if err != nil || len(rows) != 0 {
 		t.Error("limit 0 should be empty")
 	}

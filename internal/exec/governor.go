@@ -58,9 +58,8 @@ func (l Limits) WithoutTimeout() Limits {
 
 // Governor enforces a Limits budget over one operator tree: operators
 // poll it for cancellation inside their row loops and account the rows
-// they buffer against the shared budget. A nil *Governor is valid and
-// imposes nothing, so operators are usable ungoverned (tests, internal
-// rewrites).
+// they buffer against the shared budget. Every run has one: NewGovernor
+// makes it and Attach installs it before the tree opens.
 //
 // One Governor value serves one goroutine (its poll ticker is not
 // synchronized), but the budget counters live in state shared by every
@@ -89,36 +88,20 @@ func NewGovernor(ctx context.Context, limits Limits) *Governor {
 // Fork derives a governor for a worker goroutine running under ctx
 // (typically a cancelable child of the parent's context, so the
 // coordinator can drain the pool on first error). The fork has a fresh
-// poll ticker but draws on the parent's budget counters. Forking a nil
-// governor yields a context-only governor: workers of an ungoverned
-// tree still poll for pool cancellation, they just have no budget.
+// poll ticker but draws on the parent's budget counters.
 func (g *Governor) Fork(ctx context.Context) *Governor {
-	if g == nil {
-		return &Governor{ctx: ctx}
-	}
 	return &Governor{ctx: ctx, limits: g.limits, shared: g.shared}
 }
 
-// Context returns the governing context (context.Background for a nil
-// governor).
-func (g *Governor) Context() context.Context {
-	if g == nil || g.ctx == nil {
-		return context.Background()
-	}
-	return g.ctx
-}
+// Context returns the governing context.
+func (g *Governor) Context() context.Context { return g.ctx }
 
 // Poll is the per-row cancellation check: amortized over the poll
 // interval, it returns a qerr taxonomy error once the context
 // terminates. Loops that walk materialized rows one at a time (sort-key
 // evaluation, group emission, the merges after a worker barrier) call it
 // per iteration.
-func (g *Governor) Poll() error {
-	if g == nil || g.ctx == nil {
-		return nil
-	}
-	return g.tick.Poll(g.ctx)
-}
+func (g *Governor) Poll() error { return g.tick.Poll(g.ctx) }
 
 // PollLeaf is the per-row cancellation check of the leaf fill loops
 // (Scan, MorselScan): the only per-row poll of a pipeline. It advances
@@ -136,19 +119,11 @@ func (g *Governor) PollLeaf() error {
 // the context on every call. A batch already amortizes hundreds of rows,
 // so routing batch loops through the ticker would stretch cancellation
 // latency to pollInterval batches.
-func (g *Governor) PollBatch() error {
-	if g == nil || g.ctx == nil {
-		return nil
-	}
-	return qerr.FromContext(g.ctx)
-}
+func (g *Governor) PollBatch() error { return qerr.FromContext(g.ctx) }
 
 // ReserveBuffered charges n rows against the buffered-row budget,
 // failing with qerr.ErrBudgetExceeded once the budget is exhausted.
 func (g *Governor) ReserveBuffered(n int64) error {
-	if g == nil || g.shared == nil {
-		return nil
-	}
 	buffered := g.shared.buffered.Add(n)
 	for {
 		peak := g.shared.peak.Load()
@@ -166,37 +141,21 @@ func (g *Governor) ReserveBuffered(n int64) error {
 // ReleaseBuffered returns n previously reserved rows to the budget;
 // operators call it from Close when they drop their state.
 func (g *Governor) ReleaseBuffered(n int64) {
-	if g == nil || g.shared == nil {
-		return
-	}
 	if g.shared.buffered.Add(-n) < 0 {
 		g.shared.buffered.Store(0)
 	}
 }
 
 // Buffered returns the rows currently charged against the budget.
-func (g *Governor) Buffered() int64 {
-	if g == nil || g.shared == nil {
-		return 0
-	}
-	return g.shared.buffered.Load()
-}
+func (g *Governor) Buffered() int64 { return g.shared.buffered.Load() }
 
 // BufferedPeak returns the query's buffered-row high-water mark — the
 // largest concurrent reservation observed across all forks.
-func (g *Governor) BufferedPeak() int64 {
-	if g == nil || g.shared == nil {
-		return 0
-	}
-	return g.shared.peak.Load()
-}
+func (g *Governor) BufferedPeak() int64 { return g.shared.peak.Load() }
 
 // CountOutputN charges n result rows against the output budget in one
 // atomic add, once per root batch.
 func (g *Governor) CountOutputN(n int64) error {
-	if g == nil || g.shared == nil {
-		return nil
-	}
 	output := g.shared.output.Add(n)
 	if g.limits.MaxOutputRows > 0 && output > g.limits.MaxOutputRows {
 		return fmt.Errorf("exec: output rows exceed budget %d: %w",
@@ -205,7 +164,7 @@ func (g *Governor) CountOutputN(n int64) error {
 	return nil
 }
 
-// governed is implemented by operators that accept a governor.
+// governed is the part of Operator that takes the run's governor.
 type governed interface {
 	setGovernor(*Governor)
 }
@@ -218,12 +177,15 @@ type govHolder struct {
 
 func (h *govHolder) setGovernor(g *Governor) { h.gov = g }
 
-// Attach installs g on every operator of the tree rooted at op. Plans
-// are built ungoverned; the engine attaches the governor of the current
-// query just before execution.
+// Attach readies the tree rooted at op for a run under g, the one way a
+// tree runs: it installs g on every operator and an OpStats block on any
+// operator lacking one, so every run is governed and counted. The engine
+// calls it before each run of a prepared tree; from the second run on it
+// allocates nothing.
 func Attach(op Operator, g *Governor) {
-	if gd, ok := op.(governed); ok {
-		gd.setGovernor(g)
+	op.setGovernor(g)
+	if op.opStats() == nil {
+		op.setStats(&OpStats{})
 	}
 	for _, c := range children(op) {
 		if c != nil {

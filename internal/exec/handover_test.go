@@ -45,9 +45,9 @@ func sortOverGather(t testing.TB, probe, build *storage.Table, par, shards int) 
 	if err := j.Narrow([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism, j.MorselSize = par, 256
+	j.Parallelism = par
+	setMorselSize(t, 256)
 	g := NewGather(j, par)
-	g.MorselSize = 256
 	return mustOp[*Sort](t)(NewSort(g, []SortKey{SortKeyPos(0, true)}))
 }
 
@@ -81,10 +81,11 @@ func TestResultIsBufferedOnce(t *testing.T) {
 				best := cost{bytes: -1}
 				for r := 0; r < 3; r++ {
 					s := sortOverGather(t, probe, build, par, shards)
+					gov := govern(s)
 					var before, after runtime.MemStats
 					runtime.GC()
 					runtime.ReadMemStats(&before)
-					rows, _, err := CollectBatchesGoverned(s, nil, 0)
+					rows, _, err := CollectBatchesGoverned(s, gov, 0)
 					runtime.ReadMemStats(&after)
 					if err != nil {
 						t.Fatal(err)

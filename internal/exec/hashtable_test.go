@@ -27,6 +27,7 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the program's under -race")
 	}
+	setMorselSize(t, 256)
 	allocs := func(n int, mk func(fact, dim *storage.Table) Operator) float64 {
 		fact, dim := parTables(t, n)
 		return testing.AllocsPerRun(3, func() {
@@ -48,14 +49,14 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 						{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
 						{Func: AggSum, Arg: colRef("f", "w"), Col: ColInfo{Name: "sw", Type: value.KindFloat}},
 					}))
-				a.Parallelism, a.MorselSize = par, 256
+				a.Parallelism = par
 				return a
 			}},
 			// One build key per fact row, probed by the 97 dimension rows.
 			{"join build", func(fact, dim *storage.Table) Operator {
 				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
 					exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
-				j.Parallelism, j.MorselSize = par, 256
+				j.Parallelism = par
 				return j
 			}},
 		} {
@@ -104,6 +105,7 @@ func joinSides(t *testing.T, probeRows, buildRows int) (probe, build *storage.Ta
 // place in that row's fan-out — at every parallelism, shard count and
 // batch size, with NULL keys on both sides and with an empty build.
 func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
+	setMorselSize(t, 3)
 	probe, build := joinSides(t, 40, 60)
 	empty := storage.NewTable(build.Schema)
 	sameKey := func(l, r []value.Value) bool { return !l[1].IsNull() && value.Equal(l[1], r[1]) }
@@ -133,9 +135,10 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 						r.Sharded = storage.NewShardedTable(right, shards)
 					}
 					j := mustOp[*HashJoin](t)(NewHashJoin(left, r, exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-					j.Parallelism, j.MorselSize = par, 3
+					j.Parallelism = par
 					SetBatchSize(j, batch)
-					parts, _, ok := splitPipeline(j, par, 3)
+					govern(j)
+					parts, _, ok := splitPipeline(j, par)
 					if !ok {
 						t.Fatalf("%s: the probe did not split", label)
 					}
@@ -210,15 +213,17 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 	if len(want) != 12*4*2-4 {
 		t.Fatalf("nested loop: %d rows", len(want))
 	}
+	setMorselSize(t, 3)
 	for _, par := range []int{1, 4} {
 		if par > 1 {
-			if parts, _, ok := splitPipeline(NewScan(build, "b"), par, 3); !ok || len(parts) != par {
+			if parts, _, ok := splitPipeline(NewScan(build, "b"), par); !ok || len(parts) != par {
 				t.Fatalf("the build splits into %d parts, want %d", len(parts), par)
 			}
 		}
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"),
 			exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-		j.Parallelism, j.MorselSize = par, 3
+		j.Parallelism = par
+		govern(j)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +273,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 				{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
 				{Func: AggSum, Arg: colRef("b", "seq"), Col: ColInfo{Name: "s", Type: value.KindInt}},
 			}))
-		a.Parallelism, a.MorselSize = par, 3
+		a.Parallelism = par
 		rows := mustCollect(t, a)
 		if len(rows) != len(wantGroups) {
 			t.Fatalf("GROUP BY, parallelism %d: %d groups, want %d", par, len(rows), len(wantGroups))
@@ -285,7 +290,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 	a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(build, "b"),
 		exprs(colRef("b", "k")), []ColInfo{{Name: "k", Type: value.KindInt}}, nil))
 	acc := a.newAcc()
-	if err := a.fill(acc, NewScan(build, "b"), nil); err != nil {
+	if err := a.fill(acc, a.Child, govern(a)); err != nil {
 		t.Fatal(err)
 	}
 	used := 0

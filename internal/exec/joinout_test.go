@@ -21,6 +21,7 @@ type taggedRow struct {
 // row's ordinal tag.
 func drainTagged(t *testing.T, op Operator, batch int) []taggedRow {
 	t.Helper()
+	govern(op)
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +48,7 @@ func drainParts(t *testing.T, parts []Operator, batch int) [][]taggedRow {
 	t.Helper()
 	out := make([][]taggedRow, len(parts))
 	for _, p := range parts {
+		govern(p)
 		SetBatchSize(p, batch)
 		if err := p.Open(); err != nil {
 			t.Fatal(err)
@@ -155,6 +157,7 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 		}},
 	}
 	const batch = 64
+	setMorselSize(t, 100)
 	rng := rand.New(rand.NewSource(12))
 	for _, jc := range joins {
 		identity, _ := jc.mk()
@@ -163,7 +166,8 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 		requireSameRows(t, jc.ref, wantRows)
 		wantTagged := drainTagged(t, identity, batch)
 		id, _ := jc.mk()
-		parts, _, ok := splitPipeline(id, 3, 100)
+		govern(id)
+		parts, _, ok := splitPipeline(id, 3)
 		if !ok {
 			t.Fatalf("%s: pipeline did not split", jc.name)
 		}
@@ -197,7 +201,9 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 				}
 			}
 			requireProjection(t, fmt.Sprintf("%s batch=%d", label, batch), wantTagged, drainTagged(t, narrowed(), batch), cols)
-			parts, _, ok := splitPipeline(narrowed(), 3, 100)
+			tmpl := narrowed()
+			govern(tmpl)
+			parts, _, ok := splitPipeline(tmpl, 3)
 			if !ok {
 				t.Fatalf("%s: pipeline did not split", label)
 			}
@@ -270,7 +276,7 @@ func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		SetBatchSize(j2, batch)
-		rows, _, err = CollectBatchesGoverned(j2, nil, batch)
+		rows, _, err = CollectBatchesGoverned(j2, govern(j2), batch)
 		if err != nil || len(rows) != 6 {
 			t.Errorf("batch=%d: root collected %d zero-width rows (%v), want 6", batch, len(rows), err)
 		}

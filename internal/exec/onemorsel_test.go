@@ -70,6 +70,7 @@ func spiedFact(t *testing.T, n int) (*storage.Table, *goroutineSpy) {
 // Aggregates avoid float sums, which parallel partials re-associate.
 func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[string]Operator {
 	t.Helper()
+	setMorselSize(t, morsel)
 	scan := func(alias string) *Scan {
 		sc := NewScan(tb, alias)
 		if shards > 1 {
@@ -89,7 +90,6 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[
 		t.Fatal(err)
 	}
 	g := NewGather(p, n)
-	g.MorselSize = morsel
 
 	probeS := schema.MustRelation("probe", schema.Column{Name: "k", Type: value.KindInt})
 	probe := storage.NewTable(probeS)
@@ -101,7 +101,7 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism, j.MorselSize = n, morsel
+	j.Parallelism = n
 
 	a, err := NewHashAggregate(scan("f"),
 		[]sqlparse.Expr{colRef("f", "k")},
@@ -114,7 +114,7 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism, a.MorselSize = n, morsel
+	a.Parallelism = n
 	return map[string]Operator{"gather": g, "join-build": j, "aggregate": a}
 }
 

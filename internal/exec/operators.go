@@ -238,9 +238,8 @@ type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []sqlparse.Expr
 	// Parallelism is the worker count for the build phase (<= 1 builds
-	// serially); MorselSize overrides DefaultMorselSize for tests.
+	// serially).
 	Parallelism int
-	MorselSize  int
 
 	govHolder
 	statsHolder
@@ -306,7 +305,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	if !j.shard {
-		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.MorselSize, j.batchCap(), j.stats)
+		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.batchCap(), j.stats)
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe shard reopened after close: %w", qerr.ErrInternal)
 	}
@@ -418,10 +417,8 @@ type HashAggregate struct {
 	Groups []sqlparse.Expr
 	Aggs   []AggSpec
 	// Parallelism is the worker count for partial aggregation (<= 1
-	// aggregates serially); MorselSize overrides DefaultMorselSize for
-	// tests.
+	// aggregates serially).
 	Parallelism int
-	MorselSize  int
 
 	govHolder
 	statsHolder
@@ -440,7 +437,8 @@ type aggState struct {
 	ord       rowOrd    // first-appearance ordinal, orders the parallel merge
 	next      *aggState // the next group of its hash bucket
 	count     []int64
-	sum       []float64
+	sum       []float64 // every argument, as a float
+	isum      []int64   // SUM's arguments while all are integers, exactly
 	sumIsInt  []bool
 	min, max  []value.Value
 	seen      []bool
@@ -569,7 +567,7 @@ func (ar *aggArena) refill(nAgg, nGroup int) {
 	g := ar.groups
 	ar.states = make([]aggState, g)
 	if nAgg > 0 {
-		ar.i64s = make([]int64, g*nAgg)
+		ar.i64s = make([]int64, 2*g*nAgg)
 		ar.f64s = make([]float64, g*nAgg)
 		ar.bools = make([]bool, 2*g*nAgg)
 	}
@@ -591,6 +589,7 @@ func (a *HashAggregate) newState(acc *aggAcc, gv []value.Value, ord rowOrd) *agg
 	st.groupVals, ar.vals = ar.vals[:ng:ng], ar.vals[ng:]
 	copy(st.groupVals, gv)
 	st.count, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
+	st.isum, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
 	st.sum, ar.f64s = ar.f64s[:n:n], ar.f64s[n:]
 	st.sumIsInt, ar.bools = ar.bools[:n:n], ar.bools[n:]
 	st.seen, ar.bools = ar.bools[:n:n], ar.bools[n:]
@@ -648,6 +647,10 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 			}
 			if v.Kind() != value.KindInt {
 				st.sumIsInt[i] = false
+			} else if spec.Func == AggSum && st.sumIsInt[i] {
+				if err := addInt(&st.isum[i], v.AsInt()); err != nil {
+					return err
+				}
 			}
 			st.sum[i] += v.AsFloat()
 		case AggMin:
@@ -680,10 +683,22 @@ func (a *HashAggregate) flushReserve(acc *aggAcc, gov *Governor) error {
 	return gov.ReserveBuffered(n)
 }
 
+// addInt adds v to the integer sum *sum, failing with an EvalError when
+// the sum leaves int64.
+func addInt(sum *int64, v int64) error {
+	s := *sum + v
+	if (v > 0 && s < *sum) || (v < 0 && s > *sum) {
+		return &EvalError{fmt.Errorf("exec: integer SUM overflows int64")}
+	}
+	*sum = s
+	return nil
+}
+
 // combine merges a worker-local partial state into dst. Counts and sums
-// add; min/max compare; the first-appearance ordinal is the minimum, so
-// the merged output order matches the serial pass.
-func combine(dst, src *aggState, aggs []AggSpec) {
+// add (integer sums exactly, failing past int64 as accumulate does);
+// min/max compare; the first-appearance ordinal is the minimum, so the
+// merged output order matches the serial pass.
+func combine(dst, src *aggState, aggs []AggSpec) error {
 	if src.ord.less(dst.ord) {
 		dst.ord = src.ord
 	}
@@ -692,6 +707,11 @@ func combine(dst, src *aggState, aggs []AggSpec) {
 		dst.sum[i] += src.sum[i]
 		if !src.sumIsInt[i] {
 			dst.sumIsInt[i] = false
+		}
+		if spec.Func == AggSum && dst.sumIsInt[i] {
+			if err := addInt(&dst.isum[i], src.isum[i]); err != nil {
+				return err
+			}
 		}
 		switch spec.Func {
 		case AggMin:
@@ -707,6 +727,7 @@ func combine(dst, src *aggState, aggs []AggSpec) {
 			dst.seen[i] = true
 		}
 	}
+	return nil
 }
 
 // emit finishes the states into output rows, all carved from one block.
@@ -742,8 +763,8 @@ func (a *HashAggregate) emit(order []*aggState) error {
 // aggregation when Parallelism > 1 and the child pipeline splits.
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
-	if opensSplit(a.Child, a.Parallelism, a.MorselSize, a.stats) {
-		if parts, _, ok := splitPipeline(a.Child, a.Parallelism, a.MorselSize); ok {
+	if opensSplit(a.Child, a.Parallelism, a.stats) {
+		if parts, _, ok := splitPipeline(a.Child, a.Parallelism); ok {
 			return a.openParallel(parts)
 		}
 	}
@@ -798,7 +819,7 @@ func finishAgg(f AggFunc, st *aggState, i int) value.Value {
 			return value.Null()
 		}
 		if st.sumIsInt[i] {
-			return value.Int(int64(st.sum[i]))
+			return value.Int(st.isum[i])
 		}
 		return value.Float(st.sum[i])
 	case AggAvg:
@@ -1151,6 +1172,7 @@ type Limit struct {
 	Child Operator
 	N     int
 
+	govHolder
 	statsHolder
 	emitted int
 }

@@ -15,14 +15,14 @@
 //   - HashAggregate aggregates each partial pipeline into thread-local
 //     groups and merges them in a final phase.
 //
-// Every worker polls a forked Governor, the first worker error (or a
-// cancellation) drains the pool, and panics cross goroutine boundaries
-// only through qerr.Recover.
+// Every worker runs in a qerr.Pool and polls a Governor it forks from its
+// operator's under the pool's context (fresh poll ticker, shared budget):
+// the first worker error (or a cancellation) drains the pool, and panics
+// cross goroutine boundaries only through qerr.Recover.
 package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -39,13 +39,11 @@ import (
 // add) vanishes against per-row evaluation cost.
 const DefaultMorselSize = 1024
 
-// morselSizeOr resolves a configured morsel size (0 means the default).
-func morselSizeOr(n int) int {
-	if n > 0 {
-		return n
-	}
-	return DefaultMorselSize
-}
+// morselSize is the one morsel grid every split pipeline cuts its tables
+// into, and the one-morsel rule's threshold. It is DefaultMorselSize
+// always, except inside this package's tests, which shrink it to get many
+// morsels from small tables.
+var morselSize = DefaultMorselSize
 
 // morselCursor hands out disjoint row ranges ("morsels") of one shard
 // table to competing workers, in the shard's scan order.
@@ -183,11 +181,11 @@ func (s *MorselScan) Describe() string {
 // instead of setting up a worker pool, forked governors, morsel cursors
 // and shard views around a claim or two (DESIGN.md §17); s, the asking
 // operator's stats, records that for EXPLAIN ANALYZE.
-func opensSplit(op Operator, n, morselSize int, s *OpStats) bool {
+func opensSplit(op Operator, n int, s *OpStats) bool {
 	if n <= 1 || drivingScan(op) == nil {
 		return false
 	}
-	if largestInput(op) <= morselSizeOr(morselSize) {
+	if largestInput(op) <= morselSize {
 		s.markOneMorsel()
 		return false
 	}
@@ -238,13 +236,13 @@ func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 // EXPLAIN ANALYZE renders. The returned leaves report morsel provenance
 // for each part. Fewer than n parts come back when the base table has
 // fewer morsels than workers.
-func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, bool) {
+func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan, bool) {
 	switch op := op.(type) {
 	case *Scan:
-		return splitScan(op, n, morselSize)
+		return splitScan(op, n)
 
 	case *Filter:
-		children, leaves, ok := splitPipeline(op.Child, n, morselSize)
+		children, leaves, ok := splitPipeline(op.Child, n)
 		if !ok {
 			return nil, nil, false
 		}
@@ -257,7 +255,7 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, b
 		return parts, leaves, true
 
 	case *Project:
-		children, leaves, ok := splitPipeline(op.Child, n, morselSize)
+		children, leaves, ok := splitPipeline(op.Child, n)
 		if !ok {
 			return nil, nil, false
 		}
@@ -270,11 +268,11 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, b
 		return parts, leaves, true
 
 	case *HashJoin:
-		children, leaves, ok := splitPipeline(op.Left, n, morselSize)
+		children, leaves, ok := splitPipeline(op.Left, n)
 		if !ok {
 			return nil, nil, false
 		}
-		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), morselSize, op.batchCap(), op.stats)
+		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.batchCap(), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			// Right stays nil on shards: the shared build owns the right
@@ -283,8 +281,8 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, b
 			j := &HashJoin{
 				Left:     c,
 				LeftKeys: op.LeftKeys, RightKeys: op.RightKeys,
-				Parallelism: op.Parallelism, MorselSize: op.MorselSize,
-				joinOutput: op.joinOutput, lk: op.lk, rk: op.rk,
+				Parallelism: op.Parallelism,
+				joinOutput:  op.joinOutput, lk: op.lk, rk: op.rk,
 				build: build, shard: true,
 			}
 			j.batch = op.batch
@@ -294,44 +292,6 @@ func splitPipeline(op Operator, n, morselSize int) ([]Operator, []*MorselScan, b
 		return parts, leaves, true
 	}
 	return nil, nil, false
-}
-
-// runWorkers runs fn on n goroutines under a cancelable child of the
-// parent governor's context: each worker receives a forked governor
-// (fresh poll ticker, shared budget), the first failure cancels the
-// rest so the pool drains, and panics cross the goroutine boundary only
-// as qerr.Recover errors. runWorkers returns after every worker has
-// exited; the returned error prefers the root cause over the secondary
-// cancellations it triggered.
-func runWorkers(parent *Governor, n int, fn func(w int, gov *Governor) error) error {
-	ctx, cancel := context.WithCancel(parent.Context())
-	defer cancel()
-	errs := make(chan error, n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			var err error
-			func() {
-				defer qerr.Recover(&err)
-				err = fn(w, parent.Fork(ctx))
-			}()
-			if err != nil {
-				cancel()
-			}
-			errs <- err
-		}(w)
-	}
-	var first error
-	for i := 0; i < n; i++ {
-		err := <-errs
-		switch {
-		case err == nil:
-		case first == nil:
-			first = err
-		case errors.Is(first, qerr.ErrCanceled) && !errors.Is(err, qerr.ErrCanceled):
-			first = err
-		}
-	}
-	return first
 }
 
 // closeAll closes every part, keeping the first error. The coordinator
@@ -368,9 +328,6 @@ type Gather struct {
 	// Shards is the effective shard count of the plan, for display only
 	// (the shard views on the leaf scans drive actual execution).
 	Shards int
-	// MorselSize overrides DefaultMorselSize (0 = default); exposed for
-	// tests that need many morsels over small tables.
-	MorselSize int
 
 	govHolder
 	statsHolder
@@ -396,8 +353,8 @@ func (g *Gather) Schema() RowSchema { return g.Child.Schema() }
 func (g *Gather) Open() error {
 	g.stats.markOpen()
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
-	if opensSplit(g.Child, g.N, g.MorselSize, g.stats) {
-		if parts, leaves, ok := splitPipeline(g.Child, g.N, g.MorselSize); ok {
+	if opensSplit(g.Child, g.N, g.stats) {
+		if parts, leaves, ok := splitPipeline(g.Child, g.N); ok {
 			g.serial = false
 			return g.openParallel(parts, leaves)
 		}
@@ -408,8 +365,8 @@ func (g *Gather) Open() error {
 
 func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	outs := make([]rowRuns, len(parts))
-	err := runWorkers(g.gov, len(parts), func(w int, gov *Governor) error {
-		part, leaf := parts[w], leaves[w]
+	err := qerr.Pool(g.gov.Context(), len(parts), func(ctx context.Context, w int) error {
+		gov, part, leaf := g.gov.Fork(ctx), parts[w], leaves[w]
 		Attach(part, gov)
 		if err := part.Open(); err != nil {
 			return err
@@ -552,7 +509,6 @@ type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
 	parallelism int
-	morselSize  int
 	batch       int      // rows per build batch
 	stats       *OpStats // owning HashJoin's stats: right rows count as its input
 
@@ -571,8 +527,8 @@ type onceErr struct {
 	err  error
 }
 
-func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs, morselSize, batch int, stats *OpStats) *joinBuild {
-	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, morselSize: morselSize, batch: batch, stats: stats}
+func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs, batch int, stats *OpStats) *joinBuild {
+	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, batch: batch, stats: stats}
 	b.once.mu = make(chan struct{}, 1)
 	b.refs.Store(int32(refs))
 	return b
@@ -636,8 +592,8 @@ func (b *joinBuild) close(gov *Governor) {
 // build drains the right input into the table: serially straight into one
 // partition, or with partitioned parallel workers when the input splits.
 func (b *joinBuild) build(gov *Governor) error {
-	if opensSplit(b.right, b.parallelism, b.morselSize, b.stats) {
-		if parts, _, ok := splitPipeline(b.right, b.parallelism, b.morselSize); ok {
+	if opensSplit(b.right, b.parallelism, b.stats) {
+		if parts, _, ok := splitPipeline(b.right, b.parallelism); ok {
 			return b.buildParallel(gov, parts)
 		}
 	}
@@ -719,7 +675,8 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 	}
 	mask := uint64(p - 1)
 	locals := make([][][]taggedEntry, w)
-	err := runWorkers(gov, w, func(i int, g *Governor) error {
+	err := qerr.Pool(gov.Context(), w, func(ctx context.Context, i int) error {
+		g := gov.Fork(ctx)
 		Attach(parts[i], g)
 		if err := parts[i].Open(); err != nil {
 			return err
@@ -754,7 +711,8 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 	entries, sorted := make([]buildEntry, off[p]), make([]taggedEntry, off[p])
 	n := headSlots(off[p], p)
 	heads, headMask := make([]int32, n), uint64(n-1)
-	mergeErr := runWorkers(gov, min(w, p), func(i int, g *Governor) error {
+	mergeErr := qerr.Pool(gov.Context(), min(w, p), func(ctx context.Context, i int) error {
+		g := gov.Fork(ctx)
 		for pi := i; pi < p; pi += w {
 			lo, hi := off[pi], off[pi+1]
 			run := sorted[lo:lo:hi]
@@ -791,7 +749,8 @@ func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
 // addition.
 func (a *HashAggregate) openParallel(parts []Operator) error {
 	accs := make([]*aggAcc, len(parts))
-	err := runWorkers(a.gov, len(parts), func(w int, gov *Governor) error {
+	err := qerr.Pool(a.gov.Context(), len(parts), func(ctx context.Context, w int) error {
+		gov := a.gov.Fork(ctx)
 		Attach(parts[w], gov)
 		if err := parts[w].Open(); err != nil {
 			return err
@@ -831,7 +790,9 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 				order = append(order, st)
 				continue
 			}
-			combine(dst, st, a.Aggs)
+			if err := combine(dst, st, a.Aggs); err != nil {
+				return err
+			}
 			surplus++
 		}
 	}

@@ -62,9 +62,36 @@ func scanFilterProject(t testing.TB, fact *storage.Table) Operator {
 	return p
 }
 
+// govern attaches a fresh governor with no limits to op and returns it:
+// how a test readies a tree it drives by hand.
+func govern(op Operator) *Governor {
+	gov := NewGovernor(context.Background(), Limits{})
+	Attach(op, gov)
+	return gov
+}
+
+// collect runs op to completion under a fresh governor with no limits.
+func collect(op Operator) ([][]value.Value, error) {
+	rows, _, err := CollectBatchesGoverned(op, govern(op), 0)
+	return rows, err
+}
+
+// setMorselSize cuts every pipeline split until the test ends into
+// morsels of n rows (DefaultMorselSize when n <= 0). The grid is read as
+// an operator opens, so a test sets it before running a tree.
+func setMorselSize(t testing.TB, n int) {
+	t.Helper()
+	if n <= 0 {
+		n = DefaultMorselSize
+	}
+	old := morselSize
+	morselSize = n
+	t.Cleanup(func() { morselSize = old })
+}
+
 func mustCollect(t testing.TB, op Operator) [][]value.Value {
 	t.Helper()
-	rows, err := Collect(op)
+	rows, err := collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +118,7 @@ func TestGatherMatchesSerialScanPipeline(t *testing.T) {
 	}
 	for _, n := range []int{2, 3, 8} {
 		g := NewGather(scanFilterProject(t, fact), n)
-		g.MorselSize = 64
+		setMorselSize(t, 64)
 		requireSameRows(t, want, mustCollect(t, g))
 	}
 }
@@ -118,7 +145,8 @@ func buildJoin(t testing.TB, fact, dim *storage.Table, par, morsel int) *HashJoi
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism, j.MorselSize = par, morsel
+	j.Parallelism = par
+	setMorselSize(t, morsel)
 	return j
 }
 
@@ -134,7 +162,7 @@ func TestGatherOverJoinMatchesSerial(t *testing.T) {
 	fact, dim := parTables(t, 3000)
 	want := mustCollect(t, buildJoin(t, fact, dim, 1, 0))
 	g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
-	g.MorselSize = 64
+	setMorselSize(t, 64)
 	requireSameRows(t, want, mustCollect(t, g))
 }
 
@@ -154,7 +182,8 @@ func buildAgg(t testing.TB, fact *storage.Table, par, morsel int) *HashAggregate
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism, a.MorselSize = par, morsel
+	a.Parallelism = par
+	setMorselSize(t, morsel)
 	return a
 }
 
@@ -195,7 +224,8 @@ func TestParallelGlobalAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism, a.MorselSize = 4, 32
+	a.Parallelism = 4
+	setMorselSize(t, 32)
 	rows := mustCollect(t, a)
 	if len(rows) != 1 || rows[0][0].AsInt() != 2000 {
 		t.Fatalf("global count = %v", rows)
@@ -213,8 +243,8 @@ func TestGatherWorkerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGather(f, 4)
-	g.MorselSize = 64
-	_, err = Collect(g)
+	setMorselSize(t, 64)
+	_, err = collect(g)
 	if err == nil {
 		t.Fatal("want evaluation error, got nil")
 	}
@@ -234,7 +264,7 @@ func TestGatherCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // workers observe cancellation on their first PollBatch
 		g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
-		g.MorselSize = 64
+		setMorselSize(t, 64)
 		gov := NewGovernor(ctx, Limits{})
 		Attach(g, gov)
 		SetBatchSize(g, size)
@@ -288,9 +318,9 @@ func TestKeylessJoinUnderGather(t *testing.T) {
 					right.Sharded = storage.NewShardedTable(dim, shards)
 				}
 				j := crossJoin(t, left, right)
-				j.Parallelism, j.MorselSize = 4, 8
+				j.Parallelism = 4
+				setMorselSize(t, 8)
 				g := NewGather(j, 4)
-				g.MorselSize = 64
 				Instrument(g)
 				SetBatchSize(g, batch)
 				gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})

@@ -77,6 +77,7 @@ func mustOp[T Operator](t testing.TB) func(T, error) T {
 // after a rewind, and so no storage is ever handed out twice — today's
 // plain-batch behaviour.
 func TestRowLifetime(t *testing.T) {
+	setMorselSize(t, 2)
 	l, r, d := recycleTables(t)
 	lid, lk := colRef("l", "id"), colRef("l", "k")
 	keys := func(e sqlparse.Expr) []sqlparse.Expr { return []sqlparse.Expr{e} }
@@ -109,12 +110,12 @@ func TestRowLifetime(t *testing.T) {
 				{Func: AggMin, Arg: colRef("r", "name"), Col: ColInfo{Name: "mn", Type: value.KindString}},
 				{Func: AggMax, Arg: lid, Col: ColInfo{Name: "mx", Type: value.KindInt}},
 			}))
-		a.Parallelism, a.MorselSize = par, 2
+		a.Parallelism = par
 		return a
 	}
 	build := func(c Operator, par int) Operator {
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(d, "d"), c, keys(colRef("d", "id")), keys(lid)))
-		j.Parallelism, j.MorselSize = par, 2
+		j.Parallelism = par
 		return j
 	}
 	filter := func(c Operator) Operator { return mustOp[*Filter](t)(NewFilter(c, expr(t, "r.seq <> 4"))) }
@@ -128,9 +129,7 @@ func TestRowLifetime(t *testing.T) {
 		{"TopN", func(c Operator) Operator { return mustOp[*Sort](t)(newTopN(c, byNameDesc(c), 11)) }},
 		{"Distinct", func(c Operator) Operator { return NewDistinct(c) }},
 		{"parallel Gather", func(c Operator) Operator {
-			g := NewGather(c, 3)
-			g.MorselSize = 2
-			return g
+			return NewGather(c, 3)
 		}},
 		{"join build", func(c Operator) Operator { return build(c, 1) }},
 		{"parallel join build", func(c Operator) Operator { return build(c, 3) }},
@@ -209,6 +208,7 @@ func TestTransientBatchReusesStorage(t *testing.T) {
 		if transient {
 			b = NewTransientBatch(16)
 		}
+		govern(j)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestDistinctRefusesTransientBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(p); !errors.Is(err, qerr.ErrInternal) {
+	if _, err := collect(p); !errors.Is(err, qerr.ErrInternal) {
 		t.Fatalf("Distinct under Project: err = %v, want an internal error", err)
 	}
 	// Above the Project it is handed the collector's plain batch.

@@ -24,12 +24,15 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 		}))
 	}
 	slots := func(b *Batch) int { return max(cap(b.rows), cap(b.ords), cap(b.selBuf)) }
-	parts, _, ok := splitPipeline(mk(), 2, 0)
+	tmpl := mk()
+	govern(tmpl)
+	parts, _, ok := splitPipeline(tmpl, 2)
 	if !ok {
 		t.Fatal("the pipeline did not split")
 	}
 	for i, op := range append([]Operator{mk()}, parts...) {
 		p := op.(*Project)
+		govern(p)
 		if err := p.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +72,9 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 			{Expr: colRef("f", "id"), Col: ColInfo{Name: "id", Type: value.KindInt}},
 			{Expr: colRef("d", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},
 		}))
+		gov := govern(p)
 		return testing.AllocsPerRun(5, func() {
-			if rows, _, err := CollectBatchesGoverned(p, nil, DefaultBatchSize); err != nil || len(rows) != n {
+			if rows, _, err := CollectBatchesGoverned(p, gov, DefaultBatchSize); err != nil || len(rows) != n {
 				t.Fatalf("%d rows, %v", len(rows), err)
 			}
 		})

@@ -92,6 +92,10 @@ func (rs RowSchema) Names() []string {
 // NewTransientBatch, whose rows die at its next NextBatch on that batch.
 // An operator that passes b on to its child passes that lifetime on with
 // it, so it may keep row references only if it refuses a transient b.
+//
+// Every operator carries the run's governor and an OpStats block, which
+// Attach installs before a run, so the interface is this package's to
+// implement.
 type Operator interface {
 	Schema() RowSchema
 	Open() error
@@ -99,13 +103,8 @@ type Operator interface {
 	Close() error
 	// Describe returns a one-line description for EXPLAIN output.
 	Describe() string
-}
-
-// Collect drains op into a slice of rows, handling Open/Close: the
-// ungoverned root-level "give me the rows" helper.
-func Collect(op Operator) ([][]value.Value, error) {
-	rows, _, err := CollectBatchesGoverned(op, nil, 0)
-	return rows, err
+	governed
+	instrumented
 }
 
 // Explain renders the operator tree, one operator per line, children

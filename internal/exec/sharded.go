@@ -49,7 +49,7 @@ type shardGroup struct {
 	rebalances atomic.Int64   // times a worker moved off its current shard
 }
 
-func newShardGroup(shards []*storage.Shard, morselSize int) *shardGroup {
+func newShardGroup(shards []*storage.Shard) *shardGroup {
 	g := &shardGroup{
 		shards:     shards,
 		cursors:    make([]*morselCursor, len(shards)),
@@ -183,12 +183,12 @@ func collectShardStats(op Operator, out *[]ShardGroupStat) {
 // scan's shard view, or over its table as one shard when it has none, and
 // up to n MorselScans, worker i starting on shard i mod k. Only a view's
 // group is kept for EXPLAIN ANALYZE and CollectShardStats.
-func splitScan(op *Scan, n, morselSize int) ([]Operator, []*MorselScan, bool) {
+func splitScan(op *Scan, n int) ([]Operator, []*MorselScan, bool) {
 	shards := []*storage.Shard{{Table: op.Table}}
 	if op.Sharded != nil {
 		shards = op.Sharded.Shards()
 	}
-	grp := newShardGroup(shards, morselSizeOr(morselSize))
+	grp := newShardGroup(shards)
 	if op.Sharded != nil {
 		op.lastGroup = grp
 	}

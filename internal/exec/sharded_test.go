@@ -75,7 +75,7 @@ func TestShardedGatherMatchesSerial(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 7} {
 		for _, n := range []int{1, 2, 8} {
 			g := NewGather(shardScanFilterProject(t, fact, shards), n)
-			g.MorselSize = 64
+			setMorselSize(t, 64)
 			got := mustCollect(t, g)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d n=%d: rows %d, want %d", shards, n, len(got), len(want))
@@ -107,7 +107,8 @@ func TestShardedJoinBuildMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Parallelism, j.MorselSize = par, 32
+		j.Parallelism = par
+		setMorselSize(t, 32)
 		return j
 	}
 	want := mustCollect(t, build(1, 1))
@@ -139,7 +140,8 @@ func TestShardedAggregateMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Parallelism, a.MorselSize = par, 64
+		a.Parallelism = par
+		setMorselSize(t, 64)
 		return a
 	}
 	want := mustCollect(t, build(1, 1))
@@ -174,7 +176,7 @@ func TestShardedAggregateMatchesSerial(t *testing.T) {
 func TestShardedStatsSurface(t *testing.T) {
 	fact := dirtyFact(t, 4000)
 	g := NewGather(shardScanFilterProject(t, fact, 4), 2)
-	g.MorselSize = 64
+	setMorselSize(t, 64)
 	Instrument(g)
 	gov := NewGovernor(context.Background(), Limits{})
 	Attach(g, gov)
@@ -237,9 +239,9 @@ func TestShardedGatherCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism, j.MorselSize = 4, 64
+	j.Parallelism = 4
+	setMorselSize(t, 64)
 	g := NewGather(j, 4)
-	g.MorselSize = 64
 	gov := NewGovernor(ctx, Limits{})
 	Attach(g, gov)
 	if _, _, err := CollectBatchesGoverned(g, gov, 0); !errors.Is(err, qerr.ErrCanceled) {

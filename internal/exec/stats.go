@@ -1,14 +1,12 @@
-// Per-operator instrumentation (DESIGN.md §10). Every operator can carry
+// Per-operator instrumentation (DESIGN.md §10). Every operator carries
 // an OpStats block counting rows in/out, batches (morsels for scans,
-// reassembly batches for Gather), buffered-row reservations and an
-// inclusive wall-clock window. Counters are atomic and *shared between an
-// operator and its split-pipeline clones*: splitPipeline propagates the
-// template's OpStats pointer into every MorselScan/shard clone, so the
-// template tree the planner returned — the one EXPLAIN renders — reports
-// totals across all workers without any merge step.
-//
-// Instrumentation is opt-in per tree (Instrument) and nil-safe per call,
-// so an uninstrumented plan pays only a pointer test per row.
+// reassembly batches for Gather), buffered-row reservations and, on a
+// timed tree, an inclusive wall-clock window. Attach installs the block,
+// so there is no uncounted run. Counters are atomic and *shared between
+// an operator and its split-pipeline clones*: splitPipeline propagates
+// the template's OpStats pointer into every MorselScan/shard clone, so
+// the template tree the planner returned — the one EXPLAIN renders —
+// reports totals across all workers without any merge step.
 package exec
 
 import (
@@ -18,15 +16,15 @@ import (
 	"time"
 )
 
-// now is the clock the wall-clock window reads, only on an instrumented
-// tree: once as an operator (or a worker's clone of it) opens and once as
-// it closes, however many rows pass. A variable so that a test can count
-// the reads.
+// now is the clock the wall-clock window reads, only on a timed tree
+// (Instrument): once as an operator (or a worker's clone of it) opens and
+// once as it closes, however many rows pass. A variable so that a test can
+// count the reads.
 var now = time.Now
 
-// OpStats holds one operator's execution counters. All fields are
+// OpStats holds one operator's execution counters. The counters are
 // atomic: probe shards, morsel scans and build workers update the same
-// block concurrently. A nil *OpStats discards updates.
+// block concurrently.
 type OpStats struct {
 	in       atomic.Int64
 	out      atomic.Int64
@@ -38,55 +36,37 @@ type OpStats struct {
 	// input across workers and opened it serially because every table it
 	// reads held at most one morsel (opensSplit).
 	oneMorsel atomic.Bool
+	// timed makes markOpen and markDone read the clock. Instrument sets
+	// it before the tree runs; nothing writes it during a run.
+	timed bool
 }
 
 // markOneMorsel records a serial open under the one-morsel rule.
-func (s *OpStats) markOneMorsel() {
-	if s == nil {
-		return
-	}
-	s.oneMorsel.Store(true)
-}
+func (s *OpStats) markOneMorsel() { s.oneMorsel.Store(true) }
 
 // addIn counts rows the operator pulled from its children.
-func (s *OpStats) addIn(n int64) {
-	if s == nil {
-		return
-	}
-	s.in.Add(n)
-}
+func (s *OpStats) addIn(n int64) { s.in.Add(n) }
 
 // addOut counts n emitted rows in one atomic add, once per output batch.
 func (s *OpStats) addOut(n int64) {
-	if s == nil || n == 0 {
-		return
+	if n != 0 {
+		s.out.Add(n)
 	}
-	s.out.Add(n)
 }
 
 // incBatch counts one batch: a claimed morsel for scans, one reassembled
 // worker run for Gather.
-func (s *OpStats) incBatch() {
-	if s == nil {
-		return
-	}
-	s.batches.Add(1)
-}
+func (s *OpStats) incBatch() { s.batches.Add(1) }
 
 // addBuffered counts rows reserved against the buffered-row budget.
 // Operators release their reservations only at Close, so the cumulative
 // count is also the operator's buffered high-water mark.
-func (s *OpStats) addBuffered(n int64) {
-	if s == nil {
-		return
-	}
-	s.buffered.Add(n)
-}
+func (s *OpStats) addBuffered(n int64) { s.buffered.Add(n) }
 
 // markOpen records the wall-clock start once; with split pipelines the
 // first clone to open wins.
 func (s *OpStats) markOpen() {
-	if s == nil {
+	if !s.timed {
 		return
 	}
 	s.start.CompareAndSwap(0, now().UnixNano())
@@ -94,7 +74,7 @@ func (s *OpStats) markOpen() {
 
 // markDone advances the wall-clock end; the last clone to finish wins.
 func (s *OpStats) markDone() {
-	if s == nil {
+	if !s.timed {
 		return
 	}
 	t := now().UnixNano()
@@ -107,45 +87,22 @@ func (s *OpStats) markDone() {
 }
 
 // RowsIn returns the rows pulled from children (0 for leaves).
-func (s *OpStats) RowsIn() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.in.Load()
-}
+func (s *OpStats) RowsIn() int64 { return s.in.Load() }
 
 // RowsOut returns the rows the operator emitted.
-func (s *OpStats) RowsOut() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.out.Load()
-}
+func (s *OpStats) RowsOut() int64 { return s.out.Load() }
 
 // Batches returns the batch count (morsels claimed, for scans).
-func (s *OpStats) Batches() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.batches.Load()
-}
+func (s *OpStats) Batches() int64 { return s.batches.Load() }
 
 // Buffered returns the cumulative buffered-row reservations — the
 // operator's high-water mark, since releases happen only at Close.
-func (s *OpStats) Buffered() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.buffered.Load()
-}
+func (s *OpStats) Buffered() int64 { return s.buffered.Load() }
 
 // Elapsed returns the inclusive wall-clock window from the operator's
-// first Open to its last exhaustion (0 when the operator never ran or
-// never finished).
+// first Open to its last exhaustion (0 when the operator never ran, never
+// finished or was not timed).
 func (s *OpStats) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
 	start, end := s.start.Load(), s.end.Load()
 	if start == 0 || end <= start {
 		return 0
@@ -153,7 +110,7 @@ func (s *OpStats) Elapsed() time.Duration {
 	return time.Duration(end - start)
 }
 
-// instrumented is implemented by operators that carry an OpStats block.
+// instrumented is the part of Operator that reaches its OpStats block.
 type instrumented interface {
 	opStats() *OpStats
 	setStats(*OpStats)
@@ -169,13 +126,17 @@ type statsHolder struct {
 func (h *statsHolder) opStats() *OpStats   { return h.stats }
 func (h *statsHolder) setStats(s *OpStats) { h.stats = s }
 
-// Instrument allocates an OpStats block on every operator of the tree
-// that does not have one yet. Call it after planning and before Open;
-// trees left uninstrumented run with nil stats at negligible cost.
+// Instrument makes every operator of the tree time its runs as well as
+// count them: it installs an OpStats block where Attach has not yet, and
+// marks every block timed, so that each operator (or worker clone of it)
+// reads the clock once as it opens and once as it finishes, however many
+// rows pass. Call it after planning and before a run; the engine times
+// every tree it prepares.
 func Instrument(op Operator) {
-	if in, ok := op.(instrumented); ok && in.opStats() == nil {
-		in.setStats(&OpStats{})
+	if op.opStats() == nil {
+		op.setStats(&OpStats{})
 	}
+	op.opStats().timed = true
 	for _, c := range children(op) {
 		if c != nil {
 			Instrument(c)
@@ -198,29 +159,26 @@ func explainAnalyze(b *strings.Builder, op Operator, depth int) {
 		b.WriteString("  ")
 	}
 	b.WriteString(op.Describe())
-	if in, ok := op.(instrumented); ok {
-		if s := in.opStats(); s != nil {
-			fmt.Fprintf(b, " (in=%d out=%d", s.RowsIn(), s.RowsOut())
-			if n := s.Batches(); n > 0 {
-				fmt.Fprintf(b, " batches=%d", n)
-				if out := s.RowsOut(); out > 0 {
-					fmt.Fprintf(b, " rows/batch=%d", out/n)
-				}
-			}
-			if n := s.Buffered(); n > 0 {
-				fmt.Fprintf(b, " buffered=%d", n)
-			}
-			switch op.(type) {
-			case *Filter, *Distinct:
-				if in := s.RowsIn(); in > 0 {
-					fmt.Fprintf(b, " sel=%.2f", float64(s.RowsOut())/float64(in))
-				}
-			}
-			fmt.Fprintf(b, " time=%s)", s.Elapsed().Round(time.Microsecond))
-			if s.oneMorsel.Load() {
-				b.WriteString(" [serial: one morsel]")
-			}
+	s := op.opStats()
+	fmt.Fprintf(b, " (in=%d out=%d", s.RowsIn(), s.RowsOut())
+	if n := s.Batches(); n > 0 {
+		fmt.Fprintf(b, " batches=%d", n)
+		if out := s.RowsOut(); out > 0 {
+			fmt.Fprintf(b, " rows/batch=%d", out/n)
 		}
+	}
+	if n := s.Buffered(); n > 0 {
+		fmt.Fprintf(b, " buffered=%d", n)
+	}
+	switch op.(type) {
+	case *Filter, *Distinct:
+		if in := s.RowsIn(); in > 0 {
+			fmt.Fprintf(b, " sel=%.2f", float64(s.RowsOut())/float64(in))
+		}
+	}
+	fmt.Fprintf(b, " time=%s)", s.Elapsed().Round(time.Microsecond))
+	if s.oneMorsel.Load() {
+		b.WriteString(" [serial: one morsel]")
 	}
 	if g, ok := op.(*Gather); ok && len(g.workerMorsels) > 0 {
 		parts := make([]string, len(g.workerMorsels))
@@ -267,12 +225,10 @@ func StatsTree(op Operator) []StatLine {
 }
 
 func statsTree(op Operator, depth int, out *[]StatLine) {
-	line := StatLine{Depth: depth, Op: op.Describe()}
-	if in, ok := op.(instrumented); ok {
-		if s := in.opStats(); s != nil {
-			line.In, line.Out = s.RowsIn(), s.RowsOut()
-			line.Batches, line.Buffered = s.Batches(), s.Buffered()
-		}
+	s := op.opStats()
+	line := StatLine{
+		Depth: depth, Op: op.Describe(),
+		In: s.RowsIn(), Out: s.RowsOut(), Batches: s.Batches(), Buffered: s.Buffered(),
 	}
 	if sc, ok := op.(*Scan); ok && sc.lastGroup != nil {
 		for s := range sc.lastGroup.shards {
@@ -288,30 +244,22 @@ func statsTree(op Operator, depth int, out *[]StatLine) {
 	}
 }
 
-// CheckConservation verifies the row-flow invariant over an executed,
-// instrumented tree: every operator's rows-in equals the sum of its
-// children's rows-out — each row a child emitted was counted exactly
-// once by the parent that pulled it. Subtrees without stats are skipped.
+// CheckConservation verifies the row-flow invariant over an executed
+// tree: every operator's rows-in equals the sum of its children's
+// rows-out — each row a child emitted was counted exactly once by the
+// parent that pulled it. Leaves have no children to check.
 func CheckConservation(op Operator) error {
 	kids := children(op)
-	in, ok := op.(instrumented)
-	if ok && in.opStats() != nil {
+	if kids[0] != nil {
 		var sum int64
-		counted := kids[0] != nil
 		for _, c := range kids {
-			if c == nil {
-				continue
+			if c != nil {
+				sum += c.opStats().RowsOut()
 			}
-			ci, ok := c.(instrumented)
-			if !ok || ci.opStats() == nil {
-				counted = false
-				break
-			}
-			sum += ci.opStats().RowsOut()
 		}
-		if counted && sum != in.opStats().RowsIn() {
+		if in := op.opStats().RowsIn(); sum != in {
 			return fmt.Errorf("exec: conservation violated at %s: rows-in=%d but children emitted %d",
-				op.Describe(), in.opStats().RowsIn(), sum)
+				op.Describe(), in, sum)
 		}
 	}
 	for _, c := range kids {

@@ -16,7 +16,7 @@ func TestTopNBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(top)
+	rows, err := collect(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTopNLargerThanInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(top)
+	rows, err := collect(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTopNMatchesSortLimitProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Collect(NewLimit(srt, n))
+		full, err := collect(NewLimit(srt, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestTopNMatchesSortLimitProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounded, err := Collect(top)
+		bounded, err := collect(top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestTopNStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(top)
+	rows, err := collect(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTopNExprKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(top)
+	rows, err := collect(top)
 	if err != nil {
 		t.Fatal(err)
 	}

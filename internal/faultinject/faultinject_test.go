@@ -68,7 +68,7 @@ func TestMaterializeInsertFaultPropagates(t *testing.T) {
 func TestScanFaultPropagatesThroughEngine(t *testing.T) {
 	d := testdb.Figure2()
 	d.Store.SetInjector(faultinject.FailNth("customer", storage.OpScan, 3, errBoom))
-	_, err := engine.New(d.Store).Query("select name from customer")
+	_, err := engine.New(d.Store).QueryCtx(context.Background(), "select name from customer")
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Query error = %v, want errors.Is(err, errBoom)", err)
 	}
@@ -174,7 +174,7 @@ func TestMonteCarloMaterializeFault(t *testing.T) {
 func TestFaultErrorCarriesTableName(t *testing.T) {
 	d := testdb.Figure2()
 	d.Store.SetInjector(faultinject.FailNth("orders", storage.OpScan, 1, errBoom))
-	_, err := engine.New(d.Store).Query("select orderid from orders")
+	_, err := engine.New(d.Store).QueryCtx(context.Background(), "select orderid from orders")
 	if err == nil {
 		t.Fatal("expected error")
 	}

@@ -63,7 +63,7 @@ func TestAggregationMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := exec.Collect(op)
+		rows, err := collect(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestHavingMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := exec.Collect(op)
+		rows, err := collect(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestAggregationOverJoinMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(op)
+	rows, err := collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDistinctAndLimitPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(op)
+	rows, err := collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestTopNFusion(t *testing.T) {
 	if !strings.Contains(exec.Explain(op), "TopN(3;") {
 		t.Fatalf("expected fused TopN:\n%s", exec.Explain(op))
 	}
-	fused, err := exec.Collect(op)
+	fused, err := collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestTopNFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := exec.Collect(ref)
+	all, err := collect(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestTopNFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows0, err := exec.Collect(op0)
+	rows0, err := collect(op0)
 	if err != nil || len(rows0) != 0 {
 		t.Errorf("limit 0: %d rows, err %v", len(rows0), err)
 	}

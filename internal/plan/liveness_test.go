@@ -101,6 +101,15 @@ func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operat
 	return op, rows
 }
 
+// collect executes op to completion under a fresh governor with no
+// limits.
+func collect(op exec.Operator) ([][]value.Value, error) {
+	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	exec.Attach(op, gov)
+	rows, _, err := exec.CollectBatchesGoverned(op, gov, 0)
+	return rows, err
+}
+
 // unprunedOracle answers `select <items> from <rest>` the way the planner
 // did before column liveness: it runs `select * from <rest>` serially —
 // SELECT * keeps every join's identity output — and evaluates

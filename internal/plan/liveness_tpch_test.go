@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -196,10 +197,12 @@ func TestQ9JoinedValuesStayNarrow(t *testing.T) {
 				t.Fatal(err)
 			}
 			exec.Instrument(op)
+			gov := exec.NewGovernor(context.Background(), exec.Limits{})
+			exec.Attach(op, gov)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			rows, _, err := exec.CollectBatchesGoverned(op, nil, exec.DefaultBatchSize)
+			rows, _, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -192,7 +192,7 @@ func TestPlannerMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: plan %q: %v", trial, qs, err)
 		}
-		got, err := exec.Collect(op)
+		got, err := collect(op)
 		if err != nil {
 			t.Fatalf("trial %d: exec %q: %v", trial, qs, err)
 		}
@@ -226,7 +226,7 @@ func TestPlanCyclicJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Collect(op)
+	got, err := collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}

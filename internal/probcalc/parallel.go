@@ -2,7 +2,6 @@ package probcalc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -128,8 +127,9 @@ func claimBatch(clusters, workers int) int {
 // each claiming claimBatch-sized runs of clusters off a shared counter,
 // writing assignments into out. workers <= 1 runs serially. The serial
 // loop and each worker own one scratch, sized for the widest cluster. The
-// first worker error (or a cancellation) drains the pool; panics cross the
-// goroutine boundary only through qerr.Recover.
+// workers run in a qerr.Pool: the first worker error (or a cancellation)
+// drains it, and panics cross the goroutine boundary only through
+// qerr.Recover.
 func (ds *Dataset) runClusterPool(ctx context.Context, cs Clusters, d Distance, out []Assignment, workers int) error {
 	n, widest := cs.Len(), 0
 	for c := 0; c < n; c++ {
@@ -148,51 +148,26 @@ func (ds *Dataset) runClusterPool(ctx context.Context, cs Clusters, d Distance, 
 		}
 		return nil
 	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	batch := claimBatch(n, workers)
 	var next atomic.Int64
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			var err error
-			func() {
-				defer qerr.Recover(&err)
-				var tick qerr.Ticker
-				sc := ds.newScratch(widest)
-				for {
-					lo := int(next.Add(int64(batch))) - batch
-					if lo >= n {
-						return
-					}
-					for c := lo; c < min(lo+batch, n); c++ {
-						if err = tick.Poll(wctx); err != nil {
-							return
-						}
-						if err = ds.assignCluster(wctx, &tick, &sc, cs.Rows(c), d, out); err != nil {
-							return
-						}
-					}
-				}
-			}()
-			if err != nil {
-				cancel()
+	return qerr.Pool(ctx, workers, func(ctx context.Context, _ int) error {
+		var tick qerr.Ticker
+		sc := ds.newScratch(widest)
+		for {
+			lo := int(next.Add(int64(batch))) - batch
+			if lo >= n {
+				return nil
 			}
-			errs <- err
-		}()
-	}
-	var first error
-	for w := 0; w < workers; w++ {
-		err := <-errs
-		switch {
-		case err == nil:
-		case first == nil:
-			first = err
-		case errors.Is(first, qerr.ErrCanceled) && !errors.Is(err, qerr.ErrCanceled):
-			first = err
+			for c := lo; c < min(lo+batch, n); c++ {
+				if err := tick.Poll(ctx); err != nil {
+					return err
+				}
+				if err := ds.assignCluster(ctx, &tick, &sc, cs.Rows(c), d, out); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	return first
+	})
 }
 
 // AssignProbabilitiesCtx is AssignProbabilities under a context, with a

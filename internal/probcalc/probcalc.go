@@ -144,14 +144,9 @@ type DCF struct {
 	P     infotheory.Sparse
 }
 
-// Merge combines two summaries: cardinalities add, distributions average
-// weighted by cardinality.
-func Merge(a, b DCF) DCF {
-	return merge(make(infotheory.Sparse, 0, len(a.P)+len(b.P)), a, b)
-}
-
-// merge is Merge appending the distribution to dst, which must not share
-// storage with a.P or b.P. An entry in both is wa·a + wb·b, summed in the
+// merge combines two summaries — cardinalities add, distributions average
+// weighted by cardinality — appending the distribution to dst, which must
+// not share storage with a.P or b.P. An entry in both is wa·a + wb·b, summed in the
 // map form's order: wa·a is rounded before the add, as its first += rounded
 // it, and the explicit float64 conversion stops a compiler from fusing that
 // product into a multiply-add (Go spec, "Floating-point operators").

@@ -221,7 +221,7 @@ func TestAddArityError(t *testing.T) {
 func TestMergeCardinalityWeights(t *testing.T) {
 	a := DCF{Count: 3, P: infotheory.Sparse{{ID: 0, P: 1}}}
 	b := DCF{Count: 1, P: infotheory.Sparse{{ID: 1, P: 1}}}
-	m := Merge(a, b)
+	m := merge(nil, a, b)
 	if m.Count != 4 {
 		t.Errorf("count = %d", m.Count)
 	}
@@ -230,7 +230,7 @@ func TestMergeCardinalityWeights(t *testing.T) {
 	}
 	// Disjoint supports merge into the union, in ID order; a shared ID
 	// merges into one entry.
-	c := Merge(DCF{Count: 1, P: infotheory.Sparse{{ID: 3, P: 0.5}, {ID: 7, P: 0.5}}},
+	c := merge(nil, DCF{Count: 1, P: infotheory.Sparse{{ID: 3, P: 0.5}, {ID: 7, P: 0.5}}},
 		DCF{Count: 1, P: infotheory.Sparse{{ID: 1, P: 0.5}, {ID: 7, P: 0.5}}})
 	want := infotheory.Sparse{{ID: 1, P: 0.25}, {ID: 3, P: 0.25}, {ID: 7, P: 0.5}}
 	if len(c.P) != len(want) {

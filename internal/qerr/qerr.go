@@ -21,9 +21,10 @@
 //
 // The package also provides the shared machinery the taxonomy implies:
 // FromContext maps a context's termination onto the sentinels, Ticker
-// amortizes cancellation polling across tight per-row loops, and Recover
+// amortizes cancellation polling across tight per-row loops, Recover
 // converts panics into *PanicError values with captured stacks at the
-// engine and facade entry points.
+// engine and facade entry points, and Pool runs the worker pools of the
+// executor and of the offline probability pass under those rules.
 package qerr
 
 import (
@@ -178,4 +179,42 @@ func Recover(errp *error) {
 	buf := make([]byte, 64<<10)
 	buf = buf[:runtime.Stack(buf, false)]
 	*errp = &PanicError{Value: r, Stack: buf}
+}
+
+// Pool runs fn on n goroutines, worker w as fn(ctx, w), under a cancelable
+// child of ctx: the first failure cancels the rest, so the pool drains, and
+// a panic crosses the goroutine boundary only as a Recover error. Pool
+// returns once every worker has exited, with the root cause: the first
+// error, unless it is a cancellation and a later one is not — a worker that
+// saw the pool's own cancel reports ErrCanceled after the failure that
+// caused it.
+func Pool(ctx context.Context, n int, fn func(ctx context.Context, w int) error) error {
+	wctx, cancel := context.WithCancel(ctx) // a new name: ctx reassigned would escape
+	defer cancel()
+	errs := make(chan error, n)
+	for w := 0; w < n; w++ {
+		go func(w int) {
+			var err error
+			func() {
+				defer Recover(&err)
+				err = fn(wctx, w)
+			}()
+			if err != nil {
+				cancel()
+			}
+			errs <- err
+		}(w)
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		err := <-errs
+		switch {
+		case err == nil:
+		case first == nil:
+			first = err
+		case errors.Is(first, ErrCanceled) && !errors.Is(err, ErrCanceled):
+			first = err
+		}
+	}
+	return first
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -176,5 +177,43 @@ func TestRecoverNoPanicLeavesErrorAlone(t *testing.T) {
 	}
 	if err := run(); err != nil {
 		t.Fatalf("err = %v, want nil", err)
+	}
+}
+
+// A pool returns after every worker has exited, with the failure that
+// drained it rather than the cancellations it caused, and with a worker's
+// panic as an ErrInternal error.
+func TestPoolDrainsOnTheRootCause(t *testing.T) {
+	cause := errors.New("root cause")
+	var exited atomic.Int32
+	err := Pool(context.Background(), 4, func(ctx context.Context, w int) error {
+		defer exited.Add(1)
+		if w == 2 {
+			return cause
+		}
+		<-ctx.Done()
+		return FromContext(ctx)
+	})
+	if !errors.Is(err, cause) {
+		t.Errorf("pool error = %v, want the root cause", err)
+	}
+	if n := exited.Load(); n != 4 {
+		t.Errorf("%d of 4 workers had exited when the pool returned", n)
+	}
+
+	err = Pool(context.Background(), 3, func(ctx context.Context, w int) error {
+		if w == 1 {
+			var m map[int]int
+			m[w] = w // a nil-map write panics
+		}
+		<-ctx.Done()
+		return FromContext(ctx)
+	})
+	if !errors.Is(err, ErrInternal) {
+		t.Errorf("pool error = %v, want the panic as ErrInternal", err)
+	}
+
+	if err := Pool(context.Background(), 3, func(context.Context, int) error { return nil }); err != nil {
+		t.Errorf("pool of clean workers: %v", err)
 	}
 }

@@ -237,7 +237,7 @@ func TestByteIdentity(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("%s: response not JSON: %v", q, err)
 		}
-		direct, err := eng.Query(q)
+		direct, err := eng.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: direct execution failed: %v", q, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 
 	"conquer/internal/bench"
 	"conquer/internal/dirty"
+	"conquer/internal/engine"
 	"conquer/internal/exec"
 	"conquer/internal/plan"
 	"conquer/internal/sqlparse"
@@ -106,6 +108,72 @@ func TestExplainAnalyzeCountersDeterministic(t *testing.T) {
 							label, i, got[i], serial[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// engineTimes matches the wall-clock window EXPLAIN ANALYZE prints, the
+// one thing that differs between two runs of a tree.
+var engineTimes = regexp.MustCompile(` time=[^)]*\)`)
+
+// A tree runs one way: Attach alone — no Instrument — governs and counts
+// it. Every TPC-H pair planned with plan.Plan and run through NewGovernor,
+// Attach and CollectBatchesGoverned satisfies conservation, reports the
+// StatsTree of the timed run the engine makes of the same plan, and renders
+// the engine's own EXPLAIN ANALYZE of the statement but for the times. At
+// parallelism 2 the split clones count onto the blocks Attach installed.
+func TestAttachAloneCountsLikeAnEngineRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a TPC-H workload")
+	}
+	d := determinismWorkload(t)
+	pairs, err := bench.PreparePairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := func(stmt *sqlparse.SelectStmt, par int) exec.Operator {
+		op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: par, BatchSize: exec.DefaultBatchSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gov := exec.NewGovernor(context.Background(), exec.Limits{})
+		exec.Attach(op, gov)
+		if _, _, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize); err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})
+	for _, p := range pairs {
+		for _, q := range []struct {
+			kind string
+			stmt *sqlparse.SelectStmt
+		}{{"original", p.Original}, {"rewritten", p.Rewritten}} {
+			label := fmt.Sprintf("Q%d %s", p.Number, q.kind)
+			op := bare(q.stmt, 1)
+			if err := exec.CheckConservation(op); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			got, want := exec.StatsTree(op), runStats(t, d, label, q.stmt, 1)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: an attached run counts\n%+v\nthe engine's path\n%+v", label, got, want)
+			}
+			out, err := serial.ExplainAnalyzeCtx(context.Background(), q.stmt.SQL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = out[:strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")+1] // drop the summary line
+			if g, w := engineTimes.ReplaceAllString(exec.ExplainAnalyze(op), ""), engineTimes.ReplaceAllString(out, ""); g != w {
+				t.Errorf("%s: an attached run renders\n%s\nthe engine's EXPLAIN ANALYZE\n%s", label, g, w)
+			}
+
+			par := bare(q.stmt, 2)
+			if err := exec.CheckConservation(par); err != nil {
+				t.Errorf("%s at parallelism 2: %v", label, err)
+			}
+			if g, w := normalizeStatOps(exec.StatsTree(par)), normalizeStatOps(want); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s at parallelism 2: rows in and out\n%v\nserially\n%v", label, g, w)
 			}
 		}
 	}

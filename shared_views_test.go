@@ -254,7 +254,7 @@ func TestEnginesShareViewsBesideAnInserter(t *testing.T) {
 				store.RLock()
 				want := int64(base + inserted)
 				eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Shards: 2 + r%2})
-				res, err := eng.Query("select count(*) from orders o where o.o_totalprice >= 0")
+				res, err := eng.QueryCtx(context.Background(), "select count(*) from orders o where o.o_totalprice >= 0")
 				if err == nil && i%readers == r {
 					_, err = coreViaRewriting(d, q3.Original)
 				}
