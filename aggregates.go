@@ -80,7 +80,8 @@ type AggregateEstimate struct {
 
 // EstimateAggregate estimates an aggregate of a result column over the
 // clean database's answers by sampling n candidate databases. kind is one
-// of "count", "sum", "avg", "min", "max"; column is ignored for "count".
+// of "count", "sum", "avg", "min", "max"; column is one of the names Eval
+// reports as the result's Columns, and is ignored for "count".
 // Unlike CleanAnswers, this works for any query the engine can run — it
 // never relies on the rewriting.
 func (db *Database) EstimateAggregate(sql, kind, column string, n int, seed int64) (AggregateEstimate, error) {
@@ -103,26 +104,7 @@ func (db *Database) EstimateAggregate(sql, kind, column string, n int, seed int6
 	default:
 		return AggregateEstimate{}, fmt.Errorf("conquer: unknown aggregate %q", kind)
 	}
-	col := -1
-	if k != core.AggregateCount {
-		// Resolve the column against the statement's output names.
-		for i, it := range stmt.Select {
-			name := it.Alias
-			if name == "" {
-				if cr, ok := it.Expr.(*sqlparse.ColumnRef); ok {
-					name = cr.Name
-				}
-			}
-			if name == column {
-				col = i
-				break
-			}
-		}
-		if col < 0 {
-			return AggregateEstimate{}, fmt.Errorf("conquer: query selects no column %q", column)
-		}
-	}
-	est, err := db.evaluator(Limits{}).EstimateAggregate(context.Background(), stmt, k, col, n, seed)
+	est, err := db.evaluator(Limits{}).EstimateAggregate(context.Background(), stmt, k, column, n, seed)
 	if err != nil {
 		return AggregateEstimate{}, err
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"conquer/internal/dirty"
-	"conquer/internal/engine"
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
+	"conquer/internal/value"
 )
 
 // The paper leaves queries with grouping and aggregation as future work
@@ -20,40 +22,12 @@ import (
 //	E[COUNT]      = Σ_t p_t
 //	E[SUM(col)]   = Σ_t p_t · t.col
 //
-// are exact regardless of the correlations between answers, so both can
-// be computed directly from any clean-answer Result — no extra candidate
+// are exact regardless of the correlations between answers, so both
+// follow directly from any clean-answer result (the facade's
+// CleanResult.ExpectedCount and ExpectedSum) — no extra candidate
 // enumeration. Non-linear aggregates (AVG, MIN, MAX) do not decompose
 // this way; Evaluator.EstimateAggregate computes them by Monte-Carlo
 // sampling.
-
-// ExpectedCount returns the expected number of clean answers.
-func ExpectedCount(r *Result) float64 {
-	total := 0.0
-	for _, a := range r.Answers {
-		total += a.Prob
-	}
-	return total
-}
-
-// ExpectedSum returns the expected sum of column col over the clean
-// answers. NULL values contribute nothing, as in SQL aggregation.
-func ExpectedSum(r *Result, col int) (float64, error) {
-	if col < 0 || col >= len(r.Columns) {
-		return 0, fmt.Errorf("core: column %d out of range (result has %d)", col, len(r.Columns))
-	}
-	total := 0.0
-	for _, a := range r.Answers {
-		v := a.Values[col]
-		if v.IsNull() {
-			continue
-		}
-		if !v.IsNumeric() {
-			return 0, fmt.Errorf("core: ExpectedSum over non-numeric column %q", r.Columns[col])
-		}
-		total += a.Prob * v.AsFloat()
-	}
-	return total, nil
-}
 
 // AggregateKind selects the aggregate EstimateAggregate computes.
 type AggregateKind uint8
@@ -81,19 +55,24 @@ type AggregateEstimate struct {
 	Samples int
 }
 
-// EstimateAggregate estimates E[agg(col over q's answers)] by sampling
-// n candidate databases. col is ignored for AggregateCount (pass -1).
-// This covers the non-linear aggregates the closed-form expectations
-// above cannot, at Monte-Carlo accuracy. It runs under the engine's
+// EstimateAggregate estimates E[agg(column over q's answers)] by sampling
+// n candidate databases. column is one of the names Eval reports as the
+// answers' columns; AggregateCount ignores it. The kind and the column are
+// checked before any candidate is drawn; a non-numeric value fails where a
+// sample meets it. This covers the non-linear aggregates the closed-form
+// expectations cannot, at Monte-Carlo accuracy. It runs under the engine's
 // budget like Eval: the Timeout is applied once here, MaxSamples (when
 // positive) caps n, and the sampling loop polls ctx between candidates.
-func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) (est AggregateEstimate, err error) {
+func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, column string, n int, seed int64) (est AggregateEstimate, err error) {
 	defer qerr.Recover(&err)
 	if err := ev.check(EvalOptions{}); err != nil {
 		return AggregateEstimate{}, err
 	}
 	if n <= 0 {
 		return AggregateEstimate{}, fmt.Errorf("core: EstimateAggregate needs a positive sample count")
+	}
+	if kind > AggregateMax {
+		return AggregateEstimate{}, fmt.Errorf("core: unknown aggregate kind %d", kind)
 	}
 	lim := ev.Engine.Options().Limits
 	if lim.MaxSamples > 0 && n > lim.MaxSamples {
@@ -102,7 +81,7 @@ func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.Select
 	}
 	ctx, cancel := lim.WithContext(ctx)
 	defer cancel()
-	samples, err := ev.sampleAggregates(ctx, stmt, kind, col, n, seed)
+	samples, err := ev.sampleAggregates(ctx, stmt, kind, column, n, seed)
 	if err != nil {
 		return AggregateEstimate{}, err
 	}
@@ -125,70 +104,57 @@ func (ev Evaluator) EstimateAggregate(ctx context.Context, stmt *sqlparse.Select
 	return AggregateEstimate{Mean: mean, StdDev: math.Sqrt(variance), Samples: len(samples)}, nil
 }
 
-// sampleAggregates draws n candidate databases and computes the aggregate
-// on each one's (set-semantics) answers.
-func (ev Evaluator) sampleAggregates(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, col int, n int, seed int64) ([]float64, error) {
-	var out []float64
+// sampleAggregates draws n candidate databases from seed and folds the
+// aggregate over the answers each one holds (overHeld): an SPJ statement's
+// from its lineage, one query for all n, any other's from a run on each.
+// The fold visits the held answers in the loop's order, so a float SUM or
+// AVG over an SPJ statement may differ in its last bits from a fold in a
+// world's row order (DESIGN.md §17).
+func (ev Evaluator) sampleAggregates(ctx context.Context, stmt *sqlparse.SelectStmt, kind AggregateKind, column string, n int, seed int64) ([]float64, error) {
 	cs, err := ev.DB.CandidatesOf(stmt.Tables())
 	if err != nil {
 		return nil, err
 	}
-	acc := newAccumulator() // for its per-candidate set semantics; the weights go unused
-	_, _, err = ev.overWorlds(ctx, stmt, cs, sample(ctx, n, seed), func(_ *dirty.Candidate, res *engine.Result) error {
-		rows := acc.addWorld(res.Rows, 0)
+	col := -1
+	sampling := sample(ctx, n, seed)
+	draw := func(cs dirty.Candidates, cols []string, visit func(*dirty.Candidate) error) error {
+		if kind != AggregateCount {
+			if col = slices.Index(cols, column); col < 0 {
+				return fmt.Errorf("core: the query has no column %q (it has %s)", column, strings.Join(cols, ", "))
+			}
+		}
+		return sampling(cs, cols, visit)
+	}
+	out := make([]float64, 0, n)
+	_, _, _, err = ev.overHeld(ctx, stmt, cs, lineageWorlds, draw, func(_ *dirty.Candidate, answers [][]value.Value, held []int32) error {
 		if kind == AggregateCount {
-			out = append(out, float64(len(rows)))
+			out = append(out, float64(len(held)))
 			return nil
 		}
-		if col < 0 || col >= len(res.Columns) {
-			return fmt.Errorf("core: aggregate column %d out of range", col)
-		}
-		var vals []float64
-		for _, row := range rows {
-			v := row[col]
+		sum, best, k := 0.0, 0.0, 0 // best: the minimum or maximum of the k non-NULL values
+		for _, id := range held {
+			v := answers[id][col]
 			if v.IsNull() {
 				continue
 			}
 			if !v.IsNumeric() {
-				return fmt.Errorf("core: aggregate over non-numeric column %q", res.Columns[col])
+				return fmt.Errorf("core: aggregate over non-numeric column %q", column)
 			}
-			vals = append(vals, v.AsFloat())
+			f := v.AsFloat()
+			sum += f
+			if k == 0 || (kind == AggregateMin && f < best) || (kind == AggregateMax && f > best) {
+				best = f
+			}
+			k++
 		}
-		switch kind {
-		case AggregateSum:
-			s := 0.0
-			for _, v := range vals {
-				s += v
-			}
-			out = append(out, s)
-		case AggregateAvg, AggregateMin, AggregateMax:
-			if len(vals) == 0 {
-				return nil // undefined on an empty answer set; skip the sample
-			}
-			agg := vals[0]
-			switch kind {
-			case AggregateAvg:
-				s := 0.0
-				for _, v := range vals {
-					s += v
-				}
-				agg = s / float64(len(vals))
-			case AggregateMin:
-				for _, v := range vals[1:] {
-					if v < agg {
-						agg = v
-					}
-				}
-			case AggregateMax:
-				for _, v := range vals[1:] {
-					if v > agg {
-						agg = v
-					}
-				}
-			}
-			out = append(out, agg)
+		switch {
+		case kind == AggregateSum:
+			out = append(out, sum)
+		case k == 0: // AVG, MIN and MAX are undefined on no values; skip the sample
+		case kind == AggregateAvg:
+			out = append(out, sum/float64(k))
 		default:
-			return fmt.Errorf("core: unknown aggregate kind %d", kind)
+			out = append(out, best)
 		}
 		return nil
 	})

@@ -3,96 +3,18 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
 	"conquer/internal/exec"
+	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
 	"conquer/internal/value"
 )
-
-// E[COUNT] over the clean answers equals the candidate-weighted average
-// answer-set size, computed here by direct enumeration.
-func TestExpectedCountMatchesEnumeration(t *testing.T) {
-	d := testdb.Figure2()
-	q := sqlparse.MustParse("select id from customer where balance > 10000")
-	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ExpectedCount(res)
-
-	// Direct enumeration: Σ_cand P(cand)·|answers(cand)|. c1 answers in
-	// every candidate; c2 only in those that pick Mary (probability 0.2),
-	// so the expectation is 1.2.
-	want := 0.0
-	cs, err := d.Candidates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cs.Enumerate(context.Background(), 0, func(c *dirty.Candidate) bool {
-		world, merr := d.MaterializeCtx(context.Background(), c)
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		r, qerr := engine.New(world).QueryStmt(q)
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
-		want += c.Prob * float64(len(distinctRows(r.Rows)))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(want-1.2) > 1e-9 {
-		t.Fatalf("enumeration self-check: %v", want)
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("E[COUNT] = %v, want %v", got, want)
-	}
-}
-
-func TestExpectedSum(t *testing.T) {
-	d := testdb.Figure2()
-	// Sum of quantities of orders joined to >10K customers.
-	q := sqlparse.MustParse(
-		"select o.id, c.id, o.quantity from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
-	res, err := ExactCtx(context.Background(), d, q, exec.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ExpectedSum(res, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Answers: (o1,c1,3) p=1; (o2,c1,2) p=.5; (o2,c2,5) p=.1
-	want := 3.0*1 + 2.0*0.5 + 5.0*0.1
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("E[SUM] = %v, want %v", got, want)
-	}
-	// Errors.
-	if _, err := ExpectedSum(res, 99); err == nil {
-		t.Error("out-of-range column should fail")
-	}
-	if _, err := ExpectedSum(res, 0); err == nil {
-		t.Error("non-numeric column should fail")
-	}
-}
-
-func TestExpectedSumSkipsNull(t *testing.T) {
-	r := &Result{Columns: []string{"x"}}
-	r.Answers = []Answer{
-		{Values: []value.Value{value.Null()}, Prob: 0.5},
-		{Values: []value.Value{value.Int(4)}, Prob: 0.5},
-	}
-	got, err := ExpectedSum(r, 0)
-	if err != nil || got != 2 {
-		t.Errorf("E[SUM] with NULL = %v, %v", got, err)
-	}
-}
 
 // Monte-Carlo estimates of the linear aggregates converge to the
 // closed-form expectations.
@@ -104,13 +26,12 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCount := ExpectedCount(res)
-	wantSum, err := ExpectedSum(res, 2)
-	if err != nil {
-		t.Fatal(err)
+	wantCount, wantSum := probMass(res), 0.0
+	for _, a := range res.Answers {
+		wantSum += a.Prob * a.Values[2].AsFloat()
 	}
 
-	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, -1, 20000, 9)
+	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, "", 20000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +42,7 @@ func TestEstimateAggregateConvergesToClosedForm(t *testing.T) {
 		t.Errorf("samples = %d", est.Samples)
 	}
 
-	est, err = evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 2, 20000, 10)
+	est, err = evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, "quantity", 20000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +59,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 	//   John=20K (p.7): Mary in (p.2) -> min 20K; out (p.8) -> 20K => 20K, p=.7
 	//   John=30K (p.3): Mary in (.2) -> 27K (p .06); out -> 30K (p .24)
 	// E[MIN] = .7*20000 + .06*27000 + .24*30000 = 14000+1620+7200 = 22820.
-	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateMin, 1, 30000, 11)
+	est, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateMin, "balance", 30000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +72,7 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 
 	// AVG and MAX run without error and stay within the value range.
 	for _, kind := range []AggregateKind{AggregateAvg, AggregateMax} {
-		est, err := evaluator(d).EstimateAggregate(context.Background(), q, kind, 1, 2000, 12)
+		est, err := evaluator(d).EstimateAggregate(context.Background(), q, kind, "balance", 2000, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,16 +85,172 @@ func TestEstimateAggregateNonLinear(t *testing.T) {
 func TestEstimateAggregateErrors(t *testing.T) {
 	d := testdb.Figure2()
 	q := sqlparse.MustParse("select id, name from customer")
-	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 1, 10, 1); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, "name", 10, 1); err == nil {
 		t.Error("non-numeric sum should fail")
 	}
-	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, 99, 10, 1); err == nil {
-		t.Error("out-of-range column should fail")
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateSum, "ghost", 10, 1); err == nil {
+		t.Error("an unknown column should fail")
 	}
-	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, -1, 0, 1); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateCount, "", 0, 1); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateKind(99), 0, 10, 1); err == nil {
+	if _, err := evaluator(d).EstimateAggregate(context.Background(), q, AggregateKind(99), "id", 10, 1); err == nil {
 		t.Error("unknown kind should fail")
+	}
+}
+
+// An SPJ statement's aggregate samples read its lineage: one query, then
+// no allocation per sample — where the per-world loop paid a plan run and
+// about 30 allocations for each. A grouped statement runs its plan on
+// every sampled world.
+func TestEstimateAggregateSamplesTheLineage(t *testing.T) {
+	ctx := context.Background()
+	d := testdb.Figure2()
+	spj := sqlparse.MustParse("select c.id, o.quantity from orders o, customer c where o.cidfk = c.id and c.balance > 10000")
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := evaluator(d).EstimateAggregate(ctx, spj, AggregateSum, "quantity", n, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perSample := (run(1200) - run(200)) / 1000
+	t.Logf("%.2f allocations per sample", perSample)
+	if perSample >= 1 {
+		t.Errorf("%.2f allocations per sample; want less than 1", perSample)
+	}
+
+	const n, seed = 25, 3
+	grouped := sqlparse.MustParse("select name, count(*) from customer where balance > 10000 group by name")
+	for _, c := range []struct {
+		stmt    *sqlparse.SelectStmt
+		queries int
+	}{{spj, 1}, {grouped, n}} {
+		cs, err := d.CandidatesOf(c.stmt.Tables())
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := 0
+		_, _, stats, err := evaluator(d).overHeld(ctx, c.stmt, cs, lineageWorlds, sample(ctx, n, seed),
+			func(*dirty.Candidate, [][]value.Value, []int32) error { samples++; return nil })
+		if err != nil || samples != n || stats.Queries != c.queries {
+			t.Errorf("%s: %d samples, %d queries, error %v; want %d and %d", c.stmt.SQL(), samples, stats.Queries, err, n, c.queries)
+		}
+	}
+}
+
+// oracleAggregates folds kind over column col of each answer set, in its
+// rows' order, as the per-world loop did; ok is false when a value is not
+// numeric.
+func oracleAggregates(sets [][][]value.Value, kind AggregateKind, col int) (out []float64, ok bool) {
+	for _, rows := range sets {
+		if kind == AggregateCount {
+			out = append(out, float64(len(rows)))
+			continue
+		}
+		var vals []float64
+		for _, row := range rows {
+			switch v := row[col]; {
+			case v.IsNull():
+			case !v.IsNumeric():
+				return nil, false
+			default:
+				vals = append(vals, v.AsFloat())
+			}
+		}
+		if kind != AggregateSum && len(vals) == 0 {
+			continue // undefined on no values
+		}
+		sum := 0.0
+		for _, v := range vals {
+			sum += v
+		}
+		switch kind {
+		case AggregateSum:
+			out = append(out, sum)
+		case AggregateAvg:
+			out = append(out, sum/float64(len(vals)))
+		default:
+			best := vals[0]
+			for _, v := range vals[1:] {
+				if kind == AggregateMin && v < best || kind == AggregateMax && v > best {
+					best = v
+				}
+			}
+			out = append(out, best)
+		}
+	}
+	return out, true
+}
+
+// On every SPJ statement of the corpus, each aggregate sample is the
+// per-world oracle's for the same draws: COUNT, MIN and MAX bit for bit,
+// SUM and AVG within a relative 1e-12, since the lineage folds a sample's
+// answers in answer-table order rather than a world's row order. A column
+// holding a non-numeric value fails.
+func TestEstimateAggregateMatchesPerWorldOracle(t *testing.T) {
+	ctx := context.Background()
+	const n, seed = 30, 5
+	statements, columns := 0, 0
+	for _, c := range lineageCases(t) {
+		stmt := sqlparse.MustParse(c.sql)
+		if _, err := rewrite.Lineage(c.d.Store.Catalog, stmt); err != nil {
+			continue // not SPJ
+		}
+		statements++
+		cs, err := c.d.CandidatesOf(stmt.Tables())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, cand := rand.New(rand.NewSource(seed)), cs.NewCandidate()
+		var cols []string
+		sets := make([][][]value.Value, n)
+		for i := range sets {
+			cs.Sample(rng, cand)
+			world, err := c.d.MaterializeCtx(ctx, cand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.New(world).QueryStmt(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols, sets[i] = res.Columns, distinctRows(res.Rows)
+		}
+		for col, name := range cols {
+			if slices.Index(cols, name) != col {
+				continue // a name resolves to its first column
+			}
+			for kind := AggregateCount; kind <= AggregateMax; kind++ {
+				label := c.name + " " + name
+				want, numeric := oracleAggregates(sets, kind, col)
+				got, err := evaluator(c.d).sampleAggregates(ctx, stmt, kind, name, n, seed)
+				switch {
+				case !numeric:
+					if err == nil {
+						t.Errorf("%s, kind %d: a non-numeric column aggregates", label, kind)
+					}
+					continue
+				case err != nil:
+					t.Fatalf("%s, kind %d: %v", label, kind, err)
+				case len(got) != len(want):
+					t.Fatalf("%s, kind %d: %d samples, want %d", label, kind, len(got), len(want))
+				}
+				if kind == AggregateMin {
+					columns++
+				}
+				for i := range want {
+					exact := kind != AggregateSum && kind != AggregateAvg
+					if exact && math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+						!exact && math.Abs(got[i]-want[i]) > 1e-12*math.Abs(want[i]) {
+						t.Errorf("%s, kind %d: sample %d = %v, the per-world loop's %v", label, kind, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d SPJ statements, %d numeric columns", statements, columns)
+	if statements < 30 || columns < 30 {
+		t.Errorf("%d SPJ statements and %d numeric columns; want >= 30 of each", statements, columns)
 	}
 }

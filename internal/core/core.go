@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -186,57 +187,43 @@ func (r *Result) Equal(other *Result, tol float64) bool {
 	return true
 }
 
-// answerAccumulator sums probabilities per distinct answer tuple.
-type answerAccumulator struct {
-	byHash map[uint64][]int
-	rows   [][]value.Value
-	probs  []float64
-	seenIn []int // the candidate that last produced each answer
-	worlds int   // candidates absorbed so far
-	// distinct is the current candidate's rows, first appearances only.
-	distinct [][]value.Value
+// answerTable numbers the distinct answer tuples of one evaluation in
+// order of first appearance: answer id is answers[id]. first maps a row
+// hash to the last answer added with it, and next chains each answer to
+// the one added before it with its hash (-1 ends a chain), so an answer
+// costs no allocation of its own. Both arms of the candidate loop
+// (overHeld) hand out ids into one.
+type answerTable struct {
+	answers [][]value.Value
+	first   map[uint64]int32
+	next    []int32
 }
 
-func newAccumulator() *answerAccumulator {
-	return &answerAccumulator{byHash: make(map[uint64][]int)}
+// newAnswerTable is a table with room for n answers.
+func newAnswerTable(n int) answerTable {
+	return answerTable{answers: make([][]value.Value, 0, n), first: make(map[uint64]int32), next: make([]int32, 0, n)}
 }
 
-// addWorld absorbs one candidate database's result with weight p, under
-// set semantics: a candidate contributes an answer once, however many
-// derivations it has there. It returns the candidate's distinct rows in
-// order of first appearance, valid until the next call.
-func (acc *answerAccumulator) addWorld(rows [][]value.Value, p float64) [][]value.Value {
-	acc.worlds++
-	acc.distinct = acc.distinct[:0]
-rows:
-	for _, row := range rows {
-		h := value.HashRow(row)
-		for _, i := range acc.byHash[h] {
-			if value.RowsIdentical(acc.rows[i], row) {
-				if acc.seenIn[i] != acc.worlds {
-					acc.seenIn[i] = acc.worlds
-					acc.probs[i] += p
-					acc.distinct = append(acc.distinct, row)
-				}
-				continue rows
-			}
+// id returns the id of the answer tuple vals, adding it on its first
+// appearance. same is false for vals Identical to an answer's values but
+// not the same bits (0.0 and -0.0): the answer keeps the bits it first
+// had.
+func (t *answerTable) id(vals []value.Value) (id int32, same bool) {
+	h := value.HashRow(vals)
+	head, ok := t.first[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = t.next[i] {
+		if value.RowsIdentical(t.answers[i], vals) {
+			return i, slices.Equal(t.answers[i], vals)
 		}
-		acc.byHash[h] = append(acc.byHash[h], len(acc.rows))
-		acc.rows = append(acc.rows, row)
-		acc.probs = append(acc.probs, p)
-		acc.seenIn = append(acc.seenIn, acc.worlds)
-		acc.distinct = append(acc.distinct, row)
 	}
-	return acc.distinct
-}
-
-func (acc *answerAccumulator) result(cols []string) *Result {
-	res := &Result{Columns: cols, Answers: answers(len(acc.rows))}
-	for i, row := range acc.rows {
-		res.Answers = append(res.Answers, Answer{Values: row, Prob: acc.probs[i]})
-	}
-	res.sortAnswers()
-	return res
+	id = int32(len(t.answers))
+	t.first[h] = id
+	t.next = append(t.next, head)
+	t.answers = append(t.answers, vals)
+	return id, true
 }
 
 // answers is the vector for n answers, sized once; nil when there are
@@ -248,15 +235,17 @@ func answers(n int) []Answer {
 	return make([]Answer, 0, n)
 }
 
-// drawFunc visits the candidate databases of one evaluation, in the
-// evaluator's order, stopping at the first error visit returns. The
-// Candidate it hands out is overwritten between visits.
-type drawFunc func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error
+// drawFunc visits the candidate databases of one evaluation, whose
+// answers have columns cols, in the evaluator's order, stopping at the
+// first error visit returns. The Candidate it hands out is overwritten
+// between visits. A draw may refuse cols before it visits any candidate
+// (EstimateAggregate's refuses a column the answers lack).
+type drawFunc func(cs dirty.Candidates, cols []string, visit func(*dirty.Candidate) error) error
 
 // enumerate draws every candidate database, failing with a
 // qerr.ErrTooManyCandidates error when there are more than limit.
 func enumerate(ctx context.Context, limit int64) drawFunc {
-	return func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error {
+	return func(cs dirty.Candidates, _ []string, visit func(*dirty.Candidate) error) error {
 		var visitErr error
 		err := cs.Enumerate(ctx, limit, func(c *dirty.Candidate) bool {
 			visitErr = visit(c)
@@ -271,7 +260,7 @@ func enumerate(ctx context.Context, limit int64) drawFunc {
 
 // sample draws n independent candidate databases from seed.
 func sample(ctx context.Context, n int, seed int64) drawFunc {
-	return func(cs dirty.Candidates, visit func(*dirty.Candidate) error) error {
+	return func(cs dirty.Candidates, _ []string, visit func(*dirty.Candidate) error) error {
 		rng := rand.New(rand.NewSource(seed))
 		cand := cs.NewCandidate()
 		for i := 0; i < n; i++ {
@@ -287,19 +276,82 @@ func sample(ctx context.Context, n int, seed int64) drawFunc {
 	}
 }
 
-// overWorlds is the one candidate loop under every rung that materializes
-// candidate databases: it runs stmt on each candidate of cs, the FROM
-// relations' cluster index, that draw visits and hands the result to
-// answer. (The candidates are the FROM relations' alone: a relation the
-// statement does not name cannot change its answer, and clusters choose
-// independently, so its choices sum out of every probability, DESIGN.md
-// §11.) Everything that depends only on the statement happens once, here —
-// a world over those relations, the plan over that world on an engine with
-// the evaluator's settings (every candidate has one row per cluster, so
-// table sizes and with them the plan cannot differ between candidates) and
-// the metrics report. A candidate costs refilling the world's dirty
-// tables, re-opening the plan under a fresh budget, and collecting
-// (DESIGN.md §17).
+// heldFunc receives one visited candidate and the ids of the answers it
+// holds, each once, into answers, the answer table so far. held is reused
+// between calls.
+type heldFunc func(c *dirty.Candidate, answers [][]value.Value, held []int32) error
+
+// overHeld is the one candidate loop under exact, Monte-Carlo and
+// EstimateAggregate: it hands visit every candidate draw visits with the
+// ids of the answers that candidate holds, Q(c) under set semantics. An
+// SPJ statement reads them off its lineage: one query holding at most
+// worlds worlds' rows, then each answer's DNF checked on the candidate,
+// the held ids ascending. Any other statement, one whose lineage
+// buildLineage gives up on, and every statement when worlds is 0, reads
+// them off the rows of a run on the candidate (overWorlds), in order of
+// first appearance, after the failed lineage query if there was one.
+// Either way the candidates are draw's and each holds the same answers
+// (DESIGN.md §17). It returns the answers' columns and table, and what its
+// queries cost.
+func (ev Evaluator) overHeld(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64,
+	draw drawFunc, visit heldFunc) (cols []string, answers [][]value.Value, stats EvalStats, err error) {
+	if worlds > 0 {
+		l, spent, err := ev.buildLineage(ctx, stmt, cs, worlds)
+		if err == nil {
+			held := make([]int32, len(l.answers))
+			err = draw(cs, l.cols, func(c *dirty.Candidate) error {
+				l.at(c)
+				n := 0
+				for i := range l.answers {
+					if l.holds(i) {
+						held[n] = int32(i)
+						n++
+					}
+				}
+				return visit(c, l.answers, held[:n])
+			})
+			return l.cols, l.answers, spent, err
+		}
+		if !errors.Is(err, errNoLineage) {
+			return nil, nil, spent, err
+		}
+		stats = spent // the retry costs the failed lineage query too
+	}
+	tab := newAnswerTable(0)
+	var held []int32
+	var lastIn []int // per answer, the candidate that last held it
+	candidates := 0
+	cols, run, err := ev.overWorlds(ctx, stmt, cs, draw, func(c *dirty.Candidate, res *engine.Result) error {
+		candidates++
+		held = held[:0]
+		for _, row := range res.Rows {
+			id, _ := tab.id(row)
+			if int(id) == len(lastIn) {
+				lastIn = append(lastIn, 0)
+			}
+			if lastIn[id] != candidates {
+				lastIn[id] = candidates
+				held = append(held, id)
+			}
+		}
+		return visit(c, tab.answers, held)
+	})
+	stats.add(run)
+	return cols, tab.answers, stats, err
+}
+
+// overWorlds is the candidate loop's per-world arm (overHeld): it runs
+// stmt on each candidate of cs, the FROM relations' cluster index, that
+// draw visits and hands the result to answer. (The candidates are the FROM
+// relations' alone: a relation the statement does not name cannot change
+// its answer, and clusters choose independently, so its choices sum out of
+// every probability, DESIGN.md §11.) Everything that depends only on the
+// statement happens once, here — a world over those relations, the plan
+// over that world on an engine with the evaluator's settings (every
+// candidate has one row per cluster, so table sizes and with them the plan
+// cannot differ between candidates) and the metrics report. A candidate
+// costs refilling the world's dirty tables, re-opening the plan under a
+// fresh budget, and collecting (DESIGN.md §17).
 func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, draw drawFunc,
 	answer func(c *dirty.Candidate, res *engine.Result) error) (cols []string, stats EvalStats, err error) {
 	start := time.Now()
@@ -312,7 +364,7 @@ func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, c
 		return nil, stats, err
 	}
 	defer func() { stats.Queries, stats.BufferedPeak = prep.Report(ctx, err, time.Since(start)) }()
-	err = draw(cs, func(c *dirty.Candidate) error {
+	err = draw(cs, prep.Columns(), func(c *dirty.Candidate) error {
 		if err := world.Fill(ctx, c); err != nil {
 			return err
 		}
@@ -327,33 +379,46 @@ func (ev Evaluator) overWorlds(ctx context.Context, stmt *sqlparse.SelectStmt, c
 
 // overCandidates computes stmt's clean answers over the candidates of cs
 // that draw visits, adding weight(c) to the probability of every answer
-// candidate c yields. An SPJ statement runs one lineage query holding at
-// most worlds worlds' rows and checks each answer's DNF on every candidate
-// (fromLineage); any other statement, one whose lineage buildLineage gives
-// up on, and every statement when worlds is 0, runs on every candidate
-// (overWorlds), after the failed lineage query if there was one. Both give
-// the same probabilities, bit for bit.
+// candidate c holds (overHeld, which reads an SPJ statement's answers off
+// a lineage holding at most worlds worlds' rows). Each answer adds its
+// candidates' weights in draw's order, so both arms of the loop give the
+// same probabilities, bit for bit. An answer is listed once a visited
+// candidate holds it, with probability 0 if only probability-0 candidates
+// do.
 func (ev Evaluator) overCandidates(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64,
 	draw drawFunc, weight func(c *dirty.Candidate) float64) (*Result, error) {
-	var spent EvalStats
-	if worlds > 0 {
-		out, stats, err := ev.fromLineage(ctx, stmt, cs, worlds, draw, weight)
-		if !errors.Is(err, errNoLineage) {
-			return out, err
-		}
-		spent = stats
+	type tally struct {
+		prob float64
+		held bool // by some visited candidate
 	}
-	acc := newAccumulator()
-	cols, stats, err := ev.overWorlds(ctx, stmt, cs, draw, func(c *dirty.Candidate, res *engine.Result) error {
-		acc.addWorld(res.Rows, weight(c))
+	var tallies []tally
+	cols, vals, stats, err := ev.overHeld(ctx, stmt, cs, worlds, draw, func(c *dirty.Candidate, vals [][]value.Value, held []int32) error {
+		if n := len(vals); n > len(tallies) {
+			tallies = slices.Grow(tallies, n-len(tallies))[:n]
+		}
+		w := weight(c)
+		for _, id := range held {
+			tallies[id].prob += w
+			tallies[id].held = true
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := acc.result(cols)
-	out.Stats = stats
-	out.Stats.add(spent) // the retry costs the failed lineage query too
+	n := 0
+	for _, t := range tallies {
+		if t.held {
+			n++
+		}
+	}
+	out := &Result{Columns: cols, Answers: answers(n), Stats: stats}
+	for id, t := range tallies {
+		if t.held {
+			out.Answers = append(out.Answers, Answer{Values: vals[id], Prob: t.prob})
+		}
+	}
+	out.sortAnswers()
 	return out, nil
 }
 

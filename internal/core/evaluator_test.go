@@ -138,7 +138,7 @@ func TestEvaluatorRejectsWhatItCannotRun(t *testing.T) {
 			t.Errorf("%s: result %v, error %v; want an error saying %q", name, res, err, c.want)
 		}
 	}
-	if _, err := (Evaluator{DB: d, Engine: engine.New(testdb.Figure2().Store)}).EstimateAggregate(ctx, stmt, AggregateCount, -1, 10, 1); err == nil {
+	if _, err := (Evaluator{DB: d, Engine: engine.New(testdb.Figure2().Store)}).EstimateAggregate(ctx, stmt, AggregateCount, "", 10, 1); err == nil {
 		t.Error("EstimateAggregate on an engine over another store should fail")
 	}
 

@@ -23,9 +23,10 @@ import (
 // independent cluster choices (Dfn 3–5): one conjunct per row of the
 // lineage query (rewrite.Lineage), one literal per dirty alias of it. One
 // query on the dirty database builds every DNF, and a candidate — each one
-// for exact, a draw for Monte-Carlo — is then a check of each DNF against
-// its cluster choices: the candidates of the per-world loop, in its order,
-// so the probabilities are its own bit for bit.
+// for exact, a draw for Monte-Carlo and EstimateAggregate — is then a
+// check of each DNF against its cluster choices: the candidate loop's arm
+// for SPJ statements (overHeld), which visits the per-world arm's
+// candidates in its order and finds each holding the same answers.
 
 // errNoLineage reports that a statement's lineage could not be built; the
 // per-world loop computes the same answers instead.
@@ -35,7 +36,7 @@ var errNoLineage = errors.New("core: no lineage")
 // cluster choices of a candidate.
 type lineage struct {
 	cols    []string
-	answers [][]value.Value
+	answers [][]value.Value // by id, as an answerTable numbered them
 	// width is the number of literals in a conjunct: one per dirty alias.
 	width int
 	// conj holds the conjuncts, width literal ids each, grouped by answer:
@@ -169,14 +170,15 @@ func (ev Evaluator) buildLineage(ctx context.Context, stmt *sqlparse.SelectStmt,
 	}
 	l.chosen = make([][]int, len(l.rels))
 
-	// One tuple per lineage row: its answer, then its literals.
+	// One tuple per lineage row: its answer, then its literals, written
+	// past the end of tuples and kept unless the row adds nothing.
 	stride := 1 + l.width
-	var tuples []int32
-	answerOf := make(map[uint64][]int32)
+	tuples := make([]int32, 0, len(res.Rows)*stride)
 	litOf := make(map[[2]int32]int32) // (alias, first row of the set) -> literal
-	tuple := make([]int32, stride)
+	answers := newAnswerTable(len(res.Rows))
 rows:
 	for _, row := range res.Rows {
+		tuple := tuples[len(tuples) : len(tuples)+stride]
 		for a := range aliases {
 			al := &aliases[a]
 			vals := row[al.off : al.off+len(al.cols)]
@@ -207,14 +209,14 @@ rows:
 			}
 			tuple[1+a] = id
 		}
-		a, ok := l.answer(answerOf, row[:len(l.cols):len(l.cols)])
-		if !ok {
+		a, same := answers.id(row[:len(l.cols):len(l.cols)])
+		if !same {
 			return nil, stats, errNoLineage
 		}
 		tuple[0] = a
-		tuples = append(tuples, tuple...)
+		tuples = tuples[:len(tuples)+stride]
 	}
-	l.truth = make([]bool, len(l.lits))
+	l.answers, l.truth = answers.answers, make([]bool, len(l.lits))
 
 	// Group the conjuncts by answer, each distinct one once. Every answer
 	// has one: a lineage row adds its answer only with its conjunct.
@@ -263,22 +265,6 @@ func agrees(row []value.Value, cols []int, vals []value.Value) bool {
 	return true
 }
 
-// answer returns the id of the answer tuple vals, adding it on its first
-// appearance. It reports false for vals identical to an answer's values
-// but not the same bits.
-func (l *lineage) answer(byHash map[uint64][]int32, vals []value.Value) (int32, bool) {
-	h := value.HashRow(vals)
-	for _, i := range byHash[h] {
-		if value.RowsIdentical(l.answers[i], vals) {
-			return i, slices.Equal(l.answers[i], vals)
-		}
-	}
-	i := int32(len(l.answers))
-	byHash[h] = append(byHash[h], i)
-	l.answers = append(l.answers, vals)
-	return i, true
-}
-
 // lineageWorlds caps a lineage at the rows of that many worlds (exact's at
 // fewer when it has fewer candidates, Evaluator.exact). A sample checks
 // every conjunct of the lineage, so past about this multiple of a world
@@ -303,51 +289,4 @@ func worldRows(d *dirty.DB, stmt *sqlparse.SelectStmt, cs dirty.Candidates) int6
 		}
 	}
 	return rows
-}
-
-// fromLineage computes stmt's clean answers over cs from its lineage,
-// holding at most worlds worlds' rows: on each candidate draw visits, it
-// adds weight(c) to every answer whose DNF holds there, as the per-world
-// loop adds it to every answer of Q(c). The candidates, the weights and the
-// order of the sums are that loop's, so the probabilities are its own bit
-// for bit, and an answer is listed when it holds on a visited candidate,
-// with probability 0 if only probability-0 candidates hold it. It fails
-// with errNoLineage where buildLineage does, reporting what the failed
-// lineage query cost in spent.
-func (ev Evaluator) fromLineage(ctx context.Context, stmt *sqlparse.SelectStmt, cs dirty.Candidates, worlds int64,
-	draw drawFunc, weight func(c *dirty.Candidate) float64) (out *Result, spent EvalStats, err error) {
-	l, spent, err := ev.buildLineage(ctx, stmt, cs, worlds)
-	if err != nil {
-		return nil, spent, err
-	}
-	probs := make([]float64, len(l.answers))
-	seen := make([]bool, len(l.answers))
-	err = draw(cs, func(c *dirty.Candidate) error {
-		l.at(c)
-		w := weight(c)
-		for i := range probs {
-			if l.holds(i) {
-				probs[i] += w
-				seen[i] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, spent, err
-	}
-	held := 0
-	for _, ok := range seen {
-		if ok {
-			held++
-		}
-	}
-	out = &Result{Columns: l.cols, Answers: answers(held), Stats: spent}
-	for i, p := range probs {
-		if seen[i] {
-			out.Answers = append(out.Answers, Answer{Values: l.answers[i], Prob: p})
-		}
-	}
-	out.sortAnswers()
-	return out, spent, nil
 }

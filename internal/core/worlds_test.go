@@ -398,7 +398,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 			if whole.Cmp(scoped) > 0 {
 				narrowed++
 			}
-			switch mass := ExpectedCount(got); {
+			switch mass := probMass(got); {
 			case len(got.Answers) == 0:
 				empty++
 			case mass < float64(len(got.Answers))-1e-9:
@@ -470,7 +470,7 @@ func TestEstimateAggregateMatchesStepByStepOracle(t *testing.T) {
 		}
 		sums = append(sums, s)
 	}
-	got, err := evaluator(d).sampleAggregates(context.Background(), stmt, AggregateSum, 1, n, seed)
+	got, err := evaluator(d).sampleAggregates(context.Background(), stmt, AggregateSum, "quantity", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

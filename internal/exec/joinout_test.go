@@ -167,10 +167,7 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 		wantTagged := drainTagged(t, identity, batch)
 		id, _ := jc.mk()
 		govern(id)
-		parts, _, ok := splitPipeline(id, 3)
-		if !ok {
-			t.Fatalf("%s: pipeline did not split", jc.name)
-		}
+		parts, _ := splitPipeline(id, 3)
 		wantParts := drainParts(t, parts, batch)
 		for trial := 0; trial < 25; trial++ {
 			cols := randomOutputList(rng, width)
@@ -203,10 +200,7 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 			requireProjection(t, fmt.Sprintf("%s batch=%d", label, batch), wantTagged, drainTagged(t, narrowed(), batch), cols)
 			tmpl := narrowed()
 			govern(tmpl)
-			parts, _, ok := splitPipeline(tmpl, 3)
-			if !ok {
-				t.Fatalf("%s: pipeline did not split", label)
-			}
+			parts, _ := splitPipeline(tmpl, 3)
 			for i, p := range drainParts(t, parts, batch) {
 				requireProjection(t, fmt.Sprintf("%s shard %d", label, i), wantParts[i], p, cols)
 			}

@@ -764,9 +764,8 @@ func (a *HashAggregate) emit(order []*aggState) error {
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
 	if opensSplit(a.Child, a.Parallelism, a.stats) {
-		if parts, _, ok := splitPipeline(a.Child, a.Parallelism); ok {
-			return a.openParallel(parts)
-		}
+		parts, _ := splitPipeline(a.Child, a.Parallelism)
+		return a.openParallel(parts)
 	}
 	if err := a.Child.Open(); err != nil {
 		return err

@@ -235,43 +235,32 @@ func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 // the counters of all workers aggregate onto the template tree that
 // EXPLAIN ANALYZE renders. The returned leaves report morsel provenance
 // for each part. Fewer than n parts come back when the base table has
-// fewer morsels than workers.
-func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan, bool) {
+// fewer morsels than workers. op is a pipeline drivingScan walks, as
+// opensSplit has checked: its recursion is this one's.
+func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 	switch op := op.(type) {
-	case *Scan:
-		return splitScan(op, n)
-
 	case *Filter:
-		children, leaves, ok := splitPipeline(op.Child, n)
-		if !ok {
-			return nil, nil, false
-		}
+		children, leaves := splitPipeline(op.Child, n)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			f := &Filter{Child: c, Pred: op.Pred, test: op.test}
 			f.stats = op.stats
 			parts[i] = f
 		}
-		return parts, leaves, true
+		return parts, leaves
 
 	case *Project:
-		children, leaves, ok := splitPipeline(op.Child, n)
-		if !ok {
-			return nil, nil, false
-		}
+		children, leaves := splitPipeline(op.Child, n)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			p := &Project{Child: c, schema: op.schema, evals: op.evals, passthrough: op.passthrough}
 			p.stats = op.stats
 			parts[i] = p
 		}
-		return parts, leaves, true
+		return parts, leaves
 
 	case *HashJoin:
-		children, leaves, ok := splitPipeline(op.Left, n)
-		if !ok {
-			return nil, nil, false
-		}
+		children, leaves := splitPipeline(op.Left, n)
 		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.batchCap(), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
@@ -289,9 +278,9 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan, bool) {
 			j.stats = op.stats
 			parts[i] = j
 		}
-		return parts, leaves, true
+		return parts, leaves
 	}
-	return nil, nil, false
+	return splitScan(op.(*Scan), n)
 }
 
 // closeAll closes every part, keeping the first error. The coordinator
@@ -354,10 +343,8 @@ func (g *Gather) Open() error {
 	g.stats.markOpen()
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
 	if opensSplit(g.Child, g.N, g.stats) {
-		if parts, leaves, ok := splitPipeline(g.Child, g.N); ok {
-			g.serial = false
-			return g.openParallel(parts, leaves)
-		}
+		g.serial = false
+		return g.openParallel(splitPipeline(g.Child, g.N))
 	}
 	g.serial = true
 	return g.Child.Open()
@@ -593,9 +580,8 @@ func (b *joinBuild) close(gov *Governor) {
 // partition, or with partitioned parallel workers when the input splits.
 func (b *joinBuild) build(gov *Governor) error {
 	if opensSplit(b.right, b.parallelism, b.stats) {
-		if parts, _, ok := splitPipeline(b.right, b.parallelism); ok {
-			return b.buildParallel(gov, parts)
-		}
+		parts, _ := splitPipeline(b.right, b.parallelism)
+		return b.buildParallel(gov, parts)
 	}
 	if err := b.right.Open(); err != nil {
 		return err

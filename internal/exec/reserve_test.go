@@ -26,10 +26,7 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 	slots := func(b *Batch) int { return max(cap(b.rows), cap(b.ords), cap(b.selBuf)) }
 	tmpl := mk()
 	govern(tmpl)
-	parts, _, ok := splitPipeline(tmpl, 2)
-	if !ok {
-		t.Fatal("the pipeline did not split")
-	}
+	parts, _ := splitPipeline(tmpl, 2)
 	for i, op := range append([]Operator{mk()}, parts...) {
 		p := op.(*Project)
 		govern(p)

@@ -183,7 +183,7 @@ func collectShardStats(op Operator, out *[]ShardGroupStat) {
 // scan's shard view, or over its table as one shard when it has none, and
 // up to n MorselScans, worker i starting on shard i mod k. Only a view's
 // group is kept for EXPLAIN ANALYZE and CollectShardStats.
-func splitScan(op *Scan, n int) ([]Operator, []*MorselScan, bool) {
+func splitScan(op *Scan, n int) ([]Operator, []*MorselScan) {
 	shards := []*storage.Shard{{Table: op.Table}}
 	if op.Sharded != nil {
 		shards = op.Sharded.Shards()
@@ -202,5 +202,5 @@ func splitScan(op *Scan, n int) ([]Operator, []*MorselScan, bool) {
 		ms.stats = op.stats
 		parts[i], leaves[i] = ms, ms
 	}
-	return parts, leaves, true
+	return parts, leaves
 }
