@@ -32,7 +32,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"conquer/internal/dirty"
@@ -165,8 +164,8 @@ func (r *Result) Find(vals ...value.Value) float64 {
 func (r *Result) Len() int { return len(r.Answers) }
 
 func (r *Result) sortAnswers() {
-	sort.Slice(r.Answers, func(i, j int) bool {
-		return value.CompareRows(r.Answers[i].Values, r.Answers[j].Values) < 0
+	slices.SortFunc(r.Answers, func(a, b Answer) int {
+		return value.CompareRows(a.Values, b.Values)
 	})
 }
 

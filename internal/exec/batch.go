@@ -223,88 +223,150 @@ func SetBatchSize(op Operator, size int) {
 	}
 }
 
-// rowRun is a run of consecutive rows collected under one tag — for a
-// parallel Gather's worker, the morsel that produced them — with their
-// ordinals when the collector keeps them.
-type rowRun struct {
-	tag  int
-	rows [][]value.Value
-	ords []rowOrd
+// run is a run of consecutive items collected under one tag — for a
+// parallel worker, the morsel that produced them — with their ordinals
+// when the collector keeps them.
+type run[T any] struct {
+	tag   int
+	items []T
+	ords  []rowOrd
 }
 
-// rowRuns collects the row headers (and, where asked, the ordinals) of
-// batch after batch into blocks that double in size, the first as large as
-// the first batch; each run lies in one block. Blocks cost one to two times
-// the headers they hold, where an append chain growing by 1.25x costs five.
+// runs collects items (row headers, build entries), and where asked their
+// ordinals, into blocks that double in size, the first as large as the
+// first batch; each run lies in one block. Blocks cost one to two times
+// the items they hold, where an append chain growing by 1.25x costs five.
 // free and freeOrds are the unused tail of the newest block; the last run,
 // while it lies in that block, ends where free begins and grows into it.
-type rowRuns struct {
-	runs     []rowRun
-	free     [][]value.Value
+type runs[T any] struct {
+	runs     []run[T]
+	free     []T
 	freeOrds []rowOrd
-	block    int  // rows in the newest block
+	block    int  // items in the newest block
 	open     bool // the last run lies in the newest block and may grow
 }
 
-// add copies the headers of b's rows, all of them tagged tag, onto the last
-// run while it has tag and its block has room, into a new run otherwise.
-func (o *rowRuns) add(tag int, b *Batch, ords bool) {
-	for i, n := 0, b.Len(); i < n; {
-		if len(o.free) == 0 {
-			o.block = max(2*o.block, n-i)
-			o.free = make([][]value.Value, o.block)
-			if ords {
-				o.freeOrds = make([]rowOrd, o.block)
-			}
-			o.open = false
-		}
-		if !o.open || o.runs[len(o.runs)-1].tag != tag {
-			o.runs = append(o.runs, rowRun{tag: tag, rows: o.free[:0]})
-			if ords {
-				o.runs[len(o.runs)-1].ords = o.freeOrds[:0]
-			}
-			o.open = true
-		}
-		r := &o.runs[len(o.runs)-1]
-		k := min(n-i, len(o.free))
-		for j := i; j < i+k; j++ {
-			r.rows = append(r.rows, b.Row(j))
-			if ords {
-				r.ords = append(r.ords, b.Ord(j))
-			}
-		}
-		o.free = o.free[k:]
+// add appends x, tagged tag, and with ords its ordinal, onto the last run
+// while it has tag and its block has room, onto a new run otherwise. rest
+// is how many items the caller may still add from its current batch, x
+// included: a new block holds that many, or twice the last block when
+// that is more.
+func (o *runs[T]) add(tag int, x T, ord rowOrd, ords bool, rest int) {
+	if len(o.free) == 0 {
+		o.block = max(2*o.block, rest)
+		o.free = make([]T, o.block)
 		if ords {
-			o.freeOrds = o.freeOrds[k:]
+			o.freeOrds = make([]rowOrd, o.block)
 		}
-		i += k
+		o.open = false
+	}
+	if !o.open || o.runs[len(o.runs)-1].tag != tag {
+		o.runs = append(o.runs, run[T]{tag: tag, items: o.free[:0]})
+		if ords {
+			o.runs[len(o.runs)-1].ords = o.freeOrds[:0]
+		}
+		o.open = true
+	}
+	r := &o.runs[len(o.runs)-1]
+	r.items = append(r.items, x)
+	o.free = o.free[1:]
+	if ords {
+		r.ords = append(r.ords, ord)
+		o.freeOrds = o.freeOrds[1:]
 	}
 }
 
-// concatRuns returns the rows of runs, in run order, in one vector of
+// addBatch adds the headers of b's rows, all of them tagged tag.
+func addBatch(o *runs[[]value.Value], tag int, b *Batch, ords bool) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		o.add(tag, b.Row(i), b.Ord(i), ords, n-i)
+	}
+}
+
+// concatRuns returns the items of runs, in run order, in one vector of
 // exactly their number, polling g once per run: the only run's own block
 // when there is one (the first block is as large as the first batch), a
-// copy otherwise. No rows are nil.
-func concatRuns(runs []rowRun, g *Governor) ([][]value.Value, error) {
+// copy otherwise.
+func concatRuns[T any](runs []run[T], g *Governor) ([]T, error) {
 	total := 0
 	for _, r := range runs {
-		total += len(r.rows)
+		total += len(r.items)
 	}
 	switch {
 	case total == 0:
 		return nil, nil
 	case len(runs) == 1:
-		return runs[0].rows, nil
+		return runs[0].items, nil
 	}
-	rows := make([][]value.Value, total)
+	out := make([]T, total)
 	at := 0
 	for _, r := range runs {
 		if err := g.Poll(); err != nil {
 			return nil, err
 		}
-		at += copy(rows[at:], r.rows)
+		at += copy(out[at:], r.items)
 	}
-	return rows, nil
+	return out, nil
+}
+
+// mergeRuns returns the items of the workers' runs — one run per morsel,
+// each in rowOrd order — in one vector of exactly their number and in
+// rowOrd order — (leaf ordinal, fanout sequence), exactly the serial
+// emission order — by a k-way merge through a binary heap of run indices
+// keyed by each run's first ordinal, polling g per item.
+func mergeRuns[T any](outs []runs[T], g *Governor) ([]T, error) {
+	var runs []run[T]
+	total := 0
+	for _, o := range outs {
+		runs = append(runs, o.runs...)
+		for _, r := range o.runs {
+			total += len(r.items)
+		}
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]T, total)
+	less := func(a, b int) bool { return runs[a].ords[0].less(runs[b].ords[0]) }
+	h := make([]int, 0, len(runs))
+	for i, r := range runs {
+		if len(r.items) > 0 {
+			h = append(h, i)
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for at := range out {
+		if err := g.Poll(); err != nil {
+			return nil, err
+		}
+		r := &runs[h[0]]
+		out[at] = r.items[0]
+		r.items, r.ords = r.items[1:], r.ords[1:]
+		if len(r.items) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out, nil
 }
 
 // materialized is implemented by the operators that hold their whole
@@ -324,7 +386,7 @@ type materialized interface {
 // op, per size rows of a vector a materialized op hands over whole. The
 // runs, and with them every reservation, counter and failure point, are the
 // same either way; what differs is that a handed-over vector is not copied
-// and a streamed one is copied once, through rowRuns. size is the batch's
+// and a streamed one is copied once, through runs. size is the batch's
 // row capacity (<= 0 means DefaultBatchSize). An empty result is nil.
 func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([][]value.Value, error) {
 	if err := op.Open(); err != nil {
@@ -351,7 +413,7 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 		}
 	}
 	b := NewBatch(size)
-	var out rowRuns
+	var out runs[[]value.Value]
 	for {
 		if err := g.PollBatch(); err != nil {
 			return nil, err
@@ -366,7 +428,7 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 		if err := each(int64(n)); err != nil {
 			return nil, err
 		}
-		out.add(0, b, false)
+		addBatch(&out, 0, b, false)
 	}
 }
 

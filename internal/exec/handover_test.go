@@ -55,13 +55,15 @@ func sortOverGather(t testing.TB, probe, build *storage.Table, par, shards int) 
 // serially, the drain above it — copy the row headers into blocks that
 // double, the reassembly copies them into one vector of exactly the
 // result's size, and Sort and the collector take that vector over instead
-// of copying it. So doubling the output rows of a Sort over a Gather over a
-// fan-out join adds, per extra row, what the row itself costs — its joined
-// value, its sort key and its sort index — plus its header in the vector
-// and its header (and, when a Gather's workers collect it, its 16-byte
-// ordinal, which the merge orders by) in the blocks, which cost one to two times what they hold: measured, about two
-// headers in all; asserted, at most four, since the larger run's blocks can
-// sit at twice their content where the smaller run's sat at once. Beyond
+// of copying it; Sort orders it in place, keeping no key of its own. So
+// doubling the output rows of a Sort over a Gather over a fan-out join
+// adds, per extra row, what the row itself costs — its joined value — plus
+// its header in the vector and its header (and, when a Gather's workers
+// collect it, its 16-byte ordinal, which the merge orders by) in the
+// blocks, which cost one to two times what they hold: measured, 50 to 120
+// bytes in all; asserted, at most a header and three blocked headers with
+// their ordinals, since the larger run's blocks can sit at twice their
+// content where the smaller run's sat at once. Beyond
 // the join's output blocks it adds a logarithmic number of allocations.
 // A copy into an append chain costs five headers, and the five copies the
 // result went through before it was handed over cost 14 to 22.
@@ -103,9 +105,9 @@ func TestResultIsBufferedOnce(t *testing.T) {
 			if small.rows != 3*20000 || extra != 3*20000 {
 				t.Fatalf("par=%d shards=%d: %d and %d rows", par, shards, small.rows, large.rows)
 			}
-			// Per row: the joined value, the sort key and the sort index; its
-			// header in the result; its header and ordinal in the blocks.
-			own := int64(2*valueBytes + 8)
+			// Per row: the joined value; its header in the result; its header
+			// and ordinal in the blocks.
+			own := int64(valueBytes)
 			header, blocked := int64(24), int64(24)
 			if par > 1 {
 				blocked += 16

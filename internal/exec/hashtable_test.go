@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"conquer/internal/schema"
 	"conquer/internal/storage"
@@ -19,7 +21,7 @@ var raceEnabled = false
 // carves, and the grouped rows are carved from one block. Doubling the
 // distinct keys from 4,000 to 8,000 must add fewer than one allocation per
 // 50 keys, serially and with the parallel arms running. What it does add
-// is blocks: each arena, head vector and worker partition takes one more
+// is blocks: each arena, head vector and worker's run block takes one more
 // (+5 to +11; while the heads were Go maps, a map's growth made it +22 to
 // +58). A slice per key added about 4,000 for the join and 8,000 to 12,000
 // for the groups.
@@ -299,5 +301,67 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 	if len(acc.heads) <= aggFirstHeads || used != 1 || len(acc.order) != 12 {
 		t.Errorf("the accumulator has %d head slots, %d of them used, and %d groups; want more than %d, 1 and 12",
 			len(acc.heads), used, len(acc.order), aggFirstHeads)
+	}
+}
+
+// A parallel build writes each entry once into its worker's blocks, with
+// its ordinal, and once into the table: no partition vectors grown by
+// appending, no sort scratch. The blocks double, so they cost one to two
+// times what they hold, give or take a batch: the newest block is at most
+// twice the one before or one batch. Opening a join whose right side is a
+// table of N distinct keys, at 4 workers over 1 and 3 shards, must
+// allocate at most 2·N·(sizeof buildEntry + sizeof rowOrd) for the blocks
+// and N·sizeof buildEntry for the table, plus the key slab, the heads, and
+// each worker's batch, in its pipeline and in its blocks: measured, 200 to
+// 230 bytes per entry against a limit of ~270. While the build partitioned
+// its entries — an append chain per worker and partition, then a sorted
+// copy of them all — it took ~500.
+func TestParallelBuildWritesEachEntryOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under -race")
+	}
+	const n, workers = 1 << 16, 4
+	fact, dim := parTables(t, n)
+	entry, ord := int64(unsafe.Sizeof(buildEntry{})), int64(unsafe.Sizeof(rowOrd{}))
+	slab := int64(n) * value.Size // one key per entry
+	heads := int64(headSlots(n)) * int64(unsafe.Sizeof(int32(0)))
+	batch := int64(workers * DefaultBatchSize)
+	pipeline := batch * int64(unsafe.Sizeof([]value.Value{})+unsafe.Sizeof(rowOrd{}))
+	limit := (2*n+batch)*(entry+ord) + n*entry + slab + heads + pipeline + 64<<10
+	for _, shards := range []int{1, 3} {
+		best := int64(-1)
+		for r := 0; r < 3; r++ {
+			right := NewScan(fact, "f")
+			if shards > 1 {
+				right.Sharded = storage.NewShardedTable(fact, shards)
+				right.Sharded.Shards() // the views belong to the table, not to the build
+			}
+			j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), right,
+				exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
+			j.Parallelism = workers
+			govern(j)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := j.Open()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(j.build.entries); got != n {
+				t.Fatalf("shards=%d: %d entries, want %d", shards, got, n)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b := int64(after.TotalAlloc - before.TotalAlloc); best < 0 || b < best {
+				best = b
+			}
+		}
+		t.Logf("shards=%d: a build of %d rows allocates %d bytes, %.1f per entry (at most %d: %.1f)",
+			shards, n, best, float64(best)/n, limit, float64(limit)/n)
+		if best > limit {
+			t.Errorf("shards=%d: a build of %d rows allocates %d bytes, want at most %d", shards, n, best, limit)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"conquer/internal/qerr"
@@ -231,9 +231,10 @@ func (o *joinOutput) describeCols() string {
 // to the one bucket and every pair matches: the Cartesian product the
 // planner asks for when the FROM list's join graph is disconnected.
 //
-// With Parallelism > 1 the build runs as a partitioned parallel build
-// (see joinBuild); splitPipeline additionally shards the probe side, the
-// shards sharing one build.
+// With Parallelism > 1 the build's workers drain the split right input
+// into runs of their own, which one merge by right-input ordinal writes
+// into the entry vector (see joinBuild); splitPipeline additionally
+// shards the probe side, the shards sharing one build.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []sqlparse.Expr
@@ -890,19 +891,37 @@ type Sort struct {
 	govHolder
 	statsHolder
 	batchHolder
-	evs      []Evaluator
-	keyBuf   []value.Value // bounded heap: sort keys of the row being offered
+	cols     []sortCol
+	computed bool // some key is computed, not read at a position
 	rows     [][]value.Value
 	reserved int64
 	pos      int
 }
 
-// compare orders two evaluated key vectors under the sort keys: negative
-// when a sorts first, zero on a tie.
+// sortCol is a compiled sort key: the child column it reads, or for a
+// computed key (ev non-nil) the evaluator the comparator calls on each row
+// it compares.
+type sortCol struct {
+	pos  int
+	ev   Evaluator
+	desc bool
+}
+
+// compare orders two child rows under the sort keys: negative when a
+// sorts first, zero on a tie. A computed key is evaluated on both rows at
+// every comparison, so a sort keeps no key of its own; Open has evaluated
+// it on each row once already, so it cannot fail here.
 func (s *Sort) compare(a, b []value.Value) int {
-	for k, key := range s.Keys {
-		if c := value.Compare(a[k], b[k]); c != 0 {
-			if key.Desc {
+	for _, k := range s.cols {
+		var x, y value.Value
+		if k.ev == nil {
+			x, y = a[k.pos], b[k.pos]
+		} else {
+			x, _ = k.ev(a)
+			y, _ = k.ev(b)
+		}
+		if c := value.Compare(x, y); c != 0 {
+			if k.desc {
 				return -c
 			}
 			return c
@@ -911,32 +930,33 @@ func (s *Sort) compare(a, b []value.Value) int {
 	return 0
 }
 
-// sortRow is a row the bounded heap keeps, with its evaluated sort keys
-// and arrival order.
-type sortRow struct {
-	row, keys []value.Value
-	seq       int
-}
-
-// before orders two kept rows by the sort keys, then by arrival, which
-// makes the bounded heap as stable as the full sort.
-func (s *Sort) before(a, b sortRow) bool {
-	if c := s.compare(a.keys, b.keys); c != 0 {
-		return c < 0
-	}
-	return a.seq < b.seq
-}
-
-// evalKeys evaluates row's sort keys into dst.
-func (s *Sort) evalKeys(row, dst []value.Value) error {
-	for k, ev := range s.evs {
-		v, err := ev(row)
-		if err != nil {
+// check evaluates row's computed keys, surfacing the error compare would
+// drop.
+func (s *Sort) check(row []value.Value) error {
+	for _, k := range s.cols {
+		if k.ev == nil {
+			continue
+		}
+		if _, err := k.ev(row); err != nil {
 			return &EvalError{err}
 		}
-		dst[k] = v
 	}
 	return nil
+}
+
+// sortRow is a row the bounded heap keeps, with its arrival order.
+type sortRow struct {
+	row []value.Value
+	seq int
+}
+
+// compareKept orders two kept rows by the sort keys, then by arrival,
+// which makes the bounded heap as stable as the full sort.
+func (s *Sort) compareKept(a, b sortRow) int {
+	if c := s.compare(a.row, b.row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // topHeap is a max-heap under the sort order: the root is the worst kept
@@ -947,7 +967,7 @@ type topHeap struct {
 }
 
 func (h *topHeap) Len() int           { return len(h.items) }
-func (h *topHeap) Less(i, j int) bool { return h.s.before(h.items[j], h.items[i]) }
+func (h *topHeap) Less(i, j int) bool { return h.s.compareKept(h.items[j], h.items[i]) < 0 }
 func (h *topHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *topHeap) Push(x any)         { h.items = append(h.items, x.(sortRow)) }
 func (h *topHeap) Pop() any {
@@ -961,60 +981,59 @@ func (h *topHeap) Pop() any {
 // input, so there is nothing to amortize. A failed reservation still
 // charges (drainBatches convention).
 func (s *Sort) offer(h *topHeap, row []value.Value, seq int) error {
-	if s.keyBuf == nil {
-		s.keyBuf = make([]value.Value, len(s.evs))
-	}
-	if err := s.evalKeys(row, s.keyBuf); err != nil {
+	if err := s.check(row); err != nil {
 		return err
 	}
-	// The keys sit in the scratch vector until the row is known to be
-	// kept, so key vectors are allocated per kept row, not per input row:
-	// a kept row takes the scratch with it, and the next scratch is a
-	// fresh vector after a push, the evicted row's after a replacement.
-	it := sortRow{row: row, keys: s.keyBuf, seq: seq}
+	it := sortRow{row: row, seq: seq}
 	if h.Len() < s.Limit {
 		s.stats.addBuffered(1)
 		s.reserved++
-		s.keyBuf = nil
 		heap.Push(h, it)
 		return s.gov.ReserveBuffered(1)
 	}
-	if s.before(it, h.items[0]) {
-		s.keyBuf = h.items[0].keys
+	if s.compareKept(it, h.items[0]) < 0 {
 		h.items[0] = it
 		heap.Fix(h, 0)
 	}
 	return nil
 }
 
-// NewSort compiles the sort keys against the child schema.
+// NewSort compiles the sort keys against the child schema. A key that
+// names a child column, by position or as a column reference, reads it
+// where it sits; any other expression is a computed key.
 func NewSort(child Operator, keys []SortKey) (*Sort, error) {
 	s := &Sort{Child: child, Keys: keys}
-	width := len(child.Schema())
+	rs := child.Schema()
 	for _, k := range keys {
-		if k.Pos >= 0 {
-			if k.Pos >= width {
-				return nil, fmt.Errorf("exec: sort position %d out of range (width %d)", k.Pos, width)
+		col := sortCol{pos: k.Pos, desc: k.Desc}
+		if cr, ok := k.Expr.(*sqlparse.ColumnRef); ok && k.Pos < 0 {
+			pos, err := rs.Resolve(cr.Qualifier, cr.Name)
+			if err != nil {
+				return nil, err
 			}
-			pos := k.Pos
-			s.evs = append(s.evs, func(row []value.Value) (value.Value, error) {
-				return row[pos], nil
-			})
-			continue
+			col.pos = pos
 		}
-		ev, err := Compile(k.Expr, child.Schema())
-		if err != nil {
-			return nil, err
+		switch {
+		case col.pos >= len(rs):
+			return nil, fmt.Errorf("exec: sort position %d out of range (width %d)", col.pos, len(rs))
+		case col.pos < 0:
+			ev, err := Compile(k.Expr, rs)
+			if err != nil {
+				return nil, err
+			}
+			col.ev, s.computed = ev, true
 		}
-		s.evs = append(s.evs, ev)
+		s.cols = append(s.cols, col)
 	}
 	return s, nil
 }
 
 func (s *Sort) Schema() RowSchema { return s.Child.Schema() }
 
-// Open drains the child and orders its rows: every row, or with a Limit
-// the best Limit rows, kept in a bounded heap while the child drains.
+// Open drains the child and orders its rows: every row, sorted in place in
+// the vector the drain returned, or with a Limit the best Limit rows, kept
+// in a bounded heap while the child drains. Either way keys are compared
+// where they sit in the rows.
 func (s *Sort) Open() error {
 	s.stats.markOpen()
 	s.pos = 0
@@ -1046,64 +1065,35 @@ func (s *Sort) Open() error {
 			}
 		}
 		items := h.items
-		sort.Slice(items, func(i, j int) bool { return s.before(items[i], items[j]) })
+		slices.SortFunc(items, s.compareKept)
 		s.rows = make([][]value.Value, len(items))
 		for i, it := range items { //lint:allow ctxpoll -- bounded by the Limit, not data size
 			s.rows[i] = it.row
 		}
 		return nil
 	}
-	// The full sort orders int indices, not sortRows: sorting the 56-byte,
-	// pointer-holding sortRows cost the Q9 pair's ~300k-row sort 7 MB a
-	// pass and fig8_q9 a third more set-up time (EXPERIMENTS.md, "One loop
-	// per job (PR 21)"). It compares keys where they sit in one slab, and
-	// permutes the vector the drain returned — the child's own, when the
-	// child hands one over — in place.
+	// The full sort orders the vector the drain returned — the child's own,
+	// when the child hands one over — in place, comparing keys where they
+	// sit in the rows: no key slab, no index vector (DESIGN.md §15,
+	// "Hand-over").
 	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats, s.batchCap())
 	s.reserved = reserved
 	if err != nil {
 		return err
 	}
-	nk := len(s.evs)
-	slab := make([]value.Value, len(rows)*nk) // row i's keys at [i*nk, (i+1)*nk)
-	keys := func(i int) []value.Value { return slab[i*nk : (i+1)*nk] }
-	for i, row := range rows {
-		if err := s.gov.Poll(); err != nil {
-			return err
-		}
-		if err := s.evalKeys(row, keys(i)); err != nil {
-			return err
+	if s.computed {
+		for _, row := range rows {
+			if err := s.gov.Poll(); err != nil {
+				return err
+			}
+			if err := s.check(row); err != nil {
+				return err
+			}
 		}
 	}
-	idx := make([]int, len(rows))
-	for i := range idx { //lint:allow ctxpoll -- straight slice initialization between polled phases
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(x, y int) int { return s.compare(keys(x), keys(y)) })
-	permute(rows, idx)
+	slices.SortStableFunc(rows, s.compare)
 	s.rows = rows
 	return nil
-}
-
-// permute reorders rows in place so that rows[i] becomes the old
-// rows[idx[i]], one cycle of the permutation at a time. It consumes idx,
-// marking each slot it has filled -1.
-func permute(rows [][]value.Value, idx []int) {
-	for start := range idx {
-		if idx[start] < 0 {
-			continue
-		}
-		first, i := rows[start], start
-		for {
-			j := idx[i]
-			idx[i] = -1
-			if j == start {
-				rows[i] = first
-				break
-			}
-			rows[i], i = rows[j], j
-		}
-	}
 }
 
 func (s *Sort) Close() error {

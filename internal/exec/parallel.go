@@ -9,9 +9,9 @@
 //   - Gather runs N partial pipelines to completion and re-emits their
 //     rows in base-table row order, so a parallel scan→filter→project plan
 //     produces exactly the serial row order.
-//   - HashJoin builds its hash table with partitioned parallel workers
-//     (per-worker, per-partition vectors merged without locks) and can
-//     itself split into probe shards sharing one build.
+//   - HashJoin builds its hash table with parallel workers (per-worker
+//     runs merged by right-input ordinal, as Gather merges) and can itself
+//     split into probe shards sharing one build.
 //   - HashAggregate aggregates each partial pipeline into thread-local
 //     groups and merges them in a final phase.
 //
@@ -22,10 +22,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"conquer/internal/qerr"
@@ -101,6 +103,14 @@ type rowOrd struct {
 
 func (o rowOrd) less(p rowOrd) bool {
 	return o.base < p.base || (o.base == p.base && o.seq < p.seq)
+}
+
+// compare is less as a three-way comparison.
+func (o rowOrd) compare(p rowOrd) int {
+	if c := cmp.Compare(o.base, p.base); c != 0 {
+		return c
+	}
+	return cmp.Compare(o.seq, p.seq)
 }
 
 // MorselScan is the leaf of a partial pipeline: a Scan over whichever
@@ -351,7 +361,7 @@ func (g *Gather) Open() error {
 }
 
 func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
-	outs := make([]rowRuns, len(parts))
+	outs := make([]runs[[]value.Value], len(parts))
 	err := qerr.Pool(g.gov.Context(), len(parts), func(ctx context.Context, w int) error {
 		gov, part, leaf := g.gov.Fork(ctx), parts[w], leaves[w]
 		Attach(part, gov)
@@ -378,7 +388,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 				cur = m
 				g.stats.incBatch()
 			}
-			outs[w].add(cur, bb, true)
+			addBatch(&outs[w], cur, bb, true)
 		}
 	})
 	g.workerMorsels = make([]int64, len(leaves))
@@ -391,64 +401,8 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	if err != nil {
 		return err
 	}
-	var runs []rowRun
-	for _, o := range outs {
-		runs = append(runs, o.runs...)
-	}
-	return g.merge(runs)
-}
-
-// merge fills g.rows from the workers' runs, one per morsel and each in
-// rowOrd order, by a k-way merge on rowOrd — (leaf ordinal, fanout
-// sequence), exactly the serial emission order — into one vector of
-// exactly their size, through a binary heap of run indices keyed by each
-// run's first row.
-func (g *Gather) merge(runs []rowRun) error {
-	total := 0
-	for _, r := range runs {
-		total += len(r.rows)
-	}
-	g.rows = make([][]value.Value, total)
-	less := func(a, b int) bool { return runs[a].ords[0].less(runs[b].ords[0]) }
-	h := make([]int, 0, len(runs))
-	for i, r := range runs {
-		if len(r.rows) > 0 {
-			h = append(h, i)
-		}
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && less(h[c+1], h[c]) {
-				c++
-			}
-			if !less(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for at := range g.rows {
-		if err := g.gov.Poll(); err != nil {
-			return err
-		}
-		r := &runs[h[0]]
-		g.rows[at] = r.rows[0]
-		r.rows, r.ords = r.rows[1:], r.ords[1:]
-		if len(r.rows) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	return nil
+	g.rows, err = mergeRuns(outs, g.gov)
+	return err
 }
 
 func (g *Gather) Close() error {
@@ -470,28 +424,18 @@ func (g *Gather) Describe() string {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned parallel hash-join build
+// Hash-join build
 // ---------------------------------------------------------------------------
 
-// taggedEntry is a build entry tagged with its right-input rowOrd
-// (base-table ordinal of the producing leaf row plus fanout sequence),
-// used to restore the serial insertion order after the partitioned
-// parallel build — including when the right input's morsels arrive
-// interleaved across cluster shards.
-type taggedEntry struct {
-	ord rowOrd
-	e   buildEntry
-}
-
 // joinBuild is a hash-join build shared by one or more probe shards: the
-// first Open runs it (serially, or with partitioned parallel workers),
-// later opens reuse the result, and the table is released when the last
-// shard closes. The table is one vector of entries and one power-of-two
-// vector of bucket heads, each the link of its bucket's first entry; a
-// bucket is the chain through the entries whose hashes agree in the bits
-// mask keeps, in right-input order. So a key costs a head slot, not a map
-// slot or a slice of its own, and a bucket can hold other hashes than the
-// probe's: the probe compares the stored hash before the keys.
+// first Open runs it (serially, or with parallel workers), later opens
+// reuse the result, and the table is released when the last shard closes.
+// The table is one vector of entries, in right-input order, and one
+// power-of-two vector of bucket heads, each the link of its bucket's first
+// entry; a bucket is the chain through the entries whose hashes agree in
+// the bits mask keeps, in right-input order. So a key costs a head slot,
+// not a map slot or a slice of its own, and a bucket can hold other hashes
+// than the probe's: the probe compares the stored hash before the keys.
 type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
@@ -510,13 +454,12 @@ type joinBuild struct {
 // onceErr is a sync.Once that remembers the error of its single run.
 type onceErr struct {
 	done atomic.Bool
-	mu   chan struct{} // 1-buffered: acts as a mutex usable with defer
+	mu   sync.Mutex
 	err  error
 }
 
 func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs, batch int, stats *OpStats) *joinBuild {
 	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, batch: batch, stats: stats}
-	b.once.mu = make(chan struct{}, 1)
 	b.refs.Store(int32(refs))
 	return b
 }
@@ -527,8 +470,8 @@ func (b *joinBuild) run(gov *Governor) error {
 	if b.once.done.Load() {
 		return b.once.err
 	}
-	b.once.mu <- struct{}{}
-	defer func() { <-b.once.mu }()
+	b.once.mu.Lock()
+	defer b.once.mu.Unlock()
 	if b.once.done.Load() {
 		return b.once.err
 	}
@@ -542,24 +485,21 @@ func (b *joinBuild) lookup(h uint64) int32 {
 	return b.heads[h&b.mask]
 }
 
-// headSlots is the length of a head vector for n entries spread over p
-// partitions: the least power of two at least both, so a head vector is at
-// most half empty and the low bits of a slot name its partition.
-func headSlots(n, p int) int {
+// headSlots is the length of a head vector for n entries: the least power
+// of two at least n, so a head vector is at most half empty.
+func headSlots(n int) int {
 	s := 1
-	for s < n || s < p {
+	for s < n {
 		s <<= 1
 	}
 	return s
 }
 
-// link chains entries[lo:hi] into heads by the bits of their hashes mask
-// keeps, each bucket in vector order: walked backwards, every entry becomes
-// its bucket's first and points at the one it displaced. It writes only the
-// slots of the hashes it links, so links over disjoint partitions of the
-// hash space write disjoint slots.
-func link(entries []buildEntry, lo, hi int, heads []int32, mask uint64) {
-	for i := hi - 1; i >= lo; i-- {
+// link chains entries into heads by the bits of their hashes mask keeps,
+// each bucket in vector order: walked backwards, every entry becomes its
+// bucket's first and points at the one it displaced.
+func link(entries []buildEntry, heads []int32, mask uint64) {
+	for i := len(entries) - 1; i >= 0; i-- {
 		e := &entries[i]
 		slot := e.hash & mask
 		e.next, heads[slot] = heads[slot], int32(i+1)
@@ -576,37 +516,70 @@ func (b *joinBuild) close(gov *Governor) {
 	b.reserved.Store(0)
 }
 
-// build drains the right input into the table: serially straight into one
-// partition, or with partitioned parallel workers when the input splits.
+// build drains the right input into the entry vector — serially, or with
+// parallel workers when the input splits — and links it.
 func (b *joinBuild) build(gov *Governor) error {
+	var err error
 	if opensSplit(b.right, b.parallelism, b.stats) {
-		parts, _ := splitPipeline(b.right, b.parallelism)
-		return b.buildParallel(gov, parts)
+		b.entries, err = b.buildParallel(gov)
+	} else {
+		b.entries, err = b.buildSerial(gov)
 	}
-	if err := b.right.Open(); err != nil {
-		return err
-	}
-	defer b.right.Close()
-	err := b.drain(b.right, gov, func(e buildEntry, _ rowOrd) {
-		b.entries = append(b.entries, e)
-	})
 	if err != nil {
 		return err
 	}
-	// Unpolled: a head store per row the polled drain has just reserved.
-	n := headSlots(len(b.entries), 1)
+	// Unpolled: a head store per entry the polled drain has just reserved.
+	n := headSlots(len(b.entries))
 	b.heads, b.mask = make([]int32, n), uint64(n-1)
-	link(b.entries, 0, len(b.entries), b.heads, b.mask)
+	link(b.entries, b.heads, b.mask)
 	return nil
 }
 
-// drain pulls op's rows under gov and hands add every row whose build keys
-// are not NULL, as an entry carrying the keys' hash, with the row's
-// ordinal: the serial build over the right input and each parallel worker
-// over its part. It polls and reserves once per batch. Rows added before a
-// mid-batch evaluation error were never reserved, so the refcounted
-// release stays balanced without a compensating charge.
-func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord rowOrd)) error {
+// buildSerial drains the right input into one run and returns its entries.
+func (b *joinBuild) buildSerial(gov *Governor) ([]buildEntry, error) {
+	if err := b.right.Open(); err != nil {
+		return nil, err
+	}
+	defer b.right.Close()
+	var out runs[buildEntry]
+	if err := b.drain(b.right, nil, gov, &out); err != nil {
+		return nil, err
+	}
+	return concatRuns(out.runs, gov)
+}
+
+// buildParallel drains the split right input with worker goroutines, each
+// collecting its entries into runs tagged by morsel, and merges the runs by
+// right-input ordinal into the entry vector: the serial insertion order,
+// however the morsels were interleaved across workers and cluster shards.
+func (b *joinBuild) buildParallel(gov *Governor) ([]buildEntry, error) {
+	parts, leaves := splitPipeline(b.right, b.parallelism)
+	outs := make([]runs[buildEntry], len(parts))
+	err := qerr.Pool(gov.Context(), len(parts), func(ctx context.Context, w int) error {
+		g := gov.Fork(ctx)
+		Attach(parts[w], g)
+		if err := parts[w].Open(); err != nil {
+			return err
+		}
+		return b.drain(parts[w], leaves[w], g, &outs[w])
+	})
+	if cerr := closeAll(parts); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return mergeRuns(outs, gov)
+}
+
+// drain pulls op's rows under gov and adds to out every row whose build
+// keys are not NULL, as an entry carrying the keys' hash: the serial build
+// over the right input in one untagged run, and each parallel worker over
+// its part (leaf its morsel scan) in runs tagged by morsel, with ordinals.
+// It polls and reserves once per batch. Rows added before a mid-batch
+// evaluation error were never reserved, so the refcounted release stays
+// balanced without a compensating charge.
+func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *runs[buildEntry]) error {
 	bb := NewBatch(b.batch)
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
@@ -622,6 +595,11 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 			return nil
 		}
 		b.stats.addIn(int64(n))
+		// A pipeline batch never spans a morsel.
+		tag := 0
+		if leaf != nil {
+			tag = leaf.morsel
+		}
 		var kept int64
 		for i := 0; i < n; i++ {
 			row := bb.Row(i)
@@ -633,7 +611,7 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 				continue // NULL keys never join
 			}
 			kept++
-			add(buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, bb.Ord(i))
+			out.add(tag, buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, bb.Ord(i), leaf != nil, n-i)
 		}
 		if kept > 0 {
 			// A failed reservation still charges (drainBatches convention).
@@ -644,83 +622,6 @@ func (b *joinBuild) drain(op Operator, gov *Governor, add func(e buildEntry, ord
 			}
 		}
 	}
-}
-
-// buildParallel drains the split right input with worker goroutines.
-// Each worker routes its entries into per-worker per-partition vectors
-// (no shared state), then one worker per partition sorts its partition's
-// entries by right-input ordinal into its own range of the entry vector
-// and links them into the head slots whose low bits name the partition —
-// so every bucket chains in exactly the serial insertion order — without
-// any locks.
-func (b *joinBuild) buildParallel(gov *Governor, parts []Operator) error {
-	w := len(parts)
-	p := 1
-	for p < w {
-		p <<= 1
-	}
-	mask := uint64(p - 1)
-	locals := make([][][]taggedEntry, w)
-	err := qerr.Pool(gov.Context(), w, func(ctx context.Context, i int) error {
-		g := gov.Fork(ctx)
-		Attach(parts[i], g)
-		if err := parts[i].Open(); err != nil {
-			return err
-		}
-		local := make([][]taggedEntry, p)
-		err := b.drain(parts[i], g, func(e buildEntry, ord rowOrd) {
-			local[e.hash&mask] = append(local[e.hash&mask], taggedEntry{ord: ord, e: e})
-		})
-		if err != nil {
-			return err
-		}
-		locals[i] = local
-		return nil
-	})
-	if cerr := closeAll(parts); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	// Partition pi owns [off[pi], off[pi+1]) of the entry vector and of the
-	// sort scratch.
-	off := make([]int, p+1)
-	for _, local := range locals {
-		for pi, es := range local {
-			off[pi+1] += len(es)
-		}
-	}
-	for pi := 0; pi < p; pi++ {
-		off[pi+1] += off[pi]
-	}
-	entries, sorted := make([]buildEntry, off[p]), make([]taggedEntry, off[p])
-	n := headSlots(off[p], p)
-	heads, headMask := make([]int32, n), uint64(n-1)
-	mergeErr := qerr.Pool(gov.Context(), min(w, p), func(ctx context.Context, i int) error {
-		g := gov.Fork(ctx)
-		for pi := i; pi < p; pi += w {
-			lo, hi := off[pi], off[pi+1]
-			run := sorted[lo:lo:hi]
-			for _, local := range locals {
-				run = append(run, local[pi]...)
-			}
-			sort.Slice(run, func(x, y int) bool { return run[x].ord.less(run[y].ord) })
-			for k, te := range run {
-				if err := g.Poll(); err != nil {
-					return err
-				}
-				entries[lo+k] = te.e
-			}
-			link(entries, lo, hi, heads, headMask)
-		}
-		return nil
-	})
-	if mergeErr != nil {
-		return mergeErr
-	}
-	b.entries, b.heads, b.mask = entries, heads, headMask
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -761,7 +662,7 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 	for _, acc := range accs {
 		total += len(acc.order)
 	}
-	heads, order := make([]*aggState, headSlots(total, 1)), make([]*aggState, 0, total)
+	heads, order := make([]*aggState, headSlots(total)), make([]*aggState, 0, total)
 	var surplus int64
 	for _, acc := range accs {
 		for _, st := range acc.order {
@@ -782,7 +683,7 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 			surplus++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].ord.less(order[j].ord) })
+	slices.SortFunc(order, func(x, y *aggState) int { return x.ord.compare(y.ord) })
 	a.gov.ReleaseBuffered(surplus)
 	a.reserved -= surplus
 	return a.emit(order)

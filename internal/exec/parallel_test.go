@@ -285,14 +285,21 @@ func TestGatherCancellation(t *testing.T) {
 }
 
 // TestParallelBuildBudget proves the shared buffered-row budget is
-// enforced across build workers and fully released on Close.
+// enforced across build workers while they drain, and fully released on
+// Close. Each worker reserves its batch as it takes it, so the high-water
+// mark of a failing build passes the budget by at most one batch per
+// worker — a batch never spans a morsel — not by the build side.
 func TestParallelBuildBudget(t *testing.T) {
+	const budget, workers, morsel = 10, 4, 8
 	fact, dim := parTables(t, 3000)
-	j := buildJoin(t, fact, dim, 4, 8)
-	gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: 10})
+	j := buildJoin(t, fact, dim, workers, morsel)
+	gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
 	Attach(j, gov)
 	if err := j.Open(); !errors.Is(err, qerr.ErrBudgetExceeded) {
 		t.Fatalf("want qerr.ErrBudgetExceeded, got %v", err)
+	}
+	if peak := gov.BufferedPeak(); peak > budget+workers*morsel {
+		t.Errorf("buffered peak %d during a failing build, want at most %d", peak, budget+workers*morsel)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

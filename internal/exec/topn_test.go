@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"conquer/internal/schema"
@@ -177,9 +180,8 @@ func mustExpr(t *testing.T, src string) sqlparse.Expr {
 	return expr(t, src+" = 0").(*sqlparse.BinaryExpr).L
 }
 
-// Sort does not allocate a key vector per input row: the full sort slices
-// all of them out of one allocation, the bounded heap allocates one per
-// retained row.
+// Sort does not allocate a key vector per input row: the full sort and the
+// bounded heap both compare keys where they sit in the rows.
 // Doubling the input must leave the allocation count about where it was
 // (slice growth while draining adds a few).
 func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
@@ -219,5 +221,136 @@ func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
 		if large > small+40 {
 			t.Errorf("%s: %v allocations for 4000 rows, %v for 8000: something is still per row", tc.name, small, large)
 		}
+	}
+}
+
+// handedOver is a materialized operator over rows built beforehand: it
+// hands its vector to the Sort above it as HashAggregate or a parallel
+// Gather would, at no cost of its own.
+type handedOver struct {
+	govHolder
+	statsHolder
+	schema RowSchema
+	rows   [][]value.Value
+	pos    int
+}
+
+func (h *handedOver) Schema() RowSchema { return h.schema }
+func (h *handedOver) Open() error       { h.stats.markOpen(); return nil }
+func (h *handedOver) Close() error      { h.stats.markDone(); return nil }
+func (h *handedOver) Describe() string  { return "HandedOver" }
+func (h *handedOver) NextBatch(b *Batch) error {
+	emitMaterialized(b, h.rows, &h.pos, h.stats)
+	return nil
+}
+func (h *handedOver) handOver() ([][]value.Value, *OpStats, bool) {
+	rows := h.rows
+	h.rows = nil
+	return rows, h.stats, true
+}
+
+// A full sort orders the rows where they sit: it compares the keys inside
+// the rows and sorts the vector its child handed over in place, so it
+// allocates the same bytes whatever the row count — no key slab, no index
+// vector. Its order is a reference stable sort's, over keys read out of
+// the rows beforehand, on NULLs, NaN, ±0, integers beside equal floats,
+// DESC keys and ties; a column named by reference reads its position, and
+// a computed key orders as its values do.
+func TestSortOrdersRowsWhereTheySit(t *testing.T) {
+	rs := RowSchema{{Qualifier: "t", Name: "a"}, {Qualifier: "t", Name: "b"}, {Qualifier: "t", Name: "seq"}}
+	rng := rand.New(rand.NewSource(39))
+	mkRows := func(n int) [][]value.Value {
+		as := []value.Value{value.Null(), value.Float(math.NaN()), value.Float(0), value.Float(math.Copysign(0, -1)),
+			value.Int(0), value.Int(1), value.Float(1), value.Float(0.5), value.Int(-2), value.Float(-2)}
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			b := value.Int(int64(rng.Intn(4)))
+			if rng.Intn(8) == 0 {
+				b = value.Null()
+			}
+			rows[i] = []value.Value{as[rng.Intn(len(as))], b, value.Int(int64(i))}
+		}
+		return rows
+	}
+	sortOf := func(rows [][]value.Value, keys []SortKey) *Sort {
+		s := mustOp[*Sort](t)(NewSort(&handedOver{schema: rs, rows: rows}, keys))
+		govern(s)
+		return s
+	}
+	sub3 := mustExpr(t, "t.b - 3")
+	for _, tc := range []struct {
+		name string
+		keys []SortKey
+		ref  func(row []value.Value) []value.Value // the keys, read out
+		desc []bool
+	}{
+		{"a, b DESC", []SortKey{SortKeyPos(0, false), SortKeyPos(1, true)},
+			func(r []value.Value) []value.Value { return []value.Value{r[0], r[1]} }, []bool{false, true}},
+		{"b, a DESC", []SortKey{SortKeyExpr(colRef("t", "b"), false), SortKeyPos(0, true)},
+			func(r []value.Value) []value.Value { return []value.Value{r[1], r[0]} }, []bool{false, true}},
+		{"b - 3 DESC", []SortKey{SortKeyExpr(sub3, true)},
+			func(r []value.Value) []value.Value {
+				if r[1].IsNull() {
+					return []value.Value{value.Null()}
+				}
+				return []value.Value{value.Int(r[1].AsInt() - 3)}
+			}, []bool{true}},
+	} {
+		rows := mkRows(2000)
+		keys := make([][]value.Value, len(rows))
+		for i, r := range rows {
+			keys[i] = tc.ref(r)
+		}
+		idx := make([]int, len(rows))
+		for i := range idx {
+			idx[i] = i
+		}
+		slices.SortStableFunc(idx, func(x, y int) int {
+			for k, desc := range tc.desc {
+				if c := value.Compare(keys[x][k], keys[y][k]); c != 0 {
+					if desc {
+						return -c
+					}
+					return c
+				}
+			}
+			return 0
+		})
+		want := make([][]value.Value, len(idx))
+		for i, x := range idx {
+			want[i] = rows[x]
+		}
+		got := mustCollect(t, sortOf(rows, tc.keys))
+		t.Run(tc.name, func(t *testing.T) { requireSameRows(t, want, got) })
+	}
+
+	if raceEnabled {
+		return // allocation counts are not the program's under -race
+	}
+	keys := []SortKey{SortKeyPos(0, false), SortKeyPos(1, true)}
+	bytes := func(n int) uint64 {
+		best := uint64(math.MaxUint64)
+		for r := 0; r < 3; r++ {
+			s := sortOf(mkRows(n), keys)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := s.Open()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.rows) != n {
+				t.Fatalf("%d rows sorted, want %d", len(s.rows), n)
+			}
+			s.Close()
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, large := bytes(1024), bytes(65536)
+	t.Logf("a full sort of 1,024 handed-over rows allocates %d bytes, of 65,536 %d", small, large)
+	if large != small {
+		t.Errorf("a full sort allocates %d bytes over 1,024 rows and %d over 65,536: something is per row", small, large)
 	}
 }
