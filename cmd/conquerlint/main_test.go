@@ -80,7 +80,7 @@ func TestListExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"atomicmix", "ctxpoll", "errwrap", "floatcmp", "maporder", "nopanic", "probflow", "probtaint", "versionbump"} {
+	for _, name := range []string{"ctxpoll", "errwrap", "floatcmp", "maporder", "nopanic", "probflow"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list missing %s:\n%s", name, stdout)
 		}
@@ -106,8 +106,8 @@ func TestJSONReport(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, stdout)
 	}
-	if len(rep.Analyzers) != 9 {
-		t.Errorf("got %d analyzers, want 9", len(rep.Analyzers))
+	if len(rep.Analyzers) != 6 {
+		t.Errorf("got %d analyzers, want 6", len(rep.Analyzers))
 	}
 	if rep.Packages != 2 {
 		t.Errorf("got %d packages, want 2", rep.Packages)

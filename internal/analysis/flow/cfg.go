@@ -1,20 +1,18 @@
 // Package flow grows the analysis framework from syntactic walks into a
 // per-function dataflow engine: basic-block control-flow graphs built
-// from go/ast, plus the three solvers the conquerlint dataflow analyzers
-// share — reaching definitions, a small taint lattice, and a pending-
-// obligation ("must call before exit") solver.
+// from go/ast, plus the two solvers a dataflow analyzer needs —
+// reaching definitions and a small taint lattice.
 //
 // The engine is deliberately function-local and stdlib-only, like the
 // rest of internal/analysis: it models intraprocedural control flow
 // (branches, loops, switches, selects, labeled break/continue, goto,
-// panic, defer) precisely enough that the analyzers built on it —
-// maporder, atomicmix, versionbump, probtaint — reason about what a
-// value is along every path rather than what the enclosing line looks
-// like. That is the difference between "this += sits lexically inside a
-// range" and "the accumulated value is loop-carried across the map
-// range's back edge", which is the class of bug (PR 3's JSSparse
-// nondeterminism, PR 5's bump-on-mutation contract) that purely
-// syntactic walks kept missing.
+// panic, defer) precisely enough that its one user, maporder, reasons
+// about what a value is along every path rather than what the enclosing
+// line looks like. That is the difference between "this += sits
+// lexically inside a range" and "the accumulated value is loop-carried
+// across the map range's back edge", the class of bug (a JS-distance
+// fold whose low bits changed run to run) that purely syntactic walks
+// kept missing.
 package flow
 
 import (
@@ -51,18 +49,6 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 
-	// Defers collects every defer statement in the body (in source
-	// order). Deferred calls run on all paths to Exit, so an obligation
-	// discharged by a defer is discharged everywhere.
-	Defers []*ast.DeferStmt
-
-	// Returns collects every explicit return statement.
-	Returns []*ast.ReturnStmt
-
-	// Panics collects the argument positions of explicit panic(...)
-	// calls, each of which ends its block and jumps to Exit.
-	Panics []*ast.CallExpr
-
 	blockOf map[ast.Node]*Block // top-level node -> containing block
 }
 
@@ -93,30 +79,6 @@ func New(body *ast.BlockStmt) *Graph {
 		}
 	}
 	return g
-}
-
-// FallsOff reports whether Exit is reachable without an explicit return
-// or panic — i.e. control can fall off the end of the function body (or
-// branch to it). Such a path is a "success exit" for obligation
-// analyses on functions without result classification.
-func (g *Graph) FallsOff() bool {
-	for _, p := range g.Exit.Preds {
-		if len(p.Nodes) == 0 {
-			return true
-		}
-		switch last := p.Nodes[len(p.Nodes)-1].(type) {
-		case *ast.ReturnStmt:
-			// explicit return, classified by the caller
-		case *ast.ExprStmt:
-			if call, ok := last.X.(*ast.CallExpr); ok && isPanicCall(call) {
-				continue
-			}
-			return true
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // labelTargets records where a labeled break/continue/goto lands.
@@ -339,7 +301,6 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.g.Returns = append(b.g.Returns, s)
 		b.edge(b.use(), b.g.Exit)
 		b.cur = nil
 
@@ -359,14 +320,9 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.stmt(s.Stmt)
 		b.pendingLabel = ""
 
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		b.add(s)
-
 	case *ast.ExprStmt:
 		b.add(s)
 		if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
-			b.g.Panics = append(b.g.Panics, call)
 			b.edge(b.use(), b.g.Exit)
 			b.cur = nil
 		}
@@ -375,8 +331,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		// nothing
 
 	default:
-		// Assignments, declarations, sends, go statements, inc/dec:
-		// straight-line nodes.
+		// Assignments, declarations, defers, sends, go statements,
+		// inc/dec: straight-line nodes.
 		b.add(s)
 	}
 }

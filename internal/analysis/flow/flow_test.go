@@ -102,12 +102,6 @@ b1 if.then: {return -1} -> b3
 b2 if.done: {return x} -> b3
 b3 exit:
 `)
-	if len(g.Returns) != 2 {
-		t.Errorf("Returns = %d, want 2", len(g.Returns))
-	}
-	if g.FallsOff() {
-		t.Errorf("FallsOff = true on a fully-returning function")
-	}
 }
 
 func TestCFGForLoop(t *testing.T) {
@@ -197,15 +191,6 @@ b1 if.then: {panic("neg")} -> b3
 b2 if.done: {println(x)} -> b3
 b3 exit:
 `)
-	if len(g.Defers) != 1 {
-		t.Errorf("Defers = %d, want 1", len(g.Defers))
-	}
-	if len(g.Panics) != 1 {
-		t.Errorf("Panics = %d, want 1", len(g.Panics))
-	}
-	if !g.FallsOff() {
-		t.Errorf("FallsOff = false, want true (println path reaches end)")
-	}
 }
 
 func TestCFGLabeledBreakAndGoto(t *testing.T) {
@@ -272,8 +257,8 @@ func f(a, b chan int) int {
 	if !strings.Contains(text, "select.case") {
 		t.Fatalf("no select.case blocks:\n%s", text)
 	}
-	if len(g.Returns) != 2 {
-		t.Errorf("Returns = %d, want 2", len(g.Returns))
+	if n := len(g.Exit.Preds); n != 2 {
+		t.Errorf("Exit has %d predecessors, want 2 (the two returns):\n%s", n, text)
 	}
 }
 
@@ -444,132 +429,5 @@ func f(as map[string]A) float64 {
 	v := objectNamed(t, info, fd, "v")
 	if !taint.TaintedObjAt(acc, v) {
 		t.Errorf("v should be tainted: probs holds Prob-derived values and v ranges over it")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Pending obligation (must-call)
-// ---------------------------------------------------------------------------
-
-// mutateGen matches statements assigning to a selector called rows;
-// bumpDischarge matches calls to bump().
-func mutateGen(n ast.Node) bool {
-	as, ok := n.(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for _, lhs := range as.Lhs {
-		e := lhs
-		for {
-			if ix, ok := e.(*ast.IndexExpr); ok {
-				e = ix.X
-				continue
-			}
-			break
-		}
-		if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "rows" {
-			return true
-		}
-	}
-	return false
-}
-
-func bumpDischarge(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "bump" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-const pendingSrc = `package p
-type T struct{ rows []int; n int }
-func (t *T) bump() { t.n++ }
-func good(t *T, v int) error {
-	if v < 0 {
-		return nil
-	}
-	t.rows = append(t.rows, v)
-	t.bump()
-	return nil
-}
-func bad(t *T, v int) error {
-	t.rows = append(t.rows, v)
-	if v > 10 {
-		return nil
-	}
-	t.bump()
-	return nil
-}
-func errWaived(t *T, v int) error {
-	t.rows = append(t.rows, v)
-	if v > 10 {
-		return errBoom
-	}
-	t.bump()
-	return nil
-}
-func deferred(t *T, v int) {
-	defer t.bump()
-	t.rows = append(t.rows, v)
-}
-var errBoom error
-`
-
-func pendingFor(t *testing.T, name string) (*flow.Graph, *flow.Pending) {
-	t.Helper()
-	g, _, _ := graphOf(t, pendingSrc, name)
-	return g, flow.NewPending(g, mutateGen, bumpDischarge)
-}
-
-func TestPendingDischargedOnAllPaths(t *testing.T) {
-	g, p := pendingFor(t, "good")
-	for _, ret := range g.Returns {
-		if p.Before(ret) {
-			t.Errorf("good: no return should have a pending obligation")
-		}
-	}
-}
-
-func TestPendingEscapesOnEarlyReturn(t *testing.T) {
-	g, p := pendingFor(t, "bad")
-	pendingReturns := 0
-	for _, ret := range g.Returns {
-		if p.Before(ret) {
-			pendingReturns++
-		}
-	}
-	if pendingReturns != 1 {
-		t.Errorf("bad: %d returns with pending obligation, want 1 (the early return nil)", pendingReturns)
-	}
-}
-
-func TestPendingDeferDischargesEverywhere(t *testing.T) {
-	g, p := pendingFor(t, "deferred")
-	if p.AtFallOff() {
-		t.Errorf("deferred: a deferred bump discharges the fall-off exit")
-	}
-	for _, ret := range g.Returns {
-		if p.Before(ret) {
-			t.Errorf("deferred: returns are discharged by the defer")
-		}
-	}
-}
-
-func TestPendingFallOff(t *testing.T) {
-	g, _, _ := graphOf(t, `package p
-type T struct{ rows []int; n int }
-func (t *T) bump() { t.n++ }
-func falloff(t *T, v int) {
-	t.rows = append(t.rows, v)
-}`, "falloff")
-	p := flow.NewPending(g, mutateGen, bumpDischarge)
-	if !p.AtFallOff() {
-		t.Errorf("falloff: mutation with no bump must be pending at the implicit exit")
 	}
 }

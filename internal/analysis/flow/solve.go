@@ -1,7 +1,6 @@
-// Dataflow solvers over the CFG: reaching definitions, taint, and the
-// pending-obligation ("must call before a success exit") analysis.
+// Dataflow solvers over the CFG: reaching definitions and taint.
 //
-// All three share the same shape — a forward worklist fixpoint over
+// Both share the same shape — a forward worklist fixpoint over
 // block-level facts, with per-statement precision recovered on demand by
 // replaying a block's prefix — and the same conservative stance: facts
 // merge with union (may-analysis), function calls neither generate nor
@@ -485,137 +484,4 @@ func (t *Taint) TaintedObjAt(at ast.Node, obj types.Object) bool {
 		return false
 	}
 	return facts[obj]
-}
-
-// ---------------------------------------------------------------------------
-// Pending obligation (must-call)
-// ---------------------------------------------------------------------------
-
-// Pending solves the obligation analysis behind must-call-on-all-paths
-// checks: a statement matched by gen raises an obligation (e.g. "this
-// method mutated state"), a statement matched by discharge settles it
-// (e.g. "bump() was called"), and the analysis answers whether an
-// obligation may still be outstanding at a given point. The merge is
-// OR: an obligation pending on any incoming path is pending, which is
-// exactly the conservatism a must-call check needs.
-type Pending struct {
-	g         *Graph
-	gen       func(ast.Node) bool
-	discharge func(ast.Node) bool
-	in        map[*Block]bool
-	reached   map[*Block]bool
-}
-
-// NewPending solves the obligation analysis on g. When any deferred
-// statement matches discharge, the obligation is considered settled on
-// every path (defers run at all exits) and every query returns false.
-func NewPending(g *Graph, gen, discharge func(ast.Node) bool) *Pending {
-	p := &Pending{g: g, gen: gen, discharge: discharge,
-		in: make(map[*Block]bool, len(g.Blocks)), reached: make(map[*Block]bool, len(g.Blocks))}
-	for _, d := range g.Defers {
-		if discharge(d) {
-			p.reached[g.Entry] = true // solved trivially: nothing pending
-			return p
-		}
-	}
-	p.reached[g.Entry] = true
-	work := []*Block{g.Entry}
-	inWork := map[*Block]bool{g.Entry: true}
-	for len(work) > 0 {
-		blk := work[0]
-		work, inWork[blk] = work[1:], false
-		out := p.in[blk]
-		for _, n := range blk.Nodes {
-			out = p.transfer(n, out)
-		}
-		for _, succ := range blk.Succs {
-			changed := false
-			if !p.reached[succ] {
-				p.reached[succ] = true
-				p.in[succ] = out
-				changed = true
-			} else if out && !p.in[succ] {
-				p.in[succ] = true
-				changed = true
-			}
-			if changed && !inWork[succ] {
-				work = append(work, succ)
-				inWork[succ] = true
-			}
-		}
-	}
-	return p
-}
-
-func (p *Pending) transfer(n ast.Node, pending bool) bool {
-	if p.gen(n) {
-		return true
-	}
-	if p.discharge(n) {
-		return false
-	}
-	return pending
-}
-
-// settledByDefer reports whether a deferred discharge settles every
-// path.
-func (p *Pending) settledByDefer() bool {
-	for _, d := range p.g.Defers {
-		if p.discharge(d) {
-			return true
-		}
-	}
-	return false
-}
-
-// Before reports whether an obligation may be pending just before the
-// block-level node at. Unreachable nodes report false.
-func (p *Pending) Before(at ast.Node) bool {
-	if p.settledByDefer() {
-		return false
-	}
-	blk := p.g.blockOf[at]
-	if blk == nil || !p.reached[blk] {
-		return false
-	}
-	pending := p.in[blk]
-	for _, n := range blk.Nodes {
-		if n == at {
-			break
-		}
-		pending = p.transfer(n, pending)
-	}
-	return pending
-}
-
-// AtFallOff reports whether an obligation may be pending on a path that
-// reaches Exit without an explicit return or panic — the implicit
-// "fall off the end" success exit.
-func (p *Pending) AtFallOff() bool {
-	if p.settledByDefer() {
-		return false
-	}
-	for _, blk := range p.g.Exit.Preds {
-		if !p.reached[blk] {
-			continue
-		}
-		if n := len(blk.Nodes); n > 0 {
-			switch last := blk.Nodes[n-1].(type) {
-			case *ast.ReturnStmt:
-				continue
-			case *ast.ExprStmt:
-				if call, ok := last.X.(*ast.CallExpr); ok && isPanicCall(call) {
-					continue
-				}
-			}
-		}
-		pending := p.in[blk]
-		for _, n := range blk.Nodes {
-			pending = p.transfer(n, pending)
-		}
-		if pending {
-			return true
-		}
-	}
-	return false
 }

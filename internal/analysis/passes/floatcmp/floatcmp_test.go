@@ -10,3 +10,7 @@ import (
 func TestFloatcmp(t *testing.T) {
 	analysistest.Run(t, "testdata", floatcmp.Analyzer, "floatcmpfix")
 }
+
+func TestFloatcmpMapKeys(t *testing.T) {
+	analysistest.Run(t, "testdata", floatcmp.Analyzer, "floatcmpkeys")
+}

@@ -44,7 +44,7 @@ func Table1() (string, error) {
 		p := ds.TupleDistribution(i)
 		fmt.Fprintf(&b, "t%-3d", i+1)
 		for v := range header {
-			if p.At(v) == 0 { //lint:allow floatcmp,probtaint -- absent entry is exactly 0, not a computed probability
+			if p.At(v) == 0 { //lint:allow floatcmp -- absent entry is exactly 0, not a computed probability
 				fmt.Fprintf(&b, "  %-10s", "0")
 			} else {
 				fmt.Fprintf(&b, "  %-10.2f", p.At(v))

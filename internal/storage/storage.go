@@ -9,6 +9,7 @@ package storage
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,6 +20,9 @@ import (
 	"conquer/internal/schema"
 	"conquer/internal/value"
 )
+
+// ErrNoRow reports a row index outside the table (SetRow, UpdateColumn).
+var ErrNoRow = errors.New("storage: row index out of range")
 
 // Table is a relation instance: a schema plus its rows.
 type Table struct {
@@ -126,7 +130,7 @@ func (t *Table) SetRow(i int, row []value.Value) error {
 	case i >= 0 && i < len(t.rows):
 		t.rows[i] = row
 	default:
-		return fmt.Errorf("storage: %s has no row %d to replace", t.Schema.Name, i)
+		return fmt.Errorf("%w: %s has no row %d to replace", ErrNoRow, t.Schema.Name, i)
 	}
 	t.bump()
 	return nil
@@ -145,6 +149,9 @@ func (t *Table) UpdateColumn(i int, col string, v value.Value) error {
 	ci := t.Schema.ColumnIndex(col)
 	if ci < 0 {
 		return fmt.Errorf("storage: %s has no column %q", t.Schema.Name, col)
+	}
+	if i < 0 || i >= len(t.rows) {
+		return fmt.Errorf("%w: %s has no row %d to update", ErrNoRow, t.Schema.Name, i)
 	}
 	t.rows[i][ci] = v
 	t.bump()

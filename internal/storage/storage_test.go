@@ -2,7 +2,10 @@ package storage
 
 import (
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -290,5 +293,104 @@ func TestAttachSharesTheTable(t *testing.T) {
 	}
 	if err := other.Attach(tb); err == nil {
 		t.Error("attaching the same name twice should fail")
+	}
+}
+
+// Every exported method of *Table is either a reader, which leaves the
+// version alone, or a mutator, which moves it by exactly one when it
+// succeeds and not at all when it fails: the result cache trusts an
+// unchanged version to mean unchanged rows (DESIGN.md §11). A new
+// method fails this test until it is classified here.
+func TestTableMethodsReadOrBumpOnce(t *testing.T) {
+	dir := t.TempDir()
+	oneRow := "custid,name,balance\nc9,Zed,1\n"
+	csvPath := filepath.Join(dir, "one.csv")
+	if err := os.WriteFile(csvPath, []byte(oneRow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row := func() []value.Value { return []value.Value{value.Str("c9"), value.Str("Zed"), value.Float(1)} }
+
+	readers := map[string]func(*Table){
+		"Len":         func(tb *Table) { tb.Len() },
+		"Version":     func(tb *Table) { tb.Version() },
+		"Sharded":     func(tb *Table) { tb.Sharded(2).Shards() },
+		"Row":         func(tb *Table) { tb.Row(0) },
+		"Rows":        func(tb *Table) { tb.Rows() },
+		"ScanFault":   func(tb *Table) { _ = tb.ScanFault() },
+		"WriteCSV":    func(tb *Table) { _ = tb.WriteCSV(io.Discard) },
+		"SaveCSVFile": func(tb *Table) { _ = tb.SaveCSVFile(filepath.Join(dir, "out.csv")) },
+	}
+	// ok succeeds once; fail fails before changing anything, with an
+	// error matching want when want is set.
+	mutators := map[string]struct {
+		ok, fail func(*Table) error
+		want     error
+	}{
+		"Insert": {
+			ok:   func(tb *Table) error { return tb.Insert(row()) },
+			fail: func(tb *Table) error { return tb.Insert(row()[:2]) },
+		},
+		"MustInsert": {
+			ok: func(tb *Table) error { tb.MustInsert(row()...); return nil },
+			fail: func(tb *Table) (err error) {
+				defer func() {
+					if recover() != nil {
+						err = errors.New("panicked")
+					}
+				}()
+				tb.MustInsert(value.Int(1))
+				return nil
+			},
+		},
+		"SetRow": {
+			ok:   func(tb *Table) error { return tb.SetRow(0, tb.Row(1)) },
+			fail: func(tb *Table) error { return tb.SetRow(tb.Len()+1, tb.Row(0)) },
+			want: ErrNoRow,
+		},
+		"UpdateColumn": {
+			ok:   func(tb *Table) error { return tb.UpdateColumn(1, "name", value.Str("Zed")) },
+			fail: func(tb *Table) error { return tb.UpdateColumn(tb.Len(), "name", value.Str("Zed")) },
+			want: ErrNoRow,
+		},
+		"ReadCSV": {
+			ok:   func(tb *Table) error { return tb.ReadCSV(strings.NewReader(oneRow)) },
+			fail: func(tb *Table) error { return tb.ReadCSV(strings.NewReader("custid,name\nc9,Zed\n")) },
+		},
+		"LoadCSVFile": {
+			ok:   func(tb *Table) error { return tb.LoadCSVFile(csvPath) },
+			fail: func(tb *Table) error { return tb.LoadCSVFile(filepath.Join(dir, "ghost.csv")) },
+		},
+	}
+
+	typ := reflect.TypeOf(&Table{})
+	if n := len(readers) + len(mutators); typ.NumMethod() != n {
+		t.Errorf("*Table has %d exported methods, %d are classified", typ.NumMethod(), n)
+	}
+	for i := range typ.NumMethod() {
+		name := typ.Method(i).Name
+		tb := NewTable(custSchema())
+		tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(20000))
+		tb.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(27000))
+		v := tb.Version()
+		if read, ok := readers[name]; ok {
+			read(tb)
+			if tb.Version() != v {
+				t.Errorf("reader %s moved the version by %d", name, tb.Version()-v)
+			}
+			continue
+		}
+		m, ok := mutators[name]
+		if !ok {
+			t.Errorf("(*Table).%s is neither a reader nor a mutator: classify it in this test", name)
+			continue
+		}
+		if err := m.ok(tb); err != nil || tb.Version() != v+1 {
+			t.Errorf("%s succeeding: err %v, version moved by %d, want 1", name, err, tb.Version()-v)
+		}
+		v, rows := tb.Version(), tb.Len()
+		err := m.fail(tb)
+		if err == nil || (m.want != nil && !errors.Is(err, m.want)) || tb.Version() != v || tb.Len() != rows {
+			t.Errorf("%s failing: err %v (want %v), version moved by %d, rows %d -> %d", name, err, m.want, tb.Version()-v, rows, tb.Len())
+		}
 	}
 }
