@@ -75,7 +75,7 @@ func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string,
 		attrs[i] = rel.Columns[ci].Name
 	}
 	ds := NewDataset(attrs)
-	ds.ids = make([]int, 0, tb.Len()*len(cols))
+	ds.ids = make([]int32, 0, tb.Len()*len(cols))
 	clusterIDs := make([]value.Value, tb.Len())
 	var tick qerr.Ticker
 	for i := range clusterIDs {

@@ -2,8 +2,10 @@ package probcalc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"conquer/internal/schema"
@@ -97,7 +99,10 @@ func TestAnnotateTableMatchesPrintedDataset(t *testing.T) {
 }
 
 // A pass's allocations are per table and per vocabulary, not per tuple:
-// annotating an n-row table serially allocates fewer than n/20 times.
+// annotating an n-row table serially allocates fewer than n/20 times,
+// and fewer than annotateBytesPerCell bytes per attribute cell on a
+// table whose every value is distinct, so that the vocabulary is as large
+// as the table.
 func TestAnnotateTableAllocationFloor(t *testing.T) {
 	for _, n := range []int{1000, 4000} {
 		tb := parTable(t, n)
@@ -110,5 +115,50 @@ func TestAnnotateTableAllocationFloor(t *testing.T) {
 		if allocs >= float64(n)/20 {
 			t.Errorf("annotating %d rows allocates %.0f times, want fewer than %d", n, allocs, n/20)
 		}
+
+		tb = distinctTable(t, n)
+		cells := float64(n * 2)
+		perCell := bytesPerRun(t, 3, func() {
+			if err := AnnotateTableCtx(context.Background(), tb, nil, nil, 1); err != nil {
+				t.Fatal(err)
+			}
+		}) / cells
+		t.Logf("annotating %d distinct rows allocates %.1f bytes per cell", n, perCell)
+		if perCell >= annotateBytesPerCell {
+			t.Errorf("annotating %d distinct rows allocates %.1f bytes per cell, want fewer than %d", n, perCell, annotateBytesPerCell)
+		}
 	}
+}
+
+// annotateBytesPerCell bounds a serial annotation's bytes per attribute
+// cell when every value is distinct, with ~17% headroom: it measures
+// ~305 at 1,000 and 4,000 rows, mostly the vocabulary map, then one int32
+// id per cell and per-row cluster keys and assignments. An id -> key
+// vector grown beside the map, which annotation never reads, takes it to
+// ~430 and ~480.
+const annotateBytesPerCell = 360
+
+// distinctTable is parTable's relation with every name and city distinct.
+func distinctTable(t testing.TB, n int) *storage.Table {
+	t.Helper()
+	tb := storage.NewTable(parTable(t, 0).Schema)
+	for i := 0; i < n; i++ {
+		tb.MustInsert(value.Str(fmt.Sprintf("name%d", i)), value.Str(fmt.Sprintf("city%d", i)),
+			value.Str(fmt.Sprintf("c%04d", i/3)), value.Null())
+	}
+	return tb
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates over runs calls, after one warm-up call.
+func bytesPerRun(t testing.TB, runs int, f func()) float64 {
+	t.Helper()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"conquer/internal/infotheory"
 	"conquer/internal/value"
@@ -32,10 +33,16 @@ import (
 // keying on (attribute index, category).
 type Dataset struct {
 	Attrs []string
-	n     int   // tuples
-	ids   []int // value ids, len(Attrs) per tuple
-	vocab map[vkey]int
-	names []vkey // id -> key
+	n     int     // tuples
+	ids   []int32 // value ids, len(Attrs) per tuple
+	vocab map[vkey]int32
+
+	// names is vocab inverted, id -> key, built on first read and rebuilt
+	// when vocab has grown since: annotation never reads it, so only
+	// ValueName's callers pay for it. A rebuild makes a new vector, so a
+	// reader keeps a consistent one.
+	namesMu sync.Mutex
+	names   []vkey
 }
 
 type vkey struct {
@@ -68,7 +75,7 @@ var (
 func NewDataset(attrs []string) *Dataset {
 	return &Dataset{
 		Attrs: append([]string(nil), attrs...),
-		vocab: make(map[vkey]int),
+		vocab: make(map[vkey]int32),
 	}
 }
 
@@ -90,9 +97,8 @@ func (ds *Dataset) add(attr int, v value.Value) {
 	k := vkey{attr: attr, v: v}
 	id, ok := ds.vocab[k]
 	if !ok {
-		id = len(ds.names)
+		id = int32(len(ds.vocab))
 		ds.vocab[k] = id
-		ds.names = append(ds.names, k)
 	}
 	ds.ids = append(ds.ids, id)
 }
@@ -101,16 +107,31 @@ func (ds *Dataset) add(attr int, v value.Value) {
 func (ds *Dataset) Len() int { return ds.n }
 
 // VocabSize returns |V|, the number of distinct (attribute, value) pairs.
-func (ds *Dataset) VocabSize() int { return len(ds.names) }
+func (ds *Dataset) VocabSize() int { return len(ds.vocab) }
 
 // ValueName returns the raw string and attribute of vocabulary entry id.
 func (ds *Dataset) ValueName(id int) (attr int, raw string) {
-	k := ds.names[id]
+	k := ds.keys()[id]
 	return k.attr, k.v.String()
 }
 
+// keys returns the vocabulary by id. Ids are dense and never change, so
+// the vector is stale exactly when it is shorter than the map.
+func (ds *Dataset) keys() []vkey {
+	ds.namesMu.Lock()
+	defer ds.namesMu.Unlock()
+	if len(ds.names) != len(ds.vocab) {
+		names := make([]vkey, len(ds.vocab))
+		for k, id := range ds.vocab {
+			names[id] = k
+		}
+		ds.names = names
+	}
+	return ds.names
+}
+
 // tuple returns tuple i's value ids, one per attribute.
-func (ds *Dataset) tuple(i int) []int {
+func (ds *Dataset) tuple(i int) []int32 {
 	m := len(ds.Attrs)
 	return ds.ids[i*m : (i+1)*m]
 }
@@ -129,7 +150,7 @@ func (ds *Dataset) appendTuple(dst infotheory.Sparse, i int) infotheory.Sparse {
 	w := 1 / float64(len(ds.Attrs))
 	start := len(dst)
 	for _, id := range ds.tuple(i) {
-		dst = append(dst, infotheory.Entry{ID: id, P: w})
+		dst = append(dst, infotheory.Entry{ID: int(id), P: w})
 		for k := len(dst) - 1; k > start && dst[k].ID < dst[k-1].ID; k-- {
 			dst[k], dst[k-1] = dst[k-1], dst[k]
 		}
@@ -276,11 +297,12 @@ func RankCluster(assignments []Assignment, cluster string) []Assignment {
 // frequent values" row of the paper's Table 4.
 func (ds *Dataset) MostFrequentValues(rows []int) []string {
 	out := make([]string, len(ds.Attrs))
+	names := ds.keys()
 	for a := range ds.Attrs {
 		counts := map[string]int{}
 		var first []string
 		for _, i := range rows {
-			_, raw := ds.ValueName(ds.tuple(i)[a])
+			raw := names[ds.tuple(i)[a]].v.String()
 			if counts[raw] == 0 {
 				first = append(first, raw)
 			}
@@ -300,8 +322,9 @@ func (ds *Dataset) MostFrequentValues(rows []int) []string {
 // Tuple returns the raw values of tuple i.
 func (ds *Dataset) Tuple(i int) []string {
 	out := make([]string, len(ds.Attrs))
+	names := ds.keys()
 	for a, id := range ds.tuple(i) {
-		_, out[a] = ds.ValueName(id)
+		out[a] = names[id].v.String()
 	}
 	return out
 }

@@ -1,8 +1,12 @@
 package probcalc
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"conquer/internal/infotheory"
@@ -265,6 +269,94 @@ func TestMostFrequentValues(t *testing.T) {
 			t.Errorf("most frequent %s = %q, want %q", ds.Attrs[i], got[i], want[i])
 		}
 	}
+}
+
+// The vocabulary numbers (attribute, value) pairs by first appearance,
+// and VocabSize, ValueName, Tuple and MostFrequentValues agree with a
+// reference kept beside Add, also when Add follows a read: the readers
+// then see the values added since.
+func TestVocabularyMatchesReference(t *testing.T) {
+	type key struct {
+		attr int
+		raw  string
+	}
+	rng := rand.New(rand.NewSource(5))
+	ds := NewDataset([]string{"a", "b", "c"})
+	var names []key
+	ids := map[key]int{}
+	var tuples [][]string
+	for round := 1; round <= 4; round++ {
+		for i := 0; i < 40; i++ {
+			tuple := make([]string, len(ds.Attrs))
+			for a := range tuple {
+				tuple[a] = fmt.Sprintf("v%d", rng.Intn(8*round))
+				k := key{a, tuple[a]}
+				if _, ok := ids[k]; !ok {
+					ids[k] = len(names)
+					names = append(names, k)
+				}
+			}
+			addT(t, ds, tuple...)
+			tuples = append(tuples, tuple)
+		}
+
+		if got := ds.VocabSize(); got != len(names) {
+			t.Fatalf("round %d: VocabSize = %d, want %d", round, got, len(names))
+		}
+		for id, want := range names {
+			if a, raw := ds.ValueName(id); a != want.attr || raw != want.raw {
+				t.Fatalf("round %d: ValueName(%d) = (%d, %q), want (%d, %q)", round, id, a, raw, want.attr, want.raw)
+			}
+		}
+		for i, want := range tuples {
+			if got := ds.Tuple(i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: Tuple(%d) = %v, want %v", round, i, got, want)
+			}
+		}
+		rows := rng.Perm(len(tuples))[:len(tuples)/3]
+		want := make([]string, len(ds.Attrs))
+		for a := range want {
+			counts, bestN := map[string]int{}, 0
+			for _, i := range rows {
+				counts[tuples[i][a]]++
+			}
+			for _, i := range rows { // first appearance wins a tie
+				if raw := tuples[i][a]; counts[raw] > bestN {
+					want[a], bestN = raw, counts[raw]
+				}
+			}
+		}
+		if got := ds.MostFrequentValues(rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: MostFrequentValues = %v, want %v", round, got, want)
+		}
+	}
+}
+
+// ValueName, Tuple and MostFrequentValues may be called from many
+// goroutines at once; the first of them builds the id -> key vector.
+// Run under -race.
+func TestValueNameConcurrentReaders(t *testing.T) {
+	ref, _ := figure6(t)
+	want := make([]string, ref.VocabSize())
+	for id := range want {
+		_, want[id] = ref.ValueName(id)
+	}
+	ds, _ := figure6(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range want {
+				if _, raw := ds.ValueName(id); raw != want[id] {
+					t.Errorf("ValueName(%d) = %q, want %q", id, raw, want[id])
+				}
+			}
+			ds.Tuple(g % ds.Len())
+			ds.MostFrequentValues([]int{0, 1, 2})
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRankCluster(t *testing.T) {

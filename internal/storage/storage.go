@@ -227,7 +227,16 @@ func (db *DB) TotalRows() int {
 	return n
 }
 
-// Clone deep-copies the database: schemas and rows.
+// Clone deep-copies the database: schemas and rows. Each table's rows
+// are copied into one block of values, so a clone allocates per table,
+// not per row; each row is capped at its own length, so an append to one
+// copies it rather than overwriting the next. A cloned row shares
+// nothing with its source, but it keeps its table's whole block alive
+// for as long as anything holds it. Each table keeps its version: a
+// clone is the same logical state. The fault injector is not carried:
+// the clone is built without one and SetInjector is how it gets one.
+// OpClone is consulted once per table; on a fault no database is
+// returned.
 func (db *DB) Clone() (*DB, error) {
 	out := NewDB()
 	for _, name := range db.Catalog.Names() {
@@ -239,12 +248,17 @@ func (db *DB) Clone() (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: cloning %s: %w", name, err)
 		}
+		n := 0
+		for _, r := range src.rows {
+			n += len(r)
+		}
+		block := make([]value.Value, 0, n)
 		dst.rows = make([][]value.Value, len(src.rows))
 		for i, r := range src.rows {
-			dst.rows[i] = append([]value.Value(nil), r...)
+			start := len(block)
+			block = append(block, r...)
+			dst.rows[i] = block[start:len(block):len(block)]
 		}
-		// A clone carries its source's mutation count: it is the same
-		// logical state, not a fresh table.
 		dst.version.Store(src.version.Load())
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,9 @@ import (
 	"conquer/internal/schema"
 	"conquer/internal/value"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled = false
 
 func custSchema() *schema.Relation {
 	return schema.MustRelation("customer",
@@ -88,20 +92,120 @@ func TestDBCreateAndLookup(t *testing.T) {
 	}
 }
 
+// An update on either side of a clone is invisible to the other side,
+// on every row: the clone's block holds copies, not the source's rows.
 func TestDBClone(t *testing.T) {
+	names := []string{"John", "Mary", "Ann"}
+	for _, side := range []string{"source", "clone"} {
+		db := NewDB()
+		tb := db.MustCreateTable(custSchema())
+		for i, n := range names {
+			tb.MustInsert(value.Str(fmt.Sprintf("c%d", i)), value.Str(n), value.Float(float64(i)))
+		}
+		cp, err := db.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, _ := cp.Table("customer")
+		updated, other := tb, ct
+		if side == "clone" {
+			updated, other = ct, tb
+		}
+		for i := range names {
+			if err := updated.UpdateColumn(i, "name", value.Str("Mutated")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, n := range names {
+			if got := other.Row(i)[1].AsString(); got != n {
+				t.Errorf("updating the %s: row %d of the other side reads %q, want %q", side, i, got, n)
+			}
+		}
+	}
+}
+
+// Appending to a cloned row copies it: the row is capped at its own
+// length, so the append cannot write into the next row of the block.
+func TestCloneRowAppendLeavesNextRow(t *testing.T) {
 	db := NewDB()
 	tb := db.MustCreateTable(custSchema())
 	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
+	tb.MustInsert(value.Str("c2"), value.Str("Mary"), value.Float(2))
 	cp, err := db.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct, _ := cp.Table("customer")
-	if err := ct.UpdateColumn(0, "name", value.Str("Mutated")); err != nil {
+	_ = append(ct.Row(0), value.Str("extra"))
+	if !reflect.DeepEqual(ct.Rows(), tb.Rows()) {
+		t.Errorf("after an append to cloned row 0, the clone's rows are %v, want %v", ct.Rows(), tb.Rows())
+	}
+}
+
+// A clone is built without the source's fault injector (DESIGN.md §13
+// clones the faulted tenant first and injects after): its scans and
+// inserts are not faulted.
+func TestCloneCarriesNoInjector(t *testing.T) {
+	db := NewDB()
+	tb := db.MustCreateTable(custSchema())
+	tb.MustInsert(value.Str("c1"), value.Str("John"), value.Float(1))
+	db.SetInjector(failAllButClone{})
+	if tb.ScanFault() == nil || tb.Insert([]value.Value{value.Str("c2"), value.Str("Mary"), value.Float(2)}) == nil {
+		t.Fatal("the source's injector does not fault its scans and inserts")
+	}
+	cp, err := db.Clone()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Row(0)[1].AsString() != "John" {
-		t.Error("Clone must not share row storage")
+	if cp.Injector() != nil {
+		t.Errorf("clone has injector %v", cp.Injector())
+	}
+	ct, _ := cp.Table("customer")
+	if err := ct.ScanFault(); err != nil {
+		t.Errorf("clone's scan faulted: %v", err)
+	}
+	if err := ct.Insert([]value.Value{value.Str("c2"), value.Str("Mary"), value.Float(2)}); err != nil {
+		t.Errorf("clone's insert faulted: %v", err)
+	}
+	if _, err := cp.CreateTable(schema.MustRelation("orders", schema.Column{Name: "id", Type: value.KindInt})); err != nil {
+		t.Errorf("clone's create-table faulted: %v", err)
+	}
+}
+
+// failAllButClone faults every instrumented operation except cloning.
+type failAllButClone struct{}
+
+func (failAllButClone) Fail(_ string, op Op) error {
+	if op == OpClone {
+		return nil
+	}
+	return errInjected
+}
+
+// Clone allocates per table, not per row: the same count at 100 and at
+// 10,000 rows in each of two tables.
+func TestCloneAllocatesPerTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	allocs := func(rows int) float64 {
+		db := NewDB()
+		for _, name := range []string{"customer", "supplier"} {
+			tb := db.MustCreateTable(schema.MustRelation(name, custSchema().Columns...))
+			for i := 0; i < rows; i++ {
+				tb.MustInsert(value.Str("c"), value.Str("John"), value.Float(float64(i)))
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := db.Clone(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(10_000)
+	t.Logf("Clone allocates %.0f times at 100 rows per table, %.0f at 10,000", small, large)
+	if small != large {
+		t.Errorf("Clone allocates %.0f times at 100 rows per table and %.0f at 10,000; want the same", small, large)
 	}
 }
 
