@@ -20,8 +20,8 @@ fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sqlparse
 
 # lint = formatting gate + standard vet + the in-tree analyzer suite
-# (six analyzers — ctxpoll, errwrap, floatcmp, maporder, nopanic,
-# probflow; see DESIGN.md §7 and §12)
+# (six syntactic analyzers — ctxpoll, errwrap, floatcmp, maporder,
+# nopanic, probflow; see DESIGN.md §7, and §12 for the driver)
 # + the lint:allow inventory, which fails on stale waivers.
 lint:
 	@unformatted=$$(gofmt -l .); \

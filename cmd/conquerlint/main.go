@@ -17,7 +17,8 @@
 // inventory: every lint:allow annotation in the loaded packages, with
 // its reason and whether it still suppresses anything; annotations that
 // no longer match a diagnostic — or name an unknown analyzer — are
-// stale, and stale annotations fail the run. Exit codes: 0 clean, 1
+// stale, and stale annotations fail the run. -allows runs the full
+// suite, so it does not combine with -only. Exit codes: 0 clean, 1
 // findings (or stale annotations under -allows), 2 usage or load error.
 package main
 
@@ -79,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	allows := fs.Bool("allows", false, "inventory lint:allow annotations; fail on stale ones")
 	chdir := fs.String("C", ".", "directory whose module is linted")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *allows && *only != "" {
+		fmt.Fprintln(stderr, "conquerlint: -allows needs the full suite: a waiver for an analyzer that did not run would look stale; drop -only")
 		return 2
 	}
 
@@ -175,10 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // reportAllows prints the suppression inventory and fails when any
 // annotation is stale: it suppressed nothing in this run, or names an
-// analyzer that does not exist. Note that staleness is judged against
-// the analyzers that actually ran — combine with -only and a subset of
-// annotations is inherently "unused", so stale checking is only
-// meaningful on a full-suite run.
+// analyzer that does not exist.
 func reportAllows(stdout, stderr io.Writer, anns []analysis.Annotation, known map[string]bool, relative func(string) string, jsonOut bool) int {
 	stale := 0
 	var out []jsonAllow

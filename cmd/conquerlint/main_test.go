@@ -191,3 +191,15 @@ func TestAllowsJSON(t *testing.T) {
 		t.Errorf("used=%d stale=%d, want 1 and 1: %+v", used, stale, allows)
 	}
 }
+
+func TestAllowsWithOnlyIsAUsageError(t *testing.T) {
+	// Under a subset every waiver for an analyzer that did not run
+	// suppresses nothing, so the inventory would call it stale.
+	code, stdout, stderr := lint(t, "-only", "floatcmp", "-allows", "./...")
+	if code != 2 || !strings.Contains(stderr, "-allows needs the full suite") {
+		t.Fatalf("exit = %d stderr = %q, want 2 with a full-suite usage error", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("stdout not empty: %q", stdout)
+	}
+}

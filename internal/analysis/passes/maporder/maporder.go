@@ -1,4 +1,4 @@
-// Package maporder defines a dataflow analyzer for the engine's
+// Package maporder defines a syntactic analyzer for the engine's
 // bit-determinism invariant: nothing order-sensitive may be computed in
 // Go's randomized map-iteration order.
 //
@@ -13,19 +13,26 @@
 // Two sinks are flagged inside a `range` over a map:
 //
 //   - float accumulation: s += v, s = s*x, ... where the accumulator is
-//     loop-carried (its definition reaches itself across the range's
-//     back edge — the reaching-definitions signature of a true
-//     accumulator, as opposed to a per-iteration temporary) and the
-//     accumulated value derives from the iteration (taint from the
-//     range key/value), so constant folds stay legal;
-//   - append to an ordered output: s = append(s, ...) with a
-//     loop-carried, iteration-derived slice — unless the slice is
-//     passed to a sort (sort.* or slices.Sort*) after the loop, which
-//     is exactly the sanctioned sorted-keys pattern.
+//     declared outside the range (so it carries across iterations; one
+//     declared inside the body is a per-iteration temporary) and the
+//     accumulated value mentions a variable derived from the iteration,
+//     so constant folds stay legal;
+//   - append to an ordered output: s = append(s, ...) with a slice
+//     declared outside the range and an iteration-derived element —
+//     unless the slice is passed to a sort (sort.* or slices.*) after
+//     the loop, which is exactly the sanctioned sorted-keys pattern.
+//
+// The derived variables are the range key and value, closed over the
+// body's assignments, var specs and nested range headers whose
+// right-hand side mentions one. The closure ignores statement order, so
+// it over-approximates: an accumulator declared outside the range is
+// treated as carried even when the body resets it first. Declare
+// per-iteration accumulators inside the range.
 //
 // Per-key map writes (m[k] = ... with the range key in the index) are
 // exempt: each iteration touches its own key, so the result is
-// independent of visit order. Deliberate order-insensitive uses carry
+// independent of visit order. A statement inside nested map ranges is
+// reported once. Deliberate order-insensitive uses carry
 // "//lint:allow maporder" with a reason.
 package maporder
 
@@ -35,7 +42,6 @@ import (
 	"go/types"
 
 	"conquer/internal/analysis"
-	"conquer/internal/analysis/flow"
 )
 
 // Analyzer flags order-sensitive computation inside range-over-map.
@@ -46,6 +52,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	reported := make(map[*ast.AssignStmt]bool)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
@@ -55,12 +62,12 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFunc(pass, fd.Body, fd.Type, fd.Recv)
-			// Function literals are separate execution contexts with
-			// their own CFGs.
+			// Ranges inside function literals are checked too; the sort
+			// that exempts an append may sit anywhere after the range in
+			// the declaring function.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkFunc(pass, lit.Body, lit.Type, nil)
+				if rs, ok := n.(*ast.RangeStmt); ok && isMap(pass, rs.X) {
+					checkMapRange(pass, fd.Body, rs, reported)
 				}
 				return true
 			})
@@ -69,145 +76,183 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// checkFunc builds the function's CFG and inspects every range-over-map
-// inside it.
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, ftype *ast.FuncType, recv *ast.FieldList) {
-	g := flow.New(body)
-	defs := flow.NewDefs(g, pass.TypesInfo, ftype, recv)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // checked separately
-		}
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if tv, ok := pass.TypesInfo.Types[rs.X]; !ok || tv.Type == nil {
-			return true
-		} else if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		checkMapRange(pass, g, defs, body, rs)
-		return true
-	})
+func isMap(pass *analysis.Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, ok = tv.Type.Underlying().(*types.Map)
+	return ok
 }
 
 // checkMapRange flags order-sensitive statements in the body of one
-// range-over-map.
-func checkMapRange(pass *analysis.Pass, g *flow.Graph, defs *flow.Defs, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
-	// Taint the per-iteration bindings of this range: a value is
-	// order-dependent only when it derives from what the iteration saw.
-	iterObjs := make(map[types.Object]bool)
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if e != nil {
-			if obj := flow.RootObject(pass.TypesInfo, e); obj != nil {
-				iterObjs[obj] = true
-			}
+// range-over-map. Statements in reported were flagged by an enclosing
+// map range already.
+func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, reported map[*ast.AssignStmt]bool) {
+	derived := derivedVars(pass, rs)
+	inspectBody(rs.Body, func(n ast.Node) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || reported[as] {
+			return
 		}
-	}
-	taint := flow.NewTaint(g, pass.TypesInfo, func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return false
+		if checkAssign(pass, derived, fnBody, rs, as) {
+			reported[as] = true
 		}
-		obj := pass.TypesInfo.ObjectOf(id)
-		return obj != nil && iterObjs[obj]
 	})
+}
 
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
+// inspectBody calls visit on every node of body outside function
+// literals, which run when called, not once per iteration.
+func inspectBody(body ast.Node, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
 			return false
-		case *ast.RangeStmt:
-			// Nested ranges get their own checkMapRange call from the
-			// outer walk; statements inside still belong to this range's
-			// body, so keep descending.
-			return true
-		case *ast.AssignStmt:
-			checkAssign(pass, g, defs, taint, fnBody, rs, n)
+		}
+		if n != nil {
+			visit(n)
 		}
 		return true
 	})
 }
 
-func checkAssign(pass *analysis.Pass, g *flow.Graph, defs *flow.Defs, taint *flow.Taint, fnBody *ast.BlockStmt, rs *ast.RangeStmt, as *ast.AssignStmt) {
-	if g.BlockOf(as) == nil {
-		return // not a block-level node (inside a nested funclit already skipped)
+// derivedVars returns the variables whose value may derive from what
+// the iteration saw: the range key and value, and every variable the
+// body assigns, declares or ranges from an expression mentioning one.
+func derivedVars(pass *analysis.Pass, rs *ast.RangeStmt) map[types.Object]bool {
+	derived := make(map[types.Object]bool)
+	grew := false
+	add := func(lhs ast.Expr) {
+		if obj := rootObject(pass.TypesInfo, lhs); obj != nil && !derived[obj] {
+			derived[obj] = true
+			grew = true
+		}
 	}
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if e != nil {
+			add(e)
+		}
+	}
+	for grew {
+		grew = false
+		inspectBody(rs.Body, func(n ast.Node) {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if mentionsAny(pass, pairedValue(n.Rhs, i), derived) {
+						add(lhs)
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if mentionsAny(pass, pairedValue(n.Values, i), derived) {
+						add(name)
+					}
+				}
+			case *ast.RangeStmt:
+				if mentionsAny(pass, n.X, derived) {
+					for _, e := range []ast.Expr{n.Key, n.Value} {
+						if e != nil {
+							add(e)
+						}
+					}
+				}
+			}
+		})
+	}
+	return derived
+}
+
+// pairedValue returns the right-hand side that the i-th left-hand side
+// takes: its own, or the one call or comma-ok expression all share.
+func pairedValue(values []ast.Expr, i int) ast.Expr {
+	switch {
+	case i < len(values):
+		return values[i]
+	case len(values) == 1:
+		return values[0]
+	}
+	return nil
+}
+
+// checkAssign flags as if it folds or appends in map order, and reports
+// whether it did.
+func checkAssign(pass *analysis.Pass, derived map[types.Object]bool, fnBody *ast.BlockStmt, rs *ast.RangeStmt, as *ast.AssignStmt) bool {
 	compoundArith := as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN ||
 		as.Tok == token.MUL_ASSIGN || as.Tok == token.QUO_ASSIGN
+	plain := as.Tok == token.ASSIGN || as.Tok == token.DEFINE
 
 	for i, lhs := range as.Lhs {
-		var rhs ast.Expr
-		if i < len(as.Rhs) {
-			rhs = as.Rhs[i]
-		} else if len(as.Rhs) == 1 {
-			rhs = as.Rhs[0]
-		}
+		rhs := pairedValue(as.Rhs, i)
 		if rhs == nil {
 			continue
 		}
-		obj := flow.RootObject(pass.TypesInfo, lhs)
-		if obj == nil {
-			continue
+		obj := rootObject(pass.TypesInfo, lhs)
+		if obj == nil || !declaredOutside(obj, rs) {
+			continue // a per-iteration temporary
 		}
 
 		// append to an ordered output: x = append(x, ...).
-		if call, ok := rhs.(*ast.CallExpr); ok && (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) && isAppendOf(pass, call, obj) {
-			if !carriedAcrossRange(defs, as, obj, rs) {
-				continue // fresh slice each iteration: per-iteration temp
-			}
-			if !argsTainted(taint, as, call.Args[1:]) {
+		if call, ok := rhs.(*ast.CallExpr); ok && plain && isAppendOf(pass, call, obj) {
+			if !anyMentions(pass, call.Args[1:], derived) {
 				continue // appends nothing iteration-derived
 			}
 			if sortedAfter(pass, fnBody, rs, obj) {
 				continue // the sorted-keys pattern: collected, then sorted
 			}
 			pass.Reportf(as.Pos(), "append to %s in map-iteration order flows to ordered output; collect and sort, or keep a sorted vector (see infotheory.Sparse), or annotate with lint:allow maporder", obj.Name())
-			continue
+			return true
 		}
 
 		// float accumulation: s += v, s = s + v, s *= v, ...
-		isAccum := false
-		var acc ast.Expr
-		if compoundArith {
-			isAccum, acc = true, rhs
-		} else if (as.Tok == token.ASSIGN || as.Tok == token.DEFINE) && selfBinary(pass, lhs, rhs) {
-			isAccum, acc = true, rhs
+		if !compoundArith && !(plain && selfBinary(pass, lhs, rhs)) {
+			continue
 		}
-		if !isAccum || !isFloat(pass.TypesInfo.Types[lhs].Type) {
+		if !isFloat(pass.TypesInfo.Types[lhs].Type) {
 			continue
 		}
 		if indexedByRangeKey(pass, lhs, rs) {
 			continue // m[k] op= v: one key per iteration, order-free
 		}
-		if !carriedAcrossRange(defs, as, obj, rs) {
-			continue // re-initialized every map iteration
-		}
-		if !taint.TaintedAt(as, acc) {
+		if !mentionsAny(pass, rhs, derived) {
 			continue // accumulates a constant: same terms in any order
 		}
 		pass.Reportf(as.Pos(), "float accumulation into %s in map-iteration order is not bit-deterministic (float addition is non-associative); iterate sorted keys or annotate with lint:allow maporder", obj.Name())
-	}
-}
-
-// carriedAcrossRange reports whether obj accumulates across iterations
-// of THIS map range: its definition at as reaches itself (loop-carried)
-// and at least one reaching definition lies outside the range statement.
-// An accumulator re-initialized inside the range body — even one carried
-// by an inner loop over a slice — self-reaches via the inner back edge
-// but has no outside definition, and its per-map-iteration result does
-// not depend on map order.
-func carriedAcrossRange(defs *flow.Defs, as ast.Node, obj types.Object, rs *ast.RangeStmt) bool {
-	if !defs.SelfReaches(as, obj) {
-		return false
-	}
-	for _, def := range defs.DefsBefore(as, obj) {
-		if def.Pos() < rs.Pos() || def.Pos() >= rs.End() {
-			return true
-		}
+		return true
 	}
 	return false
+}
+
+// declaredOutside reports whether obj is declared outside rs, so that
+// its value carries from one iteration to the next.
+func declaredOutside(obj types.Object, rs *ast.RangeStmt) bool {
+	return obj.Pos() < rs.Pos() || obj.Pos() >= rs.End()
+}
+
+// rootObject resolves the variable object that owns an lvalue or value
+// expression: the object of an identifier, or of the base identifier
+// under any chain of index, selector, star and paren wrappers
+// (x, x[i], x.f[i].g, *x → x). It returns nil for expressions not
+// rooted at a simple identifier.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if obj, ok := info.ObjectOf(x).(*types.Var); ok {
+				return obj
+			}
+			return nil
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // isAppendOf reports whether call is append(obj, ...).
@@ -219,13 +264,32 @@ func isAppendOf(pass *analysis.Pass, call *ast.CallExpr, obj types.Object) bool 
 	if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); !ok || b == nil {
 		return false
 	}
-	return flow.RootObject(pass.TypesInfo, call.Args[0]) == obj
+	return rootObject(pass.TypesInfo, call.Args[0]) == obj
 }
 
-// argsTainted reports whether any of exprs is iteration-derived.
-func argsTainted(taint *flow.Taint, at ast.Node, exprs []ast.Expr) bool {
+// mentionsAny reports whether e references a variable in objs, outside
+// function literals.
+func mentionsAny(pass *analysis.Pass, e ast.Expr, objs map[types.Object]bool) bool {
+	if e == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok || found {
+			return false
+		}
+		if id, ok := n.(*ast.Ident); ok && objs[pass.TypesInfo.ObjectOf(id)] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// anyMentions reports whether any of exprs references a variable in objs.
+func anyMentions(pass *analysis.Pass, exprs []ast.Expr, objs map[types.Object]bool) bool {
 	for _, e := range exprs {
-		if taint.TaintedAt(at, e) {
+		if mentionsAny(pass, e, objs) {
 			return true
 		}
 	}
@@ -244,11 +308,11 @@ func selfBinary(pass *analysis.Pass, lhs, rhs ast.Expr) bool {
 	default:
 		return false
 	}
-	obj := flow.RootObject(pass.TypesInfo, lhs)
+	obj := rootObject(pass.TypesInfo, lhs)
 	if obj == nil {
 		return false
 	}
-	return flow.RootObject(pass.TypesInfo, be.X) == obj || flow.RootObject(pass.TypesInfo, be.Y) == obj
+	return rootObject(pass.TypesInfo, be.X) == obj || rootObject(pass.TypesInfo, be.Y) == obj
 }
 
 // indexedByRangeKey reports whether lhs is an index expression whose
@@ -261,27 +325,19 @@ func indexedByRangeKey(pass *analysis.Pass, lhs ast.Expr, rs *ast.RangeStmt) boo
 	keyObjs := make(map[types.Object]bool)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		if e != nil {
-			if obj := flow.RootObject(pass.TypesInfo, e); obj != nil {
+			if obj := rootObject(pass.TypesInfo, e); obj != nil {
 				keyObjs[obj] = true
 			}
 		}
 	}
-	found := false
-	ast.Inspect(ix.Index, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil && keyObjs[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+	return mentionsAny(pass, ix.Index, keyObjs)
 }
 
 // sortedAfter reports whether obj is passed to a sort call positioned
 // after the range statement — the collect-then-sort idiom that makes an
 // append order-insensitive.
 func sortedAfter(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
+	objs := map[types.Object]bool{obj: true}
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
@@ -291,21 +347,15 @@ func sortedAfter(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, 
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		if !isSortCall(pass, call) {
-			return true
+		if isSortCall(pass, call) && anyMentions(pass, call.Args, objs) {
+			found = true
 		}
-		for _, arg := range call.Args {
-			if argMentions(pass, arg, obj) {
-				found = true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// isSortCall matches sort.* and slices.Sort* package calls.
+// isSortCall matches sort.* and slices.* package calls.
 func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -319,26 +369,8 @@ func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	switch pn.Imported().Path() {
-	case "sort":
-		return true
-	case "slices":
-		return true
-	}
-	return false
-}
-
-// argMentions reports whether arg references obj anywhere (directly, as
-// &obj, or wrapped in a conversion like byLen(obj)).
-func argMentions(pass *analysis.Pass, arg ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(arg, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
+	path := pn.Imported().Path()
+	return path == "sort" || path == "slices"
 }
 
 func isFloat(t types.Type) bool {

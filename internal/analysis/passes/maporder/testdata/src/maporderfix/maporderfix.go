@@ -101,3 +101,42 @@ func allowed(m map[string]float64) float64 {
 	}
 	return max
 }
+
+// nestedMaps folds the values of a map of maps: the statement sits in
+// two map ranges and is reported once.
+func nestedMaps(m map[string]map[string]float64) float64 {
+	sum := 0.0
+	for _, inner := range m {
+		for _, v := range inner {
+			sum += v // want `float accumulation into sum in map-iteration order`
+		}
+	}
+	return sum
+}
+
+// capturedInLiteral folds in map order inside a function literal, into
+// a variable the literal captures from its enclosing function.
+func capturedInLiteral(m map[string]float64) float64 {
+	t := 0.0
+	fold := func() {
+		for _, v := range m {
+			t += v // want `float accumulation into t in map-iteration order`
+		}
+	}
+	fold()
+	return t
+}
+
+// resetInside declares its accumulator outside the range and resets it
+// at the top of each iteration. An accumulator declared outside the
+// range is treated as carried; declare it inside instead.
+func resetInside(dst map[string]float64, m map[string][]float64) {
+	var s float64
+	for k, vs := range m {
+		s = 0
+		for _, v := range vs {
+			s += v // want `float accumulation into s in map-iteration order`
+		}
+		dst[k] = s
+	}
+}
