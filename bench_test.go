@@ -8,7 +8,6 @@
 //     recipes of docs/profiles/ and EXPERIMENTS.md (-cpuprofile /
 //     -memprofile on one pair, or on one pass of the benchmark's
 //     ladder_nonrewritable or offline_prep).
-//   - BatchSize: the sweep that pins exec.DefaultBatchSize.
 //   - Fig8Parallelism / Fig8Sharding / Fig7ProbCalcParallelism: CI's
 //     "Bench smoke" runs one iteration of each, so a parallel or sharded
 //     plan that fails outright fails the build.
@@ -153,31 +152,6 @@ func BenchmarkFig8Sharding(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBatchSize sweeps rows-per-batch on Figure 8 Query 9 (the
-// heaviest pair of the workload), original and rewritten, serially, at
-// 64/256/1024/4096 rows per batch. Results are byte-identical at every
-// size; the plateau from 256 up is what pins exec.DefaultBatchSize.
-func BenchmarkBatchSize(b *testing.B) {
-	d := workload(b)
-	q9 := queryPair(b, 9)
-	for _, stmt := range []struct {
-		label string
-		q     *sqlparse.SelectStmt
-	}{{"original", q9.Original}, {"rewritten", q9.Rewritten}} {
-		for _, n := range []int{64, 256, exec.DefaultBatchSize, 4096} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, BatchSize: n})
-			b.Run(fmt.Sprintf("%s/batch=%d", stmt.label, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryStmt(stmt.q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

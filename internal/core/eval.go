@@ -36,7 +36,7 @@ const DefaultSamples = 1000
 // their queries on Engine, an engine over DB.Store. The engine's options
 // govern everything an evaluation runs (DESIGN.md §8): its Limits are the
 // budget, the Timeout applied once over the whole evaluation; its
-// Parallelism, Shards and BatchSize reach every query of every rung; its
+// Parallelism and Shards reach every query of every rung; its
 // Cache memoizes whole evaluations, while the rungs run uncached so that
 // no answer is held twice; and its QueryLog gets one line per evaluation.
 // An Evaluator is a value: building one costs nothing.
@@ -163,8 +163,8 @@ func (ev Evaluator) rungs() engine.Options {
 
 // evalKey fingerprints the statement and everything that changes the
 // answer or the path to it into the cache key of one evaluation: the
-// method, the sampling options, the budget, and the resolved parallelism,
-// shard count and batch size — the engine settings its result key carries.
+// method, the sampling options, the budget, and the resolved parallelism
+// and shard count — the engine settings its result key carries.
 // Answers and their order are identical at every setting, but a
 // probability the rewriting's float SUM computes may differ in its last
 // bits from run to run, even at one worker count, because parallel
@@ -173,14 +173,14 @@ func (ev Evaluator) rungs() engine.Options {
 func evalKey(stmt *sqlparse.SelectStmt, opts EvalOptions, o engine.Options) string {
 	norm := stmt.SQL()
 	var b strings.Builder
-	b.Grow(len("eval|") + len(norm) + 10*21)
+	b.Grow(len("eval|") + len(norm) + 9*21)
 	b.WriteString("eval|")
 	b.WriteString(norm)
 	var num [20]byte
 	for _, v := range [...]int64{
 		int64(opts.Method), int64(opts.Samples), opts.Seed,
 		o.Limits.MaxBufferedRows, o.Limits.MaxOutputRows, o.Limits.MaxCandidates, int64(o.Limits.MaxSamples),
-		int64(o.Parallelism), int64(o.Shards), int64(o.BatchSize),
+		int64(o.Parallelism), int64(o.Shards),
 	} {
 		b.WriteByte('|')
 		b.Write(strconv.AppendInt(num[:0], v, 10))

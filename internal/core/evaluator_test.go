@@ -66,10 +66,10 @@ func viewIsBuilt(tb *storage.Table, n int) bool {
 // Every query of an evaluation runs at the evaluator's engine settings:
 // after an insert, the rewriting rung rebuilds and scans the table's own
 // 5-way view, and every candidate the world engine runs reports 3
-// workers, 5 shards and batches of 7 rows.
+// workers and 5 shards.
 func TestEvaluatorRunsRungsAtItsEngineSettings(t *testing.T) {
 	d, tb := manyClusters(t)
-	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 3, Shards: 5, BatchSize: 7})}
+	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 3, Shards: 5})}
 	stmt := sqlparse.MustParse("select id from t where val >= 0")
 	ctx := context.Background()
 
@@ -100,8 +100,8 @@ func TestEvaluatorRunsRungsAtItsEngineSettings(t *testing.T) {
 	candidates := 0
 	_, stats, err := ev.overWorlds(ctx, stmt, cs, sample(ctx, 4, 1), func(_ *dirty.Candidate, res *engine.Result) error {
 		candidates++
-		if st := res.Stats; st.Parallelism != 3 || st.Shards != 5 || st.BatchSize != 7 {
-			return fmt.Errorf("a candidate ran at parallelism %d, %d shards, batch size %d", st.Parallelism, st.Shards, st.BatchSize)
+		if st := res.Stats; st.Parallelism != 3 || st.Shards != 5 {
+			return fmt.Errorf("a candidate ran at parallelism %d, %d shards", st.Parallelism, st.Shards)
 		}
 		return nil
 	})

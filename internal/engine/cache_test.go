@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"conquer/internal/cache"
-	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
 	"conquer/internal/value"
@@ -223,8 +222,8 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 
 func TestUncachedEngineUnchanged(t *testing.T) {
 	e := NewWithOptions(figure2DB(t), Options{Parallelism: 1})
-	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != 1 || o.BatchSize != exec.DefaultBatchSize {
-		t.Fatalf("options %+v: want no cache, the parallelism asked for, one shard and the default batch size", o)
+	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != 1 {
+		t.Fatalf("options %+v: want no cache, the parallelism asked for and one shard", o)
 	}
 	res, err := e.QueryCtx(context.Background(), "select id from customer")
 	if err != nil {

@@ -45,10 +45,6 @@ type Options struct {
 	// item 1). The views are the tables' own (storage.Table.Sharded),
 	// shared by every engine over the store.
 	Shards int
-	// BatchSize is the rows per execution batch; zero or negative
-	// resolves to exec.DefaultBatchSize. Results are identical at every
-	// size (DESIGN.md §15).
-	BatchSize int
 	// QueryLog, when non-nil, receives one structured JSON record per
 	// executed query (success or failure).
 	QueryLog *metrics.QueryLog
@@ -83,7 +79,7 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 }
 
 // Options returns the options the engine's queries run under, with
-// Parallelism, Shards and BatchSize resolved to the values its plans use:
+// Parallelism and Shards resolved to the values its plans use:
 // a serial engine runs one shard.
 // A clean-answer evaluator over the engine (core.Evaluator) runs every
 // query of its evaluation under them.
@@ -98,14 +94,13 @@ func (e *Engine) Options() Options {
 	case o.Shards == 0:
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
-	o.BatchSize = exec.ResolveBatchSize(o.BatchSize)
 	return o
 }
 
 // planOptions resolves the effective planner options for one query.
 func (e *Engine) planOptions() plan.Options {
 	o := e.Options()
-	opts := plan.Options{Parallelism: o.Parallelism, Shards: o.Shards, BatchSize: o.BatchSize}
+	opts := plan.Options{Parallelism: o.Parallelism, Shards: o.Shards}
 	if opts.Shards > 1 {
 		n := opts.Shards
 		opts.Sharder = func(tb *storage.Table) exec.ShardView {
@@ -156,8 +151,6 @@ type Stats struct {
 	// shard they were draining, across all sharded scans. Zeroed on
 	// cached results.
 	ShardRebalances int64
-	// BatchSize is the resolved rows-per-batch the query ran with.
-	BatchSize int
 	// Batches counts the output batches the root produced (0 on cached
 	// results).
 	Batches int64
@@ -253,6 +246,11 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	if !shared {
 		return r, nil // this call was the one underlying execution
 	}
+	// Rows another call computed may pass this call's output budget; a
+	// hit buffers nothing, so that is the one limit left to check.
+	if err := e.opts.Limits.CheckOutput(int64(len(r.Rows))); err != nil {
+		return nil, err
+	}
 	// Serve the memoized result: share the materialized rows, but report
 	// this call's own latency so percentiles stay honest.
 	out := *r
@@ -273,21 +271,16 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 // one worker count, because parallel partial aggregation re-associates
 // the sums in the order workers win morsels (ROADMAP item 1), so the key
 // buys no bit identity — parallelism and shard count stay in it until
-// that item decides. The batch size travels resolved
-// (0 and DefaultBatchSize are the same plan) because a prepared tree
-// carries its batch size baked in by SetBatchSize. norm is the
-// statement's SQL().
+// that item decides. norm is the statement's SQL().
 func resultKey(norm string, popts plan.Options) string {
 	var b strings.Builder
-	b.Grow(len(norm) + len("|par=;sh=;bs=") + 3*20)
+	b.Grow(len(norm) + len("|par=;sh=") + 2*20)
 	var num [20]byte
 	b.WriteString(norm)
 	b.WriteString("|par=")
 	b.Write(strconv.AppendInt(num[:0], int64(popts.Parallelism), 10))
 	b.WriteString(";sh=")
 	b.Write(strconv.AppendInt(num[:0], int64(popts.Shards), 10))
-	b.WriteString(";bs=")
-	b.Write(strconv.AppendInt(num[:0], int64(exec.ResolveBatchSize(popts.BatchSize)), 10))
 	return b.String()
 }
 
@@ -342,19 +335,20 @@ func (p *Prepared) Run(ctx context.Context) (res *Result, err error) {
 	if !p.checkout() {
 		return nil, fmt.Errorf("engine: prepared statement is executing or has failed: %w", qerr.ErrInternal)
 	}
-	if res, err = p.run(ctx); err == nil {
+	if res, err = p.run(ctx, p.e.opts.Limits); err == nil {
 		p.release()
 	}
 	return res, err
 }
 
-// run executes the checked-out tree once.
-func (p *Prepared) run(ctx context.Context) (*Result, error) {
-	gov := exec.NewGovernor(ctx, p.e.opts.Limits)
+// run executes the checked-out tree once under limits, those of the
+// engine executing it: a plan-tier entry serves every engine over the
+// cache, whatever budget the engine that prepared it had.
+func (p *Prepared) run(ctx context.Context, limits exec.Limits) (*Result, error) {
+	gov := exec.NewGovernor(ctx, limits)
 	exec.Attach(p.tree, gov)
 	start := time.Now()
-	bs := exec.ResolveBatchSize(p.popts.BatchSize)
-	rows, batches, err := exec.CollectBatchesGoverned(p.tree, gov, bs)
+	rows, batches, err := exec.CollectBatchesGoverned(p.tree, gov, 0)
 	p.runs++
 	p.sum.BufferedPeak = max(p.sum.BufferedPeak, gov.BufferedPeak())
 	if err != nil {
@@ -369,7 +363,6 @@ func (p *Prepared) run(ctx context.Context) (*Result, error) {
 			BufferedPeak: gov.BufferedPeak(),
 			Rows:         len(rows),
 			Shards:       max(p.popts.Shards, 1),
-			BatchSize:    bs,
 			Batches:      batches,
 		},
 	}
@@ -417,7 +410,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 		}
 	}
 	planTime := time.Since(start)
-	res, err := prep.run(ctx)
+	res, err := prep.run(ctx, e.opts.Limits)
 	if err != nil {
 		if c != nil {
 			c.DropPlan(key)
@@ -511,7 +504,7 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	if err != nil {
 		return "", err
 	}
-	res, err := prep.run(ctx)
+	res, err := prep.run(ctx, e.opts.Limits)
 	if err != nil {
 		return "", err
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"conquer/internal/cache"
 	"conquer/internal/exec"
+	"conquer/internal/metrics"
 	"conquer/internal/qerr"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
@@ -115,5 +117,59 @@ func TestBufferedBudgetReleasedAcrossQueries(t *testing.T) {
 		if _, err := e.QueryCtx(context.Background(), "select t1.a from t1, t2 where t1.a = t2.a"); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
+	}
+}
+
+// sharedCacheEngines is one unlimited engine and one capped at 5 output
+// rows over one 100-row table and one cache of maxBytes, the way
+// Database.QueryCtx builds an engine per call with that call's limits.
+func sharedCacheEngines(t *testing.T, maxBytes int64) (open, capped *Engine, c *cache.Cache) {
+	t.Helper()
+	db := storage.NewDB()
+	intTable(t, db, "t1", 100)
+	c = cache.New(cache.Options{MaxBytes: maxBytes, Registry: metrics.NewRegistry()})
+	open = NewWithOptions(db, Options{Parallelism: 1, Cache: c})
+	capped = NewWithOptions(db, Options{Parallelism: 1, Cache: c, Limits: exec.Limits{MaxOutputRows: 5}})
+	return open, capped, c
+}
+
+const over14 = "select a from t1 where a > 14" // 85 of the 100 rows
+
+// A plan-tier entry runs under the budget of the engine executing it, not
+// of the engine that prepared it.
+func TestPlanHitRunsUnderTheCallersBudget(t *testing.T) {
+	open, capped, c := sharedCacheEngines(t, 1) // no result fits: plans only
+	ctx := context.Background()
+	if res, err := open.QueryCtx(ctx, over14); err != nil || len(res.Rows) != 85 {
+		t.Fatalf("unlimited: %v, %v", res, err)
+	}
+	if _, err := capped.QueryCtx(ctx, over14); !errors.Is(err, qerr.ErrBudgetExceeded) {
+		t.Fatalf("capped at 5 rows: error %v, want qerr.ErrBudgetExceeded", err)
+	}
+	if s := c.Stats(); s.PlanHits != 1 || s.ResultHits != 0 {
+		t.Fatalf("want the capped call to be a plan-tier hit: %+v", s)
+	}
+	if res, err := open.QueryCtx(ctx, over14); err != nil || len(res.Rows) != 85 {
+		t.Fatalf("unlimited after the capped call: %v, %v", res, err)
+	}
+}
+
+// A result-tier hit with more rows than the caller's MaxOutputRows fails
+// with the error execution would give; one within it is served.
+func TestResultHitRunsUnderTheCallersBudget(t *testing.T) {
+	open, capped, c := sharedCacheEngines(t, 1<<20)
+	ctx := context.Background()
+	if res, err := open.QueryCtx(ctx, over14); err != nil || len(res.Rows) != 85 {
+		t.Fatalf("unlimited: %v, %v", res, err)
+	}
+	if _, err := capped.QueryCtx(ctx, over14); !errors.Is(err, qerr.ErrBudgetExceeded) {
+		t.Fatalf("capped at 5 rows: error %v, want qerr.ErrBudgetExceeded", err)
+	}
+	if s := c.Stats(); s.ResultHits != 1 || s.Executions != 1 {
+		t.Fatalf("want the capped call to be a result-tier hit: %+v", s)
+	}
+	fits := NewWithOptions(open.DB(), Options{Parallelism: 1, Cache: c, Limits: exec.Limits{MaxOutputRows: 85}})
+	if res, err := fits.QueryCtx(ctx, over14); err != nil || len(res.Rows) != 85 || !res.Stats.Cached {
+		t.Fatalf("capped at exactly 85 rows: %v, %v", res, err)
 	}
 }

@@ -16,13 +16,19 @@ import "conquer/internal/value"
 // matching the morsel grid costs nothing.
 const DefaultBatchSize = 1024
 
-// ResolveBatchSize canonicalizes a configured batch size: zero or
-// negative means DefaultBatchSize, positive passes through.
-// engine.Options.BatchSize and plan.Options.BatchSize share this
-// convention.
+// batchSize is the one batch size: every batch and every drain of every
+// tree holds at most this many rows. Results are identical at every size
+// (DESIGN.md §15), so nothing outside the package sets it; it is
+// DefaultBatchSize except in this package's tests, which shrink it to put
+// a batch boundary inside every morsel, fan-out and group.
+var batchSize = DefaultBatchSize
+
+// ResolveBatchSize canonicalizes a root batch capacity for
+// CollectBatchesGoverned: zero or negative means the package batch size,
+// positive passes through.
 func ResolveBatchSize(n int) int {
 	if n <= 0 {
-		return DefaultBatchSize
+		return batchSize
 	}
 	return n
 }
@@ -46,17 +52,14 @@ type Batch struct {
 	transient bool
 }
 
-// NewBatch creates a batch of the given capacity (<= 0 uses
-// DefaultBatchSize). It allocates no vector: each producer reserves, right
+// NewBatch creates a batch of the given capacity (<= 0 uses the package
+// batch size). It allocates no vector: each producer reserves, right
 // after Reset, room for the rows it is about to write, so a query whose
 // operators see a handful of rows pays a handful of slots per batch, not a
 // capacity-sized vector, and a full batch pays its vector once — Reset
 // keeps the backing arrays for the next fill.
 func NewBatch(capacity int) *Batch {
-	if capacity <= 0 {
-		capacity = DefaultBatchSize
-	}
-	return &Batch{capacity: capacity}
+	return &Batch{capacity: ResolveBatchSize(capacity)}
 }
 
 // NewTransientBatch is NewBatch for a consumer that copies what it needs
@@ -185,41 +188,6 @@ func (b *Batch) Truncate(n int) {
 	b.rows = b.rows[:n]
 	if b.hasOrds {
 		b.ords = b.ords[:n]
-	}
-}
-
-// batchSized is implemented by operators whose internal drains and
-// scratch batches honor a configured batch size.
-type batchSized interface {
-	setBatchSize(int)
-}
-
-// batchHolder carries the rows per batch of an operator's internal
-// drains (materializing Opens, the join build, Gather's worker loops).
-// The zero value means DefaultBatchSize, so an operator constructed
-// directly in a test runs the way the engine runs it; the planner
-// installs the resolved size via SetBatchSize.
-type batchHolder struct {
-	batch int
-}
-
-func (h *batchHolder) setBatchSize(n int) { h.batch = n }
-
-// batchCap resolves the effective rows-per-batch for internal drains.
-func (h *batchHolder) batchCap() int { return ResolveBatchSize(h.batch) }
-
-// SetBatchSize installs size rows per batch on every operator of the tree
-// (size <= 0 means DefaultBatchSize). The planner calls it after assembling
-// the tree with the engine-resolved size; splitPipeline propagates the
-// setting into worker clones.
-func SetBatchSize(op Operator, size int) {
-	if bs, ok := op.(batchSized); ok {
-		bs.setBatchSize(size)
-	}
-	for _, c := range children(op) {
-		if c != nil {
-			SetBatchSize(c, size)
-		}
 	}
 }
 
@@ -387,13 +355,12 @@ type materialized interface {
 // runs, and with them every reservation, counter and failure point, are the
 // same either way; what differs is that a handed-over vector is not copied
 // and a streamed one is copied once, through runs. size is the batch's
-// row capacity (<= 0 means DefaultBatchSize). An empty result is nil.
+// row capacity. An empty result is nil.
 func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([][]value.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	size = ResolveBatchSize(size)
 	if m, ok := op.(materialized); ok {
 		if rows, s, ok := m.handOver(); ok {
 			for lo := 0; lo < len(rows); lo += size {
@@ -437,8 +404,8 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 // counts the rows pulled and buffered. A failed reservation
 // still counts into the returned total so the caller's Close releases
 // exactly what was charged.
-func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]value.Value, reserved int64, err error) {
-	rows, err = drainRows(op, g, size, func(n int64) error {
+func drainBatches(op Operator, g *Governor, s *OpStats) (rows [][]value.Value, reserved int64, err error) {
+	rows, err = drainRows(op, g, batchSize, func(n int64) error {
 		s.addIn(n)
 		s.addBuffered(n)
 		reserved += n
@@ -450,9 +417,9 @@ func drainBatches(op Operator, g *Governor, s *OpStats, size int) (rows [][]valu
 // CollectBatchesGoverned drains op while polling g once per batch and
 // charging the output budget per batch; it returns the rows and how many
 // batches the root produced. size is the root batch's row capacity
-// (<= 0 means DefaultBatchSize).
+// (<= 0 means the package batch size).
 func CollectBatchesGoverned(op Operator, g *Governor, size int) (rows [][]value.Value, batches int64, err error) {
-	rows, err = drainRows(op, g, size, func(n int64) error {
+	rows, err = drainRows(op, g, ResolveBatchSize(size), func(n int64) error {
 		batches++
 		return g.CountOutputN(n)
 	})

@@ -48,6 +48,17 @@ func (l Limits) WithContext(ctx context.Context) (context.Context, context.Cance
 	return context.WithCancel(ctx)
 }
 
+// CheckOutput fails with qerr.ErrBudgetExceeded when rows result rows
+// pass MaxOutputRows: the check a governor makes as rows leave the root,
+// and the one a cached result makes before it is served.
+func (l Limits) CheckOutput(rows int64) error {
+	if l.MaxOutputRows > 0 && rows > l.MaxOutputRows {
+		return fmt.Errorf("exec: output rows exceed budget %d: %w",
+			l.MaxOutputRows, qerr.ErrBudgetExceeded)
+	}
+	return nil
+}
+
 // WithoutTimeout returns a copy with the Timeout cleared; inner layers
 // use it so a budget applied once at the entry point is not re-applied
 // per sub-query.
@@ -156,12 +167,7 @@ func (g *Governor) BufferedPeak() int64 { return g.shared.peak.Load() }
 // CountOutputN charges n result rows against the output budget in one
 // atomic add, once per root batch.
 func (g *Governor) CountOutputN(n int64) error {
-	output := g.shared.output.Add(n)
-	if g.limits.MaxOutputRows > 0 && output > g.limits.MaxOutputRows {
-		return fmt.Errorf("exec: output rows exceed budget %d: %w",
-			g.limits.MaxOutputRows, qerr.ErrBudgetExceeded)
-	}
-	return nil
+	return g.limits.CheckOutput(g.shared.output.Add(n))
 }
 
 // governed is the part of Operator that takes the run's governor.

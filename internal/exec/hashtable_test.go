@@ -138,7 +138,6 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 					}
 					j := mustOp[*HashJoin](t)(NewHashJoin(left, r, exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
 					j.Parallelism = par
-					SetBatchSize(j, batch)
 					govern(j)
 					parts, _ := splitPipeline(j, par)
 					var got []taggedRow

@@ -47,9 +47,9 @@ func drainTagged(t *testing.T, op Operator, batch int) []taggedRow {
 func drainParts(t *testing.T, parts []Operator, batch int) [][]taggedRow {
 	t.Helper()
 	out := make([][]taggedRow, len(parts))
+	useBatchSize(t, batch)
 	for _, p := range parts {
 		govern(p)
-		SetBatchSize(p, batch)
 		if err := p.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +245,7 @@ func TestJoinNarrowValidation(t *testing.T) {
 func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 	ord, cust := testTables(t)
 	for _, batch := range []int{0, 2} {
+		useBatchSize(t, batch)
 		j, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
 			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
 		if err != nil {
@@ -253,12 +254,10 @@ func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 		if err := j.Narrow([]int{}); err != nil {
 			t.Fatal(err)
 		}
-		SetBatchSize(j, batch)
 		agg, err := NewHashAggregate(j, nil, nil, []AggSpec{{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetBatchSize(agg, batch)
 		rows := mustCollect(t, agg)
 		if len(rows) != 1 || rows[0][0].AsInt() != 6 {
 			t.Errorf("batch=%d: count over zero-width join = %v, want 6", batch, rows)
@@ -269,7 +268,6 @@ func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 		if err := j2.Narrow([]int{}); err != nil {
 			t.Fatal(err)
 		}
-		SetBatchSize(j2, batch)
 		rows, _, err = CollectBatchesGoverned(j2, govern(j2), batch)
 		if err != nil || len(rows) != 6 {
 			t.Errorf("batch=%d: root collected %d zero-width rows (%v), want 6", batch, len(rows), err)

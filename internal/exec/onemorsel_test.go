@@ -125,7 +125,7 @@ func runGoverned(t *testing.T, op Operator, batch int) (rows [][]value.Value, pe
 	Instrument(op)
 	gov := NewGovernor(context.Background(), Limits{})
 	Attach(op, gov)
-	SetBatchSize(op, batch)
+	useBatchSize(t, batch)
 	rows, _, err := CollectBatchesGoverned(op, gov, batch)
 	if err != nil {
 		t.Fatal(err)

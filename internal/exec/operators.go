@@ -244,7 +244,6 @@ type HashJoin struct {
 
 	govHolder
 	statsHolder
-	batchHolder
 	joinOutput
 	lk, rk  []Evaluator
 	build   *joinBuild
@@ -306,7 +305,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	if !j.shard {
-		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.batchCap(), j.stats)
+		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.stats)
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe shard reopened after close: %w", qerr.ErrInternal)
 	}
@@ -423,7 +422,6 @@ type HashAggregate struct {
 
 	govHolder
 	statsHolder
-	batchHolder
 	schema   RowSchema
 	groupEvs []Evaluator
 	argEvs   []Evaluator // nil for COUNT(*)
@@ -786,7 +784,7 @@ func (a *HashAggregate) Open() error {
 // parallel worker over its part. Group order is acc's first appearance;
 // only the parallel merge reads the row ordinals.
 func (a *HashAggregate) fill(acc *aggAcc, op Operator, gov *Governor) error {
-	bb := NewTransientBatch(a.batchCap()) // accumulate copies the values it keeps
+	bb := NewTransientBatch(batchSize) // accumulate copies the values it keeps
 	for {
 		if err := gov.PollBatch(); err != nil {
 			return err
@@ -890,7 +888,6 @@ type Sort struct {
 
 	govHolder
 	statsHolder
-	batchHolder
 	cols     []sortCol
 	computed bool // some key is computed, not read at a position
 	rows     [][]value.Value
@@ -1043,7 +1040,7 @@ func (s *Sort) Open() error {
 		}
 		defer s.Child.Close()
 		h := &topHeap{s: s}
-		bb := NewBatch(s.batchCap())
+		bb := NewBatch(batchSize)
 		seq := 0
 		for {
 			if err := s.gov.PollBatch(); err != nil {
@@ -1076,7 +1073,7 @@ func (s *Sort) Open() error {
 	// when the child hands one over — in place, comparing keys where they
 	// sit in the rows: no key slab, no index vector (DESIGN.md §15,
 	// "Hand-over").
-	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats, s.batchCap())
+	rows, reserved, err := drainBatches(s.Child, s.gov, s.stats)
 	s.reserved = reserved
 	if err != nil {
 		return err

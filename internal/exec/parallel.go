@@ -271,7 +271,7 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 
 	case *HashJoin:
 		children, leaves := splitPipeline(op.Left, n)
-		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.batchCap(), op.stats)
+		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			// Right stays nil on shards: the shared build owns the right
@@ -284,7 +284,6 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 				joinOutput:  op.joinOutput, lk: op.lk, rk: op.rk,
 				build: build, shard: true,
 			}
-			j.batch = op.batch
 			j.stats = op.stats
 			parts[i] = j
 		}
@@ -330,7 +329,6 @@ type Gather struct {
 
 	govHolder
 	statsHolder
-	batchHolder
 	serial bool
 	rows   [][]value.Value
 	pos    int
@@ -371,7 +369,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 		// A pipeline batch never spans a morsel, so the whole batch belongs
 		// to the leaf's current morsel.
 		cur := -1
-		bb := NewBatch(g.batchCap())
+		bb := NewBatch(batchSize)
 		for {
 			if err := gov.PollBatch(); err != nil {
 				return err
@@ -440,7 +438,6 @@ type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
 	parallelism int
-	batch       int      // rows per build batch
 	stats       *OpStats // owning HashJoin's stats: right rows count as its input
 
 	once     onceErr
@@ -458,8 +455,8 @@ type onceErr struct {
 	err  error
 }
 
-func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs, batch int, stats *OpStats) *joinBuild {
-	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, batch: batch, stats: stats}
+func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs int, stats *OpStats) *joinBuild {
+	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, stats: stats}
 	b.refs.Store(int32(refs))
 	return b
 }
@@ -580,7 +577,7 @@ func (b *joinBuild) buildParallel(gov *Governor) ([]buildEntry, error) {
 // evaluation error were never reserved, so the refcounted release stays
 // balanced without a compensating charge.
 func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *runs[buildEntry]) error {
-	bb := NewBatch(b.batch)
+	bb := NewBatch(batchSize)
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
 	for {
@@ -603,7 +600,7 @@ func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *run
 		var kept int64
 		for i := 0; i < n; i++ {
 			row := bb.Row(i)
-			keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, n, b.batch))
+			keys, null, err := evalKeysInto(b.rk, row, keySlab.carve(nk, n, batchSize))
 			if err != nil {
 				return err
 			}

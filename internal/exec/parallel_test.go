@@ -89,6 +89,19 @@ func setMorselSize(t testing.TB, n int) {
 	t.Cleanup(func() { morselSize = old })
 }
 
+// useBatchSize runs every batch and drain until the test ends at n rows
+// (DefaultBatchSize when n <= 0). The size is read as batches are made,
+// so a test sets it before running a tree.
+func useBatchSize(t testing.TB, n int) {
+	t.Helper()
+	if n <= 0 {
+		n = DefaultBatchSize
+	}
+	old := batchSize
+	batchSize = n
+	t.Cleanup(func() { batchSize = old })
+}
+
 func mustCollect(t testing.TB, op Operator) [][]value.Value {
 	t.Helper()
 	rows, err := collect(op)
@@ -267,7 +280,7 @@ func TestGatherCancellation(t *testing.T) {
 		setMorselSize(t, 64)
 		gov := NewGovernor(ctx, Limits{})
 		Attach(g, gov)
-		SetBatchSize(g, size)
+		useBatchSize(t, size)
 		_, _, err := CollectBatchesGoverned(g, gov, size)
 		if !errors.Is(err, qerr.ErrCanceled) {
 			t.Fatalf("batch=%d: want qerr.ErrCanceled, got %v", size, err)
@@ -329,7 +342,7 @@ func TestKeylessJoinUnderGather(t *testing.T) {
 				setMorselSize(t, 8)
 				g := NewGather(j, 4)
 				Instrument(g)
-				SetBatchSize(g, batch)
+				useBatchSize(t, batch)
 				gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
 				Attach(g, gov)
 				label := fmt.Sprintf("shards=%d batch=%d budget=%d", shards, batch, budget)

@@ -189,7 +189,6 @@ func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
 		fact, _ := parTables(t, n)
 		return testing.AllocsPerRun(3, func() {
 			op := mk(NewScan(fact, "f"))
-			SetBatchSize(op, DefaultBatchSize)
 			if rows := mustCollect(t, op); len(rows) == 0 {
 				t.Fatal("no rows")
 			}

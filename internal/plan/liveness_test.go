@@ -60,32 +60,28 @@ func livenessDB(t testing.TB) *storage.DB {
 	return db
 }
 
-// planModes is the execution-mode matrix the liveness tests cover: the
-// default batch size and one that cuts batches unevenly × parallelism 1
-// and 4 × shards 1 and 2.
+// planModes is the execution-mode matrix the liveness tests cover:
+// parallelism 1 and 4 × shards 1 and 2.
 func planModes() []Options {
 	var out []Options
-	for _, batch := range []int{0, 7} {
-		for _, par := range []int{1, 4} {
-			for _, shards := range []int{1, 2} {
-				o := Options{BatchSize: batch, Parallelism: par, Shards: shards}
-				if shards > 1 {
-					n := shards
-					o.Sharder = func(tb *storage.Table) exec.ShardView { return storage.NewShardedTable(tb, n) }
-				}
-				out = append(out, o)
+	for _, par := range []int{1, 4} {
+		for _, shards := range []int{1, 2} {
+			o := Options{Parallelism: par, Shards: shards}
+			if shards > 1 {
+				n := shards
+				o.Sharder = func(tb *storage.Table) exec.ShardView { return storage.NewShardedTable(tb, n) }
 			}
+			out = append(out, o)
 		}
 	}
 	return out
 }
 
 func modeLabel(o Options) string {
-	return fmt.Sprintf("batch=%d par=%d shards=%d", o.BatchSize, o.Parallelism, o.Shards)
+	return fmt.Sprintf("par=%d shards=%d", o.Parallelism, o.Shards)
 }
 
-// runPlan plans and executes qs the way the engine does: governed, at
-// opts.BatchSize rows per batch.
+// runPlan plans and executes qs the way the engine does: governed.
 func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operator, [][]value.Value) {
 	t.Helper()
 	op, err := Plan(db, sqlparse.MustParse(qs), opts)
@@ -94,7 +90,7 @@ func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operat
 	}
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
 	exec.Attach(op, gov)
-	rows, _, err := exec.CollectBatchesGoverned(op, gov, exec.ResolveBatchSize(opts.BatchSize))
+	rows, _, err := exec.CollectBatchesGoverned(op, gov, 0)
 	if err != nil {
 		t.Fatalf("%s: exec %q: %v", modeLabel(opts), qs, err)
 	}

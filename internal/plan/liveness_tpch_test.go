@@ -202,7 +202,7 @@ func TestQ9JoinedValuesStayNarrow(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			rows, _, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize)
+			rows, _, err := exec.CollectBatchesGoverned(op, gov, 0)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

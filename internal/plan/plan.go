@@ -35,14 +35,17 @@ type Options struct {
 	// partitions until the table version moves. nil disables sharding
 	// regardless of Shards.
 	Sharder func(*storage.Table) exec.ShardView
-	// BatchSize is the rows per execution batch of the planned tree; zero
-	// or negative resolves to exec.DefaultBatchSize (see
-	// exec.ResolveBatchSize).
+	// BatchSize must be zero: the executor has one batch size, and Plan
+	// refuses any other value rather than ignore it. The field stays only
+	// because the benchmark module compiles against it.
 	BatchSize int
 }
 
 // Plan builds an executable operator tree for stmt over db.
 func Plan(db *storage.DB, stmt *sqlparse.SelectStmt, opts Options) (exec.Operator, error) {
+	if opts.BatchSize != 0 {
+		return nil, fmt.Errorf("plan: batch size %d: the executor's batch size is fixed; leave Options.BatchSize zero", opts.BatchSize)
+	}
 	p := &planner{db: db, stmt: stmt, opts: opts}
 	return p.plan()
 }
@@ -129,7 +132,6 @@ func (p *planner) plan() (exec.Operator, error) {
 	if p.stmt.Limit >= 0 && !limitFused {
 		root = exec.NewLimit(root, p.stmt.Limit)
 	}
-	exec.SetBatchSize(root, exec.ResolveBatchSize(p.opts.BatchSize))
 	return root, nil
 }
 

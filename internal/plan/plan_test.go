@@ -214,6 +214,23 @@ func TestPlanNoFrom(t *testing.T) {
 	}
 }
 
+// The executor has one batch size: a caller that asks for another is
+// refused, not silently run at the fixed one.
+func TestPlanRefusesABatchSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := randomDB(rng)
+	stmt := sqlparse.MustParse("select x.k from ta x")
+	for _, bs := range []int{7, -1} {
+		_, err := Plan(db, stmt, Options{BatchSize: bs})
+		if err == nil || !strings.Contains(err.Error(), "fixed") {
+			t.Errorf("BatchSize %d: err = %v, want a refusal naming the fixed batch size", bs, err)
+		}
+	}
+	if _, err := Plan(db, stmt, Options{}); err != nil {
+		t.Fatalf("BatchSize 0: %v", err)
+	}
+}
+
 // Cyclic join conditions: the closing edge becomes a second key of the
 // last join,
 // and results still match the reference.

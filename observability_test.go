@@ -133,13 +133,13 @@ func TestAttachAloneCountsLikeAnEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := func(stmt *sqlparse.SelectStmt, par int) exec.Operator {
-		op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: par, BatchSize: exec.DefaultBatchSize})
+		op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gov := exec.NewGovernor(context.Background(), exec.Limits{})
 		exec.Attach(op, gov)
-		if _, _, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize); err != nil {
+		if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 			t.Fatal(err)
 		}
 		return op

@@ -17,7 +17,6 @@ import (
 	"conquer/internal/bench"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
 	"conquer/internal/value"
@@ -154,9 +153,9 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 // thirteen evaluation query pairs at every point of the shards {1,2,4} ×
 // parallelism {1,2,8} grid must reproduce the golden digests — row count,
 // order and every non-float cell exactly, float columns within
-// ProbEpsilon per row — and serial runs at 1 and 7 rows per batch, sizes
-// that put a batch boundary inside every morsel, fan-out and group, must
-// match the default size cell for cell (DESIGN.md §15).
+// ProbEpsilon per row. The batch-size half of the proof, serial runs at 1
+// and 7 rows per batch against the default, is internal/exec's
+// TestSmallBatchesMatchTheDefault (DESIGN.md §15).
 func TestExecutionMatchesRowPathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
@@ -167,7 +166,6 @@ func TestExecutionMatchesRowPathGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1})
 	golden := loadGolden(t)
 	if len(golden.Statements) != 2*len(pairs) {
 		t.Fatalf("golden has %d statements, want %d", len(golden.Statements), 2*len(pairs))
@@ -189,29 +187,8 @@ func TestExecutionMatchesRowPathGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if got.Stats.BatchSize != exec.DefaultBatchSize {
-						t.Fatalf("%s: batch size %d, want default %d", label, got.Stats.BatchSize, exec.DefaultBatchSize)
-					}
 					checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
 				}
-			}
-		}
-	}
-	for _, bs := range []int{1, 7} {
-		small := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1, BatchSize: bs})
-		for _, p := range pairs {
-			for _, f := range forms(p) {
-				label := fmt.Sprintf("Q%d %s batch=%d", p.Number, f.name, bs)
-				want, err := serial.QueryStmt(f.stmt)
-				if err != nil {
-					t.Fatalf("%s: default batch: %v", label, err)
-				}
-				got, err := small.QueryStmt(f.stmt)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameResult(t, label, want, got)
-				checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
 			}
 		}
 	}
