@@ -8,9 +8,9 @@
 //     recipes of docs/profiles/ and EXPERIMENTS.md (-cpuprofile /
 //     -memprofile on one pair, or on one pass of the benchmark's
 //     ladder_nonrewritable or offline_prep).
-//   - Fig8Parallelism / Fig8Sharding / Fig7ProbCalcParallelism: CI's
-//     "Bench smoke" runs one iteration of each, so a parallel or sharded
-//     plan that fails outright fails the build.
+//   - Fig8Parallelism / Fig7ProbCalcParallelism: CI's "Bench smoke" runs
+//     one iteration of each, so a parallel plan that fails outright fails
+//     the build.
 //   - AblationTopN / AblationDistance / EvaluatorComparison: the only
 //     source of the numbers under "Extensions beyond the paper" in
 //     EXPERIMENTS.md.
@@ -127,25 +127,6 @@ func BenchmarkFig8Parallelism(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryStmt(q3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig8Sharding times rewritten Query 3 at cluster-shard counts
-// 1, 2 and 4 with a fixed worker count. Results are byte-identical at
-// every shard count, so the deltas are pure partitioning, balancing and
-// gather cost.
-func BenchmarkFig8Sharding(b *testing.B) {
-	d := workload(b)
-	q3 := queryPair(b, 3).Rewritten
-	for _, sh := range []int{1, 2, 4} {
-		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 4, Shards: sh})
-		b.Run(fmt.Sprintf("shards=%d", sh), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.QueryStmt(q3); err != nil {
 					b.Fatal(err)

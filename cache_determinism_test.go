@@ -15,7 +15,6 @@ import (
 	"conquer/internal/bench"
 	"conquer/internal/cache"
 	"conquer/internal/engine"
-	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
 	"conquer/internal/value"
 )
@@ -39,7 +38,7 @@ func TestCachedAnswersByteIdentical(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 8} {
 		bare := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
-		c := cache.New(cache.Options{MaxBytes: 256 << 20, Registry: metrics.NewRegistry()})
+		c := cache.New(cache.Options{MaxBytes: 256 << 20})
 		cached := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Cache: c})
 		for _, p := range pairs {
 			for _, q := range []struct {
@@ -102,7 +101,7 @@ func TestCacheMutationForcesMiss(t *testing.T) {
 		t.Skip("generates a TPC-H workload")
 	}
 	d := determinismWorkload(t)
-	c := cache.New(cache.Options{MaxBytes: 256 << 20, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 256 << 20})
 	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Cache: c})
 	const q = "select c_mktsegment, count(*) from customer group by c_mktsegment order by c_mktsegment"
 	r1, err := eng.QueryCtx(context.Background(), q)
@@ -154,7 +153,7 @@ func TestConcurrentCachedWorkloadExecutesOncePerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cache.New(cache.Options{MaxBytes: 256 << 20, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 256 << 20})
 	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Cache: c})
 
 	queries := make([]string, 0, 2*len(pairs))

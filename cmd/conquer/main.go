@@ -12,9 +12,7 @@
 //	-c            execute one statement and exit
 //	-timeout      per-query wall-clock budget (e.g. 30s; 0 means none)
 //	-parallelism  worker count for parallel scans, joins and aggregation
-//	              (0 = one worker per CPU; 1 forces serial execution)
-//	-shards       cluster shards parallel scans claim morsels from (0 = one
-//	              per CPU, 1 = unsharded); always 1 at -parallelism 1, and
+//	              (0 = one worker per CPU; 1 forces serial execution);
 //	              results are identical at every count
 //	-metrics-addr address for the debug HTTP endpoint (/debug/metrics,
 //	              expvar, pprof); empty disables it. Bind localhost only —
@@ -80,7 +78,6 @@ func main() {
 	oneShot := flag.String("c", "", "execute one statement and exit")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "cluster shards for parallel scans (0 = one per CPU, 1 = unsharded; always 1 at -parallelism 1)")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
 	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per query and per clean or eval")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for cached query results (0 = caching off)")
@@ -116,7 +113,7 @@ func main() {
 	if *cacheBytes > 0 {
 		qc = cachepkg.New(cachepkg.Options{MaxBytes: *cacheBytes})
 	}
-	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: exec.Limits{Timeout: *timeout}, Parallelism: *par, Shards: *shards, QueryLog: qlog, Cache: qc})
+	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: exec.Limits{Timeout: *timeout}, Parallelism: *par, QueryLog: qlog, Cache: qc})
 	sh := &shell{d: d, eng: eng, out: os.Stdout}
 
 	if *oneShot != "" {

@@ -232,7 +232,7 @@ func TestShellExplainAnalyzeGolden(t *testing.T) {
 		var out strings.Builder
 		sh := &shell{
 			d:   d,
-			eng: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1}),
+			eng: engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1}),
 			out: &out,
 		}
 		if err := sh.execute(context.Background(), `\explain analyze `+tc.sql); err != nil {
@@ -339,7 +339,7 @@ func newCachedTestShell(t *testing.T) (*shell, *strings.Builder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := cachepkg.New(cachepkg.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+	qc := cachepkg.New(cachepkg.Options{MaxBytes: 1 << 20})
 	var out strings.Builder
 	eng := engine.NewWithOptions(d.Store, engine.Options{Cache: qc, Parallelism: 1})
 	return &shell{d: d, eng: eng, out: &out}, &out

@@ -140,7 +140,7 @@ func (db *Database) eval(ctx context.Context, stmt *sqlparse.SelectStmt, lim Lim
 }
 
 // evaluator is the clean-answer evaluator over the database on an engine
-// under lim and the database's cache, parallelism and shard settings.
+// under lim and the database's cache and parallelism settings.
 func (db *Database) evaluator(lim Limits) core.Evaluator {
 	return core.Evaluator{DB: db.d, Engine: db.newEngine(lim)}
 }

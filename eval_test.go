@@ -325,9 +325,8 @@ func TestExactOverLimitTyped(t *testing.T) {
 }
 
 // QueryCtx builds its engine per call (the budget is the engine's); that
-// engine runs under the facade's worker setting, and the shard count it
-// resolves to, like Query's.
-func TestQueryCtxEngineHonoursParallelismAndShards(t *testing.T) {
+// engine runs under the facade's worker setting, like Query's.
+func TestQueryCtxEngineHonoursParallelism(t *testing.T) {
 	db := paperDB(t).SetParallelism(3)
 	const q = "select custid from customer"
 	want, err := db.Explain(q)

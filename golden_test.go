@@ -1,7 +1,7 @@
 // The frozen reference of the determinism suite. testdata/rowpath_golden.json
 // holds one digest per evaluation statement over determinismWorkload, written
 // by the row-at-a-time executor (engine.Options{Parallelism: 1, Shards: 1,
-// BatchSize: -1}) at commit 3b41ea4, the last one that had it: a throwaway
+// BatchSize: -1}, options of that commit) at commit 3b41ea4, the last one that had it: a throwaway
 // test there ran digestResult over each statement's result and marshalled a
 // goldenFile. The batch executor was proven against that path while both
 // existed; the digests keep the proof after the path is gone. Only a change

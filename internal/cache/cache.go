@@ -64,9 +64,6 @@ type Options struct {
 	// them once it is full. <= 0 disables result caching (parse and plan
 	// tiers still work).
 	MaxBytes int64
-	// Registry receives the cache's hit/miss/eviction/coalesced counters
-	// (metrics.Default when nil).
-	Registry *metrics.Registry
 }
 
 // Cache is a concurrency-safe multi-tier query cache. One Cache serves
@@ -134,10 +131,7 @@ type metricSet struct {
 
 // New creates a cache under opts.
 func New(opts Options) *Cache {
-	reg := opts.Registry
-	if reg == nil {
-		reg = metrics.Default
-	}
+	reg := metrics.Default
 	return &Cache{
 		maxBytes: opts.MaxBytes,
 		results:  make(map[string]*list.Element),

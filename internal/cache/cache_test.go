@@ -9,14 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"conquer/internal/metrics"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
 	"conquer/internal/value"
 )
 
 func newTestCache(maxBytes int64) *Cache {
-	return New(Options{MaxBytes: maxBytes, Registry: metrics.NewRegistry()})
+	return New(Options{MaxBytes: maxBytes})
 }
 
 func TestResultTierHitMissAndVersionInvalidation(t *testing.T) {
@@ -74,7 +73,7 @@ func TestResultTierByteBudgetLRUEviction(t *testing.T) {
 }
 
 func TestPlanTierVersionValidationAndCap(t *testing.T) {
-	c := New(Options{Registry: metrics.NewRegistry()})
+	c := New(Options{})
 	c.PutPlan("p1", "t=0", "plan1")
 	if v, ok := c.GetPlan("p1", "t=0"); !ok || v.(string) != "plan1" {
 		t.Fatalf("plan hit = %v %v", v, ok)
@@ -103,7 +102,7 @@ func TestPlanTierVersionValidationAndCap(t *testing.T) {
 }
 
 func TestParseTier(t *testing.T) {
-	c := New(Options{Registry: metrics.NewRegistry()})
+	c := New(Options{})
 	c.PutParse("select  1", "stmt", "SELECT 1")
 	if v, norm, ok := c.GetParse("select  1"); !ok || v.(string) != "stmt" || norm != "SELECT 1" {
 		t.Fatalf("parse hit = %v %q %v", v, norm, ok)

@@ -8,7 +8,6 @@ import (
 	"conquer/internal/cache"
 	"conquer/internal/engine"
 	"conquer/internal/exec"
-	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
 	"conquer/internal/testdb"
 	"conquer/internal/value"
@@ -16,7 +15,7 @@ import (
 
 func TestEvalCachesWholeLadderResult(t *testing.T) {
 	d := testdb.Figure2()
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
 	opts := EvalOptions{Cache: c}
 
@@ -44,7 +43,7 @@ func TestEvalCachesWholeLadderResult(t *testing.T) {
 
 func TestEvalCacheKeyedByOptions(t *testing.T) {
 	d := testdb.Figure2()
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
 	q := sqlparse.MustParse("select id from customer where balance > 10000")
 
 	if _, err := Eval(context.Background(), d, q, EvalOptions{Cache: c, Seed: 1}); err != nil {
@@ -83,7 +82,7 @@ func TestEvalCacheScopedToFromRelations(t *testing.T) {
 		{"select name from customer where balance > 10000", EvalOptions{Limits: few, Samples: 300, Seed: 11}, MethodMonteCarlo},
 	} {
 		d := testdb.Figure2()
-		cc := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+		cc := cache.New(cache.Options{MaxBytes: 1 << 20})
 		q := sqlparse.MustParse(c.sql)
 		cached := c.opts
 		cached.Cache = cc
@@ -143,11 +142,11 @@ func TestEvalCacheScopedToFromRelations(t *testing.T) {
 // covered, and formatted, every table of the store.
 func TestEvalHitAllocationFloor(t *testing.T) {
 	d := testdb.Figure2()
-	// Parallelism and shards are pinned: AllocsPerRun runs at GOMAXPROCS 1,
-	// and the key carries the resolved settings.
+	// Parallelism is pinned: AllocsPerRun runs at GOMAXPROCS 1, and the
+	// key carries the resolved setting.
 	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{
-		Parallelism: 2, Shards: 2,
-		Cache: cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()}),
+		Parallelism: 2,
+		Cache:       cache.New(cache.Options{MaxBytes: 1 << 20}),
 	})}
 	q := sqlparse.MustParse("select c.id from orders o, customer c where o.quantity < 5 and o.cidfk = c.id and c.balance > 25000")
 	ctx := context.Background()

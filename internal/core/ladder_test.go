@@ -104,9 +104,9 @@ func TestLadderAsksTheRewritingFirst(t *testing.T) {
 // one candidate that the statement's relation exceeds.
 func TestLadderOnRewritableAllocatesAsForcedRewrite(t *testing.T) {
 	d := testdb.Figure2()
-	// Parallelism and shards are pinned: AllocsPerRun runs at GOMAXPROCS 1.
+	// Parallelism is pinned: AllocsPerRun runs at GOMAXPROCS 1.
 	ev := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, engine.Options{
-		Limits: exec.Limits{MaxCandidates: 1}, Parallelism: 2, Shards: 2,
+		Limits: exec.Limits{MaxCandidates: 1}, Parallelism: 2,
 	})}
 	stmt := sqlparse.MustParse("select id from customer where balance > 10000")
 	ctx := context.Background()

@@ -311,8 +311,8 @@ var execPoisonRecycled bool
 // TestEvaluatorsMatchStepByStepOracle is the differential test of the
 // shared candidate loop and of clean answers from lineage: ExactCtx and
 // MonteCarloCtx against the old loop over the public API, at the default
-// worker and shard counts (with GOMAXPROCS raised so that they exceed one)
-// and at one worker, one shard. Exact answers are the same bits at both.
+// worker count (with GOMAXPROCS raised so that it exceeds one) and at one
+// worker. Exact answers are the same bits at both.
 func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 	// Recycled row storage is poisoned under the evaluators and not under
 	// the oracle, so a row kept past its batch cannot go wrong the same way
@@ -322,7 +322,7 @@ func TestEvaluatorsMatchStepByStepOracle(t *testing.T) {
 	ctx := context.Background()
 	exactAt := map[string]*Result{} // at the first GOMAXPROCS, by case
 	for _, procs := range []int{4, 1} {
-		prev := runtime.GOMAXPROCS(procs) // engine defaults: Parallelism = Shards = GOMAXPROCS
+		prev := runtime.GOMAXPROCS(procs) // engine default: Parallelism = GOMAXPROCS
 		empty, partial, narrowed, lineages, exactLineages := 0, 0, 0, 0, 0
 		for _, c := range cases {
 			stmt, err := sqlparse.Parse(c.sql)

@@ -214,15 +214,6 @@ func TestWorldFillsInPlace(t *testing.T) {
 	if cust == src {
 		t.Fatal("a dirty relation needs a table of its own")
 	}
-	// Shard views follow the tables: the world's dirty table starts with
-	// none of the source's, the shared clean table keeps the one it has.
-	srcView, nationView := src.Sharded(2), nation.Sharded(2)
-	if v := cust.Sharded(2); v == srcView || v.Base() != cust {
-		t.Error("a world's dirty table must not inherit the source's shard view")
-	}
-	if got, _ := w.Store.Table("nation"); got.Sharded(2) != nationView {
-		t.Error("a clean relation should keep its shard view inside a world")
-	}
 	seen := map[string]bool{}
 	err = enumerate(d, 0, func(c *Candidate) bool {
 		v := cust.Version()

@@ -16,7 +16,7 @@ import (
 
 func newCachedEngine(t testing.TB, log *metrics.QueryLog) (*Engine, *cache.Cache) {
 	t.Helper()
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
 	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1, QueryLog: log})
 	return e, c
 }
@@ -183,7 +183,7 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	// A byte budget too small for any result: every query re-executes,
 	// but the prepared operator tree is reused as long as the version
 	// vector holds.
-	c := cache.New(cache.Options{MaxBytes: 1, Registry: metrics.NewRegistry()})
+	c := cache.New(cache.Options{MaxBytes: 1})
 	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1})
 	const q = "select count(*) from customer"
 	r1, err := e.QueryCtx(context.Background(), q)
@@ -220,10 +220,34 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	}
 }
 
+// Shards is inert: two engines at parallelism 2 over one cache that
+// differ only in it share one result-tier entry.
+func TestEnginesDifferingInShardsShareOneEntry(t *testing.T) {
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
+	db := figure2DB(t)
+	const q = "select id, name from customer where balance > 10000"
+	ctx := context.Background()
+	first, err := NewWithOptions(db, Options{Cache: c, Parallelism: 2, Shards: 1}).QueryCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewWithOptions(db, Options{Cache: c, Parallelism: 2, Shards: 4}).QueryCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Cached || !second.Stats.Cached || !reflect.DeepEqual(first.Rows, second.Rows) {
+		t.Fatalf("cached %v then %v, rows %v then %v: want one execution, then a hit on its entry",
+			first.Stats.Cached, second.Stats.Cached, first.Rows, second.Rows)
+	}
+	if s := c.Stats(); s.Executions != 1 || s.ResultHits != 1 {
+		t.Errorf("cache stats %+v: want 1 execution and 1 result hit", s)
+	}
+}
+
 func TestUncachedEngineUnchanged(t *testing.T) {
 	e := NewWithOptions(figure2DB(t), Options{Parallelism: 1})
-	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 || o.Shards != 1 {
-		t.Fatalf("options %+v: want no cache, the parallelism asked for and one shard", o)
+	if o := e.Options(); o.Cache != nil || o.Parallelism != 1 {
+		t.Fatalf("options %+v: want no cache and the parallelism asked for", o)
 	}
 	res, err := e.QueryCtx(context.Background(), "select id from customer")
 	if err != nil {
@@ -244,8 +268,8 @@ func TestUncachedEngineUnchanged(t *testing.T) {
 func TestResultHitAllocationFloor(t *testing.T) {
 	// Explicit counts: AllocsPerRun measures at GOMAXPROCS 1, and a
 	// default that follows it would change the key under the test.
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Registry: metrics.NewRegistry()})
-	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1, Shards: 1})
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
+	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1})
 	const q = "select o.orderid, c.name from orders o, customer c where o.cidfk = c.id and c.balance > 10000 and o.quantity < 5"
 	ctx := context.Background()
 	if _, err := e.QueryCtx(ctx, q); err != nil {

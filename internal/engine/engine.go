@@ -33,17 +33,15 @@ type Options struct {
 	Limits exec.Limits
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution; 0 defaults to runtime.GOMAXPROCS(0), and 1 (or less)
-	// runs every query serially, whatever Shards says.
+	// runs every query serially. Rows and their order are identical at
+	// every setting, so this tunes only scheduling; a float SUM or AVG
+	// may differ in its last bits from run to run, at any fixed setting,
+	// because which morsels a worker wins decides how partial sums
+	// associate (ROADMAP item 1).
 	Parallelism int
-	// Shards is the cluster-shard count parallel scans claim morsels
-	// from; 0 defaults to runtime.GOMAXPROCS(0), and it resolves to 1
-	// (unsharded scans) when Parallelism resolves to 1 or less. Rows and
-	// their order are identical at every shard count (DESIGN.md §14), so
-	// this tunes only scheduling; a float SUM or AVG may differ in its
-	// last bits from run to run, at any fixed setting, because which
-	// morsels a worker wins decides how partial sums associate (ROADMAP
-	// item 1). The views are the tables' own (storage.Table.Sharded),
-	// shared by every engine over the store.
+	// Shards is inert: scans are not partitioned (DESIGN.md §14), and
+	// nothing in this module reads it. It stays only because the
+	// benchmark module compiles against it; ROADMAP item 3(b) deletes it.
 	Shards int
 	// QueryLog, when non-nil, receives one structured JSON record per
 	// executed query (success or failure).
@@ -79,35 +77,20 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 }
 
 // Options returns the options the engine's queries run under, with
-// Parallelism and Shards resolved to the values its plans use:
-// a serial engine runs one shard.
-// A clean-answer evaluator over the engine (core.Evaluator) runs every
-// query of its evaluation under them.
+// Parallelism resolved to the value its plans use. A clean-answer
+// evaluator over the engine (core.Evaluator) runs every query of its
+// evaluation under them.
 func (e *Engine) Options() Options {
 	o := e.opts
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case o.Parallelism <= 1:
-		o.Shards = 1
-	case o.Shards == 0:
-		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
 
 // planOptions resolves the effective planner options for one query.
 func (e *Engine) planOptions() plan.Options {
-	o := e.Options()
-	opts := plan.Options{Parallelism: o.Parallelism, Shards: o.Shards}
-	if opts.Shards > 1 {
-		n := opts.Shards
-		opts.Sharder = func(tb *storage.Table) exec.ShardView {
-			return tb.Sharded(n)
-		}
-	}
-	return opts
+	return plan.Options{Parallelism: e.Options().Parallelism}
 }
 
 // DB returns the underlying database.
@@ -140,17 +123,6 @@ type Stats struct {
 	// PlanTime/BufferedPeak are zero). Cached rows are shared with the
 	// cache and must not be mutated.
 	Cached bool
-	// Shards is the cluster-shard count the planner targeted (1 means
-	// unsharded scans).
-	Shards int
-	// ShardSkew is the worst max/mean per-shard row ratio across the
-	// query's sharded scans (1.0 = perfectly balanced, 0 = no sharded
-	// scan ran). Zeroed on cached results.
-	ShardSkew float64
-	// ShardRebalances counts the morsel claims workers stole off the
-	// shard they were draining, across all sharded scans. Zeroed on
-	// cached results.
-	ShardRebalances int64
 	// Batches counts the output batches the root produced (0 on cached
 	// results).
 	Batches int64
@@ -258,29 +230,25 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	out.Stats.PlanTime = 0
 	out.Stats.ExecTime = time.Since(start)
 	out.Stats.BufferedPeak = 0
-	out.Stats.ShardSkew = 0
-	out.Stats.ShardRebalances = 0
 	out.Stats.Batches = 0
 	return &out, nil
 }
 
 // resultKey is the cache key shared by the plan and result tiers: the
-// canonical statement text plus every planner option that changes the
+// canonical statement text plus the one planner option that changes the
 // physical plan. Rows and their order are identical at every setting;
 // a float SUM or AVG may differ in its last bits from run to run, even at
 // one worker count, because parallel partial aggregation re-associates
 // the sums in the order workers win morsels (ROADMAP item 1), so the key
-// buys no bit identity — parallelism and shard count stay in it until
-// that item decides. norm is the statement's SQL().
+// buys no bit identity — parallelism stays in it until that item
+// decides. norm is the statement's SQL().
 func resultKey(norm string, popts plan.Options) string {
 	var b strings.Builder
-	b.Grow(len(norm) + len("|par=;sh=") + 2*20)
+	b.Grow(len(norm) + len("|par=") + 20)
 	var num [20]byte
 	b.WriteString(norm)
 	b.WriteString("|par=")
 	b.Write(strconv.AppendInt(num[:0], int64(popts.Parallelism), 10))
-	b.WriteString(";sh=")
-	b.Write(strconv.AppendInt(num[:0], int64(popts.Shards), 10))
 	return b.String()
 }
 
@@ -302,7 +270,7 @@ type Prepared struct {
 	// Accounting since the last Report; written only by the execution
 	// holding the checkout.
 	runs int64
-	sum  Stats // Rows, Batches, ShardRebalances add up; BufferedPeak (failed runs' too), ShardSkew are maxima
+	sum  Stats // Rows and Batches add up; BufferedPeak (failed runs' too) is a maximum
 }
 
 func (p *Prepared) checkout() bool { return p.inUse.CompareAndSwap(false, true) }
@@ -362,15 +330,11 @@ func (p *Prepared) run(ctx context.Context, limits exec.Limits) (*Result, error)
 			ExecTime:     time.Since(start),
 			BufferedPeak: gov.BufferedPeak(),
 			Rows:         len(rows),
-			Shards:       max(p.popts.Shards, 1),
 			Batches:      batches,
 		},
 	}
-	fillShardStats(&res.Stats, exec.CollectShardStats(p.tree))
 	p.sum.Rows += res.Stats.Rows
 	p.sum.Batches += batches
-	p.sum.ShardRebalances += res.Stats.ShardRebalances
-	p.sum.ShardSkew = max(p.sum.ShardSkew, res.Stats.ShardSkew)
 	return res, nil
 }
 
@@ -422,15 +386,6 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 	return res, nil
 }
 
-// fillShardStats folds the per-scan shard breakdowns into the query
-// stats: worst skew wins and rebalances add.
-func fillShardStats(st *Stats, groups []exec.ShardGroupStat) {
-	for _, g := range groups {
-		st.ShardSkew = max(st.ShardSkew, g.Skew())
-		st.ShardRebalances += g.Rebalances
-	}
-}
-
 // report feeds the process-level metrics registry and, when configured,
 // the structured query log with the outcome of queries executions of
 // stmt: one for a plain query, every candidate's for a Prepared an
@@ -448,13 +403,6 @@ func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts pl
 	}
 	reg.Counter("engine.rows").Add(int64(st.Rows))
 	reg.Gauge("engine.buffered_peak").SetMax(st.BufferedPeak)
-	if st.ShardSkew > 0 {
-		// Gauges are integral; skew travels in milli-units.
-		reg.Gauge("shard.skew").SetMax(int64(st.ShardSkew * 1000))
-	}
-	if st.ShardRebalances > 0 {
-		reg.Counter("shard.rebalances").Add(st.ShardRebalances)
-	}
 	if e.opts.QueryLog == nil {
 		return // no record to write: do not print and hash the statement for one
 	}
@@ -464,7 +412,6 @@ func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts pl
 		Rows:        st.Rows,
 		Micros:      elapsed.Microseconds(),
 		Parallelism: popts.Parallelism,
-		Shards:      max(popts.Shards, 1),
 		Cached:      st.Cached,
 		Batches:     st.Batches,
 		Err:         qerr.LogReason(err),
@@ -510,12 +457,6 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	}
 	summary := fmt.Sprintf("-- %d rows in %s (buffered peak %d)",
 		len(res.Rows), res.Stats.ExecTime.Round(time.Microsecond), res.Stats.BufferedPeak)
-	// Shard summary only when sharding was on, so unsharded output (and
-	// the shell golden) is byte-stable.
-	if prep.popts.Shards > 1 && res.Stats.ShardSkew > 0 {
-		summary += fmt.Sprintf(" (shards %d skew %.2f rebalances %d)",
-			prep.popts.Shards, res.Stats.ShardSkew, res.Stats.ShardRebalances)
-	}
 	return exec.ExplainAnalyze(prep.tree) + summary + "\n", nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"conquer/internal/cache"
 	"conquer/internal/exec"
-	"conquer/internal/metrics"
 	"conquer/internal/qerr"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
@@ -127,7 +126,7 @@ func sharedCacheEngines(t *testing.T, maxBytes int64) (open, capped *Engine, c *
 	t.Helper()
 	db := storage.NewDB()
 	intTable(t, db, "t1", 100)
-	c = cache.New(cache.Options{MaxBytes: maxBytes, Registry: metrics.NewRegistry()})
+	c = cache.New(cache.Options{MaxBytes: maxBytes})
 	open = NewWithOptions(db, Options{Parallelism: 1, Cache: c})
 	capped = NewWithOptions(db, Options{Parallelism: 1, Cache: c, Limits: exec.Limits{MaxOutputRows: 5}})
 	return open, capped, c

@@ -6,7 +6,12 @@
 // the contract.
 package exec
 
-import "conquer/internal/value"
+import (
+	"cmp"
+	"slices"
+
+	"conquer/internal/value"
+)
 
 // DefaultBatchSize is the number of rows per execution batch. It equals
 // DefaultMorselSize so a parallel scan's batches align with its morsels
@@ -192,62 +197,48 @@ func (b *Batch) Truncate(n int) {
 }
 
 // run is a run of consecutive items collected under one tag — for a
-// parallel worker, the morsel that produced them — with their ordinals
-// when the collector keeps them.
+// parallel worker, the morsel that produced them.
 type run[T any] struct {
 	tag   int
 	items []T
-	ords  []rowOrd
 }
 
-// runs collects items (row headers, build entries), and where asked their
-// ordinals, into blocks that double in size, the first as large as the
-// first batch; each run lies in one block. Blocks cost one to two times
-// the items they hold, where an append chain growing by 1.25x costs five.
-// free and freeOrds are the unused tail of the newest block; the last run,
-// while it lies in that block, ends where free begins and grows into it.
+// runs collects items (row headers, build entries) into blocks that
+// double in size, the first as large as the first batch; each run lies in
+// one block. Blocks cost one to two times the items they hold, where an
+// append chain growing by 1.25x costs five. free is the unused tail of the
+// newest block; the last run, while it lies in that block, ends where free
+// begins and grows into it.
 type runs[T any] struct {
-	runs     []run[T]
-	free     []T
-	freeOrds []rowOrd
-	block    int  // items in the newest block
-	open     bool // the last run lies in the newest block and may grow
+	runs  []run[T]
+	free  []T
+	block int  // items in the newest block
+	open  bool // the last run lies in the newest block and may grow
 }
 
-// add appends x, tagged tag, and with ords its ordinal, onto the last run
-// while it has tag and its block has room, onto a new run otherwise. rest
-// is how many items the caller may still add from its current batch, x
-// included: a new block holds that many, or twice the last block when
-// that is more.
-func (o *runs[T]) add(tag int, x T, ord rowOrd, ords bool, rest int) {
+// add appends x, tagged tag, onto the last run while it has tag and its
+// block has room, onto a new run otherwise. rest is how many items the
+// caller may still add from its current batch, x included: a new block
+// holds that many, or twice the last block when that is more.
+func (o *runs[T]) add(tag int, x T, rest int) {
 	if len(o.free) == 0 {
 		o.block = max(2*o.block, rest)
 		o.free = make([]T, o.block)
-		if ords {
-			o.freeOrds = make([]rowOrd, o.block)
-		}
 		o.open = false
 	}
 	if !o.open || o.runs[len(o.runs)-1].tag != tag {
 		o.runs = append(o.runs, run[T]{tag: tag, items: o.free[:0]})
-		if ords {
-			o.runs[len(o.runs)-1].ords = o.freeOrds[:0]
-		}
 		o.open = true
 	}
 	r := &o.runs[len(o.runs)-1]
 	r.items = append(r.items, x)
 	o.free = o.free[1:]
-	if ords {
-		r.ords = append(r.ords, ord)
-		o.freeOrds = o.freeOrds[1:]
-	}
 }
 
 // addBatch adds the headers of b's rows, all of them tagged tag.
-func addBatch(o *runs[[]value.Value], tag int, b *Batch, ords bool) {
+func addBatch(o *runs[[]value.Value], tag int, b *Batch) {
 	for i, n := 0, b.Len(); i < n; i++ {
-		o.add(tag, b.Row(i), b.Ord(i), ords, n-i)
+		o.add(tag, b.Row(i), n-i)
 	}
 }
 
@@ -277,64 +268,20 @@ func concatRuns[T any](runs []run[T], g *Governor) ([]T, error) {
 	return out, nil
 }
 
-// mergeRuns returns the items of the workers' runs — one run per morsel,
-// each in rowOrd order — in one vector of exactly their number and in
+// mergeRuns returns the items of the workers' runs, each tagged by the
+// morsel that produced it, in one vector of exactly their number and in
 // rowOrd order — (leaf ordinal, fanout sequence), exactly the serial
-// emission order — by a k-way merge through a binary heap of run indices
-// keyed by each run's first ordinal, polling g per item.
+// emission order. On the one morsel grid every row of morsel m precedes
+// every row of morsel m+1, a morsel's rows come out of its pipeline in
+// order, and one worker collects them, in runs it appends in order; so
+// the runs stably sorted by tag, then concatenated, are that order.
 func mergeRuns[T any](outs []runs[T], g *Governor) ([]T, error) {
-	var runs []run[T]
-	total := 0
+	var all []run[T]
 	for _, o := range outs {
-		runs = append(runs, o.runs...)
-		for _, r := range o.runs {
-			total += len(r.items)
-		}
+		all = append(all, o.runs...)
 	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]T, total)
-	less := func(a, b int) bool { return runs[a].ords[0].less(runs[b].ords[0]) }
-	h := make([]int, 0, len(runs))
-	for i, r := range runs {
-		if len(r.items) > 0 {
-			h = append(h, i)
-		}
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && less(h[c+1], h[c]) {
-				c++
-			}
-			if !less(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for at := range out {
-		if err := g.Poll(); err != nil {
-			return nil, err
-		}
-		r := &runs[h[0]]
-		out[at] = r.items[0]
-		r.items, r.ords = r.items[1:], r.ords[1:]
-		if len(r.items) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	return out, nil
+	slices.SortStableFunc(all, func(a, b run[T]) int { return cmp.Compare(a.tag, b.tag) })
+	return concatRuns(all, g)
 }
 
 // materialized is implemented by the operators that hold their whole
@@ -395,7 +342,7 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 		if err := each(int64(n)); err != nil {
 			return nil, err
 		}
-		addBatch(&out, 0, b, false)
+		addBatch(&out, 0, b)
 	}
 }
 

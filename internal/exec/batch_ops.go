@@ -189,17 +189,13 @@ func (s *MorselScan) NextBatch(b *Batch) error {
 				if err := s.Table.ScanFault(); err != nil {
 					return fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
 				}
-				base := int64(s.pos)
-				if s.ords != nil {
-					base = s.ords[s.pos]
-				}
-				b.AppendOrd(s.Table.Row(s.pos), rowOrd{base: base})
+				b.AppendOrd(s.Table.Row(s.pos), rowOrd{base: int64(s.pos)})
 				s.pos++
 			}
 			s.stats.addOut(int64(b.Len()))
 			return nil
 		}
-		m, lo, hi, ok := s.claim()
+		m, lo, hi, ok := s.cursor.claim()
 		if !ok {
 			return nil // empty batch: exhausted
 		}

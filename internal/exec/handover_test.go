@@ -32,16 +32,10 @@ func fanOutTables(t testing.TB, n int) (probe, build *storage.Table) {
 }
 
 // sortOverGather is Sort(p.id DESC) over a Gather over the fan-out join,
-// its output narrowed to p.id, with the shard views on both scans when
-// shards > 1.
-func sortOverGather(t testing.TB, probe, build *storage.Table, par, shards int) *Sort {
+// its output narrowed to p.id.
+func sortOverGather(t testing.TB, probe, build *storage.Table, par int) *Sort {
 	t.Helper()
-	left, right := NewScan(probe, "p"), NewScan(build, "b")
-	if shards > 1 {
-		left.Sharded = storage.NewShardedTable(probe, shards)
-		right.Sharded = storage.NewShardedTable(build, shards)
-	}
-	j := mustOp[*HashJoin](t)(NewHashJoin(left, right, exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
+	j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
 	if err := j.Narrow([]int{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +52,11 @@ func sortOverGather(t testing.TB, probe, build *storage.Table, par, shards int) 
 // of copying it; Sort orders it in place, keeping no key of its own. So
 // doubling the output rows of a Sort over a Gather over a fan-out join
 // adds, per extra row, what the row itself costs — its joined value — plus
-// its header in the vector and its header (and, when a Gather's workers
-// collect it, its 16-byte ordinal, which the merge orders by) in the
-// blocks, which cost one to two times what they hold: measured, 50 to 120
-// bytes in all; asserted, at most a header and three blocked headers with
-// their ordinals, since the larger run's blocks can sit at twice their
+// its header in the vector and its header in the blocks, which cost one
+// to two times what they hold (the merge orders a Gather's runs by the
+// morsel each is tagged with, so no row carries its ordinal there):
+// measured, 50 to 110 bytes in all; asserted, at most a header and three
+// blocked headers, since the larger run's blocks can sit at twice their
 // content where the smaller run's sat at once. Beyond
 // the join's output blocks it adds a logarithmic number of allocations.
 // A copy into an append chain costs five headers, and the five copies the
@@ -76,58 +70,53 @@ func TestResultIsBufferedOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const valueBytes = 32 // TestValueIs32Bytes
 	for _, par := range []int{1, 4} {
-		for _, shards := range []int{1, 2} {
-			type cost struct{ rows, bytes, allocs int64 }
-			measure := func(n int) cost {
-				probe, build := fanOutTables(t, n)
-				best := cost{bytes: -1}
-				for r := 0; r < 3; r++ {
-					s := sortOverGather(t, probe, build, par, shards)
-					gov := govern(s)
-					var before, after runtime.MemStats
-					runtime.GC()
-					runtime.ReadMemStats(&before)
-					rows, _, err := CollectBatchesGoverned(s, gov, 0)
-					runtime.ReadMemStats(&after)
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := cost{int64(len(rows)), int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)}
-					if best.bytes < 0 {
-						best = c
-					}
-					best.bytes, best.allocs = min(best.bytes, c.bytes), min(best.allocs, c.allocs)
+		type cost struct{ rows, bytes, allocs int64 }
+		measure := func(n int) cost {
+			probe, build := fanOutTables(t, n)
+			best := cost{bytes: -1}
+			for r := 0; r < 3; r++ {
+				s := sortOverGather(t, probe, build, par)
+				gov := govern(s)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				rows, _, err := CollectBatchesGoverned(s, gov, 0)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return best
+				c := cost{int64(len(rows)), int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)}
+				if best.bytes < 0 {
+					best = c
+				}
+				best.bytes, best.allocs = min(best.bytes, c.bytes), min(best.allocs, c.allocs)
 			}
-			small, large := measure(20000), measure(40000)
-			extra := large.rows - small.rows
-			if small.rows != 3*20000 || extra != 3*20000 {
-				t.Fatalf("par=%d shards=%d: %d and %d rows", par, shards, small.rows, large.rows)
-			}
-			// Per row: the joined value; its header in the result; its header
-			// and ordinal in the blocks.
-			own := int64(valueBytes)
-			header, blocked := int64(24), int64(24)
-			if par > 1 {
-				blocked += 16
-			}
-			perRow := float64(large.bytes-small.bytes) / float64(extra)
-			limit := float64(own + header + 3*blocked + 8)
-			// The join carves its output one batch-sized block at a time, and
-			// a worker that wins morsels in one run and none in the other
-			// grows its batches and slabs once: ~55 allocations.
-			allocLimit := extra/DefaultBatchSize + 16 + 64*int64(par-1)
-			t.Logf("par=%d shards=%d: %d rows %d bytes %d allocs, %d rows %d bytes %d allocs: %.1f bytes per extra row (%.1f beyond its own, at most %.0f), +%d allocations (at most %d)",
-				par, shards, small.rows, small.bytes, small.allocs, large.rows, large.bytes, large.allocs,
-				perRow, perRow-float64(own), limit-float64(own), large.allocs-small.allocs, allocLimit)
-			if perRow > limit {
-				t.Errorf("par=%d shards=%d: %.1f bytes per extra row, want at most %.0f: the result is copied more than once",
-					par, shards, perRow, limit)
-			}
-			if more := large.allocs - small.allocs; more > allocLimit {
-				t.Errorf("par=%d shards=%d: +%d allocations for %d extra rows, want at most %d", par, shards, more, extra, allocLimit)
-			}
+			return best
+		}
+		small, large := measure(20000), measure(40000)
+		extra := large.rows - small.rows
+		if small.rows != 3*20000 || extra != 3*20000 {
+			t.Fatalf("par=%d: %d and %d rows", par, small.rows, large.rows)
+		}
+		// Per row: the joined value; its header in the result and in the
+		// blocks.
+		own := int64(valueBytes)
+		header, blocked := int64(24), int64(24)
+		perRow := float64(large.bytes-small.bytes) / float64(extra)
+		limit := float64(own + header + 3*blocked + 8)
+		// The join carves its output one batch-sized block at a time, and
+		// a worker that wins morsels in one run and none in the other
+		// grows its batches and slabs once: ~55 allocations.
+		allocLimit := extra/DefaultBatchSize + 16 + 64*int64(par-1)
+		t.Logf("par=%d: %d rows %d bytes %d allocs, %d rows %d bytes %d allocs: %.1f bytes per extra row (%.1f beyond its own, at most %.0f), +%d allocations (at most %d)",
+			par, small.rows, small.bytes, small.allocs, large.rows, large.bytes, large.allocs,
+			perRow, perRow-float64(own), limit-float64(own), large.allocs-small.allocs, allocLimit)
+		if perRow > limit {
+			t.Errorf("par=%d: %.1f bytes per extra row, want at most %.0f: the result is copied more than once",
+				par, perRow, limit)
+		}
+		if more := large.allocs - small.allocs; more > allocLimit {
+			t.Errorf("par=%d: +%d allocations for %d extra rows, want at most %d", par, more, extra, allocLimit)
 		}
 	}
 }

@@ -72,10 +72,9 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 }
 
 // joinSides builds the two inputs of TestJoinBucketOrderMatchesNestedLoop:
-// dirty tables, so that shard views partition them by cluster hash and their
-// rows reach the build interleaved across shards. Every build key occurs
-// in many morsels of three rows and in several clusters, some keys are
-// NULL, and two probe keys match nothing.
+// dirty tables whose every build key occurs in many morsels of three rows
+// and in several clusters; some keys are NULL, and two probe keys match
+// nothing.
 func joinSides(t *testing.T, probeRows, buildRows int) (probe, build *storage.Table) {
 	t.Helper()
 	mk := func(name string, n, keys, nullEvery int) *storage.Table {
@@ -101,11 +100,11 @@ func joinSides(t *testing.T, probeRows, buildRows int) (probe, build *storage.Ta
 }
 
 // A join's buckets hold their entries in right-input order however the
-// build ran: serially, or partitioned across workers over sharded morsels
-// and merged by ordinal. So the probe emits the nested loop's rows in the
+// build ran: serially, or partitioned across workers over morsels and
+// merged in morsel order. So the probe emits the nested loop's rows in the
 // nested loop's order, and tags each with its probe row's ordinal and its
-// place in that row's fan-out — at every parallelism, shard count and
-// batch size, with NULL keys on both sides and with an empty build.
+// place in that row's fan-out — at every parallelism and batch size, with
+// NULL keys on both sides and with an empty build.
 func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 	setMorselSize(t, 3)
 	probe, build := joinSides(t, 40, 60)
@@ -127,32 +126,25 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 		if right == build && len(want) < 100 {
 			t.Fatalf("reference has %d rows: the keys do not repeat", len(want))
 		}
-		for _, shards := range []int{1, 3} {
-			for _, par := range []int{1, 2, 8} {
-				for _, batch := range []int{1, 7, 0} {
-					label := fmt.Sprintf("build rows=%d shards=%d par=%d batch=%d", right.Len(), shards, par, batch)
-					left, r := NewScan(probe, "p"), NewScan(right, "b")
-					if shards > 1 {
-						left.Sharded = storage.NewShardedTable(probe, shards)
-						r.Sharded = storage.NewShardedTable(right, shards)
-					}
-					j := mustOp[*HashJoin](t)(NewHashJoin(left, r, exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-					j.Parallelism = par
-					govern(j)
-					parts, _ := splitPipeline(j, par)
-					var got []taggedRow
-					for _, p := range drainParts(t, parts, batch) {
-						got = append(got, p...)
-					}
-					sort.Slice(got, func(x, y int) bool { return got[x].ord.less(got[y].ord) })
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d rows, the nested loop has %d", label, len(got), len(want))
-					}
-					for i := range want {
-						if got[i].ord != want[i].ord || !value.RowsIdentical(got[i].row, want[i].row) {
-							t.Fatalf("%s: row %d = %v tagged %+v, want %v tagged %+v",
-								label, i, got[i].row, got[i].ord, want[i].row, want[i].ord)
-						}
+		for _, par := range []int{1, 2, 8} {
+			for _, batch := range []int{1, 7, 0} {
+				label := fmt.Sprintf("build rows=%d par=%d batch=%d", right.Len(), par, batch)
+				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(right, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
+				j.Parallelism = par
+				govern(j)
+				parts, _ := splitPipeline(j, par)
+				var got []taggedRow
+				for _, p := range drainParts(t, parts, batch) {
+					got = append(got, p...)
+				}
+				sort.Slice(got, func(x, y int) bool { return got[x].ord.less(got[y].ord) })
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows, the nested loop has %d", label, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ord != want[i].ord || !value.RowsIdentical(got[i].row, want[i].row) {
+						t.Fatalf("%s: row %d = %v tagged %+v, want %v tagged %+v",
+							label, i, got[i].row, got[i].ord, want[i].row, want[i].ord)
 					}
 				}
 			}
@@ -304,15 +296,16 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 }
 
 // A parallel build writes each entry once into its worker's blocks, with
-// its ordinal, and once into the table: no partition vectors grown by
+// no ordinal, and once into the table: no partition vectors grown by
 // appending, no sort scratch. The blocks double, so they cost one to two
 // times what they hold, give or take a batch: the newest block is at most
 // twice the one before or one batch. Opening a join whose right side is a
-// table of N distinct keys, at 4 workers over 1 and 3 shards, must
-// allocate at most 2·N·(sizeof buildEntry + sizeof rowOrd) for the blocks
-// and N·sizeof buildEntry for the table, plus the key slab, the heads, and
-// each worker's batch, in its pipeline and in its blocks: measured, 200 to
-// 230 bytes per entry against a limit of ~270. While the build partitioned
+// table of N distinct keys, at 4 workers, must
+// allocate at most 2·N·sizeof buildEntry for the blocks and N·sizeof
+// buildEntry for the table, plus the key slab, the heads, and each
+// worker's batch, in its pipeline and in its blocks: measured, ~200 bytes
+// per entry against a limit of ~235 (200 to 230 against ~270 while the
+// blocks held each entry's ordinal too). While the build partitioned
 // its entries — an append chain per worker and partition, then a sorted
 // copy of them all — it took ~500.
 func TestParallelBuildWritesEachEntryOnce(t *testing.T) {
@@ -321,46 +314,39 @@ func TestParallelBuildWritesEachEntryOnce(t *testing.T) {
 	}
 	const n, workers = 1 << 16, 4
 	fact, dim := parTables(t, n)
-	entry, ord := int64(unsafe.Sizeof(buildEntry{})), int64(unsafe.Sizeof(rowOrd{}))
+	entry := int64(unsafe.Sizeof(buildEntry{}))
 	slab := int64(n) * value.Size // one key per entry
 	heads := int64(headSlots(n)) * int64(unsafe.Sizeof(int32(0)))
 	batch := int64(workers * DefaultBatchSize)
 	pipeline := batch * int64(unsafe.Sizeof([]value.Value{})+unsafe.Sizeof(rowOrd{}))
-	limit := (2*n+batch)*(entry+ord) + n*entry + slab + heads + pipeline + 64<<10
-	for _, shards := range []int{1, 3} {
-		best := int64(-1)
-		for r := 0; r < 3; r++ {
-			right := NewScan(fact, "f")
-			if shards > 1 {
-				right.Sharded = storage.NewShardedTable(fact, shards)
-				right.Sharded.Shards() // the views belong to the table, not to the build
-			}
-			j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), right,
-				exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
-			j.Parallelism = workers
-			govern(j)
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			err := j.Open()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := len(j.build.entries); got != n {
-				t.Fatalf("shards=%d: %d entries, want %d", shards, got, n)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if b := int64(after.TotalAlloc - before.TotalAlloc); best < 0 || b < best {
-				best = b
-			}
+	limit := (2*n+batch)*entry + n*entry + slab + heads + pipeline + 64<<10
+	best := int64(-1)
+	for r := 0; r < 3; r++ {
+		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
+			exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
+		j.Parallelism = workers
+		govern(j)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := j.Open()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("shards=%d: a build of %d rows allocates %d bytes, %.1f per entry (at most %d: %.1f)",
-			shards, n, best, float64(best)/n, limit, float64(limit)/n)
-		if best > limit {
-			t.Errorf("shards=%d: a build of %d rows allocates %d bytes, want at most %d", shards, n, best, limit)
+		if got := len(j.build.entries); got != n {
+			t.Fatalf("%d entries, want %d", got, n)
 		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b := int64(after.TotalAlloc - before.TotalAlloc); best < 0 || b < best {
+			best = b
+		}
+	}
+	t.Logf("a build of %d rows allocates %d bytes, %.1f per entry (at most %d: %.1f)",
+		n, best, float64(best)/n, limit, float64(limit)/n)
+	if best > limit {
+		t.Errorf("a build of %d rows allocates %d bytes, want at most %d", n, best, limit)
 	}
 }

@@ -129,7 +129,7 @@ func nestedLoop(left, right *storage.Table, keep func(l, r []value.Value) bool) 
 // A join with output list L equals the identity join followed by a
 // projection onto L — same rows, same order, same ordinal tags — keyed
 // and keyless, at the default batch size, at one that cuts the fan-out of
-// a probe row, and for the probe-shard clones splitPipeline makes. The
+// a probe row, and for the probe-part clones splitPipeline makes. The
 // identity join itself is held to the nested loop over its inputs.
 func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 	fact, dim := parTables(t, 700)
@@ -202,7 +202,7 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 			govern(tmpl)
 			parts, _ := splitPipeline(tmpl, 3)
 			for i, p := range drainParts(t, parts, batch) {
-				requireProjection(t, fmt.Sprintf("%s shard %d", label, i), wantParts[i], p, cols)
+				requireProjection(t, fmt.Sprintf("%s part %d", label, i), wantParts[i], p, cols)
 			}
 		}
 	}

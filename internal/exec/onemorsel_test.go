@@ -68,17 +68,10 @@ func spiedFact(t *testing.T, n int) (*storage.Table, *goroutineSpy) {
 // driving table the caller sizes: Gather over scan→filter→project, a hash
 // join whose build side is the table, and a grouped aggregate over it.
 // Aggregates avoid float sums, which parallel partials re-associate.
-func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[string]Operator {
+func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]Operator {
 	t.Helper()
 	setMorselSize(t, morsel)
-	scan := func(alias string) *Scan {
-		sc := NewScan(tb, alias)
-		if shards > 1 {
-			sc.Sharded = storage.NewShardedTable(tb, shards)
-		}
-		return sc
-	}
-	f, err := NewFilter(scan("f"), expr(t, "qty < 5"))
+	f, err := NewFilter(NewScan(tb, "f"), expr(t, "qty < 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +89,14 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, shards, n, morsel int) map[
 	for i := 0; i < 40; i++ {
 		probe.MustInsert(value.Int(int64(i % 20)))
 	}
-	j, err := NewHashJoin(NewScan(probe, "p"), scan("d"),
+	j, err := NewHashJoin(NewScan(probe, "p"), NewScan(tb, "d"),
 		[]sqlparse.Expr{colRef("p", "k")}, []sqlparse.Expr{colRef("d", "k")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Parallelism = n
 
-	a, err := NewHashAggregate(scan("f"),
+	a, err := NewHashAggregate(NewScan(tb, "f"),
 		[]sqlparse.Expr{colRef("f", "k")},
 		[]ColInfo{{Name: "k", Type: value.KindInt}},
 		[]AggSpec{
@@ -134,67 +127,61 @@ func runGoverned(t *testing.T, op Operator, batch int) (rows [][]value.Value, pe
 }
 
 // A pipeline whose every base table holds at most one morsel opens
-// serially whatever the worker and shard counts: no goroutine reads a row,
-// no shard group is built, and rows, their order, every operator's
-// counters and the buffered peak equal the N=1 unsharded run. The same
-// tables under a morsel size below their length still take the parallel
-// path.
+// serially whatever the worker count: no goroutine reads a row, and rows,
+// their order, every operator's counters and the buffered peak equal the
+// N=1 run. The same tables under a morsel size below their length still
+// take the parallel path.
 func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 	const rows = 200 // well under DefaultMorselSize
 	for _, batch := range []int{0, 2} {
-		for name := range oneMorselPlans(t, dirtyFact(t, rows), 1, 1, 0) {
+		for name := range oneMorselPlans(t, dirtyFact(t, rows), 1, 0) {
 			tb, spy := spiedFact(t, rows)
-			base := oneMorselPlans(t, tb, 1, 1, 0)[name]
+			base := oneMorselPlans(t, tb, 1, 0)[name]
 			want, wantPeak := runGoverned(t, base, batch)
 			wantLines := StatsTree(base)
 			if len(want) == 0 {
 				t.Fatalf("%s: empty baseline", name)
 			}
-			for _, shards := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s batch=%d shards=%d", name, batch, shards)
+			label := fmt.Sprintf("%s batch=%d", name, batch)
 
-				spy.ids = make(map[uint64]bool)
-				op := oneMorselPlans(t, tb, shards, 8, 0)[name]
-				got, peak := runGoverned(t, op, batch)
-				requireSameRows(t, want, got)
-				if peak != wantPeak {
-					t.Errorf("%s: buffered peak %d, want %d", label, peak, wantPeak)
+			spy.ids = make(map[uint64]bool)
+			op := oneMorselPlans(t, tb, 8, 0)[name]
+			got, peak := runGoverned(t, op, batch)
+			requireSameRows(t, want, got)
+			if peak != wantPeak {
+				t.Errorf("%s: buffered peak %d, want %d", label, peak, wantPeak)
+			}
+			if err := CheckConservation(op); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			lines := StatsTree(op)
+			for i, wl := range wantLines {
+				gl := lines[i]
+				if gl.In != wl.In || gl.Out != wl.Out || gl.Batches != wl.Batches || gl.Buffered != wl.Buffered {
+					t.Errorf("%s: operator %d counters %+v, want %+v", label, i, gl, wl)
 				}
-				if err := CheckConservation(op); err != nil {
-					t.Errorf("%s: %v", label, err)
-				}
-				lines := StatsTree(op)
-				for i, wl := range wantLines {
-					gl := lines[i]
-					if gl.In != wl.In || gl.Out != wl.Out || gl.Batches != wl.Batches || gl.Buffered != wl.Buffered || gl.ShardRows != nil {
-						t.Errorf("%s: operator %d counters %+v, want %+v", label, i, gl, wl)
-					}
-				}
-				if !spy.onlyCaller() {
-					t.Errorf("%s: rows were read on %d goroutines, want only the caller's", label, len(spy.ids))
-				}
-				if out := ExplainAnalyze(op); !strings.Contains(out, "[serial: one morsel]") || strings.Contains(out, "morsels=[") {
-					t.Errorf("%s: EXPLAIN ANALYZE should report the serial open:\n%s", label, out)
-				}
+			}
+			if !spy.onlyCaller() {
+				t.Errorf("%s: rows were read on %d goroutines, want only the caller's", label, len(spy.ids))
+			}
+			if out := ExplainAnalyze(op); !strings.Contains(out, "[serial: one morsel]") || strings.Contains(out, "morsels=[") {
+				t.Errorf("%s: EXPLAIN ANALYZE should report the serial open:\n%s", label, out)
+			}
 
-				// More than one morsel: the parallel path, same rows.
-				spy.ids = make(map[uint64]bool)
-				op = oneMorselPlans(t, tb, shards, 8, 32)[name]
-				got, _ = runGoverned(t, op, batch)
-				requireSameRows(t, want, got)
-				if spy.onlyCaller() {
-					t.Errorf("%s: morsel size 32 over %d rows should run on workers", label, rows)
-				}
-				out := ExplainAnalyze(op)
-				if strings.Contains(out, "[serial: one morsel]") {
-					t.Errorf("%s: EXPLAIN ANALYZE reports a serial open of a split pipeline:\n%s", label, out)
-				}
-				if name == "gather" && !strings.Contains(out, "morsels=[w0:") {
-					t.Errorf("%s: EXPLAIN ANALYZE should list worker morsels:\n%s", label, out)
-				}
-				if shards > 1 && !strings.Contains(out, "shards=[s0:") {
-					t.Errorf("%s: EXPLAIN ANALYZE should list shard claims:\n%s", label, out)
-				}
+			// More than one morsel: the parallel path, same rows.
+			spy.ids = make(map[uint64]bool)
+			op = oneMorselPlans(t, tb, 8, 32)[name]
+			got, _ = runGoverned(t, op, batch)
+			requireSameRows(t, want, got)
+			if spy.onlyCaller() {
+				t.Errorf("%s: morsel size 32 over %d rows should run on workers", label, rows)
+			}
+			out := ExplainAnalyze(op)
+			if strings.Contains(out, "[serial: one morsel]") {
+				t.Errorf("%s: EXPLAIN ANALYZE reports a serial open of a split pipeline:\n%s", label, out)
+			}
+			if name == "gather" && !strings.Contains(out, "morsels=[w0:") {
+				t.Errorf("%s: EXPLAIN ANALYZE should list worker morsels:\n%s", label, out)
 			}
 		}
 	}
@@ -203,17 +190,13 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 // The rule looks at every table the pipeline reads, not only the one that
 // drives it: a small driving table probing a large build side fans out
 // into work worth splitting (Figure 8's Q9 drives 314,608 result rows from
-// a 222-row part table), and with a sharded leaf its shards are separate
-// claims for separate workers.
+// a 222-row part table): its one morsel is probed on a worker, beside the
+// build side's parallel drain.
 func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 	tb, spy := spiedFact(t, 200)
 	big := dirtyFact(t, 3000)
-	build := func(shards, n int) Operator {
-		sc := NewScan(tb, "f")
-		if shards > 1 {
-			sc.Sharded = storage.NewShardedTable(tb, shards)
-		}
-		j, err := NewHashJoin(sc, NewScan(big, "d"),
+	build := func(n int) Operator {
+		j, err := NewHashJoin(NewScan(tb, "f"), NewScan(big, "d"),
 			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
 		if err != nil {
 			t.Fatal(err)
@@ -221,15 +204,15 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 		j.Parallelism = n
 		return NewGather(j, n)
 	}
-	want, _ := runGoverned(t, build(1, 1), 0)
+	want, _ := runGoverned(t, build(1), 0)
 	spy.ids = make(map[uint64]bool)
-	g := build(4, 4)
+	g := build(4)
 	got, _ := runGoverned(t, g, 0)
 	requireSameRows(t, want, got)
 	if spy.onlyCaller() {
-		t.Error("a 200-row sharded driving table over a 3000-row build side should run on workers")
+		t.Error("a 200-row driving table over a 3000-row build side should run on workers")
 	}
-	if out := ExplainAnalyze(g); strings.Contains(out, "[serial: one morsel]") || !strings.Contains(out, "shards=[s0:") {
+	if out := ExplainAnalyze(g); strings.Contains(out, "[serial: one morsel]") || !strings.Contains(out, "morsels=[w0:1]") {
 		t.Errorf("EXPLAIN ANALYZE should show a split run:\n%s", out)
 	}
 }
@@ -238,7 +221,7 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 // grows past one morsel between two opens of the same tree goes parallel.
 func TestOneMorselRuleFollowsTableSize(t *testing.T) {
 	tb, spy := spiedFact(t, 50)
-	g := oneMorselPlans(t, tb, 1, 4, 64)["gather"].(*Gather)
+	g := oneMorselPlans(t, tb, 4, 64)["gather"].(*Gather)
 	first, _ := runGoverned(t, g, 0)
 	if !spy.onlyCaller() {
 		t.Fatal("50 rows under morsel size 64 should open serially")

@@ -18,18 +18,11 @@ import (
 type Scan struct {
 	Table *storage.Table
 	Alias string
-	// Sharded, when non-nil, is a cluster-partitioned view of Table;
-	// splitPipeline then runs the scan per shard with morsel stealing
-	// (see sharded.go). Serial execution ignores it.
-	Sharded ShardView
 
 	govHolder
 	statsHolder
 	schema RowSchema
 	pos    int
-	// lastGroup is the shard group of the most recent split execution;
-	// EXPLAIN ANALYZE and CollectShardStats read it after the query.
-	lastGroup *shardGroup
 }
 
 // NewScan builds a scan of tb under the given alias.
@@ -62,10 +55,6 @@ func (s *Scan) Close() error { s.stats.markDone(); return nil }
 
 // Describe implements Operator.
 func (s *Scan) Describe() string {
-	if s.Sharded != nil {
-		return fmt.Sprintf("Scan(%s AS %s, %d rows, shards=%d)",
-			s.Table.Schema.Name, s.Alias, s.Table.Len(), s.Sharded.NumShards())
-	}
 	return fmt.Sprintf("Scan(%s AS %s, %d rows)", s.Table.Schema.Name, s.Alias, s.Table.Len())
 }
 
@@ -232,9 +221,9 @@ func (o *joinOutput) describeCols() string {
 // planner asks for when the FROM list's join graph is disconnected.
 //
 // With Parallelism > 1 the build's workers drain the split right input
-// into runs of their own, which one merge by right-input ordinal writes
+// into runs of their own, which one merge in morsel order writes
 // into the entry vector (see joinBuild); splitPipeline additionally
-// shards the probe side, the shards sharing one build.
+// splits the probe side into parts sharing one build.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []sqlparse.Expr
@@ -247,7 +236,7 @@ type HashJoin struct {
 	joinOutput
 	lk, rk  []Evaluator
 	build   *joinBuild
-	shard   bool          // probe shard sharing a split-time build
+	part    bool          // probe part sharing a split-time build
 	next    int32         // link to the next build entry of the pending bucket, 0 at its end
 	curHash uint64        // hash of the pending probe keys
 	curKeys []value.Value // probe keys of the pending bucket
@@ -297,17 +286,17 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 	return j, nil
 }
 
-// Open builds (or, for a probe shard, waits for) the hash table over the
+// Open builds (or, for a probe part, waits for) the hash table over the
 // right input.
 func (j *HashJoin) Open() error {
 	j.stats.markOpen()
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	if !j.shard {
+	if !j.part {
 		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.stats)
 	} else if j.build == nil {
-		return fmt.Errorf("exec: probe shard reopened after close: %w", qerr.ErrInternal)
+		return fmt.Errorf("exec: probe part reopened after close: %w", qerr.ErrInternal)
 	}
 	j.next, j.curKeys, j.curLeft = 0, nil, nil
 	j.bp.reset()
@@ -614,12 +603,6 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 	}
 	h := value.HashRow(gv)
 	st := findGroup(acc.heads, h, gv)
-	if st != nil && ord.less(st.ord) {
-		// A sharded worker walks shards out of base-ordinal order, so a
-		// later row can carry an earlier ordinal; the group keeps the
-		// minimum so the merged order matches the serial first appearance.
-		st.ord = ord
-	}
 	if st == nil {
 		acc.pending++
 		st = a.newState(acc, gv, ord)

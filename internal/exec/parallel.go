@@ -1,17 +1,18 @@
 // Morsel-driven parallel execution (see DESIGN.md §9).
 //
-// Base-table scans are split into fixed-size morsels handed out by
-// atomic per-shard cursors (sharded.go); a pipeline over such a scan
-// (filters, projections, the probe side of hash joins) splits into N
-// independent partial pipelines that workers drive to completion. Three
-// operators consume partial pipelines:
+// Base-table scans are split into fixed-size morsels — morsel m is rows
+// [m·morselSize, (m+1)·morselSize) of the table — handed out by one
+// atomic cursor per split scan; a pipeline over such a scan (filters,
+// projections, the probe side of hash joins) splits into N independent
+// partial pipelines that workers drive to completion. Three operators
+// consume partial pipelines:
 //
 //   - Gather runs N partial pipelines to completion and re-emits their
 //     rows in base-table row order, so a parallel scan→filter→project plan
 //     produces exactly the serial row order.
 //   - HashJoin builds its hash table with parallel workers (per-worker
-//     runs merged by right-input ordinal, as Gather merges) and can itself
-//     split into probe shards sharing one build.
+//     runs merged in morsel order, as Gather merges) and can itself
+//     split into probe parts sharing one build.
 //   - HashAggregate aggregates each partial pipeline into thread-local
 //     groups and merges them in a final phase.
 //
@@ -47,8 +48,8 @@ const DefaultMorselSize = 1024
 // morsels from small tables.
 var morselSize = DefaultMorselSize
 
-// morselCursor hands out disjoint row ranges ("morsels") of one shard
-// table to competing workers, in the shard's scan order.
+// morselCursor hands out the morsels of one base table to competing
+// workers, in table order: morsel m is rows [m·size, (m+1)·size).
 type morselCursor struct {
 	next  atomic.Int64
 	size  int
@@ -79,23 +80,12 @@ func (c *morselCursor) morsels() int {
 	return (c.total + c.size - 1) / c.size
 }
 
-// remaining estimates how many morsels are still unclaimed. It is a
-// racy snapshot — the skew balancer uses it only to pick a steal
-// target; claim() stays the sole source of truth.
-func (c *morselCursor) remaining() int {
-	r := c.morsels() - int(c.next.Load())
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
 // rowOrd orders pipeline output rows by base-table provenance: the
 // base-table ordinal of the leaf row that produced the output, plus an
 // emission sequence within that leaf row (join fanout emits several
 // rows per leaf row). Sorting by rowOrd reconstructs the serial
 // execution order exactly, however the leaf rows' morsels were
-// interleaved across workers and cluster shards.
+// interleaved across workers.
 type rowOrd struct {
 	base int64
 	seq  int64
@@ -114,11 +104,12 @@ func (o rowOrd) compare(p rowOrd) int {
 }
 
 // MorselScan is the leaf of a partial pipeline: a Scan over whichever
-// morsels of the shared shard group this worker wins. Its consumers read
-// it after the pipeline returns a batch: morsel is the morsel that
-// produced the batch (Gather keeps a run per morsel), and claims how many
-// morsels this leaf has claimed (the per-worker share EXPLAIN ANALYZE
-// reports).
+// morsels of its table this worker wins from the cursor all parts of the
+// split share. A row's ordinal is its position in the table. Its
+// consumers read it after the pipeline returns a batch: morsel is the
+// morsel that produced the batch (Gather keeps a run per morsel), and
+// claims how many morsels this leaf has claimed (the per-worker share
+// EXPLAIN ANALYZE reports).
 type MorselScan struct {
 	Table *storage.Table
 	Alias string
@@ -126,18 +117,11 @@ type MorselScan struct {
 	govHolder
 	statsHolder
 	schema RowSchema
+	cursor *morselCursor
 	morsel int
 	claims int
 	pos    int
 	end    int
-
-	// The shared shard group, the shard this worker starts on, the shard
-	// it is draining, and that shard's base-table ordinals (nil when the
-	// shard is the whole table).
-	group *shardGroup
-	home  int
-	src   int
-	ords  []int64
 }
 
 func (s *MorselScan) Schema() RowSchema { return s.schema }
@@ -147,32 +131,7 @@ func (s *MorselScan) Schema() RowSchema { return s.schema }
 func (s *MorselScan) Open() error {
 	s.stats.markOpen()
 	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
-	s.src = s.home
-	sh := s.group.shards[s.home]
-	s.Table, s.ords = sh.Table, sh.Ords
 	return nil
-}
-
-// claim acquires the next morsel from the shard group: the current shard
-// first, then stealing from the most-loaded shard. Steals after the first
-// claim count as rebalances (a worker whose shard drained moved onto
-// another shard's range).
-func (s *MorselScan) claim() (m, lo, hi int, ok bool) {
-	nsrc, m, lo, hi, stole, ok := s.group.claim(s.src)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	if stole && s.claims > 0 {
-		s.group.rebalances.Add(1)
-	}
-	if nsrc != s.src {
-		s.src = nsrc
-		sh := s.group.shards[nsrc]
-		s.Table, s.ords = sh.Table, sh.Ords
-	}
-	s.group.rows[nsrc].Add(int64(hi - lo))
-	s.group.claims[nsrc].Add(1)
-	return s.group.morselBase[nsrc] + m, lo, hi, true
 }
 
 func (s *MorselScan) Close() error { s.stats.markDone(); return nil }
@@ -188,8 +147,8 @@ func (s *MorselScan) Describe() string {
 // across, and some base table it reads — the driving scan or the build
 // side of one of its probe joins — must hold more than one morsel of
 // rows. A pipeline whose every input fits one morsel opens serially
-// instead of setting up a worker pool, forked governors, morsel cursors
-// and shard views around a claim or two (DESIGN.md §17); s, the asking
+// instead of setting up a worker pool, forked governors and a morsel
+// cursor around a claim or two (DESIGN.md §17); s, the asking
 // operator's stats, records that for EXPLAIN ANALYZE.
 func opensSplit(op Operator, n int, s *OpStats) bool {
 	if n <= 1 || drivingScan(op) == nil {
@@ -239,7 +198,7 @@ func drivingScan(op Operator) *Scan {
 func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 
 // splitPipeline clones op into at most n independent partial pipelines
-// over a fresh shared shard group. Compiled evaluators are shared —
+// over a fresh shared morsel cursor. Compiled evaluators are shared —
 // they are pure functions of the row — while all iteration state is
 // per-part. Each clone also shares its template's OpStats pointer, so
 // the counters of all workers aggregate onto the template tree that
@@ -274,7 +233,7 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
-			// Right stays nil on shards: the shared build owns the right
+			// Right stays nil on parts: the shared build owns the right
 			// input, and leaving it reachable would make every worker's
 			// Attach race on the one template operator.
 			j := &HashJoin{
@@ -282,7 +241,7 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 				LeftKeys: op.LeftKeys, RightKeys: op.RightKeys,
 				Parallelism: op.Parallelism,
 				joinOutput:  op.joinOutput, lk: op.lk, rk: op.rk,
-				build: build, shard: true,
+				build: build, part: true,
 			}
 			j.stats = op.stats
 			parts[i] = j
@@ -292,9 +251,26 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 	return splitScan(op.(*Scan), n)
 }
 
+// splitScan is splitPipeline's leaf case: up to n MorselScans claiming
+// the morsels of op's table from one shared cursor.
+func splitScan(op *Scan, n int) ([]Operator, []*MorselScan) {
+	cur := newMorselCursor(op.Table.Len(), morselSize)
+	if m := cur.morsels(); m > 0 && m < n {
+		n = m
+	}
+	parts := make([]Operator, n)
+	leaves := make([]*MorselScan, n)
+	for i := range parts {
+		ms := &MorselScan{Table: op.Table, Alias: op.Alias, schema: op.schema, cursor: cur}
+		ms.stats = op.stats
+		parts[i], leaves[i] = ms, ms
+	}
+	return parts, leaves
+}
+
 // closeAll closes every part, keeping the first error. The coordinator
 // calls it after the worker barrier so shared state (e.g. a join build
-// referenced by all probe shards) is released exactly once, even when a
+// referenced by all probe parts) is released exactly once, even when a
 // worker failed before opening its part.
 func closeAll(parts []Operator) error {
 	var first error
@@ -323,9 +299,6 @@ func closeAll(parts []Operator) error {
 type Gather struct {
 	Child Operator
 	N     int
-	// Shards is the effective shard count of the plan, for display only
-	// (the shard views on the leaf scans drive actual execution).
-	Shards int
 
 	govHolder
 	statsHolder
@@ -359,6 +332,18 @@ func (g *Gather) Open() error {
 }
 
 func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
+	outs, err := g.runParts(parts, leaves)
+	if err != nil {
+		return err
+	}
+	g.rows, err = mergeRuns(outs, g.gov)
+	return err
+}
+
+// runParts drives the parts to completion on workers and closes them;
+// worker w collects its rows into outs[w], in runs tagged by the morsel
+// that produced them.
+func (g *Gather) runParts(parts []Operator, leaves []*MorselScan) ([]runs[[]value.Value], error) {
 	outs := make([]runs[[]value.Value], len(parts))
 	err := qerr.Pool(g.gov.Context(), len(parts), func(ctx context.Context, w int) error {
 		gov, part, leaf := g.gov.Fork(ctx), parts[w], leaves[w]
@@ -386,7 +371,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 				cur = m
 				g.stats.incBatch()
 			}
-			addBatch(&outs[w], cur, bb, true)
+			addBatch(&outs[w], cur, bb)
 		}
 	})
 	g.workerMorsels = make([]int64, len(leaves))
@@ -396,11 +381,7 @@ func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
 	if cerr := closeAll(parts); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
-	}
-	g.rows, err = mergeRuns(outs, g.gov)
-	return err
+	return outs, err
 }
 
 func (g *Gather) Close() error {
@@ -413,21 +394,15 @@ func (g *Gather) Close() error {
 }
 
 // Describe implements Operator.
-func (g *Gather) Describe() string {
-	s := fmt.Sprintf("Gather[n=%d]", g.N)
-	if g.Shards > 1 {
-		s += fmt.Sprintf("[shards=%d]", g.Shards)
-	}
-	return s
-}
+func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.N) }
 
 // ---------------------------------------------------------------------------
 // Hash-join build
 // ---------------------------------------------------------------------------
 
-// joinBuild is a hash-join build shared by one or more probe shards: the
+// joinBuild is a hash-join build shared by one or more probe parts: the
 // first Open runs it (serially, or with parallel workers), later opens
-// reuse the result, and the table is released when the last shard closes.
+// reuse the result, and the table is released when the last part closes.
 // The table is one vector of entries, in right-input order, and one
 // power-of-two vector of bucket heads, each the link of its bucket's first
 // entry; a bucket is the chain through the entries whose hashes agree in
@@ -503,7 +478,7 @@ func link(entries []buildEntry, heads []int32, mask uint64) {
 	}
 }
 
-// close releases the build when the last referencing shard closes.
+// close releases the build when the last referencing part closes.
 func (b *joinBuild) close(gov *Governor) {
 	if b.refs.Add(-1) != 0 {
 		return
@@ -546,9 +521,9 @@ func (b *joinBuild) buildSerial(gov *Governor) ([]buildEntry, error) {
 }
 
 // buildParallel drains the split right input with worker goroutines, each
-// collecting its entries into runs tagged by morsel, and merges the runs by
-// right-input ordinal into the entry vector: the serial insertion order,
-// however the morsels were interleaved across workers and cluster shards.
+// collecting its entries into runs tagged by morsel, and merges the runs in
+// morsel order into the entry vector: the serial insertion order, however
+// the morsels were interleaved across workers.
 func (b *joinBuild) buildParallel(gov *Governor) ([]buildEntry, error) {
 	parts, leaves := splitPipeline(b.right, b.parallelism)
 	outs := make([]runs[buildEntry], len(parts))
@@ -572,7 +547,7 @@ func (b *joinBuild) buildParallel(gov *Governor) ([]buildEntry, error) {
 // drain pulls op's rows under gov and adds to out every row whose build
 // keys are not NULL, as an entry carrying the keys' hash: the serial build
 // over the right input in one untagged run, and each parallel worker over
-// its part (leaf its morsel scan) in runs tagged by morsel, with ordinals.
+// its part (leaf its morsel scan) in runs tagged by morsel.
 // It polls and reserves once per batch. Rows added before a mid-batch
 // evaluation error were never reserved, so the refcounted release stays
 // balanced without a compensating charge.
@@ -608,7 +583,7 @@ func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *run
 				continue // NULL keys never join
 			}
 			kept++
-			out.add(tag, buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, bb.Ord(i), leaf != nil, n-i)
+			out.add(tag, buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, n-i)
 		}
 		if kept > 0 {
 			// A failed reservation still charges (drainBatches convention).
@@ -685,3 +660,20 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 	a.reserved -= surplus
 	return a.emit(order)
 }
+
+// ShardView, ShardGroupStat and CollectShardStats are inert: scans are
+// not partitioned, and nothing in this module reads them. They stay only
+// because the benchmark module compiles against them; ROADMAP item 3(b)
+// deletes them.
+type ShardView interface{}
+
+// ShardGroupStat is inert; see ShardView.
+type ShardGroupStat struct {
+	Rebalances int64
+}
+
+// Skew is inert; see ShardView.
+func (ShardGroupStat) Skew() float64 { return 1 }
+
+// CollectShardStats is inert and returns nil; see ShardView.
+func CollectShardStats(Operator) []ShardGroupStat { return nil }

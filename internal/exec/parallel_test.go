@@ -42,6 +42,33 @@ func parTables(t testing.TB, n int) (*storage.Table, *storage.Table) {
 	return fact, dim
 }
 
+// dirtyFact builds a dirty fact table of n rows whose cluster ids are
+// skewed: cluster "hot" holds a quarter of the rows, the rest spread over
+// many small clusters.
+func dirtyFact(t testing.TB, n int) *storage.Table {
+	t.Helper()
+	s := schema.MustRelation("fact",
+		schema.Column{Name: "id", Type: value.KindString},
+		schema.Column{Name: "k", Type: value.KindInt},
+		schema.Column{Name: "qty", Type: value.KindInt},
+		schema.Column{Name: "w", Type: value.KindFloat},
+		schema.Column{Name: "prob", Type: value.KindFloat},
+	)
+	if err := s.SetDirty("id", "prob"); err != nil {
+		t.Fatal(err)
+	}
+	tb := storage.NewTable(s)
+	for i := 0; i < n; i++ {
+		cid := fmt.Sprintf("c%04d", i%211)
+		if i%4 == 0 {
+			cid = "hot"
+		}
+		tb.MustInsert(value.Str(cid), value.Int(int64(i%97)),
+			value.Int(int64(i%7)), value.Float(float64(i%13)*0.25), value.Float(1))
+	}
+	return tb
+}
+
 func colRef(q, n string) sqlparse.Expr { return &sqlparse.ColumnRef{Qualifier: q, Name: n} }
 
 // scanFilterProject builds Project(id, w)←Filter(qty < 5)←Scan(fact).
@@ -322,53 +349,91 @@ func TestParallelBuildBudget(t *testing.T) {
 	}
 }
 
+// Every split scan cuts its table into one grid: morsel m is rows
+// [m·morselSize, min((m+1)·morselSize, n)). A split Gather's workers
+// collect each morsel's rows into runs tagged m, so at any worker count
+// the runs tagged m hold exactly those rows of the base table, in table
+// order, and one worker collects each morsel.
+func TestSplitGatherRunsFollowTheMorselGrid(t *testing.T) {
+	const n, size = 1000, 64 // the last morsel is partial
+	fact, _ := parTables(t, n)
+	setMorselSize(t, size)
+	morsels := (n + size - 1) / size
+	for _, workers := range []int{2, 4, 8} {
+		g := NewGather(NewScan(fact, "f"), workers)
+		govern(g)
+		outs, err := g.runParts(splitPipeline(g.Child, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][][]value.Value, morsels) // the rows collected per morsel
+		owner := make([]int, morsels)           // the collecting worker, plus one
+		for w, o := range outs {
+			for _, r := range o.runs {
+				if r.tag < 0 || r.tag >= morsels {
+					t.Fatalf("workers=%d: a run is tagged %d, outside morsels 0..%d", workers, r.tag, morsels-1)
+				}
+				if owner[r.tag] != 0 && owner[r.tag] != w+1 {
+					t.Fatalf("workers=%d: morsel %d was collected by workers %d and %d", workers, r.tag, owner[r.tag]-1, w)
+				}
+				owner[r.tag] = w + 1
+				got[r.tag] = append(got[r.tag], r.items...)
+			}
+		}
+		for m, rows := range got {
+			lo, hi := m*size, min((m+1)*size, n)
+			if len(rows) != hi-lo {
+				t.Fatalf("workers=%d: morsel %d holds %d rows, want rows [%d, %d)", workers, m, len(rows), lo, hi)
+			}
+			for i, row := range rows {
+				if !value.RowsIdentical(row, fact.Row(lo+i)) {
+					t.Fatalf("workers=%d: morsel %d's row %d is %v, want table row %d, %v", workers, m, i, row, lo+i, fact.Row(lo+i))
+				}
+			}
+		}
+	}
+}
+
 // A join on no keys is the same operator as a join on some: split under
-// a Gather, over sharded leaves and a parallel build, it gives the serial
+// a Gather, over a parallel build, it gives the serial
 // nested loop row for row; what it reserves is its right side, one row of
 // budget too few fails it, and either way Close gives everything back.
 func TestKeylessJoinUnderGather(t *testing.T) {
 	fact, dim := parTables(t, 400)
 	want := nestedLoop(fact, dim, func(l, r []value.Value) bool { return true })
-	for _, shards := range []int{1, 3} {
-		for _, batch := range []int{1, 7} {
-			for _, budget := range []int64{0, int64(dim.Len()) - 1} {
-				left, right := NewScan(fact, "f"), NewScan(dim, "d")
-				if shards > 1 {
-					left.Sharded = storage.NewShardedTable(fact, shards)
-					right.Sharded = storage.NewShardedTable(dim, shards)
+	for _, batch := range []int{1, 7} {
+		for _, budget := range []int64{0, int64(dim.Len()) - 1} {
+			j := crossJoin(t, NewScan(fact, "f"), NewScan(dim, "d"))
+			j.Parallelism = 4
+			setMorselSize(t, 8)
+			g := NewGather(j, 4)
+			Instrument(g)
+			useBatchSize(t, batch)
+			gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
+			Attach(g, gov)
+			label := fmt.Sprintf("batch=%d budget=%d", batch, budget)
+			rows, _, err := CollectBatchesGoverned(g, gov, batch)
+			if budget > 0 {
+				if !errors.Is(err, qerr.ErrBudgetExceeded) {
+					t.Fatalf("%s: err = %v, want qerr.ErrBudgetExceeded", label, err)
 				}
-				j := crossJoin(t, left, right)
-				j.Parallelism = 4
-				setMorselSize(t, 8)
-				g := NewGather(j, 4)
-				Instrument(g)
-				useBatchSize(t, batch)
-				gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
-				Attach(g, gov)
-				label := fmt.Sprintf("shards=%d batch=%d budget=%d", shards, batch, budget)
-				rows, _, err := CollectBatchesGoverned(g, gov, batch)
-				if budget > 0 {
-					if !errors.Is(err, qerr.ErrBudgetExceeded) {
-						t.Fatalf("%s: err = %v, want qerr.ErrBudgetExceeded", label, err)
-					}
-				} else {
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					requireSameRows(t, want, rows)
-					if err := CheckConservation(g); err != nil {
-						t.Errorf("%s: %v", label, err)
-					}
-					if peak := gov.BufferedPeak(); peak != int64(dim.Len()) {
-						t.Errorf("%s: buffered peak = %d, want the right side's %d rows", label, peak, dim.Len())
-					}
-				}
-				if err := g.Close(); err != nil {
+			} else {
+				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if got := gov.Buffered(); got != 0 {
-					t.Errorf("%s: %d rows still reserved after Close", label, got)
+				requireSameRows(t, want, rows)
+				if err := CheckConservation(g); err != nil {
+					t.Errorf("%s: %v", label, err)
 				}
+				if peak := gov.BufferedPeak(); peak != int64(dim.Len()) {
+					t.Errorf("%s: buffered peak = %d, want the right side's %d rows", label, peak, dim.Len())
+				}
+			}
+			if err := g.Close(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got := gov.Buffered(); got != 0 {
+				t.Errorf("%s: %d rows still reserved after Close", label, got)
 			}
 		}
 	}

@@ -129,7 +129,7 @@ func explain(b *strings.Builder, op Operator, depth int) {
 }
 
 // children returns op's inputs, left to right, nil where there is none
-// (a probe shard's right input belongs to the shared build). Every tree
+// (a probe part's right input belongs to the shared build). Every tree
 // walk of a run (Attach, Instrument, the stats readers) calls it once per
 // node, and an array comes back on the stack.
 func children(op Operator) (kids [2]Operator) {

@@ -51,7 +51,7 @@ func TestSmallBatchesMatchTheDefault(t *testing.T) {
 		t.Skip("generates a TPC-H workload")
 	}
 	d, pairs := fig8Workload(t)
-	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1})
+	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})
 	want := map[string]*engine.Result{}
 	for _, p := range pairs {
 		for _, f := range forms(p) {

@@ -4,7 +4,7 @@
 // timed tree, an inclusive wall-clock window. Attach installs the block,
 // so there is no uncounted run. Counters are atomic and *shared between
 // an operator and its split-pipeline clones*: splitPipeline propagates
-// the template's OpStats pointer into every MorselScan/shard clone, so
+// the template's OpStats pointer into every MorselScan and part clone, so
 // the template tree the planner returned — the one EXPLAIN renders —
 // reports totals across all workers without any merge step.
 package exec
@@ -23,7 +23,7 @@ import (
 var now = time.Now
 
 // OpStats holds one operator's execution counters. The counters are
-// atomic: probe shards, morsel scans and build workers update the same
+// atomic: probe parts, morsel scans and build workers update the same
 // block concurrently.
 type OpStats struct {
 	in       atomic.Int64
@@ -187,9 +187,6 @@ func explainAnalyze(b *strings.Builder, op Operator, depth int) {
 		}
 		fmt.Fprintf(b, " morsels=[%s]", strings.Join(parts, " "))
 	}
-	if sc, ok := op.(*Scan); ok && sc.lastGroup != nil {
-		b.WriteString(sc.lastGroup.render())
-	}
 	b.WriteByte('\n')
 	for _, c := range children(op) {
 		if c != nil {
@@ -206,13 +203,6 @@ type StatLine struct {
 	Out      int64
 	Batches  int64
 	Buffered int64
-	// ShardRows/ShardClaims break a sharded scan's rows and morsel
-	// claims down per shard. Both are deterministic for a fixed shard
-	// count (the partition and its morsel grid are fixed), unlike the
-	// rebalance count, which depends on worker scheduling and is
-	// reported only through ShardGroupStat.
-	ShardRows   []int64
-	ShardClaims []int64
 }
 
 // StatsTree lists the tree's operators pre-order with their counters —
@@ -226,17 +216,10 @@ func StatsTree(op Operator) []StatLine {
 
 func statsTree(op Operator, depth int, out *[]StatLine) {
 	s := op.opStats()
-	line := StatLine{
+	*out = append(*out, StatLine{
 		Depth: depth, Op: op.Describe(),
 		In: s.RowsIn(), Out: s.RowsOut(), Batches: s.Batches(), Buffered: s.Buffered(),
-	}
-	if sc, ok := op.(*Scan); ok && sc.lastGroup != nil {
-		for s := range sc.lastGroup.shards {
-			line.ShardRows = append(line.ShardRows, sc.lastGroup.rows[s].Load())
-			line.ShardClaims = append(line.ShardClaims, sc.lastGroup.claims[s].Load())
-		}
-	}
-	*out = append(*out, line)
+	})
 	for _, c := range children(op) {
 		if c != nil {
 			statsTree(c, depth+1, out)

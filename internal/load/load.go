@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -216,13 +217,16 @@ func oneRequest(ctx context.Context, opts Options, sql string, tl *tally) {
 	}
 }
 
-// percentile returns the q-th percentile of sorted latencies (nearest
-// rank), 0 when empty.
+// percentile returns the q-th percentile of sorted latencies, 0 when
+// empty: by nearest rank, the ⌈q·n⌉-th smallest. A product a few ulps
+// above an integer counts as that integer (0.07 × 100 is
+// 7.000000000000001, rank 7).
 func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	x := q * float64(len(sorted))
+	idx := int(math.Ceil(x-x*1e-12)) - 1
 	if idx < 0 {
 		idx = 0
 	}

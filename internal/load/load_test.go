@@ -147,6 +147,13 @@ func TestPercentile(t *testing.T) {
 	if p := percentile(lats, 0.99); p != 99*time.Millisecond {
 		t.Errorf("p99 = %v", p)
 	}
+	if p := percentile(lats, 0.07); p != 7*time.Millisecond {
+		t.Errorf("p7 = %v, want 7ms: 0.07 × 100 lands one ulp above 7", p)
+	}
+	// Nearest rank is ⌈q·n⌉: p90 of 16 samples is the 15th (14.4 rounds up).
+	if p := percentile(lats[:16], 0.90); p != 15*time.Millisecond {
+		t.Errorf("p90 of 16 = %v, want 15ms", p)
+	}
 	if p := percentile(nil, 0.5); p != 0 {
 		t.Errorf("empty percentile = %v", p)
 	}

@@ -255,9 +255,6 @@ type QueryRecord struct {
 	Micros int64 `json:"us"`
 	// Parallelism is the planned worker count, when known.
 	Parallelism int `json:"par,omitempty"`
-	// Shards is the planned cluster-shard count, when known (1 means
-	// unsharded scans).
-	Shards int `json:"shards,omitempty"`
 	// Cached reports that the rows were served from the result cache
 	// rather than executed. Rows and Micros are still recorded for
 	// cached answers, so latency percentiles include hits.

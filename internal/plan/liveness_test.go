@@ -61,24 +61,13 @@ func livenessDB(t testing.TB) *storage.DB {
 }
 
 // planModes is the execution-mode matrix the liveness tests cover:
-// parallelism 1 and 4 × shards 1 and 2.
+// parallelism 1 and 4.
 func planModes() []Options {
-	var out []Options
-	for _, par := range []int{1, 4} {
-		for _, shards := range []int{1, 2} {
-			o := Options{Parallelism: par, Shards: shards}
-			if shards > 1 {
-				n := shards
-				o.Sharder = func(tb *storage.Table) exec.ShardView { return storage.NewShardedTable(tb, n) }
-			}
-			out = append(out, o)
-		}
-	}
-	return out
+	return []Options{{Parallelism: 1}, {Parallelism: 4}}
 }
 
 func modeLabel(o Options) string {
-	return fmt.Sprintf("par=%d shards=%d", o.Parallelism, o.Shards)
+	return fmt.Sprintf("par=%d", o.Parallelism)
 }
 
 // runPlan plans and executes qs the way the engine does: governed.

@@ -22,18 +22,11 @@ type Options struct {
 	// parallel, and splittable plan roots are wrapped in an exec.Gather
 	// exchange. Values <= 1 plan strictly serial execution.
 	Parallelism int
-	// Shards is the cluster-shard count for partitioned scans. When > 1
-	// and Sharder is set, every scan leaf carries a shard view: dirty
-	// tables hash-partition rows by cluster id (semantically free under
-	// Dfn 2 — a cluster never splits across shards), clean tables
-	// block-partition, and parallel execution claims morsels per shard,
-	// stealing from the fullest shard when its own runs dry. Serial
-	// execution ignores the views. Values <= 1 plan unsharded scans.
-	Shards int
-	// Sharder maps a base table to its shard view. The engine installs
-	// storage.Table.Sharded here, so every query over a table reuses its
-	// partitions until the table version moves. nil disables sharding
-	// regardless of Shards.
+	// Shards and Sharder are inert: scans are not partitioned, and
+	// nothing in this module reads them. They stay only because the
+	// benchmark module compiles against them; ROADMAP item 3(b) deletes
+	// them.
+	Shards  int
 	Sharder func(*storage.Table) exec.ShardView
 	// BatchSize must be zero: the executor has one batch size, and Plan
 	// refuses any other value rather than ignore it. The field stays only
@@ -54,21 +47,6 @@ type planner struct {
 	db   *storage.DB
 	stmt *sqlparse.SelectStmt
 	opts Options
-}
-
-// sharded reports whether scans should carry shard views.
-func (p *planner) sharded() bool {
-	return p.opts.Shards > 1 && p.opts.Sharder != nil
-}
-
-// newScan builds a scan leaf, attaching the shard view when sharding is
-// on.
-func (p *planner) newScan(tb *storage.Table, alias string) *exec.Scan {
-	sc := exec.NewScan(tb, alias)
-	if p.sharded() {
-		sc.Sharded = p.opts.Sharder(tb)
-	}
-	return sc
 }
 
 // tableSource tracks one FROM entry through join planning.
@@ -118,9 +96,7 @@ func (p *planner) plan() (exec.Operator, error) {
 	// aggregate plans instead parallelize inside HashAggregate) with a
 	// Gather exchange below DISTINCT/ORDER BY/LIMIT.
 	if p.opts.Parallelism > 1 && exec.CanSplit(root) {
-		g := exec.NewGather(root, p.opts.Parallelism)
-		g.Shards = p.opts.Shards
-		root = g
+		root = exec.NewGather(root, p.opts.Parallelism)
 	}
 	if p.stmt.Distinct {
 		root = exec.NewDistinct(root)
@@ -391,7 +367,7 @@ func (lv *liveness) join(src int) []int {
 // scan builds the leaf for one FROM entry: its scan under the pushed-down
 // single-table filters.
 func (p *planner) scan(s *tableSource) (exec.Operator, error) {
-	sc := p.newScan(s.table, s.ref.Alias)
+	sc := exec.NewScan(s.table, s.ref.Alias)
 	if len(s.filters) == 0 {
 		return sc, nil
 	}

@@ -119,10 +119,6 @@ func (jw *jsonWriter) stats(st QueryStats) {
 		jw.raw(`,"par":`)
 		jw.int(int64(st.Parallelism))
 	}
-	if st.Shards != 0 {
-		jw.raw(`,"shards":`)
-		jw.int(int64(st.Shards))
-	}
 	if st.Cached {
 		jw.raw(`,"cached":true`)
 	}

@@ -162,8 +162,8 @@ var statsVariants = []QueryStats{
 	{},
 	{Rows: 3, ExecMicros: 1234, QueuedMicros: 56},
 	{Rows: 1, ExecMicros: -1, QueuedMicros: math.MaxInt64, Parallelism: 4},
-	{Rows: 2, Shards: 3, Cached: true},
-	{Rows: 5, ExecMicros: 7, QueuedMicros: 8, Parallelism: 2, Shards: 5, Cached: true},
+	{Rows: 2, Cached: true},
+	{Rows: 5, ExecMicros: 7, QueuedMicros: 8, Parallelism: 2, Cached: true},
 }
 
 var columnVariants = [][]string{nil, {}, {"id"}, {"a", "<b>&c", "bad\xffname", ""}}

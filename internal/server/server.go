@@ -290,7 +290,6 @@ type QueryStats struct {
 	ExecMicros   int64 `json:"exec_us"`
 	QueuedMicros int64 `json:"queued_us"`
 	Parallelism  int   `json:"par,omitempty"`
-	Shards       int   `json:"shards,omitempty"`
 	Cached       bool  `json:"cached,omitempty"`
 }
 
@@ -444,7 +443,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ExecMicros:   res.Stats.ExecTime.Microseconds(),
 		QueuedMicros: adm.tk.queued.Microseconds(),
 		Parallelism:  res.Stats.Parallelism,
-		Shards:       res.Stats.Shards,
 		Cached:       res.Stats.Cached,
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -460,20 +459,16 @@ func TestMemoryWatermarkSheds(t *testing.T) {
 }
 
 // The cost model sees what a query really buffered: a self-join holds its
-// whole build side until the last probe closes, however many shards and
-// workers drained it, so the first observation seeds avgRows with the
-// build side's row count at the default shard count.
+// whole build side until the last probe closes, however many workers
+// drained it, so the first observation seeds avgRows with the build
+// side's row count.
 func TestAdmissionSeesTheRealBufferedPeak(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // default shards: 4
 	const rows = 8 * exec.DefaultMorselSize
 	cfg := oneTenant(metrics.NewRegistry())
 	cfg.Parallelism = 4
 	srv, err := New(bigStore(t, rows), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards := srv.tenants["acme-key"].eng.Options().Shards; shards != 4 {
-		t.Fatalf("tenant engine runs %d shards, want 4", shards)
 	}
 	rec := doJSON(t, srv, "POST", "/v1/query", "acme-key", queryRequest{SQL: "select a.id from big a, big b where a.id = b.id"})
 	if rec.Code != http.StatusOK {
@@ -487,8 +482,8 @@ func TestAdmissionSeesTheRealBufferedPeak(t *testing.T) {
 // Sanity-check /v1/clean end to end over the paper's Figure 2 database,
 // including its query-log line: one per request, written by the evaluator
 // on the tenant's engine — so with the rung that answered (the rewriting,
-// the ladder's first), the server's parallelism, the engine's resolved
-// shard count, and the statement hash /v1/query logs for the same text.
+// the ladder's first), the server's parallelism and the statement hash
+// /v1/query logs for the same text.
 func TestCleanEndpoint(t *testing.T) {
 	var logBuf strings.Builder
 	cfg := Config{
@@ -530,9 +525,8 @@ func TestCleanEndpoint(t *testing.T) {
 			t.Errorf("answer probability out of range: %+v", a)
 		}
 	}
-	shards := srv.tenants["acme-key"].eng.Options().Shards
-	if clean.Method != "rewrite" || clean.Rows != 2 || clean.Parallelism != 3 || clean.Shards != shards || clean.Tenant != "acme" {
-		t.Errorf("clean query log line %+v: want method rewrite, 2 rows, par 3, the engine's %d shards, tenant acme", clean, shards)
+	if clean.Method != "rewrite" || clean.Rows != 2 || clean.Parallelism != 3 || clean.Tenant != "acme" {
+		t.Errorf("clean query log line %+v: want method rewrite, 2 rows, par 3, tenant acme", clean)
 	}
 	if _, plain := post("/v1/query"); plain.SQLHash != clean.SQLHash {
 		t.Errorf("the same text hashes to %s on /v1/query and %s on /v1/clean", plain.SQLHash, clean.SQLHash)

@@ -27,10 +27,8 @@ type Injector interface {
 // SetInjector installs inj on the database and all its current tables
 // (nil clears). Tables created afterwards inherit the injector. The
 // change bumps every table's version: an injector alters what a scan
-// observably returns, so cached results and cached shard views built
-// before it must revalidate — ShardedTable relies on this to rebuild
-// its partitions with the new injector instead of patching live shard
-// tables that concurrent scans may be reading.
+// observably returns, so cached results and plans built before it must
+// revalidate.
 func (db *DB) SetInjector(inj Injector) {
 	db.inj = inj
 	for _, t := range db.tables {

@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"conquer/internal/schema"
@@ -37,12 +36,6 @@ type Table struct {
 	// invalidation is then a plain compare, with no epochs or TTLs
 	// (DESIGN.md §11).
 	version atomic.Int64
-
-	// views holds the table's shard views, shard count -> *ShardedTable
-	// (Sharded). They are derived from the rows and revalidate against
-	// version themselves, so no mutator touches them and building one
-	// is not a mutation.
-	views sync.Map
 }
 
 // NewTable creates an empty table over the given schema.
@@ -60,20 +53,6 @@ func (t *Table) Version() int64 { return t.version.Load() }
 
 // bump records one mutation. Called after every successful state change.
 func (t *Table) bump() { t.version.Add(1) }
-
-// Sharded returns the table's n-way shard view (n < 1 is 1), created on
-// first use and kept for the table's lifetime, one per shard count in
-// use: every engine over the table scans the same partitions, and a view
-// rebuilds itself when Version has moved since it was built. A Clone
-// starts with none.
-func (t *Table) Sharded(n int) *ShardedTable {
-	n = max(n, 1)
-	if v, ok := t.views.Load(n); ok {
-		return v.(*ShardedTable)
-	}
-	v, _ := t.views.LoadOrStore(n, NewShardedTable(t, n))
-	return v.(*ShardedTable)
-}
 
 // Row returns row i. The returned slice must not be mutated except through
 // UpdateColumn, which bumps the version.
@@ -362,3 +341,11 @@ func (t *Table) LoadCSVFile(path string) error {
 	defer f.Close()
 	return t.ReadCSV(f)
 }
+
+// ShardedTable is inert: tables are not partitioned, and nothing in this
+// module reads one. It stays only because the benchmark module compiles
+// against it; ROADMAP item 3(b) deletes it.
+type ShardedTable struct{}
+
+// NewShardedTable returns an inert ShardedTable; see ShardedTable.
+func NewShardedTable(*Table, int) *ShardedTable { return &ShardedTable{} }

@@ -417,7 +417,6 @@ func TestTableMethodsReadOrBumpOnce(t *testing.T) {
 	readers := map[string]func(*Table){
 		"Len":         func(tb *Table) { tb.Len() },
 		"Version":     func(tb *Table) { tb.Version() },
-		"Sharded":     func(tb *Table) { tb.Sharded(2).Shards() },
 		"Row":         func(tb *Table) { tb.Row(0) },
 		"Rows":        func(tb *Table) { tb.Rows() },
 		"ScanFault":   func(tb *Table) { _ = tb.ScanFault() },

@@ -58,53 +58,11 @@ func sameResult(t *testing.T, label string, want, got *engine.Result) {
 }
 
 // TestParallelExecutionDeterministic runs all thirteen evaluation query
-// pairs serially and at parallelism 2 and 8, requiring identical results.
+// pairs serially and at parallelism 1, 2, 4 and 8 on fresh engines, with
+// recycled rows poisoned, requiring every result to match the serial
+// baseline row for row — byte-identical except floats within
+// ProbEpsilon.
 func TestParallelExecutionDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a TPC-H workload")
-	}
-	d := determinismWorkload(t)
-	pairs, err := bench.PreparePairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 13 {
-		t.Fatalf("PreparePairs returned %d pairs, want 13", len(pairs))
-	}
-	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})
-	for _, n := range []int{2, 8} {
-		par := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
-		for _, p := range pairs {
-			want, err := serial.QueryStmt(p.Original)
-			if err != nil {
-				t.Fatalf("Q%d original serial: %v", p.Number, err)
-			}
-			got, err := par.QueryStmt(p.Original)
-			if err != nil {
-				t.Fatalf("Q%d original n=%d: %v", p.Number, n, err)
-			}
-			sameResult(t, fmt.Sprintf("Q%d original n=%d", p.Number, n), want, got)
-
-			want, err = serial.QueryStmt(p.Rewritten)
-			if err != nil {
-				t.Fatalf("Q%d rewritten serial: %v", p.Number, err)
-			}
-			got, err = par.QueryStmt(p.Rewritten)
-			if err != nil {
-				t.Fatalf("Q%d rewritten n=%d: %v", p.Number, n, err)
-			}
-			sameResult(t, fmt.Sprintf("Q%d rewritten n=%d", p.Number, n), want, got)
-		}
-	}
-}
-
-// TestShardedExecutionDeterministic extends the determinism suite along
-// the shard axis: all thirteen evaluation query pairs at every point of
-// the shards {1,2,4} × parallelism {1,2,8} grid must match the
-// serial, unsharded baseline row for row — byte-identical except floats
-// within ProbEpsilon. This is the executable form of DESIGN.md §14's
-// claim that cluster-hash sharding is a pure scheduling knob.
-func TestShardedExecutionDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
 	}
@@ -114,7 +72,10 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1})
+	if len(pairs) != 13 {
+		t.Fatalf("PreparePairs returned %d pairs, want 13", len(pairs))
+	}
+	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})
 	type baseline struct{ orig, rew *engine.Result }
 	want := map[int]baseline{}
 	for _, p := range pairs {
@@ -128,30 +89,28 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 		}
 		want[p.Number] = baseline{orig: orig, rew: rew}
 	}
-	for _, sh := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 8} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
-			for _, p := range pairs {
-				got, err := eng.QueryStmt(p.Original)
-				if err != nil {
-					t.Fatalf("Q%d original shards=%d n=%d: %v", p.Number, sh, n, err)
-				}
-				sameResult(t, fmt.Sprintf("Q%d original shards=%d n=%d", p.Number, sh, n), want[p.Number].orig, got)
-
-				got, err = eng.QueryStmt(p.Rewritten)
-				if err != nil {
-					t.Fatalf("Q%d rewritten shards=%d n=%d: %v", p.Number, sh, n, err)
-				}
-				sameResult(t, fmt.Sprintf("Q%d rewritten shards=%d n=%d", p.Number, sh, n), want[p.Number].rew, got)
+	for _, n := range []int{1, 2, 4, 8} {
+		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
+		for _, p := range pairs {
+			got, err := eng.QueryStmt(p.Original)
+			if err != nil {
+				t.Fatalf("Q%d original n=%d: %v", p.Number, n, err)
 			}
+			sameResult(t, fmt.Sprintf("Q%d original n=%d", p.Number, n), want[p.Number].orig, got)
+
+			got, err = eng.QueryStmt(p.Rewritten)
+			if err != nil {
+				t.Fatalf("Q%d rewritten n=%d: %v", p.Number, n, err)
+			}
+			sameResult(t, fmt.Sprintf("Q%d rewritten n=%d", p.Number, n), want[p.Number].rew, got)
 		}
 	}
 }
 
 // TestExecutionMatchesRowPathGolden holds the executor to the frozen
 // answers of the row-at-a-time path it replaced (golden_test.go): all
-// thirteen evaluation query pairs at every point of the shards {1,2,4} ×
-// parallelism {1,2,8} grid must reproduce the golden digests — row count,
+// thirteen evaluation query pairs at parallelism 1, 2, 4 and 8 must
+// reproduce the golden digests — row count,
 // order and every non-float cell exactly, float columns within
 // ProbEpsilon per row. The batch-size half of the proof, serial runs at 1
 // and 7 rows per batch against the default, is internal/exec's
@@ -177,52 +136,18 @@ func TestExecutionMatchesRowPathGolden(t *testing.T) {
 	forms := func(p bench.QueryPair) []form {
 		return []form{{"original", p.Original}, {"rewritten", p.Rewritten}}
 	}
-	for _, sh := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 8} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
-			for _, p := range pairs {
-				for _, f := range forms(p) {
-					label := fmt.Sprintf("Q%d %s shards=%d n=%d", p.Number, f.name, sh, n)
-					got, err := eng.QueryStmt(f.stmt)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
+	for _, n := range []int{1, 2, 4, 8} {
+		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
+		for _, p := range pairs {
+			for _, f := range forms(p) {
+				label := fmt.Sprintf("Q%d %s n=%d", p.Number, f.name, n)
+				got, err := eng.QueryStmt(f.stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				checkGolden(t, golden, stmtKey(p.Number, f.name), label, got)
 			}
 		}
-	}
-}
-
-// TestShardedQueryCancellation cancels mid-gather under a sharded plan:
-// the error must surface as qerr.ErrCanceled and every shard worker must
-// exit — the sharded counterpart of TestParallelQueryCancellation.
-func TestShardedQueryCancellation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a TPC-H workload")
-	}
-	d := determinismWorkload(t)
-	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 8, Shards: 4})
-	q := "select l.l_orderkey, l.l_extendedprice from lineitem l where l.l_quantity > 0"
-	if plan, err := eng.Explain(q); err != nil {
-		t.Fatal(err)
-	} else if !strings.Contains(plan, "shards=4") {
-		t.Fatalf("plan should be sharded:\n%s", plan)
-	}
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.QueryCtx(ctx, q); !errors.Is(err, qerr.ErrCanceled) {
-		t.Fatalf("want qerr.ErrCanceled, got %v", err)
-	}
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if i >= 100 {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
