@@ -75,9 +75,46 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 	if len(pairs) != 13 {
 		t.Fatalf("PreparePairs returned %d pairs, want 13", len(pairs))
 	}
+	want := serialBaselines(t, d, pairs)
+	for _, n := range []int{1, 2, 4, 8} {
+		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
+		matchBaselines(t, eng, pairs, want, fmt.Sprintf("n=%d", n))
+	}
+}
+
+// TestShardedExecutionDeterministic holds engine.Options.Shards to being
+// inert (DESIGN.md §14): the benchmark module still sets it, so all
+// thirteen evaluation query pairs at every point of the shards {1,2,4} ×
+// parallelism {1,2,8} grid, with recycled rows poisoned, must match the
+// serial baseline row for row — byte-identical except floats within
+// ProbEpsilon.
+func TestShardedExecutionDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a TPC-H workload")
+	}
+	poisonRecycledRows(t)
+	d := determinismWorkload(t)
+	pairs, err := bench.PreparePairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialBaselines(t, d, pairs)
+	for _, sh := range []int{1, 2, 4} {
+		for _, n := range []int{1, 2, 8} {
+			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
+			matchBaselines(t, eng, pairs, want, fmt.Sprintf("shards=%d n=%d", sh, n))
+		}
+	}
+}
+
+// pairBaseline is one evaluation pair's serial answers.
+type pairBaseline struct{ orig, rew *engine.Result }
+
+// serialBaselines runs both forms of every pair on a serial engine.
+func serialBaselines(t *testing.T, d *dirty.DB, pairs []bench.QueryPair) map[int]pairBaseline {
+	t.Helper()
 	serial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1})
-	type baseline struct{ orig, rew *engine.Result }
-	want := map[int]baseline{}
+	want := map[int]pairBaseline{}
 	for _, p := range pairs {
 		orig, err := serial.QueryStmt(p.Original)
 		if err != nil {
@@ -87,23 +124,27 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d rewritten serial: %v", p.Number, err)
 		}
-		want[p.Number] = baseline{orig: orig, rew: rew}
+		want[p.Number] = pairBaseline{orig: orig, rew: rew}
 	}
-	for _, n := range []int{1, 2, 4, 8} {
-		eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n})
-		for _, p := range pairs {
-			got, err := eng.QueryStmt(p.Original)
-			if err != nil {
-				t.Fatalf("Q%d original n=%d: %v", p.Number, n, err)
-			}
-			sameResult(t, fmt.Sprintf("Q%d original n=%d", p.Number, n), want[p.Number].orig, got)
+	return want
+}
 
-			got, err = eng.QueryStmt(p.Rewritten)
-			if err != nil {
-				t.Fatalf("Q%d rewritten n=%d: %v", p.Number, n, err)
-			}
-			sameResult(t, fmt.Sprintf("Q%d rewritten n=%d", p.Number, n), want[p.Number].rew, got)
+// matchBaselines runs both forms of every pair on eng and requires each
+// answer to match its serial baseline; setting labels the failures.
+func matchBaselines(t *testing.T, eng *engine.Engine, pairs []bench.QueryPair, want map[int]pairBaseline, setting string) {
+	t.Helper()
+	for _, p := range pairs {
+		got, err := eng.QueryStmt(p.Original)
+		if err != nil {
+			t.Fatalf("Q%d original %s: %v", p.Number, setting, err)
 		}
+		sameResult(t, fmt.Sprintf("Q%d original %s", p.Number, setting), want[p.Number].orig, got)
+
+		got, err = eng.QueryStmt(p.Rewritten)
+		if err != nil {
+			t.Fatalf("Q%d rewritten %s: %v", p.Number, setting, err)
+		}
+		sameResult(t, fmt.Sprintf("Q%d rewritten %s", p.Number, setting), want[p.Number].rew, got)
 	}
 }
 
@@ -159,12 +200,31 @@ func TestParallelQueryCancellation(t *testing.T) {
 		t.Skip("generates a TPC-H workload")
 	}
 	d := determinismWorkload(t)
-	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 8})
+	checkCancellation(t, engine.NewWithOptions(d.Store, engine.Options{Parallelism: 8}))
+}
+
+// TestShardedQueryCancellation cancels the same query on an engine that
+// sets the inert engine.Options.Shards, as the benchmark module does: the
+// plan must be the unsharded parallel one, the error must surface as
+// qerr.ErrCanceled, and every worker must exit.
+func TestShardedQueryCancellation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a TPC-H workload")
+	}
+	d := determinismWorkload(t)
+	checkCancellation(t, engine.NewWithOptions(d.Store, engine.Options{Parallelism: 8, Shards: 4}))
+}
+
+// checkCancellation runs a lineitem scan on eng, whose plan must be an
+// 8-way Gather with no shard text, under an already-cancelled context: it
+// must fail with qerr.ErrCanceled and leave no goroutine behind.
+func checkCancellation(t *testing.T, eng *engine.Engine) {
+	t.Helper()
 	q := "select l.l_orderkey, l.l_extendedprice from lineitem l where l.l_quantity > 0"
 	if plan, err := eng.Explain(q); err != nil {
 		t.Fatal(err)
-	} else if !strings.Contains(plan, "Gather[n=8]") {
-		t.Fatalf("plan should be parallel:\n%s", plan)
+	} else if !strings.Contains(plan, "Gather[n=8]") || strings.Contains(plan, "shards") {
+		t.Fatalf("plan should be parallel and unsharded:\n%s", plan)
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
