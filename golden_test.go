@@ -26,8 +26,9 @@ const goldenPath = "testdata/rowpath_golden.json"
 // goldenDigest is what the file keeps of one result: the row count, an
 // order-sensitive hash of every non-float cell (a float cell contributes its
 // position and kind only), and the sum of the float cells of each column.
-// Floats are summed, not hashed, because parallel partial aggregation
-// re-associates float additions (sameResult's ProbEpsilon rule).
+// Floats are summed, not hashed, because a parallel aggregate folds float
+// sums on the morsel grid, which can differ in the last bits from the
+// serial fold (sameResult's ProbEpsilon rule).
 type goldenDigest struct {
 	Rows      int       `json:"rows"`
 	Hash      string    `json:"hash"`

@@ -167,9 +167,8 @@ func (ev Evaluator) rungs() engine.Options {
 // — the engine setting its result key carries.
 // Answers and their order are identical at every setting, but a
 // probability the rewriting's float SUM computes may differ in its last
-// bits from run to run, even at one worker count, because parallel
-// partial aggregation re-associates the sum in the order workers win
-// morsels (DESIGN.md §11, ROADMAP item 1).
+// bits between the serial pass and a parallel one, which folds the sum
+// on the morsel grid (DESIGN.md §9 and §11, ROADMAP item 1).
 func evalKey(stmt *sqlparse.SelectStmt, opts EvalOptions, o engine.Options) string {
 	norm := stmt.SQL()
 	var b strings.Builder

@@ -236,12 +236,12 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 
 // resultKey is the cache key shared by the plan and result tiers: the
 // canonical statement text plus the one planner option that changes the
-// physical plan. Rows and their order are identical at every setting;
-// a float SUM or AVG may differ in its last bits from run to run, even at
-// one worker count, because parallel partial aggregation re-associates
-// the sums in the order workers win morsels (ROADMAP item 1), so the key
-// buys no bit identity — parallelism stays in it until that item
-// decides. norm is the statement's SQL().
+// physical plan. Rows and their order are identical at every setting. A
+// float SUM or AVG has the same bits in every run and at every worker
+// count above one, because the parallel aggregate folds it on the morsel
+// grid, but it may differ in its last bits from the serial pass's fold
+// (DESIGN.md §9), so parallelism stays in the key until ROADMAP item 1
+// has the serial pass fold the same grid. norm is the statement's SQL().
 func resultKey(norm string, popts plan.Options) string {
 	var b strings.Builder
 	b.Grow(len(norm) + len("|par=") + 20)

@@ -280,7 +280,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 	a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(build, "b"),
 		exprs(colRef("b", "k")), []ColInfo{{Name: "k", Type: value.KindInt}}, nil))
 	acc := a.newAcc()
-	if err := a.fill(acc, a.Child, govern(a)); err != nil {
+	if err := a.fill(acc, a.Child, nil, govern(a)); err != nil {
 		t.Fatal(err)
 	}
 	used := 0

@@ -67,7 +67,8 @@ func spiedFact(t *testing.T, n int) (*storage.Table, *goroutineSpy) {
 // oneMorselPlans are the three consumers of split pipelines, each over a
 // driving table the caller sizes: Gather over scan→filter→project, a hash
 // join whose build side is the table, and a grouped aggregate over it.
-// Aggregates avoid float sums, which parallel partials re-associate.
+// Aggregates avoid float sums, which the parallel fold associates on the
+// morsel grid, not as the serial pass does.
 func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]Operator {
 	t.Helper()
 	setMorselSize(t, morsel)
@@ -190,8 +191,9 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 // The rule looks at every table the pipeline reads, not only the one that
 // drives it: a small driving table probing a large build side fans out
 // into work worth splitting (Figure 8's Q9 drives 314,608 result rows from
-// a 222-row part table): its one morsel is probed on a worker, beside the
-// build side's parallel drain.
+// a 222-row part table). The driving table is cut into as many morsels as
+// the build side holds, three of 67 rows here, so the probes spread over
+// the workers beside the build side's parallel drain.
 func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 	tb, spy := spiedFact(t, 200)
 	big := dirtyFact(t, 3000)
@@ -212,8 +214,40 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 	if spy.onlyCaller() {
 		t.Error("a 200-row driving table over a 3000-row build side should run on workers")
 	}
-	if out := ExplainAnalyze(g); strings.Contains(out, "[serial: one morsel]") || !strings.Contains(out, "morsels=[w0:1]") {
+	if out := ExplainAnalyze(g); strings.Contains(out, "[serial: one morsel]") || !strings.Contains(out, "morsels=[w0:") {
 		t.Errorf("EXPLAIN ANALYZE should show a split run:\n%s", out)
+	}
+	claims := g.(*Gather).workerMorsels
+	claimed := int64(0)
+	for _, m := range claims {
+		claimed += m
+	}
+	if len(claims) != 3 || claimed != 3 {
+		t.Errorf("workers claimed %v morsels, want three workers claiming three morsels of the 200 rows", claims)
+	}
+}
+
+// A build side that is no pipeline (here a Distinct over the large table)
+// has no size the split can read: the rule assumes it is large and splits,
+// and the driving table keeps the plain grid, one morsel of 200 rows.
+func TestOpaqueBuildSideKeepsThePlainGrid(t *testing.T) {
+	tb, _ := spiedFact(t, 200)
+	big := dirtyFact(t, 3000)
+	build := func(n int) *Gather {
+		j, err := NewHashJoin(NewScan(tb, "f"), NewDistinct(NewScan(big, "d")),
+			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Parallelism = n
+		return NewGather(j, n)
+	}
+	want, _ := runGoverned(t, build(1), 0)
+	g := build(4)
+	got, _ := runGoverned(t, g, 0)
+	requireSameRows(t, want, got)
+	if len(g.workerMorsels) != 1 || g.workerMorsels[0] != 1 {
+		t.Errorf("workers claimed %v morsels, want one worker claiming the one morsel", g.workerMorsels)
 	}
 }
 

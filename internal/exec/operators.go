@@ -425,11 +425,17 @@ type aggState struct {
 	ord       rowOrd    // first-appearance ordinal, orders the parallel merge
 	next      *aggState // the next group of its hash bucket
 	count     []int64
-	sum       []float64 // every argument, as a float
+	sum       []float64 // every argument, as a float, over the rows of morsel
 	isum      []int64   // SUM's arguments while all are integers, exactly
 	sumIsInt  []bool
 	min, max  []value.Value
 	seen      []bool
+	// morsel is the morsel whose rows sum adds up, in a parallel worker (0
+	// in the serial pass, which folds its rows in order). earlier links the
+	// chain of the group's sums over other morsels, kept apart until
+	// foldSums: in its worker's aggAcc.setAside, then in the merge's.
+	morsel  int
+	earlier int32
 }
 
 // NewHashAggregate compiles groups and aggregate arguments; groupCols name
@@ -480,6 +486,10 @@ type aggAcc struct {
 	order   []*aggState // first-appearance order
 	scratch []value.Value
 	arena   aggArena
+	// setAside holds the sums of its groups' finished morsels, chained per
+	// group; sums carves the sums of their next morsels.
+	setAside []morselSum
+	sums     []float64
 	// pending counts groups created since the last flushReserve; reserved
 	// counts groups already charged against the buffered budget.
 	pending  int64
@@ -589,10 +599,67 @@ func (a *HashAggregate) newState(acc *aggAcc, gv []value.Value, ord rowOrd) *agg
 	return st
 }
 
-// accumulate folds one child row into acc. New groups are only counted
-// as pending here; the caller charges them against the buffered budget
-// with flushReserve, once per batch.
-func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) error {
+// morselSum is a group's float sums over the rows of one morsel. A
+// group's morselSums form a chain through next, the index plus one of the
+// next in the same vector (0 ends it), so that setting sums aside
+// allocates nothing per group.
+type morselSum struct {
+	morsel int
+	sum    []float64
+	next   int32
+}
+
+// nextMorsel sets st's sums over its current morsel aside and starts its
+// sums over morsel m.
+func (acc *aggAcc) nextMorsel(st *aggState, m int) {
+	acc.setAside = append(acc.setAside, morselSum{st.morsel, st.sum, st.earlier})
+	st.earlier = int32(len(acc.setAside))
+	n := len(st.sum)
+	if len(acc.sums) < n {
+		acc.sums = make([]float64, 256*n)
+	}
+	st.sum, acc.sums, st.morsel = acc.sums[:n:n], acc.sums[n:], m
+}
+
+// moveSums moves the chain at link in from onto *to, ahead of the chain at
+// head there, and returns the moved chain's new head.
+func moveSums(to *[]morselSum, from []morselSum, link, head int32) int32 {
+	for link != 0 {
+		ms := from[link-1]
+		link, ms.next = ms.next, head
+		*to = append(*to, ms)
+		head = int32(len(*to))
+	}
+	return head
+}
+
+// foldSums makes st's float sums the sum, from zero and in morsel order,
+// of its sums over each morsel: its own and the chain at st.earlier in
+// chain. Each of those adds the morsel's rows in order, in whichever
+// worker claimed it, so the result depends on the rows and the morsel grid
+// alone, not on which worker won which morsel (ROADMAP item 1). scratch is
+// reused, and returned for the next call.
+func (st *aggState) foldSums(chain, scratch []morselSum) []morselSum {
+	parts := append(scratch[:0], morselSum{morsel: st.morsel, sum: st.sum})
+	for l := st.earlier; l != 0; l = chain[l-1].next {
+		parts = append(parts, chain[l-1])
+	}
+	slices.SortFunc(parts, func(x, y morselSum) int { return cmp.Compare(x.morsel, y.morsel) })
+	for i := range st.sum {
+		t := 0.0
+		for _, p := range parts {
+			t += p.sum[i]
+		}
+		st.sum[i] = t // st.sum is one of the parts, read for i already
+	}
+	st.earlier = 0
+	return parts
+}
+
+// accumulate folds one child row, of morsel morsel, into acc. New groups
+// are only counted as pending here; the caller charges them against the
+// buffered budget with flushReserve, once per batch.
+func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd, morsel int) error {
 	gv := acc.scratch
 	for i, ev := range a.groupEvs {
 		v, err := ev(row)
@@ -606,8 +673,10 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd) e
 	if st == nil {
 		acc.pending++
 		st = a.newState(acc, gv, ord)
-		st.hash = h
+		st.hash, st.morsel = h, morsel
 		acc.add(st)
+	} else if st.morsel != morsel {
+		acc.nextMorsel(st, morsel)
 	}
 	for i, spec := range a.Aggs {
 		if a.argEvs[i] == nil { // COUNT(*)
@@ -676,17 +745,17 @@ func addInt(sum *int64, v int64) error {
 	return nil
 }
 
-// combine merges a worker-local partial state into dst. Counts and sums
-// add (integer sums exactly, failing past int64 as accumulate does);
-// min/max compare; the first-appearance ordinal is the minimum, so the
-// merged output order matches the serial pass.
+// combine merges a worker-local partial state into dst. Counts add, and
+// integer sums add exactly, failing past int64 as accumulate does; min/max
+// compare; the first-appearance ordinal is the minimum, so the merged
+// output order matches the serial pass. Float sums are the caller's: the
+// merge chains them per morsel for foldSums.
 func combine(dst, src *aggState, aggs []AggSpec) error {
 	if src.ord.less(dst.ord) {
 		dst.ord = src.ord
 	}
 	for i, spec := range aggs {
 		dst.count[i] += src.count[i]
-		dst.sum[i] += src.sum[i]
 		if !src.sumIsInt[i] {
 			dst.sumIsInt[i] = false
 		}
@@ -746,15 +815,14 @@ func (a *HashAggregate) emit(order []*aggState) error {
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
 	if opensSplit(a.Child, a.Parallelism, a.stats) {
-		parts, _ := splitPipeline(a.Child, a.Parallelism)
-		return a.openParallel(parts)
+		return a.openParallel(splitPipeline(a.Child, a.Parallelism))
 	}
 	if err := a.Child.Open(); err != nil {
 		return err
 	}
 	defer a.Child.Close()
 	acc := a.newAcc()
-	err := a.fill(acc, a.Child, a.gov)
+	err := a.fill(acc, a.Child, nil, a.gov)
 	a.reserved = acc.reserved
 	if err != nil {
 		return err
@@ -763,10 +831,11 @@ func (a *HashAggregate) Open() error {
 }
 
 // fill folds op's whole input into acc under gov, with one poll and one
-// reservation flush per batch: the serial pass over the child and each
-// parallel worker over its part. Group order is acc's first appearance;
-// only the parallel merge reads the row ordinals.
-func (a *HashAggregate) fill(acc *aggAcc, op Operator, gov *Governor) error {
+// reservation flush per batch: the serial pass over the child (leaf nil)
+// and each parallel worker over its part, whose morsel scan is leaf. Group
+// order is acc's first appearance; only the parallel merge reads the row
+// ordinals and the morsels.
+func (a *HashAggregate) fill(acc *aggAcc, op Operator, leaf *MorselScan, gov *Governor) error {
 	bb := NewTransientBatch(batchSize) // accumulate copies the values it keeps
 	for {
 		if err := gov.PollBatch(); err != nil {
@@ -780,8 +849,12 @@ func (a *HashAggregate) fill(acc *aggAcc, op Operator, gov *Governor) error {
 			return nil
 		}
 		a.stats.addIn(int64(n))
+		morsel := 0
+		if leaf != nil {
+			morsel = leaf.morsel // a pipeline batch never spans a morsel
+		}
 		for i := 0; i < n; i++ {
-			if err := a.accumulate(acc, bb.Row(i), bb.Ord(i)); err != nil {
+			if err := a.accumulate(acc, bb.Row(i), bb.Ord(i), morsel); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,8 @@
 // Morsel-driven parallel execution (see DESIGN.md §9).
 //
 // Base-table scans are split into fixed-size morsels — morsel m is rows
-// [m·morselSize, (m+1)·morselSize) of the table — handed out by one
+// [m·size, (m+1)·size) of the table, where size is morselSize or, for a
+// small table probing a larger one, less (morselRows) — handed out by one
 // atomic cursor per split scan; a pipeline over such a scan (filters,
 // projections, the probe side of hash joins) splits into N independent
 // partial pipelines that workers drive to completion. Three operators
@@ -14,7 +15,8 @@
 //     runs merged in morsel order, as Gather merges) and can itself
 //     split into probe parts sharing one build.
 //   - HashAggregate aggregates each partial pipeline into thread-local
-//     groups and merges them in a final phase.
+//     groups and merges them in a final phase, folding each group's float
+//     sums morsel by morsel in morsel order.
 //
 // Every worker runs in a qerr.Pool and polls a Governor it forks from its
 // operator's under the pool's context (fresh poll ticker, shared budget):
@@ -42,10 +44,10 @@ import (
 // add) vanishes against per-row evaluation cost.
 const DefaultMorselSize = 1024
 
-// morselSize is the one morsel grid every split pipeline cuts its tables
-// into, and the one-morsel rule's threshold. It is DefaultMorselSize
-// always, except inside this package's tests, which shrink it to get many
-// morsels from small tables.
+// morselSize is the morsel grid split pipelines cut their tables into
+// (morselRows gives the exception), and the one-morsel rule's threshold.
+// It is DefaultMorselSize always, except inside this package's tests,
+// which shrink it to get many morsels from small tables.
 var morselSize = DefaultMorselSize
 
 // morselCursor hands out the morsels of one base table to competing
@@ -197,19 +199,43 @@ func drivingScan(op Operator) *Scan {
 // of filters, projections and join probes over base-table scans.
 func CanSplit(op Operator) bool { return drivingScan(op) != nil }
 
+// morselRows returns the morsel size of the split pipeline op's driving
+// scan. It is morselSize, unless a probe join's build side holds more rows
+// than the driving table: then the driving table is cut into as many
+// morsels as the largest input holds, so that a small table probing a
+// large one (TPC-H Q9's filtered part against lineitem) still spreads
+// its probes, which do most of the work, over the workers. Either way the
+// grid is a function of the tables' sizes and never of the worker count,
+// so what it cuts — Gather's runs, the aggregate's fold units — is the
+// same at every parallelism. A build side that is no pipeline has no
+// known size, and leaves the grid plain.
+func morselRows(op Operator) int {
+	rows, largest := drivingScan(op).Table.Len(), largestInput(op)
+	if rows >= largest || largest == math.MaxInt {
+		return morselSize
+	}
+	k := (largest + morselSize - 1) / morselSize
+	return max(1, (rows+k-1)/k)
+}
+
 // splitPipeline clones op into at most n independent partial pipelines
-// over a fresh shared morsel cursor. Compiled evaluators are shared —
-// they are pure functions of the row — while all iteration state is
-// per-part. Each clone also shares its template's OpStats pointer, so
-// the counters of all workers aggregate onto the template tree that
-// EXPLAIN ANALYZE renders. The returned leaves report morsel provenance
-// for each part. Fewer than n parts come back when the base table has
-// fewer morsels than workers. op is a pipeline drivingScan walks, as
-// opensSplit has checked: its recursion is this one's.
+// over a fresh shared morsel cursor, on morselRows' grid. Compiled
+// evaluators are shared — they are pure functions of the row — while all
+// iteration state is per-part. Each clone also shares its template's
+// OpStats pointer, so the counters of all workers aggregate onto the
+// template tree that EXPLAIN ANALYZE renders. The returned leaves report
+// morsel provenance for each part. Fewer than n parts come back when the
+// base table has fewer morsels than workers. op is a pipeline drivingScan
+// walks, as opensSplit has checked: its recursion is this one's.
 func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
+	return splitAt(op, n, morselRows(op))
+}
+
+// splitAt is splitPipeline with the driving scan's morsel size given.
+func splitAt(op Operator, n, size int) ([]Operator, []*MorselScan) {
 	switch op := op.(type) {
 	case *Filter:
-		children, leaves := splitPipeline(op.Child, n)
+		children, leaves := splitAt(op.Child, n, size)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			f := &Filter{Child: c, Pred: op.Pred, test: op.test}
@@ -219,7 +245,7 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 		return parts, leaves
 
 	case *Project:
-		children, leaves := splitPipeline(op.Child, n)
+		children, leaves := splitAt(op.Child, n, size)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			p := &Project{Child: c, schema: op.schema, evals: op.evals, passthrough: op.passthrough}
@@ -229,7 +255,7 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 		return parts, leaves
 
 	case *HashJoin:
-		children, leaves := splitPipeline(op.Left, n)
+		children, leaves := splitAt(op.Left, n, size)
 		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
@@ -248,13 +274,13 @@ func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
 		}
 		return parts, leaves
 	}
-	return splitScan(op.(*Scan), n)
+	return splitScan(op.(*Scan), n, size)
 }
 
 // splitScan is splitPipeline's leaf case: up to n MorselScans claiming
-// the morsels of op's table from one shared cursor.
-func splitScan(op *Scan, n int) ([]Operator, []*MorselScan) {
-	cur := newMorselCursor(op.Table.Len(), morselSize)
+// the size-row morsels of op's table from one shared cursor.
+func splitScan(op *Scan, n, size int) ([]Operator, []*MorselScan) {
+	cur := newMorselCursor(op.Table.Len(), size)
 	if m := cur.morsels(); m > 0 && m < n {
 		n = m
 	}
@@ -603,10 +629,12 @@ func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *run
 // openParallel drains the split child with worker goroutines, each
 // folding its morsels into a thread-local aggAcc, then merges the
 // partials. Merged groups are ordered by first-appearance ordinal, so
-// group order matches the serial pass exactly; float SUM/AVG values may
-// differ in the last bits because partial sums re-associate the
-// addition.
-func (a *HashAggregate) openParallel(parts []Operator) error {
+// group order matches the serial pass exactly. A float SUM/AVG of a group
+// whose rows span morsels is the morsel-order fold of its per-morsel sums
+// (foldSums): the same bits at every worker count and in every run, which
+// may differ in the last bits from the serial pass's one left-to-right
+// fold.
+func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) error {
 	accs := make([]*aggAcc, len(parts))
 	err := qerr.Pool(a.gov.Context(), len(parts), func(ctx context.Context, w int) error {
 		gov := a.gov.Fork(ctx)
@@ -616,7 +644,7 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 		}
 		acc := a.newAcc()
 		accs[w] = acc // pre-published so error paths can release acc.reserved
-		return a.fill(acc, parts[w], gov)
+		return a.fill(acc, parts[w], leaves[w], gov)
 	})
 	for _, acc := range accs {
 		if acc != nil {
@@ -635,6 +663,10 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 		total += len(acc.order)
 	}
 	heads, order := make([]*aggState, headSlots(total)), make([]*aggState, 0, total)
+	// chain holds the merged groups' sums over their other morsels: each
+	// merged group's chain moves here from its worker's, and every state
+	// combined into it joins it with its own.
+	var chain []morselSum
 	var surplus int64
 	for _, acc := range accs {
 		for _, st := range acc.order {
@@ -647,12 +679,22 @@ func (a *HashAggregate) openParallel(parts []Operator) error {
 				// walks each worker's order, never its chains.
 				chainGroup(heads, st)
 				order = append(order, st)
+				st.earlier = moveSums(&chain, acc.setAside, st.earlier, 0)
 				continue
 			}
 			if err := combine(dst, st, a.Aggs); err != nil {
 				return err
 			}
+			head := moveSums(&chain, acc.setAside, st.earlier, dst.earlier)
+			chain = append(chain, morselSum{st.morsel, st.sum, head})
+			dst.earlier = int32(len(chain))
 			surplus++
+		}
+	}
+	var scratch []morselSum
+	for _, st := range order {
+		if st.earlier != 0 {
+			scratch = st.foldSums(chain, scratch)
 		}
 	}
 	slices.SortFunc(order, func(x, y *aggState) int { return x.ord.compare(y.ord) })

@@ -237,7 +237,8 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		}
 		for i := range want {
 			// Group keys, COUNT, integer SUM, MIN and MAX are exact; the
-			// float SUM re-associates across partials, so compare with the
+			// float SUM folds on the morsel grid, which can differ in the
+			// last bits from the serial fold, so compare with the
 			// canonical epsilon.
 			for c := range want[i] {
 				w, g := want[i][c], got[i][c]

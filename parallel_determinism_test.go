@@ -1,8 +1,9 @@
 // Determinism suite for the morsel-driven parallel execution layer: every
 // evaluation query — original and rewritten — must return the same rows
 // in the same order at every worker count, with probabilities within the
-// canonical epsilon (parallel partial aggregation re-associates float
-// sums; everything else is exact).
+// canonical epsilon (a parallel aggregate folds a group's float sums in
+// morsel order, which can differ in the last bits from the serial pass's
+// fold; everything else is exact).
 package conquer
 
 import (
@@ -84,10 +85,12 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 
 // TestShardedExecutionDeterministic holds engine.Options.Shards to being
 // inert (DESIGN.md §14): the benchmark module still sets it, so all
-// thirteen evaluation query pairs at every point of the shards {1,2,4} ×
-// parallelism {1,2,8} grid, with recycled rows poisoned, must match the
-// serial baseline row for row — byte-identical except floats within
-// ProbEpsilon.
+// thirteen evaluation query pairs on an engine at shards 4 and
+// parallelism 2, with recycled rows poisoned, must match the serial
+// baseline row for row — byte-identical except floats within
+// ProbEpsilon. One setting is enough: nothing reads the field, and
+// TestEnginesDifferingInShardsShareOneEntry (internal/engine) holds it
+// out of the cache key.
 func TestShardedExecutionDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
@@ -99,12 +102,8 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serialBaselines(t, d, pairs)
-	for _, sh := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 8} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
-			matchBaselines(t, eng, pairs, want, fmt.Sprintf("shards=%d n=%d", sh, n))
-		}
-	}
+	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 2, Shards: 4})
+	matchBaselines(t, eng, pairs, want, "shards=4 n=2")
 }
 
 // pairBaseline is one evaluation pair's serial answers.
