@@ -17,7 +17,7 @@ race:
 # budget, longer local runs just raise FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sqlparse
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sqlparse
 
 # lint = formatting gate + standard vet + the in-tree analyzer suite
 # (six syntactic analyzers — ctxpoll, errwrap, floatcmp, maporder,

@@ -31,8 +31,12 @@ type Limits struct {
 	MaxSamples int
 }
 
-// WithContext derives a context carrying the Timeout (a no-op without
-// one). The returned cancel func must always be called.
+// WithContext derives a context carrying the Timeout. Without one it
+// returns ctx itself and a cancel func that does nothing: a query joins
+// every goroutine it starts before it returns (qerr.Pool cancels its own
+// workers), so no derived context is needed to stop them, and a query or
+// an evaluation — a cache hit included — pays for none. The returned
+// cancel func must always be called.
 //
 // The deadline is installed with qerr.ErrDeadline as its cause, marking
 // it as the engine's own query timeout: qerr.FromContext reports a
@@ -45,7 +49,7 @@ func (l Limits) WithContext(ctx context.Context) (context.Context, context.Cance
 		return context.WithTimeoutCause(ctx, l.Timeout,
 			fmt.Errorf("exec: query timeout %v: %w", l.Timeout, qerr.ErrDeadline))
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }
 
 // CheckOutput fails with qerr.ErrBudgetExceeded when rows result rows

@@ -436,6 +436,16 @@ type aggState struct {
 	// foldSums: in its worker's aggAcc.setAside, then in the merge's.
 	morsel  int
 	earlier int32
+	// one and oneFlags hold the fields of a state with a single aggregate
+	// — every rewriting's SUM(prob) — and count through seen are slices of
+	// them, so the arena carves them from no block of its own. The flags
+	// (sumIsInt, seen) sit beside earlier, in what would be padding.
+	oneFlags [2]bool
+	one      struct {
+		count, isum [1]int64
+		sum         [1]float64
+		min, max    [1]value.Value
+	}
 }
 
 // NewHashAggregate compiles groups and aggregate arguments; groupCols name
@@ -544,7 +554,9 @@ func (acc *aggAcc) add(st *aggState) {
 // amount from each block, so the blocks drain in lockstep and one
 // emptiness check covers them all. Blocks grow geometrically (16 groups
 // up to 4096) and carved storage is never recycled — emitted states
-// keep referencing their block, growth only adds blocks.
+// keep referencing their block, growth only adds blocks. With a single
+// aggregate its fields live in the state (aggState.one, oneFlags), so a
+// block is two slices, the states and their group values, not five.
 type aggArena struct {
 	states []aggState
 	i64s   []int64
@@ -564,12 +576,14 @@ func (ar *aggArena) refill(nAgg, nGroup int) {
 	}
 	g := ar.groups
 	ar.states = make([]aggState, g)
-	if nAgg > 0 {
+	n := nGroup
+	if nAgg > 1 {
 		ar.i64s = make([]int64, 2*g*nAgg)
 		ar.f64s = make([]float64, g*nAgg)
 		ar.bools = make([]bool, 2*g*nAgg)
+		n += 2 * nAgg
 	}
-	if n := 2*nAgg + nGroup; n > 0 {
+	if n > 0 {
 		ar.vals = make([]value.Value, g*n)
 	}
 }
@@ -586,13 +600,19 @@ func (a *HashAggregate) newState(acc *aggAcc, gv []value.Value, ord rowOrd) *agg
 	ng := len(gv)
 	st.groupVals, ar.vals = ar.vals[:ng:ng], ar.vals[ng:]
 	copy(st.groupVals, gv)
-	st.count, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
-	st.isum, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
-	st.sum, ar.f64s = ar.f64s[:n:n], ar.f64s[n:]
-	st.sumIsInt, ar.bools = ar.bools[:n:n], ar.bools[n:]
-	st.seen, ar.bools = ar.bools[:n:n], ar.bools[n:]
-	st.min, ar.vals = ar.vals[:n:n], ar.vals[n:]
-	st.max, ar.vals = ar.vals[:n:n], ar.vals[n:]
+	if one := &st.one; n == 1 {
+		st.count, st.isum, st.sum = one.count[:], one.isum[:], one.sum[:]
+		st.sumIsInt, st.seen = st.oneFlags[:1:1], st.oneFlags[1:]
+		st.min, st.max = one.min[:], one.max[:]
+	} else {
+		st.count, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
+		st.isum, ar.i64s = ar.i64s[:n:n], ar.i64s[n:]
+		st.sum, ar.f64s = ar.f64s[:n:n], ar.f64s[n:]
+		st.sumIsInt, ar.bools = ar.bools[:n:n], ar.bools[n:]
+		st.seen, ar.bools = ar.bools[:n:n], ar.bools[n:]
+		st.min, ar.vals = ar.vals[:n:n], ar.vals[n:]
+		st.max, ar.vals = ar.vals[:n:n], ar.vals[n:]
+	}
 	for i := range st.sumIsInt {
 		st.sumIsInt[i] = true
 	}

@@ -474,23 +474,29 @@ func (e *NotRewritableError) Error() string {
 func rewrite(cat *schema.Catalog, stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
 	out := stmt.Clone()
 	// GROUP BY every select expression.
-	out.GroupBy = nil
-	for _, it := range out.Select {
-		out.GroupBy = append(out.GroupBy, sqlparse.CloneExpr(it.Expr))
+	out.GroupBy = make([]sqlparse.Expr, len(out.Select))
+	for i, it := range out.Select {
+		out.GroupBy[i] = sqlparse.CloneExpr(it.Expr)
 	}
 	// SUM of the product of the probability columns of all (dirty)
-	// relations in the FROM clause.
+	// relations in the FROM clause, its nodes from one block per kind:
+	// a relation adds at most one of each, so neither block is regrown
+	// and the nodes keep their addresses.
+	refs := make([]sqlparse.ColumnRef, 0, len(out.From))
+	muls := make([]sqlparse.BinaryExpr, 0, max(len(out.From)-1, 0))
 	var product sqlparse.Expr
 	for _, tr := range out.From {
 		rel, ok := cat.Relation(tr.Table)
 		if !ok || rel.Prob == "" {
 			continue
 		}
-		ref := &sqlparse.ColumnRef{Qualifier: strings.ToLower(tr.Alias), Name: rel.Prob}
+		refs = append(refs, sqlparse.ColumnRef{Qualifier: strings.ToLower(tr.Alias), Name: rel.Prob})
+		ref := &refs[len(refs)-1]
 		if product == nil {
 			product = ref
 		} else {
-			product = &sqlparse.BinaryExpr{Op: sqlparse.OpMul, L: product, R: ref}
+			muls = append(muls, sqlparse.BinaryExpr{Op: sqlparse.OpMul, L: product, R: ref})
+			product = &muls[len(muls)-1]
 		}
 	}
 	out.Select = append(out.Select, sqlparse.SelectItem{

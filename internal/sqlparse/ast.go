@@ -15,6 +15,9 @@
 package sqlparse
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -255,7 +258,11 @@ func (w *sqlWriter) quoted(s string) {
 }
 
 // literal writes a constant the way value.Value.String spells it, numbers
-// formatted into a stack buffer.
+// formatted into a stack buffer, except where that spelling would not read
+// back as the same text: the lexer reads no exponent, so a float that
+// value.Value.String writes with one (1e-05, 1e+06) is written out in
+// full, with a point so that it stays a float, and a negative zero is
+// -0.0, since -0 reads back as the integer 0.
 func (w *sqlWriter) literal(v value.Value) {
 	var buf [32]byte
 	switch v.Kind() {
@@ -264,7 +271,18 @@ func (w *sqlWriter) literal(v value.Value) {
 	case value.KindInt:
 		w.str(string(strconv.AppendInt(buf[:0], v.AsInt(), 10)))
 	case value.KindFloat:
-		w.str(string(strconv.AppendFloat(buf[:0], v.AsFloat(), 'g', -1, 64)))
+		f := v.AsFloat()
+		b := strconv.AppendFloat(buf[:0], f, 'g', -1, 64)
+		switch {
+		case bytes.IndexByte(b, 'e') >= 0:
+			b = strconv.AppendFloat(buf[:0], f, 'f', -1, 64)
+			if bytes.IndexByte(b, '.') < 0 {
+				b = append(b, ".0"...)
+			}
+		case math.Float64bits(f) == 1<<63: // -0
+			b = append(buf[:0], "-0.0"...)
+		}
+		w.str(string(b))
 	default:
 		w.str(v.String())
 	}
@@ -489,68 +507,6 @@ func (s *SelectStmt) write(w *sqlWriter) {
 	}
 }
 
-// Clone returns a deep copy of the statement; the rewriting layer mutates
-// clones rather than caller-owned trees.
-func (s *SelectStmt) Clone() *SelectStmt {
-	c := &SelectStmt{
-		Distinct: s.Distinct,
-		Limit:    s.Limit,
-	}
-	for _, it := range s.Select {
-		c.Select = append(c.Select, SelectItem{Star: it.Star, Expr: CloneExpr(it.Expr), Alias: it.Alias})
-	}
-	c.From = append([]TableRef(nil), s.From...)
-	c.Where = CloneExpr(s.Where)
-	for _, g := range s.GroupBy {
-		c.GroupBy = append(c.GroupBy, CloneExpr(g))
-	}
-	c.Having = CloneExpr(s.Having)
-	for _, o := range s.OrderBy {
-		c.OrderBy = append(c.OrderBy, OrderItem{Expr: CloneExpr(o.Expr), Desc: o.Desc})
-	}
-	return c
-}
-
-// CloneExpr deep-copies an expression tree; nil maps to nil.
-func CloneExpr(e Expr) Expr {
-	switch e := e.(type) {
-	case nil:
-		return nil
-	case *ColumnRef:
-		cp := *e
-		return &cp
-	case *Literal:
-		cp := *e
-		return &cp
-	case *BinaryExpr:
-		return &BinaryExpr{Op: e.Op, L: CloneExpr(e.L), R: CloneExpr(e.R)}
-	case *NotExpr:
-		return &NotExpr{X: CloneExpr(e.X)}
-	case *NegExpr:
-		return &NegExpr{X: CloneExpr(e.X)}
-	case *FuncCall:
-		c := &FuncCall{Name: e.Name, Star: e.Star}
-		for _, a := range e.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
-	case *InExpr:
-		c := &InExpr{X: CloneExpr(e.X), Not: e.Not}
-		for _, it := range e.List {
-			c.List = append(c.List, CloneExpr(it))
-		}
-		return c
-	case *BetweenExpr:
-		return &BetweenExpr{X: CloneExpr(e.X), Lo: CloneExpr(e.Lo), Hi: CloneExpr(e.Hi), Not: e.Not}
-	case *LikeExpr:
-		return &LikeExpr{X: CloneExpr(e.X), Pattern: e.Pattern, Not: e.Not}
-	case *IsNullExpr:
-		return &IsNullExpr{X: CloneExpr(e.X), Not: e.Not}
-	default:
-		panic("sqlparse: CloneExpr: unknown node") //lint:allow nopanic -- unreachable: the switch covers every Expr node
-	}
-}
-
 // WalkExpr calls fn on e and every sub-expression, pre-order. fn returning
 // false prunes the subtree.
 func WalkExpr(e Expr, fn func(Expr) bool) {
@@ -585,15 +541,27 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// Conjuncts flattens a tree of top-level ANDs into its conjuncts.
+// Conjuncts flattens a tree of top-level ANDs into its conjuncts, in one
+// slice of exactly their number.
 func Conjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(make([]Expr, 0, countConjuncts(e)), e)
+}
+
+func countConjuncts(e Expr) int {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+		return countConjuncts(b.L) + countConjuncts(b.R)
 	}
-	return []Expr{e}
+	return 1
+}
+
+func appendConjuncts(out []Expr, e Expr) []Expr {
+	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
+		return appendConjuncts(appendConjuncts(out, b.L), b.R)
+	}
+	return append(out, e)
 }
 
 // AndAll joins expressions with AND; returns nil for an empty slice.
@@ -623,11 +591,10 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
+// aggregateNames are the aggregate functions, upper-cased.
+var aggregateNames = [...]string{"SUM", "COUNT", "AVG", "MIN", "MAX"}
+
 // IsAggregateName reports whether name (upper-cased) is an aggregate.
 func IsAggregateName(name string) bool {
-	switch name {
-	case "SUM", "COUNT", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
+	return slices.Contains(aggregateNames[:], name)
 }

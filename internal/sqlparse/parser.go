@@ -15,6 +15,7 @@ func Parse(src string) (*SelectStmt, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
+	p.size()
 	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -35,9 +36,73 @@ func MustParse(src string) *SelectStmt {
 }
 
 type parser struct {
-	toks []token
-	i    int
-	src  string
+	toks  []token
+	i     int
+	src   string
+	nodes nodeBlocks
+	// The lengths of the select list, FROM, GROUP BY and ORDER BY.
+	selects, froms, groups, orders int
+}
+
+// size sizes, in one pass over the tokens, the node blocks and the clause
+// lists of the statement, so that neither is grown while it is parsed.
+// Every ColumnRef uses up an identifier token outside FROM that no AS
+// precedes and no "." or "(" follows, every Literal a number, a string,
+// NULL, TRUE or FALSE, and every BinaryExpr an operator or AND/OR, so the
+// blocks are upper bounds; a list is one longer than its clause's commas
+// outside parentheses.
+func (p *parser) size() {
+	var n nodeCounts
+	depth := 0
+	var list *int // the clause list a top-level comma lengthens
+	for i, t := range p.toks {
+		switch t.kind {
+		case tokIdent:
+			// The token after an identifier is at worst tokEOF.
+			nxt := p.toks[i+1]
+			switch {
+			case list == &p.froms, i > 0 && p.toks[i-1].kind == tokKeyword && p.toks[i-1].text == "AS":
+			case nxt.kind != tokSymbol || (nxt.text != "." && nxt.text != "("):
+				n.cols++
+			}
+		case tokNumber, tokString:
+			n.lits++
+		case tokKeyword:
+			switch t.text {
+			case "NULL", "TRUE", "FALSE":
+				n.lits++
+			case "AND", "OR":
+				n.bins++
+			case "SELECT":
+				list = &p.selects
+			case "FROM":
+				list = &p.froms
+			case "GROUP":
+				list = &p.groups
+			case "ORDER":
+				list = &p.orders
+			case "WHERE", "HAVING", "LIMIT":
+				list = nil
+			}
+			if list != nil && *list == 0 {
+				*list = 1
+			}
+		case tokSymbol:
+			switch t.text {
+			case "(":
+				depth++
+			case ")":
+				depth--
+			case ",":
+				if depth == 0 && list != nil {
+					*list++
+				}
+			case "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/":
+				n.bins++
+			}
+		}
+	}
+	p.nodes = n.blocks()
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -96,7 +161,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{Limit: -1}
+	stmt := &SelectStmt{Limit: -1, Select: make([]SelectItem, 0, p.selects)}
 	stmt.Distinct = p.acceptKeyword("DISTINCT")
 
 	// Select list.
@@ -114,6 +179,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
+	stmt.From = make([]TableRef, 0, p.froms)
 	for {
 		tr, err := p.parseTableRef()
 		if err != nil {
@@ -137,6 +203,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
+		stmt.GroupBy = make([]Expr, 0, p.groups)
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -164,6 +231,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
+		stmt.OrderBy = make([]OrderItem, 0, p.orders)
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -255,7 +323,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: OpOr, L: l, R: r}
+		l = p.nodes.bin(OpOr, l, r)
 	}
 	return l, nil
 }
@@ -275,7 +343,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: OpAnd, L: l, R: r}
+		l = p.nodes.bin(OpAnd, l, r)
 	}
 }
 
@@ -349,7 +417,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Op: sym.op, L: l, R: r}, nil
+			return p.nodes.bin(sym.op, l, r), nil
 		}
 	}
 	return l, nil
@@ -389,13 +457,13 @@ func (p *parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpAdd, L: l, R: r}
+			l = p.nodes.bin(OpAdd, l, r)
 		case p.acceptSymbol("-"):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpSub, L: l, R: r}
+			l = p.nodes.bin(OpSub, l, r)
 		default:
 			return l, nil
 		}
@@ -414,13 +482,13 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpMul, L: l, R: r}
+			l = p.nodes.bin(OpMul, l, r)
 		case p.acceptSymbol("/"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: OpDiv, L: l, R: r}
+			l = p.nodes.bin(OpDiv, l, r)
 		default:
 			return l, nil
 		}
@@ -433,11 +501,13 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Fold negation of numeric literals.
+		// Fold negation of numeric literals into the literal, which is
+		// the parser's own.
 		if lit, ok := x.(*Literal); ok && lit.Val.IsNumeric() {
 			neg, err := value.Neg(lit.Val)
 			if err == nil {
-				return &Literal{Val: neg}, nil
+				lit.Val = neg
+				return lit, nil
 			}
 		}
 		return &NegExpr{X: x}, nil
@@ -458,27 +528,27 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.text)
 			}
-			return &Literal{Val: value.Float(f)}, nil
+			return p.nodes.lit(value.Float(f)), nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad number %q", t.text)
 		}
-		return &Literal{Val: value.Int(n)}, nil
+		return p.nodes.lit(value.Int(n)), nil
 	case tokString:
 		p.advance()
-		return &Literal{Val: value.Str(t.text)}, nil
+		return p.nodes.lit(value.Str(t.text)), nil
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.advance()
-			return &Literal{Val: value.Null()}, nil
+			return p.nodes.lit(value.Null()), nil
 		case "TRUE":
 			p.advance()
-			return &Literal{Val: value.Bool(true)}, nil
+			return p.nodes.lit(value.Bool(true)), nil
 		case "FALSE":
 			p.advance()
-			return &Literal{Val: value.Bool(false)}, nil
+			return p.nodes.lit(value.Bool(false)), nil
 		}
 		return nil, p.errorf("unexpected keyword")
 	case tokIdent:
@@ -486,7 +556,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		name := t.text
 		// Function call?
 		if p.acceptSymbol("(") {
-			return p.parseCallArgs(strings.ToUpper(name))
+			return p.parseCallArgs(funcName(name))
 		}
 		// Qualified column?
 		if p.acceptSymbol(".") {
@@ -495,9 +565,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return nil, p.errorf("expected column name after %q.", name)
 			}
 			p.advance()
-			return &ColumnRef{Qualifier: name, Name: c.text}, nil
+			return p.nodes.col(name, c.text), nil
 		}
-		return &ColumnRef{Name: name}, nil
+		return p.nodes.col("", name), nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()
@@ -512,6 +582,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 	}
 	return nil, p.errorf("expected expression")
+}
+
+// funcName spells a function name the way FuncCall.Name holds it: an
+// aggregate as its own constant, so that it allocates no name, anything
+// else upper-cased.
+func funcName(name string) string {
+	for _, agg := range aggregateNames {
+		if strings.EqualFold(agg, name) {
+			return agg
+		}
+	}
+	return strings.ToUpper(name)
 }
 
 func (p *parser) parseCallArgs(name string) (Expr, error) {
