@@ -26,9 +26,10 @@ const goldenPath = "testdata/rowpath_golden.json"
 // goldenDigest is what the file keeps of one result: the row count, an
 // order-sensitive hash of every non-float cell (a float cell contributes its
 // position and kind only), and the sum of the float cells of each column.
-// Floats are summed, not hashed, because a parallel aggregate folds float
-// sums on the morsel grid, which can differ in the last bits from the
-// serial fold (sameResult's ProbEpsilon rule).
+// Floats are summed, not hashed, because the file was written by the row
+// path, whose aggregates folded float sums left to right over all rows;
+// every aggregate now folds them on the morsel grid, which can differ in
+// the last bits.
 type goldenDigest struct {
 	Rows      int       `json:"rows"`
 	Hash      string    `json:"hash"`
@@ -75,8 +76,8 @@ func loadGolden(t *testing.T) goldenFile {
 }
 
 // checkGolden compares res with the frozen digest of the statement. A float
-// column's sum may differ by ProbEpsilon per row, the bound sameResult's
-// per-cell rule implies; everything else is exact.
+// column's sum may differ by ProbEpsilon per row from the row path's;
+// everything else is exact.
 func checkGolden(t *testing.T, g goldenFile, stmt, label string, res *engine.Result) {
 	t.Helper()
 	want, ok := g.Statements[stmt]

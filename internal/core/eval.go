@@ -36,7 +36,8 @@ const DefaultSamples = 1000
 // their queries on Engine, an engine over DB.Store. The engine's options
 // govern everything an evaluation runs (DESIGN.md §8): its Limits are the
 // budget, the Timeout applied once over the whole evaluation; its
-// Parallelism reaches every query of every rung; its
+// Parallelism reaches every query of every rung and changes no answer's
+// bits, so evaluations at every worker count share a cache entry; its
 // Cache memoizes whole evaluations, while the rungs run uncached so that
 // no answer is held twice; and its QueryLog gets one line per evaluation.
 // An Evaluator is a value: building one costs nothing.
@@ -87,8 +88,8 @@ const exactThreshold = 1 << 12
 // budget is "candidates".
 //
 // With a cache on the engine, a Result — whichever rung produced it — is
-// cached keyed by the canonical statement, the options and engine settings
-// evalKey names, and a version vector over the FROM relations: every rung
+// cached keyed by the canonical statement, the options and budget evalKey
+// names, and a version vector over the FROM relations: every rung
 // reads those and nothing else (DESIGN.md §11), so a mutation anywhere else
 // leaves the entry valid. Concurrent identical evaluations coalesce onto
 // one ladder run.
@@ -163,24 +164,19 @@ func (ev Evaluator) rungs() engine.Options {
 
 // evalKey fingerprints the statement and everything that changes the
 // answer or the path to it into the cache key of one evaluation: the
-// method, the sampling options, the budget, and the resolved parallelism
-// — the engine setting its result key carries.
-// Answers and their order are identical at every setting, but a
-// probability the rewriting's float SUM computes may differ in its last
-// bits between the serial pass and a parallel one, which folds the sum
-// on the morsel grid (DESIGN.md §9 and §11, ROADMAP item 1).
+// method, the sampling options and the budget. No other engine setting is
+// in it: answers, their order and every probability's bits are the same
+// at every worker count (DESIGN.md §9 and §11). The statement is printed
+// once, into the key itself.
 func evalKey(stmt *sqlparse.SelectStmt, opts EvalOptions, o engine.Options) string {
-	norm := stmt.SQL()
-	var b strings.Builder
-	b.Grow(len("eval|") + len(norm) + 8*21)
-	b.WriteString("eval|")
-	b.WriteString(norm)
-	var num [20]byte
-	for _, v := range [...]int64{
+	nums := [...]int64{
 		int64(opts.Method), int64(opts.Samples), opts.Seed,
 		o.Limits.MaxBufferedRows, o.Limits.MaxOutputRows, o.Limits.MaxCandidates, int64(o.Limits.MaxSamples),
-		int64(o.Parallelism),
-	} {
+	}
+	var b strings.Builder
+	stmt.WriteSQL(&b, "eval|", len(nums)*21)
+	var num [20]byte
+	for _, v := range nums {
 		b.WriteByte('|')
 		b.Write(strconv.AppendInt(num[:0], v, 10))
 	}

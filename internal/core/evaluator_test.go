@@ -135,20 +135,22 @@ func TestEvaluatorRejectsWhatItCannotRun(t *testing.T) {
 	}
 }
 
-// One cache serves evaluators at parallelism 1 and 8 with an entry each,
-// and parallelism is the only setting that separates entries: the inert
-// Shards does not. A parallel aggregate folds a group's float sums in
-// morsel order, which can differ in the last bits from the serial pass's
-// fold, so each must get back what it computes itself, bit for bit.
+// One cache serves evaluators at parallelism 1 and 8, and at either
+// value of the inert Shards, with one entry: a float SUM folds on the
+// morsel grid at every worker count, so each gets back, bit for bit, what
+// it computes itself. The budget still separates entries.
 func TestEvalCacheSeparatesEngineSettings(t *testing.T) {
 	d, _ := manyClusters(t)
 	c := cache.New(cache.Options{MaxBytes: 1 << 24})
 	stmt := sqlparse.MustParse("select id from t where val > 2")
 	ctx := context.Background()
 	for round := 0; round < 2; round++ {
-		for _, set := range []struct{ par, shards int }{{1, 1}, {1, 4}, {8, 1}, {8, 4}} {
-			label := fmt.Sprintf("round %d, parallelism %d, shards %d", round, set.par, set.shards)
-			o := engine.Options{Parallelism: set.par, Shards: set.shards}
+		for i, set := range []struct {
+			par, shards int
+			lim         exec.Limits
+		}{{1, 1, exec.Limits{}}, {1, 4, exec.Limits{}}, {8, 1, exec.Limits{}}, {8, 4, exec.Limits{}}, {8, 1, exec.Limits{MaxCandidates: 1 << 20}}} {
+			label := fmt.Sprintf("round %d, parallelism %d, shards %d, limits %+v", round, set.par, set.shards, set.lim)
+			o := engine.Options{Parallelism: set.par, Shards: set.shards, Limits: set.lim}
 			uncached, err := Evaluator{DB: d, Engine: engine.NewWithOptions(d.Store, o)}.Eval(ctx, stmt, EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +160,7 @@ func TestEvalCacheSeparatesEngineSettings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Cached != (round == 1 || set.shards == 4) || got.Method != MethodRewrite || len(got.Answers) != len(uncached.Answers) {
+			if got.Cached != (round == 1 || (i > 0 && i < 4)) || got.Method != MethodRewrite || len(got.Answers) != len(uncached.Answers) {
 				t.Fatalf("%s: cached %v, method %v, %d answers (uncached: %d)",
 					label, got.Cached, got.Method, len(got.Answers), len(uncached.Answers))
 			}
@@ -171,8 +173,8 @@ func TestEvalCacheSeparatesEngineSettings(t *testing.T) {
 			}
 		}
 	}
-	if s := c.Stats(); s.Executions != 2 || s.ResultHits != 6 {
-		t.Errorf("cache stats %+v: want 2 executions (one entry per parallelism) and 6 hits", s)
+	if s := c.Stats(); s.Executions != 2 || s.ResultHits != 8 {
+		t.Errorf("cache stats %+v: want 2 executions (one entry per budget) and 8 hits", s)
 	}
 }
 

@@ -92,23 +92,68 @@ func TestVariantSpellingsShareOneCacheEntry(t *testing.T) {
 	}
 }
 
-func TestParallelismIsPartOfTheCacheKey(t *testing.T) {
+// No engine setting is in the result key: engines at parallelism 1 and 8
+// over one cache share one entry, whose rows are the same at both, and a
+// hit reports the worker count of the engine it serves.
+func TestEnginesAtEveryParallelismShareOneEntry(t *testing.T) {
 	e, c := newCachedEngine(t, nil)
-	const q = "select sum(balance) from customer"
-	if _, err := e.QueryCtx(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	// A second engine over the same store and cache, two workers.
-	e2 := NewWithOptions(e.DB(), Options{Cache: c, Parallelism: 2})
-	res, err := e2.QueryCtx(context.Background(), q)
+	const q = "select id, sum(balance), avg(prob) from customer group by id"
+	first, err := e.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Cached {
-		t.Fatal("a different worker count must not reuse the serial result")
+	e8 := NewWithOptions(e.DB(), Options{Cache: c, Parallelism: 8})
+	hit, err := e8.QueryCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Executions != 2 {
-		t.Fatalf("executions = %d, want 2 (one per parallelism)", s.Executions)
+	if first.Stats.Cached || !hit.Stats.Cached || !reflect.DeepEqual(first.Rows, hit.Rows) {
+		t.Fatalf("cached %v then %v, rows %v then %v: want one execution, then a hit on its entry",
+			first.Stats.Cached, hit.Stats.Cached, first.Rows, hit.Rows)
+	}
+	if first.Stats.Parallelism != 1 || hit.Stats.Parallelism != 8 {
+		t.Errorf("parallelism %d, then %d on the hit: want each engine's own, 1 and 8",
+			first.Stats.Parallelism, hit.Stats.Parallelism)
+	}
+	if s := c.Stats(); s.Executions != 1 || s.ResultHits != 1 {
+		t.Errorf("cache stats %+v: want 1 execution and 1 result hit", s)
+	}
+}
+
+// The plan tier stays keyed by the statement, but a tree is planned for a
+// worker count: an entry planned at parallelism 8 is a miss to an engine
+// at 1, which plans its own and puts it in its place, and the other way
+// round. A one-byte cache admits no result, so every query runs a plan,
+// and the runs of one Prepared share its column names.
+func TestPlanTierEntryServesItsOwnParallelism(t *testing.T) {
+	c := cache.New(cache.Options{MaxBytes: 1})
+	db := figure2DB(t)
+	e1 := NewWithOptions(db, Options{Cache: c, Parallelism: 1})
+	e8 := NewWithOptions(db, Options{Cache: c, Parallelism: 8})
+	const q = "select o.orderid, c.name from orders o, customer c where o.cidfk = c.id"
+	var runs []*Result
+	for i, step := range []struct {
+		e     *Engine
+		par   int
+		reuse int // the step whose plan this one runs again, or -1
+	}{{e8, 8, -1}, {e1, 1, -1}, {e1, 1, 1}, {e8, 8, -1}, {e8, 8, 3}} {
+		res, err := step.e.QueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Cached || res.Stats.Parallelism != step.par {
+			t.Fatalf("step %d: cached %v, planned for parallelism %d; want an execution of a plan for %d",
+				i, res.Stats.Cached, res.Stats.Parallelism, step.par)
+		}
+		if i > 0 && !reflect.DeepEqual(res.Rows, runs[0].Rows) {
+			t.Fatalf("step %d: rows %v, want %v", i, res.Rows, runs[0].Rows)
+		}
+		for j, prev := range runs {
+			if same := &res.Columns[0] == &prev.Columns[0]; same != (j == step.reuse) {
+				t.Fatalf("step %d runs the plan of step %d: %v, want %v", i, j, same, j == step.reuse)
+			}
+		}
+		runs = append(runs, res)
 	}
 }
 
@@ -259,16 +304,15 @@ func TestUncachedEngineUnchanged(t *testing.T) {
 }
 
 // A result-tier hit costs a lookup, not a walk of the statement: from SQL
-// text the parse tier hands back the statement with its printed form, so
-// the hit allocates the key built on it, the version vector, the table
-// list and the Result it returns; from a statement it prints the statement
-// once more: 4 and 5. They were 6 and 7 while every query derived a
-// cancelable context it did not need, and both were 52 when the key was
-// printed node by node, report printed it again for a log nobody attached
-// and the vector was a map, a sort and an Fprintf per table.
+// text the parse tier hands back the statement with its printed form,
+// which is the key itself, so the hit allocates the version vector, the
+// table list and the Result it returns; from a statement it prints the
+// statement once more: 3 and 4. They were 4 and 5 while the key was the
+// printed form with the worker count appended, 6 and 7 while every query
+// derived a cancelable context it did not need, and both were 52 when the
+// key was printed node by node, report printed it again for a log nobody
+// attached and the vector was a map, a sort and an Fprintf per table.
 func TestResultHitAllocationFloor(t *testing.T) {
-	// Explicit counts: AllocsPerRun measures at GOMAXPROCS 1, and a
-	// default that follows it would change the key under the test.
 	c := cache.New(cache.Options{MaxBytes: 1 << 20})
 	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1})
 	const q = "select o.orderid, c.name from orders o, customer c where o.cidfk = c.id and c.balance > 10000 and o.quantity < 5"
@@ -287,7 +331,7 @@ func TestResultHitAllocationFloor(t *testing.T) {
 	stmt, _, _ := c.GetParse(q)
 	fromStmt := hit(func() (*Result, error) { return e.QueryStmtCtx(ctx, stmt.(*sqlparse.SelectStmt)) })
 	t.Logf("a hit allocates %.0f times from SQL text, %.0f from a statement", fromText, fromStmt)
-	if fromText > 5 || fromStmt > 6 {
-		t.Errorf("a hit allocates %.0f times from SQL text and %.0f from a statement, ceilings 5 and 6", fromText, fromStmt)
+	if fromText > 3 || fromStmt > 4 {
+		t.Errorf("a hit allocates %.0f times from SQL text and %.0f from a statement, ceilings 3 and 4", fromText, fromStmt)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,11 +32,9 @@ type Options struct {
 	Limits exec.Limits
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution; 0 defaults to runtime.GOMAXPROCS(0), and 1 (or less)
-	// runs every query serially. Rows and their order are identical at
-	// every setting, so this tunes only scheduling; a float SUM or AVG
-	// may differ in its last bits from run to run, at any fixed setting,
-	// because which morsels a worker wins decides how partial sums
-	// associate (ROADMAP item 1).
+	// runs every query serially. Rows, their order and the bits of every
+	// float SUM or AVG are identical at every setting and in every run,
+	// so this tunes only scheduling.
 	Parallelism int
 	// Shards is inert: scans are not partitioned (DESIGN.md §14), and
 	// nothing in this module reads it. It stays only because the
@@ -166,12 +163,14 @@ func (e *Engine) QueryStmt(stmt *sqlparse.SelectStmt) (*Result, error) {
 // the stack captured.
 //
 // With a cache attached, the statement is first looked up in the result
-// tier under its canonical SQL, the planner options and a version vector
-// over every referenced table; a hit returns the materialized rows
-// without planning or executing anything. Misses run under singleflight,
-// so concurrent identical queries over the same versions share one
-// execution. Clean answers are deterministic for a fixed database state,
-// which is what makes serving the memoized result sound.
+// tier under its canonical SQL and a version vector over every referenced
+// table; a hit returns the materialized rows without planning or
+// executing anything. No engine setting is in the key: rows, their order
+// and every float's bits are the same at every worker count (DESIGN.md
+// §9), so engines at any parallelism share an entry. Misses run under
+// singleflight, so concurrent identical queries over the same versions
+// share one execution. Clean answers are deterministic for a fixed
+// database state, which is what makes serving the memoized result sound.
 func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
 	return e.queryStmt(ctx, stmt, "")
 }
@@ -197,15 +196,14 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	if norm == "" {
 		norm = stmt.SQL()
 	}
-	key := resultKey(norm, popts)
 	vv, ok := cache.VersionVector(e.db, stmt.Tables())
 	if !ok {
 		// An unresolvable table: bypass the cache so planning reports
 		// the ordinary error.
 		return e.executeStmt(ctx, stmt, popts, nil, "", "")
 	}
-	v, shared, err := e.opts.Cache.Do(ctx, key, vv, func() (any, int64, error) {
-		r, err := e.executeStmt(ctx, stmt, popts, e.opts.Cache, key, vv)
+	v, shared, err := e.opts.Cache.Do(ctx, norm, vv, func() (any, int64, error) {
+		r, err := e.executeStmt(ctx, stmt, popts, e.opts.Cache, norm, vv)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -224,32 +222,15 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 		return nil, err
 	}
 	// Serve the memoized result: share the materialized rows, but report
-	// this call's own latency so percentiles stay honest.
+	// this call's own latency and worker count so percentiles stay honest.
 	out := *r
 	out.Stats.Cached = true
+	out.Stats.Parallelism = popts.Parallelism
 	out.Stats.PlanTime = 0
 	out.Stats.ExecTime = time.Since(start)
 	out.Stats.BufferedPeak = 0
 	out.Stats.Batches = 0
 	return &out, nil
-}
-
-// resultKey is the cache key shared by the plan and result tiers: the
-// canonical statement text plus the one planner option that changes the
-// physical plan. Rows and their order are identical at every setting. A
-// float SUM or AVG has the same bits in every run and at every worker
-// count above one, because the parallel aggregate folds it on the morsel
-// grid, but it may differ in its last bits from the serial pass's fold
-// (DESIGN.md §9), so parallelism stays in the key until ROADMAP item 1
-// has the serial pass fold the same grid. norm is the statement's SQL().
-func resultKey(norm string, popts plan.Options) string {
-	var b strings.Builder
-	b.Grow(len(norm) + len("|par=") + 20)
-	var num [20]byte
-	b.WriteString(norm)
-	b.WriteString("|par=")
-	b.Write(strconv.AppendInt(num[:0], int64(popts.Parallelism), 10))
-	return b.String()
 }
 
 // Prepared is a statement planned once and ready to be re-opened: the
@@ -350,15 +331,18 @@ func (p *Prepared) Report(ctx context.Context, err error, elapsed time.Duration)
 }
 
 // executeStmt plans and executes stmt. When c is non-nil the plan tier
-// is consulted under (key, vv): a valid, idle Prepared skips parse→plan
-// entirely and is re-opened; otherwise the fresh one is cached for the
-// next execution. One that errors mid-execution is dropped.
+// is consulted under (key, vv): a valid, idle Prepared planned for popts'
+// worker count skips parse→plan entirely and is re-opened; otherwise the
+// fresh one is cached for the next execution, in its place. A tree is
+// planned for a worker count (Gather, operator Parallelism), so one
+// planned for another is a miss. One that errors mid-execution is
+// dropped.
 func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, c *cache.Cache, key, vv string) (*Result, error) {
 	start := time.Now()
 	var prep *Prepared
 	if c != nil {
 		if v, ok := c.GetPlan(key, vv); ok {
-			if p := v.(*Prepared); p.checkout() {
+			if p := v.(*Prepared); p.popts.Parallelism == popts.Parallelism && p.checkout() {
 				prep = p
 			}
 		}

@@ -274,8 +274,12 @@ func concatRuns[T any](runs []run[T], g *Governor) ([]T, error) {
 // emission order. On the one morsel grid every row of morsel m precedes
 // every row of morsel m+1, a morsel's rows come out of its pipeline in
 // order, and one worker collects them, in runs it appends in order; so
-// the runs stably sorted by tag, then concatenated, are that order.
+// the runs stably sorted by tag, then concatenated, are that order. One
+// part claims its morsels in order, so its runs already are.
 func mergeRuns[T any](outs []runs[T], g *Governor) ([]T, error) {
+	if len(outs) == 1 {
+		return concatRuns(outs[0].runs, g)
+	}
 	var all []run[T]
 	for _, o := range outs {
 		all = append(all, o.runs...)

@@ -2,10 +2,10 @@
 // caller's Batch with one run of rows, polling the governor once per
 // batch. Two invariants hold throughout:
 //
-//   - A batch never spans a morsel: MorselScan returns at morsel
-//     boundaries and every pipeline operator emits a non-empty output
-//     batch before pulling the next child batch, so Gather's worker loop
-//     can attribute a whole batch to its leaf MorselScan's current morsel.
+//   - A batch never spans a morsel: Scan returns at morsel boundaries and
+//     every pipeline operator emits a non-empty output batch before
+//     pulling the next child batch, so the consumer of a split part can
+//     attribute a whole batch to its leaf Scan's current morsel.
 //   - Output rows live as long as the batch that carries them says: rows
 //     put into a plain batch are carved forward-only from fresh slabs and
 //     never overwritten; rows put into a transient batch (NewTransientBatch)
@@ -147,53 +147,18 @@ func (p *batchProbe) nextOrd() rowOrd {
 	return rowOrd{base: p.lastBase, seq: p.seq}
 }
 
-// NextBatch fills b from the table cursor. The serial scan counts one
-// batch at Open (the whole table), so refills do not bump the counter.
-// Leaf fill loops poll the ticker per row: a batch is the unit of *work*
-// amortization, but cancellation latency must stay within pollInterval
-// rows, not a whole batch.
+// NextBatch fills b from the current morsel, claiming the next one when
+// it runs dry, so a batch never crosses a morsel boundary; a shared scan
+// tags every row with its ordinal, so that the consumers of a split can
+// restore serial order without leaf callbacks. The fill loop polls the
+// ticker per row: a batch is the unit of *work* amortization, but
+// cancellation latency must stay within pollInterval rows, not a whole
+// batch.
 func (s *Scan) NextBatch(b *Batch) error {
 	b.Reset()
-	b.reserve(s.Table.Len()-s.pos, false)
-	for !b.Full() && s.pos < s.Table.Len() {
-		if err := s.gov.PollLeaf(); err != nil {
-			return err
-		}
-		if err := s.Table.ScanFault(); err != nil {
-			return fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
-		}
-		b.Append(s.Table.Row(s.pos))
-		s.pos++
-	}
-	s.stats.addOut(int64(b.Len()))
-	return nil
-}
-
-// NextBatch fills b from the current morsel, claiming the next one when
-// it runs dry. A batch never crosses a morsel boundary, and every row is
-// tagged with its base-table ordinal so downstream consumers can restore
-// serial order without leaf callbacks.
-func (s *MorselScan) NextBatch(b *Batch) error {
-	b.Reset()
-	for {
+	for s.pos == s.end {
 		if err := s.gov.PollBatch(); err != nil {
 			return err
-		}
-		if s.pos < s.end {
-			b.reserve(s.end-s.pos, true)
-			for !b.Full() && s.pos < s.end {
-				// Per-row ticker poll, same rationale as Scan.NextBatch.
-				if err := s.gov.PollLeaf(); err != nil {
-					return err
-				}
-				if err := s.Table.ScanFault(); err != nil {
-					return fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
-				}
-				b.AppendOrd(s.Table.Row(s.pos), rowOrd{base: int64(s.pos)})
-				s.pos++
-			}
-			s.stats.addOut(int64(b.Len()))
-			return nil
 		}
 		m, lo, hi, ok := s.cursor.claim()
 		if !ok {
@@ -203,6 +168,24 @@ func (s *MorselScan) NextBatch(b *Batch) error {
 		s.stats.incBatch()
 		s.morsel, s.pos, s.end = m, lo, hi
 	}
+	shared := s.cursor != &s.own
+	b.reserve(s.end-s.pos, shared)
+	for !b.Full() && s.pos < s.end {
+		if err := s.gov.PollLeaf(); err != nil {
+			return err
+		}
+		if err := s.Table.ScanFault(); err != nil {
+			return fmt.Errorf("exec: scanning %s: %w", s.Table.Schema.Name, err)
+		}
+		if shared {
+			b.AppendOrd(s.Table.Row(s.pos), rowOrd{base: int64(s.pos)})
+		} else {
+			b.Append(s.Table.Row(s.pos))
+		}
+		s.pos++
+	}
+	s.stats.addOut(int64(b.Len()))
+	return nil
 }
 
 // NextBatch evaluates the predicate over whole child batches, narrowing

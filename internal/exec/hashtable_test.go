@@ -137,7 +137,7 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 				for _, p := range drainParts(t, parts, batch) {
 					got = append(got, p...)
 				}
-				sort.Slice(got, func(x, y int) bool { return got[x].ord.less(got[y].ord) })
+				sort.Slice(got, func(x, y int) bool { return got[x].ord.compare(got[y].ord) < 0 })
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d rows, the nested loop has %d", label, len(got), len(want))
 				}
@@ -279,10 +279,15 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 	// chain of a head vector it has doubled.
 	a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(build, "b"),
 		exprs(colRef("b", "k")), []ColInfo{{Name: "k", Type: value.KindInt}}, nil))
-	acc := a.newAcc()
-	if err := a.fill(acc, a.Child, nil, govern(a)); err != nil {
+	gov := govern(a)
+	if err := a.Child.Open(); err != nil {
 		t.Fatal(err)
 	}
+	a.accs = make([]*aggAcc, 1)
+	if err := a.fillPart(0, a.Child, nil, gov); err != nil {
+		t.Fatal(err)
+	}
+	acc := a.accs[0]
 	used := 0
 	for _, st := range acc.heads {
 		if st != nil {

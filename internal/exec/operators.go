@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"container/heap"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"conquer/internal/qerr"
 	"conquer/internal/sqlparse"
@@ -13,8 +15,12 @@ import (
 	"conquer/internal/value"
 )
 
-// Scan reads every row of a stored table, tagging columns with the query
-// alias so references resolve per-occurrence.
+// Scan reads the rows of a stored table, tagging columns with the query
+// alias so references resolve per-occurrence. It claims the table's
+// morsels from a cursor, its own or the one the parts of a split share,
+// and a batch never spans one: morsel is the last batch's, claims the
+// count EXPLAIN ANALYZE reports per worker. Only a shared scan tags rows
+// with their ordinals: nothing reassembles a single part.
 type Scan struct {
 	Table *storage.Table
 	Alias string
@@ -22,7 +28,13 @@ type Scan struct {
 	govHolder
 	statsHolder
 	schema RowSchema
+	cursor *morselCursor // &own, or the cursor of the split the scan is a part of
+	own    morselCursor
+	grid   int // rows per morsel of own; 0 makes the table one morsel
+	morsel int
+	claims int
 	pos    int
+	end    int
 }
 
 // NewScan builds a scan of tb under the given alias.
@@ -43,11 +55,18 @@ func tableSchema(tb *storage.Table, alias string) RowSchema {
 
 func (s *Scan) Schema() RowSchema { return s.schema }
 
-// Open resets the cursor.
+// Open starts the scan over. A scan of its own cursor rewinds it, on its
+// grid; a part leaves the shared cursor alone, since the split that made
+// it rewound it, and rewinding it per part would race.
 func (s *Scan) Open() error {
 	s.stats.markOpen()
-	s.stats.incBatch() // a serial scan is one batch: the whole table
-	s.pos = 0
+	if s.cursor == nil || s.cursor == &s.own {
+		n := s.Table.Len()
+		s.cursor = &s.own
+		s.own.next.Store(0)
+		s.own.size, s.own.total = cmp.Or(s.grid, max(n, 1)), n
+	}
+	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
 	return nil
 }
 
@@ -415,8 +434,10 @@ type HashAggregate struct {
 	groupEvs []Evaluator
 	argEvs   []Evaluator // nil for COUNT(*)
 	out      [][]value.Value
-	reserved int64
+	reserved atomic.Int64 // groups charged against the buffered budget, by every part
 	pos      int
+	accs     []*aggAcc // each part's accumulator while Open runs
+	one      [1]*aggAcc
 }
 
 type aggState struct {
@@ -430,10 +451,9 @@ type aggState struct {
 	sumIsInt  []bool
 	min, max  []value.Value
 	seen      []bool
-	// morsel is the morsel whose rows sum adds up, in a parallel worker (0
-	// in the serial pass, which folds its rows in order). earlier links the
-	// chain of the group's sums over other morsels, kept apart until
-	// foldSums: in its worker's aggAcc.setAside, then in the merge's.
+	// morsel is the morsel whose rows sum adds up. earlier links the chain
+	// of the group's sums over other morsels, kept apart until foldSums: in
+	// its part's aggAcc.setAside, then, when parts merge, in the merge's.
 	morsel  int
 	earlier int32
 	// one and oneFlags hold the fields of a state with a single aggregate
@@ -483,8 +503,8 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 
 func (a *HashAggregate) Schema() RowSchema { return a.schema }
 
-// aggAcc is the accumulation state of one aggregation pass: the serial
-// pass uses one, each parallel worker builds its own. Its hash table is a
+// aggAcc is the accumulation state of one part of an aggregation pass:
+// the one part of a serial pass, or each worker's. Its hash table is a
 // power-of-two vector of bucket heads; a bucket is a chain of states
 // through aggState.next, carved from the arena like the states themselves,
 // so a group costs no slice and no map slot of its own. A bucket holds the
@@ -500,10 +520,7 @@ type aggAcc struct {
 	// group; sums carves the sums of their next morsels.
 	setAside []morselSum
 	sums     []float64
-	// pending counts groups created since the last flushReserve; reserved
-	// counts groups already charged against the buffered budget.
-	pending  int64
-	reserved int64
+	pending  int64 // groups created since the last flushReserve
 }
 
 // aggFirstHeads is the length of an accumulator's first head vector.
@@ -655,9 +672,9 @@ func moveSums(to *[]morselSum, from []morselSum, link, head int32) int32 {
 
 // foldSums makes st's float sums the sum, from zero and in morsel order,
 // of its sums over each morsel: its own and the chain at st.earlier in
-// chain. Each of those adds the morsel's rows in order, in whichever
-// worker claimed it, so the result depends on the rows and the morsel grid
-// alone, not on which worker won which morsel (ROADMAP item 1). scratch is
+// chain. Each of those adds the morsel's rows in order, in whichever part
+// claimed it, so the result depends on the rows and the morsel grid alone,
+// not on the worker count or on which worker won which morsel. scratch is
 // reused, and returned for the next call.
 func (st *aggState) foldSums(chain, scratch []morselSum) []morselSum {
 	parts := append(scratch[:0], morselSum{morsel: st.morsel, sum: st.sum})
@@ -725,11 +742,11 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd, m
 			}
 			st.sum[i] += v.AsFloat()
 		case AggMin:
-			if !st.seen[i] || value.Compare(v, st.min[i]) < 0 {
+			if !st.seen[i] || compareExtreme(v, st.min[i]) < 0 {
 				st.min[i] = v
 			}
 		case AggMax:
-			if !st.seen[i] || value.Compare(v, st.max[i]) > 0 {
+			if !st.seen[i] || compareExtreme(v, st.max[i]) > 0 {
 				st.max[i] = v
 			}
 		}
@@ -741,7 +758,7 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd, m
 // flushReserve charges the groups accumulate created since the last
 // flush against gov's buffered budget (gov is the caller's governor — a
 // worker fork during parallel aggregation). A failed reservation still
-// charges (drainBatches convention): pending moves into reserved before
+// charges (drainBatches convention): pending moves into a.reserved before
 // the error returns, so Close releases exactly what was reserved.
 func (a *HashAggregate) flushReserve(acc *aggAcc, gov *Governor) error {
 	n := acc.pending
@@ -749,7 +766,7 @@ func (a *HashAggregate) flushReserve(acc *aggAcc, gov *Governor) error {
 		return nil
 	}
 	acc.pending = 0
-	acc.reserved += n
+	a.reserved.Add(n)
 	a.stats.addBuffered(n)
 	return gov.ReserveBuffered(n)
 }
@@ -767,11 +784,11 @@ func addInt(sum *int64, v int64) error {
 
 // combine merges a worker-local partial state into dst. Counts add, and
 // integer sums add exactly, failing past int64 as accumulate does; min/max
-// compare; the first-appearance ordinal is the minimum, so the merged
-// output order matches the serial pass. Float sums are the caller's: the
-// merge chains them per morsel for foldSums.
+// compare by compareExtreme; the first-appearance ordinal is the minimum,
+// so the merged output order matches one part's. Float sums are the
+// caller's: the merge chains them per morsel for foldSums.
 func combine(dst, src *aggState, aggs []AggSpec) error {
-	if src.ord.less(dst.ord) {
+	if src.ord.compare(dst.ord) < 0 {
 		dst.ord = src.ord
 	}
 	for i, spec := range aggs {
@@ -786,11 +803,11 @@ func combine(dst, src *aggState, aggs []AggSpec) error {
 		}
 		switch spec.Func {
 		case AggMin:
-			if src.seen[i] && (!dst.seen[i] || value.Compare(src.min[i], dst.min[i]) < 0) {
+			if src.seen[i] && (!dst.seen[i] || compareExtreme(src.min[i], dst.min[i]) < 0) {
 				dst.min[i] = src.min[i]
 			}
 		case AggMax:
-			if src.seen[i] && (!dst.seen[i] || value.Compare(src.max[i], dst.max[i]) > 0) {
+			if src.seen[i] && (!dst.seen[i] || compareExtreme(src.max[i], dst.max[i]) > 0) {
 				dst.max[i] = src.max[i]
 			}
 		}
@@ -799,6 +816,43 @@ func combine(dst, src *aggState, aggs []AggSpec) error {
 		}
 	}
 	return nil
+}
+
+// compareExtreme is the order MIN and MAX keep their value by:
+// value.Compare, its ties between numbers broken by a total order — NaN
+// above every number (NaNs by their bits), then numeric value, then an Int
+// before a Float, then -0 before +0 — so which of two tied values a group
+// keeps does not depend on the order its rows were folded in.
+func compareExtreme(a, b value.Value) int {
+	if c := value.Compare(a, b); c != 0 || !a.IsNumeric() || !b.IsNumeric() {
+		return c
+	}
+	af, bf := a.AsFloat(), b.AsFloat()
+	if an, bn := math.IsNaN(af), math.IsNaN(bf); an || bn {
+		if an == bn {
+			return cmp.Compare(math.Float64bits(af), math.Float64bits(bf))
+		}
+		return -cmp.Compare(af, bf) // cmp.Compare puts a NaN first
+	}
+	// A Float tied with an Int is the Int rounded, so integral.
+	switch ai, bi := a.Kind() == value.KindInt, b.Kind() == value.KindInt; {
+	case ai && bi:
+		return 0
+	case ai:
+		return intVsFloat(a.AsInt(), bf)
+	case bi:
+		return -intVsFloat(b.AsInt(), af)
+	}
+	return cmp.Compare(math.Float64bits(bf)>>63, math.Float64bits(af)>>63) // -0 first
+}
+
+// intVsFloat orders i before f, the float i rounds to, unless i is above
+// it; -math.MinInt64 is 2^63, above every int64.
+func intVsFloat(i int64, f float64) int {
+	if f < -math.MinInt64 && i > int64(f) {
+		return 1
+	}
+	return -1
 }
 
 // emit finishes the states into output rows, all carved from one block.
@@ -830,58 +884,53 @@ func (a *HashAggregate) emit(order []*aggState) error {
 	return nil
 }
 
-// Open drains the child and builds all groups, with parallel partial
-// aggregation when Parallelism > 1 and the child pipeline splits.
+// Open drains the child and builds all groups: each part of the child's
+// split (the child itself, unless it splits) folds into an accumulator of
+// its own, several merge, and a group's float sums fold in morsel order,
+// so a SUM or AVG has the same bits at every worker count and in every run.
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
-	if opensSplit(a.Child, a.Parallelism, a.stats) {
-		return a.openParallel(splitPipeline(a.Child, a.Parallelism))
-	}
-	if err := a.Child.Open(); err != nil {
+	sp := splitFor(a.Child, a.Parallelism, a.stats)
+	a.accs = slots(&a.one, &sp)
+	defer func() { clear(a.accs); a.accs = nil }() // emitted, the states die
+	if err := sp.run(a.gov, a); err != nil {
 		return err
 	}
-	defer a.Child.Close()
-	acc := a.newAcc()
-	err := a.fill(acc, a.Child, nil, a.gov)
-	a.reserved = acc.reserved
-	if err != nil {
-		return err
+	// One accumulator's order is already first appearance.
+	order, chain := a.accs[0].order, a.accs[0].setAside
+	if len(a.accs) > 1 {
+		var err error
+		if order, chain, err = a.merge(a.accs); err != nil {
+			return err
+		}
 	}
-	return a.emit(acc.order)
+	var scratch []morselSum
+	for _, st := range order {
+		if err := a.gov.Poll(); err != nil {
+			return err
+		}
+		if st.earlier != 0 {
+			scratch = st.foldSums(chain, scratch)
+		}
+	}
+	return a.emit(order)
 }
 
-// fill folds op's whole input into acc under gov, with one poll and one
-// reservation flush per batch: the serial pass over the child (leaf nil)
-// and each parallel worker over its part, whose morsel scan is leaf. Group
-// order is acc's first appearance; only the parallel merge reads the row
-// ordinals and the morsels.
-func (a *HashAggregate) fill(acc *aggAcc, op Operator, leaf *MorselScan, gov *Governor) error {
-	bb := NewTransientBatch(batchSize) // accumulate copies the values it keeps
-	for {
-		if err := gov.PollBatch(); err != nil {
-			return err
-		}
-		if err := op.NextBatch(bb); err != nil {
-			return err
-		}
-		n := bb.Len()
-		if n == 0 {
-			return nil
-		}
-		a.stats.addIn(int64(n))
-		morsel := 0
-		if leaf != nil {
-			morsel = leaf.morsel // a pipeline batch never spans a morsel
-		}
-		for i := 0; i < n; i++ {
-			if err := a.accumulate(acc, bb.Row(i), bb.Ord(i), morsel); err != nil {
+// fillPart folds part w into a fresh accumulator, accs[w], flushing its
+// reservations once per batch. Group order is the accumulator's first
+// appearance; only the merge of several reads the row ordinals.
+func (a *HashAggregate) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
+	acc := a.newAcc()
+	a.accs[w] = acc
+	// Transient: accumulate copies the values it keeps.
+	return pull(part, leaf, gov, NewTransientBatch(batchSize), a.stats, func(b *Batch, m int) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			if err := a.accumulate(acc, b.Row(i), b.Ord(i), m); err != nil {
 				return err
 			}
 		}
-		if err := a.flushReserve(acc, gov); err != nil {
-			return err
-		}
-	}
+		return a.flushReserve(acc, gov)
+	})
 }
 
 func finishAgg(f AggFunc, st *aggState, i int) value.Value {
@@ -918,8 +967,7 @@ func finishAgg(f AggFunc, st *aggState, i int) value.Value {
 func (a *HashAggregate) Close() error {
 	a.stats.markDone()
 	a.out = nil
-	a.gov.ReleaseBuffered(a.reserved)
-	a.reserved = 0
+	a.gov.ReleaseBuffered(a.reserved.Swap(0))
 	return nil
 }
 

@@ -1,27 +1,31 @@
 // Morsel-driven parallel execution (see DESIGN.md §9).
 //
-// Base-table scans are split into fixed-size morsels — morsel m is rows
+// Base-table scans read fixed-size morsels — morsel m is rows
 // [m·size, (m+1)·size) of the table, where size is morselSize or, for a
-// small table probing a larger one, less (morselRows) — handed out by one
-// atomic cursor per split scan; a pipeline over such a scan (filters,
-// projections, the probe side of hash joins) splits into N independent
-// partial pipelines that workers drive to completion. Three operators
-// consume partial pipelines:
+// small table probing a larger one, less (morselRows) — handed out by a
+// cursor; a pipeline over such a scan (filters, projections, the probe
+// side of hash joins) splits into N independent parts over one shared
+// cursor, which workers drive to completion. Three operators consume the
+// parts of a split:
 //
-//   - Gather runs N partial pipelines to completion and re-emits their
-//     rows in base-table row order, so a parallel scan→filter→project plan
+//   - Gather runs N parts to completion and re-emits their rows in
+//     base-table row order, so a parallel scan→filter→project plan
 //     produces exactly the serial row order.
-//   - HashJoin builds its hash table with parallel workers (per-worker
-//     runs merged in morsel order, as Gather merges) and can itself
-//     split into probe parts sharing one build.
-//   - HashAggregate aggregates each partial pipeline into thread-local
-//     groups and merges them in a final phase, folding each group's float
-//     sums morsel by morsel in morsel order.
+//   - HashJoin builds its hash table from the parts of its right input
+//     (per-part runs merged in morsel order, as Gather merges) and can
+//     itself split into probe parts sharing one build.
+//   - HashAggregate aggregates each part into thread-local groups and
+//     merges them in a final phase, folding each group's float sums
+//     morsel by morsel in morsel order.
 //
-// Every worker runs in a qerr.Pool and polls a Governor it forks from its
-// operator's under the pool's context (fresh poll ticker, shared budget):
-// the first worker error (or a cancellation) drains the pool, and panics
-// cross goroutine boundaries only through qerr.Recover.
+// The join build and the aggregate run a pipeline that does not split as
+// the one part of its split: the template tree itself, on the same grid,
+// on the caller's goroutine, so the serial pass folds what the workers
+// fold. Every worker of a split runs in a qerr.Pool and polls a Governor
+// it forks from its operator's under the pool's context (fresh poll
+// ticker, shared budget): the first worker error (or a cancellation)
+// drains the pool, and panics cross goroutine boundaries only through
+// qerr.Recover.
 package exec
 
 import (
@@ -34,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"conquer/internal/qerr"
-	"conquer/internal/storage"
 	"conquer/internal/value"
 )
 
@@ -50,16 +53,12 @@ const DefaultMorselSize = 1024
 // which shrink it to get many morsels from small tables.
 var morselSize = DefaultMorselSize
 
-// morselCursor hands out the morsels of one base table to competing
-// workers, in table order: morsel m is rows [m·size, (m+1)·size).
+// morselCursor hands out the morsels of one base table, in table order, to
+// the scans claiming them: morsel m is rows [m·size, (m+1)·size).
 type morselCursor struct {
 	next  atomic.Int64
 	size  int
 	total int
-}
-
-func newMorselCursor(total, size int) *morselCursor {
-	return &morselCursor{size: size, total: total}
 }
 
 // claim returns the next unclaimed morsel index and row range, or
@@ -93,11 +92,7 @@ type rowOrd struct {
 	seq  int64
 }
 
-func (o rowOrd) less(p rowOrd) bool {
-	return o.base < p.base || (o.base == p.base && o.seq < p.seq)
-}
-
-// compare is less as a three-way comparison.
+// compare orders o and p three ways.
 func (o rowOrd) compare(p rowOrd) int {
 	if c := cmp.Compare(o.base, p.base); c != 0 {
 		return c
@@ -105,53 +100,15 @@ func (o rowOrd) compare(p rowOrd) int {
 	return cmp.Compare(o.seq, p.seq)
 }
 
-// MorselScan is the leaf of a partial pipeline: a Scan over whichever
-// morsels of its table this worker wins from the cursor all parts of the
-// split share. A row's ordinal is its position in the table. Its
-// consumers read it after the pipeline returns a batch: morsel is the
-// morsel that produced the batch (Gather keeps a run per morsel), and
-// claims how many morsels this leaf has claimed (the per-worker share
-// EXPLAIN ANALYZE reports).
-type MorselScan struct {
-	Table *storage.Table
-	Alias string
-
-	govHolder
-	statsHolder
-	schema RowSchema
-	cursor *morselCursor
-	morsel int
-	claims int
-	pos    int
-	end    int
-}
-
-func (s *MorselScan) Schema() RowSchema { return s.schema }
-
-// Open resets the worker-local range (the shared cursors are reset by
-// re-splitting, not here — resetting per part would race).
-func (s *MorselScan) Open() error {
-	s.stats.markOpen()
-	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
-	return nil
-}
-
-func (s *MorselScan) Close() error { s.stats.markDone(); return nil }
-
-// Describe implements Operator.
-func (s *MorselScan) Describe() string {
-	return fmt.Sprintf("MorselScan(%s AS %s)", s.Table.Schema.Name, s.Alias)
-}
-
 // opensSplit reports whether an operator configured for n workers should
-// open the pipeline op split (Gather, the join build and HashAggregate's
-// parallel arm all ask): it must have more than one worker to split
-// across, and some base table it reads — the driving scan or the build
-// side of one of its probe joins — must hold more than one morsel of
-// rows. A pipeline whose every input fits one morsel opens serially
-// instead of setting up a worker pool, forked governors and a morsel
-// cursor around a claim or two (DESIGN.md §17); s, the asking
-// operator's stats, records that for EXPLAIN ANALYZE.
+// open the pipeline op split (Gather, the join build and HashAggregate
+// all ask): it must have more than one worker to split across, and some
+// base table it reads — the driving scan or the build side of one of its
+// probe joins — must hold more than one morsel of rows. A pipeline whose
+// every input fits one morsel opens serially instead of setting up a
+// worker pool, forked governors and a morsel cursor around a claim or two
+// (DESIGN.md §17); s, the asking operator's stats, records that for
+// EXPLAIN ANALYZE.
 func opensSplit(op Operator, n int, s *OpStats) bool {
 	if n <= 1 || drivingScan(op) == nil {
 		return false
@@ -218,21 +175,21 @@ func morselRows(op Operator) int {
 	return max(1, (rows+k-1)/k)
 }
 
-// splitPipeline clones op into at most n independent partial pipelines
-// over a fresh shared morsel cursor, on morselRows' grid. Compiled
-// evaluators are shared — they are pure functions of the row — while all
-// iteration state is per-part. Each clone also shares its template's
-// OpStats pointer, so the counters of all workers aggregate onto the
-// template tree that EXPLAIN ANALYZE renders. The returned leaves report
-// morsel provenance for each part. Fewer than n parts come back when the
-// base table has fewer morsels than workers. op is a pipeline drivingScan
-// walks, as opensSplit has checked: its recursion is this one's.
-func splitPipeline(op Operator, n int) ([]Operator, []*MorselScan) {
+// splitPipeline clones op into at most n independent parts over a fresh
+// shared morsel cursor, on morselRows' grid. Compiled evaluators are
+// shared — they are pure functions of the row — while all iteration state
+// is per-part. Each clone also shares its template's OpStats pointer, so
+// the counters of all workers aggregate onto the template tree that
+// EXPLAIN ANALYZE renders. The returned leaves report morsel provenance
+// for each part. Fewer than n parts come back when the base table has
+// fewer morsels than workers. op is a pipeline drivingScan walks, as
+// opensSplit has checked: its recursion is this one's.
+func splitPipeline(op Operator, n int) ([]Operator, []*Scan) {
 	return splitAt(op, n, morselRows(op))
 }
 
 // splitAt is splitPipeline with the driving scan's morsel size given.
-func splitAt(op Operator, n, size int) ([]Operator, []*MorselScan) {
+func splitAt(op Operator, n, size int) ([]Operator, []*Scan) {
 	switch op := op.(type) {
 	case *Filter:
 		children, leaves := splitAt(op.Child, n, size)
@@ -277,35 +234,128 @@ func splitAt(op Operator, n, size int) ([]Operator, []*MorselScan) {
 	return splitScan(op.(*Scan), n, size)
 }
 
-// splitScan is splitPipeline's leaf case: up to n MorselScans claiming
-// the size-row morsels of op's table from one shared cursor.
-func splitScan(op *Scan, n, size int) ([]Operator, []*MorselScan) {
-	cur := newMorselCursor(op.Table.Len(), size)
+// splitScan is splitPipeline's leaf case: up to n Scans claiming the
+// size-row morsels of op's table from one shared cursor.
+func splitScan(op *Scan, n, size int) ([]Operator, []*Scan) {
+	cur := &morselCursor{size: size, total: op.Table.Len()}
 	if m := cur.morsels(); m > 0 && m < n {
 		n = m
 	}
 	parts := make([]Operator, n)
-	leaves := make([]*MorselScan, n)
+	leaves := make([]*Scan, n)
 	for i := range parts {
-		ms := &MorselScan{Table: op.Table, Alias: op.Alias, schema: op.schema, cursor: cur}
-		ms.stats = op.stats
-		parts[i], leaves[i] = ms, ms
+		s := &Scan{Table: op.Table, Alias: op.Alias, schema: op.schema, cursor: cur}
+		s.stats = op.stats
+		parts[i], leaves[i] = s, s
 	}
 	return parts, leaves
 }
 
-// closeAll closes every part, keeping the first error. The coordinator
-// calls it after the worker barrier so shared state (e.g. a join build
-// referenced by all probe parts) is released exactly once, even when a
-// worker failed before opening its part.
-func closeAll(parts []Operator) error {
-	var first error
+// split is the parts a consumer runs a pipeline as: splitPipeline's
+// clones, each with the scan at its leaf, or, when parts is nil, the
+// pipeline op itself, the one part of its split, whose driving scan is
+// leaf (nil when op is no pipeline).
+type split struct {
+	parts  []Operator
+	leaves []*Scan
+	op     Operator
+	leaf   *Scan
+}
+
+// splitFor is the split a consumer configured for n workers, whose stats
+// are s, runs op as: splitPipeline's when opensSplit says so, and
+// otherwise op itself as the one part, its driving scan on morselRows'
+// grid, so that its batches fall on the morsels a split would claim
+// (DESIGN.md §9). An op that is no pipeline runs whole, as one morsel.
+func splitFor(op Operator, n int, s *OpStats) split {
+	if opensSplit(op, n, s) {
+		parts, leaves := splitPipeline(op, n)
+		return split{parts: parts, leaves: leaves}
+	}
+	sp := split{op: op, leaf: drivingScan(op)}
+	if sp.leaf != nil {
+		sp.leaf.grid = morselRows(op)
+	}
+	return sp
+}
+
+// A partFiller consumes the parts of a split: fillPart pulls part w,
+// open, to its end under gov. leaf is the scan at the part's leaf, whose
+// morsel is the one every batch the part returns comes from, or nil when
+// the part is no pipeline.
+type partFiller interface {
+	fillPart(w int, part Operator, leaf *Scan, gov *Governor) error
+}
+
+// run opens each part of sp, has f fill from it and closes them all,
+// keeping the first error: splitPipeline's clones each on a worker of a
+// qerr.Pool under a fork of gov, closed after the worker barrier so that
+// shared state (a join build referenced by all probe parts) is released
+// exactly once, even when a worker failed before opening its part; the one
+// part on the caller's goroutine under gov itself, with no clone, pool or
+// fork.
+func (sp *split) run(gov *Governor, f partFiller) error {
+	if sp.parts == nil {
+		if err := sp.op.Open(); err != nil {
+			return err
+		}
+		err := f.fillPart(0, sp.op, sp.leaf, gov)
+		if cerr := sp.op.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	parts, leaves := sp.parts, sp.leaves
+	err := qerr.Pool(gov.Context(), len(parts), func(ctx context.Context, w int) error {
+		g := gov.Fork(ctx)
+		Attach(parts[w], g)
+		if err := parts[w].Open(); err != nil {
+			return err
+		}
+		return f.fillPart(w, parts[w], leaves[w], g)
+	})
 	for _, p := range parts {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
+		if cerr := p.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return first
+	return err
+}
+
+// pull drains op, open, under gov through b, polling once per batch and
+// counting its rows into s, and hands each batch to each with its morsel:
+// the morsel of leaf, op's driving scan, since a pipeline batch never
+// spans one, or 0 when op is no pipeline.
+func pull(op Operator, leaf *Scan, gov *Governor, b *Batch, s *OpStats, each func(b *Batch, morsel int) error) error {
+	for {
+		if err := gov.PollBatch(); err != nil {
+			return err
+		}
+		if err := op.NextBatch(b); err != nil {
+			return err
+		}
+		n := b.Len()
+		if n == 0 {
+			return nil
+		}
+		s.addIn(int64(n))
+		m := 0
+		if leaf != nil {
+			m = leaf.morsel
+		}
+		if err := each(b, m); err != nil {
+			return err
+		}
+	}
+}
+
+// slots returns a slot per part of sp: one's, when sp's one part is its
+// op, so that a consumer running its pipeline as one part allocates none.
+func slots[T any](one *[1]T, sp *split) []T {
+	if sp.parts == nil {
+		return one[:]
+	}
+	return make([]T, len(sp.parts))
 }
 
 // ---------------------------------------------------------------------------
@@ -331,6 +381,7 @@ type Gather struct {
 	serial bool
 	rows   [][]value.Value
 	pos    int
+	outs   []runs[[]value.Value] // each worker's rows, while Open runs
 	// workerMorsels[w] is how many morsels worker w claimed during the
 	// last parallel Open; EXPLAIN ANALYZE reports it per worker.
 	workerMorsels []int64
@@ -351,63 +402,43 @@ func (g *Gather) Open() error {
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
 	if opensSplit(g.Child, g.N, g.stats) {
 		g.serial = false
-		return g.openParallel(splitPipeline(g.Child, g.N))
+		outs, err := g.runParts(splitPipeline(g.Child, g.N))
+		if err == nil {
+			g.rows, err = mergeRuns(outs, g.gov)
+		}
+		return err
 	}
 	g.serial = true
 	return g.Child.Open()
 }
 
-func (g *Gather) openParallel(parts []Operator, leaves []*MorselScan) error {
-	outs, err := g.runParts(parts, leaves)
-	if err != nil {
-		return err
-	}
-	g.rows, err = mergeRuns(outs, g.gov)
-	return err
-}
-
 // runParts drives the parts to completion on workers and closes them;
 // worker w collects its rows into outs[w], in runs tagged by the morsel
 // that produced them.
-func (g *Gather) runParts(parts []Operator, leaves []*MorselScan) ([]runs[[]value.Value], error) {
-	outs := make([]runs[[]value.Value], len(parts))
-	err := qerr.Pool(g.gov.Context(), len(parts), func(ctx context.Context, w int) error {
-		gov, part, leaf := g.gov.Fork(ctx), parts[w], leaves[w]
-		Attach(part, gov)
-		if err := part.Open(); err != nil {
-			return err
-		}
-		// A pipeline batch never spans a morsel, so the whole batch belongs
-		// to the leaf's current morsel.
-		cur := -1
-		bb := NewBatch(batchSize)
-		for {
-			if err := gov.PollBatch(); err != nil {
-				return err
-			}
-			if err := part.NextBatch(bb); err != nil {
-				return err
-			}
-			n := bb.Len()
-			if n == 0 {
-				return nil
-			}
-			g.stats.addIn(int64(n))
-			if m := leaf.morsel; m != cur {
-				cur = m
-				g.stats.incBatch()
-			}
-			addBatch(&outs[w], cur, bb)
-		}
-	})
+func (g *Gather) runParts(parts []Operator, leaves []*Scan) ([]runs[[]value.Value], error) {
+	g.outs = make([]runs[[]value.Value], len(parts))
+	sp := split{parts: parts, leaves: leaves}
+	err := sp.run(g.gov, g)
+	outs := g.outs
+	g.outs = nil
 	g.workerMorsels = make([]int64, len(leaves))
 	for w, leaf := range leaves {
 		g.workerMorsels[w] = int64(leaf.claims)
 	}
-	if cerr := closeAll(parts); err == nil {
-		err = cerr
-	}
 	return outs, err
+}
+
+// fillPart collects part w's rows into outs[w], counting a batch per morsel.
+func (g *Gather) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
+	cur := -1
+	return pull(part, leaf, gov, NewBatch(batchSize), g.stats, func(b *Batch, m int) error {
+		if m != cur {
+			cur = m
+			g.stats.incBatch()
+		}
+		addBatch(&g.outs[w], m, b)
+		return nil
+	})
 }
 
 func (g *Gather) Close() error {
@@ -427,14 +458,14 @@ func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.N) }
 // ---------------------------------------------------------------------------
 
 // joinBuild is a hash-join build shared by one or more probe parts: the
-// first Open runs it (serially, or with parallel workers), later opens
-// reuse the result, and the table is released when the last part closes.
-// The table is one vector of entries, in right-input order, and one
-// power-of-two vector of bucket heads, each the link of its bucket's first
-// entry; a bucket is the chain through the entries whose hashes agree in
-// the bits mask keeps, in right-input order. So a key costs a head slot,
-// not a map slot or a slice of its own, and a bucket can hold other hashes
-// than the probe's: the probe compares the stored hash before the keys.
+// first Open runs it over the parts of its right input's split, later
+// opens reuse the result, and the table is released when the last part
+// closes. The table is one vector of entries, in right-input order, and
+// one power-of-two vector of bucket heads, each the link of its bucket's
+// first entry; a bucket is the chain through the entries whose hashes
+// agree in the bits mask keeps, in right-input order. So a key costs a
+// head slot, not a map slot or a slice of its own, and a bucket can hold
+// other hashes than the probe's: the probe compares the stored hash first.
 type joinBuild struct {
 	right       Operator
 	rk          []Evaluator
@@ -446,7 +477,9 @@ type joinBuild struct {
 	reserved atomic.Int64
 	entries  []buildEntry
 	heads    []int32
-	mask     uint64 // len(heads) - 1
+	mask     uint64             // len(heads) - 1
+	outs     []runs[buildEntry] // each part's entries while the build runs
+	one      [1]runs[buildEntry]
 }
 
 // onceErr is a sync.Once that remembers the error of its single run.
@@ -514,15 +547,18 @@ func (b *joinBuild) close(gov *Governor) {
 	b.reserved.Store(0)
 }
 
-// build drains the right input into the entry vector — serially, or with
-// parallel workers when the input splits — and links it.
+// build drains the parts of the right input's split, each into runs of
+// its own tagged by morsel, merges the runs in morsel order into the entry
+// vector — the one part's insertion order, however the morsels were
+// interleaved across workers — and links it.
 func (b *joinBuild) build(gov *Governor) error {
-	var err error
-	if opensSplit(b.right, b.parallelism, b.stats) {
-		b.entries, err = b.buildParallel(gov)
-	} else {
-		b.entries, err = b.buildSerial(gov)
+	sp := splitFor(b.right, b.parallelism, b.stats)
+	b.outs = slots(&b.one, &sp)
+	err := sp.run(gov, b)
+	if err == nil {
+		b.entries, err = mergeRuns(b.outs, gov)
 	}
+	b.outs, b.one = nil, [1]runs[buildEntry]{}
 	if err != nil {
 		return err
 	}
@@ -533,71 +569,21 @@ func (b *joinBuild) build(gov *Governor) error {
 	return nil
 }
 
-// buildSerial drains the right input into one run and returns its entries.
-func (b *joinBuild) buildSerial(gov *Governor) ([]buildEntry, error) {
-	if err := b.right.Open(); err != nil {
-		return nil, err
-	}
-	defer b.right.Close()
-	var out runs[buildEntry]
-	if err := b.drain(b.right, nil, gov, &out); err != nil {
-		return nil, err
-	}
-	return concatRuns(out.runs, gov)
-}
-
-// buildParallel drains the split right input with worker goroutines, each
-// collecting its entries into runs tagged by morsel, and merges the runs in
-// morsel order into the entry vector: the serial insertion order, however
-// the morsels were interleaved across workers.
-func (b *joinBuild) buildParallel(gov *Governor) ([]buildEntry, error) {
-	parts, leaves := splitPipeline(b.right, b.parallelism)
-	outs := make([]runs[buildEntry], len(parts))
-	err := qerr.Pool(gov.Context(), len(parts), func(ctx context.Context, w int) error {
-		g := gov.Fork(ctx)
-		Attach(parts[w], g)
-		if err := parts[w].Open(); err != nil {
-			return err
-		}
-		return b.drain(parts[w], leaves[w], g, &outs[w])
-	})
-	if cerr := closeAll(parts); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(outs, gov)
+// fillPart drains part w into outs[w].
+func (b *joinBuild) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
+	return b.drain(part, leaf, gov, &b.outs[w])
 }
 
 // drain pulls op's rows under gov and adds to out every row whose build
-// keys are not NULL, as an entry carrying the keys' hash: the serial build
-// over the right input in one untagged run, and each parallel worker over
-// its part (leaf its morsel scan) in runs tagged by morsel.
-// It polls and reserves once per batch. Rows added before a mid-batch
+// keys are not NULL, as an entry carrying the keys' hash, in runs tagged
+// by morsel. It reserves once per batch. Rows added before a mid-batch
 // evaluation error were never reserved, so the refcounted release stays
 // balanced without a compensating charge.
-func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *runs[buildEntry]) error {
-	bb := NewBatch(batchSize)
+func (b *joinBuild) drain(op Operator, leaf *Scan, gov *Governor, out *runs[buildEntry]) error {
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
 	nk := len(b.rk)
-	for {
-		if err := gov.PollBatch(); err != nil {
-			return err
-		}
-		if err := op.NextBatch(bb); err != nil {
-			return err
-		}
+	return pull(op, leaf, gov, NewBatch(batchSize), b.stats, func(bb *Batch, m int) error {
 		n := bb.Len()
-		if n == 0 {
-			return nil
-		}
-		b.stats.addIn(int64(n))
-		// A pipeline batch never spans a morsel.
-		tag := 0
-		if leaf != nil {
-			tag = leaf.morsel
-		}
 		var kept int64
 		for i := 0; i < n; i++ {
 			row := bb.Row(i)
@@ -609,69 +595,41 @@ func (b *joinBuild) drain(op Operator, leaf *MorselScan, gov *Governor, out *run
 				continue // NULL keys never join
 			}
 			kept++
-			out.add(tag, buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, n-i)
+			out.add(m, buildEntry{keys: keys, row: row, hash: value.HashRow(keys)}, n-i)
 		}
-		if kept > 0 {
-			// A failed reservation still charges (drainBatches convention).
-			b.reserved.Add(kept)
-			b.stats.addBuffered(kept)
-			if err := gov.ReserveBuffered(kept); err != nil {
-				return err
-			}
+		if kept == 0 {
+			return nil
 		}
-	}
+		// A failed reservation still charges (drainBatches convention).
+		b.reserved.Add(kept)
+		b.stats.addBuffered(kept)
+		return gov.ReserveBuffered(kept)
+	})
 }
 
 // ---------------------------------------------------------------------------
 // Parallel partial aggregation
 // ---------------------------------------------------------------------------
 
-// openParallel drains the split child with worker goroutines, each
-// folding its morsels into a thread-local aggAcc, then merges the
-// partials. Merged groups are ordered by first-appearance ordinal, so
-// group order matches the serial pass exactly. A float SUM/AVG of a group
-// whose rows span morsels is the morsel-order fold of its per-morsel sums
-// (foldSums): the same bits at every worker count and in every run, which
-// may differ in the last bits from the serial pass's one left-to-right
-// fold.
-func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) error {
-	accs := make([]*aggAcc, len(parts))
-	err := qerr.Pool(a.gov.Context(), len(parts), func(ctx context.Context, w int) error {
-		gov := a.gov.Fork(ctx)
-		Attach(parts[w], gov)
-		if err := parts[w].Open(); err != nil {
-			return err
-		}
-		acc := a.newAcc()
-		accs[w] = acc // pre-published so error paths can release acc.reserved
-		return a.fill(acc, parts[w], leaves[w], gov)
-	})
-	for _, acc := range accs {
-		if acc != nil {
-			a.reserved += acc.reserved
-		}
-	}
-	if cerr := closeAll(parts); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
+// merge combines the accumulators of several parts into one order of
+// groups and returns it with chain, the merged groups' sums over their
+// other morsels, for foldSums. Merged groups are ordered by
+// first-appearance ordinal, so group order matches the one part's exactly.
+func (a *HashAggregate) merge(accs []*aggAcc) (order []*aggState, chain []morselSum, err error) {
 	// Sized for no group shared between workers, so neither ever grows.
 	total := 0
 	for _, acc := range accs {
 		total += len(acc.order)
 	}
-	heads, order := make([]*aggState, headSlots(total)), make([]*aggState, 0, total)
-	// chain holds the merged groups' sums over their other morsels: each
-	// merged group's chain moves here from its worker's, and every state
-	// combined into it joins it with its own.
-	var chain []morselSum
+	heads := make([]*aggState, headSlots(total))
+	order = make([]*aggState, 0, total)
+	// Each merged group's chain moves to chain from its worker's, and every
+	// state combined into it joins it with its own.
 	var surplus int64
 	for _, acc := range accs {
 		for _, st := range acc.order {
 			if err := a.gov.Poll(); err != nil {
-				return err
+				return nil, nil, err
 			}
 			dst := findGroup(heads, st.hash, st.groupVals)
 			if dst == nil {
@@ -683,7 +641,7 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) err
 				continue
 			}
 			if err := combine(dst, st, a.Aggs); err != nil {
-				return err
+				return nil, nil, err
 			}
 			head := moveSums(&chain, acc.setAside, st.earlier, dst.earlier)
 			chain = append(chain, morselSum{st.morsel, st.sum, head})
@@ -691,16 +649,10 @@ func (a *HashAggregate) openParallel(parts []Operator, leaves []*MorselScan) err
 			surplus++
 		}
 	}
-	var scratch []morselSum
-	for _, st := range order {
-		if st.earlier != 0 {
-			scratch = st.foldSums(chain, scratch)
-		}
-	}
 	slices.SortFunc(order, func(x, y *aggState) int { return x.ord.compare(y.ord) })
 	a.gov.ReleaseBuffered(surplus)
-	a.reserved -= surplus
-	return a.emit(order)
+	a.reserved.Add(-surplus)
+	return order, chain, nil
 }
 
 // ShardView, ShardGroupStat and CollectShardStats are inert: scans are

@@ -4,7 +4,7 @@
 // timed tree, an inclusive wall-clock window. Attach installs the block,
 // so there is no uncounted run. Counters are atomic and *shared between
 // an operator and its split-pipeline clones*: splitPipeline propagates
-// the template's OpStats pointer into every MorselScan and part clone, so
+// the template's OpStats pointer into every part clone, leaf scans too, so
 // the template tree the planner returned — the one EXPLAIN renders —
 // reports totals across all workers without any merge step.
 package exec

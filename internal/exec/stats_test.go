@@ -115,7 +115,7 @@ func TestExplainAnalyzeFormat(t *testing.T) {
 	if !strings.Contains(out, "Gather[n=4]") || !strings.Contains(out, "morsels=[w0:") {
 		t.Errorf("missing Gather morsel report:\n%s", out)
 	}
-	if !strings.Contains(out, "MorselScan") && !strings.Contains(out, "Scan(fact") {
+	if !strings.Contains(out, "Scan(fact") {
 		t.Errorf("missing scan line:\n%s", out)
 	}
 	if !strings.Contains(out, "in=") || !strings.Contains(out, "out=") || !strings.Contains(out, "time=") {

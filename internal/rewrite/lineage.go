@@ -84,9 +84,23 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 		read[slices.Index(sc.aliases, alias)][rel.ColumnIndex(cr.Name)] = true
 	}
 
-	out := stmt.Clone()
+	// Counted first, the lineage columns get room in the cloned select list
+	// and one block for their references.
+	room := 0
+	for i, alias := range sc.aliases {
+		if rel := sc.rels[alias]; rel.IsDirty() {
+			read[i][rel.IdentifierIndex()] = true
+			for _, r := range read[i] {
+				if r {
+					room++
+				}
+			}
+		}
+	}
+	out := stmt.CloneWithRoom(room)
 	out.Distinct, out.OrderBy = false, nil
 	lq := &LineageQuery{Stmt: out}
+	cols := make([]sqlparse.ColumnRef, 0, room)
 	for i, alias := range sc.aliases {
 		rel := sc.rels[alias]
 		if !rel.IsDirty() {
@@ -100,7 +114,8 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 			}
 		}
 		for _, c := range la.Columns {
-			out.Select = append(out.Select, sqlparse.SelectItem{Expr: &sqlparse.ColumnRef{Qualifier: alias, Name: c}})
+			cols = append(cols, sqlparse.ColumnRef{Qualifier: alias, Name: c})
+			out.Select = append(out.Select, sqlparse.SelectItem{Expr: &cols[len(cols)-1]})
 		}
 		lq.Aliases = append(lq.Aliases, la)
 	}

@@ -472,7 +472,7 @@ func (e *NotRewritableError) Error() string {
 
 // rewrite builds the Figure-4 output for an already validated query.
 func rewrite(cat *schema.Catalog, stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
-	out := stmt.Clone()
+	out := stmt.CloneWithRoom(1) // the SUM item
 	// GROUP BY every select expression.
 	out.GroupBy = make([]sqlparse.Expr, len(out.Select))
 	for i, it := range out.Select {

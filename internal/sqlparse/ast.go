@@ -218,9 +218,9 @@ func (*IsNullExpr) exprNode()  {}
 // runs twice over the tree: once counting bytes, once writing into a
 // builder grown to exactly that count, so SQL() costs one allocation —
 // the text — whatever the size of the tree. The text is a cache key on
-// every cached read (engine.resultKey, core.evalKey).
+// every cached read: the result tier's, and the eval tier's (WriteSQL).
 type sqlWriter struct {
-	b        strings.Builder
+	b        *strings.Builder
 	n        int
 	counting bool
 }
@@ -394,7 +394,8 @@ func (w *sqlWriter) expr(e Expr) {
 
 // exprSQL is every node's SQL().
 func exprSQL(e Expr) string {
-	w := sqlWriter{counting: true}
+	var b strings.Builder
+	w := sqlWriter{b: &b, counting: true}
 	w.expr(e)
 	w.grow()
 	w.expr(e)
@@ -440,11 +441,20 @@ func (e *IsNullExpr) SQL() string { return exprSQL(e) }
 
 // SQL renders the whole statement as parseable SQL.
 func (s *SelectStmt) SQL() string {
-	w := sqlWriter{counting: true}
+	var b strings.Builder
+	s.WriteSQL(&b, "", 0)
+	return b.String()
+}
+
+// WriteSQL writes prefix and then SQL()'s text to b, growing b once for
+// both and for extra more bytes, which the caller writes after them: a
+// key built on the statement's text costs one allocation.
+func (s *SelectStmt) WriteSQL(b *strings.Builder, prefix string, extra int) {
+	w := sqlWriter{b: b, n: len(prefix) + extra, counting: true}
 	s.write(&w)
 	w.grow()
+	b.WriteString(prefix)
 	s.write(&w)
-	return w.b.String()
 }
 
 func (s *SelectStmt) write(w *sqlWriter) {

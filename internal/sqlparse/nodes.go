@@ -85,7 +85,11 @@ func (n nodeCounts) blocks() nodeBlocks {
 // Clone returns a deep copy of the statement; the rewriting layer mutates
 // clones rather than caller-owned trees. It counts the nodes first and
 // copies into blocks of exactly that size.
-func (s *SelectStmt) Clone() *SelectStmt {
+func (s *SelectStmt) Clone() *SelectStmt { return s.CloneWithRoom(0) }
+
+// CloneWithRoom is Clone with room in the copy's select list for items
+// more, so that a caller appending them does not regrow it.
+func (s *SelectStmt) CloneWithRoom(items int) *SelectStmt {
 	var n nodeCounts
 	for _, it := range s.Select {
 		n.add(it.Expr)
@@ -106,8 +110,8 @@ func (s *SelectStmt) Clone() *SelectStmt {
 		Having:   b.clone(s.Having),
 		Limit:    s.Limit,
 	}
-	if len(s.Select) > 0 {
-		c.Select = make([]SelectItem, len(s.Select))
+	if len(s.Select)+items > 0 {
+		c.Select = make([]SelectItem, len(s.Select), len(s.Select)+items)
 		for i, it := range s.Select {
 			c.Select[i] = SelectItem{Star: it.Star, Expr: b.clone(it.Expr), Alias: it.Alias}
 		}

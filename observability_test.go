@@ -56,18 +56,17 @@ var scanRowCount = regexp.MustCompile(`, \d+ rows\)`)
 
 // normalizeStatOps reduces a stats tree to the parallelism-independent
 // (operator, rows-in, rows-out) sequence: Gather lines are dropped (the
-// operator does not exist in serial plans), morsel scans are renamed to
-// plain scans, and " [parallel n=…]" decorations are stripped. Batch and
-// buffered counts legitimately differ across worker counts (per-worker
-// group state, morsel claims) and are excluded.
+// operator does not exist in serial plans), and " [parallel n=…]"
+// decorations are stripped. Batch and buffered counts legitimately differ
+// across worker counts (per-worker group state, morsel claims) and are
+// excluded.
 func normalizeStatOps(lines []exec.StatLine) []string {
 	var out []string
 	for _, l := range lines {
 		if strings.HasPrefix(l.Op, "Gather[") {
 			continue
 		}
-		op := strings.Replace(l.Op, "MorselScan(", "Scan(", 1)
-		op = scanRowCount.ReplaceAllString(op, ")")
+		op := scanRowCount.ReplaceAllString(l.Op, ")")
 		if i := strings.Index(op, " [parallel"); i >= 0 {
 			op = op[:i]
 		}

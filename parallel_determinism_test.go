@@ -1,15 +1,15 @@
 // Determinism suite for the morsel-driven parallel execution layer: every
 // evaluation query — original and rewritten — must return the same rows
-// in the same order at every worker count, with probabilities within the
-// canonical epsilon (a parallel aggregate folds a group's float sums in
-// morsel order, which can differ in the last bits from the serial pass's
-// fold; everything else is exact).
+// in the same order at every worker count, every value identical and
+// every probability bit for bit (an aggregate folds a group's float sums
+// in morsel order, serially as in parallel).
 package conquer
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,8 +32,8 @@ func determinismWorkload(t *testing.T) *dirty.DB {
 	return d
 }
 
-// sameResult compares two results: identical shape and row order, exact
-// values everywhere except floats, which get ProbEpsilon.
+// sameResult compares two results: identical shape and row order, and
+// every value identical, of one kind, floats bit for bit.
 func sameResult(t *testing.T, label string, want, got *engine.Result) {
 	t.Helper()
 	if len(got.Rows) != len(want.Rows) {
@@ -45,13 +45,11 @@ func sameResult(t *testing.T, label string, want, got *engine.Result) {
 		}
 		for c := range want.Rows[i] {
 			w, g := want.Rows[i][c], got.Rows[i][c]
-			if w.Kind() == value.KindFloat || g.Kind() == value.KindFloat {
-				if !value.FloatEq(w.AsFloat(), g.AsFloat(), value.ProbEpsilon) {
-					t.Fatalf("%s: row %d col %d: %v vs serial %v", label, i, c, g, w)
-				}
-				continue
+			same := w.Kind() == g.Kind() && value.Identical(w, g)
+			if same && w.Kind() == value.KindFloat {
+				same = math.Float64bits(w.AsFloat()) == math.Float64bits(g.AsFloat())
 			}
-			if !value.Identical(w, g) {
+			if !same {
 				t.Fatalf("%s: row %d col %d: %v vs serial %v", label, i, c, g, w)
 			}
 		}
@@ -61,8 +59,7 @@ func sameResult(t *testing.T, label string, want, got *engine.Result) {
 // TestParallelExecutionDeterministic runs all thirteen evaluation query
 // pairs serially and at parallelism 1, 2, 4 and 8 on fresh engines, with
 // recycled rows poisoned, requiring every result to match the serial
-// baseline row for row — byte-identical except floats within
-// ProbEpsilon.
+// baseline row for row, floats bit for bit.
 func TestParallelExecutionDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
@@ -87,8 +84,7 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 // inert (DESIGN.md §14): the benchmark module still sets it, so all
 // thirteen evaluation query pairs on an engine at shards 4 and
 // parallelism 2, with recycled rows poisoned, must match the serial
-// baseline row for row — byte-identical except floats within
-// ProbEpsilon. One setting is enough: nothing reads the field, and
+// baseline row for row, floats bit for bit. One setting is enough: nothing reads the field, and
 // TestEnginesDifferingInShardsShareOneEntry (internal/engine) holds it
 // out of the cache key.
 func TestShardedExecutionDeterministic(t *testing.T) {
