@@ -39,7 +39,7 @@ func pairNumber(t *testing.T, n int) bench.QueryPair {
 }
 
 // mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1), under
-// which engine.New plans no parallel operator at all.
+// which an engine.New runs no operator in parallel at all.
 func mallocsPerRun(t *testing.T, runs int, f func() error) float64 {
 	t.Helper()
 	if err := f(); err != nil { // warm up

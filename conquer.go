@@ -41,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -486,10 +485,7 @@ func (db *Database) AssignProbabilities(table string, attrCols []string) error {
 	if !ok {
 		return fmt.Errorf("conquer: unknown table %q", table)
 	}
-	par := db.parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := db.newEngine(Limits{}).Options().Parallelism
 	return probcalc.AnnotateTableCtx(context.Background(), tb, attrCols, nil, par)
 }
 

@@ -152,7 +152,7 @@ func fig9GroupedRows(t *testing.T, ifv int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Plan(d.Store, rw, plan.Options{Parallelism: 1})
+	op, err := plan.Plan(d.Store, rw, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"conquer/internal/cache"
+	"conquer/internal/exec"
 	"conquer/internal/metrics"
 	"conquer/internal/sqlparse"
+	"conquer/internal/storage"
 	"conquer/internal/value"
 )
 
@@ -120,40 +122,64 @@ func TestEnginesAtEveryParallelismShareOneEntry(t *testing.T) {
 	}
 }
 
-// The plan tier stays keyed by the statement, but a tree is planned for a
-// worker count: an entry planned at parallelism 8 is a miss to an engine
-// at 1, which plans its own and puts it in its place, and the other way
-// round. A one-byte cache admits no result, so every query runs a plan,
-// and the runs of one Prepared share its column names.
-func TestPlanTierEntryServesItsOwnParallelism(t *testing.T) {
+// One planned tree serves every worker count: the worker count arrives
+// with each run, so engines at 8, 1, 1, 8 and 8 workers over one cache run
+// the tree the first planned, and every lookup after the first is a plan
+// hit that the engine uses. A one-byte cache admits no result, so every
+// query runs the plan, and the runs of one Prepared share its column names.
+// The tree splits on the run's workers, not on its planner's: over three
+// morsels, a run at 1 after a run at 8 claims no morsel, and a run at 8
+// after a run at 1 claims morsels on several workers.
+func TestOnePlanServesEveryWorkerCount(t *testing.T) {
 	c := cache.New(cache.Options{MaxBytes: 1})
-	db := figure2DB(t)
+	db := storage.NewDB()
+	intTable(t, db, "t1", 3*exec.DefaultMorselSize)
 	e1 := NewWithOptions(db, Options{Cache: c, Parallelism: 1})
 	e8 := NewWithOptions(db, Options{Cache: c, Parallelism: 8})
-	const q = "select o.orderid, c.name from orders o, customer c where o.cidfk = c.id"
+	const q = "select x.a from t1 x, t1 y where x.a = y.a"
 	var runs []*Result
+	var tree exec.Operator
 	for i, step := range []struct {
-		e     *Engine
-		par   int
-		reuse int // the step whose plan this one runs again, or -1
-	}{{e8, 8, -1}, {e1, 1, -1}, {e1, 1, 1}, {e8, 8, -1}, {e8, 8, 3}} {
+		e   *Engine
+		par int
+	}{{e8, 8}, {e1, 1}, {e1, 1}, {e8, 8}, {e8, 8}} {
 		res, err := step.e.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Cached || res.Stats.Parallelism != step.par {
-			t.Fatalf("step %d: cached %v, planned for parallelism %d; want an execution of a plan for %d",
-				i, res.Stats.Cached, res.Stats.Parallelism, step.par)
+		if res.Stats.Cached || res.Stats.Parallelism != step.par || len(res.Rows) != 3*exec.DefaultMorselSize {
+			t.Fatalf("step %d: cached %v, parallelism %d, %d rows; want an execution on %d workers",
+				i, res.Stats.Cached, res.Stats.Parallelism, len(res.Rows), step.par)
 		}
 		if i > 0 && !reflect.DeepEqual(res.Rows, runs[0].Rows) {
-			t.Fatalf("step %d: rows %v, want %v", i, res.Rows, runs[0].Rows)
+			t.Fatalf("step %d: rows differ from step 0's", i)
 		}
-		for j, prev := range runs {
-			if same := &res.Columns[0] == &prev.Columns[0]; same != (j == step.reuse) {
-				t.Fatalf("step %d runs the plan of step %d: %v, want %v", i, j, same, j == step.reuse)
-			}
+		if i > 0 && &res.Columns[0] != &runs[0].Columns[0] {
+			t.Fatalf("step %d runs a tree of its own, not step 0's", i)
 		}
 		runs = append(runs, res)
+		if i == 0 {
+			// The test's own lookup of the tree, not counted below.
+			norm := sqlparse.MustParse(q).SQL()
+			vv, _ := cache.VersionVector(db, []string{"t1"})
+			v, ok := c.GetPlan(norm, vv)
+			if !ok {
+				t.Fatal("step 0 cached no plan")
+			}
+			tree = v.(*Prepared).tree
+			continue
+		}
+		out := exec.ExplainAnalyze(tree)
+		split := strings.Contains(out, "morsels=[w0:") && strings.Contains(out, " w1:")
+		switch {
+		case i == 1 && (split || strings.Contains(out, "morsels=[") || !strings.Contains(out, "Gather[n=1]")):
+			t.Errorf("step 1 runs the tree last run at 8 on one worker, claiming no morsel:\n%s", out)
+		case i == 3 && (!split || !strings.Contains(out, "Gather[n=8]")):
+			t.Errorf("step 3 runs the tree last run at 1 on 8 workers, claiming morsels on several:\n%s", out)
+		}
+	}
+	if s := c.Stats(); s.PlanMisses != 1 || s.PlanHits-1 != 4 || s.Plans != 1 {
+		t.Errorf("cache stats %+v: want 1 plan miss, 4 plan hits besides the test's own lookup, and 1 plan", s)
 	}
 }
 

@@ -74,20 +74,15 @@ func NewWithLimits(db *storage.DB, limits exec.Limits) *Engine {
 }
 
 // Options returns the options the engine's queries run under, with
-// Parallelism resolved to the value its plans use. A clean-answer
-// evaluator over the engine (core.Evaluator) runs every query of its
-// evaluation under them.
+// Parallelism resolved to the worker count its runs use: the one place
+// that decides the default. A clean-answer evaluator over the engine
+// (core.Evaluator) runs every query of its evaluation under them.
 func (e *Engine) Options() Options {
 	o := e.opts
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// planOptions resolves the effective planner options for one query.
-func (e *Engine) planOptions() plan.Options {
-	return plan.Options{Parallelism: e.Options().Parallelism}
 }
 
 // DB returns the underlying database.
@@ -104,7 +99,7 @@ type Result struct {
 // Stats is the per-query execution accounting attached to every Result
 // (DESIGN.md §10).
 type Stats struct {
-	// Parallelism is the worker count the planner targeted.
+	// Parallelism is the worker count the run used (the engine's).
 	Parallelism int
 	// PlanTime is the wall time spent planning the statement.
 	PlanTime time.Duration
@@ -179,19 +174,18 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (*
 // stmt.SQL(); "" has it printed here when a cache key needs it.
 func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm string) (res *Result, err error) {
 	defer qerr.Recover(&err)
-	popts := e.planOptions()
 	start := time.Now()
 	defer func() {
 		var st Stats
 		if res != nil {
 			st = res.Stats
 		}
-		e.report(ctx, stmt, popts, 1, st, err, time.Since(start))
+		e.report(ctx, stmt, 1, st, err, time.Since(start))
 	}()
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
 	if e.opts.Cache == nil {
-		return e.executeStmt(ctx, stmt, popts, nil, "", "")
+		return e.executeStmt(ctx, stmt, nil, "", "")
 	}
 	if norm == "" {
 		norm = stmt.SQL()
@@ -200,10 +194,10 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	if !ok {
 		// An unresolvable table: bypass the cache so planning reports
 		// the ordinary error.
-		return e.executeStmt(ctx, stmt, popts, nil, "", "")
+		return e.executeStmt(ctx, stmt, nil, "", "")
 	}
 	v, shared, err := e.opts.Cache.Do(ctx, norm, vv, func() (any, int64, error) {
-		r, err := e.executeStmt(ctx, stmt, popts, e.opts.Cache, norm, vv)
+		r, err := e.executeStmt(ctx, stmt, e.opts.Cache, norm, vv)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -225,7 +219,7 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	// this call's own latency and worker count so percentiles stay honest.
 	out := *r
 	out.Stats.Cached = true
-	out.Stats.Parallelism = popts.Parallelism
+	out.Stats.Parallelism = e.Options().Parallelism
 	out.Stats.PlanTime = 0
 	out.Stats.ExecTime = time.Since(start)
 	out.Stats.BufferedPeak = 0
@@ -235,7 +229,8 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 
 // Prepared is a statement planned once and ready to be re-opened: the
 // plan tier's entries, and what the candidate-world evaluators (core)
-// run once per candidate over a world whose tables keep their sizes.
+// run once per candidate over a world whose tables keep their sizes. Each
+// run brings its engine's worker count, so one serves every engine.
 // Operator trees are stateful while executing, so a Prepared serves one
 // execution at a time — checkout claims it, release returns it. A run
 // that fails never releases it: operators may be left half-consumed, so
@@ -243,7 +238,6 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 type Prepared struct {
 	e     *Engine
 	stmt  *sqlparse.SelectStmt
-	popts plan.Options
 	tree  exec.Operator
 	cols  []string
 	inUse atomic.Bool
@@ -257,18 +251,14 @@ type Prepared struct {
 func (p *Prepared) checkout() bool { return p.inUse.CompareAndSwap(false, true) }
 func (p *Prepared) release()       { p.inUse.Store(false) }
 
-// Prepare plans stmt against the engine's database and options.
+// Prepare plans stmt against the engine's database.
 func (e *Engine) Prepare(stmt *sqlparse.SelectStmt) (*Prepared, error) {
-	return e.prepare(stmt, e.planOptions())
-}
-
-func (e *Engine) prepare(stmt *sqlparse.SelectStmt, popts plan.Options) (*Prepared, error) {
-	op, err := plan.Plan(e.db, stmt, popts)
+	op, err := plan.Plan(e.db, stmt, plan.Options{})
 	if err != nil {
 		return nil, err
 	}
 	exec.Instrument(op)
-	return &Prepared{e: e, stmt: stmt, popts: popts, tree: op, cols: op.Schema().Names()}, nil
+	return &Prepared{e: e, stmt: stmt, tree: op, cols: op.Schema().Names()}, nil
 }
 
 // Columns names the statement's output columns.
@@ -284,17 +274,20 @@ func (p *Prepared) Run(ctx context.Context) (res *Result, err error) {
 	if !p.checkout() {
 		return nil, fmt.Errorf("engine: prepared statement is executing or has failed: %w", qerr.ErrInternal)
 	}
-	if res, err = p.run(ctx, p.e.opts.Limits); err == nil {
+	if res, err = p.run(ctx, p.e); err == nil {
 		p.release()
 	}
 	return res, err
 }
 
-// run executes the checked-out tree once under limits, those of the
-// engine executing it: a plan-tier entry serves every engine over the
-// cache, whatever budget the engine that prepared it had.
-func (p *Prepared) run(ctx context.Context, limits exec.Limits) (*Result, error) {
-	gov := exec.NewGovernor(ctx, limits)
+// run executes the checked-out tree once under the limits and on the
+// worker count of e, the engine executing it: a plan-tier entry serves
+// every engine over the cache, whatever budget and worker count the engine
+// that prepared it had.
+func (p *Prepared) run(ctx context.Context, e *Engine) (*Result, error) {
+	o := e.Options()
+	gov := exec.NewGovernor(ctx, o.Limits)
+	gov.SetWorkers(o.Parallelism)
 	exec.Attach(p.tree, gov)
 	start := time.Now()
 	rows, batches, err := exec.CollectBatchesGoverned(p.tree, gov, 0)
@@ -307,7 +300,7 @@ func (p *Prepared) run(ctx context.Context, limits exec.Limits) (*Result, error)
 		Columns: p.cols,
 		Rows:    rows,
 		Stats: Stats{
-			Parallelism:  p.popts.Parallelism,
+			Parallelism:  o.Parallelism,
 			ExecTime:     time.Since(start),
 			BufferedPeak: gov.BufferedPeak(),
 			Rows:         len(rows),
@@ -325,31 +318,30 @@ func (p *Prepared) run(ctx context.Context, limits exec.Limits) (*Result, error)
 // and the largest buffered-row peak among them.
 func (p *Prepared) Report(ctx context.Context, err error, elapsed time.Duration) (runs int, bufferedPeak int64) {
 	runs, bufferedPeak = int(p.runs), p.sum.BufferedPeak
-	p.e.report(ctx, p.stmt, p.popts, p.runs, p.sum, err, elapsed)
+	p.e.report(ctx, p.stmt, p.runs, p.sum, err, elapsed)
 	p.runs, p.sum = 0, Stats{}
 	return runs, bufferedPeak
 }
 
 // executeStmt plans and executes stmt. When c is non-nil the plan tier
-// is consulted under (key, vv): a valid, idle Prepared planned for popts'
-// worker count skips parse→plan entirely and is re-opened; otherwise the
-// fresh one is cached for the next execution, in its place. A tree is
-// planned for a worker count (Gather, operator Parallelism), so one
-// planned for another is a miss. One that errors mid-execution is
-// dropped.
-func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, c *cache.Cache, key, vv string) (*Result, error) {
+// is consulted under (key, vv): a valid Prepared skips parse→plan entirely
+// and is re-opened on this engine's worker count, whichever engine planned
+// it; otherwise the fresh one is cached for the next execution, in its
+// place. One that errors mid-execution is dropped. The checkout guards the
+// tree against a second concurrent run, which Cache.Do's singleflight
+// already rules out for one (key, version vector): a failed checkout is
+// not expected, and it plans a tree of its own rather than share one.
+func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, c *cache.Cache, key, vv string) (*Result, error) {
 	start := time.Now()
 	var prep *Prepared
 	if c != nil {
-		if v, ok := c.GetPlan(key, vv); ok {
-			if p := v.(*Prepared); p.popts.Parallelism == popts.Parallelism && p.checkout() {
-				prep = p
-			}
+		if v, ok := c.GetPlan(key, vv); ok && v.(*Prepared).checkout() {
+			prep = v.(*Prepared)
 		}
 	}
 	if prep == nil {
 		var err error
-		if prep, err = e.prepare(stmt, popts); err != nil {
+		if prep, err = e.Prepare(stmt); err != nil {
 			return nil, err
 		}
 		prep.checkout()
@@ -358,7 +350,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 		}
 	}
 	planTime := time.Since(start)
-	res, err := prep.run(ctx, e.opts.Limits)
+	res, err := prep.run(ctx, e)
 	if err != nil {
 		if c != nil {
 			c.DropPlan(key)
@@ -378,7 +370,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 // admission-queue wait) travels in ctx via metrics.ContextWithQueryInfo
 // so the server shows up in the log without the engine knowing about
 // tenancy.
-func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts plan.Options, queries int64, st Stats, err error, elapsed time.Duration) {
+func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, queries int64, st Stats, err error, elapsed time.Duration) {
 	reg := metrics.Default
 	reg.Counter("engine.queries").Add(queries)
 	reg.Timer("engine.exec").Observe(elapsed)
@@ -395,7 +387,7 @@ func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts pl
 		Method:      "sql",
 		Rows:        st.Rows,
 		Micros:      elapsed.Microseconds(),
-		Parallelism: popts.Parallelism,
+		Parallelism: e.Options().Parallelism,
 		Cached:      st.Cached,
 		Batches:     st.Batches,
 		Err:         qerr.LogReason(err),
@@ -407,16 +399,20 @@ func (e *Engine) report(ctx context.Context, stmt *sqlparse.SelectStmt, popts pl
 	e.opts.QueryLog.Record(rec)
 }
 
-// Explain returns the physical plan for sql, one operator per line.
+// Explain returns the physical plan for sql, one operator per line, as
+// it runs on the engine's worker count.
 func (e *Engine) Explain(sql string) (string, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return "", err
 	}
-	op, err := plan.Plan(e.db, stmt, e.planOptions())
+	op, err := plan.Plan(e.db, stmt, plan.Options{})
 	if err != nil {
 		return "", err
 	}
+	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	gov.SetWorkers(e.Options().Parallelism)
+	exec.Attach(op, gov)
 	return exec.Explain(op), nil
 }
 
@@ -431,11 +427,11 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	}
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
-	prep, err := e.prepare(stmt, e.planOptions())
+	prep, err := e.Prepare(stmt)
 	if err != nil {
 		return "", err
 	}
-	res, err := prep.run(ctx, e.opts.Limits)
+	res, err := prep.run(ctx, e)
 	if err != nil {
 		return "", err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"conquer/internal/cache"
 	"conquer/internal/exec"
 	"conquer/internal/schema"
 	"conquer/internal/storage"
@@ -22,6 +23,9 @@ import (
 // serial pass is the one part of its split and folds on the morsel grid as
 // the workers do, which the hand-computed fold pins, and MIN/MAX break ties
 // by a total order, -0 before +0, whichever worker saw which zero first.
+// It holds for engines made per run, and for one tree: engines sharing a
+// cache whose result tier holds nothing all re-open the plan tier's one
+// Prepared, each at its own worker count.
 func TestEveryWorkerCountFoldsOneBitPattern(t *testing.T) {
 	const n, groups, runs = 20000, 7, 30
 	size := exec.DefaultMorselSize
@@ -54,25 +58,6 @@ func TestEveryWorkerCountFoldsOneBitPattern(t *testing.T) {
 		t.Fatal("the data sums to the same bits folded per morsel and left to right; it cannot tell the two apart")
 	}
 
-	const q = "select k, sum(f), avg(f), min(g), max(g) from t group by k order by k"
-	patterns := map[string][]string{}
-	for _, par := range []int{1, 2, 4, 8} {
-		for run := 0; run < runs; run++ {
-			res, err := NewWithOptions(db, Options{Parallelism: par}).QueryCtx(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := bitPattern(res.Rows)
-			patterns[p] = append(patterns[p], fmt.Sprintf("parallelism %d run %d", par, run))
-		}
-	}
-	if len(patterns) != 1 {
-		var b strings.Builder
-		for p, at := range patterns {
-			fmt.Fprintf(&b, "\n%d results, first at %s:\n%s", len(at), at[0], p)
-		}
-		t.Fatalf("%d bit patterns among %d results:%s", len(patterns), 4*runs, b.String())
-	}
 	var want strings.Builder
 	for k := range grid {
 		count := float64((n - k + groups - 1) / groups)
@@ -81,9 +66,46 @@ func TestEveryWorkerCountFoldsOneBitPattern(t *testing.T) {
 			value.Float(math.Copysign(0, -1)), value.Float(0),
 		}}))
 	}
-	for p := range patterns {
-		if p != want.String() {
-			t.Fatalf("the results read\n%s\nthe morsel-order fold, MIN -0 and MAX +0 read\n%s", p, want.String())
+
+	const q = "select k, sum(f), avg(f), min(g), max(g) from t group by k order by k"
+	for _, c := range []*cache.Cache{nil, cache.New(cache.Options{MaxBytes: 1})} {
+		patterns := map[string][]string{}
+		var cols *string // the one Prepared's column names, on the cached arm
+		for run := 0; run < runs; run++ {
+			for _, par := range []int{1, 2, 4, 8} {
+				res, err := NewWithOptions(db, Options{Parallelism: par, Cache: c}).QueryCtx(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("cached %v, parallelism %d run %d", c != nil, par, run)
+				if c != nil {
+					if cols == nil {
+						cols = &res.Columns[0]
+					}
+					if cols != &res.Columns[0] {
+						t.Fatalf("%s runs a tree of its own, not the plan tier's one Prepared", label)
+					}
+				}
+				p := bitPattern(res.Rows)
+				patterns[p] = append(patterns[p], label)
+			}
+		}
+		if len(patterns) != 1 {
+			var b strings.Builder
+			for p, at := range patterns {
+				fmt.Fprintf(&b, "\n%d results, first at %s:\n%s", len(at), at[0], p)
+			}
+			t.Fatalf("cached %v: %d bit patterns among %d results:%s", c != nil, len(patterns), 4*runs, b.String())
+		}
+		for p := range patterns {
+			if p != want.String() {
+				t.Fatalf("cached %v: the results read\n%s\nthe morsel-order fold, MIN -0 and MAX +0 read\n%s", c != nil, p, want.String())
+			}
+		}
+		if c != nil {
+			if s := c.Stats(); s.Plans != 1 || s.Entries != 0 {
+				t.Errorf("cache stats %+v: want one plan and no result", s)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -30,10 +29,11 @@ func nullHeavyTable(t testing.TB, n int) *storage.Table {
 	return tb
 }
 
-func collectBatches(t testing.TB, op Operator, size int) [][]value.Value {
+// collectBatches runs op to completion on n workers at size rows per
+// batch (0 = DefaultBatchSize).
+func collectBatches(t testing.TB, op Operator, n, size int) [][]value.Value {
 	t.Helper()
-	gov := NewGovernor(context.Background(), Limits{})
-	Attach(op, gov)
+	gov := governOn(op, n)
 	useBatchSize(t, size)
 	rows, _, err := CollectBatchesGoverned(op, gov, 0)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestFilterNULLHeavyAcrossBatchSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRows(t, want, collectBatches(t, f, size))
+		requireSameRows(t, want, collectBatches(t, f, 1, size))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestFilterBatchRunsDry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := collectBatches(t, none, 64); len(rows) != 0 {
+	if rows := collectBatches(t, none, 1, 64); len(rows) != 0 {
 		t.Fatalf("filter-to-empty returned %d rows", len(rows))
 	}
 	// id = 999 is the only survivor and sits 15 full batches past the
@@ -149,7 +149,7 @@ func TestFilterBatchRunsDry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := collectBatches(t, one, 64)
+	rows := collectBatches(t, one, 1, 64)
 	if len(rows) != 1 || rows[0][0].AsInt() != 999 {
 		t.Fatalf("late survivor: %v", rows)
 	}
@@ -172,7 +172,7 @@ func TestCrossJoinPreservesProbabilities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectBatches(t, f, size)
+		got := collectBatches(t, f, 1, size)
 		requireSameRows(t, want, got)
 		// Every joined row must keep both source probability columns intact.
 		for _, row := range got {
@@ -194,7 +194,7 @@ func TestCrossJoinPreservesProbabilities(t *testing.T) {
 // is cached.
 func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	fact, dim := parTables(t, 3000)
-	j := buildJoin(t, fact, dim, 1, 0)
+	j := buildJoin(t, fact, dim, 0)
 	p, err := NewProject(j, []ProjectionCol{
 		{Expr: colRef("f", "id"), Col: ColInfo{Name: "id", Type: value.KindInt}},
 		{Expr: colRef("d", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},
@@ -233,8 +233,8 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 		t.Error("a closed HashJoin keeps its build's entry vector or head vector")
 	}
 	// So does a partitioned parallel build's.
-	pj := buildJoin(t, fact, dim, 4, 16)
-	govern(pj)
+	pj := buildJoin(t, fact, dim, 16)
+	governOn(pj, 4)
 	if err := pj.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +249,8 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	// are carved from, nor — serial or parallel — any accumulator, head
 	// vector or group state: no field of it reaches an aggState.
 	for _, par := range []int{1, 4} {
-		agg := buildAgg(t, fact, par, 256)
-		if rows, _, err := CollectBatchesGoverned(agg, govern(agg), DefaultBatchSize); err != nil || len(rows) != dim.Len() {
+		agg := buildAgg(t, fact, 256)
+		if rows, _, err := CollectBatchesGoverned(agg, governOn(agg, par), DefaultBatchSize); err != nil || len(rows) != dim.Len() {
 			t.Fatalf("aggregate: %d groups, %v", len(rows), err)
 		}
 		if agg.out != nil {

@@ -49,19 +49,17 @@ func TestParallelFloatSumFoldsMorselsInOrder(t *testing.T) {
 		t.Fatal("the data sums to the same bits in both orders; it cannot tell the grid fold from the serial one")
 	}
 
-	build := func(par int) *HashAggregate {
-		a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(tb, "t"),
+	build := func() *HashAggregate {
+		return mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(tb, "t"),
 			[]sqlparse.Expr{colRef("t", "k")}, []ColInfo{{Name: "k", Type: value.KindInt}},
 			[]AggSpec{
 				{Func: AggSum, Arg: colRef("t", "v"), Col: ColInfo{Name: "s", Type: value.KindFloat}},
 				{Func: AggAvg, Arg: colRef("t", "v"), Col: ColInfo{Name: "a", Type: value.KindFloat}},
 			}))
-		a.Parallelism = par
-		return a
 	}
 	for _, par := range []int{1, 2, 4, 8} {
 		for run := 0; run < 20; run++ {
-			rows := mustCollect(t, build(par))
+			rows := mustCollectOn(t, build(), par)
 			if len(rows) != groups {
 				t.Fatalf("parallelism %d: %d groups, want %d", par, len(rows), groups)
 			}

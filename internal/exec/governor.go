@@ -74,16 +74,18 @@ func (l Limits) WithoutTimeout() Limits {
 // Governor enforces a Limits budget over one operator tree: operators
 // poll it for cancellation inside their row loops and account the rows
 // they buffer against the shared budget. Every run has one: NewGovernor
-// makes it and Attach installs it before the tree opens.
+// makes it and Attach installs it before the tree opens. It carries the
+// run's worker count too, so one tree serves every count (DESIGN.md §9).
 //
 // One Governor value serves one goroutine (its poll ticker is not
 // synchronized), but the budget counters live in state shared by every
 // governor Fork derives, so parallel workers draw on the same budget.
 type Governor struct {
-	ctx    context.Context
-	limits Limits
-	tick   qerr.Ticker
-	shared *govShared
+	ctx     context.Context
+	limits  Limits
+	workers int
+	tick    qerr.Ticker
+	shared  *govShared
 }
 
 // govShared is the budget state common to a governor and all its forks;
@@ -94,18 +96,21 @@ type govShared struct {
 	peak     atomic.Int64 // buffered high-water mark across the whole query
 }
 
-// NewGovernor creates a governor enforcing limits under ctx. Timeout is
-// not applied here — see Limits.WithContext.
+// NewGovernor creates a governor enforcing limits under ctx, for a serial
+// run. Timeout is not applied here — see Limits.WithContext.
 func NewGovernor(ctx context.Context, limits Limits) *Governor {
-	return &Governor{ctx: ctx, limits: limits, shared: &govShared{}}
+	return &Governor{ctx: ctx, limits: limits, workers: 1, shared: &govShared{}}
 }
+
+// SetWorkers sets the run's worker count before the tree opens; n <= 1 is serial.
+func (g *Governor) SetWorkers(n int) { g.workers = max(n, 1) }
 
 // Fork derives a governor for a worker goroutine running under ctx
 // (typically a cancelable child of the parent's context, so the
 // coordinator can drain the pool on first error). The fork has a fresh
-// poll ticker but draws on the parent's budget counters.
+// poll ticker but draws on the parent's budget counters and worker count.
 func (g *Governor) Fork(ctx context.Context) *Governor {
-	return &Governor{ctx: ctx, limits: g.limits, shared: g.shared}
+	return &Governor{ctx: ctx, limits: g.limits, workers: g.workers, shared: g.shared}
 }
 
 // Context returns the governing context.
@@ -186,6 +191,14 @@ type govHolder struct {
 }
 
 func (h *govHolder) setGovernor(g *Governor) { h.gov = g }
+
+// workers is the attached governor's worker count, 1 before Attach.
+func (h *govHolder) workers() int {
+	if h.gov == nil {
+		return 1
+	}
+	return h.gov.workers
+}
 
 // Attach readies the tree rooted at op for a run under g, the one way a
 // tree runs: it installs g on every operator and an OpStats block on any

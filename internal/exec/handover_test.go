@@ -33,15 +33,14 @@ func fanOutTables(t testing.TB, n int) (probe, build *storage.Table) {
 
 // sortOverGather is Sort(p.id DESC) over a Gather over the fan-out join,
 // its output narrowed to p.id.
-func sortOverGather(t testing.TB, probe, build *storage.Table, par int) *Sort {
+func sortOverGather(t testing.TB, probe, build *storage.Table) *Sort {
 	t.Helper()
 	j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
 	if err := j.Narrow([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism = par
 	setMorselSize(t, 256)
-	g := NewGather(j, par)
+	g := NewGather(j)
 	return mustOp[*Sort](t)(NewSort(g, []SortKey{SortKeyPos(0, true)}))
 }
 
@@ -75,8 +74,8 @@ func TestResultIsBufferedOnce(t *testing.T) {
 			probe, build := fanOutTables(t, n)
 			best := cost{bytes: -1}
 			for r := 0; r < 3; r++ {
-				s := sortOverGather(t, probe, build, par)
-				gov := govern(s)
+				s := sortOverGather(t, probe, build)
+				gov := governOn(s, par)
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)

@@ -30,10 +30,10 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 		t.Skip("allocation counts are not the program's under -race")
 	}
 	setMorselSize(t, 256)
-	allocs := func(n int, mk func(fact, dim *storage.Table) Operator) float64 {
+	allocs := func(n, par int, mk func(fact, dim *storage.Table) Operator) float64 {
 		fact, dim := parTables(t, n)
 		return testing.AllocsPerRun(3, func() {
-			if rows := mustCollect(t, mk(fact, dim)); len(rows) == 0 {
+			if rows := mustCollectOn(t, mk(fact, dim), par); len(rows) == 0 {
 				t.Fatal("no rows")
 			}
 		})
@@ -51,18 +51,16 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 						{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
 						{Func: AggSum, Arg: colRef("f", "w"), Col: ColInfo{Name: "sw", Type: value.KindFloat}},
 					}))
-				a.Parallelism = par
 				return a
 			}},
 			// One build key per fact row, probed by the 97 dimension rows.
 			{"join build", func(fact, dim *storage.Table) Operator {
 				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
 					exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
-				j.Parallelism = par
 				return j
 			}},
 		} {
-			small, large := allocs(4000, tc.mk), allocs(8000, tc.mk)
+			small, large := allocs(4000, par, tc.mk), allocs(8000, par, tc.mk)
 			t.Logf("%s, parallelism %d: %v allocations for 4000 keys, %v for 8000", tc.name, par, small, large)
 			if large > small+4000/50 {
 				t.Errorf("%s, parallelism %d: %v allocations for 4000 keys, %v for 8000: something is still per key", tc.name, par, small, large)
@@ -130,8 +128,7 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 			for _, batch := range []int{1, 7, 0} {
 				label := fmt.Sprintf("build rows=%d par=%d batch=%d", right.Len(), par, batch)
 				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(right, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-				j.Parallelism = par
-				govern(j)
+				governOn(j, par)
 				parts, _ := splitPipeline(j, par)
 				var got []taggedRow
 				for _, p := range drainParts(t, parts, batch) {
@@ -212,8 +209,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 		}
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"),
 			exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-		j.Parallelism = par
-		govern(j)
+		governOn(j, par)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -263,8 +259,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 				{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
 				{Func: AggSum, Arg: colRef("b", "seq"), Col: ColInfo{Name: "s", Type: value.KindInt}},
 			}))
-		a.Parallelism = par
-		rows := mustCollect(t, a)
+		rows := mustCollectOn(t, a, par)
 		if len(rows) != len(wantGroups) {
 			t.Fatalf("GROUP BY, parallelism %d: %d groups, want %d", par, len(rows), len(wantGroups))
 		}
@@ -329,8 +324,7 @@ func TestParallelBuildWritesEachEntryOnce(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
 			exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
-		j.Parallelism = workers
-		govern(j)
+		governOn(j, workers)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

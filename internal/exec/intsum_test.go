@@ -11,14 +11,12 @@ import (
 	"conquer/internal/value"
 )
 
-// sumByK is SELECT k, SUM(v) FROM t GROUP BY k at parallelism par.
-func sumByK(t *testing.T, tb *storage.Table, par int) *HashAggregate {
+// sumByK is SELECT k, SUM(v) FROM t GROUP BY k.
+func sumByK(t *testing.T, tb *storage.Table) *HashAggregate {
 	t.Helper()
-	a := mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(tb, "t"),
+	return mustOp[*HashAggregate](t)(NewHashAggregate(NewScan(tb, "t"),
 		[]sqlparse.Expr{colRef("t", "k")}, []ColInfo{{Name: "k", Type: value.KindInt}},
 		[]AggSpec{{Func: AggSum, Arg: colRef("t", "v"), Col: ColInfo{Name: "s", Type: value.KindInt}}}))
-	a.Parallelism = par
-	return a
 }
 
 // An integer SUM is exact: 2^53 + 1, which a float64 rounds to 2^53, comes
@@ -46,7 +44,7 @@ func TestIntegerSumIsExact(t *testing.T) {
 	}
 	for _, par := range []int{1, 2} {
 		for run := 0; run < 20; run++ {
-			got := mustCollect(t, sumByK(t, tb, par))
+			got := mustCollectOn(t, sumByK(t, tb), par)
 			if len(got) != len(want) || !value.RowsIdentical(got[0], want[0]) || !value.RowsIdentical(got[1], want[1]) {
 				t.Fatalf("parallelism %d: SUM by k = %v, want %v", par, got, want)
 			}
@@ -55,14 +53,14 @@ func TestIntegerSumIsExact(t *testing.T) {
 
 	over := table(math.MaxInt64, 0, 1, 0)
 	for _, par := range []int{1, 2} {
-		_, err := collect(sumByK(t, over, par))
+		_, err := collectOn(sumByK(t, over), par)
 		var ee *EvalError
 		if !errors.As(err, &ee) {
 			t.Errorf("parallelism %d: SUM past int64: err = %v, want an EvalError", par, err)
 		}
 	}
 	// The merge alone: each partial fits, their sum does not.
-	a := sumByK(t, over, 1)
+	a := sumByK(t, over)
 	acc := a.newAcc()
 	part := func(v int64) *aggState {
 		st := a.newState(acc, []value.Value{value.Int(0)}, rowOrd{})

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -69,7 +68,7 @@ func spiedFact(t *testing.T, n int) (*storage.Table, *goroutineSpy) {
 // join whose build side is the table, and a grouped aggregate over it.
 // Aggregates avoid float sums, which the parallel fold associates on the
 // morsel grid, not as the serial pass does.
-func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]Operator {
+func oneMorselPlans(t *testing.T, tb *storage.Table, morsel int) map[string]Operator {
 	t.Helper()
 	setMorselSize(t, morsel)
 	f, err := NewFilter(NewScan(tb, "f"), expr(t, "qty < 5"))
@@ -83,7 +82,7 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]O
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGather(p, n)
+	g := NewGather(p)
 
 	probeS := schema.MustRelation("probe", schema.Column{Name: "k", Type: value.KindInt})
 	probe := storage.NewTable(probeS)
@@ -95,7 +94,6 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]O
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism = n
 
 	a, err := NewHashAggregate(NewScan(tb, "f"),
 		[]sqlparse.Expr{colRef("f", "k")},
@@ -108,17 +106,15 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, n, morsel int) map[string]O
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism = n
 	return map[string]Operator{"gather": g, "join-build": j, "aggregate": a}
 }
 
-// runGoverned executes op instrumented and governed at batch rows per
-// batch (0 = DefaultBatchSize).
-func runGoverned(t *testing.T, op Operator, batch int) (rows [][]value.Value, peak int64) {
+// runGoverned executes op instrumented and governed on n workers at batch
+// rows per batch (0 = DefaultBatchSize).
+func runGoverned(t *testing.T, op Operator, n, batch int) (rows [][]value.Value, peak int64) {
 	t.Helper()
 	Instrument(op)
-	gov := NewGovernor(context.Background(), Limits{})
-	Attach(op, gov)
+	gov := governOn(op, n)
 	useBatchSize(t, batch)
 	rows, _, err := CollectBatchesGoverned(op, gov, batch)
 	if err != nil {
@@ -135,10 +131,10 @@ func runGoverned(t *testing.T, op Operator, batch int) (rows [][]value.Value, pe
 func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 	const rows = 200 // well under DefaultMorselSize
 	for _, batch := range []int{0, 2} {
-		for name := range oneMorselPlans(t, dirtyFact(t, rows), 1, 0) {
+		for name := range oneMorselPlans(t, dirtyFact(t, rows), 0) {
 			tb, spy := spiedFact(t, rows)
-			base := oneMorselPlans(t, tb, 1, 0)[name]
-			want, wantPeak := runGoverned(t, base, batch)
+			base := oneMorselPlans(t, tb, 0)[name]
+			want, wantPeak := runGoverned(t, base, 1, batch)
 			wantLines := StatsTree(base)
 			if len(want) == 0 {
 				t.Fatalf("%s: empty baseline", name)
@@ -146,8 +142,8 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 			label := fmt.Sprintf("%s batch=%d", name, batch)
 
 			spy.ids = make(map[uint64]bool)
-			op := oneMorselPlans(t, tb, 8, 0)[name]
-			got, peak := runGoverned(t, op, batch)
+			op := oneMorselPlans(t, tb, 0)[name]
+			got, peak := runGoverned(t, op, 8, batch)
 			requireSameRows(t, want, got)
 			if peak != wantPeak {
 				t.Errorf("%s: buffered peak %d, want %d", label, peak, wantPeak)
@@ -171,8 +167,8 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 
 			// More than one morsel: the parallel path, same rows.
 			spy.ids = make(map[uint64]bool)
-			op = oneMorselPlans(t, tb, 8, 32)[name]
-			got, _ = runGoverned(t, op, batch)
+			op = oneMorselPlans(t, tb, 32)[name]
+			got, _ = runGoverned(t, op, 8, batch)
 			requireSameRows(t, want, got)
 			if spy.onlyCaller() {
 				t.Errorf("%s: morsel size 32 over %d rows should run on workers", label, rows)
@@ -197,19 +193,18 @@ func TestOneMorselPipelinesOpenSerially(t *testing.T) {
 func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 	tb, spy := spiedFact(t, 200)
 	big := dirtyFact(t, 3000)
-	build := func(n int) Operator {
+	build := func() Operator {
 		j, err := NewHashJoin(NewScan(tb, "f"), NewScan(big, "d"),
 			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Parallelism = n
-		return NewGather(j, n)
+		return NewGather(j)
 	}
-	want, _ := runGoverned(t, build(1), 0)
+	want, _ := runGoverned(t, build(), 1, 0)
 	spy.ids = make(map[uint64]bool)
-	g := build(4)
-	got, _ := runGoverned(t, g, 0)
+	g := build()
+	got, _ := runGoverned(t, g, 4, 0)
 	requireSameRows(t, want, got)
 	if spy.onlyCaller() {
 		t.Error("a 200-row driving table over a 3000-row build side should run on workers")
@@ -233,18 +228,17 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 func TestOpaqueBuildSideKeepsThePlainGrid(t *testing.T) {
 	tb, _ := spiedFact(t, 200)
 	big := dirtyFact(t, 3000)
-	build := func(n int) *Gather {
+	build := func() *Gather {
 		j, err := NewHashJoin(NewScan(tb, "f"), NewDistinct(NewScan(big, "d")),
 			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Parallelism = n
-		return NewGather(j, n)
+		return NewGather(j)
 	}
-	want, _ := runGoverned(t, build(1), 0)
-	g := build(4)
-	got, _ := runGoverned(t, g, 0)
+	want, _ := runGoverned(t, build(), 1, 0)
+	g := build()
+	got, _ := runGoverned(t, g, 4, 0)
 	requireSameRows(t, want, got)
 	if len(g.workerMorsels) != 1 || g.workerMorsels[0] != 1 {
 		t.Errorf("workers claimed %v morsels, want one worker claiming the one morsel", g.workerMorsels)
@@ -255,8 +249,8 @@ func TestOpaqueBuildSideKeepsThePlainGrid(t *testing.T) {
 // grows past one morsel between two opens of the same tree goes parallel.
 func TestOneMorselRuleFollowsTableSize(t *testing.T) {
 	tb, spy := spiedFact(t, 50)
-	g := oneMorselPlans(t, tb, 4, 64)["gather"].(*Gather)
-	first, _ := runGoverned(t, g, 0)
+	g := oneMorselPlans(t, tb, 64)["gather"].(*Gather)
+	first, _ := runGoverned(t, g, 4, 0)
 	if !spy.onlyCaller() {
 		t.Fatal("50 rows under morsel size 64 should open serially")
 	}
@@ -266,7 +260,7 @@ func TestOneMorselRuleFollowsTableSize(t *testing.T) {
 		}
 	}
 	spy.ids = make(map[uint64]bool)
-	second, _ := runGoverned(t, g, 0)
+	second, _ := runGoverned(t, g, 4, 0)
 	if spy.onlyCaller() {
 		t.Error("150 rows under morsel size 64 should run on workers")
 	}

@@ -239,16 +239,13 @@ func (o *joinOutput) describeCols() string {
 // to the one bucket and every pair matches: the Cartesian product the
 // planner asks for when the FROM list's join graph is disconnected.
 //
-// With Parallelism > 1 the build's workers drain the split right input
-// into runs of their own, which one merge in morsel order writes
+// On a run of several workers the build's workers drain the split right
+// input into runs of their own, which one merge in morsel order writes
 // into the entry vector (see joinBuild); splitPipeline additionally
 // splits the probe side into parts sharing one build.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []sqlparse.Expr
-	// Parallelism is the worker count for the build phase (<= 1 builds
-	// serially).
-	Parallelism int
 
 	govHolder
 	statsHolder
@@ -313,7 +310,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	if !j.part {
-		j.build = newJoinBuild(j.Right, j.rk, j.Parallelism, 1, j.stats)
+		j.build = newJoinBuild(j.Right, j.rk, 1, j.stats)
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe part reopened after close: %w", qerr.ErrInternal)
 	}
@@ -373,8 +370,8 @@ func (j *HashJoin) Describe() string {
 		s = "CrossJoin"
 	}
 	s += j.describeCols()
-	if j.Parallelism > 1 {
-		s += fmt.Sprintf(" [parallel build n=%d]", j.Parallelism)
+	if n := j.workers(); n > 1 {
+		s += fmt.Sprintf(" [parallel build n=%d]", n)
 	}
 	return s
 }
@@ -424,9 +421,6 @@ type HashAggregate struct {
 	Child  Operator
 	Groups []sqlparse.Expr
 	Aggs   []AggSpec
-	// Parallelism is the worker count for partial aggregation (<= 1
-	// aggregates serially).
-	Parallelism int
 
 	govHolder
 	statsHolder
@@ -890,7 +884,7 @@ func (a *HashAggregate) emit(order []*aggState) error {
 // so a SUM or AVG has the same bits at every worker count and in every run.
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
-	sp := splitFor(a.Child, a.Parallelism, a.stats)
+	sp := splitFor(a.Child, a.workers(), a.stats)
 	a.accs = slots(&a.one, &sp)
 	defer func() { clear(a.accs); a.accs = nil }() // emitted, the states die
 	if err := sp.run(a.gov, a); err != nil {
@@ -974,8 +968,8 @@ func (a *HashAggregate) Close() error {
 // Describe implements Operator.
 func (a *HashAggregate) Describe() string {
 	s := fmt.Sprintf("HashAggregate(%d groups, %d aggs)", len(a.Groups), len(a.Aggs))
-	if a.Parallelism > 1 {
-		s += fmt.Sprintf(" [parallel n=%d]", a.Parallelism)
+	if n := a.workers(); n > 1 {
+		s += fmt.Sprintf(" [parallel n=%d]", n)
 	}
 	return s
 }

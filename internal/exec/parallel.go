@@ -5,7 +5,8 @@
 // small table probing a larger one, less (morselRows) — handed out by a
 // cursor; a pipeline over such a scan (filters, projections, the probe
 // side of hash joins) splits into N independent parts over one shared
-// cursor, which workers drive to completion. Three operators consume the
+// cursor, which workers drive to completion: N is the run's worker count,
+// which the Governor carries, not the tree. Three operators consume the
 // parts of a split:
 //
 //   - Gather runs N parts to completion and re-emits their rows in
@@ -100,7 +101,7 @@ func (o rowOrd) compare(p rowOrd) int {
 	return cmp.Compare(o.seq, p.seq)
 }
 
-// opensSplit reports whether an operator configured for n workers should
+// opensSplit reports whether an operator running on n workers should
 // open the pipeline op split (Gather, the join build and HashAggregate
 // all ask): it must have more than one worker to split across, and some
 // base table it reads — the driving scan or the build side of one of its
@@ -213,7 +214,7 @@ func splitAt(op Operator, n, size int) ([]Operator, []*Scan) {
 
 	case *HashJoin:
 		children, leaves := splitAt(op.Left, n, size)
-		build := newJoinBuild(op.Right, op.rk, op.Parallelism, len(children), op.stats)
+		build := newJoinBuild(op.Right, op.rk, len(children), op.stats)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
 			// Right stays nil on parts: the shared build owns the right
@@ -222,8 +223,7 @@ func splitAt(op Operator, n, size int) ([]Operator, []*Scan) {
 			j := &HashJoin{
 				Left:     c,
 				LeftKeys: op.LeftKeys, RightKeys: op.RightKeys,
-				Parallelism: op.Parallelism,
-				joinOutput:  op.joinOutput, lk: op.lk, rk: op.rk,
+				joinOutput: op.joinOutput, lk: op.lk, rk: op.rk,
 				build: build, part: true,
 			}
 			j.stats = op.stats
@@ -262,7 +262,7 @@ type split struct {
 	leaf   *Scan
 }
 
-// splitFor is the split a consumer configured for n workers, whose stats
+// splitFor is the split a consumer running on n workers, whose stats
 // are s, runs op as: splitPipeline's when opensSplit says so, and
 // otherwise op itself as the one part, its driving scan on morselRows'
 // grid, so that its batches fall on the morsels a split would claim
@@ -362,11 +362,11 @@ func slots[T any](one *[1]T, sp *split) []T {
 // Gather
 // ---------------------------------------------------------------------------
 
-// Gather is the exchange operator: it runs N partial pipelines to
-// completion on worker goroutines and re-emits their rows in base-table
-// row order, so its output order (and content) matches the serial plan
-// row-for-row. When the child cannot split (or N <= 1) it degenerates
-// to a transparent pass-through.
+// Gather is the exchange operator: it runs a partial pipeline per worker
+// of the run to completion on worker goroutines and re-emits their rows in
+// base-table row order, so its output order (and content) matches the
+// serial plan row-for-row. When the child cannot split (or the run has one
+// worker) it degenerates to a transparent pass-through.
 //
 // The reassembly buffer is not charged against MaxBufferedRows: it holds
 // exactly the rows the client is about to receive, which MaxOutputRows
@@ -374,7 +374,6 @@ func slots[T any](one *[1]T, sp *split) []T {
 // depend on its degree of parallelism.
 type Gather struct {
 	Child Operator
-	N     int
 
 	govHolder
 	statsHolder
@@ -387,9 +386,9 @@ type Gather struct {
 	workerMorsels []int64
 }
 
-// NewGather wraps child in an exchange over n workers.
-func NewGather(child Operator, n int) *Gather {
-	return &Gather{Child: child, N: n}
+// NewGather wraps child in an exchange over the run's workers.
+func NewGather(child Operator) *Gather {
+	return &Gather{Child: child}
 }
 
 func (g *Gather) Schema() RowSchema { return g.Child.Schema() }
@@ -400,9 +399,9 @@ func (g *Gather) Schema() RowSchema { return g.Child.Schema() }
 func (g *Gather) Open() error {
 	g.stats.markOpen()
 	g.rows, g.pos, g.workerMorsels = nil, 0, nil
-	if opensSplit(g.Child, g.N, g.stats) {
+	if n := g.workers(); opensSplit(g.Child, n, g.stats) {
 		g.serial = false
-		outs, err := g.runParts(splitPipeline(g.Child, g.N))
+		outs, err := g.runParts(splitPipeline(g.Child, n))
 		if err == nil {
 			g.rows, err = mergeRuns(outs, g.gov)
 		}
@@ -451,7 +450,7 @@ func (g *Gather) Close() error {
 }
 
 // Describe implements Operator.
-func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.N) }
+func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.workers()) }
 
 // ---------------------------------------------------------------------------
 // Hash-join build
@@ -467,10 +466,9 @@ func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.N) }
 // head slot, not a map slot or a slice of its own, and a bucket can hold
 // other hashes than the probe's: the probe compares the stored hash first.
 type joinBuild struct {
-	right       Operator
-	rk          []Evaluator
-	parallelism int
-	stats       *OpStats // owning HashJoin's stats: right rows count as its input
+	right Operator
+	rk    []Evaluator
+	stats *OpStats // owning HashJoin's stats: right rows count as its input
 
 	once     onceErr
 	refs     atomic.Int32
@@ -489,8 +487,8 @@ type onceErr struct {
 	err  error
 }
 
-func newJoinBuild(right Operator, rk []Evaluator, parallelism, refs int, stats *OpStats) *joinBuild {
-	b := &joinBuild{right: right, rk: rk, parallelism: parallelism, stats: stats}
+func newJoinBuild(right Operator, rk []Evaluator, refs int, stats *OpStats) *joinBuild {
+	b := &joinBuild{right: right, rk: rk, stats: stats}
 	b.refs.Store(int32(refs))
 	return b
 }
@@ -547,12 +545,12 @@ func (b *joinBuild) close(gov *Governor) {
 	b.reserved.Store(0)
 }
 
-// build drains the parts of the right input's split, each into runs of
-// its own tagged by morsel, merges the runs in morsel order into the entry
-// vector — the one part's insertion order, however the morsels were
-// interleaved across workers — and links it.
+// build drains the parts of the right input's split over gov's workers,
+// each into runs of its own tagged by morsel, merges the runs in morsel
+// order into the entry vector — the one part's insertion order, however
+// the morsels were interleaved across workers — and links it.
 func (b *joinBuild) build(gov *Governor) error {
-	sp := splitFor(b.right, b.parallelism, b.stats)
+	sp := splitFor(b.right, gov.workers, b.stats)
 	b.outs = slots(&b.one, &sp)
 	err := sp.run(gov, b)
 	if err == nil {

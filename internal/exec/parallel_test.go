@@ -89,19 +89,27 @@ func scanFilterProject(t testing.TB, fact *storage.Table) Operator {
 	return p
 }
 
-// govern attaches a fresh governor with no limits to op and returns it:
-// how a test readies a tree it drives by hand.
-func govern(op Operator) *Governor {
+// governOn attaches to op a fresh governor with no limits, for a run on
+// n workers, and returns it: how a test readies a tree it drives by hand.
+func governOn(op Operator, n int) *Governor {
 	gov := NewGovernor(context.Background(), Limits{})
+	gov.SetWorkers(n)
 	Attach(op, gov)
 	return gov
 }
 
-// collect runs op to completion under a fresh governor with no limits.
-func collect(op Operator) ([][]value.Value, error) {
-	rows, _, err := CollectBatchesGoverned(op, govern(op), 0)
+// govern is governOn for a serial run.
+func govern(op Operator) *Governor { return governOn(op, 1) }
+
+// collectOn runs op to completion on n workers under a fresh governor
+// with no limits.
+func collectOn(op Operator, n int) ([][]value.Value, error) {
+	rows, _, err := CollectBatchesGoverned(op, governOn(op, n), 0)
 	return rows, err
 }
+
+// collect is collectOn for a serial run.
+func collect(op Operator) ([][]value.Value, error) { return collectOn(op, 1) }
 
 // setMorselSize cuts every pipeline split until the test ends into
 // morsels of n rows (DefaultMorselSize when n <= 0). The grid is read as
@@ -129,13 +137,18 @@ func useBatchSize(t testing.TB, n int) {
 	t.Cleanup(func() { batchSize = old })
 }
 
-func mustCollect(t testing.TB, op Operator) [][]value.Value {
+func mustCollectOn(t testing.TB, op Operator, n int) [][]value.Value {
 	t.Helper()
-	rows, err := collect(op)
+	rows, err := collectOn(op, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+func mustCollect(t testing.TB, op Operator) [][]value.Value {
+	t.Helper()
+	return mustCollectOn(t, op, 1)
 }
 
 func requireSameRows(t *testing.T, want, got [][]value.Value) {
@@ -157,9 +170,9 @@ func TestGatherMatchesSerialScanPipeline(t *testing.T) {
 		t.Fatal("empty baseline")
 	}
 	for _, n := range []int{2, 3, 8} {
-		g := NewGather(scanFilterProject(t, fact), n)
+		g := NewGather(scanFilterProject(t, fact))
 		setMorselSize(t, 64)
-		requireSameRows(t, want, mustCollect(t, g))
+		requireSameRows(t, want, mustCollectOn(t, g, n))
 	}
 }
 
@@ -175,38 +188,37 @@ func TestGatherSerialFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRows(t, want, mustCollect(t, NewGather(srt2, 8)))
+	requireSameRows(t, want, mustCollectOn(t, NewGather(srt2), 8))
 }
 
-func buildJoin(t testing.TB, fact, dim *storage.Table, par, morsel int) *HashJoin {
+func buildJoin(t testing.TB, fact, dim *storage.Table, morsel int) *HashJoin {
 	t.Helper()
 	j, err := NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
 		[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Parallelism = par
 	setMorselSize(t, morsel)
 	return j
 }
 
 func TestParallelJoinBuildMatchesSerial(t *testing.T) {
 	fact, dim := parTables(t, 3000)
-	want := mustCollect(t, buildJoin(t, fact, dim, 1, 0))
+	want := mustCollect(t, buildJoin(t, fact, dim, 0))
 	for _, n := range []int{2, 4} {
-		requireSameRows(t, want, mustCollect(t, buildJoin(t, fact, dim, n, 32)))
+		requireSameRows(t, want, mustCollectOn(t, buildJoin(t, fact, dim, 32), n))
 	}
 }
 
 func TestGatherOverJoinMatchesSerial(t *testing.T) {
 	fact, dim := parTables(t, 3000)
-	want := mustCollect(t, buildJoin(t, fact, dim, 1, 0))
-	g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
+	want := mustCollect(t, buildJoin(t, fact, dim, 0))
+	g := NewGather(buildJoin(t, fact, dim, 0))
 	setMorselSize(t, 64)
-	requireSameRows(t, want, mustCollect(t, g))
+	requireSameRows(t, want, mustCollectOn(t, g, 4))
 }
 
-func buildAgg(t testing.TB, fact *storage.Table, par, morsel int) *HashAggregate {
+func buildAgg(t testing.TB, fact *storage.Table, morsel int) *HashAggregate {
 	t.Helper()
 	sc := NewScan(fact, "f")
 	a, err := NewHashAggregate(sc,
@@ -222,16 +234,15 @@ func buildAgg(t testing.TB, fact *storage.Table, par, morsel int) *HashAggregate
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism = par
 	setMorselSize(t, morsel)
 	return a
 }
 
 func TestParallelAggregateMatchesSerial(t *testing.T) {
 	fact, _ := parTables(t, 5000)
-	want := mustCollect(t, buildAgg(t, fact, 1, 0))
+	want := mustCollect(t, buildAgg(t, fact, 0))
 	for _, n := range []int{2, 8} {
-		got := mustCollect(t, buildAgg(t, fact, n, 64))
+		got := mustCollectOn(t, buildAgg(t, fact, 64), n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: group count: want %d, got %d", n, len(want), len(got))
 		}
@@ -265,9 +276,8 @@ func TestParallelGlobalAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Parallelism = 4
 	setMorselSize(t, 32)
-	rows := mustCollect(t, a)
+	rows := mustCollectOn(t, a, 4)
 	if len(rows) != 1 || rows[0][0].AsInt() != 2000 {
 		t.Fatalf("global count = %v", rows)
 	}
@@ -283,9 +293,9 @@ func TestGatherWorkerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGather(f, 4)
+	g := NewGather(f)
 	setMorselSize(t, 64)
-	_, err = collect(g)
+	_, err = collectOn(g, 4)
 	if err == nil {
 		t.Fatal("want evaluation error, got nil")
 	}
@@ -304,9 +314,10 @@ func TestGatherCancellation(t *testing.T) {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // workers observe cancellation on their first PollBatch
-		g := NewGather(buildJoin(t, fact, dim, 4, 0), 4)
+		g := NewGather(buildJoin(t, fact, dim, 0))
 		setMorselSize(t, 64)
 		gov := NewGovernor(ctx, Limits{})
+		gov.SetWorkers(4)
 		Attach(g, gov)
 		useBatchSize(t, size)
 		_, _, err := CollectBatchesGoverned(g, gov, size)
@@ -333,8 +344,9 @@ func TestGatherCancellation(t *testing.T) {
 func TestParallelBuildBudget(t *testing.T) {
 	const budget, workers, morsel = 10, 4, 8
 	fact, dim := parTables(t, 3000)
-	j := buildJoin(t, fact, dim, workers, morsel)
+	j := buildJoin(t, fact, dim, morsel)
 	gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
+	gov.SetWorkers(workers)
 	Attach(j, gov)
 	if err := j.Open(); !errors.Is(err, qerr.ErrBudgetExceeded) {
 		t.Fatalf("want qerr.ErrBudgetExceeded, got %v", err)
@@ -361,8 +373,8 @@ func TestSplitGatherRunsFollowTheMorselGrid(t *testing.T) {
 	setMorselSize(t, size)
 	morsels := (n + size - 1) / size
 	for _, workers := range []int{2, 4, 8} {
-		g := NewGather(NewScan(fact, "f"), workers)
-		govern(g)
+		g := NewGather(NewScan(fact, "f"))
+		governOn(g, workers)
 		outs, err := g.runParts(splitPipeline(g.Child, workers))
 		if err != nil {
 			t.Fatal(err)
@@ -405,12 +417,12 @@ func TestKeylessJoinUnderGather(t *testing.T) {
 	for _, batch := range []int{1, 7} {
 		for _, budget := range []int64{0, int64(dim.Len()) - 1} {
 			j := crossJoin(t, NewScan(fact, "f"), NewScan(dim, "d"))
-			j.Parallelism = 4
 			setMorselSize(t, 8)
-			g := NewGather(j, 4)
+			g := NewGather(j)
 			Instrument(g)
 			useBatchSize(t, batch)
 			gov := NewGovernor(context.Background(), Limits{MaxBufferedRows: budget})
+			gov.SetWorkers(4)
 			Attach(g, gov)
 			label := fmt.Sprintf("batch=%d budget=%d", batch, budget)
 			rows, _, err := CollectBatchesGoverned(g, gov, batch)
@@ -457,7 +469,8 @@ func TestAttachDoesNotAllocate(t *testing.T) {
 
 func TestGatherExplain(t *testing.T) {
 	fact, _ := parTables(t, 100)
-	g := NewGather(scanFilterProject(t, fact), 8)
+	g := NewGather(scanFilterProject(t, fact))
+	governOn(g, 8)
 	out := Explain(g)
 	if want := "Gather[n=8]"; !strings.Contains(out, want) {
 		t.Fatalf("Explain missing %q:\n%s", want, out)

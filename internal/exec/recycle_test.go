@@ -101,8 +101,8 @@ func TestRowLifetime(t *testing.T) {
 		}},
 	}
 	byNameDesc := func(c Operator) []SortKey { return []SortKey{SortKeyExpr(colRef("r", "name"), true)} }
-	agg := func(c Operator, par int) Operator {
-		a := mustOp[*HashAggregate](t)(NewHashAggregate(c, keys(colRef("r", "name")),
+	agg := func(c Operator) Operator {
+		return mustOp[*HashAggregate](t)(NewHashAggregate(c, keys(colRef("r", "name")),
 			[]ColInfo{{Name: "name", Type: value.KindString}},
 			[]AggSpec{
 				{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}},
@@ -110,83 +110,78 @@ func TestRowLifetime(t *testing.T) {
 				{Func: AggMin, Arg: colRef("r", "name"), Col: ColInfo{Name: "mn", Type: value.KindString}},
 				{Func: AggMax, Arg: lid, Col: ColInfo{Name: "mx", Type: value.KindInt}},
 			}))
-		a.Parallelism = par
-		return a
 	}
-	build := func(c Operator, par int) Operator {
-		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(d, "d"), c, keys(colRef("d", "id")), keys(lid)))
-		j.Parallelism = par
-		return j
+	build := func(c Operator) Operator {
+		return mustOp[*HashJoin](t)(NewHashJoin(NewScan(d, "d"), c, keys(colRef("d", "id")), keys(lid)))
 	}
 	filter := func(c Operator) Operator { return mustOp[*Filter](t)(NewFilter(c, expr(t, "r.seq <> 4"))) }
 	consumers := []struct {
 		name string
+		n    int // the run's worker count
 		wrap func(Operator) Operator
 	}{
 		// Retainers.
-		{"collector", func(c Operator) Operator { return c }},
-		{"Sort", func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(c, byNameDesc(c))) }},
-		{"TopN", func(c Operator) Operator { return mustOp[*Sort](t)(newTopN(c, byNameDesc(c), 11)) }},
-		{"Distinct", func(c Operator) Operator { return NewDistinct(c) }},
-		{"parallel Gather", func(c Operator) Operator {
-			return NewGather(c, 3)
-		}},
-		{"join build", func(c Operator) Operator { return build(c, 1) }},
-		{"parallel join build", func(c Operator) Operator { return build(c, 3) }},
-		{"cross join right", func(c Operator) Operator { return crossJoin(t, NewScan(d, "d"), c) }},
+		{"collector", 1, func(c Operator) Operator { return c }},
+		{"Sort", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(c, byNameDesc(c))) }},
+		{"TopN", 1, func(c Operator) Operator { return mustOp[*Sort](t)(newTopN(c, byNameDesc(c), 11)) }},
+		{"Distinct", 1, func(c Operator) Operator { return NewDistinct(c) }},
+		{"parallel Gather", 3, func(c Operator) Operator { return NewGather(c) }},
+		{"join build", 1, build},
+		{"parallel join build", 3, build},
+		{"cross join right", 1, func(c Operator) Operator { return crossJoin(t, NewScan(d, "d"), c) }},
 		// Copiers.
-		{"HashJoin probe", func(c Operator) Operator {
+		{"HashJoin probe", 1, func(c Operator) Operator {
 			return mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id"))))
 		}},
-		{"CrossJoin left", func(c Operator) Operator { return crossJoin(t, c, NewScan(d, "d")) }},
-		{"Project", func(c Operator) Operator {
+		{"CrossJoin left", 1, func(c Operator) Operator { return crossJoin(t, c, NewScan(d, "d")) }},
+		{"Project", 1, func(c Operator) Operator {
 			return mustOp[*Project](t)(NewProject(c, []ProjectionCol{
 				{Expr: colRef("r", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},
 				{Expr: expr(t, "l.id * 100 + r.seq"), Col: ColInfo{Name: "x", Type: value.KindInt}},
 			}))
 		}},
-		{"HashAggregate", func(c Operator) Operator { return agg(c, 1) }},
-		{"parallel HashAggregate", func(c Operator) Operator { return agg(c, 3) }},
+		{"HashAggregate", 1, agg},
+		{"parallel HashAggregate", 3, agg},
 		// Forwarders, under a retainer and under a copier.
-		{"Sort over Filter", func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(filter(c), byNameDesc(c))) }},
-		{"Sort over Limit", func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewLimit(c, 20), byNameDesc(c))) }},
-		{"Sort over serial Gather", func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewGather(c, 1), byNameDesc(c))) }},
-		{"HashAggregate over Filter", func(c Operator) Operator { return agg(filter(c), 1) }},
-		{"HashAggregate over Limit", func(c Operator) Operator { return agg(NewLimit(c, 20), 1) }},
-		{"HashAggregate over serial Gather", func(c Operator) Operator { return agg(NewGather(c, 1), 1) }},
+		{"Sort over Filter", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(filter(c), byNameDesc(c))) }},
+		{"Sort over Limit", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewLimit(c, 20), byNameDesc(c))) }},
+		{"Sort over serial Gather", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewGather(c), byNameDesc(c))) }},
+		{"HashAggregate over Filter", 1, func(c Operator) Operator { return agg(filter(c)) }},
+		{"HashAggregate over Limit", 1, func(c Operator) Operator { return agg(NewLimit(c, 20)) }},
+		{"HashAggregate over serial Gather", 1, func(c Operator) Operator { return agg(NewGather(c)) }},
 		// Two producers stacked, as in a join tree.
-		{"HashAggregate over Project over HashJoin probe", func(c Operator) Operator {
+		{"HashAggregate over Project over HashJoin probe", 1, func(c Operator) Operator {
 			j := mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id"))))
 			p := mustOp[*Project](t)(NewProject(j, []ProjectionCol{
 				{Expr: colRef("d", "label"), Col: ColInfo{Qualifier: "r", Name: "name", Type: value.KindString}},
 				{Expr: lid, Col: ColInfo{Qualifier: "l", Name: "id", Type: value.KindInt}},
 				{Expr: colRef("r", "seq"), Col: ColInfo{Qualifier: "r", Name: "seq", Type: value.KindInt}},
 			}))
-			return agg(p, 1)
+			return agg(p)
 		}},
 	}
 
-	plain := func(op Operator) [][]value.Value {
+	plain := func(op Operator, n int) [][]value.Value {
 		poisonRecycled = false
 		defer func() { poisonRecycled = true }()
-		return collectBatches(t, op, 0)
+		return collectBatches(t, op, n, 0)
 	}
 	// Anchor the reference itself once, on the nested loop.
 	want := nestedLoop(l, r, func(lr, rr []value.Value) bool { return value.Equal(lr[1], rr[0]) })
 	if len(want) != 4*9 {
 		t.Fatalf("nested loop: %d rows", len(want))
 	}
-	requireSameRows(t, want, plain(hash()))
+	requireSameRows(t, want, plain(hash(), 1))
 
 	for _, p := range producers {
 		for _, c := range consumers {
-			want := plain(c.wrap(p.make()))
+			want := plain(c.wrap(p.make()), c.n)
 			if len(want) == 0 {
 				t.Fatalf("%s under %s: empty reference", p.name, c.name)
 			}
 			for _, size := range []int{1, 2, 7} {
 				t.Run(fmt.Sprintf("%s under %s/batch=%d", p.name, c.name, size), func(t *testing.T) {
-					requireSameRows(t, want, collectBatches(t, c.wrap(p.make()), size))
+					requireSameRows(t, want, collectBatches(t, c.wrap(p.make()), c.n, size))
 				})
 			}
 		}
@@ -259,7 +254,7 @@ func TestDistinctRefusesTransientBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := collectBatches(t, NewDistinct(p), 7)
+	rows := collectBatches(t, NewDistinct(p), 1, 7)
 	if len(rows) != 4 {
 		t.Fatalf("distinct names: %v", rows)
 	}

@@ -65,7 +65,7 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 	const reserveSlack = 4
 	perOpen := func(n int) float64 {
 		fact, dim := parTables(t, n)
-		p := mustOp[*Project](t)(NewProject(buildJoin(t, fact, dim, 1, 0), []ProjectionCol{
+		p := mustOp[*Project](t)(NewProject(buildJoin(t, fact, dim, 0), []ProjectionCol{
 			{Expr: colRef("f", "id"), Col: ColInfo{Name: "id", Type: value.KindInt}},
 			{Expr: colRef("d", "name"), Col: ColInfo{Name: "name", Type: value.KindString}},
 		}))

@@ -47,10 +47,10 @@ func TestInstrumentParallelGatherCounts(t *testing.T) {
 	want := mustCollect(t, serial)
 	wantLines := StatsTree(serial)
 
-	par := NewGather(scanFilterProject(t, fact), 4)
+	par := NewGather(scanFilterProject(t, fact))
 	setMorselSize(t, 64)
 	Instrument(par)
-	requireSameRows(t, want, mustCollect(t, par))
+	requireSameRows(t, want, mustCollectOn(t, par, 4))
 	if err := CheckConservation(par); err != nil {
 		t.Error(err)
 	}
@@ -85,9 +85,9 @@ func TestInstrumentParallelGatherCounts(t *testing.T) {
 func TestInstrumentJoinConservation(t *testing.T) {
 	fact, dim := parTables(t, 3000)
 	for _, par := range []int{1, 4} {
-		j := buildJoin(t, fact, dim, par, 32)
+		j := buildJoin(t, fact, dim, 32)
 		Instrument(j)
-		rows := mustCollect(t, j)
+		rows := mustCollectOn(t, j, par)
 		if err := CheckConservation(j); err != nil {
 			t.Errorf("parallelism %d: %v", par, err)
 		}
@@ -107,10 +107,10 @@ func TestInstrumentJoinConservation(t *testing.T) {
 
 func TestExplainAnalyzeFormat(t *testing.T) {
 	fact, _ := parTables(t, 3000)
-	g := NewGather(scanFilterProject(t, fact), 4)
+	g := NewGather(scanFilterProject(t, fact))
 	setMorselSize(t, 64)
 	Instrument(g)
-	mustCollect(t, g)
+	mustCollectOn(t, g, 4)
 	out := ExplainAnalyze(g)
 	if !strings.Contains(out, "Gather[n=4]") || !strings.Contains(out, "morsels=[w0:") {
 		t.Errorf("missing Gather morsel report:\n%s", out)

@@ -253,7 +253,7 @@ type QueryRecord struct {
 	Rows int `json:"rows"`
 	// Micros is the wall-clock duration in microseconds.
 	Micros int64 `json:"us"`
-	// Parallelism is the planned worker count, when known.
+	// Parallelism is the worker count the run used, when known.
 	Parallelism int `json:"par,omitempty"`
 	// Cached reports that the rows were served from the result cache
 	// rather than executed. Rows and Micros are still recorded for

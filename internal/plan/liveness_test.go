@@ -60,28 +60,28 @@ func livenessDB(t testing.TB) *storage.DB {
 	return db
 }
 
-// planModes is the execution-mode matrix the liveness tests cover:
-// parallelism 1 and 4.
-func planModes() []Options {
-	return []Options{{Parallelism: 1}, {Parallelism: 4}}
+// workerCounts is the execution-mode matrix the liveness tests cover: a
+// plan run serially and on four workers.
+func workerCounts() []int { return []int{1, 4} }
+
+func modeLabel(workers int) string {
+	return fmt.Sprintf("par=%d", workers)
 }
 
-func modeLabel(o Options) string {
-	return fmt.Sprintf("par=%d", o.Parallelism)
-}
-
-// runPlan plans and executes qs the way the engine does: governed.
-func runPlan(t *testing.T, db *storage.DB, qs string, opts Options) (exec.Operator, [][]value.Value) {
+// runPlan plans and executes qs the way the engine does: governed, on the
+// given worker count.
+func runPlan(t *testing.T, db *storage.DB, qs string, workers int) (exec.Operator, [][]value.Value) {
 	t.Helper()
-	op, err := Plan(db, sqlparse.MustParse(qs), opts)
+	op, err := Plan(db, sqlparse.MustParse(qs), Options{})
 	if err != nil {
-		t.Fatalf("%s: plan %q: %v", modeLabel(opts), qs, err)
+		t.Fatalf("%s: plan %q: %v", modeLabel(workers), qs, err)
 	}
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	gov.SetWorkers(workers)
 	exec.Attach(op, gov)
 	rows, _, err := exec.CollectBatchesGoverned(op, gov, 0)
 	if err != nil {
-		t.Fatalf("%s: exec %q: %v", modeLabel(opts), qs, err)
+		t.Fatalf("%s: exec %q: %v", modeLabel(workers), qs, err)
 	}
 	return op, rows
 }
@@ -102,13 +102,13 @@ func collect(op exec.Operator) ([][]value.Value, error) {
 // counts.
 func unprunedOracle(t *testing.T, db *storage.DB, items []string, rest string) [][]value.Value {
 	t.Helper()
-	op, wide := runPlan(t, db, "select * from "+rest, Options{Parallelism: 1})
+	op, wide := runPlan(t, db, "select * from "+rest, 1)
 	if strings.Contains(exec.Explain(op), "cols=") {
 		t.Fatalf("oracle plan is pruned:\n%s", exec.Explain(op))
 	}
-	// The star projection copies the join tree's columns one for one;
-	// the tree's schema still carries the qualifiers.
-	wideSchema := op.(*exec.Project).Child.Schema()
+	// Under the Gather, the star projection copies the join tree's columns
+	// one for one; the tree's schema still carries the qualifiers.
+	wideSchema := op.(*exec.Gather).Child.(*exec.Project).Child.Schema()
 	var evs []exec.Evaluator
 	for _, it := range items {
 		ev, err := exec.Compile(sqlparse.MustParse("select " + it + " from t").Select[0].Expr, wideSchema)
@@ -204,9 +204,9 @@ func TestPrunedPlansMatchUnprunedInEveryMode(t *testing.T) {
 			sel = strings.Join(tc.items, ", ")
 		}
 		qs := "select " + sel + " from " + tc.rest
-		for _, opts := range planModes() {
-			label := tc.name + " " + modeLabel(opts)
-			op, got := runPlan(t, db, qs, opts)
+		for _, workers := range workerCounts() {
+			label := tc.name + " " + modeLabel(workers)
+			op, got := runPlan(t, db, qs, workers)
 			if tc.items == nil {
 				if len(got) != 1 || got[0][0].AsInt() != int64(len(want)) {
 					t.Fatalf("%s: count = %v, unpruned join has %d rows", label, got, len(want))
@@ -214,7 +214,7 @@ func TestPrunedPlansMatchUnprunedInEveryMode(t *testing.T) {
 			} else {
 				requireRows(t, label, want, got)
 			}
-			if opts.Parallelism == 1 {
+			if workers == 1 {
 				if got := joinLines(op); strings.Join(got, "\n") != strings.Join(tc.joins, "\n") {
 					t.Errorf("%s: joins\n  %s\nwant\n  %s", label, strings.Join(got, "\n  "), strings.Join(tc.joins, "\n  "))
 				}
@@ -229,10 +229,10 @@ func TestSelectStarIsUnpruned(t *testing.T) {
 	db := livenessDB(t)
 	qs := "select * from customer c, orders o, lineitem l where c.ckey = o.ckey and o.okey = l.okey and o.qty = 2 and o.okey < 500"
 	var want [][]value.Value
-	for i, opts := range planModes() {
-		op, got := runPlan(t, db, qs, opts)
+	for i, workers := range workerCounts() {
+		op, got := runPlan(t, db, qs, workers)
 		if out := exec.Explain(op); strings.Contains(out, "cols=") {
-			t.Fatalf("%s: SELECT * plan is pruned:\n%s", modeLabel(opts), out)
+			t.Fatalf("%s: SELECT * plan is pruned:\n%s", modeLabel(workers), out)
 		}
 		var names []string
 		for _, c := range op.Schema() {
@@ -240,7 +240,7 @@ func TestSelectStarIsUnpruned(t *testing.T) {
 		}
 		// orders has the most filters, so the tree is (o ⋈ c) ⋈ l.
 		if strings.Join(names, " ") != "id okey ckey qty prob id ckey name prob id okey ckey price prob" {
-			t.Fatalf("%s: column order %v", modeLabel(opts), names)
+			t.Fatalf("%s: column order %v", modeLabel(workers), names)
 		}
 		if i == 0 {
 			want = got
@@ -249,7 +249,7 @@ func TestSelectStarIsUnpruned(t *testing.T) {
 			}
 			continue
 		}
-		requireRows(t, modeLabel(opts), want, got)
+		requireRows(t, modeLabel(workers), want, got)
 	}
 }
 
@@ -277,11 +277,10 @@ func TestPruningKeepsResolutionErrors(t *testing.T) {
 		{"select x.qty from orders o, lineitem l where o.okey = l.okey", `exec: unknown column "x.qty"`},
 		{"select o.qty from orders o, lineitem l where o.okey = l.okey and prob > 0", `plan: ambiguous column "prob"`},
 	} {
-		for _, opts := range planModes() {
-			_, err := Plan(db, sqlparse.MustParse(tc.qs), opts)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: %q: err = %v, want %q", modeLabel(opts), tc.qs, err, tc.want)
-			}
+		// One plan serves every worker count, so it fails once.
+		_, err := Plan(db, sqlparse.MustParse(tc.qs), Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want %q", tc.qs, err, tc.want)
 		}
 	}
 }
@@ -336,14 +335,14 @@ func randomPrunedQuery(rng *rand.Rand) (items []string, rest string) {
 // projected by hand, row for row.
 func TestPrunedPlansMatchUnprunedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1206))
-	modes := planModes()
+	modes := workerCounts()
 	for trial := 0; trial < 300; trial++ {
 		db := randomDB(rng)
 		items, rest := randomPrunedQuery(rng)
-		opts := modes[rng.Intn(len(modes))]
+		workers := modes[rng.Intn(len(modes))]
 		want := unprunedOracle(t, db, items, rest)
 		qs := "select " + strings.Join(items, ", ") + " from " + rest
-		_, got := runPlan(t, db, qs, opts)
-		requireRows(t, fmt.Sprintf("trial %d %s %q", trial, modeLabel(opts), qs), want, got)
+		_, got := runPlan(t, db, qs, workers)
+		requireRows(t, fmt.Sprintf("trial %d %s %q", trial, modeLabel(workers), qs), want, got)
 	}
 }

@@ -101,9 +101,11 @@ func widths(joins []exec.Operator) []int {
 }
 
 // On all thirteen TPC-H pairs, original and rewritten, every join's
-// schema holds only columns something above it reads. Q9's five joins are 7 columns wide in the original (of 28, 36,
-// 43, 52 and 57 joined so far) and 9 to 13 in the rewriting, which adds
-// one prob factor per table.
+// schema holds only columns something above it reads, and the plan is one
+// tree for every worker count: its EXPLAIN is byte-identical planned with
+// Parallelism 1 and 8. Q9's five joins are 7 columns wide in the original
+// (of 28, 36, 43, 52 and 57 joined so far) and 9 to 13 in the rewriting,
+// which adds one prob factor per table.
 func TestTPCHJoinsCarryOnlyLiveColumns(t *testing.T) {
 	d, pairs := tpchWorkload(t)
 	for _, p := range pairs {
@@ -111,14 +113,20 @@ func TestTPCHJoinsCarryOnlyLiveColumns(t *testing.T) {
 			kind string
 			stmt *sqlparse.SelectStmt
 		}{{"original", p.Original}, {"rewritten", p.Rewritten}} {
+			var serial string
 			for _, opts := range []plan.Options{
 				{Parallelism: 1},
-				{Parallelism: 4},
+				{Parallelism: 8},
 			} {
 				label := fmt.Sprintf("Q%d %s par=%d", p.Number, q.kind, opts.Parallelism)
 				op, err := plan.Plan(d.Store, q.stmt, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				if out := exec.Explain(op); serial == "" {
+					serial = out
+				} else if out != serial {
+					t.Errorf("%s: EXPLAIN\n%s\ndiffers from the plan at parallelism 1:\n%s", label, out, serial)
 				}
 				joins := joinsTopDown(t, label, q.stmt, op)
 				if len(joins) != len(q.stmt.From)-1 {
@@ -192,7 +200,7 @@ func TestQ9JoinedValuesStayNarrow(t *testing.T) {
 			stmt     *sqlparse.SelectStmt
 			maxShare float64 // of the full-width count
 		}{{"original", p.Original, 0.15}, {"rewritten", p.Rewritten, 0.25}} {
-			op, err := plan.Plan(d.Store, q.stmt, plan.Options{Parallelism: 1})
+			op, err := plan.Plan(d.Store, q.stmt, plan.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,12 +15,13 @@ import (
 	"conquer/internal/value"
 )
 
-// Options tunes physical planning.
+// Options tunes physical planning. No field changes the tree: the worker
+// count arrives with each run (exec.Governor.SetWorkers).
 type Options struct {
-	// Parallelism is the worker count for morsel-driven parallel
-	// execution: hash-join builds and aggregations run partitioned in
-	// parallel, and splittable plan roots are wrapped in an exec.Gather
-	// exchange. Values <= 1 plan strictly serial execution.
+	// Parallelism is inert: the worker count is the run's, not the
+	// plan's, and nothing in this module reads it. It stays only because
+	// the benchmark module compiles against it; ROADMAP item 3(b) deletes
+	// it.
 	Parallelism int
 	// Shards and Sharder are inert: scans are not partitioned, and
 	// nothing in this module reads them. They stay only because the
@@ -39,14 +40,12 @@ func Plan(db *storage.DB, stmt *sqlparse.SelectStmt, opts Options) (exec.Operato
 	if opts.BatchSize != 0 {
 		return nil, fmt.Errorf("plan: batch size %d: the executor's batch size is fixed; leave Options.BatchSize zero", opts.BatchSize)
 	}
-	p := &planner{db: db, stmt: stmt, opts: opts}
-	return p.plan()
+	return (&planner{db: db, stmt: stmt}).plan()
 }
 
 type planner struct {
 	db   *storage.DB
 	stmt *sqlparse.SelectStmt
-	opts Options
 }
 
 // tableSource tracks one FROM entry through join planning.
@@ -94,9 +93,10 @@ func (p *planner) plan() (exec.Operator, error) {
 	}
 	// Parallelize a splittable pipeline root (scan→filter→project plans;
 	// aggregate plans instead parallelize inside HashAggregate) with a
-	// Gather exchange below DISTINCT/ORDER BY/LIMIT.
-	if p.opts.Parallelism > 1 && exec.CanSplit(root) {
-		root = exec.NewGather(root, p.opts.Parallelism)
+	// Gather exchange below DISTINCT/ORDER BY/LIMIT. It is planned at every
+	// worker count: a run on one worker passes straight through it.
+	if exec.CanSplit(root) {
+		root = exec.NewGather(root)
 	}
 	if p.stmt.Distinct {
 		root = exec.NewDistinct(root)
@@ -469,7 +469,6 @@ func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKe
 	if err != nil {
 		return nil, err
 	}
-	j.Parallelism = p.opts.Parallelism
 	if err := j.Narrow(cols); err != nil {
 		return nil, err
 	}
@@ -664,7 +663,6 @@ func (p *planner) buildAggregate(root exec.Operator, items []sqlparse.SelectItem
 	if err != nil {
 		return nil, nil, err
 	}
-	agg.Parallelism = p.opts.Parallelism
 
 	var filtered exec.Operator = agg
 	if having != nil {

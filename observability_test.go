@@ -36,12 +36,13 @@ var raceEnabled = false
 // counter conservation, and returns the per-operator stat lines.
 func runStats(t *testing.T, d *dirty.DB, label string, stmt *sqlparse.SelectStmt, par int) []exec.StatLine {
 	t.Helper()
-	op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: par})
+	op, err := plan.Plan(d.Store, stmt, plan.Options{})
 	if err != nil {
 		t.Fatalf("%s: plan: %v", label, err)
 	}
 	exec.Instrument(op)
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	gov.SetWorkers(par)
 	exec.Attach(op, gov)
 	if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 		t.Fatalf("%s: execute: %v", label, err)
@@ -55,9 +56,9 @@ func runStats(t *testing.T, d *dirty.DB, label string, stmt *sqlparse.SelectStmt
 var scanRowCount = regexp.MustCompile(`, \d+ rows\)`)
 
 // normalizeStatOps reduces a stats tree to the parallelism-independent
-// (operator, rows-in, rows-out) sequence: Gather lines are dropped (the
-// operator does not exist in serial plans), and " [parallel n=…]"
-// decorations are stripped. Batch and buffered counts legitimately differ
+// (operator, rows-in, rows-out) sequence: Gather lines, which name the
+// worker count, are dropped, and " [parallel n=…]" decorations are
+// stripped. Batch and buffered counts legitimately differ
 // across worker counts (per-worker group state, morsel claims) and are
 // excluded.
 func normalizeStatOps(lines []exec.StatLine) []string {
@@ -132,11 +133,12 @@ func TestAttachAloneCountsLikeAnEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := func(stmt *sqlparse.SelectStmt, par int) exec.Operator {
-		op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: par})
+		op, err := plan.Plan(d.Store, stmt, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gov := exec.NewGovernor(context.Background(), exec.Limits{})
+		gov.SetWorkers(par)
 		exec.Attach(op, gov)
 		if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 			t.Fatal(err)
@@ -191,12 +193,13 @@ func TestExplainAnalyzeShowsWorkerMorsels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := plan.Plan(d.Store, stmt, plan.Options{Parallelism: 4})
+	op, err := plan.Plan(d.Store, stmt, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec.Instrument(op)
 	gov := exec.NewGovernor(context.Background(), exec.Limits{})
+	gov.SetWorkers(4)
 	exec.Attach(op, gov)
 	if _, _, err := exec.CollectBatchesGoverned(op, gov, 0); err != nil {
 		t.Fatal(err)
@@ -249,7 +252,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	// tree plans Q9 on d serially, instrumented or not, with its governor
 	// attached; run executes it once and counts the clock reads.
 	tree := func(d *dirty.DB, instrument bool) func() (reads int64, rows int) {
-		op, err := plan.Plan(d.Store, q9, plan.Options{Parallelism: 1})
+		op, err := plan.Plan(d.Store, q9, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
