@@ -4,6 +4,7 @@ package conquer
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -130,5 +131,75 @@ func TestRewrittenStatementAllocatesLikeItsOriginal(t *testing.T) {
 		if rw > bound*orig {
 			t.Errorf("Q%d: the rewriting allocates %.0f, more than %.0fx the original's %.0f", p.Number, rw, bound, orig)
 		}
+	}
+}
+
+// TestPlanningAllocatesPerStatement pins what Engine.Prepare allocates
+// for each of the 26 TPC-H statements, the thirteen originals and their
+// rewritings: the planner and the operator constructors take each list
+// from one block sized before it is filled, columns and literals compile
+// to no closure, and the stats block lives in its operator, so a plan
+// costs a few allocations per operator, not one per node and list growth.
+// The twelve short pairs (the benchmark's fig8_short) summed to 2,417 while
+// they did; the bound on their sum is 1,200. A statement that allocates
+// more than its pin fails; one that allocates less asks for a lower pin.
+func TestPlanningAllocatesPerStatement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a TPC-H workload")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under -race")
+	}
+	if runtime.GOMAXPROCS(0) != 2 {
+		prev := runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	// Query number → Prepare's allocations for the original, the rewriting.
+	pins := map[int][2]int{
+		1: {16, 17}, 2: {50, 55}, 3: {42, 44}, 4: {29, 31}, 6: {22, 23}, 9: {56, 61}, 10: {47, 50},
+		11: {35, 37}, 12: {32, 34}, 14: {29, 30}, 17: {29, 31}, 18: {33, 36}, 20: {45, 49},
+	}
+	const shortBound = 1200
+	d := determinismWorkload(t)
+	pairs, err := bench.PreparePairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(d.Store)
+	// Planning allocates the same on every call; rounding down over 20
+	// calls forgives the odd allocation of the runtime in between.
+	prepare := func(stmt *sqlparse.SelectStmt) int {
+		return int(math.Floor(mallocsPerRun(t, 20, func() error {
+			_, err := eng.Prepare(stmt)
+			return err
+		})))
+	}
+	short, measured := 0, 0
+	for _, p := range pairs {
+		pin, ok := pins[p.Number]
+		if !ok {
+			t.Fatalf("Q%d has no pin", p.Number)
+		}
+		got := [2]int{prepare(p.Original), prepare(p.Rewritten)}
+		measured += 2
+		t.Logf("Q%d: Prepare allocates %d times for the original, %d for the rewriting", p.Number, got[0], got[1])
+		for i, what := range []string{"original", "rewriting"} {
+			switch {
+			case got[i] > pin[i]:
+				t.Errorf("Q%d %s: Prepare allocates %d times, pinned at %d", p.Number, what, got[i], pin[i])
+			case got[i] < pin[i]:
+				t.Errorf("Q%d %s: Prepare allocates %d times, fewer than its pin %d: lower the pin", p.Number, what, got[i], pin[i])
+			}
+		}
+		if p.Number != 9 {
+			short += got[0] + got[1]
+		}
+	}
+	if measured != 26 {
+		t.Errorf("measured %d statements, want 26", measured)
+	}
+	t.Logf("the 24 short statements allocate %d times together (bound %d)", short, shortBound)
+	if short > shortBound {
+		t.Errorf("the 24 short statements allocate %d times together, above %d", short, shortBound)
 	}
 }

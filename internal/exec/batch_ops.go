@@ -218,7 +218,7 @@ func (f *Filter) NextBatch(b *Batch) error {
 // NextBatch projects one child batch into one output slab: a fresh one,
 // or the previous one again when b is transient and it is large enough.
 // Passthrough columns (plain column references) copy the child value
-// directly, skipping the evaluator; ordinal tags propagate unchanged.
+// directly; ordinal tags propagate unchanged.
 func (p *Project) NextBatch(b *Batch) error {
 	if err := p.gov.PollBatch(); err != nil {
 		return err
@@ -236,7 +236,7 @@ func (p *Project) NextBatch(b *Batch) error {
 	}
 	p.stats.addIn(int64(n))
 	b.reserve(n, p.scratch.hasOrds)
-	width := len(p.evals)
+	width := len(p.cols)
 	if b.transient && len(p.out) >= n*width {
 		recycle(p.out)
 	} else {
@@ -246,12 +246,13 @@ func (p *Project) NextBatch(b *Batch) error {
 	for i := 0; i < n; i++ {
 		row := p.scratch.Row(i)
 		out := slab[i*width : (i+1)*width : (i+1)*width]
-		for c, ev := range p.evals {
-			if src := p.passthrough[c]; src >= 0 {
-				out[c] = row[src]
+		for c := range p.cols {
+			o := &p.cols[c]
+			if o.col >= 0 { // a passthrough, copied in place
+				out[c] = row[o.col]
 				continue
 			}
-			v, err := ev(row)
+			v, err := o.eval(row)
 			if err != nil {
 				return &EvalError{err}
 			}

@@ -235,16 +235,3 @@ func TestCompilePredicate(t *testing.T) {
 		t.Error("numeric predicate should error")
 	}
 }
-
-func TestLikeToRegexpAnchored(t *testing.T) {
-	re, err := likeToRegexp("bc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.MatchString("abcd") {
-		t.Error("LIKE without wildcards must match the whole string")
-	}
-	if !re.MatchString("bc") {
-		t.Error("exact match")
-	}
-}

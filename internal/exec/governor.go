@@ -201,15 +201,12 @@ func (h *govHolder) workers() int {
 }
 
 // Attach readies the tree rooted at op for a run under g, the one way a
-// tree runs: it installs g on every operator and an OpStats block on any
-// operator lacking one, so every run is governed and counted. The engine
-// calls it before each run of a prepared tree; from the second run on it
-// allocates nothing.
+// tree runs: it installs g on every operator and points each at its
+// OpStats block, so every run is governed and counted. The engine calls it
+// before each run of a prepared tree; it allocates nothing.
 func Attach(op Operator, g *Governor) {
 	op.setGovernor(g)
-	if op.opStats() == nil {
-		op.setStats(&OpStats{})
-	}
+	op.opStats()
 	for _, c := range children(op) {
 		if c != nil {
 			Attach(c, g)

@@ -84,17 +84,20 @@ type Filter struct {
 
 	govHolder
 	statsHolder
-	test func([]value.Value) (bool, error)
+	pred Evaluator
 }
 
 // NewFilter compiles pred against the child schema.
 func NewFilter(child Operator, pred sqlparse.Expr) (*Filter, error) {
-	test, err := CompilePredicate(pred, child.Schema())
+	ev, err := Compile(pred, child.Schema())
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{Child: child, Pred: pred, test: test}, nil
+	return &Filter{Child: child, Pred: pred, pred: ev}, nil
 }
+
+// test is the predicate as a WHERE test on one row.
+func (f *Filter) test(row []value.Value) (bool, error) { return truth(f.pred(row)) }
 
 func (f *Filter) Schema() RowSchema { return f.Child.Schema() }
 func (f *Filter) Open() error       { f.stats.markOpen(); return f.Child.Open() }
@@ -110,13 +113,11 @@ type Project struct {
 	govHolder
 	statsHolder
 	schema RowSchema
-	evals  []Evaluator
-	// passthrough[i] is the child column position when output i is a
-	// plain column reference (-1 otherwise); NextBatch copies those values
-	// directly instead of calling the evaluator.
-	passthrough []int
-	scratch     *Batch        // child-side batch, reused across NextBatch calls
-	out         []value.Value // the last output slab, refilled when the consumer's batch is transient
+	// cols computes output column i: a plain column reference (a
+	// passthrough) or a literal is read in place and compiles nothing.
+	cols    []operand
+	scratch *Batch        // child-side batch, reused across NextBatch calls
+	out     []value.Value // the last output slab, refilled when the consumer's batch is transient
 }
 
 // ProjectionCol pairs an output column descriptor with its source
@@ -128,21 +129,17 @@ type ProjectionCol struct {
 
 // NewProject compiles the projection list against the child schema.
 func NewProject(child Operator, cols []ProjectionCol) (*Project, error) {
-	p := &Project{Child: child}
+	p := &Project{Child: child, schema: make(RowSchema, len(cols)), cols: make([]operand, len(cols))}
+	slots := 0
 	for _, pc := range cols {
-		ev, err := Compile(pc.Expr, child.Schema())
-		if err != nil {
+		slots += operandSlots(pc.Expr)
+	}
+	c := compiler{rs: child.Schema(), ops: make([]operand, slots)}
+	for i, pc := range cols {
+		if err := c.fill(&p.cols[i], pc.Expr); err != nil {
 			return nil, err
 		}
-		src := -1
-		if ref, ok := pc.Expr.(*sqlparse.ColumnRef); ok {
-			if idx, err := child.Schema().Resolve(ref.Qualifier, ref.Name); err == nil {
-				src = idx
-			}
-		}
-		p.evals = append(p.evals, ev)
-		p.passthrough = append(p.passthrough, src)
-		p.schema = append(p.schema, pc.Col)
+		p.schema[i] = pc.Col
 	}
 	return p, nil
 }
@@ -250,7 +247,7 @@ type HashJoin struct {
 	govHolder
 	statsHolder
 	joinOutput
-	lk, rk  []Evaluator
+	lk, rk  []operand
 	build   *joinBuild
 	part    bool          // probe part sharing a split-time build
 	next    int32         // link to the next build entry of the pending bucket, 0 at its end
@@ -285,19 +282,20 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 	}
 	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
 	j.joinOutput = newJoinOutput(left.Schema(), right.Schema())
-	for _, k := range leftKeys {
-		ev, err := Compile(k, left.Schema())
-		if err != nil {
-			return nil, err
-		}
-		j.lk = append(j.lk, ev)
+	n, slots := len(leftKeys), 0
+	for i := range leftKeys {
+		slots += operandSlots(leftKeys[i]) + operandSlots(rightKeys[i])
 	}
-	for _, k := range rightKeys {
-		ev, err := Compile(k, right.Schema())
-		if err != nil {
-			return nil, err
-		}
-		j.rk = append(j.rk, ev)
+	// One block: the left keys, the right keys, then their operands.
+	keys := make([]operand, 2*n+slots)
+	j.lk, j.rk = keys[:n:n], keys[n:2*n:2*n]
+	c := compiler{rs: left.Schema(), ops: keys[2*n:]}
+	if err := c.fillAll(j.lk, leftKeys); err != nil {
+		return nil, err
+	}
+	c.rs = right.Schema()
+	if err := c.fillAll(j.rk, rightKeys); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -321,10 +319,12 @@ func (j *HashJoin) Open() error {
 
 // evalKeysInto evaluates the key expressions into buf (carved from a
 // slab, one per batch); null reports a NULL key, which never joins.
-func evalKeysInto(evs []Evaluator, row, buf []value.Value) (keys []value.Value, null bool, err error) {
-	for i, ev := range evs {
-		v, err := ev(row)
-		if err != nil {
+func evalKeysInto(ops []operand, row, buf []value.Value) (keys []value.Value, null bool, err error) {
+	for i := range ops {
+		var v value.Value
+		if o := &ops[i]; o.col >= 0 { // a column, read in place
+			v = row[o.col]
+		} else if v, err = o.eval(row); err != nil {
 			return nil, false, &EvalError{err}
 		}
 		if v.IsNull() {
@@ -425,8 +425,8 @@ type HashAggregate struct {
 	govHolder
 	statsHolder
 	schema   RowSchema
-	groupEvs []Evaluator
-	argEvs   []Evaluator // nil for COUNT(*)
+	groupEvs []operand
+	argEvs   []operand // unused for COUNT(*)
 	out      [][]value.Value
 	reserved atomic.Int64 // groups charged against the buffered budget, by every part
 	pos      int
@@ -468,29 +468,32 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 	if len(groups) != len(groupCols) {
 		return nil, fmt.Errorf("exec: group expressions and columns must align")
 	}
-	a := &HashAggregate{Child: child, Groups: groups, Aggs: aggs}
-	for i, g := range groups {
-		ev, err := Compile(g, child.Schema())
-		if err != nil {
-			return nil, err
-		}
-		a.groupEvs = append(a.groupEvs, ev)
-		a.schema = append(a.schema, groupCols[i])
+	ng, na := len(groups), len(aggs)
+	a := &HashAggregate{Child: child, Groups: groups, Aggs: aggs, schema: make(RowSchema, ng+na)}
+	slots := 0
+	for _, g := range groups {
+		slots += operandSlots(g)
 	}
 	for _, spec := range aggs {
+		slots += operandSlots(spec.Arg)
+	}
+	// One block: the groups, the arguments, then their operands.
+	ops := make([]operand, ng+na+slots)
+	a.groupEvs, a.argEvs = ops[:ng:ng], ops[ng:ng+na:ng+na]
+	c := compiler{rs: child.Schema(), ops: ops[ng+na:]}
+	if err := c.fillAll(a.groupEvs, groups); err != nil {
+		return nil, err
+	}
+	copy(a.schema, groupCols)
+	for i, spec := range aggs {
 		if spec.Arg == nil {
 			if spec.Func != AggCount {
 				return nil, fmt.Errorf("exec: only COUNT supports *")
 			}
-			a.argEvs = append(a.argEvs, nil)
-		} else {
-			ev, err := Compile(spec.Arg, child.Schema())
-			if err != nil {
-				return nil, err
-			}
-			a.argEvs = append(a.argEvs, ev)
+		} else if err := c.fill(&a.argEvs[i], spec.Arg); err != nil {
+			return nil, err
 		}
-		a.schema = append(a.schema, spec.Col)
+		a.schema[ng+i] = spec.Col
 	}
 	return a, nil
 }
@@ -692,8 +695,13 @@ func (st *aggState) foldSums(chain, scratch []morselSum) []morselSum {
 // buffered budget with flushReserve, once per batch.
 func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd, morsel int) error {
 	gv := acc.scratch
-	for i, ev := range a.groupEvs {
-		v, err := ev(row)
+	for i := range a.groupEvs {
+		o := &a.groupEvs[i]
+		if o.col >= 0 { // a column, read in place
+			gv[i] = row[o.col]
+			continue
+		}
+		v, err := o.eval(row)
 		if err != nil {
 			return &EvalError{err}
 		}
@@ -710,11 +718,11 @@ func (a *HashAggregate) accumulate(acc *aggAcc, row []value.Value, ord rowOrd, m
 		acc.nextMorsel(st, morsel)
 	}
 	for i, spec := range a.Aggs {
-		if a.argEvs[i] == nil { // COUNT(*)
+		if spec.Arg == nil { // COUNT(*)
 			st.count[i]++
 			continue
 		}
-		v, err := a.argEvs[i](row)
+		v, err := a.argEvs[i].eval(row)
 		if err != nil {
 			return &EvalError{err}
 		}
@@ -1117,9 +1125,9 @@ func (s *Sort) offer(h *topHeap, row []value.Value, seq int) error {
 // names a child column, by position or as a column reference, reads it
 // where it sits; any other expression is a computed key.
 func NewSort(child Operator, keys []SortKey) (*Sort, error) {
-	s := &Sort{Child: child, Keys: keys}
+	s := &Sort{Child: child, Keys: keys, cols: make([]sortCol, len(keys))}
 	rs := child.Schema()
-	for _, k := range keys {
+	for i, k := range keys {
 		col := sortCol{pos: k.Pos, desc: k.Desc}
 		if cr, ok := k.Expr.(*sqlparse.ColumnRef); ok && k.Pos < 0 {
 			pos, err := rs.Resolve(cr.Qualifier, cr.Name)
@@ -1138,7 +1146,7 @@ func NewSort(child Operator, keys []SortKey) (*Sort, error) {
 			}
 			col.ev, s.computed = ev, true
 		}
-		s.cols = append(s.cols, col)
+		s.cols[i] = col
 	}
 	return s, nil
 }

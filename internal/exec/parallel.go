@@ -196,7 +196,7 @@ func splitAt(op Operator, n, size int) ([]Operator, []*Scan) {
 		children, leaves := splitAt(op.Child, n, size)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
-			f := &Filter{Child: c, Pred: op.Pred, test: op.test}
+			f := &Filter{Child: c, Pred: op.Pred, pred: op.pred}
 			f.stats = op.stats
 			parts[i] = f
 		}
@@ -206,7 +206,7 @@ func splitAt(op Operator, n, size int) ([]Operator, []*Scan) {
 		children, leaves := splitAt(op.Child, n, size)
 		parts := make([]Operator, len(children))
 		for i, c := range children {
-			p := &Project{Child: c, schema: op.schema, evals: op.evals, passthrough: op.passthrough}
+			p := &Project{Child: c, schema: op.schema, cols: op.cols}
 			p.stats = op.stats
 			parts[i] = p
 		}
@@ -467,7 +467,7 @@ func (g *Gather) Describe() string { return fmt.Sprintf("Gather[n=%d]", g.worker
 // other hashes than the probe's: the probe compares the stored hash first.
 type joinBuild struct {
 	right Operator
-	rk    []Evaluator
+	rk    []operand
 	stats *OpStats // owning HashJoin's stats: right rows count as its input
 
 	once     onceErr
@@ -487,7 +487,7 @@ type onceErr struct {
 	err  error
 }
 
-func newJoinBuild(right Operator, rk []Evaluator, refs int, stats *OpStats) *joinBuild {
+func newJoinBuild(right Operator, rk []operand, refs int, stats *OpStats) *joinBuild {
 	b := &joinBuild{right: right, rk: rk, stats: stats}
 	b.refs.Store(int32(refs))
 	return b

@@ -456,14 +456,32 @@ func TestKeylessJoinUnderGather(t *testing.T) {
 // world: walking the tree must not allocate.
 func TestAttachDoesNotAllocate(t *testing.T) {
 	fact, dim := parTables(t, 10)
-	var root Operator = NewScan(fact, "f")
-	for i := 0; i < 3; i++ {
-		d := fmt.Sprintf("d%d", i)
-		root = mustOp[*HashJoin](t)(NewHashJoin(root, NewScan(dim, d), exprs(colRef("f", "k")), exprs(colRef(d, "k"))))
+	tree := func() Operator {
+		var root Operator = NewScan(fact, "f")
+		for i := 0; i < 3; i++ {
+			d := fmt.Sprintf("d%d", i)
+			root = mustOp[*HashJoin](t)(NewHashJoin(root, NewScan(dim, d), exprs(colRef("f", "k")), exprs(colRef(d, "k"))))
+		}
+		return root
 	}
 	gov := NewGovernor(context.Background(), Limits{})
+	root := tree()
 	if n := testing.AllocsPerRun(100, func() { Attach(root, gov) }); n != 0 {
 		t.Errorf("Attach over a three-join tree: %v allocations per run, want 0", n)
+	}
+	// Nor does the first Attach or Instrument of a fresh tree: every
+	// operator's stats block is part of the operator.
+	fresh := make([]Operator, 101) // AllocsPerRun's warm-up run, then 100
+	for i := range fresh {
+		fresh[i] = tree()
+	}
+	next := 0
+	if n := testing.AllocsPerRun(100, func() {
+		Instrument(fresh[next])
+		Attach(fresh[next], gov)
+		next++
+	}); n != 0 {
+		t.Errorf("Instrument and the first Attach of a three-join tree: %v allocations, want 0", n)
 	}
 }
 

@@ -1,12 +1,14 @@
 // Per-operator instrumentation (DESIGN.md §10). Every operator carries
 // an OpStats block counting rows in/out, batches (morsels for scans,
 // reassembly batches for Gather), buffered-row reservations and, on a
-// timed tree, an inclusive wall-clock window. Attach installs the block,
-// so there is no uncounted run. Counters are atomic and *shared between
-// an operator and its split-pipeline clones*: splitPipeline propagates
-// the template's OpStats pointer into every part clone, leaf scans too, so
-// the template tree the planner returned — the one EXPLAIN renders —
-// reports totals across all workers without any merge step.
+// timed tree, an inclusive wall-clock window. The block lives inside its
+// operator, so a plan pays no allocation for it; Attach points the
+// operator at it before a run, so there is no uncounted run. Counters are
+// atomic and *shared between an operator and its split-pipeline clones*:
+// splitPipeline propagates the template's OpStats pointer into every part
+// clone, leaf scans too, so the template tree the planner returned — the
+// one EXPLAIN renders — reports totals across all workers without any
+// merge step.
 package exec
 
 import (
@@ -113,29 +115,33 @@ func (s *OpStats) Elapsed() time.Duration {
 // instrumented is the part of Operator that reaches its OpStats block.
 type instrumented interface {
 	opStats() *OpStats
-	setStats(*OpStats)
 }
 
-// statsHolder embeds the stats reference into an operator, mirroring
-// govHolder. splitPipeline copies the pointer into clones so counters
-// aggregate across workers.
+// statsHolder embeds an operator's OpStats block, mirroring govHolder.
+// stats points at own until the first opStats call, or, in a
+// split-pipeline clone, at its template's block (splitPipeline copies the
+// pointer), so that counters aggregate across workers and a clone's own
+// block stays unused.
 type statsHolder struct {
 	stats *OpStats
+	own   OpStats
 }
 
-func (h *statsHolder) opStats() *OpStats   { return h.stats }
-func (h *statsHolder) setStats(s *OpStats) { h.stats = s }
+// opStats returns the block the operator counts into, pointing stats at
+// the embedded one first if nothing has yet.
+func (h *statsHolder) opStats() *OpStats {
+	if h.stats == nil {
+		h.stats = &h.own
+	}
+	return h.stats
+}
 
 // Instrument makes every operator of the tree time its runs as well as
-// count them: it installs an OpStats block where Attach has not yet, and
-// marks every block timed, so that each operator (or worker clone of it)
-// reads the clock once as it opens and once as it finishes, however many
-// rows pass. Call it after planning and before a run; the engine times
-// every tree it prepares.
+// count them: it marks every block timed, so that each operator (or
+// worker clone of it) reads the clock once as it opens and once as it
+// finishes, however many rows pass. Call it after planning and before a
+// run; the engine times every tree it prepares. It allocates nothing.
 func Instrument(op Operator) {
-	if op.opStats() == nil {
-		op.setStats(&OpStats{})
-	}
 	op.opStats().timed = true
 	for _, c := range children(op) {
 		if c != nil {

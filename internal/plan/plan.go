@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"conquer/internal/exec"
@@ -43,17 +44,26 @@ func Plan(db *storage.DB, stmt *sqlparse.SelectStmt, opts Options) (exec.Operato
 	return (&planner{db: db, stmt: stmt}).plan()
 }
 
+// planner plans one statement. Its lists are counted, or bounded, before
+// they are allocated, each once at its length: a statement's plan costs a
+// block per list, not an allocation per conjunct, edge or key (DESIGN.md
+// §11, "Plan per statement").
 type planner struct {
 	db   *storage.DB
 	stmt *sqlparse.SelectStmt
+	// ands is the unused tail of the block the AND nodes of the pushed-down
+	// and residual predicates are carved from.
+	ands []sqlparse.BinaryExpr
 }
 
 // tableSource tracks one FROM entry through join planning.
 type tableSource struct {
-	ref     sqlparse.TableRef
-	alias   string // lower-cased ref.Alias
-	table   *storage.Table
-	filters []sqlparse.Expr // single-table conjuncts
+	ref      sqlparse.TableRef
+	alias    string // lower-cased ref.Alias
+	table    *storage.Table
+	filter   sqlparse.Expr // the single-table conjuncts, ANDed in WHERE order; nil when none
+	nFilters int
+	joined   bool // part of the join tree built so far
 }
 
 // joinEdge is one equi-join conjunct `col = col` between two FROM
@@ -81,13 +91,15 @@ func (p *planner) plan() (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(residual) > 0 {
-		root, err = exec.NewFilter(root, sqlparse.AndAll(residual))
+	if residual != nil {
+		root, err = exec.NewFilter(root, residual)
 		if err != nil {
 			return nil, err
 		}
 	}
-	root, outNames, err := p.buildOutput(root)
+	in := root.Schema()
+	items := p.expandStars(in)
+	root, err = p.buildOutput(root, items)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +113,7 @@ func (p *planner) plan() (exec.Operator, error) {
 	if p.stmt.Distinct {
 		root = exec.NewDistinct(root)
 	}
-	root, limitFused, err := p.buildSort(root, outNames)
+	root, limitFused, err := p.buildSort(root, items, in)
 	if err != nil {
 		return nil, err
 	}
@@ -111,11 +123,12 @@ func (p *planner) plan() (exec.Operator, error) {
 	return root, nil
 }
 
-func (p *planner) resolveFrom() ([]*tableSource, error) {
-	out := make([]*tableSource, 0, len(p.stmt.From))
-	for _, ref := range p.stmt.From {
+// resolveFrom returns the FROM entries, from one block.
+func (p *planner) resolveFrom() ([]tableSource, error) {
+	out := make([]tableSource, len(p.stmt.From))
+	for i, ref := range p.stmt.From {
 		alias := strings.ToLower(ref.Alias)
-		for _, s := range out {
+		for _, s := range out[:i] {
 			if s.alias == alias {
 				return nil, fmt.Errorf("plan: duplicate table alias %q", alias)
 			}
@@ -124,45 +137,66 @@ func (p *planner) resolveFrom() ([]*tableSource, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: unknown table %q", ref.Table)
 		}
-		out = append(out, &tableSource{ref: ref, alias: alias, table: tb})
+		out[i] = tableSource{ref: ref, alias: alias, table: tb}
 	}
 	return out, nil
 }
 
-// classifyWhere splits the WHERE conjuncts into per-table filters (attached
-// to sources), equi-join edges, and residual predicates evaluated after all
-// joins.
-func (p *planner) classifyWhere(sources []*tableSource) ([]joinEdge, []sqlparse.Expr, error) {
-	var edges []joinEdge
-	var residual []sqlparse.Expr
-	for _, conj := range sqlparse.Conjuncts(p.stmt.Where) {
+// classifyWhere splits the WHERE conjuncts into per-table filters (ANDed
+// onto their sources), equi-join edges, and the residual predicate
+// evaluated after all joins (nil when there is none). A statement has at
+// most as many edges, and needs fewer AND nodes, than it has conjuncts, so
+// the edges and the nodes each take one block of that length.
+func (p *planner) classifyWhere(sources []tableSource) ([]joinEdge, sqlparse.Expr, error) {
+	conjuncts := sqlparse.Conjuncts(p.stmt.Where)
+	if len(conjuncts) == 0 {
+		return nil, nil, nil
+	}
+	edges := make([]joinEdge, 0, len(conjuncts))
+	p.ands = make([]sqlparse.BinaryExpr, len(conjuncts))
+	var residual sqlparse.Expr
+	for _, conj := range conjuncts {
 		first, n, err := referencedSources(conj, sources)
 		if err != nil {
 			return nil, nil, err
 		}
 		switch n {
 		case 1:
-			sources[first].filters = append(sources[first].filters, conj)
+			s := &sources[first]
+			s.filter = p.and(s.filter, conj)
+			s.nFilters++
+			continue
 		case 2:
 			if e, ok := asEquiJoin(conj, sources); ok {
 				edges = append(edges, e)
 				continue
 			}
-			fallthrough
-		default:
-			// Constant predicates (evaluated once per row after the
-			// joins) and multi-table predicates that are no equi-join.
-			residual = append(residual, conj)
 		}
+		// Constant predicates (evaluated once per row after the joins) and
+		// multi-table predicates that are no equi-join.
+		residual = p.and(residual, conj)
 	}
 	return edges, residual, nil
+}
+
+// and returns l AND r, its node carved from p.ands; a nil l is no
+// conjunct yet, and r alone is returned. Conjuncts ANDed one by one make a
+// left-deep chain, which prints as they were written.
+func (p *planner) and(l, r sqlparse.Expr) sqlparse.Expr {
+	if l == nil {
+		return r
+	}
+	n := &p.ands[0]
+	p.ands = p.ands[1:]
+	*n = sqlparse.BinaryExpr{Op: sqlparse.OpAnd, L: l, R: r}
+	return n
 }
 
 // referencedSources counts the distinct FROM entries a conjunct touches
 // (exactly up to two; three stands for "more") and returns the first one
 // met, resolving unqualified columns to the unique table that has the
 // column.
-func referencedSources(e sqlparse.Expr, sources []*tableSource) (first, n int, err error) {
+func referencedSources(e sqlparse.Expr, sources []tableSource) (first, n int, err error) {
 	var seen [2]int
 	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
 		cr, ok := x.(*sqlparse.ColumnRef)
@@ -188,7 +222,7 @@ func referencedSources(e sqlparse.Expr, sources []*tableSource) (first, n int, e
 
 // resolveColumn finds the FROM entry owning a column reference and the
 // column's position in that entry's table.
-func resolveColumn(cr *sqlparse.ColumnRef, sources []*tableSource) (src, col int, err error) {
+func resolveColumn(cr *sqlparse.ColumnRef, sources []tableSource) (src, col int, err error) {
 	if cr.Qualifier != "" {
 		q := strings.ToLower(cr.Qualifier)
 		for i, s := range sources {
@@ -218,7 +252,7 @@ func resolveColumn(cr *sqlparse.ColumnRef, sources []*tableSource) (src, col int
 }
 
 // asEquiJoin recognizes `col = col` conjuncts joining two distinct tables.
-func asEquiJoin(e sqlparse.Expr, sources []*tableSource) (joinEdge, bool) {
+func asEquiJoin(e sqlparse.Expr, sources []tableSource) (joinEdge, bool) {
 	be, ok := e.(*sqlparse.BinaryExpr)
 	if !ok || be.Op != sqlparse.OpEq {
 		return joinEdge{}, false
@@ -264,7 +298,7 @@ type liveness struct {
 // reports over unpruned rows. ORDER BY is absent because its keys bind to
 // the projection's output, never to join columns; single-table filters
 // run below the joins, on stored rows.
-func (p *planner) liveColumns(sources []*tableSource, edges []joinEdge, residual []sqlparse.Expr) liveness {
+func (p *planner) liveColumns(sources []tableSource, edges []joinEdge, residual sqlparse.Expr) liveness {
 	if len(sources) < 2 {
 		return liveness{}
 	}
@@ -308,9 +342,7 @@ func (p *planner) liveColumns(sources []*tableSource, edges []joinEdge, residual
 		sqlparse.WalkExpr(g, mark)
 	}
 	sqlparse.WalkExpr(p.stmt.Having, mark)
-	for _, r := range residual {
-		sqlparse.WalkExpr(r, mark)
-	}
+	sqlparse.WalkExpr(residual, mark)
 	for _, e := range edges {
 		lv.refs[lv.off[e.left]+e.leftCol]++
 		lv.refs[lv.off[e.right]+e.rightCol]++
@@ -368,10 +400,10 @@ func (lv *liveness) join(src int) []int {
 // single-table filters.
 func (p *planner) scan(s *tableSource) (exec.Operator, error) {
 	sc := exec.NewScan(s.table, s.ref.Alias)
-	if len(s.filters) == 0 {
+	if s.filter == nil {
 		return sc, nil
 	}
-	f, err := exec.NewFilter(sc, sqlparse.AndAll(s.filters))
+	f, err := exec.NewFilter(sc, s.filter)
 	if err != nil {
 		return nil, err
 	}
@@ -382,23 +414,25 @@ func (p *planner) scan(s *tableSource) (exec.Operator, error) {
 // starting from the source with the most filters (cheapest after
 // filtering, as a crude cardinality proxy) and preferring connected joins;
 // disconnected components fall back to cross joins. Each join's output is
-// narrowed to the columns lv still counts as referenced.
-func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *liveness) (exec.Operator, error) {
+// narrowed to the columns lv still counts as referenced. Every edge
+// becomes a key pair of exactly one join, so the joins' key lists are
+// carved from one block of two keys per edge; edges is consumed.
+func (p *planner) buildJoinTree(sources []tableSource, edges []joinEdge, lv *liveness) (exec.Operator, error) {
 	// Pick the start: most filters wins; ties go to FROM order.
 	start := 0
 	for i, s := range sources {
-		if len(s.filters) > len(sources[start].filters) {
+		if s.nFilters > sources[start].nFilters {
 			start = i
 		}
 	}
-	root, err := p.scan(sources[start])
+	root, err := p.scan(&sources[start])
 	if err != nil {
 		return nil, err
 	}
-	joined := make([]bool, len(sources))
-	joined[start] = true
+	sources[start].joined = true
 	lv.start(start)
-	pending := append([]joinEdge(nil), edges...)
+	pending := edges
+	keys := make([]sqlparse.Expr, 2*len(edges))
 
 	for n := 1; n < len(sources); n++ {
 		// Gather every pending edge connecting the joined set to one new
@@ -406,9 +440,9 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *li
 		next := -1
 		for _, e := range pending {
 			switch {
-			case joined[e.left] && !joined[e.right]:
+			case sources[e.left].joined && !sources[e.right].joined:
 				next = e.right
-			case joined[e.right] && !joined[e.left]:
+			case sources[e.right].joined && !sources[e.left].joined:
 				next = e.left
 			}
 			if next >= 0 {
@@ -419,19 +453,29 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *li
 			// Disconnected: the next remaining table in FROM order, which
 			// no pending edge reaches, so the key lists below stay empty.
 			next = 0
-			for joined[next] {
+			for sources[next].joined {
 				next++
 			}
 		}
 
-		var outerKeys, innerKeys []sqlparse.Expr
+		// This join's edges: k of them, each leaving pending, whose
+		// outer keys take the first k slots of keys and inner keys the
+		// next k.
+		k := 0
+		for _, e := range pending {
+			if sources[e.left].joined && e.right == next || sources[e.right].joined && e.left == next {
+				k++
+			}
+		}
+		outerKeys, innerKeys := keys[:0:k], keys[k:k:2*k]
+		keys = keys[2*k:]
 		rest := pending[:0]
 		for _, e := range pending {
 			switch {
-			case joined[e.left] && e.right == next:
+			case sources[e.left].joined && e.right == next:
 				outerKeys = append(outerKeys, e.leftKey)
 				innerKeys = append(innerKeys, e.rightKey)
-			case joined[e.right] && e.left == next:
+			case sources[e.right].joined && e.left == next:
 				outerKeys = append(outerKeys, e.rightKey)
 				innerKeys = append(innerKeys, e.leftKey)
 			default:
@@ -442,11 +486,11 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, lv *li
 		}
 		pending = rest
 
-		root, err = p.join(root, sources[next], outerKeys, innerKeys, lv.join(next))
+		root, err = p.join(root, &sources[next], outerKeys, innerKeys, lv.join(next))
 		if err != nil {
 			return nil, err
 		}
-		joined[next] = true
+		sources[next].joined = true
 	}
 
 	// Every edge was consumed by the step that joined its second table
@@ -475,14 +519,10 @@ func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKe
 	return j, nil
 }
 
-// buildOutput constructs projection or aggregation over the join result and
-// returns the operator plus output column names (for ORDER BY alias
-// resolution).
-func (p *planner) buildOutput(root exec.Operator) (exec.Operator, []string, error) {
-	items, err := p.expandStars(root.Schema())
-	if err != nil {
-		return nil, nil, err
-	}
+// buildOutput constructs projection or aggregation of items over the join
+// result; the operator's schema names the output columns (for ORDER BY
+// alias resolution).
+func (p *planner) buildOutput(root exec.Operator, items []sqlparse.SelectItem) (exec.Operator, error) {
 	hasAgg := false
 	for _, it := range items {
 		if sqlparse.HasAggregate(it.Expr) {
@@ -490,41 +530,48 @@ func (p *planner) buildOutput(root exec.Operator) (exec.Operator, []string, erro
 			break
 		}
 	}
-	if !hasAgg && len(p.stmt.GroupBy) == 0 {
-		if p.stmt.Having != nil {
-			return nil, nil, fmt.Errorf("plan: HAVING requires GROUP BY")
-		}
-		cols := make([]exec.ProjectionCol, len(items))
-		names := make([]string, len(items))
-		for i, it := range items {
-			ci := outputCol(it, root.Schema(), i)
-			cols[i] = exec.ProjectionCol{Expr: it.Expr, Col: ci}
-			names[i] = ci.Name
-		}
-		proj, err := exec.NewProject(root, cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		return proj, names, nil
+	if hasAgg || len(p.stmt.GroupBy) > 0 {
+		return p.buildAggregate(root, items)
 	}
-	return p.buildAggregate(root, items)
+	if p.stmt.Having != nil {
+		return nil, fmt.Errorf("plan: HAVING requires GROUP BY")
+	}
+	cols := make([]exec.ProjectionCol, len(items))
+	for i, it := range items {
+		cols[i] = exec.ProjectionCol{Expr: it.Expr, Col: outputCol(it, root.Schema(), i)}
+	}
+	return exec.NewProject(root, cols)
 }
 
-// expandStars replaces SELECT * with explicit column references.
-func (p *planner) expandStars(rs exec.RowSchema) ([]sqlparse.SelectItem, error) {
-	var out []sqlparse.SelectItem
+// expandStars replaces SELECT * with explicit column references; a
+// select list without * is returned as it is.
+func (p *planner) expandStars(rs exec.RowSchema) []sqlparse.SelectItem {
+	n, stars := 0, 0
+	for _, it := range p.stmt.Select {
+		if it.Star {
+			n += len(rs)
+			stars++
+		} else {
+			n++
+		}
+	}
+	if stars == 0 {
+		return p.stmt.Select
+	}
+	out := make([]sqlparse.SelectItem, 0, n)
+	refs := make([]sqlparse.ColumnRef, stars*len(rs))
 	for _, it := range p.stmt.Select {
 		if !it.Star {
 			out = append(out, it)
 			continue
 		}
 		for _, c := range rs {
-			out = append(out, sqlparse.SelectItem{
-				Expr: &sqlparse.ColumnRef{Qualifier: c.Qualifier, Name: c.Name},
-			})
+			refs[0] = sqlparse.ColumnRef{Qualifier: c.Qualifier, Name: c.Name}
+			out = append(out, sqlparse.SelectItem{Expr: &refs[0]})
+			refs = refs[1:]
 		}
 	}
-	return out, nil
+	return out
 }
 
 // outputCol derives the output column descriptor for a select item.
@@ -579,72 +626,58 @@ func inferType(e sqlparse.Expr, rs exec.RowSchema) value.Kind {
 }
 
 // buildAggregate plans GROUP BY + aggregates. Every select item must be
-// either an aggregate call or expression-equal to a GROUP BY key, matching
-// standard SQL validation.
-func (p *planner) buildAggregate(root exec.Operator, items []sqlparse.SelectItem) (exec.Operator, []string, error) {
-	groupTexts := make([]string, len(p.stmt.GroupBy))
-	for i, g := range p.stmt.GroupBy {
-		groupTexts[i] = g.SQL()
-	}
-	groupCols := make([]exec.ColInfo, len(p.stmt.GroupBy))
-	// Default group output names come from the expressions; select items
-	// override them with aliases below.
-	for i, g := range p.stmt.GroupBy {
-		name := fmt.Sprintf("group%d", i+1)
-		if cr, ok := g.(*sqlparse.ColumnRef); ok {
-			name = cr.Name
+// either an aggregate call or the same expression as a GROUP BY key
+// (sameExpr), matching standard SQL validation.
+func (p *planner) buildAggregate(root exec.Operator, items []sqlparse.SelectItem) (exec.Operator, error) {
+	rs, groups := root.Schema(), p.stmt.GroupBy
+	// A group key's columns are resolved first, and a select item's when it
+	// matches no key, so that an ambiguous or unknown column is reported as
+	// such rather than as an item and a key that fail to match.
+	for _, g := range groups {
+		if err := resolves(g, rs); err != nil {
+			return nil, err
 		}
-		groupCols[i] = exec.ColInfo{Name: name, Type: inferType(g, root.Schema())}
 	}
-
-	type outSource struct {
-		groupIdx int // >=0: group key position
-		aggIdx   int // >=0: aggregate spec position
-	}
-	var aggs []exec.AggSpec
-	outs := make([]outSource, len(items))
-	names := make([]string, len(items))
-
+	groupCols := make([]exec.ColInfo, len(groups))
+	// outs[i] is the aggregate output column select item i reads: a group
+	// key's position, or len(groups) plus an aggregate's.
+	outs := make([]int, len(items))
+	aggs := make([]exec.AggSpec, 0, countAggregates(items, p.stmt.Having))
 	for i, it := range items {
-		ci := outputCol(it, root.Schema(), i)
-		names[i] = ci.Name
+		ci := outputCol(it, rs, i)
 		if fc, ok := it.Expr.(*sqlparse.FuncCall); ok && sqlparse.IsAggregateName(fc.Name) {
-			f, err := exec.ParseAggFunc(fc.Name)
+			spec, err := aggSpec(fc)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			spec := exec.AggSpec{Func: f, Col: ci}
-			if fc.Star {
-				if f != exec.AggCount {
-					return nil, nil, fmt.Errorf("plan: %s(*) is not valid", fc.Name)
-				}
-			} else {
-				if len(fc.Args) != 1 {
-					return nil, nil, fmt.Errorf("plan: %s expects one argument", fc.Name)
-				}
-				spec.Arg = fc.Args[0]
-			}
-			outs[i] = outSource{groupIdx: -1, aggIdx: len(aggs)}
+			spec.Col = ci
+			outs[i] = len(groups) + len(aggs)
 			aggs = append(aggs, spec)
 			continue
 		}
 		if sqlparse.HasAggregate(it.Expr) {
-			return nil, nil, fmt.Errorf("plan: aggregates must be top-level select items (got %s)", it.Expr.SQL())
+			return nil, fmt.Errorf("plan: aggregates must be top-level select items (got %s)", it.Expr.SQL())
 		}
-		// Must match a group-by expression.
-		txt := it.Expr.SQL()
-		gi := -1
-		for k, gt := range groupTexts {
-			if gt == txt {
-				gi = k
-				break
-			}
-		}
+		gi := slices.IndexFunc(groups, func(g sqlparse.Expr) bool { return sameExpr(g, it.Expr, rs) })
 		if gi < 0 {
-			return nil, nil, fmt.Errorf("plan: select item %s is neither aggregated nor grouped", txt)
+			if err := resolves(it.Expr, rs); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("plan: select item %s is neither aggregated nor grouped", it.Expr.SQL())
 		}
 		groupCols[gi] = ci // select alias names the group output
-		outs[i] = outSource{groupIdx: gi, aggIdx: -1}
+		outs[i] = gi
+	}
+	// A group output no select item names is named after its expression.
+	for i, g := range groups {
+		if groupCols[i].Name != "" {
+			continue
+		}
+		name := fmt.Sprintf("group%d", i+1)
+		if cr, ok := g.(*sqlparse.ColumnRef); ok {
+			name = cr.Name
+		}
+		groupCols[i] = exec.ColInfo{Name: name, Type: inferType(g, rs)}
 	}
 
 	// HAVING: aggregates referenced only in the predicate become hidden
@@ -653,106 +686,131 @@ func (p *planner) buildAggregate(root exec.Operator, items []sqlparse.SelectItem
 	var having sqlparse.Expr
 	if p.stmt.Having != nil {
 		var err error
-		having, err = p.rewriteHaving(p.stmt.Having, groupTexts, groupCols, &aggs, root.Schema())
+		having, err = p.rewriteHaving(p.stmt.Having, groupCols, &aggs, rs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
-	agg, err := exec.NewHashAggregate(root, p.stmt.GroupBy, groupCols, aggs)
+	agg, err := exec.NewHashAggregate(root, groups, groupCols, aggs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var filtered exec.Operator = agg
 	if having != nil {
 		f, err := exec.NewFilter(agg, having)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		filtered = f
 	}
 
 	// Reorder aggregate output into select order when needed; hidden
 	// HAVING aggregates always force the stripping projection.
-	needsReorder := len(aggs) > selectAggCount
-	for i, o := range outs {
-		want := i
-		var got int
-		if o.groupIdx >= 0 {
-			got = o.groupIdx
-		} else {
-			got = len(p.stmt.GroupBy) + o.aggIdx
-		}
-		if got != want {
+	needsReorder := len(aggs) > selectAggCount || len(items) != len(groups)+len(aggs)
+	for i, src := range outs {
+		if src != i {
 			needsReorder = true
 		}
 	}
-	if len(items) != len(p.stmt.GroupBy)+len(aggs) {
-		needsReorder = true
-	}
 	if !needsReorder {
-		return filtered, names, nil
+		return filtered, nil
 	}
 	cols := make([]exec.ProjectionCol, len(items))
+	refs := make([]sqlparse.ColumnRef, len(items))
 	aggSchema := agg.Schema()
-	for i, o := range outs {
-		var src int
-		if o.groupIdx >= 0 {
-			src = o.groupIdx
-		} else {
-			src = len(p.stmt.GroupBy) + o.aggIdx
-		}
+	for i, src := range outs {
+		refs[i] = sqlparse.ColumnRef{Name: aggSchema[src].Name}
 		cols[i] = exec.ProjectionCol{
-			Expr: &sqlparse.ColumnRef{Name: aggSchema[src].Name},
-			Col:  exec.ColInfo{Name: names[i], Type: aggSchema[src].Type},
+			Expr: &refs[i],
+			Col:  exec.ColInfo{Name: outputCol(items[i], rs, i).Name, Type: aggSchema[src].Type},
 		}
 	}
-	proj, err := exec.NewProject(filtered, cols)
-	if err != nil {
-		return nil, nil, err
+	return exec.NewProject(filtered, cols)
+}
+
+// resolves reports the first column reference of e that does not resolve
+// to exactly one column of rs.
+func resolves(e sqlparse.Expr, rs exec.RowSchema) (err error) {
+	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+		if cr, ok := x.(*sqlparse.ColumnRef); ok && err == nil {
+			_, err = rs.Resolve(cr.Qualifier, cr.Name)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// countAggregates bounds the aggregate outputs of a statement: its
+// aggregate select items, and every aggregate call of its HAVING.
+func countAggregates(items []sqlparse.SelectItem, having sqlparse.Expr) int {
+	n := 0
+	for _, it := range items {
+		if fc, ok := it.Expr.(*sqlparse.FuncCall); ok && sqlparse.IsAggregateName(fc.Name) {
+			n++
+		}
 	}
-	return proj, names, nil
+	sqlparse.WalkExpr(having, func(x sqlparse.Expr) bool {
+		if fc, ok := x.(*sqlparse.FuncCall); ok && sqlparse.IsAggregateName(fc.Name) {
+			n++
+			return false
+		}
+		return true
+	})
+	return n
+}
+
+// aggSpec is the aggregate fc computes, its output column unset.
+func aggSpec(fc *sqlparse.FuncCall) (exec.AggSpec, error) {
+	f, err := exec.ParseAggFunc(fc.Name)
+	if err != nil {
+		return exec.AggSpec{}, err
+	}
+	spec := exec.AggSpec{Func: f}
+	switch {
+	case fc.Star:
+		if f != exec.AggCount {
+			return exec.AggSpec{}, fmt.Errorf("plan: %s(*) is not valid", fc.Name)
+		}
+	case len(fc.Args) != 1:
+		return exec.AggSpec{}, fmt.Errorf("plan: %s expects one argument", fc.Name)
+	default:
+		spec.Arg = fc.Args[0]
+	}
+	return spec, nil
 }
 
 // rewriteHaving translates a HAVING predicate into an expression over the
 // aggregate's output schema: aggregate calls become references to
 // (possibly hidden, freshly appended) aggregate outputs, and expressions
-// textually equal to a GROUP BY key become references to that key's
-// output column. Anything else is left for compilation against the
-// aggregate schema, which rejects references to non-grouped base columns.
-func (p *planner) rewriteHaving(e sqlparse.Expr, groupTexts []string, groupCols []exec.ColInfo, aggs *[]exec.AggSpec, base exec.RowSchema) (sqlparse.Expr, error) {
+// the same as a GROUP BY key (sameExpr over base) become references to
+// that key's output column. Anything else is left for compilation against
+// the aggregate schema, which rejects references to non-grouped base
+// columns.
+func (p *planner) rewriteHaving(e sqlparse.Expr, groupCols []exec.ColInfo, aggs *[]exec.AggSpec, base exec.RowSchema) (sqlparse.Expr, error) {
 	// Group-key match first: a bare column that is also a group key maps
 	// to the group output.
-	txt := e.SQL()
-	for i, gt := range groupTexts {
-		if gt == txt {
+	for i, g := range p.stmt.GroupBy {
+		if sameExpr(g, e, base) {
 			return &sqlparse.ColumnRef{Name: groupCols[i].Name}, nil
 		}
+	}
+	rewrite := func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		return p.rewriteHaving(x, groupCols, aggs, base)
 	}
 	switch e := e.(type) {
 	case *sqlparse.FuncCall:
 		if !sqlparse.IsAggregateName(e.Name) {
 			return nil, fmt.Errorf("plan: unknown function %s in HAVING", e.Name)
 		}
-		f, err := exec.ParseAggFunc(e.Name)
+		spec, err := aggSpec(e)
 		if err != nil {
 			return nil, err
 		}
-		spec := exec.AggSpec{Func: f}
-		if e.Star {
-			if f != exec.AggCount {
-				return nil, fmt.Errorf("plan: %s(*) is not valid", e.Name)
-			}
-		} else {
-			if len(e.Args) != 1 {
-				return nil, fmt.Errorf("plan: %s expects one argument", e.Name)
-			}
-			spec.Arg = e.Args[0]
-		}
 		// Reuse an existing spec computing the same aggregate.
 		for _, existing := range *aggs {
-			if existing.Func == spec.Func && sameArg(existing.Arg, spec.Arg) {
+			if existing.Func == spec.Func && sameArg(existing.Arg, spec.Arg, base) {
 				return &sqlparse.ColumnRef{Name: existing.Col.Name}, nil
 			}
 		}
@@ -763,63 +821,61 @@ func (p *planner) rewriteHaving(e sqlparse.Expr, groupTexts []string, groupCols 
 		*aggs = append(*aggs, spec)
 		return &sqlparse.ColumnRef{Name: spec.Col.Name}, nil
 	case *sqlparse.BinaryExpr:
-		l, err := p.rewriteHaving(e.L, groupTexts, groupCols, aggs, base)
+		l, err := rewrite(e.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := p.rewriteHaving(e.R, groupTexts, groupCols, aggs, base)
+		r, err := rewrite(e.R)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparse.BinaryExpr{Op: e.Op, L: l, R: r}, nil
 	case *sqlparse.NotExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparse.NotExpr{X: x}, nil
 	case *sqlparse.NegExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparse.NegExpr{X: x}, nil
 	case *sqlparse.InExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
-		out := &sqlparse.InExpr{X: x, Not: e.Not}
-		for _, it := range e.List {
-			r, err := p.rewriteHaving(it, groupTexts, groupCols, aggs, base)
-			if err != nil {
+		out := &sqlparse.InExpr{X: x, Not: e.Not, List: make([]sqlparse.Expr, len(e.List))}
+		for i, it := range e.List {
+			if out.List[i], err = rewrite(it); err != nil {
 				return nil, err
 			}
-			out.List = append(out.List, r)
 		}
 		return out, nil
 	case *sqlparse.BetweenExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := p.rewriteHaving(e.Lo, groupTexts, groupCols, aggs, base)
+		lo, err := rewrite(e.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := p.rewriteHaving(e.Hi, groupTexts, groupCols, aggs, base)
+		hi, err := rewrite(e.Hi)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparse.BetweenExpr{X: x, Lo: lo, Hi: hi, Not: e.Not}, nil
 	case *sqlparse.LikeExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparse.LikeExpr{X: x, Pattern: e.Pattern, Not: e.Not}, nil
 	case *sqlparse.IsNullExpr:
-		x, err := p.rewriteHaving(e.X, groupTexts, groupCols, aggs, base)
+		x, err := rewrite(e.X)
 		if err != nil {
 			return nil, err
 		}
@@ -832,51 +888,91 @@ func (p *planner) rewriteHaving(e sqlparse.Expr, groupTexts []string, groupCols 
 	}
 }
 
-// sameArg compares aggregate arguments structurally via their SQL text.
-func sameArg(a, b sqlparse.Expr) bool {
+// sameArg compares aggregate arguments (nil for COUNT(*)) by sameExpr.
+func sameArg(a, b sqlparse.Expr, rs exec.RowSchema) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return a.SQL() == b.SQL()
+	return sameExpr(a, b, rs)
 }
 
-// buildSort resolves ORDER BY keys against the projected output: a key may
-// name an output column (or select alias) directly, or repeat a select
-// expression textually. Expressions over non-projected columns are not
-// supported after projection, mirroring many real engines. When a
-// positive LIMIT accompanies the ORDER BY, it becomes the Sort's Limit —
-// a bounded top-N heap (limitFused reports that the caller's Limit is
-// already applied).
-func (p *planner) buildSort(root exec.Operator, outNames []string) (op exec.Operator, limitFused bool, err error) {
+// sameExpr reports whether a and b are the same expression over rows of
+// rs: two column references are the same when they resolve to one column
+// of rs (t.a and a, say, when only t has an a), two literals when they are
+// of one kind and value, and any other two nodes when they are of one kind
+// with the same operator, flags and pattern and, pairwise, the same
+// operands. A column reference that does not resolve is the same as none:
+// compiling it reports why.
+func sameExpr(a, b sqlparse.Expr, rs exec.RowSchema) bool {
+	switch a := a.(type) {
+	case *sqlparse.ColumnRef:
+		b, ok := b.(*sqlparse.ColumnRef)
+		if !ok {
+			return false
+		}
+		i, err := rs.Resolve(a.Qualifier, a.Name)
+		if err != nil {
+			return false
+		}
+		j, err := rs.Resolve(b.Qualifier, b.Name)
+		return err == nil && i == j
+	case *sqlparse.Literal:
+		b, ok := b.(*sqlparse.Literal)
+		return ok && a.Val.Kind() == b.Val.Kind() && value.Identical(a.Val, b.Val)
+	case *sqlparse.BinaryExpr:
+		b, ok := b.(*sqlparse.BinaryExpr)
+		return ok && a.Op == b.Op && sameExpr(a.L, b.L, rs) && sameExpr(a.R, b.R, rs)
+	case *sqlparse.NotExpr:
+		b, ok := b.(*sqlparse.NotExpr)
+		return ok && sameExpr(a.X, b.X, rs)
+	case *sqlparse.NegExpr:
+		b, ok := b.(*sqlparse.NegExpr)
+		return ok && sameExpr(a.X, b.X, rs)
+	case *sqlparse.FuncCall:
+		b, ok := b.(*sqlparse.FuncCall)
+		return ok && a.Name == b.Name && a.Star == b.Star && sameExprs(a.Args, b.Args, rs)
+	case *sqlparse.InExpr:
+		b, ok := b.(*sqlparse.InExpr)
+		return ok && a.Not == b.Not && sameExpr(a.X, b.X, rs) && sameExprs(a.List, b.List, rs)
+	case *sqlparse.BetweenExpr:
+		b, ok := b.(*sqlparse.BetweenExpr)
+		return ok && a.Not == b.Not && sameExpr(a.X, b.X, rs) && sameExpr(a.Lo, b.Lo, rs) && sameExpr(a.Hi, b.Hi, rs)
+	case *sqlparse.LikeExpr:
+		b, ok := b.(*sqlparse.LikeExpr)
+		return ok && a.Not == b.Not && a.Pattern == b.Pattern && sameExpr(a.X, b.X, rs)
+	case *sqlparse.IsNullExpr:
+		b, ok := b.(*sqlparse.IsNullExpr)
+		return ok && a.Not == b.Not && sameExpr(a.X, b.X, rs)
+	}
+	return false
+}
+
+// sameExprs is sameExpr over two lists, pairwise.
+func sameExprs(a, b []sqlparse.Expr, rs exec.RowSchema) bool {
+	return slices.EqualFunc(a, b, func(x, y sqlparse.Expr) bool { return sameExpr(x, y, rs) })
+}
+
+// buildSort resolves ORDER BY keys against the output of root, whose
+// select list is items over rows of in: a key may name an output column
+// (or select alias) directly, or repeat a select item's expression
+// (sameExpr over in), which sorts by that item's output position.
+// Expressions over non-projected columns are not supported after
+// projection, mirroring many real engines. When a positive LIMIT
+// accompanies the ORDER BY, it becomes the Sort's Limit — a bounded top-N
+// heap (limitFused reports that the caller's Limit is already applied).
+func (p *planner) buildSort(root exec.Operator, items []sqlparse.SelectItem, in exec.RowSchema) (op exec.Operator, limitFused bool, err error) {
 	if len(p.stmt.OrderBy) == 0 {
 		return root, false, nil
 	}
-	selectTexts := make([]string, len(p.stmt.Select))
-	for i, it := range p.stmt.Select {
-		if it.Expr != nil {
-			selectTexts[i] = it.Expr.SQL()
-		}
-	}
+	out := root.Schema()
 	keys := make([]exec.SortKey, len(p.stmt.OrderBy))
 	for i, o := range p.stmt.OrderBy {
 		pos := -1
 		if cr, ok := o.Expr.(*sqlparse.ColumnRef); ok && cr.Qualifier == "" {
-			name := strings.ToLower(cr.Name)
-			for k, n := range outNames {
-				if n == name {
-					pos = k
-					break
-				}
-			}
+			pos = slices.IndexFunc(out, func(c exec.ColInfo) bool { return strings.EqualFold(c.Name, cr.Name) })
 		}
 		if pos < 0 {
-			txt := o.Expr.SQL()
-			for k, st := range selectTexts {
-				if st == txt && k < len(outNames) {
-					pos = k
-					break
-				}
-			}
+			pos = slices.IndexFunc(items, func(it sqlparse.SelectItem) bool { return sameExpr(it.Expr, o.Expr, in) })
 		}
 		if pos >= 0 {
 			keys[i] = exec.SortKeyPos(pos, o.Desc)

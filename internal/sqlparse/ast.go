@@ -574,19 +574,6 @@ func appendConjuncts(out []Expr, e Expr) []Expr {
 	return append(out, e)
 }
 
-// AndAll joins expressions with AND; returns nil for an empty slice.
-func AndAll(es []Expr) Expr {
-	var out Expr
-	for _, e := range es {
-		if out == nil {
-			out = e
-		} else {
-			out = &BinaryExpr{Op: OpAnd, L: out, R: e}
-		}
-	}
-	return out
-}
-
 // HasAggregate reports whether the expression contains an aggregate call
 // (SUM, COUNT, AVG, MIN, MAX).
 func HasAggregate(e Expr) bool {

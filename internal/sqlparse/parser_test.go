@@ -330,12 +330,10 @@ func TestConjunctsAndAll(t *testing.T) {
 	if len(cs) != 3 {
 		t.Fatalf("Conjuncts = %d", len(cs))
 	}
-	joined := AndAll(cs)
-	if joined.SQL() != s.Where.SQL() {
-		t.Errorf("AndAll: %s vs %s", joined.SQL(), s.Where.SQL())
-	}
-	if AndAll(nil) != nil {
-		t.Error("AndAll(nil)")
+	for i, want := range []string{"a = 1", "b = 2", "c = 3"} {
+		if got := cs[i].SQL(); got != want {
+			t.Errorf("conjunct %d = %s, want %s", i, got, want)
+		}
 	}
 	if len(Conjuncts(nil)) != 0 {
 		t.Error("Conjuncts(nil)")
