@@ -4,13 +4,17 @@ package conquer
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"conquer/internal/bench"
 	"conquer/internal/engine"
+	"conquer/internal/rewrite"
 	"conquer/internal/sqlparse"
+	"conquer/internal/tpch"
 )
 
 // parallelDefaults makes sure the worker count engine.New resolves to —
@@ -141,7 +145,8 @@ func TestRewrittenStatementAllocatesLikeItsOriginal(t *testing.T) {
 // to no closure, and the stats block lives in its operator, so a plan
 // costs a few allocations per operator, not one per node and list growth.
 // The twelve short pairs (the benchmark's fig8_short) summed to 2,417 while
-// they did; the bound on their sum is 1,200. A statement that allocates
+// they did, and to 846 while a narrowed join built its concatenated schema
+// before the pruned one; the bound on their sum is 1,200. A statement that allocates
 // more than its pin fails; one that allocates less asks for a lower pin.
 func TestPlanningAllocatesPerStatement(t *testing.T) {
 	if testing.Short() {
@@ -156,8 +161,8 @@ func TestPlanningAllocatesPerStatement(t *testing.T) {
 	}
 	// Query number → Prepare's allocations for the original, the rewriting.
 	pins := map[int][2]int{
-		1: {16, 17}, 2: {50, 55}, 3: {42, 44}, 4: {29, 31}, 6: {22, 23}, 9: {56, 61}, 10: {47, 50},
-		11: {35, 37}, 12: {32, 34}, 14: {29, 30}, 17: {29, 31}, 18: {33, 36}, 20: {45, 49},
+		1: {16, 17}, 2: {46, 51}, 3: {40, 42}, 4: {28, 30}, 6: {22, 23}, 9: {51, 56}, 10: {44, 47},
+		11: {33, 35}, 12: {31, 33}, 14: {28, 29}, 17: {28, 30}, 18: {31, 34}, 20: {42, 46},
 	}
 	const shortBound = 1200
 	d := determinismWorkload(t)
@@ -201,5 +206,81 @@ func TestPlanningAllocatesPerStatement(t *testing.T) {
 	t.Logf("the 24 short statements allocate %d times together (bound %d)", short, shortBound)
 	if short > shortBound {
 		t.Errorf("the 24 short statements allocate %d times together, above %d", short, shortBound)
+	}
+}
+
+// TestRewritingAllocatesPerStatement pins what rewrite.RewriteClean
+// allocates for each of the 26 TPC-H statements: rewriting each original,
+// and refusing each rewriting, which groups and aggregates. The analysis
+// resolves FROM positions and contracts the join graph in one block, with
+// no map, and the rewriting's GROUP BY shares the cloned select
+// expressions. Over the twelve short originals (the benchmark's
+// fig8_short) Analyze allocated 218 times and RewriteClean 422 while
+// aliases resolved through maps; the bounds on their sums are 100 and
+// 260. A statement that allocates more than its pin fails; one that
+// allocates less asks for a lower pin.
+func TestRewritingAllocatesPerStatement(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under -race")
+	}
+	// Query number → RewriteClean's allocations for the original, the
+	// rewriting.
+	pins := map[int][2]int{
+		1: {14, 12}, 2: {18, 13}, 3: {17, 13}, 4: {16, 13}, 6: {15, 12}, 9: {18, 13}, 10: {17, 13},
+		11: {17, 13}, 12: {18, 13}, 14: {16, 13}, 17: {16, 13}, 18: {17, 13}, 20: {18, 13},
+	}
+	const analyzeBound, rewriteBound = 100, 260
+	cat := tpch.Catalog()
+	pairs, err := bench.PreparePairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(f func() error) int { return int(math.Floor(mallocsPerRun(t, 20, f))) }
+	analyzed, rewritten, measured := 0, 0, 0
+	for _, p := range pairs {
+		pin, ok := pins[p.Number]
+		if !ok {
+			t.Fatalf("Q%d has no pin", p.Number)
+		}
+		got := [2]int{
+			count(func() error {
+				_, err := rewrite.RewriteClean(cat, p.Original)
+				return err
+			}),
+			count(func() error {
+				var nre *rewrite.NotRewritableError
+				if _, err := rewrite.RewriteClean(cat, p.Rewritten); !errors.As(err, &nre) {
+					return fmt.Errorf("Q%d's rewriting is not refused: %v", p.Number, err)
+				}
+				return nil
+			}),
+		}
+		measured += 2
+		t.Logf("Q%d: RewriteClean allocates %d times for the original, %d for the rewriting", p.Number, got[0], got[1])
+		for i, what := range []string{"original", "rewriting"} {
+			switch {
+			case got[i] > pin[i]:
+				t.Errorf("Q%d %s: RewriteClean allocates %d times, pinned at %d", p.Number, what, got[i], pin[i])
+			case got[i] < pin[i]:
+				t.Errorf("Q%d %s: RewriteClean allocates %d times, fewer than its pin %d: lower the pin", p.Number, what, got[i], pin[i])
+			}
+		}
+		if p.Number != 9 {
+			rewritten += got[0]
+			analyzed += count(func() error {
+				_, err := rewrite.Analyze(cat, p.Original)
+				return err
+			})
+		}
+	}
+	if measured != 26 {
+		t.Errorf("measured %d statements, want 26", measured)
+	}
+	t.Logf("the 12 short originals: Analyze allocates %d times (bound %d), RewriteClean %d (bound %d)", analyzed, analyzeBound, rewritten, rewriteBound)
+	if analyzed > analyzeBound {
+		t.Errorf("Analyze allocates %d times over the 12 short originals, above %d", analyzed, analyzeBound)
+	}
+	if rewritten > rewriteBound {
+		t.Errorf("RewriteClean allocates %d times over the 12 short originals, above %d", rewritten, rewriteBound)
 	}
 }

@@ -10,7 +10,7 @@
 // then folded — the shape this analyzer enforces; infotheory.Sparse has
 // since become a vector sorted by ID, which folds in order with no map.
 //
-// Two sinks are flagged inside a `range` over a map:
+// Three sinks are flagged inside a `range` over a map:
 //
 //   - float accumulation: s += v, s = s*x, ... where the accumulator is
 //     declared outside the range (so it carries across iterations; one
@@ -20,7 +20,10 @@
 //   - append to an ordered output: s = append(s, ...) with a slice
 //     declared outside the range and an iteration-derived element —
 //     unless the slice is passed to a sort (sort.* or slices.*) after
-//     the loop, which is exactly the sanctioned sorted-keys pattern.
+//     the loop, which is exactly the sanctioned sorted-keys pattern;
+//   - a return whose results mention an iteration-derived variable: which
+//     entry the random order visits first decides what is returned. A
+//     return of constants only (an "any entry fails" check) is exempt.
 //
 // The derived variables are the range key and value, closed over the
 // body's assignments, var specs and nested range headers whose
@@ -47,12 +50,12 @@ import (
 // Analyzer flags order-sensitive computation inside range-over-map.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "flag float accumulation and ordered-output appends ranging over a map: map order is randomized, so results lose bit-determinism (fold a sorted vector, as infotheory.Sparse is, or sort the keys first)",
+	Doc:  "flag float accumulation, ordered-output appends and iteration-derived returns ranging over a map: map order is randomized, so results lose bit-determinism (fold a sorted vector, as infotheory.Sparse is, or sort the keys first)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	reported := make(map[*ast.AssignStmt]bool)
+	reported := make(map[ast.Stmt]bool)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
@@ -88,15 +91,19 @@ func isMap(pass *analysis.Pass, e ast.Expr) bool {
 // checkMapRange flags order-sensitive statements in the body of one
 // range-over-map. Statements in reported were flagged by an enclosing
 // map range already.
-func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, reported map[*ast.AssignStmt]bool) {
+func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, reported map[ast.Stmt]bool) {
 	derived := derivedVars(pass, rs)
 	inspectBody(rs.Body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || reported[as] {
-			return
-		}
-		if checkAssign(pass, derived, fnBody, rs, as) {
-			reported[as] = true
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if !reported[st] && checkAssign(pass, derived, fnBody, rs, st) {
+				reported[st] = true
+			}
+		case *ast.ReturnStmt:
+			if !reported[st] && anyMentions(pass, st.Results, derived) {
+				pass.Reportf(st.Pos(), "return of an iteration-derived value in map-iteration order: which entry the randomized order visits first decides the result; iterate sorted keys or a vector, or annotate with lint:allow maporder")
+				reported[st] = true
+			}
 		}
 	})
 }

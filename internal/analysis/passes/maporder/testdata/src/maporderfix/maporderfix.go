@@ -140,3 +140,90 @@ func resetInside(dst map[string]float64, m map[string][]float64) {
 		dst[k] = s
 	}
 }
+
+// firstPositive returns the key of whichever positive entry the random
+// order visits first.
+func firstPositive(m map[string]float64) string {
+	for k, v := range m {
+		if v > 0 {
+			return k // want `return of an iteration-derived value in map-iteration order`
+		}
+	}
+	return ""
+}
+
+// describeFirst launders the key through a temporary before returning it.
+func describeFirst(m map[string]int) (string, bool) {
+	for k, n := range m {
+		if n > 1 {
+			msg := "duplicate " + k
+			return msg, false // want `return of an iteration-derived value in map-iteration order`
+		}
+	}
+	return "", true
+}
+
+// firstNested returns from two map ranges and is reported once.
+func firstNested(m map[string]map[string]int) int {
+	for _, inner := range m {
+		for _, n := range inner {
+			return n // want `return of an iteration-derived value in map-iteration order`
+		}
+	}
+	return 0
+}
+
+// anyNegative returns constants only: every order finds some negative
+// entry when there is one, so the answer is the same.
+func anyNegative(m map[string]float64) bool {
+	for _, v := range m {
+		if v < 0 {
+			return true // compliant: nothing iteration-derived
+		}
+	}
+	return false
+}
+
+// returnsOuter returns a value fixed before the range.
+func returnsOuter(m map[string]float64, limit int) int {
+	for _, v := range m {
+		if v > 1 {
+			return limit // compliant: limit is not derived from the iteration
+		}
+	}
+	return 0
+}
+
+// returnInLiteral returns from a function literal inside the range: the
+// return leaves the literal, not the loop.
+func returnInLiteral(m map[string]float64) int {
+	n := 0
+	for _, v := range m {
+		positive := func() bool { return v > 0 } // compliant: returns from the literal
+		if positive() {
+			n++
+		}
+	}
+	return n
+}
+
+// firstInSlice ranges over a slice, whose order is fixed.
+func firstInSlice(vs []float64) float64 {
+	for _, v := range vs {
+		if v > 0 {
+			return v // compliant: slice iteration order is fixed
+		}
+	}
+	return 0
+}
+
+// allowedReturn documents a lookup whose match is unique.
+func allowedReturn(m map[string]int, want int) string {
+	for k, n := range m {
+		if n == want {
+			//lint:allow maporder -- values are unique, so one entry matches
+			return k
+		}
+	}
+	return ""
+}

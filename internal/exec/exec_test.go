@@ -141,7 +141,7 @@ func TestHashJoin(t *testing.T) {
 	j, err := NewHashJoin(
 		NewScan(ord, "o"), NewScan(cust, "c"),
 		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "o", Name: "cidfk"}},
-		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "c", Name: "id"}},
+		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "c", Name: "id"}}, nil,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	rt.MustInsert(value.Int(1))
 	j, err := NewHashJoin(NewScan(lt, "l"), NewScan(rt, "r"),
 		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "l", Name: "k"}},
-		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "r", Name: "k"}})
+		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "r", Name: "k"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 func TestHashJoinKeyMismatch(t *testing.T) {
 	ord, cust := testTables(t)
 	if _, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
-		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "o", Name: "cidfk"}}, nil); err == nil {
+		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "o", Name: "cidfk"}}, nil, nil); err == nil {
 		t.Error("key lists of unequal length should fail")
 	}
 }
@@ -384,7 +384,7 @@ func TestExplain(t *testing.T) {
 	ord, cust := testTables(t)
 	j, _ := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
 		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "o", Name: "cidfk"}},
-		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "c", Name: "id"}})
+		[]sqlparse.Expr{&sqlparse.ColumnRef{Qualifier: "c", Name: "id"}}, nil)
 	f, _ := NewFilter(j, expr(t, "c.balance > 10000"))
 	out := Explain(NewLimit(f, 5))
 	for _, want := range []string{"Limit(5)", "Filter", "HashJoin", "Scan(orders", "Scan(customer"} {

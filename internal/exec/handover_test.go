@@ -35,10 +35,7 @@ func fanOutTables(t testing.TB, n int) (probe, build *storage.Table) {
 // its output narrowed to p.id.
 func sortOverGather(t testing.TB, probe, build *storage.Table) *Sort {
 	t.Helper()
-	j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
-	if err := j.Narrow([]int{0}); err != nil {
-		t.Fatal(err)
-	}
+	j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k")), []int{0}))
 	setMorselSize(t, 256)
 	g := NewGather(j)
 	return mustOp[*Sort](t)(NewSort(g, []SortKey{SortKeyPos(0, true)}))

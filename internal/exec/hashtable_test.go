@@ -56,7 +56,7 @@ func TestHashTablesDoNotAllocatePerKey(t *testing.T) {
 			// One build key per fact row, probed by the 97 dimension rows.
 			{"join build", func(fact, dim *storage.Table) Operator {
 				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
-					exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
+					exprs(colRef("d", "k")), exprs(colRef("f", "id")), nil))
 				return j
 			}},
 		} {
@@ -127,7 +127,7 @@ func TestJoinBucketOrderMatchesNestedLoop(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			for _, batch := range []int{1, 7, 0} {
 				label := fmt.Sprintf("build rows=%d par=%d batch=%d", right.Len(), par, batch)
-				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(right, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
+				j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(right, "b"), exprs(colRef("p", "k")), exprs(colRef("b", "k")), nil))
 				governOn(j, par)
 				parts, _ := splitPipeline(j, par)
 				var got []taggedRow
@@ -208,7 +208,7 @@ func TestFlatHeadsKeepCollidingKeysApart(t *testing.T) {
 			}
 		}
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"),
-			exprs(colRef("p", "k")), exprs(colRef("b", "k"))))
+			exprs(colRef("p", "k")), exprs(colRef("b", "k")), nil))
 		governOn(j, par)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
@@ -323,7 +323,7 @@ func TestParallelBuildWritesEachEntryOnce(t *testing.T) {
 	best := int64(-1)
 	for r := 0; r < 3; r++ {
 		j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(dim, "d"), NewScan(fact, "f"),
-			exprs(colRef("d", "k")), exprs(colRef("f", "id"))))
+			exprs(colRef("d", "k")), exprs(colRef("f", "id")), nil))
 		governOn(j, workers)
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -141,31 +141,26 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 	joins := []struct {
 		name string
 		ref  [][]value.Value
-		mk   func() (Operator, func([]int) error)
+		mk   func(cols []int) (Operator, error)
 	}{
-		{"HashJoin", nestedLoop(fact, dim, sameKey), func() (Operator, func([]int) error) {
-			j, err := NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
-				exprs(colRef("f", "k")), exprs(colRef("d", "k")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return j, j.Narrow
+		{"HashJoin", nestedLoop(fact, dim, sameKey), func(cols []int) (Operator, error) {
+			return NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
+				exprs(colRef("f", "k")), exprs(colRef("d", "k")), cols)
 		}},
-		{"CrossJoin", nestedLoop(fact, small, func(l, r []value.Value) bool { return true }), func() (Operator, func([]int) error) {
-			j := crossJoin(t, NewScan(fact, "f"), NewScan(small, "d"))
-			return j, j.Narrow
+		{"CrossJoin", nestedLoop(fact, small, func(l, r []value.Value) bool { return true }), func(cols []int) (Operator, error) {
+			return NewHashJoin(NewScan(fact, "f"), NewScan(small, "d"), nil, nil, cols)
 		}},
 	}
 	const batch = 64
 	setMorselSize(t, 100)
 	rng := rand.New(rand.NewSource(12))
 	for _, jc := range joins {
-		identity, _ := jc.mk()
+		identity, _ := jc.mk(nil)
 		width := len(identity.Schema())
 		wantRows := mustCollect(t, identity)
 		requireSameRows(t, jc.ref, wantRows)
 		wantTagged := drainTagged(t, identity, batch)
-		id, _ := jc.mk()
+		id, _ := jc.mk(nil)
 		govern(id)
 		parts, _ := splitPipeline(id, 3)
 		wantParts := drainParts(t, parts, batch)
@@ -173,8 +168,8 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 			cols := randomOutputList(rng, width)
 			label := fmt.Sprintf("%s %v", jc.name, cols)
 			narrowed := func() Operator {
-				j, narrow := jc.mk()
-				if err := narrow(cols); err != nil {
+				j, err := jc.mk(cols)
+				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if got := len(j.Schema()); got != len(cols) {
@@ -210,22 +205,28 @@ func TestJoinOutputListEqualsProjectionProperty(t *testing.T) {
 
 func exprs(es ...sqlparse.Expr) []sqlparse.Expr { return es }
 
-// Narrow rejects positions outside left‖right and a second narrowing;
-// nil keeps the identity, and EXPLAIN shows the width only when narrowed.
+// NewHashJoin rejects an output list with a position outside
+// left‖right; nil keeps the identity, and EXPLAIN shows the width only
+// when narrowed.
 func TestJoinNarrowValidation(t *testing.T) {
 	ord, cust := testTables(t)
-	mk := func() *HashJoin { return crossJoin(t, NewScan(ord, "o"), NewScan(cust, "c")) }
-	j := mk()
-	if err := j.Narrow(nil); err != nil || len(j.Schema()) != 10 || j.Describe() != "CrossJoin" {
-		t.Fatalf("Narrow(nil): err=%v width=%d describe=%q", err, len(j.Schema()), j.Describe())
+	mk := func(cols []int) (*HashJoin, error) {
+		return NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"), nil, nil, cols)
 	}
-	if err := mk().Narrow([]int{10}); err == nil {
+	j, err := mk(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Schema()) != 10 || j.Describe() != "CrossJoin" {
+		t.Errorf("cols nil: width=%d describe=%q", len(j.Schema()), j.Describe())
+	}
+	if _, err := mk([]int{10}); err == nil {
 		t.Error("position past the right input accepted")
 	}
-	if err := mk().Narrow([]int{-1}); err == nil {
+	if _, err := mk([]int{-1}); err == nil {
 		t.Error("negative position accepted")
 	}
-	if err := j.Narrow([]int{2, 7}); err != nil {
+	if j, err = mk([]int{2, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.Describe(); got != "CrossJoin cols=2/10" {
@@ -233,9 +234,6 @@ func TestJoinNarrowValidation(t *testing.T) {
 	}
 	if got := j.Schema().Names(); len(got) != 2 || got[0] != "cidfk" || got[1] != "name" {
 		t.Errorf("narrowed schema = %v", got)
-	}
-	if err := j.Narrow([]int{0}); err == nil {
-		t.Error("second Narrow accepted")
 	}
 }
 
@@ -247,11 +245,8 @@ func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 	for _, batch := range []int{0, 2} {
 		useBatchSize(t, batch)
 		j, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
-			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
+			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")), []int{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Narrow([]int{}); err != nil {
 			t.Fatal(err)
 		}
 		agg, err := NewHashAggregate(j, nil, nil, []AggSpec{{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}}})
@@ -263,9 +258,9 @@ func TestJoinZeroWidthRowsAreRows(t *testing.T) {
 			t.Errorf("batch=%d: count over zero-width join = %v, want 6", batch, rows)
 		}
 		// Collected at the root too, not only counted by an aggregate.
-		j2, _ := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
-			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")))
-		if err := j2.Narrow([]int{}); err != nil {
+		j2, err := NewHashJoin(NewScan(ord, "o"), NewScan(cust, "c"),
+			exprs(colRef("o", "cidfk")), exprs(colRef("c", "id")), []int{})
+		if err != nil {
 			t.Fatal(err)
 		}
 		rows, _, err = CollectBatchesGoverned(j2, govern(j2), batch)

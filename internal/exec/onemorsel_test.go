@@ -90,7 +90,7 @@ func oneMorselPlans(t *testing.T, tb *storage.Table, morsel int) map[string]Oper
 		probe.MustInsert(value.Int(int64(i % 20)))
 	}
 	j, err := NewHashJoin(NewScan(probe, "p"), NewScan(tb, "d"),
-		[]sqlparse.Expr{colRef("p", "k")}, []sqlparse.Expr{colRef("d", "k")})
+		[]sqlparse.Expr{colRef("p", "k")}, []sqlparse.Expr{colRef("d", "k")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSmallDrivingTableOverLargeBuildStillSplits(t *testing.T) {
 	big := dirtyFact(t, 3000)
 	build := func() Operator {
 		j, err := NewHashJoin(NewScan(tb, "f"), NewScan(big, "d"),
-			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
+			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestOpaqueBuildSideKeepsThePlainGrid(t *testing.T) {
 	big := dirtyFact(t, 3000)
 	build := func() *Gather {
 		j, err := NewHashJoin(NewScan(tb, "f"), NewDistinct(NewScan(big, "d")),
-			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
+			[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

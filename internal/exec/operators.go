@@ -166,10 +166,10 @@ func (p *Project) Describe() string {
 }
 
 // joinOutput is the output side of a join: which columns of the
-// concatenation left‖right a joined row keeps. The constructor
-// installs the identity (every column, in order); the planner narrows it
-// to the columns some operator above the join still reads (DESIGN.md
-// §16), so the one place a join copies values copies only those.
+// concatenation left‖right a joined row keeps. The planner passes the
+// columns some operator above the join still reads (DESIGN.md §16), so
+// the one place a join copies values copies only those; nil keeps every
+// column, in order.
 type joinOutput struct {
 	schema RowSchema
 	cols   []int // positions in left‖right; nil = identity
@@ -177,33 +177,31 @@ type joinOutput struct {
 	nFull  int   // width of left‖right
 }
 
-func newJoinOutput(left, right RowSchema) joinOutput {
-	return joinOutput{schema: left.Concat(right), nLeft: len(left), nFull: len(left) + len(right)}
+// newJoinOutput builds the output schema of left‖right restricted to
+// cols, in list order. Key expressions are unaffected: they bind to the
+// inputs, not the output.
+func newJoinOutput(left, right RowSchema, cols []int) (joinOutput, error) {
+	o := joinOutput{cols: cols, nLeft: len(left), nFull: len(left) + len(right)}
+	if cols == nil {
+		o.schema = left.Concat(right)
+		return o, nil
+	}
+	o.schema = make(RowSchema, len(cols))
+	for i, c := range cols {
+		switch {
+		case c < 0 || c >= o.nFull:
+			return joinOutput{}, fmt.Errorf("exec: join output column %d out of range (width %d): %w", c, o.nFull, qerr.ErrInternal)
+		case c < o.nLeft:
+			o.schema[i] = left[c]
+		default:
+			o.schema[i] = right[c-o.nLeft]
+		}
+	}
+	return o, nil
 }
 
 // Schema is the join's (possibly narrowed) output layout.
 func (o *joinOutput) Schema() RowSchema { return o.schema }
-
-// Narrow restricts the join's output to the listed positions of
-// left‖right, in list order; nil keeps the identity. Key expressions are
-// unaffected: they bind to the inputs, not the output.
-func (o *joinOutput) Narrow(cols []int) error {
-	if cols == nil {
-		return nil
-	}
-	if o.cols != nil {
-		return fmt.Errorf("exec: join output narrowed twice: %w", qerr.ErrInternal)
-	}
-	pruned := make(RowSchema, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= o.nFull {
-			return fmt.Errorf("exec: join output column %d out of range (width %d): %w", c, o.nFull, qerr.ErrInternal)
-		}
-		pruned[i] = o.schema[c]
-	}
-	o.schema, o.cols = pruned, cols
-	return nil
-}
 
 // emit writes the joined row of left and right into dst, which must be
 // len(Schema()) wide.
@@ -275,13 +273,17 @@ type buildEntry struct {
 }
 
 // NewHashJoin compiles the key expressions against the respective inputs;
-// two empty lists make a cross join.
-func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*HashJoin, error) {
+// two empty lists make a cross join. cols lists the positions of
+// left‖right a joined row keeps, in output order; nil keeps them all.
+func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr, cols []int) (*HashJoin, error) {
 	if len(leftKeys) != len(rightKeys) {
 		return nil, fmt.Errorf("exec: hash join needs key lists of one length, got %d and %d", len(leftKeys), len(rightKeys))
 	}
-	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
-	j.joinOutput = newJoinOutput(left.Schema(), right.Schema())
+	out, err := newJoinOutput(left.Schema(), right.Schema(), cols)
+	if err != nil {
+		return nil, err
+	}
+	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, joinOutput: out}
 	n, slots := len(leftKeys), 0
 	for i := range leftKeys {
 		slots += operandSlots(leftKeys[i]) + operandSlots(rightKeys[i])

@@ -194,7 +194,7 @@ func TestGatherSerialFallback(t *testing.T) {
 func buildJoin(t testing.TB, fact, dim *storage.Table, morsel int) *HashJoin {
 	t.Helper()
 	j, err := NewHashJoin(NewScan(fact, "f"), NewScan(dim, "d"),
-		[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")})
+		[]sqlparse.Expr{colRef("f", "k")}, []sqlparse.Expr{colRef("d", "k")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestAttachDoesNotAllocate(t *testing.T) {
 		var root Operator = NewScan(fact, "f")
 		for i := 0; i < 3; i++ {
 			d := fmt.Sprintf("d%d", i)
-			root = mustOp[*HashJoin](t)(NewHashJoin(root, NewScan(dim, d), exprs(colRef("f", "k")), exprs(colRef(d, "k"))))
+			root = mustOp[*HashJoin](t)(NewHashJoin(root, NewScan(dim, d), exprs(colRef("f", "k")), exprs(colRef(d, "k")), nil))
 		}
 		return root
 	}

@@ -53,7 +53,7 @@ func recycleTables(t testing.TB) (l, r, d *storage.Table) {
 // crossJoin is the join on no keys: every left row with every right row.
 func crossJoin(t testing.TB, left, right Operator) *HashJoin {
 	t.Helper()
-	return mustOp[*HashJoin](t)(NewHashJoin(left, right, nil, nil))
+	return mustOp[*HashJoin](t)(NewHashJoin(left, right, nil, nil, nil))
 }
 
 func mustOp[T Operator](t testing.TB) func(T, error) T {
@@ -82,7 +82,7 @@ func TestRowLifetime(t *testing.T) {
 	lid, lk := colRef("l", "id"), colRef("l", "k")
 	keys := func(e sqlparse.Expr) []sqlparse.Expr { return []sqlparse.Expr{e} }
 	hash := func() Operator {
-		return mustOp[*HashJoin](t)(NewHashJoin(NewScan(l, "l"), NewScan(r, "r"), keys(lk), keys(colRef("r", "k"))))
+		return mustOp[*HashJoin](t)(NewHashJoin(NewScan(l, "l"), NewScan(r, "r"), keys(lk), keys(colRef("r", "k")), nil))
 	}
 	// Every producer's output has l.id, r.seq and r.name, so one set of
 	// consumers fits them all.
@@ -112,7 +112,7 @@ func TestRowLifetime(t *testing.T) {
 			}))
 	}
 	build := func(c Operator) Operator {
-		return mustOp[*HashJoin](t)(NewHashJoin(NewScan(d, "d"), c, keys(colRef("d", "id")), keys(lid)))
+		return mustOp[*HashJoin](t)(NewHashJoin(NewScan(d, "d"), c, keys(colRef("d", "id")), keys(lid), nil))
 	}
 	filter := func(c Operator) Operator { return mustOp[*Filter](t)(NewFilter(c, expr(t, "r.seq <> 4"))) }
 	consumers := []struct {
@@ -131,7 +131,7 @@ func TestRowLifetime(t *testing.T) {
 		{"cross join right", 1, func(c Operator) Operator { return crossJoin(t, NewScan(d, "d"), c) }},
 		// Copiers.
 		{"HashJoin probe", 1, func(c Operator) Operator {
-			return mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id"))))
+			return mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id")), nil))
 		}},
 		{"CrossJoin left", 1, func(c Operator) Operator { return crossJoin(t, c, NewScan(d, "d")) }},
 		{"Project", 1, func(c Operator) Operator {
@@ -151,7 +151,7 @@ func TestRowLifetime(t *testing.T) {
 		{"HashAggregate over serial Gather", 1, func(c Operator) Operator { return agg(NewGather(c)) }},
 		// Two producers stacked, as in a join tree.
 		{"HashAggregate over Project over HashJoin probe", 1, func(c Operator) Operator {
-			j := mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id"))))
+			j := mustOp[*HashJoin](t)(NewHashJoin(c, NewScan(d, "d"), keys(lid), keys(colRef("d", "id")), nil))
 			p := mustOp[*Project](t)(NewProject(j, []ProjectionCol{
 				{Expr: colRef("d", "label"), Col: ColInfo{Qualifier: "r", Name: "name", Type: value.KindString}},
 				{Expr: lid, Col: ColInfo{Qualifier: "l", Name: "id", Type: value.KindInt}},
@@ -195,7 +195,7 @@ func TestTransientBatchReusesStorage(t *testing.T) {
 	l, r, _ := recycleTables(t)
 	for _, transient := range []bool{false, true} {
 		j, err := NewHashJoin(NewScan(l, "l"), NewScan(r, "r"),
-			[]sqlparse.Expr{colRef("l", "k")}, []sqlparse.Expr{colRef("r", "k")})
+			[]sqlparse.Expr{colRef("l", "k")}, []sqlparse.Expr{colRef("r", "k")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestTransientBatchReusesStorage(t *testing.T) {
 func TestDistinctRefusesTransientBatch(t *testing.T) {
 	l, r, _ := recycleTables(t)
 	j, err := NewHashJoin(NewScan(l, "l"), NewScan(r, "r"),
-		[]sqlparse.Expr{colRef("l", "k")}, []sqlparse.Expr{colRef("r", "k")})
+		[]sqlparse.Expr{colRef("l", "k")}, []sqlparse.Expr{colRef("r", "k")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

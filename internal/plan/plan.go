@@ -509,11 +509,8 @@ func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKe
 	if err != nil {
 		return nil, err
 	}
-	j, err := exec.NewHashJoin(outer, inner, outerKeys, innerKeys)
+	j, err := exec.NewHashJoin(outer, inner, outerKeys, innerKeys, cols)
 	if err != nil {
-		return nil, err
-	}
-	if err := j.Narrow(cols); err != nil {
 		return nil, err
 	}
 	return j, nil

@@ -34,12 +34,8 @@ func Augment(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (aug *sqlparse.Sele
 	}
 	// Prepend the root identifier and check the result.
 	aug = stmt.Clone()
-	rootRel, err := rootRelation(cat, aug, a.Root)
-	if err != nil {
-		return nil, false, err
-	}
 	item := sqlparse.SelectItem{
-		Expr: &sqlparse.ColumnRef{Qualifier: a.Root, Name: rootRel.Identifier},
+		Expr: &sqlparse.ColumnRef{Qualifier: a.Root, Name: a.rootRel.Identifier},
 	}
 	aug.Select = append([]sqlparse.SelectItem{item}, aug.Select...)
 	a2, err := Analyze(cat, aug)
@@ -63,18 +59,4 @@ func onlyCondition4(reasons []string) bool {
 		}
 	}
 	return true
-}
-
-// rootRelation resolves the alias of the join-graph root to its schema.
-func rootRelation(cat *schema.Catalog, stmt *sqlparse.SelectStmt, root string) (*schema.Relation, error) {
-	for _, tr := range stmt.From {
-		if strings.ToLower(tr.Alias) == root {
-			rel, ok := cat.Relation(tr.Table)
-			if !ok {
-				return nil, &NotRewritableError{Reasons: []string{"unknown root relation " + tr.Table}}
-			}
-			return rel, nil
-		}
-	}
-	return nil, &NotRewritableError{Reasons: []string{"root alias " + root + " not in FROM"}}
 }

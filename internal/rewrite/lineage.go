@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"slices"
 
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
@@ -45,14 +44,14 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 	case stmt.Limit >= 0:
 		return nil, fmt.Errorf("rewrite: a statement with LIMIT has no lineage query")
 	}
-	sc, err := newScope(cat, stmt.From, make(map[string]*schema.Relation))
+	sc, err := newScope(cat, stmt.From)
 	if err != nil {
 		return nil, err
 	}
-	// read[i][j]: the statement reads column j of alias i.
-	read := make([][]bool, len(sc.aliases))
-	for i, alias := range sc.aliases {
-		read[i] = make([]bool, len(sc.rels[alias].Columns))
+	// read[i][j]: the statement reads column j of FROM position i.
+	read := make([][]bool, len(sc))
+	for i, s := range sc {
+		read[i] = make([]bool, len(s.rel.Columns))
 	}
 	var refs []*sqlparse.ColumnRef
 	collect := func(x sqlparse.Expr) bool {
@@ -77,18 +76,18 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 	}
 	sqlparse.WalkExpr(stmt.Where, collect)
 	for _, cr := range refs {
-		alias, rel, err := sc.resolve(cr)
+		pos, col, err := sc.resolve(cr)
 		if err != nil {
 			return nil, err
 		}
-		read[slices.Index(sc.aliases, alias)][rel.ColumnIndex(cr.Name)] = true
+		read[pos][col] = true
 	}
 
 	// Counted first, the lineage columns get room in the cloned select list
 	// and one block for their references.
 	room := 0
-	for i, alias := range sc.aliases {
-		if rel := sc.rels[alias]; rel.IsDirty() {
+	for i, s := range sc {
+		if rel := s.rel; rel.IsDirty() {
 			read[i][rel.IdentifierIndex()] = true
 			for _, r := range read[i] {
 				if r {
@@ -101,8 +100,8 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 	out.Distinct, out.OrderBy = false, nil
 	lq := &LineageQuery{Stmt: out}
 	cols := make([]sqlparse.ColumnRef, 0, room)
-	for i, alias := range sc.aliases {
-		rel := sc.rels[alias]
+	for i, s := range sc {
+		rel := s.rel
 		if !rel.IsDirty() {
 			continue
 		}
@@ -114,7 +113,7 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 			}
 		}
 		for _, c := range la.Columns {
-			cols = append(cols, sqlparse.ColumnRef{Qualifier: alias, Name: c})
+			cols = append(cols, sqlparse.ColumnRef{Qualifier: s.alias, Name: c})
 			out.Select = append(out.Select, sqlparse.SelectItem{Expr: &cols[len(cols)-1]})
 		}
 		lq.Aliases = append(lq.Aliases, la)

@@ -54,12 +54,15 @@ type Analysis struct {
 	Root       string
 	Rewritable bool
 	Reasons    []string
+
+	rootRel *schema.Relation // the relation Root ranges over
 }
 
 // Analyze classifies stmt against the catalog and checks the conditions of
 // Dfn 7. It returns an error only for queries it cannot inspect at all
 // (unknown tables or columns); violations of the rewritability conditions
-// are reported in the Analysis.
+// are reported in the Analysis. The join graph is walked over FROM
+// positions, so the reasons depend on the statement alone.
 func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) {
 	a := &Analysis{Stmt: stmt}
 	fail := func(format string, args ...any) {
@@ -87,65 +90,46 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 	}
 
 	// Resolve FROM entries; condition 3: each relation at most once.
-	sc, err := newScope(cat, stmt.From, make(map[string]*schema.Relation))
+	sc, err := newScope(cat, stmt.From)
 	if err != nil {
 		return nil, err
 	}
-	seenTable := make(map[string]bool)
-	for _, alias := range sc.aliases {
-		rel := sc.rels[alias]
-		if seenTable[rel.Name] {
-			fail("relation %s appears more than once (self joins violate condition 3 of Dfn 7)", rel.Name)
+	for i, s := range sc {
+		if sc.repeats(i) {
+			fail("relation %s appears more than once (self joins violate condition 3 of Dfn 7)", s.rel.Name)
 		}
-		seenTable[rel.Name] = true
-		if !rel.IsDirty() {
-			fail("relation %s has no identifier/probability columns; mark it dirty first", rel.Name)
+		if !s.rel.IsDirty() {
+			fail("relation %s has no identifier/probability columns; mark it dirty first", s.rel.Name)
 		}
 	}
 
 	// Validate every column reference in the statement.
-	var exprs []sqlparse.Expr
 	for _, it := range stmt.Select {
-		if it.Expr != nil {
-			exprs = append(exprs, it.Expr)
+		if err := sc.validate(stmt, it.Expr); err != nil {
+			return nil, err
 		}
 	}
-	if stmt.Where != nil {
-		exprs = append(exprs, stmt.Where)
+	if err := sc.validate(stmt, stmt.Where); err != nil {
+		return nil, err
 	}
 	for _, o := range stmt.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	for _, e := range exprs {
-		var resolveErr error
-		sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
-			if cr, ok := x.(*sqlparse.ColumnRef); ok {
-				if _, _, err := sc.resolve(cr); err != nil && resolveErr == nil {
-					resolveErr = err
-				}
-			}
-			return true
-		})
-		if resolveErr != nil {
-			// ORDER BY may legitimately reference a select alias rather
-			// than a base column; tolerate that case only.
-			if isSelectAlias(stmt, e) {
-				continue
-			}
-			return nil, resolveErr
+		if err := sc.validate(stmt, o.Expr); err != nil {
+			return nil, err
 		}
 	}
 
-	// Classify WHERE conjuncts.
-	for _, conj := range sqlparse.Conjuncts(stmt.Where) {
-		touched, err := sc.touchedAliases(conj)
+	// Classify WHERE conjuncts into the edges of the join graph.
+	conjs := sqlparse.Conjuncts(stmt.Where)
+	g := newJoinGraph(sc, len(conjs))
+	for _, conj := range conjs {
+		n, err := sc.sources(conj)
 		if err != nil {
 			return nil, err
 		}
-		if len(touched) <= 1 {
+		if n <= 1 {
 			continue // selection on one relation: always fine
 		}
-		if len(touched) > 2 {
+		if n > 2 {
 			fail("predicate %s spans more than two relations", conj.SQL())
 			continue
 		}
@@ -160,40 +144,45 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 			fail("join predicate %s must equate two columns", conj.SQL())
 			continue
 		}
-		la, lrel, err := sc.resolve(lc)
+		l, lcol, err := sc.resolve(lc)
 		if err != nil {
 			return nil, err
 		}
-		ra, rrel, err := sc.resolve(rc)
+		r, rcol, err := sc.resolve(rc)
 		if err != nil {
 			return nil, err
 		}
-		lIsID := lrel.Identifier != "" && strings.ToLower(lc.Name) == lrel.Identifier
-		rIsID := rrel.Identifier != "" && strings.ToLower(rc.Name) == rrel.Identifier
+		lIsID, rIsID := sc[l].isIdentifier(lcol), sc[r].isIdentifier(rcol)
+		kind := EdgeNonID
 		switch {
 		case lIsID && rIsID:
-			a.Edges = append(a.Edges, Edge{Kind: EdgeIDToID, From: la, To: ra, Expr: be})
+			kind = EdgeIDToID
 		case !lIsID && rIsID:
-			a.Edges = append(a.Edges, Edge{Kind: EdgeFKToID, From: la, To: ra, Expr: be})
+			kind = EdgeFKToID
 		case lIsID && !rIsID:
-			a.Edges = append(a.Edges, Edge{Kind: EdgeFKToID, From: ra, To: la, Expr: be})
+			kind, l, r = EdgeFKToID, r, l
 		default:
-			a.Edges = append(a.Edges, Edge{Kind: EdgeNonID, From: la, To: ra, Expr: be})
 			fail("join %s involves no identifier (condition 1 of Dfn 7)", conj.SQL())
 		}
+		if a.Edges == nil {
+			a.Edges = make([]Edge, 0, len(conjs))
+		}
+		a.Edges = append(a.Edges, Edge{Kind: kind, From: sc[l].alias, To: sc[r].alias, Expr: be})
+		g.ends = append(g.ends, l, r)
 	}
 
-	// Conditions 2 and 4 need the contracted join graph: identifier-to-
+	// Conditions 2 and 4 read the contracted join graph: identifier-to-
 	// identifier joins merge their endpoints into one node.
-	root, treeErr := rootedTree(sc.aliases, a.Edges)
+	g.contract(a.Edges)
+	root, treeErr := g.rootedTree(a.Edges)
 	if treeErr != "" {
 		fail("%s", treeErr)
 	} else {
 		// Condition 4: the identifier of some relation in the root node
 		// must appear in the select clause.
-		a.Root = root
-		if !identifierSelected(stmt, root, sc.aliases, a.Edges, sc.rels) {
-			fail("the identifier of root relation %s is not in the select clause (condition 4 of Dfn 7)", root)
+		a.Root, a.rootRel = sc[root].alias, sc[root].rel
+		if !g.identifierSelected(stmt, root) {
+			fail("the identifier of root relation %s is not in the select clause (condition 4 of Dfn 7)", a.Root)
 		}
 	}
 
@@ -217,223 +206,237 @@ func isSelectAlias(stmt *sqlparse.SelectStmt, e sqlparse.Expr) bool {
 	return false
 }
 
-// scope resolves the column references of one FROM list.
-type scope struct {
-	rels    map[string]*schema.Relation // alias -> schema
-	aliases []string                    // in FROM order
+// scope resolves the column references of one FROM list: one source per
+// FROM position.
+type scope []source
+
+// source is the FROM entry at one position: its lower-cased alias and its
+// relation.
+type source struct {
+	alias string
+	rel   *schema.Relation
 }
 
-// newScope resolves FROM entries against the catalog. The caller makes
-// rels, so that the map can stay on its stack.
-func newScope(cat *schema.Catalog, from []sqlparse.TableRef, rels map[string]*schema.Relation) (scope, error) {
-	var aliases []string
-	for _, tr := range from {
+// newScope resolves FROM entries against the catalog.
+func newScope(cat *schema.Catalog, from []sqlparse.TableRef) (scope, error) {
+	sc := make(scope, len(from))
+	for i, tr := range from {
 		alias := strings.ToLower(tr.Alias)
 		rel, ok := cat.Relation(tr.Table)
 		if !ok {
-			return scope{}, fmt.Errorf("rewrite: unknown relation %q", tr.Table)
+			return nil, fmt.Errorf("rewrite: unknown relation %q", tr.Table)
 		}
-		if _, dup := rels[alias]; dup {
-			return scope{}, fmt.Errorf("rewrite: duplicate alias %q", alias)
-		}
-		rels[alias] = rel
-		aliases = append(aliases, alias)
-	}
-	return scope{rels: rels, aliases: aliases}, nil
-}
-
-// resolve names the alias, and its relation, a column reference reads.
-func (sc *scope) resolve(cr *sqlparse.ColumnRef) (string, *schema.Relation, error) {
-	if cr.Qualifier != "" {
-		q := strings.ToLower(cr.Qualifier)
-		rel, ok := sc.rels[q]
-		if !ok {
-			return "", nil, fmt.Errorf("rewrite: unknown alias %q", cr.Qualifier)
-		}
-		if !rel.HasColumn(cr.Name) {
-			return "", nil, fmt.Errorf("rewrite: %s has no column %q", rel.Name, cr.Name)
-		}
-		return q, rel, nil
-	}
-	found := ""
-	var foundRel *schema.Relation
-	for _, alias := range sc.aliases {
-		if sc.rels[alias].HasColumn(cr.Name) {
-			if found != "" {
-				return "", nil, fmt.Errorf("rewrite: ambiguous column %q", cr.Name)
+		for _, s := range sc[:i] {
+			if s.alias == alias {
+				return nil, fmt.Errorf("rewrite: duplicate alias %q", alias)
 			}
-			found, foundRel = alias, sc.rels[alias]
 		}
+		sc[i] = source{alias: alias, rel: rel}
 	}
-	if found == "" {
-		return "", nil, fmt.Errorf("rewrite: unknown column %q", cr.Name)
-	}
-	return found, foundRel, nil
+	return sc, nil
 }
 
-// touchedAliases lists the FROM aliases a conjunct references.
-func (sc *scope) touchedAliases(e sqlparse.Expr) ([]string, error) {
-	seen := make(map[string]bool)
-	var order []string
-	var walkErr error
-	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
-		cr, ok := x.(*sqlparse.ColumnRef)
-		if !ok {
+// repeats reports whether the relation at position i sits at an earlier
+// position too.
+func (sc scope) repeats(i int) bool {
+	for _, s := range sc[:i] {
+		if s.rel.Name == sc[i].rel.Name {
 			return true
 		}
-		alias, _, err := sc.resolve(cr)
-		if err != nil {
-			if walkErr == nil {
-				walkErr = err
+	}
+	return false
+}
+
+// isIdentifier reports whether column col of the source's relation is its
+// cluster identifier.
+func (s source) isIdentifier(col int) bool {
+	return s.rel.Columns[col].Name == s.rel.Identifier
+}
+
+// resolve names the FROM position a column reference reads and the
+// column's index in that position's relation.
+func (sc scope) resolve(cr *sqlparse.ColumnRef) (pos, col int, err error) {
+	if cr.Qualifier != "" {
+		q := strings.ToLower(cr.Qualifier)
+		for i, s := range sc {
+			if s.alias != q {
+				continue
 			}
-			return false
+			if col = s.rel.ColumnIndex(cr.Name); col < 0 {
+				return -1, -1, fmt.Errorf("rewrite: %s has no column %q", s.rel.Name, cr.Name)
+			}
+			return i, col, nil
 		}
-		if !seen[alias] {
-			seen[alias] = true
-			order = append(order, alias)
+		return -1, -1, fmt.Errorf("rewrite: unknown alias %q", cr.Qualifier)
+	}
+	pos = -1
+	for i, s := range sc {
+		if c := s.rel.ColumnIndex(cr.Name); c >= 0 {
+			if pos >= 0 {
+				return -1, -1, fmt.Errorf("rewrite: ambiguous column %q", cr.Name)
+			}
+			pos, col = i, c
+		}
+	}
+	if pos < 0 {
+		return -1, -1, fmt.Errorf("rewrite: unknown column %q", cr.Name)
+	}
+	return pos, col, nil
+}
+
+// validate resolves every column reference of e and returns the first
+// failure. A bare select alias is not resolved: ORDER BY may legitimately
+// name one rather than a base column.
+func (sc scope) validate(stmt *sqlparse.SelectStmt, e sqlparse.Expr) error {
+	if isSelectAlias(stmt, e) {
+		return nil
+	}
+	var err error
+	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+		if cr, ok := x.(*sqlparse.ColumnRef); ok && err == nil {
+			_, _, err = sc.resolve(cr)
 		}
 		return true
 	})
-	return order, walkErr
+	return err
 }
 
-// rootedTree checks condition 2 of Dfn 7 on the contracted join graph and
-// returns the root alias, or a human-readable violation.
-func rootedTree(aliases []string, edges []Edge) (string, string) {
-	// Union-find over aliases; id-id edges contract nodes.
-	parent := make(map[string]string, len(aliases))
-	for _, a := range aliases {
-		parent[a] = a
-	}
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+// sources counts the distinct FROM positions a conjunct reads, exactly up
+// to two; three stands for "more".
+func (sc scope) sources(e sqlparse.Expr) (n int, err error) {
+	var seen [2]int
+	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+		cr, ok := x.(*sqlparse.ColumnRef)
+		if !ok || err != nil {
+			return err == nil
 		}
-		return parent[x]
+		pos, _, rerr := sc.resolve(cr)
+		switch {
+		case rerr != nil:
+			err = rerr
+		case n == 0 || (n == 1 && pos != seen[0]):
+			seen[n] = pos
+			n++
+		case n == 2 && pos != seen[0] && pos != seen[1]:
+			n = 3
+		}
+		return err == nil
+	})
+	return n, err
+}
+
+// joinGraph is the join graph of Dfn 6 over FROM positions, contracted: an
+// identifier-to-identifier join merges its endpoints into one node, which
+// its union-find representative names, and the foreign-key arcs join
+// nodes. Its vectors share one block.
+type joinGraph struct {
+	sc     scope
+	ends   []int // positions of edge i's From and To, at 2i and 2i+1
+	parent []int // union-find over positions
+	indeg  []int // arcs into a node, at its representative
+	pred   []int // a node's predecessor on its arc, at its representative
+}
+
+// newJoinGraph makes the graph over sc's positions, with room for an edge
+// per conjunct.
+func newJoinGraph(sc scope, conjuncts int) joinGraph {
+	n := len(sc)
+	block := make([]int, 3*n+2*conjuncts)
+	g := joinGraph{
+		sc:     sc,
+		parent: block[:n:n],
+		indeg:  block[n : 2*n : 2*n],
+		pred:   block[2*n : 3*n : 3*n],
+		ends:   block[3*n : 3*n],
 	}
-	union := func(x, y string) { parent[find(x)] = find(y) }
-	for _, e := range edges {
+	for p := range g.parent {
+		g.parent[p] = p
+	}
+	return g
+}
+
+// find returns the representative of position x's node.
+func (g *joinGraph) find(x int) int {
+	for g.parent[x] != x {
+		x = g.parent[x]
+	}
+	return x
+}
+
+// contract merges the endpoints of every identifier-to-identifier edge;
+// the To side's representative names the merged node.
+func (g *joinGraph) contract(edges []Edge) {
+	for i, e := range edges {
 		if e.Kind == EdgeIDToID {
-			union(e.From, e.To)
+			g.parent[g.find(g.ends[2*i])] = g.find(g.ends[2*i+1])
 		}
 	}
+}
 
-	// Node set after contraction.
-	nodes := make(map[string]bool)
-	for _, a := range aliases {
-		nodes[find(a)] = true
+// rootedTree checks condition 2 of Dfn 7 and returns the root node's
+// representative, or a human-readable violation. Nodes are visited in the
+// FROM order of their first position.
+func (g *joinGraph) rootedTree(edges []Edge) (int, string) {
+	nodes, arcs := 0, 0
+	for p := range g.parent {
+		if g.find(p) == p {
+			nodes++
+		}
 	}
-
-	// FK arcs between contracted nodes.
-	type arc struct{ from, to string }
-	var arcs []arc
-	indeg := make(map[string]int)
-	for _, e := range edges {
+	for i, e := range edges {
 		if e.Kind != EdgeFKToID {
 			continue
 		}
-		f, t := find(e.From), find(e.To)
+		f, t := g.find(g.ends[2*i]), g.find(g.ends[2*i+1])
 		if f == t {
-			return "", fmt.Sprintf("join graph has a cycle through %s (condition 2 of Dfn 7)", e.Expr.SQL())
+			return -1, fmt.Sprintf("join graph has a cycle through %s (condition 2 of Dfn 7)", e.Expr.SQL())
 		}
-		arcs = append(arcs, arc{f, t})
-		indeg[t]++
+		g.indeg[t]++
+		g.pred[t] = f
+		arcs++
 	}
 
 	// A rooted tree over n nodes needs exactly n-1 arcs, each non-root
 	// node in-degree 1, and connectivity.
-	n := len(nodes)
-	if len(arcs) != n-1 {
-		if len(arcs) < n-1 {
-			return "", "join graph is disconnected (condition 2 of Dfn 7)"
-		}
-		return "", "join graph has redundant join paths (condition 2 of Dfn 7)"
+	if arcs < nodes-1 {
+		return -1, "join graph is disconnected (condition 2 of Dfn 7)"
 	}
-	root := ""
-	pred := make(map[string]string) // node -> its unique predecessor
-	for _, ar := range arcs {
-		pred[ar.to] = ar.from
+	if arcs > nodes-1 {
+		return -1, "join graph has redundant join paths (condition 2 of Dfn 7)"
 	}
-	for node := range nodes {
-		switch indeg[node] {
-		case 0:
-			if root != "" {
-				return "", "join graph is disconnected (condition 2 of Dfn 7)"
-			}
+	root := -1
+	for p := range g.parent {
+		switch node := g.find(p); {
+		case g.indeg[node] > 1:
+			return -1, fmt.Sprintf("relation %s is the join target of multiple relations (condition 2 of Dfn 7)", g.sc[node].alias)
+		case g.indeg[node] == 0:
 			root = node
-		case 1:
-			// interior or leaf node: fine
-		default:
-			return "", fmt.Sprintf("relation %s is the join target of multiple relations (condition 2 of Dfn 7)", node)
 		}
 	}
-	if root == "" {
-		return "", "join graph has a cycle (condition 2 of Dfn 7)"
-	}
-	// Every node must reach the root through its unique chain of
-	// predecessors; otherwise some component is a cycle detached from the
-	// root.
-	for node := range nodes {
-		cur, steps := node, 0
-		for cur != root {
-			next, ok := pred[cur]
-			if !ok || steps > n {
-				return "", "join graph has a cycle (condition 2 of Dfn 7)"
+	// n-1 arcs of in-degree at most 1 leave exactly one node without a
+	// predecessor. Every node must reach it through its chain of
+	// predecessors; otherwise some component is a cycle detached from it.
+	for p := range g.parent {
+		for node, steps := g.find(p), 0; node != root; node, steps = g.pred[node], steps+1 {
+			if steps == nodes {
+				return -1, "join graph has a cycle (condition 2 of Dfn 7)"
 			}
-			cur = next
-			steps++
 		}
 	}
 	return root, ""
 }
 
-// identifierSelected checks condition 4: the identifier of the root node
-// (any relation contracted into it) appears as a select item.
-func identifierSelected(stmt *sqlparse.SelectStmt, root string, aliases []string, edges []Edge, rels map[string]*schema.Relation) bool {
-	// Rebuild the contraction to find all aliases in the root node.
-	parent := make(map[string]string, len(aliases))
-	for _, a := range aliases {
-		parent[a] = a
-	}
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, e := range edges {
-		if e.Kind == EdgeIDToID {
-			parent[find(e.From)] = find(e.To)
-		}
-	}
-	rootMembers := make(map[string]bool)
-	for _, a := range aliases {
-		if find(a) == find(root) {
-			rootMembers[a] = true
-		}
-	}
+// identifierSelected checks condition 4: the identifier of a relation in
+// the root node — root or any position contracted into it — appears as a
+// select item.
+func (g *joinGraph) identifierSelected(stmt *sqlparse.SelectStmt, root int) bool {
 	for _, it := range stmt.Select {
 		cr, ok := it.Expr.(*sqlparse.ColumnRef)
 		if !ok {
 			continue
 		}
-		alias := strings.ToLower(cr.Qualifier)
-		if alias == "" {
-			// Unqualified: find the unique owner among root members.
-			for a := range rootMembers {
-				if rels[a].HasColumn(cr.Name) {
-					alias = a
-					break
-				}
-			}
-		}
-		if !rootMembers[alias] {
-			continue
-		}
-		rel := rels[alias]
-		if rel != nil && rel.Identifier != "" && strings.ToLower(cr.Name) == rel.Identifier {
+		pos, col, err := g.sc.resolve(cr)
+		if err == nil && g.find(pos) == root && g.sc[pos].isIdentifier(col) {
 			return true
 		}
 	}
@@ -473,10 +476,11 @@ func (e *NotRewritableError) Error() string {
 // rewrite builds the Figure-4 output for an already validated query.
 func rewrite(cat *schema.Catalog, stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
 	out := stmt.CloneWithRoom(1) // the SUM item
-	// GROUP BY every select expression.
+	// GROUP BY every select expression: the clone's own trees, which no
+	// one mutates once the statement is built.
 	out.GroupBy = make([]sqlparse.Expr, len(out.Select))
 	for i, it := range out.Select {
-		out.GroupBy[i] = sqlparse.CloneExpr(it.Expr)
+		out.GroupBy[i] = it.Expr
 	}
 	// SUM of the product of the probability columns of all (dirty)
 	// relations in the FROM clause, its nodes from one block per kind:
