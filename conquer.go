@@ -529,10 +529,15 @@ func (r *CleanResult) TopK(k int) []CleanAnswer {
 // answers change: the method, sample count, error bound and degradation
 // chain stay, so a filtered estimate still reads as one.
 func (r *CleanResult) AtLeast(p float64) *CleanResult {
+	return r.keep(func(q float64) bool { return q >= p })
+}
+
+// keep is the result with the answers whose probability passes ok.
+func (r *CleanResult) keep(ok func(p float64) bool) *CleanResult {
 	out := *r
 	out.Answers = nil
 	for _, a := range r.Answers {
-		if a.Prob >= p {
+		if ok(a.Prob) {
 			out.Answers = append(out.Answers, a)
 		}
 	}
@@ -541,8 +546,12 @@ func (r *CleanResult) AtLeast(p float64) *CleanResult {
 
 // ConsistentAnswers filters a clean-answer result down to the certain
 // answers (probability 1) — the consistent answers of Arenas et al., which
-// the paper generalizes.
-func ConsistentAnswers(r *CleanResult) *CleanResult { return r.AtLeast(1 - 1e-9) }
+// the paper generalizes. "1" is within value.ProbEpsilon, the tolerance
+// Validate allows a cluster's sum: an answer every candidate yields has
+// the probability its clusters sum to.
+func ConsistentAnswers(r *CleanResult) *CleanResult {
+	return r.keep(func(p float64) bool { return value.ProbEq(p, 1) })
+}
 
 // String renders the result as an aligned table, probabilities last.
 func (r *CleanResult) String() string {

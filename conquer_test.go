@@ -257,6 +257,28 @@ func TestPublicAPIConsistentAnswers(t *testing.T) {
 	}
 }
 
+// An answer every candidate yields is certain, even where its cluster's
+// probabilities sum to 1 only within the tolerance Validate allows.
+func TestConsistentAnswersKeepAClusterThatSumsToOneWithinTolerance(t *testing.T) {
+	db := New()
+	db.MustCreateTable("t", Columns("v INT"), WithDirty("id", "prob"))
+	db.MustInsert("t", 1, "a", 0.5)
+	db.MustInsert("t", 2, "a", 0.5-5e-7)
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.CleanAnswers("select id from t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := res.Find("a"); !approx(p, 1-5e-7) {
+		t.Fatalf("P(a) = %v, want the cluster's sum", p)
+	}
+	if cons := ConsistentAnswers(res); len(cons.Answers) != 1 || cons.Answers[0].Values[0] != "a" {
+		t.Errorf("consistent answers %+v, want a", cons.Answers)
+	}
+}
+
 func TestPublicAPICSVRoundTrip(t *testing.T) {
 	db := paperDB(t)
 	dir := t.TempDir()

@@ -12,28 +12,28 @@ import (
 
 func TestCacheBudgetReserveRelease(t *testing.T) {
 	c := newTestCache(100)
-	c.PutResult("a", "v", "A", 60)
-	c.PutResult("b", "v", "B", 40)
+	putResult(c, "a", "v", "A", 60)
+	putResult(c, "b", "v", "B", 40)
 	if s := c.Stats(); s.Bytes != 100 || s.PeakBytes != 100 || s.MaxBytes != 100 {
 		t.Fatalf("bytes=%d peak=%d max=%d, want 100/100/100", s.Bytes, s.PeakBytes, s.MaxBytes)
 	}
 	// An entry over the whole budget is not admitted and leaves no charge
 	// behind (it does empty the tier looking for room).
-	c.PutResult("huge", "v", "X", 101)
-	if _, ok := c.GetResult("huge", "v"); ok {
+	putResult(c, "huge", "v", "X", 101)
+	if _, ok := getResult(c, "huge", "v"); ok {
 		t.Fatal("over-budget entry must not be admitted")
 	}
 	if s := c.Stats(); s.Bytes != 0 || s.Entries != 0 || s.PeakBytes != 100 {
 		t.Fatalf("after over-budget put: %+v", s)
 	}
 	// Replacing and invalidating an entry returns its bytes.
-	c.PutResult("a", "v", "A", 60)
-	c.PutResult("a", "v2", "A2", 30)
+	putResult(c, "a", "v", "A", 60)
+	putResult(c, "a", "v2", "A2", 30)
 	if s := c.Stats(); s.Bytes != 30 || s.Entries != 1 {
 		t.Fatalf("replacement leaked bytes: %+v", s)
 	}
-	c.PutResult("b", "v", "B", 60)
-	if _, ok := c.GetResult("a", "v3"); ok { // stale vector: entry dropped
+	putResult(c, "b", "v", "B", 60)
+	if _, ok := getResult(c, "a", "v3"); ok { // stale vector: entry dropped
 		t.Fatal("stale vector must miss")
 	}
 	if s := c.Stats(); s.Bytes != 60 || s.PeakBytes != 100 {
@@ -44,8 +44,8 @@ func TestCacheBudgetReserveRelease(t *testing.T) {
 func TestCacheBudgetZeroAdmitsNothing(t *testing.T) {
 	for _, max := range []int64{0, -1} {
 		c := newTestCache(max)
-		c.PutResult("a", "v", "A", 1)
-		if _, ok := c.GetResult("a", "v"); ok {
+		putResult(c, "a", "v", "A", 1)
+		if _, ok := getResult(c, "a", "v"); ok {
 			t.Fatalf("MaxBytes %d should admit nothing", max)
 		}
 		if s := c.Stats(); s.Bytes != 0 || s.PeakBytes != 0 || s.Entries != 0 {
@@ -63,7 +63,7 @@ func TestCacheBudgetConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.PutResult(fmt.Sprintf("%d/%d", w, i), "v", i, 1)
+				putResult(c, fmt.Sprintf("%d/%d", w, i), "v", i, 1)
 			}
 		}()
 	}

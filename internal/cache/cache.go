@@ -3,23 +3,29 @@
 // state — RewriteClean is a pure function of the query and the dirty
 // tables — so repeated queries over unchanged data can be answered
 // without touching the executor at all. The cache exploits that with
-// three tiers, each keyed by canonical SQL (sqlparse.Normalize) so
-// case- and whitespace-variant spellings of one query share an entry:
+// three tiers, the plan and result tiers keyed by canonical SQL
+// (sqlparse.Normalize) so case- and whitespace-variant spellings of one
+// query share an entry:
 //
-//	parse tier   raw SQL text -> parsed statement + normalized text.
-//	             Data-independent, never invalidated.
-//	plan tier    normalized SQL + planner options -> an engine-owned
-//	             prepared plan, validated against a version vector.
-//	result tier  normalized SQL + options + version vector -> the
-//	             materialized result, LRU-evicted under a byte budget
-//	             (Options.MaxBytes).
+//	parse tier   raw SQL text -> the engine's parsed statement and its
+//	             normal form. Data-independent, never invalidated.
+//	plan tier    normalized SQL -> an engine-owned prepared plan. A plan
+//	             reads no row, so no write invalidates it; the engine
+//	             drops one whose run failed.
+//	result tier  normalized SQL (or an evaluation's key) + version
+//	             vector -> the materialized result, LRU-evicted under a
+//	             byte budget (Options.MaxBytes).
+//
+// The three are one LRU map (tier) made three times: a result entry's
+// size is its bytes, a parse or plan entry's is 1, so those two tiers are
+// bounded by entry count (DefaultMaxParses, DefaultMaxPlans).
 //
 // Invalidation is a version-vector compare: storage tables carry a
 // monotonic mutation counter (storage.Table.Version), a query snapshots
-// the counters of every table it references before executing, and a hit
-// requires the snapshot to match the cached vector exactly. There are no
-// epochs and no TTLs — a stale entry can never be served because
-// versions only move forward.
+// the counters of every table it references before executing, and a
+// result hit requires the snapshot to match the cached vector exactly.
+// There are no epochs and no TTLs — a stale entry can never be served
+// because versions only move forward.
 //
 // Do provides singleflight deduplication: concurrent identical queries
 // over the same versions share one underlying execution instead of
@@ -70,92 +76,125 @@ type Options struct {
 // one database: keys do not name the database, so sharing a cache
 // between engines over different stores would alias their entries.
 type Cache struct {
-	mu       sync.Mutex
-	results  map[string]*list.Element // key -> LRU element (resultEntry)
-	resLRU   *list.List               // front = most recent
-	plans    map[string]*list.Element // key -> LRU element (planEntry)
-	planLRU  *list.List
-	parses   map[string]*list.Element // raw SQL -> LRU element (parseEntry)
-	parseLRU *list.List
-	flights  map[flightKey]*flight
-	// The result tier's byte budget: bytes held now, their high-water
-	// mark, and the capacity.
-	bytes, peakBytes, maxBytes int64
+	mu      sync.Mutex
+	parses  tier // raw SQL -> the engine's parsed statement
+	plans   tier // normalized SQL -> an engine-owned prepared plan
+	results tier // key -> a materialized result, under its version vector
+	flights map[flightKey]*flight
 
-	stats counters
-	met   metricSet
+	coalesced, executions count
 }
 
-// resultEntry is one result-tier entry.
-type resultEntry struct {
-	key   string
-	vv    string
-	val   any
-	bytes int64
+// count is one cumulative event count: the cache's own, which Stats
+// reads, and the process registry's, fed in the same step.
+type count struct {
+	n   atomic.Int64
+	reg *metrics.Counter // nil publishes nothing
 }
 
-// planEntry is one plan-tier entry; val is engine-owned.
-type planEntry struct {
-	key string
-	vv  string
-	val any
+func (c *count) inc() { c.n.Add(1); c.reg.Inc() }
+
+// tier is one LRU map: a key names an entry of some size, and the least
+// recently used entries go while the sizes sum past max. The caller
+// holds Cache.mu.
+type tier struct {
+	entries         map[string]*list.Element // key -> element holding an *entry
+	lru             list.List                // front = most recent
+	size, peak, max int64
+
+	hits, misses, evictions, invalidations count
+	sizeGauge, lenGauge                    *metrics.Gauge // nil publishes nothing
 }
 
-// parseEntry is one parse-tier entry.
-type parseEntry struct {
-	raw  string
-	val  any
-	norm string
+// entry is one tier entry. vv is its version vector: a result's, "" in
+// the parse and plan tiers.
+type entry struct {
+	key, vv string
+	val     any
+	size    int64
 }
 
-// counters is the cache's own cumulative accounting, kept separate from
-// the process registry so per-cache stats survive registry sharing.
-type counters struct {
-	parseHits, parseMisses   atomic.Int64
-	planHits, planMisses     atomic.Int64
-	resultHits, resultMisses atomic.Int64
-	evictions, invalidations atomic.Int64
-	coalesced, executions    atomic.Int64
+// init readies an empty tier bounded by max, publishing its hits and
+// misses as name+".hits" and name+".misses".
+func (t *tier) init(name string, max int64) {
+	t.entries = make(map[string]*list.Element)
+	t.max = max
+	t.hits.reg = metrics.Default.Counter(name + ".hits")
+	t.misses.reg = metrics.Default.Counter(name + ".misses")
 }
 
-// metricSet holds the registry counters the cache feeds; all pointers,
-// fetched once at construction (nil-safe by metrics' design).
-type metricSet struct {
-	parseHits, parseMisses   *metrics.Counter
-	planHits, planMisses     *metrics.Counter
-	resultHits, resultMisses *metrics.Counter
-	evictions, invalidations *metrics.Counter
-	coalesced, executions    *metrics.Counter
-	bytes, entries           *metrics.Gauge
+// get returns the value under key if its version vector is vv. An entry
+// under another vector is stale: it is removed, counted as an
+// invalidation, and the lookup is a miss.
+func (t *tier) get(key, vv string) (any, bool) {
+	if el, ok := t.entries[key]; ok {
+		if e := el.Value.(*entry); e.vv == vv {
+			t.lru.MoveToFront(el)
+			t.hits.inc()
+			return e.val, true
+		}
+		t.remove(el)
+		t.invalidations.inc()
+	}
+	t.misses.inc()
+	return nil, false
+}
+
+// put stores val under key and vv, replacing whatever the key held, after
+// evicting least recently used entries until it fits; a value larger
+// than the whole tier empties the tier and is not stored.
+func (t *tier) put(key, vv string, val any, size int64) {
+	if el, ok := t.entries[key]; ok {
+		t.remove(el)
+	}
+	for t.size+size > t.max {
+		last := t.lru.Back()
+		if last == nil {
+			return
+		}
+		t.remove(last)
+		t.evictions.inc()
+	}
+	t.size += size
+	t.peak = max(t.peak, t.size)
+	t.entries[key] = t.lru.PushFront(&entry{key: key, vv: vv, val: val, size: size})
+	t.publish()
+}
+
+// remove unlinks one entry and releases its size.
+func (t *tier) remove(el *list.Element) {
+	e := t.lru.Remove(el).(*entry)
+	delete(t.entries, e.key)
+	t.size -= e.size
+	t.publish()
+}
+
+// clear removes every entry; the counts stay.
+func (t *tier) clear() {
+	for el := t.lru.Back(); el != nil; el = t.lru.Back() {
+		t.remove(el)
+	}
+}
+
+func (t *tier) publish() {
+	t.sizeGauge.Set(t.size)
+	t.lenGauge.Set(int64(len(t.entries)))
 }
 
 // New creates a cache under opts.
 func New(opts Options) *Cache {
+	c := &Cache{flights: make(map[flightKey]*flight)}
+	c.parses.init("cache.parse", DefaultMaxParses)
+	c.plans.init("cache.plan", DefaultMaxPlans)
+	c.results.init("cache.result", opts.MaxBytes)
 	reg := metrics.Default
-	return &Cache{
-		maxBytes: opts.MaxBytes,
-		results:  make(map[string]*list.Element),
-		resLRU:   list.New(),
-		plans:    make(map[string]*list.Element),
-		planLRU:  list.New(),
-		parses:   make(map[string]*list.Element),
-		parseLRU: list.New(),
-		flights:  make(map[flightKey]*flight),
-		met: metricSet{
-			parseHits:     reg.Counter("cache.parse.hits"),
-			parseMisses:   reg.Counter("cache.parse.misses"),
-			planHits:      reg.Counter("cache.plan.hits"),
-			planMisses:    reg.Counter("cache.plan.misses"),
-			resultHits:    reg.Counter("cache.result.hits"),
-			resultMisses:  reg.Counter("cache.result.misses"),
-			evictions:     reg.Counter("cache.result.evictions"),
-			invalidations: reg.Counter("cache.result.invalidations"),
-			coalesced:     reg.Counter("cache.singleflight.coalesced"),
-			executions:    reg.Counter("cache.singleflight.executions"),
-			bytes:         reg.Gauge("cache.result.bytes"),
-			entries:       reg.Gauge("cache.result.entries"),
-		},
-	}
+	c.results.evictions.reg = reg.Counter("cache.result.evictions")
+	c.results.invalidations.reg = reg.Counter("cache.result.invalidations")
+	c.results.sizeGauge = reg.Gauge("cache.result.bytes")
+	c.results.lenGauge = reg.Gauge("cache.result.entries")
+	c.coalesced.reg = reg.Counter("cache.singleflight.coalesced")
+	c.executions.reg = reg.Counter("cache.singleflight.executions")
+	return c
 }
 
 // VersionVector snapshots the mutation counters of the named tables as
@@ -215,88 +254,33 @@ func SizeOfRows(cols []string, rows [][]value.Value) int64 {
 	return n
 }
 
-// --- parse tier -----------------------------------------------------------
-
-// GetParse returns the cached parse artifact for the raw query text: the
-// caller-stored value (a statement AST) and the normalized SQL.
-func (c *Cache) GetParse(raw string) (val any, norm string, ok bool) {
+// GetParse returns the parse artifact cached under the raw query text.
+func (c *Cache) GetParse(raw string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.parses[raw]
-	if !ok {
-		c.stats.parseMisses.Add(1)
-		c.met.parseMisses.Inc()
-		return nil, "", false
-	}
-	c.parseLRU.MoveToFront(el)
-	e := el.Value.(*parseEntry)
-	c.stats.parseHits.Add(1)
-	c.met.parseHits.Inc()
-	return e.val, e.norm, true
+	return c.parses.get(raw, "")
 }
 
 // PutParse stores a parse artifact under the raw query text.
-func (c *Cache) PutParse(raw string, val any, norm string) {
+func (c *Cache) PutParse(raw string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.parses[raw]; ok {
-		c.parseLRU.MoveToFront(el)
-		e := el.Value.(*parseEntry)
-		e.val, e.norm = val, norm
-		return
-	}
-	c.parses[raw] = c.parseLRU.PushFront(&parseEntry{raw: raw, val: val, norm: norm})
-	for len(c.parses) > DefaultMaxParses {
-		last := c.parseLRU.Back()
-		c.parseLRU.Remove(last)
-		delete(c.parses, last.Value.(*parseEntry).raw)
-	}
+	c.parses.put(raw, "", val, 1)
 }
 
-// --- plan tier ------------------------------------------------------------
-
-// GetPlan returns the plan artifact cached under key if its version
-// vector still matches vv; a stale entry is dropped and counts as an
-// invalidation.
-func (c *Cache) GetPlan(key, vv string) (any, bool) {
+// GetPlan returns the plan artifact cached under key.
+func (c *Cache) GetPlan(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.plans[key]
-	if ok {
-		e := el.Value.(*planEntry)
-		if e.vv == vv {
-			c.planLRU.MoveToFront(el)
-			c.stats.planHits.Add(1)
-			c.met.planHits.Inc()
-			return e.val, true
-		}
-		c.planLRU.Remove(el)
-		delete(c.plans, key)
-		c.stats.invalidations.Add(1)
-		c.met.invalidations.Inc()
-	}
-	c.stats.planMisses.Add(1)
-	c.met.planMisses.Inc()
-	return nil, false
+	return c.plans.get(key, "")
 }
 
-// PutPlan stores a plan artifact under key and version vector vv,
-// replacing any previous entry for the key.
-func (c *Cache) PutPlan(key, vv string, val any) {
+// PutPlan stores a plan artifact under key, replacing any previous entry
+// for the key.
+func (c *Cache) PutPlan(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.plans[key]; ok {
-		c.planLRU.MoveToFront(el)
-		e := el.Value.(*planEntry)
-		e.vv, e.val = vv, val
-		return
-	}
-	c.plans[key] = c.planLRU.PushFront(&planEntry{key: key, vv: vv, val: val})
-	for len(c.plans) > DefaultMaxPlans {
-		last := c.planLRU.Back()
-		c.planLRU.Remove(last)
-		delete(c.plans, last.Value.(*planEntry).key)
-	}
+	c.plans.put(key, "", val, 1)
 }
 
 // DropPlan removes the plan cached under key (the engine calls it when a
@@ -304,82 +288,9 @@ func (c *Cache) PutPlan(key, vv string, val any) {
 func (c *Cache) DropPlan(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.plans[key]; ok {
-		c.planLRU.Remove(el)
-		delete(c.plans, key)
+	if el, ok := c.plans.entries[key]; ok {
+		c.plans.remove(el)
 	}
-}
-
-// --- result tier ----------------------------------------------------------
-
-// GetResult returns the result cached under key if its version vector
-// matches vv. A vector mismatch deletes the stale entry (its bytes are
-// reclaimed immediately) and reports a miss.
-func (c *Cache) GetResult(key, vv string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupLocked(key, vv)
-}
-
-// lookupLocked is GetResult under c.mu — shared with Do, whose
-// check-then-register must be atomic.
-func (c *Cache) lookupLocked(key, vv string) (any, bool) {
-	el, ok := c.results[key]
-	if ok {
-		e := el.Value.(*resultEntry)
-		if e.vv == vv {
-			c.resLRU.MoveToFront(el)
-			c.stats.resultHits.Add(1)
-			c.met.resultHits.Inc()
-			return e.val, true
-		}
-		c.removeResultLocked(el)
-		c.stats.invalidations.Add(1)
-		c.met.invalidations.Inc()
-	}
-	c.stats.resultMisses.Add(1)
-	c.met.resultMisses.Inc()
-	return nil, false
-}
-
-// PutResult admits a result of the given byte size under key and version
-// vector vv. Least-recently-used entries are evicted until the byte
-// budget admits the newcomer; a result larger than the whole budget is
-// simply not cached.
-func (c *Cache) PutResult(key, vv string, val any, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putResultLocked(key, vv, val, bytes)
-}
-
-func (c *Cache) putResultLocked(key, vv string, val any, bytes int64) {
-	if el, ok := c.results[key]; ok {
-		c.removeResultLocked(el) // replace whatever vintage was there
-	}
-	for c.bytes+bytes > c.maxBytes {
-		last := c.resLRU.Back()
-		if last == nil {
-			return // larger than the whole budget: don't cache
-		}
-		c.removeResultLocked(last)
-		c.stats.evictions.Add(1)
-		c.met.evictions.Inc()
-	}
-	c.bytes += bytes
-	c.peakBytes = max(c.peakBytes, c.bytes)
-	c.results[key] = c.resLRU.PushFront(&resultEntry{key: key, vv: vv, val: val, bytes: bytes})
-	c.met.bytes.Set(c.bytes)
-	c.met.entries.Set(int64(len(c.results)))
-}
-
-// removeResultLocked unlinks one result entry and releases its bytes.
-func (c *Cache) removeResultLocked(el *list.Element) {
-	e := el.Value.(*resultEntry)
-	c.resLRU.Remove(el)
-	delete(c.results, e.key)
-	c.bytes -= e.bytes
-	c.met.bytes.Set(c.bytes)
-	c.met.entries.Set(int64(len(c.results)))
 }
 
 // Clear drops every entry in every tier (the `\cache clear` command).
@@ -387,13 +298,9 @@ func (c *Cache) removeResultLocked(el *list.Element) {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.resLRU.Back() != nil {
-		c.removeResultLocked(c.resLRU.Back())
-	}
-	c.plans = make(map[string]*list.Element)
-	c.planLRU.Init()
-	c.parses = make(map[string]*list.Element)
-	c.parseLRU.Init()
+	c.results.clear()
+	c.plans.clear()
+	c.parses.clear()
 }
 
 // Stats is a point-in-time snapshot of the cache.
@@ -401,15 +308,20 @@ type Stats struct {
 	ParseHits, ParseMisses   int64
 	PlanHits, PlanMisses     int64
 	ResultHits, ResultMisses int64
-	Evictions                int64
-	Invalidations            int64
-	Coalesced                int64
+	// Evictions counts result-tier entries dropped to make room under
+	// the byte budget.
+	Evictions int64
+	// Invalidations counts result-tier entries found stale — their
+	// version vector no longer the tables' — and dropped by the lookup.
+	Invalidations int64
+	Coalesced     int64
 	// Executions counts underlying query executions started through Do —
 	// the denominator the singleflight tests pin down.
 	Executions int64
 	// Bytes/MaxBytes/PeakBytes describe the result tier's byte budget.
 	Bytes, MaxBytes, PeakBytes int64
-	// Entries and Plans are current result- and plan-tier entry counts.
+	// Entries, Plans and Parses are the result, plan and parse tiers'
+	// current entry counts.
 	Entries, Plans, Parses int
 }
 
@@ -418,22 +330,22 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		ParseHits:     c.stats.parseHits.Load(),
-		ParseMisses:   c.stats.parseMisses.Load(),
-		PlanHits:      c.stats.planHits.Load(),
-		PlanMisses:    c.stats.planMisses.Load(),
-		ResultHits:    c.stats.resultHits.Load(),
-		ResultMisses:  c.stats.resultMisses.Load(),
-		Evictions:     c.stats.evictions.Load(),
-		Invalidations: c.stats.invalidations.Load(),
-		Coalesced:     c.stats.coalesced.Load(),
-		Executions:    c.stats.executions.Load(),
-		Bytes:         c.bytes,
-		MaxBytes:      c.maxBytes,
-		PeakBytes:     c.peakBytes,
-		Entries:       len(c.results),
-		Plans:         len(c.plans),
-		Parses:        len(c.parses),
+		ParseHits:     c.parses.hits.n.Load(),
+		ParseMisses:   c.parses.misses.n.Load(),
+		PlanHits:      c.plans.hits.n.Load(),
+		PlanMisses:    c.plans.misses.n.Load(),
+		ResultHits:    c.results.hits.n.Load(),
+		ResultMisses:  c.results.misses.n.Load(),
+		Evictions:     c.results.evictions.n.Load(),
+		Invalidations: c.results.invalidations.n.Load(),
+		Coalesced:     c.coalesced.n.Load(),
+		Executions:    c.executions.n.Load(),
+		Bytes:         c.results.size,
+		MaxBytes:      c.results.max,
+		PeakBytes:     c.results.peak,
+		Entries:       len(c.results.entries),
+		Plans:         len(c.plans.entries),
+		Parses:        len(c.parses.entries),
 	}
 }
 

@@ -18,43 +18,57 @@ func newTestCache(maxBytes int64) *Cache {
 	return New(Options{MaxBytes: maxBytes})
 }
 
+// getResult and putResult reach the result tier under the cache's lock,
+// as Do does: a lookup, and an admission under the byte budget.
+func getResult(c *Cache, key, vv string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.results.get(key, vv)
+}
+
+func putResult(c *Cache, key, vv string, val any, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.results.put(key, vv, val, bytes)
+}
+
 func TestResultTierHitMissAndVersionInvalidation(t *testing.T) {
 	c := newTestCache(1 << 20)
-	if _, ok := c.GetResult("q1", "t=0"); ok {
+	if _, ok := getResult(c, "q1", "t=0"); ok {
 		t.Fatal("empty cache should miss")
 	}
-	c.PutResult("q1", "t=0", "res0", 100)
-	if v, ok := c.GetResult("q1", "t=0"); !ok || v.(string) != "res0" {
+	putResult(c, "q1", "t=0", "res0", 100)
+	if v, ok := getResult(c, "q1", "t=0"); !ok || v.(string) != "res0" {
 		t.Fatalf("hit = %v %v", v, ok)
 	}
 	// A changed version vector is a miss, and drops the stale entry.
-	if _, ok := c.GetResult("q1", "t=1"); ok {
+	if _, ok := getResult(c, "q1", "t=1"); ok {
 		t.Fatal("stale vector must miss")
 	}
 	if s := c.Stats(); s.Invalidations != 1 || s.Entries != 0 || s.Bytes != 0 {
 		t.Fatalf("stats after invalidation: %+v", s)
 	}
-	c.PutResult("q1", "t=1", "res1", 100)
-	if v, ok := c.GetResult("q1", "t=1"); !ok || v.(string) != "res1" {
+	putResult(c, "q1", "t=1", "res1", 100)
+	if v, ok := getResult(c, "q1", "t=1"); !ok || v.(string) != "res1" {
 		t.Fatalf("fresh entry should hit: %v %v", v, ok)
 	}
 }
 
 func TestResultTierByteBudgetLRUEviction(t *testing.T) {
 	c := newTestCache(250)
-	c.PutResult("a", "v", "A", 100)
-	c.PutResult("b", "v", "B", 100)
-	if _, ok := c.GetResult("a", "v"); !ok { // touch a: b becomes LRU
+	putResult(c, "a", "v", "A", 100)
+	putResult(c, "b", "v", "B", 100)
+	if _, ok := getResult(c, "a", "v"); !ok { // touch a: b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.PutResult("c", "v", "C", 100) // 300 > 250: evicts b
-	if _, ok := c.GetResult("b", "v"); ok {
+	putResult(c, "c", "v", "C", 100) // 300 > 250: evicts b
+	if _, ok := getResult(c, "b", "v"); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := c.GetResult("a", "v"); !ok {
+	if _, ok := getResult(c, "a", "v"); !ok {
 		t.Fatal("a (recently used) should survive")
 	}
-	if _, ok := c.GetResult("c", "v"); !ok {
+	if _, ok := getResult(c, "c", "v"); !ok {
 		t.Fatal("c (newcomer) should be cached")
 	}
 	s := c.Stats()
@@ -64,57 +78,61 @@ func TestResultTierByteBudgetLRUEviction(t *testing.T) {
 	if s.Bytes != 200 || s.Entries != 2 {
 		t.Fatalf("bytes=%d entries=%d, want 200/2", s.Bytes, s.Entries)
 	}
-	// An entry larger than the whole budget is not admitted (and evicts
-	// nothing that would have to make room for a lost cause).
-	c.PutResult("huge", "v", "X", 1000)
-	if _, ok := c.GetResult("huge", "v"); ok {
+	// An entry larger than the whole budget is not admitted (it empties
+	// the tier looking for room).
+	putResult(c, "huge", "v", "X", 1000)
+	if _, ok := getResult(c, "huge", "v"); ok {
 		t.Fatal("oversized entry must not be cached")
 	}
 }
 
-func TestPlanTierVersionValidationAndCap(t *testing.T) {
+// The plan tier is bounded by entry count and keeps a plan until it is
+// evicted or dropped: no version vector is asked of it.
+func TestPlanTierCap(t *testing.T) {
 	c := New(Options{})
-	c.PutPlan("p1", "t=0", "plan1")
-	if v, ok := c.GetPlan("p1", "t=0"); !ok || v.(string) != "plan1" {
+	c.PutPlan("p1", "plan1")
+	if v, ok := c.GetPlan("p1"); !ok || v.(string) != "plan1" {
 		t.Fatalf("plan hit = %v %v", v, ok)
 	}
-	if _, ok := c.GetPlan("p1", "t=9"); ok {
-		t.Fatal("stale plan must miss")
-	}
-	c.PutPlan("p1", "t=0", "plan1")
 	for i := 2; i <= DefaultMaxPlans+1; i++ { // one past the cap: p1 is LRU, evicted
-		c.PutPlan(fmt.Sprintf("p%d", i), "t=0", "plan")
+		c.PutPlan(fmt.Sprintf("p%d", i), "plan")
 	}
-	if _, ok := c.GetPlan("p1", "t=0"); ok {
+	if _, ok := c.GetPlan("p1"); ok {
 		t.Fatal("plan tier should cap at DefaultMaxPlans")
 	}
-	if _, ok := c.GetPlan("p2", "t=0"); !ok {
+	if _, ok := c.GetPlan("p2"); !ok {
 		t.Fatal("the plans within the cap should be present")
 	}
 	newest := fmt.Sprintf("p%d", DefaultMaxPlans+1)
-	if _, ok := c.GetPlan(newest, "t=0"); !ok {
+	if _, ok := c.GetPlan(newest); !ok {
 		t.Fatal("newest plan should be present")
 	}
 	c.DropPlan(newest)
-	if _, ok := c.GetPlan(newest, "t=0"); ok {
+	if _, ok := c.GetPlan(newest); ok {
 		t.Fatal("DropPlan should remove the entry")
+	}
+	if s := c.Stats(); s.Plans != DefaultMaxPlans-1 || s.Evictions != 0 || s.Invalidations != 0 {
+		t.Fatalf("stats %+v: want %d plans, and no result-tier eviction or invalidation", s, DefaultMaxPlans-1)
 	}
 }
 
 func TestParseTier(t *testing.T) {
 	c := New(Options{})
-	c.PutParse("select  1", "stmt", "SELECT 1")
-	if v, norm, ok := c.GetParse("select  1"); !ok || v.(string) != "stmt" || norm != "SELECT 1" {
-		t.Fatalf("parse hit = %v %q %v", v, norm, ok)
+	c.PutParse("select  1", "stmt")
+	if v, ok := c.GetParse("select  1"); !ok || v.(string) != "stmt" {
+		t.Fatalf("parse hit = %v %v", v, ok)
 	}
 	for i := 2; i <= DefaultMaxParses+1; i++ { // one past the cap: q1 is LRU, evicted
-		c.PutParse(fmt.Sprintf("q%d", i), "s", "n")
+		c.PutParse(fmt.Sprintf("q%d", i), "s")
 	}
-	if _, _, ok := c.GetParse("q2"); !ok {
+	if _, ok := c.GetParse("q2"); !ok {
 		t.Fatal("q2 should survive (q1 was LRU)")
 	}
-	if _, _, ok := c.GetParse("select  1"); ok {
+	if _, ok := c.GetParse("select  1"); ok {
 		t.Fatal("parse tier should cap at DefaultMaxParses")
+	}
+	if s := c.Stats(); s.Parses != DefaultMaxParses {
+		t.Fatalf("%d parses, want %d", s.Parses, DefaultMaxParses)
 	}
 }
 
@@ -242,10 +260,10 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 
 func TestClearDropsEntriesKeepsStats(t *testing.T) {
 	c := newTestCache(1 << 20)
-	c.PutResult("q", "v", "r", 100)
-	c.PutPlan("q", "v", "p")
-	c.PutParse("q", "s", "n")
-	c.GetResult("q", "v")
+	putResult(c, "q", "v", "r", 100)
+	c.PutPlan("q", "p")
+	c.PutParse("q", "s")
+	getResult(c, "q", "v")
 	c.Clear()
 	s := c.Stats()
 	if s.Entries != 0 || s.Plans != 0 || s.Parses != 0 || s.Bytes != 0 {
@@ -254,7 +272,7 @@ func TestClearDropsEntriesKeepsStats(t *testing.T) {
 	if s.ResultHits != 1 {
 		t.Fatal("clear should preserve cumulative stats")
 	}
-	if _, ok := c.GetResult("q", "v"); ok {
+	if _, ok := getResult(c, "q", "v"); ok {
 		t.Fatal("cleared entry should miss")
 	}
 }
@@ -303,7 +321,7 @@ func TestSizeOfRows(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	c := newTestCache(1000)
-	c.PutResult("q", "v", "r", 10)
+	putResult(c, "q", "v", "r", 10)
 	out := c.Stats().String()
 	for _, want := range []string{"result tier", "plan tier", "parse tier", "singleflight"} {
 		if !strings.Contains(out, want) {
@@ -324,16 +342,18 @@ func TestConcurrentMixedOperations(t *testing.T) {
 				vv := fmt.Sprintf("t=%d", i%3)
 				switch i % 4 {
 				case 0:
-					c.PutResult(key, vv, i, 50)
+					putResult(c, key, vv, i, 50)
 				case 1:
-					c.GetResult(key, vv)
+					getResult(c, key, vv)
 				case 2:
 					_, _, _ = c.Do(context.Background(), key, vv, func() (any, int64, error) {
 						return i, 50, nil
 					})
 				case 3:
-					c.PutPlan(key, vv, i)
-					c.GetPlan(key, vv)
+					c.PutPlan(key, i)
+					c.GetPlan(key)
+					c.PutParse(vv, i)
+					c.GetParse(vv)
 				}
 			}
 		}(w)

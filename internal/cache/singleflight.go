@@ -42,7 +42,7 @@ func (c *Cache) Do(ctx context.Context, key, vv string, fn func() (val any, byte
 	fk := flightKey{key, vv}
 	for {
 		c.mu.Lock()
-		if v, ok := c.lookupLocked(key, vv); ok {
+		if v, ok := c.results.get(key, vv); ok {
 			c.mu.Unlock()
 			return v, true, nil
 		}
@@ -58,21 +58,19 @@ func (c *Cache) Do(ctx context.Context, key, vv string, fn func() (val any, byte
 				// hits a freshly cached value or elects a new leader).
 				continue
 			}
-			c.stats.coalesced.Add(1)
-			c.met.coalesced.Inc()
+			c.coalesced.inc()
 			return f.val, true, nil
 		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[fk] = f
-		c.stats.executions.Add(1)
-		c.met.executions.Inc()
+		c.executions.inc()
 		c.mu.Unlock()
 
 		v, bytes, err := fn()
 		c.mu.Lock()
 		delete(c.flights, fk)
 		if err == nil {
-			c.putResultLocked(key, vv, v, bytes)
+			c.results.put(key, vv, v, bytes)
 		}
 		c.mu.Unlock()
 		f.val, f.err = v, err

@@ -160,9 +160,7 @@ func TestOnePlanServesEveryWorkerCount(t *testing.T) {
 		runs = append(runs, res)
 		if i == 0 {
 			// The test's own lookup of the tree, not counted below.
-			norm := sqlparse.MustParse(q).SQL()
-			vv, _ := cache.VersionVector(db, []string{"t1"})
-			v, ok := c.GetPlan(norm, vv)
+			v, ok := c.GetPlan(sqlparse.MustParse(q).SQL())
 			if !ok {
 				t.Fatal("step 0 cached no plan")
 			}
@@ -252,8 +250,7 @@ func TestConcurrentIdenticalQueriesExecuteOnce(t *testing.T) {
 
 func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	// A byte budget too small for any result: every query re-executes,
-	// but the prepared operator tree is reused as long as the version
-	// vector holds.
+	// but the prepared operator tree is reused, before a write and after.
 	c := cache.New(cache.Options{MaxBytes: 1})
 	e := NewWithOptions(figure2DB(t), Options{Cache: c, Parallelism: 1})
 	const q = "select count(*) from customer"
@@ -278,8 +275,9 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	if s.Executions != 2 {
 		t.Fatalf("executions = %d, want 2 (results never admitted)", s.Executions)
 	}
-	// A mutation invalidates the prepared plan as well — index presence
-	// changes planning, so plans refresh on any version bump.
+	// A write leaves the prepared plan valid: planning reads no row, and
+	// the tree reads the table's size again each time it opens, so the
+	// insert's row is counted by the tree planned before it.
 	tb, _ := e.db.Table("customer")
 	tb.MustInsert(value.Str("c9"), value.Str("m9"), value.Str("Zoe"), value.Float(1), value.Float(1))
 	r3, err := e.QueryCtx(context.Background(), q)
@@ -288,6 +286,10 @@ func TestPlanTierServesRepeatsWhenResultsDoNotFit(t *testing.T) {
 	}
 	if r3.Rows[0][0].AsInt() != 5 {
 		t.Fatalf("count after insert = %v, want 5", r3.Rows[0][0])
+	}
+	if after := c.Stats(); after.PlanMisses != 1 || after.PlanHits <= s.PlanHits || after.Plans != 1 {
+		t.Fatalf("after the insert: %d plan misses, %d plan hits (%d before), %d plans; want 1 miss, more hits, 1 plan",
+			after.PlanMisses, after.PlanHits, s.PlanHits, after.Plans)
 	}
 }
 
@@ -354,8 +356,9 @@ func TestResultHitAllocationFloor(t *testing.T) {
 		})
 	}
 	fromText := hit(func() (*Result, error) { return e.QueryCtx(ctx, q) })
-	stmt, _, _ := c.GetParse(q)
-	fromStmt := hit(func() (*Result, error) { return e.QueryStmtCtx(ctx, stmt.(*sqlparse.SelectStmt)) })
+	v, _ := c.GetParse(q)
+	stmt := v.(*parsed).stmt
+	fromStmt := hit(func() (*Result, error) { return e.QueryStmtCtx(ctx, stmt) })
 	t.Logf("a hit allocates %.0f times from SQL text, %.0f from a statement", fromText, fromStmt)
 	if fromText > 3 || fromStmt > 4 {
 		t.Errorf("a hit allocates %.0f times from SQL text and %.0f from a statement, ceilings 3 and 4", fromText, fromStmt)

@@ -120,24 +120,32 @@ type Stats struct {
 	Batches int64
 }
 
+// parsed is a parse-tier entry: a statement and its normal form, the
+// text its plan and result keys are.
+type parsed struct {
+	stmt *sqlparse.SelectStmt
+	norm string
+}
+
 // QueryCtx parses, plans and executes sql under ctx and the engine's
 // limits. Cancellation, timeout and budget overruns surface as qerr
 // taxonomy errors. With a cache attached, the parse tier serves repeated
 // raw query texts without re-parsing or re-printing: it holds the
-// statement and its normal form, the text the result key is built on.
-// Cached statements are shared and never mutated downstream.
+// statement and its normal form. Cached statements are shared and never
+// mutated downstream.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	if c := e.opts.Cache; c != nil {
-		if v, norm, ok := c.GetParse(sql); ok {
-			return e.queryStmt(ctx, v.(*sqlparse.SelectStmt), norm)
+		v, ok := c.GetParse(sql)
+		if !ok {
+			stmt, err := sqlparse.Parse(sql)
+			if err != nil {
+				return nil, err
+			}
+			v = &parsed{stmt, stmt.SQL()}
+			c.PutParse(sql, v)
 		}
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		norm := stmt.SQL()
-		c.PutParse(sql, stmt, norm)
-		return e.queryStmt(ctx, stmt, norm)
+		p := v.(*parsed)
+		return e.queryStmt(ctx, p.stmt, p.norm)
 	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -185,7 +193,7 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	ctx, cancel := e.opts.Limits.WithContext(ctx)
 	defer cancel()
 	if e.opts.Cache == nil {
-		return e.executeStmt(ctx, stmt, nil, "", "")
+		return e.executeStmt(ctx, stmt, nil, "")
 	}
 	if norm == "" {
 		norm = stmt.SQL()
@@ -194,10 +202,10 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, norm 
 	if !ok {
 		// An unresolvable table: bypass the cache so planning reports
 		// the ordinary error.
-		return e.executeStmt(ctx, stmt, nil, "", "")
+		return e.executeStmt(ctx, stmt, nil, "")
 	}
 	v, shared, err := e.opts.Cache.Do(ctx, norm, vv, func() (any, int64, error) {
-		r, err := e.executeStmt(ctx, stmt, e.opts.Cache, norm, vv)
+		r, err := e.executeStmt(ctx, stmt, e.opts.Cache, norm)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -324,18 +332,20 @@ func (p *Prepared) Report(ctx context.Context, err error, elapsed time.Duration)
 }
 
 // executeStmt plans and executes stmt. When c is non-nil the plan tier
-// is consulted under (key, vv): a valid Prepared skips parse→plan entirely
-// and is re-opened on this engine's worker count, whichever engine planned
-// it; otherwise the fresh one is cached for the next execution, in its
-// place. One that errors mid-execution is dropped. The checkout guards the
-// tree against a second concurrent run, which Cache.Do's singleflight
-// already rules out for one (key, version vector): a failed checkout is
-// not expected, and it plans a tree of its own rather than share one.
-func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, c *cache.Cache, key, vv string) (*Result, error) {
+// is consulted under key: a cached Prepared skips planning and is
+// re-opened on this engine's worker count, whichever engine planned it
+// and whatever was written since — a plan reads no row, and every size it
+// runs on is read again when it opens (DESIGN.md §11). Otherwise the fresh
+// one is cached for the next execution, in its place. One that errors
+// mid-execution is dropped. The checkout guards the tree against a second
+// concurrent run: Cache.Do's singleflight rules that out for one (key,
+// version vector), but runs over two versions of a table may overlap, and
+// then the second plans a tree of its own.
+func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, c *cache.Cache, key string) (*Result, error) {
 	start := time.Now()
 	var prep *Prepared
 	if c != nil {
-		if v, ok := c.GetPlan(key, vv); ok && v.(*Prepared).checkout() {
+		if v, ok := c.GetPlan(key); ok && v.(*Prepared).checkout() {
 			prep = v.(*Prepared)
 		}
 	}
@@ -346,7 +356,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, c *
 		}
 		prep.checkout()
 		if c != nil {
-			c.PutPlan(key, vv, prep)
+			c.PutPlan(key, prep)
 		}
 	}
 	planTime := time.Since(start)

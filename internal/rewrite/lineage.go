@@ -48,48 +48,57 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 	if err != nil {
 		return nil, err
 	}
-	// read[i][j]: the statement reads column j of FROM position i.
-	read := make([][]bool, len(sc))
-	for i, s := range sc {
-		read[i] = make([]bool, len(s.rel.Columns))
-	}
-	var refs []*sqlparse.ColumnRef
-	collect := func(x sqlparse.Expr) bool {
-		if cr, ok := x.(*sqlparse.ColumnRef); ok {
-			refs = append(refs, cr)
+	for _, it := range stmt.Select {
+		if !it.Star && sqlparse.HasAggregate(it.Expr) {
+			return nil, fmt.Errorf("rewrite: a statement aggregating %s has no lineage query", it.Expr.SQL())
 		}
-		return true
+	}
+	// read[at[i]+j]: the statement reads column j of FROM position i. One
+	// block serves every position; it and the offsets at[i] sit on the
+	// stack for a FROM list of up to eight positions and 128 columns.
+	var fewAt [8]int
+	var fewRead [128]bool
+	at, width := fewAt[:0], 0
+	for _, s := range sc {
+		at = append(at, width)
+		width += len(s.rel.Columns)
+	}
+	read := fewRead[:]
+	if width > len(read) {
+		read = make([]bool, width)
+	}
+	read = read[:width]
+	collect := func(x sqlparse.Expr) bool {
+		if cr, ok := x.(*sqlparse.ColumnRef); ok && err == nil {
+			var pos, col int
+			if pos, col, err = sc.resolve(cr); err == nil {
+				read[at[pos]+col] = true
+			}
+		}
+		return err == nil
 	}
 	for _, it := range stmt.Select {
 		if it.Star {
-			for _, cols := range read {
-				for j := range cols {
-					cols[j] = true
-				}
+			for i := range read {
+				read[i] = true
 			}
 			continue
-		}
-		if sqlparse.HasAggregate(it.Expr) {
-			return nil, fmt.Errorf("rewrite: a statement aggregating %s has no lineage query", it.Expr.SQL())
 		}
 		sqlparse.WalkExpr(it.Expr, collect)
 	}
 	sqlparse.WalkExpr(stmt.Where, collect)
-	for _, cr := range refs {
-		pos, col, err := sc.resolve(cr)
-		if err != nil {
-			return nil, err
-		}
-		read[pos][col] = true
+	if err != nil {
+		return nil, err
 	}
 
-	// Counted first, the lineage columns get room in the cloned select list
-	// and one block for their references.
-	room := 0
+	// Counted first, the lineage columns get room in the cloned select
+	// list, their names one block and their references another.
+	room, dirty := 0, 0
 	for i, s := range sc {
 		if rel := s.rel; rel.IsDirty() {
-			read[i][rel.IdentifierIndex()] = true
-			for _, r := range read[i] {
+			dirty++
+			read[at[i]+rel.IdentifierIndex()] = true
+			for _, r := range read[at[i] : at[i]+len(rel.Columns)] {
 				if r {
 					room++
 				}
@@ -98,20 +107,22 @@ func Lineage(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*LineageQuery, err
 	}
 	out := stmt.CloneWithRoom(room)
 	out.Distinct, out.OrderBy = false, nil
-	lq := &LineageQuery{Stmt: out}
+	lq := &LineageQuery{Stmt: out, Aliases: make([]LineageAlias, 0, dirty)}
+	names := make([]string, 0, room)
 	cols := make([]sqlparse.ColumnRef, 0, room)
 	for i, s := range sc {
 		rel := s.rel
 		if !rel.IsDirty() {
 			continue
 		}
-		id := rel.IdentifierIndex()
-		la := LineageAlias{Relation: rel.Name, Columns: []string{rel.Identifier}}
+		id, first := rel.IdentifierIndex(), len(names)
+		names = append(names, rel.Identifier)
 		for j, c := range rel.Columns {
-			if read[i][j] && j != id {
-				la.Columns = append(la.Columns, c.Name)
+			if read[at[i]+j] && j != id {
+				names = append(names, c.Name)
 			}
 		}
+		la := LineageAlias{Relation: rel.Name, Columns: names[first:len(names):len(names)]}
 		for _, c := range la.Columns {
 			cols = append(cols, sqlparse.ColumnRef{Qualifier: s.alias, Name: c})
 			out.Select = append(out.Select, sqlparse.SelectItem{Expr: &cols[len(cols)-1]})
