@@ -17,19 +17,19 @@ func TestCacheBudgetReserveRelease(t *testing.T) {
 	if s := c.Stats(); s.Bytes != 100 || s.PeakBytes != 100 || s.MaxBytes != 100 {
 		t.Fatalf("bytes=%d peak=%d max=%d, want 100/100/100", s.Bytes, s.PeakBytes, s.MaxBytes)
 	}
-	// An entry over the whole budget is not admitted and leaves no charge
-	// behind (it does empty the tier looking for room).
+	// An entry over the whole budget is not admitted, leaves no charge
+	// behind and evicts nothing looking for room.
 	putResult(c, "huge", "v", "X", 101)
 	if _, ok := getResult(c, "huge", "v"); ok {
 		t.Fatal("over-budget entry must not be admitted")
 	}
-	if s := c.Stats(); s.Bytes != 0 || s.Entries != 0 || s.PeakBytes != 100 {
+	if s := c.Stats(); s.Bytes != 100 || s.Entries != 2 || s.PeakBytes != 100 || s.Evictions != 0 {
 		t.Fatalf("after over-budget put: %+v", s)
 	}
 	// Replacing and invalidating an entry returns its bytes.
 	putResult(c, "a", "v", "A", 60)
 	putResult(c, "a", "v2", "A2", 30)
-	if s := c.Stats(); s.Bytes != 30 || s.Entries != 1 {
+	if s := c.Stats(); s.Bytes != 70 || s.Entries != 2 {
 		t.Fatalf("replacement leaked bytes: %+v", s)
 	}
 	putResult(c, "b", "v", "B", 60)

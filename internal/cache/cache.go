@@ -142,10 +142,13 @@ func (t *tier) get(key, vv string) (any, bool) {
 
 // put stores val under key and vv, replacing whatever the key held, after
 // evicting least recently used entries until it fits; a value larger
-// than the whole tier empties the tier and is not stored.
+// than the whole tier is not stored and evicts nothing.
 func (t *tier) put(key, vv string, val any, size int64) {
 	if el, ok := t.entries[key]; ok {
 		t.remove(el)
+	}
+	if size > t.max {
+		return
 	}
 	for t.size+size > t.max {
 		last := t.lru.Back()

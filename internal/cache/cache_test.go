@@ -78,11 +78,14 @@ func TestResultTierByteBudgetLRUEviction(t *testing.T) {
 	if s.Bytes != 200 || s.Entries != 2 {
 		t.Fatalf("bytes=%d entries=%d, want 200/2", s.Bytes, s.Entries)
 	}
-	// An entry larger than the whole budget is not admitted (it empties
-	// the tier looking for room).
+	// An entry larger than the whole budget is not admitted, and evicts
+	// nothing looking for room.
 	putResult(c, "huge", "v", "X", 1000)
 	if _, ok := getResult(c, "huge", "v"); ok {
 		t.Fatal("oversized entry must not be cached")
+	}
+	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {
+		t.Fatalf("after an oversized put: evictions=%d entries=%d, want 1/2", s.Evictions, s.Entries)
 	}
 }
 

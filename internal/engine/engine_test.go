@@ -319,7 +319,7 @@ func TestQueryAggregateReordering(t *testing.T) {
 // Parallelism 1 is serial whatever the inert Shards says: over a table
 // of several morsels a scan, a grouped aggregate and a join run without a
 // morsel claim, and their plans show no parallel operator: a Gather only
-// as Gather[n=1], which passes its child's rows straight through.
+// as Gather[n=1], which runs its child as the one part of its split.
 func TestParallelismOneIsSerialAtEveryShardCount(t *testing.T) {
 	db := storage.NewDB()
 	intTable(t, db, "t1", 3*exec.DefaultMorselSize)

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"conquer/internal/value"
@@ -289,46 +290,60 @@ func mergeRuns[T any](outs []runs[T], g *Governor) ([]T, error) {
 }
 
 // materialized is implemented by the operators that hold their whole
-// output once open (Sort, HashAggregate, a parallel Gather). handOver
-// gives the consumer the rows not yet emitted, with the operator's stats
-// to count them out on, and ok false when the operator streams after all
-// (a serial Gather). The vector is the consumer's from then on: its
-// producer never writes it again, and its next Open builds a fresh one
-// (DESIGN.md §15, "Hand-over").
+// output once open (Sort, HashAggregate, Gather). handOver gives the
+// consumer the rows not yet emitted, with the operator's stats to count
+// them out on. The vector is the consumer's from then on: its producer
+// never writes it again, and its next Open builds a fresh one (DESIGN.md
+// §15, "Hand-over").
 type materialized interface {
-	handOver() (rows [][]value.Value, s *OpStats, ok bool)
+	handOver() (rows [][]value.Value, s *OpStats)
 }
 
-// drainRows opens op, pulls all its rows under g and closes it: the one
-// drain under Sort and at the root. each is called once per batch-sized run
-// of rows, after a poll, with the run's length: per batch of a streaming
-// op, per size rows of a vector a materialized op hands over whole. The
-// runs, and with them every reservation, counter and failure point, are the
-// same either way; what differs is that a handed-over vector is not copied
-// and a streamed one is copied once, through runs. size is the batch's
-// row capacity. An empty result is nil.
-func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([][]value.Value, error) {
-	if err := op.Open(); err != nil {
+// openKeeping opens op for a consumer that uses at most keep of its rows.
+// An operator that can stop short then is told: a Gather stops its parts
+// once each holds keep rows, a Limit passes the fewer of N and keep down.
+// The switch is on concrete types: an interface assertion would add an
+// entry per operator type to the runtime's itab table.
+func openKeeping(op Operator, keep int) error {
+	switch op := op.(type) {
+	case *Gather:
+		return op.openKeeping(keep)
+	case *Limit:
+		return op.openKeeping(keep)
+	}
+	return op.Open()
+}
+
+// drainRows opens op for a consumer that uses at most keep of its rows,
+// pulls all its rows under g and closes it: the one drain under Sort and
+// at the root. each is called once per batch-sized run of rows, after a
+// poll, with the run's length: per batch of a streaming op, per size rows
+// of a vector a materialized op hands over whole. The runs, and with them
+// every reservation, counter and failure point, are the same either way;
+// what differs is that a handed-over vector is not copied and a streamed
+// one is copied once, through runs. size is the batch's row capacity. An
+// empty result is nil.
+func drainRows(op Operator, g *Governor, size, keep int, each func(n int64) error) ([][]value.Value, error) {
+	if err := openKeeping(op, keep); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	if m, ok := op.(materialized); ok {
-		if rows, s, ok := m.handOver(); ok {
-			for lo := 0; lo < len(rows); lo += size {
-				if err := g.PollBatch(); err != nil {
-					return nil, err
-				}
-				n := int64(min(size, len(rows)-lo))
-				s.addOut(n)
-				if err := each(n); err != nil {
-					return nil, err
-				}
+		rows, s := m.handOver()
+		for lo := 0; lo < len(rows); lo += size {
+			if err := g.PollBatch(); err != nil {
+				return nil, err
 			}
-			if len(rows) == 0 {
-				return nil, nil
+			n := int64(min(size, len(rows)-lo))
+			s.addOut(n)
+			if err := each(n); err != nil {
+				return nil, err
 			}
-			return rows, nil
 		}
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		return rows, nil
 	}
 	b := NewBatch(size)
 	var out runs[[]value.Value]
@@ -356,7 +371,7 @@ func drainRows(op Operator, g *Governor, size int, each func(n int64) error) ([]
 // still counts into the returned total so the caller's Close releases
 // exactly what was charged.
 func drainBatches(op Operator, g *Governor, s *OpStats) (rows [][]value.Value, reserved int64, err error) {
-	rows, err = drainRows(op, g, batchSize, func(n int64) error {
+	rows, err = drainRows(op, g, batchSize, math.MaxInt, func(n int64) error {
 		s.addIn(n)
 		s.addBuffered(n)
 		reserved += n
@@ -370,7 +385,11 @@ func drainBatches(op Operator, g *Governor, s *OpStats) (rows [][]value.Value, r
 // batches the root produced. size is the root batch's row capacity
 // (<= 0 means the package batch size).
 func CollectBatchesGoverned(op Operator, g *Governor, size int) (rows [][]value.Value, batches int64, err error) {
-	rows, err = drainRows(op, g, ResolveBatchSize(size), func(n int64) error {
+	keep := math.MaxInt // a root uses one row past the output budget: that row fails the run
+	if m := g.limits.MaxOutputRows; m > 0 {
+		keep = int(max(m-g.shared.output.Load(), 0)) + 1
+	}
+	rows, err = drainRows(op, g, ResolveBatchSize(size), keep, func(n int64) error {
 		batches++
 		return g.CountOutputN(n)
 	})

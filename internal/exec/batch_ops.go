@@ -472,8 +472,8 @@ func (s *Sort) NextBatch(b *Batch) error {
 	return nil
 }
 
-func (s *Sort) handOver() ([][]value.Value, *OpStats, bool) {
-	return handOverRows(&s.rows, &s.pos), s.stats, true
+func (s *Sort) handOver() ([][]value.Value, *OpStats) {
+	return handOverRows(&s.rows, &s.pos), s.stats
 }
 
 // NextBatch emits the finished group rows batch-at-a-time.
@@ -485,33 +485,21 @@ func (a *HashAggregate) NextBatch(b *Batch) error {
 	return nil
 }
 
-func (a *HashAggregate) handOver() ([][]value.Value, *OpStats, bool) {
-	return handOverRows(&a.out, &a.pos), a.stats, true
+func (a *HashAggregate) handOver() ([][]value.Value, *OpStats) {
+	return handOverRows(&a.out, &a.pos), a.stats
 }
 
-// NextBatch passes batches through in serial mode and emits the
-// reassembled rows otherwise. The batches counter is owned by the worker
-// loop (one per morsel run), so emission does not bump it.
+// NextBatch emits the reassembled rows batch-at-a-time. The batches
+// counter is owned by fillPart (one per morsel run), so emission does not
+// bump it.
 func (g *Gather) NextBatch(b *Batch) error {
 	if err := g.gov.PollBatch(); err != nil {
 		return err
-	}
-	if g.serial {
-		if err := g.Child.NextBatch(b); err != nil {
-			return err
-		}
-		n := int64(b.Len())
-		g.stats.addIn(n)
-		g.stats.addOut(n)
-		return nil
 	}
 	emitMaterialized(b, g.rows, &g.pos, g.stats)
 	return nil
 }
 
-func (g *Gather) handOver() ([][]value.Value, *OpStats, bool) {
-	if g.serial {
-		return nil, nil, false
-	}
-	return handOverRows(&g.rows, &g.pos), g.stats, true
+func (g *Gather) handOver() ([][]value.Value, *OpStats) {
+	return handOverRows(&g.rows, &g.pos), g.stats
 }

@@ -41,13 +41,12 @@ func sortOverGather(t testing.TB, probe, build *storage.Table) *Sort {
 	return mustOp[*Sort](t)(NewSort(g, []SortKey{SortKeyPos(0, true)}))
 }
 
-// A result is buffered once: a Gather's workers — or, when it runs
-// serially, the drain above it — copy the row headers into blocks that
-// double, the reassembly copies them into one vector of exactly the
-// result's size, and Sort and the collector take that vector over instead
-// of copying it; Sort orders it in place, keeping no key of its own. So
-// doubling the output rows of a Sort over a Gather over a fan-out join
-// adds, per extra row, what the row itself costs — its joined value — plus
+// A result is buffered once: a Gather's parts copy the row headers into
+// blocks that double, the reassembly copies them into one vector of
+// exactly the result's size, and Sort and the collector take that vector
+// over instead of copying it; Sort orders it in place, keeping no key of
+// its own. So doubling the output rows of a Sort over a Gather over a
+// fan-out join adds, per extra row, what the row itself costs — its joined value — plus
 // its header in the vector and its header in the blocks, which cost one
 // to two times what they hold (the merge orders a Gather's runs by the
 // morsel each is tagged with, so no row carries its ordinal there):

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
@@ -242,6 +243,61 @@ func TestOpaqueBuildSideKeepsThePlainGrid(t *testing.T) {
 	requireSameRows(t, want, got)
 	if len(g.workerMorsels) != 1 || g.workerMorsels[0] != 1 {
 		t.Errorf("workers claimed %v morsels, want one worker claiming the one morsel", g.workerMorsels)
+	}
+}
+
+// watchedGather records the vector its Gather holds once open, so that a
+// test can tell whether the collector took that vector over.
+type watchedGather struct {
+	*Gather
+	vec *[]value.Value
+}
+
+func (w *watchedGather) Open() error {
+	err := w.Gather.Open()
+	w.vec = unsafe.SliceData(w.rows)
+	return err
+}
+
+// On one worker every consumer runs its pipeline as the one part of its
+// split, and only the aggregate cuts that part on the grid a split would
+// claim, so that its float sums fold over the workers' units: over the
+// tables of TestSmallDrivingTableOverLargeBuildStillSplits its driving scan
+// claims morselRows' morsels, while the join build and a root Gather read
+// their scans as one morsel each, and the collector takes the Gather's
+// merged vector over instead of copying it.
+func TestOnlyTheAggregateCutsItsSerialPart(t *testing.T) {
+	tb, big := dirtyFact(t, 200), dirtyFact(t, 3000)
+	join := func() (*HashJoin, *Scan, *Scan) {
+		f, d := NewScan(tb, "f"), NewScan(big, "d")
+		j := mustOp[*HashJoin](t)(NewHashJoin(f, d, exprs(colRef("f", "k")), exprs(colRef("d", "k")), nil))
+		return j, f, d
+	}
+
+	j, f, d := join()
+	a := mustOp[*HashAggregate](t)(NewHashAggregate(j, nil, nil,
+		[]AggSpec{{Func: AggCount, Col: ColInfo{Name: "n", Type: value.KindInt}}}))
+	runGoverned(t, a, 1, 0)
+	size := morselRows(j)
+	if want := (tb.Len() + size - 1) / size; want < 2 || f.claims != want {
+		t.Errorf("the aggregate's driving scan claimed %d morsels, want the %d of %d rows on the grid", f.claims, want, size)
+	}
+	if d.claims != 1 {
+		t.Errorf("the join build's scan under the aggregate claimed %d morsels, want 1", d.claims)
+	}
+
+	j, f, d = join()
+	g := &watchedGather{Gather: NewGather(j)}
+	governOn(g.Gather, 1)
+	rows, _, err := CollectBatchesGoverned(g, g.gov, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.claims != 1 || d.claims != 1 {
+		t.Errorf("under a Gather the driving scan claimed %d morsels and the build's %d, want 1 each", f.claims, d.claims)
+	}
+	if len(rows) == 0 || unsafe.SliceData(rows) != g.vec {
+		t.Errorf("the collector did not take the Gather's vector of %d rows over", len(rows))
 	}
 }
 

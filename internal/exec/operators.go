@@ -892,9 +892,14 @@ func (a *HashAggregate) emit(order []*aggState) error {
 // split (the child itself, unless it splits) folds into an accumulator of
 // its own, several merge, and a group's float sums fold in morsel order,
 // so a SUM or AVG has the same bits at every worker count and in every run.
+// The one part's driving scan is cut on the grid a split would claim, so
+// that its fold units are the workers' (DESIGN.md §9).
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
 	sp := splitFor(a.Child, a.workers(), a.stats)
+	if sp.leaf != nil {
+		sp.leaf.grid = morselRows(a.Child)
+	}
 	a.accs = slots(&a.one, &sp)
 	defer func() { clear(a.accs); a.accs = nil }() // emitted, the states die
 	if err := sp.run(a.gov, a); err != nil {
@@ -1168,26 +1173,18 @@ func (s *Sort) Open() error {
 		}
 		defer s.Child.Close()
 		h := &topHeap{s: s}
-		bb := NewBatch(batchSize)
 		seq := 0
-		for {
-			if err := s.gov.PollBatch(); err != nil {
-				return err
-			}
-			if err := s.Child.NextBatch(bb); err != nil {
-				return err
-			}
-			n := bb.Len()
-			if n == 0 {
-				break
-			}
-			s.stats.addIn(int64(n))
-			for i := 0; i < n; i++ {
-				if err := s.offer(h, bb.Row(i), seq); err != nil {
+		err := pull(s.Child, nil, s.gov, NewBatch(batchSize), s.stats, func(b *Batch, _ int) error {
+			for i, n := 0, b.Len(); i < n; i++ {
+				if err := s.offer(h, b.Row(i), seq); err != nil {
 					return err
 				}
 				seq++
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		items := h.items
 		slices.SortFunc(items, s.compareKept)
@@ -1296,8 +1293,14 @@ func NewLimit(child Operator, n int) *Limit { return &Limit{Child: child, N: n} 
 
 func (l *Limit) Schema() RowSchema { return l.Child.Schema() }
 
-// Open resets the counter.
-func (l *Limit) Open() error { l.stats.markOpen(); l.emitted = 0; return l.Child.Open() }
+// Open resets the counter and opens the child for its first N rows.
+func (l *Limit) Open() error { return l.openKeeping(math.MaxInt) }
+
+func (l *Limit) openKeeping(keep int) error {
+	l.stats.markOpen()
+	l.emitted = 0
+	return openKeeping(l.Child, min(l.N, keep))
+}
 
 func (l *Limit) Close() error { l.stats.markDone(); return l.Child.Close() }
 

@@ -9,7 +9,7 @@
 // which the Governor carries, not the tree. Three operators consume the
 // parts of a split:
 //
-//   - Gather runs N parts to completion and re-emits their rows in
+//   - Gather runs the parts to completion and re-emits their rows in
 //     base-table row order, so a parallel scan→filter→project plan
 //     produces exactly the serial row order.
 //   - HashJoin builds its hash table from the parts of its right input
@@ -19,19 +19,20 @@
 //     merges them in a final phase, folding each group's float sums
 //     morsel by morsel in morsel order.
 //
-// The join build and the aggregate run a pipeline that does not split as
-// the one part of its split: the template tree itself, on the same grid,
-// on the caller's goroutine, so the serial pass folds what the workers
-// fold. Every worker of a split runs in a qerr.Pool and polls a Governor
-// it forks from its operator's under the pool's context (fresh poll
-// ticker, shared budget): the first worker error (or a cancellation)
-// drains the pool, and panics cross goroutine boundaries only through
-// qerr.Recover.
+// All three run a pipeline that does not split as the one part of its
+// split: the template tree itself, on the caller's goroutine, read as one
+// morsel, except under the aggregate, which cuts it on the split's grid so
+// that the serial pass folds what the workers fold. Every worker of a
+// split runs in a qerr.Pool and polls a Governor it forks from its
+// operator's under the pool's context (fresh poll ticker, shared budget):
+// the first worker error (or a cancellation) drains the pool, and panics
+// cross goroutine boundaries only through qerr.Recover.
 package exec
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -264,19 +265,15 @@ type split struct {
 
 // splitFor is the split a consumer running on n workers, whose stats
 // are s, runs op as: splitPipeline's when opensSplit says so, and
-// otherwise op itself as the one part, its driving scan on morselRows'
-// grid, so that its batches fall on the morsels a split would claim
-// (DESIGN.md §9). An op that is no pipeline runs whole, as one morsel.
+// otherwise op itself as the one part, which reads its driving scan as
+// one morsel unless the consumer cuts it on a grid (HashAggregate does,
+// DESIGN.md §9). An op that is no pipeline runs whole, as one morsel.
 func splitFor(op Operator, n int, s *OpStats) split {
 	if opensSplit(op, n, s) {
 		parts, leaves := splitPipeline(op, n)
 		return split{parts: parts, leaves: leaves}
 	}
-	sp := split{op: op, leaf: drivingScan(op)}
-	if sp.leaf != nil {
-		sp.leaf.grid = morselRows(op)
-	}
-	return sp
+	return split{op: op, leaf: drivingScan(op)}
 }
 
 // A partFiller consumes the parts of a split: fillPart pulls part w,
@@ -362,27 +359,30 @@ func slots[T any](one *[1]T, sp *split) []T {
 // Gather
 // ---------------------------------------------------------------------------
 
-// Gather is the exchange operator: it runs a partial pipeline per worker
-// of the run to completion on worker goroutines and re-emits their rows in
-// base-table row order, so its output order (and content) matches the
-// serial plan row-for-row. When the child cannot split (or the run has one
-// worker) it degenerates to a transparent pass-through.
+// Gather is the exchange operator: it runs its child as a split over the
+// run's workers, as the join build and the aggregate do, and re-emits the
+// rows in base-table row order, so its output order (and content) matches
+// the serial plan row-for-row. When the child cannot split (or the run has
+// one worker) the child runs whole, as the one part of its split.
 //
-// The reassembly buffer is not charged against MaxBufferedRows: it holds
-// exactly the rows the client is about to receive, which MaxOutputRows
-// already governs; charging them would make a streaming query's budget
-// depend on its degree of parallelism.
+// Under a Limit, or at the root of a run with an output budget, each part
+// stops once it holds the rows its consumer can use (openKeeping). The
+// reassembly buffer is not charged against MaxBufferedRows: a Sort above
+// takes it over and charges it, and a Distinct or TopN charges only the
+// rows it keeps, so that DISTINCT over a large table with few distinct
+// rows fits a budget its input does not.
 type Gather struct {
 	Child Operator
 
 	govHolder
 	statsHolder
-	serial bool
-	rows   [][]value.Value
-	pos    int
-	outs   []runs[[]value.Value] // each worker's rows, while Open runs
+	rows [][]value.Value
+	pos  int
+	keep int                   // the rows a part may stop at, while Open runs
+	outs []runs[[]value.Value] // each part's rows, while Open runs
+	one  [1]runs[[]value.Value]
 	// workerMorsels[w] is how many morsels worker w claimed during the
-	// last parallel Open; EXPLAIN ANALYZE reports it per worker.
+	// last split Open; EXPLAIN ANALYZE reports it per worker.
 	workerMorsels []int64
 }
 
@@ -393,59 +393,66 @@ func NewGather(child Operator) *Gather {
 
 func (g *Gather) Schema() RowSchema { return g.Child.Schema() }
 
-// Open splits the child and runs the partial pipelines to completion
-// when opensSplit says so; the reassembly makes a split result identical
-// to the serial scan at any worker count.
-func (g *Gather) Open() error {
+// Open runs the parts of the child's split to completion, each collecting
+// its rows in runs tagged by the morsel that produced them, and merges the
+// runs in morsel order: the one part's row order at any worker count.
+func (g *Gather) Open() error { return g.openKeeping(math.MaxInt) }
+
+// openKeeping is Open with each part stopping once it holds keep rows. The
+// merge still begins with the one part's first keep rows: a part claims
+// morsels in ascending order, so a row no part reached follows the keep
+// rows some part holds.
+func (g *Gather) openKeeping(keep int) error {
 	g.stats.markOpen()
-	g.rows, g.pos, g.workerMorsels = nil, 0, nil
-	if n := g.workers(); opensSplit(g.Child, n, g.stats) {
-		g.serial = false
-		outs, err := g.runParts(splitPipeline(g.Child, n))
-		if err == nil {
-			g.rows, err = mergeRuns(outs, g.gov)
-		}
-		return err
-	}
-	g.serial = true
-	return g.Child.Open()
-}
-
-// runParts drives the parts to completion on workers and closes them;
-// worker w collects its rows into outs[w], in runs tagged by the morsel
-// that produced them.
-func (g *Gather) runParts(parts []Operator, leaves []*Scan) ([]runs[[]value.Value], error) {
-	g.outs = make([]runs[[]value.Value], len(parts))
-	sp := split{parts: parts, leaves: leaves}
+	g.rows, g.pos, g.keep = nil, 0, keep
+	sp := splitFor(g.Child, g.workers(), g.stats)
+	g.outs = slots(&g.one, &sp)
 	err := sp.run(g.gov, g)
-	outs := g.outs
-	g.outs = nil
-	g.workerMorsels = make([]int64, len(leaves))
-	for w, leaf := range leaves {
-		g.workerMorsels[w] = int64(leaf.claims)
+	if err == nil {
+		g.rows, err = mergeRuns(g.outs, g.gov)
 	}
-	return outs, err
+	g.outs, g.one = nil, [1]runs[[]value.Value]{}
+	g.workerMorsels = claims(sp.leaves)
+	return err
 }
 
-// fillPart collects part w's rows into outs[w], counting a batch per morsel.
+// claims returns how many morsels each of a split's leaves claimed: none
+// for the one part, which has no workers to report.
+func claims(leaves []*Scan) []int64 {
+	out := make([]int64, len(leaves))
+	for w, leaf := range leaves {
+		out[w] = int64(leaf.claims)
+	}
+	return out
+}
+
+// errKept stops a part's pull once the part holds the rows its Gather keeps.
+var errKept = errors.New("exec: gather part holds its keep")
+
+// fillPart collects part w's rows into outs[w], counting a batch per
+// morsel, until the part ends or holds g.keep rows.
 func (g *Gather) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
-	cur := -1
-	return pull(part, leaf, gov, NewBatch(batchSize), g.stats, func(b *Batch, m int) error {
+	cur, held := -1, 0
+	err := pull(part, leaf, gov, NewBatch(batchSize), g.stats, func(b *Batch, m int) error {
 		if m != cur {
 			cur = m
 			g.stats.incBatch()
 		}
 		addBatch(&g.outs[w], m, b)
+		if held += b.Len(); held >= g.keep {
+			return errKept
+		}
 		return nil
 	})
+	if errors.Is(err, errKept) {
+		return nil
+	}
+	return err
 }
 
 func (g *Gather) Close() error {
 	g.stats.markDone()
 	g.rows = nil
-	if g.serial {
-		return g.Child.Close()
-	}
 	return nil
 }
 
@@ -470,7 +477,8 @@ type joinBuild struct {
 	rk    []operand
 	stats *OpStats // owning HashJoin's stats: right rows count as its input
 
-	once     onceErr
+	once     sync.Once
+	err      error // the build's, which every part's Open returns
 	refs     atomic.Int32
 	reserved atomic.Int64
 	entries  []buildEntry
@@ -478,13 +486,6 @@ type joinBuild struct {
 	mask     uint64             // len(heads) - 1
 	outs     []runs[buildEntry] // each part's entries while the build runs
 	one      [1]runs[buildEntry]
-}
-
-// onceErr is a sync.Once that remembers the error of its single run.
-type onceErr struct {
-	done atomic.Bool
-	mu   sync.Mutex
-	err  error
 }
 
 func newJoinBuild(right Operator, rk []operand, refs int, stats *OpStats) *joinBuild {
@@ -496,17 +497,8 @@ func newJoinBuild(right Operator, rk []operand, refs int, stats *OpStats) *joinB
 // run executes the build exactly once under the first caller's governor;
 // concurrent callers block until it finishes and share its error.
 func (b *joinBuild) run(gov *Governor) error {
-	if b.once.done.Load() {
-		return b.once.err
-	}
-	b.once.mu.Lock()
-	defer b.once.mu.Unlock()
-	if b.once.done.Load() {
-		return b.once.err
-	}
-	b.once.err = b.build(gov)
-	b.once.done.Store(true)
-	return b.once.err
+	b.once.Do(func() { b.err = b.build(gov) })
+	return b.err
 }
 
 // lookup returns the link to the first entry of hash h's bucket.
@@ -567,20 +559,15 @@ func (b *joinBuild) build(gov *Governor) error {
 	return nil
 }
 
-// fillPart drains part w into outs[w].
+// fillPart pulls part w's rows under gov and adds to outs[w] every row
+// whose build keys are not NULL, as an entry carrying the keys' hash, in
+// runs tagged by morsel. It reserves once per batch. Rows added before a
+// mid-batch evaluation error were never reserved, so the refcounted
+// release stays balanced without a compensating charge.
 func (b *joinBuild) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
-	return b.drain(part, leaf, gov, &b.outs[w])
-}
-
-// drain pulls op's rows under gov and adds to out every row whose build
-// keys are not NULL, as an entry carrying the keys' hash, in runs tagged
-// by morsel. It reserves once per batch. Rows added before a mid-batch
-// evaluation error were never reserved, so the refcounted release stays
-// balanced without a compensating charge.
-func (b *joinBuild) drain(op Operator, leaf *Scan, gov *Governor, out *runs[buildEntry]) error {
 	var keySlab valueSlab // retained buildEntry keys carve per-slab, not per-row
-	nk := len(b.rk)
-	return pull(op, leaf, gov, NewBatch(batchSize), b.stats, func(bb *Batch, m int) error {
+	nk, out := len(b.rk), &b.outs[w]
+	return pull(part, leaf, gov, NewBatch(batchSize), b.stats, func(bb *Batch, m int) error {
 		n := bb.Len()
 		var kept int64
 		for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -176,9 +177,10 @@ func TestGatherMatchesSerialScanPipeline(t *testing.T) {
 	}
 }
 
-func TestGatherSerialFallback(t *testing.T) {
+// A child that is no pipeline (here a Sort) cannot split: Gather runs it
+// whole, as the one part of its split, and re-emits its rows unchanged.
+func TestGatherRunsNonPipelineChildAsOnePart(t *testing.T) {
 	fact, _ := parTables(t, 100)
-	// A Sort child is not splittable: Gather must pass through untouched.
 	srt, err := NewSort(NewScan(fact, "f"), []SortKey{SortKeyPos(0, true)})
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +218,61 @@ func TestGatherOverJoinMatchesSerial(t *testing.T) {
 	g := NewGather(buildJoin(t, fact, dim, 0))
 	setMorselSize(t, 64)
 	requireSameRows(t, want, mustCollectOn(t, g, 4))
+}
+
+// A Gather holds no more rows than its consumer can use. Under a Limit
+// each part stops once it holds the limit's rows, and what the parts hold
+// still begins with the serial plan's first rows: on one worker a Limit(5)
+// over a 50,000-row scan reads one batch, and over a fan-out join every
+// worker count returns the serial prefix while reading part of the table.
+func TestGatherUnderLimitStopsEarly(t *testing.T) {
+	sc := NewScan(dirtyFact(t, 50000), "f")
+	rows, _ := runGoverned(t, NewLimit(NewGather(sc), 5), 1, 0)
+	if read := sc.stats.RowsOut(); len(rows) != 5 || read > int64(batchSize) {
+		t.Errorf("Limit(5) over a one-worker Gather returned %d rows and read %d, want 5 and at most one batch of %d", len(rows), read, batchSize)
+	}
+
+	fact, dim := parTables(t, 3000)
+	want := mustCollect(t, buildJoin(t, fact, dim, 0))
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, limit := range []int{0, 1, 37, 1000, len(want) + 1} {
+			j := buildJoin(t, fact, dim, 0)
+			setMorselSize(t, 64)
+			got := mustCollectOn(t, NewLimit(NewGather(j), limit), n)
+			requireSameRows(t, want[:min(limit, len(want))], got)
+			if read := j.Left.opStats().RowsOut(); limit <= 37 && read >= int64(fact.Len()) {
+				t.Errorf("workers=%d: Limit(%d) over a Gather read all %d driving rows", n, limit, read)
+			}
+		}
+	}
+}
+
+// At the root of a run with an output budget a Gather holds one row past
+// what the budget admits: a capped SELECT * over 50,000 rows fails after
+// each worker read one morsel, not the table, and a result that fits the
+// budget exactly still passes.
+func TestGatherAtRootStopsPastTheOutputBudget(t *testing.T) {
+	tb := dirtyFact(t, 50000)
+	run := func(op Operator, n int) ([][]value.Value, error) {
+		gov := NewGovernor(context.Background(), Limits{MaxOutputRows: 100})
+		gov.SetWorkers(n)
+		Attach(op, gov)
+		rows, _, err := CollectBatchesGoverned(op, gov, 0)
+		return rows, err
+	}
+	for _, n := range []int{1, 4} {
+		sc := NewScan(tb, "f")
+		if _, err := run(NewGather(sc), n); !errors.Is(err, qerr.ErrBudgetExceeded) {
+			t.Fatalf("workers=%d: err = %v, want the output budget exceeded", n, err)
+		}
+		if read := sc.stats.RowsOut(); read > int64(n*morselSize) {
+			t.Errorf("workers=%d: the capped Gather read %d rows before it failed, want at most %d", n, read, n*morselSize)
+		}
+		rows, err := run(NewLimit(NewGather(NewScan(tb, "f")), 100), n)
+		if err != nil || len(rows) != 100 {
+			t.Errorf("workers=%d: Limit(100) under a budget of 100 returned %d rows, err %v", n, len(rows), err)
+		}
+	}
 }
 
 func buildAgg(t testing.TB, fact *storage.Table, morsel int) *HashAggregate {
@@ -375,10 +432,12 @@ func TestSplitGatherRunsFollowTheMorselGrid(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		g := NewGather(NewScan(fact, "f"))
 		governOn(g, workers)
-		outs, err := g.runParts(splitPipeline(g.Child, workers))
-		if err != nil {
+		sp := splitFor(g.Child, workers, g.stats)
+		g.outs, g.keep = slots(&g.one, &sp), math.MaxInt
+		if err := sp.run(g.gov, g); err != nil {
 			t.Fatal(err)
 		}
+		outs := g.outs
 		got := make([][][]value.Value, morsels) // the rows collected per morsel
 		owner := make([]int, morsels)           // the collecting worker, plus one
 		for w, o := range outs {

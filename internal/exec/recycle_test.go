@@ -145,9 +145,12 @@ func TestRowLifetime(t *testing.T) {
 		// Forwarders, under a retainer and under a copier.
 		{"Sort over Filter", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(filter(c), byNameDesc(c))) }},
 		{"Sort over Limit", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewLimit(c, 20), byNameDesc(c))) }},
-		{"Sort over serial Gather", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewGather(c), byNameDesc(c))) }},
 		{"HashAggregate over Filter", 1, func(c Operator) Operator { return agg(filter(c)) }},
 		{"HashAggregate over Limit", 1, func(c Operator) Operator { return agg(NewLimit(c, 20)) }},
+		// A Gather on one worker (serial: its child is the one part of its
+		// split), a retainer like the parallel one, under a retainer and
+		// under a copier.
+		{"Sort over serial Gather", 1, func(c Operator) Operator { return mustOp[*Sort](t)(NewSort(NewGather(c), byNameDesc(c))) }},
 		{"HashAggregate over serial Gather", 1, func(c Operator) Operator { return agg(NewGather(c)) }},
 		// Two producers stacked, as in a join tree.
 		{"HashAggregate over Project over HashJoin probe", 1, func(c Operator) Operator {

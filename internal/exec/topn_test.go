@@ -224,8 +224,8 @@ func TestSortAndTopNKeyVectorsAreNotPerRow(t *testing.T) {
 }
 
 // handedOver is a materialized operator over rows built beforehand: it
-// hands its vector to the Sort above it as HashAggregate or a parallel
-// Gather would, at no cost of its own.
+// hands its vector to the Sort above it as HashAggregate or Gather
+// would, at no cost of its own.
 type handedOver struct {
 	govHolder
 	statsHolder
@@ -242,10 +242,10 @@ func (h *handedOver) NextBatch(b *Batch) error {
 	emitMaterialized(b, h.rows, &h.pos, h.stats)
 	return nil
 }
-func (h *handedOver) handOver() ([][]value.Value, *OpStats, bool) {
+func (h *handedOver) handOver() ([][]value.Value, *OpStats) {
 	rows := h.rows
 	h.rows = nil
-	return rows, h.stats, true
+	return rows, h.stats
 }
 
 // A full sort orders the rows where they sit: it compares the keys inside

@@ -106,7 +106,7 @@ func (p *planner) plan() (exec.Operator, error) {
 	// Parallelize a splittable pipeline root (scan→filter→project plans;
 	// aggregate plans instead parallelize inside HashAggregate) with a
 	// Gather exchange below DISTINCT/ORDER BY/LIMIT. It is planned at every
-	// worker count: a run on one worker passes straight through it.
+	// worker count: a run on one worker runs the pipeline as its one part.
 	if exec.CanSplit(root) {
 		root = exec.NewGather(root)
 	}

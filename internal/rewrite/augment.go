@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"strings"
-
 	"conquer/internal/schema"
 	"conquer/internal/sqlparse"
 )
@@ -29,7 +27,7 @@ func Augment(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (aug *sqlparse.Sele
 	if a.Rewritable {
 		return stmt, false, nil
 	}
-	if !onlyCondition4(a.Reasons) || a.Root == "" {
+	if !a.rootUnselected || len(a.Reasons) != 1 {
 		return nil, false, &NotRewritableError{Reasons: a.Reasons}
 	}
 	// Prepend the root identifier and check the result.
@@ -46,17 +44,4 @@ func Augment(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (aug *sqlparse.Sele
 		return nil, false, &NotRewritableError{Reasons: a2.Reasons}
 	}
 	return aug, true, nil
-}
-
-// onlyCondition4 reports whether every violation cites condition 4.
-func onlyCondition4(reasons []string) bool {
-	if len(reasons) == 0 {
-		return false
-	}
-	for _, r := range reasons {
-		if !strings.Contains(r, "condition 4") {
-			return false
-		}
-	}
-	return true
 }

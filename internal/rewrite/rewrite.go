@@ -56,6 +56,9 @@ type Analysis struct {
 	Reasons    []string
 
 	rootRel *schema.Relation // the relation Root ranges over
+	// rootUnselected records that condition 4 failed: the identifier of
+	// Root is not in the select clause, which Augment repairs.
+	rootUnselected bool
 }
 
 // Analyze classifies stmt against the catalog and checks the conditions of
@@ -182,6 +185,7 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 		// must appear in the select clause.
 		a.Root, a.rootRel = sc[root].alias, sc[root].rel
 		if !g.identifierSelected(stmt, root) {
+			a.rootUnselected = true
 			fail("the identifier of root relation %s is not in the select clause (condition 4 of Dfn 7)", a.Root)
 		}
 	}
