@@ -125,3 +125,85 @@ func bitPattern(rows [][]value.Value) string {
 	}
 	return b.String()
 }
+
+// A GROUP BY on the identifier of a dirty table stored in identifier order
+// streams: the grid's marks move to cluster boundaries, so each cluster's
+// rows lie in one morsel and its SUM adds them left to right, one bit
+// pattern at every worker count. The clusters hold 2 to 10 rows whose
+// values span twelve orders of magnitude, and some straddle a plain
+// morsel mark, where the morsel-order fold would read other bits.
+func TestStreamingAggregateSumsEachClusterLeftToRight(t *testing.T) {
+	const n, runs = 20000, 5
+	size := exec.DefaultMorselSize
+	rel := schema.MustRelation("t",
+		schema.Column{Name: "id", Type: value.KindInt},
+		schema.Column{Name: "f", Type: value.KindFloat},
+		schema.Column{Name: "prob", Type: value.KindFloat},
+	)
+	if err := rel.SetDirty("id", "prob"); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDB()
+	tb := db.MustCreateTable(rel)
+	rng := rand.New(rand.NewSource(5))
+	var want []float64 // each cluster's rows added left to right
+	straddling, foldsOtherwise := 0, 0
+	for id := 0; tb.Len() < n; id++ {
+		k := 2 + rng.Intn(9)
+		first := tb.Len()
+		sum, before, after := 0.0, 0.0, 0.0 // before and after the plain mark
+		for j := 0; j < k; j++ {
+			f := rng.Float64() * math.Pow(10, float64(rng.Intn(12)-6))
+			tb.MustInsert(value.Int(int64(id)), value.Float(f), value.Float(1/float64(k)))
+			sum += f
+			if (first+j)/size == first/size {
+				before += f
+			} else {
+				after += f
+			}
+		}
+		want = append(want, sum)
+		if first/size != (tb.Len()-1)/size {
+			straddling++
+			if math.Float64bits(before+after) != math.Float64bits(sum) {
+				foldsOtherwise++
+			}
+		}
+	}
+	if !tb.Ordered() {
+		t.Fatal("the table is stored in identifier order but lacks the bit")
+	}
+	if foldsOtherwise == 0 {
+		t.Fatalf("none of %d clusters straddling a morsel mark folds to other bits per morsel; the data cannot tell the two folds apart", straddling)
+	}
+
+	const q = "select id, sum(f) from t group by id"
+	for _, par := range []int{1, 2, 8} {
+		eng := NewWithOptions(db, Options{Parallelism: par})
+		plan, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "runs=id") {
+			t.Fatalf("parallelism %d: the aggregate names no run column:\n%s", par, plan)
+		}
+		for run := 0; run < runs; run++ {
+			res, err := eng.QueryCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != len(want) {
+				t.Fatalf("parallelism %d: %d groups, want %d", par, len(res.Rows), len(want))
+			}
+			for i, row := range res.Rows {
+				if row[0].AsInt() != int64(i) {
+					t.Fatalf("parallelism %d: group %d is cluster %v; want first-appearance order", par, i, row[0])
+				}
+				if got := row[1].AsFloat(); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("parallelism %d run %d: cluster %d sums to %016x, left to right %016x",
+						par, run, i, math.Float64bits(got), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

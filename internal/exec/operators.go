@@ -30,7 +30,8 @@ type Scan struct {
 	schema RowSchema
 	cursor *morselCursor // &own, or the cursor of the split the scan is a part of
 	own    morselCursor
-	grid   int // rows per morsel of own; 0 makes the table one morsel
+	grid   int            // rows per morsel of own; 0 makes the table one morsel
+	runs   *storage.Table // own's run table (morselCursor.runs): set by a streaming aggregate
 	morsel int
 	claims int
 	pos    int
@@ -40,13 +41,33 @@ type Scan struct {
 // NewScan builds a scan of tb under the given alias.
 func NewScan(tb *storage.Table, alias string) *Scan {
 	s := &Scan{Table: tb, Alias: strings.ToLower(alias)}
-	s.schema = tableSchema(tb, s.Alias)
+	s.schema = tableSchema(make(RowSchema, len(tb.Schema.Columns)), tb, s.Alias)
 	return s
 }
 
-// tableSchema is the row layout of tb's stored rows under alias.
-func tableSchema(tb *storage.Table, alias string) RowSchema {
-	rs := make(RowSchema, len(tb.Schema.Columns))
+// NewScans builds the n scans of a FROM list, scan i over the table and
+// under the alias from(i) returns: the scans from one block, their schemas
+// from another, so a statement's scans cost two allocations, not two each.
+func NewScans(n int, from func(i int) (*storage.Table, string)) []Scan {
+	scans := make([]Scan, n)
+	width := 0
+	for i := range scans {
+		tb, alias := from(i)
+		scans[i].Table, scans[i].Alias = tb, strings.ToLower(alias)
+		width += len(tb.Schema.Columns)
+	}
+	cols := make(RowSchema, width)
+	for i := range scans {
+		s := &scans[i]
+		w := len(s.Table.Schema.Columns)
+		s.schema, cols = tableSchema(cols[:w:w], s.Table, s.Alias), cols[w:]
+	}
+	return scans
+}
+
+// tableSchema fills rs, as long as tb has columns, with the row layout of
+// tb's stored rows under alias, and returns it.
+func tableSchema(rs RowSchema, tb *storage.Table, alias string) RowSchema {
 	for i, c := range tb.Schema.Columns {
 		rs[i] = ColInfo{Qualifier: alias, Name: c.Name, Type: c.Type}
 	}
@@ -64,7 +85,7 @@ func (s *Scan) Open() error {
 		n := s.Table.Len()
 		s.cursor = &s.own
 		s.own.next.Store(0)
-		s.own.size, s.own.total = cmp.Or(s.grid, max(n, 1)), n
+		s.own.size, s.own.total, s.own.runs = cmp.Or(s.grid, max(n, 1)), n, s.runs
 	}
 	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
 	return nil
@@ -434,6 +455,13 @@ type HashAggregate struct {
 	pos      int
 	accs     []*aggAcc // each part's accumulator while Open runs
 	one      [1]*aggAcc
+	// runCol is the child column that passes the driving scan's identifier
+	// through unchanged, when a group key reads it; -1 otherwise. Over a
+	// table stored in identifier order every group's rows then lie in one
+	// run of it, so the aggregate streams (Open).
+	runCol int
+	outs   []runs[[]value.Value] // each part's finished rows while a streaming Open runs
+	oneOut [1]runs[[]value.Value]
 }
 
 type aggState struct {
@@ -471,7 +499,7 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 		return nil, fmt.Errorf("exec: group expressions and columns must align")
 	}
 	ng, na := len(groups), len(aggs)
-	a := &HashAggregate{Child: child, Groups: groups, Aggs: aggs, schema: make(RowSchema, ng+na)}
+	a := &HashAggregate{Child: child, Groups: groups, Aggs: aggs, schema: make(RowSchema, ng+na), runCol: -1}
 	slots := 0
 	for _, g := range groups {
 		slots += operandSlots(g)
@@ -487,6 +515,12 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 		return nil, err
 	}
 	copy(a.schema, groupCols)
+	for _, o := range a.groupEvs {
+		if o.col >= 0 && passesIdentifier(child, o.col) {
+			a.runCol = o.col
+			break
+		}
+	}
 	for i, spec := range aggs {
 		if spec.Arg == nil {
 			if spec.Func != AggCount {
@@ -501,6 +535,27 @@ func NewHashAggregate(child Operator, groups []sqlparse.Expr, groupCols []ColInf
 }
 
 func (a *HashAggregate) Schema() RowSchema { return a.schema }
+
+// passesIdentifier reports whether column col of op's rows is the
+// identifier of drivingScan(op)'s table, passed up unchanged: through
+// filters, plain column projections and the probe side of joins.
+func passesIdentifier(op Operator, col int) bool {
+	switch op := op.(type) {
+	case *Scan:
+		return col == op.Table.Schema.IdentifierIndex()
+	case *Filter:
+		return passesIdentifier(op.Child, col)
+	case *Project:
+		c := op.cols[col].col
+		return c >= 0 && passesIdentifier(op.Child, c)
+	case *HashJoin:
+		if op.joinOutput.cols != nil {
+			col = op.joinOutput.cols[col]
+		}
+		return col < op.nLeft && passesIdentifier(op.Left, col)
+	}
+	return false
+}
 
 // aggAcc is the accumulation state of one part of an aggregation pass:
 // the one part of a serial pass, or each worker's. Its hash table is a
@@ -569,17 +624,26 @@ func (acc *aggAcc) add(st *aggState) {
 // aggregate-heavy Figure 8 queries. Every group consumes the same
 // amount from each block, so the blocks drain in lockstep and one
 // emptiness check covers them all. Blocks grow geometrically (16 groups
-// up to 4096) and carved storage is never recycled — emitted states
-// keep referencing their block, growth only adds blocks. With a single
-// aggregate its fields live in the state (aggState.one, oneFlags), so a
-// block is two slices, the states and their group values, not five.
+// up to 4096). With a single aggregate its fields live in the state
+// (aggState.one, oneFlags), so a block is two slices, the states and
+// their group values, not five. On the hashed path carved storage is
+// never recycled: growth only adds blocks. A streaming aggregate finishes
+// its groups at each run's end and rewinds the newest block for the next
+// run's.
 type aggArena struct {
+	free   arenaBlock // the newest block's uncarved tail
+	block  arenaBlock // the newest block, whole
+	groups int        // groups per block, doubles up to arenaMaxGroups
+}
+
+// arenaBlock is one block of an aggArena, each slice a group's share
+// times the block's groups.
+type arenaBlock struct {
 	states []aggState
 	i64s   []int64
 	f64s   []float64
 	bools  []bool
 	vals   []value.Value
-	groups int // groups per block, doubles up to arenaMaxGroups
 }
 
 const arenaMaxGroups = 4096
@@ -591,24 +655,38 @@ func (ar *aggArena) refill(nAgg, nGroup int) {
 		ar.groups *= 2
 	}
 	g := ar.groups
-	ar.states = make([]aggState, g)
+	b := arenaBlock{states: make([]aggState, g)}
 	n := nGroup
 	if nAgg > 1 {
-		ar.i64s = make([]int64, 2*g*nAgg)
-		ar.f64s = make([]float64, g*nAgg)
-		ar.bools = make([]bool, 2*g*nAgg)
+		b.i64s = make([]int64, 2*g*nAgg)
+		b.f64s = make([]float64, g*nAgg)
+		b.bools = make([]bool, 2*g*nAgg)
 		n += 2 * nAgg
 	}
 	if n > 0 {
-		ar.vals = make([]value.Value, g*n)
+		b.vals = make([]value.Value, g*n)
 	}
+	ar.free, ar.block = b, b
+}
+
+// rewind makes the newest block carvable again from its start, zeroing
+// what was carved, for groups whose predecessors are finished: states of
+// older blocks are dropped.
+func (ar *aggArena) rewind() {
+	b, f := &ar.block, &ar.free
+	clear(b.states[:len(b.states)-len(f.states)])
+	clear(b.i64s[:len(b.i64s)-len(f.i64s)])
+	clear(b.f64s[:len(b.f64s)-len(f.f64s)])
+	clear(b.bools[:len(b.bools)-len(f.bools)])
+	clear(b.vals[:len(b.vals)-len(f.vals)])
+	ar.free = ar.block
 }
 
 func (a *HashAggregate) newState(acc *aggAcc, gv []value.Value, ord rowOrd) *aggState {
 	n := len(a.Aggs)
-	ar := &acc.arena
+	ar := &acc.arena.free
 	if len(ar.states) == 0 {
-		ar.refill(n, len(gv))
+		acc.arena.refill(n, len(gv))
 	}
 	st := &ar.states[0]
 	ar.states = ar.states[1:]
@@ -877,15 +955,20 @@ func (a *HashAggregate) emit(order []*aggState) error {
 		if err := a.gov.Poll(); err != nil {
 			return err
 		}
-		row := block[r*width : (r+1)*width : (r+1)*width]
-		n := copy(row, st.groupVals)
-		for i, spec := range a.Aggs {
-			row[n+i] = finishAgg(spec.Func, st, i)
-		}
-		a.out[r] = row
+		a.out[r] = a.finish(block[r*width:(r+1)*width:(r+1)*width], st)
 	}
 	a.pos = 0
 	return nil
+}
+
+// finish writes st's output row, its group values and then its finished
+// aggregates, into row, which is the schema's width, and returns it.
+func (a *HashAggregate) finish(row []value.Value, st *aggState) []value.Value {
+	n := copy(row, st.groupVals)
+	for i, spec := range a.Aggs {
+		row[n+i] = finishAgg(spec.Func, st, i)
+	}
+	return row
 }
 
 // Open drains the child and builds all groups: each part of the child's
@@ -894,11 +977,27 @@ func (a *HashAggregate) emit(order []*aggState) error {
 // so a SUM or AVG has the same bits at every worker count and in every run.
 // The one part's driving scan is cut on the grid a split would claim, so
 // that its fold units are the workers' (DESIGN.md §9).
+//
+// When a group key is the driving scan's identifier (runCol) and its table
+// is stored in identifier order, the aggregate streams instead: the grid's
+// marks move to run boundaries, so that each run of one identifier lies in
+// one morsel, and every group's rows come in one run (stream).
 func (a *HashAggregate) Open() error {
 	a.stats.markOpen()
 	sp := splitFor(a.Child, a.workers(), a.stats)
+	var runs *storage.Table // the driving table, when the aggregate streams over its runs
+	if a.runCol >= 0 {
+		if tb := drivingScan(a.Child).Table; tb.Ordered() {
+			runs = tb
+		}
+	}
 	if sp.leaf != nil {
-		sp.leaf.grid = morselRows(a.Child)
+		sp.leaf.grid, sp.leaf.runs = morselRows(a.Child), runs
+	} else if runs != nil {
+		sp.leaves[0].cursor.runs = runs // the parts' one shared cursor
+	}
+	if runs != nil {
+		return a.stream(&sp)
 	}
 	a.accs = slots(&a.one, &sp)
 	defer func() { clear(a.accs); a.accs = nil }() // emitted, the states die
@@ -925,11 +1024,82 @@ func (a *HashAggregate) Open() error {
 	return a.emit(order)
 }
 
+// stream runs the parts of sp, each finishing its groups run by run into
+// outs, and concatenates their rows in morsel order. A group's rows all lie
+// in one run of one morsel, so no group is in two parts, its float sums
+// add its rows left to right at every worker count, and the concatenation
+// is first-appearance order, the order the merge gives.
+func (a *HashAggregate) stream(sp *split) error {
+	a.outs = slots(&a.oneOut, sp)
+	defer func() { a.outs, a.oneOut = nil, [1]runs[[]value.Value]{} }()
+	if err := sp.run(a.gov, a); err != nil {
+		return err
+	}
+	var err error
+	a.out, err = mergeRuns(a.outs, a.gov)
+	a.pos = 0
+	return err
+}
+
+// streamPart folds part's rows into acc and, whenever the run column's
+// value or the morsel changes, and at the part's end, finishes acc's
+// groups into out (flushRun). Rows of one identifier reach the aggregate
+// together within a morsel: filters keep their order and a probe emits
+// one row's matches together.
+func (a *HashAggregate) streamPart(acc *aggAcc, out *runs[[]value.Value], part Operator, leaf *Scan, gov *Governor) error {
+	var slab valueSlab // the finished rows, forward only: they are the output
+	cur, run := -1, value.Value{}
+	err := pull(part, leaf, gov, NewTransientBatch(batchSize), a.stats, func(b *Batch, m int) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			row := b.Row(i)
+			if v := row[a.runCol]; m != cur || v != run {
+				if err := a.flushRun(acc, out, &slab, cur, n-i, gov); err != nil {
+					return err
+				}
+				cur, run = m, v
+			}
+			if err := a.accumulate(acc, row, b.Ord(i), m); err != nil {
+				return err
+			}
+		}
+		return a.flushReserve(acc, gov)
+	})
+	if err != nil {
+		return err
+	}
+	return a.flushRun(acc, out, &slab, cur, 0, gov)
+}
+
+// flushRun finishes acc's groups, all of them of one run of morsel m, into
+// out in first-appearance order, tagged m, and empties acc for the next
+// run: its heads, its order and its arena, whose newest block the next
+// run's groups reuse. The groups stay charged against the buffered budget
+// until Close, as rows of the output. more is how many rows of the input
+// batch are still to fold, each of which may make a group: a new block
+// for the finished rows holds those and the run's rest.
+func (a *HashAggregate) flushRun(acc *aggAcc, out *runs[[]value.Value], slab *valueSlab, m, more int, gov *Governor) error {
+	width, n := len(a.schema), len(acc.order)+more
+	for i, st := range acc.order {
+		if err := gov.Poll(); err != nil {
+			return err
+		}
+		out.add(m, a.finish(slab.carve(width, n-i, batchSize), st), n-i)
+		acc.heads[st.hash&uint64(len(acc.heads)-1)] = nil
+	}
+	acc.order = acc.order[:0]
+	acc.arena.rewind()
+	return nil
+}
+
 // fillPart folds part w into a fresh accumulator, accs[w], flushing its
 // reservations once per batch. Group order is the accumulator's first
-// appearance; only the merge of several reads the row ordinals.
+// appearance; only the merge of several reads the row ordinals. A
+// streaming Open has the part finish its groups run by run instead.
 func (a *HashAggregate) fillPart(w int, part Operator, leaf *Scan, gov *Governor) error {
 	acc := a.newAcc()
+	if a.outs != nil {
+		return a.streamPart(acc, &a.outs[w], part, leaf, gov)
+	}
 	a.accs[w] = acc
 	// Transient: accumulate copies the values it keeps.
 	return pull(part, leaf, gov, NewTransientBatch(batchSize), a.stats, func(b *Batch, m int) error {
@@ -982,7 +1152,11 @@ func (a *HashAggregate) Close() error {
 
 // Describe implements Operator.
 func (a *HashAggregate) Describe() string {
-	s := fmt.Sprintf("HashAggregate(%d groups, %d aggs)", len(a.Groups), len(a.Aggs))
+	s := fmt.Sprintf("HashAggregate(%d groups, %d aggs", len(a.Groups), len(a.Aggs))
+	if a.runCol >= 0 {
+		s += ", runs=" + a.Child.Schema()[a.runCol].Name
+	}
+	s += ")"
 	if n := a.workers(); n > 1 {
 		s += fmt.Sprintf(" [parallel n=%d]", n)
 	}

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"conquer/internal/qerr"
+	"conquer/internal/storage"
 	"conquer/internal/value"
 )
 
@@ -56,26 +57,45 @@ const DefaultMorselSize = 1024
 var morselSize = DefaultMorselSize
 
 // morselCursor hands out the morsels of one base table, in table order, to
-// the scans claiming them: morsel m is rows [m·size, (m+1)·size).
+// the scans claiming them: morsel m is rows [m·size, (m+1)·size). With
+// runs set — the table itself, stored in identifier order — each mark
+// moves on to the first run boundary at or after it, so that no run of one
+// identifier spans two morsels; a morsel whose marks meet inside one run
+// holds no row and is skipped.
 type morselCursor struct {
 	next  atomic.Int64
 	size  int
 	total int
+	runs  *storage.Table
 }
 
-// claim returns the next unclaimed morsel index and row range, or
-// ok=false when the table is exhausted.
+// claim returns the next unclaimed non-empty morsel index and row range,
+// or ok=false when the table is exhausted.
 func (c *morselCursor) claim() (m, lo, hi int, ok bool) {
-	m = int(c.next.Add(1)) - 1
-	lo = m * c.size
-	if lo >= c.total {
-		return 0, 0, 0, false
+	for {
+		m = int(c.next.Add(1)) - 1
+		lo = m * c.size
+		if lo >= c.total {
+			return 0, 0, 0, false
+		}
+		hi = min(lo+c.size, c.total)
+		if c.runs == nil {
+			return m, lo, hi, true
+		}
+		if lo, hi = c.runStart(lo), c.runStart(hi); lo < hi {
+			return m, lo, hi, true
+		}
 	}
-	hi = lo + c.size
-	if hi > c.total {
-		hi = c.total
+}
+
+// runStart returns the first row at or after r that begins a run of the
+// runs table's identifier, or the table's end.
+func (c *morselCursor) runStart(r int) int {
+	id := c.runs.Schema.IdentifierIndex()
+	for r > 0 && r < c.total && c.runs.Row(r)[id] == c.runs.Row(r - 1)[id] {
+		r++
 	}
-	return m, lo, hi, true
+	return r
 }
 
 // morsels returns how many morsels the cursor will hand out.

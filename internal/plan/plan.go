@@ -61,6 +61,7 @@ type tableSource struct {
 	ref      sqlparse.TableRef
 	alias    string // lower-cased ref.Alias
 	table    *storage.Table
+	scan     *exec.Scan    // the entry's scan, from the statement's one block of them
 	filter   sqlparse.Expr // the single-table conjuncts, ANDed in WHERE order; nil when none
 	nFilters int
 	joined   bool // part of the join tree built so far
@@ -123,7 +124,8 @@ func (p *planner) plan() (exec.Operator, error) {
 	return root, nil
 }
 
-// resolveFrom returns the FROM entries, from one block.
+// resolveFrom returns the FROM entries, from one block, and their scans,
+// from another.
 func (p *planner) resolveFrom() ([]tableSource, error) {
 	out := make([]tableSource, len(p.stmt.From))
 	for i, ref := range p.stmt.From {
@@ -138,6 +140,10 @@ func (p *planner) resolveFrom() ([]tableSource, error) {
 			return nil, fmt.Errorf("plan: unknown table %q", ref.Table)
 		}
 		out[i] = tableSource{ref: ref, alias: alias, table: tb}
+	}
+	scans := exec.NewScans(len(out), func(i int) (*storage.Table, string) { return out[i].table, out[i].alias })
+	for i := range out {
+		out[i].scan = &scans[i]
 	}
 	return out, nil
 }
@@ -399,11 +405,10 @@ func (lv *liveness) join(src int) []int {
 // scan builds the leaf for one FROM entry: its scan under the pushed-down
 // single-table filters.
 func (p *planner) scan(s *tableSource) (exec.Operator, error) {
-	sc := exec.NewScan(s.table, s.ref.Alias)
 	if s.filter == nil {
-		return sc, nil
+		return s.scan, nil
 	}
-	f, err := exec.NewFilter(sc, s.filter)
+	f, err := exec.NewFilter(s.scan, s.filter)
 	if err != nil {
 		return nil, err
 	}

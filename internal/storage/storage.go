@@ -36,11 +36,47 @@ type Table struct {
 	// invalidation is then a plain compare, with no epochs or TTLs
 	// (DESIGN.md §11).
 	version atomic.Int64
+
+	// ordered holds while the rows are stored in identifier order: each
+	// row's identifier is bit-identical to the previous row's or compares
+	// strictly greater, and none is NULL. So the rows of one identifier
+	// are one run, and no two runs hold values that compare equal. Every
+	// write keeps it by comparing the written row with its neighbours; once
+	// cleared it stays cleared. A table with no identifier never has it.
+	ordered bool
 }
 
 // NewTable creates an empty table over the given schema.
 func NewTable(s *schema.Relation) *Table {
-	return &Table{Schema: s}
+	return &Table{Schema: s, ordered: s.IdentifierIndex() >= 0}
+}
+
+// Ordered reports whether the rows are stored in identifier order, each
+// identifier's rows one run (see Table.ordered).
+func (t *Table) Ordered() bool { return t.ordered }
+
+// keepOrder clears the ordered bit unless v, the identifier about to sit
+// at row i, keeps row i in order with its neighbours.
+func (t *Table) keepOrder(i int, v value.Value) {
+	if !t.ordered {
+		return
+	}
+	id := t.Schema.IdentifierIndex()
+	switch {
+	case id < 0 || v.IsNull():
+		t.ordered = false
+	case i > 0 && !idFollows(t.rows[i-1][id], v):
+		t.ordered = false
+	case i+1 < len(t.rows) && !idFollows(v, t.rows[i+1][id]):
+		t.ordered = false
+	}
+}
+
+// idFollows reports whether identifier b may follow a in an ordered
+// table: bit-identical, or strictly greater. Values that compare equal but
+// differ in their bits (Int 1 and Float 1.0, -0 and +0) do not.
+func idFollows(a, b value.Value) bool {
+	return a == b || value.Compare(a, b) < 0
 }
 
 // Len returns the number of rows.
@@ -86,6 +122,7 @@ func (t *Table) Insert(row []value.Value) error {
 		return fmt.Errorf("storage: %s.%s expects %v, got %v (%v)",
 			t.Schema.Name, t.Schema.Columns[i].Name, want, v.Kind(), v)
 	}
+	t.keepOrder(len(t.rows), t.identifier(row))
 	t.rows = append(t.rows, row)
 	t.bump()
 	return nil
@@ -103,16 +140,25 @@ func (t *Table) SetRow(i int, row []value.Value) error {
 	if len(row) != len(t.Schema.Columns) {
 		return fmt.Errorf("storage: %s expects %d columns, got %d", t.Schema.Name, len(t.Schema.Columns), len(row))
 	}
-	switch {
-	case i == len(t.rows):
-		t.rows = append(t.rows, row)
-	case i >= 0 && i < len(t.rows):
-		t.rows[i] = row
-	default:
+	if i < 0 || i > len(t.rows) {
 		return fmt.Errorf("%w: %s has no row %d to replace", ErrNoRow, t.Schema.Name, i)
+	}
+	t.keepOrder(i, t.identifier(row))
+	if i == len(t.rows) {
+		t.rows = append(t.rows, row)
+	} else {
+		t.rows[i] = row
 	}
 	t.bump()
 	return nil
+}
+
+// identifier returns row's identifier, or NULL when the table has none.
+func (t *Table) identifier(row []value.Value) value.Value {
+	if id := t.Schema.IdentifierIndex(); id >= 0 {
+		return row[id]
+	}
+	return value.Null()
 }
 
 // MustInsert inserts and panics on error; for tests and static fixtures
@@ -131,6 +177,9 @@ func (t *Table) UpdateColumn(i int, col string, v value.Value) error {
 	}
 	if i < 0 || i >= len(t.rows) {
 		return fmt.Errorf("%w: %s has no row %d to update", ErrNoRow, t.Schema.Name, i)
+	}
+	if ci == t.Schema.IdentifierIndex() {
+		t.keepOrder(i, v)
 	}
 	t.rows[i][ci] = v
 	t.bump()
@@ -239,6 +288,7 @@ func (db *DB) Clone() (*DB, error) {
 			dst.rows[i] = block[start:len(block):len(block)]
 		}
 		dst.version.Store(src.version.Load())
+		dst.ordered = src.ordered
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -417,6 +418,7 @@ func TestTableMethodsReadOrBumpOnce(t *testing.T) {
 	readers := map[string]func(*Table){
 		"Len":         func(tb *Table) { tb.Len() },
 		"Version":     func(tb *Table) { tb.Version() },
+		"Ordered":     func(tb *Table) { tb.Ordered() },
 		"Row":         func(tb *Table) { tb.Row(0) },
 		"Rows":        func(tb *Table) { tb.Rows() },
 		"ScanFault":   func(tb *Table) { _ = tb.ScanFault() },
@@ -494,6 +496,127 @@ func TestTableMethodsReadOrBumpOnce(t *testing.T) {
 		err := m.fail(tb)
 		if err == nil || (m.want != nil && !errors.Is(err, m.want)) || tb.Version() != v || tb.Len() != rows {
 			t.Errorf("%s failing: err %v (want %v), version moved by %d, rows %d -> %d", name, err, m.want, tb.Version()-v, rows, tb.Len())
+		}
+	}
+}
+
+// TestOrderedBit follows the ordered bit through every write: it holds
+// while each identifier is bit-identical to the previous row's or
+// compares strictly greater, and none is NULL; it is cleared by the first
+// write that breaks that, and stays cleared; Clone copies it.
+func TestOrderedBit(t *testing.T) {
+	dirty := func() *Table {
+		rel := schema.MustRelation("t",
+			schema.Column{Name: "id", Type: value.KindFloat},
+			schema.Column{Name: "prob", Type: value.KindFloat},
+		)
+		if err := rel.SetDirty("id", "prob"); err != nil {
+			t.Fatal(err)
+		}
+		return NewTable(rel)
+	}
+	row := func(id value.Value) []value.Value { return []value.Value{id, value.Float(0.5)} }
+	f := value.Float
+	negZero := f(math.Copysign(0, -1))
+
+	if NewTable(custSchema()).Ordered() {
+		t.Error("a table with no identifier has the bit")
+	}
+	if !dirty().Ordered() {
+		t.Error("an empty table with an identifier lacks the bit")
+	}
+
+	// Inserts: each identifier after the ones before it.
+	for _, tc := range []struct {
+		name string
+		ids  []value.Value
+		want bool
+	}{
+		{"ascending", []value.Value{f(1), f(2), f(3)}, true},
+		{"identical", []value.Value{f(1), f(1), f(2), f(2)}, true},
+		{"smaller", []value.Value{f(1), f(3), f(2)}, false},
+		{"NULL", []value.Value{f(1), value.Null()}, false},
+		{"NULL first", []value.Value{value.Null(), f(1)}, false},
+		{"-0 then +0", []value.Value{negZero, f(0)}, false},
+		{"+0 then -0", []value.Value{f(0), negZero}, false},
+		{"smaller, then larger again", []value.Value{f(2), f(1), f(3)}, false},
+	} {
+		tb := dirty()
+		for _, id := range tc.ids {
+			tb.MustInsert(row(id)...)
+		}
+		if tb.Ordered() != tc.want {
+			t.Errorf("insert %s: Ordered() = %v, want %v", tc.name, tb.Ordered(), tc.want)
+		}
+	}
+
+	// SetRow and UpdateColumn compare with both neighbours; Int 1 next to
+	// Float 1.0 compares equal but is not bit-identical.
+	base := func() *Table {
+		tb := dirty()
+		for _, id := range []value.Value{f(1), f(3), f(5)} {
+			tb.MustInsert(row(id)...)
+		}
+		return tb
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(tb *Table) error
+		want  bool
+	}{
+		{"SetRow between", func(tb *Table) error { return tb.SetRow(1, row(f(2))) }, true},
+		{"SetRow equal to a neighbour", func(tb *Table) error { return tb.SetRow(1, row(f(1))) }, true},
+		{"SetRow above the next", func(tb *Table) error { return tb.SetRow(1, row(f(6))) }, false},
+		{"SetRow below the previous", func(tb *Table) error { return tb.SetRow(2, row(f(2))) }, false},
+		{"SetRow appending", func(tb *Table) error { return tb.SetRow(3, row(f(7))) }, true},
+		{"SetRow appending smaller", func(tb *Table) error { return tb.SetRow(3, row(f(4))) }, false},
+		{"SetRow Int 1 after Float 1.0", func(tb *Table) error { return tb.SetRow(1, row(value.Int(1))) }, false},
+		{"SetRow NULL", func(tb *Table) error { return tb.SetRow(0, row(value.Null())) }, false},
+		{"UpdateColumn between", func(tb *Table) error { return tb.UpdateColumn(1, "id", f(4)) }, true},
+		{"UpdateColumn above the next", func(tb *Table) error { return tb.UpdateColumn(0, "id", f(4)) }, false},
+		{"UpdateColumn Int 3 in Float 3's place", func(tb *Table) error { return tb.UpdateColumn(1, "id", value.Int(3)) }, true},
+		{"UpdateColumn Int 5 before Float 5", func(tb *Table) error { return tb.UpdateColumn(1, "id", value.Int(5)) }, false},
+		{"UpdateColumn NULL", func(tb *Table) error { return tb.UpdateColumn(2, "id", value.Null()) }, false},
+		{"UpdateColumn another column", func(tb *Table) error { return tb.UpdateColumn(0, "prob", f(9)) }, true},
+	} {
+		tb := base()
+		if err := tc.write(tb); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tb.Ordered() != tc.want {
+			t.Errorf("%s: Ordered() = %v, want %v", tc.name, tb.Ordered(), tc.want)
+		}
+	}
+
+	// Once cleared, the bit stays cleared, even when the row that broke the
+	// order is written back in order.
+	tb := base()
+	if err := tb.UpdateColumn(1, "id", f(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.UpdateColumn(1, "id", f(3)); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Ordered() {
+		t.Error("the bit came back after the order was restored")
+	}
+
+	// Clone copies the bit, set or clear.
+	for _, want := range []bool{true, false} {
+		db := NewDB()
+		src := base()
+		if !want {
+			src.MustInsert(row(f(0))...)
+		}
+		if err := db.Attach(src); err != nil {
+			t.Fatal(err)
+		}
+		c, err := db.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := c.Table("t"); got.Ordered() != want {
+			t.Errorf("a clone of a table with the bit %v has it %v", want, got.Ordered())
 		}
 	}
 }
