@@ -451,7 +451,7 @@ func (db *Database) IsRewritable(sql string) (ok bool, reasons []string, err err
 	if err != nil {
 		return false, nil, err
 	}
-	return a.Rewritable, a.Reasons, nil
+	return a.Rewritable, rewrite.ReasonTexts(a.Reasons), nil
 }
 
 // Validate checks that every dirty relation's cluster probabilities form

@@ -95,8 +95,9 @@ func (b *Batch) Reset() {
 // reserve readies a just-Reset batch for the n rows its producer is about
 // to write, capped at the capacity: the row vector, and the ordinal vector
 // when ords, hold them without growing. A vector is only ever replaced by
-// a larger one. Only a join whose fan-out passes its probe batch appends
-// past what it reserved.
+// a larger one, of exactly n. Every producer knows n before it writes a
+// row — a join counts its fill's matches first — so none appends past
+// what it reserved.
 func (b *Batch) reserve(n int, ords bool) {
 	n = min(n, b.capacity)
 	if cap(b.rows) < n {

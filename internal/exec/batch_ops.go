@@ -18,85 +18,71 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"conquer/internal/qerr"
 	"conquer/internal/value"
 )
 
-// batchProbe is the probe-side state of a join: the probe input
-// batch with a cursor, the output slab, and the run-length ordinal
+// batchProbe is the probe-side state of a join: the probe input batch
+// with a cursor, the last fill's block, and the run-length ordinal
 // generator that tags join fanout (base carried over from the probe row,
-// sequence counting emissions per base). The probe batch is transient:
-// emit copies the probe row's values out before the next one is pulled.
+// sequence counting emissions per base). The probe batch is transient: a
+// fill copies the probe rows' values out before the next one is pulled.
 type batchProbe struct {
 	probe    *Batch
 	idx      int
-	slab     valueSlab
-	curBase  int64
+	out      []value.Value
 	lastBase int64
 	seq      int64
 }
 
 func (p *batchProbe) reset() {
-	p.probe, p.idx = nil, 0
-	// Blocks start over with every Open: a tree re-opened many times over
-	// small inputs (one candidate world after another) must not keep a
-	// batch-sized block it carves a few rows from.
-	p.slab = valueSlab{}
-	p.curBase, p.lastBase, p.seq = 0, -1, 0
+	// The block starts over with every Open: a tree re-opened many times
+	// over small inputs (one candidate world after another) must not keep
+	// a batch-sized block it carves a few rows from.
+	p.probe, p.idx, p.out = nil, 0, nil
+	p.lastBase, p.seq = -1, 0
 }
 
-// carve returns the next width-wide output row of b's fill, from a block
-// bounded by the probe batch's length. When the slab runs dry in the
-// middle of the fill, the new block takes over the rows b already holds —
-// nothing has seen them yet — so a fill lies in one block: the block a
-// transient batch's next fill rewinds to holds all of the last one.
-func (p *batchProbe) carve(width int, b *Batch) []value.Value {
-	bound := p.probe.Len()
-	if len(p.slab.block) < width && b.Len() > 0 {
-		p.slab.refill(width, bound, b.Cap())
-		for i, row := range b.rows {
-			moved := p.slab.carve(width, bound, b.Cap())
-			copy(moved, row)
-			b.rows[i] = moved
-		}
+// block returns the n values of one fill, one block of exactly n, and
+// keeps it as out. The rows of a transient batch's previous fill are dead
+// by its consumer's promise, so their block is carved again when it holds
+// n; a larger fill gets a fresh block, which the next fills return to. A
+// plain batch's rows are never overwritten: each of its fills gets a block
+// of its own.
+func (p *batchProbe) block(n int, transient bool) []value.Value {
+	if transient && p.out != nil && cap(p.out) >= n {
+		recycle(p.out)
+	} else {
+		p.out = make([]value.Value, n)
 	}
-	return p.slab.carve(width, bound, b.Cap())
+	return p.out[:n:n]
 }
 
-// begin starts one output batch. The rows of a transient batch's previous
-// fill are dead by its consumer's promise, so their block is carved again.
-func (p *batchProbe) begin(b *Batch) {
-	b.Reset()
-	if b.transient {
-		p.slab.rewind()
+// nextOrd tags one emitted row of the probe row whose ordinal base is base
+// with (base, run-length sequence).
+func (p *batchProbe) nextOrd(base int64) rowOrd {
+	if base == p.lastBase {
+		p.seq++
+	} else {
+		p.lastBase, p.seq = base, 0
 	}
+	return rowOrd{base: base, seq: p.seq}
 }
 
-// valueSlab is an arena of value slices: carve returns a fresh
+// valueSlab is a forward-only arena of value slices: carve returns a fresh
 // width-sized slice, allocating a new block when the newest runs dry. A
-// block holds the rows the carver's current batch bounds — the probe
-// batch's length for a join's output, the input batch's length for the
-// build's keys — or twice the previous block when that is more, up to one
-// full batch: an operator that emits a handful of rows hands the GC a
-// handful of slots, not a width×batchCap pointer slab (stacked selective
-// joins spend more time in the collector than in the probe loop), a
-// sustained output settles on one block per batch, and a fan-out past the
-// bound doubles instead of carving block after small block. Carved slices
-// stay immutable until rewind, which only the filler of a transient batch
-// calls; a slab nobody rewinds (join build keys) is forward-only.
+// block holds the rows the carver's batch bounds — the input batch's
+// length for the build's keys — or twice the previous block when that is
+// more, up to one full batch: an operator that carves a handful of rows
+// hands the GC a handful of slots, not a width×batchCap pointer slab, and
+// a sustained output settles on one block per batch. A carver that knows
+// better sizes the next block itself (refill), as a streaming aggregate
+// does. Carved slices are never overwritten.
 type valueSlab struct {
 	block []value.Value
-	base  []value.Value // the newest block whole: what rewind returns to
-	rows  int           // rows of the newest block
-}
-
-// rewind makes the newest block carvable from its start again. A batch
-// that outgrew its block got a larger one from carve, and that one is
-// the newest from then on, so a sustained output settles on one block.
-func (s *valueSlab) rewind() {
-	recycle(s.base)
-	s.block = s.base
+	rows  int // rows of the newest block
 }
 
 // poisonRecycled is a test hook, set from _test.go files only: storage
@@ -113,38 +99,26 @@ func recycle(block []value.Value) {
 	}
 }
 
-// carve returns the next width-sized slice; bound is the rows the current
-// batch is known to need and batchCap the most one batch holds.
+// carve returns the next width-sized slice; bound is the rows the carver
+// is known to need and batchCap the most one batch holds.
 func (s *valueSlab) carve(width, bound, batchCap int) []value.Value {
 	if width == 0 {
-		// A join nothing above reads from (COUNT(*)) emits zero-width
-		// rows; they are still rows, so not nil.
+		// A keyless join's build keys are zero-width; they are still key
+		// vectors, so not nil.
 		return []value.Value{}
 	}
 	if len(s.block) < width {
-		s.refill(width, bound, batchCap)
+		s.refill(width, min(max(bound, 2*s.rows), batchCap))
 	}
 	row := s.block[:width:width]
 	s.block = s.block[width:]
 	return row
 }
 
-// refill starts a new block of bound rows, or of twice the last block's
-// when that is more, at most batchCap.
-func (s *valueSlab) refill(width, bound, batchCap int) {
-	s.rows = min(max(bound, 2*s.rows), batchCap)
-	s.base = make([]value.Value, width*s.rows)
-	s.block = s.base
-}
-
-// nextOrd tags one emitted row with (curBase, run-length sequence).
-func (p *batchProbe) nextOrd() rowOrd {
-	if p.curBase == p.lastBase {
-		p.seq++
-	} else {
-		p.lastBase, p.seq = p.curBase, 0
-	}
-	return rowOrd{base: p.lastBase, seq: p.seq}
+// refill starts a new block of rows width-wide rows.
+func (s *valueSlab) refill(width, rows int) {
+	s.rows = rows
+	s.block = make([]value.Value, width*rows)
 }
 
 // NextBatch fills b from the current morsel, claiming the next one when
@@ -184,6 +158,7 @@ func (s *Scan) NextBatch(b *Batch) error {
 		}
 		s.pos++
 	}
+	s.read += b.Len()
 	s.stats.addOut(int64(b.Len()))
 	return nil
 }
@@ -270,18 +245,16 @@ func (p *Project) NextBatch(b *Batch) error {
 }
 
 // prehash evaluates and hashes the probe keys of the whole pending probe
-// batch in one pass; probeKeys[i] == nil marks a NULL key (never joins).
-// The keys are refilled into the join's one key slab, whose previous
-// contents die here: the next probe batch is pulled only after every
-// bucket of the current one is drained, and nothing keeps a probe key.
-// The slab is never nil, so a keyless join's empty key vectors are not
-// nil either, and its rows all join.
+// batch in one pass; probeKeys[i].keys == nil marks a NULL key (never
+// joins). The keys are refilled into the join's one key slab, whose
+// previous contents die here: the next probe batch is pulled only after
+// every bucket of the current one is drained, and nothing keeps a probe
+// key. The slab is never nil, so a keyless join's empty key vectors are
+// not nil either, and its rows all join.
 func (j *HashJoin) prehash(n int) error {
-	if cap(j.probeHash) < n {
-		j.probeHash = make([]uint64, n)
-		j.probeKeys = make([][]value.Value, n)
+	if cap(j.probeKeys) < n {
+		j.probeKeys = make([]probeKey, n)
 	}
-	j.probeHash = j.probeHash[:n]
 	j.probeKeys = j.probeKeys[:n]
 	nk := len(j.lk)
 	if j.keySlab == nil || len(j.keySlab) < n*nk {
@@ -297,46 +270,27 @@ func (j *HashJoin) prehash(n int) error {
 			return err
 		}
 		if null {
-			j.probeKeys[i] = nil
+			j.probeKeys[i] = probeKey{}
 			continue
 		}
-		j.probeKeys[i] = keys
-		j.probeHash[i] = value.HashRow(keys)
+		j.probeKeys[i] = probeKey{keys: keys, hash: value.HashRow(keys)}
 	}
 	return nil
 }
 
-// NextBatch probes the build table with a pre-hashed probe batch in a
-// tight loop, carving joined rows into the output slab. The output batch
-// never merges rows of two probe batches, preserving morsel alignment.
+// NextBatch matches before it carves. For the pending probe batch, match
+// records the (probe row, build entry) pairs of one fill, at most b's
+// capacity of them; fill then reserves exactly their rows, carves one
+// block of exactly their values and writes them without comparing a key
+// again. An output batch never merges rows of two probe batches,
+// preserving morsel alignment.
 func (j *HashJoin) NextBatch(b *Batch) error {
-	j.bp.begin(b)
-	width := len(j.schema)
+	b.Reset()
 	for {
 		if err := j.gov.PollBatch(); err != nil {
 			return err
 		}
-		for j.next != 0 {
-			if b.Full() {
-				j.stats.addOut(int64(b.Len()))
-				j.stats.incBatch()
-				return nil
-			}
-			e := &j.build.entries[j.next-1]
-			j.next = e.next
-			if e.hash != j.curHash || !keysEqual(e.keys, j.curKeys) {
-				continue // the bucket's other keys, of this hash or another
-			}
-			out := j.bp.carve(width, b)
-			j.emit(out, j.curLeft, e.row)
-			b.AppendOrd(out, j.bp.nextOrd())
-		}
-		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
-			if b.Len() > 0 {
-				j.stats.addOut(int64(b.Len()))
-				j.stats.incBatch()
-				return nil
-			}
+		if j.next == 0 && (j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len()) {
 			if j.bp.probe == nil {
 				j.bp.probe = NewTransientBatch(b.Cap())
 			}
@@ -348,21 +302,92 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 				return nil
 			}
 			j.stats.addIn(int64(pn))
-			b.reserve(pn, true)
 			j.bp.idx = 0
 			if err := j.prehash(pn); err != nil {
 				return err
 			}
 		}
+		if m := j.match(b.Cap()); len(m) > 0 {
+			j.fill(b, m)
+			j.stats.addOut(int64(len(m)))
+			j.stats.incBatch()
+			return nil
+		}
+	}
+}
+
+// match walks the pending probe batch's buckets in probe order into the
+// match vector, stopping at limit pairs or at the batch's end: the chain
+// cursor — the bucket of probe row idx-1 from link next on, then probe row
+// idx — resumes where the last fill stopped, so a fan-out past the limit
+// spans fills in bucket order.
+func (j *HashJoin) match(limit int) []joinMatch {
+	m, entries := j.matches[:0], j.build.entries
+	n, from := j.bp.probe.Len(), j.bp.idx
+	if j.next != 0 {
+		from--
+	}
+	for {
+		if j.next != 0 {
+			i := j.bp.idx - 1
+			h, keys := j.probeKeys[i].hash, j.probeKeys[i].keys
+			for j.next != 0 {
+				if len(m) == limit {
+					j.matches = m
+					return m
+				}
+				at := j.next - 1
+				e := &entries[at]
+				j.next = e.next
+				// The bucket's other keys, of this hash or another, are skipped.
+				if e.hash != h || !keysEqual(e.keys, keys) {
+					continue
+				}
+				if len(m) == cap(m) {
+					m = growMatches(m, i-from, n-from, limit)
+				}
+				m = append(m, joinMatch{probe: int32(i), entry: at})
+			}
+		}
+		if j.bp.idx >= n {
+			j.matches = m
+			return m
+		}
 		i := j.bp.idx
 		j.bp.idx++
-		keys := j.probeKeys[i]
-		if keys == nil {
-			continue // NULL join keys never join
+		if pk := &j.probeKeys[i]; pk.keys != nil { // NULL join keys never join
+			j.next = j.build.lookup(pk.hash)
 		}
-		j.curHash = j.probeHash[i]
-		j.next, j.curKeys, j.curLeft = j.build.lookup(j.curHash), keys, j.bp.probe.Row(i)
-		j.bp.curBase = j.bp.probe.Ord(i).base
+	}
+}
+
+// growMatches makes room in a full match vector for the pairs its fill is
+// expected to make: the pairs so far and the one being added, scaled from
+// the done probe rows whose buckets the fill has walked to all rows it may
+// walk — from the row being walked when none is done — and at least twice
+// the vector, at most limit. A 1:1 join sizes the vector on its first
+// match, a fan-out mostly on its second row.
+func growMatches(m []joinMatch, done, rows, limit int) []joinMatch {
+	want := min(limit, max(2*cap(m), (len(m)+1)*rows/max(done, 1)))
+	return slices.Grow(m, want-len(m))
+}
+
+// fill writes the matched rows into b, which holds them without growing,
+// from one block of exactly their values, each tagged with its probe row's
+// ordinal and its place in that row's fan-out.
+func (j *HashJoin) fill(b *Batch, m []joinMatch) {
+	width := len(j.schema)
+	b.reserve(len(m), true)
+	block := j.bp.block(len(m)*width, b.transient)
+	probe, entries := j.bp.probe, j.build.entries
+	cur, left, base := int32(-1), []value.Value(nil), int64(0)
+	for k, p := range m {
+		if p.probe != cur { // a probe row's matches are consecutive
+			cur, left, base = p.probe, probe.Row(int(p.probe)), probe.Ord(int(p.probe)).base
+		}
+		out := block[k*width : (k+1)*width : (k+1)*width]
+		j.emit(out, left, entries[p.entry].row)
+		b.AppendOrd(out, j.bp.nextOrd(base))
 	}
 }
 

@@ -188,10 +188,10 @@ func TestCrossJoinPreservesProbabilities(t *testing.T) {
 
 // A closed tree holds its plan and nothing of its last run: the plan cache
 // parks prepared trees between executions, and a serial run happens on
-// the parked tree itself, so scratch batches, probe key vectors, the block
-// a slab rewinds to and Project's reused output slab would otherwise stay
-// pinned — with every row and slab they reference — for as long as the plan
-// is cached.
+// the parked tree itself, so scratch batches, probe key and match vectors,
+// the block a join's fills rewind to and Project's reused output slab
+// would otherwise stay pinned — with every row and slab they reference —
+// for as long as the plan is cached.
 func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 	fact, dim := parTables(t, 3000)
 	j := buildJoin(t, fact, dim, 0)
@@ -211,9 +211,9 @@ func TestClosedTreeReleasesBatchScratch(t *testing.T) {
 		if p.scratch != nil || p.out != nil {
 			t.Errorf("run %d: Project keeps its child batch or its output slab", run)
 		}
-		// The join filled Project's transient child batch, so it rewound: the
-		// block it returns to must go with the run as well.
-		if j.bp.probe != nil || j.bp.slab.block != nil || j.bp.slab.base != nil || j.probeKeys != nil || j.probeHash != nil || j.curLeft != nil {
+		// The join filled Project's transient child batch, so it carved its
+		// fills from one block again: that block must go with the run as well.
+		if j.bp.probe != nil || j.bp.out != nil || j.probeKeys != nil || j.matches != nil {
 			t.Errorf("run %d: HashJoin keeps probe state: %+v", run, j.bp)
 		}
 	}

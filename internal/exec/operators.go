@@ -34,6 +34,7 @@ type Scan struct {
 	runs   *storage.Table // own's run table (morselCursor.runs): set by a streaming aggregate
 	morsel int
 	claims int
+	read   int // rows returned since Open
 	pos    int
 	end    int
 }
@@ -87,7 +88,7 @@ func (s *Scan) Open() error {
 		s.own.next.Store(0)
 		s.own.size, s.own.total, s.own.runs = cmp.Or(s.grid, max(n, 1)), n, s.runs
 	}
-	s.pos, s.end, s.morsel, s.claims = 0, 0, -1, 0
+	s.pos, s.end, s.morsel, s.claims, s.read = 0, 0, -1, 0, 0
 	return nil
 }
 
@@ -266,21 +267,29 @@ type HashJoin struct {
 	govHolder
 	statsHolder
 	joinOutput
-	lk, rk  []operand
-	build   *joinBuild
-	part    bool          // probe part sharing a split-time build
-	next    int32         // link to the next build entry of the pending bucket, 0 at its end
-	curHash uint64        // hash of the pending probe keys
-	curKeys []value.Value // probe keys of the pending bucket
-	curLeft []value.Value
+	lk, rk []operand
+	build  *joinBuild
+	part   bool  // probe part sharing a split-time build
+	next   int32 // link to the next build entry of probe row bp.idx-1's bucket, 0 at its end
 
-	// The pending probe batch with its pre-computed key hashes
-	// (probeKeys[i] == nil marks a NULL key) and the slab the keys sit in.
+	// The pending probe batch with its rows' keys and their hashes, the
+	// slab the keys sit in and the matches of the fill being made.
 	bp        batchProbe
-	probeHash []uint64
-	probeKeys [][]value.Value
+	probeKeys []probeKey
 	keySlab   []value.Value
+	matches   []joinMatch
 }
+
+// probeKey is one probe row's evaluated join keys and their hash; nil keys
+// mark a NULL key, which never joins.
+type probeKey struct {
+	keys []value.Value
+	hash uint64
+}
+
+// joinMatch is one row of a join's fill before it is carved: the probe
+// row's position in its batch and the index of the build entry it joins.
+type joinMatch struct{ probe, entry int32 }
 
 // buildEntry is one row of joinBuild's entry vector: the row, its keys and
 // their hash, and next, the link to the next entry of its bucket. A link
@@ -335,7 +344,7 @@ func (j *HashJoin) Open() error {
 	} else if j.build == nil {
 		return fmt.Errorf("exec: probe part reopened after close: %w", qerr.ErrInternal)
 	}
-	j.next, j.curKeys, j.curLeft = 0, nil, nil
+	j.next = 0
 	j.bp.reset()
 	return j.build.run(j.gov)
 }
@@ -373,11 +382,11 @@ func (j *HashJoin) Close() error {
 		j.build.close(j.gov)
 		j.build = nil
 	}
-	j.next, j.curKeys, j.curLeft = 0, nil, nil
-	// The probe batch, its key vectors and the unused tail of the last
-	// output slab go with the run (see Project.Close).
+	j.next = 0
+	// The probe batch, its key vectors, the match vector and the block a
+	// transient output batch rewinds to go with the run (see Project.Close).
 	j.bp.reset()
-	j.probeHash, j.probeKeys, j.keySlab = nil, nil, nil
+	j.probeKeys, j.keySlab, j.matches = nil, nil, nil
 	return j.Left.Close()
 }
 
@@ -1047,13 +1056,13 @@ func (a *HashAggregate) stream(sp *split) error {
 // together within a morsel: filters keep their order and a probe emits
 // one row's matches together.
 func (a *HashAggregate) streamPart(acc *aggAcc, out *runs[[]value.Value], part Operator, leaf *Scan, gov *Governor) error {
-	var slab valueSlab // the finished rows, forward only: they are the output
+	fin := finished{leaf: leaf, share: len(a.outs)}
 	cur, run := -1, value.Value{}
 	err := pull(part, leaf, gov, NewTransientBatch(batchSize), a.stats, func(b *Batch, m int) error {
 		for i, n := 0, b.Len(); i < n; i++ {
 			row := b.Row(i)
 			if v := row[a.runCol]; m != cur || v != run {
-				if err := a.flushRun(acc, out, &slab, cur, n-i, gov); err != nil {
+				if err := a.flushRun(acc, out, &fin, cur, n-i, gov); err != nil {
 					return err
 				}
 				cur, run = m, v
@@ -1061,13 +1070,45 @@ func (a *HashAggregate) streamPart(acc *aggAcc, out *runs[[]value.Value], part O
 			if err := a.accumulate(acc, row, b.Ord(i), m); err != nil {
 				return err
 			}
+			fin.rows++
 		}
 		return a.flushReserve(acc, gov)
 	})
 	if err != nil {
 		return err
 	}
-	return a.flushRun(acc, out, &slab, cur, 0, gov)
+	return a.flushRun(acc, out, &fin, cur, 0, gov)
+}
+
+// finished holds a streaming part's finished rows, forward only: they are
+// the output. Its blocks are sized from what the part has seen, the groups
+// it made per row, over the rows it has still to fold and to read, so
+// that its last block ends about where its input does and holds no tail a
+// cached answer would keep uncharged.
+type finished struct {
+	slab   valueSlab
+	leaf   *Scan // the part's driving scan, nil when it has none
+	share  int   // the parts the unclaimed morsels will be shared by
+	rows   int   // rows folded
+	groups int   // groups finished before the current run
+}
+
+// expect returns how many groups the part's input still holds: the groups
+// per row it folded over more, the rows of the batch still to fold, and
+// the groups per row its leaf read over the rows the leaf has still to
+// read for it — the rest of its morsel and its share of the morsels no
+// part has claimed. groups are the current run's.
+func (f *finished) expect(groups, more int) int {
+	seen := f.groups + groups
+	n := 0
+	if f.rows > 0 {
+		n = (more*seen + f.rows - 1) / f.rows
+	}
+	if l := f.leaf; l != nil && l.read > 0 {
+		unread := l.end - l.pos + l.cursor.unclaimed()/f.share
+		n += (unread*seen + l.read - 1) / l.read
+	}
+	return n
 }
 
 // flushRun finishes acc's groups, all of them of one run of morsel m, into
@@ -1076,16 +1117,21 @@ func (a *HashAggregate) streamPart(acc *aggAcc, out *runs[[]value.Value], part O
 // run's groups reuse. The groups stay charged against the buffered budget
 // until Close, as rows of the output. more is how many rows of the input
 // batch are still to fold, each of which may make a group: a new block
-// for the finished rows holds those and the run's rest.
-func (a *HashAggregate) flushRun(acc *aggAcc, out *runs[[]value.Value], slab *valueSlab, m, more int, gov *Governor) error {
-	width, n := len(a.schema), len(acc.order)+more
+// for the finished rows holds the run's rest and the groups the part's
+// input is expected to hold still (finished.expect), at most a batch.
+func (a *HashAggregate) flushRun(acc *aggAcc, out *runs[[]value.Value], fin *finished, m, more int, gov *Governor) error {
+	width, groups := len(a.schema), len(acc.order)
 	for i, st := range acc.order {
 		if err := gov.Poll(); err != nil {
 			return err
 		}
-		out.add(m, a.finish(slab.carve(width, n-i, batchSize), st), n-i)
+		if len(fin.slab.block) < width {
+			fin.slab.refill(width, min(groups-i+fin.expect(groups, more), batchSize))
+		}
+		out.add(m, a.finish(fin.slab.carve(width, 0, batchSize), st), groups-i+more)
 		acc.heads[st.hash&uint64(len(acc.heads)-1)] = nil
 	}
+	fin.groups += groups
 	acc.order = acc.order[:0]
 	acc.arena.rewind()
 	return nil

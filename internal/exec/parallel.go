@@ -98,6 +98,11 @@ func (c *morselCursor) runStart(r int) int {
 	return r
 }
 
+// unclaimed returns how many rows no morsel claimed yet covers.
+func (c *morselCursor) unclaimed() int {
+	return max(c.total-int(c.next.Load())*c.size, 0)
+}
+
 // morsels returns how many morsels the cursor will hand out.
 func (c *morselCursor) morsels() int {
 	return (c.total + c.size - 1) / c.size

@@ -59,10 +59,12 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 	}
 	// The probe side scans n rows and joins every one of them to the same
 	// 97-row build, so the build costs both sides the same. What differs is
-	// the size of the probe batch, the join's output batch and slab, the
-	// Project's output batch and slab and the drain's first block: one
-	// allocation each at any size.
-	const reserveSlack = 4
+	// the size of the probe batch, its key and match vectors, the join's
+	// output batch and block, the Project's output batch and slab and the
+	// drain's first block: one allocation each at any size. The count is
+	// pinned at 22: the join's match vector costs one allocation, and its
+	// probe keys and their hashes share one vector where they had two.
+	const reserveSlack, pin = 4, 22
 	perOpen := func(n int) float64 {
 		fact, dim := parTables(t, n)
 		p := mustOp[*Project](t)(NewProject(buildJoin(t, fact, dim, 0), []ProjectionCol{
@@ -81,5 +83,13 @@ func TestBatchesSizedFromTheirFill(t *testing.T) {
 	if large > small+reserveSlack {
 		t.Errorf("%v allocations per open over %d rows, %v over 16: more than %d apart, so some vector grows with its fill",
 			large, DefaultBatchSize, small, reserveSlack)
+	}
+	for _, got := range []float64{small, large} {
+		switch {
+		case got > pin:
+			t.Errorf("a drain allocates %v times per open, pinned at %d", got, pin)
+		case got < pin:
+			t.Errorf("a drain allocates %v times per open, fewer than its pin %d: lower the pin", got, pin)
+		}
 	}
 }

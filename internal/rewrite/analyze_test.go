@@ -96,7 +96,7 @@ func TestAnalyzeReasonsAreDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			seen[strings.Join(a.Reasons, " | ")]++
+			seen[strings.Join(ReasonTexts(a.Reasons), " | ")]++
 		}
 		want := strings.Join(tc.want, " | ")
 		if len(seen) != 1 || seen[want] != 100 {
@@ -194,16 +194,17 @@ func compareWithOracle(t *testing.T, cat *schema.Catalog, sql string) bool {
 	if a.Rewritable != (len(reasons) == 0) || a.Root != root {
 		t.Errorf("%s: rewritable %v root %q, the oracle %v %q", sql, a.Rewritable, a.Root, len(reasons) == 0, root)
 	}
+	got := ReasonTexts(a.Reasons)
 	if maxContractedInDegree(aliases, a.Edges) < 2 {
-		if !slices.Equal(a.Reasons, reasons) {
-			t.Errorf("%s: reasons %q, the oracle %q", sql, a.Reasons, reasons)
+		if !slices.Equal(got, reasons) {
+			t.Errorf("%s: reasons %q, the oracle %q", sql, got, reasons)
 		}
 		return true
 	}
-	if !slices.Equal(a.Reasons, reasons) && (len(a.Reasons) != 1 ||
-		!strings.Contains(a.Reasons[0], "is the join target of multiple relations") ||
+	if !slices.Equal(got, reasons) && (len(got) != 1 ||
+		!strings.Contains(got[0], "is the join target of multiple relations") ||
 		reasons[0] != "join graph is disconnected (condition 2 of Dfn 7)") {
-		t.Errorf("%s: reasons %q, the oracle %q", sql, a.Reasons, reasons)
+		t.Errorf("%s: reasons %q, the oracle %q", sql, got, reasons)
 	}
 	return false
 }

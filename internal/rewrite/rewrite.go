@@ -44,6 +44,84 @@ type Edge struct {
 	Expr     *sqlparse.BinaryExpr
 }
 
+// condition is one way a statement falls outside the rewritable class.
+type condition uint8
+
+// The conditions a Reason records; the comment names what its expr or
+// name holds.
+const (
+	_                   condition = iota
+	condDistinct                  // DISTINCT
+	condGroupBy                   // GROUP BY
+	condLimit                     // LIMIT
+	condStar                      // SELECT *
+	condAggregate                 // expr: the aggregating select item
+	condSelfJoin                  // name: the relation named twice (condition 3)
+	condNotDirty                  // name: the relation without identifier/probability
+	condWidePredicate             // expr: a conjunct over more than two relations
+	condNotEquality               // expr: a join conjunct other than =
+	condNotColumns                // expr: an equality join not between two columns
+	condNoIdentifier              // expr: a join of two non-identifiers (condition 1)
+	condCycleThrough              // expr: an arc inside one contracted node (condition 2)
+	condDisconnected              // condition 2
+	condRedundantPaths            // condition 2
+	condMultipleTargets           // name: the alias two arcs point into (condition 2)
+	condCycle                     // condition 2
+	condRootUnselected            // name: the root's alias (condition 4)
+)
+
+// Reason is one violated condition of a refused statement: the condition,
+// the offending expression and the relation or alias it names. Analyze
+// records reasons without formatting them; String spells one out.
+type Reason struct {
+	cond condition
+	expr sqlparse.Expr
+	name string
+}
+
+// reasonText spells each condition out: the text before its reason's
+// expression or name, and the text after it.
+var reasonText = [...][2]string{
+	condDistinct:        {"query uses DISTINCT; only plain SPJ queries are rewritable"},
+	condGroupBy:         {"query uses GROUP BY; only plain SPJ queries are rewritable"},
+	condLimit:           {"query uses LIMIT; only plain SPJ queries are rewritable"},
+	condStar:            {"SELECT * is not supported by the rewriting; name the attributes"},
+	condAggregate:       {"query aggregates ", "; aggregation is future work in the paper"},
+	condSelfJoin:        {"relation ", " appears more than once (self joins violate condition 3 of Dfn 7)"},
+	condNotDirty:        {"relation ", " has no identifier/probability columns; mark it dirty first"},
+	condWidePredicate:   {"predicate ", " spans more than two relations"},
+	condNotEquality:     {"join predicate ", " is not an equality (the class allows only equality joins)"},
+	condNotColumns:      {"join predicate ", " must equate two columns"},
+	condNoIdentifier:    {"join ", " involves no identifier (condition 1 of Dfn 7)"},
+	condCycleThrough:    {"join graph has a cycle through ", " (condition 2 of Dfn 7)"},
+	condDisconnected:    {"join graph is disconnected (condition 2 of Dfn 7)"},
+	condRedundantPaths:  {"join graph has redundant join paths (condition 2 of Dfn 7)"},
+	condMultipleTargets: {"relation ", " is the join target of multiple relations (condition 2 of Dfn 7)"},
+	condCycle:           {"join graph has a cycle (condition 2 of Dfn 7)"},
+	condRootUnselected:  {"the identifier of root relation ", " is not in the select clause (condition 4 of Dfn 7)"},
+}
+
+// String is the reason's text.
+func (r Reason) String() string {
+	t := reasonText[r.cond]
+	if r.expr != nil {
+		return t[0] + r.expr.SQL() + t[1]
+	}
+	return t[0] + r.name + t[1]
+}
+
+// ReasonTexts spells out every reason, in order.
+func ReasonTexts(rs []Reason) []string {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.String()
+	}
+	return out
+}
+
 // Analysis is the result of inspecting a query against Dfn 7. When
 // Rewritable is false, Reasons lists every violated condition.
 type Analysis struct {
@@ -53,7 +131,7 @@ type Analysis struct {
 	// when the graph is a rooted tree; empty otherwise.
 	Root       string
 	Rewritable bool
-	Reasons    []string
+	Reasons    []Reason
 
 	rootRel *schema.Relation // the relation Root ranges over
 	// rootUnselected records that condition 4 failed: the identifier of
@@ -68,27 +146,25 @@ type Analysis struct {
 // positions, so the reasons depend on the statement alone.
 func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) {
 	a := &Analysis{Stmt: stmt}
-	fail := func(format string, args ...any) {
-		a.Reasons = append(a.Reasons, fmt.Sprintf(format, args...))
-	}
+	fail := func(r Reason) { a.Reasons = append(a.Reasons, r) }
 
 	// Structural requirements: plain SPJ input.
 	if stmt.Distinct {
-		fail("query uses DISTINCT; only plain SPJ queries are rewritable")
+		fail(Reason{cond: condDistinct})
 	}
 	if len(stmt.GroupBy) > 0 {
-		fail("query uses GROUP BY; only plain SPJ queries are rewritable")
+		fail(Reason{cond: condGroupBy})
 	}
 	if stmt.Limit >= 0 {
-		fail("query uses LIMIT; only plain SPJ queries are rewritable")
+		fail(Reason{cond: condLimit})
 	}
 	for _, it := range stmt.Select {
 		if it.Star {
-			fail("SELECT * is not supported by the rewriting; name the attributes")
+			fail(Reason{cond: condStar})
 			continue
 		}
 		if sqlparse.HasAggregate(it.Expr) {
-			fail("query aggregates %s; aggregation is future work in the paper", it.Expr.SQL())
+			fail(Reason{cond: condAggregate, expr: it.Expr})
 		}
 	}
 
@@ -99,10 +175,10 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 	}
 	for i, s := range sc {
 		if sc.repeats(i) {
-			fail("relation %s appears more than once (self joins violate condition 3 of Dfn 7)", s.rel.Name)
+			fail(Reason{cond: condSelfJoin, name: s.rel.Name})
 		}
 		if !s.rel.IsDirty() {
-			fail("relation %s has no identifier/probability columns; mark it dirty first", s.rel.Name)
+			fail(Reason{cond: condNotDirty, name: s.rel.Name})
 		}
 	}
 
@@ -133,18 +209,18 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 			continue // selection on one relation: always fine
 		}
 		if n > 2 {
-			fail("predicate %s spans more than two relations", conj.SQL())
+			fail(Reason{cond: condWidePredicate, expr: conj})
 			continue
 		}
 		be, ok := conj.(*sqlparse.BinaryExpr)
 		if !ok || be.Op != sqlparse.OpEq {
-			fail("join predicate %s is not an equality (the class allows only equality joins)", conj.SQL())
+			fail(Reason{cond: condNotEquality, expr: conj})
 			continue
 		}
 		lc, lok := be.L.(*sqlparse.ColumnRef)
 		rc, rok := be.R.(*sqlparse.ColumnRef)
 		if !lok || !rok {
-			fail("join predicate %s must equate two columns", conj.SQL())
+			fail(Reason{cond: condNotColumns, expr: conj})
 			continue
 		}
 		l, lcol, err := sc.resolve(lc)
@@ -165,7 +241,7 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 		case lIsID && !rIsID:
 			kind, l, r = EdgeFKToID, r, l
 		default:
-			fail("join %s involves no identifier (condition 1 of Dfn 7)", conj.SQL())
+			fail(Reason{cond: condNoIdentifier, expr: conj})
 		}
 		if a.Edges == nil {
 			a.Edges = make([]Edge, 0, len(conjs))
@@ -178,15 +254,15 @@ func Analyze(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*Analysis, error) 
 	// identifier joins merge their endpoints into one node.
 	g.contract(a.Edges)
 	root, treeErr := g.rootedTree(a.Edges)
-	if treeErr != "" {
-		fail("%s", treeErr)
+	if treeErr.cond != 0 {
+		fail(treeErr)
 	} else {
 		// Condition 4: the identifier of some relation in the root node
 		// must appear in the select clause.
 		a.Root, a.rootRel = sc[root].alias, sc[root].rel
 		if !g.identifierSelected(stmt, root) {
 			a.rootUnselected = true
-			fail("the identifier of root relation %s is not in the select clause (condition 4 of Dfn 7)", a.Root)
+			fail(Reason{cond: condRootUnselected, name: a.Root})
 		}
 	}
 
@@ -378,9 +454,9 @@ func (g *joinGraph) contract(edges []Edge) {
 }
 
 // rootedTree checks condition 2 of Dfn 7 and returns the root node's
-// representative, or a human-readable violation. Nodes are visited in the
-// FROM order of their first position.
-func (g *joinGraph) rootedTree(edges []Edge) (int, string) {
+// representative, or the violation (a zero Reason when there is none).
+// Nodes are visited in the FROM order of their first position.
+func (g *joinGraph) rootedTree(edges []Edge) (int, Reason) {
 	nodes, arcs := 0, 0
 	for p := range g.parent {
 		if g.find(p) == p {
@@ -393,7 +469,7 @@ func (g *joinGraph) rootedTree(edges []Edge) (int, string) {
 		}
 		f, t := g.find(g.ends[2*i]), g.find(g.ends[2*i+1])
 		if f == t {
-			return -1, fmt.Sprintf("join graph has a cycle through %s (condition 2 of Dfn 7)", e.Expr.SQL())
+			return -1, Reason{cond: condCycleThrough, expr: e.Expr}
 		}
 		g.indeg[t]++
 		g.pred[t] = f
@@ -403,16 +479,16 @@ func (g *joinGraph) rootedTree(edges []Edge) (int, string) {
 	// A rooted tree over n nodes needs exactly n-1 arcs, each non-root
 	// node in-degree 1, and connectivity.
 	if arcs < nodes-1 {
-		return -1, "join graph is disconnected (condition 2 of Dfn 7)"
+		return -1, Reason{cond: condDisconnected}
 	}
 	if arcs > nodes-1 {
-		return -1, "join graph has redundant join paths (condition 2 of Dfn 7)"
+		return -1, Reason{cond: condRedundantPaths}
 	}
 	root := -1
 	for p := range g.parent {
 		switch node := g.find(p); {
 		case g.indeg[node] > 1:
-			return -1, fmt.Sprintf("relation %s is the join target of multiple relations (condition 2 of Dfn 7)", g.sc[node].alias)
+			return -1, Reason{cond: condMultipleTargets, name: g.sc[node].alias}
 		case g.indeg[node] == 0:
 			root = node
 		}
@@ -423,11 +499,11 @@ func (g *joinGraph) rootedTree(edges []Edge) (int, string) {
 	for p := range g.parent {
 		for node, steps := g.find(p), 0; node != root; node, steps = g.pred[node], steps+1 {
 			if steps == nodes {
-				return -1, "join graph has a cycle (condition 2 of Dfn 7)"
+				return -1, Reason{cond: condCycle}
 			}
 		}
 	}
-	return root, ""
+	return root, Reason{}
 }
 
 // identifierSelected checks condition 4: the identifier of a relation in
@@ -469,12 +545,13 @@ func RewriteClean(cat *schema.Catalog, stmt *sqlparse.SelectStmt) (*sqlparse.Sel
 // NotRewritableError reports why a query falls outside the rewritable
 // class of Dfn 7.
 type NotRewritableError struct {
-	Reasons []string
+	Reasons []Reason
 }
 
-// Error implements error.
+// Error implements error; the reasons are spelled out here, not when the
+// statement is refused.
 func (e *NotRewritableError) Error() string {
-	return "rewrite: query is not rewritable: " + strings.Join(e.Reasons, "; ")
+	return "rewrite: query is not rewritable: " + strings.Join(ReasonTexts(e.Reasons), "; ")
 }
 
 // rewrite builds the Figure-4 output for an already validated query.

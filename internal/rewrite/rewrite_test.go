@@ -55,7 +55,7 @@ func TestAnalyzeExample7NotRewritable(t *testing.T) {
 	if a.Rewritable {
 		t.Fatal("q3 must not be rewritable (Example 7)")
 	}
-	joined := strings.Join(a.Reasons, "; ")
+	joined := strings.Join(ReasonTexts(a.Reasons), "; ")
 	if !strings.Contains(joined, "condition 4") {
 		t.Errorf("reasons should cite condition 4: %v", a.Reasons)
 	}
@@ -82,7 +82,7 @@ func TestAnalyzeNonIdentifierJoin(t *testing.T) {
 	if a.Rewritable {
 		t.Fatal("non-identifier join must violate condition 1")
 	}
-	if !strings.Contains(strings.Join(a.Reasons, ";"), "condition 1") {
+	if !strings.Contains(strings.Join(ReasonTexts(a.Reasons), ";"), "condition 1") {
 		t.Errorf("reasons: %v", a.Reasons)
 	}
 }
@@ -151,7 +151,7 @@ func TestAnalyzeSelfJoin(t *testing.T) {
 	if a.Rewritable {
 		t.Fatal("self join must violate condition 3")
 	}
-	if !strings.Contains(strings.Join(a.Reasons, ";"), "condition 3") {
+	if !strings.Contains(strings.Join(ReasonTexts(a.Reasons), ";"), "condition 3") {
 		t.Errorf("reasons: %v", a.Reasons)
 	}
 }
