@@ -15,13 +15,15 @@ race:
 
 # Short coverage-guided fuzz passes, the targets and budget of CI's
 # "Fuzz (short)" step: the SQL parser, the response writer against
-# encoding/json, the LIKE matcher against its regexp oracle. -fuzz takes
+# encoding/json, the LIKE matcher against its regexp oracle, the value
+# layout against its own contracts. -fuzz takes
 # one target per run; longer local runs just raise FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -fuzz='^FuzzResponseWriter$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=$(FUZZTIME) ./internal/exec
+	$(GO) test -fuzz='^FuzzValue$$' -fuzztime=$(FUZZTIME) ./internal/value
 
 # lint = formatting gate + standard vet + the in-tree analyzer suite
 # (six syntactic analyzers — ctxpoll, errwrap, floatcmp, maporder,

@@ -311,8 +311,8 @@ func TestSizeOfRows(t *testing.T) {
 	}
 	n := SizeOfRows([]string{"a", "b"}, rows)
 	// 64 for the result, 1+16 per column name, and per row the slice header
-	// and the 32 bytes a value.Value occupies, plus the string bytes.
-	if want := int64(64 + 2*17 + 2*(24+2*32) + 5 + 1); n != want {
+	// and the value.Size bytes a value.Value occupies, plus the string bytes.
+	if want := 64 + 2*17 + 2*(24+2*value.Size) + 5 + 1; n != want {
 		t.Fatalf("size = %d, want %d (value.Size = %d)", n, want, value.Size)
 	}
 	// More payload means a bigger estimate.

@@ -215,7 +215,7 @@ func (t *answerTable) id(vals []value.Value) (id int32, same bool) {
 	}
 	for i := head; i >= 0; i = t.next[i] {
 		if value.RowsIdentical(t.answers[i], vals) {
-			return i, slices.Equal(t.answers[i], vals)
+			return i, value.RowsSame(t.answers[i], vals)
 		}
 	}
 	id = int32(len(t.answers))

@@ -138,13 +138,13 @@ func (ev Evaluator) buildLineage(ctx context.Context, stmt *sqlparse.SelectStmt,
 		rel       int
 		tb        *storage.Table
 		clusters  []dirty.Cluster
-		clusterOf map[value.Value]int32 // a tuple's identifier to its cluster
+		clusterOf map[value.Key]int32 // a tuple's identifier to its cluster
 		off       int
 		cols      []int
 	}
 	l := &lineage{width: len(lq.Aliases)}
 	aliases := make([]aliasCols, len(lq.Aliases))
-	var clusterOf []map[value.Value]int32 // per relation of rels
+	var clusterOf []map[value.Key]int32 // per relation of rels
 	off := len(res.Columns)
 	for i := len(lq.Aliases) - 1; i >= 0; i-- {
 		off -= len(lq.Aliases[i].Columns)
@@ -182,7 +182,7 @@ rows:
 		for a := range aliases {
 			al := &aliases[a]
 			vals := row[al.off : al.off+len(al.cols)]
-			c, ok := al.clusterOf[vals[0]]
+			c, ok := al.clusterOf[vals[0].Key()]
 			if !ok {
 				continue rows // a cluster no candidate of cs has
 			}
@@ -243,12 +243,12 @@ rows:
 
 // identifiers maps the identifier of every tuple of tb's clusters to its
 // cluster, by the value itself: a lineage row carries a tuple's own.
-func identifiers(tb *storage.Table, clusters []dirty.Cluster) map[value.Value]int32 {
+func identifiers(tb *storage.Table, clusters []dirty.Cluster) map[value.Key]int32 {
 	idIdx := tb.Schema.IdentifierIndex()
-	of := make(map[value.Value]int32)
+	of := make(map[value.Key]int32)
 	for c, cl := range clusters {
 		for _, row := range cl.Rows {
-			of[tb.Row(row)[idIdx]] = int32(c)
+			of[tb.Row(row)[idIdx].Key()] = int32(c)
 		}
 	}
 	return of
@@ -258,7 +258,7 @@ func identifiers(tb *storage.Table, clusters []dirty.Cluster) map[value.Value]in
 // values, bit for bit, so that the statement cannot tell them apart.
 func agrees(row []value.Value, cols []int, vals []value.Value) bool {
 	for k, col := range cols {
-		if row[col] != vals[k] {
+		if !value.Same(row[col], vals[k]) {
 			return false
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -392,7 +391,7 @@ func TestFallsBackWhereTheLineageDoesNotPay(t *testing.T) {
 			}
 			sameResult(t, label, want, got, ev.tol)
 			for i := range got.Answers {
-				if !slices.Equal(got.Answers[i].Values, want.Answers[i].Values) {
+				if !value.RowsSame(got.Answers[i].Values, want.Answers[i].Values) {
 					t.Errorf("%s: answer %d is %#v, step by step %#v", label, i, got.Answers[i].Values, want.Answers[i].Values)
 				}
 			}

@@ -344,7 +344,11 @@ func (j *HashJoin) match(limit int) []joinMatch {
 					continue
 				}
 				if len(m) == cap(m) {
-					m = growMatches(m, i-from, n-from, limit)
+					ahead := 0
+					if i == from {
+						ahead = j.chainAhead(h, limit-len(m)-1)
+					}
+					m = growMatches(m, i-from, n-from, ahead, limit)
 				}
 				m = append(m, joinMatch{probe: int32(i), entry: at})
 			}
@@ -361,14 +365,28 @@ func (j *HashJoin) match(limit int) []joinMatch {
 	}
 }
 
+// chainAhead counts the entries of hash h left on the chain the cursor
+// is walking, up to most: what the probe row being walked may still match.
+func (j *HashJoin) chainAhead(h uint64, most int) int {
+	c, entries := 0, j.build.entries
+	for at := j.next; at != 0 && c < most; at = entries[at-1].next {
+		if entries[at-1].hash == h {
+			c++
+		}
+	}
+	return c
+}
+
 // growMatches makes room in a full match vector for the pairs its fill is
-// expected to make: the pairs so far and the one being added, scaled from
-// the done probe rows whose buckets the fill has walked to all rows it may
-// walk — from the row being walked when none is done — and at least twice
-// the vector, at most limit. A 1:1 join sizes the vector on its first
-// match, a fan-out mostly on its second row.
-func growMatches(m []joinMatch, done, rows, limit int) []joinMatch {
-	want := min(limit, max(2*cap(m), (len(m)+1)*rows/max(done, 1)))
+// expected to make: the pairs so far, the one being added and the ahead
+// ones its row's chain may still give, scaled from the done probe rows
+// whose buckets the fill has walked to all rows it may walk — from the row
+// being walked when none is done — and at least twice the vector, at most
+// limit. A 1:1 join sizes the vector on its first match, a fan-out on its
+// first row's bucket (match passes ahead for that row only), so a one-row
+// probe batch grows it once.
+func growMatches(m []joinMatch, done, rows, ahead, limit int) []joinMatch {
+	want := min(limit, max(2*cap(m), (len(m)+1+ahead)*rows/max(done, 1)))
 	return slices.Grow(m, want-len(m))
 }
 

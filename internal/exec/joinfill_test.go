@@ -174,3 +174,38 @@ func drainFills(t *testing.T, label string, parts []Operator, transient bool) (r
 	}
 	return rows, fills, multi
 }
+
+// TestOneRowProbeGrowsItsMatchesOnce: a probe batch of one row sizes its
+// match vector from the row's bucket rather than by doubling from the pairs
+// made so far: one row against a key of fan-out 100 grows the vector at
+// most twice, where doubling grows it eight times (1, 2, 4, … 128).
+func TestOneRowProbeGrowsItsMatchesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	probe := keyTable(t, "probe", 1, func(int) int { return 1 })
+	build := keyTable(t, "build", 1, func(int) int { return 100 })
+	j := mustOp[*HashJoin](t)(NewHashJoin(NewScan(probe, "p"), NewScan(build, "b"),
+		exprs(colRef("p", "k")), exprs(colRef("b", "k")), nil))
+	govern(j)
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	b := NewBatch(0)
+	if err := j.NextBatch(b); err != nil || b.Len() != 100 {
+		t.Fatalf("the join gave %d rows (error %v), want 100", b.Len(), err)
+	}
+	// Walk the probe row's bucket again from an empty vector: each growth
+	// is one allocation.
+	growths := testing.AllocsPerRun(20, func() {
+		j.matches, j.bp.idx, j.next = nil, 0, 0
+		if m := j.match(b.Cap()); len(m) != 100 {
+			t.Fatalf("%d pairs, want 100", len(m))
+		}
+	})
+	t.Logf("a one-row probe of fan-out 100 grows its match vector %.0f times", growths)
+	if growths > 2 {
+		t.Errorf("the match vector grew %.0f times for one probe row of fan-out 100, want at most 2", growths)
+	}
+}

@@ -1061,7 +1061,7 @@ func (a *HashAggregate) streamPart(acc *aggAcc, out *runs[[]value.Value], part O
 	err := pull(part, leaf, gov, NewTransientBatch(batchSize), a.stats, func(b *Batch, m int) error {
 		for i, n := 0, b.Len(); i < n; i++ {
 			row := b.Row(i)
-			if v := row[a.runCol]; m != cur || v != run {
+			if v := row[a.runCol]; m != cur || !value.Same(v, run) {
 				if err := a.flushRun(acc, out, &fin, cur, n-i, gov); err != nil {
 					return err
 				}

@@ -92,7 +92,7 @@ func (c *morselCursor) claim() (m, lo, hi int, ok bool) {
 // runs table's identifier, or the table's end.
 func (c *morselCursor) runStart(r int) int {
 	id := c.runs.Schema.IdentifierIndex()
-	for r > 0 && r < c.total && c.runs.Row(r)[id] == c.runs.Row(r - 1)[id] {
+	for r > 0 && r < c.total && value.Same(c.runs.Row(r)[id], c.runs.Row(r - 1)[id]) {
 		r++
 	}
 	return r

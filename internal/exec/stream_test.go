@@ -122,7 +122,7 @@ func requireIdentical(t *testing.T, label string, want, got [][]value.Value) {
 	}
 	for i := range want {
 		for c := range want[i] {
-			if w, g := want[i][c], got[i][c]; w != g {
+			if w, g := want[i][c], got[i][c]; !value.Same(w, g) {
 				t.Fatalf("%s: row %d column %d reads %v, want %v", label, i, c, g, w)
 			}
 		}

@@ -76,7 +76,7 @@ func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string,
 	}
 	ds := NewDataset(attrs)
 	ds.ids = make([]int32, 0, tb.Len()*len(cols))
-	clusterIDs := make([]value.Value, tb.Len())
+	clusterIDs := make([]value.Key, tb.Len())
 	var tick qerr.Ticker
 	for i := range clusterIDs {
 		if err := tick.Poll(ctx); err != nil {
@@ -87,7 +87,7 @@ func AnnotateTableCtx(ctx context.Context, tb *storage.Table, attrCols []string,
 			ds.add(a, category(row[ci]))
 		}
 		ds.n++
-		clusterIDs[i] = category(row[idIdx])
+		clusterIDs[i] = category(row[idIdx]).Key()
 	}
 
 	assignments, err := ds.assign(ctx, GroupClusters(clusterIDs), d, parallelism)

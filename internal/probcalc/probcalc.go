@@ -47,7 +47,7 @@ type Dataset struct {
 
 type vkey struct {
 	attr int
-	v    value.Value // a category
+	v    value.Key // a category
 }
 
 // category is v's vocabulary key: the class of the values that print as v
@@ -94,7 +94,7 @@ func (ds *Dataset) Add(values []string) error {
 // add appends attribute attr's value, the category v, to the tuple being
 // added.
 func (ds *Dataset) add(attr int, v value.Value) {
-	k := vkey{attr: attr, v: v}
+	k := vkey{attr: attr, v: v.Key()}
 	id, ok := ds.vocab[k]
 	if !ok {
 		id = int32(len(ds.vocab))
@@ -112,7 +112,7 @@ func (ds *Dataset) VocabSize() int { return len(ds.vocab) }
 // ValueName returns the raw string and attribute of vocabulary entry id.
 func (ds *Dataset) ValueName(id int) (attr int, raw string) {
 	k := ds.keys()[id]
-	return k.attr, k.v.String()
+	return k.attr, k.v.Value().String()
 }
 
 // keys returns the vocabulary by id. Ids are dense and never change, so
@@ -302,7 +302,7 @@ func (ds *Dataset) MostFrequentValues(rows []int) []string {
 		counts := map[string]int{}
 		var first []string
 		for _, i := range rows {
-			raw := names[ds.tuple(i)[a]].v.String()
+			raw := names[ds.tuple(i)[a]].v.Value().String()
 			if counts[raw] == 0 {
 				first = append(first, raw)
 			}
@@ -324,7 +324,7 @@ func (ds *Dataset) Tuple(i int) []string {
 	out := make([]string, len(ds.Attrs))
 	names := ds.keys()
 	for a, id := range ds.tuple(i) {
-		out[a] = names[id].v.String()
+		out[a] = names[id].v.Value().String()
 	}
 	return out
 }

@@ -76,7 +76,7 @@ func (t *Table) keepOrder(i int, v value.Value) {
 // table: bit-identical, or strictly greater. Values that compare equal but
 // differ in their bits (Int 1 and Float 1.0, -0 and +0) do not.
 func idFollows(a, b value.Value) bool {
-	return a == b || value.Compare(a, b) < 0
+	return value.Same(a, b) || value.Compare(a, b) < 0
 }
 
 // Len returns the number of rows.

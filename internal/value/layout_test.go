@@ -1,17 +1,25 @@
 package value
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 )
 
-// TestValueIs32Bytes pins the layout: a kind, one 8-byte payload and the
-// string header. Every []Value in storage, slabs, keys, caches and results
-// is sized by it, and Size is what the cache charges.
-func TestValueIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 || Size != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, Size = %d, want 32", got, Size)
+// TestValueIs16Bytes pins the layout: a tag-or-string pointer and one
+// 8-byte payload. Every []Value in storage, slabs, keys, caches and results
+// is sized by it, and Size is what the cache charges. A Value must not be
+// comparable: == would compare a string's address, not its bytes.
+func TestValueIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 16 || Size != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, Size = %d, want 16", got, Size)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable: == would compare string addresses")
 	}
 	var zero Value
 	if !zero.IsNull() || zero.Kind() != KindNull || !Identical(zero, Null()) || Hash(zero) != Hash(Null()) {
@@ -55,7 +63,7 @@ func TestRoundTripBitExact(t *testing.T) {
 		case KindBool:
 			back = Bool(v.AsBool())
 		}
-		if back != v {
+		if !Same(back, v) {
 			t.Errorf("%v (%v) does not round-trip: %#v vs %#v", v, v.Kind(), back, v)
 		}
 		for name, get := range map[Kind]func(){
@@ -206,4 +214,75 @@ func floatOr(v Value) float64 {
 		return v.AsFloat()
 	}
 	return 0
+}
+
+// sameInputs are layoutInputs plus the strings where a pointer-and-length
+// representation could go wrong: equal bytes over separate backing arrays,
+// a one-byte string converted from a byte, and zero-length substrings of
+// a non-empty string at its start, middle and end.
+func sameInputs() []Value {
+	long := strings.Repeat("ab", 4)
+	return append(layoutInputs(),
+		Str(strings.Clone("a")), Str(string([]byte{'b'})), Str(long), Str(strings.Clone(long)),
+		Str(long[:4]), Str(long[4:]), Str(long[0:0]), Str(long[3:3]), Str(long[len(long):]),
+	)
+}
+
+// TestSameKeyAndHashAgree: Same is Key equality, a Key gives back a Value
+// Same as the one it came from, Identical values hash alike, and the empty
+// string is not NULL by any of them.
+func TestSameKeyAndHashAgree(t *testing.T) {
+	in := sameInputs()
+	if a, b := Str(strings.Clone("ab")), Str(strings.Clone("ab")); a.p == b.p || !Same(a, b) || a.Key() != b.Key() {
+		t.Fatal("equal strings over separate backing arrays: want distinct pointers, Same and equal Keys")
+	}
+	for i, a := range in {
+		if back := a.Key().Value(); !Same(back, a) || back.Kind() != a.Kind() {
+			t.Errorf("input %d: %v %v comes back from its Key as %v %v", i, a.Kind(), a, back.Kind(), back)
+		}
+		for j, b := range in {
+			if Same(a, b) != (a.Key() == b.Key()) {
+				t.Errorf("inputs %d, %d (%v %v, %v %v): Same %v, Keys equal %v", i, j, a.Kind(), a, b.Kind(), b, Same(a, b), a.Key() == b.Key())
+			}
+			if Same(a, b) && !Identical(a, b) && !math.IsNaN(floatOr(a)) {
+				t.Errorf("inputs %d, %d: Same but not Identical", i, j)
+			}
+			if Identical(a, b) && !math.IsNaN(floatOr(a)) && !math.IsNaN(floatOr(b)) && Hash(a) != Hash(b) {
+				t.Errorf("inputs %d, %d (%v %v, %v %v): Identical and hash apart", i, j, a.Kind(), a, b.Kind(), b)
+			}
+		}
+	}
+	empty := Str("")
+	if empty.IsNull() || Same(empty, Null()) || empty.Key() == Null().Key() || Identical(empty, Null()) || Hash(empty) == Hash(Null()) {
+		t.Error("the empty string is not distinct from NULL")
+	}
+	for _, s := range []string{"ab"[1:1], strings.Repeat("x", 9)[9:]} {
+		if v := Str(s); !Same(v, empty) || v.Key() != empty.Key() || v.AsString() != "" {
+			t.Error("a zero-length substring is not the empty string")
+		}
+	}
+}
+
+// TestStringValuesOutliveTheirBuilders: a string held only by a Value's
+// pointer survives collections, and its bytes are not reused.
+func TestStringValuesOutliveTheirBuilders(t *testing.T) {
+	const n = 10000
+	vs := make([]Value, n)
+	for i := range vs {
+		vs[i] = Str(fmt.Sprintf("value number %d, held only by its Value", i))
+	}
+	runtime.GC()
+	runtime.GC()
+	// Allocate strings of the same size over what a wrongly freed string
+	// would have left, so that a lost one reads back someone else's bytes.
+	junk := make([]string, n)
+	for i := range junk {
+		junk[i] = fmt.Sprintf("junk number %d, written after collecting", i)
+	}
+	for i, v := range vs {
+		if got, want := v.AsString(), fmt.Sprintf("value number %d, held only by its Value", i); got != want {
+			t.Fatalf("value %d reads %q after two collections, want %q", i, got, want)
+		}
+	}
+	runtime.KeepAlive(junk)
 }

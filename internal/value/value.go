@@ -68,14 +68,30 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Value is a dynamically typed SQL value. The zero Value is NULL. It is
-// 32 bytes: the kind, one 8-byte payload — the int, the float's IEEE-754
-// bits, or 0/1 for the bool — and the string header. Only one of n and s
-// is ever live.
+// 16 bytes: a pointer p and one 8-byte payload n.
+//
+//   - NULL: p is nil.
+//   - Int, Float, Bool: p is that kind's entry in tags, and n is the int,
+//     the float's IEEE-754 bits, or 0/1 for the bool.
+//   - the empty string: p is tags[KindString], n is 0.
+//   - any other string: p is its first byte and n its length; the garbage
+//     collector keeps the bytes alive through p, as through a string header.
+//
+// Values are not comparable (the zero-length func array sees to it): ==
+// would compare a string's address rather than its bytes. Use Same for bit
+// identity, Identical for GROUP BY equality, and Key for a map key.
 type Value struct {
-	kind Kind
-	n    uint64
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// tags gives each non-NULL kind an address that no string's bytes can
+// have; an entry's offset in the array is its kind.
+var tags [KindBool + 1]byte
+
+// tag is the p of kind k's values (of the empty string, for KindString).
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&tags[k]) }
 
 // Size is the size of a Value in bytes: what a []Value holds per element
 // (a string's bytes come on top). The cache charges it.
@@ -85,37 +101,59 @@ const Size = int64(unsafe.Sizeof(Value{}))
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
+func Int(i int64) Value { return Value{p: tag(KindInt), n: uint64(i)} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
+func Float(f float64) Value { return Value{p: tag(KindFloat), n: math.Float64bits(f)} }
 
-// Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+// Str returns a string value. Every empty string, a zero-length substring
+// of a longer one included, gets the one empty-string tag.
+func Str(s string) Value {
+	if len(s) == 0 {
+		return Value{p: tag(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, n: 1}
+		return Value{p: tag(KindBool), n: 1}
 	}
-	return Value{kind: KindBool}
+	return Value{p: tag(KindBool)}
 }
 
-// The payload read back as each numeric kind; callers have checked kind.
+// The payload read back as each kind; callers have checked kind.
 func (v Value) int() int64     { return int64(v.n) }
 func (v Value) float() float64 { return math.Float64frombits(v.n) }
 func (v Value) bool() bool     { return v.n != 0 }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
 
-// Kind reports the runtime type of v.
-func (v Value) Kind() Kind { return v.kind }
+// Kind reports the runtime type of v. It is a few compares, not a load:
+// the hot predicates below compare p with a tag instead.
+func (v Value) Kind() Kind {
+	if v.p == nil {
+		return KindNull
+	}
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&tags)); d < uintptr(len(tags)) {
+		return Kind(d)
+	}
+	return KindString
+}
+
+// isStr reports whether v is a string: not NULL and not a tag other than
+// the empty string's.
+func (v Value) isStr() bool {
+	return v.p != nil && v.p != tag(KindInt) && v.p != tag(KindFloat) && v.p != tag(KindBool)
+}
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // AsInt returns the integer payload. It panics unless Kind is KindInt.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("value: AsInt on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
+	if v.p != tag(KindInt) {
+		panic(misuse{KindInt, v.p}) //lint:allow nopanic -- documented accessor contract
 	}
 	return v.int()
 }
@@ -123,38 +161,101 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the numeric payload widened to float64. It panics unless
 // the value is numeric.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindInt:
-		return float64(v.int())
-	case KindFloat:
+	if v.p == tag(KindFloat) {
 		return v.float()
 	}
-	panic("value: AsFloat on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
+	if v.p != tag(KindInt) {
+		panic(misuse{KindFloat, v.p}) //lint:allow nopanic -- documented accessor contract
+	}
+	return float64(v.int())
 }
 
 // AsString returns the string payload. It panics unless Kind is KindString.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("value: AsString on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
+	if !v.isStr() {
+		panic(misuse{KindString, v.p}) //lint:allow nopanic -- documented accessor contract
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload. It panics unless Kind is KindBool.
 func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic("value: AsBool on " + v.kind.String()) //lint:allow nopanic -- documented accessor contract
+	if v.p != tag(KindBool) {
+		panic(misuse{KindBool, v.p}) //lint:allow nopanic -- documented accessor contract
 	}
 	return v.bool()
 }
 
+// misuse is an accessor's panic: the accessor of kind want applied to a
+// value of another kind, the one whose p it holds. The message is built
+// when it is read, so that the accessors inline.
+type misuse struct {
+	want Kind
+	p    unsafe.Pointer
+}
+
+func (m misuse) Error() string {
+	name := [...]string{KindInt: "AsInt", KindFloat: "AsFloat", KindString: "AsString", KindBool: "AsBool"}[m.want]
+	return "value: " + name + " on " + Value{p: m.p}.Kind().String()
+}
+
 // IsNumeric reports whether v is an int or a float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return v.p == tag(KindInt) || v.p == tag(KindFloat) }
+
+// Same reports whether a and b are the same value bit for bit: the same
+// kind and payload, a float by its bits (so NaN is Same as NaN and -0 is
+// not Same as 0), a string by its bytes wherever they sit.
+func Same(a, b Value) bool {
+	if a.p == b.p {
+		return a.n == b.n
+	}
+	return a.n == b.n && a.isStr() && b.isStr() && a.str() == b.str()
+}
+
+// RowsSame reports element-wise Same over two rows of equal length.
+func RowsSame(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Same(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Key is a comparable form of a Value, for map keys and ==: two Keys are
+// equal exactly when their Values are Same.
+type Key struct {
+	kind Kind
+	n    uint64
+	s    string
+}
+
+// Key returns v's comparable form.
+func (v Value) Key() Key {
+	if k := v.Kind(); k != KindString {
+		return Key{kind: k, n: v.n}
+	}
+	return Key{kind: KindString, s: v.str()}
+}
+
+// Value returns the Value k was made from (Same as it).
+func (k Key) Value() Value {
+	switch k.kind {
+	case KindNull:
+		return Null()
+	case KindString:
+		return Str(k.s)
+	}
+	return Value{p: tag(k.kind), n: k.n}
+}
 
 // String renders the value for display. NULL renders as "NULL"; floats use
 // a compact decimal form.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
@@ -162,7 +263,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
 		if v.bool() {
 			return "true"
@@ -213,27 +314,32 @@ func Parse(kind Kind, s string) (Value, error) {
 // ordering used by ORDER BY); use Equal or the comparison operators for
 // SQL predicate semantics, where NULL never matches.
 func Compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == b.kind:
+	if a.p == b.p {
+		// One kind on both sides, or one string's bytes: a Same pair and
+		// two ints answer without the kind.
+		if a.n == b.n {
 			return 0
-		case a.kind == KindNull:
+		}
+		if a.p == tag(KindInt) {
+			if a.int() < b.int() {
+				return -1
+			}
+			return 1
+		}
+	}
+	ka, kb := a.Kind(), b.Kind()
+	if ka == KindNull || kb == KindNull {
+		switch {
+		case ka == kb:
+			return 0
+		case ka == KindNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			switch ai, bi := a.int(), b.int(); {
-			case ai < bi:
-				return -1
-			case ai > bi:
-				return 1
-			default:
-				return 0
-			}
-		}
+	if numeric(ka) && numeric(kb) {
+		// Two ints share a tag and were answered above.
 		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
 		case af < bf:
@@ -244,16 +350,16 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	}
-	if a.kind != b.kind {
+	if ka != kb {
 		// Incomparable kinds: order by kind tag so sorting is total.
-		if a.kind < b.kind {
+		if ka < kb {
 			return -1
 		}
 		return 1
 	}
-	switch a.kind {
+	switch ka {
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindBool:
 		switch {
 		case a.n == b.n:
@@ -267,10 +373,12 @@ func Compare(a, b Value) int {
 	return 0
 }
 
+func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
+
 // Equal reports whether a and b are equal under predicate semantics: NULL
 // is equal to nothing, including NULL.
 func Equal(a, b Value) bool {
-	if a.kind == KindNull || b.kind == KindNull {
+	if a.p == nil || b.p == nil {
 		return false
 	}
 	return Compare(a, b) == 0
@@ -280,11 +388,8 @@ func Equal(a, b Value) bool {
 // NULL as identical to NULL. It is the equality used by GROUP BY and
 // DISTINCT.
 func Identical(a, b Value) bool {
-	if a.kind == KindNull && b.kind == KindNull {
-		return true
-	}
-	if a.kind == KindNull || b.kind == KindNull {
-		return false
+	if a.p == nil || b.p == nil {
+		return a.p == b.p
 	}
 	return Compare(a, b) == 0
 }
@@ -296,15 +401,15 @@ func arith(a, b Value, intOp func(int64, int64) (int64, error), floatOp func(flo
 	if a.IsNull() || b.IsNull() {
 		return Null(), nil
 	}
-	if !a.IsNumeric() || !b.IsNumeric() {
-		return Null(), errNonNumeric
-	}
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.p == tag(KindInt) && b.p == tag(KindInt) {
 		r, err := intOp(a.int(), b.int())
 		if err != nil {
 			return Null(), err
 		}
 		return Int(r), nil
+	}
+	if !a.IsNumeric() || !b.IsNumeric() {
+		return Null(), errNonNumeric
 	}
 	return Float(floatOp(a.AsFloat(), b.AsFloat())), nil
 }
@@ -345,12 +450,12 @@ func Div(a, b Value) (Value, error) {
 
 // Neg returns -a; NULL propagates.
 func Neg(a Value) (Value, error) {
-	switch a.kind {
-	case KindNull:
+	switch a.p {
+	case nil:
 		return Null(), nil
-	case KindInt:
+	case tag(KindInt):
 		return Int(-a.int()), nil
-	case KindFloat:
+	case tag(KindFloat):
 		return Float(-a.float()), nil
 	}
 	return Null(), errNonNumeric
@@ -373,7 +478,7 @@ const (
 // they compare equal). Numeric kinds use an inline splitmix64 finalizer;
 // strings use hash/maphash's string fast path.
 func Hash(v Value) uint64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return hashNull
 	case KindInt:
@@ -388,7 +493,7 @@ func Hash(v Value) uint64 {
 		}
 		return mix64(v.n ^ hashFloat)
 	case KindString:
-		return maphash.String(hashSeed, v.s)
+		return maphash.String(hashSeed, v.str())
 	case KindBool:
 		if v.bool() {
 			return hashTrue
